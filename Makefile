@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-smoke recover-test rebalance-test wire-test wire-smoke obs-test
+.PHONY: check build vet lint test race bench recover-test rebalance-test wire-test wire-fuzz wire-smoke obs-test obs-gate
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -42,19 +42,23 @@ rebalance-test:
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
-# seed corpora), the v1/v2 handshake-downgrade matrix, pipelining order and
-# concurrent-connection suites, the mid-COPY desync regression, and the
-# resource-pool admission suites — all under the race detector.
-wire-test:
-	$(GO) test -race -run 'Bin|WireCode|Handshake|Pipeline|ExecuteStream|PoolSentinels|MidCopy|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle' ./internal/server/
-	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
-	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
-	$(GO) test -race -run xxx -fuzz FuzzBinErrorDecode -fuzztime 5s ./internal/server/
+# seed corpora), the handshake and unsupported-version refusals, pipelining
+# order and concurrent-connection suites, the mid-COPY desync and COPY-abort
+# regressions, and the resource-pool admission suites — all under the race
+# detector.
+wire-test: wire-fuzz
+	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|Pipeline|ExecuteStream|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle' ./internal/server/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 
-# Closed-loop wire benchmark at smoke scale: diffs binary-v2 against
-# JSON-v1 result sets cell by cell and checks admission control bounds
+# Five seconds of native fuzzing on each wire decoder.
+wire-fuzz:
+	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
+	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
+	$(GO) test -race -run xxx -fuzz FuzzBinErrorDecode -fuzztime 5s ./internal/server/
+
+# Closed-loop wire benchmark at smoke scale: diffs the wire's result set
+# against the in-process one cell by cell and checks admission control bounds
 # engine concurrency with queue waits visible in the histogram and
 # v_monitor.resource_queue_events. Shape gates only; timings at this scale
 # are noise. Full runs (`go run ./cmd/wireload`) write BENCH_wire.json.
@@ -66,28 +70,22 @@ wire-smoke:
 # surviving a simulated kill, retention via SET_DATA_COLLECTOR_POLICY,
 # seeded query events), the /metrics + /healthz endpoint suites, and the
 # Chrome-trace exporter — all under the race detector — then the scanbench
-# overhead gate asserting dc spooling costs at most 5% on the selective
-# scan (500k rows: large enough that the fixed ~45µs/query spool cost is
-# measured against a realistic query, small enough for CI).
-obs-test:
+# overhead gate.
+obs-test: obs-gate
 	$(GO) test -race ./internal/dc/
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race -run 'DC|QueryEvents|Metrics|Healthz|Counters|Profile|ChromeTrace' ./internal/vertica/
+
+# Asserts dc spooling costs at most 5% on the selective scan (500k rows:
+# large enough that the fixed ~45µs/query spool cost is measured against a
+# realistic query, small enough for CI).
+obs-gate:
 	$(GO) run ./cmd/scanbench -rows 500000 -iters 5 -obs -gate -out BENCH_scan_obs.json
 
-# Microbenchmarks plus the throughput gates: BENCH_scan.json,
-# BENCH_agg.json, and BENCH_join.json record ns/op and rows/s for the
-# vectorized pipeline vs the row-at-a-time reference (machine-readable,
-# tracked by CI).
+# Microbenchmarks plus the scan throughput record (BENCH_scan.json,
+# machine-readable). Aggregation and join timings live in fabricperf's
+# vexec.agg_s / vexec.join_s / vertica.groupby_us / vertica.join_us.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
 	$(GO) run ./cmd/scanbench -out BENCH_scan.json
-	$(GO) run ./cmd/aggbench -out-agg BENCH_agg.json -out-join BENCH_join.json
-
-# Small-scale aggregation/join bench that diffs the vectorized results
-# against the row-at-a-time reference cell by cell and exits non-zero on any
-# shape drift (row counts, values, NULLs) or empty result. Timings at this
-# scale are noise; the diff is the CI gate.
-bench-smoke:
-	$(GO) run ./cmd/aggbench -smoke -out-agg BENCH_agg.json -out-join BENCH_join.json

@@ -1,17 +1,16 @@
 // Command lintoptions enforces the typed-options API boundary: no exported
 // function or method may take a map[string]string options bag. The stringly
 // form is quarantined to the External Data Source API surface (the Spark
-// interface methods and the Parse* shims in internal/core), which are
-// allowlisted below; everything else must accept V2SOptions/S2VOptions or
-// functional options so misspelled keys and out-of-range values fail at
-// compile time or construction, not deep inside a job.
+// interface methods), which is allowlisted below; everything else must
+// accept V2SOptions/S2VOptions or functional options so misspelled keys and
+// out-of-range values fail at compile time or construction, not deep inside
+// a job.
 //
 // It also flags ad-hoc timeout parameters on exported constructors: a
 // Dial*/New*/Connect*/Open* function taking a bare time.Duration grows a
 // new variant for every knob (DialTimeout, DialTimeoutWithRetry, ...).
 // Constructors take functional options (server.WithDialTimeout et al.) or a
-// config struct instead; the one deprecated shim kept for compatibility is
-// allowlisted.
+// config struct instead.
 //
 // Finally, it flags exported functions taking a map[string]interface{} (or
 // map[string]any) attribute bag anywhere outside internal/obs. Untyped bags
@@ -47,15 +46,6 @@ var allowed = map[string]bool{
 	"internal/jdbcsource: Source.SaveRelation":    true,
 	"internal/hdfssource: Source.CreateRelation":  true,
 	"internal/hdfssource: Source.SaveRelation":    true,
-	// The designated stringly→typed shims.
-	"internal/core: ParseV2SOptions": true,
-	"internal/core: ParseS2VOptions": true,
-}
-
-// allowedDuration names the exported constructors that may keep a bare
-// time.Duration parameter: deprecated shims preserved for compatibility.
-var allowedDuration = map[string]bool{
-	"internal/server: DialTimeout": true,
 }
 
 // constructorPrefixes are the exported-function name prefixes the
@@ -171,9 +161,9 @@ func lintFile(fset *token.FileSet, root, path string) ([]string, error) {
 			bad = append(bad, fmt.Sprintf("%s:%d: exported %s%s takes map[string]interface{}; untyped attribute bags are reserved for internal/obs — use a typed struct",
 				pos.Filename, pos.Line, rn, fd.Name.Name))
 		}
-		if takesDuration && rn == "" && isConstructor(fd.Name.Name) && !allowedDuration[key] {
+		if takesDuration && rn == "" && isConstructor(fd.Name.Name) {
 			pos := fset.Position(fd.Pos())
-			bad = append(bad, fmt.Sprintf("%s:%d: exported constructor %s takes a bare time.Duration; use functional options (e.g. WithDialTimeout) or a config struct, or allowlist it in cmd/lintoptions",
+			bad = append(bad, fmt.Sprintf("%s:%d: exported constructor %s takes a bare time.Duration; use functional options (e.g. WithDialTimeout) or a config struct",
 				pos.Filename, pos.Line, fd.Name.Name))
 		}
 	}

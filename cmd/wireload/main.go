@@ -9,21 +9,20 @@
 //	wireload -sessions 64 -requests 40
 //	wireload -smoke                        # small scale; gate shape only
 //
-// Phase A compares JSON v1 framing against binary v2 (and v2 pipelined) on
-// an identical query mix, diffing the result sets cell by cell first — a
-// protocol that is fast but wrong fails before any timing runs. The
-// comparison runs at moderate concurrency on purpose: past the point where
-// the scheduler saturates, per-request cost is dominated by context
-// switching that both protocols pay identically and the codec delta washes
-// out. A separate scale phase then opens -scale-sessions (default 2000)
-// concurrent binary connections to prove the server holds thousands of
-// live sessions; that phase gates completion, not timing. Phase B runs
-// the closed loop with and without a MAXCONCURRENCY resource pool and
-// checks admission actually bounds engine-side concurrency, with queue
-// waits visible in the pool.queue histogram and
-// v_monitor.resource_queue_events. In -smoke mode the correctness and
-// admission gates still apply but timing ratios do not: shapes are
-// deterministic, timings are not.
+// Phase A times the wire protocol, plain and pipelined, on one query mix,
+// after diffing the wire's result set cell by cell against the same query
+// run in-process — a protocol that is fast but wrong fails before any
+// timing runs. It runs at moderate concurrency on purpose: past the point
+// where the scheduler saturates, per-request cost is dominated by context
+// switching, not the codec. A separate scale phase then opens
+// -scale-sessions (default 2000) concurrent connections to prove the
+// server holds thousands of live sessions; that phase gates completion,
+// not timing. Phase B runs the closed loop with and without a
+// MAXCONCURRENCY resource pool and checks admission actually bounds
+// engine-side concurrency, with queue waits visible in the pool.queue
+// histogram and v_monitor.resource_queue_events. The gates are shapes
+// (correctness, admission bounds), never timings; -smoke only shrinks the
+// scale.
 package main
 
 import (
@@ -38,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vsfabric/internal/client"
 	"vsfabric/internal/server"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -72,7 +72,6 @@ type Results struct {
 	PerSess       int            `json:"requests_per_session"`
 	ScaleSessions int            `json:"scale_sessions,omitempty"`
 	Queries       []Measurement  `json:"queries"`
-	SpeedupX      float64        `json:"speedup_x"` // binary v2 vs JSON v1 qps
 	Admission     []AdmissionRun `json:"admission"`
 }
 
@@ -89,7 +88,7 @@ func percentileUs(lat []time.Duration, q float64) int64 {
 // closedLoop runs sessions concurrent connections, each issuing perSess
 // requests back to back (a closed loop: the next request leaves only when
 // the previous response arrived), and summarizes latency and throughput.
-func closedLoop(name, ep, sql string, sessions, perSess, protocol, pipeline int) (Measurement, error) {
+func closedLoop(name, ep, sql string, sessions, perSess, pipeline int) (Measurement, error) {
 	latCh := make(chan []time.Duration, sessions)
 	errCh := make(chan error, sessions)
 	start := time.Now()
@@ -98,9 +97,7 @@ func closedLoop(name, ep, sql string, sessions, perSess, protocol, pipeline int)
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := server.DialContext(bg, ep,
-				server.WithProtocol(protocol),
-				server.WithPeerName(fmt.Sprintf("wireload-%d", id)))
+			c, err := server.DialContext(bg, ep, server.WithPeerName(fmt.Sprintf("wireload-%d", id)))
 			if err != nil {
 				errCh <- err
 				return
@@ -176,7 +173,7 @@ func closedLoop(name, ep, sql string, sessions, perSess, protocol, pipeline int)
 }
 
 // diffResults compares two result sets cell by cell after sorting rows by
-// their first column, so protocol comparisons are order-insensitive.
+// their first column, so the comparison is order-insensitive.
 func diffResults(a, b *vertica.Result) error {
 	if a.Schema.NumCols() != b.Schema.NumCols() {
 		return fmt.Errorf("schema width %d != %d", a.Schema.NumCols(), b.Schema.NumCols())
@@ -226,7 +223,7 @@ func setup(rows, sessions int) (*vertica.Cluster, string, error) {
 	// Move the load into ROS so the benchmark queries hit the vectorized
 	// columnar path with zone-map pruning. Left in the WOS, every request
 	// pays a row-at-a-time scan that dwarfs and so hides the protocol cost
-	// under measurement — the thing this driver exists to compare.
+	// under measurement.
 	if err := cl.Moveout(); err != nil {
 		return nil, "", err
 	}
@@ -298,7 +295,7 @@ func run() error {
 	scaleSessions := flag.Int("scale-sessions", 2000, "concurrent sessions for the connection-scale phase (0 skips it)")
 	scaleRequests := flag.Int("scale-requests", 3, "requests per session in the connection-scale phase")
 	out := flag.String("out", "BENCH_wire.json", "output JSON path")
-	smoke := flag.Bool("smoke", false, "small scale; gate correctness and admission shape, not timing")
+	smoke := flag.Bool("smoke", false, "small scale, same correctness and admission gates")
 	flag.Parse()
 
 	if *smoke {
@@ -316,42 +313,40 @@ func run() error {
 
 	const query = "SELECT id, grp, val, tag FROM wt WHERE id < 200"
 
-	// Correctness gate: both protocols must return the identical result set.
-	v1c, err := server.DialContext(bg, ep, server.WithProtocol(1))
+	// Correctness gate: the wire must return exactly what the same query
+	// returns in-process.
+	wire, err := server.DialContext(bg, ep)
 	if err != nil {
 		return err
 	}
-	v2c, err := server.DialContext(bg, ep, server.WithProtocol(2))
+	local, err := client.InProc(cl).Connect(bg, cl.Node(0).Addr)
 	if err != nil {
 		return err
 	}
-	r1, err := v1c.Execute(bg, query)
+	rw, err := wire.Execute(bg, query)
 	if err != nil {
 		return err
 	}
-	r2, err := v2c.Execute(bg, query)
+	rl, err := local.Execute(bg, query)
 	if err != nil {
 		return err
 	}
-	if err := diffResults(r1, r2); err != nil {
-		return fmt.Errorf("binary and JSON protocols disagree: %w", err)
+	if err := diffResults(rw, rl); err != nil {
+		return fmt.Errorf("wire and in-process results disagree: %w", err)
 	}
-	v1c.Close()
-	v2c.Close()
-	fmt.Printf("correctness: v1 and v2 agree on %d rows\n", len(r1.Rows))
+	wire.Close()
+	local.Close()
+	fmt.Printf("correctness: wire and in-process agree on %d rows\n", len(rw.Rows))
 
 	res := Results{Rows: *rows, Sessions: *sessions, PerSess: *perSess}
-	runs := []struct {
+	for _, r := range []struct {
 		name     string
-		protocol int
 		pipeline int
 	}{
-		{"json-v1", 1, 1},
-		{"binary-v2", 2, 1},
-		{"binary-v2-pipelined", 2, *pipeline},
-	}
-	for _, r := range runs {
-		m, err := closedLoop(r.name, ep, query, *sessions, *perSess, r.protocol, r.pipeline)
+		{"binary-v2", 1},
+		{"binary-v2-pipelined", *pipeline},
+	} {
+		m, err := closedLoop(r.name, ep, query, *sessions, *perSess, r.pipeline)
 		if err != nil {
 			return err
 		}
@@ -359,15 +354,13 @@ func run() error {
 		fmt.Printf("%-22s %9.0f qps   p50 %6dus  p95 %6dus  p99 %6dus\n",
 			m.Name, m.QPS, m.P50us, m.P95us, m.P99us)
 	}
-	res.SpeedupX = res.Queries[1].QPS / res.Queries[0].QPS
-	fmt.Printf("binary vs JSON: %.2fx\n", res.SpeedupX)
 
-	// Connection-scale phase: thousands of live binary sessions at once.
+	// Connection-scale phase: thousands of live sessions at once.
 	// Every request must complete; the timing is reported but not gated —
 	// at this concurrency the scheduler, not the protocol, sets the pace.
 	if *scaleSessions > 0 {
 		res.ScaleSessions = *scaleSessions
-		m, err := closedLoop("binary-v2-scale", ep, query, *scaleSessions, *scaleRequests, 2, 1)
+		m, err := closedLoop("binary-v2-scale", ep, query, *scaleSessions, *scaleRequests, 1)
 		if err != nil {
 			return fmt.Errorf("connection-scale phase: %w", err)
 		}
@@ -450,9 +443,6 @@ func run() error {
 	}
 	if on.QueueP99us <= 0 {
 		return fmt.Errorf("pool.queue histogram empty: queue waits invisible")
-	}
-	if !*smoke && res.SpeedupX < 1.5 {
-		return fmt.Errorf("binary protocol throughput advantage collapsed: %.2fx vs JSON (expect ~2-3x)", res.SpeedupX)
 	}
 
 	doc, err := json.MarshalIndent(res, "", "  ")

@@ -510,7 +510,7 @@ func TestS2VRoundTripThroughV2S(t *testing.T) {
 // ---------- Options ----------
 
 func TestParseOptions(t *testing.T) {
-	o, err := ParseS2VOptions(map[string]string{
+	o, err := parseS2VOptions(map[string]string{
 		"host": "h", "table": "t", "numPartitions": "32",
 		"failedRowsPercentTolerance": "0.02", "user": "u",
 	})
@@ -523,16 +523,16 @@ func TestParseOptions(t *testing.T) {
 	if o.CopyFormat != "avro" {
 		t.Errorf("default copy_format = %q, want avro", o.CopyFormat)
 	}
-	if _, err := ParseV2SOptions(map[string]string{"host": "h"}); err == nil {
+	if _, err := parseV2SOptions(map[string]string{"host": "h"}); err == nil {
 		t.Error("missing table should fail")
 	}
-	if _, err := ParseS2VOptions(map[string]string{"table": "t"}); err == nil {
+	if _, err := parseS2VOptions(map[string]string{"table": "t"}); err == nil {
 		t.Error("missing host should fail")
 	}
-	if _, err := ParseV2SOptions(map[string]string{"host": "h", "table": "t", "numPartitions": "-1"}); err == nil {
+	if _, err := parseV2SOptions(map[string]string{"host": "h", "table": "t", "numPartitions": "-1"}); err == nil {
 		t.Error("bad numPartitions should fail")
 	}
-	if _, err := ParseS2VOptions(map[string]string{"host": "h", "table": "t", "failedRowsPercentTolerance": "1.5"}); err == nil {
+	if _, err := parseS2VOptions(map[string]string{"host": "h", "table": "t", "failedRowsPercentTolerance": "1.5"}); err == nil {
 		t.Error("tolerance > 1 should fail")
 	}
 }

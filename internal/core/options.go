@@ -13,9 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 
 	"vsfabric/internal/obs"
 	"vsfabric/internal/resilience"
@@ -28,8 +26,8 @@ const DefaultSourceName = "com.vertica.spark.datasource.DefaultSource"
 // ConnOptions are the settings shared by both connector directions: where to
 // connect, how parallel to be, and how hard the resilience layer tries.
 // Construct V2SOptions/S2VOptions through NewV2SOptions/NewS2VOptions, which
-// validate; the External Data Source API's stringly map form is parsed by
-// ParseV2SOptions/ParseS2VOptions, thin shims over the same constructors.
+// validate; the External Data Source API's stringly map form is parsed, over
+// the same constructors, by the adapter in source.go.
 type ConnOptions struct {
 	// Table is the target table (or, for loads, a view name).
 	Table string
@@ -208,103 +206,4 @@ func NewS2VOptions(table, host string, opts ...Option) (S2VOptions, error) {
 		return o, err
 	}
 	return o, nil
-}
-
-// ---------------------------------------------------------------------------
-// Stringly shims: the External Data Source API hands the connector a
-// map[string]string (the `opts` of Table 1). These parse that map into the
-// typed options above — all validation lives in the constructors; the shims
-// only turn strings into values, with actionable errors naming the bad key.
-
-// optLookup finds a key case-insensitively (the Spark options map convention).
-func optLookup(m map[string]string, k string) string {
-	for mk, v := range m {
-		if strings.EqualFold(mk, k) {
-			return v
-		}
-	}
-	return ""
-}
-
-// parseCommon converts the shared string options into functional options.
-func parseCommon(m map[string]string) (table, host string, opts []Option, err error) {
-	table = optLookup(m, "table")
-	host = optLookup(m, "host")
-	if u, p, db := optLookup(m, "user"), optLookup(m, "password"), optLookup(m, "db"); u != "" || p != "" || db != "" {
-		opts = append(opts, WithCredentials(u, p, db))
-	}
-	if v := optLookup(m, "numpartitions"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad numPartitions %q", v)
-		}
-		opts = append(opts, WithPartitions(n))
-	}
-	var pol resilience.Policy
-	havePol := false
-	if v := optLookup(m, "retry_attempts"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad retry_attempts %q", v)
-		}
-		pol.MaxAttempts, havePol = n, true
-	}
-	if v := optLookup(m, "retry_backoff_ms"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad retry_backoff_ms %q", v)
-		}
-		pol.BaseBackoff, havePol = time.Duration(n)*time.Millisecond, true
-	}
-	if v := optLookup(m, "op_timeout_ms"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad op_timeout_ms %q", v)
-		}
-		pol.OpTimeout, havePol = time.Duration(n)*time.Millisecond, true
-	}
-	if havePol {
-		opts = append(opts, WithRetry(pol))
-	}
-	return table, host, opts, nil
-}
-
-// ParseV2SOptions parses the map form of load options.
-func ParseV2SOptions(m map[string]string) (V2SOptions, error) {
-	table, host, opts, err := parseCommon(m)
-	if err != nil {
-		return V2SOptions{}, err
-	}
-	if v := optLookup(m, "disable_locality_optimization"); v != "" {
-		b, convErr := strconv.ParseBool(v)
-		if convErr != nil {
-			return V2SOptions{}, fmt.Errorf("core: bad disable_locality_optimization %q", v)
-		}
-		if b {
-			opts = append(opts, WithoutLocality())
-		}
-	}
-	return NewV2SOptions(table, host, opts...)
-}
-
-// ParseS2VOptions parses the map form of save options.
-func ParseS2VOptions(m map[string]string) (S2VOptions, error) {
-	table, host, opts, err := parseCommon(m)
-	if err != nil {
-		return S2VOptions{}, err
-	}
-	if v := optLookup(m, "jobname"); v != "" {
-		opts = append(opts, WithJobName(v))
-	}
-	if v := optLookup(m, "failedrowspercenttolerance"); v != "" {
-		f, convErr := strconv.ParseFloat(v, 64)
-		if convErr != nil || f < 0 || f > 1 {
-			return S2VOptions{}, fmt.Errorf("core: bad failedRowsPercentTolerance %q (want [0,1])", v)
-		}
-		opts = append(opts, WithTolerance(f))
-	}
-	if v := optLookup(m, "copy_format"); v != "" {
-		opts = append(opts, WithCopyFormat(v))
-	}
-	return NewS2VOptions(table, host, opts...)
 }

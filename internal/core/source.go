@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
+	"time"
 
 	"vsfabric/internal/client"
 	"vsfabric/internal/obs"
+	"vsfabric/internal/resilience"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -41,7 +45,7 @@ func (d *DefaultSource) Register() { spark.RegisterSource(DefaultSourceName, d) 
 // Table 1). The map options are the External Data Source API's stringly
 // form; programmatic callers should build V2SOptions via NewV2SOptions.
 func (d *DefaultSource) CreateRelation(sc *spark.Context, options map[string]string) (spark.BaseRelation, error) {
-	opts, err := ParseV2SOptions(options)
+	opts, err := parseV2SOptions(options)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +56,7 @@ func (d *DefaultSource) CreateRelation(sc *spark.Context, options map[string]str
 // SaveRelation implements spark.CreatableRelationProvider (the SAVE half of
 // Table 1).
 func (d *DefaultSource) SaveRelation(sc *spark.Context, mode spark.SaveMode, options map[string]string, df *spark.DataFrame) error {
-	opts, err := ParseS2VOptions(options)
+	opts, err := parseS2VOptions(options)
 	if err != nil {
 		return err
 	}
@@ -62,6 +66,104 @@ func (d *DefaultSource) SaveRelation(sc *spark.Context, mode spark.SaveMode, opt
 	opts.Observer = obs.Multi(opts.Observer, d.obsv)
 	w := &s2vWriter{pool: d.pool, opts: opts, mode: mode}
 	return w.run(sc, df)
+}
+
+// The External Data Source API hands the connector a map[string]string (the
+// `opts` of Table 1). The functions below parse that map into the typed
+// options of options.go — all validation lives in the constructors; these
+// only turn strings into values, with actionable errors naming the bad key.
+
+// optLookup finds a key case-insensitively (the Spark options map convention).
+func optLookup(m map[string]string, k string) string {
+	for mk, v := range m {
+		if strings.EqualFold(mk, k) {
+			return v
+		}
+	}
+	return ""
+}
+
+// parseCommon converts the shared string options into functional options.
+func parseCommon(m map[string]string) (table, host string, opts []Option, err error) {
+	table = optLookup(m, "table")
+	host = optLookup(m, "host")
+	if u, p, db := optLookup(m, "user"), optLookup(m, "password"), optLookup(m, "db"); u != "" || p != "" || db != "" {
+		opts = append(opts, WithCredentials(u, p, db))
+	}
+	if v := optLookup(m, "numpartitions"); v != "" {
+		n, convErr := strconv.Atoi(v)
+		if convErr != nil || n <= 0 {
+			return table, host, opts, fmt.Errorf("core: bad numPartitions %q", v)
+		}
+		opts = append(opts, WithPartitions(n))
+	}
+	var pol resilience.Policy
+	havePol := false
+	if v := optLookup(m, "retry_attempts"); v != "" {
+		n, convErr := strconv.Atoi(v)
+		if convErr != nil || n <= 0 {
+			return table, host, opts, fmt.Errorf("core: bad retry_attempts %q", v)
+		}
+		pol.MaxAttempts, havePol = n, true
+	}
+	if v := optLookup(m, "retry_backoff_ms"); v != "" {
+		n, convErr := strconv.Atoi(v)
+		if convErr != nil || n <= 0 {
+			return table, host, opts, fmt.Errorf("core: bad retry_backoff_ms %q", v)
+		}
+		pol.BaseBackoff, havePol = time.Duration(n)*time.Millisecond, true
+	}
+	if v := optLookup(m, "op_timeout_ms"); v != "" {
+		n, convErr := strconv.Atoi(v)
+		if convErr != nil || n <= 0 {
+			return table, host, opts, fmt.Errorf("core: bad op_timeout_ms %q", v)
+		}
+		pol.OpTimeout, havePol = time.Duration(n)*time.Millisecond, true
+	}
+	if havePol {
+		opts = append(opts, WithRetry(pol))
+	}
+	return table, host, opts, nil
+}
+
+// parseV2SOptions parses the map form of load options.
+func parseV2SOptions(m map[string]string) (V2SOptions, error) {
+	table, host, opts, err := parseCommon(m)
+	if err != nil {
+		return V2SOptions{}, err
+	}
+	if v := optLookup(m, "disable_locality_optimization"); v != "" {
+		b, convErr := strconv.ParseBool(v)
+		if convErr != nil {
+			return V2SOptions{}, fmt.Errorf("core: bad disable_locality_optimization %q", v)
+		}
+		if b {
+			opts = append(opts, WithoutLocality())
+		}
+	}
+	return NewV2SOptions(table, host, opts...)
+}
+
+// parseS2VOptions parses the map form of save options.
+func parseS2VOptions(m map[string]string) (S2VOptions, error) {
+	table, host, opts, err := parseCommon(m)
+	if err != nil {
+		return S2VOptions{}, err
+	}
+	if v := optLookup(m, "jobname"); v != "" {
+		opts = append(opts, WithJobName(v))
+	}
+	if v := optLookup(m, "failedrowspercenttolerance"); v != "" {
+		f, convErr := strconv.ParseFloat(v, 64)
+		if convErr != nil || f < 0 || f > 1 {
+			return S2VOptions{}, fmt.Errorf("core: bad failedRowsPercentTolerance %q (want [0,1])", v)
+		}
+		opts = append(opts, WithTolerance(f))
+	}
+	if v := optLookup(m, "copy_format"); v != "" {
+		opts = append(opts, WithCopyFormat(v))
+	}
+	return NewS2VOptions(table, host, opts...)
 }
 
 // clusterLayout is what the driver discovers from the system catalog during

@@ -15,11 +15,10 @@ type QueryEventType string
 const (
 	// EvGroupByFallback: a GROUP BY / aggregate over a base table executed on
 	// the row-at-a-time path instead of the vectorized hash-aggregation
-	// kernels (shape ineligible, or the RowAtATimeScans ablation).
+	// kernels (shape ineligible).
 	EvGroupByFallback QueryEventType = "GROUP_BY_FALLBACK_ROW_PATH"
 	// EvZoneMapPruneSkipped: a scan had zone-map-prunable predicates but
-	// container pruning could not run (disabled by config, or containers
-	// lack column statistics).
+	// some containers lack the column statistics to test them against.
 	EvZoneMapPruneSkipped QueryEventType = "ZONEMAP_PRUNE_SKIPPED"
 	// EvPoolQueueWait: a statement waited in its resource pool's admission
 	// queue before running. Value is the wait in microseconds.

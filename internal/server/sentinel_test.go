@@ -27,7 +27,7 @@ func TestSentinelRoundTripOverWire(t *testing.T) {
 
 	// Down node: the sentinel crosses the wire and stays transient.
 	cl.Node(1).SetDown(true)
-	conn, err := Dial(addr)
+	conn, err := DialContext(bg, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSentinelRoundTripOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err = Dial(addr)
+	conn, err = DialContext(bg, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSentinelRoundTripOverWire(t *testing.T) {
 	if err := cl.RemoveNode(1); err != nil {
 		t.Fatal(err)
 	}
-	conn, err = Dial(addr)
+	conn, err = DialContext(bg, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

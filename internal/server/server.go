@@ -5,12 +5,11 @@
 // the connector can run over it through DialConnector.
 //
 // Wire format: every message is one frame — a 1-byte type, a 4-byte
-// big-endian payload length, and the payload. Two protocol versions share
-// that framing. v1 requests are JSON ('Q' query, 'C' copy-begin) or raw
-// bytes ('D' copy data, 'E' copy end); responses are JSON ('R' result,
-// 'X' error). v2 (negotiated by an 'H' hello frame, see wire.go) carries
-// binary requests ('q'/'c') tagged for pipelining and streams results as
-// columnar batch frames ('b') followed by a done frame ('z').
+// big-endian payload length, and the payload. A connection opens with an
+// 'H' hello exchange, then carries binary requests ('q'/'c') tagged for
+// pipelining; results stream back as columnar batch frames ('b') followed
+// by a done frame ('z'), failures as a typed error frame ('x'). See wire.go
+// for the layouts.
 package server
 
 import (
@@ -26,50 +25,25 @@ import (
 	"vsfabric/internal/obs"
 	"vsfabric/internal/resilience"
 	"vsfabric/internal/storage"
-	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
 )
 
-// v1 frame types ('D'/'E' are shared with v2 COPY streams).
+// COPY stream frames: untagged, they follow a 'c' request until the stream
+// terminates with an end or an abort.
 const (
-	frameQuery    = 'Q'
-	frameCopy     = 'C'
-	frameCopyData = 'D'
-	frameCopyEnd  = 'E'
-	frameResult   = 'R'
-	frameError    = 'X'
+	frameCopyData  = 'D'
+	frameCopyEnd   = 'E'
+	frameCopyAbort = 'A'
+)
+
+// First-frame types of the retired JSON protocol, recognised only to tell
+// such a client its version is unsupported.
+const (
+	frameLegacyQuery = 'Q'
+	frameLegacyCopy  = 'C'
 )
 
 const maxFrame = 1 << 28
-
-type request struct {
-	SQL string `json:"sql"`
-	// TraceID/ParentID propagate the client's trace context across the wire
-	// (0 = untraced): the server-side session parents its execute/copy spans
-	// under the remote caller's span, so one connector job reads as a single
-	// trace spanning driver, executors, and every Vertica node.
-	TraceID  uint64 `json:"trace_id,omitempty"`
-	ParentID uint64 `json:"parent_id,omitempty"`
-	// Peer names the remote client (the Spark executor in the simulated
-	// topology); the server falls back to the connection's remote address.
-	Peer string `json:"peer,omitempty"`
-}
-
-type response struct {
-	Result *vertica.Result `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	// Transient carries the resilience classification across the wire: the
-	// error itself is flattened to text, but the retry decision it implies
-	// must survive the trip.
-	Transient bool `json:"transient,omitempty"`
-	// Code carries the engine's sentinel identity across the wire, so remote
-	// callers can distinguish the conditions they react to differently — a
-	// down node (retry/failover, the node returns), a removed node (fail over
-	// permanently, it never returns), a session-limit rejection (back off or
-	// connect elsewhere) — with errors.Is, exactly as in-process callers do.
-	// The code↔sentinel mapping lives in the wireCodes registry (wire.go).
-	Code string `json:"code,omitempty"`
-}
 
 // writeFrame emits one frame with a single Write: header and payload are
 // coalesced into one buffer, halving syscalls per frame and leaving no
@@ -103,11 +77,6 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 type Server struct {
 	cluster *vertica.Cluster
 	nodeID  int
-
-	// MaxProtocol caps the protocol version this server negotiates
-	// (0 means the newest this build speaks). Set to 1 to force JSON
-	// framing for every client — the downgrade path old servers exercise.
-	MaxProtocol int
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -162,9 +131,10 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// handle sniffs the first frame to pick a protocol: an 'H' hello starts v2
-// negotiation, while a v1 JSON request means a legacy client that never
-// handshakes — it gets the v1 loop with its first request replayed.
+// handle requires the connection's first frame to be a hello that offers
+// protocol v2 or newer. Anything older — a hello capped below v2, or a
+// request frame of the retired JSON protocol, which never handshakes — gets
+// one typed unsupported-version reply and a close.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	s.cluster.Obs().Add("server.connections", 1)
@@ -174,102 +144,30 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	switch typ {
 	case frameHello:
-		s.handleHello(conn, payload)
-	case frameQuery, frameCopy:
-		s.serveV1(conn, typ, payload)
-	default:
-		_ = sendError(conn, fmt.Errorf("%w: unexpected first frame %q", ErrProtocol, typ))
-	}
-}
-
-func (s *Server) handleHello(conn net.Conn, payload []byte) {
-	var h hello
-	if err := json.Unmarshal(payload, &h); err != nil {
-		return
-	}
-	max := s.MaxProtocol
-	if max <= 0 || max > maxProtocol {
-		max = maxProtocol
-	}
-	ver := h.MaxVersion
-	if ver > max {
-		ver = max
-	}
-	if ver < protocolV1 {
-		ver = protocolV1
-	}
-	reply, _ := json.Marshal(hello{Version: ver})
-	if err := writeFrame(conn, frameHello, reply); err != nil {
-		return
-	}
-	if ver < protocolV2 {
-		// Downgraded: the client falls back to JSON framing.
-		s.serveV1(conn, 0, nil)
-		return
-	}
-	s.serveV2(conn)
-}
-
-// serveV1 runs the legacy JSON request loop. first/firstPayload replay a
-// request that was consumed while sniffing the protocol (0 = none).
-func (s *Server) serveV1(conn net.Conn, first byte, firstPayload []byte) {
-	sess, err := s.cluster.Connect(s.nodeID)
-	if err != nil {
-		_ = sendError(conn, err)
-		return
-	}
-	defer sess.Close()
-	typ, payload := first, firstPayload
-	for {
-		if typ == 0 {
-			var err error
-			typ, payload, err = readFrame(conn)
-			if err != nil {
-				return // client hung up
-			}
-		}
-		switch typ {
-		case frameQuery:
-			var req request
-			if err := json.Unmarshal(payload, &req); err != nil {
-				_ = sendError(conn, err)
-				break
-			}
-			res, err := sess.ExecuteContext(s.reqCtx(conn, req), req.SQL)
-			if err != nil {
-				_ = sendError(conn, err)
-				break
-			}
-			_ = sendResult(conn, res)
-		case frameCopy:
-			var req request
-			if err := json.Unmarshal(payload, &req); err != nil {
-				_ = sendError(conn, err)
-				break
-			}
-			cr := &copyReader{conn: conn}
-			res, err := sess.CopyFromContext(s.reqCtx(conn, req), req.SQL, cr)
-			if err != nil {
-				if !copyRecoverable(sess, cr) {
-					_ = sendError(conn, fmt.Errorf("%w: COPY stream broken: %v", ErrProtocol, err))
-					return
-				}
-				_ = sendError(conn, err)
-				break
-			}
-			_ = sendResult(conn, res)
-		default:
-			_ = sendError(conn, fmt.Errorf("%w: unexpected frame %q", ErrProtocol, typ))
+		var h hello
+		if err := json.Unmarshal(payload, &h); err != nil {
 			return
 		}
-		typ, payload = 0, nil
+		if h.MaxVersion < protocolV2 {
+			_ = s.sendBinError(conn, 0, fmt.Errorf("%w: client speaks up to v%d, server requires v%d", ErrUnsupportedVersion, h.MaxVersion, protocolV2))
+			return
+		}
+		reply, _ := json.Marshal(hello{Version: protocolV2})
+		if err := writeFrame(conn, frameHello, reply); err != nil {
+			return
+		}
+		s.serve(conn)
+	case frameLegacyQuery, frameLegacyCopy:
+		_ = s.sendBinError(conn, 0, fmt.Errorf("%w: JSON protocol v1 is retired, server requires v%d", ErrUnsupportedVersion, protocolV2))
+	default:
+		_ = s.sendBinError(conn, 0, fmt.Errorf("%w: unexpected first frame %q", ErrProtocol, typ))
 	}
 }
 
-// serveV2 runs the binary request loop: requests execute in arrival order
+// serve runs the binary request loop: requests execute in arrival order
 // and every response frame echoes its request's tag, so clients pipeline
 // freely and match responses FIFO.
-func (s *Server) serveV2(conn net.Conn) {
+func (s *Server) serve(conn net.Conn) {
 	sess, sessErr := s.cluster.Connect(s.nodeID)
 	if sess != nil {
 		defer sess.Close()
@@ -291,7 +189,7 @@ func (s *Server) serveV2(conn net.Conn) {
 				_ = s.sendBinError(conn, req.Tag, sessErr)
 				break
 			}
-			res, err := sess.ExecuteContext(s.reqCtx(conn, request{SQL: req.SQL, TraceID: req.TraceID, ParentID: req.ParentID, Peer: req.Peer}), req.SQL)
+			res, err := sess.ExecuteContext(s.reqCtx(conn, req), req.SQL)
 			if err != nil {
 				_ = s.sendBinError(conn, req.Tag, err)
 				break
@@ -312,7 +210,7 @@ func (s *Server) serveV2(conn net.Conn) {
 				return
 			}
 			cr := &copyReader{conn: conn}
-			res, err := sess.CopyFromContext(s.reqCtx(conn, request{SQL: req.SQL, TraceID: req.TraceID, ParentID: req.ParentID, Peer: req.Peer}), req.SQL, cr)
+			res, err := sess.CopyFromContext(s.reqCtx(conn, req), req.SQL, cr)
 			if err != nil {
 				if !copyRecoverable(sess, cr) {
 					_ = s.sendBinError(conn, req.Tag, fmt.Errorf("%w: COPY stream broken: %v", ErrProtocol, err))
@@ -357,7 +255,7 @@ func copyRecoverable(sess *vertica.Session, cr *copyReader) bool {
 // wire-carried client name or, failing that, the connection's remote
 // address, and any propagated trace context parents the session's spans
 // under the remote job.
-func (s *Server) reqCtx(conn net.Conn, req request) context.Context {
+func (s *Server) reqCtx(conn net.Conn, req binRequest) context.Context {
 	ctx := obs.With(context.Background(), s.cluster.Obs())
 	peer := req.Peer
 	if peer == "" {
@@ -370,11 +268,15 @@ func (s *Server) reqCtx(conn net.Conn, req request) context.Context {
 	return ctx
 }
 
-// copyReader streams 'D' frames until 'E'.
+// copyReader streams 'D' frames until the client ends or aborts the COPY.
 type copyReader struct {
 	conn net.Conn
 	buf  []byte
-	done bool
+	// end is set once the stream terminated on a frame boundary: io.EOF
+	// after 'E', the client's reason after an abort frame — an error the
+	// engine sees mid-load, so it aborts the statement instead of committing
+	// the rows that happened to arrive.
+	end error
 	// broken records a protocol violation mid-stream: the connection can no
 	// longer be re-synced to a frame boundary.
 	broken bool
@@ -382,8 +284,8 @@ type copyReader struct {
 
 func (c *copyReader) Read(p []byte) (int, error) {
 	for len(c.buf) == 0 {
-		if c.done {
-			return 0, io.EOF
+		if c.end != nil {
+			return 0, c.end
 		}
 		typ, payload, err := readFrame(c.conn)
 		if err != nil {
@@ -394,7 +296,9 @@ func (c *copyReader) Read(p []byte) (int, error) {
 		case frameCopyData:
 			c.buf = payload
 		case frameCopyEnd:
-			c.done = true
+			c.end = io.EOF
+		case frameCopyAbort:
+			c.end = fmt.Errorf("server: COPY aborted by client: %s", payload)
 		default:
 			c.broken = true
 			return 0, fmt.Errorf("%w: unexpected frame %q during COPY", ErrProtocol, typ)
@@ -405,73 +309,17 @@ func (c *copyReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// drain consumes the rest of the copy stream up to its 'E' frame, so the
-// connection is back on a request boundary after an engine-side COPY error.
+// drain consumes the rest of the copy stream up to its terminating frame, so
+// the connection is back on a request boundary after an engine-side COPY
+// error.
 func (c *copyReader) drain() error {
 	var sink [4096]byte
-	for !c.done {
-		if _, err := c.Read(sink[:]); err != nil && err != io.EOF {
+	for c.end == nil {
+		if _, err := c.Read(sink[:]); err != nil && c.end == nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func sendResult(w io.Writer, res *vertica.Result) error {
-	payload, err := json.Marshal(response{Result: res})
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, frameResult, payload)
-}
-
-func sendError(w io.Writer, e error) error {
-	payload, _ := json.Marshal(response{
-		Error:     e.Error(),
-		Transient: resilience.IsTransient(e),
-		Code:      sentinelCode(e),
-	})
-	return writeFrame(w, frameError, payload)
-}
-
-// coerceRows aligns row values with the declared result schema. Engine
-// results are permissive — an expression over a FLOAT column can yield
-// INTEGER-kinded values — but the columnar wire encoding is strict about
-// vector types. Rows are copied only when a value actually needs converting;
-// untouched rows alias the engine's (possibly shared) backing storage.
-func coerceRows(schema types.Schema, rows []types.Row) []types.Row {
-	out := rows
-	copied := false
-	for i, row := range rows {
-		rowCopied := false
-		for j, v := range row {
-			want := schema.Cols[j].T
-			if v.T == want || want == types.Unknown {
-				continue
-			}
-			if !copied {
-				out = append([]types.Row(nil), rows...)
-				copied = true
-			}
-			if !rowCopied {
-				out[i] = append(types.Row(nil), row...)
-				rowCopied = true
-			}
-			switch {
-			case v.Null:
-				out[i][j] = types.NullValue(want)
-			case want == types.Int64:
-				out[i][j] = types.IntValue(v.AsInt())
-			case want == types.Float64:
-				out[i][j] = types.FloatValue(v.AsFloat())
-			case want == types.Bool:
-				out[i][j] = types.BoolValue(v.AsBool())
-			default:
-				out[i][j] = types.StringValue(v.String())
-			}
-		}
-	}
-	return out
 }
 
 // sendBinResult streams one statement's outcome: zero or more columnar
@@ -480,7 +328,7 @@ func coerceRows(schema types.Schema, rows []types.Row) []types.Row {
 // must arrive intact), then the done frame with the scalar outcome.
 func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) error {
 	if res.Schema.NumCols() > 0 {
-		rows := coerceRows(res.Schema, res.Rows)
+		rows := storage.CoerceRows(res.Schema, res.Rows)
 		for first := true; first || len(rows) > 0; first = false {
 			chunk := rows
 			if len(chunk) > wireBatchRows {

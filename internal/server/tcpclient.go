@@ -25,7 +25,6 @@ const DefaultDialTimeout = 10 * time.Second
 type dialConfig struct {
 	dialTimeout time.Duration
 	opTimeout   time.Duration
-	protocol    int
 	peerName    string
 }
 
@@ -45,14 +44,6 @@ func WithOpTimeout(d time.Duration) Option {
 	return func(c *dialConfig) { c.opTimeout = d }
 }
 
-// WithProtocol caps the protocol version the connection negotiates.
-// 1 forces the legacy JSON framing (no handshake is sent at all, so the
-// connection works against pre-handshake servers); 0 or 2 requests the
-// binary protocol, downgrading to whatever the server answers.
-func WithProtocol(version int) Option {
-	return func(c *dialConfig) { c.protocol = version }
-}
-
 // WithPeerName names this client in requests that carry no peer of their
 // own, so server-side spans attribute work to the caller rather than an
 // ephemeral socket address.
@@ -70,14 +61,12 @@ type TCPConn struct {
 	opTimeout time.Duration
 	peerName  string
 
-	// proto is the version cap requested at dial time (0 = newest).
-	proto int
-	// negotiated is the version agreed with the server, 0 until the lazy
-	// handshake on the first operation. hsErr latches a failed handshake:
-	// the connection is in an unknown state and every later call fails.
-	negotiated int
-	hsErr      error
-	// tag numbers requests; responses echo it (v2 only).
+	// shook records the lazy handshake done on the first operation. hsErr
+	// latches a failed handshake: the connection is in an unknown state and
+	// every later call fails.
+	shook bool
+	hsErr error
+	// tag numbers requests; responses echo it.
 	tag uint32
 }
 
@@ -98,32 +87,13 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*TCPConn, er
 		conn:      nc,
 		opTimeout: cfg.opTimeout,
 		peerName:  cfg.peerName,
-		proto:     cfg.protocol,
 	}, nil
-}
-
-// Dial opens a session against a node server with DefaultDialTimeout.
-//
-// Deprecated: use DialContext.
-func Dial(addr string) (*TCPConn, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialTimeout opens a session with an explicit dial timeout (0 = none).
-//
-// Deprecated: use DialContext with WithDialTimeout.
-func DialTimeout(addr string, timeout time.Duration) (*TCPConn, error) {
-	return DialContext(context.Background(), addr, WithDialTimeout(timeout))
 }
 
 // SetOpTimeout bounds every subsequent frame write and response read; a
 // server that stops responding surfaces a timeout (classified transient)
 // instead of hanging the caller.
 func (c *TCPConn) SetOpTimeout(d time.Duration) { c.opTimeout = d }
-
-// Protocol returns the negotiated protocol version (0 before the first
-// operation completes the lazy handshake).
-func (c *TCPConn) Protocol() int { return c.negotiated }
 
 // deadline folds the per-operation timeout and the context deadline into
 // one I/O deadline: whichever expires first wins, and a context with no
@@ -160,26 +130,14 @@ func (c *TCPConn) writeFrame(ctx context.Context, typ byte, payload []byte) erro
 
 // handshake negotiates the protocol version lazily, on the connection's
 // first operation, under that operation's deadlines — a hung server
-// surfaces as a timeout on the first Execute rather than a wedged dial.
-// Requesting protocol 1 skips the exchange entirely: a pure v1 client
-// never sends a frame type a pre-handshake server wouldn't know.
+// surfaces as a timeout on the first Execute rather than a wedged dial. A
+// server that cannot speak v2 refuses with a typed error frame.
 func (c *TCPConn) handshake(ctx context.Context) error {
-	if c.hsErr != nil {
+	if c.hsErr != nil || c.shook {
 		return c.hsErr
 	}
-	if c.negotiated != 0 {
-		return nil
-	}
-	want := c.proto
-	if want <= 0 || want > maxProtocol {
-		want = maxProtocol
-	}
-	if want == protocolV1 {
-		c.negotiated = protocolV1
-		return nil
-	}
-	err := func() error {
-		payload, err := json.Marshal(hello{MaxVersion: want})
+	c.hsErr = func() error {
+		payload, err := json.Marshal(hello{MaxVersion: protocolV2})
 		if err != nil {
 			return err
 		}
@@ -193,37 +151,28 @@ func (c *TCPConn) handshake(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if typ != frameHello {
+		switch typ {
+		case frameHello:
+			var h hello
+			if err := json.Unmarshal(reply, &h); err != nil {
+				return fmt.Errorf("%w: handshake payload: %v", ErrProtocol, err)
+			}
+			if h.Version != protocolV2 {
+				return fmt.Errorf("%w: server negotiated v%d", ErrUnsupportedVersion, h.Version)
+			}
+			return nil
+		case frameBinError:
+			e, err := decodeBinError(reply)
+			if err != nil {
+				return err
+			}
+			return remoteError(e.Code, e.Msg, e.Transient)
+		default:
 			return fmt.Errorf("%w: handshake answered with frame %q", ErrProtocol, typ)
 		}
-		var h hello
-		if err := json.Unmarshal(reply, &h); err != nil {
-			return fmt.Errorf("%w: handshake payload: %v", ErrProtocol, err)
-		}
-		if h.Version < protocolV1 || h.Version > want {
-			return fmt.Errorf("%w: server negotiated unsupported version %d", ErrProtocol, h.Version)
-		}
-		c.negotiated = h.Version
-		return nil
 	}()
-	if err != nil {
-		c.hsErr = err
-	}
-	return err
-}
-
-// newRequest stamps a request with the context's trace identity and peer
-// name, so the span tree a job builds client-side continues uninterrupted on
-// the server.
-func (c *TCPConn) newRequest(ctx context.Context, sql string) request {
-	req := request{SQL: sql, Peer: obs.Peer(ctx)}
-	if req.Peer == "" {
-		req.Peer = c.peerName
-	}
-	if sc := obs.SpanContextFrom(ctx); sc.Valid() {
-		req.TraceID, req.ParentID = sc.TraceID, sc.SpanID
-	}
-	return req
+	c.shook = c.hsErr == nil
+	return c.hsErr
 }
 
 // nextTag issues the next request tag.
@@ -232,18 +181,18 @@ func (c *TCPConn) nextTag() uint32 {
 	return c.tag
 }
 
-// sendBinRequest writes one tagged binary request frame and returns its tag.
+// sendBinRequest writes one tagged request frame and returns its tag. The
+// request is stamped with the context's trace identity and peer name, so the
+// span tree a job builds client-side continues uninterrupted on the server.
 func (c *TCPConn) sendBinRequest(ctx context.Context, typ byte, sql string) (uint32, error) {
-	req := c.newRequest(ctx, sql)
-	tag := c.nextTag()
-	err := c.writeFrame(ctx, typ, encodeBinRequest(binRequest{
-		Tag:      tag,
-		TraceID:  req.TraceID,
-		ParentID: req.ParentID,
-		Peer:     req.Peer,
-		SQL:      req.SQL,
-	}))
-	return tag, err
+	req := binRequest{Tag: c.nextTag(), Peer: obs.Peer(ctx), SQL: sql}
+	if req.Peer == "" {
+		req.Peer = c.peerName
+	}
+	if sc := obs.SpanContextFrom(ctx); sc.Valid() {
+		req.TraceID, req.ParentID = sc.TraceID, sc.SpanID
+	}
+	return req.Tag, c.writeFrame(ctx, typ, encodeBinRequest(req))
 }
 
 // Execute implements client.Conn.
@@ -253,16 +202,6 @@ func (c *TCPConn) Execute(ctx context.Context, sql string) (*vertica.Result, err
 	}
 	if err := c.handshake(ctx); err != nil {
 		return nil, err
-	}
-	if c.negotiated < protocolV2 {
-		payload, err := json.Marshal(c.newRequest(ctx, sql))
-		if err != nil {
-			return nil, err
-		}
-		if err := c.writeFrame(ctx, frameQuery, payload); err != nil {
-			return nil, err
-		}
-		return c.readResponse(ctx)
 	}
 	tag, err := c.sendBinRequest(ctx, frameBinQuery, sql)
 	if err != nil {
@@ -275,35 +214,13 @@ func (c *TCPConn) Execute(ctx context.Context, sql string) (*vertica.Result, err
 // batch by batch, without boxing rows: fn is called once per wire batch
 // with a decoded schema, columns, and row count. The returned Result
 // carries the scalar outcome (rows affected, epoch) and the schema, but
-// no rows. On a v1 connection the whole result is fetched and re-encoded
-// locally, so callers get identical behavior either way.
+// no rows.
 func (c *TCPConn) ExecuteStream(ctx context.Context, sql string, fn func(schema types.Schema, cols []storage.Column, nrows int) error) (*vertica.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := c.handshake(ctx); err != nil {
 		return nil, err
-	}
-	if c.negotiated < protocolV2 {
-		res, err := c.Execute(ctx, sql)
-		if err != nil {
-			return nil, err
-		}
-		if res.Schema.NumCols() > 0 {
-			enc, err := storage.EncodeRows(res.Schema, res.Rows)
-			if err != nil {
-				return nil, err
-			}
-			schema, cols, n, err := storage.DecodeColumns(enc)
-			if err != nil {
-				return nil, err
-			}
-			if err := fn(schema, cols, n); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = nil
-		return res, nil
 	}
 	tag, err := c.sendBinRequest(ctx, frameBinQuery, sql)
 	if err != nil {
@@ -313,8 +230,10 @@ func (c *TCPConn) ExecuteStream(ctx context.Context, sql string, fn func(schema 
 }
 
 // CopyFrom implements client.Conn: it streams r as COPY data frames. Context
-// cancellation is observed between frames; the stream is terminated so the
-// server-side COPY fails cleanly rather than hanging.
+// cancellation is observed between frames. When the context is cancelled or
+// r fails, the stream ends with an abort frame so the server fails the COPY
+// — never committing the rows that happened to be sent — and the connection
+// stays usable.
 func (c *TCPConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*vertica.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -322,27 +241,20 @@ func (c *TCPConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*verti
 	if err := c.handshake(ctx); err != nil {
 		return nil, err
 	}
-	var tag uint32
-	if c.negotiated < protocolV2 {
-		payload, err := json.Marshal(c.newRequest(ctx, sql))
-		if err != nil {
-			return nil, err
+	tag, err := c.sendBinRequest(ctx, frameBinCopy, sql)
+	if err != nil {
+		return nil, err
+	}
+	abort := func(cause error) (*vertica.Result, error) {
+		if c.writeFrame(ctx, frameCopyAbort, []byte(cause.Error())) == nil {
+			_, _ = c.readBinResponse(ctx, tag, nil)
 		}
-		if err := c.writeFrame(ctx, frameCopy, payload); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if tag, err = c.sendBinRequest(ctx, frameBinCopy, sql); err != nil {
-			return nil, err
-		}
+		return nil, cause
 	}
 	buf := make([]byte, 64<<10)
 	for {
 		if err := ctx.Err(); err != nil {
-			_ = c.writeFrame(ctx, frameCopyEnd, nil)
-			_, _ = c.readCopyResponse(ctx, tag)
-			return nil, err
+			return abort(err)
 		}
 		n, err := r.Read(buf)
 		if n > 0 {
@@ -354,50 +266,17 @@ func (c *TCPConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*verti
 			break
 		}
 		if err != nil {
-			// Still terminate the stream so the server-side COPY fails
-			// cleanly rather than hanging.
-			_ = c.writeFrame(ctx, frameCopyEnd, nil)
-			_, _ = c.readCopyResponse(ctx, tag)
-			return nil, err
+			return abort(err)
 		}
 	}
 	if err := c.writeFrame(ctx, frameCopyEnd, nil); err != nil {
 		return nil, err
-	}
-	return c.readCopyResponse(ctx, tag)
-}
-
-func (c *TCPConn) readCopyResponse(ctx context.Context, tag uint32) (*vertica.Result, error) {
-	if c.negotiated < protocolV2 {
-		return c.readResponse(ctx)
 	}
 	return c.readBinResponse(ctx, tag, nil)
 }
 
 // Close implements client.Conn.
 func (c *TCPConn) Close() { _ = c.conn.Close() }
-
-func (c *TCPConn) readResponse(ctx context.Context) (*vertica.Result, error) {
-	if err := c.armRead(ctx); err != nil {
-		return nil, err
-	}
-	typ, payload, err := readFrame(c.conn)
-	if err != nil {
-		return nil, err
-	}
-	var resp response
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, err
-	}
-	switch typ {
-	case frameResult:
-		return resp.Result, nil
-	case frameError:
-		return nil, remoteError(resp.Code, resp.Error, resp.Transient)
-	default:
-		return nil, fmt.Errorf("server: unexpected response frame %q", typ)
-	}
-}
 
 // remoteError rebuilds a server-reported error client-side: the engine
 // sentinel is restored into the chain so errors.Is works across the wire
@@ -416,7 +295,7 @@ func remoteError(code, msg string, transient bool) error {
 	return rerr
 }
 
-// readBinResponse reads one tagged v2 response: zero or more batch frames
+// readBinResponse reads one tagged response: zero or more batch frames
 // then a done or error frame. Responses arrive in request order, so a
 // mismatched tag means the stream lost sync — a protocol error, not a
 // recoverable condition. When stream is nil, batches are boxed into rows
@@ -499,8 +378,7 @@ type PipeResult struct {
 func (c *TCPConn) Pipeline() *Pipeline { return &Pipeline{c: c} }
 
 // Queue writes one query request without reading its response. The first
-// Queue performs the protocol handshake; pipelining needs the binary
-// protocol, so a connection negotiated down to v1 refuses.
+// Queue performs the protocol handshake.
 func (p *Pipeline) Queue(ctx context.Context, sql string) error {
 	if p.err != nil {
 		return p.err
@@ -508,10 +386,6 @@ func (p *Pipeline) Queue(ctx context.Context, sql string) error {
 	if err := p.c.handshake(ctx); err != nil {
 		p.err = err
 		return err
-	}
-	if p.c.negotiated < protocolV2 {
-		p.err = fmt.Errorf("%w: pipelining requires protocol v2, have v%d", ErrProtocol, p.c.negotiated)
-		return p.err
 	}
 	tag, err := p.c.sendBinRequest(ctx, frameBinQuery, sql)
 	if err != nil {
@@ -556,9 +430,6 @@ type DialConnector struct {
 	// OpTimeout is applied to every dialed connection via SetOpTimeout
 	// (0 = no per-operation deadline).
 	OpTimeout time.Duration
-	// Protocol caps the negotiated protocol version (0 = newest; 1 forces
-	// the legacy JSON framing).
-	Protocol int
 }
 
 // Connect implements client.Connector.
@@ -575,6 +446,5 @@ func (d *DialConnector) Connect(ctx context.Context, addr string) (client.Conn, 
 	return DialContext(ctx, ep,
 		WithDialTimeout(dt),
 		WithOpTimeout(d.OpTimeout),
-		WithProtocol(d.Protocol),
 	)
 }

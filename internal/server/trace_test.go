@@ -78,14 +78,14 @@ func TestFrameCodecRoundTripProperty(t *testing.T) {
 // TestReadFrameRejectsOversized: a header advertising more than maxFrame
 // bytes is rejected before any payload allocation.
 func TestReadFrameRejectsOversized(t *testing.T) {
-	hdr := []byte{frameQuery, 0xFF, 0xFF, 0xFF, 0xFF} // ~4GiB claim
+	hdr := []byte{frameBinQuery, 0xFF, 0xFF, 0xFF, 0xFF} // ~4GiB claim
 	if _, _, err := readFrame(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("oversized frame header should be rejected")
 	}
 	// Exactly at the limit is still accepted (header-wise); the truncated
 	// body surfaces as an I/O error, not the limit error.
 	var at [5]byte
-	at[0] = frameQuery
+	at[0] = frameBinQuery
 	binary.BigEndian.PutUint32(at[1:], uint32(maxFrame))
 	_, _, err := readFrame(bytes.NewReader(at[:]))
 	if err == nil || strings.Contains(err.Error(), "exceeds limit") {
@@ -108,14 +108,14 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 func TestWriteFrameSingleWrite(t *testing.T) {
 	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("ab"), 4096)} {
 		var w writeCounter
-		if err := writeFrame(&w, frameResult, payload); err != nil {
+		if err := writeFrame(&w, frameDone, payload); err != nil {
 			t.Fatal(err)
 		}
 		if w.calls != 1 {
 			t.Fatalf("writeFrame used %d Write calls for %d bytes, want 1", w.calls, len(payload))
 		}
 		typ, got, err := readFrame(&w.Buffer)
-		if err != nil || typ != frameResult || !bytes.Equal(got, payload) {
+		if err != nil || typ != frameDone || !bytes.Equal(got, payload) {
 			t.Fatalf("coalesced frame did not round trip: %v", err)
 		}
 	}

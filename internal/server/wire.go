@@ -10,19 +10,20 @@ import (
 	"vsfabric/internal/vertica"
 )
 
-// This file is the v2 binary wire codec and the shared sentinel registry.
+// This file is the binary wire codec and the shared sentinel registry.
 //
-// Protocol negotiation: a v2 client's first frame is a hello ('H') naming
-// the highest version it speaks; the server answers with another hello
-// carrying min(client, server), and both sides switch to that version. A
-// client whose first frame is a v1 JSON request ('Q'/'C') gets the v1 loop
-// with no handshake — old clients never see a frame type they don't know.
+// Protocol negotiation: a client's first frame is a hello ('H') naming the
+// highest version it speaks; the server answers with another hello carrying
+// the version both sides then use. This build speaks exactly v2: a client
+// that cannot reach it is refused with an unsupported_version error frame.
 //
-// v2 frames (same 1-byte type + 4-byte big-endian length framing as v1):
+// Frames (1-byte type + 4-byte big-endian length + payload):
 //
 //	'q' query    — tag(4) traceID(8) parentID(8) peer(uv+bytes) sql(uv+bytes)
-//	'c' copy     — same layout; 'D' data / 'E' end frames follow, untagged
-//	               (a COPY owns the connection until its stream terminates)
+//	'c' copy     — same layout; untagged 'D' data frames follow, ended by
+//	               'E' (load what was sent) or 'A' + reason (the source
+//	               failed: abort the statement). A COPY owns the connection
+//	               until its stream terminates.
 //	'b' batch    — tag(4) + storage.EncodeColumns payload: one chunk of the
 //	               result's column vectors, streamed without row boxing
 //	'z' done     — tag(4) flags(1) rowsAffected(uv) epoch(uv)
@@ -37,15 +38,11 @@ import (
 //
 // A result carrying any schema sends at least one batch frame even with
 // zero rows, so "SELECT ... LIMIT 0" schema probes survive the trip.
-const (
-	protocolV1 = 1
-	protocolV2 = 2
 
-	// maxProtocol is the highest version this build speaks.
-	maxProtocol = protocolV2
-)
+// protocolV2 is the one protocol version this build speaks.
+const protocolV2 = 2
 
-// v2 frame types ('H' is shared by both directions of the handshake).
+// Frame types ('H' is shared by both directions of the handshake).
 const (
 	frameHello    = 'H'
 	frameBinQuery = 'q'
@@ -74,6 +71,10 @@ type hello struct {
 // the far side can tell a torn stream from a SQL error.
 var ErrProtocol = errors.New("server: protocol error")
 
+// ErrUnsupportedVersion reports a peer that cannot speak this build's
+// protocol version. It is permanent: redialing negotiates the same answer.
+var ErrUnsupportedVersion = errors.New("server: unsupported protocol version")
+
 // wireCodes is the sentinel registry: the single table both halves of the
 // wire share. Adding an errors.Is-able sentinel to the protocol is one line
 // here. Order matters where chains overlap (a removed-node error must not
@@ -88,6 +89,7 @@ var wireCodes = []struct {
 	{"pool_queue_timeout", pool.ErrQueueTimeout},
 	{"pool_rejected", pool.ErrRejected},
 	{"protocol_error", ErrProtocol},
+	{"unsupported_version", ErrUnsupportedVersion},
 }
 
 // Typed pool sentinels re-exported under wire-level names, so client code

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -201,63 +202,95 @@ func TestWireCodeRegistry(t *testing.T) {
 
 // --- protocol negotiation -------------------------------------------------
 
-// TestHandshakeDowngrade runs the same workload against servers capped at
-// each protocol version and a client capped at v1: every combination must
-// negotiate the min of the two and produce identical results.
-func TestHandshakeDowngrade(t *testing.T) {
+// TestHandshakeRoundTrip runs a small workload through the negotiated
+// protocol, including the zero-row schema probe the connector depends on.
+func TestHandshakeRoundTrip(t *testing.T) {
 	cl := vertica.MustNewCluster(1)
-	cases := []struct {
-		name           string
-		serverMax      int
-		clientOpts     []Option
-		wantNegotiated int
-	}{
-		{"v2-both", 0, nil, protocolV2},
-		{"server-v1", protocolV1, nil, protocolV1},
-		{"client-v1", 0, []Option{WithProtocol(protocolV1)}, protocolV1},
-		{"both-v1", protocolV1, []Option{WithProtocol(protocolV1)}, protocolV1},
+	srv := New(cl, 0)
+	ep, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	defer srv.Close()
+	c, err := DialContext(bg, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sql := range []string{
+		"CREATE TABLE hs (id INTEGER, name VARCHAR)",
+		"INSERT INTO hs VALUES (1, 'a'), (2, 'b')",
+	} {
+		if _, err := c.Execute(bg, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.Execute(bg, "SELECT id, name FROM hs ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[1][1].S != "b" {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+	// Zero-row results keep their schema: the connector's schema probe
+	// depends on it.
+	probe, err := c.Execute(bg, "SELECT * FROM hs WHERE id = 99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.Schema.NumCols() != 2 || len(probe.Rows) != 0 {
+		t.Fatalf("probe schema %v rows %v", probe.Schema, probe.Rows)
+	}
+}
+
+// TestUnsupportedVersionRefused pins the two ways a pre-v2 client can
+// announce itself — a hello capped at v1, or a JSON request frame of the
+// retired protocol with no handshake at all. Each gets exactly one typed,
+// permanent unsupported_version error frame, then EOF.
+func TestUnsupportedVersionRefused(t *testing.T) {
+	cl := vertica.MustNewCluster(1)
+	srv := New(cl, 0)
+	ep, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		payload string
+	}{
+		{"hello-v1", frameHello, `{"max_version":1}`},
+		{"legacy-query", frameLegacyQuery, `{"sql":"SELECT 1"}`},
+		{"legacy-copy", frameLegacyCopy, `{"sql":"COPY t FROM STDIN"}`},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := New(cl, 0)
-			srv.MaxProtocol = tc.serverMax
-			ep, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := DialContext(bg, ep, tc.clientOpts...)
+			c, err := DialContext(bg, ep)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			table := "t_" + strings.ReplaceAll(tc.name, "-", "_")
-			for _, sql := range []string{
-				"CREATE TABLE " + table + " (id INTEGER, name VARCHAR)",
-				"INSERT INTO " + table + " VALUES (1, 'a'), (2, 'b')",
-			} {
-				if _, err := c.Execute(bg, sql); err != nil {
-					t.Fatal(err)
-				}
+			if err := c.writeFrame(bg, tc.typ, []byte(tc.payload)); err != nil {
+				t.Fatal(err)
 			}
-			res, err := c.Execute(bg, "SELECT id, name FROM "+table+" ORDER BY id")
+			c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			typ, payload, err := readFrame(c.conn)
+			if err != nil || typ != frameBinError {
+				t.Fatalf("reply frame %q, err %v; want one error frame", typ, err)
+			}
+			e, err := decodeBinError(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) != 2 || res.Rows[1][1].S != "b" {
-				t.Fatalf("rows = %v", res.Rows)
+			if e.Code != "unsupported_version" || e.Transient {
+				t.Fatalf("reply = %+v, want permanent unsupported_version", e)
 			}
-			if c.Protocol() != tc.wantNegotiated {
-				t.Fatalf("negotiated v%d, want v%d", c.Protocol(), tc.wantNegotiated)
+			rerr := remoteError(e.Code, e.Msg, e.Transient)
+			if !errors.Is(rerr, ErrUnsupportedVersion) || resilience.IsTransient(rerr) {
+				t.Fatalf("client-side error %v: want permanent ErrUnsupportedVersion", rerr)
 			}
-			// Zero-row results keep their schema on every protocol: the
-			// connector's schema probe depends on it.
-			probe, err := c.Execute(bg, "SELECT * FROM "+table+" WHERE id = 99")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if probe.Schema.NumCols() != 2 || len(probe.Rows) != 0 {
-				t.Fatalf("probe schema %v rows %v", probe.Schema, probe.Rows)
+			if _, _, err := readFrame(c.conn); !errors.Is(err, io.EOF) {
+				t.Fatalf("after the refusal: %v, want EOF", err)
 			}
 		})
 	}
@@ -531,7 +564,7 @@ func TestMidCopyProtocolErrorAbortsTxn(t *testing.T) {
 	}
 
 	// Send the copy-begin by hand, then violate the protocol mid-stream: a
-	// 'Q' frame where only 'D'/'E' are legal.
+	// 'q' frame where only 'D'/'E'/'A' are legal.
 	tag, err := c.sendBinRequest(bg, frameBinCopy, "COPY ct FROM STDIN")
 	if err != nil {
 		t.Fatal(err)
@@ -539,7 +572,7 @@ func TestMidCopyProtocolErrorAbortsTxn(t *testing.T) {
 	if err := c.writeFrame(bg, frameCopyData, []byte("2,mid\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.writeFrame(bg, frameQuery, []byte(`{"sql":"SELECT 1"}`)); err != nil {
+	if err := c.writeFrame(bg, frameBinQuery, encodeBinRequest(binRequest{Tag: 99, SQL: "SELECT 1"})); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.readBinResponse(bg, tag, nil)
@@ -592,6 +625,96 @@ func TestCopyEngineErrorKeepsSession(t *testing.T) {
 	}
 	if _, err := c.Execute(bg, "SELECT LAST_EPOCH()"); err != nil {
 		t.Fatalf("session should survive a failed COPY: %v", err)
+	}
+}
+
+// failingReader yields its chunks, then fails (or cancels a context and
+// keeps going, for the cancellation flavour of the same test).
+type failingReader struct {
+	chunks []string
+	cancel context.CancelFunc // nil: fail with errSourceBroke instead
+}
+
+var errSourceBroke = errors.New("source broke")
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.chunks) == 0 {
+		if r.cancel == nil {
+			return 0, errSourceBroke
+		}
+		r.cancel()
+		return copy(p, "99,9.5\n"), nil
+	}
+	n := copy(p, r.chunks[0])
+	r.chunks = r.chunks[1:]
+	return n, nil
+}
+
+// TestCopyAbortOverWire is the TCP mirror of client.TestCopyCancelAbortsTxn
+// and the regression test for the partial-load bug: a COPY whose source
+// reader fails, or whose context is cancelled mid-stream, used to end the
+// stream with a clean 'E' frame, so an autocommit COPY committed whatever
+// rows had been sent while the caller got an error. The abort frame makes
+// the server fail the statement instead; the connection stays in sync.
+func TestCopyAbortOverWire(t *testing.T) {
+	cl := vertica.MustNewCluster(1)
+	srv := New(cl, 0)
+	ep, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialContext(bg, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Execute(bg, "CREATE TABLE ct (id INTEGER, val FLOAT) SEGMENTED BY HASH(id)"); err != nil {
+		t.Fatal(err)
+	}
+	count := func() int64 {
+		t.Helper()
+		res, err := c.Execute(bg, "SELECT COUNT(*) FROM ct")
+		if err != nil {
+			t.Fatalf("connection out of sync after aborted COPY: %v", err)
+		}
+		return res.Rows[0][0].AsInt()
+	}
+	for _, cancelled := range []bool{false, true} {
+		source := func() (context.Context, *failingReader, error) {
+			rd := &failingReader{chunks: []string{"1,1.5\n", "2,2.5\n"}}
+			if !cancelled {
+				return bg, rd, errSourceBroke
+			}
+			ctx, cancel := context.WithCancel(bg)
+			rd.cancel = cancel
+			return ctx, rd, context.Canceled
+		}
+
+		// Autocommit: the partial stream must leave no rows behind.
+		ctx, rd, want := source()
+		if _, err := c.CopyFrom(ctx, "COPY ct FROM STDIN FORMAT CSV DIRECT", rd); !errors.Is(err, want) {
+			t.Fatalf("cancelled=%v: autocommit COPY err = %v, want %v", cancelled, err, want)
+		}
+		if got := count(); got != 0 {
+			t.Fatalf("cancelled=%v: aborted autocommit COPY committed %d rows, want 0", cancelled, got)
+		}
+
+		// Explicit transaction: the abort leaves the txn open for the
+		// caller's ROLLBACK, and nothing the load staged survives it.
+		if _, err := c.Execute(bg, "BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		ctx, rd, want = source()
+		if _, err := c.CopyFrom(ctx, "COPY ct FROM STDIN FORMAT CSV", rd); !errors.Is(err, want) {
+			t.Fatalf("cancelled=%v: in-txn COPY err = %v, want %v", cancelled, err, want)
+		}
+		if _, err := c.Execute(bg, "ROLLBACK"); err != nil {
+			t.Fatalf("cancelled=%v: ROLLBACK after aborted COPY: %v", cancelled, err)
+		}
+		if got := count(); got != 0 {
+			t.Fatalf("cancelled=%v: rolled-back COPY left %d rows, want 0", cancelled, got)
+		}
 	}
 }
 

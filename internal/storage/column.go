@@ -298,3 +298,45 @@ func ColumnsFromRows(rows []types.Row, schema types.Schema) ([]Column, error) {
 	}
 	return cols, nil
 }
+
+// CoerceRows aligns row values with a declared schema. Engine row sets are
+// permissive — an expression over a FLOAT column can yield INTEGER-kinded
+// values — but column vectors are strict about their type, so every path
+// that columnizes engine rows (the wire's batch frames, join inputs) runs
+// them through here first. Rows are copied only when a value actually needs
+// converting; untouched rows alias the caller's (possibly shared) backing
+// storage.
+func CoerceRows(schema types.Schema, rows []types.Row) []types.Row {
+	out := rows
+	copied := false
+	for i, row := range rows {
+		rowCopied := false
+		for j, v := range row {
+			want := schema.Cols[j].T
+			if v.T == want || want == types.Unknown {
+				continue
+			}
+			if !copied {
+				out = append([]types.Row(nil), rows...)
+				copied = true
+			}
+			if !rowCopied {
+				out[i] = append(types.Row(nil), row...)
+				rowCopied = true
+			}
+			switch {
+			case v.Null:
+				out[i][j] = types.NullValue(want)
+			case want == types.Int64:
+				out[i][j] = types.IntValue(v.AsInt())
+			case want == types.Float64:
+				out[i][j] = types.FloatValue(v.AsFloat())
+			case want == types.Bool:
+				out[i][j] = types.BoolValue(v.AsBool())
+			default:
+				out[i][j] = types.StringValue(v.String())
+			}
+		}
+	}
+	return out
+}

@@ -18,9 +18,8 @@ import (
 // Every format ends in a CRC32 so recovery can reject torn or corrupt files.
 
 var (
-	rosMagicV1 = []byte("VRC1") // legacy: no zone-map section (stats recomputed on load)
-	rosMagic   = []byte("VRC2") // current: per-column zone maps after the delete section
-	wosMagic   = []byte("VWS1")
+	rosMagic = []byte("VRC2") // per-column zone maps after the delete section
+	wosMagic = []byte("VWS1")
 )
 
 // writeStatValue serializes a non-null zone-map bound: type byte + payload.
@@ -297,7 +296,7 @@ func MarshalContainer(c *ROSContainer) ([]byte, error) {
 			writeUvarint(&buf, d)
 		}
 	}
-	// Zone-map section (VRC2): per-column null count and min/max bounds, so
+	// Zone-map section: per-column null count and min/max bounds, so
 	// recovery restores pruning metadata without rescanning the columns.
 	stats := c.stats
 	if len(stats) != len(c.Cols) {
@@ -329,8 +328,7 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 	if _, err := readFull(r, head); err != nil {
 		return nil, err
 	}
-	hasStats := bytes.Equal(head, rosMagic)
-	if !hasStats && !bytes.Equal(head, rosMagicV1) {
+	if !bytes.Equal(head, rosMagic) {
 		return nil, fmt.Errorf("storage: bad ROS container magic %q", head)
 	}
 	start, err := binary.ReadUvarint(r)
@@ -371,32 +369,26 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 			}
 		}
 	}
-	var stats []ColStats
-	if hasStats {
-		stats = make([]ColStats, len(cols))
-		for i := range stats {
-			nulls, err := binary.ReadUvarint(r)
-			if err != nil {
+	stats := make([]ColStats, len(cols))
+	for i := range stats {
+		nulls, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, err
+		}
+		stats[i].NullCount = int(nulls)
+		has, err := r.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		if has != 0 {
+			stats[i].HasMinMax = true
+			if stats[i].Min, err = readStatValue(r); err != nil {
 				return nil, err
 			}
-			stats[i].NullCount = int(nulls)
-			has, err := r.ReadByte()
-			if err != nil {
+			if stats[i].Max, err = readStatValue(r); err != nil {
 				return nil, err
-			}
-			if has != 0 {
-				stats[i].HasMinMax = true
-				if stats[i].Min, err = readStatValue(r); err != nil {
-					return nil, err
-				}
-				if stats[i].Max, err = readStatValue(r); err != nil {
-					return nil, err
-				}
 			}
 		}
-	} else {
-		// Legacy VRC1 file: rebuild the zone maps from the columns.
-		stats = ComputeStats(cols)
 	}
 	return &ROSContainer{
 		Schema:   schema,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -136,6 +137,12 @@ func TestUnmarshalContainerRejectsCorruption(t *testing.T) {
 	}
 	if _, err := UnmarshalContainer(data[:8]); err == nil {
 		t.Fatal("truncated container went undetected")
+	}
+	// The retired VRC1 magic under a valid checksum is refused by name, not
+	// misread as the current layout.
+	old := bytes.NewBuffer(append([]byte("VRC1"), data[4:len(data)-4]...))
+	if _, err := UnmarshalContainer(sealCRC(old)); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("VRC1 container: err = %v, want bad-magic error", err)
 	}
 }
 

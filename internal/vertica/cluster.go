@@ -132,14 +132,6 @@ type Config struct {
 	// MaxClientSessions bounds concurrent sessions per node (the
 	// MAX-CLIENT-SESSIONS parameter raised to 100 in §4.1).
 	MaxClientSessions int
-	// RowAtATimeScans forces SELECTs onto the retained row-at-a-time
-	// reference scan instead of the vectorized batch pipeline. Ablation and
-	// benchmarking knob (cmd/scanbench); leave false in production.
-	RowAtATimeScans bool
-	// NoZoneMapPruning disables container pruning from per-column zone maps.
-	// Ablation knob: results must be identical with pruning on or off, only
-	// the number of containers decoded changes.
-	NoZoneMapPruning bool
 	// DataDir, when set, makes the cluster durable: storage persists under
 	// this directory, every write is logged to a write-ahead log fsynced on
 	// commit, and NewCluster recovers the last durable epoch from it on

@@ -94,24 +94,15 @@ func (c *Cluster) walStallThreshold() time.Duration {
 }
 
 // raiseZoneMapSkipped raises ZONEMAP_PRUNE_SKIPPED after a scan whose
-// predicate had prunable zone checks but whose containers could not all be
-// tested: either the NoZoneMapPruning ablation disabled pruning outright
-// (value = containers scanned), or some containers carried no zone maps
-// (value = stat-less containers).
+// predicate had prunable zone checks but some of whose containers carried no
+// zone maps to test them against (value = stat-less containers).
 func (s *Session) raiseZoneMapSkipped(table string, zoneable bool, noStats, seen int64) {
-	if !zoneable || seen == 0 {
+	if !zoneable || noStats == 0 {
 		return
 	}
-	if s.cluster.cfg.NoZoneMapPruning {
-		s.raiseEvent(obs.EvZoneMapPruneSkipped,
-			"scan "+table+": zone-map pruning disabled by configuration", seen, 0)
-		return
-	}
-	if noStats > 0 {
-		s.raiseEvent(obs.EvZoneMapPruneSkipped,
-			fmt.Sprintf("scan %s: %d of %d containers carry no zone maps", table, noStats, seen),
-			noStats, 0)
-	}
+	s.raiseEvent(obs.EvZoneMapPruneSkipped,
+		fmt.Sprintf("scan %s: %d of %d containers carry no zone maps", table, noStats, seen),
+		noStats, 0)
 }
 
 // raiseJoinBuildEvent raises JOIN_BUILD_SIDE_LARGE when a hash join built

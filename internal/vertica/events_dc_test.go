@@ -147,9 +147,8 @@ func TestDCRetentionPolicySQL(t *testing.T) {
 // inline in PROFILE, and as predictions in EXPLAIN.
 func TestQueryEventsSeededWorkload(t *testing.T) {
 	c, err := NewCluster(Config{
-		Nodes:            2,
-		JoinBuildRows:    1, // any hash-join build side trips JOIN_BUILD_SIDE_LARGE
-		NoZoneMapPruning: true,
+		Nodes:         2,
+		JoinBuildRows: 1, // any hash-join build side trips JOIN_BUILD_SIDE_LARGE
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +170,11 @@ func TestQueryEventsSeededWorkload(t *testing.T) {
 	if err := c.Moveout(); err != nil {
 		t.Fatal(err)
 	}
+	// Rebalancing onto a new node rebuilds every store from row versions;
+	// those containers carry no zone maps until they are next persisted.
+	s.MustExecute("ALTER CLUSTER ADD NODE")
 
-	// ZONEMAP_PRUNE_SKIPPED: a prunable predicate with pruning disabled.
+	// ZONEMAP_PRUNE_SKIPPED: a prunable predicate over stat-less containers.
 	s.MustExecute("SELECT v FROM ev_l WHERE id >= 250")
 	// GROUP_BY_FALLBACK_ROW_PATH + JOIN_BUILD_SIDE_LARGE: aggregate over a join.
 	s.MustExecute("SELECT COUNT(*) FROM ev_l JOIN ev_r ON ev_l.id = ev_r.id GROUP BY tag")

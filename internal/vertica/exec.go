@@ -2,7 +2,6 @@ package vertica
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -40,10 +39,9 @@ type scanStats struct {
 	joinOrder   string // chosen join order; "" for single-table queries
 	estRows     int64  // planner cardinality estimate (0 = derive from scanRows)
 	pushdown    string // "count", "group-by", or "" for a plain scan
-	vectorized  bool   // the batch pipeline ran (vs row-at-a-time reference)
+	vectorized  bool   // a base table was scanned on the batch pipeline
 	contScanned int64  // ROS containers decoded
 	contPruned  int64  // ROS containers skipped via zone maps
-	contNoStats int64  // ROS containers that could not be pruned for lack of stats
 }
 
 func newScanStats() *scanStats {
@@ -97,8 +95,6 @@ func (s *Session) executeSelectProf(st *vsql.Select, qp *queryProfile) (*Result,
 		// runs on the row-at-a-time reference path. Say why.
 		detail := "aggregation shape not eligible for vectorized kernels"
 		switch {
-		case s.cluster.cfg.RowAtATimeScans:
-			detail = "RowAtATimeScans ablation forces the row-at-a-time path"
 		case len(st.Joins) > 0:
 			detail = "aggregate over a join runs row-at-a-time"
 		case st.From != nil && !baseTableOnly(s, st.From):
@@ -196,9 +192,6 @@ func (s *Session) tryCountPushdown(st *vsql.Select, vis storage.Visibility, stat
 // base table — the shape tryCountPushdown (and EXPLAIN) answers from
 // selection-vector popcounts.
 func countPushdownEligible(s *Session, st *vsql.Select) bool {
-	if s.cluster.cfg.RowAtATimeScans {
-		return false // ablation knob: exercise the reference path
-	}
 	if st.From == nil || len(st.Joins) > 0 || len(st.GroupBy) > 0 || len(st.Items) != 1 {
 		return false
 	}
@@ -268,136 +261,60 @@ func (s *Session) sourceRows(st *vsql.Select, vis storage.Visibility, stats *sca
 }
 
 // joinedRows runs the planner-ordered join pipeline: each step hash-joins the
-// accumulated left side with the next relation (vectorized when the inputs
-// convert to column vectors), then the residual WHERE filters the result.
-// The WHERE clause may reference both sides, so join inputs scan unfiltered.
+// accumulated left side with the next relation on the typed batch kernel,
+// then the residual WHERE filters the result. The WHERE clause may reference
+// both sides, so join inputs scan unfiltered.
 func (s *Session) joinedRows(st *vsql.Select, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, error) {
 	plan := s.planJoins(st)
 	stats.joinOrder = plan.orderString()
 	stats.estRows = plan.estOut
-	steps := plan.steps
 
-	// lref qualifies the left side's column names at the first join only;
-	// later steps see an already-qualified accumulated schema.
-	lref := st.From
-	var rows []types.Row
-	var schema types.Schema
-	// preRight carries a right side already scanned by the batch-native
-	// attempt into the general loop, so a fallback never scans it twice.
-	var preRight []types.Row
-	var preRightSchema types.Schema
-	havePre := false
-
-	// Batch-native first step: when the anchor is a base table, its columnar
-	// batches feed the typed join table directly and only matched pairs box
-	// into rows — the probe side never materializes. Ineligible shapes fall
-	// through to the materialize-then-join path below.
-	if len(steps) > 0 && !s.cluster.cfg.RowAtATimeScans && baseTableOnly(s, st.From) {
-		if tbl, ok := s.cluster.cat.Table(st.From.Name); ok {
-			step := steps[0]
-			right, rightSchema, err := s.relationRows(&step.clause.Right, nil, vis, stats, scanOpts{limit: -1})
-			if err != nil {
-				return nil, types.Schema{}, err
-			}
-			joinStart := profClock(stats.prof)
-			joined, joinedSchema, nLeft, ok, err := s.batchJoinStep(tbl, st.From, &step.clause.Right, step.clause, step.buildLeft, right, rightSchema, vis, stats)
-			if err != nil {
-				return nil, types.Schema{}, err
-			}
-			if ok {
-				stats.vectorized = true
-				buildRows := int64(len(right))
-				if step.buildLeft {
-					buildRows = nLeft
-				}
-				s.raiseJoinBuildEvent(buildRows, buildSideName(step.buildLeft), step.clause.LeftCol, step.clause.RightCol)
-				if stats.prof != nil {
-					build := "right"
-					if step.buildLeft {
-						build = "left"
-					}
-					stats.prof.add(opStat{
-						name: "join", rowsIn: nLeft + int64(len(right)), rowsOut: int64(len(joined)),
-						vecRows: nLeft + int64(len(right)), dur: time.Since(joinStart),
-						detail: fmt.Sprintf("vectorized hash join %s = %s, build %s side, batch-native probe", step.clause.LeftCol, step.clause.RightCol, build),
-					})
-				}
-				rows, schema = joined, joinedSchema
-				lref = nil
-				steps = steps[1:]
-			} else {
-				preRight, preRightSchema = right, rightSchema
-				havePre = true
-			}
-		}
-	}
-	if lref != nil {
-		var err error
-		rows, schema, err = s.relationRows(st.From, nil, vis, stats, scanOpts{limit: -1})
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
+	left, schema, err := s.relationBatches(st.From, vis, stats)
+	if err != nil {
+		return nil, types.Schema{}, err
 	}
 	if stats.table == "" {
 		stats.table = st.From.Name
 	}
-	for _, step := range steps {
-		right, rightSchema := preRight, preRightSchema
-		if havePre {
-			havePre = false
-		} else {
-			var err error
-			right, rightSchema, err = s.relationRows(&step.clause.Right, nil, vis, stats, scanOpts{limit: -1})
-			if err != nil {
+	// lref qualifies the left side's column names at the first join only;
+	// later steps see an already-qualified accumulated schema.
+	lref := st.From
+	var rows []types.Row
+	for i, step := range plan.steps {
+		if i > 0 {
+			if left, err = rowsBatch(rows, schema); err != nil {
 				return nil, types.Schema{}, err
 			}
 		}
-		joinStart := profClock(stats.prof)
-		joined, joinedSchema, vec, err := s.hashJoinStep(rows, schema, lref, right, rightSchema, &step.clause.Right, step.clause, step.buildLeft)
+		right, rightSchema, err := s.relationBatches(&step.clause.Right, vis, stats)
 		if err != nil {
 			return nil, types.Schema{}, err
 		}
-		if vec {
-			stats.vectorized = true
+		joinStart := profClock(stats.prof)
+		nLeft, nRight := selectedRows(left), selectedRows(right)
+		rows, schema, err = joinStep(left, schema, lref, right, rightSchema, step.clause, step.buildLeft)
+		if err != nil {
+			return nil, types.Schema{}, err
 		}
-		buildRows := int64(len(right))
+		lref = nil
+		buildRows, build := nRight, "right"
 		if step.buildLeft {
-			buildRows = int64(len(rows))
+			buildRows, build = nLeft, "left"
 		}
-		s.raiseJoinBuildEvent(buildRows, buildSideName(step.buildLeft), step.clause.LeftCol, step.clause.RightCol)
+		s.raiseJoinBuildEvent(buildRows, build, step.clause.LeftCol, step.clause.RightCol)
 		if stats.prof != nil {
-			kind := "hash join"
-			if vec {
-				kind = "vectorized hash join"
-			}
-			build := "right"
-			if step.buildLeft {
-				build = "left"
-			}
-			vecRows := int64(0)
-			if vec {
-				vecRows = int64(len(rows) + len(right))
-			}
 			stats.prof.add(opStat{
-				name: "join", rowsIn: int64(len(rows) + len(right)), rowsOut: int64(len(joined)),
-				vecRows: vecRows, dur: time.Since(joinStart),
-				detail: fmt.Sprintf("%s %s = %s, build %s side", kind, step.clause.LeftCol, step.clause.RightCol, build),
+				name: "join", rowsIn: nLeft + nRight, rowsOut: int64(len(rows)),
+				vecRows: nLeft + nRight, dur: time.Since(joinStart),
+				detail: fmt.Sprintf("vectorized hash join %s = %s, build %s side", step.clause.LeftCol, step.clause.RightCol, build),
 			})
 		}
-		rows, schema = joined, joinedSchema
-		lref = nil
 	}
 	// Residual WHERE over the joined rows.
 	filterStart := profClock(stats.prof)
-	out := rows[:0]
-	for _, r := range rows {
-		ok, err := expr.EvalPredicate(st.Where, r, &schema)
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
-		if ok {
-			out = append(out, r)
-		}
+	out, _, err := filterRows(rows, schema, st.Where, -1)
+	if err != nil {
+		return nil, types.Schema{}, err
 	}
 	if stats.prof != nil && st.Where != nil {
 		stats.prof.add(opStat{
@@ -408,12 +325,51 @@ func (s *Session) joinedRows(st *vsql.Select, vis storage.Visibility, stats *sca
 	return out, schema, nil
 }
 
-// buildSideName names a hash join's build side for event details.
-func buildSideName(buildLeft bool) string {
-	if buildLeft {
-		return "left"
+// relationBatches produces one join input as column batches. A base table
+// supplies its scan batches directly, so none of its rows box before the
+// join decides they matched. Any other relation (a view, a system table)
+// exists in row form and is columnized once; such row sets are
+// type-permissive (a view's arithmetic column can mix INTEGER and FLOAT
+// values), so they are coerced to their declared schema first.
+func (s *Session) relationBatches(tr *vsql.TableRef, vis storage.Visibility, stats *scanStats) ([]*storage.Batch, types.Schema, error) {
+	if baseTableOnly(s, tr) {
+		if tbl, ok := s.cluster.cat.Table(tr.Name); ok {
+			batches, err := s.scanBatches(tbl, nil, vis, stats)
+			return batches, tbl.Def.Schema, err
+		}
 	}
-	return "right"
+	rows, schema, err := s.relationRows(tr, nil, vis, stats, scanOpts{limit: -1})
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+	batches, err := rowsBatch(storage.CoerceRows(schema, rows), schema)
+	return batches, schema, err
+}
+
+// rowsBatch columnizes a row set as one batch. Rows that do not fit the
+// schema are an error, not a reason to join some other way.
+func rowsBatch(rows []types.Row, schema types.Schema) ([]*storage.Batch, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	cols, err := storage.ColumnsFromRows(rows, schema)
+	if err != nil {
+		return nil, fmt.Errorf("vertica: join input does not fit its schema: %w", err)
+	}
+	sel := make([]int32, len(rows))
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: sel}}, nil
+}
+
+// selectedRows counts the rows a batch set still selects.
+func selectedRows(batches []*storage.Batch) int64 {
+	var n int64
+	for _, b := range batches {
+		n += int64(len(b.Sel))
+	}
+	return n
 }
 
 // hasAggregates reports whether any select item aggregates.
@@ -600,7 +556,6 @@ func (s *Session) buildSegJobs(tbl *catalog.Table, hr vhash.Range) ([]segJob, er
 // superset test: excluding [min, max] excludes every visible row.
 func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.ColStats, int) bool {
 	zoneable := pred.HasZoneChecks()
-	check := zoneable && !s.cluster.cfg.NoZoneMapPruning
 	return func(stats []storage.ColStats, rowCount int) bool {
 		res.contSeen++
 		if len(stats) == 0 {
@@ -611,7 +566,7 @@ func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.Col
 			}
 			return false
 		}
-		if check && pred.CanPrune(stats, rowCount) {
+		if zoneable && pred.CanPrune(stats, rowCount) {
 			res.contPruned++
 			return true
 		}
@@ -625,26 +580,10 @@ func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.Col
 // over a bounded worker pool, and only surviving rows × needed columns are
 // materialized. With countOnly the scan completes from selection-vector
 // popcounts and materializes nothing. Results are deterministic: segments
-// are merged in segment order, matching the sequential reference scan.
+// are merged in segment order, matching a sequential scan.
 func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats, opts scanOpts) ([]types.Row, int64, types.Schema, error) {
 	if stats.table == "" {
 		stats.table = tbl.Def.Name
-	}
-	if s.cluster.cfg.RowAtATimeScans {
-		// Ablation/debug knob: run the retained reference implementation.
-		scanStart := profClock(stats.prof)
-		rows, schema, err := s.scanTableRowAtATime(tbl, where, vis, stats)
-		if stats.prof != nil && err == nil {
-			total := int64(0)
-			for _, n := range stats.scanRows {
-				total += int64(n)
-			}
-			stats.prof.add(opStat{
-				name: "scan " + tbl.Def.Name, rowsIn: total, rowsOut: int64(len(rows)),
-				resRows: total, dur: time.Since(scanStart), detail: "row-at-a-time reference",
-			})
-		}
-		return rows, int64(len(rows)), schema, err
 	}
 	stats.vectorized = true
 	scanStart := profClock(stats.prof)
@@ -686,7 +625,6 @@ func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Vis
 		fstats.ResidualRows += res.fstats.ResidualRows
 		stats.contScanned += res.contSeen - res.contPruned
 		stats.contPruned += res.contPruned
-		stats.contNoStats += res.contNoStats
 		contSeen += res.contSeen
 		contNoStats += res.contNoStats
 		out = append(out, res.rows...)
@@ -787,6 +725,87 @@ func (s *Session) scanSegment(job segJob, vis storage.Visibility, hr vhash.Range
 	return res
 }
 
+// scanBatches scans a base table into column batches without boxing a row:
+// segments are filtered in parallel by the compiled predicate kernels (with
+// zone-map container pruning) and the surviving batches merged in segment
+// order — the input form of the hash-aggregation and hash-join kernels. The
+// batches reference the containers' immutable column vectors, so holding
+// them is free.
+func (s *Session) scanBatches(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats) ([]*storage.Batch, error) {
+	if stats.table == "" {
+		stats.table = tbl.Def.Name
+	}
+	stats.vectorized = true
+	scanStart := profClock(stats.prof)
+	hr, residual := extractHashRange(where, tbl)
+	pred := vexec.Compile(residual, tbl.Def.Schema, tbl.SegIdx)
+	jobs, err := s.buildSegJobs(tbl, hr)
+	if err != nil {
+		return nil, err
+	}
+	type segBatches struct {
+		segResult
+		batches []*storage.Batch
+	}
+	results := make([]segBatches, len(jobs))
+	runSegJobs(len(jobs), func(i int) {
+		res := &results[i]
+		res.scanRows = float64(jobs[i].store.TotalRows())
+		var fs *vexec.FilterStats
+		if stats.prof != nil {
+			fs = &res.fstats
+		}
+		err := jobs[i].store.ScanBatchesPruned(vis, hr, s.pruneFunc(pred, &res.segResult), func(b *storage.Batch) bool {
+			if err := pred.FilterBatchStats(b, fs); err != nil {
+				res.err = err
+				return false
+			}
+			if len(b.Sel) > 0 {
+				res.batches = append(res.batches, b)
+			}
+			return true
+		})
+		if err != nil && res.err == nil {
+			res.err = err
+		}
+	})
+
+	// Deterministic merge in segment order; per-segment stats fold into the
+	// query's accounting on the coordinating goroutine only.
+	var out []*storage.Batch
+	var fstats vexec.FilterStats
+	var scanned, contSeen, contPruned, contNoStats int64
+	for i := range results {
+		res := &results[i]
+		if res.err != nil {
+			return nil, res.err
+		}
+		stats.scanRows[sim.VName(jobs[i].homeNode)] += res.scanRows
+		scanned += int64(res.scanRows)
+		fstats.KernelRows += res.fstats.KernelRows
+		fstats.ResidualRows += res.fstats.ResidualRows
+		contSeen += res.contSeen
+		contPruned += res.contPruned
+		contNoStats += res.contNoStats
+		out = append(out, res.batches...)
+	}
+	stats.contScanned += contSeen - contPruned
+	stats.contPruned += contPruned
+	s.raiseZoneMapSkipped(tbl.Def.Name, pred.HasZoneChecks(), contNoStats, contSeen)
+	if stats.prof != nil {
+		detail := fmt.Sprintf("%d segments, %d kernels", len(jobs), pred.NumKernels())
+		if contPruned > 0 {
+			detail += fmt.Sprintf(", zone maps pruned %d/%d containers", contPruned, contSeen)
+		}
+		stats.prof.add(opStat{
+			name: "scan " + tbl.Def.Name, rowsIn: scanned, rowsOut: selectedRows(out),
+			vecRows: fstats.KernelRows, resRows: fstats.ResidualRows,
+			dur: time.Since(scanStart), detail: detail,
+		})
+	}
+	return out, nil
+}
+
 // resolveNeedCols maps the needed column names onto schema indexes, in
 // schema order, and builds the narrowed output schema. Unresolvable names
 // (or a nil request) fall back to materializing every column.
@@ -811,69 +830,6 @@ func resolveNeedCols(schema types.Schema, needCols []string) ([]int, types.Schem
 		}
 	}
 	return idx, out
-}
-
-// scanTableRowAtATime is the retained row-at-a-time reference scan: one
-// boxed types.Value per cell, one delete-vector RLock per row, one
-// interpreted predicate evaluation per row. It is the baseline the
-// vectorized pipeline is benchmarked against (BenchmarkScanRowAtATime, the
-// vectorized-vs-interpreted property tests, and the RowAtATimeScans
-// ablation) and must keep semantics identical to scanTable.
-func (s *Session) scanTableRowAtATime(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, error) {
-	schema := tbl.Def.Schema
-	hr, residual := extractHashRange(where, tbl)
-	var out []types.Row
-
-	appendMatches := func(store *storage.Store, homeNode int) error {
-		var scanErr error
-		nodeName := sim.VName(homeNode)
-		stats.scanRows[nodeName] += float64(store.TotalRows())
-		store.Scan(vis, hr, func(r types.Row) bool {
-			ok, err := expr.EvalPredicate(residual, r, &schema)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if ok {
-				row := r.Clone()
-				out = append(out, row)
-				if homeNode != s.node.ID {
-					stats.shuffle[[2]string{sim.VName(homeNode), s.node.Name}] += float64(types.WireSize(row))
-				}
-			}
-			return true
-		})
-		return scanErr
-	}
-
-	if !tbl.Def.Segmented {
-		// Unsegmented tables are replicated everywhere: serve entirely from
-		// the connected node's local replica (zero shuffle).
-		store, homeNode, err := s.replicaFor(tbl, s.localPos(tbl))
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
-		if err := appendMatches(store, homeNode); err != nil {
-			return nil, types.Schema{}, err
-		}
-		return out, schema, nil
-	}
-
-	segs := tbl.SegmentRanges()
-	for i := range tbl.Stores {
-		// Skip segments the requested hash range cannot touch.
-		if segs[i].Lo >= hr.Hi || segs[i].Hi <= hr.Lo {
-			continue
-		}
-		store, homeNode, err := s.replicaFor(tbl, i)
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
-		if err := appendMatches(store, homeNode); err != nil {
-			return nil, types.Schema{}, err
-		}
-	}
-	return out, schema, nil
 }
 
 // replicaFor returns the store serving ring position pos of the table, plus
@@ -1012,26 +968,21 @@ func hashMatchesSegmentation(h *expr.HashFn, tbl *catalog.Table) bool {
 	return true
 }
 
-// hashJoinStep performs one inner equi-join of the planner's pipeline:
-// resolve the ON columns against the two input schemas, qualify the output
-// column names (the left side only at the first step — lref is nil once the
-// left input is itself a join result), then join vectorized when both inputs
-// convert to column vectors, falling back to the boxed row join otherwise.
-// Both paths emit identical rows in identical left-major order, whichever
-// side the hash table is built on.
-func (s *Session) hashJoinStep(left []types.Row, ls types.Schema, lref *vsql.TableRef,
-	right []types.Row, rs types.Schema, rref *vsql.TableRef, jc *vsql.JoinClause, buildLeft bool) ([]types.Row, types.Schema, bool, error) {
-	li := resolveJoinCol(ls, jc.LeftCol)
-	ri := resolveJoinCol(rs, jc.RightCol)
+// joinShape resolves a join step's ON columns against its two input schemas
+// and builds the output schema: left columns then right columns, names
+// qualified by their relation (the left side only at the first step — lref
+// is nil once the left input is itself a join result).
+func joinShape(ls types.Schema, lref *vsql.TableRef, rs types.Schema, jc *vsql.JoinClause) (li, ri int, out types.Schema, err error) {
+	li = resolveJoinCol(ls, jc.LeftCol)
+	ri = resolveJoinCol(rs, jc.RightCol)
 	// The ON columns may be written either way around; try swapping.
 	if li < 0 || ri < 0 {
 		li = resolveJoinCol(ls, jc.RightCol)
 		ri = resolveJoinCol(rs, jc.LeftCol)
 	}
 	if li < 0 || ri < 0 {
-		return nil, types.Schema{}, false, fmt.Errorf("vertica: join columns %q/%q not found", jc.LeftCol, jc.RightCol)
+		return 0, 0, out, fmt.Errorf("vertica: join columns %q/%q not found", jc.LeftCol, jc.RightCol)
 	}
-	out := types.Schema{}
 	for _, c := range ls.Cols {
 		name := c.Name
 		if lref != nil {
@@ -1040,115 +991,33 @@ func (s *Session) hashJoinStep(left []types.Row, ls types.Schema, lref *vsql.Tab
 		out.Cols = append(out.Cols, types.Column{Name: name, T: c.T})
 	}
 	for _, c := range rs.Cols {
-		out.Cols = append(out.Cols, types.Column{Name: qualify(rref, c.Name), T: c.T})
+		out.Cols = append(out.Cols, types.Column{Name: qualify(&jc.Right, c.Name), T: c.T})
 	}
-	if !s.cluster.cfg.RowAtATimeScans {
-		if rows, ok := vectorJoin(left, ls, li, right, rs, ri, buildLeft); ok {
-			return rows, out, true, nil
-		}
-	}
-	rows := rowHashJoin(left, li, right, ri)
-	return rows, out, false, nil
+	return li, ri, out, nil
 }
 
-// batchJoinStep is the batch-native first join: the anchor table scans as
-// columnar batches (segment-parallel, WHERE-free — the residual applies after
-// all joins) and vexec.JoinBatches probes them against the right side's typed
-// key table. Only matched pairs box into rows, so a selective join skips the
-// dominant cost of the materialize-then-join path: building boxed rows for
-// every probe-side input. nLeft reports the visible left rows for profiling.
-// ok=false (no error) means the shape isn't eligible — unresolvable ON
-// columns or a right side that won't columnize — and the caller falls back.
-func (s *Session) batchJoinStep(tbl *catalog.Table, base, rref *vsql.TableRef, jc *vsql.JoinClause, buildLeft bool,
-	right []types.Row, rs types.Schema, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, int64, bool, error) {
-	schema := tbl.Def.Schema
-	li := resolveJoinCol(schema, jc.LeftCol)
-	ri := resolveJoinCol(rs, jc.RightCol)
-	// The ON columns may be written either way around; try swapping.
-	if li < 0 || ri < 0 {
-		li = resolveJoinCol(schema, jc.RightCol)
-		ri = resolveJoinCol(rs, jc.LeftCol)
-	}
-	if li < 0 || ri < 0 {
-		return nil, types.Schema{}, 0, false, nil
-	}
-	rcols, err := storage.ColumnsFromRows(right, rs)
+// joinStep performs one inner equi-join of the planner's pipeline on the
+// typed batch kernel: each side's key table and probe read column vectors,
+// and only matched pairs box into rows — in left-major order, whichever
+// side the hash table is built on.
+func joinStep(left []*storage.Batch, ls types.Schema, lref *vsql.TableRef,
+	right []*storage.Batch, rs types.Schema, jc *vsql.JoinClause, buildLeft bool) ([]types.Row, types.Schema, error) {
+	li, ri, out, err := joinShape(ls, lref, rs, jc)
 	if err != nil {
-		// Type drift in the right side's rows (view output, stored-type
-		// drift): fall back to the boxed join.
-		return nil, types.Schema{}, 0, false, nil
+		return nil, types.Schema{}, err
 	}
-
-	scanStart := profClock(stats.prof)
-	pred := vexec.Compile(nil, schema, tbl.SegIdx)
-	hr, _ := extractHashRange(nil, tbl)
-	jobs, err := s.buildSegJobs(tbl, hr)
-	if err != nil {
-		return nil, types.Schema{}, 0, false, err
-	}
-	type segBatches struct {
-		segResult
-		batches []*storage.Batch
-	}
-	results := make([]segBatches, len(jobs))
-	runSegJobs(len(jobs), func(i int) {
-		res := &results[i]
-		res.scanRows = float64(jobs[i].store.TotalRows())
-		err := jobs[i].store.ScanBatchesPruned(vis, hr, s.pruneFunc(pred, &res.segResult), func(b *storage.Batch) bool {
-			if len(b.Sel) > 0 {
-				res.batches = append(res.batches, b)
-			}
-			return true
-		})
-		if err != nil {
-			res.err = err
-		}
-	})
-	var left []*storage.Batch
-	var nLeft, scanned int64
-	for i := range results {
-		res := &results[i]
-		if res.err != nil {
-			return nil, types.Schema{}, 0, false, res.err
-		}
-		stats.scanRows[sim.VName(jobs[i].homeNode)] += res.scanRows
-		scanned += int64(res.scanRows)
-		stats.contScanned += res.contSeen
-		for _, b := range res.batches {
-			nLeft += int64(len(b.Sel))
-		}
-		left = append(left, res.batches...)
-	}
-	if stats.table == "" {
-		stats.table = tbl.Def.Name
-	}
-	if stats.prof != nil {
-		stats.prof.add(opStat{
-			name: "scan " + tbl.Def.Name, rowsIn: scanned, rowsOut: nLeft, vecRows: nLeft,
-			dur: time.Since(scanStart), detail: fmt.Sprintf("%d segments, batch-native join input", len(jobs)),
-		})
-	}
-
-	out := types.Schema{}
-	for _, c := range schema.Cols {
-		out.Cols = append(out.Cols, types.Column{Name: qualify(base, c.Name), T: c.T})
-	}
-	for _, c := range rs.Cols {
-		out.Cols = append(out.Cols, types.Column{Name: qualify(rref, c.Name), T: c.T})
-	}
-	rb := []*storage.Batch{{Schema: rs, Cols: rcols, Sel: allSel(len(right))}}
 	var rows []types.Row
-	vexec.JoinBatches(left, li, rb, ri, buildLeft, func(lb, lr, _, rr int32) {
+	vexec.JoinBatches(left, li, right, ri, buildLeft, func(lb, lr, rb, rr int32) {
 		row := make(types.Row, 0, len(out.Cols))
 		for _, c := range left[lb].Cols {
 			row = append(row, c.Get(int(lr)))
 		}
-		for _, c := range rcols {
+		for _, c := range right[rb].Cols {
 			row = append(row, c.Get(int(rr)))
 		}
 		rows = append(rows, row)
 	})
-	return rows, out, nLeft, true, nil
+	return rows, out, nil
 }
 
 // resolveJoinCol finds a join column in a schema: the full (possibly
@@ -1160,112 +1029,6 @@ func resolveJoinCol(schema types.Schema, name string) int {
 		return i
 	}
 	return schema.ColIndex(stripQualifier(name))
-}
-
-// vectorJoin joins via the typed batch kernels (vexec.JoinBatches): the
-// inputs are converted to column vectors, the build side's key table is
-// populated without boxing, and only matching pairs materialize rows. ok is
-// false when an input cannot be column-encoded (untyped values from view
-// projections); the caller falls back to the row join.
-func vectorJoin(left []types.Row, ls types.Schema, li int, right []types.Row, rs types.Schema, ri int, buildLeft bool) ([]types.Row, bool) {
-	lcols, err := storage.ColumnsFromRows(left, ls)
-	if err != nil {
-		return nil, false
-	}
-	rcols, err := storage.ColumnsFromRows(right, rs)
-	if err != nil {
-		return nil, false
-	}
-	lb := &storage.Batch{Schema: ls, Cols: lcols, Sel: allSel(len(left))}
-	rb := &storage.Batch{Schema: rs, Cols: rcols, Sel: allSel(len(right))}
-	width := len(ls.Cols) + len(rs.Cols)
-	var rows []types.Row
-	vexec.JoinBatches([]*storage.Batch{lb}, li, []*storage.Batch{rb}, ri, buildLeft, func(_, lr, _, rr int32) {
-		row := make(types.Row, 0, width)
-		for _, c := range lcols {
-			row = append(row, c.Get(int(lr)))
-		}
-		for _, c := range rcols {
-			row = append(row, c.Get(int(rr)))
-		}
-		rows = append(rows, row)
-	})
-	return rows, true
-}
-
-// allSel builds the identity selection vector of length n.
-func allSel(n int) []int32 {
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
-}
-
-// rowHashJoin is the retained boxed-row reference join: build the hash table
-// on the right input, probe the left in order. The ablation/equivalence
-// oracle for vectorJoin.
-func rowHashJoin(left []types.Row, li int, right []types.Row, ri int) []types.Row {
-	ht := make(map[joinKey][]types.Row, len(right))
-	for _, r := range right {
-		k, ok := joinKeyOf(r[ri])
-		if !ok {
-			continue
-		}
-		ht[k] = append(ht[k], r)
-	}
-	var rows []types.Row
-	for _, l := range left {
-		k, ok := joinKeyOf(l[li])
-		if !ok {
-			continue
-		}
-		for _, r := range ht[k] {
-			row := make(types.Row, 0, len(l)+len(r))
-			row = append(row, l...)
-			row = append(row, r...)
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// joinKey is a typed, comparable hash-join key. Values of the same family
-// equal each other per types.Compare (so INTEGER 1 joins FLOAT 1.0), while
-// values of different families never collide — unlike the old string-rendered
-// keys, where IntValue(1) and StringValue("1") were indistinguishable. Being
-// a value type, it also costs no allocation per build/probe.
-type joinKey struct {
-	kind byte // 'i' integral numeric, 'f' non-integral float, 's' string, 'b' bool
-	i    int64
-	f    float64
-	s    string
-	b    bool
-}
-
-// joinKeyOf builds the key for v; ok is false for NULLs (which never join).
-func joinKeyOf(v types.Value) (joinKey, bool) {
-	if v.Null {
-		return joinKey{}, false
-	}
-	switch v.T {
-	case types.Int64:
-		return joinKey{kind: 'i', i: v.I}, true
-	case types.Float64:
-		// Integral floats normalize to the int form so 1.0 matches INTEGER 1,
-		// mirroring types.Compare's numeric promotion. Magnitudes beyond the
-		// int64-exact range stay in float form.
-		if f := v.F; f == math.Trunc(f) && f >= -(1<<62) && f <= 1<<62 {
-			return joinKey{kind: 'i', i: int64(f)}, true
-		}
-		return joinKey{kind: 'f', f: v.F}, true
-	case types.Varchar:
-		return joinKey{kind: 's', s: v.S}, true
-	case types.Bool:
-		return joinKey{kind: 'b', b: v.B}, true
-	default:
-		return joinKey{}, false
-	}
 }
 
 func stripQualifier(name string) string {

@@ -1,0 +1,129 @@
+package vertica
+
+import (
+	"fmt"
+	"testing"
+
+	"vsfabric/internal/catalog"
+	"vsfabric/internal/storage"
+	"vsfabric/internal/types"
+	"vsfabric/internal/vexec"
+	"vsfabric/internal/vhash"
+	"vsfabric/internal/vsql"
+)
+
+// This file is the test oracle the vectorized engine is diffed against: a
+// row-at-a-time scan, a boxed hash join in syntactic order, an interpreted
+// filter, then the engine's own projection/aggregation. No batches, kernels,
+// zone maps, pushdowns or planner — everything the production path adds on
+// top of "scan, join, filter, project" is absent here.
+
+// oracleSelect answers a SELECT on the oracle.
+func oracleSelect(t testing.TB, s *Session, sql string) *Result {
+	t.Helper()
+	stmt, err := vsql.Parse(sql)
+	if err != nil {
+		t.Fatalf("oracle parse %q: %v", sql, err)
+	}
+	rows, schema, err := oracleRows(s, stmt.(*vsql.Select), snapshotVis(s.cluster))
+	if err != nil {
+		t.Fatalf("oracle %q: %v", sql, err)
+	}
+	return &Result{Schema: schema, Rows: rows}
+}
+
+// oracleRows evaluates one SELECT: relations → joins → WHERE → projection.
+func oracleRows(s *Session, st *vsql.Select, vis storage.Visibility) ([]types.Row, types.Schema, error) {
+	if err := s.bindSelectFuncs(st); err != nil {
+		return nil, types.Schema{}, err
+	}
+	rows, schema, err := oracleRelation(s, st.From, vis)
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+	lref := st.From
+	for _, jc := range st.Joins {
+		right, rs, err := oracleRelation(s, &jc.Right, vis)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		li, ri, out, err := joinShape(schema, lref, rs, jc)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		rows, schema, lref = rowHashJoin(rows, li, right, ri), out, nil
+	}
+	if rows, schema, err = filterRows(rows, schema, st.Where, -1); err != nil {
+		return nil, types.Schema{}, err
+	}
+	return project(st, rows, schema, nil)
+}
+
+// oracleRelation produces one FROM/JOIN relation's rows: a base table scans
+// row at a time, a view evaluates its own SELECT on the oracle, and a system
+// table (already a row source in production) comes from the engine.
+func oracleRelation(s *Session, tr *vsql.TableRef, vis storage.Visibility) ([]types.Row, types.Schema, error) {
+	if view, ok := s.cluster.cat.View(tr.Name); ok {
+		sub, err := vsql.Parse(view.SelectSQL)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		return oracleRows(s, sub.(*vsql.Select), vis)
+	}
+	if !baseTableOnly(s, tr) {
+		return s.relationRows(tr, nil, vis, newScanStats(), scanOpts{limit: -1})
+	}
+	tbl, ok := s.cluster.cat.Table(tr.Name)
+	if !ok {
+		return nil, types.Schema{}, fmt.Errorf("oracle: relation %q does not exist", tr.Name)
+	}
+	rows, err := s.scanTableRowAtATime(tbl, vis)
+	return rows, tbl.Def.Schema, err
+}
+
+// scanTableRowAtATime is the reference scan: every visible row of the table,
+// one boxed types.Value per cell and one delete-vector check per row, in
+// segment order (the local replica for unsegmented tables).
+func (s *Session) scanTableRowAtATime(tbl *catalog.Table, vis storage.Visibility) ([]types.Row, error) {
+	positions := []int{s.localPos(tbl)}
+	if tbl.Def.Segmented {
+		positions = positions[:0]
+		for i := range tbl.Stores {
+			positions = append(positions, i)
+		}
+	}
+	var out []types.Row
+	for _, pos := range positions {
+		store, _, err := s.replicaFor(tbl, pos)
+		if err != nil {
+			return nil, err
+		}
+		store.Scan(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, func(r types.Row) bool {
+			out = append(out, r.Clone())
+			return true
+		})
+	}
+	return out, nil
+}
+
+// rowHashJoin is the boxed-row reference join: build the hash table on the
+// right input, probe the left in order.
+func rowHashJoin(left []types.Row, li int, right []types.Row, ri int) []types.Row {
+	ht := make(map[vexec.JoinKey][]types.Row, len(right))
+	for _, r := range right {
+		if k, ok := vexec.JoinKeyOf(r[ri]); ok {
+			ht[k] = append(ht[k], r)
+		}
+	}
+	var rows []types.Row
+	for _, l := range left {
+		k, ok := vexec.JoinKeyOf(l[li])
+		if !ok {
+			continue
+		}
+		for _, r := range ht[k] {
+			rows = append(rows, append(append(make(types.Row, 0, len(l)+len(r)), l...), r...))
+		}
+	}
+	return rows
+}

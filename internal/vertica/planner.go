@@ -23,9 +23,9 @@ import (
 // chosen as a build side over a sized base table.
 const estUnknown = int64(1) << 40
 
-// joinStep is one planned join: the clause, which side the hash table is
+// plannedJoin is one planned join: the clause, which side the hash table is
 // built on, and the right relation's cardinality estimate.
-type joinStep struct {
+type plannedJoin struct {
 	clause    *vsql.JoinClause
 	buildLeft bool
 	estRight  int64
@@ -35,7 +35,7 @@ type joinStep struct {
 type queryPlan struct {
 	baseEst int64
 	estOut  int64
-	steps   []*joinStep
+	steps   []*plannedJoin
 	order   []string // relation display names in chosen attach order
 }
 
@@ -100,8 +100,6 @@ func clauseConnects(jc *vsql.JoinClause, attached map[string]bool) bool {
 // the FROM relation, it repeatedly attaches the connectable clause whose
 // right relation is smallest (ties and unconnectable leftovers fall back to
 // syntactic order), and builds each join's hash table on the smaller input.
-// The plan drives both the vectorized and the row-at-a-time execution paths,
-// so the ablation knob changes only the execution strategy, never the plan.
 func (s *Session) planJoins(st *vsql.Select) *queryPlan {
 	p := &queryPlan{baseEst: s.relationEst(st.From)}
 	p.order = []string{displayName(st.From)}
@@ -134,7 +132,7 @@ func (s *Session) planJoins(st *vsql.Select) *queryPlan {
 		}
 		jc := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
-		p.steps = append(p.steps, &joinStep{clause: jc, estRight: bestEst, buildLeft: estLeft < bestEst})
+		p.steps = append(p.steps, &plannedJoin{clause: jc, estRight: bestEst, buildLeft: estLeft < bestEst})
 		attach(&jc.Right)
 		p.order = append(p.order, displayName(&jc.Right))
 		// FK-style equi-joins keep roughly the larger side's cardinality.
@@ -150,6 +148,7 @@ func (s *Session) planJoins(st *vsql.Select) *queryPlan {
 type scanPlanInfo struct {
 	containers int64
 	pruned     int64
+	noStats    int64 // containers a zone check cannot test: no zone maps
 	segments   int
 	kernels    int
 	zoneChecks bool
@@ -170,11 +169,15 @@ func (s *Session) explainScan(tbl *catalog.Table, where expr.Expr) (scanPlanInfo
 		return info, err
 	}
 	info.segments = len(jobs)
-	checkZones := info.zoneChecks && !s.cluster.cfg.NoZoneMapPruning
 	for _, job := range jobs {
 		for _, c := range job.store.Containers() {
 			info.containers++
-			if checkZones && len(c.Stats()) == len(c.Cols) && pred.CanPrune(c.Stats(), c.RowCount) {
+			if !info.zoneChecks {
+				continue
+			}
+			if len(c.Stats()) != len(c.Cols) {
+				info.noStats++
+			} else if pred.CanPrune(c.Stats(), c.RowCount) {
 				info.pruned++
 			}
 		}
@@ -229,17 +232,16 @@ func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 	}
 
 	grouped := hasAggregates(st) || len(st.GroupBy) > 0
-	// zoneSkip remembers that some scan had prunable zone checks it will not
-	// be allowed to use, so the plan can predict a ZONEMAP_PRUNE_SKIPPED event.
+	// zoneSkip remembers that some scan's zone checks will meet containers
+	// without zone maps, so the plan can predict a ZONEMAP_PRUNE_SKIPPED event.
 	zoneSkip := false
 	scanDetail := func(base scanPlanInfo, pushed string) string {
 		d := fmt.Sprintf("%d segments, %d kernels", base.segments, base.kernels)
 		if base.zoneChecks {
-			if s.cluster.cfg.NoZoneMapPruning {
+			d += fmt.Sprintf(", zone maps prune %d/%d containers", base.pruned, base.containers)
+			if base.noStats > 0 {
 				zoneSkip = true
-				d += ", zone-map pruning disabled"
-			} else {
-				d += fmt.Sprintf(", zone maps prune %d/%d containers", base.pruned, base.containers)
+				d += fmt.Sprintf(", %d carry no zone maps", base.noStats)
 			}
 		}
 		if pushed != "" {
@@ -309,7 +311,7 @@ func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 	}
 	if grouped {
 		detail := "vectorized hash aggregation"
-		if s.cluster.cfg.RowAtATimeScans || len(st.Joins) > 0 || !vectorAggEligible(s, st) {
+		if !vectorAggEligible(s, st) {
 			detail = "row-at-a-time aggregation"
 		}
 		add("group-by", "", int64(len(st.GroupBy)), 0, 0, detail)
@@ -322,13 +324,13 @@ func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 	}
 	// Predicted query events: conditions the plan can already prove will
 	// raise a typed event at execution time (see internal/vertica/events.go).
-	if grouped && (s.cluster.cfg.RowAtATimeScans || len(st.Joins) > 0 || !vectorAggEligible(s, st)) {
+	if grouped && !vectorAggEligible(s, st) {
 		add("event", string(obs.EvGroupByFallback), 0, 0, 0,
 			"aggregation will run on the row-at-a-time path")
 	}
 	if zoneSkip {
 		add("event", string(obs.EvZoneMapPruneSkipped), 0, 0, 0,
-			"prunable predicate, but zone-map pruning is disabled by configuration")
+			"prunable predicate, but some containers carry no zone maps")
 	}
 	return result()
 }

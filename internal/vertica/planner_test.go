@@ -195,53 +195,31 @@ func TestQueryPlansMonitor(t *testing.T) {
 	}
 }
 
-// TestZoneMapPruningAblation is the acceptance check: results are identical
-// with pruning on and off; only container decode counts change.
-func TestZoneMapPruningAblation(t *testing.T) {
-	run := func(noPrune bool) (*Cluster, *Session) {
-		c, err := NewCluster(Config{Nodes: 3, NoZoneMapPruning: noPrune})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := c.Connect(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prunableTable(t, s, c)
-		return c, s
-	}
-	_, on := run(false)
-	_, off := run(true)
-	defer on.Close()
-	defer off.Close()
+// TestZoneMapPruningSound is the acceptance check: with pruning skipping
+// containers, results still equal the oracle, which knows no zone maps.
+func TestZoneMapPruningSound(t *testing.T) {
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	prunableTable(t, s, c)
 
-	queries := []string{
+	for _, q := range []string{
 		"SELECT val FROM pz WHERE id >= 200 ORDER BY val",
 		"SELECT COUNT(*) FROM pz WHERE id < 100",
 		"SELECT id, SUM(val) FROM pz WHERE id >= 250 GROUP BY id ORDER BY id",
 		"SELECT val FROM pz WHERE id = 150",
 		"SELECT val FROM pz WHERE id > 1000",
-	}
-	for _, q := range queries {
-		sameResults(t, q, on.MustExecute(q), off.MustExecute(q))
+	} {
+		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
 	}
 
-	check := func(s *Session, wantPruned bool) {
-		t.Helper()
-		plans := s.MustExecute("SELECT containers_pruned FROM v_monitor.query_plans")
-		var pruned int64
-		for _, r := range plans.Rows {
-			pruned += r[0].I
-		}
-		if wantPruned && pruned == 0 {
-			t.Error("pruning enabled but containers_pruned = 0 across all plans")
-		}
-		if !wantPruned && pruned != 0 {
-			t.Errorf("pruning disabled but containers_pruned = %d", pruned)
-		}
+	plans := s.MustExecute("SELECT containers_pruned FROM v_monitor.query_plans")
+	var pruned int64
+	for _, r := range plans.Rows {
+		pruned += r[0].I
 	}
-	check(on, true)
-	check(off, false)
+	if pruned == 0 {
+		t.Error("containers_pruned = 0 across all plans: the predicates never exercised pruning")
+	}
 }
 
 func TestProfileGroupBy(t *testing.T) {
@@ -284,8 +262,7 @@ func TestProfileGroupBy(t *testing.T) {
 }
 
 // TestAggEquivalenceProperty is the seeded equivalence suite: the vectorized
-// aggregation and join paths must return exactly what the row-at-a-time
-// reference returns — NULL group keys, empty groups, mixed INT/FLOAT
+// aggregation path must return exactly what the oracle returns — NULL group keys, empty groups, mixed INT/FLOAT
 // aggregates, duplicate join keys.
 func TestAggEquivalenceProperty(t *testing.T) {
 	queries := []string{
@@ -306,31 +283,16 @@ func TestAggEquivalenceProperty(t *testing.T) {
 		"SELECT name, MIN(val), MAX(val) FROM t WHERE grp IS NOT NULL GROUP BY name ORDER BY name",
 		"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp LIMIT 3",
 	}
-	run := func(rowAtATime bool) []*Result {
-		c, err := NewCluster(Config{Nodes: 3, RowAtATimeScans: rowAtATime})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := c.Connect(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		buildRandomTable(t, s, c, rand.New(rand.NewSource(7)), 600)
-		out := make([]*Result, len(queries))
-		for i, q := range queries {
-			out[i] = s.MustExecute(q)
-		}
-		return out
-	}
-	vec, ref := run(false), run(true)
-	for i := range queries {
-		sameResults(t, queries[i], vec[i], ref[i])
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	buildRandomTable(t, s, c, rand.New(rand.NewSource(7)), 600)
+	for _, q := range queries {
+		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
 	}
 }
 
-// TestJoinEquivalenceProperty diffs the vectorized multi-way join against the
-// row-at-a-time reference, duplicate and NULL keys included.
+// TestJoinEquivalenceProperty diffs the planner-ordered batch join against
+// the oracle's syntactic-order boxed join, duplicate and NULL keys included.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	queries := []string{
 		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid ORDER BY o.id, c.name",
@@ -340,54 +302,55 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		"SELECT o.id, c.name, x.tag FROM o JOIN c ON o.cid = c.cid JOIN x ON o.cid = x.cid WHERE o.id < 150 ORDER BY o.id, x.tag",
 		// Join feeding aggregation.
 		"SELECT c.name, COUNT(*) FROM o JOIN c ON o.cid = c.cid GROUP BY c.name ORDER BY c.name",
+		// A view whose arithmetic column is declared FLOAT but drifts: HALF
+		// yields INTEGER values for even cids and FLOAT for odd ones, and
+		// INTEGER + INTEGER stays INTEGER. The join input must be coerced
+		// before it columnizes, both as the right side and as the anchor.
+		"SELECT o.id, h.half FROM o JOIN halves h ON o.cid = h.cid ORDER BY o.id",
+		"SELECT h.half, x.tag FROM halves h JOIN x ON h.cid = x.cid ORDER BY h.half, x.tag",
+		// The drifting column itself as the join key: INTEGER 3 = FLOAT 3.0.
+		"SELECT o.id, h.cid FROM o JOIN halves h ON o.cid = h.half ORDER BY o.id, h.cid",
 	}
-	run := func(rowAtATime bool) []*Result {
-		c, err := NewCluster(Config{Nodes: 3, RowAtATimeScans: rowAtATime})
-		if err != nil {
-			t.Fatal(err)
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	rng := rand.New(rand.NewSource(11))
+	s.MustExecute("CREATE TABLE o (id INTEGER, cid INTEGER) SEGMENTED BY HASH(id)")
+	s.MustExecute("CREATE TABLE c (cid INTEGER, name VARCHAR) SEGMENTED BY HASH(cid)")
+	s.MustExecute("CREATE TABLE x (cid INTEGER, tag VARCHAR) SEGMENTED BY HASH(cid)")
+	c.RegisterUDx("HALF", func(args []types.Value, _ map[string]string) (types.Value, error) {
+		if n := args[0].AsInt(); args[0].Null || n%2 == 0 {
+			return types.IntValue(n / 2), nil
 		}
-		s, err := c.Connect(0)
-		if err != nil {
-			t.Fatal(err)
+		return types.FloatValue(float64(args[0].AsInt()) / 2), nil
+	})
+	s.MustExecute("CREATE VIEW halves AS SELECT cid, HALF(cid) + 0 AS half FROM c")
+	var ov, cv, xv []string
+	for i := 0; i < 300; i++ {
+		cid := fmt.Sprintf("%d", rng.Intn(20))
+		if rng.Intn(15) == 0 {
+			cid = "NULL"
 		}
-		defer s.Close()
-		rng := rand.New(rand.NewSource(11))
-		s.MustExecute("CREATE TABLE o (id INTEGER, cid INTEGER) SEGMENTED BY HASH(id)")
-		s.MustExecute("CREATE TABLE c (cid INTEGER, name VARCHAR) SEGMENTED BY HASH(cid)")
-		s.MustExecute("CREATE TABLE x (cid INTEGER, tag VARCHAR) SEGMENTED BY HASH(cid)")
-		var ov, cv, xv []string
-		for i := 0; i < 300; i++ {
-			cid := fmt.Sprintf("%d", rng.Intn(20))
-			if rng.Intn(15) == 0 {
-				cid = "NULL"
-			}
-			ov = append(ov, fmt.Sprintf("(%d, %s)", i, cid))
-		}
-		for i := 0; i < 20; i++ {
-			cv = append(cv, fmt.Sprintf("(%d, 'cust%d')", i, i))
-		}
-		cv = append(cv, "(NULL, 'null-cust')")
-		// x holds duplicate cids: several tags per key.
-		for i := 0; i < 50; i++ {
-			xv = append(xv, fmt.Sprintf("(%d, 'tag%d')", rng.Intn(20), i))
-		}
-		s.MustExecute("INSERT INTO o VALUES " + strings.Join(ov, ", "))
-		s.MustExecute("INSERT INTO c VALUES " + strings.Join(cv, ", "))
-		s.MustExecute("INSERT INTO x VALUES " + strings.Join(xv, ", "))
-		if err := c.Moveout(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]*Result, len(queries))
-		for i, q := range queries {
-			out[i] = s.MustExecute(q)
-		}
-		return out
+		ov = append(ov, fmt.Sprintf("(%d, %s)", i, cid))
 	}
-	vec, ref := run(false), run(true)
-	for i := range queries {
-		if len(vec[i].Rows) == 0 {
-			t.Fatalf("%s: empty result, data generator broken", queries[i])
+	for i := 0; i < 20; i++ {
+		cv = append(cv, fmt.Sprintf("(%d, 'cust%d')", i, i))
+	}
+	cv = append(cv, "(NULL, 'null-cust')")
+	// x holds duplicate cids: several tags per key.
+	for i := 0; i < 50; i++ {
+		xv = append(xv, fmt.Sprintf("(%d, 'tag%d')", rng.Intn(20), i))
+	}
+	s.MustExecute("INSERT INTO o VALUES " + strings.Join(ov, ", "))
+	s.MustExecute("INSERT INTO c VALUES " + strings.Join(cv, ", "))
+	s.MustExecute("INSERT INTO x VALUES " + strings.Join(xv, ", "))
+	if err := c.Moveout(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		got := s.MustExecute(q)
+		if len(got.Rows) == 0 {
+			t.Fatalf("%s: empty result, data generator broken", q)
 		}
-		sameResults(t, queries[i], vec[i], ref[i])
+		sameResults(t, q, got, oracleSelect(t, s, q))
 	}
 }

@@ -24,7 +24,7 @@ type planRecord struct {
 	ContainersPruned  int64
 	// Pushdown names the scan-level short-circuit taken ("count", "group-by",
 	// or "" for a plain scan); Vectorized reports whether the batch pipeline
-	// ran (false under the RowAtATimeScans ablation).
+	// ran (false when no base table was scanned: system tables, FROM-less).
 	Pushdown   string
 	Vectorized bool
 	Epoch      uint64

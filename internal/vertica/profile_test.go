@@ -76,17 +76,16 @@ func TestProfileSelect(t *testing.T) {
 		t.Fatalf("PROFILE COUNT(*) total row = %+v, want 1 result row", last)
 	}
 
-	// The profiled query must not perturb the data or fail under the
-	// row-at-a-time reference config either.
-	cr, err := NewCluster(Config{Nodes: 2, RowAtATimeScans: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := sess(t, cr, 0)
-	sr.MustExecute("CREATE TABLE pt (id INTEGER, val FLOAT)")
-	sr.MustExecute("INSERT INTO pt VALUES (1, 1.5), (2, 2.5)")
-	res = sr.MustExecute("PROFILE SELECT val FROM pt WHERE id = 1")
-	if last := res.Rows[len(res.Rows)-1]; last[0].S != "total" || last[2].I != 1 {
-		t.Fatalf("row-at-a-time PROFILE total = %+v, want 1 row out", last)
+	// The profiled query must not perturb the data: the plain query still
+	// equals the oracle afterwards, and PROFILE's total reconciles with it on
+	// an unsegmented table too.
+	sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
+	s.MustExecute("CREATE TABLE pu (id INTEGER, val FLOAT)")
+	s.MustExecute("INSERT INTO pu VALUES (1, 1.5), (2, 2.5)")
+	const qu = "SELECT val FROM pu WHERE id = 1"
+	res = s.MustExecute("PROFILE " + qu)
+	want := oracleSelect(t, s, qu)
+	if last := res.Rows[len(res.Rows)-1]; last[0].S != "total" || last[2].I != int64(len(want.Rows)) || last[2].I != 1 {
+		t.Fatalf("unsegmented PROFILE total = %+v, oracle has %d rows, want 1", last, len(want.Rows))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"vsfabric/internal/expr"
-	"vsfabric/internal/sim"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vexec"
@@ -13,12 +12,11 @@ import (
 )
 
 // This file pushes GROUP BY / aggregate queries over a single base table
-// down into the vectorized pipeline: segment batches are filtered in
-// parallel by the compiled predicate kernels (with zone-map container
-// pruning), then consumed by one typed hash-aggregation table
-// (vexec.HashAgg) sequentially in segment order — the same row order the
-// row-at-a-time reference sees, so group discovery order and float
-// accumulation order match it exactly.
+// down into the vectorized pipeline: the table's filtered scan batches
+// (scanBatches) are consumed by one typed hash-aggregation table
+// (vexec.HashAgg) sequentially in segment order — the same row order a
+// row-at-a-time scan sees, so group discovery order and float accumulation
+// order match the row aggregate exactly.
 
 // aggOpOf maps a SQL aggregate function to its kernel op.
 func aggOpOf(fn vsql.AggFn) (vexec.AggOp, bool) {
@@ -43,9 +41,6 @@ func aggOpOf(fn vsql.AggFn) (vexec.AggOp, bool) {
 // or system tables) with every aggregate argument a plain column. Anything
 // else falls back to the row-at-a-time aggregate().
 func vectorAggEligible(s *Session, st *vsql.Select) bool {
-	if s.cluster.cfg.RowAtATimeScans {
-		return false
-	}
 	if st.From == nil || len(st.Joins) > 0 {
 		return false
 	}
@@ -115,71 +110,18 @@ func (s *Session) tryVectorizedAgg(st *vsql.Select, vis storage.Visibility, stat
 		spec.Aggs = append(spec.Aggs, vexec.AggExpr{Op: op, Col: col})
 	}
 
-	stats.table = tbl.Def.Name
 	stats.pushdown = "group-by"
-	stats.vectorized = true
-	scanStart := profClock(qp)
-	profile := qp != nil
-	hr, residual := extractHashRange(st.Where, tbl)
-	pred := vexec.Compile(residual, schema, tbl.SegIdx)
-	jobs, err := s.buildSegJobs(tbl, hr)
+	batches, err := s.scanBatches(tbl, st.Where, vis, stats)
 	if err != nil {
 		return nil, false, err
 	}
 
-	// Parallel phase: build and filter every segment's batches. The batches
-	// reference the containers' immutable column vectors, so holding them
-	// until the sequential consume phase is free.
-	type segBatches struct {
-		segResult
-		batches []*storage.Batch
-	}
-	results := make([]segBatches, len(jobs))
-	runSegJobs(len(jobs), func(i int) {
-		res := &results[i]
-		res.scanRows = float64(jobs[i].store.TotalRows())
-		var fs *vexec.FilterStats
-		if profile {
-			fs = &res.fstats
-		}
-		err := jobs[i].store.ScanBatchesPruned(vis, hr, s.pruneFunc(pred, &res.segResult), func(b *storage.Batch) bool {
-			if err := pred.FilterBatchStats(b, fs); err != nil {
-				res.err = err
-				return false
-			}
-			if len(b.Sel) > 0 {
-				res.batches = append(res.batches, b)
-			}
-			return true
-		})
-		if err != nil && res.err == nil {
-			res.err = err
-		}
-	})
-
-	// Sequential phase: one hash table consumes every batch in segment order.
+	// One hash table consumes every batch sequentially, in segment order.
+	aggStart := profClock(qp)
 	ha := vexec.NewHashAgg(spec, schema)
-	var fstats vexec.FilterStats
-	var scanned, contSeen, contNoStats int64
-	for i := range results {
-		res := &results[i]
-		if res.err != nil {
-			return nil, false, res.err
-		}
-		stats.scanRows[sim.VName(jobs[i].homeNode)] += res.scanRows
-		scanned += int64(res.scanRows)
-		fstats.KernelRows += res.fstats.KernelRows
-		fstats.ResidualRows += res.fstats.ResidualRows
-		stats.contScanned += res.contSeen - res.contPruned
-		stats.contPruned += res.contPruned
-		stats.contNoStats += res.contNoStats
-		contSeen += res.contSeen
-		contNoStats += res.contNoStats
-		for _, b := range res.batches {
-			ha.Consume(b)
-		}
+	for _, b := range batches {
+		ha.Consume(b)
 	}
-	s.raiseZoneMapSkipped(tbl.Def.Name, pred.HasZoneChecks(), contNoStats, contSeen)
 
 	out := make([]types.Row, 0, ha.NumGroups())
 	for g := 0; g < ha.NumGroups(); g++ {
@@ -203,20 +145,10 @@ func (s *Session) tryVectorizedAgg(st *vsql.Select, vis storage.Visibility, stat
 		out = out[:st.Limit]
 	}
 	if qp != nil {
-		detail := fmt.Sprintf("%d segments, %d kernels", len(jobs), pred.NumKernels())
-		if stats.contPruned > 0 {
-			detail += fmt.Sprintf(", zone maps pruned %d/%d containers", stats.contPruned, stats.contPruned+stats.contScanned)
-		}
-		qp.add(opStat{
-			name: "scan " + tbl.Def.Name, rowsIn: scanned, rowsOut: ha.Rows(),
-			vecRows: fstats.KernelRows, resRows: fstats.ResidualRows,
-			dur: time.Since(scanStart), detail: detail,
-		})
-		grpStart := time.Now()
 		qp.add(opStat{
 			name: "group-by", rowsIn: ha.Rows(), rowsOut: int64(ha.NumGroups()),
 			vecRows: ha.Rows() - ha.FallbackRows(), resRows: ha.FallbackRows(),
-			dur:    grpStart.Sub(scanStart),
+			dur:    time.Since(aggStart),
 			detail: fmt.Sprintf("vectorized hash aggregation (%s keys), %d groups", ha.FastPath(), ha.NumGroups()),
 		})
 	}

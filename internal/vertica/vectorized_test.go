@@ -63,7 +63,8 @@ func buildRandomTable(t *testing.T, s *Session, c *Cluster, rng *rand.Rand, n in
 
 // TestScanTableMatchesRowAtATime is the end-to-end property test: the
 // vectorized parallel scan must return exactly the rows, order included, of
-// the retained row-at-a-time reference for a spread of predicates.
+// the oracle's row-at-a-time scan + interpreted filter for a spread of
+// predicates.
 func TestScanTableMatchesRowAtATime(t *testing.T) {
 	c := testCluster(t, 4)
 	s := sess(t, c, 0)
@@ -92,9 +93,13 @@ func TestScanTableMatchesRowAtATime(t *testing.T) {
 	}
 	for _, cond := range preds {
 		where := parseWhere(t, cond)
-		wantRows, wantSchema, err := s.scanTableRowAtATime(tbl, where, vis, newScanStats())
+		allRows, err := s.scanTableRowAtATime(tbl, vis)
 		if err != nil {
 			t.Fatalf("reference scan %q: %v", cond, err)
+		}
+		wantRows, wantSchema, err := filterRows(allRows, tbl.Def.Schema, where, -1)
+		if err != nil {
+			t.Fatalf("reference filter %q: %v", cond, err)
 		}
 		gotRows, _, gotSchema, err := s.scanTable(tbl, where, vis, newScanStats(), scanOpts{limit: -1})
 		if err != nil {
@@ -249,48 +254,24 @@ func TestCountPushdown(t *testing.T) {
 	}
 }
 
-// TestRowAtATimeScansKnob runs the same workload with the ablation knob on:
-// results must be identical to the vectorized default.
-func TestRowAtATimeScansKnob(t *testing.T) {
-	run := func(rowAtATime bool) [][]types.Row {
-		c, err := NewCluster(Config{Nodes: 3, RowAtATimeScans: rowAtATime})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := c.Connect(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		s.MustExecute("CREATE TABLE t (id INTEGER, grp INTEGER) SEGMENTED BY HASH(id)")
-		var vals []string
-		for i := 0; i < 200; i++ {
-			vals = append(vals, fmt.Sprintf("(%d, %d)", i, i%7))
-		}
-		s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
-		var out [][]types.Row
-		for _, q := range []string{
-			"SELECT id FROM t WHERE grp = 2",
-			"SELECT COUNT(*) FROM t WHERE id >= 100",
-			"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp",
-			"SELECT id FROM t WHERE grp = 5 LIMIT 4",
-		} {
-			out = append(out, s.MustExecute(q).Rows)
-		}
-		return out
+// TestSelectShapesMatchOracle runs the scan-level pushdown shapes (filter,
+// COUNT, GROUP BY, LIMIT) and diffs each against the oracle.
+func TestSelectShapesMatchOracle(t *testing.T) {
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER, grp INTEGER) SEGMENTED BY HASH(id)")
+	var vals []string
+	for i := 0; i < 200; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i%7))
 	}
-	vec, ref := run(false), run(true)
-	for qi := range vec {
-		if len(vec[qi]) != len(ref[qi]) {
-			t.Fatalf("query %d: %d rows vectorized, %d row-at-a-time", qi, len(vec[qi]), len(ref[qi]))
-		}
-		for i := range vec[qi] {
-			for j := range vec[qi][i] {
-				if types.Compare(vec[qi][i][j], ref[qi][i][j]) != 0 {
-					t.Fatalf("query %d row %d: %v vs %v", qi, i, vec[qi][i], ref[qi][i])
-				}
-			}
-		}
+	s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
+	for _, q := range []string{
+		"SELECT id FROM t WHERE grp = 2",
+		"SELECT COUNT(*) FROM t WHERE id >= 100",
+		"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp",
+		"SELECT id FROM t WHERE grp = 5 LIMIT 4",
+	} {
+		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
 	}
 }
 
