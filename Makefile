@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench recover-test rebalance-test wire-test wire-fuzz wire-smoke obs-test obs-gate
+.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test wire-test wire-fuzz wire-smoke obs-test obs-gate
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -51,11 +51,13 @@ wire-test: wire-fuzz
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 
-# Five seconds of native fuzzing on each wire decoder.
+# Five seconds of native fuzzing on each wire decoder, the batch-frame payload
+# codec (storage.DecodeColumns) included.
 wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinErrorDecode -fuzztime 5s ./internal/server/
+	$(GO) test -race -run xxx -fuzz FuzzDecodeColumns -fuzztime 5s ./internal/storage/
 
 # Closed-loop wire benchmark at smoke scale: diffs the wire's result set
 # against the in-process one cell by cell and checks admission control bounds
@@ -83,9 +85,23 @@ obs-gate:
 	$(GO) run ./cmd/scanbench -rows 500000 -iters 5 -obs -gate -out BENCH_scan_obs.json
 
 # Microbenchmarks plus the scan throughput record (BENCH_scan.json,
-# machine-readable). Aggregation and join timings live in fabricperf's
-# vexec.agg_s / vexec.join_s / vertica.groupby_us / vertica.join_us.
+# machine-readable). BenchmarkResultPath is one wire batch from container to
+# boxed client rows (B/row, allocs/row). Aggregation and join timings live in
+# fabricperf's vexec.agg_s / vexec.join_s / vertica.groupby_us /
+# vertica.join_us.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
+	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
 	$(GO) run ./cmd/scanbench -out BENCH_scan.json
+
+# The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,
+# measured then traced, with per-layer tables. Minutes of wall time and
+# timing-sensitive, so it is for a quiet machine, not the shared CI runner.
+perf:
+	$(GO) run ./cmd/fabricperf -all -seed 1
+
+# perf, compared metric by metric against the committed baseline; exits
+# non-zero when an end-to-end metric is worse by more than its bound.
+perf-gate:
+	$(GO) run ./cmd/fabricperf -compare bench/baseline/fabricperf.json

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"sync"
 	"testing"
 
+	"vsfabric/internal/client"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -217,5 +220,67 @@ func TestV2SReplansAcrossMembershipChange(t *testing.T) {
 			t.Fatalf("duplicate id %d", r[0].I)
 		}
 		seen[r[0].I] = true
+	}
+}
+
+// countingConnector counts the connections the connector opens, per address.
+type countingConnector struct {
+	inner client.Connector
+	mu    sync.Mutex
+	dials map[string]int
+}
+
+func (c *countingConnector) Connect(ctx context.Context, addr string) (client.Conn, error) {
+	c.mu.Lock()
+	c.dials[addr]++
+	c.mu.Unlock()
+	return c.inner.Connect(ctx, addr)
+}
+
+func (c *countingConnector) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, d := range c.dials {
+		n += d
+	}
+	return n
+}
+
+// TestV2SPlansOnOneConnection: a V2S plan refreshes the layout and pins the
+// epoch on one driver connection, so a 4-partition load costs six dials (one
+// to create the relation, one to plan, four partition reads) — and CountRows
+// plans through the same step, so a count after ALTER CLUSTER ADD NODE runs
+// against the refreshed ring, new node included.
+func TestV2SPlansOnOneConnection(t *testing.T) {
+	h := newHarness(t, 2, 2, nil)
+	h.seedTable(t, "pj", 600)
+	cc := &countingConnector{inner: client.InProc(h.cluster), dials: map[string]int{}}
+	opts := V2SOptions{ConnOptions: ConnOptions{Host: h.host, Table: "pj", NumPartitions: 4}}
+	rel, err := newV2SRelation(h.sc, cc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rdd, err := rel.BuildScan(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := rdd.Collect()
+	if err != nil || len(rows) != 600 {
+		t.Fatalf("collected %d rows: %v", len(rows), err)
+	}
+	if got := cc.total(); got != 6 {
+		t.Fatalf("relation + 4-partition BuildScan + Collect dialed %d times (%v), want 6", got, cc.dials)
+	}
+
+	h.sql(t, "ALTER CLUSTER ADD NODE")
+	added := h.cluster.Node(2).Addr
+	before := cc.dials[added]
+	n, err := rel.CountRows(nil)
+	if err != nil || n != 600 {
+		t.Fatalf("CountRows after ADD NODE = %d: %v", n, err)
+	}
+	if cc.dials[added] == before {
+		t.Fatalf("CountRows planned against the stale 2-node ring: no count ran on %s (%v)", added, cc.dials)
 	}
 }

@@ -238,41 +238,32 @@ func (r *v2sRelation) specSQL(spec querySpec, cols []string, pushdown string, ep
 	return b.String()
 }
 
-// refreshLayout re-discovers the table's layout at planning time. The layout
-// captured when the relation was created may predate a cluster membership
-// change (a node added or drained since), and the scan must be planned
-// against the table's current ring: only its addresses are guaranteed to
-// carry the table's segments. Pinning the epoch after the refresh keeps the
-// job consistent — whatever epoch is pinned, the current layout answers it
-// exactly (moved versions carry their full MVCC history).
-func (r *v2sRelation) refreshLayout(ctx context.Context) error {
+// planJob is the driver's one connection per V2S plan. On it the table's
+// layout is re-discovered — the one captured when the relation was created
+// may predate a cluster membership change, and only the current ring's
+// addresses are guaranteed to carry the table's segments — and then the last
+// closed epoch is pinned: every partition query reads AT this epoch, giving
+// the job one consistent snapshot no matter when (or how often) its tasks run
+// (§3.1.2). Whatever epoch is pinned, the refreshed layout answers it exactly
+// (moved versions carry their full MVCC history).
+func (r *v2sRelation) planJob(ctx context.Context) (epoch uint64, err error) {
 	conn, err := r.pool.Connect(ctx, r.opts.Host)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer conn.Close()
 	lay, err := discoverLayout(ctx, conn, r.opts.Table)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.lay = lay
 	r.pool.SetHosts(lay.addrs)
-	return nil
-}
-
-// pinEpoch asks the database for the last closed epoch; every partition
-// query reads AT this epoch, giving the job one consistent snapshot no
-// matter when (or how often) its tasks run (§3.1.2).
-func (r *v2sRelation) pinEpoch(ctx context.Context) (uint64, error) {
-	res, err := r.pool.Execute(ctx, r.opts.Host, "SELECT LAST_EPOCH()")
+	res, err := conn.Execute(ctx, "SELECT LAST_EPOCH()")
 	if err != nil {
 		return 0, err
 	}
 	n, err := singleInt(res)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(n), nil
+	return uint64(n), err
 }
 
 // BuildScan implements spark.PrunedFilteredScan.
@@ -295,11 +286,7 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 	// end-to-end duration as the extent of the whole trace.
 	job := obs.Start(r.opts.Observer, "v2s.job", "driver")
 	jctx := obs.WithSpan(driverCtx(), job)
-	if err := r.refreshLayout(jctx); err != nil {
-		job.End(err)
-		return nil, err
-	}
-	epoch, err := r.pinEpoch(jctx)
+	epoch, err := r.planJob(jctx)
 	if err != nil {
 		job.End(err)
 		return nil, err
@@ -345,7 +332,11 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 				return nil, err
 			}
 			sp.AddRows(int64(len(res.Rows)))
-			out = append(out, res.Rows...)
+			if out == nil {
+				out = res.Rows // the client's one boxed slice becomes the partition
+			} else {
+				out = append(out, res.Rows...)
+			}
 		}
 		sp.End(nil)
 		if err := tc.Checkpoint("v2s.task_done"); err != nil {
@@ -363,7 +354,7 @@ func (r *v2sRelation) CountRows(filters []spark.Filter) (int64, error) {
 		return 0, err
 	}
 	ctx := driverCtx()
-	epoch, err := r.pinEpoch(ctx)
+	epoch, err := r.planJob(ctx)
 	if err != nil {
 		return 0, err
 	}

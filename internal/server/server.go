@@ -25,6 +25,7 @@ import (
 	"vsfabric/internal/obs"
 	"vsfabric/internal/resilience"
 	"vsfabric/internal/storage"
+	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
 )
 
@@ -57,7 +58,11 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) (byte, []byte, error) {
+func readFrame(r io.Reader) (byte, []byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is readFrame reusing buf for the payload when it is large
+// enough; the payload is only valid until buf's next use.
+func readFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -66,7 +71,10 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("server: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
@@ -189,7 +197,7 @@ func (s *Server) serve(conn net.Conn) {
 				_ = s.sendBinError(conn, req.Tag, sessErr)
 				break
 			}
-			res, err := sess.ExecuteContext(s.reqCtx(conn, req), req.SQL)
+			res, err := sess.ExecuteColumnar(s.reqCtx(conn, req), req.SQL)
 			if err != nil {
 				_ = s.sendBinError(conn, req.Tag, err)
 				break
@@ -323,27 +331,25 @@ func (c *copyReader) drain() error {
 }
 
 // sendBinResult streams one statement's outcome: zero or more columnar
-// batch frames (chunked so each stays well under the frame limit, and at
-// least one whenever the result carries a schema — zero-row schema probes
-// must arrive intact), then the done frame with the scalar outcome.
+// batch frames (at least one whenever the result carries a schema — zero-row
+// schema probes must arrive intact), then the done frame with the scalar
+// outcome. A columnar result is framed straight from its vectors; a
+// row-native one (aggregate or join output, views, system tables) is coerced
+// to its schema and columnized here, once.
 func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) error {
-	if res.Schema.NumCols() > 0 {
-		rows := storage.CoerceRows(res.Schema, res.Rows)
-		for first := true; first || len(rows) > 0; first = false {
-			chunk := rows
-			if len(chunk) > wireBatchRows {
-				chunk = chunk[:wireBatchRows]
-			}
-			rows = rows[len(chunk):]
-			enc, err := storage.EncodeRows(res.Schema, chunk)
-			if err != nil {
-				return s.sendBinError(conn, tag, err)
-			}
-			payload := make([]byte, 4, 4+len(enc))
-			binary.BigEndian.PutUint32(payload, tag)
-			if err := writeFrame(conn, frameBatch, append(payload, enc...)); err != nil {
-				return err
-			}
+	batches := res.Batches
+	if batches == nil && res.Schema.NumCols() > 0 {
+		cols, err := storage.ColumnsFromRows(storage.CoerceRows(res.Schema, res.Rows), res.Schema)
+		if err != nil {
+			return s.sendBinError(conn, tag, err)
+		}
+		batches = []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(len(res.Rows))}}
+	}
+	if batches != nil {
+		if encErr, err := sendBatches(conn, tag, res.Schema, batches); err != nil {
+			return err
+		} else if encErr != nil {
+			return s.sendBinError(conn, tag, encErr)
 		}
 	}
 	return writeFrame(conn, frameDone, encodeBinDone(binDone{
@@ -352,6 +358,39 @@ func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) e
 		Epoch:        res.Epoch,
 		Copy:         res.Copy,
 	}))
+}
+
+// sendBatches streams batches as frames of up to wireBatchRows selected rows,
+// a frame running on across consecutive batches. Each frame is gathered
+// through the selection vectors into one buffer that already holds the frame
+// header and tag, and written once; the buffer is reused, so beyond the
+// result itself the server holds one frame. encErr reports a result that
+// would not encode (the connection is fine); err a failed write.
+func sendBatches(conn net.Conn, tag uint32, schema types.Schema, batches []*storage.Batch) (encErr, err error) {
+	var buf []byte
+	var parts []*storage.Batch
+	off := 0 // rows of batches[0] already sent
+	for {
+		parts = parts[:0]
+		for room := wireBatchRows; room > 0 && len(batches) > 0; {
+			b := batches[0]
+			take := min(room, len(b.Sel)-off)
+			parts = append(parts, &storage.Batch{Cols: b.Cols, Sel: b.Sel[off : off+take]})
+			room -= take
+			if off += take; off == len(b.Sel) {
+				batches, off = batches[1:], 0
+			}
+		}
+		buf = append(buf[:0], frameBatch, 0, 0, 0, 0)
+		buf = binary.BigEndian.AppendUint32(buf, tag)
+		if buf, encErr = storage.AppendBatches(buf, schema, parts); encErr != nil {
+			return encErr, nil
+		}
+		binary.BigEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
+		if _, err := conn.Write(buf); err != nil || len(batches) == 0 {
+			return nil, err
+		}
+	}
 }
 
 func (s *Server) sendBinError(conn net.Conn, tag uint32, e error) error {

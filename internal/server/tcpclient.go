@@ -298,18 +298,23 @@ func remoteError(code, msg string, transient bool) error {
 // readBinResponse reads one tagged response: zero or more batch frames
 // then a done or error frame. Responses arrive in request order, so a
 // mismatched tag means the stream lost sync — a protocol error, not a
-// recoverable condition. When stream is nil, batches are boxed into rows
-// on the returned Result; otherwise each batch is handed to stream unboxed.
+// recoverable condition. Each batch is decoded to column vectors; with a nil
+// stream they are boxed into the returned Result's rows, all at once when the
+// done frame arrives — the one boxing this side of the wire — otherwise each
+// is handed to stream unboxed.
 func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32, stream func(types.Schema, []storage.Column, int) error) (*vertica.Result, error) {
 	res := &vertica.Result{}
+	var batches []*storage.Batch
+	var buf []byte // every frame's payload: decoding copies out of it
 	for {
 		if err := c.armRead(ctx); err != nil {
 			return nil, err
 		}
-		typ, payload, err := readFrame(c.conn)
+		typ, payload, err := readFrameInto(c.conn, buf)
 		if err != nil {
 			return nil, err
 		}
+		buf = payload
 		rtag, err := tagOf(payload)
 		if err != nil {
 			return nil, err
@@ -319,28 +324,24 @@ func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32, stream func(t
 		}
 		switch typ {
 		case frameBatch:
-			if stream != nil {
-				schema, cols, n, err := storage.DecodeColumns(payload[4:])
-				if err != nil {
-					return nil, fmt.Errorf("%w: batch payload: %v", ErrProtocol, err)
-				}
-				res.Schema = schema
-				if err := stream(schema, cols, n); err != nil {
-					return nil, err
-				}
-				break
-			}
-			schema, rows, err := storage.DecodeRows(payload[4:])
+			schema, cols, n, err := storage.DecodeColumns(payload[4:], wireBatchRows)
 			if err != nil {
 				return nil, fmt.Errorf("%w: batch payload: %v", ErrProtocol, err)
 			}
 			res.Schema = schema
-			res.Rows = append(res.Rows, rows...)
+			if stream != nil {
+				if err := stream(schema, cols, n); err != nil {
+					return nil, err
+				}
+			} else if n > 0 {
+				batches = append(batches, &storage.Batch{Cols: cols, Sel: storage.IdentitySel(n)})
+			}
 		case frameDone:
 			d, err := decodeBinDone(payload)
 			if err != nil {
 				return nil, err
 			}
+			res.Rows = storage.Materialize(batches)
 			res.RowsAffected = d.RowsAffected
 			res.Epoch = d.Epoch
 			res.Copy = d.Copy

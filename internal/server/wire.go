@@ -24,8 +24,9 @@ import (
 //	               'E' (load what was sent) or 'A' + reason (the source
 //	               failed: abort the statement). A COPY owns the connection
 //	               until its stream terminates.
-//	'b' batch    — tag(4) + storage.EncodeColumns payload: one chunk of the
-//	               result's column vectors, streamed without row boxing
+//	'b' batch    — tag(4) + one storage.DecodeColumns row block: up to
+//	               wireBatchRows rows of the result's column vectors,
+//	               gathered into the frame without row boxing
 //	'z' done     — tag(4) flags(1) rowsAffected(uv) epoch(uv)
 //	               [flags&doneHasCopy: loaded(uv) rejected(uv) nsample(uv)
 //	               sample strings (uv+bytes each)]

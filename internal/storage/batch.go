@@ -37,35 +37,104 @@ func (b *Batch) Row(i int, dst types.Row) types.Row {
 	return dst
 }
 
-// Materialize builds one types.Row per selected row, restricted to the
-// given column indexes (nil = all columns, in schema order). This is the
-// only place a vectorized scan boxes values, and it only runs for rows that
-// survived every kernel.
-func (b *Batch) Materialize(colIdx []int) []types.Row {
-	if len(b.Sel) == 0 {
+// Project returns a batch over the same rows carrying only the given columns,
+// in the given order (repeats allowed). The vectors are shared, not copied.
+func (b *Batch) Project(colIdx []int) *Batch {
+	p := &Batch{Cols: make([]Column, len(colIdx)), Hashes: b.Hashes, Sel: b.Sel}
+	p.Schema.Cols = make([]types.Column, len(colIdx))
+	for j, ci := range colIdx {
+		p.Cols[j], p.Schema.Cols[j] = b.Cols[ci], b.Schema.Cols[ci]
+	}
+	return p
+}
+
+// IdentitySel returns the selection vector of n rows that selects them all.
+func IdentitySel(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+// SelectedRows counts the rows a batch set selects.
+func SelectedRows(batches []*Batch) int {
+	n := 0
+	for _, b := range batches {
+		n += len(b.Sel)
+	}
+	return n
+}
+
+// boxBlock is how many rows Materialize boxes per column pass: enough to
+// amortize the switch on the column's kind, few enough that the block of
+// boxed rows stays in cache while every column writes into it.
+const boxBlock = 128
+
+// Materialize boxes the rows the batches select, in order, into one
+// types.Row each over a single flat backing array. This is the one place
+// column vectors become types.Value: it runs only for rows that survived
+// every kernel, and only at the edge that asked for rows.
+func Materialize(batches []*Batch) []types.Row {
+	total := SelectedRows(batches)
+	if total == 0 {
 		return nil
 	}
-	width := len(colIdx)
-	if colIdx == nil {
-		width = len(b.Cols)
+	width := len(batches[0].Cols)
+	out := make([]types.Row, total)
+	backing := make([]types.Value, total*width)
+	for k := range out {
+		out[k] = backing[k*width : (k+1)*width : (k+1)*width]
 	}
-	out := make([]types.Row, len(b.Sel))
-	// Flat backing array: one allocation for all rows' values.
-	backing := make([]types.Value, len(b.Sel)*width)
-	for k, i := range b.Sel {
-		row := backing[k*width : (k+1)*width : (k+1)*width]
-		if colIdx == nil {
+	for _, b := range batches {
+		for lo := 0; lo < len(b.Sel); lo += boxBlock {
+			sel := b.Sel[lo:min(lo+boxBlock, len(b.Sel))]
 			for j, col := range b.Cols {
-				row[j] = col.Get(int(i))
+				boxColumn(backing[j:], width, col, sel)
 			}
-		} else {
-			for j, ci := range colIdx {
-				row[j] = b.Cols[ci].Get(int(i))
-			}
+			backing = backing[len(sel)*width:]
 		}
-		out[k] = row
 	}
 	return out
+}
+
+// boxColumn writes the selected values of col to dst[0], dst[width],
+// dst[2*width], ...: one column of a row-major block.
+func boxColumn(dst []types.Value, width int, col Column, sel []int32) {
+	switch c := col.(type) {
+	case *Int64Column:
+		for k, i := range sel {
+			dst[k*width] = types.Value{T: types.Int64, I: c.Vals[i]}
+		}
+	case *Float64Column:
+		for k, i := range sel {
+			dst[k*width] = types.Value{T: types.Float64, F: c.Vals[i]}
+		}
+	case *StringColumn:
+		for k, i := range sel {
+			dst[k*width] = types.Value{T: types.Varchar, S: c.Vals[i]}
+		}
+	case *Int64RLEColumn:
+		// sel ascends, so one forward walk over the runs serves it.
+		run := c.RunOf(int(sel[0]))
+		for k, i := range sel {
+			for c.RunEnds[run] <= i {
+				run++
+			}
+			dst[k*width] = types.Value{T: types.Int64, I: c.RunVals[run]}
+		}
+	default:
+		for k, i := range sel {
+			dst[k*width] = col.Get(int(i))
+		}
+	}
+	if nulls := nullsOf(col); nulls != nil {
+		for k, i := range sel {
+			if nulls[i] {
+				dst[k*width] = types.NullValue(col.Type())
+			}
+		}
+	}
 }
 
 // coversRing reports whether hr covers the whole hash ring (no mask needed).
@@ -158,11 +227,7 @@ func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(sta
 	if err != nil {
 		return err
 	}
-	sel := make([]int32, len(rows))
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	fn(&Batch{Schema: s.schema, Cols: cols, Hashes: hashes, Sel: sel})
+	fn(&Batch{Schema: s.schema, Cols: cols, Hashes: hashes, Sel: IdentitySel(len(rows))})
 	return nil
 }
 

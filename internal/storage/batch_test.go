@@ -43,7 +43,7 @@ func collectBatches(t *testing.T, s *Store, vis Visibility, hr vhash.Range) []ty
 	t.Helper()
 	var out []types.Row
 	err := s.ScanBatches(vis, hr, func(b *Batch) bool {
-		out = append(out, b.Materialize(nil)...)
+		out = append(out, Materialize([]*Batch{b})...)
 		return true
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func TestBatchMaterializeSubset(t *testing.T) {
 	}
 	var got []types.Row
 	_ = s.ScanBatches(Visibility{Epoch: 1}, fullRing(), func(b *Batch) bool {
-		got = append(got, b.Materialize([]int{1})...)
+		got = append(got, Materialize([]*Batch{b.Project([]int{1})})...)
 		return true
 	})
 	if len(got) != 5 {
@@ -268,7 +268,7 @@ func TestScanBatchesRace(t *testing.T) {
 				hr := segs[rng.Intn(len(segs))]
 				err := s.ScanBatches(vis, hr, func(b *Batch) bool {
 					// Materialize a subset to exercise column reads.
-					b.Materialize([]int{0})
+					Materialize([]*Batch{b.Project([]int{0})})
 					return true
 				})
 				if err != nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -116,21 +117,116 @@ func EncodeColumn(c Column, enc Encoding) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeColumn deserializes a column produced by EncodeColumn.
-func DecodeColumn(data []byte) (Column, error) {
-	r := bytes.NewReader(data)
-	tb, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("storage: short column header: %w", err)
+// ErrCorrupt reports encoded bytes that do not describe a valid column, row
+// block or container: a field cut short, or a length larger than the bytes
+// that follow it. Every decoder in this package checks a length against what
+// remains before allocating from it, so a corrupt or hostile payload costs an
+// error, never a panic or an allocation larger than the payload warrants.
+var ErrCorrupt = errors.New("storage: corrupt encoding")
+
+func corruptf(format string, args ...interface{}) error {
+	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// maxRLERows bounds the rows an RLE chunk decoded on its own (DecodeColumn)
+// may expand to. RLE is the one encoding whose decoded size the encoded bytes
+// do not bound — a run of any length is a few bytes — so where no enclosing
+// header says how many rows to expect, a fixed limit stands in.
+const maxRLERows = 1 << 24
+
+// reader is a bounds-checked cursor over encoded bytes. Fields are sliced
+// out of the buffer in bulk rather than copied through an io.Reader.
+type reader struct{ b []byte }
+
+func (r *reader) byte() (byte, error) {
+	if len(r.b) == 0 {
+		return 0, corruptf("unexpected end of data")
 	}
-	eb, err := r.ReadByte()
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c, nil
+}
+
+func (r *reader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		return 0, corruptf("bad uvarint")
+	}
+	r.b = r.b[n:]
+	return v, nil
+}
+
+func (r *reader) varint() (int64, error) {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		return 0, corruptf("bad varint")
+	}
+	r.b = r.b[n:]
+	return v, nil
+}
+
+// take returns the next n bytes, aliasing the buffer.
+func (r *reader) take(n uint64) ([]byte, error) {
+	if n > uint64(len(r.b)) {
+		return nil, corruptf("field of %d bytes exceeds the %d remaining", n, len(r.b))
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p, nil
+}
+
+// count reads an element count whose elements each occupy at least width
+// encoded bytes, so it can be allocated from safely.
+func (r *reader) count(width int) (int, error) {
+	n, err := r.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("storage: short column header: %w", err)
+		return 0, err
+	}
+	if n > uint64(len(r.b)/width) {
+		return 0, corruptf("count %d exceeds the %d bytes remaining", n, len(r.b))
+	}
+	return int(n), nil
+}
+
+// str reads a uvarint-length-prefixed string.
+func (r *reader) str() (string, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return "", err
+	}
+	p, err := r.take(n)
+	return string(p), err
+}
+
+// DecodeColumn deserializes a column produced by EncodeColumn.
+func DecodeColumn(data []byte) (Column, error) { return decodeColumn(data, -1) }
+
+// decodeColumn decodes a chunk that must hold exactly rows rows — a count the
+// caller has already bounded — or, with rows < 0, as many as its own header
+// says.
+func decodeColumn(data []byte, rows int64) (Column, error) {
+	r := &reader{b: data}
+	tb, err := r.byte()
+	if err != nil {
+		return nil, err
+	}
+	eb, err := r.byte()
+	if err != nil {
+		return nil, err
 	}
 	t, enc := types.Type(tb), Encoding(eb)
-	n64, err := binary.ReadUvarint(r)
+	n64, err := r.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("storage: bad row count: %w", err)
+		return nil, err
+	}
+	switch {
+	case rows >= 0 && n64 != uint64(rows):
+		return nil, corruptf("column chunk of %d rows, want %d", n64, rows)
+	case enc != EncRLE && n64 > uint64(len(r.b)):
+		// Every encoding but RLE spends at least a byte per row.
+		return nil, corruptf("%d rows in a %d-byte chunk", n64, len(data))
+	case rows < 0 && n64 > maxRLERows:
+		return nil, corruptf("RLE chunk of %d rows", n64)
 	}
 	n := int(n64)
 	nulls, err := readNulls(r, n)
@@ -147,7 +243,7 @@ func DecodeColumn(data []byte) (Column, error) {
 	case EncDict:
 		return decodeDict(r, t, n, nulls)
 	default:
-		return nil, fmt.Errorf("storage: unknown encoding %d", enc)
+		return nil, corruptf("unknown encoding %d", enc)
 	}
 }
 
@@ -186,35 +282,20 @@ func writeNulls(buf *bytes.Buffer, c Column) {
 	buf.Write(bitmap)
 }
 
-func readNulls(r *bytes.Reader, n int) ([]bool, error) {
-	marker, err := r.ReadByte()
+func readNulls(r *reader, n int) ([]bool, error) {
+	marker, err := r.byte()
+	if err != nil || marker == 0 {
+		return nil, err
+	}
+	bitmap, err := r.take(uint64(n+7) / 8)
 	if err != nil {
-		return nil, fmt.Errorf("storage: short null marker: %w", err)
-	}
-	if marker == 0 {
-		return nil, nil
-	}
-	bitmap := make([]byte, (n+7)/8)
-	if _, err := readFull(r, bitmap); err != nil {
-		return nil, fmt.Errorf("storage: short null bitmap: %w", err)
+		return nil, err
 	}
 	nulls := make([]bool, n)
-	for i := 0; i < n; i++ {
+	for i := range nulls {
 		nulls[i] = bitmap[i/8]&(1<<uint(i%8)) != 0
 	}
 	return nulls, nil
-}
-
-func readFull(r *bytes.Reader, p []byte) (int, error) {
-	total := 0
-	for total < len(p) {
-		n, err := r.Read(p[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 func encodePlain(buf *bytes.Buffer, c Column) error {
@@ -250,53 +331,56 @@ func encodePlain(buf *bytes.Buffer, c Column) error {
 	return nil
 }
 
-func decodePlain(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, error) {
-	var tmp [8]byte
+func decodePlain(r *reader, t types.Type, n int, nulls []bool) (Column, error) {
 	switch t {
 	case types.Int64:
+		p, err := r.take(8 * uint64(n))
+		if err != nil {
+			return nil, err
+		}
 		vals := make([]int64, n)
 		for i := range vals {
-			if _, err := readFull(r, tmp[:]); err != nil {
-				return nil, err
-			}
-			vals[i] = int64(binary.LittleEndian.Uint64(tmp[:]))
+			vals[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 		}
 		return &Int64Column{Vals: vals, Nulls: nulls}, nil
 	case types.Float64:
+		p, err := r.take(8 * uint64(n))
+		if err != nil {
+			return nil, err
+		}
 		vals := make([]float64, n)
 		for i := range vals {
-			if _, err := readFull(r, tmp[:]); err != nil {
-				return nil, err
-			}
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 		}
 		return &Float64Column{Vals: vals, Nulls: nulls}, nil
 	case types.Varchar:
+		// One copy of the whole region; every value is a substring of it.
+		blob := string(r.b)
 		vals := make([]string, n)
 		for i := range vals {
-			ln, err := binary.ReadUvarint(r)
+			ln, err := r.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			b := make([]byte, ln)
-			if _, err := readFull(r, b); err != nil {
+			off := len(blob) - len(r.b)
+			if _, err := r.take(ln); err != nil {
 				return nil, err
 			}
-			vals[i] = string(b)
+			vals[i] = blob[off : off+int(ln)]
 		}
 		return &StringColumn{Vals: vals, Nulls: nulls}, nil
 	case types.Bool:
+		p, err := r.take(uint64(n))
+		if err != nil {
+			return nil, err
+		}
 		vals := make([]bool, n)
 		for i := range vals {
-			b, err := r.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = b != 0
+			vals[i] = p[i] != 0
 		}
 		return &BoolColumn{Vals: vals, Nulls: nulls}, nil
 	default:
-		return nil, fmt.Errorf("storage: plain decoding unsupported for %v", t)
+		return nil, corruptf("plain decoding unsupported for %v", t)
 	}
 }
 
@@ -350,62 +434,59 @@ func sameRun(c Column, i, j int) bool {
 	}
 }
 
-func decodeRLE(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, error) {
+func decodeRLE(r *reader, t types.Type, n int, nulls []bool) (Column, error) {
 	read := 0
 	var intVals []int64
 	var floatVals []float64
 	var strVals []string
 	var boolVals []bool
 	for read < n {
-		run, err := binary.ReadUvarint(r)
+		run64, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if run == 0 || read+int(run) > n {
-			return nil, fmt.Errorf("storage: bad RLE run length %d at row %d/%d", run, read, n)
+		if run64 == 0 || run64 > uint64(n-read) {
+			return nil, corruptf("bad RLE run length %d at row %d/%d", run64, read, n)
 		}
+		run := int(run64)
 		switch t {
 		case types.Int64:
-			v, err := binary.ReadVarint(r)
+			v, err := r.varint()
 			if err != nil {
 				return nil, err
 			}
-			for k := 0; k < int(run); k++ {
+			for k := 0; k < run; k++ {
 				intVals = append(intVals, v)
 			}
 		case types.Float64:
-			var tmp [8]byte
-			if _, err := readFull(r, tmp[:]); err != nil {
+			p, err := r.take(8)
+			if err != nil {
 				return nil, err
 			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))
-			for k := 0; k < int(run); k++ {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(p))
+			for k := 0; k < run; k++ {
 				floatVals = append(floatVals, v)
 			}
 		case types.Varchar:
-			ln, err := binary.ReadUvarint(r)
+			v, err := r.str()
 			if err != nil {
 				return nil, err
 			}
-			b := make([]byte, ln)
-			if _, err := readFull(r, b); err != nil {
-				return nil, err
-			}
-			for k := 0; k < int(run); k++ {
-				strVals = append(strVals, string(b))
+			for k := 0; k < run; k++ {
+				strVals = append(strVals, v)
 			}
 		case types.Bool:
-			bb, err := r.ReadByte()
+			bb, err := r.byte()
 			if err != nil {
 				return nil, err
 			}
-			for k := 0; k < int(run); k++ {
+			for k := 0; k < run; k++ {
 				boolVals = append(boolVals, bb != 0)
 			}
 		default:
-			return nil, fmt.Errorf("storage: RLE decoding unsupported for %v", t)
+			return nil, corruptf("RLE decoding unsupported for %v", t)
 		}
-		read += int(run)
+		read += run
 	}
 	switch t {
 	case types.Int64:
@@ -432,14 +513,14 @@ func encodeDelta(buf *bytes.Buffer, c Column) error {
 	return nil
 }
 
-func decodeDelta(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, error) {
+func decodeDelta(r *reader, t types.Type, n int, nulls []bool) (Column, error) {
 	if t != types.Int64 {
-		return nil, fmt.Errorf("storage: delta decoding requires INTEGER, got %v", t)
+		return nil, corruptf("delta decoding requires INTEGER, got %v", t)
 	}
 	vals := make([]int64, n)
 	prev := int64(0)
 	for i := range vals {
-		d, err := binary.ReadVarint(r)
+		d, err := r.varint()
 		if err != nil {
 			return nil, err
 		}
@@ -473,34 +554,28 @@ func encodeDict(buf *bytes.Buffer, c Column) error {
 	return nil
 }
 
-func decodeDict(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, error) {
+func decodeDict(r *reader, t types.Type, n int, nulls []bool) (Column, error) {
 	if t != types.Varchar {
-		return nil, fmt.Errorf("storage: dict decoding requires VARCHAR, got %v", t)
+		return nil, corruptf("dict decoding requires VARCHAR, got %v", t)
 	}
-	dn, err := binary.ReadUvarint(r)
+	dn, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
 	dict := make([]string, dn)
 	for i := range dict {
-		ln, err := binary.ReadUvarint(r)
-		if err != nil {
+		if dict[i], err = r.str(); err != nil {
 			return nil, err
 		}
-		b := make([]byte, ln)
-		if _, err := readFull(r, b); err != nil {
-			return nil, err
-		}
-		dict[i] = string(b)
 	}
 	vals := make([]string, n)
 	for i := range vals {
-		code, err := binary.ReadUvarint(r)
+		code, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if code >= dn {
-			return nil, fmt.Errorf("storage: dict code %d out of range %d", code, dn)
+		if code >= uint64(dn) {
+			return nil, corruptf("dict code %d out of range %d", code, dn)
 		}
 		vals[i] = dict[code]
 	}

@@ -1,0 +1,166 @@
+package storage
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+
+	"vsfabric/internal/types"
+)
+
+// AppendBatches appends to dst the rows the batches select, in order, in the
+// layout DecodeColumns reads (the one EncodeRows writes): schema, row count,
+// then one length-prefixed plain-encoded chunk per column. Values are
+// gathered through each selection vector straight from the column vectors
+// into dst, which is grown once to the exact encoded size: no row is boxed
+// and no intermediate column is built. Every batch must carry one column per
+// schema column, of that column's type.
+func AppendBatches(dst []byte, schema types.Schema, batches []*Batch) ([]byte, error) {
+	n := SelectedRows(batches)
+	dst = appendSchema(dst, schema)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	if n == 0 {
+		return dst, nil
+	}
+	// Size every chunk first: a chunk's length prefix precedes it, and the
+	// sum sizes the one allocation.
+	type chunk struct {
+		size    int
+		anyNull bool
+	}
+	chunks, total := make([]chunk, len(schema.Cols)), 0
+	for j, c := range schema.Cols {
+		payload, anyNull, err := gatherSize(batches, j, c.T)
+		if err != nil {
+			return nil, err
+		}
+		size := 2 + uvarintLen(uint64(n)) + 1 + payload // type, encoding, row count, null marker
+		if anyNull {
+			size += (n + 7) / 8
+		}
+		chunks[j] = chunk{size, anyNull}
+		total += uvarintLen(uint64(size)) + size
+	}
+	dst = slices.Grow(dst, total)
+	for j, c := range schema.Cols {
+		dst = binary.AppendUvarint(dst, uint64(chunks[j].size))
+		end := len(dst) + chunks[j].size
+		dst = append(dst, byte(c.T), byte(EncPlain))
+		dst = binary.AppendUvarint(dst, uint64(n))
+		if dst = append(dst, 0); chunks[j].anyNull {
+			dst[len(dst)-1] = 1
+			dst = dst[:len(dst)+(n+7)/8]
+			gatherNulls(dst[len(dst)-(n+7)/8:], batches, j)
+		}
+		gatherValues(dst[len(dst):end], batches, j)
+		dst = dst[:end]
+	}
+	return dst, nil
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// nullsOf returns a dense column's NULL flags (nil: none, or not dense).
+func nullsOf(c Column) []bool {
+	switch c := c.(type) {
+	case *Int64Column:
+		return c.Nulls
+	case *Float64Column:
+		return c.Nulls
+	case *StringColumn:
+		return c.Nulls
+	case *BoolColumn:
+		return c.Nulls
+	}
+	return nil
+}
+
+// gatherSize returns the plain-encoded payload size of column j's selected
+// values and whether any of them is NULL.
+func gatherSize(batches []*Batch, j int, t types.Type) (payload int, anyNull bool, err error) {
+	for _, b := range batches {
+		if j >= len(b.Cols) || b.Cols[j].Type() != t {
+			return 0, false, fmt.Errorf("storage: batch column %d does not fit its %v schema column", j, t)
+		}
+		switch c := b.Cols[j].(type) {
+		case *Int64Column, *Int64RLEColumn, *Float64Column:
+			payload += 8 * len(b.Sel)
+		case *BoolColumn:
+			payload += len(b.Sel)
+		case *StringColumn:
+			for _, i := range b.Sel {
+				payload += uvarintLen(uint64(len(c.Vals[i]))) + len(c.Vals[i])
+			}
+		default:
+			return 0, false, fmt.Errorf("storage: cannot encode column kind %T", c)
+		}
+		nulls := nullsOf(b.Cols[j])
+		for k := 0; nulls != nil && !anyNull && k < len(b.Sel); k++ {
+			anyNull = nulls[b.Sel[k]]
+		}
+	}
+	return payload, anyNull, nil
+}
+
+// gatherNulls fills the packed NULL bitmap of column j's selected rows.
+func gatherNulls(bitmap []byte, batches []*Batch, j int) {
+	clear(bitmap)
+	k := 0
+	for _, b := range batches {
+		if nulls := nullsOf(b.Cols[j]); nulls != nil {
+			for o, i := range b.Sel {
+				if nulls[i] {
+					bitmap[(k+o)/8] |= 1 << uint((k+o)%8)
+				}
+			}
+		}
+		k += len(b.Sel)
+	}
+}
+
+// gatherValues writes column j's selected values, plain-encoded, into p,
+// which gatherSize sized for them.
+func gatherValues(p []byte, batches []*Batch, j int) {
+	for _, b := range batches {
+		if len(b.Sel) == 0 {
+			continue
+		}
+		switch c := b.Cols[j].(type) {
+		case *Int64Column:
+			for k, i := range b.Sel {
+				binary.LittleEndian.PutUint64(p[8*k:], uint64(c.Vals[i]))
+			}
+			p = p[8*len(b.Sel):]
+		case *Int64RLEColumn:
+			// Sel ascends, so one forward walk over the runs serves it.
+			run := c.RunOf(int(b.Sel[0]))
+			for k, i := range b.Sel {
+				for c.RunEnds[run] <= i {
+					run++
+				}
+				binary.LittleEndian.PutUint64(p[8*k:], uint64(c.RunVals[run]))
+			}
+			p = p[8*len(b.Sel):]
+		case *Float64Column:
+			for k, i := range b.Sel {
+				binary.LittleEndian.PutUint64(p[8*k:], math.Float64bits(c.Vals[i]))
+			}
+			p = p[8*len(b.Sel):]
+		case *BoolColumn:
+			for k, i := range b.Sel {
+				p[k] = 0
+				if c.Vals[i] {
+					p[k] = 1
+				}
+			}
+			p = p[len(b.Sel):]
+		case *StringColumn:
+			for _, i := range b.Sel {
+				p = p[binary.PutUvarint(p, uint64(len(c.Vals[i]))):]
+				p = p[copy(p, c.Vals[i]):]
+			}
+		}
+	}
+}

@@ -45,73 +45,65 @@ func writeStatValue(buf *bytes.Buffer, v types.Value) {
 	}
 }
 
-func readStatValue(r *bytes.Reader) (types.Value, error) {
-	tb, err := r.ReadByte()
+func readStatValue(r *reader) (types.Value, error) {
+	tb, err := r.byte()
 	if err != nil {
 		return types.Value{}, err
 	}
-	var tmp [8]byte
 	switch t := types.Type(tb); t {
-	case types.Int64:
-		if _, err := readFull(r, tmp[:]); err != nil {
+	case types.Int64, types.Float64:
+		p, err := r.take(8)
+		if err != nil {
 			return types.Value{}, err
 		}
-		return types.IntValue(int64(binary.LittleEndian.Uint64(tmp[:]))), nil
-	case types.Float64:
-		if _, err := readFull(r, tmp[:]); err != nil {
-			return types.Value{}, err
+		bits := binary.LittleEndian.Uint64(p)
+		if t == types.Float64 {
+			return types.FloatValue(math.Float64frombits(bits)), nil
 		}
-		return types.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))), nil
+		return types.IntValue(int64(bits)), nil
 	case types.Varchar:
-		ln, err := binary.ReadUvarint(r)
-		if err != nil {
-			return types.Value{}, err
-		}
-		s := make([]byte, ln)
-		if _, err := readFull(r, s); err != nil {
-			return types.Value{}, err
-		}
-		return types.StringValue(string(s)), nil
+		s, err := r.str()
+		return types.StringValue(s), err
 	case types.Bool:
-		b, err := r.ReadByte()
-		if err != nil {
-			return types.Value{}, err
-		}
-		return types.BoolValue(b != 0), nil
+		b, err := r.byte()
+		return types.BoolValue(b != 0), err
 	default:
-		return types.Value{}, fmt.Errorf("storage: bad zone-map value type %d", tb)
+		return types.Value{}, corruptf("bad zone-map value type %d", tb)
 	}
 }
 
 func writeSchema(buf *bytes.Buffer, schema types.Schema) {
-	writeUvarint(buf, uint64(schema.NumCols()))
-	for _, c := range schema.Cols {
-		writeUvarint(buf, uint64(len(c.Name)))
-		buf.WriteString(c.Name)
-		buf.WriteByte(byte(c.T))
-	}
+	buf.Write(appendSchema(nil, schema))
 }
 
-func readSchema(r *bytes.Reader) (types.Schema, error) {
+func appendSchema(dst []byte, schema types.Schema) []byte {
+	dst = binary.AppendUvarint(dst, uint64(schema.NumCols()))
+	for _, c := range schema.Cols {
+		dst = binary.AppendUvarint(dst, uint64(len(c.Name)))
+		dst = append(dst, c.Name...)
+		dst = append(dst, byte(c.T))
+	}
+	return dst
+}
+
+func readSchema(r *reader) (types.Schema, error) {
 	var schema types.Schema
-	n, err := binary.ReadUvarint(r)
+	// A column is at least its name's length prefix and its type byte.
+	n, err := r.count(2)
 	if err != nil {
 		return schema, fmt.Errorf("storage: bad schema header: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
-		ln, err := binary.ReadUvarint(r)
+	schema.Cols = make([]types.Column, n)
+	for i := range schema.Cols {
+		name, err := r.str()
 		if err != nil {
 			return schema, err
 		}
-		name := make([]byte, ln)
-		if _, err := readFull(r, name); err != nil {
-			return schema, err
-		}
-		tb, err := r.ReadByte()
+		tb, err := r.byte()
 		if err != nil {
 			return schema, err
 		}
-		schema.Cols = append(schema.Cols, types.Column{Name: string(name), T: types.Type(tb)})
+		schema.Cols[i] = types.Column{Name: name, T: types.Type(tb)}
 	}
 	return schema, nil
 }
@@ -128,25 +120,22 @@ func writeColumns(buf *bytes.Buffer, cols []Column) error {
 	return nil
 }
 
-func readColumns(r *bytes.Reader, ncols, nrows int) ([]Column, error) {
+// readColumns reads ncols column chunks of exactly nrows rows each. The
+// caller vouches for nrows: an RLE chunk expands to it whatever its size.
+func readColumns(r *reader, ncols int, nrows uint64) ([]Column, error) {
 	cols := make([]Column, ncols)
 	for i := range cols {
-		sz, err := binary.ReadUvarint(r)
+		sz, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		chunk := make([]byte, sz)
-		if _, err := readFull(r, chunk); err != nil {
-			return nil, err
-		}
-		col, err := DecodeColumn(chunk)
+		chunk, err := r.take(sz)
 		if err != nil {
 			return nil, err
 		}
-		if col.Len() != nrows {
-			return nil, fmt.Errorf("storage: column %d has %d rows, want %d", i, col.Len(), nrows)
+		if cols[i], err = decodeColumn(chunk, int64(nrows)); err != nil {
+			return nil, fmt.Errorf("column %d: %w", i, err)
 		}
-		cols[i] = col
 	}
 	return cols, nil
 }
@@ -170,61 +159,43 @@ func EncodeRows(schema types.Schema, rows []types.Row) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// EncodeColumns serializes column vectors with their schema, in the exact
-// layout of EncodeRows — the payload format of streamed wire result batches.
-// nrows must match every column's length.
-func EncodeColumns(schema types.Schema, cols []Column, nrows int) ([]byte, error) {
-	var buf bytes.Buffer
-	writeSchema(&buf, schema)
-	writeUvarint(&buf, uint64(nrows))
-	if nrows > 0 {
-		if err := writeColumns(&buf, cols); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeColumns reverses EncodeColumns/EncodeRows without materializing
-// rows: the decoded vectors can feed a Batch (or the wire) directly.
-// nrows 0 returns nil columns with the schema intact.
-func DecodeColumns(data []byte) (types.Schema, []Column, int, error) {
-	r := bytes.NewReader(data)
+// DecodeColumns reverses EncodeRows/AppendBatches without materializing
+// rows: the decoded vectors can feed a Batch (or the wire) directly. maxRows
+// is the most rows the source may put in one block; a block claiming more is
+// corrupt. nrows 0 returns nil columns with the schema intact.
+func DecodeColumns(data []byte, maxRows int) (types.Schema, []Column, int, error) {
+	r := &reader{b: data}
 	schema, err := readSchema(r)
 	if err != nil {
 		return schema, nil, 0, err
 	}
-	n64, err := binary.ReadUvarint(r)
-	if err != nil {
+	n, err := r.uvarint()
+	if err != nil || n == 0 {
 		return schema, nil, 0, err
 	}
-	n := int(n64)
-	if n == 0 {
-		return schema, nil, 0, nil
+	if n > uint64(maxRows) || schema.NumCols() == 0 {
+		return schema, nil, 0, corruptf("block of %d rows x %d columns (at most %d rows allowed)", n, schema.NumCols(), maxRows)
 	}
 	cols, err := readColumns(r, schema.NumCols(), n)
 	if err != nil {
 		return schema, nil, 0, err
 	}
-	return schema, cols, n, nil
+	for i, c := range cols {
+		if c.Type() != schema.Cols[i].T {
+			return schema, nil, 0, corruptf("column %d is %v under a %v schema column", i, c.Type(), schema.Cols[i].T)
+		}
+	}
+	return schema, cols, int(n), nil
 }
 
-// DecodeRows reverses EncodeRows.
+// DecodeRows reverses EncodeRows: the payload of WAL and data-collector
+// records, which their own checksums vouch for.
 func DecodeRows(data []byte) (types.Schema, []types.Row, error) {
-	schema, cols, n, err := DecodeColumns(data)
+	schema, cols, n, err := DecodeColumns(data, math.MaxInt32)
 	if err != nil || n == 0 {
 		return schema, nil, err
 	}
-	rows := make([]types.Row, n)
-	backing := make([]types.Value, n*len(cols))
-	for i := 0; i < n; i++ {
-		row := backing[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-		for j, c := range cols {
-			row[j] = c.Get(i)
-		}
-		rows[i] = row
-	}
-	return schema, rows, nil
+	return schema, Materialize([]*Batch{{Cols: cols, Sel: IdentitySel(n)}}), nil
 }
 
 // sealCRC appends the IEEE CRC32 of everything written so far.
@@ -323,60 +294,67 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := bytes.NewReader(body)
-	head := make([]byte, len(rosMagic))
-	if _, err := readFull(r, head); err != nil {
+	r := &reader{b: body}
+	head, err := r.take(uint64(len(rosMagic)))
+	if err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(head, rosMagic) {
 		return nil, fmt.Errorf("storage: bad ROS container magic %q", head)
 	}
-	start, err := binary.ReadUvarint(r)
+	start, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	n64, err := binary.ReadUvarint(r)
+	n64, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	n := int(n64)
 	schema, err := readSchema(r)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := readColumns(r, schema.NumCols(), n)
+	// The 4 bytes of hash each row has after the columns bound the row count.
+	if n64 > uint64(len(r.b)/4) {
+		return nil, corruptf("%d-row container in %d bytes", n64, len(r.b))
+	}
+	cols, err := readColumns(r, schema.NumCols(), n64)
+	if err != nil {
+		return nil, err
+	}
+	n := int(n64)
+	hb, err := r.take(4 * n64)
 	if err != nil {
 		return nil, err
 	}
 	hashes := make([]uint32, n)
-	var tmp [4]byte
 	for i := range hashes {
-		if _, err := readFull(r, tmp[:]); err != nil {
-			return nil, err
-		}
-		hashes[i] = binary.LittleEndian.Uint32(tmp[:])
+		hashes[i] = binary.LittleEndian.Uint32(hb[4*i:])
 	}
-	marker, err := r.ReadByte()
+	marker, err := r.byte()
 	if err != nil {
 		return nil, err
 	}
 	var del []uint64
 	if marker != 0 {
+		if n > len(r.b) {
+			return nil, corruptf("%d delete marks in %d bytes", n, len(r.b))
+		}
 		del = make([]uint64, n)
 		for i := range del {
-			if del[i], err = binary.ReadUvarint(r); err != nil {
+			if del[i], err = r.uvarint(); err != nil {
 				return nil, err
 			}
 		}
 	}
 	stats := make([]ColStats, len(cols))
 	for i := range stats {
-		nulls, err := binary.ReadUvarint(r)
+		nulls, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		stats[i].NullCount = int(nulls)
-		has, err := r.ReadByte()
+		has, err := r.byte()
 		if err != nil {
 			return nil, err
 		}
@@ -453,27 +431,31 @@ func (s *Store) LoadWOS(data []byte) error {
 	if err != nil {
 		return err
 	}
-	r := bytes.NewReader(body)
-	head := make([]byte, len(wosMagic))
-	if _, err := readFull(r, head); err != nil {
+	r := &reader{b: body}
+	head, err := r.take(uint64(len(wosMagic)))
+	if err != nil {
 		return err
 	}
 	if !bytes.Equal(head, wosMagic) {
 		return fmt.Errorf("storage: bad WOS snapshot magic %q", head)
 	}
-	n64, err := binary.ReadUvarint(r)
+	n64, err := r.uvarint()
 	if err != nil {
 		return err
 	}
-	n := int(n64)
 	schema, err := readSchema(r)
 	if err != nil {
 		return err
 	}
-	cols, err := readColumns(r, schema.NumCols(), n)
+	// The two uvarints each row has after the columns bound the row count.
+	if n64 > uint64(len(r.b)/2) {
+		return corruptf("%d-row WOS snapshot in %d bytes", n64, len(r.b))
+	}
+	cols, err := readColumns(r, schema.NumCols(), n64)
 	if err != nil {
 		return err
 	}
+	n := int(n64)
 	w := s.wos
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -482,11 +464,11 @@ func (s *Store) LoadWOS(data []byte) error {
 		for j, c := range cols {
 			row[j] = c.Get(i)
 		}
-		start, err := binary.ReadUvarint(r)
+		start, err := r.uvarint()
 		if err != nil {
 			return err
 		}
-		del, err := binary.ReadUvarint(r)
+		del, err := r.uvarint()
 		if err != nil {
 			return err
 		}

@@ -250,6 +250,7 @@ func (s *Session) executeInsertSelect(st *vsql.Insert, tbl *catalog.Table) (*Res
 	if err != nil {
 		return nil, err
 	}
+	res.Materialize()
 	schema := tbl.Def.Schema
 	if len(res.Schema.Cols) != schema.NumCols() {
 		return nil, fmt.Errorf("vertica: INSERT ... SELECT produces %d columns, table has %d",

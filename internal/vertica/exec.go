@@ -74,19 +74,21 @@ func (s *Session) executeSelectProf(st *vsql.Select, qp *queryProfile) (*Result,
 
 	stats := newScanStats()
 	stats.prof = qp
-	if res, ok, err := s.tryCountPushdown(st, vis, stats); err != nil {
-		return nil, err
-	} else if ok {
-		s.recordQuery(res.Rows, stats)
-		s.recordPlan(stats, len(res.Rows), vis.Epoch)
-		res.Epoch = vis.Epoch
-		return res, nil
+	// Three shapes are answered from the scan's column batches without
+	// sourcing rows: COUNT(*), vectorizable aggregation, and the plain scan.
+	res, ok, err := s.tryCountPushdown(st, vis, stats)
+	if !ok && err == nil {
+		res, ok, err = s.tryVectorizedAgg(st, vis, stats)
 	}
-	if res, ok, err := s.tryVectorizedAgg(st, vis, stats, qp); err != nil {
+	if !ok && err == nil {
+		res, ok, err = s.tryColumnarScan(st, vis, stats)
+	}
+	if err != nil {
 		return nil, err
-	} else if ok {
-		s.recordQuery(res.Rows, stats)
-		s.recordPlan(stats, len(res.Rows), vis.Epoch)
+	}
+	if ok {
+		s.recordQuery(res, stats)
+		s.recordPlan(stats, res.NumRows(), vis.Epoch)
 		res.Epoch = vis.Epoch
 		return res, nil
 	}
@@ -123,9 +125,10 @@ func (s *Session) executeSelectProf(st *vsql.Select, qp *queryProfile) (*Result,
 			})
 		}
 	}
-	s.recordQuery(out, stats)
+	res = &Result{Schema: outSchema, Rows: out, Epoch: vis.Epoch}
+	s.recordQuery(res, stats)
 	s.recordPlan(stats, len(out), vis.Epoch)
-	return &Result{Schema: outSchema, Rows: out, Epoch: vis.Epoch}, nil
+	return res, nil
 }
 
 // profClock reads the clock only when profiling, keeping the common path
@@ -170,7 +173,7 @@ func (s *Session) tryCountPushdown(st *vsql.Select, vis storage.Visibility, stat
 		return nil, false, nil // let the general path report the error
 	}
 	stats.pushdown = "count"
-	_, count, _, err := s.scanTable(tbl, st.Where, vis, stats, scanOpts{limit: -1, countOnly: true})
+	_, count, err := s.scanBatches(tbl, st.Where, vis, stats, scanOpts{limit: -1, countOnly: true})
 	if err != nil {
 		return nil, false, err
 	}
@@ -200,6 +203,57 @@ func countPushdownEligible(s *Session, st *vsql.Select) bool {
 		return false
 	}
 	return baseTableOnly(s, st.From)
+}
+
+// tryColumnarScan answers a scan-shaped SELECT — one base table, every item
+// `*` or a bare column, no aggregate, GROUP BY or ORDER BY: the shape of every
+// V2S partition query — as the scan's own column batches. The projection is a
+// pick of column vectors and the LIMIT a cut of selection vectors, so no row
+// is boxed here; whoever asks the Result for rows boxes them, once.
+func (s *Session) tryColumnarScan(st *vsql.Select, vis storage.Visibility, stats *scanStats) (*Result, bool, error) {
+	if st.From == nil || len(st.Joins) > 0 || len(st.GroupBy) > 0 || len(st.OrderBy) > 0 || !baseTableOnly(s, st.From) {
+		return nil, false, nil
+	}
+	tbl, ok := s.cluster.cat.Table(st.From.Name)
+	if !ok {
+		return nil, false, nil // let the general path report the error
+	}
+	var cols []int
+	var schema types.Schema
+	for _, it := range st.Items {
+		if it.Star {
+			for i, c := range tbl.Def.Schema.Cols {
+				cols = append(cols, i)
+				schema.Cols = append(schema.Cols, c)
+			}
+			continue
+		}
+		col, isCol := it.Expr.(*expr.Col)
+		if !isCol || it.Agg != "" {
+			return nil, false, nil
+		}
+		i := tbl.Def.Schema.ColIndex(col.Name)
+		if i < 0 {
+			return nil, false, nil // let the general path report the error
+		}
+		name := it.Alias
+		if name == "" {
+			name = col.Name
+		}
+		cols = append(cols, i)
+		schema.Cols = append(schema.Cols, types.Column{Name: name, T: tbl.Def.Schema.Cols[i].T})
+	}
+	batches, n, err := s.scanBatches(tbl, st.Where, vis, stats, scanOpts{cols: cols, limit: st.Limit, gather: true})
+	if err != nil {
+		return nil, false, err
+	}
+	if qp := stats.prof; qp != nil {
+		qp.add(opStat{name: "project", rowsIn: n, rowsOut: n, detail: projectDetail(st)})
+		if st.Limit >= 0 {
+			qp.add(opStat{name: "limit", rowsIn: n, rowsOut: n, detail: fmt.Sprintf("LIMIT %d", st.Limit)})
+		}
+	}
+	return &Result{Schema: schema, Batches: batches}, true, nil
 }
 
 // baseTableOnly reports whether tr names a catalog base table (not a system
@@ -245,12 +299,11 @@ func (s *Session) sourceRows(st *vsql.Select, vis storage.Visibility, stats *sca
 	if len(st.Joins) > 0 {
 		return s.joinedRows(st, vis, stats)
 	}
-	opts := scanOpts{limit: -1}
 	// Late materialization: only the columns the SELECT list, aggregate
 	// arguments, and GROUP BY actually touch are materialized from the
 	// column store. The WHERE clause needs no materialization at all —
 	// it is evaluated on the column vectors.
-	opts.needCols = neededColumns(st)
+	opts := scanOpts{needCols: neededColumns(st), limit: -1, gather: true}
 	// LIMIT pushes into the scan only when each scanned row maps 1:1 to
 	// an output row: no aggregation, no grouping, no reordering.
 	if !hasAggregates(st) && len(st.GroupBy) == 0 && len(st.OrderBy) == 0 && st.Limit >= 0 {
@@ -291,7 +344,7 @@ func (s *Session) joinedRows(st *vsql.Select, vis storage.Visibility, stats *sca
 			return nil, types.Schema{}, err
 		}
 		joinStart := profClock(stats.prof)
-		nLeft, nRight := selectedRows(left), selectedRows(right)
+		nLeft, nRight := int64(storage.SelectedRows(left)), int64(storage.SelectedRows(right))
 		rows, schema, err = joinStep(left, schema, lref, right, rightSchema, step.clause, step.buildLeft)
 		if err != nil {
 			return nil, types.Schema{}, err
@@ -334,7 +387,7 @@ func (s *Session) joinedRows(st *vsql.Select, vis storage.Visibility, stats *sca
 func (s *Session) relationBatches(tr *vsql.TableRef, vis storage.Visibility, stats *scanStats) ([]*storage.Batch, types.Schema, error) {
 	if baseTableOnly(s, tr) {
 		if tbl, ok := s.cluster.cat.Table(tr.Name); ok {
-			batches, err := s.scanBatches(tbl, nil, vis, stats)
+			batches, _, err := s.scanBatches(tbl, nil, vis, stats, scanOpts{limit: -1})
 			return batches, tbl.Def.Schema, err
 		}
 	}
@@ -356,20 +409,7 @@ func rowsBatch(rows []types.Row, schema types.Schema) ([]*storage.Batch, error) 
 	if err != nil {
 		return nil, fmt.Errorf("vertica: join input does not fit its schema: %w", err)
 	}
-	sel := make([]int32, len(rows))
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: sel}}, nil
-}
-
-// selectedRows counts the rows a batch set still selects.
-func selectedRows(batches []*storage.Batch) int64 {
-	var n int64
-	for _, b := range batches {
-		n += int64(len(b.Sel))
-	}
-	return n
+	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.IdentitySel(len(rows))}}, nil
 }
 
 // hasAggregates reports whether any select item aggregates.
@@ -384,19 +424,25 @@ func hasAggregates(st *vsql.Select) bool {
 
 // scanOpts carries the scan-level pushdowns of one relation scan.
 type scanOpts struct {
-	// needCols restricts materialization to the named columns (late
-	// materialization); nil materializes every column. Ignored for views and
-	// system tables, whose rows exist in row form already.
+	// needCols names the columns the query reads after the scan (late
+	// materialization); nil means every column. relationRows resolves it
+	// into cols for a base table and ignores it for views and system tables,
+	// whose rows exist in row form already.
 	needCols []string
+	// cols picks the table columns the scan's batches carry, in output order
+	// (repeats allowed); nil carries them all.
+	cols []int
 	// limit stops the scan once this many rows have been produced; -1 = no
 	// limit. Callers only set it when scan rows map 1:1 to output rows.
 	limit int64
-	// countOnly skips materialization entirely: the scan returns only the
-	// visible-and-matching row count from selection-vector popcounts.
+	// countOnly keeps no batch: the scan returns only the visible-and-matching
+	// row count from selection-vector popcounts.
 	countOnly bool
-	// profile turns on kernel-vs-residual work accounting in segment scans
-	// (the PROFILE path).
-	profile bool
+	// gather marks a scan whose selected rows travel to the coordinating node
+	// as the query's result: rows from a remote segment are charged to the
+	// simulated internal network. Aggregation and join inputs are consumed
+	// where they are scanned and are not.
+	gather bool
 }
 
 // relationRows scans one relation. When where is non-nil the predicate is
@@ -437,8 +483,10 @@ func (s *Session) relationRows(tr *vsql.TableRef, where expr.Expr, vis storage.V
 	if !ok {
 		return nil, types.Schema{}, fmt.Errorf("vertica: relation %q does not exist", tr.Name)
 	}
-	rows, _, schema, err := s.scanTable(tbl, where, vis, stats, opts)
-	return rows, schema, err
+	var schema types.Schema
+	opts.cols, schema = resolveNeedCols(tbl.Def.Schema, opts.needCols)
+	batches, _, err := s.scanBatches(tbl, where, vis, stats, opts)
+	return storage.Materialize(batches), schema, err
 }
 
 // filterRows applies a residual predicate to materialized rows, stopping at
@@ -509,8 +557,8 @@ type segJob struct {
 
 // segResult is the outcome of scanning one segment.
 type segResult struct {
-	rows        []types.Row
-	count       int64
+	batches     []*storage.Batch
+	count       int64 // rows the batches select (kept or, with countOnly, not)
 	scanRows    float64
 	shuffleB    float64           // bytes gathered to the coordinator (0 when local)
 	fstats      vexec.FilterStats // kernel/residual work split (profile scans only)
@@ -574,89 +622,6 @@ func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.Col
 	}
 }
 
-// scanTable scans a base table under the read context on the vectorized
-// batch pipeline: hash-range conjuncts prune segments, the residual
-// predicate is compiled to typed column kernels (vexec), segments fan out
-// over a bounded worker pool, and only surviving rows × needed columns are
-// materialized. With countOnly the scan completes from selection-vector
-// popcounts and materializes nothing. Results are deterministic: segments
-// are merged in segment order, matching a sequential scan.
-func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats, opts scanOpts) ([]types.Row, int64, types.Schema, error) {
-	if stats.table == "" {
-		stats.table = tbl.Def.Name
-	}
-	stats.vectorized = true
-	scanStart := profClock(stats.prof)
-	if stats.prof != nil {
-		opts.profile = true
-	}
-	schema := tbl.Def.Schema
-	hr, residual := extractHashRange(where, tbl)
-	pred := vexec.Compile(residual, schema, tbl.SegIdx)
-	needIdx, outSchema := resolveNeedCols(schema, opts.needCols)
-
-	jobs, err := s.buildSegJobs(tbl, hr)
-	if err != nil {
-		return nil, 0, types.Schema{}, err
-	}
-
-	results := make([]segResult, len(jobs))
-	runSegJobs(len(jobs), func(i int) {
-		results[i] = s.scanSegment(jobs[i], vis, hr, pred, needIdx, opts)
-	})
-
-	// Deterministic merge in segment order; per-segment stats fold into the
-	// query's accounting on the coordinating goroutine only.
-	var out []types.Row
-	var count int64
-	var fstats vexec.FilterStats
-	var scanned, contSeen, contNoStats int64
-	for i, res := range results {
-		if res.err != nil {
-			return nil, 0, types.Schema{}, res.err
-		}
-		stats.scanRows[sim.VName(jobs[i].homeNode)] += res.scanRows
-		if res.shuffleB > 0 {
-			stats.shuffle[[2]string{sim.VName(jobs[i].homeNode), s.node.Name}] += res.shuffleB
-		}
-		count += res.count
-		scanned += int64(res.scanRows)
-		fstats.KernelRows += res.fstats.KernelRows
-		fstats.ResidualRows += res.fstats.ResidualRows
-		stats.contScanned += res.contSeen - res.contPruned
-		stats.contPruned += res.contPruned
-		contSeen += res.contSeen
-		contNoStats += res.contNoStats
-		out = append(out, res.rows...)
-	}
-	s.raiseZoneMapSkipped(tbl.Def.Name, pred.HasZoneChecks(), contNoStats, contSeen)
-	if opts.limit >= 0 && int64(len(out)) > opts.limit {
-		out = out[:opts.limit]
-	}
-	if stats.prof != nil {
-		rowsOut := int64(len(out))
-		if opts.countOnly {
-			rowsOut = count
-		}
-		detail := fmt.Sprintf("%d segments, %d kernels", len(jobs), pred.NumKernels())
-		if stats.contPruned > 0 {
-			detail += fmt.Sprintf(", zone maps pruned %d/%d containers", stats.contPruned, stats.contPruned+stats.contScanned)
-		}
-		if opts.countOnly {
-			detail += ", count pushdown"
-		}
-		if opts.limit >= 0 {
-			detail += fmt.Sprintf(", limit %d pushed down", opts.limit)
-		}
-		stats.prof.add(opStat{
-			name: "scan " + tbl.Def.Name, rowsIn: scanned, rowsOut: rowsOut,
-			vecRows: fstats.KernelRows, resRows: fstats.ResidualRows,
-			dur: time.Since(scanStart), detail: detail,
-		})
-	}
-	return out, count, outSchema, nil
-}
-
 // runSegJobs runs fn(0..n-1) over the bounded segment-scan worker pool.
 func runSegJobs(n int, fn func(int)) {
 	if workers := min(scanConcurrency, n); workers <= 1 {
@@ -683,55 +648,17 @@ func runSegJobs(n int, fn func(int)) {
 	}
 }
 
-// scanSegment runs one segment's batched scan: visibility + hash mask come
-// pre-applied in each batch's selection vector, kernels narrow it, and the
-// survivors are materialized (late) or just counted.
-func (s *Session) scanSegment(job segJob, vis storage.Visibility, hr vhash.Range, pred *vexec.Pred, needIdx []int, opts scanOpts) segResult {
-	res := segResult{scanRows: float64(job.store.TotalRows())}
-	local := job.homeNode == s.node.ID
-	var fs *vexec.FilterStats
-	if opts.profile {
-		fs = &res.fstats
-	}
-	err := job.store.ScanBatchesPruned(vis, hr, s.pruneFunc(pred, &res), func(b *storage.Batch) bool {
-		if err := pred.FilterBatchStats(b, fs); err != nil {
-			res.err = err
-			return false
-		}
-		if opts.countOnly {
-			res.count += int64(b.Len())
-			return true
-		}
-		rows := b.Materialize(needIdx)
-		if opts.limit >= 0 {
-			if remain := opts.limit - int64(len(res.rows)); int64(len(rows)) > remain {
-				rows = rows[:remain]
-			}
-		}
-		res.rows = append(res.rows, rows...)
-		res.count += int64(len(rows))
-		if !local {
-			for _, r := range rows {
-				res.shuffleB += float64(types.WireSize(r))
-			}
-		}
-		// Stop this segment once it alone can satisfy the LIMIT; the merge
-		// keeps segment order, so the first rows win deterministically.
-		return !(opts.limit >= 0 && int64(len(res.rows)) >= opts.limit)
-	})
-	if err != nil && res.err == nil {
-		res.err = err
-	}
-	return res
-}
-
-// scanBatches scans a base table into column batches without boxing a row:
-// segments are filtered in parallel by the compiled predicate kernels (with
-// zone-map container pruning) and the surviving batches merged in segment
-// order — the input form of the hash-aggregation and hash-join kernels. The
-// batches reference the containers' immutable column vectors, so holding
-// them is free.
-func (s *Session) scanBatches(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats) ([]*storage.Batch, error) {
+// scanBatches is the engine's one scan: it reads a base table under the read
+// context into column batches without boxing a row. Hash-range conjuncts
+// prune segments, the residual predicate is compiled to typed column kernels
+// (vexec) and zone-map container pruning, segments fan out over a bounded
+// worker pool, and the surviving batches merge in segment order, so results
+// are deterministic and match a sequential scan. The batches alias the
+// containers' immutable column vectors and own their selection vectors: they
+// stay valid, and keep showing the snapshot they were scanned at, after the
+// statement's epoch pin is gone. The returned count is the rows selected;
+// with countOnly it is all that is returned.
+func (s *Session) scanBatches(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats, opts scanOpts) ([]*storage.Batch, int64, error) {
 	if stats.table == "" {
 		stats.table = tbl.Def.Name
 	}
@@ -741,29 +668,38 @@ func (s *Session) scanBatches(tbl *catalog.Table, where expr.Expr, vis storage.V
 	pred := vexec.Compile(residual, tbl.Def.Schema, tbl.SegIdx)
 	jobs, err := s.buildSegJobs(tbl, hr)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	type segBatches struct {
-		segResult
-		batches []*storage.Batch
-	}
-	results := make([]segBatches, len(jobs))
+	results := make([]segResult, len(jobs))
 	runSegJobs(len(jobs), func(i int) {
 		res := &results[i]
 		res.scanRows = float64(jobs[i].store.TotalRows())
+		remote := opts.gather && jobs[i].homeNode != s.node.ID
 		var fs *vexec.FilterStats
 		if stats.prof != nil {
 			fs = &res.fstats
 		}
-		err := jobs[i].store.ScanBatchesPruned(vis, hr, s.pruneFunc(pred, &res.segResult), func(b *storage.Batch) bool {
+		err := jobs[i].store.ScanBatchesPruned(vis, hr, s.pruneFunc(pred, res), func(b *storage.Batch) bool {
 			if err := pred.FilterBatchStats(b, fs); err != nil {
 				res.err = err
 				return false
 			}
-			if len(b.Sel) > 0 {
+			if opts.limit >= 0 && int64(len(b.Sel)) > opts.limit-res.count {
+				b.Sel = b.Sel[:opts.limit-res.count]
+			}
+			res.count += int64(len(b.Sel))
+			if len(b.Sel) > 0 && !opts.countOnly {
+				if opts.cols != nil {
+					b = b.Project(opts.cols)
+				}
+				if remote {
+					res.shuffleB += float64(batchWireSize(b))
+				}
 				res.batches = append(res.batches, b)
 			}
-			return true
+			// Stop this segment once it alone can satisfy the LIMIT; the merge
+			// keeps segment order, so the first rows win deterministically.
+			return !(opts.limit >= 0 && res.count >= opts.limit)
 		})
 		if err != nil && res.err == nil {
 			res.err = err
@@ -774,13 +710,17 @@ func (s *Session) scanBatches(tbl *catalog.Table, where expr.Expr, vis storage.V
 	// query's accounting on the coordinating goroutine only.
 	var out []*storage.Batch
 	var fstats vexec.FilterStats
-	var scanned, contSeen, contPruned, contNoStats int64
+	var count, scanned, contSeen, contPruned, contNoStats int64
 	for i := range results {
 		res := &results[i]
 		if res.err != nil {
-			return nil, res.err
+			return nil, 0, res.err
 		}
 		stats.scanRows[sim.VName(jobs[i].homeNode)] += res.scanRows
+		if res.shuffleB > 0 {
+			stats.shuffle[[2]string{sim.VName(jobs[i].homeNode), s.node.Name}] += res.shuffleB
+		}
+		count += res.count
 		scanned += int64(res.scanRows)
 		fstats.KernelRows += res.fstats.KernelRows
 		fstats.ResidualRows += res.fstats.ResidualRows
@@ -788,6 +728,9 @@ func (s *Session) scanBatches(tbl *catalog.Table, where expr.Expr, vis storage.V
 		contPruned += res.contPruned
 		contNoStats += res.contNoStats
 		out = append(out, res.batches...)
+	}
+	if opts.limit >= 0 && count > opts.limit {
+		out, count = limitBatches(out, opts.limit), opts.limit
 	}
 	stats.contScanned += contSeen - contPruned
 	stats.contPruned += contPruned
@@ -797,13 +740,31 @@ func (s *Session) scanBatches(tbl *catalog.Table, where expr.Expr, vis storage.V
 		if contPruned > 0 {
 			detail += fmt.Sprintf(", zone maps pruned %d/%d containers", contPruned, contSeen)
 		}
+		if opts.countOnly {
+			detail += ", count pushdown"
+		}
+		if opts.limit >= 0 {
+			detail += fmt.Sprintf(", limit %d pushed down", opts.limit)
+		}
 		stats.prof.add(opStat{
-			name: "scan " + tbl.Def.Name, rowsIn: scanned, rowsOut: selectedRows(out),
+			name: "scan " + tbl.Def.Name, rowsIn: scanned, rowsOut: count,
 			vecRows: fstats.KernelRows, resRows: fstats.ResidualRows,
 			dur: time.Since(scanStart), detail: detail,
 		})
 	}
-	return out, nil
+	return out, count, nil
+}
+
+// limitBatches cuts a batch list down to its first limit selected rows.
+func limitBatches(batches []*storage.Batch, limit int64) []*storage.Batch {
+	for i, b := range batches {
+		if int64(len(b.Sel)) >= limit {
+			b.Sel = b.Sel[:limit]
+			return batches[:i+1]
+		}
+		limit -= int64(len(b.Sel))
+	}
+	return batches
 }
 
 // resolveNeedCols maps the needed column names onto schema indexes, in
@@ -1046,42 +1007,89 @@ func qualify(tr *vsql.TableRef, col string) string {
 	return q + "." + col
 }
 
-// recordQuery emits the QueryFlowEv for a completed SELECT.
-func (s *Session) recordQuery(rows []types.Row, stats *scanStats) {
+// recordQuery emits the QueryFlowEv for a completed SELECT. A columnar
+// result is weighed from its vectors; the numbers are those its boxed rows
+// would give.
+func (s *Session) recordQuery(res *Result, stats *scanStats) {
 	if s.obsv == nil {
 		return
 	}
 	bytes := 0.0
-	for _, r := range rows {
-		bytes += float64(textWireSize(r))
+	for _, r := range res.Rows {
+		for _, v := range r {
+			bytes += float64(textCellSize(v))
+		}
+	}
+	for _, b := range res.Batches {
+		bytes += float64(batchTextSize(b))
 	}
 	s.record(sim.Event{
 		Type:        sim.QueryFlowEv,
 		VNode:       s.node.Name,
 		CNode:       s.peer,
 		ResultBytes: bytes,
-		ResultRows:  float64(len(rows)),
+		ResultRows:  float64(res.NumRows()),
 		ScanRows:    stats.scanRows,
 		Shuffle:     stats.shuffle,
 	})
 }
 
-// textWireSize models the client protocol's text row encoding — the reason
+// textCellSize models the client protocol's text row encoding — the reason
 // the paper's D1 moves ~2.3 KB/row on the JDBC wire (Table 2's 120 MBps x 4
 // nodes x 475 s ≈ 228 GB for 100M rows) even though its CSV is 1.4 KB/row:
 // the protocol renders FLOATs at full width regardless of stored precision.
-func textWireSize(r types.Row) int {
+func textCellSize(v types.Value) int {
+	switch {
+	case v.Null:
+		return 4
+	case v.T == types.Float64:
+		return 4 + 19
+	case v.T == types.Int64:
+		n := 4 + 1
+		if v.I < 0 {
+			n++
+		}
+		for u := v.I / 10; u != 0; u /= 10 {
+			n++
+		}
+		return n
+	default:
+		return 4 + len(v.String())
+	}
+}
+
+// batchTextSize is the sum of textCellSize over the batch's selected cells.
+func batchTextSize(b *storage.Batch) int {
 	n := 0
-	for _, v := range r {
-		n += 4
-		if v.Null {
+	for _, col := range b.Cols {
+		if c, ok := col.(*storage.Float64Column); ok && c.Nulls == nil {
+			n += (4 + 19) * len(b.Sel)
 			continue
 		}
-		if v.T == types.Float64 {
-			n += 19
-			continue
+		for _, i := range b.Sel {
+			n += textCellSize(col.Get(int(i)))
 		}
-		n += len(v.String())
+	}
+	return n
+}
+
+// batchWireSize is the sum of types.WireSize over the batch's selected rows.
+func batchWireSize(b *storage.Batch) int {
+	n := 0
+	for _, col := range b.Cols {
+		switch c := col.(type) {
+		case *storage.StringColumn:
+			for _, i := range b.Sel {
+				n += 4
+				if !c.IsNull(int(i)) {
+					n += len(c.Vals[i])
+				}
+			}
+		case *storage.BoolColumn:
+			n += len(b.Sel)
+		default:
+			n += 8 * len(b.Sel)
+		}
 	}
 	return n
 }

@@ -71,7 +71,7 @@ func (s *Session) executeProfile(p *vsql.Profile) (*Result, error) {
 	}
 	qp.add(opStat{
 		name:    "total",
-		rowsOut: int64(len(res.Rows)),
+		rowsOut: int64(res.NumRows()),
 		dur:     time.Since(start),
 		detail:  fmt.Sprintf("epoch %d", res.Epoch),
 	})

@@ -9,6 +9,7 @@ import (
 
 	"vsfabric/internal/obs"
 	"vsfabric/internal/sim"
+	"vsfabric/internal/storage"
 	"vsfabric/internal/txn"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vsql"
@@ -16,8 +17,16 @@ import (
 
 // Result is the outcome of one statement.
 type Result struct {
-	Schema       types.Schema
-	Rows         []types.Row
+	Schema types.Schema
+	// Rows is the result set in row form. Everything the row API returns —
+	// Execute, ExecuteContext, ExecuteStmt, client.Conn — carries its rows
+	// here.
+	Rows []types.Row
+	// Batches is a scan-shaped SELECT's result set as ExecuteColumnar returns
+	// it: the scan's column batches, aliasing the containers' immutable
+	// vectors, each with a private selection vector that fixes the snapshot.
+	// Rows is nil then; Materialize converts.
+	Batches      []*storage.Batch
 	RowsAffected int64
 	// Epoch is the snapshot epoch a SELECT read at, or the commit epoch of a
 	// committed write. V2S uses the former to pin all partition queries to
@@ -25,6 +34,20 @@ type Result struct {
 	Epoch uint64
 	// Copy carries bulk-load statistics when the statement was a COPY.
 	Copy *CopyResult
+}
+
+// NumRows returns the size of the result set in either form.
+func (r *Result) NumRows() int {
+	return len(r.Rows) + storage.SelectedRows(r.Batches)
+}
+
+// Materialize boxes a columnar result set into Rows — the one boxing a
+// scan-shaped result undergoes in this process — and returns r (nil for nil).
+func (r *Result) Materialize() *Result {
+	if r != nil && r.Batches != nil {
+		r.Rows, r.Batches = storage.Materialize(r.Batches), nil
+	}
+	return r
 }
 
 // Value returns the single value of a one-row, one-column result.
@@ -141,6 +164,15 @@ func (s *Session) Execute(sql string) (*Result, error) {
 // cancellation and, via obs.With / obs.WithPeer, the caller's observer and
 // client-host name for the performance layer.
 func (s *Session) ExecuteContext(ctx context.Context, sql string) (*Result, error) {
+	res, err := s.ExecuteColumnar(ctx, sql)
+	return res.Materialize(), err
+}
+
+// ExecuteColumnar is ExecuteContext without the boxing: a scan-shaped
+// SELECT's result set comes back in Result.Batches, every other statement's
+// as ExecuteContext returns it. The wire server runs statements through here
+// and encodes batch frames straight from the vectors.
+func (s *Session) ExecuteColumnar(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := vsql.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -159,7 +191,8 @@ func (s *Session) MustExecute(sql string) *Result {
 
 // ExecuteStmt runs a parsed statement under a background context.
 func (s *Session) ExecuteStmt(stmt vsql.Statement) (*Result, error) {
-	return s.executeStmtCtx(context.Background(), stmt, "")
+	res, err := s.executeStmtCtx(context.Background(), stmt, "")
+	return res.Materialize(), err
 }
 
 // executeStmtCtx runs one statement: it binds the context's observer and
@@ -194,7 +227,7 @@ func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlTe
 	dur := time.Since(start)
 	if sp != nil {
 		if res != nil {
-			rows := int64(len(res.Rows))
+			rows := int64(res.NumRows())
 			if rows == 0 {
 				rows = res.RowsAffected
 			}

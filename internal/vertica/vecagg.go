@@ -80,7 +80,7 @@ func vectorAggEligible(s *Session, st *vsql.Select) bool {
 // typed hash-aggregation kernels without materializing input rows. ok=false
 // falls through to the general scan + aggregate() path (which reports any
 // errors, so ineligibility is silent here).
-func (s *Session) tryVectorizedAgg(st *vsql.Select, vis storage.Visibility, stats *scanStats, qp *queryProfile) (*Result, bool, error) {
+func (s *Session) tryVectorizedAgg(st *vsql.Select, vis storage.Visibility, stats *scanStats) (*Result, bool, error) {
 	if !vectorAggEligible(s, st) {
 		return nil, false, nil
 	}
@@ -111,12 +111,13 @@ func (s *Session) tryVectorizedAgg(st *vsql.Select, vis storage.Visibility, stat
 	}
 
 	stats.pushdown = "group-by"
-	batches, err := s.scanBatches(tbl, st.Where, vis, stats)
+	batches, _, err := s.scanBatches(tbl, st.Where, vis, stats, scanOpts{limit: -1})
 	if err != nil {
 		return nil, false, err
 	}
 
 	// One hash table consumes every batch sequentially, in segment order.
+	qp := stats.prof
 	aggStart := profClock(qp)
 	ha := vexec.NewHashAgg(spec, schema)
 	for _, b := range batches {

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"vsfabric/internal/catalog"
 	"vsfabric/internal/expr"
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vsql"
 )
@@ -61,6 +63,15 @@ func buildRandomTable(t *testing.T, s *Session, c *Cluster, rng *rand.Rand, n in
 	insert(2*n/3, n)
 }
 
+// scanRows is how the row-native operators read a base table (relationRows):
+// scanBatches with the needed columns resolved, then materialize.
+func scanRows(s *Session, tbl *catalog.Table, where expr.Expr, vis storage.Visibility, opts scanOpts) ([]types.Row, int64, types.Schema, error) {
+	var schema types.Schema
+	opts.cols, schema = resolveNeedCols(tbl.Def.Schema, opts.needCols)
+	batches, count, err := s.scanBatches(tbl, where, vis, newScanStats(), opts)
+	return storage.Materialize(batches), count, schema, err
+}
+
 // TestScanTableMatchesRowAtATime is the end-to-end property test: the
 // vectorized parallel scan must return exactly the rows, order included, of
 // the oracle's row-at-a-time scan + interpreted filter for a spread of
@@ -101,7 +112,7 @@ func TestScanTableMatchesRowAtATime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference filter %q: %v", cond, err)
 		}
-		gotRows, _, gotSchema, err := s.scanTable(tbl, where, vis, newScanStats(), scanOpts{limit: -1})
+		gotRows, _, gotSchema, err := scanRows(s, tbl, where, vis, scanOpts{limit: -1})
 		if err != nil {
 			t.Fatalf("vectorized scan %q: %v", cond, err)
 		}
@@ -119,7 +130,7 @@ func TestScanTableMatchesRowAtATime(t *testing.T) {
 			}
 		}
 		// countOnly must agree with the materialized row count.
-		_, count, _, err := s.scanTable(tbl, where, vis, newScanStats(), scanOpts{limit: -1, countOnly: true})
+		_, count, _, err := scanRows(s, tbl, where, vis, scanOpts{limit: -1, countOnly: true})
 		if err != nil {
 			t.Fatalf("count scan %q: %v", cond, err)
 		}
@@ -136,8 +147,8 @@ func TestScanTableNeedCols(t *testing.T) {
 	s.MustExecute("INSERT INTO t VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, 3.5, 'c')")
 	tbl, _ := c.Catalog().Table("t")
 	vis := snapshotVis(c)
-	rows, _, schema, err := s.scanTable(tbl, parseWhere(t, "val > 2.0"), vis,
-		newScanStats(), scanOpts{limit: -1, needCols: []string{"name"}})
+	rows, _, schema, err := scanRows(s, tbl, parseWhere(t, "val > 2.0"), vis,
+		scanOpts{limit: -1, needCols: []string{"name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +164,8 @@ func TestScanTableNeedCols(t *testing.T) {
 		}
 	}
 	// Unresolvable names fall back to the full schema rather than failing.
-	rows, _, schema, err = s.scanTable(tbl, nil, vis,
-		newScanStats(), scanOpts{limit: -1, needCols: []string{"nope"}})
+	rows, _, schema, err = scanRows(s, tbl, nil, vis,
+		scanOpts{limit: -1, needCols: []string{"nope"}})
 	if err != nil {
 		t.Fatal(err)
 	}
