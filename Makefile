@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test wire-test wire-fuzz wire-smoke obs-test obs-gate
+.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test wire-test wire-fuzz wire-smoke obs-test obs-gate lines
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -105,3 +105,12 @@ perf:
 # non-zero when an end-to-end metric is worse by more than its bound.
 perf-gate:
 	$(GO) run ./cmd/fabricperf -compare bench/baseline/fabricperf.json
+
+# Non-test .go lines (wc -l) per top-level package directory, outside the
+# benchmark's own paths: the table every simplicity entry in CHANGES.md
+# reports. Informational, never a gate.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/fabricperf/*' ! -path './internal/perf/*' ! -path './bench/baseline/*' -print0 \
+	  | xargs -0 wc -l \
+	  | awk '$$2 != "total" { n = split($$2, p, "/"); d = (n > 3) ? p[2] "/" p[3] : (n > 2 ? p[2] : "."); c[d] += $$1; t += $$1 } \
+	         END { for (d in c) printf "%7d %s\n", c[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

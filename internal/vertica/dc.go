@@ -41,17 +41,10 @@ var dcComponents = []string{
 // one storage.EncodeRows-framed row under this schema, so the dc_* tables
 // decode records from any engine version that shares the column set.
 var dcSchemas = map[string]types.Schema{
-	dcQueryRequests: types.NewSchema(
-		types.Column{Name: "request_id", T: types.Int64},
-		types.Column{Name: "node_name", T: types.Varchar},
-		types.Column{Name: "client_name", T: types.Varchar},
-		types.Column{Name: "request", T: types.Varchar},
-		types.Column{Name: "start_timestamp", T: types.Varchar},
-		types.Column{Name: "request_duration_us", T: types.Int64},
-		types.Column{Name: "result_rows", T: types.Int64},
-		types.Column{Name: "success", T: types.Bool},
-		types.Column{Name: "error_message", T: types.Varchar},
-	),
+	dcQueryRequests: queryRequestsSchema,
+	// The spooled job trace is the root job span alone; v_monitor.job_traces
+	// (monitor.go) is a roll-up over the whole retained trace, so the two
+	// keep separate definitions.
 	dcJobTraces: types.NewSchema(
 		types.Column{Name: "trace_id", T: types.Varchar},
 		types.Column{Name: "job_type", T: types.Varchar},
@@ -62,42 +55,10 @@ var dcSchemas = map[string]types.Schema{
 		types.Column{Name: "db_bytes", T: types.Int64},
 		types.Column{Name: "success", T: types.Bool},
 	),
-	dcResilience: types.NewSchema(
-		types.Column{Name: "event_time", T: types.Varchar},
-		types.Column{Name: "event_type", T: types.Varchar},
-		types.Column{Name: "node_address", T: types.Varchar},
-		types.Column{Name: "detail", T: types.Varchar},
-	),
-	dcQueueEvents: types.NewSchema(
-		types.Column{Name: "event_time", T: types.Varchar},
-		types.Column{Name: "pool_name", T: types.Varchar},
-		types.Column{Name: "outcome", T: types.Varchar},
-		types.Column{Name: "queue_wait_us", T: types.Int64},
-		types.Column{Name: "request_type", T: types.Varchar},
-	),
-	dcQueryPlans: types.NewSchema(
-		types.Column{Name: "plan_id", T: types.Int64},
-		types.Column{Name: "query", T: types.Varchar},
-		types.Column{Name: "anchor_table", T: types.Varchar},
-		types.Column{Name: "join_order", T: types.Varchar},
-		types.Column{Name: "estimated_rows", T: types.Int64},
-		types.Column{Name: "actual_rows", T: types.Int64},
-		types.Column{Name: "containers_scanned", T: types.Int64},
-		types.Column{Name: "containers_pruned", T: types.Int64},
-		types.Column{Name: "pushdown", T: types.Varchar},
-		types.Column{Name: "vectorized", T: types.Bool},
-		types.Column{Name: "epoch", T: types.Int64},
-	),
-	dcQueryEventComp: types.NewSchema(
-		types.Column{Name: "event_time", T: types.Varchar},
-		types.Column{Name: "event_type", T: types.Varchar},
-		types.Column{Name: "node_name", T: types.Varchar},
-		types.Column{Name: "trace_id", T: types.Varchar},
-		types.Column{Name: "query", T: types.Varchar},
-		types.Column{Name: "detail", T: types.Varchar},
-		types.Column{Name: "value", T: types.Int64},
-		types.Column{Name: "threshold", T: types.Int64},
-	),
+	dcResilience:     resilienceEventsSchema,
+	dcQueueEvents:    queueEventsSchema,
+	dcQueryPlans:     queryPlansSchema,
+	dcQueryEventComp: queryEventsSchema,
 }
 
 // openDC opens the durable data-collector spool under DataDir/dc and taps
@@ -144,17 +105,7 @@ func (c *Cluster) dcAppend(comp string, t time.Time, row types.Row) {
 func (c *Cluster) dcSpan(sp obs.Span) {
 	switch {
 	case sp.Name == "execute":
-		c.dcAppend(dcQueryRequests, sp.Start, types.Row{
-			types.IntValue(int64(sp.ID)),
-			types.StringValue(sp.Node),
-			types.StringValue(sp.Peer),
-			types.StringValue(sp.Detail),
-			types.StringValue(sp.Start.Format(time.RFC3339Nano)),
-			types.IntValue(sp.Duration.Microseconds()),
-			types.IntValue(sp.Rows),
-			types.BoolValue(sp.OK()),
-			types.StringValue(sp.Err),
-		})
+		c.dcAppend(dcQueryRequests, sp.Start, queryRequestRow(sp))
 	case sp.Root() && strings.HasSuffix(sp.Name, ".job"):
 		c.dcAppend(dcJobTraces, sp.Start, types.Row{
 			types.StringValue(fmt.Sprintf("%016x", sp.TraceID)),
@@ -172,55 +123,23 @@ func (c *Cluster) dcSpan(sp obs.Span) {
 // dcEvent is the collector's event tap: ring-worthy events (node failures,
 // recoveries, rebalances) become resilience_events records.
 func (c *Cluster) dcEvent(ev obs.Event) {
-	c.dcAppend(dcResilience, ev.Time, types.Row{
-		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
-		types.StringValue(ev.Name),
-		types.StringValue(ev.Node),
-		types.StringValue(ev.Detail),
-	})
+	c.dcAppend(dcResilience, ev.Time, resilienceEventRow(ev))
 }
 
 // dcQueueEvent is the resource manager's hook: admission-queue incidents
 // become resource_queue_events records.
 func (c *Cluster) dcQueueEvent(ev pool.QueueEvent) {
-	c.dcAppend(dcQueueEvents, ev.Time, types.Row{
-		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
-		types.StringValue(ev.Pool),
-		types.StringValue(ev.Outcome),
-		types.IntValue(ev.Wait.Microseconds()),
-		types.StringValue(ev.Detail),
-	})
+	c.dcAppend(dcQueueEvents, ev.Time, queueEventRow(ev))
 }
 
-// dcAppendPlan spools one completed SELECT's planning outcome.
+// dcAppendPlan spools one completed SELECT's plan summary.
 func (c *Cluster) dcAppendPlan(r planRecord) {
-	c.dcAppend(dcQueryPlans, time.Now(), types.Row{
-		types.IntValue(int64(r.ID)),
-		types.StringValue(r.Query),
-		types.StringValue(r.Table),
-		types.StringValue(r.JoinOrder),
-		types.IntValue(r.EstRows),
-		types.IntValue(r.ActualRows),
-		types.IntValue(r.ContainersScanned),
-		types.IntValue(r.ContainersPruned),
-		types.StringValue(r.Pushdown),
-		types.BoolValue(r.Vectorized),
-		types.IntValue(int64(r.Epoch)),
-	})
+	c.dcAppend(dcQueryPlans, time.Now(), r.row())
 }
 
 // dcAppendQueryEvent spools one typed query event.
 func (c *Cluster) dcAppendQueryEvent(ev obs.QueryEvent) {
-	c.dcAppend(dcQueryEventComp, ev.Time, types.Row{
-		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
-		types.StringValue(string(ev.Type)),
-		types.StringValue(ev.Node),
-		types.StringValue(fmt.Sprintf("%016x", ev.TraceID)),
-		types.StringValue(ev.Query),
-		types.StringValue(ev.Detail),
-		types.IntValue(ev.Value),
-		types.IntValue(ev.Threshold),
-	})
+	c.dcAppend(dcQueryEventComp, ev.Time, queryEventRow(ev))
 }
 
 // dcTableRows renders v_monitor.dc_<component>: every durably spooled

@@ -379,7 +379,7 @@ func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
 // collectMatching gathers the visible rows matching the predicate across all
 // primary stores (or one live replica for unsegmented tables), reading from
 // buddies where a primary's node is down.
-func (s *Session) collectMatching(tbl *catalog.Table, where expr.Expr, vis visArg) ([]types.Row, error) {
+func (s *Session) collectMatching(tbl *catalog.Table, where expr.Expr, vis storage.Visibility) ([]types.Row, error) {
 	schema := tbl.Def.Schema
 	var out []types.Row
 	var scanErr error
@@ -419,7 +419,7 @@ func (s *Session) collectMatching(tbl *catalog.Table, where expr.Expr, vis visAr
 // holding them (primaries, buddies, and all replicas of unsegmented tables).
 // Stores on non-writable nodes are skipped and reconciled at recovery. Each
 // segment's count comes from its first writable replica.
-func (s *Session) deleteRowsEverywhere(tx *txn.Txn, tbl *catalog.Table, where expr.Expr, vis visArg) int {
+func (s *Session) deleteRowsEverywhere(tx *txn.Txn, tbl *catalog.Table, where expr.Expr, vis storage.Visibility) int {
 	schema := tbl.Def.Schema
 	match := func(r types.Row) bool {
 		ok, _ := expr.EvalPredicate(where, r, &schema)
@@ -678,9 +678,6 @@ func truncate(s string, n int) string {
 	}
 	return s[:n] + "..."
 }
-
-// visArg aliases the storage read context in DML signatures.
-type visArg = storage.Visibility
 
 // fullRing is the unconstrained hash range.
 func fullRing() vhash.Range { return vhash.Range{Lo: 0, Hi: vhash.RingSize} }

@@ -19,35 +19,13 @@ import (
 func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row, types.Schema, error) {
 	switch name {
 	case "v_monitor.query_requests":
-		schema := types.NewSchema(
-			types.Column{Name: "request_id", T: types.Int64},
-			types.Column{Name: "node_name", T: types.Varchar},
-			types.Column{Name: "client_name", T: types.Varchar},
-			types.Column{Name: "request", T: types.Varchar},
-			types.Column{Name: "start_timestamp", T: types.Varchar},
-			types.Column{Name: "request_duration_us", T: types.Int64},
-			types.Column{Name: "result_rows", T: types.Int64},
-			types.Column{Name: "success", T: types.Bool},
-			types.Column{Name: "error_message", T: types.Varchar},
-		)
 		var rows []types.Row
 		for _, sp := range s.cluster.mon.Spans() {
-			if sp.Name != "execute" {
-				continue
+			if sp.Name == "execute" {
+				rows = append(rows, queryRequestRow(sp))
 			}
-			rows = append(rows, types.Row{
-				types.IntValue(int64(sp.ID)),
-				types.StringValue(sp.Node),
-				types.StringValue(sp.Peer),
-				types.StringValue(sp.Detail),
-				types.StringValue(sp.Start.Format(time.RFC3339Nano)),
-				types.IntValue(sp.Duration.Microseconds()),
-				types.IntValue(sp.Rows),
-				types.BoolValue(sp.OK()),
-				types.StringValue(sp.Err),
-			})
 		}
-		return rows, schema, nil
+		return rows, queryRequestsSchema, nil
 
 	case "v_monitor.load_streams":
 		schema := types.NewSchema(
@@ -83,22 +61,11 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 		return rows, schema, nil
 
 	case "v_monitor.resilience_events":
-		schema := types.NewSchema(
-			types.Column{Name: "event_time", T: types.Varchar},
-			types.Column{Name: "event_type", T: types.Varchar},
-			types.Column{Name: "node_address", T: types.Varchar},
-			types.Column{Name: "detail", T: types.Varchar},
-		)
 		var rows []types.Row
 		for _, ev := range s.cluster.mon.Events() {
-			rows = append(rows, types.Row{
-				types.StringValue(ev.Time.Format(time.RFC3339Nano)),
-				types.StringValue(ev.Name),
-				types.StringValue(ev.Node),
-				types.StringValue(ev.Detail),
-			})
+			rows = append(rows, resilienceEventRow(ev))
 		}
-		return rows, schema, nil
+		return rows, resilienceEventsSchema, nil
 
 	case "v_monitor.counters":
 		schema := types.NewSchema(
@@ -118,7 +85,11 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 		return resourcePoolRows(s.cluster.pools)
 
 	case "v_monitor.resource_queue_events":
-		return resourceQueueEventRows(s.cluster.pools)
+		var rows []types.Row
+		for _, ev := range s.cluster.pools.Events() {
+			rows = append(rows, queueEventRow(ev))
+		}
+		return rows, queueEventsSchema, nil
 
 	case "v_monitor.job_traces":
 		return jobTraces(s.cluster.mon)
@@ -187,39 +158,18 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 		return rows, schema, nil
 
 	case "v_monitor.query_plans":
-		schema := types.NewSchema(
-			types.Column{Name: "plan_id", T: types.Int64},
-			types.Column{Name: "query", T: types.Varchar},
-			types.Column{Name: "anchor_table", T: types.Varchar},
-			types.Column{Name: "join_order", T: types.Varchar},
-			types.Column{Name: "estimated_rows", T: types.Int64},
-			types.Column{Name: "actual_rows", T: types.Int64},
-			types.Column{Name: "containers_scanned", T: types.Int64},
-			types.Column{Name: "containers_pruned", T: types.Int64},
-			types.Column{Name: "pushdown", T: types.Varchar},
-			types.Column{Name: "vectorized", T: types.Bool},
-			types.Column{Name: "epoch", T: types.Int64},
-		)
 		var rows []types.Row
 		for _, p := range s.cluster.plans.snapshot() {
-			rows = append(rows, types.Row{
-				types.IntValue(int64(p.ID)),
-				types.StringValue(p.Query),
-				types.StringValue(p.Table),
-				types.StringValue(p.JoinOrder),
-				types.IntValue(p.EstRows),
-				types.IntValue(p.ActualRows),
-				types.IntValue(p.ContainersScanned),
-				types.IntValue(p.ContainersPruned),
-				types.StringValue(p.Pushdown),
-				types.BoolValue(p.Vectorized),
-				types.IntValue(int64(p.Epoch)),
-			})
+			rows = append(rows, p.row())
 		}
-		return rows, schema, nil
+		return rows, queryPlansSchema, nil
 
 	case "v_monitor.query_events":
-		return queryEventRows(s.cluster.mon)
+		var rows []types.Row
+		for _, ev := range s.cluster.mon.QueryEvents() {
+			rows = append(rows, queryEventRow(ev))
+		}
+		return rows, queryEventsSchema, nil
 
 	case "v_monitor.data_collector":
 		return s.cluster.dataCollectorRows()
@@ -267,38 +217,85 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 	}
 }
 
-// queryEventRows renders v_monitor.query_events from the collector's typed
-// query-event ring.
-func queryEventRows(mon *obs.Collector) ([]types.Row, types.Schema, error) {
-	schema := types.NewSchema(
-		types.Column{Name: "event_time", T: types.Varchar},
-		types.Column{Name: "event_type", T: types.Varchar},
-		types.Column{Name: "node_name", T: types.Varchar},
-		types.Column{Name: "trace_id", T: types.Varchar},
-		types.Column{Name: "query", T: types.Varchar},
-		types.Column{Name: "detail", T: types.Varchar},
-		types.Column{Name: "value", T: types.Int64},
-		types.Column{Name: "threshold", T: types.Int64},
-	)
-	var rows []types.Row
-	for _, ev := range mon.QueryEvents() {
-		rows = append(rows, types.Row{
-			types.StringValue(ev.Time.Format(time.RFC3339Nano)),
-			types.StringValue(string(ev.Type)),
-			types.StringValue(ev.Node),
-			types.StringValue(fmt.Sprintf("%016x", ev.TraceID)),
-			types.StringValue(ev.Query),
-			types.StringValue(ev.Detail),
-			types.IntValue(ev.Value),
-			types.IntValue(ev.Threshold),
-		})
+// Five monitoring relations exist three times over — the in-memory ring
+// table v_monitor.X, the data-collector tap that spools each record, and the
+// durable v_monitor.dc_X — and are defined once: one schema and one row
+// builder each, here (query_requests, resilience_events, query_events), in
+// pools.go (resource_queue_events) and in plans.go (query_plans).
+
+var queryRequestsSchema = types.NewSchema(
+	types.Column{Name: "request_id", T: types.Int64},
+	types.Column{Name: "node_name", T: types.Varchar},
+	types.Column{Name: "client_name", T: types.Varchar},
+	types.Column{Name: "request", T: types.Varchar},
+	types.Column{Name: "start_timestamp", T: types.Varchar},
+	types.Column{Name: "request_duration_us", T: types.Int64},
+	types.Column{Name: "result_rows", T: types.Int64},
+	types.Column{Name: "success", T: types.Bool},
+	types.Column{Name: "error_message", T: types.Varchar},
+)
+
+// queryRequestRow renders one completed "execute" span.
+func queryRequestRow(sp obs.Span) types.Row {
+	return types.Row{
+		types.IntValue(int64(sp.ID)),
+		types.StringValue(sp.Node),
+		types.StringValue(sp.Peer),
+		types.StringValue(sp.Detail),
+		types.StringValue(sp.Start.Format(time.RFC3339Nano)),
+		types.IntValue(sp.Duration.Microseconds()),
+		types.IntValue(sp.Rows),
+		types.BoolValue(sp.OK()),
+		types.StringValue(sp.Err),
 	}
-	return rows, schema, nil
+}
+
+var resilienceEventsSchema = types.NewSchema(
+	types.Column{Name: "event_time", T: types.Varchar},
+	types.Column{Name: "event_type", T: types.Varchar},
+	types.Column{Name: "node_address", T: types.Varchar},
+	types.Column{Name: "detail", T: types.Varchar},
+)
+
+func resilienceEventRow(ev obs.Event) types.Row {
+	return types.Row{
+		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
+		types.StringValue(ev.Name),
+		types.StringValue(ev.Node),
+		types.StringValue(ev.Detail),
+	}
+}
+
+var queryEventsSchema = types.NewSchema(
+	types.Column{Name: "event_time", T: types.Varchar},
+	types.Column{Name: "event_type", T: types.Varchar},
+	types.Column{Name: "node_name", T: types.Varchar},
+	types.Column{Name: "trace_id", T: types.Varchar},
+	types.Column{Name: "query", T: types.Varchar},
+	types.Column{Name: "detail", T: types.Varchar},
+	types.Column{Name: "value", T: types.Int64},
+	types.Column{Name: "threshold", T: types.Int64},
+)
+
+func queryEventRow(ev obs.QueryEvent) types.Row {
+	return types.Row{
+		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
+		types.StringValue(string(ev.Type)),
+		types.StringValue(ev.Node),
+		types.StringValue(fmt.Sprintf("%016x", ev.TraceID)),
+		types.StringValue(ev.Query),
+		types.StringValue(ev.Detail),
+		types.IntValue(ev.Value),
+		types.IntValue(ev.Threshold),
+	}
 }
 
 // jobTraces rolls every retained distributed trace up to one row per root
 // job span (v2s.job / s2v.job) — the Data-Collector-style view a DBA queries
-// to see what each connector job did across the whole fabric. The DB-side
+// to see what each connector job did across the whole fabric. Unlike the five
+// relations above, job_traces keeps a second definition in dc.go: this ring
+// table is a roll-up over a whole trace, the spooled dc_job_traces record is
+// the root span alone, written when it closes. The DB-side
 // columns (db_rows/db_bytes/rejected_rows) sum only engine execute/copy
 // spans, so connector-layer spans wrapping the same work are not counted
 // twice.

@@ -65,6 +65,51 @@ func TestVMonitorQueryRequests(t *testing.T) {
 	}
 }
 
+// TestSystemReadsAnyCase: a monitoring read is recognised however its
+// relation name is cased and whether or not PROFILE wraps it — it takes no
+// pool slot (it works on a saturated pool) and leaves no query_requests or
+// query_plans row behind.
+func TestSystemReadsAnyCase(t *testing.T) {
+	c := testCluster(t, 1)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER)")
+	s.MustExecute("INSERT INTO t VALUES (1)")
+	s.MustExecute("SELECT id FROM t")
+	s.MustExecute("CREATE RESOURCE POOL p MAXCONCURRENCY 1 MAXQUEUEDEPTH NONE QUEUETIMEOUT '5ms'")
+	s.MustExecute("SET RESOURCE_POOL = p")
+	// Occupy the pool's only slot out-of-band.
+	rel, _, err := mustPool(t, c, "p").Admit(context.Background(), 0, "hold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+
+	count := func(table string) int64 {
+		v, err := s.MustExecute("SELECT COUNT(*) FROM v_monitor." + table).Value()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.I
+	}
+	requests, plans := count("query_requests"), count("query_plans")
+	for _, q := range []string{
+		"SELECT * FROM V_MONITOR.query_requests",
+		"SELECT node_name FROM V_Catalog.Nodes",
+		"PROFILE SELECT * FROM v_monitor.query_plans",
+		"PROFILE SELECT * FROM V_MONITOR.QUERY_PLANS",
+	} {
+		if _, err := s.Execute(q); err != nil {
+			t.Fatalf("%s on a saturated pool: %v", q, err)
+		}
+	}
+	if r, p := count("query_requests"), count("query_plans"); r != requests || p != plans {
+		t.Fatalf("monitoring reads observed themselves: query_requests %d -> %d, query_plans %d -> %d", requests, r, plans, p)
+	}
+	if st := poolStats(t, c, "p"); st.Admitted != 1 || st.Timeouts != 0 {
+		t.Fatalf("pool p admitted %d (want only the held slot), %d timeouts", st.Admitted, st.Timeouts)
+	}
+}
+
 // TestVMonitorLoadStreams: every COPY shows up in load_streams with its
 // accepted/rejected row accounting and byte count.
 func TestVMonitorLoadStreams(t *testing.T) {

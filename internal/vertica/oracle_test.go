@@ -2,6 +2,7 @@ package vertica
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vsfabric/internal/catalog"
@@ -14,8 +15,9 @@ import (
 
 // This file is the test oracle the vectorized engine is diffed against: a
 // row-at-a-time scan, a boxed hash join in syntactic order, an interpreted
-// filter, then the engine's own projection/aggregation. No batches, kernels,
-// zone maps, pushdowns or planner — everything the production path adds on
+// filter, then the engine's own row operators (projection, aggregation,
+// ordering) in the fixed order SQL gives them. No batches, kernels, zone
+// maps, pushdowns, planner or plan — everything the production path adds on
 // top of "scan, join, filter, project" is absent here.
 
 // oracleSelect answers a SELECT on the oracle.
@@ -37,9 +39,12 @@ func oracleRows(s *Session, st *vsql.Select, vis storage.Visibility) ([]types.Ro
 	if err := s.bindSelectFuncs(st); err != nil {
 		return nil, types.Schema{}, err
 	}
-	rows, schema, err := oracleRelation(s, st.From, vis)
-	if err != nil {
-		return nil, types.Schema{}, err
+	// A FROM-less SELECT evaluates its items once, against one empty row.
+	rows, schema, err := []types.Row{{}}, types.Schema{}, error(nil)
+	if st.From != nil {
+		if rows, schema, err = oracleRelation(s, st.From, vis); err != nil {
+			return nil, types.Schema{}, err
+		}
 	}
 	lref := st.From
 	for _, jc := range st.Joins {
@@ -53,10 +58,41 @@ func oracleRows(s *Session, st *vsql.Select, vis storage.Visibility) ([]types.Ro
 		}
 		rows, schema, lref = rowHashJoin(rows, li, right, ri), out, nil
 	}
-	if rows, schema, err = filterRows(rows, schema, st.Where, -1); err != nil {
+	if rows, err = filterRows(rows, schema, st.Where); err != nil {
 		return nil, types.Schema{}, err
 	}
-	return project(st, rows, schema, nil)
+	switch {
+	case hasAggregates(st) || len(st.GroupBy) > 0:
+		ap, err := buildAggPlan(st, schema)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		if rows, err = aggregate(ap, rows, schema); err != nil {
+			return nil, types.Schema{}, err
+		}
+		schema = ap.out
+	case len(st.Items) == 1 && st.Items[0].Star:
+	default:
+		out, evals, err := selectShape(st.Items, schema)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		if rows, err = projectRows(rows, evals); err != nil {
+			return nil, types.Schema{}, err
+		}
+		schema = out
+	}
+	if len(st.OrderBy) > 0 {
+		idx, err := orderIndexes(schema, st.OrderBy)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		orderRows(rows, idx, st.OrderBy)
+	}
+	if st.Limit >= 0 && int64(len(rows)) > st.Limit {
+		rows = rows[:st.Limit]
+	}
+	return rows, schema, nil
 }
 
 // oracleRelation produces one FROM/JOIN relation's rows: a base table scans
@@ -70,8 +106,8 @@ func oracleRelation(s *Session, tr *vsql.TableRef, vis storage.Visibility) ([]ty
 		}
 		return oracleRows(s, sub.(*vsql.Select), vis)
 	}
-	if !baseTableOnly(s, tr) {
-		return s.relationRows(tr, nil, vis, newScanStats(), scanOpts{limit: -1})
+	if isSystemRelation(tr.Name) {
+		return s.systemTable(strings.ToLower(tr.Name), vis)
 	}
 	tbl, ok := s.cluster.cat.Table(tr.Name)
 	if !ok {

@@ -1,0 +1,643 @@
+package vertica
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"vsfabric/internal/catalog"
+	"vsfabric/internal/expr"
+	"vsfabric/internal/obs"
+	"vsfabric/internal/storage"
+	"vsfabric/internal/types"
+	"vsfabric/internal/vexec"
+	"vsfabric/internal/vhash"
+	"vsfabric/internal/vsql"
+)
+
+// This file is the one description of a SELECT. planSelect decides the
+// statement's shape — relation kinds, join order, pushdowns, which operators
+// run — and writes it down as a flat, execution-ordered list of plan nodes.
+// run executes that list, EXPLAIN prints its estimates, PROFILE prints the
+// actuals a run filled in, and v_monitor.query_plans summarizes it. A shape
+// decision is made in planSelect or nowhere.
+
+// planOp is the operator vocabulary.
+type planOp uint8
+
+const (
+	opScan planOp = iota
+	opJoin
+	opFilter
+	opGroupBy
+	opProject
+	opSort
+	opLimit
+)
+
+var opNames = [...]string{"scan", "join", "filter", "group-by", "project", "sort", "limit"}
+
+// planNode is one operator of a plan: what the planner decided (op, target,
+// estimate, detail, and the typed arguments the operator runs with) and what a
+// run observed. Only the arguments of the node's own op are set.
+type planNode struct {
+	op     planOp
+	target string       // relation scanned or attached; "" for the other operators
+	est    int64        // planner's output-row estimate; estUnknown = unsized
+	detail string       // the decision in words, fixed at plan time
+	schema types.Schema // the operator's output schema
+
+	// scan: a base table (tbl, with the hash range, compiled predicate and
+	// segment jobs the run visits), a view (its own plan), or a system table
+	// (synthesized at plan time: its schema is only known with its rows).
+	tbl  *catalog.Table
+	hr   vhash.Range
+	pred *vexec.Pred
+	jobs []segJob
+	opts scanOpts
+	view *selectPlan
+	rows []types.Row
+	// join
+	clause    *vsql.JoinClause
+	li, ri    int
+	buildLeft bool
+	// filter
+	where expr.Expr
+	// group-by: vec is nil on the row-at-a-time path
+	agg *aggPlan
+	vec *vecAgg
+	// project: nil evals pass the input through
+	evals []rowEval
+	// sort
+	orderBy []vsql.OrderItem
+	sortIdx []int
+	// limit
+	limit int64
+
+	// Plan-time container estimates of a base scan, filled by sizeContainers
+	// for EXPLAIN only (a run counts the real thing).
+	estContainers, estPruned, estNoStats int64
+
+	// Actuals, filled by run. Kernel/residual rows and the duration are only
+	// collected under PROFILE.
+	rowsIn, rowsOut      int64
+	vecRows, resRows     int64
+	contSeen, contPruned int64
+	keyPath              string // group-by: the hash table's key strategy
+	dur                  time.Duration
+}
+
+// selectPlan is one SELECT's plan. A view is a nested selectPlan on its scan
+// node; joins are left-deep, so execution order is list order.
+type selectPlan struct {
+	vis       storage.Visibility // the read context planned under and run at
+	nodes     []planNode
+	schema    types.Schema // result-set schema
+	est       int64        // source cardinality estimate (query_plans.estimated_rows)
+	joinOrder string       // "a JOIN b JOIN c"; "" for single-relation queries
+	pushdown  string       // "count", "group-by", or ""
+}
+
+func (p *selectPlan) add(n planNode) { p.nodes = append(p.nodes, n) }
+
+// each visits every node in execution order, a view's nodes before the scan
+// node that consumes them.
+func (p *selectPlan) each(fn func(*planNode)) {
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		if n.view != nil {
+			n.view.each(fn)
+		}
+		fn(n)
+	}
+}
+
+// isSystemRelation reports whether name is a v_monitor / v_catalog virtual
+// table.
+func isSystemRelation(name string) bool {
+	name = strings.ToLower(name)
+	return strings.HasPrefix(name, "v_monitor.") || strings.HasPrefix(name, "v_catalog.")
+}
+
+// planRelation resolves one FROM/JOIN relation to its scan node. A base
+// table's node still needs planBaseScan.
+func (s *Session) planRelation(tr *vsql.TableRef, vis storage.Visibility) (planNode, error) {
+	n := planNode{op: opScan, target: tr.Name, est: estUnknown}
+	var err error
+	if isSystemRelation(tr.Name) {
+		n.detail = "system table (row source)"
+		n.rows, n.schema, err = s.systemTable(strings.ToLower(tr.Name), vis)
+		return n, err
+	}
+	if view, ok := s.cluster.cat.View(tr.Name); ok {
+		sub, err := vsql.Parse(view.SelectSQL)
+		if err != nil {
+			return n, fmt.Errorf("vertica: view %q definition: %w", view.Name, err)
+		}
+		subSel, ok := sub.(*vsql.Select)
+		if !ok {
+			return n, fmt.Errorf("vertica: view %q is not a SELECT", view.Name)
+		}
+		n.detail = "view expansion (row source)"
+		if n.view, err = s.planSelect(subSel, vis); err == nil {
+			n.schema = n.view.schema
+		}
+		return n, err
+	}
+	tbl, ok := s.cluster.cat.Table(tr.Name)
+	if !ok {
+		return n, fmt.Errorf("vertica: relation %q does not exist", tr.Name)
+	}
+	n.tbl, n.target, n.schema = tbl, tbl.Def.Name, tbl.Def.Schema
+	return n, nil
+}
+
+// planBaseScan fixes what a base-table scan visits: the hash-range conjuncts
+// prune segments, the residual compiles to typed kernels and zone checks, and
+// the surviving segments resolve to live replicas. The estimate is the
+// physical rows those replicas hold.
+func (s *Session) planBaseScan(n *planNode, where expr.Expr, opts scanOpts) error {
+	var residual expr.Expr
+	n.hr, residual = extractHashRange(where, n.tbl)
+	n.pred = vexec.Compile(residual, n.tbl.Def.Schema, n.tbl.SegIdx)
+	n.opts = opts
+	var err error
+	if n.jobs, err = s.buildSegJobs(n.tbl, n.hr); err != nil {
+		return err
+	}
+	n.est = 0
+	for _, j := range n.jobs {
+		n.est += int64(j.totalRows)
+	}
+	return nil
+}
+
+// planSelect is the only place a SELECT's shape is decided.
+func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPlan, error) {
+	if err := s.bindSelectFuncs(st); err != nil {
+		return nil, err
+	}
+	p := &selectPlan{vis: vis, nodes: make([]planNode, 0, 4), est: 1}
+	grouped := hasAggregates(st) || len(st.GroupBy) > 0
+	// LIMIT pushes into the scan only when each scanned row maps 1:1 to an
+	// output row: no aggregation, no grouping, no reordering.
+	scanLimit := int64(-1)
+	if !grouped && len(st.OrderBy) == 0 {
+		scanLimit = st.Limit
+	}
+	var (
+		schema   types.Schema // the pipeline's current schema; FROM-less: no columns
+		vec      *vecAgg
+		agg      *aggPlan
+		counted  bool   // the scan answers COUNT(*) itself
+		picked   bool   // the scan's column pick is the projection
+		fallback string // why a grouped query cannot take the vectorized kernels
+		err      error
+	)
+	switch {
+	case st.From == nil:
+		// One empty input row; the projection evaluates the items against it.
+
+	case len(st.Joins) > 0:
+		// Join inputs scan unfiltered: the WHERE clause may reference both
+		// sides, so it runs over the joined rows.
+		input := func(tr *vsql.TableRef) (planNode, error) {
+			n, err := s.planRelation(tr, vis)
+			if err == nil && n.tbl != nil {
+				err = s.planBaseScan(&n, nil, scanOpts{limit: -1})
+			}
+			return n, err
+		}
+		var steps []plannedJoin
+		steps, p.joinOrder = s.planJoins(st)
+		left, err := input(st.From)
+		if err != nil {
+			return nil, err
+		}
+		p.add(left)
+		schema = left.schema
+		// lref qualifies the left side's column names at the first join only;
+		// later steps see an already-qualified accumulated schema.
+		lref := st.From
+		for _, step := range steps {
+			right, err := input(&step.clause.Right)
+			if err != nil {
+				return nil, err
+			}
+			p.add(right)
+			n := planNode{op: opJoin, target: displayName(&step.clause.Right), est: step.est,
+				clause: step.clause, buildLeft: step.buildLeft}
+			if n.li, n.ri, n.schema, err = joinShape(schema, lref, right.schema, step.clause); err != nil {
+				return nil, err
+			}
+			p.add(n)
+			schema, lref, p.est = n.schema, nil, n.est
+		}
+		if st.Where != nil {
+			p.add(planNode{op: opFilter, est: p.est, detail: "post-join residual", where: st.Where, schema: schema})
+		}
+		fallback = "aggregate over a join"
+
+	default:
+		rel, err := s.planRelation(st.From, vis)
+		if err != nil {
+			return nil, err
+		}
+		if rel.tbl == nil {
+			p.est = estUnknown
+			p.add(rel)
+			schema = rel.schema
+			if st.Where != nil {
+				p.add(planNode{op: opFilter, est: p.est, detail: "residual over a row source", where: st.Where, schema: schema})
+			}
+			fallback = "aggregate over a non-base relation"
+			break
+		}
+		// Late materialization: the scan carries only the columns the SELECT
+		// list, aggregate arguments and GROUP BY touch. The WHERE clause needs
+		// none — it is evaluated on the column vectors.
+		full := rel.schema
+		opts := scanOpts{limit: scanLimit, gather: true}
+		switch {
+		case countPushdownEligible(st):
+			// Answered from selection-vector popcounts: no batch is kept.
+			p.pushdown, counted = "count", true
+			opts = scanOpts{limit: -1, countOnly: true}
+			name := st.Items[0].Alias
+			if name == "" {
+				name = "count"
+			}
+			rel.schema = types.Schema{Cols: []types.Column{{Name: name, T: types.Int64}}}
+		case grouped:
+			// An invalid aggregation is reported by the row path's plan below.
+			if ap, err := buildAggPlan(st, full); err == nil {
+				agg, vec = ap, vectorAggEligible(ap, full)
+			}
+			if vec != nil {
+				// Every column, consumed where it is scanned.
+				p.pushdown = "group-by"
+				opts = scanOpts{limit: -1}
+			} else {
+				fallback = "aggregation shape not eligible for vectorized kernels"
+				opts.cols, rel.schema = resolveNeedCols(full, neededColumns(st))
+			}
+		default:
+			if len(st.OrderBy) == 0 {
+				opts.cols, rel.schema, picked = columnPick(st.Items, full)
+			}
+			if !picked {
+				opts.cols, rel.schema = resolveNeedCols(full, neededColumns(st))
+			}
+		}
+		if err := s.planBaseScan(&rel, st.Where, opts); err != nil {
+			return nil, err
+		}
+		p.est = rel.est
+		p.add(rel)
+		schema = rel.schema
+	}
+
+	est := p.est
+	switch {
+	case counted:
+	case grouped:
+		n := planNode{op: opGroupBy, est: estUnknown, agg: agg, vec: vec, detail: "vectorized hash aggregation"}
+		if vec == nil {
+			n.detail = "row-at-a-time fallback: " + fallback
+			if n.agg, err = buildAggPlan(st, schema); err != nil {
+				return nil, err
+			}
+		}
+		schema, est = n.agg.out, estUnknown
+		n.schema = schema
+		p.add(n)
+	default:
+		n := planNode{op: opProject, est: est, schema: schema}
+		switch {
+		case picked:
+			n.detail = "column pick in the scan, no row boxed"
+		case len(st.Items) == 1 && st.Items[0].Star:
+			n.detail = "SELECT * passes rows through"
+		default:
+			n.detail = "expressions evaluated per row"
+			if st.From == nil {
+				n.detail = "FROM-less SELECT"
+			}
+			if n.schema, n.evals, err = selectShape(st.Items, schema); err != nil {
+				return nil, err
+			}
+		}
+		schema = n.schema
+		p.add(n)
+	}
+	if len(st.OrderBy) > 0 {
+		n := planNode{op: opSort, est: est, schema: schema, orderBy: st.OrderBy}
+		if n.sortIdx, err = orderIndexes(schema, st.OrderBy); err != nil {
+			return nil, err
+		}
+		p.add(n)
+	}
+	if st.Limit >= 0 {
+		p.add(planNode{op: opLimit, est: st.Limit, schema: schema, limit: st.Limit})
+	}
+	p.schema = schema
+	return p, nil
+}
+
+// countPushdownEligible reports whether a single-base-table SELECT is exactly
+// COUNT(*) — the engine half of the connector's COUNT pushdown (§3.1.1).
+func countPushdownEligible(st *vsql.Select) bool {
+	if len(st.GroupBy) > 0 || len(st.Items) != 1 {
+		return false
+	}
+	return st.Items[0].Agg == vsql.AggCount && st.Items[0].Arg == nil
+}
+
+// columnPick is the scan-shaped projection test — every item `*` or a bare
+// column of the table: the shape of every V2S partition query. It returns the
+// picked column indexes in output order (repeats allowed) and the aliased
+// output schema, so the result travels as the scan's own column batches.
+func columnPick(items []vsql.SelectItem, tbl types.Schema) (cols []int, out types.Schema, ok bool) {
+	for _, it := range items {
+		if it.Star {
+			for i, c := range tbl.Cols {
+				cols = append(cols, i)
+				out.Cols = append(out.Cols, c)
+			}
+			continue
+		}
+		col, isCol := it.Expr.(*expr.Col)
+		if !isCol {
+			return nil, types.Schema{}, false
+		}
+		i := tbl.ColIndex(col.Name)
+		if i < 0 {
+			return nil, types.Schema{}, false // the projection reports the error
+		}
+		name := it.Alias
+		if name == "" {
+			name = col.Name
+		}
+		cols = append(cols, i)
+		out.Cols = append(out.Cols, types.Column{Name: name, T: tbl.Cols[i].T})
+	}
+	return cols, out, true
+}
+
+// sizeContainers fills a base scan's plan-time container estimates: how many
+// ROS containers the chosen replicas hold and how many of them the predicate's
+// zone checks exclude, over the same jobs and predicate a run would use.
+func (n *planNode) sizeContainers() {
+	zoneable := n.pred.HasZoneChecks()
+	for _, job := range n.jobs {
+		for _, c := range job.store.Containers() {
+			n.estContainers++
+			switch {
+			case !zoneable:
+			case len(c.Stats()) != len(c.Cols):
+				n.estNoStats++
+			case n.pred.CanPrune(c.Stats(), c.RowCount):
+				n.estPruned++
+			}
+		}
+	}
+}
+
+// name is the node's PROFILE operator name.
+func (n *planNode) name() string {
+	if n.op == opScan {
+		return "scan " + n.target
+	}
+	return opNames[n.op]
+}
+
+// describe renders the node's detail: the plan-time decision plus its numeric
+// arguments, with the container estimates (EXPLAIN) or what the run observed
+// (PROFILE, actual).
+func (n *planNode) describe(actual bool) string {
+	d := n.detail
+	switch n.op {
+	case opScan:
+		if n.tbl == nil {
+			break
+		}
+		d = fmt.Sprintf("%d segments, %d kernels", len(n.jobs), n.pred.NumKernels())
+		if n.opts.countOnly {
+			d += ", count pushdown"
+		}
+		if n.opts.limit >= 0 {
+			d += fmt.Sprintf(", limit %d pushed down", n.opts.limit)
+		}
+		switch {
+		case actual && n.contPruned > 0:
+			d += fmt.Sprintf(", zone maps pruned %d/%d containers", n.contPruned, n.contSeen)
+		case !actual && n.pred.HasZoneChecks():
+			d += fmt.Sprintf(", zone maps prune %d/%d containers", n.estPruned, n.estContainers)
+			if n.estNoStats > 0 {
+				d += fmt.Sprintf(", %d carry no zone maps", n.estNoStats)
+			}
+		}
+	case opJoin:
+		d = fmt.Sprintf("hash join %s = %s, build %s side", n.clause.LeftCol, n.clause.RightCol, n.buildSide())
+	case opGroupBy:
+		if actual && n.vec != nil {
+			d += fmt.Sprintf(" (%s keys), %d groups", n.keyPath, n.rowsOut)
+		}
+	case opSort:
+		d = fmt.Sprintf("order by %d keys", len(n.orderBy))
+	case opLimit:
+		d = fmt.Sprintf("LIMIT %d", n.limit)
+	}
+	return d
+}
+
+func (n *planNode) buildSide() string {
+	if n.buildLeft {
+		return "left"
+	}
+	return "right"
+}
+
+// predictedEvent names the typed query event the plan already proves this
+// node will raise when run (see events.go), or "".
+func (n *planNode) predictedEvent() (obs.QueryEventType, string) {
+	switch {
+	case n.op == opGroupBy && n.vec == nil:
+		return obs.EvGroupByFallback, "aggregation will run on the row-at-a-time path"
+	case n.op == opScan && n.estNoStats > 0:
+		return obs.EvZoneMapPruneSkipped, "prunable predicate, but some containers carry no zone maps"
+	}
+	return "", ""
+}
+
+// estValue renders a planner estimate: SQL NULL for an unsized relation.
+func estValue(est int64) types.Value {
+	if est >= estUnknown {
+		return types.NullValue(types.Int64)
+	}
+	return types.IntValue(est)
+}
+
+// relation is what flows between plan nodes: a base scan's column batches
+// until an operator needs rows, rows from then on.
+type relation struct {
+	schema   types.Schema
+	batches  []*storage.Batch
+	rows     []types.Row
+	columnar bool
+	// loose marks rows from a view or system table: such row sets are
+	// type-permissive (a view's arithmetic column can mix INTEGER and FLOAT
+	// values) and are coerced to their declared schema before they columnize.
+	loose bool
+}
+
+func (r *relation) count() int64 {
+	if r.columnar {
+		return int64(storage.SelectedRows(r.batches))
+	}
+	return int64(len(r.rows))
+}
+
+// toRows boxes a columnar relation, once.
+func (r *relation) toRows() []types.Row {
+	if r.columnar {
+		r.rows, r.batches, r.columnar = storage.Materialize(r.batches), nil, false
+	}
+	return r.rows
+}
+
+// toBatches is the relation as join input. A base scan supplies its batches
+// directly, so none of its rows box before the join decides they matched.
+func (r *relation) toBatches() ([]*storage.Batch, error) {
+	if r.columnar {
+		return r.batches, nil
+	}
+	rows := r.rows
+	if r.loose {
+		rows = storage.CoerceRows(r.schema, rows)
+	}
+	return rowsBatch(rows, r.schema)
+}
+
+// run executes a plan: one pass over its nodes, each a switch arm over an
+// existing kernel. The first scan is the pipeline's left side; every later
+// scan is the right input of the join node that follows it. prof turns on
+// clock reads and the kernel/residual split (PROFILE only).
+func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, error) {
+	var cur, right relation
+	if p.nodes[0].op != opScan {
+		cur.rows = []types.Row{{}} // FROM-less input: one empty row
+	}
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		// The clock is read only under PROFILE: the common path stays free of
+		// time syscalls.
+		var start time.Time
+		if prof {
+			start = time.Now()
+		}
+		out := &cur
+		switch n.op {
+		case opScan:
+			if i > 0 {
+				out = &right
+			}
+			rel, err := s.runScan(n, p.vis, stats, prof)
+			if err != nil {
+				return cur, err
+			}
+			*out = rel
+
+		case opJoin:
+			lb, err := cur.toBatches()
+			if err != nil {
+				return cur, err
+			}
+			rb, err := right.toBatches()
+			if err != nil {
+				return cur, err
+			}
+			nLeft, nRight := cur.count(), right.count()
+			n.rowsIn, n.vecRows = nLeft+nRight, nLeft+nRight
+			cur = relation{rows: joinStep(lb, n.li, rb, n.ri, n.buildLeft, len(n.schema.Cols))}
+			buildRows := nRight
+			if n.buildLeft {
+				buildRows = nLeft
+			}
+			s.raiseJoinBuildEvent(buildRows, n.buildSide(), n.clause.LeftCol, n.clause.RightCol)
+
+		case opFilter:
+			rows := cur.toRows()
+			n.rowsIn, n.resRows = int64(len(rows)), int64(len(rows))
+			var err error
+			if cur.rows, err = filterRows(rows, cur.schema, n.where); err != nil {
+				return cur, err
+			}
+
+		case opGroupBy:
+			if n.vec != nil {
+				cur = relation{rows: runVecAgg(n, cur.batches, cur.schema)}
+				break
+			}
+			s.raiseEvent(obs.EvGroupByFallback, n.detail, 0, 0)
+			rows := cur.toRows()
+			n.rowsIn, n.resRows = int64(len(rows)), int64(len(rows))
+			var err error
+			if cur.rows, err = aggregate(n.agg, rows, cur.schema); err != nil {
+				return cur, err
+			}
+
+		case opProject:
+			n.rowsIn = cur.count()
+			if n.evals != nil {
+				var err error
+				if cur.rows, err = projectRows(cur.toRows(), n.evals); err != nil {
+					return cur, err
+				}
+			}
+
+		case opSort:
+			n.rowsIn = cur.count()
+			orderRows(cur.toRows(), n.sortIdx, n.orderBy)
+
+		case opLimit:
+			n.rowsIn = cur.count()
+			switch {
+			case n.rowsIn <= n.limit:
+			case cur.columnar:
+				cur.batches = limitBatches(cur.batches, n.limit)
+			default:
+				cur.rows = cur.rows[:n.limit]
+			}
+		}
+		out.schema = n.schema
+		if n.op != opScan {
+			n.rowsOut = out.count()
+		}
+		if prof {
+			n.dur = time.Since(start)
+		}
+	}
+	return cur, nil
+}
+
+// runScan produces one scan node's relation.
+func (s *Session) runScan(n *planNode, vis storage.Visibility, stats *scanStats, prof bool) (relation, error) {
+	if n.tbl != nil {
+		batches, count, err := s.scanBatches(n, vis, stats, prof)
+		if n.opts.countOnly {
+			return relation{rows: []types.Row{{types.IntValue(count)}}}, err
+		}
+		return relation{batches: batches, columnar: true}, err
+	}
+	rel := relation{rows: n.rows, loose: true}
+	if n.view != nil {
+		sub, err := s.run(n.view, stats, prof)
+		if err != nil {
+			return rel, err
+		}
+		rel.rows = sub.toRows()
+	}
+	n.rowsIn, n.rowsOut = int64(len(rel.rows)), int64(len(rel.rows))
+	return rel, nil
+}

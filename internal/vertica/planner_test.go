@@ -56,7 +56,8 @@ func TestExplainScanPruning(t *testing.T) {
 			t.Fatalf("explain col %d = %q, want %q", i, res.Schema.Cols[i].Name, w)
 		}
 	}
-	if len(res.Rows) != 1 {
+	// A plain scan is two operators, as PROFILE prints them: scan, project.
+	if len(res.Rows) != 2 || res.Rows[1][1].S != "project" {
 		t.Fatalf("explain rows: %v", res.Rows)
 	}
 	scan := res.Rows[0]
@@ -90,6 +91,28 @@ func TestExplainScanPruning(t *testing.T) {
 	}
 	if got := strings.Join(ops, ","); got != "scan,group-by,sort,limit" {
 		t.Fatalf("operators = %s", got)
+	}
+	// The planner does not size a group-by's output: est_rows is NULL, not
+	// the number of GROUP BY keys.
+	if grp := res.Rows[1]; !grp[3].Null {
+		t.Fatalf("group-by est_rows = %v, want NULL", grp[3])
+	}
+
+	// EXPLAIN plans exactly what would run, so a statement that cannot run has
+	// no plan: it fails with the executor's error.
+	for _, q := range []string{
+		"SELECT nosuch FROM pz",
+		"SELECT id FROM nosuch",
+		"SELECT id FROM pz JOIN nosuch ON pz.id = nosuch.id",
+		"SELECT id FROM pz ORDER BY nosuch",
+		"SELECT COUNT(*) FROM pz ORDER BY nosuch",
+		"SELECT id, COUNT(*) FROM pz",
+	} {
+		_, runErr := s.Execute(q)
+		_, planErr := s.Execute("EXPLAIN " + q)
+		if runErr == nil || planErr == nil || runErr.Error() != planErr.Error() {
+			t.Fatalf("%s:\n run     %v\n EXPLAIN %v", q, runErr, planErr)
+		}
 	}
 }
 
@@ -125,6 +148,28 @@ func TestExplainJoinOrder(t *testing.T) {
 		if r[1].S == "join" && !strings.Contains(r[6].S, "build right side") {
 			t.Fatalf("join against a smaller right side should build right: %v", r)
 		}
+	}
+
+	// An unsized relation (a view, a system table) has no estimate: est_rows
+	// is SQL NULL on its scan and from the join attaching it on, never the
+	// planner's internal "unknown" sentinel.
+	s.MustExecute("CREATE VIEW smallv AS SELECT id, tag FROM small")
+	res = s.MustExecute("EXPLAIN SELECT big.tag FROM big JOIN smallv ON big.id = smallv.id JOIN mid ON big.id = mid.id")
+	nulls := 0
+	for _, r := range res.Rows {
+		unsized := r[2].S == "smallv" // the view's scan and the join attaching it
+		if (unsized && !r[3].Null) || (r[1].S == "scan" && !unsized && r[3].Null) || r[3].I >= 1<<40 {
+			t.Fatalf("est_rows of %v", r)
+		}
+		if unsized {
+			nulls++
+		}
+	}
+	if nulls != 2 {
+		t.Fatalf("want the view's scan and its join unsized: %v", res.Rows)
+	}
+	if res = s.MustExecute("EXPLAIN SELECT * FROM v_catalog.tables"); !res.Rows[0][3].Null {
+		t.Fatalf("system table est_rows = %v, want NULL", res.Rows[0][3])
 	}
 
 	// The executed plan must agree with EXPLAIN's order.

@@ -1,10 +1,15 @@
 package vertica
 
-import "sync"
+import (
+	"sync"
 
-// planRecord is one completed SELECT's planning outcome, surfaced through
-// v_monitor.query_plans: what the cost-based planner chose (join order, build
-// sides, pushdowns) and how its estimates compared to reality.
+	"vsfabric/internal/types"
+)
+
+// planRecord is one completed SELECT's plan, summarized: what the planner
+// chose (join order, pushdowns) and how its estimates compared to what the
+// run observed. It is the row of v_monitor.query_plans and of the spooled
+// dc_query_plans.
 type planRecord struct {
 	ID    uint64
 	Query string
@@ -14,8 +19,8 @@ type planRecord struct {
 	// JoinOrder lists the relations in the order the planner attached them
 	// ("orders JOIN customers JOIN regions"); empty for single-table queries.
 	JoinOrder string
-	// EstRows is the planner's input-cardinality estimate; ActualRows the
-	// result-set size actually produced.
+	// EstRows is the planner's input-cardinality estimate (estUnknown when the
+	// source is unsized: SQL NULL); ActualRows the result-set size produced.
 	EstRows    int64
 	ActualRows int64
 	// ContainersScanned / ContainersPruned count ROS containers decoded vs
@@ -23,17 +28,49 @@ type planRecord struct {
 	ContainersScanned int64
 	ContainersPruned  int64
 	// Pushdown names the scan-level short-circuit taken ("count", "group-by",
-	// or "" for a plain scan); Vectorized reports whether the batch pipeline
-	// ran (false when no base table was scanned: system tables, FROM-less).
-	Pushdown   string
-	Vectorized bool
-	Epoch      uint64
+	// or "" for a plain scan).
+	Pushdown string
+	Epoch    uint64
 }
 
-// planTracker keeps a bounded in-memory ring of query plans.
+var queryPlansSchema = types.NewSchema(
+	types.Column{Name: "plan_id", T: types.Int64},
+	types.Column{Name: "query", T: types.Varchar},
+	types.Column{Name: "anchor_table", T: types.Varchar},
+	types.Column{Name: "join_order", T: types.Varchar},
+	types.Column{Name: "estimated_rows", T: types.Int64},
+	types.Column{Name: "actual_rows", T: types.Int64},
+	types.Column{Name: "containers_scanned", T: types.Int64},
+	types.Column{Name: "containers_pruned", T: types.Int64},
+	types.Column{Name: "pushdown", T: types.Varchar},
+	types.Column{Name: "vectorized", T: types.Bool},
+	types.Column{Name: "epoch", T: types.Int64},
+)
+
+func (p planRecord) row() types.Row {
+	return types.Row{
+		types.IntValue(int64(p.ID)),
+		types.StringValue(p.Query),
+		types.StringValue(p.Table),
+		types.StringValue(p.JoinOrder),
+		estValue(p.EstRows),
+		types.IntValue(p.ActualRows),
+		types.IntValue(p.ContainersScanned),
+		types.IntValue(p.ContainersPruned),
+		types.StringValue(p.Pushdown),
+		// Only plans that scanned a base table are recorded, and every base
+		// scan runs on the batch pipeline.
+		types.BoolValue(true),
+		types.IntValue(int64(p.Epoch)),
+	}
+}
+
+// planTracker keeps a bounded in-memory ring of query plans: once full, the
+// plan with ID i overwrites slot (i-1) % planHistory, so recording a plan
+// never copies the history.
 type planTracker struct {
 	mu   sync.Mutex
-	next uint64
+	next uint64 // plans recorded so far
 	recs []planRecord
 }
 
@@ -47,44 +84,44 @@ func (t *planTracker) record(r planRecord) planRecord {
 	defer t.mu.Unlock()
 	t.next++
 	r.ID = t.next
-	t.recs = append(t.recs, r)
-	if len(t.recs) > planHistory {
-		t.recs = append(t.recs[:0:0], t.recs[len(t.recs)-planHistory:]...)
+	if len(t.recs) < planHistory {
+		t.recs = append(t.recs, r)
+	} else {
+		t.recs[(r.ID-1)%planHistory] = r
 	}
 	return r
 }
 
+// snapshot returns the retained plans, oldest first.
 func (t *planTracker) snapshot() []planRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]planRecord(nil), t.recs...)
+	oldest := 0
+	if len(t.recs) == planHistory {
+		oldest = int(t.next % planHistory)
+	}
+	return append(append([]planRecord(nil), t.recs[oldest:]...), t.recs[:oldest]...)
 }
 
-// recordPlan files a completed SELECT's planning outcome. Queries that never
-// planned a base-table scan (system tables, FROM-less selects) leave no
+// recordPlan summarizes a run plan into v_monitor.query_plans. Queries that
+// never scanned a base table (system tables, FROM-less selects) leave no
 // record; the monitoring tables must not observe themselves.
-func (s *Session) recordPlan(stats *scanStats, rowsOut int, epoch uint64) {
-	if stats.table == "" {
-		return
+func (s *Session) recordPlan(p *selectPlan, rowsOut int, epoch uint64) {
+	rec := planRecord{
+		Query: s.curSQL, JoinOrder: p.joinOrder, EstRows: p.est,
+		ActualRows: int64(rowsOut), Pushdown: p.pushdown, Epoch: epoch,
 	}
-	est := stats.estRows
-	if est == 0 {
-		// Plain scans estimate input cardinality as the physical rows visited.
-		for _, n := range stats.scanRows {
-			est += int64(n)
+	p.each(func(n *planNode) {
+		if n.tbl == nil {
+			return
 		}
-	}
-	rec := s.cluster.plans.record(planRecord{
-		Query:             s.curSQL,
-		Table:             stats.table,
-		JoinOrder:         stats.joinOrder,
-		EstRows:           est,
-		ActualRows:        int64(rowsOut),
-		ContainersScanned: stats.contScanned,
-		ContainersPruned:  stats.contPruned,
-		Pushdown:          stats.pushdown,
-		Vectorized:        stats.vectorized,
-		Epoch:             epoch,
+		if rec.Table == "" {
+			rec.Table = n.tbl.Def.Name
+		}
+		rec.ContainersScanned += n.contSeen - n.contPruned
+		rec.ContainersPruned += n.contPruned
 	})
-	s.cluster.dcAppendPlan(rec)
+	if rec.Table != "" {
+		s.cluster.dcAppendPlan(s.cluster.plans.record(rec))
+	}
 }

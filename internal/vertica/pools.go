@@ -129,7 +129,7 @@ func (s *Session) admitStmt(ctx context.Context, stmt vsql.Statement) (func(), e
 	var mem int64
 	switch stmt.(type) {
 	case *vsql.Select, *vsql.Profile:
-		if systemRead(stmt) {
+		if s.sysStmt {
 			return nil, nil
 		}
 		kind, mem = "select", selectMemEstimate
@@ -221,24 +221,22 @@ func resourcePoolRows(m *pool.Manager) ([]types.Row, types.Schema, error) {
 	return rows, schema, nil
 }
 
-// resourceQueueEventRows renders v_monitor.resource_queue_events.
-func resourceQueueEventRows(m *pool.Manager) ([]types.Row, types.Schema, error) {
-	schema := types.NewSchema(
-		types.Column{Name: "event_time", T: types.Varchar},
-		types.Column{Name: "pool_name", T: types.Varchar},
-		types.Column{Name: "outcome", T: types.Varchar},
-		types.Column{Name: "queue_wait_us", T: types.Int64},
-		types.Column{Name: "request_type", T: types.Varchar},
-	)
-	var rows []types.Row
-	for _, ev := range m.Events() {
-		rows = append(rows, types.Row{
-			types.StringValue(ev.Time.Format(time.RFC3339Nano)),
-			types.StringValue(ev.Pool),
-			types.StringValue(ev.Outcome),
-			types.IntValue(ev.Wait.Microseconds()),
-			types.StringValue(ev.Detail),
-		})
+// queueEventsSchema and queueEventRow define v_monitor.resource_queue_events
+// and its spooled dc twin.
+var queueEventsSchema = types.NewSchema(
+	types.Column{Name: "event_time", T: types.Varchar},
+	types.Column{Name: "pool_name", T: types.Varchar},
+	types.Column{Name: "outcome", T: types.Varchar},
+	types.Column{Name: "queue_wait_us", T: types.Int64},
+	types.Column{Name: "request_type", T: types.Varchar},
+)
+
+func queueEventRow(ev pool.QueueEvent) types.Row {
+	return types.Row{
+		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
+		types.StringValue(ev.Pool),
+		types.StringValue(ev.Outcome),
+		types.IntValue(ev.Wait.Microseconds()),
+		types.StringValue(ev.Detail),
 	}
-	return rows, schema, nil
 }

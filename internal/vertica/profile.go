@@ -8,32 +8,6 @@ import (
 	"vsfabric/internal/vsql"
 )
 
-// opStat is one operator line of a PROFILE result: how many rows flowed in
-// and out, how the filtering work split between compiled kernels and the
-// interpreted residual, and the operator's wall-clock cost.
-type opStat struct {
-	name    string
-	rowsIn  int64
-	rowsOut int64
-	vecRows int64 // rows the typed kernels examined (vectorized work)
-	resRows int64 // rows the interpreted residual examined
-	dur     time.Duration
-	detail  string
-}
-
-// queryProfile accumulates operator stats while a profiled SELECT runs.
-// Operators append in execution order on the coordinating goroutine (parallel
-// segment scans fold their per-segment counts at the merge, so no locking).
-type queryProfile struct {
-	ops []opStat
-}
-
-func (qp *queryProfile) add(op opStat) {
-	if qp != nil {
-		qp.ops = append(qp.ops, op)
-	}
-}
-
 // profileSchema is the PROFILE statement's result-set contract (documented
 // in DESIGN.md): one row per operator, execution order, "total" last.
 var profileSchema = types.Schema{Cols: []types.Column{
@@ -46,17 +20,27 @@ var profileSchema = types.Schema{Cols: []types.Column{
 	{Name: "detail", T: types.Varchar},
 }}
 
-// executeProfile runs PROFILE <select>: the wrapped query executes normally
-// (same snapshot rules, same pushdowns) with per-operator instrumentation
-// switched on, and the profile — not the query's rows — comes back as the
-// result set.
+// executeProfile is plan + run + render: PROFILE <select> executes the
+// wrapped query normally (same snapshot rules, same plan) with the clock and
+// the kernel/residual split switched on, and the plan's actuals — not the
+// query's rows — come back as the result set.
 func (s *Session) executeProfile(p *vsql.Profile) (*Result, error) {
-	qp := &queryProfile{}
 	start := time.Now()
-	res, err := s.executeSelectProf(p.Select, qp)
+	res, plan, err := s.runSelect(p.Select, true)
 	if err != nil {
 		return nil, err
 	}
+	var rows []types.Row
+	add := func(name string, rowsIn, rowsOut, vecRows, resRows int64, dur time.Duration, detail string) {
+		rows = append(rows, types.Row{
+			types.StringValue(name), types.IntValue(rowsIn), types.IntValue(rowsOut),
+			types.IntValue(vecRows), types.IntValue(resRows),
+			types.IntValue(dur.Microseconds()), types.StringValue(detail),
+		})
+	}
+	plan.each(func(n *planNode) {
+		add(n.name(), n.rowsIn, n.rowsOut, n.vecRows, n.resRows, n.dur, n.describe(true))
+	})
 	// Inline query events: everything the statement raised while executing,
 	// rendered as pseudo-operators ahead of the "total" row. Value and
 	// threshold land in the detail column — their unit varies by event type.
@@ -67,25 +51,8 @@ func (s *Session) executeProfile(p *vsql.Profile) (*Result, error) {
 		} else if ev.Value != 0 {
 			detail = fmt.Sprintf("%s (value %d)", detail, ev.Value)
 		}
-		qp.add(opStat{name: "event: " + string(ev.Type), detail: detail})
+		add("event: "+string(ev.Type), 0, 0, 0, 0, 0, detail)
 	}
-	qp.add(opStat{
-		name:    "total",
-		rowsOut: int64(res.NumRows()),
-		dur:     time.Since(start),
-		detail:  fmt.Sprintf("epoch %d", res.Epoch),
-	})
-	rows := make([]types.Row, 0, len(qp.ops))
-	for _, op := range qp.ops {
-		rows = append(rows, types.Row{
-			types.StringValue(op.name),
-			types.IntValue(op.rowsIn),
-			types.IntValue(op.rowsOut),
-			types.IntValue(op.vecRows),
-			types.IntValue(op.resRows),
-			types.IntValue(op.dur.Microseconds()),
-			types.StringValue(op.detail),
-		})
-	}
+	add("total", 0, int64(res.NumRows()), 0, 0, time.Since(start), fmt.Sprintf("epoch %d", res.Epoch))
 	return &Result{Schema: profileSchema, Rows: rows, Epoch: res.Epoch}, nil
 }

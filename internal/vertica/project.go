@@ -4,58 +4,29 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"vsfabric/internal/expr"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vsql"
 )
 
-// project applies the SELECT list — star expansion, scalar expressions,
-// aggregates with optional GROUP BY — and the LIMIT clause. qp, when non-nil,
-// receives the group-by operator's profile row.
-func project(st *vsql.Select, rows []types.Row, schema types.Schema, qp *queryProfile) ([]types.Row, types.Schema, error) {
-	var out []types.Row
-	var outSchema types.Schema
-	var err error
-	if hasAggregates(st) || len(st.GroupBy) > 0 {
-		aggStart := profClock(qp)
-		out, outSchema, err = aggregate(st, rows, schema)
-		if qp != nil && err == nil {
-			qp.add(opStat{
-				name: "group-by", rowsIn: int64(len(rows)), rowsOut: int64(len(out)),
-				resRows: int64(len(rows)), dur: time.Since(aggStart),
-				detail: "row-at-a-time fallback",
-			})
-		}
-	} else {
-		out, outSchema, err = projectScalar(st, rows, schema)
-	}
-	if err != nil {
-		return nil, types.Schema{}, err
-	}
-	if len(st.OrderBy) > 0 {
-		if err := orderRows(out, outSchema, st.OrderBy); err != nil {
-			return nil, types.Schema{}, err
+// This file holds the row-native operators a plan's project, group-by and
+// sort nodes run: scalar projection, row-at-a-time aggregation, ordering.
+
+// orderIndexes resolves ORDER BY keys against the result schema.
+func orderIndexes(schema types.Schema, keys []vsql.OrderItem) ([]int, error) {
+	idx := make([]int, len(keys))
+	for i, k := range keys {
+		if idx[i] = schema.ColIndex(k.Col); idx[i] < 0 {
+			return nil, fmt.Errorf("vertica: ORDER BY column %q not in result", k.Col)
 		}
 	}
-	if st.Limit >= 0 && int64(len(out)) > st.Limit {
-		out = out[:st.Limit]
-	}
-	return out, outSchema, nil
+	return idx, nil
 }
 
 // orderRows sorts the result set by the ORDER BY keys (NULLs first, per the
 // engine's comparison semantics).
-func orderRows(rows []types.Row, schema types.Schema, keys []vsql.OrderItem) error {
-	idx := make([]int, len(keys))
-	for i, k := range keys {
-		j := schema.ColIndex(k.Col)
-		if j < 0 {
-			return fmt.Errorf("vertica: ORDER BY column %q not in result", k.Col)
-		}
-		idx[i] = j
-	}
+func orderRows(rows []types.Row, idx []int, keys []vsql.OrderItem) {
 	sort.SliceStable(rows, func(a, b int) bool {
 		for i, k := range keys {
 			c := types.Compare(rows[a][idx[i]], rows[b][idx[i]])
@@ -69,44 +40,33 @@ func orderRows(rows []types.Row, schema types.Schema, keys []vsql.OrderItem) err
 		}
 		return false
 	})
-	return nil
 }
 
-// project2 is project for view expansion (the view's own SELECT list shapes
-// the rows the outer query sees).
-func project2(st *vsql.Select, rows []types.Row, schema types.Schema) ([]types.Row, types.Schema, error) {
-	return project(st, rows, schema, nil)
-}
+// rowEval computes one output cell from an input row.
+type rowEval func(types.Row) (types.Value, error)
 
-func projectScalar(st *vsql.Select, rows []types.Row, schema types.Schema) ([]types.Row, types.Schema, error) {
-	// Fast path: SELECT * alone keeps rows as-is.
-	if len(st.Items) == 1 && st.Items[0].Star {
-		return rows, schema, nil
-	}
-	outSchema, evals, err := selectShape(st.Items, schema)
-	if err != nil {
-		return nil, types.Schema{}, err
-	}
+// projectRows evaluates the select list over each row.
+func projectRows(rows []types.Row, evals []rowEval) ([]types.Row, error) {
 	out := make([]types.Row, len(rows))
 	for i, r := range rows {
 		row := make(types.Row, len(evals))
 		for j, ev := range evals {
 			v, err := ev(r)
 			if err != nil {
-				return nil, types.Schema{}, err
+				return nil, err
 			}
 			row[j] = v
 		}
 		out[i] = row
 	}
-	return out, outSchema, nil
+	return out, nil
 }
 
 // selectShape resolves non-aggregate select items to output columns and
 // row-evaluator closures.
-func selectShape(items []vsql.SelectItem, schema types.Schema) (types.Schema, []func(types.Row) (types.Value, error), error) {
+func selectShape(items []vsql.SelectItem, schema types.Schema) (types.Schema, []rowEval, error) {
 	var outSchema types.Schema
-	var evals []func(types.Row) (types.Value, error)
+	var evals []rowEval
 	for _, it := range items {
 		if it.Star {
 			for ci, c := range schema.Cols {
@@ -257,25 +217,31 @@ type aggItemPlan struct {
 	groupCol int // index into groupIdx for plain columns
 }
 
+// aggPlan is a validated aggregation: one item plan per select item, the
+// GROUP BY column indexes into the input schema, and the output schema. The
+// row-at-a-time aggregate() and the vectorized kernels both run from it, so
+// both type results identically.
+type aggPlan struct {
+	items    []aggItemPlan
+	groupIdx []int
+	out      types.Schema
+}
+
 // buildAggPlan validates an aggregation's select items against the input
-// schema and builds the item plans, the GROUP BY column indexes, and the
-// output schema. Shared by the row-at-a-time aggregate() and the vectorized
-// pushdown (tryVectorizedAgg) so both type results identically.
-func buildAggPlan(st *vsql.Select, schema types.Schema) ([]aggItemPlan, []int, types.Schema, error) {
-	groupIdx := make([]int, 0, len(st.GroupBy))
+// schema.
+func buildAggPlan(st *vsql.Select, schema types.Schema) (*aggPlan, error) {
+	ap := &aggPlan{groupIdx: make([]int, 0, len(st.GroupBy)), items: make([]aggItemPlan, 0, len(st.Items))}
 	for _, g := range st.GroupBy {
 		i := schema.ColIndex(g)
 		if i < 0 {
-			return nil, nil, types.Schema{}, fmt.Errorf("vertica: GROUP BY column %q not found", g)
+			return nil, fmt.Errorf("vertica: GROUP BY column %q not found", g)
 		}
-		groupIdx = append(groupIdx, i)
+		ap.groupIdx = append(ap.groupIdx, i)
 	}
-	var outSchema types.Schema
-	plans := make([]aggItemPlan, 0, len(st.Items))
 	for _, it := range st.Items {
 		switch {
 		case it.Star:
-			return nil, nil, types.Schema{}, fmt.Errorf("vertica: SELECT * cannot be mixed with aggregates")
+			return nil, fmt.Errorf("vertica: SELECT * cannot be mixed with aggregates")
 		case it.Agg != "":
 			name := it.Alias
 			if name == "" {
@@ -290,41 +256,37 @@ func buildAggPlan(st *vsql.Select, schema types.Schema) ([]aggItemPlan, []int, t
 					t = at
 				}
 			}
-			outSchema.Cols = append(outSchema.Cols, types.Column{Name: name, T: t})
-			plans = append(plans, aggItemPlan{agg: it.Agg, arg: it.Arg, groupCol: -1})
+			ap.out.Cols = append(ap.out.Cols, types.Column{Name: name, T: t})
+			ap.items = append(ap.items, aggItemPlan{agg: it.Agg, arg: it.Arg, groupCol: -1})
 		default:
 			col, ok := it.Expr.(*expr.Col)
 			if !ok {
-				return nil, nil, types.Schema{}, fmt.Errorf("vertica: non-aggregate select item must be a grouping column")
+				return nil, fmt.Errorf("vertica: non-aggregate select item must be a grouping column")
 			}
 			gi := -1
-			for k, idx := range groupIdx {
+			for k, idx := range ap.groupIdx {
 				if schema.ColIndex(col.Name) == idx {
 					gi = k
 					break
 				}
 			}
 			if gi < 0 {
-				return nil, nil, types.Schema{}, fmt.Errorf("vertica: column %q must appear in GROUP BY", col.Name)
+				return nil, fmt.Errorf("vertica: column %q must appear in GROUP BY", col.Name)
 			}
 			name := it.Alias
 			if name == "" {
 				name = col.Name
 			}
-			outSchema.Cols = append(outSchema.Cols, types.Column{Name: name, T: schema.Cols[groupIdx[gi]].T})
-			plans = append(plans, aggItemPlan{groupCol: gi})
+			ap.out.Cols = append(ap.out.Cols, types.Column{Name: name, T: schema.Cols[ap.groupIdx[gi]].T})
+			ap.items = append(ap.items, aggItemPlan{groupCol: gi})
 		}
 	}
-	return plans, groupIdx, outSchema, nil
+	return ap, nil
 }
 
-// aggregate evaluates aggregates with optional GROUP BY. Non-aggregate items
-// must be grouping columns.
-func aggregate(st *vsql.Select, rows []types.Row, schema types.Schema) ([]types.Row, types.Schema, error) {
-	plans, groupIdx, outSchema, err := buildAggPlan(st, schema)
-	if err != nil {
-		return nil, types.Schema{}, err
-	}
+// aggregate evaluates aggregates with optional GROUP BY, row at a time.
+func aggregate(ap *aggPlan, rows []types.Row, schema types.Schema) ([]types.Row, error) {
+	plans, groupIdx := ap.items, ap.groupIdx
 
 	type group struct {
 		key    []types.Value
@@ -379,7 +341,7 @@ func aggregate(st *vsql.Select, rows []types.Row, schema types.Schema) ([]types.
 				var err error
 				v, err = pl.arg.Eval(r, &schema)
 				if err != nil {
-					return nil, types.Schema{}, err
+					return nil, err
 				}
 			}
 			g.states[i].update(pl.agg, v, pl.arg == nil)
@@ -398,5 +360,5 @@ func aggregate(st *vsql.Select, rows []types.Row, schema types.Schema) ([]types.
 		}
 		out = append(out, row)
 	}
-	return out, outSchema, nil
+	return out, nil
 }

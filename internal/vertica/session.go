@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"vsfabric/internal/obs"
@@ -95,7 +94,8 @@ type Session struct {
 	poolName string
 
 	// Query-event state, reset per statement: sysStmt marks monitoring reads
-	// (they never raise events), curTrace is the statement's trace id, and
+	// (they raise no events, take no pool slot, open no execute span and are
+	// served by a RECOVERING node), curTrace is the statement's trace id, and
 	// stmtEvents accumulates the typed events the statement raised (PROFILE
 	// renders them inline).
 	sysStmt    bool
@@ -248,7 +248,7 @@ func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlTe
 // tables are exempt: monitoring queries must not pollute the history they
 // observe.
 func (s *Session) startExecSpan(ctx context.Context, stmt vsql.Statement, sqlText string) *obs.ActiveSpan {
-	if systemRead(stmt) {
+	if s.sysStmt {
 		return nil
 	}
 	sp := obs.StartChild(ctx, s.cluster.mon, "execute", s.node.Name)
@@ -263,13 +263,14 @@ func (s *Session) startExecSpan(ctx context.Context, stmt vsql.Statement, sqlTex
 	return sp
 }
 
-// systemRead reports whether stmt is a SELECT over a system table.
+// systemRead reports whether stmt is a SELECT, or the PROFILE of one, over a
+// system table.
 func systemRead(stmt vsql.Statement) bool {
-	sel, ok := stmt.(*vsql.Select)
-	if !ok || sel.From == nil {
-		return false
+	sel, _ := stmt.(*vsql.Select)
+	if p, ok := stmt.(*vsql.Profile); ok {
+		sel = p.Select
 	}
-	return strings.HasPrefix(sel.From.Name, "v_monitor.") || strings.HasPrefix(sel.From.Name, "v_catalog.")
+	return sel != nil && sel.From != nil && isSystemRelation(sel.From.Name)
 }
 
 // dispatch routes a parsed statement to its executor.
@@ -284,7 +285,7 @@ func (s *Session) dispatch(ctx context.Context, stmt vsql.Statement) (*Result, e
 		// v_monitor.node_states through the node itself); everything else
 		// waits for the catch-up to finish and reports as a transient
 		// node-down condition so resilient clients fail over.
-		if !systemRead(stmt) {
+		if !s.sysStmt {
 			return nil, fmt.Errorf("%w: node %d is recovering", ErrNodeDown, s.node.ID)
 		}
 	}
@@ -479,9 +480,9 @@ func (s *Session) record(e sim.Event) {
 
 // vis returns the read context for the current statement: the open
 // transaction's view, or a fresh read-committed snapshot.
-func (s *Session) vis() visibility {
+func (s *Session) vis() storage.Visibility {
 	if s.tx != nil {
-		return visibility{v: s.tx.Vis()}
+		return s.tx.Vis()
 	}
-	return visibility{v: snapshotVis(s.cluster)}
+	return snapshotVis(s.cluster)
 }

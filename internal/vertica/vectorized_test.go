@@ -63,13 +63,17 @@ func buildRandomTable(t *testing.T, s *Session, c *Cluster, rng *rand.Rand, n in
 	insert(2*n/3, n)
 }
 
-// scanRows is how the row-native operators read a base table (relationRows):
-// scanBatches with the needed columns resolved, then materialize.
-func scanRows(s *Session, tbl *catalog.Table, where expr.Expr, vis storage.Visibility, opts scanOpts) ([]types.Row, int64, types.Schema, error) {
-	var schema types.Schema
-	opts.cols, schema = resolveNeedCols(tbl.Def.Schema, opts.needCols)
-	batches, count, err := s.scanBatches(tbl, where, vis, newScanStats(), opts)
-	return storage.Materialize(batches), count, schema, err
+// scanRows is how the row-native operators read a base table: a planned scan
+// node carrying the needed columns, run through scanBatches, then
+// materialized.
+func scanRows(s *Session, tbl *catalog.Table, where expr.Expr, vis storage.Visibility, opts scanOpts, needCols ...string) ([]types.Row, int64, types.Schema, error) {
+	n := planNode{op: opScan, tbl: tbl}
+	opts.cols, n.schema = resolveNeedCols(tbl.Def.Schema, needCols)
+	if err := s.planBaseScan(&n, where, opts); err != nil {
+		return nil, 0, n.schema, err
+	}
+	batches, count, err := s.scanBatches(&n, vis, newScanStats(), false)
+	return storage.Materialize(batches), count, n.schema, err
 }
 
 // TestScanTableMatchesRowAtATime is the end-to-end property test: the
@@ -108,7 +112,8 @@ func TestScanTableMatchesRowAtATime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference scan %q: %v", cond, err)
 		}
-		wantRows, wantSchema, err := filterRows(allRows, tbl.Def.Schema, where, -1)
+		wantSchema := tbl.Def.Schema
+		wantRows, err := filterRows(allRows, wantSchema, where)
 		if err != nil {
 			t.Fatalf("reference filter %q: %v", cond, err)
 		}
@@ -147,8 +152,7 @@ func TestScanTableNeedCols(t *testing.T) {
 	s.MustExecute("INSERT INTO t VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, 3.5, 'c')")
 	tbl, _ := c.Catalog().Table("t")
 	vis := snapshotVis(c)
-	rows, _, schema, err := scanRows(s, tbl, parseWhere(t, "val > 2.0"), vis,
-		scanOpts{limit: -1, needCols: []string{"name"}})
+	rows, _, schema, err := scanRows(s, tbl, parseWhere(t, "val > 2.0"), vis, scanOpts{limit: -1}, "name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +168,7 @@ func TestScanTableNeedCols(t *testing.T) {
 		}
 	}
 	// Unresolvable names fall back to the full schema rather than failing.
-	rows, _, schema, err = scanRows(s, tbl, nil, vis,
-		scanOpts{limit: -1, needCols: []string{"nope"}})
+	rows, _, schema, err = scanRows(s, tbl, nil, vis, scanOpts{limit: -1}, "nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +284,24 @@ func TestSelectShapesMatchOracle(t *testing.T) {
 		"SELECT COUNT(*) FROM t WHERE id >= 100",
 		"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp",
 		"SELECT id FROM t WHERE grp = 5 LIMIT 4",
+		"SELECT COUNT(*) AS n FROM t WHERE id < 50 ORDER BY n LIMIT 1",
+		"SELECT COUNT(*) FROM t LIMIT 0",
 	} {
 		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
+	}
+	// Sort is a plan node every shape passes through: the COUNT(*) pushdown
+	// rejects an unknown ORDER BY key exactly as the view path and the oracle do.
+	s.MustExecute("CREATE VIEW tv AS SELECT id, grp FROM t")
+	for _, q := range []string{"SELECT COUNT(*) FROM t ORDER BY nosuch", "SELECT COUNT(*) FROM tv ORDER BY nosuch"} {
+		stmt, err := vsql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, want := oracleRows(s, stmt.(*vsql.Select), snapshotVis(c))
+		if _, err = s.Execute(q); err == nil || want == nil || err.Error() != want.Error() ||
+			!strings.Contains(err.Error(), `ORDER BY column "nosuch" not in result`) {
+			t.Fatalf("%s: engine %v, oracle %v", q, err, want)
+		}
 	}
 }
 
