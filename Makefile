@@ -22,9 +22,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Crash-recovery smoke: the WAL/persistence units plus the kill-and-restart
-# chaos suite (crash at every WAL record boundary), under the race detector.
+# Crash-recovery smoke: the frame-log/WAL/persistence units plus the
+# kill-and-restart chaos suite (crash at every WAL record boundary), under the
+# race detector.
 recover-test:
+	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
 	$(GO) test -race -run 'Persist|Marshal|Encode|ContainerCache|DrainCommitted|MoveoutContainerOrder|LoadWOS' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
@@ -51,13 +53,15 @@ wire-test: wire-fuzz
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 
-# Five seconds of native fuzzing on each wire decoder, the batch-frame payload
-# codec (storage.DecodeColumns) included.
+# Five seconds of native fuzzing on each decoder of untrusted bytes: the wire
+# frames, the batch-frame payload codec (storage.DecodeColumns) and the
+# WAL/data-collector frame scanner (framelog.Scan).
 wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinErrorDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzDecodeColumns -fuzztime 5s ./internal/storage/
+	$(GO) test -race -run xxx -fuzz FuzzScan -fuzztime 5s ./internal/framelog/
 
 # Closed-loop wire benchmark at smoke scale: diffs the wire's result set
 # against the in-process one cell by cell and checks admission control bounds

@@ -4,11 +4,11 @@
 // v_monitor.dc_* tables can answer "what happened before the crash".
 //
 // Each component owns a directory of size-bounded rotating segment files.
-// Records are CRC32-framed ([u32 len][u32 crc][u64 unixnano + payload], the
-// WAL's framing), written straight through to the file descriptor — no
-// userspace buffering — so every acknowledged Append survives a process
-// kill; only a torn tail (a crash mid-frame) is lost, and reopening
-// truncates it away. Retention policies (max KB + max age, the
+// A segment is an internal/framelog file (the WAL's framing) whose payloads
+// are [u64 unixnano][record], written straight through to the file
+// descriptor — no userspace buffering — so every acknowledged Append
+// survives a process kill; only a torn tail (a crash mid-frame) is lost, and
+// reopening truncates it away. Retention policies (max KB + max age, the
 // SET_DATA_COLLECTOR_POLICY knobs) prune whole closed segments oldest-first;
 // the active segment is never pruned.
 package dc
@@ -16,29 +16,29 @@ package dc
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"vsfabric/internal/framelog"
 )
 
-var segMagic = []byte("VDCSEG01")
+const segMagic = "VDCSEG01"
+
+// format is a segment's framing: the file magic, and the bound on one
+// timestamped record that Append and the scan both enforce. Never assigned.
+var format = framelog.Format{Magic: segMagic, MaxPayload: 1 << 28}
 
 // ErrCrashed is returned by every operation after a simulated crash
 // (FailAfterRecords) tears the active segment.
-var ErrCrashed = errors.New("dc: simulated crash")
+var ErrCrashed = framelog.ErrCrashed
 
 // DefaultMaxKB is the per-component disk budget when no policy is set.
 const DefaultMaxKB = 256
-
-// maxFrame bounds a single record's payload (guards scans against garbage
-// length prefixes).
-const maxFrame = 1 << 28
 
 // Policy is one component's retention policy: keep at most MaxKB kilobytes
 // of segments, and drop segments whose newest record is older than MaxAge
@@ -90,12 +90,12 @@ type segment struct {
 
 // component is one spooled stream (query_requests, job_traces, ...).
 type component struct {
-	name   string
 	dir    string
 	pol    Policy
 	closed []*segment // oldest first
 	active *segment
-	f      *os.File // active segment's descriptor
+	w      *framelog.Writer // active segment, write-through
+	tear   *framelog.Tear   // the spool's
 }
 
 // ComponentStats describes one component's on-disk state.
@@ -115,8 +115,7 @@ type Spool struct {
 	dir   string
 	comps map[string]*component
 
-	crashed   bool
-	failAfter int64 // <0 = disabled; 0 = crash on next append
+	tear framelog.Tear // counts appends across all components
 }
 
 // Open opens (or creates) the data-collector directory rooted at dir, with
@@ -128,13 +127,13 @@ func Open(dir string, components []string) (*Spool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Spool{dir: dir, comps: make(map[string]*component, len(components)), failAfter: -1}
+	s := &Spool{dir: dir, comps: make(map[string]*component, len(components))}
 	pols, err := loadPolicies(filepath.Join(dir, "policies.json"))
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range components {
-		c := &component{name: name, dir: filepath.Join(dir, name), pol: pols[name]}
+		c := &component{dir: filepath.Join(dir, name), pol: pols[name], tear: &s.tear}
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			return nil, err
 		}
@@ -164,7 +163,9 @@ func (c *component) open() error {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	for i, sg := range segs {
-		recs, valid, err := scanSegment(sg.path)
+		// The crash, if any, tore the newest segment's tail: cut it back to
+		// the valid prefix so appends land after intact frames.
+		recs, valid, err := scanSegment(sg.path, i == len(segs)-1)
 		if err != nil {
 			return err
 		}
@@ -175,54 +176,40 @@ func (c *component) open() error {
 				sg.newest = r.Time
 			}
 		}
-		if i == len(segs)-1 {
-			// The crash, if any, tore this segment's tail: truncate back to
-			// the valid prefix so appends land after intact frames.
-			st, err := os.Stat(sg.path)
-			if err != nil {
-				return err
-			}
-			if st.Size() > valid {
-				if err := os.Truncate(sg.path, valid); err != nil {
-					return err
-				}
-			}
-		}
 	}
 	if len(segs) == 0 {
 		return c.rotate(1)
 	}
 	c.closed = segs[:len(segs)-1]
-	c.active = segs[len(segs)-1]
-	f, err := os.OpenFile(c.active.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	return c.activate(segs[len(segs)-1])
+}
+
+// activate opens sg for appending and makes it the component's active
+// segment. The previous one (if any) is closed only once sg has opened: a
+// rotation that fails leaves the old segment taking appends, to be retried
+// by the next one.
+func (c *component) activate(sg *segment) error {
+	w, err := format.OpenAppend(sg.path, 0, c.tear)
 	if err != nil {
 		return err
 	}
-	c.f = f
+	if sg.size < int64(len(segMagic)) {
+		sg.size = int64(len(segMagic)) // new, or its header was torn: OpenAppend wrote one
+	}
+	old := c.w
+	if old != nil {
+		c.closed = append(c.closed, c.active)
+	}
+	c.active, c.w = sg, w
+	if old != nil {
+		return old.Close()
+	}
 	return nil
 }
 
-// rotate closes the active segment (if any) and starts seg-<seq>.
+// rotate starts seg-<seq> and closes the active segment (if any).
 func (c *component) rotate(seq uint64) error {
-	if c.f != nil {
-		if err := c.f.Close(); err != nil {
-			return err
-		}
-		c.closed = append(c.closed, c.active)
-		c.active, c.f = nil, nil
-	}
-	path := filepath.Join(c.dir, fmt.Sprintf("seg-%08d.dc", seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(segMagic); err != nil {
-		f.Close()
-		return err
-	}
-	c.active = &segment{path: path, seq: seq, size: int64(len(segMagic))}
-	c.f = f
-	return nil
+	return c.activate(&segment{path: filepath.Join(c.dir, fmt.Sprintf("seg-%08d.dc", seq)), seq: seq})
 }
 
 // retain enforces the component's policy: while the oldest closed segment
@@ -258,31 +245,23 @@ func (c *component) retain(now time.Time) error {
 func (s *Spool) Append(comp string, r Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.crashed {
-		return ErrCrashed
-	}
 	c, ok := s.comps[comp]
 	if !ok {
 		return fmt.Errorf("dc: unknown component %q", comp)
 	}
+	if c.w == nil {
+		return fmt.Errorf("dc: append to %s: %w", comp, os.ErrClosed)
+	}
 	if r.Time.IsZero() {
 		r.Time = time.Now()
 	}
-	fr := frame(r)
-	if s.failAfter == 0 {
-		// Simulated power cut: half the frame reaches the file, then the
-		// world ends. Reopen truncates the tear away.
-		c.f.Write(fr[:len(fr)/2])
-		s.crashed = true
-		return ErrCrashed
-	}
-	if s.failAfter > 0 {
-		s.failAfter--
-	}
-	if _, err := c.f.Write(fr); err != nil {
+	var ts [8]byte
+	binary.LittleEndian.PutUint64(ts[:], uint64(r.Time.UnixNano()))
+	n, err := c.w.Append(ts[:], r.Payload)
+	if err != nil {
 		return err
 	}
-	c.active.size += int64(len(fr))
+	c.active.size += int64(n)
 	c.active.recs++
 	if r.Time.After(c.active.newest) {
 		c.active.newest = r.Time
@@ -300,8 +279,8 @@ func (s *Spool) Append(comp string, r Record) error {
 func (s *Spool) Records(comp string) ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.crashed {
-		return nil, ErrCrashed
+	if err := s.tear.Err(); err != nil {
+		return nil, err
 	}
 	c, ok := s.comps[comp]
 	if !ok {
@@ -309,7 +288,7 @@ func (s *Spool) Records(comp string) ([]Record, error) {
 	}
 	var out []Record
 	for _, sg := range append(append([]*segment{}, c.closed...), c.active) {
-		recs, _, err := scanSegment(sg.path)
+		recs, _, err := scanSegment(sg.path, false)
 		if err != nil {
 			return nil, err
 		}
@@ -323,8 +302,8 @@ func (s *Spool) Records(comp string) ([]Record, error) {
 func (s *Spool) SetPolicy(comp string, p Policy) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.crashed {
-		return ErrCrashed
+	if err := s.tear.Err(); err != nil {
+		return err
 	}
 	c, ok := s.comps[comp]
 	if !ok {
@@ -397,12 +376,9 @@ func (s *Spool) Stats() []ComponentStats {
 func (s *Spool) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.crashed {
-		return ErrCrashed
-	}
 	for _, c := range s.comps {
-		if c.f != nil {
-			if err := c.f.Sync(); err != nil {
+		if c.w != nil {
+			if err := c.w.Sync(); err != nil {
 				return err
 			}
 		}
@@ -416,7 +392,7 @@ func (s *Spool) Sync() error {
 func (s *Spool) FailAfterRecords(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.failAfter = int64(n)
+	s.tear.FailAfter(n)
 }
 
 // Close closes every open segment file.
@@ -425,67 +401,30 @@ func (s *Spool) Close() error {
 	defer s.mu.Unlock()
 	var first error
 	for _, c := range s.comps {
-		if c.f != nil {
-			if err := c.f.Close(); err != nil && first == nil {
+		if c.w != nil {
+			if err := c.w.Close(); err != nil && first == nil {
 				first = err
 			}
-			c.f = nil
+			c.w = nil
 		}
 	}
 	return first
 }
 
-// frame wraps a record as [u32 len][u32 crc][u64 unixnano][payload]; the CRC
-// covers the timestamp and payload.
-func frame(r Record) []byte {
-	body := make([]byte, 8+len(r.Payload))
-	binary.LittleEndian.PutUint64(body[:8], uint64(r.Time.UnixNano()))
-	copy(body[8:], r.Payload)
-	out := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(body))
-	copy(out[8:], body)
-	return out
-}
-
 // scanSegment decodes a segment's intact records and reports the byte length
-// of the valid prefix. A torn tail ends the scan without error; a missing
-// file yields no records.
-func scanSegment(path string) ([]Record, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
+// of the valid prefix, truncating a torn tail away when repair is set. A
+// frame too short for its timestamp is torn; a missing file yields no
+// records.
+func scanSegment(path string, repair bool) (recs []Record, valid int64, err error) {
+	accept := func(body []byte) bool {
+		if len(body) < 8 {
+			return false
 		}
-		return nil, 0, err
+		recs = append(recs, Record{Time: time.Unix(0, int64(binary.LittleEndian.Uint64(body))), Payload: body[8:]})
+		return true
 	}
-	if len(data) < len(segMagic) {
-		return nil, 0, nil
-	}
-	if string(data[:len(segMagic)]) != string(segMagic) {
-		return nil, 0, fmt.Errorf("dc: bad segment header in %s", path)
-	}
-	data = data[len(segMagic):]
-	valid := int64(len(segMagic))
-	var out []Record
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[0:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
-		if n < 8 || n > maxFrame || len(data) < 8+int(n) {
-			break // torn tail
-		}
-		body := data[8 : 8+n]
-		if crc32.ChecksumIEEE(body) != sum {
-			break // torn or corrupt tail
-		}
-		out = append(out, Record{
-			Time:    time.Unix(0, int64(binary.LittleEndian.Uint64(body[:8]))),
-			Payload: append([]byte(nil), body[8:]...),
-		})
-		data = data[8+n:]
-		valid += int64(8 + n)
-	}
-	return out, valid, nil
+	valid, err = format.ScanFile(path, repair, accept)
+	return recs, valid, err
 }
 
 func loadPolicies(path string) (map[string]Policy, error) {
@@ -503,35 +442,10 @@ func loadPolicies(path string) (map[string]Policy, error) {
 	return out, nil
 }
 
-// savePolicies writes the policy map atomically: temp file, fsync, rename,
-// directory fsync — the same discipline the durable catalog manifest uses.
 func savePolicies(path string, pols map[string]Policy) error {
 	data, err := json.MarshalIndent(pols, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return framelog.WriteFileAtomic(path, data)
 }

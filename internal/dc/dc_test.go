@@ -251,38 +251,91 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestCorruptMidSegmentStopsAtTear(t *testing.T) {
+// Frame-level corruption (CRC flips, torn tails at every position, oversized
+// length prefixes) is tested once, in internal/framelog.
+
+// TestTornSegmentHeaderIsRewritten: a crash between creating seg-N.dc and
+// writing its magic leaves a segment shorter than the magic. Reopening must
+// rewrite the header; appending to a header-less file would make the open
+// after that fail with "bad header" — and take the database down with it.
+func TestTornSegmentHeaderIsRewritten(t *testing.T) {
 	dir := t.TempDir()
+	os.MkdirAll(filepath.Join(dir, "query_requests"), 0o755)
+	seg := filepath.Join(dir, "query_requests", "seg-00000001.dc")
+	if err := os.WriteFile(seg, []byte("VDC"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s := openT(t, dir)
-	for i := 0; i < 5; i++ {
-		if err := s.Append("query_requests", Record{Payload: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.Append("query_requests", Record{Payload: []byte("kept")}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats()[0]; st.Bytes != int64(len(segMagic))+8+8+4 {
+		t.Fatalf("stats count %d bytes for a header plus one 4-byte record", st.Bytes)
 	}
 	s.Close()
-	// Flip a byte in the middle of the (single) segment: the scan keeps the
-	// prefix before the corruption and drops the rest.
-	segPath := filepath.Join(dir, "query_requests", "seg-00000001.dc")
-	data, err := os.ReadFile(segPath)
+	s2, err := Open(dir, []string{"query_requests"})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen after appending to a repaired segment: %v", err)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(segPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := openT(t, dir)
 	defer s2.Close()
 	recs, err := s2.Records("query_requests")
-	if err != nil {
+	if err != nil || len(recs) != 1 || string(recs[0].Payload) != "kept" {
+		t.Fatalf("records after reopen: %v, %+v", err, recs)
+	}
+}
+
+// TestAppendAfterCloseIsAnError: a session finishing while the cluster
+// closes reaches a closed spool; it must get an error to count, not a panic.
+func TestAppendAfterCloseIsAnError(t *testing.T) {
+	s := openT(t, t.TempDir())
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) >= 5 {
-		t.Fatalf("corruption not detected: %d records", len(recs))
+	if err := s.Append("query_requests", Record{Payload: []byte("late")}); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("append after close: %v, want os.ErrClosed", err)
 	}
-	for i, r := range recs {
-		if r.Payload[0] != byte(i) {
-			t.Fatalf("surviving prefix reordered at %d", i)
+	if st := s.Stats()[0]; st.Records != 0 {
+		t.Fatalf("stats after close: %+v", st)
+	}
+}
+
+// TestFailedRotationKeepsTheOldSegment: when the next segment cannot be
+// opened (here: its name is taken by a directory) the append that triggered
+// the rotation reports it, and the old segment keeps taking appends until a
+// later rotation succeeds — no record is lost and nothing panics.
+func TestFailedRotationKeepsTheOldSegment(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	defer s.Close()
+	if err := s.SetPolicy("query_requests", Policy{MaxKB: 4}); err != nil { // 1 KB segments
+		t.Fatal(err)
+	}
+	block := filepath.Join(dir, "query_requests", "seg-00000002.dc")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 600)
+	if err := s.Append("query_requests", Record{Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // crosses the 1 KB target each time: rotation is retried and fails
+		if err := s.Append("query_requests", Record{Payload: payload}); err == nil {
+			t.Fatal("append whose rotation failed reported no error")
 		}
+	}
+	if st := s.Stats()[0]; st.Segments != 1 || st.Records != 3 {
+		t.Fatalf("after failed rotations: %+v, want 3 records in 1 segment", st)
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("query_requests", Record{Payload: payload}); err != nil {
+		t.Fatalf("append once the next segment can be created: %v", err)
+	}
+	if st := s.Stats()[0]; st.Segments != 2 {
+		t.Fatalf("rotation did not resume: %+v", st)
+	}
+	if recs, err := s.Records("query_requests"); err != nil || len(recs) != 4 {
+		t.Fatalf("records: %v, %d of 4", err, len(recs))
 	}
 }

@@ -17,9 +17,6 @@ const (
 	// the row-at-a-time path instead of the vectorized hash-aggregation
 	// kernels (shape ineligible).
 	EvGroupByFallback QueryEventType = "GROUP_BY_FALLBACK_ROW_PATH"
-	// EvZoneMapPruneSkipped: a scan had zone-map-prunable predicates but
-	// some containers lack the column statistics to test them against.
-	EvZoneMapPruneSkipped QueryEventType = "ZONEMAP_PRUNE_SKIPPED"
 	// EvPoolQueueWait: a statement waited in its resource pool's admission
 	// queue before running. Value is the wait in microseconds.
 	EvPoolQueueWait QueryEventType = "POOL_QUEUE_WAIT"

@@ -196,20 +196,13 @@ func (s *Store) ScanBatches(vis Visibility, hr vhash.Range, fn func(*Batch) bool
 // ROS container's selection vector is built, prune is consulted with its zone
 // maps and physical row count, and a true return skips the container entirely
 // (the caller has proven, from the min/max bounds, that no row can satisfy its
-// predicate). A container missing its zone maps is consulted with nil stats so
-// the caller can account for the lost pruning opportunity, but it is never
-// pruned (its verdict is ignored). The WOS snapshot keeps no zone maps
-// and is never pruned. A nil prune scans everything.
+// predicate). A container without zone maps — no constructor builds one — and
+// the WOS snapshot, which keeps none, are never pruned. A nil prune scans
+// everything.
 func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
 	for _, c := range s.snapshot() {
-		if prune != nil {
-			if len(c.stats) == len(c.Cols) {
-				if prune(c.stats, c.RowCount) {
-					continue
-				}
-			} else {
-				prune(nil, c.RowCount)
-			}
+		if prune != nil && len(c.stats) == len(c.Cols) && prune(c.stats, c.RowCount) {
+			continue
 		}
 		b := batchFromContainer(c, s.schema, vis, hr)
 		if b == nil {

@@ -269,11 +269,7 @@ func MarshalContainer(c *ROSContainer) ([]byte, error) {
 	}
 	// Zone-map section: per-column null count and min/max bounds, so
 	// recovery restores pruning metadata without rescanning the columns.
-	stats := c.stats
-	if len(stats) != len(c.Cols) {
-		stats = ComputeStats(c.Cols)
-	}
-	for _, st := range stats {
+	for _, st := range c.stats {
 		writeUvarint(&buf, uint64(st.NullCount))
 		if st.HasMinMax {
 			buf.WriteByte(1)

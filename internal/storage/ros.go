@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -76,16 +75,24 @@ type ROSContainer struct {
 // column indexes used to precompute per-row ring hashes (empty = whole-row
 // synthetic hash).
 func NewROSContainer(rows []types.Row, schema types.Schema, segIdx []int, start uint64) (*ROSContainer, error) {
+	hashes := make([]uint32, len(rows))
+	for i, r := range rows {
+		hashes[i] = vhash.HashRow(r, segIdx)
+	}
+	return newContainer(rows, schema, hashes, start, nil)
+}
+
+// newContainer is the one constructor of in-memory containers — COPY DIRECT,
+// moveout, rebalance and recovery import all end here — so every container
+// is compressed and carries zone maps. del is the delete vector (nil = no
+// row deleted).
+func newContainer(rows []types.Row, schema types.Schema, hashes []uint32, start uint64, del []uint64) (*ROSContainer, error) {
 	cols, err := ColumnsFromRows(rows, schema)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range cols {
 		cols[i] = CompressColumn(c)
-	}
-	hashes := make([]uint32, len(rows))
-	for i, r := range rows {
-		hashes[i] = vhash.HashRow(r, segIdx)
 	}
 	return &ROSContainer{
 		Schema:   schema,
@@ -94,6 +101,7 @@ func NewROSContainer(rows []types.Row, schema types.Schema, segIdx []int, start 
 		Hashes:   hashes,
 		stats:    ComputeStats(cols),
 		start:    start,
+		del:      del,
 	}, nil
 }
 
@@ -248,36 +256,11 @@ func (s *Store) AppendWOS(rows []types.Row, tag uint64) {
 // parallel scans — is stable across runs.
 func (s *Store) Moveout(ahm uint64) error {
 	rows, hashes, epochs := s.wos.DrainCommitted(ahm)
-	if len(rows) == 0 {
-		return nil
+	versions := make([]RowVersion, len(rows))
+	for i, r := range rows {
+		versions[i] = RowVersion{Row: r, Hash: hashes[i], Start: epochs[i]}
 	}
-	groups := make(map[uint64][]int)
-	for i, e := range epochs {
-		groups[e] = append(groups[e], i)
-	}
-	order := make([]uint64, 0, len(groups))
-	for e := range groups {
-		order = append(order, e)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, e := range order {
-		idxs := groups[e]
-		batch := make([]types.Row, len(idxs))
-		for j, i := range idxs {
-			batch[j] = rows[i]
-		}
-		c, err := NewROSContainer(batch, s.schema, s.segIdx, e)
-		if err != nil {
-			return err
-		}
-		for j, i := range idxs {
-			c.Hashes[j] = hashes[i]
-		}
-		s.mu.Lock()
-		s.ros = append(s.ros, c)
-		s.mu.Unlock()
-	}
-	return nil
+	return s.ImportVersions(versions)
 }
 
 func (s *Store) snapshot() []*ROSContainer {

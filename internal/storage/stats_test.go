@@ -138,3 +138,37 @@ func TestScanBatchesPruned(t *testing.T) {
 		t.Fatalf("WOS rows visible with everything pruned = %d, want 1", n)
 	}
 }
+
+// TestEveryConstructorComputesZoneMaps: COPY DIRECT, moveout, rebalance
+// import and recovery's in-place rebuild all produce containers with stats
+// equal to what the columns say — there is no stat-less container to meet.
+func TestEveryConstructorComputesZoneMaps(t *testing.T) {
+	src := NewStore(schema2, []int{0})
+	if err := src.AppendROS(intRows(1, 2, 3), 1); err != nil {
+		t.Fatal(err)
+	}
+	src.AppendWOS(intRows(10, 20), 2)
+	if err := src.Moveout(2); err != nil {
+		t.Fatal(err)
+	}
+	imported := NewStore(schema2, []int{0})
+	if err := imported.ImportVersions(src.ExportVersions()); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := NewStore(schema2, []int{0})
+	if err := rebuilt.ReplaceContents(src.ExportVersions()); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"moveout": src, "import": imported, "replace": rebuilt} {
+		conts := s.Containers()
+		if len(conts) != 2 {
+			t.Fatalf("%s: %d containers, want 2", name, len(conts))
+		}
+		for i, c := range conts {
+			want := ComputeStats(c.Cols)
+			if got := c.Stats(); len(got) != len(c.Cols) || got[0].Min.I != want[0].Min.I || got[0].Max.I != want[0].Max.I {
+				t.Fatalf("%s container %d: stats %+v, columns say %+v", name, i, got, want)
+			}
+		}
+	}
+}

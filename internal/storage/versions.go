@@ -93,29 +93,18 @@ func containersFromVersions(schema types.Schema, versions []RowVersion) ([]*ROSC
 				del[j] = versions[i].Del
 			}
 		}
-		cols, err := ColumnsFromRows(rows, schema)
+		c, err := newContainer(rows, schema, hashes, e, del)
 		if err != nil {
 			return nil, err
 		}
-		for i, c := range cols {
-			cols[i] = CompressColumn(c)
-		}
-		out = append(out, &ROSContainer{
-			Schema:   schema,
-			Cols:     cols,
-			RowCount: len(rows),
-			Hashes:   hashes,
-			start:    e,
-			del:      del,
-			dirty:    true,
-		})
+		out = append(out, c)
 	}
 	return out, nil
 }
 
 // ImportVersions appends the given versions to the store as epoch-stamped ROS
 // containers (one per distinct insert epoch, ascending). Used by rebalance to
-// populate a freshly allocated store.
+// populate a freshly allocated store, and by moveout.
 func (s *Store) ImportVersions(versions []RowVersion) error {
 	ros, err := containersFromVersions(s.schema, versions)
 	if err != nil {

@@ -180,6 +180,9 @@ type Cluster struct {
 	// membershipMu serializes cluster lifecycle operations (add/remove node,
 	// whole-node recovery) against each other.
 	membershipMu sync.Mutex
+	// ddlMu makes a catalog or pool statement's apply and its log record one
+	// step, so the WAL orders racing statements the way they took effect.
+	ddlMu sync.Mutex
 	// reb records rebalance/recovery progress for
 	// v_monitor.rebalance_operations.
 	reb rebalanceTracker

@@ -209,33 +209,28 @@ func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
 		rows = append(rows, row)
 	}
 
-	tx, auto := s.txnForWrite()
-	tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
-	if err != nil {
-		if auto {
-			tx.Abort()
+	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
+		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	route, err := s.writeRows(tx, tbl, rows, false)
-	if err != nil {
-		if auto {
-			tx.Abort()
+		route, err := s.writeRows(tx, tbl, rows, false)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	s.record(sim.Event{
-		Type:       sim.LoadFlowEv,
-		CNode:      s.peer,
-		VNode:      s.node.Name,
-		WireBytes:  rowsWireSize(rows) + float64(32*len(rows)), // statement framing
-		EncodeKind: sim.CPUCSVFormat,
-		ParseKind:  sim.CPUCSVParse,
-		InsertRows: float64(len(rows)),
-		ResultRows: float64(len(rows)),
-		Route:      route,
+		s.record(sim.Event{
+			Type:       sim.LoadFlowEv,
+			CNode:      s.peer,
+			VNode:      s.node.Name,
+			WireBytes:  rowsWireSize(rows) + float64(32*len(rows)), // statement framing
+			EncodeKind: sim.CPUCSVFormat,
+			ParseKind:  sim.CPUCSVParse,
+			InsertRows: float64(len(rows)),
+			ResultRows: float64(len(rows)),
+			Route:      route,
+		})
+		return &Result{RowsAffected: int64(len(rows))}, nil
 	})
-	return s.finishWrite(tx, auto, &Result{RowsAffected: int64(len(rows))})
 }
 
 // executeInsertSelect runs INSERT INTO t SELECT ... entirely server-side —
@@ -268,21 +263,16 @@ func (s *Session) executeInsertSelect(st *vsql.Insert, tbl *catalog.Table) (*Res
 		}
 		rows[i] = row
 	}
-	tx, auto := s.txnForWrite()
-	tbl, err = s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
-	if err != nil {
-		if auto {
-			tx.Abort()
+	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
+		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	if _, err := s.writeRows(tx, tbl, rows, true); err != nil {
-		if auto {
-			tx.Abort()
+		if _, err := s.writeRows(tx, tbl, rows, true); err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	return s.finishWrite(tx, auto, &Result{RowsAffected: int64(len(rows))})
+		return &Result{RowsAffected: int64(len(rows))}, nil
+	})
 }
 
 // executeUpdate runs UPDATE under an EXCLUSIVE table lock: matching visible
@@ -312,68 +302,48 @@ func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
 		}
 	}
 
-	tx, auto := s.txnForWrite()
-	tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockExclusive)
-	if err != nil {
-		if auto {
-			tx.Abort()
-		}
-		return nil, err
-	}
-	if err := s.writableCheck(tbl); err != nil {
-		if auto {
-			tx.Abort()
-		}
-		return nil, err
-	}
-	vis := tx.Vis()
-	// Collect matching rows first (snapshot), then delete + reinsert.
-	matched, err := s.collectMatching(tbl, st.Where, vis)
-	if err != nil {
-		if auto {
-			tx.Abort()
-		}
-		return nil, err
-	}
-	updated := make([]types.Row, 0, len(matched))
-	for _, r := range matched {
-		nr := r.Clone()
-		for i, sc := range st.Set {
-			v, err := sc.Expr.Eval(r, &schema)
-			if err != nil {
-				if auto {
-					tx.Abort()
-				}
-				return nil, err
-			}
-			cv, err := coerce(v, schema.Cols[setIdx[i]].T)
-			if err != nil {
-				if auto {
-					tx.Abort()
-				}
-				return nil, err
-			}
-			nr[setIdx[i]] = cv
-		}
-		updated = append(updated, nr)
-	}
-	if len(matched) > 0 {
-		s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
-		if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
-			if auto {
-				tx.Abort()
-			}
+	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
+		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockExclusive)
+		if err != nil {
 			return nil, err
 		}
-		if _, err := s.writeRows(tx, tbl, updated, false); err != nil {
-			if auto {
-				tx.Abort()
-			}
+		if err := s.writableCheck(tbl); err != nil {
 			return nil, err
 		}
-	}
-	s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedStatusOp})
-	return s.finishWrite(tx, auto, &Result{RowsAffected: int64(len(matched))})
+		vis := tx.Vis()
+		// Collect matching rows first (snapshot), then delete + reinsert.
+		matched, err := s.collectMatching(tbl, st.Where, vis)
+		if err != nil {
+			return nil, err
+		}
+		updated := make([]types.Row, 0, len(matched))
+		for _, r := range matched {
+			nr := r.Clone()
+			for i, sc := range st.Set {
+				v, err := sc.Expr.Eval(r, &schema)
+				if err != nil {
+					return nil, err
+				}
+				cv, err := coerce(v, schema.Cols[setIdx[i]].T)
+				if err != nil {
+					return nil, err
+				}
+				nr[setIdx[i]] = cv
+			}
+			updated = append(updated, nr)
+		}
+		if len(matched) > 0 {
+			s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
+			if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
+				return nil, err
+			}
+			if _, err := s.writeRows(tx, tbl, updated, false); err != nil {
+				return nil, err
+			}
+		}
+		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedStatusOp})
+		return &Result{RowsAffected: int64(len(matched))}, nil
+	})
 }
 
 // collectMatching gathers the visible rows matching the predicate across all
@@ -483,42 +453,30 @@ func (s *Session) executeDelete(st *vsql.Delete) (*Result, error) {
 			return nil, err
 		}
 	}
-	tx, auto := s.txnForWrite()
-	tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockExclusive)
-	if err != nil {
-		if auto {
-			tx.Abort()
-		}
-		return nil, err
-	}
-	if err := s.writableCheck(tbl); err != nil {
-		if auto {
-			tx.Abort()
-		}
-		return nil, err
-	}
-	vis := tx.Vis()
-	// A durable cluster logs the concrete rows the delete marks, so replay
-	// can re-apply it exactly under the same snapshot.
-	var matched []types.Row
-	if s.cluster.durable() {
-		var err error
-		if matched, err = s.collectMatching(tbl, st.Where, vis); err != nil {
-			if auto {
-				tx.Abort()
-			}
+	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
+		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockExclusive)
+		if err != nil {
 			return nil, err
 		}
-	}
-	n := s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
-	if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
-		if auto {
-			tx.Abort()
+		if err := s.writableCheck(tbl); err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedStatusOp})
-	return s.finishWrite(tx, auto, &Result{RowsAffected: int64(n)})
+		vis := tx.Vis()
+		// A durable cluster logs the concrete rows the delete marks, so replay
+		// can re-apply it exactly under the same snapshot.
+		var matched []types.Row
+		if s.cluster.durable() {
+			if matched, err = s.collectMatching(tbl, st.Where, vis); err != nil {
+				return nil, err
+			}
+		}
+		n := s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
+		if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
+			return nil, err
+		}
+		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedStatusOp})
+		return &Result{RowsAffected: int64(n)}, nil
+	})
 }
 
 // executeCopyStream bulk-loads rows arriving on the client stream (the
@@ -614,38 +572,33 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 			rejectedCount, cp.RejectMax, rejected)
 	}
 
-	tx, auto := s.txnForWrite()
-	tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
-	if err != nil {
-		if auto {
-			tx.Abort()
+	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
+		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	route, err := s.writeRows(tx, tbl, accepted, cp.Direct)
-	if err != nil {
-		if auto {
-			tx.Abort()
+		route, err := s.writeRows(tx, tbl, accepted, cp.Direct)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	encodeKind, parseKind := sim.CPUCSVFormat, sim.CPUCSVParse
-	if cp.Format == vsql.CopyAvro {
-		encodeKind, parseKind = sim.CPUAvroEncode, sim.CPUCopyParse
-	}
-	s.record(sim.Event{
-		Type:       sim.LoadFlowEv,
-		CNode:      s.peer,
-		VNode:      s.node.Name,
-		WireBytes:  float64(counted.n),
-		EncodeKind: encodeKind,
-		ParseKind:  parseKind,
-		ResultRows: float64(len(accepted)),
-		Route:      route,
-		Local:      s.copyLocal,
+		encodeKind, parseKind := sim.CPUCSVFormat, sim.CPUCSVParse
+		if cp.Format == vsql.CopyAvro {
+			encodeKind, parseKind = sim.CPUAvroEncode, sim.CPUCopyParse
+		}
+		s.record(sim.Event{
+			Type:       sim.LoadFlowEv,
+			CNode:      s.peer,
+			VNode:      s.node.Name,
+			WireBytes:  float64(counted.n),
+			EncodeKind: encodeKind,
+			ParseKind:  parseKind,
+			ResultRows: float64(len(accepted)),
+			Route:      route,
+			Local:      s.copyLocal,
+		})
+		cr := &CopyResult{Loaded: int64(len(accepted)), Rejected: rejectedCount, RejectedSample: rejected}
+		return &Result{RowsAffected: cr.Loaded, Copy: cr}, nil
 	})
-	cr := &CopyResult{Loaded: int64(len(accepted)), Rejected: rejectedCount, RejectedSample: rejected}
-	return s.finishWrite(tx, auto, &Result{RowsAffected: cr.Loaded, Copy: cr})
 }
 
 // executeCopyFile bulk-loads a node-local CSV file — the native parallel

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vsfabric/internal/catalog"
+	"vsfabric/internal/framelog"
 	"vsfabric/internal/obs"
 	"vsfabric/internal/pool"
 	"vsfabric/internal/rebalance"
@@ -139,14 +140,6 @@ func (c *Cluster) walAppend(rec wal.Record) error {
 	return l.Append(rec)
 }
 
-func (c *Cluster) walSync() error {
-	l := c.curWAL()
-	if l == nil {
-		return nil
-	}
-	return l.Sync()
-}
-
 // logInsert records the rows an INSERT/COPY wrote under the transaction's
 // provisional tag. Routing is deterministic (segmentation hash), so one
 // logical record regenerates every store's writes on replay.
@@ -184,17 +177,18 @@ func (s *Session) logDelete(tx *txn.Txn, tbl *catalog.Table, matched []types.Row
 // autocommit, or a commit hook that is not rolled back — so it must be
 // durable at application).
 func (c *Cluster) logDDL(op byte, p ddlPayload) error {
-	if !c.durable() {
+	l := c.curWAL()
+	if l == nil {
 		return nil
 	}
 	b, err := json.Marshal(p)
 	if err != nil {
 		return err
 	}
-	if err := c.walAppend(wal.Record{Type: wal.RecDDL, Op: op, DDL: b}); err != nil {
+	if err := l.Append(wal.Record{Type: wal.RecDDL, Op: op, DDL: b}); err != nil {
 		return err
 	}
-	return c.walSync()
+	return l.Sync()
 }
 
 // forEachTarget visits every store that must receive rows of tbl, with the
@@ -274,41 +268,6 @@ func rowKey(r types.Row) string {
 	return b.String()
 }
 
-// writeFileSync writes data to path atomically: temp file in the same
-// directory, fsync, rename, directory fsync.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-// syncDir fsyncs a directory so renames within it are durable (best-effort:
-// some filesystems reject directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
 // openDurable attaches the cluster to its data directory: it loads the
 // manifest's containers and WOS snapshots (through the container cache),
 // replays the write-ahead log — redoing committed transactions, discarding
@@ -319,7 +278,7 @@ func (c *Cluster) openDurable() error {
 		return err
 	}
 	for i := 0; i < c.cfg.Nodes; i++ {
-		if err := os.MkdirAll(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", i)), 0o755); err != nil {
+		if err := c.makeNodeDir(i); err != nil {
 			return err
 		}
 	}
@@ -339,30 +298,18 @@ func (c *Cluster) openDurable() error {
 	}
 
 	// Restore membership: grow the node slice to every slot the manifest
-	// knows about, re-mark removed nodes, and set the catalog's active ring
-	// before any table is rebuilt.
-	if m.Nodes > c.NumNodes() {
-		nodes := append([]*Node(nil), c.nodeList()...)
-		for id := len(nodes); id < m.Nodes; id++ {
-			nodes = append(nodes, c.newNode(id))
-			if err := os.MkdirAll(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", id)), 0o755); err != nil {
-				return err
-			}
-		}
-		c.nodesPtr.Store(&nodes)
+	// knows about and set the catalog's active ring — every node the manifest
+	// does not list as removed — before any table is rebuilt. Nodes off the
+	// ring are marked REMOVED below, once replay has had its say.
+	if err := c.growNodes(m.Nodes); err != nil {
+		return err
 	}
-	removed := make(map[int]bool, len(m.Removed))
+	ring := make([]int, c.NumNodes())
+	for i := range ring {
+		ring[i] = i
+	}
 	for _, id := range m.Removed {
-		if n := c.node(id); n != nil {
-			n.setState(NodeRemoved)
-			removed[id] = true
-		}
-	}
-	var ring []int
-	for _, n := range c.nodeList() {
-		if !removed[n.ID] {
-			ring = append(ring, n.ID)
-		}
+		ring = rebalance.RingWithout(ring, id)
 	}
 	c.cat.SetMembership(ring)
 
@@ -440,15 +387,12 @@ func (c *Cluster) openDurable() error {
 		if rebalance.RingsEqual(tbl.Ring, target) {
 			continue
 		}
-		lay, _, merr := rebalance.MoveTable(tbl, target, nil)
-		if merr != nil {
-			return fmt.Errorf("vertica: converging table %q after crash: %w", tbl.Def.Name, merr)
-		}
-		if _, serr := c.cat.SwapLayout(tbl.Def.Name, lay.Ring, lay.Stores, lay.Buddies); serr != nil {
-			return serr
+		if err := c.applyDDL(opRebalance, ddlPayload{Name: tbl.Def.Name, Ring: target}, false); err != nil {
+			return fmt.Errorf("vertica: converging table %q after crash: %w", tbl.Def.Name, err)
 		}
 		c.mon.Add("recovery.rebalanced_tables", 1)
 	}
+	c.retireOffRing()
 
 	l, err := wal.Open(walPath)
 	if err != nil {
@@ -472,12 +416,6 @@ func (c *Cluster) initFreshDir(sp *obs.ActiveSpan) error {
 	if err != nil {
 		return err
 	}
-	if err := l.Append(wal.Record{Type: wal.RecCheckpoint, Epoch: c.txm.LastEpoch()}); err != nil {
-		return err
-	}
-	if err := l.Sync(); err != nil {
-		return err
-	}
 	m := manifest{
 		Version:      1,
 		DurableEpoch: c.txm.LastEpoch(),
@@ -485,7 +423,15 @@ func (c *Cluster) initFreshDir(sp *obs.ActiveSpan) error {
 		WALSeq:       c.walSeq,
 		NextDiskID:   c.nextDiskID.Load(),
 	}
-	if err := c.writeManifest(&m); err != nil {
+	err = l.Append(wal.Record{Type: wal.RecCheckpoint, Epoch: m.DurableEpoch})
+	if err == nil {
+		err = l.Sync()
+	}
+	if err == nil {
+		err = c.writeManifest(&m)
+	}
+	if err != nil {
+		l.Close()
 		return err
 	}
 	c.attachWAL(l)
@@ -560,6 +506,17 @@ func (c *Cluster) loadStores(stores []*storage.Store, sms []storeManifest) error
 type txnEffects struct {
 	inserted map[*storage.Store]bool
 	deleted  map[*storage.Store]bool
+}
+
+// discard drops the transaction's provisional writes: what an abort record
+// and a missing commit record both mean.
+func (e *txnEffects) discard(tag uint64) {
+	for st := range e.inserted {
+		st.DropInserts(tag)
+	}
+	for st := range e.deleted {
+		st.ClearDeletes(tag)
+	}
 }
 
 // replay applies WAL records in order: inserts and deletes re-execute under
@@ -641,12 +598,7 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 			c.txm.SetLastEpoch(rec.Epoch)
 		case wal.RecAbort:
 			if e, ok := open[rec.Tag]; ok {
-				for st := range e.inserted {
-					st.DropInserts(rec.Tag)
-				}
-				for st := range e.deleted {
-					st.ClearDeletes(rec.Tag)
-				}
+				e.discard(rec.Tag)
 				delete(open, rec.Tag)
 			}
 		case wal.RecDDL:
@@ -663,12 +615,7 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 	// Transactions with no commit record did not happen: drop their
 	// provisional writes exactly as an abort would.
 	for tag, e := range open {
-		for st := range e.inserted {
-			st.DropInserts(tag)
-		}
-		for st := range e.deleted {
-			st.ClearDeletes(tag)
-		}
+		e.discard(tag)
 		dropped++
 	}
 	// Never reissue a tag that appears in the surviving log: a reused tag
@@ -685,72 +632,7 @@ func (c *Cluster) replayDDL(rec wal.Record) error {
 	if err := json.Unmarshal(rec.DDL, &p); err != nil {
 		return fmt.Errorf("vertica: replay: corrupt DDL record: %w", err)
 	}
-	switch rec.Op {
-	case opCreateTable:
-		if p.Def == nil {
-			return fmt.Errorf("vertica: replay: CREATE TABLE record without definition")
-		}
-		_, err := c.cat.CreateTable(*p.Def, c.txm.LastEpoch())
-		return err
-	case opDropTable:
-		if err := c.cat.DropTable(p.Name, true); err != nil {
-			return err
-		}
-		c.txm.DropTableLock(p.Name)
-		return nil
-	case opRenameTable:
-		return c.cat.RenameTable(p.Name, p.NewName)
-	case opCreateView:
-		return c.cat.CreateView(p.Name, p.SQL)
-	case opDropView:
-		return c.cat.DropView(p.Name, true)
-	case opAddNode:
-		if c.node(p.Node) == nil {
-			nodes := append([]*Node(nil), c.nodeList()...)
-			for id := len(nodes); id <= p.Node; id++ {
-				nodes = append(nodes, c.newNode(id))
-				if err := os.MkdirAll(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", id)), 0o755); err != nil {
-					return err
-				}
-			}
-			c.nodesPtr.Store(&nodes)
-		}
-		c.cat.SetMembership(p.Ring)
-		return nil
-	case opRemoveNode:
-		if n := c.node(p.Node); n != nil {
-			n.setState(NodeRemoved)
-		}
-		c.cat.SetMembership(p.Ring)
-		return nil
-	case opCreatePool, opAlterPool:
-		if p.Pool == nil {
-			return fmt.Errorf("vertica: replay: pool record without config")
-		}
-		c.pools.Ensure(p.Name, *p.Pool)
-		return nil
-	case opDropPool:
-		if err := c.pools.Drop(p.Name); err != nil && err != pool.ErrNotFound {
-			return err
-		}
-		return nil
-	case opRebalance:
-		tbl, ok := c.cat.Table(p.Name)
-		if !ok {
-			return fmt.Errorf("vertica: replay: rebalance of unknown table %q", p.Name)
-		}
-		if rebalance.RingsEqual(tbl.Ring, p.Ring) {
-			return nil
-		}
-		lay, _, err := rebalance.MoveTable(tbl, p.Ring, nil)
-		if err != nil {
-			return fmt.Errorf("vertica: replay: rebalancing %q: %w", p.Name, err)
-		}
-		_, err = c.cat.SwapLayout(p.Name, lay.Ring, lay.Stores, lay.Buddies)
-		return err
-	default:
-		return fmt.Errorf("vertica: replay: unknown DDL opcode %d", rec.Op)
-	}
+	return c.applyDDL(rec.Op, p, false)
 }
 
 // Checkpoint runs the durable tuple-mover pass: moveout, persist every
@@ -821,6 +703,7 @@ func (c *Cluster) Checkpoint() error {
 		return err
 	}
 	if err := newLog.Append(wal.Record{Type: wal.RecCheckpoint, Epoch: durableEpoch}); err != nil {
+		newLog.Close()
 		return err
 	}
 	// Sealing redirects every later append (and the commit log's writes, via
@@ -830,6 +713,7 @@ func (c *Cluster) Checkpoint() error {
 	old := c.curWAL()
 	if old != nil {
 		if err := old.Seal(newLog); err != nil {
+			newLog.Close() // not yet the live tail: nothing forwards to it
 			return err
 		}
 	}
@@ -880,7 +764,7 @@ func (c *Cluster) persistStores(stores []*storage.Store, ring []int, table strin
 					return nil, fmt.Errorf("vertica: persisting %s container: %w", table, err)
 				}
 				newRef := filepath.Join(fmt.Sprintf("node-%d", ring[i]), fmt.Sprintf("c-%d.ros", c.nextDiskID.Add(1)))
-				if err := writeFileSync(filepath.Join(c.dataDir, newRef), data); err != nil {
+				if err := framelog.WriteFileAtomic(filepath.Join(c.dataDir, newRef), data); err != nil {
 					return nil, err
 				}
 				if ref != "" {
@@ -898,7 +782,7 @@ func (c *Cluster) persistStores(stores []*storage.Store, ring []int, table strin
 		}
 		if n > 0 {
 			ref := filepath.Join(fmt.Sprintf("node-%d", ring[i]), fmt.Sprintf("w-%d.wos", c.nextDiskID.Add(1)))
-			if err := writeFileSync(filepath.Join(c.dataDir, ref), data); err != nil {
+			if err := framelog.WriteFileAtomic(filepath.Join(c.dataDir, ref), data); err != nil {
 				return nil, err
 			}
 			out[i].WOS = ref
@@ -912,7 +796,7 @@ func (c *Cluster) writeManifest(m *manifest) error {
 	if err != nil {
 		return err
 	}
-	return writeFileSync(filepath.Join(c.dataDir, manifestName), data)
+	return framelog.WriteFileAtomic(filepath.Join(c.dataDir, manifestName), data)
 }
 
 // removeStaleFiles deletes every data file the new manifest no longer
@@ -922,16 +806,8 @@ func (c *Cluster) writeManifest(m *manifest) error {
 func (c *Cluster) removeStaleFiles(m *manifest, oldWAL string) {
 	live := map[string]bool{m.WALFile: true, manifestName: true}
 	for _, tm := range m.Tables {
-		for _, sm := range tm.Stores {
-			for _, ref := range sm.Containers {
-				live[ref] = true
-			}
-			if sm.WOS != "" {
-				live[sm.WOS] = true
-			}
-		}
-		for _, reps := range tm.Buddies {
-			for _, sm := range reps {
+		for _, sms := range append([][]storeManifest{tm.Stores}, tm.Buddies...) {
+			for _, sm := range sms {
 				for _, ref := range sm.Containers {
 					live[ref] = true
 				}
@@ -970,16 +846,9 @@ func (c *Cluster) removeStaleFiles(m *manifest, oldWAL string) {
 func (c *Cluster) moveoutAll() error {
 	ahm := c.txm.AHM()
 	for _, t := range c.cat.Tables() {
-		for _, s := range t.Stores {
+		for _, s := range allStores(t) {
 			if err := s.Moveout(ahm); err != nil {
 				return err
-			}
-		}
-		for _, reps := range t.Buddies {
-			for _, s := range reps {
-				if err := s.Moveout(ahm); err != nil {
-					return err
-				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package vertica
 
 import (
-	"fmt"
 	"time"
 
 	"vsfabric/internal/obs"
@@ -91,18 +90,6 @@ func (c *Cluster) walStallThreshold() time.Duration {
 		return 0
 	}
 	return t
-}
-
-// raiseZoneMapSkipped raises ZONEMAP_PRUNE_SKIPPED after a scan whose
-// predicate had prunable zone checks but some of whose containers carried no
-// zone maps to test them against (value = stat-less containers).
-func (s *Session) raiseZoneMapSkipped(table string, zoneable bool, noStats, seen int64) {
-	if !zoneable || noStats == 0 {
-		return
-	}
-	s.raiseEvent(obs.EvZoneMapPruneSkipped,
-		fmt.Sprintf("scan %s: %d of %d containers carry no zone maps", table, noStats, seen),
-		noStats, 0)
 }
 
 // raiseJoinBuildEvent raises JOIN_BUILD_SIDE_LARGE when a hash join built

@@ -204,14 +204,13 @@ type segJob struct {
 
 // segResult is the outcome of scanning one segment.
 type segResult struct {
-	batches     []*storage.Batch
-	count       int64             // rows the batches select (kept or, with countOnly, not)
-	shuffleB    float64           // bytes gathered to the coordinator (0 when local)
-	fstats      vexec.FilterStats // kernel/residual work split (profile scans only)
-	contSeen    int64             // ROS containers considered
-	contPruned  int64             // ROS containers skipped via zone maps
-	contNoStats int64             // ROS containers with prunable predicates but no stats
-	err         error
+	batches    []*storage.Batch
+	count      int64             // rows the batches select (kept or, with countOnly, not)
+	shuffleB   float64           // bytes gathered to the coordinator (0 when local)
+	fstats     vexec.FilterStats // kernel/residual work split (profile scans only)
+	contSeen   int64             // ROS containers considered
+	contPruned int64             // ROS containers skipped via zone maps
+	err        error
 }
 
 // buildSegJobs lists the (store, home node) pairs a table scan visits:
@@ -244,23 +243,15 @@ func (s *Session) buildSegJobs(tbl *catalog.Table, hr vhash.Range) ([]segJob, er
 }
 
 // pruneFunc returns the container-level zone-map filter for a compiled
-// predicate. Every ROS container carrying stats is counted; those whose zone
-// maps prove the predicate matches no row are skipped without building a
-// selection vector. Pruning on stats that cover deleted rows too is a sound
+// predicate. Every ROS container is counted; those whose zone maps prove the
+// predicate matches no row are skipped without building a selection vector
+// (no stats, no verdict: such a container is scanned). Pruning on stats that cover deleted rows too is a sound
 // superset test: excluding [min, max] excludes every visible row.
 func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.ColStats, int) bool {
 	zoneable := pred.HasZoneChecks()
 	return func(stats []storage.ColStats, rowCount int) bool {
 		res.contSeen++
-		if len(stats) == 0 {
-			// Container carries no zone maps: a prunable predicate loses its
-			// chance here. Counted so the engine can raise a query event.
-			if zoneable {
-				res.contNoStats++
-			}
-			return false
-		}
-		if zoneable && pred.CanPrune(stats, rowCount) {
+		if zoneable && len(stats) != 0 && pred.CanPrune(stats, rowCount) {
 			res.contPruned++
 			return true
 		}
@@ -344,7 +335,7 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanSt
 	// Deterministic merge in segment order; per-segment stats fold into the
 	// query's accounting on the coordinating goroutine only.
 	var out []*storage.Batch
-	var count, contNoStats int64
+	var count int64
 	for i := range results {
 		res := &results[i]
 		if res.err != nil {
@@ -360,14 +351,12 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanSt
 		n.resRows += res.fstats.ResidualRows
 		n.contSeen += res.contSeen
 		n.contPruned += res.contPruned
-		contNoStats += res.contNoStats
 		out = append(out, res.batches...)
 	}
 	if opts.limit >= 0 && count > opts.limit {
 		out, count = limitBatches(out, opts.limit), opts.limit
 	}
 	n.rowsOut = count
-	s.raiseZoneMapSkipped(n.tbl.Def.Name, pred.HasZoneChecks(), contNoStats, n.contSeen)
 	return out, count, nil
 }
 

@@ -113,23 +113,18 @@ func (c *Cluster) AddNode() (int, error) {
 	c.membershipMu.Lock()
 	defer c.membershipMu.Unlock()
 
-	nodes := c.nodeList()
-	id := len(nodes)
-	if c.durable() {
-		if err := os.MkdirAll(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", id)), 0o755); err != nil {
-			return -1, err
-		}
+	id := c.NumNodes()
+	// The directory comes first: a node that cannot have one is never logged.
+	if err := c.makeNodeDir(id); err != nil {
+		return -1, err
 	}
 	newRing := append(c.cat.Ring(), id)
 	// The membership record precedes the per-table rebalance records in the
 	// WAL: replaying it re-creates the node and sets the target ring the
 	// rebalance records (or post-replay convergence) move tables onto.
-	if err := c.logDDL(opAddNode, ddlPayload{Node: id, Ring: newRing}); err != nil {
+	if err := c.logAndApplyDDL(opAddNode, ddlPayload{Node: id, Ring: newRing}); err != nil {
 		return -1, err
 	}
-	grown := append(append([]*Node(nil), nodes...), c.newNode(id))
-	c.nodesPtr.Store(&grown)
-	c.cat.SetMembership(newRing)
 	c.mon.Add("cluster.nodes_added", 1)
 	return id, c.rebalanceAll("add_node", id, newRing)
 }
@@ -165,10 +160,9 @@ func (c *Cluster) RemoveNode(id int) error {
 				id, tbl.Def.Name, tbl.Def.KSafety, len(newRing))
 		}
 	}
-	if err := c.logDDL(opRemoveNode, ddlPayload{Node: id, Ring: newRing}); err != nil {
+	if err := c.logAndApplyDDL(opRemoveNode, ddlPayload{Node: id, Ring: newRing}); err != nil {
 		return err
 	}
-	c.cat.SetMembership(newRing)
 	if err := c.rebalanceAll("remove_node", id, newRing); err != nil {
 		// The membership change is logged and will converge at reopen; the
 		// node is left un-removed so its replicas stay available as sources
@@ -178,6 +172,57 @@ func (c *Cluster) RemoveNode(id int) error {
 	n.setState(NodeRemoved)
 	c.mon.Add("cluster.nodes_removed", 1)
 	return nil
+}
+
+// logAndApplyDDL is the membership operations' order — the record first, so
+// a crash after it converges at reopen instead of forgetting a ring that
+// per-table rebalance records may already refer to.
+func (c *Cluster) logAndApplyDDL(op byte, p ddlPayload) error {
+	if err := c.logDDL(op, p); err != nil {
+		return err
+	}
+	return c.applyDDL(op, p, false)
+}
+
+// makeNodeDir creates node id's data directory on a durable cluster.
+func (c *Cluster) makeNodeDir(id int) error {
+	if !c.durable() {
+		return nil
+	}
+	return os.MkdirAll(filepath.Join(c.dataDir, fmt.Sprintf("node-%d", id)), 0o755)
+}
+
+// growNodes extends the node slice to n slots (IDs are never reused), each
+// new node UP and with its data directory.
+func (c *Cluster) growNodes(n int) error {
+	nodes := c.nodeList()
+	if n <= len(nodes) {
+		return nil
+	}
+	grown := append([]*Node(nil), nodes...)
+	for id := len(nodes); id < n; id++ {
+		if err := c.makeNodeDir(id); err != nil {
+			return err
+		}
+		grown = append(grown, c.newNode(id))
+	}
+	c.nodesPtr.Store(&grown)
+	return nil
+}
+
+// retireOffRing marks REMOVED every node the membership ring no longer
+// names: at reopen, the nodes the manifest or a replayed REMOVE NODE record
+// dropped, once every table has converged off them.
+func (c *Cluster) retireOffRing() {
+	onRing := make(map[int]bool)
+	for _, id := range c.cat.Ring() {
+		onRing[id] = true
+	}
+	for _, n := range c.nodeList() {
+		if !onRing[n.ID] {
+			n.setState(NodeRemoved)
+		}
+	}
 }
 
 // rebalanceAll moves every table onto ring, continuing past per-table
@@ -227,6 +272,8 @@ func (c *Cluster) rebalanceTable(kind string, node int, name string, ring []int)
 		if err := c.logDDL(opRebalance, ddlPayload{Name: name, Ring: lay.Ring}); err != nil {
 			return err
 		}
+		// Swapped in directly: applyDDL's rebalance arm recomputes the move,
+		// and this one was just streamed under the table lock.
 		_, err := c.cat.SwapLayout(name, lay.Ring, lay.Stores, lay.Buddies)
 		return err
 	})

@@ -76,7 +76,7 @@ type planNode struct {
 
 	// Plan-time container estimates of a base scan, filled by sizeContainers
 	// for EXPLAIN only (a run counts the real thing).
-	estContainers, estPruned, estNoStats int64
+	estContainers, estPruned int64
 
 	// Actuals, filled by run. Kernel/residual rows and the duration are only
 	// collected under PROFILE.
@@ -392,11 +392,7 @@ func (n *planNode) sizeContainers() {
 	for _, job := range n.jobs {
 		for _, c := range job.store.Containers() {
 			n.estContainers++
-			switch {
-			case !zoneable:
-			case len(c.Stats()) != len(c.Cols):
-				n.estNoStats++
-			case n.pred.CanPrune(c.Stats(), c.RowCount):
+			if zoneable && n.pred.CanPrune(c.Stats(), c.RowCount) {
 				n.estPruned++
 			}
 		}
@@ -433,9 +429,6 @@ func (n *planNode) describe(actual bool) string {
 			d += fmt.Sprintf(", zone maps pruned %d/%d containers", n.contPruned, n.contSeen)
 		case !actual && n.pred.HasZoneChecks():
 			d += fmt.Sprintf(", zone maps prune %d/%d containers", n.estPruned, n.estContainers)
-			if n.estNoStats > 0 {
-				d += fmt.Sprintf(", %d carry no zone maps", n.estNoStats)
-			}
 		}
 	case opJoin:
 		d = fmt.Sprintf("hash join %s = %s, build %s side", n.clause.LeftCol, n.clause.RightCol, n.buildSide())
@@ -461,11 +454,8 @@ func (n *planNode) buildSide() string {
 // predictedEvent names the typed query event the plan already proves this
 // node will raise when run (see events.go), or "".
 func (n *planNode) predictedEvent() (obs.QueryEventType, string) {
-	switch {
-	case n.op == opGroupBy && n.vec == nil:
+	if n.op == opGroupBy && n.vec == nil {
 		return obs.EvGroupByFallback, "aggregation will run on the row-at-a-time path"
-	case n.op == opScan && n.estNoStats > 0:
-		return obs.EvZoneMapPruneSkipped, "prunable predicate, but some containers carry no zone maps"
 	}
 	return "", ""
 }

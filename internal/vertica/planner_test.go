@@ -267,6 +267,23 @@ func TestZoneMapPruningSound(t *testing.T) {
 	}
 }
 
+// TestZoneMapsSurviveRebalance: ALTER CLUSTER ADD NODE rebuilds every store
+// of a moved table from exported row versions; the imported containers must
+// carry zone maps like any other, so a prunable predicate still prunes.
+func TestZoneMapsSurviveRebalance(t *testing.T) {
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	prunableTable(t, s, c)
+	s.MustExecute("ALTER CLUSTER ADD NODE")
+
+	const q = "SELECT val FROM pz WHERE id >= 200 ORDER BY val"
+	sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
+	plans := s.MustExecute("SELECT containers_pruned FROM v_monitor.query_plans").Rows
+	if pruned := plans[len(plans)-1][0].I; pruned == 0 {
+		t.Fatal("containers_pruned = 0 after ADD NODE: the rebalanced containers lost their zone maps")
+	}
+}
+
 func TestProfileGroupBy(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)

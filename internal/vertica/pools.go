@@ -2,6 +2,7 @@ package vertica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -52,16 +53,11 @@ func applyPoolParams(cfg pool.Config, p vsql.PoolParams) pool.Config {
 
 func (s *Session) executeCreatePool(st *vsql.CreateResourcePool) (*Result, error) {
 	cfg := applyPoolParams(poolDefaults(), st.Params)
-	if _, err := s.cluster.pools.Create(st.Name, cfg); err != nil {
-		if st.IfNotExists && err == pool.ErrExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("vertica: %w: %s", err, st.Name)
+	res, err := s.cluster.runDDL(opCreatePool, ddlPayload{Name: st.Name, Pool: &cfg}, true)
+	if st.IfNotExists && errors.Is(err, pool.ErrExists) {
+		return &Result{}, nil
 	}
-	if err := s.cluster.logDDL(opCreatePool, ddlPayload{Name: st.Name, Pool: &cfg}); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
+	return res, err
 }
 
 func (s *Session) executeAlterPool(st *vsql.AlterResourcePool) (*Result, error) {
@@ -69,28 +65,13 @@ func (s *Session) executeAlterPool(st *vsql.AlterResourcePool) (*Result, error) 
 	if err != nil {
 		return nil, fmt.Errorf("vertica: %w: %s", err, st.Name)
 	}
-	cfg := applyPoolParams(p.Snapshot().Cfg, st.Params)
-	if err := s.cluster.pools.Alter(st.Name, cfg); err != nil {
-		return nil, fmt.Errorf("vertica: %w: %s", err, st.Name)
-	}
 	// Log the resulting full config, not the delta: replay is a plain upsert.
-	if err := s.cluster.logDDL(opAlterPool, ddlPayload{Name: st.Name, Pool: &cfg}); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
+	cfg := applyPoolParams(p.Snapshot().Cfg, st.Params)
+	return s.cluster.runDDL(opAlterPool, ddlPayload{Name: st.Name, Pool: &cfg}, true)
 }
 
 func (s *Session) executeDropPool(st *vsql.DropResourcePool) (*Result, error) {
-	if err := s.cluster.pools.Drop(st.Name); err != nil {
-		if st.IfExists && err == pool.ErrNotFound {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("vertica: %w: %s", err, st.Name)
-	}
-	if err := s.cluster.logDDL(opDropPool, ddlPayload{Name: st.Name}); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
+	return s.cluster.runDDL(opDropPool, ddlPayload{Name: st.Name}, !st.IfExists)
 }
 
 // executeSet handles SET [SESSION] <param> = <value>: RESOURCE_POOL routes

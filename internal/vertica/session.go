@@ -420,17 +420,22 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// txnForWrite returns the transaction to run a write under and whether it
-// must be committed at statement end (autocommit).
-func (s *Session) txnForWrite() (tx *txn.Txn, auto bool) {
-	if s.tx != nil {
-		return s.tx, false
+// writeStmt is the skeleton of every write statement (INSERT, INSERT ...
+// SELECT, UPDATE, DELETE, COPY): body runs under the session's open
+// transaction, or under a fresh autocommit one that is aborted when body
+// fails and committed — stamping the result's epoch — when it succeeds.
+func (s *Session) writeStmt(body func(tx *txn.Txn) (*Result, error)) (*Result, error) {
+	tx, auto := s.tx, false
+	if tx == nil {
+		tx, auto = s.cluster.txm.Begin(), true
 	}
-	return s.cluster.txm.Begin(), true
-}
-
-// finishWrite commits autocommit transactions and maps the result epoch.
-func (s *Session) finishWrite(tx *txn.Txn, auto bool, res *Result) (*Result, error) {
+	res, err := body(tx)
+	if err != nil {
+		if auto {
+			tx.Abort()
+		}
+		return nil, err
+	}
 	if !auto {
 		return res, nil
 	}

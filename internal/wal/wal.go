@@ -9,17 +9,15 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
+
+	"vsfabric/internal/framelog"
 )
 
 // Type identifies a WAL record.
@@ -78,34 +76,27 @@ type Record struct {
 	DDL    []byte // DDL payload (engine-defined encoding)
 }
 
-var magic = []byte("VWAL0001")
+// format is the log's framing (internal/framelog): the file magic, and the
+// bound on one encoded record that Append and the scan both enforce. Never
+// assigned.
+var format = framelog.Format{Magic: "VWAL0001", MaxPayload: 1 << 30}
 
 // ErrCrashed is returned by every operation after a simulated crash
 // (FailAfterRecords) tears the log.
-var ErrCrashed = errors.New("wal: simulated crash")
-
-// maxRecord bounds a single record's payload (guards ReadAll against garbage
-// length prefixes).
-const maxRecord = 1 << 30
+var ErrCrashed = framelog.ErrCrashed
 
 func (r Record) encode() []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(r.Type))
-	writeUvarint(&buf, r.Tag)
-	writeUvarint(&buf, r.Epoch)
-	buf.WriteByte(r.Op)
+	b := make([]byte, 0, 32+len(r.Table)+len(r.Rows)+len(r.DDL))
+	b = append(b, byte(r.Type))
+	b = binary.AppendUvarint(b, r.Tag)
+	b = binary.AppendUvarint(b, r.Epoch)
+	b = append(b, r.Op, 0)
 	if r.Direct {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
+		b[len(b)-1] = 1
 	}
-	writeUvarint(&buf, uint64(len(r.Table)))
-	buf.WriteString(r.Table)
-	writeUvarint(&buf, uint64(len(r.Rows)))
-	buf.Write(r.Rows)
-	writeUvarint(&buf, uint64(len(r.DDL)))
-	buf.Write(r.DDL)
-	return buf.Bytes()
+	b = append(binary.AppendUvarint(b, uint64(len(r.Table))), r.Table...)
+	b = append(binary.AppendUvarint(b, uint64(len(r.Rows))), r.Rows...)
+	return append(binary.AppendUvarint(b, uint64(len(r.DDL))), r.DDL...)
 }
 
 func decodeRecord(payload []byte) (Record, error) {
@@ -158,37 +149,26 @@ func decodeRecord(payload []byte) (Record, error) {
 	return rec, nil
 }
 
-// frame wraps an encoded record payload as [u32 len][u32 crc][payload].
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
-}
-
 type pendingRec struct {
-	seq   uint64
-	frame []byte
+	seq uint64
+	rec Record
 }
 
 // Log is an open write-ahead log. Appends are serialized internally; commit
 // records are flushed and fsynced before LogCommit returns.
 type Log struct {
 	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
+	w      *framelog.Writer // buffered: frames reach the file at Sync
 	path   string
 	seq    uint64 // append ordinal, used to order carried-over records
 	sealed *Log   // non-nil after Seal: appends forward to the successor
 
-	// pending holds the frames of records belonging to transactions that
-	// have neither committed nor aborted, so a checkpoint can carry them
-	// into the fresh log it truncates to.
+	// pending holds the records belonging to transactions that have neither
+	// committed nor aborted, so a checkpoint can carry them into the fresh
+	// log it truncates to.
 	pending map[uint64][]pendingRec
 
-	crashed   bool
-	failAfter int64 // <0 = disabled; 0 = crash on next append
+	tear framelog.Tear
 
 	// OnWrite and OnSync feed the observability counters (wal.bytes,
 	// wal.records, wal.fsyncs). OnSync receives the measured fsync duration
@@ -199,30 +179,14 @@ type Log struct {
 }
 
 // Open opens (or creates) a log for appending, writing the file header when
-// the file is new.
+// the file holds none.
 func Open(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l := &Log{path: path, pending: make(map[uint64][]pendingRec)}
+	w, err := format.OpenAppend(path, 1<<16, &l.tear)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	l := &Log{
-		f:         f,
-		w:         bufio.NewWriterSize(f, 1<<16),
-		path:      path,
-		pending:   make(map[uint64][]pendingRec),
-		failAfter: -1,
-	}
-	if st.Size() == 0 {
-		if _, err := l.w.Write(magic); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
+	l.w = w
 	return l, nil
 }
 
@@ -239,12 +203,16 @@ func (l *Log) Path() string {
 func (l *Log) FailAfterRecords(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.failAfter = int64(n)
+	l.tear.FailAfter(n)
 }
 
 // Append writes one record without forcing it to disk. Records tagged with a
 // provisional transaction are tracked for checkpoint carryover until their
-// commit or abort arrives.
+// commit or abort arrives. A record whose encoding exceeds the log's bound is
+// refused with framelog.ErrTooLarge and not written.
+//
+// The log keeps rec itself, not a copy, for that carryover: the caller must
+// not modify rec.Rows or rec.DDL after Append returns.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -257,33 +225,19 @@ func (l *Log) appendLocked(rec Record) error {
 		// statement that raced the swap lands there instead.
 		return l.sealed.Append(rec)
 	}
-	if l.crashed {
-		return ErrCrashed
-	}
-	fr := frame(rec.encode())
-	if l.failAfter == 0 {
-		// Simulated power cut: half the frame reaches the platter, then the
-		// world ends.
-		l.w.Write(fr[:len(fr)/2])
-		l.w.Flush()
-		l.crashed = true
-		return ErrCrashed
-	}
-	if l.failAfter > 0 {
-		l.failAfter--
-	}
-	if _, err := l.w.Write(fr); err != nil {
+	n, err := l.w.Append(rec.encode())
+	if err != nil {
 		return err
 	}
 	l.seq++
 	if rec.Tag != 0 && (rec.Type == RecInsert || rec.Type == RecDelete) {
-		l.pending[rec.Tag] = append(l.pending[rec.Tag], pendingRec{seq: l.seq, frame: fr})
+		l.pending[rec.Tag] = append(l.pending[rec.Tag], pendingRec{seq: l.seq, rec: rec})
 	}
 	if rec.Type == RecCommit || rec.Type == RecAbort {
 		delete(l.pending, rec.Tag)
 	}
 	if l.OnWrite != nil {
-		l.OnWrite(int64(len(fr)))
+		l.OnWrite(int64(n))
 	}
 	return nil
 }
@@ -299,14 +253,15 @@ func (l *Log) syncLocked() error {
 	if l.sealed != nil {
 		return l.sealed.Sync()
 	}
-	if l.crashed {
-		return ErrCrashed
+	if err := l.tear.Err(); err != nil {
+		return err
 	}
+	// Flushed first so OnSync times the fsync alone.
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
 	start := time.Now()
-	if err := l.f.Sync(); err != nil {
+	if err := l.w.Sync(); err != nil {
 		return err
 	}
 	if l.OnSync != nil {
@@ -335,7 +290,7 @@ func (l *Log) LogAbort(tag uint64) error {
 	return l.appendLocked(Record{Type: RecAbort, Tag: tag})
 }
 
-// Seal redirects the log's future into next: the frames of still-uncommitted
+// Seal redirects the log's future into next: the records of still-uncommitted
 // transactions are copied over in their original append order, and any
 // appends that race the checkpoint's log swap are forwarded. The sealed file
 // itself is frozen — the caller deletes it once the checkpoint manifest is
@@ -343,24 +298,19 @@ func (l *Log) LogAbort(tag uint64) error {
 func (l *Log) Seal(next *Log) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.crashed {
-		return ErrCrashed
+	if err := l.tear.Err(); err != nil {
+		return err
 	}
 	if l.sealed != nil {
 		return fmt.Errorf("wal: log already sealed")
 	}
 	var carry []pendingRec
-	for _, frames := range l.pending {
-		carry = append(carry, frames...)
+	for _, recs := range l.pending {
+		carry = append(carry, recs...)
 	}
 	sort.Slice(carry, func(i, j int) bool { return carry[i].seq < carry[j].seq })
 	for _, p := range carry {
-		payload := p.frame[8:]
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("wal: carrying pending record: %w", err)
-		}
-		if err := next.Append(rec); err != nil {
+		if err := next.Append(p.rec); err != nil {
 			return err
 		}
 	}
@@ -371,88 +321,33 @@ func (l *Log) Seal(next *Log) error {
 }
 
 // Close flushes and closes the file (without fsync — callers needing
-// durability call Sync first).
+// durability call Sync first). On a sealed log the flush writes nothing:
+// Seal flushed the buffer and every append since went to the successor.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.crashed && l.sealed == nil {
-		l.w.Flush()
-	}
-	return l.f.Close()
+	return l.w.Close()
 }
 
 // ReadAll decodes every intact record in the log at path. A torn tail — a
-// short header, a short payload, or a CRC mismatch on the final frames, the
-// signature of a crash mid-append — ends the scan without error; replay
-// proceeds with the durable prefix. A missing file yields no records.
-func ReadAll(path string) ([]Record, error) {
-	recs, _, err := scanLog(path)
-	return recs, err
-}
+// short header, a short payload, a CRC mismatch or an undecodable record on
+// the final frames, the signature of a crash mid-append — ends the scan
+// without error; replay proceeds with the durable prefix. A missing file
+// yields no records.
+func ReadAll(path string) ([]Record, error) { return scan(path, false) }
 
 // Recover is ReadAll plus repair: if the log has a torn tail, the file is
 // truncated back to its last intact record, so a subsequent Open appends
 // after valid frames instead of burying new records behind garbage.
-func Recover(path string) ([]Record, error) {
-	recs, valid, err := scanLog(path)
-	if err != nil {
-		return nil, err
-	}
-	if valid >= 0 {
-		st, serr := os.Stat(path)
-		if serr != nil {
-			return nil, serr
-		}
-		if st.Size() > valid {
-			if terr := os.Truncate(path, valid); terr != nil {
-				return nil, terr
-			}
-		}
-	}
-	return recs, nil
-}
+func Recover(path string) ([]Record, error) { return scan(path, true) }
 
-// scanLog decodes intact records and reports the byte length of the valid
-// prefix (-1 when the file is missing).
-func scanLog(path string) ([]Record, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, -1, nil
+func scan(path string, repair bool) (recs []Record, err error) {
+	_, err = format.ScanFile(path, repair, func(payload []byte) bool {
+		rec, derr := decodeRecord(payload)
+		if derr == nil {
+			recs = append(recs, rec)
 		}
-		return nil, -1, err
-	}
-	if len(data) < len(magic) {
-		return nil, 0, nil
-	}
-	if !bytes.Equal(data[:len(magic)], magic) {
-		return nil, -1, fmt.Errorf("wal: bad log header in %s", path)
-	}
-	data = data[len(magic):]
-	valid := int64(len(magic))
-	var out []Record
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[0:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
-		if n > maxRecord || len(data) < 8+int(n) {
-			break // torn tail
-		}
-		payload := data[8 : 8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // torn or corrupt tail
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			break
-		}
-		out = append(out, rec)
-		data = data[8+n:]
-		valid += int64(8 + n)
-	}
-	return out, valid, nil
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
+		return derr == nil
+	})
+	return recs, err
 }
