@@ -3,8 +3,8 @@ package obs
 import "time"
 
 // QueryEventType names an engine-emitted query event: a typed, structured
-// explanation of *why* a statement behaved the way it did (fell off a fast
-// path, waited for admission, crossed a latency threshold). The taxonomy is
+// explanation of *why* a statement behaved the way it did (built a large
+// join table, waited for admission, crossed a latency threshold). The taxonomy is
 // closed — event emission stays typed end to end, which is what lets the
 // v_monitor.query_events table, PROFILE output, and the data collector all
 // agree on meaning without parsing free-form strings.
@@ -13,10 +13,6 @@ type QueryEventType string
 // The query-event taxonomy. Each type is raised from exactly one engine
 // layer; Detail carries the specifics.
 const (
-	// EvGroupByFallback: a GROUP BY / aggregate over a base table executed on
-	// the row-at-a-time path instead of the vectorized hash-aggregation
-	// kernels (shape ineligible).
-	EvGroupByFallback QueryEventType = "GROUP_BY_FALLBACK_ROW_PATH"
 	// EvPoolQueueWait: a statement waited in its resource pool's admission
 	// queue before running. Value is the wait in microseconds.
 	EvPoolQueueWait QueryEventType = "POOL_QUEUE_WAIT"
@@ -33,8 +29,8 @@ const (
 )
 
 // QueryEvent is one engine-emitted query event, surfaced through
-// v_monitor.query_events, inline in PROFILE/EXPLAIN output, and spooled
-// durably by the data collector.
+// v_monitor.query_events, inline in PROFILE output, and spooled durably by
+// the data collector.
 type QueryEvent struct {
 	Time    time.Time
 	Type    QueryEventType

@@ -334,8 +334,8 @@ func (c *copyReader) drain() error {
 // batch frames (at least one whenever the result carries a schema — zero-row
 // schema probes must arrive intact), then the done frame with the scalar
 // outcome. A columnar result is framed straight from its vectors; a
-// row-native one (aggregate or join output, views, system tables) is coerced
-// to its schema and columnized here, once.
+// row-native one (group-by output, computed select lists, sorted results) is
+// coerced to its schema and columnized here, once.
 func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) error {
 	batches := res.Batches
 	if batches == nil && res.Schema.NumCols() > 0 {

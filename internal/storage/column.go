@@ -9,6 +9,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"vsfabric/internal/types"
 )
@@ -229,6 +230,22 @@ type Builder struct {
 // NewBuilder returns a builder for type t.
 func NewBuilder(t types.Type) *Builder { return &Builder{t: t} }
 
+// Grow reserves room for n more values, so a caller that knows its row count
+// appends without regrowing the vectors.
+func (b *Builder) Grow(n int) {
+	b.nulls = slices.Grow(b.nulls, n)
+	switch b.t {
+	case types.Int64:
+		b.ints = slices.Grow(b.ints, n)
+	case types.Float64:
+		b.floats = slices.Grow(b.floats, n)
+	case types.Varchar:
+		b.strs = slices.Grow(b.strs, n)
+	case types.Bool:
+		b.bools = slices.Grow(b.bools, n)
+	}
+}
+
 // Append adds one value; the value must match the builder's type or be NULL.
 func (b *Builder) Append(v types.Value) error {
 	if !v.Null && v.T != b.t {
@@ -324,19 +341,27 @@ func CoerceRows(schema types.Schema, rows []types.Row) []types.Row {
 				out[i] = append(types.Row(nil), row...)
 				rowCopied = true
 			}
-			switch {
-			case v.Null:
-				out[i][j] = types.NullValue(want)
-			case want == types.Int64:
-				out[i][j] = types.IntValue(v.AsInt())
-			case want == types.Float64:
-				out[i][j] = types.FloatValue(v.AsFloat())
-			case want == types.Bool:
-				out[i][j] = types.BoolValue(v.AsBool())
-			default:
-				out[i][j] = types.StringValue(v.String())
-			}
+			out[i][j] = coerceValue(v, want)
 		}
 	}
 	return out
+}
+
+// coerceValue converts v to the type want; a value already of that type, and
+// any value when want is unknown, passes through.
+func coerceValue(v types.Value, want types.Type) types.Value {
+	switch {
+	case v.T == want || want == types.Unknown:
+		return v
+	case v.Null:
+		return types.NullValue(want)
+	case want == types.Int64:
+		return types.IntValue(v.AsInt())
+	case want == types.Float64:
+		return types.FloatValue(v.AsFloat())
+	case want == types.Bool:
+		return types.BoolValue(v.AsBool())
+	default:
+		return types.StringValue(v.String())
+	}
 }

@@ -164,3 +164,28 @@ func gatherValues(p []byte, batches []*Batch, j int) {
 		}
 	}
 }
+
+// GatherRows builds one dense vector per column of a batch set, holding the
+// values at refs (batch bi[k], physical row ri[k]) in order, without boxing a
+// row. It is how a join materializes: the matched index pairs pick each
+// side's columns straight out of its vectors. Every cell is read through
+// Column.Get and appended through the column Builder, so any stored form (an
+// RLE vector, a drifted type) gathers the same way. Column j takes the type of
+// batches[0]'s column j; a cell of another type is converted to it.
+func GatherRows(batches []*Batch, bi, ri []int32) []Column {
+	if len(batches) == 0 {
+		return nil
+	}
+	cols := make([]Column, len(batches[0].Cols))
+	for j := range cols {
+		t := batches[0].Cols[j].Type()
+		b := NewBuilder(t)
+		b.Grow(len(bi))
+		for k, src := range bi {
+			// coerceValue returns a value of type t or a NULL: Append cannot fail.
+			_ = b.Append(coerceValue(batches[src].Cols[j].Get(int(ri[k])), t))
+		}
+		cols[j] = b.Build()
+	}
+	return cols
+}

@@ -333,7 +333,9 @@ func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
 			updated = append(updated, nr)
 		}
 		if len(matched) > 0 {
-			s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
+			if _, err := s.deleteRowsEverywhere(tx, tbl, st.Where, vis); err != nil {
+				return nil, err
+			}
 			if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
 				return nil, err
 			}
@@ -388,12 +390,18 @@ func (s *Session) collectMatching(tbl *catalog.Table, where expr.Expr, vis stora
 // deleteRowsEverywhere marks matching rows deleted in every writable store
 // holding them (primaries, buddies, and all replicas of unsegmented tables).
 // Stores on non-writable nodes are skipped and reconciled at recovery. Each
-// segment's count comes from its first writable replica.
-func (s *Session) deleteRowsEverywhere(tx *txn.Txn, tbl *catalog.Table, where expr.Expr, vis storage.Visibility) int {
+// segment's count comes from its first writable replica. A predicate that
+// fails on any visited row fails the call with its first error; the caller
+// aborts the transaction, which unmarks whatever was marked before it.
+func (s *Session) deleteRowsEverywhere(tx *txn.Txn, tbl *catalog.Table, where expr.Expr, vis storage.Visibility) (int, error) {
 	schema := tbl.Def.Schema
+	var evalErr error
 	match := func(r types.Row) bool {
-		ok, _ := expr.EvalPredicate(where, r, &schema)
-		return ok
+		ok, err := expr.EvalPredicate(where, r, &schema)
+		if err != nil && evalErr == nil {
+			evalErr = err
+		}
+		return ok && evalErr == nil
 	}
 	accepts := func(pos int) bool { return s.cluster.nodeAcceptsWrites(tbl.Ring[pos]) }
 	n := 0
@@ -411,7 +419,7 @@ func (s *Session) deleteRowsEverywhere(tx *txn.Txn, tbl *catalog.Table, where ex
 				counted = true
 			}
 		}
-		return n
+		return n, evalErr
 	}
 	nseg := len(tbl.Ring)
 	for seg := 0; seg < nseg; seg++ {
@@ -439,7 +447,7 @@ func (s *Session) deleteRowsEverywhere(tx *txn.Txn, tbl *catalog.Table, where ex
 			}
 		}
 	}
-	return n
+	return n, evalErr
 }
 
 // executeDelete runs DELETE FROM under an EXCLUSIVE lock.
@@ -462,15 +470,18 @@ func (s *Session) executeDelete(st *vsql.Delete) (*Result, error) {
 			return nil, err
 		}
 		vis := tx.Vis()
-		// A durable cluster logs the concrete rows the delete marks, so replay
-		// can re-apply it exactly under the same snapshot.
-		var matched []types.Row
-		if s.cluster.durable() {
-			if matched, err = s.collectMatching(tbl, st.Where, vis); err != nil {
-				return nil, err
-			}
+		// Collect before marking: a predicate that fails on any visible row
+		// fails the statement with no row marked, and a durable cluster logs
+		// the concrete rows so replay re-applies the delete exactly under the
+		// same snapshot.
+		matched, err := s.collectMatching(tbl, st.Where, vis)
+		if err != nil {
+			return nil, err
 		}
-		n := s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
+		n, err := s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
+		if err != nil {
+			return nil, err
+		}
 		if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
 			return nil, err
 		}

@@ -606,6 +606,48 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestDeletePredicateError: a DELETE whose predicate cannot be evaluated fails
+// like the same SELECT and UPDATE do, in memory and on a durable cluster
+// alike, marks no row and leaves the session usable. (The in-memory path used
+// to drop the error and report 0 rows affected.)
+func TestDeletePredicateError(t *testing.T) {
+	for name, cfg := range map[string]Config{"memory": {Nodes: 2}, "durable": {Nodes: 2, DataDir: t.TempDir()}} {
+		t.Run(name, func(t *testing.T) {
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			s := sess(t, c, 0)
+			s.MustExecute("CREATE TABLE t (id INTEGER, v INTEGER) SEGMENTED BY HASH(id)")
+			s.MustExecute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+			const want = `expr: unknown column "nosuch"`
+			for _, q := range []string{
+				"SELECT id FROM t WHERE nosuch = 1",
+				"UPDATE t SET v = 0 WHERE nosuch = 1",
+				"DELETE FROM t WHERE nosuch = 1",
+			} {
+				if _, err := s.Execute(q); err == nil || err.Error() != want {
+					t.Errorf("%s: error %v, want %s", q, err, want)
+				}
+			}
+			// A predicate that fails on one row only, after other rows matched.
+			if _, err := s.Execute("DELETE FROM t WHERE 12 / (id - 3) > 0"); err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Errorf("per-row failure: error %v", err)
+			}
+			if s.tx != nil {
+				t.Error("failed autocommit DELETE left its transaction open")
+			}
+			if n := s.MustExecute("SELECT COUNT(*) FROM t").Rows[0][0].I; n != 4 {
+				t.Errorf("%d rows visible after failed DELETEs, want 4", n)
+			}
+			if res := s.MustExecute("DELETE FROM t WHERE id >= 3"); res.RowsAffected != 2 {
+				t.Errorf("valid DELETE affected %d rows, want 2", res.RowsAffected)
+			}
+		})
+	}
+}
+
 func TestOrderBy(t *testing.T) {
 	c := testCluster(t, 2)
 	s := sess(t, c, 0)

@@ -174,7 +174,7 @@ func TestQueryEventsSeededWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// WAL_FSYNC_STALL was raised by the autocommit inserts above.
-	// GROUP_BY_FALLBACK_ROW_PATH + JOIN_BUILD_SIDE_LARGE: aggregate over a join.
+	// JOIN_BUILD_SIDE_LARGE: aggregate over a join.
 	s.MustExecute("SELECT COUNT(*) FROM ev_l JOIN ev_r ON ev_l.id = ev_r.id GROUP BY tag")
 	// SLOW_QUERY: a 1ns session threshold makes any statement slow.
 	s.MustExecute("SET SESSION SLOW_QUERY_THRESHOLD = '1ns'")
@@ -185,15 +185,13 @@ func TestQueryEventsSeededWorkload(t *testing.T) {
 	for _, ty := range collectCol(t, s, "SELECT event_type FROM v_monitor.query_events", 0) {
 		types[ty]++
 	}
-	for _, want := range []string{
-		"WAL_FSYNC_STALL", "GROUP_BY_FALLBACK_ROW_PATH", "JOIN_BUILD_SIDE_LARGE", "SLOW_QUERY",
-	} {
+	for _, want := range []string{"WAL_FSYNC_STALL", "JOIN_BUILD_SIDE_LARGE", "SLOW_QUERY"} {
 		if types[want] == 0 {
 			t.Errorf("query_events missing %s (got %v)", want, types)
 		}
 	}
-	if len(types) < 4 {
-		t.Fatalf("query_events has %d distinct types, want >= 4: %v", len(types), types)
+	if len(types) != 3 {
+		t.Fatalf("query_events has %d distinct types, want exactly the 3 provoked: %v", len(types), types)
 	}
 
 	// Monitoring reads must not raise events about themselves.
@@ -218,16 +216,40 @@ func TestQueryEventsSeededWorkload(t *testing.T) {
 		t.Fatalf("last PROFILE row = %q, want total", last)
 	}
 
-	// EXPLAIN predicts the events the plan can already prove.
-	res = s.MustExecute("EXPLAIN SELECT COUNT(*) FROM ev_l JOIN ev_r ON ev_l.id = ev_r.id GROUP BY tag")
+	// The aggregate over the join runs on the hash-aggregation kernel like any
+	// other: its PROFILE row says so, every joined row went through a typed
+	// loop, and the only event the statement raised is the join's.
+	if len(evRows) != 1 || evRows[0] != "event: JOIN_BUILD_SIDE_LARGE" {
+		t.Fatalf("PROFILE event rows = %v, want the join build event alone", evRows)
+	}
+	for _, r := range res.Rows {
+		if r[0].S != "group-by" {
+			continue
+		}
+		if !strings.Contains(r[6].S, "vectorized hash aggregation") || r[1].I != 3 || r[3].I != 3 || r[4].I != 0 {
+			t.Fatalf("group-by over a join: %v, want vectorized, 3 rows in, 0 residual", r)
+		}
+	}
+
+	// An expression argument over the join is interpreted for each joined row,
+	// inside that same kernel.
+	res = s.MustExecute("PROFILE SELECT tag, SUM(v + 1) FROM ev_l JOIN ev_r ON ev_l.id = ev_r.id GROUP BY tag")
 	found := false
 	for _, r := range res.Rows {
-		if r[1].S == "event" && r[2].S == "GROUP_BY_FALLBACK_ROW_PATH" {
-			found = true
+		if r[0].S == "group-by" {
+			found = strings.Contains(r[6].S, "vectorized hash aggregation") && r[1].I == 3 && r[3].I == 0 && r[4].I == 3
 		}
 	}
 	if !found {
-		t.Fatalf("EXPLAIN predicts no GROUP_BY_FALLBACK_ROW_PATH event: %v", res.Rows)
+		t.Fatalf("expression aggregate over a join: %v, want vectorized with residual_rows = 3", res.Rows)
+	}
+
+	// EXPLAIN prints the plan's operators and nothing else.
+	res = s.MustExecute("EXPLAIN SELECT COUNT(*) FROM ev_l JOIN ev_r ON ev_l.id = ev_r.id GROUP BY tag")
+	for _, r := range res.Rows {
+		if r[1].S == "event" {
+			t.Fatalf("EXPLAIN printed an event row: %v", res.Rows)
+		}
 	}
 }
 

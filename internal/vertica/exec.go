@@ -72,8 +72,8 @@ func (s *Session) runSelect(st *vsql.Select, prof bool) (*Result, *selectPlan, e
 	if err != nil {
 		return nil, nil, err
 	}
-	// A scan-shaped result stays the scan's own column batches: whoever asks
-	// the Result for rows boxes them, once.
+	// A result no operator boxed stays column batches: whoever asks the Result
+	// for rows boxes them, once.
 	res := &Result{Schema: plan.schema, Rows: rel.rows, Batches: rel.batches, Epoch: vis.Epoch}
 	s.recordQuery(res, stats)
 	s.recordPlan(plan, res.NumRows(), vis.Epoch)
@@ -97,19 +97,6 @@ func (s *Session) bindSelectFuncs(st *vsql.Select) error {
 		return s.cluster.bindFuncs(st.Where)
 	}
 	return nil
-}
-
-// rowsBatch columnizes a row set as one batch. Rows that do not fit the
-// schema are an error, not a reason to join some other way.
-func rowsBatch(rows []types.Row, schema types.Schema) ([]*storage.Batch, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	cols, err := storage.ColumnsFromRows(rows, schema)
-	if err != nil {
-		return nil, fmt.Errorf("vertica: join input does not fit its schema: %w", err)
-	}
-	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.IdentitySel(len(rows))}}, nil
 }
 
 // hasAggregates reports whether any select item aggregates.
@@ -140,44 +127,19 @@ type scanOpts struct {
 	gather bool
 }
 
-// filterRows applies a residual predicate to materialized rows.
-func filterRows(rows []types.Row, schema types.Schema, where expr.Expr) ([]types.Row, error) {
-	if where == nil {
-		return rows, nil
-	}
-	out := make([]types.Row, 0, len(rows))
-	for _, r := range rows {
-		ok, err := expr.EvalPredicate(where, r, &schema)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// neededColumns collects the table columns a single-table SELECT actually
-// reads after the scan: select-list expressions, aggregate arguments, and
-// GROUP BY keys. ORDER BY is excluded on purpose — it sorts the projected
-// output, so its keys must already appear in the select list. A star item
-// (or any name the scan schema cannot resolve, e.g. a view about to be
-// expanded) returns nil: materialize everything.
+// neededColumns collects the table columns an ungrouped single-table SELECT
+// reads after the scan: those of its select-list expressions. ORDER BY is
+// excluded on purpose — it sorts the projected output, so its keys must
+// already appear in the select list. A star item returns nil: materialize
+// everything.
 func neededColumns(st *vsql.Select) []string {
 	var names []string
 	for _, it := range st.Items {
 		if it.Star {
 			return nil
 		}
-		if it.Expr != nil {
-			names = it.Expr.Columns(names)
-		}
-		if it.Arg != nil {
-			names = it.Arg.Columns(names)
-		}
+		names = it.Expr.Columns(names)
 	}
-	names = append(names, st.GroupBy...)
 	seen := make(map[string]bool, len(names))
 	out := names[:0]
 	for _, n := range names {
@@ -362,6 +324,9 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanSt
 
 // limitBatches cuts a batch list down to its first limit selected rows.
 func limitBatches(batches []*storage.Batch, limit int64) []*storage.Batch {
+	if limit == 0 {
+		return nil
+	}
 	for i, b := range batches {
 		if int64(len(b.Sel)) >= limit {
 			b.Sel = b.Sel[:limit]
@@ -564,21 +529,19 @@ func joinShape(ls types.Schema, lref *vsql.TableRef, rs types.Schema, jc *vsql.J
 
 // joinStep performs one inner equi-join of the planner's pipeline on the
 // typed batch kernel: each side's key table and probe read column vectors,
-// and only matched pairs box into rows (width cells wide) — in left-major
-// order, whichever side the hash table is built on.
-func joinStep(left []*storage.Batch, li int, right []*storage.Batch, ri int, buildLeft bool, width int) []types.Row {
-	var rows []types.Row
-	vexec.JoinBatches(left, li, right, ri, buildLeft, func(lb, lr, rb, rr int32) {
-		row := make(types.Row, 0, width)
-		for _, c := range left[lb].Cols {
-			row = append(row, c.Get(int(lr)))
-		}
-		for _, c := range right[rb].Cols {
-			row = append(row, c.Get(int(rr)))
-		}
-		rows = append(rows, row)
+// the kernel emits matched index pairs in left-major order (whichever side the
+// hash table is built on), and the pairs gather both sides' vectors into one
+// output batch. No row is boxed.
+func joinStep(left []*storage.Batch, li int, right []*storage.Batch, ri int, buildLeft bool, schema types.Schema) []*storage.Batch {
+	var lb, lr, rb, rr []int32
+	vexec.JoinBatches(left, li, right, ri, buildLeft, func(b1, r1, b2, r2 int32) {
+		lb, lr, rb, rr = append(lb, b1), append(lr, r1), append(rb, b2), append(rr, r2)
 	})
-	return rows
+	if len(lb) == 0 {
+		return nil
+	}
+	cols := append(storage.GatherRows(left, lb, lr), storage.GatherRows(right, rb, rr)...)
+	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.IdentitySel(len(lb))}}
 }
 
 // resolveJoinCol finds a join column in a schema: the full (possibly

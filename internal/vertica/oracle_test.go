@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vsfabric/internal/catalog"
+	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vexec"
@@ -15,10 +16,11 @@ import (
 
 // This file is the test oracle the vectorized engine is diffed against: a
 // row-at-a-time scan, a boxed hash join in syntactic order, an interpreted
-// filter, then the engine's own row operators (projection, aggregation,
-// ordering) in the fixed order SQL gives them. No batches, kernels, zone
-// maps, pushdowns, planner or plan — everything the production path adds on
-// top of "scan, join, filter, project" is absent here.
+// filter and a row-at-a-time aggregate — reference operators that live only
+// here, production runs none of them — then the engine's row-native
+// projection and ordering in the fixed order SQL gives them. No batches,
+// kernels, zone maps, pushdowns, planner or plan — everything the production
+// path adds on top of "scan, join, filter, project" is absent here.
 
 // oracleSelect answers a SELECT on the oracle.
 func oracleSelect(t testing.TB, s *Session, sql string) *Result {
@@ -97,7 +99,7 @@ func oracleRows(s *Session, st *vsql.Select, vis storage.Visibility) ([]types.Ro
 
 // oracleRelation produces one FROM/JOIN relation's rows: a base table scans
 // row at a time, a view evaluates its own SELECT on the oracle, and a system
-// table (already a row source in production) comes from the engine.
+// table (synthesized as rows in production too) comes from the engine.
 func oracleRelation(s *Session, tr *vsql.TableRef, vis storage.Visibility) ([]types.Row, types.Schema, error) {
 	if view, ok := s.cluster.cat.View(tr.Name); ok {
 		sub, err := vsql.Parse(view.SelectSQL)
@@ -162,4 +164,175 @@ func rowHashJoin(left []types.Row, li int, right []types.Row, ri int) []types.Ro
 		}
 	}
 	return rows
+}
+
+// filterRows applies a residual predicate to materialized rows.
+func filterRows(rows []types.Row, schema types.Schema, where expr.Expr) ([]types.Row, error) {
+	if where == nil {
+		return rows, nil
+	}
+	out := make([]types.Row, 0, len(rows))
+	for _, r := range rows {
+		ok, err := expr.EvalPredicate(where, r, &schema)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// aggState is one aggregate accumulator.
+type aggState struct {
+	count   int64
+	sum     float64
+	sumInt  int64
+	intSum  bool
+	min     types.Value
+	max     types.Value
+	seenAny bool
+}
+
+func (a *aggState) update(fn vsql.AggFn, v types.Value, countStar bool) {
+	if fn == vsql.AggCount {
+		if countStar || !v.Null {
+			a.count++
+		}
+		return
+	}
+	if v.Null {
+		return
+	}
+	if !a.seenAny {
+		a.min, a.max = v, v
+		a.intSum = v.T == types.Int64
+		a.seenAny = true
+	} else {
+		if types.Compare(v, a.min) < 0 {
+			a.min = v
+		}
+		if types.Compare(v, a.max) > 0 {
+			a.max = v
+		}
+	}
+	a.count++
+	a.sum += v.AsFloat()
+	if v.T == types.Int64 {
+		a.sumInt += v.I
+	} else {
+		a.intSum = false
+	}
+}
+
+func (a *aggState) result(fn vsql.AggFn) types.Value {
+	switch fn {
+	case vsql.AggCount:
+		return types.IntValue(a.count)
+	case vsql.AggSum:
+		if !a.seenAny {
+			return types.NullValue(types.Float64)
+		}
+		if a.intSum {
+			return types.IntValue(a.sumInt)
+		}
+		return types.FloatValue(a.sum)
+	case vsql.AggAvg:
+		if a.count == 0 {
+			return types.NullValue(types.Float64)
+		}
+		return types.FloatValue(a.sum / float64(a.count))
+	case vsql.AggMin:
+		if !a.seenAny {
+			return types.NullValue(types.Float64)
+		}
+		return a.min
+	case vsql.AggMax:
+		if !a.seenAny {
+			return types.NullValue(types.Float64)
+		}
+		return a.max
+	default:
+		return types.NullValue(types.Float64)
+	}
+}
+
+// aggregate evaluates aggregates with optional GROUP BY, row at a time.
+func aggregate(ap *aggPlan, rows []types.Row, schema types.Schema) ([]types.Row, error) {
+	plans, groupIdx := ap.items, ap.groupIdx
+
+	type group struct {
+		key    []types.Value
+		states []*aggState
+	}
+	groups := make(map[string]*group)
+	var order []string
+	keyOf := func(r types.Row) (string, []types.Value) {
+		if len(groupIdx) == 0 {
+			return "", nil
+		}
+		vals := make([]types.Value, len(groupIdx))
+		var sb strings.Builder
+		for k, idx := range groupIdx {
+			vals[k] = r[idx]
+			// The null flag keeps a NULL key distinct from the string "NULL"
+			// (both render as "NULL").
+			if r[idx].Null {
+				sb.WriteByte('n')
+			} else {
+				sb.WriteByte('v')
+			}
+			sb.WriteString(r[idx].String())
+			sb.WriteByte(0)
+		}
+		return sb.String(), vals
+	}
+	ensure := func(key string, vals []types.Value) *group {
+		g, ok := groups[key]
+		if !ok {
+			g = &group{key: vals, states: make([]*aggState, len(plans))}
+			for i := range g.states {
+				g.states[i] = &aggState{}
+			}
+			groups[key] = g
+			order = append(order, key)
+		}
+		return g
+	}
+	if len(groupIdx) == 0 {
+		ensure("", nil) // global aggregate over zero rows still yields one row
+	}
+	for _, r := range rows {
+		key, vals := keyOf(r)
+		g := ensure(key, vals)
+		for i, pl := range plans {
+			if pl.groupCol >= 0 {
+				continue
+			}
+			var v types.Value
+			if pl.arg != nil {
+				var err error
+				v, err = pl.arg.Eval(r, &schema)
+				if err != nil {
+					return nil, err
+				}
+			}
+			g.states[i].update(pl.agg, v, pl.arg == nil)
+		}
+	}
+	out := make([]types.Row, 0, len(order))
+	for _, key := range order {
+		g := groups[key]
+		row := make(types.Row, len(plans))
+		for i, pl := range plans {
+			if pl.groupCol >= 0 {
+				row[i] = g.key[pl.groupCol]
+			} else {
+				row[i] = g.states[i].result(pl.agg)
+			}
+		}
+		out = append(out, row)
+	}
+	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"vsfabric/internal/catalog"
 	"vsfabric/internal/expr"
-	"vsfabric/internal/obs"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vexec"
@@ -50,6 +49,7 @@ type planNode struct {
 	// scan: a base table (tbl, with the hash range, compiled predicate and
 	// segment jobs the run visits), a view (its own plan), or a system table
 	// (synthesized at plan time: its schema is only known with its rows).
+	// filter: the compiled predicate alone.
 	tbl  *catalog.Table
 	hr   vhash.Range
 	pred *vexec.Pred
@@ -61,12 +61,11 @@ type planNode struct {
 	clause    *vsql.JoinClause
 	li, ri    int
 	buildLeft bool
-	// filter
-	where expr.Expr
-	// group-by: vec is nil on the row-at-a-time path
+	// group-by
 	agg *aggPlan
-	vec *vecAgg
-	// project: nil evals pass the input through
+	// project: pick re-arranges the input batches' vectors, evals box and
+	// compute; with neither the input passes through
+	pick  []int
 	evals []rowEval
 	// sort
 	orderBy []vsql.OrderItem
@@ -125,7 +124,7 @@ func (s *Session) planRelation(tr *vsql.TableRef, vis storage.Visibility) (planN
 	n := planNode{op: opScan, target: tr.Name, est: estUnknown}
 	var err error
 	if isSystemRelation(tr.Name) {
-		n.detail = "system table (row source)"
+		n.detail = "system table, columnized once"
 		n.rows, n.schema, err = s.systemTable(strings.ToLower(tr.Name), vis)
 		return n, err
 	}
@@ -138,7 +137,7 @@ func (s *Session) planRelation(tr *vsql.TableRef, vis storage.Visibility) (planN
 		if !ok {
 			return n, fmt.Errorf("vertica: view %q is not a SELECT", view.Name)
 		}
-		n.detail = "view expansion (row source)"
+		n.detail = "view expansion"
 		if n.view, err = s.planSelect(subSel, vis); err == nil {
 			n.schema = n.view.schema
 		}
@@ -172,6 +171,13 @@ func (s *Session) planBaseScan(n *planNode, where expr.Expr, opts scanOpts) erro
 	return nil
 }
 
+// filterNode is a WHERE clause over derived batches — join output, a view, a
+// system table. Such batches carry no stored hashes, so the predicate's HASH
+// conjuncts run interpreted (vexec decides that per batch).
+func filterNode(where expr.Expr, schema types.Schema, est int64, detail string) planNode {
+	return planNode{op: opFilter, est: est, detail: detail, schema: schema, pred: vexec.Compile(where, schema, nil)}
+}
+
 // planSelect is the only place a SELECT's shape is decided.
 func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPlan, error) {
 	if err := s.bindSelectFuncs(st); err != nil {
@@ -179,28 +185,22 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 	}
 	p := &selectPlan{vis: vis, nodes: make([]planNode, 0, 4), est: 1}
 	grouped := hasAggregates(st) || len(st.GroupBy) > 0
-	// LIMIT pushes into the scan only when each scanned row maps 1:1 to an
-	// output row: no aggregation, no grouping, no reordering.
-	scanLimit := int64(-1)
-	if !grouped && len(st.OrderBy) == 0 {
-		scanLimit = st.Limit
-	}
+	// The select list is a column pick — batches in, batches out — when no
+	// operator between the relations and the result needs rows.
+	pickable := st.From != nil && !grouped && len(st.OrderBy) == 0
 	var (
-		schema   types.Schema // the pipeline's current schema; FROM-less: no columns
-		vec      *vecAgg
-		agg      *aggPlan
-		counted  bool   // the scan answers COUNT(*) itself
-		picked   bool   // the scan's column pick is the projection
-		fallback string // why a grouped query cannot take the vectorized kernels
-		err      error
+		schema  types.Schema // the pipeline's current schema; FROM-less: no columns
+		counted bool         // the scan answers COUNT(*) itself
+		picked  bool         // the scan's column pick is the projection
+		err     error
 	)
 	switch {
 	case st.From == nil:
-		// One empty input row; the projection evaluates the items against it.
+		// One input row of no columns; the items evaluate against it.
 
 	case len(st.Joins) > 0:
 		// Join inputs scan unfiltered: the WHERE clause may reference both
-		// sides, so it runs over the joined rows.
+		// sides, so it runs over the join's output batches.
 		input := func(tr *vsql.TableRef) (planNode, error) {
 			n, err := s.planRelation(tr, vis)
 			if err == nil && n.tbl != nil {
@@ -234,9 +234,8 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 			schema, lref, p.est = n.schema, nil, n.est
 		}
 		if st.Where != nil {
-			p.add(planNode{op: opFilter, est: p.est, detail: "post-join residual", where: st.Where, schema: schema})
+			p.add(filterNode(st.Where, schema, p.est, "post-join residual"))
 		}
-		fallback = "aggregate over a join"
 
 	default:
 		rel, err := s.planRelation(st.From, vis)
@@ -248,16 +247,20 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 			p.add(rel)
 			schema = rel.schema
 			if st.Where != nil {
-				p.add(planNode{op: opFilter, est: p.est, detail: "residual over a row source", where: st.Where, schema: schema})
+				p.add(filterNode(st.Where, schema, p.est, "residual over a view or system table"))
 			}
-			fallback = "aggregate over a non-base relation"
 			break
 		}
 		// Late materialization: the scan carries only the columns the SELECT
-		// list, aggregate arguments and GROUP BY touch. The WHERE clause needs
-		// none — it is evaluated on the column vectors.
+		// list touches. The WHERE clause needs none — it is evaluated on the
+		// column vectors.
 		full := rel.schema
-		opts := scanOpts{limit: scanLimit, gather: true}
+		// LIMIT pushes into the scan only when each scanned row maps 1:1 to an
+		// output row: no aggregation, no grouping, no reordering.
+		opts := scanOpts{limit: -1, gather: true}
+		if pickable {
+			opts.limit = st.Limit
+		}
 		switch {
 		case countPushdownEligible(st):
 			// Answered from selection-vector popcounts: no batch is kept.
@@ -269,20 +272,11 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 			}
 			rel.schema = types.Schema{Cols: []types.Column{{Name: name, T: types.Int64}}}
 		case grouped:
-			// An invalid aggregation is reported by the row path's plan below.
-			if ap, err := buildAggPlan(st, full); err == nil {
-				agg, vec = ap, vectorAggEligible(ap, full)
-			}
-			if vec != nil {
-				// Every column, consumed where it is scanned.
-				p.pushdown = "group-by"
-				opts = scanOpts{limit: -1}
-			} else {
-				fallback = "aggregation shape not eligible for vectorized kernels"
-				opts.cols, rel.schema = resolveNeedCols(full, neededColumns(st))
-			}
+			// Every column, consumed where it is scanned.
+			p.pushdown = "group-by"
+			opts = scanOpts{limit: -1}
 		default:
-			if len(st.OrderBy) == 0 {
+			if pickable {
 				opts.cols, rel.schema, picked = columnPick(st.Items, full)
 			}
 			if !picked {
@@ -301,21 +295,25 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 	switch {
 	case counted:
 	case grouped:
-		n := planNode{op: opGroupBy, est: estUnknown, agg: agg, vec: vec, detail: "vectorized hash aggregation"}
-		if vec == nil {
-			n.detail = "row-at-a-time fallback: " + fallback
-			if n.agg, err = buildAggPlan(st, schema); err != nil {
-				return nil, err
-			}
+		n := planNode{op: opGroupBy, est: estUnknown, detail: "vectorized hash aggregation"}
+		if n.agg, err = buildAggPlan(st, schema); err != nil {
+			return nil, err
 		}
 		schema, est = n.agg.out, estUnknown
 		n.schema = schema
 		p.add(n)
 	default:
 		n := planNode{op: opProject, est: est, schema: schema}
+		if pickable && !picked {
+			if cols, out, ok := columnPick(st.Items, schema); ok {
+				n.pick, n.schema = cols, out
+			}
+		}
 		switch {
 		case picked:
 			n.detail = "column pick in the scan, no row boxed"
+		case n.pick != nil:
+			n.detail = "column pick over the input batches, no row boxed"
 		case len(st.Items) == 1 && st.Items[0].Star:
 			n.detail = "SELECT * passes rows through"
 		default:
@@ -353,10 +351,11 @@ func countPushdownEligible(st *vsql.Select) bool {
 	return st.Items[0].Agg == vsql.AggCount && st.Items[0].Arg == nil
 }
 
-// columnPick is the scan-shaped projection test — every item `*` or a bare
-// column of the table: the shape of every V2S partition query. It returns the
-// picked column indexes in output order (repeats allowed) and the aliased
-// output schema, so the result travels as the scan's own column batches.
+// columnPick is the batch-shaped projection test — every item `*` or a bare
+// column of the input, whatever produced it: the shape of every V2S partition
+// query. It returns the picked column indexes in output order (repeats
+// allowed) and the aliased output schema, so the result leaves the engine as
+// the input's own column vectors.
 func columnPick(items []vsql.SelectItem, tbl types.Schema) (cols []int, out types.Schema, ok bool) {
 	for _, it := range items {
 		if it.Star {
@@ -433,7 +432,7 @@ func (n *planNode) describe(actual bool) string {
 	case opJoin:
 		d = fmt.Sprintf("hash join %s = %s, build %s side", n.clause.LeftCol, n.clause.RightCol, n.buildSide())
 	case opGroupBy:
-		if actual && n.vec != nil {
+		if actual {
 			d += fmt.Sprintf(" (%s keys), %d groups", n.keyPath, n.rowsOut)
 		}
 	case opSort:
@@ -451,15 +450,6 @@ func (n *planNode) buildSide() string {
 	return "right"
 }
 
-// predictedEvent names the typed query event the plan already proves this
-// node will raise when run (see events.go), or "".
-func (n *planNode) predictedEvent() (obs.QueryEventType, string) {
-	if n.op == opGroupBy && n.vec == nil {
-		return obs.EvGroupByFallback, "aggregation will run on the row-at-a-time path"
-	}
-	return "", ""
-}
-
 // estValue renders a planner estimate: SQL NULL for an unsized relation.
 func estValue(est int64) types.Value {
 	if est >= estUnknown {
@@ -468,45 +458,25 @@ func estValue(est int64) types.Value {
 	return types.IntValue(est)
 }
 
-// relation is what flows between plan nodes: a base scan's column batches
-// until an operator needs rows, rows from then on.
+// relation is what flows between plan nodes: column batches from the scans
+// through join, filter and column pick; rows once an operator that computes
+// per row (group-by output, expression projection, sort) has boxed them.
+// Boxing is one-way, so at most one of the two is set.
 type relation struct {
-	schema   types.Schema
-	batches  []*storage.Batch
-	rows     []types.Row
-	columnar bool
-	// loose marks rows from a view or system table: such row sets are
-	// type-permissive (a view's arithmetic column can mix INTEGER and FLOAT
-	// values) and are coerced to their declared schema before they columnize.
-	loose bool
+	batches []*storage.Batch
+	rows    []types.Row
 }
 
 func (r *relation) count() int64 {
-	if r.columnar {
-		return int64(storage.SelectedRows(r.batches))
-	}
-	return int64(len(r.rows))
+	return int64(len(r.rows) + storage.SelectedRows(r.batches))
 }
 
-// toRows boxes a columnar relation, once.
-func (r *relation) toRows() []types.Row {
-	if r.columnar {
-		r.rows, r.batches, r.columnar = storage.Materialize(r.batches), nil, false
+// box converts the relation to rows, once.
+func (r *relation) box() []types.Row {
+	if r.batches != nil {
+		r.rows, r.batches = storage.Materialize(r.batches), nil
 	}
 	return r.rows
-}
-
-// toBatches is the relation as join input. A base scan supplies its batches
-// directly, so none of its rows box before the join decides they matched.
-func (r *relation) toBatches() ([]*storage.Batch, error) {
-	if r.columnar {
-		return r.batches, nil
-	}
-	rows := r.rows
-	if r.loose {
-		rows = storage.CoerceRows(r.schema, rows)
-	}
-	return rowsBatch(rows, r.schema)
 }
 
 // run executes a plan: one pass over its nodes, each a switch arm over an
@@ -514,9 +484,10 @@ func (r *relation) toBatches() ([]*storage.Batch, error) {
 // scan is the right input of the join node that follows it. prof turns on
 // clock reads and the kernel/residual split (PROFILE only).
 func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, error) {
-	var cur, right relation
+	var cur relation
+	var right []*storage.Batch
 	if p.nodes[0].op != opScan {
-		cur.rows = []types.Row{{}} // FROM-less input: one empty row
+		cur.batches = []*storage.Batch{{Sel: []int32{0}}} // FROM-less input: one row of no columns
 	}
 	for i := range p.nodes {
 		n := &p.nodes[i]
@@ -526,30 +497,19 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, err
 		if prof {
 			start = time.Now()
 		}
-		out := &cur
+		var err error
 		switch n.op {
 		case opScan:
-			if i > 0 {
-				out = &right
+			if i == 0 {
+				cur.batches, err = s.runScan(n, p.vis, stats, prof)
+			} else {
+				right, err = s.runScan(n, p.vis, stats, prof)
 			}
-			rel, err := s.runScan(n, p.vis, stats, prof)
-			if err != nil {
-				return cur, err
-			}
-			*out = rel
 
 		case opJoin:
-			lb, err := cur.toBatches()
-			if err != nil {
-				return cur, err
-			}
-			rb, err := right.toBatches()
-			if err != nil {
-				return cur, err
-			}
-			nLeft, nRight := cur.count(), right.count()
+			nLeft, nRight := cur.count(), int64(storage.SelectedRows(right))
 			n.rowsIn, n.vecRows = nLeft+nRight, nLeft+nRight
-			cur = relation{rows: joinStep(lb, n.li, rb, n.ri, n.buildLeft, len(n.schema.Cols))}
+			cur.batches = joinStep(cur.batches, n.li, right, n.ri, n.buildLeft, n.schema)
 			buildRows := nRight
 			if n.buildLeft {
 				buildRows = nLeft
@@ -557,52 +517,53 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, err
 			s.raiseJoinBuildEvent(buildRows, n.buildSide(), n.clause.LeftCol, n.clause.RightCol)
 
 		case opFilter:
-			rows := cur.toRows()
-			n.rowsIn, n.resRows = int64(len(rows)), int64(len(rows))
-			var err error
-			if cur.rows, err = filterRows(rows, cur.schema, n.where); err != nil {
-				return cur, err
+			n.rowsIn = cur.count()
+			var fs vexec.FilterStats
+			kept := cur.batches[:0]
+			for _, b := range cur.batches {
+				if err = n.pred.FilterBatchStats(b, &fs); err != nil {
+					break
+				}
+				if len(b.Sel) > 0 {
+					kept = append(kept, b)
+				}
 			}
+			cur.batches, n.vecRows, n.resRows = kept, fs.KernelRows, fs.ResidualRows
 
 		case opGroupBy:
-			if n.vec != nil {
-				cur = relation{rows: runVecAgg(n, cur.batches, cur.schema)}
-				break
-			}
-			s.raiseEvent(obs.EvGroupByFallback, n.detail, 0, 0)
-			rows := cur.toRows()
-			n.rowsIn, n.resRows = int64(len(rows)), int64(len(rows))
-			var err error
-			if cur.rows, err = aggregate(n.agg, rows, cur.schema); err != nil {
-				return cur, err
-			}
+			cur.rows, err = runGroupBy(n, cur.batches)
+			cur.batches = nil
 
 		case opProject:
 			n.rowsIn = cur.count()
-			if n.evals != nil {
-				var err error
-				if cur.rows, err = projectRows(cur.toRows(), n.evals); err != nil {
-					return cur, err
+			switch {
+			case n.pick != nil:
+				for k, b := range cur.batches {
+					cur.batches[k] = b.Project(n.pick)
 				}
+			case n.evals != nil:
+				cur.rows, err = projectRows(cur.box(), n.evals)
 			}
 
 		case opSort:
 			n.rowsIn = cur.count()
-			orderRows(cur.toRows(), n.sortIdx, n.orderBy)
+			orderRows(cur.box(), n.sortIdx, n.orderBy)
 
 		case opLimit:
 			n.rowsIn = cur.count()
 			switch {
 			case n.rowsIn <= n.limit:
-			case cur.columnar:
+			case cur.batches != nil:
 				cur.batches = limitBatches(cur.batches, n.limit)
 			default:
 				cur.rows = cur.rows[:n.limit]
 			}
 		}
-		out.schema = n.schema
+		if err != nil {
+			return cur, err
+		}
 		if n.op != opScan {
-			n.rowsOut = out.count()
+			n.rowsOut = cur.count()
 		}
 		if prof {
 			n.dur = time.Since(start)
@@ -611,23 +572,50 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, err
 	return cur, nil
 }
 
-// runScan produces one scan node's relation.
-func (s *Session) runScan(n *planNode, vis storage.Visibility, stats *scanStats, prof bool) (relation, error) {
+// runScan produces one scan node's batches. A base table scans; a view runs
+// its own plan and hands on whatever that ended as — batches pass through,
+// rows columnize; a system table columnizes the rows it was planned with. The
+// derived batches take the node's schema and carry no hashes: a view's rows
+// are not the rows its base table's segmentation hashed.
+func (s *Session) runScan(n *planNode, vis storage.Visibility, stats *scanStats, prof bool) ([]*storage.Batch, error) {
 	if n.tbl != nil {
 		batches, count, err := s.scanBatches(n, vis, stats, prof)
 		if n.opts.countOnly {
-			return relation{rows: []types.Row{{types.IntValue(count)}}}, err
+			batches = []*storage.Batch{{Schema: n.schema, Cols: []storage.Column{&storage.Int64Column{Vals: []int64{count}}}, Sel: []int32{0}}}
 		}
-		return relation{batches: batches, columnar: true}, err
+		return batches, err
 	}
-	rel := relation{rows: n.rows, loose: true}
+	rows := n.rows
 	if n.view != nil {
 		sub, err := s.run(n.view, stats, prof)
 		if err != nil {
-			return rel, err
+			return nil, err
 		}
-		rel.rows = sub.toRows()
+		if sub.batches != nil {
+			n.rowsIn = sub.count()
+			n.rowsOut = n.rowsIn
+			for _, b := range sub.batches {
+				b.Schema, b.Hashes = n.schema, nil
+			}
+			return sub.batches, nil
+		}
+		rows = sub.rows
 	}
-	n.rowsIn, n.rowsOut = int64(len(rel.rows)), int64(len(rel.rows))
-	return rel, nil
+	n.rowsIn, n.rowsOut = int64(len(rows)), int64(len(rows))
+	return columnize(rows, n.schema)
+}
+
+// columnize is the one bridge from rows back to the batch pipeline, at a scan
+// node only. Engine row sets are type-permissive (a view's arithmetic column
+// can mix INTEGER and FLOAT values); column vectors are not, so the rows are
+// coerced to the declared schema first.
+func columnize(rows []types.Row, schema types.Schema) ([]*storage.Batch, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	cols, err := storage.ColumnsFromRows(storage.CoerceRows(schema, rows), schema)
+	if err != nil {
+		return nil, fmt.Errorf("vertica: relation does not fit its schema: %w", err)
+	}
+	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.IdentitySel(len(rows))}}, nil
 }

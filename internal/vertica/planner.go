@@ -137,9 +137,8 @@ var explainSchema = types.Schema{Cols: []types.Column{
 }}
 
 // executeExplain is plan + render: EXPLAIN <select> plans the statement
-// exactly as running it would and prints each node's estimate columns, then
-// the typed query events the plan already proves a run will raise. It executes
-// nothing and records nothing.
+// exactly as running it would and prints each node's estimate columns. It
+// executes nothing and records nothing.
 func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 	vis, err := s.selectSnapshot(ex.Select)
 	if err != nil {
@@ -161,11 +160,6 @@ func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 			n.sizeContainers()
 		}
 		add(opNames[n.op], n.target, estValue(n.est), n.estContainers, n.estPruned, n.describe(false))
-	})
-	plan.each(func(n *planNode) {
-		if ev, detail := n.predictedEvent(); ev != "" {
-			add("event", string(ev), types.IntValue(0), 0, 0, detail)
-		}
 	})
 	return &Result{Schema: explainSchema, Rows: rows, Epoch: vis.Epoch}, nil
 }

@@ -309,17 +309,26 @@ func TestProfileGroupBy(t *testing.T) {
 		t.Fatalf("group-by vectorized_rows=%d residual_rows=%d", grp[3].I, grp[4].I)
 	}
 
-	// An aggregate the kernels can't run (expression argument) falls back and
-	// says so.
-	res = s.MustExecute("PROFILE SELECT id, SUM(val + 1.0) FROM pz GROUP BY id")
-	grp = nil
-	for _, r := range res.Rows {
-		if r[0].S == "group-by" {
-			grp = r
+	// An expression argument runs in the same kernel: its rows are interpreted
+	// (residual), the grouping and accumulation are not a second aggregator.
+	// Two interpreted arguments still interpret each row once.
+	for _, q := range []string{
+		"PROFILE SELECT id, SUM(val + 1.0) FROM pz GROUP BY id",
+		"PROFILE SELECT id, SUM(val + 1.0), MAX(val * 2) FROM pz WHERE id >= 100 GROUP BY id",
+	} {
+		res = s.MustExecute(q)
+		grp = nil
+		for _, r := range res.Rows {
+			if r[0].S == "group-by" {
+				grp = r
+			}
 		}
-	}
-	if grp == nil || !strings.Contains(grp[6].S, "row-at-a-time fallback") {
-		t.Fatalf("fallback group-by row = %v", grp)
+		if grp == nil || !strings.Contains(grp[6].S, "vectorized hash aggregation") {
+			t.Fatalf("%s: group-by row = %v", q, grp)
+		}
+		if in := grp[1].I; in == 0 || grp[3].I != 0 || grp[4].I != in {
+			t.Fatalf("%s: rows_in=%d vectorized_rows=%d residual_rows=%d, want every row interpreted once", q, in, grp[3].I, grp[4].I)
+		}
 	}
 }
 

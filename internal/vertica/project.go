@@ -7,11 +7,12 @@ import (
 
 	"vsfabric/internal/expr"
 	"vsfabric/internal/types"
+	"vsfabric/internal/vexec"
 	"vsfabric/internal/vsql"
 )
 
-// This file holds the row-native operators a plan's project, group-by and
-// sort nodes run: scalar projection, row-at-a-time aggregation, ordering.
+// This file holds what runs downstream of the first boxing operator — scalar
+// projection and ordering over rows — and the validation of an aggregation.
 
 // orderIndexes resolves ORDER BY keys against the result schema.
 func orderIndexes(schema types.Schema, keys []vsql.OrderItem) ([]int, error) {
@@ -135,102 +136,32 @@ func inferType(e expr.Expr, schema types.Schema) types.Type {
 	}
 }
 
-// aggState is one aggregate accumulator.
-type aggState struct {
-	count   int64
-	sum     float64
-	sumInt  int64
-	intSum  bool
-	min     types.Value
-	max     types.Value
-	seenAny bool
-}
-
-func (a *aggState) update(fn vsql.AggFn, v types.Value, countStar bool) {
-	if fn == vsql.AggCount {
-		if countStar || !v.Null {
-			a.count++
-		}
-		return
-	}
-	if v.Null {
-		return
-	}
-	if !a.seenAny {
-		a.min, a.max = v, v
-		a.intSum = v.T == types.Int64
-		a.seenAny = true
-	} else {
-		if types.Compare(v, a.min) < 0 {
-			a.min = v
-		}
-		if types.Compare(v, a.max) > 0 {
-			a.max = v
-		}
-	}
-	a.count++
-	a.sum += v.AsFloat()
-	if v.T == types.Int64 {
-		a.sumInt += v.I
-	} else {
-		a.intSum = false
-	}
-}
-
-func (a *aggState) result(fn vsql.AggFn) types.Value {
-	switch fn {
-	case vsql.AggCount:
-		return types.IntValue(a.count)
-	case vsql.AggSum:
-		if !a.seenAny {
-			return types.NullValue(types.Float64)
-		}
-		if a.intSum {
-			return types.IntValue(a.sumInt)
-		}
-		return types.FloatValue(a.sum)
-	case vsql.AggAvg:
-		if a.count == 0 {
-			return types.NullValue(types.Float64)
-		}
-		return types.FloatValue(a.sum / float64(a.count))
-	case vsql.AggMin:
-		if !a.seenAny {
-			return types.NullValue(types.Float64)
-		}
-		return a.min
-	case vsql.AggMax:
-		if !a.seenAny {
-			return types.NullValue(types.Float64)
-		}
-		return a.max
-	default:
-		return types.NullValue(types.Float64)
-	}
-}
-
 // aggItemPlan is one select item of an aggregation: an aggregate function
-// over an argument expression, or (groupCol >= 0) a plain grouping column.
+// over an argument expression (kernel aggregate spec.Aggs[aggIdx]), or
+// (groupCol >= 0) a plain grouping column.
 type aggItemPlan struct {
 	agg      vsql.AggFn
 	arg      expr.Expr
+	aggIdx   int
 	groupCol int // index into groupIdx for plain columns
 }
 
 // aggPlan is a validated aggregation: one item plan per select item, the
-// GROUP BY column indexes into the input schema, and the output schema. The
-// row-at-a-time aggregate() and the vectorized kernels both run from it, so
-// both type results identically.
+// GROUP BY column indexes into the input schema, both schemas, and the
+// same aggregation as the hash-aggregation kernel takes it. The test oracle's
+// reference aggregate runs from the items too, so both type results
+// identically.
 type aggPlan struct {
 	items    []aggItemPlan
 	groupIdx []int
-	out      types.Schema
+	in, out  types.Schema
+	spec     vexec.AggSpec
 }
 
 // buildAggPlan validates an aggregation's select items against the input
 // schema.
 func buildAggPlan(st *vsql.Select, schema types.Schema) (*aggPlan, error) {
-	ap := &aggPlan{groupIdx: make([]int, 0, len(st.GroupBy)), items: make([]aggItemPlan, 0, len(st.Items))}
+	ap := &aggPlan{in: schema, groupIdx: make([]int, 0, len(st.GroupBy)), items: make([]aggItemPlan, 0, len(st.Items))}
 	for _, g := range st.GroupBy {
 		i := schema.ColIndex(g)
 		if i < 0 {
@@ -238,11 +169,16 @@ func buildAggPlan(st *vsql.Select, schema types.Schema) (*aggPlan, error) {
 		}
 		ap.groupIdx = append(ap.groupIdx, i)
 	}
+	ap.spec.GroupCols = ap.groupIdx
 	for _, it := range st.Items {
 		switch {
 		case it.Star:
 			return nil, fmt.Errorf("vertica: SELECT * cannot be mixed with aggregates")
 		case it.Agg != "":
+			op, ok := aggOps[it.Agg]
+			if !ok {
+				return nil, fmt.Errorf("vertica: unknown aggregate %q", it.Agg)
+			}
 			name := it.Alias
 			if name == "" {
 				name = strings.ToLower(string(it.Agg))
@@ -257,7 +193,16 @@ func buildAggPlan(st *vsql.Select, schema types.Schema) (*aggPlan, error) {
 				}
 			}
 			ap.out.Cols = append(ap.out.Cols, types.Column{Name: name, T: t})
-			ap.items = append(ap.items, aggItemPlan{agg: it.Agg, arg: it.Arg, groupCol: -1})
+			ap.items = append(ap.items, aggItemPlan{agg: it.Agg, arg: it.Arg, aggIdx: len(ap.spec.Aggs), groupCol: -1})
+			// A plain column of the input runs on its typed vector; any other
+			// argument is interpreted per row inside the kernel.
+			ae := vexec.AggExpr{Op: op, Col: -1, Arg: it.Arg}
+			if c, isCol := it.Arg.(*expr.Col); isCol {
+				if i := schema.ColIndex(c.Name); i >= 0 {
+					ae.Col, ae.Arg = i, nil
+				}
+			}
+			ap.spec.Aggs = append(ap.spec.Aggs, ae)
 		default:
 			col, ok := it.Expr.(*expr.Col)
 			if !ok {
@@ -282,83 +227,4 @@ func buildAggPlan(st *vsql.Select, schema types.Schema) (*aggPlan, error) {
 		}
 	}
 	return ap, nil
-}
-
-// aggregate evaluates aggregates with optional GROUP BY, row at a time.
-func aggregate(ap *aggPlan, rows []types.Row, schema types.Schema) ([]types.Row, error) {
-	plans, groupIdx := ap.items, ap.groupIdx
-
-	type group struct {
-		key    []types.Value
-		states []*aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-	keyOf := func(r types.Row) (string, []types.Value) {
-		if len(groupIdx) == 0 {
-			return "", nil
-		}
-		vals := make([]types.Value, len(groupIdx))
-		var sb strings.Builder
-		for k, idx := range groupIdx {
-			vals[k] = r[idx]
-			// The null flag keeps a NULL key distinct from the string "NULL"
-			// (both render as "NULL").
-			if r[idx].Null {
-				sb.WriteByte('n')
-			} else {
-				sb.WriteByte('v')
-			}
-			sb.WriteString(r[idx].String())
-			sb.WriteByte(0)
-		}
-		return sb.String(), vals
-	}
-	ensure := func(key string, vals []types.Value) *group {
-		g, ok := groups[key]
-		if !ok {
-			g = &group{key: vals, states: make([]*aggState, len(plans))}
-			for i := range g.states {
-				g.states[i] = &aggState{}
-			}
-			groups[key] = g
-			order = append(order, key)
-		}
-		return g
-	}
-	if len(groupIdx) == 0 {
-		ensure("", nil) // global aggregate over zero rows still yields one row
-	}
-	for _, r := range rows {
-		key, vals := keyOf(r)
-		g := ensure(key, vals)
-		for i, pl := range plans {
-			if pl.groupCol >= 0 {
-				continue
-			}
-			var v types.Value
-			if pl.arg != nil {
-				var err error
-				v, err = pl.arg.Eval(r, &schema)
-				if err != nil {
-					return nil, err
-				}
-			}
-			g.states[i].update(pl.agg, v, pl.arg == nil)
-		}
-	}
-	out := make([]types.Row, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		row := make(types.Row, len(plans))
-		for i, pl := range plans {
-			if pl.groupCol >= 0 {
-				row[i] = g.key[pl.groupCol]
-			} else {
-				row[i] = g.states[i].result(pl.agg)
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }

@@ -21,8 +21,9 @@ type Result struct {
 	// Execute, ExecuteContext, ExecuteStmt, client.Conn — carries its rows
 	// here.
 	Rows []types.Row
-	// Batches is a scan-shaped SELECT's result set as ExecuteColumnar returns
-	// it: the scan's column batches, aliasing the containers' immutable
+	// Batches is the result set of a SELECT no operator boxed — scans, joins
+	// and filters under a select list of bare columns — as ExecuteColumnar
+	// returns it: column batches, a scan's aliasing the containers' immutable
 	// vectors, each with a private selection vector that fixes the snapshot.
 	// Rows is nil then; Materialize converts.
 	Batches      []*storage.Batch
@@ -168,9 +169,9 @@ func (s *Session) ExecuteContext(ctx context.Context, sql string) (*Result, erro
 	return res.Materialize(), err
 }
 
-// ExecuteColumnar is ExecuteContext without the boxing: a scan-shaped
-// SELECT's result set comes back in Result.Batches, every other statement's
-// as ExecuteContext returns it. The wire server runs statements through here
+// ExecuteColumnar is ExecuteContext without the boxing: the result set of a
+// SELECT that no operator boxed comes back in Result.Batches, every other
+// statement's as ExecuteContext returns it. The wire server runs statements through here
 // and encodes batch frames straight from the vectors.
 func (s *Session) ExecuteColumnar(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := vsql.Parse(sql)

@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -286,9 +287,79 @@ func TestSelectShapesMatchOracle(t *testing.T) {
 		"SELECT id FROM t WHERE grp = 5 LIMIT 4",
 		"SELECT COUNT(*) AS n FROM t WHERE id < 50 ORDER BY n LIMIT 1",
 		"SELECT COUNT(*) FROM t LIMIT 0",
+		// FROM-less: the input is one row of no columns, aggregated or not.
+		"SELECT COUNT(*)",
+		"SELECT SUM(1)",
+		"SELECT COUNT(*), MAX(2 * 3) AS m ORDER BY m LIMIT 1",
+		"SELECT 1 + 2",
 	} {
 		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
 	}
+	// Everything above the scan: joins, filters and aggregates over join
+	// output, views and system tables, on NULL-heavy data half in ROS and half
+	// in WOS. The oracle's operators are row-at-a-time references that
+	// production does not run.
+	shapesFixture(t, c, s)
+	for _, q := range []string{
+		// Expression aggregate over a join: interpreted argument, typed grouping.
+		"SELECT d.label, SUM(m.v + 1), COUNT(*) FROM m JOIN d ON m.k = d.k GROUP BY d.label ORDER BY d.label",
+		// Aggregate and WHERE over a view, and over a system table.
+		"SELECT k, COUNT(*), SUM(v2), AVG(v2) FROM mv WHERE v2 > 10 GROUP BY k ORDER BY k",
+		"SELECT node_state, COUNT(*), MAX(node_id) FROM v_monitor.node_states WHERE node_id >= 1 GROUP BY node_state ORDER BY node_state",
+		"SELECT node_name FROM v_monitor.node_states WHERE node_id <> 1",
+		// NULL join keys never match; a post-join IS NULL filter sees the rest.
+		"SELECT m.id, d.label FROM m JOIN d ON m.k = d.k WHERE m.v IS NULL",
+		"SELECT m.id FROM m JOIN d ON m.k = d.k WHERE d.w IS NULL AND m.label IS NOT NULL",
+		// OR across both join sides: nothing to split, one post-join filter.
+		"SELECT m.id, d.w FROM m JOIN d ON m.k = d.k WHERE m.id < 20 OR d.w > 6",
+		// Self-join with ORDER BY.
+		"SELECT a.id, b.id FROM m a JOIN m b ON a.k = b.k WHERE a.id < 12 ORDER BY a.id, b.id",
+		// View joined to a table, and a table to a view.
+		"SELECT mv.id, d.label, mv.v2 FROM mv JOIN d ON mv.k = d.k",
+		"SELECT d.k, mv.id FROM d JOIN mv ON d.k = mv.k WHERE mv.v2 IS NOT NULL ORDER BY d.k, mv.id",
+		// A join with a plain select list, `*` included.
+		"SELECT * FROM m JOIN d ON m.k = d.k",
+		"SELECT d.label AS dl, m.id, m.id AS again FROM m JOIN d ON m.k = d.k WHERE m.id >= 40 LIMIT 7",
+		// LIMIT 0 after a filter, an aggregate and a join.
+		"SELECT id FROM m WHERE k = 1 LIMIT 0",
+		"SELECT k, COUNT(*) FROM m GROUP BY k LIMIT 0",
+		"SELECT m.id FROM m JOIN d ON m.k = d.k WHERE m.id > 3 LIMIT 0",
+		// MIN/MAX over VARCHAR.
+		"SELECT k, MIN(label), MAX(label) FROM m GROUP BY k ORDER BY k",
+		"SELECT MIN(d.label), MAX(m.label) FROM m JOIN d ON m.k = d.k",
+		// A view column declared FLOAT whose values mix INTEGER and FLOAT,
+		// aggregated — through the view and as a bare expression argument.
+		"SELECT k, SUM(v2), MIN(v2), MAX(v2), AVG(v2), COUNT(v2) FROM hv GROUP BY k ORDER BY k",
+		"SELECT k, SUM(HALF(id) * 2), MIN(HALF(id) * 2), MAX(HALF(id) * 2) FROM m GROUP BY k ORDER BY k",
+		// Several interpreted arguments share one boxed row holding only the
+		// columns they name; HASH(*) names none and reads them all.
+		"SELECT k, SUM(v + 1), MAX(id * 2), AVG(v + id), COUNT(label) FROM m GROUP BY k ORDER BY k",
+		"SELECT k, MAX(HASH(*)), MIN(id + 1) FROM m GROUP BY k ORDER BY k",
+		// HASH over derived batches: a view's rows and a join's rows are not
+		// what the base table's stored hashes were computed from.
+		"SELECT * FROM mv WHERE HASH(*) >= 2147483648",
+		"SELECT id FROM mv WHERE HASH(*) < 2147483648 AND k IS NOT NULL",
+		"SELECT * FROM dv WHERE HASH(*) >= 2147483648",
+		"SELECT m.id, d.label FROM m JOIN d ON m.k = d.k WHERE HASH(m.id) >= 2147483648",
+		"SELECT m.id FROM m JOIN d ON m.k = d.k WHERE HASH(*) < 2147483648",
+		"SELECT node_id FROM v_monitor.node_states WHERE HASH(*) >= 0",
+	} {
+		got := s.MustExecute(q)
+		if len(got.Rows) == 0 && !strings.Contains(q, "LIMIT 0") {
+			t.Fatalf("%s: empty result, fixture broken", q)
+		}
+		sameResults(t, q, got, oracleSelect(t, s, q))
+	}
+	// A HASH filter over a view must really filter, and by the view's rows.
+	if all, half := s.MustExecute("SELECT * FROM mv"), s.MustExecute("SELECT * FROM mv WHERE HASH(*) >= 2147483648"); len(half.Rows) == 0 || len(half.Rows) >= len(all.Rows) {
+		t.Fatalf("HASH(*) over a view kept %d of %d rows", len(half.Rows), len(all.Rows))
+	}
+	// A join with a plain select list leaves the engine as column batches.
+	col, err := s.ExecuteColumnar(context.Background(), "SELECT m.id, d.label FROM m JOIN d ON m.k = d.k WHERE m.id < 50")
+	if err != nil || col.Rows != nil || col.Batches == nil {
+		t.Fatalf("join result: %d rows, %d batches, %v; want batches only", len(col.Rows), len(col.Batches), err)
+	}
+
 	// Sort is a plan node every shape passes through: the COUNT(*) pushdown
 	// rejects an unknown ORDER BY key exactly as the view path and the oracle do.
 	s.MustExecute("CREATE VIEW tv AS SELECT id, grp FROM t")
@@ -303,6 +374,59 @@ func TestSelectShapesMatchOracle(t *testing.T) {
 			t.Fatalf("%s: engine %v, oracle %v", q, err, want)
 		}
 	}
+}
+
+// shapesFixture builds the relations the join/filter/aggregate oracle cases
+// and the seeded generator run over: a NULL-heavy fact table m, an unsegmented
+// dimension d (unique keys, one NULL), a segmented dimension e with duplicate
+// and unmatched keys, and views over them — mv (filter + arithmetic column),
+// dv (over the unsegmented table, whose stored hashes are whole-row hashes of
+// d, not of dv) and hv (a FLOAT-declared column whose values mix INTEGER and
+// FLOAT). Half of m and e is moved out to ROS, the rest stays in the WOS.
+func shapesFixture(t *testing.T, c *Cluster, s *Session) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(16))
+	s.MustExecute("CREATE TABLE m (id INTEGER, k INTEGER, v FLOAT, label VARCHAR) SEGMENTED BY HASH(id)")
+	s.MustExecute("CREATE TABLE d (k INTEGER, label VARCHAR, w INTEGER)")
+	s.MustExecute("CREATE TABLE e (k INTEGER, tag VARCHAR, w INTEGER) SEGMENTED BY HASH(k)")
+	c.RegisterUDx("HALF", func(args []types.Value, _ map[string]string) (types.Value, error) {
+		if n := args[0].AsInt(); args[0].Null || n%2 == 0 {
+			return types.IntValue(n / 2), nil
+		}
+		return types.FloatValue(float64(args[0].AsInt()) / 2), nil
+	})
+	s.MustExecute("CREATE VIEW mv AS SELECT id, k, v * 2 AS v2, label FROM m WHERE id < 90")
+	s.MustExecute("CREATE VIEW dv AS SELECT label, k FROM d")
+	s.MustExecute("CREATE VIEW hv AS SELECT k, HALF(id) * 2 AS v2 FROM m")
+	orNull := func(p int, v string) string {
+		if rng.Intn(p) == 0 {
+			return "NULL"
+		}
+		return v
+	}
+	labels := []string{"'ant'", "'bee'", "'cat'", "'dog'", "'eel'"}
+	var mrows, erows, drows []string
+	for i := 0; i < 120; i++ {
+		// Halves: every float sum is exact in any accumulation order, so a
+		// reordered join cannot differ from the oracle in the last bit.
+		mrows = append(mrows, fmt.Sprintf("(%d, %s, %s, %s)", i, orNull(4, fmt.Sprint(rng.Intn(10))),
+			orNull(4, fmt.Sprintf("%.1f", float64(rng.Intn(80))/2)), orNull(5, labels[rng.Intn(len(labels))])))
+	}
+	for i := 0; i < 26; i++ {
+		erows = append(erows, fmt.Sprintf("(%s, 'tag%d', %s)", orNull(6, fmt.Sprint(rng.Intn(13))), i%7, orNull(5, fmt.Sprint(rng.Intn(9)))))
+	}
+	for k := 0; k < 10; k++ {
+		drows = append(drows, fmt.Sprintf("(%d, %s, %s)", k, orNull(6, labels[k%len(labels)]), orNull(4, fmt.Sprint(k))))
+	}
+	drows = append(drows, "(NULL, 'nokey', 99)")
+	s.MustExecute("INSERT INTO d VALUES " + strings.Join(drows, ", "))
+	s.MustExecute("INSERT INTO m VALUES " + strings.Join(mrows[:60], ", "))
+	s.MustExecute("INSERT INTO e VALUES " + strings.Join(erows[:13], ", "))
+	if err := c.Moveout(); err != nil {
+		t.Fatal(err)
+	}
+	s.MustExecute("INSERT INTO m VALUES " + strings.Join(mrows[60:], ", "))
+	s.MustExecute("INSERT INTO e VALUES " + strings.Join(erows[13:], ", "))
 }
 
 func TestHashJoinTypedKeys(t *testing.T) {

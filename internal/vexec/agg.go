@@ -3,7 +3,10 @@ package vexec
 import (
 	"encoding/binary"
 	"math"
+	"slices"
+	"strings"
 
+	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
@@ -14,11 +17,12 @@ import (
 // path, run-at-a-time for RLE group columns, a byte-encoded key map
 // otherwise), then each aggregate updates its typed accumulators in a tight
 // per-column loop — values are boxed into types.Value only once per new
-// group, never per input row. Accumulator semantics mirror the engine's
-// row-at-a-time aggState exactly (null handling, int-vs-float SUM typing,
-// first-seen MIN/MAX ties, AVG = float sum / non-null count), so the
-// vectorized path is bit-for-bit equivalent to the reference and the two can
-// be diffed by the equivalence property suite.
+// group, never per input row. An aggregate whose argument is an expression
+// rather than a column evaluates it per selected row and feeds the same
+// accumulators through the boxed fallback. Accumulator semantics are SQL's as
+// the test oracle's row-at-a-time reference states them (null handling,
+// int-vs-float SUM typing, first-seen MIN/MAX ties, AVG = float sum / non-null
+// count), and the equivalence property suites diff the two.
 
 // AggOp is an aggregate function.
 type AggOp int
@@ -31,11 +35,13 @@ const (
 	AggMax
 )
 
-// AggExpr is one aggregate item: Op over the schema column Col. Col < 0 means
-// COUNT(*) (count every selected row, null or not).
+// AggExpr is one aggregate item: Op over the schema column Col, or — when Arg
+// is set — over Arg evaluated against each selected row. Col < 0 with no Arg
+// means COUNT(*) (count every selected row, null or not).
 type AggExpr struct {
 	Op  AggOp
 	Col int
+	Arg expr.Expr
 }
 
 // AggSpec describes one GROUP BY pipeline: the schema indexes of the group
@@ -142,16 +148,25 @@ func (a *aggAcc) updateBool(v bool) {
 	}
 }
 
-// updateValue is the boxed fallback for a batch column whose concrete type
-// doesn't match any typed loop (stored-type drift).
+// updateValue is the boxed fallback: an interpreted argument's values, or a
+// batch column whose concrete type doesn't match any typed loop (stored-type
+// drift). An expression can yield INTEGER for one row and FLOAT for another;
+// the accumulator then carries on in float, as types.Compare would order them.
 func (a *aggAcc) updateValue(v types.Value) {
 	if v.Null {
 		return
 	}
 	switch v.T {
 	case types.Int64:
+		if a.kind == 'f' {
+			a.updateFloat(float64(v.I))
+			return
+		}
 		a.updateInt(v.I)
 	case types.Float64:
+		if a.kind == 'i' {
+			a.kind, a.minF, a.maxF = 'f', float64(a.minI), float64(a.maxI)
+		}
 		a.updateFloat(v.F)
 	case types.Varchar:
 		a.updateString(v.S)
@@ -239,8 +254,16 @@ type HashAgg struct {
 	groupBuf []int32
 	keyBuf   []byte
 
+	// Interpreted arguments: the aggregates that carry one, the schema
+	// columns they read and the full-width row those are boxed into,
+	// once per input row for all of them.
+	argAggs []int
+	argCols []int
+	argRow  types.Row
+
 	rows         int64 // selected rows consumed
 	fallbackRows int64 // rows that went through a boxed fallback loop
+	boxed        bool  // the batch being consumed took a boxed loop
 }
 
 // NewHashAgg builds an aggregator for one query. schema is the batch schema
@@ -257,9 +280,26 @@ func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
 		h.byKey = make(map[string]int32)
 	}
 	h.allCountStar = len(spec.Aggs) > 0
-	for _, a := range spec.Aggs {
-		if a.Op != AggCount || a.Col >= 0 {
+	var names []string
+	wholeRow := false
+	for j, a := range spec.Aggs {
+		if a.Op != AggCount || a.Col >= 0 || a.Arg != nil {
 			h.allCountStar = false
+		}
+		if a.Arg != nil {
+			h.argAggs = append(h.argAggs, j)
+			names = a.Arg.Columns(names)
+			// HASH(*) reads the row, not named columns. A string literal that
+			// spells it only costs the pruning.
+			wholeRow = wholeRow || strings.Contains(a.Arg.SQL(), "HASH(*)")
+		}
+	}
+	if h.argAggs != nil {
+		h.argRow = make(types.Row, len(schema.Cols))
+		for c := range schema.Cols {
+			if wholeRow || slices.ContainsFunc(names, func(n string) bool { return schema.ColIndex(n) == c }) {
+				h.argCols = append(h.argCols, c)
+			}
 		}
 	}
 	if len(spec.GroupCols) == 0 {
@@ -326,11 +366,12 @@ func (h *HashAgg) nullGroup() int32 {
 	return h.nullGrp
 }
 
-// Consume folds one filtered batch into the aggregation state.
-func (h *HashAgg) Consume(b *storage.Batch) {
+// Consume folds one filtered batch into the aggregation state. Only an
+// interpreted aggregate argument can fail.
+func (h *HashAgg) Consume(b *storage.Batch) error {
 	n := len(b.Sel)
 	if n == 0 {
-		return
+		return nil
 	}
 	h.rows += int64(n)
 	if h.fastInt && h.allCountStar {
@@ -338,7 +379,7 @@ func (h *HashAgg) Consume(b *storage.Batch) {
 			// Popcount-style COUNT over an RLE group key: one table probe and
 			// one addition per (run, sel-range) instead of per row.
 			h.consumeRLECounts(col, b.Sel)
-			return
+			return nil
 		}
 	}
 	groupOf := h.groupBuf
@@ -351,6 +392,13 @@ func (h *HashAgg) Consume(b *storage.Batch) {
 	for j := range h.spec.Aggs {
 		h.updateAgg(b, j, groupOf)
 	}
+	if err := h.updateInterpreted(b, groupOf); err != nil {
+		return err
+	}
+	if h.boxed {
+		h.fallbackRows, h.boxed = h.fallbackRows+int64(n), false
+	}
+	return nil
 }
 
 func (h *HashAgg) consumeRLECounts(col *storage.Int64RLEColumn, sel []int32) {
@@ -425,7 +473,7 @@ func (h *HashAgg) resolveGroups(b *storage.Batch, groupOf []int32) {
 		default:
 			// Stored-type drift on a schema-int column: box, but keep the
 			// int key table so equal keys still land in one group.
-			h.fallbackRows += int64(len(b.Sel))
+			h.boxed = true
 			for k, i := range b.Sel {
 				v := b.Cols[gc].Get(int(i))
 				if v.Null {
@@ -545,9 +593,36 @@ func b2b(v bool) byte {
 	return 0
 }
 
-// updateAgg runs aggregate j's typed update loop over the batch.
+// updateInterpreted feeds the aggregates whose argument is an expression:
+// each selected row boxes the columns those expressions read, once, and every
+// such aggregate evaluates against it.
+func (h *HashAgg) updateInterpreted(b *storage.Batch, groupOf []int32) error {
+	if h.argAggs == nil {
+		return nil
+	}
+	h.boxed = true
+	for k, i := range b.Sel {
+		for _, c := range h.argCols {
+			h.argRow[c] = b.Cols[c].Get(int(i))
+		}
+		for _, j := range h.argAggs {
+			v, err := h.spec.Aggs[j].Arg.Eval(h.argRow, &b.Schema)
+			if err != nil {
+				return err
+			}
+			h.accs[int(groupOf[k])*h.nAggs+j].updateValue(v)
+		}
+	}
+	return nil
+}
+
+// updateAgg runs aggregate j's typed update loop over the batch; an
+// interpreted argument is updateInterpreted's.
 func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) {
 	ae := h.spec.Aggs[j]
+	if ae.Arg != nil {
+		return
+	}
 	if ae.Col < 0 {
 		// COUNT(*): every selected row counts, null or not.
 		for k := range b.Sel {
@@ -604,7 +679,7 @@ func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) {
 			h.accs[int(groupOf[k])*h.nAggs+j].updateBool(col.Vals[i])
 		}
 	default:
-		h.fallbackRows += int64(len(b.Sel))
+		h.boxed = true
 		for k, i := range b.Sel {
 			h.accs[int(groupOf[k])*h.nAggs+j].updateValue(col.Get(int(i)))
 		}

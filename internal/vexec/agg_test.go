@@ -3,6 +3,7 @@ package vexec
 import (
 	"testing"
 
+	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
@@ -181,4 +182,51 @@ func TestHashAggManyGroupsGrowsTable(t *testing.T) {
 	// Per batch, keys 0..99 appear 4 times and 100..299 appear 3 times.
 	wantValue(t, h.AggResult(0, 0), i64(8), "count(0) after two batches")
 	wantValue(t, h.AggResult(299, 0), i64(6), "count(299) after two batches")
+}
+
+// TestHashAggInterpretedArgument: an expression argument is evaluated per
+// selected row and fed to the same accumulators. Its values may change kind
+// from row to row; MIN/MAX/SUM then carry on in float, as types.Compare
+// orders INTEGER against FLOAT. Each row counts as a fallback row once,
+// however many arguments are interpreted, and an evaluation error surfaces.
+func TestHashAggInterpretedArgument(t *testing.T) {
+	schema := intSchema()
+	b := mkBatch(t, schema, []types.Row{
+		{i64(1), f64(4), str("a"), types.BoolValue(true)},
+		{i64(1), f64(0.5), str("b"), types.BoolValue(true)},
+		{i64(2), types.NullValue(types.Float64), str("c"), types.BoolValue(true)},
+		{i64(1), f64(9), str("d"), types.BoolValue(true)},
+	})
+	// x for the first row of a group, f afterwards: INTEGER then FLOAT values.
+	drift := &expr.FuncCall{Name: "DRIFT", Args: []expr.Expr{&expr.Col{Name: "s"}, &expr.Col{Name: "x"}, &expr.Col{Name: "f"}},
+		Impl: func(args []types.Value, _ map[string]string) (types.Value, error) {
+			if args[0].S == "a" || args[0].S == "c" {
+				return args[1], nil
+			}
+			return args[2], nil
+		}}
+	plus := &expr.Arith{Op: expr.Add, L: &expr.Col{Name: "f"}, R: &expr.Lit{V: i64(1)}}
+	h := NewHashAgg(AggSpec{GroupCols: []int{0}, Aggs: []AggExpr{
+		{Op: AggSum, Col: -1, Arg: plus}, {Op: AggMin, Col: -1, Arg: drift}, {Op: AggMax, Col: -1, Arg: drift},
+		{Op: AggCount, Col: -1, Arg: plus}, {Op: AggCount, Col: -1},
+	}}, schema)
+	if err := h.Consume(b); err != nil {
+		t.Fatal(err)
+	}
+	wantValue(t, h.AggResult(0, 0), f64(16.5), "SUM(f + 1)")
+	wantValue(t, h.AggResult(0, 1), f64(0.5), "MIN over 1, 0.5, 9.0")
+	wantValue(t, h.AggResult(0, 2), f64(9), "MAX over 1, 0.5, 9.0")
+	wantValue(t, h.AggResult(1, 0), types.NullValue(types.Float64), "SUM of NULL")
+	wantValue(t, h.AggResult(1, 1), i64(2), "MIN over 2")
+	wantValue(t, h.AggResult(1, 3), i64(0), "COUNT(f + 1) skips NULL")
+	wantValue(t, h.AggResult(1, 4), i64(1), "COUNT(*)")
+	if h.Rows() != 4 || h.FallbackRows() != 4 {
+		t.Fatalf("rows %d, fallback rows %d; want 4 and 4", h.Rows(), h.FallbackRows())
+	}
+
+	div := &expr.Arith{Op: expr.Div, L: &expr.Lit{V: i64(1)}, R: &expr.Arith{Op: expr.Sub, L: &expr.Col{Name: "x"}, R: &expr.Lit{V: i64(2)}}}
+	h = NewHashAgg(AggSpec{Aggs: []AggExpr{{Op: AggSum, Col: -1, Arg: div}}}, schema)
+	if err := h.Consume(b); err == nil {
+		t.Fatal("division by zero in an aggregate argument did not surface")
+	}
 }

@@ -32,14 +32,20 @@ type Kernel func(b *storage.Batch, sel []int32) []int32
 type Pred struct {
 	kernels  []Kernel
 	residual expr.Expr
-	schema   types.Schema
+	// hashKernels are the HASH(...) CMP literal conjuncts, which read the
+	// batch's stored hash vector. Only a storage container's batch has one: on
+	// a derived batch (join output, view, system table — Hashes == nil) the
+	// same conjuncts run interpreted, as part of derived.
+	hashKernels []Kernel
+	derived     expr.Expr // the hash conjuncts AND residual
+	schema      types.Schema
 	// zones holds the prunable conjunct shapes (column CMP literal, IS [NOT]
 	// NULL) tested against per-container zone maps by CanPrune.
 	zones []zoneCheck
 }
 
 // NumKernels returns how many conjuncts compiled to typed kernels.
-func (p *Pred) NumKernels() int { return len(p.kernels) }
+func (p *Pred) NumKernels() int { return len(p.kernels) + len(p.hashKernels) }
 
 // Residual returns the interpreted remainder (nil when fully compiled).
 func (p *Pred) Residual() expr.Expr { return p.residual }
@@ -47,19 +53,27 @@ func (p *Pred) Residual() expr.Expr { return p.residual }
 // Compile lowers where against the schema. segIdx gives the schema indexes
 // of the segmentation columns used to precompute batch hashes (HASH(...)
 // conjuncts matching it lower to hash-vector kernels); pass nil when batch
-// hashes are whole-row synthetic hashes. A nil where compiles to a
-// pass-through predicate.
+// hashes are whole-row synthetic hashes. Whether those kernels run is decided
+// per batch, by whether it carries a hash vector at all. A nil where compiles
+// to a pass-through predicate.
 func Compile(where expr.Expr, schema types.Schema, segIdx []int) *Pred {
 	p := &Pred{schema: schema}
 	if where == nil {
 		return p
 	}
-	var residual []expr.Expr
+	var residual, hashed []expr.Expr
 	for _, c := range splitConjuncts(where, nil) {
 		if z, ok := collectZoneChecks(c, schema); ok {
 			p.zones = append(p.zones, z)
 		}
-		if k, ok := lower(c, schema, segIdx); ok {
+		if k, ok := lowerHashCmp(c, schema, segIdx); ok {
+			if k != nil {
+				p.hashKernels = append(p.hashKernels, k)
+			}
+			hashed = append(hashed, c)
+			continue
+		}
+		if k, ok := lower(c, schema); ok {
 			if k != nil { // nil = always-true conjunct, dropped
 				p.kernels = append(p.kernels, k)
 			}
@@ -68,6 +82,7 @@ func Compile(where expr.Expr, schema types.Schema, segIdx []int) *Pred {
 		residual = append(residual, c)
 	}
 	p.residual = expr.Conjoin(residual...)
+	p.derived = expr.Conjoin(append(hashed, p.residual)...)
 	return p
 }
 
@@ -90,16 +105,15 @@ func (p *Pred) FilterBatch(b *storage.Batch) error { return p.FilterBatchStats(b
 // profiling; fs may be nil.
 func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 	sel := b.Sel
-	if fs != nil && len(p.kernels) > 0 {
+	if fs != nil && p.NumKernels() > 0 {
 		fs.KernelRows += int64(len(sel))
 	}
-	for _, k := range p.kernels {
-		if len(sel) == 0 {
-			break
-		}
-		sel = k(b, sel)
+	sel = applyKernels(p.kernels, b, sel)
+	residual := p.derived
+	if b.Hashes != nil {
+		sel, residual = applyKernels(p.hashKernels, b, sel), p.residual
 	}
-	if p.residual != nil && len(sel) > 0 {
+	if residual != nil && len(sel) > 0 {
 		if fs != nil {
 			fs.ResidualRows += int64(len(sel))
 		}
@@ -107,7 +121,7 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 		var scratch types.Row // reused across rows within this batch
 		for _, i := range sel {
 			scratch = b.Row(int(i), scratch)
-			ok, err := expr.EvalPredicate(p.residual, scratch, &b.Schema)
+			ok, err := expr.EvalPredicate(residual, scratch, &b.Schema)
 			if err != nil {
 				return err
 			}
@@ -121,6 +135,16 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 	return nil
 }
 
+func applyKernels(kernels []Kernel, b *storage.Batch, sel []int32) []int32 {
+	for _, k := range kernels {
+		if len(sel) == 0 {
+			break
+		}
+		sel = k(b, sel)
+	}
+	return sel
+}
+
 func splitConjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
 	if a, ok := e.(*expr.And); ok {
 		return splitConjuncts(a.R, splitConjuncts(a.L, dst))
@@ -131,7 +155,7 @@ func splitConjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
 // lower compiles one conjunct. It returns (nil, true) for conjuncts that are
 // always true (droppable), (kernel, true) on success, and (_, false) when
 // the conjunct must run interpreted.
-func lower(e expr.Expr, schema types.Schema, segIdx []int) (Kernel, bool) {
+func lower(e expr.Expr, schema types.Schema) (Kernel, bool) {
 	switch n := e.(type) {
 	case *expr.Lit:
 		if n.V.Null || !n.V.AsBool() {
@@ -155,20 +179,12 @@ func lower(e expr.Expr, schema types.Schema, segIdx []int) (Kernel, bool) {
 		}
 		return nullKernel(ci, n.Negate), true
 	case *expr.Cmp:
-		return lowerCmp(n, schema, segIdx)
+		return lowerCmp(n, schema)
 	}
 	return nil, false
 }
 
-func lowerCmp(c *expr.Cmp, schema types.Schema, segIdx []int) (Kernel, bool) {
-	// HASH(segcols) CMP literal evaluates against the batch's precomputed
-	// hash vector.
-	if h, ok := c.L.(*expr.HashFn); ok {
-		if lit, ok2 := c.R.(*expr.Lit); ok2 && hashMatchesSeg(h, schema, segIdx) {
-			return lowerHashCmp(c.Op, lit)
-		}
-		return nil, false
-	}
+func lowerCmp(c *expr.Cmp, schema types.Schema) (Kernel, bool) {
 	op := c.Op
 	col, okL := c.L.(*expr.Col)
 	lit, okR := c.R.(*expr.Lit)
@@ -242,14 +258,26 @@ func hashMatchesSeg(h *expr.HashFn, schema types.Schema, segIdx []int) bool {
 	return true
 }
 
-func lowerHashCmp(op expr.CmpOp, lit *expr.Lit) (Kernel, bool) {
+// lowerHashCmp compiles a HASH(segcols) CMP literal conjunct to a kernel over
+// the batch's precomputed hash vector (nil when always true); ok is false for
+// any other conjunct.
+func lowerHashCmp(e expr.Expr, schema types.Schema, segIdx []int) (Kernel, bool) {
+	c, isCmp := e.(*expr.Cmp)
+	if !isCmp {
+		return nil, false
+	}
+	h, isHash := c.L.(*expr.HashFn)
+	lit, isLit := c.R.(*expr.Lit)
+	if !isHash || !isLit || !hashMatchesSeg(h, schema, segIdx) {
+		return nil, false
+	}
 	if lit.V.Null {
 		return selectNone, true
 	}
 	n := lit.V.AsInt()
 	// Hash values are uint32 widened to int64, so they are always >= 0 and
 	// <= MaxUint32; bounds outside that range collapse to always/never.
-	switch op {
+	switch c.Op {
 	case expr.GE, expr.GT:
 		if n < 0 {
 			return nil, true // always true
@@ -265,7 +293,7 @@ func lowerHashCmp(op expr.CmpOp, lit *expr.Lit) (Kernel, bool) {
 	default:
 		return nil, false // NE stays interpreted; it never prunes usefully
 	}
-	return hashCmpKernel(op, uint64(n)), true
+	return hashCmpKernel(c.Op, uint64(n)), true
 }
 
 // selectNone drops every row (a conjunct that can never be true).

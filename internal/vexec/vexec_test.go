@@ -283,6 +283,37 @@ func TestKernelHashRange(t *testing.T) {
 	}
 }
 
+// TestHashConjunctOnDerivedBatch: a batch that carries no stored hashes — a
+// join's output, a view's or a system table's rows — answers the same compiled
+// predicate by interpreting its HASH conjuncts over the batch's own rows.
+func TestHashConjunctOnDerivedBatch(t *testing.T) {
+	schema := types.Schema{Cols: []types.Column{{Name: "x", T: types.Int64}}}
+	var rows []types.Row
+	for i := 0; i < 64; i++ {
+		rows = append(rows, types.Row{types.IntValue(int64(i))})
+	}
+	where := expr.Conjoin(cmp(expr.GE, &expr.HashFn{}, lit(types.IntValue(1<<31))), cmp(expr.LT, col("x"), lit(types.IntValue(50))))
+	p := Compile(where, schema, nil)
+	if p.NumKernels() != 2 {
+		t.Fatalf("%d kernels, want 2", p.NumKernels())
+	}
+	stored, derived := mkBatch(t, schema, rows), mkBatch(t, schema, rows)
+	derived.Hashes = nil
+	want := interpretSel(t, where, stored, stored.Sel)
+	var fs FilterStats
+	for _, b := range []*storage.Batch{stored, derived} {
+		if err := p.FilterBatchStats(b, &fs); err != nil {
+			t.Fatal(err)
+		}
+		if !selEqual(b.Sel, want) || len(want) == 0 || len(want) >= 50 {
+			t.Fatalf("hashes %v: kept %v, want %v", b.Hashes != nil, b.Sel, want)
+		}
+	}
+	if fs.KernelRows != 128 || fs.ResidualRows != 50 {
+		t.Fatalf("kernel rows %d, residual rows %d; want 128 and the derived batch's 50 survivors", fs.KernelRows, fs.ResidualRows)
+	}
+}
+
 func TestKernelBareBoolColumn(t *testing.T) {
 	schema := intSchema()
 	rows := []types.Row{

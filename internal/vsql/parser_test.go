@@ -357,3 +357,57 @@ func TestParseTrailingSemicolon(t *testing.T) {
 		t.Error("two statements should fail")
 	}
 }
+
+// FuzzParse asserts the SQL front end never panics: whatever bytes arrive on
+// a connection, Parse returns a statement or an error. The seed corpus is one
+// statement of every kind the parser accepts, plus the inputs hand-written SQL
+// front ends classically mishandle: keywords inside quotes, nested
+// parentheses, trailing comments, USING PARAMETERS.
+func FuzzParse(f *testing.F) {
+	for _, sql := range []string{
+		"SELECT a, b AS c FROM t WHERE a >= 1 AND (b < 2.5 OR NOT (s = 'x')) ORDER BY a DESC, c LIMIT 10",
+		"AT EPOCH 7 SELECT * FROM t WHERE HASH(id) >= 0 AND HASH(id) < 1073741824",
+		"AT EPOCH LATEST SELECT COUNT(*) FROM v WHERE MOD(HASH(*), 4) = 3",
+		"SELECT g, COUNT(*), SUM(v + 1), AVG(v), MIN(s), MAX(s) FROM t GROUP BY g",
+		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid INNER JOIN x AS y ON o.cid = y.cid WHERE o.id IS NOT NULL",
+		"SELECT LAST_EPOCH()",
+		"SELECT PMMLPredict(a, b USING PARAMETERS model_name='regression', k=3) FROM iris",
+		"EXPLAIN SELECT g, COUNT(*) FROM t WHERE v > 3 GROUP BY g",
+		"PROFILE SELECT * FROM t",
+		"CREATE TABLE d1 (id INTEGER, x FLOAT, s VARCHAR(80), ok BOOLEAN) SEGMENTED BY HASH(id) ALL NODES KSAFE 1",
+		"CREATE TABLE u (a INTEGER) UNSEGMENTED ALL NODES",
+		"CREATE TEMP TABLE staging LIKE target",
+		"CREATE VIEW v AS SELECT k, COUNT(*) FROM t GROUP BY k",
+		"CREATE RESOURCE POOL IF NOT EXISTS etl MEMORYSIZE '100M' MAXCONCURRENCY 8 MAXQUEUEDEPTH NONE QUEUETIMEOUT '750ms'",
+		"ALTER RESOURCE POOL etl MAXCONCURRENCY NONE",
+		"ALTER TABLE a RENAME TO b",
+		"ALTER CLUSTER ADD NODE",
+		"ALTER CLUSTER REMOVE NODE 3",
+		"DROP TABLE IF EXISTS t",
+		"DROP VIEW v",
+		"DROP RESOURCE POOL IF EXISTS etl",
+		"INSERT INTO t (a, b) VALUES (1, 'x'), (-2, NULL)",
+		"INSERT INTO t SELECT * FROM staging",
+		"UPDATE s2v_status SET done = TRUE, n = n + 1 WHERE task_id = 3 AND done = FALSE",
+		"DELETE FROM t WHERE a < 0",
+		"COPY target FROM STDIN FORMAT AVRO DIRECT REJECTMAX 100",
+		"COPY t FROM LOCAL '/data/part1.csv' FORMAT CSV",
+		"BEGIN TRANSACTION", "COMMIT", "ROLLBACK", "ABORT",
+		"SET SESSION RESOURCE_POOL = etl",
+		"SET SLOW_QUERY_THRESHOLD = '1ns'",
+		"SELECT * FROM t WHERE name = 'SELECT FROM WHERE ''x'' GROUP BY'",
+		"SELECT ((((a + (b * (c - 1))) / 2))) FROM t WHERE (((a = 1)))",
+		"SELECT * -- load everything\nFROM t -- trailing",
+		"SELECT * FROM t WHERE x > 1.5e-3 AND a = -2;",
+		"SELECT * FROM t; SELECT 1",
+		"SELECT 'unterminated", "SELECT (", "SELECT a FROM", ")", "", "\x00", "SELECT 1e",
+	} {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		stmt, err := Parse(sql)
+		if err == nil && stmt == nil {
+			t.Fatalf("Parse(%q) returned neither a statement nor an error", sql)
+		}
+	})
+}
