@@ -55,8 +55,9 @@ wire-test: wire-fuzz
 
 # Five seconds of native fuzzing on each decoder of untrusted bytes: the wire
 # frames, the batch-frame payload codec (storage.DecodeColumns), the
-# WAL/data-collector frame scanner (framelog.Scan) and the SQL parser
-# (vsql.Parse, which reads whatever statement text a connection sends).
+# WAL/data-collector frame scanner (framelog.Scan), the SQL parser
+# (vsql.Parse, which reads whatever statement text a connection sends) and the
+# Avro container reader (avro.Reader, which reads whatever a COPY streams).
 wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
@@ -64,6 +65,7 @@ wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzDecodeColumns -fuzztime 5s ./internal/storage/
 	$(GO) test -race -run xxx -fuzz FuzzScan -fuzztime 5s ./internal/framelog/
 	$(GO) test -race -run xxx -fuzz FuzzParse -fuzztime 5s ./internal/vsql/
+	$(GO) test -race -run xxx -fuzz FuzzAvroReader -fuzztime 5s ./internal/avro/
 
 # Closed-loop wire benchmark at smoke scale: diffs the wire's result set
 # against the in-process one cell by cell and checks admission control bounds

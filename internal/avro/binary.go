@@ -1,12 +1,11 @@
 package avro
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
@@ -15,128 +14,224 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// writeLong writes an Avro long (zigzag varint).
-func writeLong(w *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], zigzag(v))
-	w.Write(tmp[:n])
-}
+// appendLong appends an Avro long (zigzag varint).
+func appendLong(buf []byte, v int64) []byte { return binary.AppendUvarint(buf, zigzag(v)) }
 
-// readLong reads an Avro long.
-func readLong(r io.ByteReader) (int64, error) {
-	u, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	return unzigzag(u), nil
-}
+// The two branches of a ["null", primitive] union, as the one byte their
+// zigzag varints take.
+const (
+	branchNull  = 0 // zigzag(0)
+	branchValue = 2 // zigzag(1)
+)
 
-// EncodeRow appends the Avro binary encoding of a row (each field a
-// ["null", primitive] union) to buf and returns the extended buffer.
-func EncodeRow(buf []byte, r types.Row, s Schema) ([]byte, error) {
-	if len(r) != len(s.Fields) {
-		return nil, fmt.Errorf("avro: row has %d fields, schema has %d", len(r), len(s.Fields))
-	}
-	var b bytes.Buffer
+// fieldKinds resolves a schema into the per-field value kinds the row encoder
+// and the block decoder switch on, rejecting kinds Avro has no primitive for.
+func fieldKinds(s Schema) ([]types.Type, error) {
+	kinds := make([]types.Type, len(s.Fields))
 	for i, f := range s.Fields {
-		v := r[i]
-		if v.Null {
-			writeLong(&b, 0) // union branch 0: null
-			continue
-		}
-		writeLong(&b, 1) // union branch 1: value
-		switch f.Type {
-		case types.Int64:
-			writeLong(&b, v.AsInt())
-		case types.Float64:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.AsFloat()))
-			b.Write(tmp[:])
-		case types.Varchar:
-			writeLong(&b, int64(len(v.S)))
-			b.WriteString(v.S)
-		case types.Bool:
-			if v.AsBool() {
-				b.WriteByte(1)
-			} else {
-				b.WriteByte(0)
-			}
-		default:
-			return nil, fmt.Errorf("avro: unsupported field type %v", f.Type)
-		}
-	}
-	return append(buf, b.Bytes()...), nil
-}
-
-// byteReader adapts an io.Reader providing ReadByte and bulk reads.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
-}
-
-func (b *byteReader) ReadFull(p []byte) error {
-	_, err := io.ReadFull(b.r, p)
-	return err
-}
-
-// DecodeRow reads one row in Avro binary encoding.
-func DecodeRow(r *byteReader, s Schema) (types.Row, error) {
-	row := make(types.Row, len(s.Fields))
-	for i, f := range s.Fields {
-		branch, err := readLong(r)
-		if err != nil {
+		if _, err := avroPrimitive(f.Type); err != nil {
 			return nil, err
 		}
-		switch branch {
-		case 0:
-			row[i] = types.NullValue(f.Type)
+		kinds[i] = f.Type
+	}
+	return kinds, nil
+}
+
+// appendRow appends the Avro binary encoding of a row (each field a
+// ["null", primitive] union) to buf. A value of another kind than its field
+// is converted the way types.Value's accessors do.
+func appendRow(buf []byte, r types.Row, kinds []types.Type) []byte {
+	for i, t := range kinds {
+		v := &r[i]
+		if v.Null {
+			buf = append(buf, branchNull)
 			continue
-		case 1:
-		default:
-			return nil, fmt.Errorf("avro: field %q: bad union branch %d", f.Name, branch)
 		}
-		switch f.Type {
+		buf = append(buf, branchValue)
+		switch t {
 		case types.Int64:
-			v, err := readLong(r)
-			if err != nil {
-				return nil, err
+			x := v.I
+			if v.T != types.Int64 {
+				x = v.AsInt()
 			}
-			row[i] = types.IntValue(v)
+			buf = appendLong(buf, x)
 		case types.Float64:
-			var tmp [8]byte
-			if err := r.ReadFull(tmp[:]); err != nil {
-				return nil, err
+			x := v.F
+			if v.T != types.Float64 {
+				x = v.AsFloat()
 			}
-			row[i] = types.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		case types.Varchar:
-			n, err := readLong(r)
-			if err != nil {
-				return nil, err
-			}
-			if n < 0 || n > 1<<30 {
-				return nil, fmt.Errorf("avro: field %q: bad string length %d", f.Name, n)
-			}
-			b := make([]byte, n)
-			if err := r.ReadFull(b); err != nil {
-				return nil, err
-			}
-			row[i] = types.StringValue(string(b))
+			buf = appendLong(buf, int64(len(v.S)))
+			buf = append(buf, v.S...)
 		case types.Bool:
-			c, err := r.ReadByte()
-			if err != nil {
-				return nil, err
+			x := v.B
+			if v.T != types.Bool {
+				x = v.AsBool()
 			}
-			row[i] = types.BoolValue(c != 0)
-		default:
-			return nil, fmt.Errorf("avro: unsupported field type %v", f.Type)
+			if x {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
 		}
 	}
-	return row, nil
+	return buf
+}
+
+// fieldDec is one field's share of the block decoder: the vector being
+// filled, and for strings the scratch the cells pass through — their bytes
+// are collected in one arena per block and cut from its single string copy
+// once the block is decoded, so a text column costs two allocations per
+// block, not one per cell.
+type fieldDec struct {
+	name string
+	t    types.Type
+
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool
+	nulls  []bool // nil until the block's first NULL
+
+	arena []byte  // reused across blocks
+	ends  []int32 // arena offset after each cell; reused across blocks
+}
+
+// start sizes the field's vector for a block of n rows.
+func (d *fieldDec) start(n int) {
+	d.nulls = nil
+	switch d.t {
+	case types.Int64:
+		d.ints = make([]int64, n)
+	case types.Float64:
+		d.floats = make([]float64, n)
+	case types.Varchar:
+		d.strs = make([]string, n)
+		d.arena = d.arena[:0]
+		if cap(d.ends) < n {
+			d.ends = make([]int32, n)
+		}
+		d.ends = d.ends[:n]
+	case types.Bool:
+		d.bools = make([]bool, n)
+	}
+}
+
+// setNull marks row i of the n-row block NULL; its value stays the zero value.
+func (d *fieldDec) setNull(i, n int) {
+	if d.nulls == nil {
+		d.nulls = make([]bool, n)
+	}
+	d.nulls[i] = true
+	if d.t == types.Varchar {
+		d.ends[i] = int32(len(d.arena))
+	}
+}
+
+// column hands the filled vector over; the decoder keeps no reference to it.
+func (d *fieldDec) column() storage.Column {
+	switch d.t {
+	case types.Int64:
+		return &storage.Int64Column{Vals: d.ints, Nulls: d.nulls}
+	case types.Float64:
+		return &storage.Float64Column{Vals: d.floats, Nulls: d.nulls}
+	case types.Varchar:
+		blob, prev := string(d.arena), int32(0)
+		for i, end := range d.ends {
+			d.strs[i], prev = blob[prev:end], end
+		}
+		return &storage.StringColumn{Vals: d.strs, Nulls: d.nulls}
+	default:
+		return &storage.BoolColumn{Vals: d.bools, Nulls: d.nulls}
+	}
+}
+
+// decodeBlock decodes a block's n records from data into one dense vector
+// per field. The block must hold exactly n records: running out of bytes
+// early and having bytes left over are both errors, never a short result.
+// The caller has bounded n by len(data), so the vectors cost no more than
+// the bytes that back them.
+func decodeBlock(data []byte, n int, fields []fieldDec) ([]storage.Column, error) {
+	for j := range fields {
+		fields[j].start(n)
+	}
+	pos := 0
+	short := func(i int, d *fieldDec) error {
+		return fmt.Errorf("avro: record %d of %d is cut short or malformed at field %q", i, n, d.name)
+	}
+	for i := 0; i < n; i++ {
+		for j := range fields {
+			d := &fields[j]
+			if pos >= len(data) {
+				return nil, short(i, d)
+			}
+			switch b := data[pos]; b {
+			case branchValue:
+				pos++
+			case branchNull:
+				pos++
+				d.setNull(i, n)
+				continue
+			default:
+				// A branch index that is wrong, or oddly spelled.
+				u, k := binary.Uvarint(data[pos:])
+				if k <= 0 {
+					return nil, short(i, d)
+				}
+				pos += k
+				switch branch := unzigzag(u); branch {
+				case 0:
+					d.setNull(i, n)
+					continue
+				case 1:
+				default:
+					return nil, fmt.Errorf("avro: field %q: bad union branch %d", d.name, branch)
+				}
+			}
+			switch d.t {
+			case types.Int64:
+				u, k := binary.Uvarint(data[pos:])
+				if k <= 0 {
+					return nil, short(i, d)
+				}
+				pos += k
+				d.ints[i] = unzigzag(u)
+			case types.Float64:
+				if len(data)-pos < 8 {
+					return nil, short(i, d)
+				}
+				d.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
+				pos += 8
+			case types.Varchar:
+				u, k := binary.Uvarint(data[pos:])
+				if k <= 0 {
+					return nil, short(i, d)
+				}
+				pos += k
+				ln := unzigzag(u)
+				if ln < 0 || ln > int64(len(data)-pos) {
+					return nil, fmt.Errorf("avro: field %q: string of %d bytes in record %d, %d bytes left in the block",
+						d.name, ln, i, len(data)-pos)
+				}
+				d.arena = append(d.arena, data[pos:pos+int(ln)]...)
+				d.ends[i] = int32(len(d.arena))
+				pos += int(ln)
+			case types.Bool:
+				if pos >= len(data) {
+					return nil, short(i, d)
+				}
+				d.bools[i] = data[pos] != 0
+				pos++
+			}
+		}
+	}
+	if pos != len(data) {
+		return nil, fmt.Errorf("avro: block count says %d records, %d bytes follow them", n, len(data)-pos)
+	}
+	cols := make([]storage.Column, len(fields))
+	for j := range fields {
+		cols[j] = fields[j].column()
+	}
+	return cols, nil
 }

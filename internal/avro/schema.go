@@ -3,6 +3,11 @@
 // records of nullable primitives, and Object Container Files with the null
 // and deflate codecs. The paper picks Avro because it is binary, needs no
 // delimiter, and compresses — all three properties hold here.
+//
+// The writer encodes records straight from rows into a block buffer; the
+// reader decodes a block straight into column vectors (ReadBlock), which is
+// how COPY loads them, and boxes rows only for callers that ask for rows
+// (Next, ReadAll).
 package avro
 
 import (

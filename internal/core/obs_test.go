@@ -46,6 +46,63 @@ func spansByName(h *harness, name string) []obs.Span {
 	return out
 }
 
+// checkCopyStages verifies the inside of every engine-side copy span: its
+// stages are child spans in its trace, each started one ended, and they stop
+// where the load stopped — decode, append and wal all clean under a load that
+// succeeded; under one whose stream died, a failed copy.decode and nothing
+// after it. It returns how many loads of each kind it saw.
+func checkCopyStages(t *testing.T, h *harness) (clean, died int) {
+	t.Helper()
+	stages := make(map[uint64]map[string]obs.Span)
+	for _, sp := range h.cluster.Obs().Spans() {
+		if !strings.HasPrefix(sp.Name, "copy.") {
+			continue
+		}
+		if stages[sp.ParentID] == nil {
+			stages[sp.ParentID] = make(map[string]obs.Span)
+		}
+		if _, dup := stages[sp.ParentID][sp.Name]; dup {
+			t.Errorf("two %s spans under one copy span", sp.Name)
+		}
+		stages[sp.ParentID][sp.Name] = sp
+	}
+	for _, cp := range spansByName(h, "copy") {
+		st := stages[cp.SpanID]
+		delete(stages, cp.SpanID)
+		for name, sp := range st {
+			if sp.TraceID != cp.TraceID || sp.Node != cp.Node {
+				t.Errorf("%s span %+v is not in its copy span's trace and node %+v", name, sp, cp)
+			}
+		}
+		dec, ok := st["copy.decode"]
+		switch {
+		case !ok:
+			t.Errorf("copy span %+v has no copy.decode child (children: %v)", cp, st)
+		case cp.OK():
+			clean++
+			if len(st) != 3 || !dec.OK() || !st["copy.append"].OK() || !st["copy.wal"].OK() {
+				t.Errorf("clean copy span's stages = %+v, want clean decode, append and wal", st)
+			}
+			if st["copy.append"].Start.Before(dec.Start) || st["copy.wal"].Start.Before(st["copy.append"].Start) {
+				t.Errorf("copy stages out of order: %+v", st)
+			}
+		case dec.Err != "":
+			died++
+			if len(st) != 1 || dec.Err != cp.Err {
+				t.Errorf("copy died decoding (%s) but its stages are %+v", cp.Err, st)
+			}
+		default:
+			if st["copy.append"].Err != cp.Err && st["copy.wal"].Err != cp.Err {
+				t.Errorf("failed copy span %+v: no stage carries its error: %+v", cp, st)
+			}
+		}
+	}
+	if len(stages) != 0 {
+		t.Errorf("copy stage spans with no copy span above them: %+v", stages)
+	}
+	return clean, died
+}
+
 // TestVMonitorAfterConnectorRoundTrip: after a V2S load and an S2V save, the
 // connector's spans are queryable through the v_monitor system tables and
 // the collector holds the full span taxonomy.
@@ -115,6 +172,9 @@ func TestVMonitorAfterConnectorRoundTrip(t *testing.T) {
 		if !strings.Contains(sp.Detail, "job obs_job") {
 			t.Errorf("phase span detail %q does not name the job", sp.Detail)
 		}
+	}
+	if clean, died := checkCopyStages(t, h); clean == 0 || died != 0 {
+		t.Errorf("copy spans: %d clean, %d died decoding; want every staged partition's load clean", clean, died)
 	}
 
 	// The same history through SQL: query_requests saw the tasks' statements
@@ -340,6 +400,11 @@ func TestS2VFailureSpanCompleteness(t *testing.T) {
 	// No task got past staging, so the commit phases never opened spans.
 	if got := spansByName(h.harness, "s2v.phase5"); len(got) != 0 {
 		t.Errorf("phase5 spans on a job that died in phase1: %+v", got)
+	}
+	// The engine saw each severed stream die inside its decode stage, and
+	// closed that stage's span with the load's error; nothing was appended.
+	if clean, died := checkCopyStages(t, h.harness); clean != 0 || died == 0 {
+		t.Errorf("copy spans: %d clean, %d died decoding; want only loads that died decoding", clean, died)
 	}
 
 	res := h.query(t, "SELECT status FROM "+JobStatusTable)

@@ -270,6 +270,48 @@ func (b *Builder) Append(v types.Value) error {
 	return nil
 }
 
+// AppendColumn appends the rows of c that sel lists, in that order, a vector
+// at a time, without boxing a value. c must be of the builder's type, in any
+// stored form.
+func (b *Builder) AppendColumn(c Column, sel []int32) error {
+	if c.Type() != b.t {
+		return fmt.Errorf("storage: appending %v column to %v column", c.Type(), b.t)
+	}
+	c = Densify(c)
+	if nulls := nullsOf(c); nulls == nil {
+		b.nulls = append(b.nulls, make([]bool, len(sel))...)
+	} else {
+		lo := len(b.nulls)
+		b.nulls = appendSel(b.nulls, nulls, sel)
+		for _, null := range b.nulls[lo:] {
+			b.anyNulls = b.anyNulls || null
+		}
+	}
+	switch c := c.(type) {
+	case *Int64Column:
+		b.ints = appendSel(b.ints, c.Vals, sel)
+	case *Float64Column:
+		b.floats = appendSel(b.floats, c.Vals, sel)
+	case *StringColumn:
+		b.strs = appendSel(b.strs, c.Vals, sel)
+	case *BoolColumn:
+		b.bools = appendSel(b.bools, c.Vals, sel)
+	default:
+		return fmt.Errorf("storage: unsupported column kind %T", c)
+	}
+	return nil
+}
+
+// appendSel appends src's values at sel to dst.
+func appendSel[T any](dst, src []T, sel []int32) []T {
+	lo := len(dst)
+	dst = slices.Grow(dst, len(sel))[:lo+len(sel)]
+	for k, i := range sel {
+		dst[lo+k] = src[i]
+	}
+	return dst
+}
+
 // Len returns the number of values appended so far.
 func (b *Builder) Len() int { return len(b.nulls) }
 

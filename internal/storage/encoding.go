@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"vsfabric/internal/types"
 )
@@ -260,22 +261,15 @@ func writeVarint(buf *bytes.Buffer, v int64) {
 // writeNulls writes a presence marker byte followed by a packed bitmap when
 // the column contains NULLs.
 func writeNulls(buf *bytes.Buffer, c Column) {
-	n := c.Len()
-	any := false
-	for i := 0; i < n; i++ {
-		if c.IsNull(i) {
-			any = true
-			break
-		}
-	}
-	if !any {
+	nulls := nullsOf(c)
+	if !slices.Contains(nulls, true) {
 		buf.WriteByte(0)
 		return
 	}
 	buf.WriteByte(1)
-	bitmap := make([]byte, (n+7)/8)
-	for i := 0; i < n; i++ {
-		if c.IsNull(i) {
+	bitmap := make([]byte, (len(nulls)+7)/8)
+	for i, null := range nulls {
+		if null {
 			bitmap[i/8] |= 1 << uint(i%8)
 		}
 	}
@@ -300,18 +294,21 @@ func readNulls(r *reader, n int) ([]bool, error) {
 
 func encodePlain(buf *bytes.Buffer, c Column) error {
 	n := c.Len()
-	var tmp [8]byte
 	switch col := c.(type) {
 	case *Int64Column:
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(col.Vals[i]))
-			buf.Write(tmp[:])
+		buf.Grow(8 * n)
+		out := buf.AvailableBuffer()
+		for _, v := range col.Vals {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
 		}
+		buf.Write(out)
 	case *Float64Column:
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(col.Vals[i]))
-			buf.Write(tmp[:])
+		buf.Grow(8 * n)
+		out := buf.AvailableBuffer()
+		for _, v := range col.Vals {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 		}
+		buf.Write(out)
 	case *StringColumn:
 		for i := 0; i < n; i++ {
 			writeUvarint(buf, uint64(len(col.Vals[i])))

@@ -165,6 +165,38 @@ func gatherValues(p []byte, batches []*Batch, j int) {
 	}
 }
 
+// DenseColumns returns one dense vector per schema column holding the rows the
+// batches select, in order, and their count — the shape the write path takes
+// rows in. It is the one bulk copy between vectors (a load's decoded blocks
+// strung together, one target's share cut out of a load, a scan's batches
+// made insertable), and no copy at all when a single batch of dense vectors
+// selects every row it has: those vectors are returned as they are, shared.
+// Every batch must carry one column per schema column, of that column's type.
+func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) {
+	n := SelectedRows(batches)
+	cols := make([]Column, schema.NumCols())
+	// Sel ascends without repeats, so one as long as its vectors selects them whole.
+	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && len(cols) > 0 && n == batches[0].Cols[0].Len()
+	for j, sc := range schema.Cols {
+		if whole && batches[0].Cols[j].Type() == sc.T {
+			cols[j] = Densify(batches[0].Cols[j])
+			continue
+		}
+		b := NewBuilder(sc.T)
+		b.Grow(n)
+		for _, bt := range batches {
+			if j >= len(bt.Cols) {
+				return nil, 0, fmt.Errorf("storage: batch of %d columns under a %d-column schema", len(bt.Cols), len(cols))
+			}
+			if err := b.AppendColumn(bt.Cols[j], bt.Sel); err != nil {
+				return nil, 0, fmt.Errorf("storage: column %d: %w", j, err)
+			}
+		}
+		cols[j] = b.Build()
+	}
+	return cols, n, nil
+}
+
 // GatherRows builds one dense vector per column of a batch set, holding the
 // values at refs (batch bi[k], physical row ri[k]) in order, without boxing a
 // row. It is how a join materializes: the matched index pairs pick each

@@ -109,11 +109,17 @@ func readSchema(r *reader) (types.Schema, error) {
 }
 
 func writeColumns(buf *bytes.Buffer, cols []Column) error {
-	for _, c := range cols {
+	chunks, total := make([][]byte, len(cols)), 0
+	for i, c := range cols {
 		chunk, err := EncodeColumn(c, ChooseEncoding(c))
 		if err != nil {
 			return err
 		}
+		chunks[i] = chunk
+		total += binary.MaxVarintLen64 + len(chunk)
+	}
+	buf.Grow(total)
+	for _, chunk := range chunks {
 		writeUvarint(buf, uint64(len(chunk)))
 		buf.Write(chunk)
 	}
@@ -142,14 +148,24 @@ func readColumns(r *reader, ncols int, nrows uint64) ([]Column, error) {
 
 // EncodeRows serializes rows column-wise with the storage encodings plus the
 // schema needed to decode them standalone — the payload format of WAL
-// insert/delete records.
+// insert/delete records. It is EncodeColumns for a caller that holds rows.
 func EncodeRows(schema types.Schema, rows []types.Row) ([]byte, error) {
+	cols, err := ColumnsFromRows(rows, schema)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeColumns(schema, cols, len(rows))
+}
+
+// EncodeColumns is EncodeRows over the n rows that dense vectors, one per
+// schema column, already hold: byte for byte what EncodeRows writes for the
+// same rows, without boxing them.
+func EncodeColumns(schema types.Schema, cols []Column, n int) ([]byte, error) {
 	var buf bytes.Buffer
 	writeSchema(&buf, schema)
-	writeUvarint(&buf, uint64(len(rows)))
-	if len(rows) > 0 {
-		cols, err := ColumnsFromRows(rows, schema)
-		if err != nil {
+	writeUvarint(&buf, uint64(n))
+	if n > 0 {
+		if err := checkColumns(cols, n, schema); err != nil {
 			return nil, err
 		}
 		if err := writeColumns(&buf, cols); err != nil {

@@ -71,38 +71,104 @@ type ROSContainer struct {
 	dirty   bool
 }
 
-// NewROSContainer builds a container from rows. segIdx are the segmentation
-// column indexes used to precompute per-row ring hashes (empty = whole-row
-// synthetic hash).
+// NewROSContainer builds a container from rows: columnize, hash, then the
+// column constructor. segIdx are the segmentation column indexes the per-row
+// ring hashes are computed over (empty = whole-row synthetic hash).
 func NewROSContainer(rows []types.Row, schema types.Schema, segIdx []int, start uint64) (*ROSContainer, error) {
-	hashes := make([]uint32, len(rows))
-	for i, r := range rows {
-		hashes[i] = vhash.HashRow(r, segIdx)
-	}
-	return newContainer(rows, schema, hashes, start, nil)
-}
-
-// newContainer is the one constructor of in-memory containers — COPY DIRECT,
-// moveout, rebalance and recovery import all end here — so every container
-// is compressed and carries zone maps. del is the delete vector (nil = no
-// row deleted).
-func newContainer(rows []types.Row, schema types.Schema, hashes []uint32, start uint64, del []uint64) (*ROSContainer, error) {
 	cols, err := ColumnsFromRows(rows, schema)
 	if err != nil {
 		return nil, err
 	}
+	return newContainer(cols, len(rows), schema, HashColumns(cols, segIdx, len(rows)), start, nil)
+}
+
+// newContainer is the one constructor of in-memory containers — COPY DIRECT,
+// moveout, rebalance and recovery import all end here — so every container
+// is compressed and carries zone maps. cols are n-row dense vectors, one per
+// schema column, which the container takes over (they may be shared with
+// other containers, never written again); hashes are the rows' segmentation
+// hashes and del the delete vector (nil = no row deleted).
+func newContainer(cols []Column, n int, schema types.Schema, hashes []uint32, start uint64, del []uint64) (*ROSContainer, error) {
+	if err := checkColumns(cols, n, schema); err != nil {
+		return nil, err
+	}
+	packed := make([]Column, len(cols))
 	for i, c := range cols {
-		cols[i] = CompressColumn(c)
+		packed[i] = CompressColumn(c)
 	}
 	return &ROSContainer{
 		Schema:   schema,
-		Cols:     cols,
-		RowCount: len(rows),
+		Cols:     packed,
+		RowCount: n,
 		Hashes:   hashes,
-		stats:    ComputeStats(cols),
+		stats:    ComputeStats(packed),
 		start:    start,
 		del:      del,
 	}, nil
+}
+
+// checkColumns verifies cols are n-row vectors of the schema's column types.
+func checkColumns(cols []Column, n int, schema types.Schema) error {
+	if len(cols) != schema.NumCols() {
+		return fmt.Errorf("storage: %d column vectors for a %d-column schema", len(cols), schema.NumCols())
+	}
+	for i, c := range cols {
+		if c.Type() != schema.Cols[i].T || c.Len() != n {
+			return fmt.Errorf("storage: column %d is %d rows of %v, want %d rows of %v",
+				i, c.Len(), c.Type(), n, schema.Cols[i].T)
+		}
+	}
+	return nil
+}
+
+// HashColumns computes the segmentation hash of each of the n rows the
+// vectors hold — vhash.Hash over the segIdx columns (every column when segIdx
+// is empty), a column at a time, without boxing a value.
+func HashColumns(cols []Column, segIdx []int, n int) []uint32 {
+	state := make([]uint64, n)
+	for i := range state {
+		state[i] = vhash.Seed
+	}
+	if len(segIdx) == 0 {
+		for _, c := range cols {
+			mixColumn(state, c)
+		}
+	} else {
+		for _, ci := range segIdx {
+			mixColumn(state, cols[ci])
+		}
+	}
+	hashes := make([]uint32, n)
+	for i, h := range state {
+		hashes[i] = vhash.Fold(h)
+	}
+	return hashes
+}
+
+// mixColumn mixes row i of c into state[i], for every row.
+func mixColumn(state []uint64, c Column) {
+	c = Densify(c)
+	nulls := nullsOf(c)
+	switch c := c.(type) {
+	case *Int64Column:
+		mixVals(state, c.Vals, nulls, vhash.MixInt)
+	case *Float64Column:
+		mixVals(state, c.Vals, nulls, vhash.MixFloat)
+	case *StringColumn:
+		mixVals(state, c.Vals, nulls, vhash.MixString)
+	case *BoolColumn:
+		mixVals(state, c.Vals, nulls, vhash.MixBool)
+	}
+}
+
+func mixVals[T any](state []uint64, vals []T, nulls []bool, mix func(uint64, T) uint64) {
+	for i, v := range vals {
+		if nulls != nil && nulls[i] {
+			state[i] = vhash.MixNull(state[i])
+		} else {
+			state[i] = mix(state[i], v)
+		}
+	}
 }
 
 // Stats returns the container's per-column zone maps, aligned with Cols. The
@@ -226,7 +292,7 @@ func (s *Store) Schema() types.Schema { return s.schema }
 func (s *Store) SegIdx() []int { return s.segIdx }
 
 // AppendROS builds a ROS container from rows stamped with the given epoch or
-// provisional tag and adds it (the COPY DIRECT bulk-load path).
+// provisional tag and adds it: AppendColumns for a caller that holds rows.
 func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
 	if len(rows) == 0 {
 		return nil
@@ -235,9 +301,33 @@ func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.ros = append(s.ros, c)
-	s.mu.Unlock()
+	s.AttachContainer(c)
+	return nil
+}
+
+// AppendColumns adds the rows held by cols — dense vectors, one per schema
+// column, with the rows' segmentation hashes already computed — stamped with
+// the given epoch or provisional tag. direct makes them one ROS container
+// that takes the vectors over without copying them (the COPY DIRECT bulk
+// path); otherwise they are boxed into the WOS (the trickle path). It is the
+// one entry the engine's write path and WAL replay add rows through.
+func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64, direct bool) error {
+	n := len(hashes)
+	if n == 0 {
+		return nil
+	}
+	if !direct {
+		if err := checkColumns(cols, n, s.schema); err != nil {
+			return err
+		}
+		s.wos.appendOwned(Materialize([]*Batch{{Cols: cols, Sel: IdentitySel(n)}}), hashes, tag)
+		return nil
+	}
+	c, err := newContainer(cols, n, s.schema, hashes, tag, nil)
+	if err != nil {
+		return err
+	}
+	s.AttachContainer(c)
 	return nil
 }
 
@@ -448,7 +538,8 @@ func (s *Store) WOSLen() int { return s.wos.Len() }
 // checkpoint walks it to persist committed containers.
 func (s *Store) Containers() []*ROSContainer { return s.snapshot() }
 
-// AttachContainer appends a container loaded from disk (crash recovery).
+// AttachContainer appends a finished container: one just built by a load, or
+// one loaded from disk (crash recovery).
 func (s *Store) AttachContainer(c *ROSContainer) {
 	s.mu.Lock()
 	s.ros = append(s.ros, c)

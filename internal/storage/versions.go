@@ -93,7 +93,11 @@ func containersFromVersions(schema types.Schema, versions []RowVersion) ([]*ROSC
 				del[j] = versions[i].Del
 			}
 		}
-		c, err := newContainer(rows, schema, hashes, e, del)
+		cols, err := ColumnsFromRows(rows, schema)
+		if err != nil {
+			return nil, err
+		}
+		c, err := newContainer(cols, len(rows), schema, hashes, e, del)
 		if err != nil {
 			return nil, err
 		}

@@ -23,14 +23,24 @@ type WOS struct {
 // NewWOS returns an empty write-optimized buffer.
 func NewWOS() *WOS { return &WOS{} }
 
-// Append adds rows stamped with the given epoch or provisional tag, hashing
-// them on the segmentation columns.
+// Append adds copies of rows stamped with the given epoch or provisional tag,
+// hashing them on the segmentation columns.
 func (w *WOS) Append(rows []types.Row, segIdx []int, tag uint64) {
+	owned, hashes := make([]types.Row, len(rows)), make([]uint32, len(rows))
+	for i, r := range rows {
+		owned[i], hashes[i] = r.Clone(), vhash.HashRow(r, segIdx)
+	}
+	w.appendOwned(owned, hashes, tag)
+}
+
+// appendOwned adds rows nobody else will write to, with their hashes, stamped
+// with the given epoch or provisional tag.
+func (w *WOS) appendOwned(rows []types.Row, hashes []uint32, tag uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, r := range rows {
-		w.rows = append(w.rows, r.Clone())
-		w.hashes = append(w.hashes, vhash.HashRow(r, segIdx))
+	w.rows = append(w.rows, rows...)
+	w.hashes = append(w.hashes, hashes...)
+	for range rows {
 		w.starts = append(w.starts, tag)
 		w.dels = append(w.dels, 0)
 	}

@@ -1,0 +1,173 @@
+package storage
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"vsfabric/internal/types"
+	"vsfabric/internal/vhash"
+)
+
+// writeRows boxes n random rows of gatherSchema — every kind, NULLs in each,
+// empty strings, an RLE-able run column — the way a row source hands them to
+// the write path (NULL slots hold the zero value).
+func writeRows(rng *rand.Rand, n int) []types.Row {
+	b := kindBatch(rng, n)
+	b.Sel = IdentitySel(n)
+	return Materialize([]*Batch{b})
+}
+
+// Hashing column vectors is hashing rows: HashColumns agrees with
+// vhash.HashRow on every row, for whole-row and column-subset segmentation,
+// over dense and run-length-encoded vectors.
+func TestHashColumnsMatchesHashRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 63, 500} {
+		rows := writeRows(rng, n)
+		cols, err := ColumnsFromRows(rows, gatherSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed := make([]Column, len(cols))
+		for i, c := range cols {
+			packed[i] = CompressColumn(c)
+		}
+		for _, segIdx := range [][]int{nil, {0}, {2}, {4, 1}, {5, 3, 0}} {
+			for _, in := range [][]Column{cols, packed} {
+				got := HashColumns(in, segIdx, n)
+				for i, r := range rows {
+					if want := vhash.HashRow(r, segIdx); got[i] != want {
+						t.Fatalf("n=%d segIdx=%v row %d %v: vector hash %d, row hash %d", n, segIdx, i, r, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// DenseColumns over any cut of a row set — blocks strung together, a sparse
+// selection, run-length-encoded inputs — is ColumnsFromRows of the rows the
+// batches select; a single dense batch selected whole is shared, not copied.
+func TestDenseColumnsMatchesColumnize(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for iter := 0; iter < 30; iter++ {
+		var batches []*Batch
+		for k, nb := 0, rng.Intn(4); k < nb; k++ {
+			n := rng.Intn(200)
+			b := kindBatch(rng, n)
+			b.Sel = randomSel(rng, n, []float64{0, 0.3, 1}[rng.Intn(3)])
+			batches = append(batches, b)
+		}
+		rows := Materialize(batches)
+		want, err := ColumnsFromRows(rows, gatherSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := DenseColumns(gatherSchema, batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(rows) {
+			t.Fatalf("DenseColumns counts %d rows, want %d", n, len(rows))
+		}
+		sameRows(t, "DenseColumns", Materialize([]*Batch{{Cols: got, Sel: IdentitySel(n)}}), rows)
+		for j := range want {
+			if reflect.TypeOf(got[j]) != reflect.TypeOf(want[j]) || (nullsOf(got[j]) == nil) != (nullsOf(want[j]) == nil) {
+				t.Errorf("column %d: %T (nulls %v), ColumnsFromRows gives %T (nulls %v)",
+					j, got[j], nullsOf(got[j]) != nil, want[j], nullsOf(want[j]) != nil)
+			}
+		}
+	}
+
+	rows := writeRows(rng, 50)
+	cols, _ := ColumnsFromRows(rows, gatherSchema)
+	shared, n, err := DenseColumns(gatherSchema, []*Batch{{Cols: cols, Sel: IdentitySel(50)}})
+	if err != nil || n != 50 {
+		t.Fatal(n, err)
+	}
+	for j := range cols {
+		if shared[j] != cols[j] {
+			t.Errorf("column %d of a whole dense batch was copied", j)
+		}
+	}
+	if _, _, err := DenseColumns(gatherSchema, []*Batch{{Cols: cols[:3], Sel: []int32{1}}}); err == nil {
+		t.Error("a batch narrower than the schema should fail")
+	}
+	if _, _, err := DenseColumns(gatherSchema, []*Batch{{Cols: []Column{cols[2], cols[1], cols[2], cols[3], cols[4], cols[5]}, Sel: []int32{1}}}); err == nil {
+		t.Error("a FLOAT vector under an INTEGER schema column should fail")
+	}
+}
+
+// The vector entries are the row entries minus the boxing: EncodeColumns
+// writes EncodeRows' bytes, AppendColumns builds AppendROS's container and
+// buffers AppendWOS's rows.
+func TestColumnEntriesMatchRowEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 70, 400} {
+		rows := writeRows(rng, n)
+		cols, err := ColumnsFromRows(rows, gatherSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeRows(gatherSchema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeColumns(gatherSchema, cols, n)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: EncodeColumns differs from EncodeRows (err %v)", n, err)
+		}
+
+		segIdx := []int{1, 3}
+		for _, direct := range []bool{true, false} {
+			byRows, byCols := NewStore(gatherSchema, segIdx), NewStore(gatherSchema, segIdx)
+			if direct {
+				if err := byRows.AppendROS(rows, 7); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				byRows.AppendWOS(rows, 7)
+			}
+			if err := byCols.AppendColumns(cols, HashColumns(cols, segIdx, n), 7, direct); err != nil {
+				t.Fatal(err)
+			}
+			if byCols.ContainerCount() != byRows.ContainerCount() || byCols.WOSLen() != byRows.WOSLen() {
+				t.Fatalf("n=%d direct=%v: %d containers + %d WOS rows, the row entry leaves %d + %d", n, direct,
+					byCols.ContainerCount(), byCols.WOSLen(), byRows.ContainerCount(), byRows.WOSLen())
+			}
+			gotV, wantV := byCols.ExportVersions(), byRows.ExportVersions()
+			if len(gotV) != len(wantV) {
+				t.Fatalf("n=%d direct=%v: %d versions, want %d", n, direct, len(gotV), len(wantV))
+			}
+			for i, w := range wantV {
+				g := gotV[i]
+				sameRows(t, "version", []types.Row{g.Row}, []types.Row{w.Row})
+				if g.Hash != w.Hash || g.Start != w.Start || g.Del != w.Del {
+					t.Fatalf("n=%d direct=%v version %d: %+v, want %+v", n, direct, i, g, w)
+				}
+			}
+			for k, c := range byCols.Containers() {
+				r := byRows.Containers()[k]
+				for j := range r.Cols {
+					if reflect.TypeOf(c.Cols[j]) != reflect.TypeOf(r.Cols[j]) {
+						t.Errorf("n=%d container %d column %d stored as %T, the row entry stores %T", n, k, j, c.Cols[j], r.Cols[j])
+					}
+				}
+				// %v spells NaN bounds alike, which == would not.
+				if got, want := fmt.Sprintf("%+v", c.Stats()), fmt.Sprintf("%+v", r.Stats()); got != want {
+					t.Errorf("n=%d container %d zone maps %s, the row entry builds %s", n, k, got, want)
+				}
+			}
+		}
+	}
+	wrong := []Column{&Float64Column{Vals: []float64{1}}}
+	st := NewStore(types.NewSchema(types.Column{Name: "a", T: types.Int64}), nil)
+	for _, direct := range []bool{true, false} {
+		if err := st.AppendColumns(wrong, []uint32{1}, 1, direct); err == nil {
+			t.Errorf("direct=%v: a FLOAT vector under an INTEGER schema column should fail", direct)
+		}
+	}
+}

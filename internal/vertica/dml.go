@@ -43,16 +43,6 @@ func coerce(v types.Value, t types.Type) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("vertica: cannot coerce %v value %s to %v", v.T, v, t)
 }
 
-// routeRows groups rows by home node according to the table's segmentation.
-func routeRows(tbl *catalog.Table, rows []types.Row) [][]types.Row {
-	buckets := make([][]types.Row, tbl.NumNodes())
-	for _, r := range rows {
-		home := tbl.HomeNode(tbl.RowHash(r))
-		buckets[home] = append(buckets[home], r)
-	}
-	return buckets
-}
-
 // lockTable acquires the table lock in the given mode and then re-resolves
 // the table from the catalog. The re-resolution matters: a concurrent
 // rebalance (or DDL) holds the EXCLUSIVE lock while swapping the table's
@@ -107,46 +97,59 @@ func (s *Session) writableCheck(tbl *catalog.Table) error {
 	return nil
 }
 
-// writeRows inserts rows into a table under tx: segmented tables route each
-// row to its segment's node (plus buddy replicas); unsegmented tables
-// replicate to every node. direct selects the ROS bulk path over the WOS.
-// Stores hosted on DOWN (or removed) nodes are skipped — their writes land
-// on the surviving replicas and are reconciled when the node recovers — but
-// the statement fails up front if any replica set is entirely unwritable.
-// It returns the bytes shuffled from the connected node to each other node,
-// for resource accounting.
+// writeRows is writeColumns for a statement that produced rows (INSERT ...
+// VALUES, UPDATE's re-insert): this is where they are columnized, once.
 func (s *Session) writeRows(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) (map[[2]string]float64, error) {
+	cols, err := storage.ColumnsFromRows(rows, tbl.Def.Schema)
+	if err != nil {
+		return nil, err
+	}
+	return s.writeColumns(tx, tbl, cols, len(rows), direct)
+}
+
+// writeColumns inserts the n rows held by cols (dense vectors, one per table
+// column) under tx and logs them: the one write entry every inserting
+// statement ends in. It returns appendColumns' shuffle accounting.
+func (s *Session) writeColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) (map[[2]string]float64, error) {
+	route, err := s.appendColumns(tx, tbl, cols, n, direct)
+	if err != nil {
+		return nil, err
+	}
+	return route, s.logInsert(tx, tbl, cols, n, direct)
+}
+
+// appendColumns adds the n rows held by cols to the table's stores under tx.
+// Each row is ring-hashed once, here; segmented tables route each row to its
+// segment's node (plus buddy replicas), unsegmented tables replicate to every
+// node. direct selects the ROS bulk path over the WOS. Stores hosted on DOWN
+// (or removed) nodes are skipped — their writes land on the surviving
+// replicas and are reconciled when the node recovers — but the statement
+// fails up front if any replica set is entirely unwritable. It returns the
+// bytes shuffled from the connected node to each other node, for resource
+// accounting.
+func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) (map[[2]string]float64, error) {
 	if err := s.writableCheck(tbl); err != nil {
 		return nil, err
 	}
 	route := make(map[[2]string]float64)
-	err := forEachTarget(tbl, rows, func(st *storage.Store, nodeID int, batch []types.Row) error {
+	hashes := storage.HashColumns(cols, tbl.SegIdx, n)
+	err := forEachTarget(tbl, cols, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error {
 		if !s.cluster.nodeAcceptsWrites(nodeID) {
 			// The skipped store now lags the committed state; recovery must
 			// rebuild it from a replica before its node serves reads again.
 			st.MarkStale()
 			return nil
 		}
-		if direct {
-			if err := st.AppendROS(batch, tx.Tag()); err != nil {
-				return err
-			}
-		} else {
-			st.AppendWOS(batch, tx.Tag())
+		if err := st.AppendColumns(cols, hashes, tx.Tag(), direct); err != nil {
+			return err
 		}
 		tx.NoteInsert(st)
 		if nodeID != s.node.ID {
-			route[[2]string{s.node.Name, sim.VName(nodeID)}] += rowsWireSize(batch)
+			route[[2]string{s.node.Name, sim.VName(nodeID)}] += float64(batchWireSize(&storage.Batch{Cols: cols, Sel: storage.IdentitySel(len(hashes))}))
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.logInsert(tx, tbl, rows, direct); err != nil {
-		return nil, err
-	}
-	return route, nil
+	return route, err
 }
 
 func rowsWireSize(rows []types.Row) float64 {
@@ -245,34 +248,56 @@ func (s *Session) executeInsertSelect(st *vsql.Insert, tbl *catalog.Table) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res.Materialize()
 	schema := tbl.Def.Schema
 	if len(res.Schema.Cols) != schema.NumCols() {
 		return nil, fmt.Errorf("vertica: INSERT ... SELECT produces %d columns, table has %d",
 			len(res.Schema.Cols), schema.NumCols())
 	}
-	rows := make([]types.Row, len(res.Rows))
-	for i, r := range res.Rows {
-		row := make(types.Row, len(r))
-		for j, v := range r {
-			cv, err := coerce(v, schema.Cols[j].T)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = cv
-		}
-		rows[i] = row
+	cols, n, err := insertSelectColumns(res, schema)
+	if err != nil {
+		return nil, err
 	}
 	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
 		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.writeRows(tx, tbl, rows, true); err != nil {
+		if _, err := s.writeColumns(tx, tbl, cols, n, true); err != nil {
 			return nil, err
 		}
-		return &Result{RowsAffected: int64(len(rows))}, nil
+		return &Result{RowsAffected: int64(n)}, nil
 	})
+}
+
+// insertSelectColumns shapes a SELECT's result for insertion under schema. A
+// result that arrived as batches whose column kinds are already the table's
+// (S2V append's INSERT INTO target SELECT * FROM staging is exactly that)
+// goes vector to vector; anything else is boxed and coerced cell by cell.
+func insertSelectColumns(res *Result, schema types.Schema) ([]storage.Column, int, error) {
+	sameKinds := res.Batches != nil
+	for _, b := range res.Batches {
+		for j, c := range b.Cols {
+			sameKinds = sameKinds && len(b.Cols) == schema.NumCols() && c.Type() == schema.Cols[j].T
+		}
+	}
+	if sameKinds {
+		return storage.DenseColumns(schema, res.Batches)
+	}
+	res.Materialize()
+	rows := make([]types.Row, len(res.Rows))
+	for i, r := range res.Rows {
+		row := make(types.Row, len(r))
+		for j, v := range r {
+			cv, err := coerce(v, schema.Cols[j].T)
+			if err != nil {
+				return nil, 0, err
+			}
+			row[j] = cv
+		}
+		rows[i] = row
+	}
+	cols, err := storage.ColumnsFromRows(rows, schema)
+	return cols, len(rows), err
 }
 
 // executeUpdate runs UPDATE under an EXCLUSIVE table lock: matching visible
@@ -493,13 +518,15 @@ func (s *Session) executeDelete(st *vsql.Delete) (*Result, error) {
 // executeCopyStream bulk-loads rows arriving on the client stream (the
 // VerticaCopyStream path S2V uses, §3.2.2). It wraps the load in the
 // engine-side "copy" span that backs v_monitor.load_streams, parented under
-// the context's trace (an S2V phase 1, possibly remote).
+// the context's trace (an S2V phase 1, possibly remote); the load's three
+// stages run one after the other as its children copy.decode, copy.append
+// and copy.wal.
 func (s *Session) executeCopyStream(ctx context.Context, cp *vsql.Copy, r io.Reader) (*Result, error) {
 	sp := obs.StartChild(ctx, s.cluster.mon, "copy", s.node.Name)
 	sp.SetPeer(s.peer)
 	sp.SetDetail(cp.Table)
 	counted := &countingReader{r: r}
-	res, err := s.copyStream(cp, counted)
+	res, err := s.copyStream(obs.WithSpan(ctx, sp), cp, counted)
 	sp.AddBytes(counted.n)
 	if res != nil && res.Copy != nil {
 		sp.AddRows(res.Copy.Loaded)
@@ -509,78 +536,59 @@ func (s *Session) executeCopyStream(ctx context.Context, cp *vsql.Copy, r io.Rea
 	return res, err
 }
 
-// copyStream parses and writes the rows of one COPY ... FROM STDIN load.
-func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, error) {
+// copyStage runs one stage of a COPY under a child span of ctx's copy span.
+func (s *Session) copyStage(ctx context.Context, name string, stage func() error) error {
+	sp := obs.StartChild(ctx, s.cluster.mon, name, s.node.Name)
+	err := stage()
+	sp.End(err)
+	return err
+}
+
+// copyStream parses and writes the rows of one COPY ... FROM STDIN load. Avro
+// blocks decode straight into column vectors and stay vectors down to the
+// ROS container and the WAL record; CSV lines parse into rows, columnized once
+// before the same write entry.
+func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *countingReader) (*Result, error) {
 	if s.node.Down() {
 		return nil, fmt.Errorf("%w: node %d went down", ErrNodeDown, s.node.ID)
 	}
 	s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
-	var rows []types.Row
-	var rejected []string
 	tbl, ok := s.cluster.cat.Table(cp.Table)
 	if !ok {
 		return nil, fmt.Errorf("vertica: table %q does not exist", cp.Table)
 	}
-	schema := tbl.Def.Schema
-
-	switch cp.Format {
-	case vsql.CopyAvro:
-		rd, err := avro.NewReader(counted)
+	var (
+		cols                  []storage.Column
+		loaded                int
+		rejected              []string
+		rejectedCount         int64
+		encodeKind, parseKind = sim.CPUCSVFormat, sim.CPUCSVParse
+	)
+	err := s.copyStage(ctx, "copy.decode", func() (err error) {
+		switch cp.Format {
+		case vsql.CopyAvro:
+			encodeKind, parseKind = sim.CPUAvroEncode, sim.CPUCopyParse
+			cols, loaded, err = decodeAvro(counted, tbl.Def.Schema)
+		case vsql.CopyCSV:
+			var rows []types.Row
+			if rows, rejected, rejectedCount, err = parseCSV(counted, tbl.Def.Schema); err == nil {
+				cols, err = storage.ColumnsFromRows(rows, tbl.Def.Schema)
+				loaded = len(rows)
+			}
+		default:
+			err = fmt.Errorf("unsupported format %q", cp.Format)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("vertica: COPY: %w", err)
+			return fmt.Errorf("vertica: COPY: %w", err)
 		}
-		if !rd.Schema().ToTypes().Equal(schema) {
-			return nil, fmt.Errorf("vertica: COPY: Avro schema %v does not match table schema %v",
-				rd.Schema().ToTypes(), schema)
+		if rejectedCount > cp.RejectMax {
+			return fmt.Errorf("vertica: COPY: %d rows rejected exceeds REJECTMAX %d (sample: %v)",
+				rejectedCount, cp.RejectMax, rejected)
 		}
-		for {
-			row, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("vertica: COPY: %w", err)
-			}
-			rows = append(rows, row)
-		}
-	case vsql.CopyCSV:
-		sc := bufio.NewScanner(counted)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		for sc.Scan() {
-			line := sc.Text()
-			if line == "" {
-				continue
-			}
-			row, err := types.ParseCSV(line, schema, ',')
-			if err != nil {
-				if len(rejected) < 10 {
-					rejected = append(rejected, fmt.Sprintf("%s: %v", truncate(line, 80), err))
-				}
-				rows = append(rows, nil) // placeholder to count rejects below
-				continue
-			}
-			rows = append(rows, row)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("vertica: COPY: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("vertica: COPY: unsupported format %q", cp.Format)
-	}
-
-	// Separate accepted rows from rejects.
-	accepted := rows[:0]
-	var rejectedCount int64
-	for _, r := range rows {
-		if r == nil {
-			rejectedCount++
-			continue
-		}
-		accepted = append(accepted, r)
-	}
-	if rejectedCount > cp.RejectMax {
-		return nil, fmt.Errorf("vertica: COPY: %d rows rejected exceeds REJECTMAX %d (sample: %v)",
-			rejectedCount, cp.RejectMax, rejected)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
@@ -588,13 +596,17 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		route, err := s.writeRows(tx, tbl, accepted, cp.Direct)
-		if err != nil {
+		var route map[[2]string]float64
+		if err := s.copyStage(ctx, "copy.append", func() (err error) {
+			route, err = s.appendColumns(tx, tbl, cols, loaded, cp.Direct)
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		encodeKind, parseKind := sim.CPUCSVFormat, sim.CPUCSVParse
-		if cp.Format == vsql.CopyAvro {
-			encodeKind, parseKind = sim.CPUAvroEncode, sim.CPUCopyParse
+		if err := s.copyStage(ctx, "copy.wal", func() error {
+			return s.logInsert(tx, tbl, cols, loaded, cp.Direct)
+		}); err != nil {
+			return nil, err
 		}
 		s.record(sim.Event{
 			Type:       sim.LoadFlowEv,
@@ -603,13 +615,60 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 			WireBytes:  float64(counted.n),
 			EncodeKind: encodeKind,
 			ParseKind:  parseKind,
-			ResultRows: float64(len(accepted)),
+			ResultRows: float64(loaded),
 			Route:      route,
 			Local:      s.copyLocal,
 		})
-		cr := &CopyResult{Loaded: int64(len(accepted)), Rejected: rejectedCount, RejectedSample: rejected}
+		cr := &CopyResult{Loaded: int64(loaded), Rejected: rejectedCount, RejectedSample: rejected}
 		return &Result{RowsAffected: cr.Loaded, Copy: cr}, nil
 	})
+}
+
+// decodeAvro reads an Avro object container file of the table's schema into
+// one dense vector per column: each block decodes into vectors of its own,
+// and the blocks are strung together once, at their exact total size.
+func decodeAvro(r io.Reader, schema types.Schema) ([]storage.Column, int, error) {
+	rd, err := avro.NewReader(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !rd.Schema().ToTypes().Equal(schema) {
+		return nil, 0, fmt.Errorf("Avro schema %v does not match table schema %v", rd.Schema().ToTypes(), schema)
+	}
+	var blocks []*storage.Batch
+	for {
+		cols, n, err := rd.ReadBlock()
+		if err == io.EOF {
+			return storage.DenseColumns(schema, blocks)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		blocks = append(blocks, &storage.Batch{Cols: cols, Sel: storage.IdentitySel(n)})
+	}
+}
+
+// parseCSV reads CSV lines into rows of the schema, counting the lines that
+// do not parse and keeping a sample of up to 10 of them with reasons.
+func parseCSV(r io.Reader, schema types.Schema) (rows []types.Row, rejected []string, rejectedCount int64, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" {
+			continue
+		}
+		row, err := types.ParseCSV(line, schema, ',')
+		if err != nil {
+			if len(rejected) < 10 {
+				rejected = append(rejected, fmt.Sprintf("%s: %v", truncate(line, 80), err))
+			}
+			rejectedCount++
+			continue
+		}
+		rows = append(rows, row)
+	}
+	return rows, rejected, rejectedCount, sc.Err()
 }
 
 // executeCopyFile bulk-loads a node-local CSV file — the native parallel

@@ -140,14 +140,15 @@ func (c *Cluster) walAppend(rec wal.Record) error {
 	return l.Append(rec)
 }
 
-// logInsert records the rows an INSERT/COPY wrote under the transaction's
-// provisional tag. Routing is deterministic (segmentation hash), so one
-// logical record regenerates every store's writes on replay.
-func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) error {
-	if !s.cluster.durable() || len(rows) == 0 {
+// logInsert records the n rows an INSERT/COPY wrote under the transaction's
+// provisional tag, from the vectors the stores were given. Routing is
+// deterministic (segmentation hash), so one logical record regenerates every
+// store's writes on replay.
+func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) error {
+	if !s.cluster.durable() || n == 0 {
 		return nil
 	}
-	payload, err := storage.EncodeRows(tbl.Def.Schema, rows)
+	payload, err := storage.EncodeColumns(tbl.Def.Schema, cols, n)
 	if err != nil {
 		return err
 	}
@@ -191,32 +192,57 @@ func (c *Cluster) logDDL(op byte, p ddlPayload) error {
 	return l.Sync()
 }
 
-// forEachTarget visits every store that must receive rows of tbl, with the
-// node the store lives on and that store's share of the rows: unsegmented
-// tables replicate everywhere; segmented tables route each row to its
-// segment's node plus the buddy replicas. This single routing function is
-// shared by the write path and WAL replay, so recovery reproduces placement
-// exactly.
-func forEachTarget(tbl *catalog.Table, rows []types.Row, visit func(st *storage.Store, nodeID int, batch []types.Row) error) error {
+// forEachTarget visits every store that must receive rows of tbl — held as
+// dense column vectors, with their segmentation hashes — with the node the
+// store lives on and that store's share of the rows: unsegmented tables
+// replicate everywhere; segmented tables partition the row indexes by home
+// node and gather each home's share for its segment's node plus the buddy
+// replicas (a home that owns every row is handed the vectors as they are).
+// This single routing function is shared by the write path and WAL replay, so
+// recovery reproduces placement exactly.
+func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error) error {
 	if !tbl.Def.Segmented {
 		for i, st := range tbl.Stores {
-			if err := visit(st, tbl.Ring[i], rows); err != nil {
+			if err := visit(st, tbl.Ring[i], cols, hashes); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	buckets := routeRows(tbl, rows)
-	for home, batch := range buckets {
-		if len(batch) == 0 {
+	nn := tbl.NumNodes()
+	counts := make([]int, nn)
+	for _, h := range hashes {
+		counts[tbl.HomeNode(h)]++
+	}
+	sels := make([][]int32, nn)
+	for home, c := range counts {
+		sels[home] = make([]int32, 0, c)
+	}
+	for i, h := range hashes {
+		home := tbl.HomeNode(h)
+		sels[home] = append(sels[home], int32(i))
+	}
+	for home, sel := range sels {
+		if len(sel) == 0 {
 			continue
 		}
-		if err := visit(tbl.Stores[home], tbl.Ring[home], batch); err != nil {
+		share, shareHashes := cols, hashes
+		if len(sel) < len(hashes) {
+			var err error
+			if share, _, err = storage.DenseColumns(tbl.Def.Schema, []*storage.Batch{{Cols: cols, Sel: sel}}); err != nil {
+				return err
+			}
+			shareHashes = make([]uint32, len(sel))
+			for k, i := range sel {
+				shareHashes[k] = hashes[i]
+			}
+		}
+		if err := visit(tbl.Stores[home], tbl.Ring[home], share, shareHashes); err != nil {
 			return err
 		}
 		for r := range tbl.Buddies {
-			host := (home + r + 1) % tbl.NumNodes()
-			if err := visit(tbl.Buddies[r][host], tbl.Ring[host], batch); err != nil {
+			host := (home + r + 1) % nn
+			if err := visit(tbl.Buddies[r][host], tbl.Ring[host], share, shareHashes); err != nil {
 				return err
 			}
 		}
@@ -546,24 +572,20 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 			if !ok {
 				return replayed, dropped, fmt.Errorf("vertica: replay: insert into unknown table %q", rec.Table)
 			}
-			_, rows, derr := storage.DecodeRows(rec.Rows)
+			_, cols, n, derr := storage.DecodeColumns(rec.Rows, math.MaxInt32)
 			if derr != nil {
 				return replayed, dropped, fmt.Errorf("vertica: replay: %w", derr)
 			}
+			if n == 0 {
+				break // logInsert writes no empty record; one would carry no vectors to route
+			}
 			e := effects(rec.Tag)
-			werr := forEachTarget(tbl, rows, func(st *storage.Store, _ int, batch []types.Row) error {
-				if rec.Direct {
-					if aerr := st.AppendROS(batch, rec.Tag); aerr != nil {
-						return aerr
-					}
-				} else {
-					st.AppendWOS(batch, rec.Tag)
-				}
+			werr := forEachTarget(tbl, cols, storage.HashColumns(cols, tbl.SegIdx, n), func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32) error {
 				e.inserted[st] = true
-				return nil
+				return st.AppendColumns(cols, hashes, rec.Tag, rec.Direct)
 			})
 			if werr != nil {
-				return replayed, dropped, werr
+				return replayed, dropped, fmt.Errorf("vertica: replay: insert into %q: %w", rec.Table, werr)
 			}
 		case wal.RecDelete:
 			tbl, ok := c.cat.Table(rec.Table)

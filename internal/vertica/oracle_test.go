@@ -336,3 +336,63 @@ func aggregate(ap *aggPlan, rows []types.Row, schema types.Schema) ([]types.Row,
 	}
 	return out, nil
 }
+
+// oracleTarget is what the row-at-a-time write path built for one store out
+// of one statement's rows: the container's hashes, columns and zone maps, and
+// the rows in container order.
+type oracleTarget struct {
+	rows   []types.Row
+	hashes []uint32
+	cols   []storage.Column
+	stats  []storage.ColStats
+}
+
+// oracleWriteRows is the write path as it was when rows travelled boxed all
+// the way down: every row hashed through vhash.HashRow to pick its home,
+// every target's share of rows hashed again and columnized on its own, and
+// the WAL payload columnized once more by storage.EncodeRows. It returns what
+// each store of tbl must hold after one direct load of rows, keyed by store,
+// and the RecInsert payload.
+func oracleWriteRows(t testing.TB, tbl *catalog.Table, rows []types.Row) (map[*storage.Store]oracleTarget, []byte) {
+	t.Helper()
+	out := make(map[*storage.Store]oracleTarget)
+	visit := func(st *storage.Store, share []types.Row) {
+		cols, err := storage.ColumnsFromRows(share, tbl.Def.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cols {
+			cols[i] = storage.CompressColumn(c)
+		}
+		hashes := make([]uint32, len(share))
+		for i, r := range share {
+			hashes[i] = vhash.HashRow(r, st.SegIdx())
+		}
+		out[st] = oracleTarget{rows: share, hashes: hashes, cols: cols, stats: storage.ComputeStats(cols)}
+	}
+	if !tbl.Def.Segmented {
+		for _, st := range tbl.Stores {
+			visit(st, rows)
+		}
+	} else {
+		buckets := make([][]types.Row, tbl.NumNodes())
+		for _, r := range rows {
+			home := tbl.HomeNode(tbl.RowHash(r))
+			buckets[home] = append(buckets[home], r)
+		}
+		for home, share := range buckets {
+			if len(share) == 0 {
+				continue
+			}
+			visit(tbl.Stores[home], share)
+			for r := range tbl.Buddies {
+				visit(tbl.Buddies[r][(home+r+1)%tbl.NumNodes()], share)
+			}
+		}
+	}
+	payload, err := storage.EncodeRows(tbl.Def.Schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, payload
+}

@@ -10,7 +10,6 @@
 package vhash
 
 import (
-	"encoding/binary"
 	"math"
 
 	"vsfabric/internal/types"
@@ -26,49 +25,80 @@ const RingSize uint64 = 1 << 32
 // value, folded to 32 bits. Every component (engine row routing, connector
 // range queries, the SQL HASH() builtin) must agree on this function.
 func Hash(vals ...types.Value) uint32 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	var buf [8]byte
-	mix := func(b []byte) {
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime64
-		}
-	}
+	h := Seed
 	for _, v := range vals {
-		if v.Null {
-			mix([]byte{0xff})
-			continue
-		}
-		switch v.T {
-		case types.Int64:
-			binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-			mix(buf[:])
-		case types.Float64:
-			// Hash integral floats identically to the equal integer so that
-			// re-segmentation across type changes stays stable.
-			if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-				binary.LittleEndian.PutUint64(buf[:], uint64(int64(f)))
-			} else {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			}
-			mix(buf[:])
-		case types.Varchar:
-			mix([]byte(v.S))
-			mix([]byte{0})
-		case types.Bool:
-			if v.B {
-				mix([]byte{1})
-			} else {
-				mix([]byte{2})
-			}
+		switch {
+		case v.Null:
+			h = MixNull(h)
+		case v.T == types.Int64:
+			h = MixInt(h, v.I)
+		case v.T == types.Float64:
+			h = MixFloat(h, v.F)
+		case v.T == types.Varchar:
+			h = MixString(h, v.S)
+		case v.T == types.Bool:
+			h = MixBool(h, v.B)
 		}
 	}
-	return uint32(h ^ (h >> 32))
+	return Fold(h)
 }
+
+// Seed, the Mix functions and Fold are Hash taken apart, for callers that
+// hold values unboxed (the storage layer hashes column vectors): start from
+// Seed, mix each value of the row in column order, Fold the state onto the
+// ring. Hash itself is written in terms of them, so the two cannot drift.
+const Seed uint64 = 14695981039346656037 // FNV-1a 64-bit offset basis
+
+const prime64 = 1099511628211
+
+func mixByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * prime64 }
+
+// mixUint64 mixes u's eight bytes, little end first (unrolled: this is the
+// inner loop of every bulk load's routing).
+func mixUint64(h, u uint64) uint64 {
+	h = (h ^ (u & 0xff)) * prime64
+	h = (h ^ (u >> 8 & 0xff)) * prime64
+	h = (h ^ (u >> 16 & 0xff)) * prime64
+	h = (h ^ (u >> 24 & 0xff)) * prime64
+	h = (h ^ (u >> 32 & 0xff)) * prime64
+	h = (h ^ (u >> 40 & 0xff)) * prime64
+	h = (h ^ (u >> 48 & 0xff)) * prime64
+	return (h ^ (u >> 56)) * prime64
+}
+
+// MixNull mixes a NULL of any type.
+func MixNull(h uint64) uint64 { return mixByte(h, 0xff) }
+
+// MixInt mixes an INTEGER.
+func MixInt(h uint64, v int64) uint64 { return mixUint64(h, uint64(v)) }
+
+// MixFloat mixes a FLOAT. Integral floats hash identically to the equal
+// integer so that re-segmentation across type changes stays stable.
+func MixFloat(h uint64, f float64) uint64 {
+	if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		return mixUint64(h, uint64(int64(f)))
+	}
+	return mixUint64(h, math.Float64bits(f))
+}
+
+// MixString mixes a VARCHAR (its bytes, then a terminator).
+func MixString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = mixByte(h, s[i])
+	}
+	return mixByte(h, 0)
+}
+
+// MixBool mixes a BOOLEAN.
+func MixBool(h uint64, b bool) uint64 {
+	if b {
+		return mixByte(h, 1)
+	}
+	return mixByte(h, 2)
+}
+
+// Fold maps a finished hash state onto the 32-bit ring.
+func Fold(h uint64) uint32 { return uint32(h ^ (h >> 32)) }
 
 // HashRow hashes the row's values at the given column indexes. An empty index
 // list hashes the whole row (the "synthetic hash" used for views and
