@@ -22,23 +22,26 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Crash-recovery smoke: the frame-log/WAL/persistence units plus the
-# kill-and-restart chaos suite (crash at every WAL record boundary), under the
-# race detector.
+# Crash-recovery smoke: the frame-log/WAL/persistence units (the golden
+# container and WOS-snapshot files among them) plus the kill-and-restart chaos
+# suite (crash at every WAL record boundary) and the DELETE/UPDATE differential
+# across a restart, under the race detector.
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'Persist|Marshal|Encode|ContainerCache|DrainCommitted|MoveoutContainerOrder|LoadWOS' ./internal/storage/
+	$(GO) test -race -run 'Persist|Marshal|Encode|ContainerCache|DrainCommitted|MoveoutContainerOrder|LoadWOS|Golden' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
-	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch' ./internal/vertica/
+	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML' ./internal/vertica/
 
-# Elastic-membership gate: the rebalance units, the cluster-lifecycle suites
+# Elastic-membership gate: the rebalance units, the columnar version movement
+# under them against its row-boxing reference, the cluster-lifecycle suites
 # (ALTER CLUSTER, node recovery, crash sweeps over the rebalance/recovery
 # state machines), the wire sentinel round-trip, and the chaos acceptance
 # scenario (grow + kill + heal under live COPY and V2S) — all under the race
 # detector.
 rebalance-test:
 	$(GO) test -race ./internal/rebalance/
+	$(GO) test -race -run 'ColumnarVersions' ./internal/storage/
 	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep' ./internal/vertica/
 	$(GO) test -race -run 'SentinelRoundTrip' ./internal/server/
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
@@ -56,8 +59,12 @@ wire-test: wire-fuzz
 # Five seconds of native fuzzing on each decoder of untrusted bytes: the wire
 # frames, the batch-frame payload codec (storage.DecodeColumns), the
 # WAL/data-collector frame scanner (framelog.Scan), the SQL parser
-# (vsql.Parse, which reads whatever statement text a connection sends) and the
-# Avro container reader (avro.Reader, which reads whatever a COPY streams).
+# (vsql.Parse, which reads whatever statement text a connection sends), the
+# Avro container reader (avro.Reader, which reads whatever a COPY streams) and
+# the two data-file decoders recovery runs (storage.UnmarshalContainer and
+# Store.LoadWOS; their harness re-seals the checksum). Those two skip input
+# minimization: their seeds are whole files, and minimizing one interesting
+# input at the default budget outlasts the five seconds.
 wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
@@ -66,6 +73,8 @@ wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzScan -fuzztime 5s ./internal/framelog/
 	$(GO) test -race -run xxx -fuzz FuzzParse -fuzztime 5s ./internal/vsql/
 	$(GO) test -race -run xxx -fuzz FuzzAvroReader -fuzztime 5s ./internal/avro/
+	$(GO) test -race -run xxx -fuzz FuzzUnmarshalContainer -fuzztime 5s -fuzzminimizetime 0 ./internal/storage/
+	$(GO) test -race -run xxx -fuzz FuzzLoadWOS -fuzztime 5s -fuzzminimizetime 0 ./internal/storage/
 
 # Closed-loop wire benchmark at smoke scale: diffs the wire's result set
 # against the in-process one cell by cell and checks admission control bounds

@@ -101,10 +101,6 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 		return nil, res, fmt.Errorf("rebalance: table %q k-safety %d needs more than %d nodes", t.Def.Name, t.Def.KSafety, len(newRing))
 	}
 
-	oldNodes := make(map[int]bool, len(t.Ring))
-	for _, id := range t.Ring {
-		oldNodes[id] = true
-	}
 	schema, segIdx := t.Def.Schema, t.SegIdx
 	nNew := len(newRing)
 	newStores := make([]*storage.Store, nNew)
@@ -112,53 +108,55 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 		newStores[p] = storage.NewStore(schema, segIdx)
 	}
 
+	// Export each old segment from a live replica into one set of versions
+	// (an unsegmented table's one replica holds them all). Export order
+	// (segments ascending, containers then WOS within each) is deterministic,
+	// so the order of each new store's share — and with it the imported
+	// container layout — is too.
+	var versions storage.Versions
+	segs := len(t.Ring)
 	if !t.Def.Segmented {
-		src, err := SourceFor(t, 0, healthy)
-		if err != nil {
-			return nil, res, err
-		}
-		versions := src.ExportVersions()
-		res.Rows = len(versions)
-		for p, id := range newRing {
-			if err := newStores[p].ImportVersions(versions); err != nil {
-				return nil, res, err
-			}
-			if !oldNodes[id] {
-				res.RowsMoved += len(versions)
-			}
-			res.Containers += newStores[p].ContainerCount()
-		}
-		lay := &Layout{Ring: append([]int(nil), newRing...), Stores: newStores}
-		return lay, res, nil
+		segs = 1
 	}
-
-	// Export each old segment from a live replica and bucket the versions by
-	// their new home position. Export order (segments ascending, containers
-	// then WOS within each) is deterministic, so the per-bucket order — and
-	// with it the imported container layout — is too.
-	buckets := make([][]storage.RowVersion, nNew)
-	for seg := range t.Ring {
+	for seg := 0; seg < segs; seg++ {
 		src, err := SourceFor(t, seg, healthy)
 		if err != nil {
 			return nil, res, err
 		}
-		for _, v := range src.ExportVersions() {
-			home := vhash.SegmentOf(v.Hash, nNew)
-			buckets[home] = append(buckets[home], v)
-			res.Rows++
-			if t.Ring[vhash.SegmentOf(v.Hash, len(t.Ring))] != newRing[home] {
+		if err := src.ExportVersions(&versions); err != nil {
+			return nil, res, err
+		}
+	}
+	res.Rows = versions.Len()
+
+	// Each new position's share, as positions in versions: the versions whose
+	// hash it owns, or every version of an unsegmented table.
+	buckets := make([][]int32, nNew)
+	if t.Def.Segmented {
+		for i, h := range versions.Hashes {
+			home := vhash.SegmentOf(h, nNew)
+			buckets[home] = append(buckets[home], int32(i))
+			if t.Ring[vhash.SegmentOf(h, len(t.Ring))] != newRing[home] {
 				res.RowsMoved++
+			}
+		}
+	} else {
+		all := storage.IdentitySel(versions.Len())
+		for p, id := range newRing {
+			buckets[p] = all
+			if t.PosOf(id) < 0 {
+				res.RowsMoved += versions.Len()
 			}
 		}
 	}
 	for p := range newStores {
-		if err := newStores[p].ImportVersions(buckets[p]); err != nil {
+		if err := newStores[p].ImportVersions(&versions, buckets[p]); err != nil {
 			return nil, res, err
 		}
 		res.Containers += newStores[p].ContainerCount()
 	}
 	var newBuddies [][]*storage.Store
-	if t.Def.KSafety > 0 {
+	if t.Def.Segmented && t.Def.KSafety > 0 {
 		newBuddies = make([][]*storage.Store, t.Def.KSafety)
 		for r := range newBuddies {
 			newBuddies[r] = make([]*storage.Store, nNew)
@@ -167,7 +165,7 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 				// Buddies[r][p] holds the segment whose home position is
 				// (p-r-1) mod n — same convention as the write path.
 				seg := ((p-r-1)%nNew + nNew) % nNew
-				if err := st.ImportVersions(buckets[seg]); err != nil {
+				if err := st.ImportVersions(&versions, buckets[seg]); err != nil {
 					return nil, res, err
 				}
 				newBuddies[r][p] = st

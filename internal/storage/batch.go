@@ -6,7 +6,7 @@ import (
 )
 
 // Batch is one unit of vectorized scan output: the immutable column vectors
-// of a single ROS container (or a WOS snapshot) plus a selection vector of
+// of a single ROS container (or of the WOS buffer) plus a selection vector of
 // the row indexes that survived MVCC visibility and the hash-range mask.
 // Predicate kernels narrow Sel in place; only the rows left in Sel at the
 // end of the pipeline are ever materialized into types.Row form (late
@@ -19,6 +19,12 @@ type Batch struct {
 	Hashes []uint32
 	// Sel lists surviving row indexes in ascending order.
 	Sel []int32
+
+	// ros or wos is where a store's scan cut the batch from — the container,
+	// or the WOS buffer as it then was — so Store.MarkDeleted can mark the rows
+	// Sel is narrowed to where they live. Both are nil on a derived batch.
+	ros *ROSContainer
+	wos *Versions
 }
 
 // Len returns the number of selected rows.
@@ -180,11 +186,11 @@ func batchFromContainer(c *ROSContainer, schema types.Schema, vis Visibility, hr
 		}
 		c.mu.RUnlock()
 	}
-	return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, Sel: sel}
+	return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, Sel: sel, ros: c}
 }
 
 // ScanBatches calls fn once per ROS container (and once for the WOS
-// snapshot, if non-empty) with MVCC visibility and the hash-range mask
+// buffer, if it has a visible row) with MVCC visibility and the hash-range mask
 // already applied in the selection vector. Returning false from fn stops the
 // scan. Batches share the containers' immutable column vectors; callers must
 // not mutate them.
@@ -197,7 +203,7 @@ func (s *Store) ScanBatches(vis Visibility, hr vhash.Range, fn func(*Batch) bool
 // maps and physical row count, and a true return skips the container entirely
 // (the caller has proven, from the min/max bounds, that no row can satisfy its
 // predicate). A container without zone maps — no constructor builds one — and
-// the WOS snapshot, which keeps none, are never pruned. A nil prune scans
+// the WOS buffer, which keeps none, are never pruned. A nil prune scans
 // everything.
 func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
 	for _, c := range s.snapshot() {
@@ -212,15 +218,9 @@ func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(sta
 			return nil
 		}
 	}
-	rows, hashes := s.wos.VisibleRows(vis, hr)
-	if len(rows) == 0 {
-		return nil
+	if b := s.wos.batch(s.schema, vis, hr); b != nil {
+		fn(b)
 	}
-	cols, err := ColumnsFromRows(rows, s.schema)
-	if err != nil {
-		return err
-	}
-	fn(&Batch{Schema: s.schema, Cols: cols, Hashes: hashes, Sel: IdentitySel(len(rows))})
 	return nil
 }
 
@@ -233,23 +233,4 @@ func (s *Store) CountVisible(vis Visibility, hr vhash.Range) int {
 		return true
 	})
 	return n
-}
-
-// VisibleRows snapshots the WOS rows visible under vis inside hr, returning
-// the rows and their segmentation hashes. Row slices are shared with the
-// buffer (WOS rows are immutable once appended); callers must not mutate
-// them.
-func (w *WOS) VisibleRows(vis Visibility, hr vhash.Range) ([]types.Row, []uint32) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	var rows []types.Row
-	var hashes []uint32
-	for i, r := range w.rows {
-		if !vis.RowVisible(w.starts[i], w.dels[i]) || !hr.Contains(w.hashes[i]) {
-			continue
-		}
-		rows = append(rows, r)
-		hashes = append(hashes, w.hashes[i])
-	}
-	return rows, hashes
 }

@@ -38,6 +38,50 @@ func collectScan(s *Store, vis Visibility, hr vhash.Range) []types.Row {
 	return out
 }
 
+// appendWOS is the trickle write entry for a test that holds rows.
+func appendWOS(t testing.TB, s *Store, rows []types.Row, tag uint64) {
+	t.Helper()
+	cols, err := ColumnsFromRows(rows, s.schema)
+	if err == nil {
+		err = s.AppendColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag, false)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deleteWhere is a DELETE as the engine runs one: scan under vis, narrow each
+// batch to the rows match keeps, then hand the batches back to be marked with
+// tag. It returns the number of rows marked.
+func deleteWhere(t testing.TB, s *Store, vis Visibility, tag uint64, match func(types.Row) bool) int {
+	t.Helper()
+	defer s.HoldRows()()
+	var selected []*Batch
+	err := s.ScanBatches(vis, fullRing(), func(b *Batch) bool {
+		keep := b.Sel[:0]
+		for _, i := range b.Sel {
+			if match(b.Row(int(i), nil)) {
+				keep = append(keep, i)
+			}
+		}
+		b.Sel = keep
+		selected = append(selected, b)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, b := range selected {
+		marked, err := s.MarkDeleted(b, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += marked
+	}
+	return n
+}
+
 // collectBatches materializes every batch, mirroring the vectorized path.
 func collectBatches(t *testing.T, s *Store, vis Visibility, hr vhash.Range) []types.Row {
 	t.Helper()
@@ -81,14 +125,14 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 	if err := s.AppendROS(batchRows(100, 150), 4); err != nil {
 		t.Fatal(err)
 	}
-	s.AppendWOS(batchRows(150, 170), 6)
+	appendWOS(t, s, batchRows(150, 170), 6)
 	// Committed delete at epoch 5 hitting both a ROS container and (no-op)
 	// the WOS rows that aren't visible yet at epoch 5.
-	s.DeleteWhere(Visibility{Epoch: 5}, 5, func(r types.Row) bool { return r[0].I%7 == 0 })
+	deleteWhere(t, s, Visibility{Epoch: 5}, 5, func(r types.Row) bool { return r[0].I%7 == 0 })
 	// A provisional transaction: inserts and deletes tagged but uncommitted.
 	tag := uint64(ProvisionalBase + 1)
-	s.AppendWOS(batchRows(170, 180), tag)
-	s.DeleteWhere(Visibility{Epoch: 6, Tag: tag}, tag, func(r types.Row) bool { return r[0].I%11 == 3 })
+	appendWOS(t, s, batchRows(170, 180), tag)
+	deleteWhere(t, s, Visibility{Epoch: 6, Tag: tag}, tag, func(r types.Row) bool { return r[0].I%11 == 3 })
 
 	segs := vhash.Segments(3)
 	ranges := append([]vhash.Range{{Lo: 0, Hi: vhash.RingSize}}, segs...)
@@ -283,13 +327,13 @@ func TestScanBatchesRace(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		epoch := uint64(2 + i)
 		tag := ProvisionalBase + 100 + uint64(i)
-		s.AppendWOS(batchRows(2000+i*10, 2000+i*10+10), tag)
+		appendWOS(t, s, batchRows(2000+i*10, 2000+i*10+10), tag)
 		if i%2 == 0 {
 			s.RebaseInserts(tag, epoch)
 		} else {
 			s.DropInserts(tag)
 		}
-		s.DeleteWhere(Visibility{Epoch: epoch}, epoch, func(r types.Row) bool {
+		deleteWhere(t, s, Visibility{Epoch: epoch}, epoch, func(r types.Row) bool {
 			return r[0].I%97 == int64(i%97)
 		})
 		if i%5 == 0 {

@@ -1,7 +1,7 @@
 // Package storage implements the engine's columnar storage: typed column
 // vectors, Read Optimized Storage (ROS) containers with light-weight column
-// encodings, a Write Optimized Storage (WOS) row buffer, and per-container
-// delete vectors. This mirrors the Vertica storage organization sketched in
+// encodings, a Write Optimized Storage (WOS) buffer of append-only vectors,
+// and delete vectors over both. This mirrors the Vertica storage organization sketched in
 // §2.1.1 of the paper; the details follow the C-Store lineage (plain, RLE,
 // delta and dictionary encodings) at the fidelity the connector experiments
 // need.
@@ -356,6 +356,31 @@ func ColumnsFromRows(rows []types.Row, schema types.Schema) ([]Column, error) {
 		cols[i] = b.Build()
 	}
 	return cols, nil
+}
+
+// NewROSContainer builds a container from rows: columnize, hash, then the
+// column constructor. segIdx are the segmentation column indexes the per-row
+// ring hashes are computed over (empty = whole-row synthetic hash).
+func NewROSContainer(rows []types.Row, schema types.Schema, segIdx []int, start uint64) (*ROSContainer, error) {
+	cols, err := ColumnsFromRows(rows, schema)
+	if err != nil {
+		return nil, err
+	}
+	return newContainer(cols, len(rows), schema, HashColumns(cols, segIdx, len(rows)), start, nil)
+}
+
+// AppendROS builds a ROS container from rows stamped with the given epoch or
+// provisional tag and adds it: AppendColumns for a caller that holds rows.
+func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	c, err := NewROSContainer(rows, s.schema, s.segIdx, tag)
+	if err != nil {
+		return err
+	}
+	s.AttachContainer(c)
+	return nil
 }
 
 // CoerceRows aligns row values with a declared schema. Engine row sets are

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"vsfabric/internal/types"
-	"vsfabric/internal/vhash"
 )
 
 // This file implements the durable forms of the storage layer: row blocks
@@ -243,11 +243,7 @@ func checkCRC(data []byte, what string) ([]byte, error) {
 // committed; provisional containers are never persisted.
 func MarshalContainer(c *ROSContainer) ([]byte, error) {
 	c.mu.RLock()
-	start := c.start
-	var del []uint64
-	if c.del != nil {
-		del = append(make([]uint64, 0, len(c.del)), c.del...)
-	}
+	start, del := c.start, slices.Clone(c.del)
 	c.mu.RUnlock()
 	if start >= ProvisionalBase {
 		return nil, fmt.Errorf("storage: refusing to persist provisional container (tag %d)", start)
@@ -265,22 +261,12 @@ func MarshalContainer(c *ROSContainer) ([]byte, error) {
 		binary.LittleEndian.PutUint32(tmp[:], h)
 		buf.Write(tmp[:])
 	}
-	anyDel := false
-	for _, d := range del {
-		if d != 0 && d < ProvisionalBase {
-			anyDel = true
-			break
-		}
-	}
-	if !anyDel {
+	if !slices.ContainsFunc(del, func(d uint64) bool { return committedDel(d) != 0 }) {
 		buf.WriteByte(0)
 	} else {
 		buf.WriteByte(1)
 		for _, d := range del {
-			if d >= ProvisionalBase {
-				d = 0
-			}
-			writeUvarint(&buf, d)
+			writeUvarint(&buf, committedDel(d))
 		}
 	}
 	// Zone-map section: per-column null count and min/max bounds, so
@@ -335,6 +321,9 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 		return nil, err
 	}
 	n := int(n64)
+	if err := checkColumns(cols, n, schema); err != nil {
+		return nil, corruptf("%v", err)
+	}
 	hb, err := r.take(4 * n64)
 	if err != nil {
 		return nil, err
@@ -399,40 +388,29 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 func (s *Store) MarshalWOS() ([]byte, int, error) {
 	w := s.wos
 	w.mu.RLock()
-	var rows []types.Row
-	var starts, dels []uint64
-	for i := range w.rows {
-		if w.starts[i] >= ProvisionalBase {
-			continue
-		}
-		d := w.dels[i]
-		if d >= ProvisionalBase {
-			d = 0
-		}
-		rows = append(rows, w.rows[i])
-		starts = append(starts, w.starts[i])
-		dels = append(dels, d)
-	}
+	sel := w.buf.committedSel()
+	batch := &Batch{Cols: w.buf.Columns(), Sel: sel}
+	starts, dels := appendSel(nil, w.buf.Starts, sel), appendSel(nil, w.buf.Dels, sel)
 	w.mu.RUnlock()
-	if len(rows) == 0 {
+	if len(sel) == 0 {
 		return nil, 0, nil
 	}
 	var buf bytes.Buffer
 	buf.Write(wosMagic)
-	writeUvarint(&buf, uint64(len(rows)))
+	writeUvarint(&buf, uint64(len(sel)))
 	writeSchema(&buf, s.schema)
-	cols, err := ColumnsFromRows(rows, s.schema)
+	cols, _, err := DenseColumns(s.schema, []*Batch{batch})
 	if err != nil {
 		return nil, 0, err
 	}
 	if err := writeColumns(&buf, cols); err != nil {
 		return nil, 0, err
 	}
-	for i := range rows {
+	for i := range sel {
 		writeUvarint(&buf, starts[i])
-		writeUvarint(&buf, dels[i])
+		writeUvarint(&buf, committedDel(dels[i]))
 	}
-	return sealCRC(&buf), len(rows), nil
+	return sealCRC(&buf), len(sel), nil
 }
 
 // LoadWOS restores a checkpointed WOS snapshot into the store's write buffer
@@ -468,26 +446,20 @@ func (s *Store) LoadWOS(data []byte) error {
 		return err
 	}
 	n := int(n64)
+	if err := checkColumns(cols, n, s.schema); err != nil {
+		return corruptf("WOS snapshot of another table: %v", err)
+	}
+	starts, dels := make([]uint64, n), make([]uint64, n)
+	for i := range starts {
+		if starts[i], err = r.uvarint(); err != nil {
+			return err
+		}
+		if dels[i], err = r.uvarint(); err != nil {
+			return err
+		}
+	}
 	w := s.wos
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := 0; i < n; i++ {
-		row := make(types.Row, len(cols))
-		for j, c := range cols {
-			row[j] = c.Get(i)
-		}
-		start, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		del, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		w.rows = append(w.rows, row)
-		w.hashes = append(w.hashes, vhash.HashRow(row, s.segIdx))
-		w.starts = append(w.starts, start)
-		w.dels = append(w.dels, del)
-	}
-	return nil
+	return w.buf.add(cols, IdentitySel(n), HashColumns(cols, s.segIdx, n), starts, dels, 0)
 }

@@ -149,13 +149,13 @@ func TestUnmarshalContainerRejectsCorruption(t *testing.T) {
 func TestMarshalWOSRoundTrip(t *testing.T) {
 	schema := persistSchema()
 	s := NewStore(schema, []int{0})
-	s.AppendWOS(persistRows(), 4)
+	appendWOS(t, s, persistRows(), 4)
 	// A committed delete ahead of the AHM (retained row) and a provisional
 	// insert; the snapshot keeps the first, skips the second.
-	s.DeleteWhere(Visibility{Epoch: 6}, 6, func(r types.Row) bool {
+	deleteWhere(t, s, Visibility{Epoch: 6}, 6, func(r types.Row) bool {
 		return !r[0].Null && r[0].I == 1
 	})
-	s.AppendWOS([]types.Row{{types.IntValue(99), types.FloatValue(0), types.StringValue("prov"), types.BoolValue(true)}}, ProvisionalBase+7)
+	appendWOS(t, s, []types.Row{{types.IntValue(99), types.FloatValue(0), types.StringValue("prov"), types.BoolValue(true)}}, ProvisionalBase+7)
 
 	data, n, err := s.MarshalWOS()
 	if err != nil {
@@ -261,49 +261,47 @@ func TestContainerCache(t *testing.T) {
 // whose committed delete epoch is ahead of the AHM must stay in the WOS so
 // pinned readers between insert and delete still see it.
 func TestDrainCommittedRespectsAHM(t *testing.T) {
-	mk := func() *WOS {
-		w := NewWOS()
-		w.Append([]types.Row{{types.IntValue(1)}}, nil, 2) // live committed
-		w.Append([]types.Row{{types.IntValue(2)}}, nil, 2) // deleted at 6
-		w.Append([]types.Row{{types.IntValue(3)}}, nil, ProvisionalBase+4)
-		w.DeleteWhere(Visibility{Epoch: 6}, 6, func(r types.Row) bool { return r[0].I == 2 })
-		return w
+	mk := func() *Store {
+		s := NewStore(schema2, nil)
+		appendWOS(t, s, intRows(1), 2) // live committed
+		appendWOS(t, s, intRows(2), 2) // deleted at 6
+		appendWOS(t, s, intRows(3), ProvisionalBase+4)
+		deleteWhere(t, s, Visibility{Epoch: 6}, 6, func(r types.Row) bool { return r[0].I == 2 })
+		return s
 	}
 
 	// AHM behind the delete: the deleted row must be retained, not purged.
-	w := mk()
-	rows, _, epochs := w.DrainCommitted(3)
-	if len(rows) != 1 || rows[0][0].I != 1 || epochs[0] != 2 {
-		t.Fatalf("ahm=3 drained %v", rows)
+	s := mk()
+	from, drained := s.wos.DrainCommitted(3)
+	if len(drained) != 1 || from.Columns()[0].Get(int(drained[0])).I != 1 || from.Starts[drained[0]] != 2 {
+		t.Fatalf("ahm=3 drained %v of %v", drained, from.Columns()[0])
 	}
-	if w.Len() != 2 {
-		t.Fatalf("ahm=3 retained %d rows, want deleted row + provisional", w.Len())
+	if s.WOSLen() != 2 {
+		t.Fatalf("ahm=3 retained %d rows, want deleted row + provisional", s.WOSLen())
 	}
 	// A reader pinned at epoch 3 must still see row 2 after the drain.
 	seen := 0
-	w.Scan(Visibility{Epoch: 3}, vhash.Range{Lo: 0, Hi: vhash.RingSize}, func(r types.Row) bool {
+	for _, r := range collectScan(s, Visibility{Epoch: 3}, fullRing()) {
 		if r[0].I == 2 {
 			seen++
 		}
-		return true
-	})
+	}
 	if seen != 1 {
 		t.Fatal("pinned reader lost the deleted-but-retained row")
 	}
 
 	// AHM at the delete epoch: purge is now safe.
-	w = mk()
-	rows, _, _ = w.DrainCommitted(6)
-	if len(rows) != 1 || w.Len() != 1 {
-		t.Fatalf("ahm=6: drained %d, retained %d (want 1 drained, provisional only)", len(rows), w.Len())
+	s = mk()
+	if _, drained = s.wos.DrainCommitted(6); len(drained) != 1 || s.WOSLen() != 1 {
+		t.Fatalf("ahm=6: drained %d, retained %d (want 1 drained, provisional only)", len(drained), s.WOSLen())
 	}
 
 	// Provisional delete mark: keep buffered regardless of AHM.
-	w = NewWOS()
-	w.Append([]types.Row{{types.IntValue(9)}}, nil, 2)
-	w.DeleteWhere(Visibility{Epoch: 6, Tag: ProvisionalBase + 8}, ProvisionalBase+8, func(types.Row) bool { return true })
-	if rows, _, _ := w.DrainCommitted(100); len(rows) != 0 || w.Len() != 1 {
-		t.Fatalf("provisionally deleted row moved out: drained %d, kept %d", len(rows), w.Len())
+	s = NewStore(schema2, nil)
+	appendWOS(t, s, intRows(9), 2)
+	deleteWhere(t, s, Visibility{Epoch: 6, Tag: ProvisionalBase + 8}, ProvisionalBase+8, func(types.Row) bool { return true })
+	if _, drained := s.wos.DrainCommitted(100); len(drained) != 0 || s.WOSLen() != 1 {
+		t.Fatalf("provisionally deleted row moved out: drained %d, kept %d", len(drained), s.WOSLen())
 	}
 }
 
@@ -316,7 +314,7 @@ func TestMoveoutContainerOrderDeterministic(t *testing.T) {
 		s := NewStore(batchSchema(), []int{0})
 		// Interleave epochs out of order on purpose.
 		for _, e := range []uint64{5, 2, 9, 3, 7} {
-			s.AppendWOS(batchRows(int(e)*10, int(e)*10+3), e)
+			appendWOS(t, s, batchRows(int(e)*10, int(e)*10+3), e)
 		}
 		if err := s.Moveout(9); err != nil {
 			t.Fatal(err)

@@ -71,17 +71,6 @@ type ROSContainer struct {
 	dirty   bool
 }
 
-// NewROSContainer builds a container from rows: columnize, hash, then the
-// column constructor. segIdx are the segmentation column indexes the per-row
-// ring hashes are computed over (empty = whole-row synthetic hash).
-func NewROSContainer(rows []types.Row, schema types.Schema, segIdx []int, start uint64) (*ROSContainer, error) {
-	cols, err := ColumnsFromRows(rows, schema)
-	if err != nil {
-		return nil, err
-	}
-	return newContainer(cols, len(rows), schema, HashColumns(cols, segIdx, len(rows)), start, nil)
-}
-
 // newContainer is the one constructor of in-memory containers — COPY DIRECT,
 // moveout, rebalance and recovery import all end here — so every container
 // is compressed and carries zone maps. cols are n-row dense vectors, one per
@@ -223,7 +212,8 @@ func (c *ROSContainer) Clone() *ROSContainer {
 	return nc
 }
 
-// Row materializes row i.
+// Row materializes row i. Like Store.Scan, which it serves, it is kept only as
+// the row-at-a-time reference the batch scan is tested against.
 func (c *ROSContainer) Row(i int) types.Row {
 	r := make(types.Row, len(c.Cols))
 	for j, col := range c.Cols {
@@ -260,6 +250,10 @@ type Store struct {
 	segIdx []int
 	ros    []*ROSContainer
 	wos    *WOS
+	// rowsMu keeps the tuple mover out while a DELETE or UPDATE is between
+	// selecting rows by position and marking them: moveout is the one writer
+	// the table's EXCLUSIVE lock does not exclude.
+	rowsMu sync.Mutex
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
 	// committed state and must be rebuilt from a live replica before its node
@@ -291,26 +285,12 @@ func (s *Store) Schema() types.Schema { return s.schema }
 // SegIdx returns the segmentation column indexes.
 func (s *Store) SegIdx() []int { return s.segIdx }
 
-// AppendROS builds a ROS container from rows stamped with the given epoch or
-// provisional tag and adds it: AppendColumns for a caller that holds rows.
-func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	c, err := NewROSContainer(rows, s.schema, s.segIdx, tag)
-	if err != nil {
-		return err
-	}
-	s.AttachContainer(c)
-	return nil
-}
-
 // AppendColumns adds the rows held by cols — dense vectors, one per schema
 // column, with the rows' segmentation hashes already computed — stamped with
 // the given epoch or provisional tag. direct makes them one ROS container
 // that takes the vectors over without copying them (the COPY DIRECT bulk
-// path); otherwise they are boxed into the WOS (the trickle path). It is the
-// one entry the engine's write path and WAL replay add rows through.
+// path); otherwise they are appended to the WOS's vectors (the trickle path).
+// It is the one entry the engine's write path and WAL replay add rows through.
 func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64, direct bool) error {
 	n := len(hashes)
 	if n == 0 {
@@ -320,8 +300,7 @@ func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64, direct
 		if err := checkColumns(cols, n, s.schema); err != nil {
 			return err
 		}
-		s.wos.appendOwned(Materialize([]*Batch{{Cols: cols, Sel: IdentitySel(n)}}), hashes, tag)
-		return nil
+		return s.wos.appendColumns(cols, hashes, tag)
 	}
 	c, err := newContainer(cols, n, s.schema, hashes, tag, nil)
 	if err != nil {
@@ -329,12 +308,6 @@ func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64, direct
 	}
 	s.AttachContainer(c)
 	return nil
-}
-
-// AppendWOS adds rows to the write-optimized buffer stamped with the given
-// epoch or provisional tag (the trickle INSERT path).
-func (s *Store) AppendWOS(rows []types.Row, tag uint64) {
-	s.wos.Append(rows, s.segIdx, tag)
 }
 
 // Moveout converts committed WOS contents into ROS containers, mirroring the
@@ -345,12 +318,18 @@ func (s *Store) AppendWOS(rows []types.Row, tag uint64) {
 // container sequence — and with it the deterministic segment-order merge of
 // parallel scans — is stable across runs.
 func (s *Store) Moveout(ahm uint64) error {
-	rows, hashes, epochs := s.wos.DrainCommitted(ahm)
-	versions := make([]RowVersion, len(rows))
-	for i, r := range rows {
-		versions[i] = RowVersion{Row: r, Hash: hashes[i], Start: epochs[i]}
-	}
-	return s.ImportVersions(versions)
+	s.rowsMu.Lock()
+	defer s.rowsMu.Unlock()
+	return s.ImportVersions(s.wos.DrainCommitted(ahm))
+}
+
+// HoldRows keeps the store's rows where they are until release is called: a
+// batch scanned in between still names the same rows when it is handed to
+// MarkDeleted. The caller holds the table's EXCLUSIVE lock, which keeps every
+// other writer out; this keeps the tuple mover out too.
+func (s *Store) HoldRows() (release func()) {
+	s.rowsMu.Lock()
+	return s.rowsMu.Unlock
 }
 
 func (s *Store) snapshot() []*ROSContainer {
@@ -363,8 +342,8 @@ func (s *Store) snapshot() []*ROSContainer {
 
 // Scan calls fn for every row visible under vis whose segmentation hash lies
 // in hr (pass the full ring to scan everything). Returning false stops the
-// scan. The container's delete vector is snapshotted once per container under
-// a single RLock rather than locking around every row.
+// scan. It is the row-at-a-time reference scan: tests diff ScanBatches, and the
+// engine built on it, against it, and nothing else calls it.
 func (s *Store) Scan(vis Visibility, hr vhash.Range, fn func(row types.Row) bool) {
 	for _, c := range s.snapshot() {
 		c.mu.RLock()
@@ -389,47 +368,51 @@ func (s *Store) Scan(vis Visibility, hr vhash.Range, fn func(row types.Row) bool
 			}
 		}
 	}
-	s.wos.Scan(vis, hr, fn)
-}
-
-// DeleteWhere marks every row visible under vis matching the predicate as
-// deleted with the given tag (a commit epoch or provisional tag), returning
-// the number of rows marked.
-func (s *Store) DeleteWhere(vis Visibility, tag uint64, match func(types.Row) bool) int {
-	n := 0
-	for _, c := range s.snapshot() {
-		if !vis.seesInsert(c.StartEpoch()) {
-			continue
-		}
-		for i := 0; i < c.RowCount; i++ {
-			c.mu.RLock()
-			del := uint64(0)
-			if c.del != nil {
-				del = c.del[i]
-			}
-			c.mu.RUnlock()
-			if vis.seesDelete(del) || del != 0 && del != tag {
-				// Already deleted by someone else (possibly uncommitted);
-				// first delete wins, mirroring write-write conflict
-				// avoidance under the engine's table locks.
-				continue
-			}
-			if match(c.Row(i)) {
-				c.mu.Lock()
-				if c.del == nil {
-					c.del = make([]uint64, c.RowCount)
-				}
-				if c.del[i] == 0 || c.del[i] == tag {
-					c.del[i] = tag
-					c.dirty = true
-					n++
-				}
-				c.mu.Unlock()
+	if b := s.wos.batch(s.schema, vis, hr); b != nil {
+		for _, i := range b.Sel {
+			if !fn(b.Row(int(i), nil)) {
+				return
 			}
 		}
 	}
-	n += s.wos.DeleteWhere(vis, tag, match)
-	return n
+}
+
+// MarkDeleted marks the rows b selects as deleted with the given tag (a commit
+// epoch or provisional tag) in the container or WOS buffer the batch was
+// scanned from, under that one's lock, and returns the number of rows marked.
+// A row somebody else already deleted (possibly uncommitted) is left alone:
+// first delete wins, mirroring write-write conflict avoidance under the
+// engine's table locks. A batch that is not a scan's, or whose WOS rows have
+// moved since the scan (see HoldRows), marks nothing and fails.
+func (s *Store) MarkDeleted(b *Batch, tag uint64) (int, error) {
+	if len(b.Sel) == 0 {
+		return 0, nil
+	}
+	mark := func(dels []uint64) (n int) {
+		for _, i := range b.Sel {
+			if dels[i] == 0 || dels[i] == tag {
+				dels[i] = tag
+				n++
+			}
+		}
+		return n
+	}
+	if c := b.ros; c != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.del == nil {
+			c.del = make([]uint64, c.RowCount)
+		}
+		n := mark(c.del)
+		c.dirty = c.dirty || n > 0
+		return n, nil
+	}
+	s.wos.mu.Lock()
+	defer s.wos.mu.Unlock()
+	if b.wos != s.wos.buf {
+		return 0, fmt.Errorf("storage: batch rows are no longer where the scan found them")
+	}
+	return mark(s.wos.buf.Dels), nil
 }
 
 // RebaseInserts rewrites containers and WOS rows inserted under the
@@ -443,7 +426,9 @@ func (s *Store) RebaseInserts(tag, epoch uint64) {
 		}
 		c.mu.Unlock()
 	}
-	s.wos.RebaseInserts(tag, epoch)
+	s.wos.mu.Lock()
+	rewrite(s.wos.buf.Starts, tag, epoch)
+	s.wos.mu.Unlock()
 }
 
 // DropInserts removes containers and WOS rows inserted under the provisional
@@ -466,31 +451,16 @@ func (s *Store) DropInserts(tag uint64) {
 func (s *Store) RebaseDeletes(tag, epoch uint64) {
 	for _, c := range s.snapshot() {
 		c.mu.Lock()
-		for i := range c.del {
-			if c.del[i] == tag {
-				c.del[i] = epoch
-				c.dirty = true
-			}
-		}
+		c.dirty = rewrite(c.del, tag, epoch) || c.dirty
 		c.mu.Unlock()
 	}
-	s.wos.RebaseDeletes(tag, epoch)
+	s.wos.mu.Lock()
+	rewrite(s.wos.buf.Dels, tag, epoch)
+	s.wos.mu.Unlock()
 }
 
 // ClearDeletes erases delete marks carrying the provisional tag (abort).
-func (s *Store) ClearDeletes(tag uint64) {
-	for _, c := range s.snapshot() {
-		c.mu.Lock()
-		for i := range c.del {
-			if c.del[i] == tag {
-				c.del[i] = 0
-				c.dirty = true
-			}
-		}
-		c.mu.Unlock()
-	}
-	s.wos.ClearDeletes(tag)
-}
+func (s *Store) ClearDeletes(tag uint64) { s.RebaseDeletes(tag, 0) }
 
 // RowCount returns the number of rows visible under vis. It runs on the
 // vectorized path: selection-vector popcounts, no row materialization.

@@ -125,7 +125,7 @@ func TestScanBatchesPruned(t *testing.T) {
 	}
 
 	// The WOS batch is never pruned.
-	s.AppendWOS(intRows(99), 3)
+	appendWOS(t, s, intRows(99), 3)
 	n := 0
 	err = s.ScanBatchesPruned(Visibility{Epoch: 3}, full, func([]ColStats, int) bool { return true }, func(b *Batch) bool {
 		n += len(b.Sel)
@@ -147,16 +147,17 @@ func TestEveryConstructorComputesZoneMaps(t *testing.T) {
 	if err := src.AppendROS(intRows(1, 2, 3), 1); err != nil {
 		t.Fatal(err)
 	}
-	src.AppendWOS(intRows(10, 20), 2)
+	appendWOS(t, src, intRows(10, 20), 2)
 	if err := src.Moveout(2); err != nil {
 		t.Fatal(err)
 	}
 	imported := NewStore(schema2, []int{0})
-	if err := imported.ImportVersions(src.ExportVersions()); err != nil {
+	v := exportVersions(t, src)
+	if err := imported.ImportVersions(v, IdentitySel(v.Len())); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt := NewStore(schema2, []int{0})
-	if err := rebuilt.ReplaceContents(src.ExportVersions()); err != nil {
+	if err := rebuilt.ReplaceContents(v); err != nil {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*Store{"moveout": src, "import": imported, "replace": rebuilt} {

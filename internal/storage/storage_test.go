@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"vsfabric/internal/types"
 	"vsfabric/internal/vhash"
@@ -190,7 +191,7 @@ func TestMVCCVisibility(t *testing.T) {
 	}
 
 	// Delete id=1 at epoch 10: epoch 9 still sees it, epoch 10 does not.
-	n := s.DeleteWhere(Visibility{Epoch: 9}, 10, func(r types.Row) bool { return r[0].I == 1 })
+	n := deleteWhere(t, s, Visibility{Epoch: 9}, 10, func(r types.Row) bool { return r[0].I == 1 })
 	if n != 1 {
 		t.Fatalf("DeleteWhere = %d", n)
 	}
@@ -225,7 +226,7 @@ func TestDropInserts(t *testing.T) {
 	s := NewStore(schema2, []int{0})
 	tag := ProvisionalBase + 1
 	_ = s.AppendROS(intRows(1, 2), tag)
-	s.AppendWOS(intRows(3), tag)
+	appendWOS(t, s, intRows(3), tag)
 	s.DropInserts(tag)
 	if s.RowCount(Visibility{Epoch: 100, Tag: tag}) != 0 {
 		t.Error("DropInserts should remove provisional rows everywhere")
@@ -239,7 +240,7 @@ func TestProvisionalDeletes(t *testing.T) {
 	s := NewStore(schema2, []int{0})
 	_ = s.AppendROS(intRows(1, 2, 3), 2)
 	tag := ProvisionalBase + 9
-	n := s.DeleteWhere(Visibility{Epoch: 5, Tag: tag}, tag, func(r types.Row) bool { return r[0].I <= 2 })
+	n := deleteWhere(t, s, Visibility{Epoch: 5, Tag: tag}, tag, func(r types.Row) bool { return r[0].I <= 2 })
 	if n != 2 {
 		t.Fatalf("DeleteWhere = %d", n)
 	}
@@ -253,7 +254,7 @@ func TestProvisionalDeletes(t *testing.T) {
 	if s.RowCount(Visibility{Epoch: 5}) != 3 {
 		t.Error("ClearDeletes should restore rows")
 	}
-	n = s.DeleteWhere(Visibility{Epoch: 5, Tag: tag}, tag, func(r types.Row) bool { return r[0].I == 1 })
+	n = deleteWhere(t, s, Visibility{Epoch: 5, Tag: tag}, tag, func(r types.Row) bool { return r[0].I == 1 })
 	if n != 1 {
 		t.Fatal("re-delete failed")
 	}
@@ -265,9 +266,9 @@ func TestProvisionalDeletes(t *testing.T) {
 
 func TestWOSMoveoutPreservesEpochs(t *testing.T) {
 	s := NewStore(schema2, []int{0})
-	s.AppendWOS(intRows(1), 3)
-	s.AppendWOS(intRows(2), 5)
-	s.AppendWOS(intRows(99), ProvisionalBase+4) // uncommitted: stays in WOS
+	appendWOS(t, s, intRows(1), 3)
+	appendWOS(t, s, intRows(2), 5)
+	appendWOS(t, s, intRows(99), ProvisionalBase+4) // uncommitted: stays in WOS
 	if err := s.Moveout(5); err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +327,72 @@ func TestDeleteWinsOnce(t *testing.T) {
 	s := NewStore(schema2, []int{0})
 	_ = s.AppendROS(intRows(1), 1)
 	tagA, tagB := ProvisionalBase+1, ProvisionalBase+2
-	if n := s.DeleteWhere(Visibility{Epoch: 1, Tag: tagA}, tagA, func(types.Row) bool { return true }); n != 1 {
+	if n := deleteWhere(t, s, Visibility{Epoch: 1, Tag: tagA}, tagA, func(types.Row) bool { return true }); n != 1 {
 		t.Fatal("first delete should win")
 	}
-	if n := s.DeleteWhere(Visibility{Epoch: 1, Tag: tagB}, tagB, func(types.Row) bool { return true }); n != 0 {
+	if n := deleteWhere(t, s, Visibility{Epoch: 1, Tag: tagB}, tagB, func(types.Row) bool { return true }); n != 0 {
 		t.Error("second (concurrent) delete must not double-delete")
+	}
+}
+
+// TestMarkDeletedNamesRowsByPosition: a batch marks the rows it selects where
+// the scan found them; HoldRows keeps the tuple mover from moving them in
+// between, and a batch whose WOS rows did move — or that no scan produced —
+// marks nothing.
+func TestMarkDeletedNamesRowsByPosition(t *testing.T) {
+	s := NewStore(schema2, []int{0})
+	_ = s.AppendROS(intRows(1, 2, 3), 1)
+	appendWOS(t, s, intRows(4, 5, 6), 1)
+	scan := func() (batches []*Batch) {
+		_ = s.ScanBatches(Visibility{Epoch: 1}, fullRing(), func(b *Batch) bool {
+			b.Sel = b.Sel[1:2] // ids 2 and 5
+			batches = append(batches, b)
+			return true
+		})
+		return batches
+	}
+
+	release := s.HoldRows()
+	batches := scan()
+	moved := make(chan error)
+	go func() { moved <- s.Moveout(1) }()
+	select {
+	case <-moved:
+		t.Fatal("moveout ran while the rows were held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	for _, b := range batches {
+		if n, err := s.MarkDeleted(b, 2); n != 1 || err != nil {
+			t.Fatalf("MarkDeleted = %d, %v; want 1 row", n, err)
+		}
+	}
+	release()
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for _, r := range collectScan(s, Visibility{Epoch: 2}, fullRing()) {
+		ids = append(ids, r[0].I)
+	}
+	if want := []int64{1, 3, 4, 6}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("after deleting ids 2 and 5: %v, want %v", ids, want)
+	}
+
+	// Not held: the WOS batch's rows are moved out from under it.
+	appendWOS(t, s, intRows(7, 8, 9), 2)
+	batches = scan()
+	if err := s.Moveout(2); err != nil {
+		t.Fatal(err)
+	}
+	wosBatch := batches[len(batches)-1]
+	if n, err := s.MarkDeleted(wosBatch, 3); n != 0 || err == nil {
+		t.Fatalf("MarkDeleted on moved WOS rows = %d, %v; want an error", n, err)
+	}
+	if n, err := s.MarkDeleted(&Batch{Cols: wosBatch.Cols, Sel: []int32{0}}, 3); n != 0 || err == nil {
+		t.Fatalf("MarkDeleted on a batch no scan produced = %d, %v; want an error", n, err)
+	}
+	if got := s.RowCount(Visibility{Epoch: 3}); got != 7 {
+		t.Fatalf("%d rows visible after the refused marks, want 7", got)
 	}
 }
 

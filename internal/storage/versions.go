@@ -1,103 +1,132 @@
 package storage
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"vsfabric/internal/types"
 )
 
-// RowVersion is one committed row with its full MVCC history: the row values,
-// its precomputed segmentation hash, the epoch it was inserted at, and the
-// epoch it was deleted at (0 = still live). Exporting and re-importing
-// versions — rather than just live rows — is what lets recovery and rebalance
-// move a segment between stores without breaking AT EPOCH readers pinned
-// anywhere in the table's history: a scan at any past epoch sees exactly the
-// same rows through the rebuilt store as it did through the original.
-type RowVersion struct {
-	Row   types.Row
-	Hash  uint32
-	Start uint64
-	Del   uint64
+// Versions is a set of row versions in column form: one append-only dense
+// vector per schema column and, per row, its segmentation hash, the epoch (or
+// provisional tag) it was inserted at and the epoch (or tag) it was deleted at
+// (0 = live). It is what the WOS buffers, and what recovery and rebalance carry
+// a store's history in: moving versions — rather than just live rows — between
+// stores is what keeps AT EPOCH readers pinned anywhere in the table's history
+// correct, since a scan at any past epoch sees exactly the same rows through
+// the rebuilt store as it did through the original.
+//
+// Rows are only ever added at the end and never rewritten, so the vectors
+// Columns returned earlier keep holding the rows they held. The zero value is
+// empty and ready to use.
+type Versions struct {
+	cols   []*Builder
+	Hashes []uint32
+	Starts []uint64
+	Dels   []uint64
 }
 
-// ExportVersions returns every committed row version in the store — live and
-// deleted — in deterministic order (ROS containers in order, then the WOS).
-// Provisional rows are skipped and provisional delete marks are exported as
-// live; callers serialize against writers (the engine holds the table's
-// EXCLUSIVE lock while exporting), so in practice there is no provisional
-// state to skip.
-func (s *Store) ExportVersions() []RowVersion {
-	var out []RowVersion
-	for _, c := range s.snapshot() {
-		c.mu.RLock()
-		start := c.start
-		var del []uint64
-		if c.del != nil {
-			del = append(make([]uint64, 0, len(c.del)), c.del...)
-		}
-		c.mu.RUnlock()
-		if start >= ProvisionalBase {
-			continue
-		}
-		for i := 0; i < c.RowCount; i++ {
-			d := uint64(0)
-			if del != nil && del[i] < ProvisionalBase {
-				d = del[i]
-			}
-			out = append(out, RowVersion{Row: c.Row(i), Hash: c.Hashes[i], Start: start, Del: d})
-		}
+// Len returns the number of row versions held.
+func (v *Versions) Len() int { return len(v.Hashes) }
+
+// Columns returns the column vectors as they stand.
+func (v *Versions) Columns() []Column {
+	cols := make([]Column, len(v.cols))
+	for j, b := range v.cols {
+		cols[j] = b.Build()
 	}
-	s.wos.mu.RLock()
-	for i, r := range s.wos.rows {
-		if s.wos.starts[i] >= ProvisionalBase {
-			continue
-		}
-		d := s.wos.dels[i]
-		if d >= ProvisionalBase {
-			d = 0
-		}
-		out = append(out, RowVersion{Row: r.Clone(), Hash: s.wos.hashes[i], Start: s.wos.starts[i], Del: d})
-	}
-	s.wos.mu.RUnlock()
-	return out
+	return cols
 }
 
-// containersFromVersions groups versions by ascending start epoch and builds
-// one ROS container per epoch, carrying the exported hashes and delete
-// vector. The grouping is a pure function of the version multiset, so two
-// stores importing the same versions (e.g. the original rebalance and its WAL
-// replay) end up with identical container sequences.
-func containersFromVersions(schema types.Schema, versions []RowVersion) ([]*ROSContainer, error) {
-	groups := make(map[uint64][]int)
-	for i, v := range versions {
-		groups[v.Start] = append(groups[v.Start], i)
+// add appends the rows of cols that sel lists. hashes, starts and dels are
+// indexed like the vectors; a nil starts stamps every row with tag, a nil dels
+// leaves them live.
+func (v *Versions) add(cols []Column, sel []int32, hashes []uint32, starts, dels []uint64, tag uint64) error {
+	if len(sel) == 0 {
+		return nil
+	}
+	if v.cols == nil {
+		v.cols = make([]*Builder, len(cols))
+		for j, c := range cols {
+			v.cols[j] = NewBuilder(c.Type())
+		}
+	}
+	if len(cols) != len(v.cols) {
+		return fmt.Errorf("storage: %d column vectors added to %d-column versions", len(cols), len(v.cols))
+	}
+	for j, c := range cols {
+		if err := v.cols[j].AppendColumn(c, sel); err != nil {
+			return err
+		}
+	}
+	v.Hashes = appendSel(v.Hashes, hashes, sel)
+	if starts != nil {
+		v.Starts = appendSel(v.Starts, starts, sel)
+	} else {
+		for range sel {
+			v.Starts = append(v.Starts, tag)
+		}
+	}
+	if dels != nil {
+		v.Dels = appendSel(v.Dels, dels, sel)
+	} else {
+		v.Dels = append(v.Dels, make([]uint64, len(sel))...)
+	}
+	return nil
+}
+
+// committedSel lists the rows whose insert has committed.
+func (v *Versions) committedSel() []int32 {
+	sel := make([]int32, 0, v.Len())
+	for i, start := range v.Starts {
+		if start < ProvisionalBase {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
+}
+
+// committedDel is a delete mark as a committed view shows it: a provisional
+// mark reads as live.
+func committedDel(del uint64) uint64 {
+	if del >= ProvisionalBase {
+		return 0
+	}
+	return del
+}
+
+// containers builds one ROS container per distinct insert epoch among the rows
+// sel lists, in ascending epoch order, carrying their hashes and delete marks.
+// The grouping is a pure function of the versions and their order, so two
+// stores importing the same versions (the original rebalance and its WAL
+// replay, two buddy replicas moving out) end up with identical container
+// sequences.
+func (v *Versions) containers(schema types.Schema, sel []int32) ([]*ROSContainer, error) {
+	if len(sel) == 0 {
+		return nil, nil // v may be a live WOS buffer nothing left: do not read its vectors
+	}
+	groups := make(map[uint64][]int32)
+	for _, i := range sel {
+		groups[v.Starts[i]] = append(groups[v.Starts[i]], i)
 	}
 	order := make([]uint64, 0, len(groups))
 	for e := range groups {
 		order = append(order, e)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
+	cols := v.Columns()
 	out := make([]*ROSContainer, 0, len(order))
 	for _, e := range order {
-		idxs := groups[e]
-		rows := make([]types.Row, len(idxs))
-		hashes := make([]uint32, len(idxs))
-		var del []uint64
-		for j, i := range idxs {
-			rows[j] = versions[i].Row
-			hashes[j] = versions[i].Hash
-			if versions[i].Del != 0 {
-				if del == nil {
-					del = make([]uint64, len(idxs))
-				}
-				del[j] = versions[i].Del
-			}
-		}
-		cols, err := ColumnsFromRows(rows, schema)
+		idx := groups[e]
+		dense, n, err := DenseColumns(schema, []*Batch{{Cols: cols, Sel: idx}})
 		if err != nil {
 			return nil, err
 		}
-		c, err := newContainer(cols, len(rows), schema, hashes, e, del)
+		var del []uint64
+		if slices.ContainsFunc(idx, func(i int32) bool { return v.Dels[i] != 0 }) {
+			del = appendSel(nil, v.Dels, idx)
+		}
+		c, err := newContainer(dense, n, schema, appendSel(nil, v.Hashes, idx), e, del)
 		if err != nil {
 			return nil, err
 		}
@@ -106,11 +135,40 @@ func containersFromVersions(schema types.Schema, versions []RowVersion) ([]*ROSC
 	return out, nil
 }
 
-// ImportVersions appends the given versions to the store as epoch-stamped ROS
-// containers (one per distinct insert epoch, ascending). Used by rebalance to
-// populate a freshly allocated store, and by moveout.
-func (s *Store) ImportVersions(versions []RowVersion) error {
-	ros, err := containersFromVersions(s.schema, versions)
+// ExportVersions appends every committed row version in the store — live and
+// deleted — to v, in deterministic order (ROS containers in order, then the
+// WOS). Provisional rows are skipped and provisional delete marks are exported
+// as live; callers serialize against writers (the engine holds the table's
+// EXCLUSIVE lock while exporting), so in practice there is no provisional
+// state to skip.
+func (s *Store) ExportVersions(v *Versions) error {
+	from := v.Len()
+	for _, c := range s.snapshot() {
+		c.mu.RLock()
+		start, del := c.start, slices.Clone(c.del)
+		c.mu.RUnlock()
+		if start >= ProvisionalBase {
+			continue
+		}
+		if err := v.add(c.Cols, IdentitySel(c.RowCount), c.Hashes, nil, del, start); err != nil {
+			return err
+		}
+	}
+	w := s.wos
+	w.mu.RLock()
+	err := v.add(w.buf.Columns(), w.buf.committedSel(), w.buf.Hashes, w.buf.Starts, w.buf.Dels, 0)
+	w.mu.RUnlock()
+	for i := from; i < v.Len(); i++ {
+		v.Dels[i] = committedDel(v.Dels[i])
+	}
+	return err
+}
+
+// ImportVersions appends the versions sel lists to the store as epoch-stamped
+// ROS containers (one per distinct insert epoch, ascending). Rebalance
+// populates a freshly allocated store with it, and moveout the store's own.
+func (s *Store) ImportVersions(v *Versions, sel []int32) error {
+	ros, err := v.containers(s.schema, sel)
 	if err != nil {
 		return err
 	}
@@ -127,8 +185,8 @@ func (s *Store) ImportVersions(versions []RowVersion) error {
 // can interleave. Readers that snapshotted the old containers keep scanning
 // them safely — a reader only reaches a store while its node is UP, at a
 // snapshot epoch the old contents fully cover.
-func (s *Store) ReplaceContents(versions []RowVersion) error {
-	ros, err := containersFromVersions(s.schema, versions)
+func (s *Store) ReplaceContents(v *Versions) error {
+	ros, err := v.containers(s.schema, IdentitySel(v.Len()))
 	if err != nil {
 		return err
 	}
@@ -136,7 +194,7 @@ func (s *Store) ReplaceContents(versions []RowVersion) error {
 	s.ros = ros
 	s.mu.Unlock()
 	s.wos.mu.Lock()
-	s.wos.rows, s.wos.hashes, s.wos.starts, s.wos.dels = nil, nil, nil, nil
+	s.wos.buf = &Versions{}
 	s.wos.mu.Unlock()
 	return nil
 }

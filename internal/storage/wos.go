@@ -7,175 +7,122 @@ import (
 	"vsfabric/internal/vhash"
 )
 
-// WOS is the Write Optimized Storage buffer: a row-oriented, in-memory store
-// that absorbs trickle inserts (the S2V status-table updates, for example)
-// before the tuple mover converts them to columnar ROS containers. Each row
-// carries its insert epoch (or provisional tag) and an optional delete mark,
-// obeying the same MVCC visibility rules as ROS rows.
+// WOS is the Write Optimized Storage buffer: an in-memory store that absorbs
+// trickle inserts (the S2V status-table updates, for example) before the tuple
+// mover converts them to ROS containers. It holds them the way a container
+// does — dense typed vectors, a hash per row — with each row's own insert epoch
+// (or provisional tag) and delete mark beside them, obeying the same MVCC
+// visibility rules as ROS rows.
+//
+// Rows are appended to buf in place and never moved: removing rows (an abort, a
+// moveout) installs a fresh buffer holding the rest, so a scan's batch, which
+// aliases the vectors it was cut from, never sees one change under it.
 type WOS struct {
-	mu     sync.RWMutex
-	rows   []types.Row
-	hashes []uint32
-	starts []uint64
-	dels   []uint64 // 0 = live
+	mu  sync.RWMutex
+	buf *Versions
 }
 
 // NewWOS returns an empty write-optimized buffer.
-func NewWOS() *WOS { return &WOS{} }
+func NewWOS() *WOS { return &WOS{buf: &Versions{}} }
 
-// Append adds copies of rows stamped with the given epoch or provisional tag,
-// hashing them on the segmentation columns.
-func (w *WOS) Append(rows []types.Row, segIdx []int, tag uint64) {
-	owned, hashes := make([]types.Row, len(rows)), make([]uint32, len(rows))
-	for i, r := range rows {
-		owned[i], hashes[i] = r.Clone(), vhash.HashRow(r, segIdx)
-	}
-	w.appendOwned(owned, hashes, tag)
-}
-
-// appendOwned adds rows nobody else will write to, with their hashes, stamped
-// with the given epoch or provisional tag.
-func (w *WOS) appendOwned(rows []types.Row, hashes []uint32, tag uint64) {
+// appendColumns adds the rows cols hold, with their hashes, stamped with the
+// given epoch or provisional tag.
+func (w *WOS) appendColumns(cols []Column, hashes []uint32, tag uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.rows = append(w.rows, rows...)
-	w.hashes = append(w.hashes, hashes...)
-	for range rows {
-		w.starts = append(w.starts, tag)
-		w.dels = append(w.dels, 0)
-	}
+	return w.buf.add(cols, IdentitySel(len(hashes)), hashes, nil, nil, tag)
 }
 
-// Scan visits rows visible under vis whose hash is inside hr.
-func (w *WOS) Scan(vis Visibility, hr vhash.Range, fn func(types.Row) bool) {
+// batch returns the buffer as a scan batch — its vectors as they stand, the
+// selection vector the rows visible under vis whose hash is inside hr — or nil
+// when it selects nothing.
+func (w *WOS) batch(schema types.Schema, vis Visibility, hr vhash.Range) *Batch {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	for i, r := range w.rows {
-		if !vis.RowVisible(w.starts[i], w.dels[i]) || !hr.Contains(w.hashes[i]) {
-			continue
-		}
-		if !fn(r) {
-			return
+	v := w.buf
+	var sel []int32
+	for i, start := range v.Starts {
+		if vis.RowVisible(start, v.Dels[i]) && hr.Contains(v.Hashes[i]) {
+			sel = append(sel, int32(i))
 		}
 	}
+	if sel == nil {
+		return nil
+	}
+	return &Batch{Schema: schema, Cols: v.Columns(), Hashes: v.Hashes[:v.Len():v.Len()], Sel: sel, wos: v}
 }
 
-// DeleteWhere marks matching visible rows deleted with the given tag and
-// returns the count.
-func (w *WOS) DeleteWhere(vis Visibility, tag uint64, match func(types.Row) bool) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := 0
-	for i, r := range w.rows {
-		if !vis.RowVisible(w.starts[i], w.dels[i]) {
-			continue
-		}
-		if w.dels[i] != 0 && w.dels[i] != tag {
-			continue
-		}
-		if match(r) {
-			w.dels[i] = tag
-			n++
-		}
-	}
-	return n
-}
-
-// RebaseInserts rewrites provisional insert tags to the commit epoch.
-func (w *WOS) RebaseInserts(tag, epoch uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.starts {
-		if w.starts[i] == tag {
-			w.starts[i] = epoch
-		}
-	}
+// replace installs a buffer holding only the rows keep lists.
+func (w *WOS) replace(keep []int32) {
+	old, kept := w.buf, &Versions{}
+	// The vectors are the buffer's own, of its own kinds: add cannot fail.
+	_ = kept.add(old.Columns(), keep, old.Hashes, old.Starts, old.Dels, 0)
+	w.buf = kept
 }
 
 // DropInserts removes rows inserted under the provisional tag (abort).
 func (w *WOS) DropInserts(tag uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	keep := 0
-	for i := range w.rows {
-		if w.starts[i] == tag {
-			continue
+	keep := make([]int32, 0, w.buf.Len())
+	for i, start := range w.buf.Starts {
+		if start != tag {
+			keep = append(keep, int32(i))
 		}
-		w.rows[keep] = w.rows[i]
-		w.hashes[keep] = w.hashes[i]
-		w.starts[keep] = w.starts[i]
-		w.dels[keep] = w.dels[i]
-		keep++
 	}
-	w.rows, w.hashes, w.starts, w.dels = w.rows[:keep], w.hashes[:keep], w.starts[:keep], w.dels[:keep]
-}
-
-// RebaseDeletes rewrites provisional delete marks to the commit epoch.
-func (w *WOS) RebaseDeletes(tag, epoch uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.dels {
-		if w.dels[i] == tag {
-			w.dels[i] = epoch
-		}
+	if len(keep) < w.buf.Len() {
+		w.replace(keep)
 	}
 }
 
-// ClearDeletes erases provisional delete marks (abort).
-func (w *WOS) ClearDeletes(tag uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.dels {
-		if w.dels[i] == tag {
-			w.dels[i] = 0
+// rewrite replaces every from in marks with to and reports whether it found
+// one.
+func rewrite(marks []uint64, from, to uint64) (found bool) {
+	for i, m := range marks {
+		if m == from {
+			marks[i], found = to, true
 		}
 	}
+	return found
 }
 
-// DrainCommitted removes and returns all committed live rows with their
-// hashes and epochs. Provisional rows stay put. Rows whose delete has
-// committed are purged only once no reader can still see them: a row deleted
-// at epoch d is visible to a reader pinned at any epoch p < d, so it must
-// survive until the Ancient History Mark (the minimum pinned epoch) reaches
-// d. Rows with ahm < delete epoch stay buffered; the rest are purged.
-func (w *WOS) DrainCommitted(ahm uint64) (rows []types.Row, hashes []uint32, epochs []uint64) {
+// DrainCommitted removes all committed live rows and returns the buffer that
+// held them with their positions in it. Provisional rows stay put. Rows whose
+// delete has committed are purged only once no reader can still see them: a
+// row deleted at epoch d is visible to a reader pinned at any epoch p < d, so
+// it must survive until the Ancient History Mark (the minimum pinned epoch)
+// reaches d. Rows with ahm < delete epoch stay buffered; the rest are purged.
+func (w *WOS) DrainCommitted(ahm uint64) (from *Versions, drained []int32) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	keep := 0
-	for i := range w.rows {
-		switch {
-		case w.starts[i] >= ProvisionalBase || (w.dels[i] != 0 && w.dels[i] >= ProvisionalBase):
+	v := w.buf
+	keep := make([]int32, 0, v.Len())
+	for i, start := range v.Starts {
+		switch del := v.Dels[i]; {
+		case start >= ProvisionalBase || del >= ProvisionalBase:
 			// Uncommitted insert or uncommitted delete: keep buffered.
-			w.rows[keep] = w.rows[i]
-			w.hashes[keep] = w.hashes[i]
-			w.starts[keep] = w.starts[i]
-			w.dels[keep] = w.dels[i]
-			keep++
-		case w.dels[i] != 0 && w.dels[i] <= ahm:
+			keep = append(keep, int32(i))
+		case del != 0 && del <= ahm:
 			// Committed delete behind the AHM: no pinned reader can see the
 			// row any more, purge it.
-		case w.dels[i] != 0:
+		case del != 0:
 			// Committed delete still ahead of the AHM: a reader pinned
 			// between the insert and delete epochs must keep seeing the row,
 			// so it stays buffered until the AHM catches up.
-			w.rows[keep] = w.rows[i]
-			w.hashes[keep] = w.hashes[i]
-			w.starts[keep] = w.starts[i]
-			w.dels[keep] = w.dels[i]
-			keep++
+			keep = append(keep, int32(i))
 		default:
-			rows = append(rows, w.rows[i])
-			hashes = append(hashes, w.hashes[i])
-			epochs = append(epochs, w.starts[i])
+			drained = append(drained, int32(i))
 		}
 	}
-	w.rows, w.hashes, w.starts, w.dels = w.rows[:keep], w.hashes[:keep], w.starts[:keep], w.dels[:keep]
-	return rows, hashes, epochs
+	if len(keep) < v.Len() {
+		w.replace(keep)
+	}
+	return v, drained
 }
 
 // Len returns the number of buffered rows (live, deleted, and provisional).
 func (w *WOS) Len() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return len(w.rows)
+	return w.buf.Len()
 }

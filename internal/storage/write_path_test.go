@@ -129,7 +129,7 @@ func TestColumnEntriesMatchRowEntries(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				byRows.AppendWOS(rows, 7)
+				appendWOS(t, byRows, rows, 7)
 			}
 			if err := byCols.AppendColumns(cols, HashColumns(cols, segIdx, n), 7, direct); err != nil {
 				t.Fatal(err)
@@ -138,29 +138,8 @@ func TestColumnEntriesMatchRowEntries(t *testing.T) {
 				t.Fatalf("n=%d direct=%v: %d containers + %d WOS rows, the row entry leaves %d + %d", n, direct,
 					byCols.ContainerCount(), byCols.WOSLen(), byRows.ContainerCount(), byRows.WOSLen())
 			}
-			gotV, wantV := byCols.ExportVersions(), byRows.ExportVersions()
-			if len(gotV) != len(wantV) {
-				t.Fatalf("n=%d direct=%v: %d versions, want %d", n, direct, len(gotV), len(wantV))
-			}
-			for i, w := range wantV {
-				g := gotV[i]
-				sameRows(t, "version", []types.Row{g.Row}, []types.Row{w.Row})
-				if g.Hash != w.Hash || g.Start != w.Start || g.Del != w.Del {
-					t.Fatalf("n=%d direct=%v version %d: %+v, want %+v", n, direct, i, g, w)
-				}
-			}
-			for k, c := range byCols.Containers() {
-				r := byRows.Containers()[k]
-				for j := range r.Cols {
-					if reflect.TypeOf(c.Cols[j]) != reflect.TypeOf(r.Cols[j]) {
-						t.Errorf("n=%d container %d column %d stored as %T, the row entry stores %T", n, k, j, c.Cols[j], r.Cols[j])
-					}
-				}
-				// %v spells NaN bounds alike, which == would not.
-				if got, want := fmt.Sprintf("%+v", c.Stats()), fmt.Sprintf("%+v", r.Stats()); got != want {
-					t.Errorf("n=%d container %d zone maps %s, the row entry builds %s", n, k, got, want)
-				}
-			}
+			sameVersions(t, fmt.Sprintf("n=%d direct=%v", n, direct), exportVersions(t, byCols), exportRowVersions(byRows))
+			sameContainers(t, fmt.Sprintf("n=%d direct=%v", n, direct), byCols.Containers(), byRows.Containers())
 		}
 	}
 	wrong := []Column{&Float64Column{Vals: []float64{1}}}

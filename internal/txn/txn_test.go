@@ -1,12 +1,14 @@
 package txn
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
+	"vsfabric/internal/vhash"
 )
 
 var schema = types.NewSchema(types.Column{Name: "id", T: types.Int64})
@@ -17,6 +19,47 @@ func rows(ids ...int64) []types.Row {
 		out[i] = types.Row{types.IntValue(id)}
 	}
 	return out
+}
+
+// appendWOS is the trickle write entry for a test that holds rows.
+func appendWOS(t testing.TB, s *storage.Store, rows []types.Row, tag uint64) {
+	t.Helper()
+	cols, err := storage.ColumnsFromRows(rows, s.Schema())
+	if err == nil {
+		err = s.AppendColumns(cols, storage.HashColumns(cols, s.SegIdx(), len(rows)), tag, false)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// deleteWhere is a DELETE as the engine runs one: scan under vis, narrow each
+// batch to the rows match keeps, then hand the batches back to be marked with
+// tag. It returns the number of rows marked.
+func deleteWhere(t testing.TB, s *storage.Store, vis storage.Visibility, tag uint64, match func(types.Row) bool) int {
+	t.Helper()
+	defer s.HoldRows()()
+	var selected []*storage.Batch
+	err := s.ScanBatches(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, func(b *storage.Batch) bool {
+		keep := b.Sel[:0]
+		for _, i := range b.Sel {
+			if match(b.Row(int(i), nil)) {
+				keep = append(keep, i)
+			}
+		}
+		b.Sel = keep
+		selected = append(selected, b)
+		return true
+	})
+	n := 0
+	for _, b := range selected {
+		marked, merr := s.MarkDeleted(b, tag)
+		n, err = n+marked, errors.Join(err, merr)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+	return n
 }
 
 func count(s *storage.Store, vis storage.Visibility) int {
@@ -107,12 +150,12 @@ func TestConditionalUpdatePattern(t *testing.T) {
 		if err := tx.Acquire("t", LockExclusive); err != nil {
 			return false
 		}
-		n := s.DeleteWhere(tx.Vis(), tx.Tag(), func(r types.Row) bool { return r[0].I == 0 })
+		n := deleteWhere(t, s, tx.Vis(), tx.Tag(), func(r types.Row) bool { return r[0].I == 0 })
 		if n == 0 {
 			return false
 		}
 		tx.NoteDelete(s)
-		s.AppendWOS(rows(1), tx.Tag())
+		appendWOS(t, s, rows(1), tx.Tag())
 		tx.NoteInsert(s)
 		_, err := tx.Commit()
 		return err == nil
@@ -220,7 +263,7 @@ func TestSerializedCommitsMonotonicEpochs(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			s.AppendWOS(rows(int64(i)), tx.Tag())
+			appendWOS(t, s, rows(int64(i)), tx.Tag())
 			tx.NoteInsert(s)
 			e, err := tx.Commit()
 			if err != nil {

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"vsfabric/internal/types"
 )
 
 // TestConcurrentCopiesAndSnapshotReaders hammers one table with parallel
@@ -134,6 +137,28 @@ func TestAutoMoveout(t *testing.T) {
 	if ros == 0 {
 		t.Error("auto-moveout never ran (no ROS containers)")
 	}
+
+	// Buddy replicas buffer the same trickle inserts as the primaries they
+	// mirror and must move out with them: a failover scan reads a buddy's WOS.
+	c, err = NewCluster(Config{Nodes: 3, WOSMoveoutRows: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = sess(t, c, 0)
+	s.MustExecute("CREATE TABLE k (id INTEGER) SEGMENTED BY HASH(id) KSAFE 1")
+	for i := 0; i < 300; i++ {
+		s.MustExecute(fmt.Sprintf("INSERT INTO k VALUES (%d)", i))
+	}
+	tbl, _ = c.Catalog().Table("k")
+	for i, st := range allStores(tbl) {
+		if st.WOSLen() > 50 {
+			t.Errorf("store %d (primaries, then buddies) still buffers %d rows in its WOS", i, st.WOSLen())
+		}
+	}
+	c.Node(1).SetDown(true)
+	if v, _ := s.MustExecute("SELECT COUNT(*) FROM k").Value(); v.I != 300 {
+		t.Errorf("count with node 1 down = %v, want 300", v)
+	}
 }
 
 // TestConcurrentDDLAndInserts: creating/dropping unrelated tables while a
@@ -186,5 +211,50 @@ func TestConcurrentDDLAndInserts(t *testing.T) {
 	}
 	if v, _ := s.MustExecute("SELECT COUNT(*) FROM stable").Value(); v.I != 50 {
 		t.Errorf("count = %v", v)
+	}
+}
+
+// TestUpdatesDuringMoveout: an UPDATE names the rows it matched by position
+// until it has marked them, and the tuple mover — which any session's commit
+// can set off on every table, under no table lock — must not move them in
+// between. Here the statement's own predicate sets a moveout off after the
+// first stores have been selected on: it has to wait for the marks.
+func TestUpdatesDuringMoveout(t *testing.T) {
+	c := testCluster(t, 2)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE ctr (id INTEGER, v INTEGER) SEGMENTED BY HASH(id) KSAFE 1")
+	const counters, rounds = 4, 10
+	for g := 0; g < counters; g++ {
+		s.MustExecute(fmt.Sprintf("INSERT INTO ctr VALUES (%d, 0)", g))
+	}
+	var movers sync.WaitGroup
+	c.RegisterUDx("MOVING", func(args []types.Value, _ map[string]string) (types.Value, error) {
+		movers.Add(1)
+		go func() {
+			defer movers.Done()
+			if err := c.Moveout(); err != nil {
+				t.Error(err)
+			}
+		}()
+		time.Sleep(200 * time.Microsecond)
+		return args[0], nil
+	})
+	for i := 0; i < rounds; i++ {
+		for g := 0; g < counters; g++ {
+			res, err := s.Execute(fmt.Sprintf("UPDATE ctr SET v = v + 1 WHERE MOVING(id) = %d", g))
+			if err != nil || res.RowsAffected != 1 {
+				t.Fatalf("round %d counter %d: %v, %v", i, g, res, err)
+			}
+		}
+	}
+	movers.Wait()
+	res := s.MustExecute("SELECT id, v FROM ctr ORDER BY id")
+	if len(res.Rows) != counters {
+		t.Fatalf("%d counter rows, want %d: %v", len(res.Rows), counters, res.Rows)
+	}
+	for g, r := range res.Rows {
+		if r[0].I != int64(g) || r[1].I != rounds {
+			t.Errorf("counter %d reads %v, want %d", g, r, rounds)
+		}
 	}
 }

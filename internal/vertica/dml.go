@@ -3,6 +3,7 @@ package vertica
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"vsfabric/internal/storage"
 	"vsfabric/internal/txn"
 	"vsfabric/internal/types"
+	"vsfabric/internal/vexec"
 	"vsfabric/internal/vhash"
 	"vsfabric/internal/vsql"
 )
@@ -98,7 +100,7 @@ func (s *Session) writableCheck(tbl *catalog.Table) error {
 }
 
 // writeRows is writeColumns for a statement that produced rows (INSERT ...
-// VALUES, UPDATE's re-insert): this is where they are columnized, once.
+// VALUES): this is where they are columnized, once.
 func (s *Session) writeRows(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) (map[[2]string]float64, error) {
 	cols, err := storage.ColumnsFromRows(rows, tbl.Def.Schema)
 	if err != nil {
@@ -321,173 +323,58 @@ func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
 			return nil, err
 		}
 	}
-	if st.Where != nil {
-		if err := s.cluster.bindFuncs(st.Where); err != nil {
-			return nil, err
-		}
-	}
-
-	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
-		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockExclusive)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.writableCheck(tbl); err != nil {
-			return nil, err
-		}
-		vis := tx.Vis()
-		// Collect matching rows first (snapshot), then delete + reinsert.
-		matched, err := s.collectMatching(tbl, st.Where, vis)
-		if err != nil {
-			return nil, err
-		}
-		updated := make([]types.Row, 0, len(matched))
-		for _, r := range matched {
-			nr := r.Clone()
-			for i, sc := range st.Set {
+	// The re-insert is the matched rows' vectors with the assigned columns
+	// swapped for new ones. The SET expressions are interpreted, so the matched
+	// rows — and only they — are boxed for them.
+	assign := func(cols []storage.Column, matched []*storage.Batch) ([]storage.Column, error) {
+		rows := storage.Materialize(matched)
+		updated := append([]storage.Column(nil), cols...)
+		for i, sc := range st.Set {
+			t := schema.Cols[setIdx[i]].T
+			b := storage.NewBuilder(t)
+			b.Grow(len(rows))
+			for _, r := range rows {
 				v, err := sc.Expr.Eval(r, &schema)
+				if err == nil {
+					v, err = coerce(v, t)
+				}
+				if err == nil {
+					err = b.Append(v)
+				}
 				if err != nil {
 					return nil, err
 				}
-				cv, err := coerce(v, schema.Cols[setIdx[i]].T)
-				if err != nil {
-					return nil, err
-				}
-				nr[setIdx[i]] = cv
 			}
-			updated = append(updated, nr)
+			updated[setIdx[i]] = b.Build()
 		}
-		if len(matched) > 0 {
-			if _, err := s.deleteRowsEverywhere(tx, tbl, st.Where, vis); err != nil {
-				return nil, err
-			}
-			if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
-				return nil, err
-			}
-			if _, err := s.writeRows(tx, tbl, updated, false); err != nil {
-				return nil, err
-			}
-		}
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedStatusOp})
-		return &Result{RowsAffected: int64(len(matched))}, nil
-	})
-}
-
-// collectMatching gathers the visible rows matching the predicate across all
-// primary stores (or one live replica for unsegmented tables), reading from
-// buddies where a primary's node is down.
-func (s *Session) collectMatching(tbl *catalog.Table, where expr.Expr, vis storage.Visibility) ([]types.Row, error) {
-	schema := tbl.Def.Schema
-	var out []types.Row
-	var scanErr error
-	match := func(r types.Row) bool {
-		ok, err := expr.EvalPredicate(where, r, &schema)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			out = append(out, r.Clone())
-		}
-		return true
+		return updated, nil
 	}
-	if !tbl.Def.Segmented {
-		st, _, err := s.replicaFor(tbl, s.localPos(tbl))
-		if err != nil {
-			return nil, err
-		}
-		st.Scan(vis, fullRing(), match)
-		return out, scanErr
-	}
-	for pos := range tbl.Stores {
-		st, _, err := s.replicaFor(tbl, pos)
-		if err != nil {
-			return nil, err
-		}
-		st.Scan(vis, fullRing(), match)
-		if scanErr != nil {
-			return nil, scanErr
-		}
-	}
-	return out, scanErr
-}
-
-// deleteRowsEverywhere marks matching rows deleted in every writable store
-// holding them (primaries, buddies, and all replicas of unsegmented tables).
-// Stores on non-writable nodes are skipped and reconciled at recovery. Each
-// segment's count comes from its first writable replica. A predicate that
-// fails on any visited row fails the call with its first error; the caller
-// aborts the transaction, which unmarks whatever was marked before it.
-func (s *Session) deleteRowsEverywhere(tx *txn.Txn, tbl *catalog.Table, where expr.Expr, vis storage.Visibility) (int, error) {
-	schema := tbl.Def.Schema
-	var evalErr error
-	match := func(r types.Row) bool {
-		ok, err := expr.EvalPredicate(where, r, &schema)
-		if err != nil && evalErr == nil {
-			evalErr = err
-		}
-		return ok && evalErr == nil
-	}
-	accepts := func(pos int) bool { return s.cluster.nodeAcceptsWrites(tbl.Ring[pos]) }
-	n := 0
-	if !tbl.Def.Segmented {
-		counted := false
-		for pos, st := range tbl.Stores {
-			if !accepts(pos) {
-				st.MarkStale()
-				continue
-			}
-			c := st.DeleteWhere(vis, tx.Tag(), match)
-			tx.NoteDelete(st)
-			if !counted {
-				n += c
-				counted = true
-			}
-		}
-		return n, evalErr
-	}
-	nseg := len(tbl.Ring)
-	for seg := 0; seg < nseg; seg++ {
-		counted := false
-		if accepts(seg) {
-			c := tbl.Stores[seg].DeleteWhere(vis, tx.Tag(), match)
-			tx.NoteDelete(tbl.Stores[seg])
-			n += c
-			counted = true
-		} else {
-			tbl.Stores[seg].MarkStale()
-		}
-		for r := range tbl.Buddies {
-			host := (seg + r + 1) % nseg
-			if !accepts(host) {
-				tbl.Buddies[r][host].MarkStale()
-				continue
-			}
-			st := tbl.Buddies[r][host]
-			c := st.DeleteWhere(vis, tx.Tag(), match)
-			tx.NoteDelete(st)
-			if !counted {
-				n += c
-				counted = true
-			}
-		}
-	}
-	return n, evalErr
+	return s.deleteStmt(st.Table, st.Where, assign)
 }
 
 // executeDelete runs DELETE FROM under an EXCLUSIVE lock.
 func (s *Session) executeDelete(st *vsql.Delete) (*Result, error) {
-	tbl, ok := s.cluster.cat.Table(st.Table)
-	if !ok {
-		return nil, fmt.Errorf("vertica: table %q does not exist", st.Table)
-	}
-	if st.Where != nil {
-		if err := s.cluster.bindFuncs(st.Where); err != nil {
+	return s.deleteStmt(st.Table, st.Where, nil)
+}
+
+// deleteStmt is DELETE, and the DELETE an UPDATE starts with. It selects
+// before it marks: the WHERE clause, compiled once the way a scan node
+// compiles it (typed kernels, zone-map pruning, an interpreted residual), runs
+// over every store that takes the statement's writes, so a predicate that
+// fails on any visible row fails the statement with no row marked; only then
+// is each store handed back its own batches to mark. The matched rows — each
+// segment's, from the replica a read would use — are logged as vectors, so
+// replay re-applies the delete exactly under the same snapshot, and with
+// reinsert non-nil (UPDATE) what it makes of them is written back through the
+// insert entry.
+func (s *Session) deleteStmt(table string, where expr.Expr, reinsert func([]storage.Column, []*storage.Batch) ([]storage.Column, error)) (*Result, error) {
+	if where != nil {
+		if err := s.cluster.bindFuncs(where); err != nil {
 			return nil, err
 		}
 	}
 	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
-		tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockExclusive)
+		tbl, err := s.lockTable(tx, table, txn.LockExclusive)
 		if err != nil {
 			return nil, err
 		}
@@ -495,24 +382,111 @@ func (s *Session) executeDelete(st *vsql.Delete) (*Result, error) {
 			return nil, err
 		}
 		vis := tx.Vis()
-		// Collect before marking: a predicate that fails on any visible row
-		// fails the statement with no row marked, and a durable cluster logs
-		// the concrete rows so replay re-applies the delete exactly under the
-		// same snapshot.
-		matched, err := s.collectMatching(tbl, st.Where, vis)
+		found, matched, release, err := s.selectRows(tbl, where, vis)
 		if err != nil {
 			return nil, err
 		}
-		n, err := s.deleteRowsEverywhere(tx, tbl, st.Where, vis)
+		defer release()
+		cols, n, err := storage.DenseColumns(tbl.Def.Schema, matched)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.logDelete(tx, tbl, matched, vis.Epoch); err != nil {
-			return nil, err
+		if n > 0 {
+			var updated []storage.Column
+			if reinsert != nil {
+				if updated, err = reinsert(cols, matched); err != nil {
+					return nil, err
+				}
+			}
+			// Stores on nodes taking no writes were not selected on; they are
+			// reconciled at recovery.
+			for _, st := range allStores(tbl) {
+				batches, selected := found[st]
+				if !selected {
+					st.MarkStale()
+					continue
+				}
+				for _, b := range batches {
+					if _, err := st.MarkDeleted(b, tx.Tag()); err != nil {
+						return nil, err
+					}
+				}
+				tx.NoteDelete(st)
+			}
+			if err := s.logDelete(tx, tbl, cols, n, vis.Epoch); err != nil {
+				return nil, err
+			}
+			if reinsert != nil {
+				if _, err := s.writeColumns(tx, tbl, updated, n, false); err != nil {
+					return nil, err
+				}
+			}
 		}
 		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedStatusOp})
 		return &Result{RowsAffected: int64(n)}, nil
 	})
+}
+
+// selectRows runs a DELETE or UPDATE's WHERE clause over every store of the
+// table on a node accepting writes — primaries, buddies, all replicas of an
+// unsegmented table — and returns, per store, the batches narrowed to the rows
+// it selects there (an entry, possibly empty, for every store it ran on), plus
+// the matching rows once: each segment's from the replica serving its reads. It
+// charges no simulated scan or shuffle: the statement's cost stays its fixed
+// status-op event. The stores' rows are held in place until release is called,
+// so the batches can be handed to MarkDeleted.
+func (s *Session) selectRows(tbl *catalog.Table, where expr.Expr, vis storage.Visibility) (found map[*storage.Store][]*storage.Batch, matched []*storage.Batch, release func(), err error) {
+	pred := vexec.Compile(where, tbl.Def.Schema, tbl.SegIdx)
+	found = make(map[*storage.Store][]*storage.Batch)
+	var holds []func()
+	unhold := func() {
+		for _, r := range holds {
+			r()
+		}
+	}
+	defer func() {
+		if err != nil {
+			unhold()
+		}
+	}()
+	for i, st := range allStores(tbl) {
+		// allStores lists each replica set in ring order.
+		if !s.cluster.nodeAcceptsWrites(tbl.Ring[i%len(tbl.Ring)]) {
+			continue
+		}
+		holds = append(holds, st.HoldRows())
+		batches := []*storage.Batch{}
+		var ferr error
+		err := st.ScanBatchesPruned(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
+			if ferr = pred.FilterBatch(b); len(b.Sel) > 0 {
+				batches = append(batches, b)
+			}
+			return ferr == nil
+		})
+		if err = errors.Join(ferr, err); err != nil {
+			return nil, nil, nil, err
+		}
+		found[st] = batches
+	}
+	segs := []int{s.localPos(tbl)}
+	if tbl.Def.Segmented {
+		segs = segs[:0]
+		for pos := range tbl.Stores {
+			segs = append(segs, pos)
+		}
+	}
+	for _, pos := range segs {
+		st, _, err := s.replicaFor(tbl, pos)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		batches, selected := found[st]
+		if !selected {
+			return nil, nil, nil, fmt.Errorf("%w: the replica serving segment %d of table %q changed state mid-statement", ErrNodeDown, pos, tbl.Def.Name)
+		}
+		matched = append(matched, batches...)
+	}
+	return found, matched, unhold, nil
 }
 
 // executeCopyStream bulk-loads rows arriving on the client stream (the

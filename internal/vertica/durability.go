@@ -3,12 +3,12 @@ package vertica
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"vsfabric/internal/catalog"
@@ -157,15 +157,16 @@ func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, cols []storage.Colu
 	})
 }
 
-// logDelete records the rows a DELETE/UPDATE marked, plus the snapshot epoch
-// the statement read at. Replay re-applies the delete by row equality under
-// the same visibility, which is exact: equal rows hash to the same segment,
-// and the predicate is a pure function of row values.
-func (s *Session) logDelete(tx *txn.Txn, tbl *catalog.Table, matched []types.Row, visEpoch uint64) error {
-	if !s.cluster.durable() || len(matched) == 0 {
+// logDelete records the n rows a DELETE/UPDATE marked, from the vectors they
+// were gathered into, plus the snapshot epoch the statement read at. Replay
+// re-applies the delete by row equality under the same visibility, which is
+// exact: equal rows hash to the same segment, and the predicate is a pure
+// function of row values.
+func (s *Session) logDelete(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, visEpoch uint64) error {
+	if !s.cluster.durable() || n == 0 {
 		return nil
 	}
-	payload, err := storage.EncodeRows(tbl.Def.Schema, matched)
+	payload, err := storage.EncodeColumns(tbl.Def.Schema, cols, n)
 	if err != nil {
 		return err
 	}
@@ -259,39 +260,36 @@ func allStores(tbl *catalog.Table) []*storage.Store {
 	return out
 }
 
-// rowKey is a canonical binary encoding of a row, used to re-match logged
-// delete rows against stored rows during replay. Floats are compared by bit
-// pattern (the logged rows are clones of the stored ones, so bits agree).
-func rowKey(r types.Row) string {
-	var b strings.Builder
-	var tmp [8]byte
-	for _, v := range r {
-		b.WriteByte(byte(v.T))
+// appendRowKey appends to key a canonical binary encoding of row i of cols,
+// used to re-match logged delete rows against stored rows during replay.
+// Floats are compared by bit pattern (the logged rows are copies of the stored
+// ones, so bits agree).
+func appendRowKey(key []byte, cols []storage.Column, i int) []byte {
+	for _, c := range cols {
+		v := c.Get(i)
+		key = append(key, byte(v.T))
 		if v.Null {
-			b.WriteByte(1)
+			key = append(key, 1)
 			continue
 		}
-		b.WriteByte(0)
+		key = append(key, 0)
 		switch v.T {
 		case types.Int64:
-			binary.LittleEndian.PutUint64(tmp[:], uint64(v.I))
-			b.Write(tmp[:])
+			key = binary.LittleEndian.AppendUint64(key, uint64(v.I))
 		case types.Float64:
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.F))
-			b.Write(tmp[:])
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v.F))
 		case types.Bool:
 			if v.B {
-				b.WriteByte(1)
+				key = append(key, 1)
 			} else {
-				b.WriteByte(0)
+				key = append(key, 0)
 			}
 		default:
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(v.S)))
-			b.Write(tmp[:4])
-			b.WriteString(v.S)
+			key = binary.LittleEndian.AppendUint32(key, uint32(len(v.S)))
+			key = append(key, v.S...)
 		}
 	}
-	return b.String()
+	return key
 }
 
 // openDurable attaches the cluster to its data directory: it loads the
@@ -592,19 +590,36 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 			if !ok {
 				return replayed, dropped, fmt.Errorf("vertica: replay: delete from unknown table %q", rec.Table)
 			}
-			_, rows, derr := storage.DecodeRows(rec.Rows)
+			_, cols, n, derr := storage.DecodeColumns(rec.Rows, math.MaxInt32)
 			if derr != nil {
 				return replayed, dropped, fmt.Errorf("vertica: replay: %w", derr)
 			}
-			keys := make(map[string]bool, len(rows))
-			for _, r := range rows {
-				keys[rowKey(r)] = true
+			keys := make(map[string]bool, n)
+			var key []byte
+			for i := 0; i < n; i++ {
+				key = appendRowKey(key[:0], cols, i)
+				keys[string(key)] = true
 			}
 			vis := storage.Visibility{Epoch: rec.Epoch, Tag: rec.Tag}
-			match := func(r types.Row) bool { return keys[rowKey(r)] }
 			e := effects(rec.Tag)
 			for _, st := range allStores(tbl) {
-				st.DeleteWhere(vis, rec.Tag, match)
+				// The statement's selection again, by equality: each batch
+				// narrows to the rows that were logged and is marked.
+				var merr error
+				serr := st.ScanBatches(vis, fullRing(), func(b *storage.Batch) bool {
+					keep := b.Sel[:0]
+					for _, i := range b.Sel {
+						if key = appendRowKey(key[:0], b.Cols, int(i)); keys[string(key)] {
+							keep = append(keep, i)
+						}
+					}
+					b.Sel = keep
+					_, merr = st.MarkDeleted(b, rec.Tag)
+					return merr == nil
+				})
+				if err := errors.Join(merr, serr); err != nil {
+					return replayed, dropped, fmt.Errorf("vertica: replay: delete from %q: %w", rec.Table, err)
+				}
 				e.deleted[st] = true
 			}
 		case wal.RecCommit:

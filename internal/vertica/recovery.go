@@ -111,13 +111,16 @@ func (c *Cluster) recoverTable(n *Node, name string) error {
 		if src == dst {
 			return nil
 		}
-		versions := src.ExportVersions()
-		if err := dst.ReplaceContents(versions); err != nil {
+		var versions storage.Versions
+		if err := src.ExportVersions(&versions); err != nil {
+			return err
+		}
+		if err := dst.ReplaceContents(&versions); err != nil {
 			return err
 		}
 		dst.ClearStale()
-		res.Rows += len(versions)
-		res.RowsMoved += len(versions)
+		res.Rows += versions.Len()
+		res.RowsMoved += versions.Len()
 		res.Containers += dst.ContainerCount()
 		return nil
 	}

@@ -462,7 +462,7 @@ func (s *Session) maybeMoveout() {
 	over := false
 	ahm := s.cluster.txm.AHM()
 	for _, t := range s.cluster.cat.Tables() {
-		for _, st := range t.Stores {
+		for _, st := range allStores(t) {
 			if st.WOSLen() > limit {
 				over = true
 				if !s.cluster.durable() {

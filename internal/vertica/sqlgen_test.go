@@ -113,35 +113,16 @@ func (q *genQuery) orders() [][]int {
 	return out
 }
 
-func generate(rng *rand.Rand) *genQuery {
-	q := &genQuery{}
-	for _, i := range rng.Perm(len(genPool))[:1+rng.Intn(3)] {
-		q.parent = append(q.parent, rng.Intn(max(1, len(q.rels))))
-		q.rels = append(q.rels, genPool[i])
-	}
-	type colRef struct {
-		sql string
-		genCol
-	}
-	var refs []colRef
-	for _, r := range q.rels {
-		for _, c := range r.cols {
-			name := c.name
-			if len(q.rels) > 1 {
-				name = r.alias + "." + c.name
-			}
-			refs = append(refs, colRef{name, c})
-		}
-	}
-	pick := func() colRef { return refs[rng.Intn(len(refs))] }
-	numeric := func() colRef {
-		for {
-			if c := pick(); c.kind != 's' {
-				return c
-			}
-		}
-	}
+// colRef is a column as a statement names it.
+type colRef struct {
+	sql string
+	genCol
+}
 
+// genWhere draws a WHERE clause over the columns — up to three comparisons,
+// NULL tests and negations joined by AND / OR — or none at all.
+func genWhere(rng *rand.Rand, refs []colRef) string {
+	pick := func() colRef { return refs[rng.Intn(len(refs))] }
 	atom := func() string {
 		c := pick()
 		if rng.Intn(5) == 0 {
@@ -166,13 +147,43 @@ func generate(rng *rand.Rand) *genQuery {
 		}
 		return a
 	}
-	if n := rng.Intn(4); n > 0 {
-		where := atom()
-		for ; n > 1; n-- {
-			where = "(" + where + []string{" AND ", " OR "}[rng.Intn(2)] + atom() + ")"
-		}
-		q.tail = " WHERE " + where
+	n := rng.Intn(4)
+	if n == 0 {
+		return ""
 	}
+	where := atom()
+	for ; n > 1; n-- {
+		where = "(" + where + []string{" AND ", " OR "}[rng.Intn(2)] + atom() + ")"
+	}
+	return " WHERE " + where
+}
+
+func generate(rng *rand.Rand) *genQuery {
+	q := &genQuery{}
+	for _, i := range rng.Perm(len(genPool))[:1+rng.Intn(3)] {
+		q.parent = append(q.parent, rng.Intn(max(1, len(q.rels))))
+		q.rels = append(q.rels, genPool[i])
+	}
+	var refs []colRef
+	for _, r := range q.rels {
+		for _, c := range r.cols {
+			name := c.name
+			if len(q.rels) > 1 {
+				name = r.alias + "." + c.name
+			}
+			refs = append(refs, colRef{name, c})
+		}
+	}
+	pick := func() colRef { return refs[rng.Intn(len(refs))] }
+	numeric := func() colRef {
+		for {
+			if c := pick(); c.kind != 's' {
+				return c
+			}
+		}
+	}
+
+	q.tail = genWhere(rng, refs)
 
 	var items, outNames []string
 	add := func(item, alias string) {

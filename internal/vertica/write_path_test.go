@@ -107,13 +107,17 @@ func checkStoresMatchOracle(t *testing.T, c *Cluster, table string, rows []types
 		if !reflect.DeepEqual(ct.Stats(), w.stats) {
 			t.Errorf("%s store %d: zone maps %+v, want %+v", table, i, ct.Stats(), w.stats)
 		}
-		versions := st.ExportVersions()
-		if len(versions) != len(w.rows) {
-			t.Fatalf("%s store %d: %d committed versions, want %d", table, i, len(versions), len(w.rows))
+		var versions storage.Versions
+		if err := st.ExportVersions(&versions); err != nil {
+			t.Fatal(err)
 		}
-		for k, v := range versions {
-			if v.Del != 0 || v.Hash != w.hashes[k] || !reflect.DeepEqual(v.Row, w.rows[k]) {
-				t.Fatalf("%s store %d row %d: %+v, want %v live with hash %d", table, i, k, v, w.rows[k], w.hashes[k])
+		if versions.Len() != len(w.rows) {
+			t.Fatalf("%s store %d: %d committed versions, want %d", table, i, versions.Len(), len(w.rows))
+		}
+		vrows := storage.Materialize([]*storage.Batch{{Cols: versions.Columns(), Sel: storage.IdentitySel(versions.Len())}})
+		for k, row := range vrows {
+			if versions.Dels[k] != 0 || versions.Hashes[k] != w.hashes[k] || !reflect.DeepEqual(row, w.rows[k]) {
+				t.Fatalf("%s store %d row %d: %v del %d hash %d, want %v live with hash %d", table, i, k, row, versions.Dels[k], versions.Hashes[k], w.rows[k], w.hashes[k])
 			}
 		}
 	}
