@@ -24,14 +24,14 @@ race:
 
 # Crash-recovery smoke: the frame-log/WAL/persistence units (the golden
 # container and WOS-snapshot files among them) plus the kill-and-restart chaos
-# suite (crash at every WAL record boundary) and the DELETE/UPDATE differential
-# across a restart, under the race detector.
+# suite (crash at every WAL record boundary), the DELETE/UPDATE differential
+# across a restart and the scan-versus-moveout suite, under the race detector.
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
 	$(GO) test -race -run 'Persist|Marshal|Encode|ContainerCache|DrainCommitted|MoveoutContainerOrder|LoadWOS|Golden' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
-	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML' ./internal/vertica/
+	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|SelectDuringMoveout' ./internal/vertica/
 
 # Elastic-membership gate: the rebalance units, the columnar version movement
 # under them against its row-boxing reference, the cluster-lifecycle suites
@@ -49,10 +49,10 @@ rebalance-test:
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
 # seed corpora), the handshake and unsupported-version refusals, pipelining
 # order and concurrent-connection suites, the mid-COPY desync and COPY-abort
-# regressions, and the resource-pool admission suites — all under the race
-# detector.
+# regressions, the wire-equals-in-process differential, and the resource-pool
+# admission suites — all under the race detector.
 wire-test: wire-fuzz
-	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|Pipeline|ExecuteStream|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle' ./internal/server/
+	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|Pipeline|ExecuteStream|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential' ./internal/server/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 

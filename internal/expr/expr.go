@@ -411,6 +411,38 @@ func (m *ModFn) SQL() string { return fmt.Sprintf("MOD(%s, %s)", m.X.SQL(), m.Y.
 // Columns implements Expr.
 func (m *ModFn) Columns(dst []string) []string { return m.Y.Columns(m.X.Columns(dst)) }
 
+// Walk calls fn for e and every expression under it, parents first.
+func Walk(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	var kids []Expr
+	switch n := e.(type) {
+	case *Cmp:
+		kids = []Expr{n.L, n.R}
+	case *And:
+		kids = []Expr{n.L, n.R}
+	case *Or:
+		kids = []Expr{n.L, n.R}
+	case *Arith:
+		kids = []Expr{n.L, n.R}
+	case *ModFn:
+		kids = []Expr{n.X, n.Y}
+	case *Not:
+		kids = []Expr{n.E}
+	case *IsNull:
+		kids = []Expr{n.E}
+	case *HashFn:
+		kids = n.Args
+	case *FuncCall:
+		kids = n.Args
+	}
+	for _, k := range kids {
+		Walk(k, fn)
+	}
+}
+
 // EvalPredicate evaluates e as a WHERE-clause predicate: NULL counts as
 // false, per SQL semantics.
 func EvalPredicate(e Expr, r types.Row, s *types.Schema) (bool, error) {

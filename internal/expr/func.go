@@ -10,9 +10,11 @@ import (
 
 // FuncCall is a call to a named function the expression layer does not know
 // intrinsically — engine builtins like LAST_EPOCH() and User-Defined
-// Extensions like PMMLPredict (§3.3 of the paper). The planner binds Impl by
-// looking the name up in the engine's UDx registry; evaluating an unbound
-// call is an error.
+// Extensions like PMMLPredict (§3.3 of the paper). The planner binds Impl and
+// Ret by looking the name up in the engine's UDx registry; evaluating an
+// unbound call is an error. Ret is the function's declared return type: the
+// plan types the call's column by it, and a value Impl returns that the type
+// cannot represent fails the evaluation instead of reaching a vector.
 //
 // Params carries Vertica's USING PARAMETERS clause, e.g.
 // PMMLPredict(a, b USING PARAMETERS model_name='regression').
@@ -21,6 +23,7 @@ type FuncCall struct {
 	Args   []Expr
 	Params map[string]string
 	Impl   func(args []types.Value, params map[string]string) (types.Value, error)
+	Ret    types.Type // types.Unknown (a call bound by hand): Impl's value passes as it is
 }
 
 // Eval implements Expr.
@@ -36,7 +39,14 @@ func (f *FuncCall) Eval(r types.Row, s *types.Schema) (types.Value, error) {
 		}
 		vals[i] = v
 	}
-	return f.Impl(vals, f.Params)
+	v, err := f.Impl(vals, f.Params)
+	if err != nil || f.Ret == types.Unknown {
+		return v, err
+	}
+	if v, err = types.Coerce(v, f.Ret); err != nil {
+		return types.Value{}, fmt.Errorf("expr: function %s declared %v: %w", f.Name, f.Ret, err)
+	}
+	return v, nil
 }
 
 // SQL implements Expr.

@@ -330,23 +330,13 @@ func (c *copyReader) drain() error {
 	return nil
 }
 
-// sendBinResult streams one statement's outcome: zero or more columnar
-// batch frames (at least one whenever the result carries a schema — zero-row
-// schema probes must arrive intact), then the done frame with the scalar
-// outcome. A columnar result is framed straight from its vectors; a
-// row-native one (group-by output, computed select lists, sorted results) is
-// coerced to its schema and columnized here, once.
+// sendBinResult streams one statement's outcome: the result set's columnar
+// batch frames, framed straight from the engine's vectors (at least one
+// whenever the result carries a schema — zero-row schema probes must arrive
+// intact), then the done frame with the scalar outcome.
 func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) error {
-	batches := res.Batches
-	if batches == nil && res.Schema.NumCols() > 0 {
-		cols, err := storage.ColumnsFromRows(storage.CoerceRows(res.Schema, res.Rows), res.Schema)
-		if err != nil {
-			return s.sendBinError(conn, tag, err)
-		}
-		batches = []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(len(res.Rows))}}
-	}
-	if batches != nil {
-		if encErr, err := sendBatches(conn, tag, res.Schema, batches); err != nil {
+	if res.Schema.NumCols() > 0 {
+		if encErr, err := sendBatches(conn, tag, res.Schema, res.Batches); err != nil {
 			return err
 		} else if encErr != nil {
 			return s.sendBinError(conn, tag, encErr)

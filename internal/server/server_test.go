@@ -14,12 +14,17 @@ import (
 // the connector mapping node addresses to TCP endpoints.
 func startCluster(t *testing.T, nodes int) (*vertica.Cluster, *DialConnector) {
 	t.Helper()
-	cl, err := vertica.NewCluster(vertica.Config{Nodes: nodes})
+	return startClusterCfg(t, vertica.Config{Nodes: nodes})
+}
+
+func startClusterCfg(t *testing.T, cfg vertica.Config) (*vertica.Cluster, *DialConnector) {
+	t.Helper()
+	cl, err := vertica.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := &DialConnector{Endpoints: map[string]string{}}
-	for i := 0; i < nodes; i++ {
+	for i := 0; i < cfg.Nodes; i++ {
 		srv := New(cl, i)
 		ep, err := srv.Listen("127.0.0.1:0")
 		if err != nil {

@@ -341,7 +341,8 @@ func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32, stream func(t
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = storage.Materialize(batches)
+			res.Batches = batches
+			res.Materialize()
 			res.RowsAffected = d.RowsAffected
 			res.Epoch = d.Epoch
 			res.Copy = d.Copy

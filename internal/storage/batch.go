@@ -17,7 +17,10 @@ type Batch struct {
 	// Hashes holds the per-row segmentation hash, aligned with the columns.
 	// Kernels over HASH(segcols) predicates evaluate against it directly.
 	Hashes []uint32
-	// Sel lists surviving row indexes in ascending order.
+	// Sel lists surviving row indexes: in ascending order out of a scan, a
+	// join or a filter; in result order out of a sort, whose one batch holds
+	// dense vectors only (the run-walking loops below rely on ascent and only
+	// ever meet a scan's RLE vectors).
 	Sel []int32
 
 	// ros or wos is where a store's scan cut the batch from — the container,
@@ -206,7 +209,24 @@ func (s *Store) ScanBatches(vis Visibility, hr vhash.Range, fn func(*Batch) bool
 // the WOS buffer, which keeps none, are never pruned. A nil prune scans
 // everything.
 func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
-	for _, c := range s.snapshot() {
+	// One shared hold covers the container list and the WOS batch, so a moveout
+	// cannot land between them: its rows are seen in the WOS or in the container
+	// it builds, never in neither or both. The scan itself runs unheld.
+	s.rowsMu.RLock()
+	ros, wos := s.snapshot(), s.wos.batch(s.schema, vis, hr)
+	s.rowsMu.RUnlock()
+	return s.scanSnapshot(ros, wos, vis, hr, prune, fn)
+}
+
+// ScanHeld is ScanBatchesPruned for the caller that holds the rows in place
+// itself (HoldRows): it takes no hold of its own, which on that goroutine
+// would wait for the caller's forever.
+func (s *Store) ScanHeld(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
+	return s.scanSnapshot(s.snapshot(), s.wos.batch(s.schema, vis, hr), vis, hr, prune, fn)
+}
+
+func (s *Store) scanSnapshot(ros []*ROSContainer, wos *Batch, vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
+	for _, c := range ros {
 		if prune != nil && len(c.stats) == len(c.Cols) && prune(c.stats, c.RowCount) {
 			continue
 		}
@@ -218,8 +238,8 @@ func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(sta
 			return nil
 		}
 	}
-	if b := s.wos.batch(s.schema, vis, hr); b != nil {
-		fn(b)
+	if wos != nil {
+		fn(wos)
 	}
 	return nil
 }

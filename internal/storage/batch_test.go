@@ -57,7 +57,7 @@ func deleteWhere(t testing.TB, s *Store, vis Visibility, tag uint64, match func(
 	t.Helper()
 	defer s.HoldRows()()
 	var selected []*Batch
-	err := s.ScanBatches(vis, fullRing(), func(b *Batch) bool {
+	err := s.ScanHeld(vis, fullRing(), nil, func(b *Batch) bool {
 		keep := b.Sel[:0]
 		for _, i := range b.Sel {
 			if match(b.Row(int(i), nil)) {

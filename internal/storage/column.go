@@ -246,10 +246,15 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// Append adds one value; the value must match the builder's type or be NULL.
+// Append adds one value. A value of another kind than the builder's meets the
+// column by types.Coerce — the one strict rule — so a senseless one (a VARCHAR
+// for a FLOAT column) is an error and the column holds only its own type.
 func (b *Builder) Append(v types.Value) error {
 	if !v.Null && v.T != b.t {
-		return fmt.Errorf("storage: appending %v value to %v column", v.T, b.t)
+		var err error
+		if v, err = types.Coerce(v, b.t); err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
 	}
 	b.nulls = append(b.nulls, v.Null)
 	if v.Null {
@@ -381,54 +386,4 @@ func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
 	}
 	s.AttachContainer(c)
 	return nil
-}
-
-// CoerceRows aligns row values with a declared schema. Engine row sets are
-// permissive — an expression over a FLOAT column can yield INTEGER-kinded
-// values — but column vectors are strict about their type, so every path
-// that columnizes engine rows (the wire's batch frames, join inputs) runs
-// them through here first. Rows are copied only when a value actually needs
-// converting; untouched rows alias the caller's (possibly shared) backing
-// storage.
-func CoerceRows(schema types.Schema, rows []types.Row) []types.Row {
-	out := rows
-	copied := false
-	for i, row := range rows {
-		rowCopied := false
-		for j, v := range row {
-			want := schema.Cols[j].T
-			if v.T == want || want == types.Unknown {
-				continue
-			}
-			if !copied {
-				out = append([]types.Row(nil), rows...)
-				copied = true
-			}
-			if !rowCopied {
-				out[i] = append(types.Row(nil), row...)
-				rowCopied = true
-			}
-			out[i][j] = coerceValue(v, want)
-		}
-	}
-	return out
-}
-
-// coerceValue converts v to the type want; a value already of that type, and
-// any value when want is unknown, passes through.
-func coerceValue(v types.Value, want types.Type) types.Value {
-	switch {
-	case v.T == want || want == types.Unknown:
-		return v
-	case v.Null:
-		return types.NullValue(want)
-	case want == types.Int64:
-		return types.IntValue(v.AsInt())
-	case want == types.Float64:
-		return types.FloatValue(v.AsFloat())
-	case want == types.Bool:
-		return types.BoolValue(v.AsBool())
-	default:
-		return types.StringValue(v.String())
-	}
 }

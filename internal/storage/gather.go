@@ -175,8 +175,8 @@ func gatherValues(p []byte, batches []*Batch, j int) {
 func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) {
 	n := SelectedRows(batches)
 	cols := make([]Column, schema.NumCols())
-	// Sel ascends without repeats, so one as long as its vectors selects them whole.
-	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && len(cols) > 0 && n == batches[0].Cols[0].Len()
+	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && len(cols) > 0 && n == batches[0].Cols[0].Len() &&
+		isIdentity(batches[0].Sel)
 	for j, sc := range schema.Cols {
 		if whole && batches[0].Cols[j].Type() == sc.T {
 			cols[j] = Densify(batches[0].Cols[j])
@@ -197,27 +197,38 @@ func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) 
 	return cols, n, nil
 }
 
+// isIdentity reports whether sel lists 0..len(sel)-1 in order. A scan's
+// selection ascends, but a sort's is a permutation of the same length.
+func isIdentity(sel []int32) bool {
+	for k, i := range sel {
+		if int(i) != k {
+			return false
+		}
+	}
+	return true
+}
+
 // GatherRows builds one dense vector per column of a batch set, holding the
 // values at refs (batch bi[k], physical row ri[k]) in order, without boxing a
 // row. It is how a join materializes: the matched index pairs pick each
 // side's columns straight out of its vectors. Every cell is read through
 // Column.Get and appended through the column Builder, so any stored form (an
-// RLE vector, a drifted type) gathers the same way. Column j takes the type of
-// batches[0]'s column j; a cell of another type is converted to it.
-func GatherRows(batches []*Batch, bi, ri []int32) []Column {
+// RLE vector) gathers the same way. Column j takes the type of batches[0]'s
+// column j; a cell the Builder cannot take as that type is an error.
+func GatherRows(batches []*Batch, bi, ri []int32) ([]Column, error) {
 	if len(batches) == 0 {
-		return nil
+		return nil, nil
 	}
 	cols := make([]Column, len(batches[0].Cols))
 	for j := range cols {
-		t := batches[0].Cols[j].Type()
-		b := NewBuilder(t)
+		b := NewBuilder(batches[0].Cols[j].Type())
 		b.Grow(len(bi))
 		for k, src := range bi {
-			// coerceValue returns a value of type t or a NULL: Append cannot fail.
-			_ = b.Append(coerceValue(batches[src].Cols[j].Get(int(ri[k])), t))
+			if err := b.Append(batches[src].Cols[j].Get(int(ri[k]))); err != nil {
+				return nil, fmt.Errorf("storage: column %d: %w", j, err)
+			}
 		}
 		cols[j] = b.Build()
 	}
-	return cols
+	return cols, nil
 }

@@ -163,7 +163,10 @@ func TestGatherRowsMatchesBoxedPairs(t *testing.T) {
 		bi, ri = append(bi, int32(b)), append(ri, int32(r))
 		want = append(want, batches[b].Row(r, nil))
 	}
-	cols := GatherRows(batches, bi, ri)
+	cols, err := GatherRows(batches, bi, ri)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := Materialize([]*Batch{{Schema: gatherSchema, Cols: cols, Sel: IdentitySel(len(bi))}})
 	for k, b := range bi {
 		if b == 2 { // the drifted FLOAT cell read as this INTEGER column's type
@@ -173,7 +176,7 @@ func TestGatherRowsMatchesBoxedPairs(t *testing.T) {
 		}
 	}
 	sameRows(t, "gathered", got, want)
-	if got := GatherRows(nil, nil, nil); got != nil {
+	if got, _ := GatherRows(nil, nil, nil); got != nil {
 		t.Fatalf("gather over no batches = %v", got)
 	}
 }

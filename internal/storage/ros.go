@@ -250,10 +250,11 @@ type Store struct {
 	segIdx []int
 	ros    []*ROSContainer
 	wos    *WOS
-	// rowsMu keeps the tuple mover out while a DELETE or UPDATE is between
-	// selecting rows by position and marking them: moveout is the one writer
-	// the table's EXCLUSIVE lock does not exclude.
-	rowsMu sync.Mutex
+	// rowsMu keeps the tuple mover out — moveout is the one writer the table's
+	// EXCLUSIVE lock does not exclude. A DELETE or UPDATE holds it exclusively
+	// from selecting rows by position to marking them; a scan holds it shared
+	// while it snapshots the container list and the WOS together.
+	rowsMu sync.RWMutex
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
 	// committed state and must be rebuilt from a live replica before its node

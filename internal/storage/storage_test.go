@@ -344,7 +344,7 @@ func TestMarkDeletedNamesRowsByPosition(t *testing.T) {
 	_ = s.AppendROS(intRows(1, 2, 3), 1)
 	appendWOS(t, s, intRows(4, 5, 6), 1)
 	scan := func() (batches []*Batch) {
-		_ = s.ScanBatches(Visibility{Epoch: 1}, fullRing(), func(b *Batch) bool {
+		_ = s.ScanHeld(Visibility{Epoch: 1}, fullRing(), nil, func(b *Batch) bool {
 			b.Sel = b.Sel[1:2] // ids 2 and 5
 			batches = append(batches, b)
 			return true

@@ -40,7 +40,7 @@ func deleteWhere(t testing.TB, s *storage.Store, vis storage.Visibility, tag uin
 	t.Helper()
 	defer s.HoldRows()()
 	var selected []*storage.Batch
-	err := s.ScanBatches(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, func(b *storage.Batch) bool {
+	err := s.ScanHeld(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, nil, func(b *storage.Batch) bool {
 		keep := b.Sel[:0]
 		for _, i := range b.Sel {
 			if match(b.Row(int(i), nil)) {

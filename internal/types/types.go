@@ -216,6 +216,34 @@ func Compare(a, b Value) int {
 // NULL equal only to NULL.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Coerce is the one rule for how a value meets a column of type t: a NULL
+// takes the column's type, an INTEGER widens to FLOAT, a FLOAT that holds a
+// whole number narrows to INTEGER, anything renders into VARCHAR, and every
+// other mismatch is an error — never a silent NaN or zero. INSERT VALUES,
+// UPDATE SET, a function's declared return type and every operator that builds
+// a result vector (through storage.Builder.Append) apply it.
+func Coerce(v Value, t Type) (Value, error) {
+	if v.Null {
+		return NullValue(t), nil
+	}
+	if v.T == t {
+		return v, nil
+	}
+	switch t {
+	case Float64:
+		if v.T == Int64 {
+			return FloatValue(float64(v.I)), nil
+		}
+	case Int64:
+		if v.T == Float64 && v.F == float64(int64(v.F)) {
+			return IntValue(int64(v.F)), nil
+		}
+	case Varchar:
+		return StringValue(v.String()), nil
+	}
+	return Value{}, fmt.Errorf("cannot coerce %v value %s to %v", v.T, v, t)
+}
+
 // Row is one tuple of values, positionally aligned with a Schema.
 type Row []Value
 

@@ -8,6 +8,7 @@ package vertica
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,7 +192,7 @@ type Cluster struct {
 	plans planTracker
 
 	udxMu sync.RWMutex
-	udx   map[string]UDxFunc
+	udx   map[string]boundFunc
 
 	sessMu   sync.Mutex
 	sessions map[int]int // node id → open session count
@@ -240,7 +241,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cat:      catalog.New(cfg.Nodes),
 		txm:      txn.NewManager(),
 		dfs:      dfs.New(),
-		udx:      make(map[string]UDxFunc),
+		udx:      make(map[string]boundFunc),
 		sessions: make(map[int]int),
 		mon:      obs.NewCollector(),
 		pools:    pool.NewManager(),
@@ -376,20 +377,23 @@ func (c *Cluster) Pools() *pool.Manager { return c.pools }
 // to run with zero observability overhead, e.g. for benchmarking.
 func (c *Cluster) Obs() *obs.Collector { return c.mon }
 
-// RegisterUDx installs (or replaces) a scalar UDx under the given name.
-// Names are case-insensitive.
-func (c *Cluster) RegisterUDx(name string, fn UDxFunc) {
-	c.udxMu.Lock()
-	defer c.udxMu.Unlock()
-	c.udx[upper(name)] = fn
+// boundFunc is one registry entry: the function and the return type a call
+// to it is planned with.
+type boundFunc struct {
+	fn  UDxFunc
+	ret types.Type
 }
 
-// LookupUDx finds a registered UDx.
-func (c *Cluster) LookupUDx(name string) (UDxFunc, bool) {
-	c.udxMu.RLock()
-	defer c.udxMu.RUnlock()
-	fn, ok := c.udx[upper(name)]
-	return fn, ok
+// RegisterUDx installs (or replaces) a scalar UDx under the given name.
+// Names are case-insensitive. A UDx is a scoring function: its calls are typed
+// FLOAT, an INTEGER it returns widens, and any other kind fails the statement.
+func (c *Cluster) RegisterUDx(name string, fn UDxFunc) { c.registerFunc(name, types.Float64, fn) }
+
+// registerFunc installs a function whose calls are typed ret.
+func (c *Cluster) registerFunc(name string, ret types.Type, fn UDxFunc) {
+	c.udxMu.Lock()
+	defer c.udxMu.Unlock()
+	c.udx[upper(name)] = boundFunc{fn, ret}
 }
 
 func upper(s string) string {
@@ -405,19 +409,19 @@ func upper(s string) string {
 // registerBuiltins installs the engine's built-in scalar functions.
 func (c *Cluster) registerBuiltins() {
 	c.registerDCBuiltins()
-	c.RegisterUDx("LAST_EPOCH", func(args []types.Value, _ map[string]string) (types.Value, error) {
+	c.registerFunc("LAST_EPOCH", types.Int64, func(args []types.Value, _ map[string]string) (types.Value, error) {
 		if len(args) != 0 {
 			return types.Value{}, fmt.Errorf("LAST_EPOCH takes no arguments")
 		}
 		return types.IntValue(int64(c.txm.LastEpoch())), nil
 	})
-	c.RegisterUDx("CURRENT_EPOCH", func(args []types.Value, _ map[string]string) (types.Value, error) {
+	c.registerFunc("CURRENT_EPOCH", types.Int64, func(args []types.Value, _ map[string]string) (types.Value, error) {
 		return types.IntValue(int64(c.txm.LastEpoch() + 1)), nil
 	})
-	c.RegisterUDx("VERSION", func(args []types.Value, _ map[string]string) (types.Value, error) {
+	c.registerFunc("VERSION", types.Varchar, func(args []types.Value, _ map[string]string) (types.Value, error) {
 		return types.StringValue("vsfabric MPP engine v1.0 (Vertica 7.2.1 semantics)"), nil
 	})
-	c.RegisterUDx("LENGTH", func(args []types.Value, _ map[string]string) (types.Value, error) {
+	c.registerFunc("LENGTH", types.Int64, func(args []types.Value, _ map[string]string) (types.Value, error) {
 		if len(args) != 1 {
 			return types.Value{}, fmt.Errorf("LENGTH takes 1 argument")
 		}
@@ -430,79 +434,30 @@ func (c *Cluster) registerBuiltins() {
 		if len(args) != 1 {
 			return types.Value{}, fmt.Errorf("ABS takes 1 argument")
 		}
-		v := args[0]
-		if v.Null {
-			return v, nil
+		if args[0].Null {
+			return args[0], nil
 		}
-		switch v.T {
-		case types.Int64:
-			if v.I < 0 {
-				return types.IntValue(-v.I), nil
-			}
-			return v, nil
-		default:
-			f := v.AsFloat()
-			if f < 0 {
-				f = -f
-			}
-			return types.FloatValue(f), nil
-		}
+		return types.FloatValue(math.Abs(args[0].AsFloat())), nil
 	})
 }
 
-// bindFuncs walks an expression binding FuncCall nodes to registered UDxs.
-func (c *Cluster) bindFuncs(e expr.Expr) error {
-	switch n := e.(type) {
-	case nil:
-		return nil
-	case *expr.FuncCall:
-		fn, ok := c.LookupUDx(n.Name)
-		if !ok {
-			return fmt.Errorf("vertica: no function or UDx named %q", n.Name)
+// bindFuncs walks an expression binding FuncCall nodes to registered functions:
+// the implementation and the return type the plan and the evaluation hold it to.
+func (c *Cluster) bindFuncs(e expr.Expr) (err error) {
+	expr.Walk(e, func(n expr.Expr) {
+		call, isCall := n.(*expr.FuncCall)
+		if !isCall {
+			return
 		}
-		n.Impl = fn
-		for _, a := range n.Args {
-			if err := c.bindFuncs(a); err != nil {
-				return err
-			}
+		c.udxMu.RLock()
+		f, ok := c.udx[upper(call.Name)]
+		c.udxMu.RUnlock()
+		if !ok && err == nil {
+			err = fmt.Errorf("vertica: no function or UDx named %q", call.Name)
 		}
-	case *expr.Cmp:
-		if err := c.bindFuncs(n.L); err != nil {
-			return err
-		}
-		return c.bindFuncs(n.R)
-	case *expr.And:
-		if err := c.bindFuncs(n.L); err != nil {
-			return err
-		}
-		return c.bindFuncs(n.R)
-	case *expr.Or:
-		if err := c.bindFuncs(n.L); err != nil {
-			return err
-		}
-		return c.bindFuncs(n.R)
-	case *expr.Not:
-		return c.bindFuncs(n.E)
-	case *expr.IsNull:
-		return c.bindFuncs(n.E)
-	case *expr.Arith:
-		if err := c.bindFuncs(n.L); err != nil {
-			return err
-		}
-		return c.bindFuncs(n.R)
-	case *expr.HashFn:
-		for _, a := range n.Args {
-			if err := c.bindFuncs(a); err != nil {
-				return err
-			}
-		}
-	case *expr.ModFn:
-		if err := c.bindFuncs(n.X); err != nil {
-			return err
-		}
-		return c.bindFuncs(n.Y)
-	}
-	return nil
+		call.Impl, call.Ret = f.fn, f.ret
+	})
+	return err
 }
 
 // Moveout runs the tuple mover on every table: committed WOS rows older than

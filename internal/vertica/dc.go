@@ -221,7 +221,7 @@ func (c *Cluster) dataCollectorRows() ([]types.Row, types.Schema, error) {
 // The second argument is the disk budget in KB, the third the max record
 // age as a Go duration string (” = no age limit).
 func (c *Cluster) registerDCBuiltins() {
-	c.RegisterUDx("SET_DATA_COLLECTOR_POLICY", func(args []types.Value, _ map[string]string) (types.Value, error) {
+	c.registerFunc("SET_DATA_COLLECTOR_POLICY", types.Varchar, func(args []types.Value, _ map[string]string) (types.Value, error) {
 		if len(args) != 3 {
 			return types.Value{}, fmt.Errorf("SET_DATA_COLLECTOR_POLICY takes (component, max_kb, max_age)")
 		}
@@ -245,7 +245,7 @@ func (c *Cluster) registerDCBuiltins() {
 		}
 		return types.StringValue(fmt.Sprintf("SET policy %s: max %d KB, max age %s", comp, pol.MaxKB, pol.MaxAge)), nil
 	})
-	c.RegisterUDx("GET_DATA_COLLECTOR_POLICY", func(args []types.Value, _ map[string]string) (types.Value, error) {
+	c.registerFunc("GET_DATA_COLLECTOR_POLICY", types.Varchar, func(args []types.Value, _ map[string]string) (types.Value, error) {
 		if len(args) != 1 {
 			return types.Value{}, fmt.Errorf("GET_DATA_COLLECTOR_POLICY takes (component)")
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"vsfabric/internal/avro"
 	"vsfabric/internal/catalog"
@@ -20,30 +21,6 @@ import (
 	"vsfabric/internal/vhash"
 	"vsfabric/internal/vsql"
 )
-
-// coerce adapts a value to the column type (integer literals into FLOAT
-// columns, etc.), failing on lossy or senseless conversions.
-func coerce(v types.Value, t types.Type) (types.Value, error) {
-	if v.Null {
-		return types.NullValue(t), nil
-	}
-	if v.T == t {
-		return v, nil
-	}
-	switch t {
-	case types.Float64:
-		if v.T == types.Int64 {
-			return types.FloatValue(float64(v.I)), nil
-		}
-	case types.Int64:
-		if v.T == types.Float64 && v.F == float64(int64(v.F)) {
-			return types.IntValue(int64(v.F)), nil
-		}
-	case types.Varchar:
-		return types.StringValue(v.String()), nil
-	}
-	return types.Value{}, fmt.Errorf("vertica: cannot coerce %v value %s to %v", v.T, v, t)
-}
 
 // lockTable acquires the table lock in the given mode and then re-resolves
 // the table from the catalog. The re-resolution matters: a concurrent
@@ -99,16 +76,6 @@ func (s *Session) writableCheck(tbl *catalog.Table) error {
 	return nil
 }
 
-// writeRows is writeColumns for a statement that produced rows (INSERT ...
-// VALUES): this is where they are columnized, once.
-func (s *Session) writeRows(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) (map[[2]string]float64, error) {
-	cols, err := storage.ColumnsFromRows(rows, tbl.Def.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return s.writeColumns(tx, tbl, cols, len(rows), direct)
-}
-
 // writeColumns inserts the n rows held by cols (dense vectors, one per table
 // column) under tx and logs them: the one write entry every inserting
 // statement ends in. It returns appendColumns' shuffle accounting.
@@ -154,14 +121,6 @@ func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.
 	return route, err
 }
 
-func rowsWireSize(rows []types.Row) float64 {
-	n := 0.0
-	for _, r := range rows {
-		n += float64(types.WireSize(r))
-	}
-	return n
-}
-
 // executeInsert runs INSERT INTO ... VALUES, the trickle-load path the JDBC
 // Default Source baseline uses for saves (§4.7.1).
 func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
@@ -205,13 +164,15 @@ func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerce(v, schema.Cols[colIdx[j]].T)
-			if err != nil {
-				return nil, err
-			}
-			row[colIdx[j]] = cv
+			row[colIdx[j]] = v
 		}
 		rows = append(rows, row)
+	}
+	// Columnized once, before the transaction: each literal meets its column by
+	// types.Coerce, so an integer lands in a FLOAT column and 'abc' in none.
+	cols, err := storage.ColumnsFromRows(rows, schema)
+	if err != nil {
+		return nil, fmt.Errorf("vertica: INSERT INTO %s: %w", st.Table, err)
 	}
 
 	return s.writeStmt(func(tx *txn.Txn) (*Result, error) {
@@ -219,15 +180,16 @@ func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		route, err := s.writeRows(tx, tbl, rows, false)
+		route, err := s.writeColumns(tx, tbl, cols, len(rows), false)
 		if err != nil {
 			return nil, err
 		}
+		wire := batchWireSize(&storage.Batch{Cols: cols, Sel: storage.IdentitySel(len(rows))})
 		s.record(sim.Event{
 			Type:       sim.LoadFlowEv,
 			CNode:      s.peer,
 			VNode:      s.node.Name,
-			WireBytes:  rowsWireSize(rows) + float64(32*len(rows)), // statement framing
+			WireBytes:  float64(wire + 32*len(rows)), // statement framing
 			EncodeKind: sim.CPUCSVFormat,
 			ParseKind:  sim.CPUCSVParse,
 			InsertRows: float64(len(rows)),
@@ -271,35 +233,25 @@ func (s *Session) executeInsertSelect(st *vsql.Insert, tbl *catalog.Table) (*Res
 	})
 }
 
-// insertSelectColumns shapes a SELECT's result for insertion under schema. A
-// result that arrived as batches whose column kinds are already the table's
-// (S2V append's INSERT INTO target SELECT * FROM staging is exactly that)
-// goes vector to vector; anything else is boxed and coerced cell by cell.
+// insertSelectColumns shapes a SELECT's result for insertion under schema,
+// vector to vector. Columns whose kinds are already the table's (S2V append's
+// INSERT INTO target SELECT * FROM staging is exactly that) are strung
+// together as they are; a column of another kind is cast cell by cell into a
+// vector of the target's (types.Coerce, in storage.Builder.Append).
 func insertSelectColumns(res *Result, schema types.Schema) ([]storage.Column, int, error) {
-	sameKinds := res.Batches != nil
-	for _, b := range res.Batches {
-		for j, c := range b.Cols {
-			sameKinds = sameKinds && len(b.Cols) == schema.NumCols() && c.Type() == schema.Cols[j].T
+	cols, n, err := storage.DenseColumns(res.Schema, res.Batches)
+	for j, c := range cols {
+		if err != nil || c.Type() == schema.Cols[j].T {
+			continue
 		}
-	}
-	if sameKinds {
-		return storage.DenseColumns(schema, res.Batches)
-	}
-	res.Materialize()
-	rows := make([]types.Row, len(res.Rows))
-	for i, r := range res.Rows {
-		row := make(types.Row, len(r))
-		for j, v := range r {
-			cv, err := coerce(v, schema.Cols[j].T)
-			if err != nil {
-				return nil, 0, err
-			}
-			row[j] = cv
+		b := storage.NewBuilder(schema.Cols[j].T)
+		b.Grow(n)
+		for i := 0; i < n && err == nil; i++ {
+			err = b.Append(c.Get(i))
 		}
-		rows[i] = row
+		cols[j] = b.Build()
 	}
-	cols, err := storage.ColumnsFromRows(rows, schema)
-	return cols, len(rows), err
+	return cols, n, err
 }
 
 // executeUpdate runs UPDATE under an EXCLUSIVE table lock: matching visible
@@ -312,40 +264,29 @@ func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
 		return nil, fmt.Errorf("vertica: table %q does not exist", st.Table)
 	}
 	schema := tbl.Def.Schema
+	// The re-insert is the matched rows' vectors with the assigned columns
+	// swapped for new ones: the SET list is a computed select list over the
+	// matched batches, typed by the columns it assigns.
+	var set types.Schema
 	setIdx := make([]int, len(st.Set))
+	proj := make([]projCol, len(st.Set))
 	for i, sc := range st.Set {
-		idx := schema.ColIndex(sc.Col)
-		if idx < 0 {
+		if setIdx[i] = schema.ColIndex(sc.Col); setIdx[i] < 0 {
 			return nil, fmt.Errorf("vertica: no column %q in table %q", sc.Col, st.Table)
 		}
-		setIdx[i] = idx
 		if err := s.cluster.bindFuncs(sc.Expr); err != nil {
 			return nil, err
 		}
+		set.Cols, proj[i] = append(set.Cols, schema.Cols[setIdx[i]]), projCol{e: sc.Expr}
 	}
-	// The re-insert is the matched rows' vectors with the assigned columns
-	// swapped for new ones. The SET expressions are interpreted, so the matched
-	// rows — and only they — are boxed for them.
 	assign := func(cols []storage.Column, matched []*storage.Batch) ([]storage.Column, error) {
-		rows := storage.Materialize(matched)
-		updated := append([]storage.Column(nil), cols...)
-		for i, sc := range st.Set {
-			t := schema.Cols[setIdx[i]].T
-			b := storage.NewBuilder(t)
-			b.Grow(len(rows))
-			for _, r := range rows {
-				v, err := sc.Expr.Eval(r, &schema)
-				if err == nil {
-					v, err = coerce(v, t)
-				}
-				if err == nil {
-					err = b.Append(v)
-				}
-				if err != nil {
-					return nil, err
-				}
-			}
-			updated[setIdx[i]] = b.Build()
+		assigned, err := projectBatches(set, proj, matched)
+		if err != nil {
+			return nil, err
+		}
+		updated := slices.Clone(cols)
+		for i, idx := range setIdx {
+			updated[idx] = assigned[0].Cols[i]
 		}
 		return updated, nil
 	}
@@ -457,7 +398,7 @@ func (s *Session) selectRows(tbl *catalog.Table, where expr.Expr, vis storage.Vi
 		holds = append(holds, st.HoldRows())
 		batches := []*storage.Batch{}
 		var ferr error
-		err := st.ScanBatchesPruned(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
+		err := st.ScanHeld(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
 			if ferr = pred.FilterBatch(b); len(b.Sel) > 0 {
 				batches = append(batches, b)
 			}

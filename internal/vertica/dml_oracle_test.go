@@ -150,7 +150,7 @@ func runGeneratedDML(t *testing.T, c *Cluster, s *Session, statements int, halfw
 						t.Fatalf("%s: oracle SET: %v", label, err)
 					}
 					ci := schema.ColIndex(sc.Col)
-					if nr[ci], err = coerce(v, schema.Cols[ci].T); err != nil {
+					if nr[ci], err = types.Coerce(v, schema.Cols[ci].T); err != nil {
 						t.Fatalf("%s: oracle SET: %v", label, err)
 					}
 				}

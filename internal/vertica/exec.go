@@ -68,13 +68,11 @@ func (s *Session) runSelect(st *vsql.Select, prof bool) (*Result, *selectPlan, e
 		return nil, nil, err
 	}
 	stats := newScanStats()
-	rel, err := s.run(plan, stats, prof)
+	batches, err := s.run(plan, stats, prof)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A result no operator boxed stays column batches: whoever asks the Result
-	// for rows boxes them, once.
-	res := &Result{Schema: plan.schema, Rows: rel.rows, Batches: rel.batches, Epoch: vis.Epoch}
+	res := &Result{Schema: plan.schema, Batches: batches, Epoch: vis.Epoch}
 	s.recordQuery(res, stats)
 	s.recordPlan(plan, res.NumRows(), vis.Epoch)
 	return res, plan, nil
@@ -532,16 +530,23 @@ func joinShape(ls types.Schema, lref *vsql.TableRef, rs types.Schema, jc *vsql.J
 // the kernel emits matched index pairs in left-major order (whichever side the
 // hash table is built on), and the pairs gather both sides' vectors into one
 // output batch. No row is boxed.
-func joinStep(left []*storage.Batch, li int, right []*storage.Batch, ri int, buildLeft bool, schema types.Schema) []*storage.Batch {
+func joinStep(left []*storage.Batch, li int, right []*storage.Batch, ri int, buildLeft bool, schema types.Schema) ([]*storage.Batch, error) {
 	var lb, lr, rb, rr []int32
 	vexec.JoinBatches(left, li, right, ri, buildLeft, func(b1, r1, b2, r2 int32) {
 		lb, lr, rb, rr = append(lb, b1), append(lr, r1), append(rb, b2), append(rr, r2)
 	})
 	if len(lb) == 0 {
-		return nil
+		return nil, nil
 	}
-	cols := append(storage.GatherRows(left, lb, lr), storage.GatherRows(right, rb, rr)...)
-	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.IdentitySel(len(lb))}}
+	cols, err := storage.GatherRows(left, lb, lr)
+	if err != nil {
+		return nil, err
+	}
+	rcols, err := storage.GatherRows(right, rb, rr)
+	if err != nil {
+		return nil, err
+	}
+	return []*storage.Batch{{Schema: schema, Cols: append(cols, rcols...), Sel: storage.IdentitySel(len(lb))}}, nil
 }
 
 // resolveJoinCol finds a join column in a schema: the full (possibly
@@ -564,19 +569,13 @@ func stripQualifier(name string) string {
 
 func qualify(tr *vsql.TableRef, col string) string { return displayName(tr) + "." + col }
 
-// recordQuery emits the QueryFlowEv for a completed SELECT. A columnar
-// result is weighed from its vectors; the numbers are those its boxed rows
-// would give.
+// recordQuery emits the QueryFlowEv for a completed SELECT. The result is
+// weighed from its vectors; the numbers are those its boxed rows would give.
 func (s *Session) recordQuery(res *Result, stats *scanStats) {
 	if s.obsv == nil {
 		return
 	}
 	bytes := 0.0
-	for _, r := range res.Rows {
-		for _, v := range r {
-			bytes += float64(textCellSize(v))
-		}
-	}
 	for _, b := range res.Batches {
 		bytes += float64(batchTextSize(b))
 	}

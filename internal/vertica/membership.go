@@ -303,11 +303,9 @@ func (s *Session) executeAlterCluster(st *vsql.AlterCluster) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Schema: types.NewSchema(types.Column{Name: "node_id", T: types.Int64}),
-			Rows:   []types.Row{{types.IntValue(int64(id))}},
-			Epoch:  s.cluster.txm.LastEpoch(),
-		}, nil
+		schema := types.NewSchema(types.Column{Name: "node_id", T: types.Int64})
+		batches, err := columnize([]types.Row{{types.IntValue(int64(id))}}, schema)
+		return &Result{Schema: schema, Batches: batches, Epoch: s.cluster.txm.LastEpoch()}, err
 	case vsql.AlterClusterRemove:
 		if err := s.cluster.RemoveNode(st.Node); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package vertica
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -16,11 +17,12 @@ import (
 
 // This file is the test oracle the vectorized engine is diffed against: a
 // row-at-a-time scan, a boxed hash join in syntactic order, an interpreted
-// filter and a row-at-a-time aggregate — reference operators that live only
-// here, production runs none of them — then the engine's row-native
-// projection and ordering in the fixed order SQL gives them. No batches,
-// kernels, zone maps, pushdowns, planner or plan — everything the production
-// path adds on top of "scan, join, filter, project" is absent here.
+// filter, a row-at-a-time aggregate, a closure-per-item projection and a row
+// sort — reference operators that live only here, production runs none of
+// them — in the fixed order SQL gives them. No batches, kernels, zone maps,
+// pushdowns, planner or plan — everything the production path adds on top of
+// "scan, join, filter, project" is absent here. What the two share is the
+// typing (inferType, buildAggPlan) and the expression evaluator.
 
 // oracleSelect answers a SELECT on the oracle.
 func oracleSelect(t testing.TB, s *Session, sql string) *Result {
@@ -182,6 +184,75 @@ func filterRows(rows []types.Row, schema types.Schema, where expr.Expr) ([]types
 		}
 	}
 	return out, nil
+}
+
+// orderRows sorts the result set by the ORDER BY keys (NULLs first, per the
+// engine's comparison semantics).
+func orderRows(rows []types.Row, idx []int, keys []vsql.OrderItem) {
+	sort.SliceStable(rows, func(a, b int) bool {
+		for i, k := range keys {
+			c := types.Compare(rows[a][idx[i]], rows[b][idx[i]])
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+}
+
+// rowEval computes one output cell from an input row.
+type rowEval func(types.Row) (types.Value, error)
+
+// projectRows evaluates the select list over each row.
+func projectRows(rows []types.Row, evals []rowEval) ([]types.Row, error) {
+	out := make([]types.Row, len(rows))
+	for i, r := range rows {
+		row := make(types.Row, len(evals))
+		for j, ev := range evals {
+			v, err := ev(r)
+			if err != nil {
+				return nil, err
+			}
+			row[j] = v
+		}
+		out[i] = row
+	}
+	return out, nil
+}
+
+// selectShape resolves non-aggregate select items to output columns and
+// row-evaluator closures.
+func selectShape(items []vsql.SelectItem, schema types.Schema) (types.Schema, []rowEval, error) {
+	var outSchema types.Schema
+	var evals []rowEval
+	for _, it := range items {
+		if it.Star {
+			for ci, c := range schema.Cols {
+				ci := ci
+				outSchema.Cols = append(outSchema.Cols, c)
+				evals = append(evals, func(r types.Row) (types.Value, error) { return r[ci], nil })
+			}
+			continue
+		}
+		e := it.Expr
+		for _, c := range e.Columns(nil) {
+			if schema.ColIndex(c) < 0 {
+				return types.Schema{}, nil, fmt.Errorf("vertica: column %q does not exist", c)
+			}
+		}
+		name := it.Alias
+		if name == "" {
+			name = exprName(e)
+		}
+		outSchema.Cols = append(outSchema.Cols, types.Column{Name: name, T: inferType(e, schema)})
+		sc := schema
+		evals = append(evals, func(r types.Row) (types.Value, error) { return e.Eval(r, &sc) })
+	}
+	return outSchema, evals, nil
 }
 
 // aggState is one aggregate accumulator.

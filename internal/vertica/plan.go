@@ -63,10 +63,10 @@ type planNode struct {
 	buildLeft bool
 	// group-by
 	agg *aggPlan
-	// project: pick re-arranges the input batches' vectors, evals box and
-	// compute; with neither the input passes through
-	pick  []int
-	evals []rowEval
+	// project: pick re-arranges the input batches' vectors, proj builds new
+	// ones; with neither the input passes through
+	pick []int
+	proj []projCol
 	// sort
 	orderBy []vsql.OrderItem
 	sortIdx []int
@@ -185,9 +185,6 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 	}
 	p := &selectPlan{vis: vis, nodes: make([]planNode, 0, 4), est: 1}
 	grouped := hasAggregates(st) || len(st.GroupBy) > 0
-	// The select list is a column pick — batches in, batches out — when no
-	// operator between the relations and the result needs rows.
-	pickable := st.From != nil && !grouped && len(st.OrderBy) == 0
 	var (
 		schema  types.Schema // the pipeline's current schema; FROM-less: no columns
 		counted bool         // the scan answers COUNT(*) itself
@@ -258,7 +255,7 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 		// LIMIT pushes into the scan only when each scanned row maps 1:1 to an
 		// output row: no aggregation, no grouping, no reordering.
 		opts := scanOpts{limit: -1, gather: true}
-		if pickable {
+		if !grouped && len(st.OrderBy) == 0 {
 			opts.limit = st.Limit
 		}
 		switch {
@@ -276,10 +273,12 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 			p.pushdown = "group-by"
 			opts = scanOpts{limit: -1}
 		default:
-			if pickable {
-				opts.cols, rel.schema, picked = columnPick(st.Items, full)
-			}
-			if !picked {
+			// A select list of bare columns is picked by the scan itself; one
+			// that does not resolve is the project node's to report.
+			out, proj, err := planProject(st.Items, full)
+			if opts.cols = passThrough(proj); err == nil && opts.cols != nil {
+				rel.schema, picked = out, true
+			} else {
 				opts.cols, rel.schema = resolveNeedCols(full, neededColumns(st))
 			}
 		}
@@ -303,26 +302,18 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 		n.schema = schema
 		p.add(n)
 	default:
-		n := planNode{op: opProject, est: est, schema: schema}
-		if pickable && !picked {
-			if cols, out, ok := columnPick(st.Items, schema); ok {
-				n.pick, n.schema = cols, out
-			}
-		}
-		switch {
-		case picked:
-			n.detail = "column pick in the scan, no row boxed"
-		case n.pick != nil:
-			n.detail = "column pick over the input batches, no row boxed"
-		case len(st.Items) == 1 && st.Items[0].Star:
-			n.detail = "SELECT * passes rows through"
-		default:
-			n.detail = "expressions evaluated per row"
-			if st.From == nil {
-				n.detail = "FROM-less SELECT"
-			}
-			if n.schema, n.evals, err = selectShape(st.Items, schema); err != nil {
+		n := planNode{op: opProject, est: est, schema: schema, detail: "column pick in the scan, no row boxed"}
+		if !picked {
+			if n.schema, n.proj, err = planProject(st.Items, schema); err != nil {
 				return nil, err
+			}
+			n.detail = "expressions evaluated per row into column vectors"
+			if pick := passThrough(n.proj); st.From == nil {
+				n.detail = "FROM-less SELECT"
+			} else if pick != nil {
+				// Every item `*` or a bare column: the input's own vectors,
+				// re-arranged — the shape of every V2S partition query.
+				n.pick, n.proj, n.detail = pick, nil, "column pick over the input batches, no row boxed"
 			}
 		}
 		schema = n.schema
@@ -349,38 +340,6 @@ func countPushdownEligible(st *vsql.Select) bool {
 		return false
 	}
 	return st.Items[0].Agg == vsql.AggCount && st.Items[0].Arg == nil
-}
-
-// columnPick is the batch-shaped projection test — every item `*` or a bare
-// column of the input, whatever produced it: the shape of every V2S partition
-// query. It returns the picked column indexes in output order (repeats
-// allowed) and the aliased output schema, so the result leaves the engine as
-// the input's own column vectors.
-func columnPick(items []vsql.SelectItem, tbl types.Schema) (cols []int, out types.Schema, ok bool) {
-	for _, it := range items {
-		if it.Star {
-			for i, c := range tbl.Cols {
-				cols = append(cols, i)
-				out.Cols = append(out.Cols, c)
-			}
-			continue
-		}
-		col, isCol := it.Expr.(*expr.Col)
-		if !isCol {
-			return nil, types.Schema{}, false
-		}
-		i := tbl.ColIndex(col.Name)
-		if i < 0 {
-			return nil, types.Schema{}, false // the projection reports the error
-		}
-		name := it.Alias
-		if name == "" {
-			name = col.Name
-		}
-		cols = append(cols, i)
-		out.Cols = append(out.Cols, types.Column{Name: name, T: tbl.Cols[i].T})
-	}
-	return cols, out, true
 }
 
 // sizeContainers fills a base scan's plan-time container estimates: how many
@@ -458,36 +417,16 @@ func estValue(est int64) types.Value {
 	return types.IntValue(est)
 }
 
-// relation is what flows between plan nodes: column batches from the scans
-// through join, filter and column pick; rows once an operator that computes
-// per row (group-by output, expression projection, sort) has boxed them.
-// Boxing is one-way, so at most one of the two is set.
-type relation struct {
-	batches []*storage.Batch
-	rows    []types.Row
-}
-
-func (r *relation) count() int64 {
-	return int64(len(r.rows) + storage.SelectedRows(r.batches))
-}
-
-// box converts the relation to rows, once.
-func (r *relation) box() []types.Row {
-	if r.batches != nil {
-		r.rows, r.batches = storage.Materialize(r.batches), nil
-	}
-	return r.rows
-}
-
 // run executes a plan: one pass over its nodes, each a switch arm over an
-// existing kernel. The first scan is the pipeline's left side; every later
-// scan is the right input of the join node that follows it. prof turns on
-// clock reads and the kernel/residual split (PROFILE only).
-func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, error) {
-	var cur relation
-	var right []*storage.Batch
+// existing kernel. What flows between nodes, and out of the last one, is column
+// batches, each node's of its declared schema. The first scan is the
+// pipeline's left side; every later scan is the right input of the join node
+// that follows it. prof turns on clock reads and the kernel/residual split
+// (PROFILE only).
+func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) ([]*storage.Batch, error) {
+	var cur, right []*storage.Batch
 	if p.nodes[0].op != opScan {
-		cur.batches = []*storage.Batch{{Sel: []int32{0}}} // FROM-less input: one row of no columns
+		cur = []*storage.Batch{{Sel: []int32{0}}} // FROM-less input: one row of no columns
 	}
 	for i := range p.nodes {
 		n := &p.nodes[i]
@@ -497,19 +436,22 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, err
 		if prof {
 			start = time.Now()
 		}
+		if n.op != opScan { // a scan counts what it visits itself
+			n.rowsIn = int64(storage.SelectedRows(cur))
+		}
 		var err error
 		switch n.op {
 		case opScan:
 			if i == 0 {
-				cur.batches, err = s.runScan(n, p.vis, stats, prof)
+				cur, err = s.runScan(n, p.vis, stats, prof)
 			} else {
 				right, err = s.runScan(n, p.vis, stats, prof)
 			}
 
 		case opJoin:
-			nLeft, nRight := cur.count(), int64(storage.SelectedRows(right))
+			nLeft, nRight := n.rowsIn, int64(storage.SelectedRows(right))
 			n.rowsIn, n.vecRows = nLeft+nRight, nLeft+nRight
-			cur.batches = joinStep(cur.batches, n.li, right, n.ri, n.buildLeft, n.schema)
+			cur, err = joinStep(cur, n.li, right, n.ri, n.buildLeft, n.schema)
 			buildRows := nRight
 			if n.buildLeft {
 				buildRows = nLeft
@@ -517,10 +459,9 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, err
 			s.raiseJoinBuildEvent(buildRows, n.buildSide(), n.clause.LeftCol, n.clause.RightCol)
 
 		case opFilter:
-			n.rowsIn = cur.count()
 			var fs vexec.FilterStats
-			kept := cur.batches[:0]
-			for _, b := range cur.batches {
+			kept := cur[:0]
+			for _, b := range cur {
 				if err = n.pred.FilterBatchStats(b, &fs); err != nil {
 					break
 				}
@@ -528,42 +469,34 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, err
 					kept = append(kept, b)
 				}
 			}
-			cur.batches, n.vecRows, n.resRows = kept, fs.KernelRows, fs.ResidualRows
+			cur, n.vecRows, n.resRows = kept, fs.KernelRows, fs.ResidualRows
 
 		case opGroupBy:
-			cur.rows, err = runGroupBy(n, cur.batches)
-			cur.batches = nil
+			cur, err = runGroupBy(n, cur)
 
 		case opProject:
-			n.rowsIn = cur.count()
 			switch {
 			case n.pick != nil:
-				for k, b := range cur.batches {
-					cur.batches[k] = b.Project(n.pick)
+				for k, b := range cur {
+					cur[k] = b.Project(n.pick)
 				}
-			case n.evals != nil:
-				cur.rows, err = projectRows(cur.box(), n.evals)
+			case n.proj != nil:
+				cur, err = projectBatches(n.schema, n.proj, cur)
 			}
 
 		case opSort:
-			n.rowsIn = cur.count()
-			orderRows(cur.box(), n.sortIdx, n.orderBy)
+			cur, err = sortBatches(n, cur)
 
 		case opLimit:
-			n.rowsIn = cur.count()
-			switch {
-			case n.rowsIn <= n.limit:
-			case cur.batches != nil:
-				cur.batches = limitBatches(cur.batches, n.limit)
-			default:
-				cur.rows = cur.rows[:n.limit]
+			if n.rowsIn > n.limit {
+				cur = limitBatches(cur, n.limit)
 			}
 		}
 		if err != nil {
-			return cur, err
+			return nil, err
 		}
 		if n.op != opScan {
-			n.rowsOut = cur.count()
+			n.rowsOut = int64(storage.SelectedRows(cur))
 		}
 		if prof {
 			n.dur = time.Since(start)
@@ -573,10 +506,9 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) (relation, err
 }
 
 // runScan produces one scan node's batches. A base table scans; a view runs
-// its own plan and hands on whatever that ended as — batches pass through,
-// rows columnize; a system table columnizes the rows it was planned with. The
-// derived batches take the node's schema and carry no hashes: a view's rows
-// are not the rows its base table's segmentation hashed.
+// its own plan and hands on its batches; a system table columnizes the rows it
+// was planned with. The derived batches take the node's schema and carry no
+// hashes: a view's rows are not the rows its base table's segmentation hashed.
 func (s *Session) runScan(n *planNode, vis storage.Visibility, stats *scanStats, prof bool) ([]*storage.Batch, error) {
 	if n.tbl != nil {
 		batches, count, err := s.scanBatches(n, vis, stats, prof)
@@ -585,35 +517,31 @@ func (s *Session) runScan(n *planNode, vis storage.Visibility, stats *scanStats,
 		}
 		return batches, err
 	}
-	rows := n.rows
+	var batches []*storage.Batch
+	var err error
 	if n.view != nil {
-		sub, err := s.run(n.view, stats, prof)
-		if err != nil {
-			return nil, err
+		batches, err = s.run(n.view, stats, prof)
+		for _, b := range batches {
+			b.Schema, b.Hashes = n.schema, nil
 		}
-		if sub.batches != nil {
-			n.rowsIn = sub.count()
-			n.rowsOut = n.rowsIn
-			for _, b := range sub.batches {
-				b.Schema, b.Hashes = n.schema, nil
-			}
-			return sub.batches, nil
-		}
-		rows = sub.rows
+	} else {
+		batches, err = columnize(n.rows, n.schema)
 	}
-	n.rowsIn, n.rowsOut = int64(len(rows)), int64(len(rows))
-	return columnize(rows, n.schema)
+	n.rowsIn = int64(storage.SelectedRows(batches))
+	n.rowsOut = n.rowsIn
+	return batches, err
 }
 
-// columnize is the one bridge from rows back to the batch pipeline, at a scan
-// node only. Engine row sets are type-permissive (a view's arithmetic column
-// can mix INTEGER and FLOAT values); column vectors are not, so the rows are
-// coerced to the declared schema first.
+// columnize is the one bridge from rows to the batch pipeline, for the rows
+// the engine synthesizes in Go: a system table at its scan node, and the
+// result sets of EXPLAIN, PROFILE and ALTER CLUSTER. Each cell meets its
+// column by types.Coerce (storage.Builder.Append), so a row that does not fit
+// the declared schema is an error.
 func columnize(rows []types.Row, schema types.Schema) ([]*storage.Batch, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	cols, err := storage.ColumnsFromRows(storage.CoerceRows(schema, rows), schema)
+	cols, err := storage.ColumnsFromRows(rows, schema)
 	if err != nil {
 		return nil, fmt.Errorf("vertica: relation does not fit its schema: %w", err)
 	}

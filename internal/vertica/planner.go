@@ -161,5 +161,6 @@ func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 		}
 		add(opNames[n.op], n.target, estValue(n.est), n.estContainers, n.estPruned, n.describe(false))
 	})
-	return &Result{Schema: explainSchema, Rows: rows, Epoch: vis.Epoch}, nil
+	batches, err := columnize(rows, explainSchema)
+	return &Result{Schema: explainSchema, Batches: batches, Epoch: vis.Epoch}, err
 }

@@ -54,5 +54,6 @@ func (s *Session) executeProfile(p *vsql.Profile) (*Result, error) {
 		add("event: "+string(ev.Type), 0, 0, 0, 0, 0, detail)
 	}
 	add("total", 0, int64(res.NumRows()), 0, 0, time.Since(start), fmt.Sprintf("epoch %d", res.Epoch))
-	return &Result{Schema: profileSchema, Rows: rows, Epoch: res.Epoch}, nil
+	batches, err := columnize(rows, profileSchema)
+	return &Result{Schema: profileSchema, Batches: batches, Epoch: res.Epoch}, err
 }

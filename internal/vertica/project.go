@@ -6,13 +6,17 @@ import (
 	"strings"
 
 	"vsfabric/internal/expr"
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vexec"
 	"vsfabric/internal/vsql"
 )
 
-// This file holds what runs downstream of the first boxing operator — scalar
-// projection and ordering over rows — and the validation of an aggregation.
+// This file holds the operators that build new vectors above the relations —
+// a computed select list and ORDER BY — and the validation of an aggregation.
+// Each builds vectors of its node's declared types: the plan-time schema is
+// authoritative, and a value it cannot hold fails the statement
+// (storage.Builder.Append applies types.Coerce).
 
 // orderIndexes resolves ORDER BY keys against the result schema.
 func orderIndexes(schema types.Schema, keys []vsql.OrderItem) ([]int, error) {
@@ -25,12 +29,20 @@ func orderIndexes(schema types.Schema, keys []vsql.OrderItem) ([]int, error) {
 	return idx, nil
 }
 
-// orderRows sorts the result set by the ORDER BY keys (NULLs first, per the
-// engine's comparison semantics).
-func orderRows(rows []types.Row, idx []int, keys []vsql.OrderItem) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i, k := range keys {
-			c := types.Compare(rows[a][idx[i]], rows[b][idx[i]])
+// sortBatches runs a sort node: the input densifies into one batch and only
+// that batch's selection vector is sorted — stably, by the ORDER BY keys in
+// types.Compare order (NULLs first). Whatever reads the batch next — the wire's
+// gather encoder, Materialize, LIMIT — follows the selection vector.
+func sortBatches(n *planNode, batches []*storage.Batch) ([]*storage.Batch, error) {
+	cols, rows, err := storage.DenseColumns(n.schema, batches)
+	if err != nil || rows == 0 {
+		return nil, err
+	}
+	sel := storage.IdentitySel(rows)
+	sort.SliceStable(sel, func(a, b int) bool {
+		for i, k := range n.orderBy {
+			key := cols[n.sortIdx[i]]
+			c := types.Compare(key.Get(int(sel[a])), key.Get(int(sel[b])))
 			if c == 0 {
 				continue
 			}
@@ -41,57 +53,112 @@ func orderRows(rows []types.Row, idx []int, keys []vsql.OrderItem) {
 		}
 		return false
 	})
+	return []*storage.Batch{{Schema: n.schema, Cols: cols, Sel: sel}}, nil
 }
 
-// rowEval computes one output cell from an input row.
-type rowEval func(types.Row) (types.Value, error)
-
-// projectRows evaluates the select list over each row.
-func projectRows(rows []types.Row, evals []rowEval) ([]types.Row, error) {
-	out := make([]types.Row, len(rows))
-	for i, r := range rows {
-		row := make(types.Row, len(evals))
-		for j, ev := range evals {
-			v, err := ev(r)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
-		}
-		out[i] = row
-	}
-	return out, nil
+// projCol is one output column of a computed select list: input column col
+// passed through as a vector, or (e != nil) an expression evaluated per row.
+type projCol struct {
+	col int
+	e   expr.Expr
 }
 
-// selectShape resolves non-aggregate select items to output columns and
-// row-evaluator closures.
-func selectShape(items []vsql.SelectItem, schema types.Schema) (types.Schema, []rowEval, error) {
-	var outSchema types.Schema
-	var evals []rowEval
+// planProject resolves non-aggregate select items to the output schema and
+// each output column's source.
+func planProject(items []vsql.SelectItem, schema types.Schema) (types.Schema, []projCol, error) {
+	var out types.Schema
+	var proj []projCol
 	for _, it := range items {
 		if it.Star {
 			for ci, c := range schema.Cols {
-				ci := ci
-				outSchema.Cols = append(outSchema.Cols, c)
-				evals = append(evals, func(r types.Row) (types.Value, error) { return r[ci], nil })
+				out.Cols = append(out.Cols, c)
+				proj = append(proj, projCol{col: ci})
 			}
 			continue
 		}
-		e := it.Expr
-		for _, c := range e.Columns(nil) {
+		for _, c := range it.Expr.Columns(nil) {
 			if schema.ColIndex(c) < 0 {
 				return types.Schema{}, nil, fmt.Errorf("vertica: column %q does not exist", c)
 			}
 		}
 		name := it.Alias
 		if name == "" {
-			name = exprName(e)
+			name = exprName(it.Expr)
 		}
-		outSchema.Cols = append(outSchema.Cols, types.Column{Name: name, T: inferType(e, schema)})
-		sc := schema
-		evals = append(evals, func(r types.Row) (types.Value, error) { return e.Eval(r, &sc) })
+		out.Cols = append(out.Cols, types.Column{Name: name, T: inferType(it.Expr, schema)})
+		if c, bare := it.Expr.(*expr.Col); bare {
+			proj = append(proj, projCol{col: schema.ColIndex(c.Name)})
+		} else {
+			proj = append(proj, projCol{e: it.Expr})
+		}
 	}
-	return outSchema, evals, nil
+	return out, proj, nil
+}
+
+// passThrough returns the input column indexes, in output order (repeats
+// allowed), of a projection whose every column is an input column as it stands
+// — a column pick, which leaves the engine as the input's own vectors — else nil.
+func passThrough(proj []projCol) []int {
+	cols := make([]int, len(proj))
+	for j, pc := range proj {
+		if pc.e != nil {
+			return nil
+		}
+		cols[j] = pc.col
+	}
+	return cols
+}
+
+// projectBatches runs a computed select list (or an UPDATE's SET list, which
+// is one): one Builder per output column, sized once for the whole input. A
+// passed-through column is appended a vector at a time; the expressions
+// evaluate per selected row against a row holding only the columns they name
+// (vexec.ArgRow, as an aggregate's interpreted argument does), and each value
+// goes straight into its column's Builder.
+func projectBatches(schema types.Schema, proj []projCol, batches []*storage.Batch) ([]*storage.Batch, error) {
+	rows := storage.SelectedRows(batches)
+	if rows == 0 {
+		return nil, nil
+	}
+	out := make([]*storage.Builder, len(proj))
+	var exprs []expr.Expr
+	for j, pc := range proj {
+		out[j] = storage.NewBuilder(schema.Cols[j].T)
+		out[j].Grow(rows)
+		if pc.e != nil {
+			exprs = append(exprs, pc.e)
+		}
+	}
+	args := vexec.NewArgRow(exprs, batches[0].Schema)
+	for _, b := range batches {
+		for j, pc := range proj {
+			if pc.e == nil {
+				if err := out[j].AppendColumn(b.Cols[pc.col], b.Sel); err != nil {
+					return nil, err
+				}
+			}
+		}
+		for _, i := range b.Sel {
+			row := args.Load(b, int(i))
+			for j, pc := range proj {
+				if pc.e == nil {
+					continue
+				}
+				v, err := pc.e.Eval(row, &b.Schema)
+				if err == nil {
+					err = out[j].Append(v)
+				}
+				if err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	cols := make([]storage.Column, len(out))
+	for j, b := range out {
+		cols[j] = b.Build()
+	}
+	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.IdentitySel(rows)}}, nil
 }
 
 func exprName(e expr.Expr) string {
@@ -109,7 +176,10 @@ func exprName(e expr.Expr) string {
 	}
 }
 
-// inferType best-effort types an expression for result schemas.
+// inferType types an expression for result schemas. What it says is what the
+// operator builds: Arith.Eval's INTEGER-unless-a-FLOAT-operand rule and a bound
+// function's declared return type make the inference exact for everything but
+// a value types.Coerce then widens (an INTEGER into a FLOAT column).
 func inferType(e expr.Expr, schema types.Schema) types.Type {
 	switch n := e.(type) {
 	case *expr.Col:
@@ -130,7 +200,10 @@ func inferType(e expr.Expr, schema types.Schema) types.Type {
 		}
 		return types.Float64
 	case *expr.FuncCall:
-		return types.Float64 // scoring UDxs return numbers; refined at runtime
+		if n.Ret != types.Unknown {
+			return n.Ret // bound: the registry's declared return type
+		}
+		return types.Float64
 	default:
 		return types.Unknown
 	}

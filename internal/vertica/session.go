@@ -17,16 +17,16 @@ import (
 // Result is the outcome of one statement.
 type Result struct {
 	Schema types.Schema
-	// Rows is the result set in row form. Everything the row API returns —
-	// Execute, ExecuteContext, ExecuteStmt, client.Conn — carries its rows
-	// here.
-	Rows []types.Row
-	// Batches is the result set of a SELECT no operator boxed — scans, joins
-	// and filters under a select list of bare columns — as ExecuteColumnar
-	// returns it: column batches, a scan's aliasing the containers' immutable
-	// vectors, each with a private selection vector that fixes the snapshot.
-	// Rows is nil then; Materialize converts.
-	Batches      []*storage.Batch
+	// Batches is the result set as the engine produces it, and as
+	// ExecuteColumnar returns it: column batches of the schema's types, a
+	// scan's aliasing the containers' immutable vectors, each with a private
+	// selection vector that fixes the snapshot and the row order. Nil for a
+	// result set of no rows.
+	Batches []*storage.Batch
+	// Rows is the result set in row form. Only Materialize fills it, at the
+	// row API's edge: Execute, ExecuteContext, ExecuteStmt and client.Conn
+	// return it set and Batches nil.
+	Rows         []types.Row
 	RowsAffected int64
 	// Epoch is the snapshot epoch a SELECT read at, or the commit epoch of a
 	// committed write. V2S uses the former to pin all partition queries to
@@ -36,13 +36,11 @@ type Result struct {
 	Copy *CopyResult
 }
 
-// NumRows returns the size of the result set in either form.
-func (r *Result) NumRows() int {
-	return len(r.Rows) + storage.SelectedRows(r.Batches)
-}
+// NumRows returns the size of a result set not yet materialized.
+func (r *Result) NumRows() int { return storage.SelectedRows(r.Batches) }
 
-// Materialize boxes a columnar result set into Rows — the one boxing a
-// scan-shaped result undergoes in this process — and returns r (nil for nil).
+// Materialize boxes the result set into Rows — the one boxing a result
+// undergoes in this process — and returns r (nil for nil).
 func (r *Result) Materialize() *Result {
 	if r != nil && r.Batches != nil {
 		r.Rows, r.Batches = storage.Materialize(r.Batches), nil
@@ -169,10 +167,9 @@ func (s *Session) ExecuteContext(ctx context.Context, sql string) (*Result, erro
 	return res.Materialize(), err
 }
 
-// ExecuteColumnar is ExecuteContext without the boxing: the result set of a
-// SELECT that no operator boxed comes back in Result.Batches, every other
-// statement's as ExecuteContext returns it. The wire server runs statements through here
-// and encodes batch frames straight from the vectors.
+// ExecuteColumnar is ExecuteContext without the boxing: the result set comes
+// back in Result.Batches. The wire server runs statements through here and
+// encodes batch frames straight from the vectors.
 func (s *Session) ExecuteColumnar(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := vsql.Parse(sql)
 	if err != nil {

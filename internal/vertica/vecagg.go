@@ -1,6 +1,8 @@
 package vertica
 
 import (
+	"fmt"
+
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vexec"
@@ -22,29 +24,38 @@ var aggOps = map[vsql.AggFn]vexec.AggOp{
 	vsql.AggMax:   vexec.AggMax,
 }
 
-// runGroupBy runs a group-by node: one hash table consumes every batch and
-// only the groups box into rows.
-func runGroupBy(n *planNode, batches []*storage.Batch) ([]types.Row, error) {
+// runGroupBy runs a group-by node: one hash table consumes every batch, and
+// the groups leave it as one batch of key and aggregate vectors of the node's
+// declared types, built a column at a time in first-seen group order.
+func runGroupBy(n *planNode, batches []*storage.Batch) ([]*storage.Batch, error) {
 	ha := vexec.NewHashAgg(n.agg.spec, n.agg.in)
 	for _, b := range batches {
 		if err := ha.Consume(b); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]types.Row, 0, ha.NumGroups())
-	for g := 0; g < ha.NumGroups(); g++ {
-		key := ha.GroupKey(g)
-		row := make(types.Row, len(n.agg.items))
-		for i, pl := range n.agg.items {
+	n.keyPath = ha.FastPath()
+	n.vecRows, n.resRows = ha.Rows()-ha.FallbackRows(), ha.FallbackRows()
+	groups := ha.NumGroups()
+	if groups == 0 {
+		return nil, nil
+	}
+	cols := make([]storage.Column, len(n.agg.items))
+	for i, pl := range n.agg.items {
+		b := storage.NewBuilder(n.schema.Cols[i].T)
+		b.Grow(groups)
+		for g := 0; g < groups; g++ {
+			var v types.Value
 			if pl.groupCol >= 0 {
-				row[i] = key[pl.groupCol]
+				v = ha.GroupKey(g)[pl.groupCol]
 			} else {
-				row[i] = ha.AggResult(g, pl.aggIdx)
+				v = ha.AggResult(g, pl.aggIdx)
+			}
+			if err := b.Append(v); err != nil {
+				return nil, fmt.Errorf("vertica: %s: %w", n.schema.Cols[i].Name, err)
 			}
 		}
-		out = append(out, row)
+		cols[i] = b.Build()
 	}
-	n.rowsIn, n.keyPath = ha.Rows(), ha.FastPath()
-	n.vecRows, n.resRows = ha.Rows()-ha.FallbackRows(), ha.FallbackRows()
-	return out, nil
+	return []*storage.Batch{{Schema: n.schema, Cols: cols, Sel: storage.IdentitySel(groups)}}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vsfabric/internal/avro"
+	"vsfabric/internal/catalog"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/txn"
 	"vsfabric/internal/types"
@@ -227,6 +228,16 @@ func TestRowSourcesCrossTheVectorEntry(t *testing.T) {
 	if got := dumpTable(sess(t, c, 1), "t"); !sameRows(got, want) {
 		t.Errorf("after restart, table = %v, want %v", got, want)
 	}
+}
+
+// writeRows is the boxed route into the write entry: rows columnized by
+// storage.ColumnsFromRows, then writeColumns.
+func (s *Session) writeRows(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) (map[[2]string]float64, error) {
+	cols, err := storage.ColumnsFromRows(rows, tbl.Def.Schema)
+	if err != nil {
+		return nil, err
+	}
+	return s.writeColumns(tx, tbl, cols, len(rows), direct)
 }
 
 // INSERT ... SELECT hands a scan's batches to the write entry without boxing

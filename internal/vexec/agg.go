@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"strings"
 
 	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
@@ -229,6 +228,46 @@ func (a *aggAcc) minmax(wantMin bool) types.Value {
 	return types.NullValue(types.Float64)
 }
 
+// ArgRow is how interpreted expressions read a batch: one full-width row,
+// reused for every input row, into which only the columns the expressions name
+// are boxed. Aggregate arguments and a computed select list both evaluate
+// through it.
+type ArgRow struct {
+	cols []int
+	row  types.Row
+}
+
+// NewArgRow prepares the row for exprs over batches of the given schema.
+func NewArgRow(exprs []expr.Expr, schema types.Schema) *ArgRow {
+	var names []string
+	wholeRow := false
+	for _, e := range exprs {
+		names = e.Columns(names)
+		expr.Walk(e, func(n expr.Expr) {
+			// HASH(*) reads the row, not named columns.
+			if h, ok := n.(*expr.HashFn); ok && len(h.Args) == 0 {
+				wholeRow = true
+			}
+		})
+	}
+	a := &ArgRow{row: make(types.Row, len(schema.Cols))}
+	for c := range schema.Cols {
+		if wholeRow || slices.ContainsFunc(names, func(n string) bool { return schema.ColIndex(n) == c }) {
+			a.cols = append(a.cols, c)
+		}
+	}
+	return a
+}
+
+// Load boxes physical row i of b into the row and returns it; the row is
+// overwritten by the next Load.
+func (a *ArgRow) Load(b *storage.Batch, i int) types.Row {
+	for _, c := range a.cols {
+		a.row[c] = b.Cols[c].Get(i)
+	}
+	return a.row
+}
+
 // HashAgg is a single-pass vectorized hash aggregator. It is used by a single
 // goroutine: parallel segment scans feed batches to a coordinator that calls
 // Consume in deterministic segment order, which keeps float SUM/AVG
@@ -254,12 +293,10 @@ type HashAgg struct {
 	groupBuf []int32
 	keyBuf   []byte
 
-	// Interpreted arguments: the aggregates that carry one, the schema
-	// columns they read and the full-width row those are boxed into,
-	// once per input row for all of them.
+	// Interpreted arguments: the aggregates that carry one, and the row their
+	// columns are boxed into, once per input row for all of them.
 	argAggs []int
-	argCols []int
-	argRow  types.Row
+	args    *ArgRow
 
 	rows         int64 // selected rows consumed
 	fallbackRows int64 // rows that went through a boxed fallback loop
@@ -280,27 +317,18 @@ func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
 		h.byKey = make(map[string]int32)
 	}
 	h.allCountStar = len(spec.Aggs) > 0
-	var names []string
-	wholeRow := false
+	var args []expr.Expr
 	for j, a := range spec.Aggs {
 		if a.Op != AggCount || a.Col >= 0 || a.Arg != nil {
 			h.allCountStar = false
 		}
 		if a.Arg != nil {
 			h.argAggs = append(h.argAggs, j)
-			names = a.Arg.Columns(names)
-			// HASH(*) reads the row, not named columns. A string literal that
-			// spells it only costs the pruning.
-			wholeRow = wholeRow || strings.Contains(a.Arg.SQL(), "HASH(*)")
+			args = append(args, a.Arg)
 		}
 	}
 	if h.argAggs != nil {
-		h.argRow = make(types.Row, len(schema.Cols))
-		for c := range schema.Cols {
-			if wholeRow || slices.ContainsFunc(names, func(n string) bool { return schema.ColIndex(n) == c }) {
-				h.argCols = append(h.argCols, c)
-			}
-		}
+		h.args = NewArgRow(args, schema)
 	}
 	if len(spec.GroupCols) == 0 {
 		// A global aggregate over zero rows still yields one row.
@@ -602,11 +630,9 @@ func (h *HashAgg) updateInterpreted(b *storage.Batch, groupOf []int32) error {
 	}
 	h.boxed = true
 	for k, i := range b.Sel {
-		for _, c := range h.argCols {
-			h.argRow[c] = b.Cols[c].Get(int(i))
-		}
+		row := h.args.Load(b, int(i))
 		for _, j := range h.argAggs {
-			v, err := h.spec.Aggs[j].Arg.Eval(h.argRow, &b.Schema)
+			v, err := h.spec.Aggs[j].Arg.Eval(row, &b.Schema)
 			if err != nil {
 				return err
 			}
