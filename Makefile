@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test wire-test wire-fuzz wire-smoke obs-test obs-gate lines
+.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test wire-test wire-fuzz obs-test lines
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -76,41 +76,26 @@ wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzUnmarshalContainer -fuzztime 5s -fuzzminimizetime 0 ./internal/storage/
 	$(GO) test -race -run xxx -fuzz FuzzLoadWOS -fuzztime 5s -fuzzminimizetime 0 ./internal/storage/
 
-# Closed-loop wire benchmark at smoke scale: diffs the wire's result set
-# against the in-process one cell by cell and checks admission control bounds
-# engine concurrency with queue waits visible in the histogram and
-# v_monitor.resource_queue_events. Shape gates only; timings at this scale
-# are noise. Full runs (`go run ./cmd/wireload`) write BENCH_wire.json.
-wire-smoke:
-	$(GO) run ./cmd/wireload -smoke -out BENCH_wire.json
-
 # Observability gate: the data-collector spool units (framing, rotation,
 # retention, crash-tail truncation), the engine-level dc suites (history
 # surviving a simulated kill, retention via SET_DATA_COLLECTOR_POLICY,
 # seeded query events), the /metrics + /healthz endpoint suites, and the
-# Chrome-trace exporter — all under the race detector — then the scanbench
-# overhead gate.
-obs-test: obs-gate
+# Chrome-trace exporter and the data collector's per-statement cost bound
+# (records, writes, fsyncs, allocations — counts, not a stopwatch) — all
+# under the race detector.
+obs-test:
 	$(GO) test -race ./internal/dc/
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race -run 'DC|QueryEvents|Metrics|Healthz|Counters|Profile|ChromeTrace' ./internal/vertica/
 
-# Asserts dc spooling costs at most 5% on the selective scan (500k rows:
-# large enough that the fixed ~45µs/query spool cost is measured against a
-# realistic query, small enough for CI).
-obs-gate:
-	$(GO) run ./cmd/scanbench -rows 500000 -iters 5 -obs -gate -out BENCH_scan_obs.json
-
-# Microbenchmarks plus the scan throughput record (BENCH_scan.json,
-# machine-readable). BenchmarkResultPath is one wire batch from container to
-# boxed client rows (B/row, allocs/row). Aggregation and join timings live in
-# fabricperf's vexec.agg_s / vexec.join_s / vertica.groupby_us /
-# vertica.join_us.
+# Microbenchmarks. BenchmarkScan*/BenchmarkCount* are the scan throughput
+# record; BenchmarkResultPath is one wire batch from container to boxed client
+# rows (B/row, allocs/row). Aggregation and join timings live in fabricperf's
+# vexec.agg_s / vexec.join_s / vertica.groupby_us / vertica.join_us.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
-	$(GO) run ./cmd/scanbench -out BENCH_scan.json
 
 # The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,
 # measured then traced, with per-layer tables. Minutes of wall time and

@@ -1,16 +1,15 @@
 // Command lintoptions enforces the typed-options API boundary: no exported
 // function or method may take a map[string]string options bag. The stringly
 // form is quarantined to the External Data Source API surface (the Spark
-// interface methods), which is allowlisted below; everything else must
-// accept V2SOptions/S2VOptions or functional options so misspelled keys and
-// out-of-range values fail at compile time or construction, not deep inside
-// a job.
+// interface methods), which is allowlisted below and rejects a key it does
+// not know; everything else must accept a typed struct (V2SOptions,
+// S2VOptions) so a misspelled field fails at compile time, not deep inside a
+// job.
 //
 // It also flags ad-hoc timeout parameters on exported constructors: a
 // Dial*/New*/Connect*/Open* function taking a bare time.Duration grows a
 // new variant for every knob (DialTimeout, DialTimeoutWithRetry, ...).
-// Constructors take functional options (server.WithDialTimeout et al.) or a
-// config struct instead.
+// Constructors take a config struct instead.
 //
 // Finally, it flags exported functions taking a map[string]interface{} (or
 // map[string]any) attribute bag anywhere outside internal/obs. Untyped bags
@@ -44,8 +43,6 @@ var allowed = map[string]bool{
 	"internal/core: DefaultSource.SaveRelation":   true,
 	"internal/jdbcsource: Source.CreateRelation":  true,
 	"internal/jdbcsource: Source.SaveRelation":    true,
-	"internal/hdfssource: Source.CreateRelation":  true,
-	"internal/hdfssource: Source.SaveRelation":    true,
 }
 
 // constructorPrefixes are the exported-function name prefixes the
@@ -163,7 +160,7 @@ func lintFile(fset *token.FileSet, root, path string) ([]string, error) {
 		}
 		if takesDuration && rn == "" && isConstructor(fd.Name.Name) {
 			pos := fset.Position(fd.Pos())
-			bad = append(bad, fmt.Sprintf("%s:%d: exported constructor %s takes a bare time.Duration; use functional options (e.g. WithDialTimeout) or a config struct",
+			bad = append(bad, fmt.Sprintf("%s:%d: exported constructor %s takes a bare time.Duration; use a config struct",
 				pos.Filename, pos.Line, fd.Name.Name))
 		}
 	}

@@ -553,7 +553,7 @@ func runMD(cfg RunConfig) (*Report, error) {
 	}
 	deploySecs := time.Since(deployStart).Seconds()
 
-	if err := f.sql("DROP TABLE IF EXISTS iristable", "CREATE TABLE iristable "+ddlOf(workload.IrisSchema())); err != nil {
+	if err := f.sql("DROP TABLE IF EXISTS iristable", "CREATE TABLE iristable "+workload.IrisSchema().String()); err != nil {
 		return nil, err
 	}
 	s, err := f.cluster.Connect(0)

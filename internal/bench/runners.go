@@ -12,7 +12,6 @@ import (
 	"vsfabric/internal/obs"
 	"vsfabric/internal/sim"
 	"vsfabric/internal/spark"
-	"vsfabric/internal/types"
 	"vsfabric/internal/workload"
 )
 
@@ -145,7 +144,7 @@ func (f *fabric) runNativeCopy(realRows int64, cols, parts int, scale float64) (
 	f.resetTrace()
 	if err := f.sql(
 		"DROP TABLE IF EXISTS d1copy",
-		fmt.Sprintf("CREATE TABLE d1copy %s", ddlOf(workload.D1Schema(cols))),
+		fmt.Sprintf("CREATE TABLE d1copy %s", workload.D1Schema(cols)),
 	); err != nil {
 		return 0, err
 	}
@@ -192,15 +191,4 @@ func (f *fabric) runNativeCopy(realRows int64, cols, parts int, scale float64) (
 	}
 	total, _, err := f.simulate(scale, sim.Config{})
 	return total, err
-}
-
-func ddlOf(s types.Schema) string {
-	out := "("
-	for i, c := range s.Cols {
-		if i > 0 {
-			out += ", "
-		}
-		out += c.Name + " " + c.T.String()
-	}
-	return out + ")"
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"vsfabric/internal/client"
 	"vsfabric/internal/spark"
@@ -512,60 +513,66 @@ func TestS2VRoundTripThroughV2S(t *testing.T) {
 func TestParseOptions(t *testing.T) {
 	o, err := parseS2VOptions(map[string]string{
 		"host": "h", "table": "t", "numPartitions": "32",
-		"failedRowsPercentTolerance": "0.02", "user": "u",
+		"failedRowsPercentTolerance": "0.02", "user": "u", "JobName": "j1",
+		"copy_format": "CSV", "retry_attempts": "5", "retry_backoff_ms": "2", "op_timeout_ms": "250",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.NumPartitions != 32 || o.FailedRowsPercentTolerance != 0.02 || o.User != "u" {
+	if o.NumPartitions != 32 || o.FailedRowsPercentTolerance != 0.02 || o.User != "u" || o.JobName != "j1" || o.CopyFormat != "csv" {
 		t.Errorf("opts = %+v", o)
 	}
-	if o.CopyFormat != "avro" {
-		t.Errorf("default copy_format = %q, want avro", o.CopyFormat)
+	if r := o.Retry; r.MaxAttempts != 5 || r.BaseBackoff != 2*time.Millisecond || r.OpTimeout != 250*time.Millisecond {
+		t.Errorf("retry policy = %+v", r)
 	}
-	if _, err := parseV2SOptions(map[string]string{"host": "h"}); err == nil {
-		t.Error("missing table should fail")
+	if o, err := parseS2VOptions(map[string]string{"host": "h", "table": "t"}); err != nil || o.CopyFormat != "avro" {
+		t.Errorf("default copy_format = %q (%v), want avro", o.CopyFormat, err)
 	}
-	if _, err := parseS2VOptions(map[string]string{"table": "t"}); err == nil {
-		t.Error("missing host should fail")
+	v, err := parseV2SOptions(map[string]string{"HOST": "h", "Table": "t", "numpartitions": "8", "disable_locality_optimization": "true", "db": ""})
+	if err != nil || v.Host != "h" || v.Table != "t" || v.NumPartitions != 8 || !v.DisableLocality {
+		t.Errorf("v2s opts = %+v (%v)", v, err)
 	}
-	if _, err := parseV2SOptions(map[string]string{"host": "h", "table": "t", "numPartitions": "-1"}); err == nil {
-		t.Error("bad numPartitions should fail")
-	}
-	if _, err := parseS2VOptions(map[string]string{"host": "h", "table": "t", "failedRowsPercentTolerance": "1.5"}); err == nil {
-		t.Error("tolerance > 1 should fail")
-	}
-}
 
-func TestTypedOptions(t *testing.T) {
-	v, err := NewV2SOptions("t", "h", WithPartitions(8), WithoutLocality())
-	if err != nil {
-		t.Fatal(err)
+	base := func(extra ...string) map[string]string {
+		m := map[string]string{"host": "h", "table": "t"}
+		for i := 0; i < len(extra); i += 2 {
+			m[extra[i]] = extra[i+1]
+		}
+		return m
 	}
-	if v.NumPartitions != 8 || !v.DisableLocality {
-		t.Errorf("v2s opts = %+v", v)
-	}
-	sv, err := NewS2VOptions("t", "h", WithJobName("j1"), WithTolerance(0.1), WithCopyFormat("CSV"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.JobName != "j1" || sv.FailedRowsPercentTolerance != 0.1 || sv.CopyFormat != "csv" {
-		t.Errorf("s2v opts = %+v", sv)
-	}
-	// Direction-specific options reject the wrong constructor.
-	if _, err := NewS2VOptions("t", "h", WithoutLocality()); err == nil {
-		t.Error("WithoutLocality on S2V should fail")
-	}
-	if _, err := NewV2SOptions("t", "h", WithJobName("j")); err == nil {
-		t.Error("WithJobName on V2S should fail")
-	}
-	if _, err := NewS2VOptions("t", "h", WithTolerance(2)); err == nil {
-		t.Error("out-of-range tolerance should fail")
-	}
-	if _, err := NewS2VOptions("t", "h", WithCopyFormat("parquet")); err == nil {
-		t.Error("bad copy_format should fail")
-	}
-	if _, err := NewV2SOptions("", "h"); err == nil {
-		t.Error("empty table should fail")
+	load := func(m map[string]string) error { _, err := parseV2SOptions(m); return err }
+	save := func(m map[string]string) error { _, err := parseS2VOptions(m); return err }
+	for _, tc := range []struct {
+		name  string
+		parse func(map[string]string) error
+		opts  map[string]string
+		want  string // substring of the error
+	}{
+		{"missing table", load, map[string]string{"host": "h"}, `"table" is required`},
+		{"missing host", save, map[string]string{"table": "t"}, `"host" is required`},
+		// A key the direction does not know is named, with the ones it does.
+		{"misspelled key", load, base("numPartition", "8"), `unknown load option "numPartition" (known: table, host, user, password, db, numPartitions,`},
+		{"misspelled key on save", save, base("tolerance", "0.1"), `unknown save option "tolerance" (known: `},
+		{"save key on a load", load, base("copy_format", "csv"), `unknown load option "copy_format"`},
+		{"save key on a load", load, base("jobname", "j"), `unknown load option "jobname"`},
+		{"load key on a save", save, base("disable_locality_optimization", "true"), `unknown save option "disable_locality_optimization"`},
+		// Each value that does not parse or is out of range.
+		{"numPartitions", load, base("numPartitions", "-1"), `bad numPartitions "-1"`},
+		{"numPartitions", save, base("numPartitions", "0"), `bad numPartitions "0"`},
+		{"numPartitions", load, base("NUMPARTITIONS", "many"), `bad numPartitions "many"`},
+		{"retry_attempts", save, base("retry_attempts", "banana"), `bad retry_attempts "banana"`},
+		{"retry_backoff_ms", load, base("retry_backoff_ms", "0"), `bad retry_backoff_ms "0"`},
+		{"op_timeout_ms", load, base("op_timeout_ms", "1s"), `bad op_timeout_ms "1s"`},
+		{"locality", load, base("disable_locality_optimization", "maybe"), `bad disable_locality_optimization "maybe"`},
+		{"tolerance", save, base("failedRowsPercentTolerance", "lots"), `bad failedRowsPercentTolerance "lots"`},
+		{"tolerance", save, base("failedRowsPercentTolerance", "1.5"), `failedRowsPercentTolerance must be in [0,1]`},
+		{"tolerance", save, base("failedRowsPercentTolerance", "-0.1"), `failedRowsPercentTolerance must be in [0,1]`},
+		{"tolerance", save, base("failedRowsPercentTolerance", "NaN"), `failedRowsPercentTolerance must be in [0,1]`},
+		{"copy_format", save, base("copy_format", "parquet"), `bad copy_format "parquet"`},
+	} {
+		err := tc.parse(tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: got %v, want an error containing %q", tc.name, tc.opts, err, tc.want)
+		}
 	}
 }

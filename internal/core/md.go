@@ -97,12 +97,12 @@ func DeployPMMLModel(c *vertica.Cluster, name string, doc *pmml.Document) error 
 	}
 	defer s.Close()
 	if _, err := s.Execute(fmt.Sprintf(
-		"DELETE FROM %s WHERE model_name = '%s'", ModelMetadataTable, sqlEscape(name))); err != nil {
+		"DELETE FROM %s WHERE model_name = '%s'", ModelMetadataTable, types.SQLEscape(name))); err != nil {
 		return err
 	}
 	_, err = s.Execute(fmt.Sprintf(
 		"INSERT INTO %s VALUES ('%s', '%s', %d, '%s', %d)",
-		ModelMetadataTable, sqlEscape(name), doc.ModelType(), len(data), path, ev.NumFeatures()))
+		ModelMetadataTable, types.SQLEscape(name), doc.ModelType(), len(data), path, ev.NumFeatures()))
 	return err
 }
 

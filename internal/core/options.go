@@ -13,7 +13,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"vsfabric/internal/obs"
 	"vsfabric/internal/resilience"
@@ -24,10 +23,10 @@ import (
 const DefaultSourceName = "com.vertica.spark.datasource.DefaultSource"
 
 // ConnOptions are the settings shared by both connector directions: where to
-// connect, how parallel to be, and how hard the resilience layer tries.
-// Construct V2SOptions/S2VOptions through NewV2SOptions/NewS2VOptions, which
-// validate; the External Data Source API's stringly map form is parsed, over
-// the same constructors, by the adapter in source.go.
+// connect, how parallel to be, and how hard the resilience layer tries. The
+// External Data Source API's option map (Table 1 of the paper) is the
+// connector's one entry: source.go parses it into V2SOptions/S2VOptions key by
+// key and validate checks the result.
 type ConnOptions struct {
 	// Table is the target table (or, for loads, a view name).
 	Table string
@@ -49,22 +48,18 @@ type ConnOptions struct {
 	// Observer receives the connector-side trace: v2s.partition and
 	// s2v.phase* spans plus every resilience event (retry, backoff, breaker
 	// transitions, failover). Wire a vertica.Cluster's Obs() collector here
-	// to surface them in v_monitor; nil records nothing. Only settable
-	// programmatically (WithObserver or DefaultSource.WithObserver) — it has
-	// no stringly form.
+	// to surface them in v_monitor; nil records nothing. Set by
+	// DefaultSource.WithObserver — it has no option key.
 	Observer obs.Observer
 }
 
-// validate is the one shared validator behind both constructors.
+// validate is the one validator behind both directions.
 func (c *ConnOptions) validate() error {
 	if c.Table == "" {
 		return errors.New(`core: option "table" is required`)
 	}
 	if c.Host == "" {
 		return errors.New(`core: option "host" is required`)
-	}
-	if c.NumPartitions < 0 {
-		return fmt.Errorf("core: numPartitions must be positive, got %d", c.NumPartitions)
 	}
 	return nil
 }
@@ -97,7 +92,7 @@ func (o *S2VOptions) validate() error {
 	if err := o.ConnOptions.validate(); err != nil {
 		return err
 	}
-	if o.FailedRowsPercentTolerance < 0 || o.FailedRowsPercentTolerance > 1 {
+	if t := o.FailedRowsPercentTolerance; !(t >= 0 && t <= 1) { // NaN fails too
 		return fmt.Errorf("core: failedRowsPercentTolerance must be in [0,1], got %g", o.FailedRowsPercentTolerance)
 	}
 	switch o.CopyFormat {
@@ -106,104 +101,4 @@ func (o *S2VOptions) validate() error {
 		return fmt.Errorf("core: bad copy_format %q (want avro or csv)", o.CopyFormat)
 	}
 	return nil
-}
-
-// Option is a functional option accepted by NewV2SOptions and NewS2VOptions.
-// Shared options apply to either direction; direction-specific ones
-// (WithoutLocality, WithJobName, ...) reject the wrong constructor with a
-// clear error instead of being silently dropped.
-type Option struct {
-	v2s func(*V2SOptions) error
-	s2v func(*S2VOptions) error
-}
-
-// connOption lifts a shared-field mutation into both directions.
-func connOption(f func(*ConnOptions)) Option {
-	return Option{
-		v2s: func(o *V2SOptions) error { f(&o.ConnOptions); return nil },
-		s2v: func(o *S2VOptions) error { f(&o.ConnOptions); return nil },
-	}
-}
-
-// WithCredentials sets the user, password, and database name.
-func WithCredentials(user, password, db string) Option {
-	return connOption(func(c *ConnOptions) { c.User, c.Password, c.DB = user, password, db })
-}
-
-// WithPartitions requests n-way parallelism.
-func WithPartitions(n int) Option {
-	return connOption(func(c *ConnOptions) { c.NumPartitions = n })
-}
-
-// WithRetry installs a resilience policy.
-func WithRetry(p resilience.Policy) Option {
-	return connOption(func(c *ConnOptions) { c.Retry = p })
-}
-
-// WithObserver attaches an observer for connector spans and resilience
-// events.
-func WithObserver(o obs.Observer) Option {
-	return connOption(func(c *ConnOptions) { c.Observer = o })
-}
-
-// WithoutLocality disables the §3.1.2 locality optimization (loads only).
-func WithoutLocality() Option {
-	return Option{
-		v2s: func(o *V2SOptions) error { o.DisableLocality = true; return nil },
-		s2v: func(*S2VOptions) error {
-			return errors.New("core: disable_locality_optimization applies only to loads (V2S)")
-		},
-	}
-}
-
-func s2vOnly(name string, f func(*S2VOptions)) Option {
-	return Option{
-		v2s: func(*V2SOptions) error {
-			return fmt.Errorf("core: %s applies only to saves (S2V)", name)
-		},
-		s2v: func(o *S2VOptions) error { f(o); return nil },
-	}
-}
-
-// WithJobName names the save's row in the permanent job status table.
-func WithJobName(name string) Option {
-	return s2vOnly("jobName", func(o *S2VOptions) { o.JobName = name })
-}
-
-// WithTolerance sets the rejected-row budget in [0,1].
-func WithTolerance(f float64) Option {
-	return s2vOnly("failedRowsPercentTolerance", func(o *S2VOptions) { o.FailedRowsPercentTolerance = f })
-}
-
-// WithCopyFormat selects the task encoding, "avro" or "csv".
-func WithCopyFormat(format string) Option {
-	return s2vOnly("copy_format", func(o *S2VOptions) { o.CopyFormat = strings.ToLower(format) })
-}
-
-// NewV2SOptions builds validated load options.
-func NewV2SOptions(table, host string, opts ...Option) (V2SOptions, error) {
-	o := V2SOptions{ConnOptions: ConnOptions{Table: table, Host: host}}
-	for _, op := range opts {
-		if err := op.v2s(&o); err != nil {
-			return o, err
-		}
-	}
-	if err := o.ConnOptions.validate(); err != nil {
-		return o, err
-	}
-	return o, nil
-}
-
-// NewS2VOptions builds validated save options.
-func NewS2VOptions(table, host string, opts ...Option) (S2VOptions, error) {
-	o := S2VOptions{ConnOptions: ConnOptions{Table: table, Host: host}, CopyFormat: "avro"}
-	for _, op := range opts {
-		if err := op.s2v(&o); err != nil {
-			return o, err
-		}
-	}
-	if err := o.validate(); err != nil {
-		return o, err
-	}
-	return o, nil
 }

@@ -129,7 +129,7 @@ func (w *s2vWriter) runJob(sc *spark.Context, df *spark.DataFrame) error {
 	// The job's tasks all completed; the last committer has decided the
 	// outcome. Read it back and clean up.
 	res, err := conn.Execute(teardownCtx, fmt.Sprintf(
-		"SELECT status, failed_rows_percent FROM %s WHERE job_name = '%s'", JobStatusTable, sqlEscape(w.opts.JobName)))
+		"SELECT status, failed_rows_percent FROM %s WHERE job_name = '%s'", JobStatusTable, types.SQLEscape(w.opts.JobName)))
 	if err != nil {
 		return err
 	}
@@ -185,7 +185,7 @@ func (w *s2vWriter) setup(ctx context.Context, conn client.Conn, nParts int) err
 			return err
 		}
 	}
-	stagingDDL := fmt.Sprintf("CREATE TEMP TABLE %s %s", w.staging, ddlColumns(w.schema))
+	stagingDDL := fmt.Sprintf("CREATE TEMP TABLE %s %s", w.staging, w.schema)
 	if w.mode == spark.SaveAppend {
 		// Staging mirrors the target's definition so the final
 		// INSERT..SELECT is segment-aligned.
@@ -197,7 +197,7 @@ func (w *s2vWriter) setup(ctx context.Context, conn client.Conn, nParts int) err
 		fmt.Sprintf("CREATE TEMP TABLE %s (task_id INTEGER) UNSEGMENTED ALL NODES", w.committer),
 		fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (job_name VARCHAR, failed_rows_percent FLOAT, finished BOOLEAN, status VARCHAR) UNSEGMENTED ALL NODES", JobStatusTable),
 		fmt.Sprintf("INSERT INTO %s VALUES (-1)", w.committer),
-		fmt.Sprintf("INSERT INTO %s VALUES ('%s', 0.0, FALSE, 'RUNNING')", JobStatusTable, sqlEscape(w.opts.JobName)),
+		fmt.Sprintf("INSERT INTO %s VALUES ('%s', 0.0, FALSE, 'RUNNING')", JobStatusTable, types.SQLEscape(w.opts.JobName)),
 	}
 	var taskRows []string
 	for p := 0; p < nParts; p++ {
@@ -242,7 +242,7 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	// root s2v.job span, and each phase body runs under its own phase span so
 	// the engine spans it triggers (on whichever node, local or remote) nest
 	// correctly.
-	ctx := obs.WithSpanContext(taskCtx(tc), w.jobSC)
+	ctx := obs.WithSpanContext(tc.Context(), w.jobSC)
 	// Balance connections across the cluster; retries shift to another node
 	// so a single bad node cannot wedge a task. The resilient pool adds
 	// connect-level failover underneath: a refused or down node costs a
@@ -260,7 +260,7 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	// there is nothing left to do; if this task's earlier attempt already
 	// saved its data, skip straight to phase 2.
 	res0, err := conn.Execute(ctx, fmt.Sprintf(
-		"SELECT finished FROM %s WHERE job_name = '%s'", JobStatusTable, sqlEscape(w.opts.JobName)))
+		"SELECT finished FROM %s WHERE job_name = '%s'", JobStatusTable, types.SQLEscape(w.opts.JobName)))
 	if err != nil {
 		return rep, err
 	}
@@ -388,7 +388,7 @@ func (w *s2vWriter) phase5(ctx context.Context, tc *spark.TaskContext, conn clie
 	if pct > w.opts.FailedRowsPercentTolerance {
 		_, err := conn.Execute(ctx, fmt.Sprintf(
 			"UPDATE %s SET finished = TRUE, failed_rows_percent = %g, status = 'FAILED' WHERE job_name = '%s' AND finished = FALSE",
-			JobStatusTable, pct, sqlEscape(w.opts.JobName)))
+			JobStatusTable, pct, types.SQLEscape(w.opts.JobName)))
 		return err // driver surfaces the FAILED status
 	}
 	if _, err := conn.Execute(ctx, "BEGIN"); err != nil {
@@ -396,7 +396,7 @@ func (w *s2vWriter) phase5(ctx context.Context, tc *spark.TaskContext, conn clie
 	}
 	res, err = conn.Execute(ctx, fmt.Sprintf(
 		"UPDATE %s SET finished = TRUE, failed_rows_percent = %g, status = 'SUCCESS' WHERE job_name = '%s' AND finished = FALSE",
-		JobStatusTable, pct, sqlEscape(w.opts.JobName)))
+		JobStatusTable, pct, types.SQLEscape(w.opts.JobName)))
 	if err != nil {
 		return err
 	}
@@ -507,7 +507,7 @@ func (w *s2vWriter) encodeRows(cs *client.CopyStream, rows []types.Row) error {
 
 func (w *s2vWriter) tableExists(ctx context.Context, conn client.Conn, name string) (bool, error) {
 	res, err := conn.Execute(ctx, fmt.Sprintf(
-		"SELECT table_name FROM v_catalog.tables WHERE table_name = '%s'", sqlEscape(name)))
+		"SELECT table_name FROM v_catalog.tables WHERE table_name = '%s'", types.SQLEscape(name)))
 	if err != nil {
 		return false, err
 	}
@@ -518,7 +518,7 @@ func (w *s2vWriter) tableExists(ctx context.Context, conn client.Conn, name stri
 func (w *s2vWriter) markFailed(ctx context.Context, conn client.Conn) {
 	_, _ = conn.Execute(ctx, fmt.Sprintf(
 		"UPDATE %s SET finished = TRUE, status = 'FAILED' WHERE job_name = '%s' AND finished = FALSE",
-		JobStatusTable, sqlEscape(w.opts.JobName)))
+		JobStatusTable, types.SQLEscape(w.opts.JobName)))
 }
 
 // dropTemp removes the bookkeeping tables; withStaging also removes the
@@ -534,22 +534,6 @@ func (w *s2vWriter) dropTemp(ctx context.Context, conn client.Conn, withStaging 
 	for _, s := range stmts {
 		_, _ = conn.Execute(ctx, s)
 	}
-}
-
-// ddlColumns renders a schema as a CREATE TABLE column list.
-func ddlColumns(s types.Schema) string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for i, c := range s.Cols {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.Name)
-		b.WriteByte(' ')
-		b.WriteString(c.T.String())
-	}
-	b.WriteByte(')')
-	return b.String()
 }
 
 // sanitizeIdent keeps job-derived table names to identifier characters.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -10,7 +11,6 @@ import (
 
 	"vsfabric/internal/client"
 	"vsfabric/internal/obs"
-	"vsfabric/internal/resilience"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -42,8 +42,7 @@ func (d *DefaultSource) WithObserver(o obs.Observer) *DefaultSource {
 func (d *DefaultSource) Register() { spark.RegisterSource(DefaultSourceName, d) }
 
 // CreateRelation implements spark.RelationProvider (the LOAD half of
-// Table 1). The map options are the External Data Source API's stringly
-// form; programmatic callers should build V2SOptions via NewV2SOptions.
+// Table 1).
 func (d *DefaultSource) CreateRelation(sc *spark.Context, options map[string]string) (spark.BaseRelation, error) {
 	opts, err := parseV2SOptions(options)
 	if err != nil {
@@ -69,101 +68,115 @@ func (d *DefaultSource) SaveRelation(sc *spark.Context, mode spark.SaveMode, opt
 }
 
 // The External Data Source API hands the connector a map[string]string (the
-// `opts` of Table 1). The functions below parse that map into the typed
-// options of options.go — all validation lives in the constructors; these
-// only turn strings into values, with actionable errors naming the bad key.
+// `opts` of Table 1). The functions below fill the typed options of
+// options.go from it, one optionKey per key the direction knows; a key it
+// does not know is an error, never a silently ignored default.
 
-// optLookup finds a key case-insensitively (the Spark options map convention).
-func optLookup(m map[string]string, k string) string {
-	for mk, v := range m {
-		if strings.EqualFold(mk, k) {
-			return v
-		}
-	}
-	return ""
+// optionKey is one option: its spelling (matched case-insensitively, the
+// Spark options map convention) and the setter that parses its value.
+type optionKey struct {
+	name string
+	set  func(v string) (ok bool)
 }
 
-// parseCommon converts the shared string options into functional options.
-func parseCommon(m map[string]string) (table, host string, opts []Option, err error) {
-	table = optLookup(m, "table")
-	host = optLookup(m, "host")
-	if u, p, db := optLookup(m, "user"), optLookup(m, "password"), optLookup(m, "db"); u != "" || p != "" || db != "" {
-		opts = append(opts, WithCredentials(u, p, db))
-	}
-	if v := optLookup(m, "numpartitions"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad numPartitions %q", v)
+func stringOpt(dst *string) func(string) bool {
+	return func(v string) bool { *dst = v; return true }
+}
+
+func positiveIntOpt(dst *int) func(string) bool {
+	return func(v string) bool {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			return false
 		}
-		opts = append(opts, WithPartitions(n))
+		*dst = n
+		return true
 	}
-	var pol resilience.Policy
-	havePol := false
-	if v := optLookup(m, "retry_attempts"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad retry_attempts %q", v)
+}
+
+func millisOpt(dst *time.Duration) func(string) bool {
+	return func(v string) bool {
+		var n int
+		ok := positiveIntOpt(&n)(v)
+		*dst = time.Duration(n) * time.Millisecond
+		return ok
+	}
+}
+
+// connKeys are the options both directions share.
+func connKeys(c *ConnOptions) []optionKey {
+	return []optionKey{
+		{"table", stringOpt(&c.Table)},
+		{"host", stringOpt(&c.Host)},
+		{"user", stringOpt(&c.User)},
+		{"password", stringOpt(&c.Password)},
+		{"db", stringOpt(&c.DB)},
+		{"numPartitions", positiveIntOpt(&c.NumPartitions)},
+		{"retry_attempts", positiveIntOpt(&c.Retry.MaxAttempts)},
+		{"retry_backoff_ms", millisOpt(&c.Retry.BaseBackoff)},
+		{"op_timeout_ms", millisOpt(&c.Retry.OpTimeout)},
+	}
+}
+
+// applyOptions runs every entry of m through its key's setter, in key order
+// so the error for a map with several mistakes does not depend on map
+// iteration. An empty value leaves the option at its default.
+func applyOptions(m map[string]string, direction string, keys []optionKey) error {
+	given := make([]string, 0, len(m))
+	for k := range m {
+		given = append(given, k)
+	}
+	sort.Strings(given)
+next:
+	for _, k := range given {
+		for _, key := range keys {
+			if !strings.EqualFold(k, key.name) {
+				continue
+			}
+			if v := m[k]; v != "" && !key.set(v) {
+				return fmt.Errorf("core: bad %s %q", key.name, v)
+			}
+			continue next
 		}
-		pol.MaxAttempts, havePol = n, true
-	}
-	if v := optLookup(m, "retry_backoff_ms"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad retry_backoff_ms %q", v)
+		known := make([]string, len(keys))
+		for i, key := range keys {
+			known[i] = key.name
 		}
-		pol.BaseBackoff, havePol = time.Duration(n)*time.Millisecond, true
+		return fmt.Errorf("core: unknown %s option %q (known: %s)", direction, k, strings.Join(known, ", "))
 	}
-	if v := optLookup(m, "op_timeout_ms"); v != "" {
-		n, convErr := strconv.Atoi(v)
-		if convErr != nil || n <= 0 {
-			return table, host, opts, fmt.Errorf("core: bad op_timeout_ms %q", v)
-		}
-		pol.OpTimeout, havePol = time.Duration(n)*time.Millisecond, true
-	}
-	if havePol {
-		opts = append(opts, WithRetry(pol))
-	}
-	return table, host, opts, nil
+	return nil
 }
 
 // parseV2SOptions parses the map form of load options.
 func parseV2SOptions(m map[string]string) (V2SOptions, error) {
-	table, host, opts, err := parseCommon(m)
-	if err != nil {
-		return V2SOptions{}, err
+	var o V2SOptions
+	err := applyOptions(m, "load", append(connKeys(&o.ConnOptions),
+		optionKey{"disable_locality_optimization", func(v string) bool {
+			b, err := strconv.ParseBool(v)
+			o.DisableLocality = b
+			return err == nil
+		}}))
+	if err == nil {
+		err = o.validate()
 	}
-	if v := optLookup(m, "disable_locality_optimization"); v != "" {
-		b, convErr := strconv.ParseBool(v)
-		if convErr != nil {
-			return V2SOptions{}, fmt.Errorf("core: bad disable_locality_optimization %q", v)
-		}
-		if b {
-			opts = append(opts, WithoutLocality())
-		}
-	}
-	return NewV2SOptions(table, host, opts...)
+	return o, err
 }
 
 // parseS2VOptions parses the map form of save options.
 func parseS2VOptions(m map[string]string) (S2VOptions, error) {
-	table, host, opts, err := parseCommon(m)
-	if err != nil {
-		return S2VOptions{}, err
+	o := S2VOptions{CopyFormat: "avro"}
+	err := applyOptions(m, "save", append(connKeys(&o.ConnOptions),
+		optionKey{"jobname", stringOpt(&o.JobName)},
+		optionKey{"failedRowsPercentTolerance", func(v string) bool {
+			f, err := strconv.ParseFloat(v, 64)
+			o.FailedRowsPercentTolerance = f
+			return err == nil
+		}},
+		optionKey{"copy_format", func(v string) bool { o.CopyFormat = strings.ToLower(v); return true }}))
+	if err == nil {
+		err = o.validate()
 	}
-	if v := optLookup(m, "jobname"); v != "" {
-		opts = append(opts, WithJobName(v))
-	}
-	if v := optLookup(m, "failedrowspercenttolerance"); v != "" {
-		f, convErr := strconv.ParseFloat(v, 64)
-		if convErr != nil || f < 0 || f > 1 {
-			return S2VOptions{}, fmt.Errorf("core: bad failedRowsPercentTolerance %q (want [0,1])", v)
-		}
-		opts = append(opts, WithTolerance(f))
-	}
-	if v := optLookup(m, "copy_format"); v != "" {
-		opts = append(opts, WithCopyFormat(v))
-	}
-	return NewS2VOptions(table, host, opts...)
+	return o, err
 }
 
 // clusterLayout is what the driver discovers from the system catalog during
@@ -192,14 +205,14 @@ func discoverLayout(ctx context.Context, conn client.Conn, table string) (*clust
 		return nil, fmt.Errorf("core: cluster reports no nodes")
 	}
 
-	res, err = conn.Execute(ctx, fmt.Sprintf("SELECT is_segmented FROM v_catalog.tables WHERE table_name = '%s'", sqlEscape(table)))
+	res, err = conn.Execute(ctx, fmt.Sprintf("SELECT is_segmented FROM v_catalog.tables WHERE table_name = '%s'", types.SQLEscape(table)))
 	if err != nil {
 		return nil, err
 	}
 	switch len(res.Rows) {
 	case 0:
 		// Not a table: maybe a view.
-		vres, err := conn.Execute(ctx, fmt.Sprintf("SELECT view_name FROM v_catalog.views WHERE view_name = '%s'", sqlEscape(table)))
+		vres, err := conn.Execute(ctx, fmt.Sprintf("SELECT view_name FROM v_catalog.views WHERE view_name = '%s'", types.SQLEscape(table)))
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +234,7 @@ func discoverLayout(ctx context.Context, conn client.Conn, table string) (*clust
 		lay.schema = probe.Schema
 	} else {
 		cres, err := conn.Execute(ctx, fmt.Sprintf(
-			"SELECT column_name, data_type FROM v_catalog.columns WHERE table_name = '%s'", sqlEscape(table)))
+			"SELECT column_name, data_type FROM v_catalog.columns WHERE table_name = '%s'", types.SQLEscape(table)))
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +253,7 @@ func discoverLayout(ctx context.Context, conn client.Conn, table string) (*clust
 	if lay.segmented {
 		sres, err := conn.Execute(ctx, fmt.Sprintf(
 			"SELECT node_address, segment_lower_bound, segment_upper_bound FROM v_catalog.segments WHERE table_name = '%s'",
-			sqlEscape(table)))
+			types.SQLEscape(table)))
 		if err != nil {
 			return nil, err
 		}
@@ -262,22 +275,11 @@ func discoverLayout(ctx context.Context, conn client.Conn, table string) (*clust
 	return lay, nil
 }
 
-func sqlEscape(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\'' {
-			out = append(out, '\'')
-		}
-		out = append(out, s[i])
-	}
-	return string(out)
-}
-
 // segmentationExpr returns the SQL hash expression matching the table's
 // segmentation, read from the catalog.
 func segmentationExpr(ctx context.Context, conn client.Conn, table string) (string, error) {
 	res, err := conn.Execute(ctx, fmt.Sprintf(
-		"SELECT segment_expression FROM v_catalog.tables WHERE table_name = '%s'", sqlEscape(table)))
+		"SELECT segment_expression FROM v_catalog.tables WHERE table_name = '%s'", types.SQLEscape(table)))
 	if err != nil {
 		return "", err
 	}

@@ -8,7 +8,6 @@ import (
 	"vsfabric/internal/client"
 	"vsfabric/internal/obs"
 	"vsfabric/internal/resilience"
-	"vsfabric/internal/sim"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vhash"
@@ -44,14 +43,6 @@ type v2sRelation struct {
 // any task's modeled cost).
 func driverCtx() context.Context {
 	return obs.WithPeer(context.Background(), "driver")
-}
-
-// taskCtx is the context a task's database operations run under: sim cost
-// events route to the task's recorder, and the executor's name travels to the
-// engine as the session peer.
-func taskCtx(tc *spark.TaskContext) context.Context {
-	ctx := obs.With(context.Background(), sim.Recorder{Rec: tc.Rec})
-	return obs.WithPeer(ctx, tc.ExecNode)
 }
 
 func newV2SRelation(sc *spark.Context, pool client.Connector, opts V2SOptions) (*v2sRelation, error) {
@@ -91,47 +82,9 @@ func newV2SRelation(sc *spark.Context, pool client.Connector, opts V2SOptions) (
 // Schema implements spark.BaseRelation.
 func (r *v2sRelation) Schema() (types.Schema, error) { return r.lay.schema, nil }
 
-// filterSQL translates a pushdown filter into engine SQL.
-func filterSQL(f spark.Filter) (string, error) {
-	lit := func(v types.Value) string {
-		if v.Null {
-			return "NULL"
-		}
-		if v.T == types.Varchar {
-			return "'" + sqlEscape(v.S) + "'"
-		}
-		return v.String()
-	}
-	switch ff := f.(type) {
-	case spark.EqualTo:
-		return fmt.Sprintf("%s = %s", ff.Col, lit(ff.Value)), nil
-	case spark.GreaterThan:
-		return fmt.Sprintf("%s > %s", ff.Col, lit(ff.Value)), nil
-	case spark.GreaterThanOrEqual:
-		return fmt.Sprintf("%s >= %s", ff.Col, lit(ff.Value)), nil
-	case spark.LessThan:
-		return fmt.Sprintf("%s < %s", ff.Col, lit(ff.Value)), nil
-	case spark.LessThanOrEqual:
-		return fmt.Sprintf("%s <= %s", ff.Col, lit(ff.Value)), nil
-	case spark.IsNull:
-		return fmt.Sprintf("%s IS NULL", ff.Col), nil
-	case spark.IsNotNull:
-		return fmt.Sprintf("%s IS NOT NULL", ff.Col), nil
-	default:
-		return "", fmt.Errorf("core: filter %T cannot be pushed down", f)
-	}
-}
-
 func filtersSQL(filters []spark.Filter) (string, error) {
-	var parts []string
-	for _, f := range filters {
-		s, err := filterSQL(f)
-		if err != nil {
-			return "", err
-		}
-		parts = append(parts, s)
-	}
-	return strings.Join(parts, " AND "), nil
+	conds, err := spark.FiltersSQL(filters)
+	return strings.Join(conds, " AND "), err
 }
 
 // planPartitions computes the per-partition query specs from the discovered
@@ -311,7 +264,7 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 		if err := tc.Checkpoint("v2s.task_start"); err != nil {
 			return nil, err
 		}
-		ctx := obs.WithSpanContext(taskCtx(tc), jobSC)
+		ctx := obs.WithSpanContext(tc.Context(), jobSC)
 		sp := obs.StartChild(ctx, rel.opts.Observer, "v2s.partition", tc.ExecNode)
 		sp.SetDetail(fmt.Sprintf("partition %d/%d: %d specs, epoch %d", p, len(specs), len(specs[p]), epoch))
 		// Engine/wire spans from this task's queries parent under the

@@ -386,6 +386,14 @@ func (s *Spool) Sync() error {
 	return nil
 }
 
+// Syncs reports how many fsyncs the spool's segments have taken. An append is
+// written through and never synced; the engine's cost test holds it to that.
+func (s *Spool) Syncs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tear.Syncs
+}
+
 // FailAfterRecords installs the chaos hook: after n more successful appends
 // (across all components), the next record is torn mid-frame and every
 // subsequent operation returns ErrCrashed.

@@ -50,15 +50,7 @@ type Lit struct{ V types.Value }
 func (l *Lit) Eval(types.Row, *types.Schema) (types.Value, error) { return l.V, nil }
 
 // SQL implements Expr.
-func (l *Lit) SQL() string {
-	if l.V.Null {
-		return "NULL"
-	}
-	if l.V.T == types.Varchar {
-		return "'" + strings.ReplaceAll(l.V.S, "'", "''") + "'"
-	}
-	return l.V.String()
-}
+func (l *Lit) SQL() string { return l.V.SQLLiteral() }
 
 // Columns implements Expr.
 func (l *Lit) Columns(dst []string) []string { return dst }

@@ -71,7 +71,7 @@ func (f *FuncCall) SQL() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s='%s'", k, strings.ReplaceAll(f.Params[k], "'", "''"))
+			fmt.Fprintf(&b, "%s='%s'", k, types.SQLEscape(f.Params[k]))
 		}
 	}
 	b.WriteByte(')')

@@ -84,10 +84,11 @@ func (fm Format) ScanFile(path string, repair bool, accept func(payload []byte) 
 // Tear is the kill -9 simulation, shared by every Writer of one log (a WAL
 // file, or all segments of a spool): once armed, the append after n more
 // successful ones writes half its frame and every later operation reports
-// ErrCrashed.
+// ErrCrashed. It also counts the log's fsyncs, for the tests that bound them.
 type Tear struct {
 	armed, crashed bool
 	left           int
+	Syncs          int
 }
 
 // FailAfter arms the tear to fire on the append after n more successful ones.
@@ -191,6 +192,7 @@ func (w *Writer) Sync() error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
+	w.tear.Syncs++
 	return w.f.Sync()
 }
 

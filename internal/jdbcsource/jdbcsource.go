@@ -22,17 +22,10 @@ import (
 	"strings"
 
 	"vsfabric/internal/client"
-	"vsfabric/internal/obs"
 	"vsfabric/internal/sim"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 )
-
-// taskCtx routes sim cost events to the task's recorder and carries the
-// executor's name as the session peer.
-func taskCtx(tc *spark.TaskContext) context.Context {
-	return obs.WithPeer(obs.With(context.Background(), sim.Recorder{Rec: tc.Rec}), tc.ExecNode)
-}
 
 // SourceName is the registration name, mirroring Spark's "jdbc" format.
 const SourceName = "jdbc"
@@ -137,7 +130,7 @@ func (s *Source) CreateRelation(sc *spark.Context, m map[string]string) (spark.B
 	}
 	defer conn.Close()
 	res, err := conn.Execute(ctx, fmt.Sprintf(
-		"SELECT column_name, data_type FROM v_catalog.columns WHERE table_name = '%s'", escape(opts.table)))
+		"SELECT column_name, data_type FROM v_catalog.columns WHERE table_name = '%s'", types.SQLEscape(opts.table)))
 	if err != nil {
 		return nil, err
 	}
@@ -186,13 +179,9 @@ func (r *relation) BuildScan(requiredCols []string, filters []spark.Filter) (*sp
 	if len(requiredCols) == 0 {
 		requiredCols = r.schema.ColNames()
 	}
-	var conds []string
-	for _, f := range filters {
-		s, err := filterSQL(f)
-		if err != nil {
-			return nil, err
-		}
-		conds = append(conds, s)
+	conds, err := spark.FiltersSQL(filters)
+	if err != nil {
+		return nil, err
 	}
 	rel := r
 	return spark.NewRDD(r.sc, r.opts.numPartitions, func(tc *spark.TaskContext, p int) ([]types.Row, error) {
@@ -208,7 +197,7 @@ func (r *relation) BuildScan(requiredCols []string, filters []spark.Filter) (*sp
 			sql += " WHERE " + strings.Join(where, " AND ")
 		}
 		// All partitions connect to the single configured host.
-		ctx := taskCtx(tc)
+		ctx := tc.Context()
 		conn, err := rel.pool.Connect(ctx, rel.opts.host)
 		if err != nil {
 			return nil, err
@@ -258,7 +247,7 @@ func (s *Source) SaveRelation(sc *spark.Context, mode spark.SaveMode, m map[stri
 		}
 	}
 	if !exists {
-		if _, err := setup.Execute(sctx, fmt.Sprintf("CREATE TABLE %s %s", opts.table, ddlColumns(schema))); err != nil {
+		if _, err := setup.Execute(sctx, fmt.Sprintf("CREATE TABLE %s %s", opts.table, schema)); err != nil {
 			setup.Close()
 			return err
 		}
@@ -274,7 +263,7 @@ func (s *Source) SaveRelation(sc *spark.Context, mode spark.SaveMode, m map[stri
 		if err := tc.Checkpoint("jdbc.save.task_start"); err != nil {
 			return err
 		}
-		ctx := taskCtx(tc)
+		ctx := tc.Context()
 		conn, err := s.pool.Connect(ctx, host)
 		if err != nil {
 			return err
@@ -310,59 +299,9 @@ func (s *Source) SaveRelation(sc *spark.Context, mode spark.SaveMode, m map[stri
 }
 
 func rowLiterals(r types.Row) string {
-	var b strings.Builder
+	lits := make([]string, len(r))
 	for i, v := range r {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		switch {
-		case v.Null:
-			b.WriteString("NULL")
-		case v.T == types.Varchar:
-			b.WriteString("'" + escape(v.S) + "'")
-		default:
-			b.WriteString(v.String())
-		}
+		lits[i] = v.SQLLiteral()
 	}
-	return b.String()
-}
-
-func ddlColumns(s types.Schema) string {
-	var parts []string
-	for _, c := range s.Cols {
-		parts = append(parts, c.Name+" "+c.T.String())
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-func escape(s string) string { return strings.ReplaceAll(s, "'", "''") }
-
-func filterSQL(f spark.Filter) (string, error) {
-	lit := func(v types.Value) string {
-		if v.Null {
-			return "NULL"
-		}
-		if v.T == types.Varchar {
-			return "'" + escape(v.S) + "'"
-		}
-		return v.String()
-	}
-	switch ff := f.(type) {
-	case spark.EqualTo:
-		return fmt.Sprintf("%s = %s", ff.Col, lit(ff.Value)), nil
-	case spark.GreaterThan:
-		return fmt.Sprintf("%s > %s", ff.Col, lit(ff.Value)), nil
-	case spark.GreaterThanOrEqual:
-		return fmt.Sprintf("%s >= %s", ff.Col, lit(ff.Value)), nil
-	case spark.LessThan:
-		return fmt.Sprintf("%s < %s", ff.Col, lit(ff.Value)), nil
-	case spark.LessThanOrEqual:
-		return fmt.Sprintf("%s <= %s", ff.Col, lit(ff.Value)), nil
-	case spark.IsNull:
-		return fmt.Sprintf("%s IS NULL", ff.Col), nil
-	case spark.IsNotNull:
-		return fmt.Sprintf("%s IS NOT NULL", ff.Col), nil
-	default:
-		return "", fmt.Errorf("jdbcsource: filter %T not supported", f)
-	}
+	return strings.Join(lits, ", ")
 }

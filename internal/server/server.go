@@ -197,7 +197,7 @@ func (s *Server) serve(conn net.Conn) {
 				_ = s.sendBinError(conn, req.Tag, sessErr)
 				break
 			}
-			res, err := sess.ExecuteColumnar(s.reqCtx(conn, req), req.SQL)
+			res, err := sess.ExecuteColumnar(reqCtx(conn, req), req.SQL)
 			if err != nil {
 				_ = s.sendBinError(conn, req.Tag, err)
 				break
@@ -218,7 +218,7 @@ func (s *Server) serve(conn net.Conn) {
 				return
 			}
 			cr := &copyReader{conn: conn}
-			res, err := sess.CopyFromContext(s.reqCtx(conn, req), req.SQL, cr)
+			res, err := sess.CopyFromContext(reqCtx(conn, req), req.SQL, cr)
 			if err != nil {
 				if !copyRecoverable(sess, cr) {
 					_ = s.sendBinError(conn, req.Tag, fmt.Errorf("%w: COPY stream broken: %v", ErrProtocol, err))
@@ -257,19 +257,18 @@ func copyRecoverable(sess *vertica.Session, cr *copyReader) bool {
 	return false
 }
 
-// reqCtx builds the context one remote request executes under: the node's
-// own collector observes it (so remote sessions surface in this node's
-// v_monitor even outside a traced job), the span Peer is stamped from the
-// wire-carried client name or, failing that, the connection's remote
-// address, and any propagated trace context parents the session's spans
-// under the remote job.
-func (s *Server) reqCtx(conn net.Conn, req binRequest) context.Context {
-	ctx := obs.With(context.Background(), s.cluster.Obs())
+// reqCtx builds the context one remote request executes under: the span Peer
+// is stamped from the wire-carried client name or, failing that, the
+// connection's remote address, and any propagated trace context parents the
+// session's spans under the remote job. It carries no observer: the engine
+// records its spans on the cluster's collector itself, and a context observer
+// is the simulator's cost channel, which no remote client listens on.
+func reqCtx(conn net.Conn, req binRequest) context.Context {
 	peer := req.Peer
 	if peer == "" {
 		peer = conn.RemoteAddr().String()
 	}
-	ctx = obs.WithPeer(ctx, peer)
+	ctx := obs.WithPeer(context.Background(), peer)
 	if req.TraceID != 0 {
 		ctx = obs.WithSpanContext(ctx, obs.SpanContext{TraceID: req.TraceID, SpanID: req.ParentID})
 	}

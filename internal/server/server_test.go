@@ -1,10 +1,15 @@
 package server
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"vsfabric/internal/client"
 	"vsfabric/internal/core"
+	"vsfabric/internal/obs"
+	"vsfabric/internal/sim"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -165,5 +170,79 @@ func TestConnectorOverTCP(t *testing.T) {
 			t.Fatalf("duplicate id %d", r[0].I)
 		}
 		seen[r[0].I] = true
+	}
+}
+
+// TestSimAccountingStaysInProcess pins where the simulator's cost events go.
+// A context observer is their only channel (Session.record), and only
+// in-process callers attach one: over TCP the statements of every kind leave
+// the node's collector without a "sim" count (it used to receive, count and
+// drop one event per statement, weighing every selected cell of a SELECT to
+// build it), while the same statements in-process under a sim.Recorder
+// record what they always did.
+func TestSimAccountingStaysInProcess(t *testing.T) {
+	cl, d := startCluster(t, 2)
+	run := func(ctx context.Context, conn client.Conn, table string) {
+		t.Helper()
+		defer conn.Close()
+		for _, sql := range []string{
+			"CREATE TABLE " + table + " (id INTEGER, v FLOAT, s VARCHAR) SEGMENTED BY HASH(id)",
+			"INSERT INTO " + table + " VALUES (1, 0.5, 'a'), (-20, NULL, 'bcd')",
+			"BEGIN",
+			"INSERT INTO " + table + " VALUES (3, 1.5, NULL)",
+			"COMMIT",
+		} {
+			if _, err := conn.Execute(ctx, sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		if _, err := conn.CopyFrom(ctx, "COPY "+table+" FROM STDIN FORMAT CSV DIRECT", strings.NewReader("4,2.5,x\n5,3.5,y\n")); err != nil {
+			t.Fatal(err)
+		}
+		res, err := conn.Execute(ctx, "SELECT id, v, s FROM "+table+" WHERE id < 5")
+		if err != nil || len(res.Rows) != 4 {
+			t.Fatalf("select: %d rows, %v", len(res.Rows), err)
+		}
+	}
+
+	wire, err := d.Connect(bg, cl.Node(0).Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(bg, wire, "tw")
+	if n := cl.Obs().Counter("sim"); n != 0 {
+		t.Errorf("collector counted %d sim events from TCP statements, want 0", n)
+	}
+	mon, _ := cl.Connect(0)
+	defer mon.Close()
+	if res := mon.MustExecute("SELECT * FROM v_monitor.counters WHERE counter_name = 'sim'"); len(res.Rows) != 0 {
+		t.Errorf("v_monitor.counters has a sim row: %v", res.Rows)
+	}
+
+	rec := sim.NewTrace().Task("t", "exec-0")
+	local, err := client.InProc(cl).Connect(bg, cl.Node(0).Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(obs.With(bg, sim.Recorder{Rec: rec}), local, "tl")
+	fixed := func(k sim.FixedKind) sim.Event { return sim.Event{Type: sim.FixedEv, FixedKind: k} }
+	load := func(rows, wire, insert, routed float64) sim.Event {
+		return sim.Event{Type: sim.LoadFlowEv, VNode: "v0", ResultRows: rows, WireBytes: wire, InsertRows: insert,
+			EncodeKind: sim.CPUCSVFormat, ParseKind: sim.CPUCSVParse, Route: map[[2]string]float64{{"v0", "v1"}: routed}}
+	}
+	want := []sim.Event{
+		fixed(sim.FixedTableDDL),
+		fixed(sim.FixedQuery), load(2, 108, 2, 44),
+		fixed(sim.FixedQuery), load(1, 52, 1, 20),
+		fixed(sim.FixedCommit),
+		fixed(sim.FixedQuery), load(2, 16, 0, 42),
+		fixed(sim.FixedQuery),
+		// Four rows of the text protocol's cell sizes: an INTEGER is 4 + its
+		// digits and sign, a FLOAT 23, a string 4 + its length, a NULL 4.
+		{Type: sim.QueryFlowEv, VNode: "v0", ResultRows: 4, ResultBytes: 116,
+			ScanRows: map[string]float64{"v0": 0, "v1": 5}, Shuffle: map[[2]string]float64{{"v1", "v0"}: 85}},
+	}
+	if got := rec.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("in-process events:\n got %+v\nwant %+v", got, want)
 	}
 }

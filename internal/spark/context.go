@@ -12,11 +12,13 @@
 package spark
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"vsfabric/internal/obs"
 	"vsfabric/internal/sim"
 )
 
@@ -101,6 +103,13 @@ type TaskContext struct {
 	Rec *sim.TaskRec
 
 	sc *Context
+}
+
+// Context is the context a task's database operations run under: sim cost
+// events route to the task's recorder, and the executor's name travels to the
+// engine as the session peer.
+func (tc *TaskContext) Context() context.Context {
+	return obs.WithPeer(obs.With(context.Background(), sim.Recorder{Rec: tc.Rec}), tc.ExecNode)
 }
 
 // Checkpoint gives the failure injector a chance to kill this task attempt

@@ -111,6 +111,35 @@ func EvalFilter(f Filter, r types.Row, s *types.Schema) bool {
 	}
 }
 
+// FiltersSQL renders pushdown filters as the SQL predicates a source sends to
+// the database in their place, one per filter, to be ANDed.
+func FiltersSQL(filters []Filter) ([]string, error) {
+	var conds []string
+	for _, f := range filters {
+		var cond string
+		switch ff := f.(type) {
+		case EqualTo:
+			cond = ff.Col + " = " + ff.Value.SQLLiteral()
+		case GreaterThan:
+			cond = ff.Col + " > " + ff.Value.SQLLiteral()
+		case GreaterThanOrEqual:
+			cond = ff.Col + " >= " + ff.Value.SQLLiteral()
+		case LessThan:
+			cond = ff.Col + " < " + ff.Value.SQLLiteral()
+		case LessThanOrEqual:
+			cond = ff.Col + " <= " + ff.Value.SQLLiteral()
+		case IsNull:
+			cond = ff.Col + " IS NULL"
+		case IsNotNull:
+			cond = ff.Col + " IS NOT NULL"
+		default:
+			return nil, fmt.Errorf("spark: filter %T cannot be pushed down", f)
+		}
+		conds = append(conds, cond)
+	}
+	return conds, nil
+}
+
 // BaseRelation is a loaded external relation.
 type BaseRelation interface {
 	Schema() (types.Schema, error)

@@ -175,6 +175,19 @@ func (v Value) String() string {
 	}
 }
 
+// SQLLiteral renders the value as a literal the SQL parser reads back: NULL,
+// a quoted string, or String's form.
+func (v Value) SQLLiteral() string {
+	if !v.Null && v.T == Varchar {
+		return "'" + SQLEscape(v.S) + "'"
+	}
+	return v.String()
+}
+
+// SQLEscape doubles the single quotes of s, for splicing between the quotes
+// of a SQL string literal.
+func SQLEscape(s string) string { return strings.ReplaceAll(s, "'", "''") }
+
 // Compare orders two values: NULLs sort first; numeric types compare
 // numerically across Int64/Float64; strings lexically; bools false<true.
 // It panics only on incomparable type combinations, which the planner rules

@@ -138,12 +138,9 @@ type Config struct {
 	// commit, and NewCluster recovers the last durable epoch from it on
 	// reopen. Empty (the default) runs fully in memory.
 	DataDir string
-	// ContainerCacheBytes bounds the decoded-container cache used when
-	// loading ROS files from DataDir (0 = storage.DefaultCacheBytes).
-	ContainerCacheBytes int
 	// Cache optionally shares a container cache across clusters (the
 	// kill-and-restart suite reopening the same directory). Nil allocates a
-	// private cache of ContainerCacheBytes.
+	// private cache of storage.DefaultCacheBytes.
 	Cache *storage.ContainerCache
 	// MetricsAddr, when set (e.g. "127.0.0.1:8085" or ":0"), starts an HTTP
 	// listener serving Prometheus-text /metrics and a /healthz probe that
@@ -160,11 +157,6 @@ type Config struct {
 	// WALFsyncStall raises a WAL_FSYNC_STALL event when a WAL fsync takes
 	// longer than this (0 = 50ms default, <0 = disabled).
 	WALFsyncStall time.Duration
-	// DisableDataCollector keeps a durable cluster from spooling monitoring
-	// history to DataDir/dc. The v_monitor.dc_* tables then error; the
-	// in-memory v_monitor tables are unaffected. Used to isolate the
-	// spooling cost in benchmarks and to opt out on write-sensitive disks.
-	DisableDataCollector bool
 }
 
 // Cluster is a running database cluster.
@@ -256,15 +248,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.dataDir = cfg.DataDir
 		c.cache = cfg.Cache
 		if c.cache == nil {
-			c.cache = storage.NewContainerCache(cfg.ContainerCacheBytes)
+			c.cache = storage.NewContainerCache(storage.DefaultCacheBytes)
 		}
 		if err := c.openDurable(); err != nil {
 			return nil, fmt.Errorf("vertica: opening data directory %s: %w", cfg.DataDir, err)
 		}
-		if !cfg.DisableDataCollector {
-			if err := c.openDC(); err != nil {
-				return nil, fmt.Errorf("vertica: opening data collector under %s: %w", cfg.DataDir, err)
-			}
+		if err := c.openDC(); err != nil {
+			return nil, fmt.Errorf("vertica: opening data collector under %s: %w", cfg.DataDir, err)
 		}
 	}
 	if cfg.MetricsAddr != "" {

@@ -22,14 +22,11 @@ func snapshotVis(c *Cluster) storage.Visibility {
 }
 
 // scanStats accumulates the per-query resource accounting that becomes one
-// QueryFlowEv for the performance layer.
+// QueryFlowEv for the performance layer. It is nil when the statement has no
+// observer to send that event to.
 type scanStats struct {
 	scanRows map[string]float64
 	shuffle  map[[2]string]float64
-}
-
-func newScanStats() *scanStats {
-	return &scanStats{scanRows: make(map[string]float64), shuffle: make(map[[2]string]float64)}
 }
 
 // selectSnapshot resolves a SELECT's read snapshot: AT EPOCH pins it;
@@ -67,7 +64,10 @@ func (s *Session) runSelect(st *vsql.Select, prof bool) (*Result, *selectPlan, e
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := newScanStats()
+	var stats *scanStats
+	if s.obsv != nil {
+		stats = &scanStats{scanRows: make(map[string]float64), shuffle: make(map[[2]string]float64)}
+	}
 	batches, err := s.run(plan, stats, prof)
 	if err != nil {
 		return nil, nil, err
@@ -260,7 +260,7 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanSt
 	results := make([]segResult, len(jobs))
 	runSegJobs(len(jobs), func(i int) {
 		res := &results[i]
-		remote := opts.gather && jobs[i].homeNode != s.node.ID
+		remote := stats != nil && opts.gather && jobs[i].homeNode != s.node.ID
 		var fs *vexec.FilterStats
 		if prof {
 			fs = &res.fstats
@@ -301,9 +301,11 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanSt
 		if res.err != nil {
 			return nil, 0, res.err
 		}
-		stats.scanRows[sim.VName(jobs[i].homeNode)] += float64(jobs[i].totalRows)
-		if res.shuffleB > 0 {
-			stats.shuffle[[2]string{sim.VName(jobs[i].homeNode), s.node.Name}] += res.shuffleB
+		if stats != nil {
+			stats.scanRows[sim.VName(jobs[i].homeNode)] += float64(jobs[i].totalRows)
+			if res.shuffleB > 0 {
+				stats.shuffle[[2]string{sim.VName(jobs[i].homeNode), s.node.Name}] += res.shuffleB
+			}
 		}
 		count += res.count
 		n.rowsIn += int64(jobs[i].totalRows)
@@ -410,7 +412,7 @@ func extractHashRange(where expr.Expr, tbl *catalog.Table) (vhash.Range, expr.Ex
 	if where == nil {
 		return full, nil
 	}
-	conjuncts := splitConjuncts(where, nil)
+	conjuncts := vexec.SplitConjuncts(where, nil)
 	hr := full
 	var residual []expr.Expr
 	for _, c := range conjuncts {
@@ -429,13 +431,6 @@ func extractHashRange(where expr.Expr, tbl *catalog.Table) (vhash.Range, expr.Ex
 	return hr, expr.Conjoin(residual...)
 }
 
-func splitConjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
-	if a, ok := e.(*expr.And); ok {
-		return splitConjuncts(a.R, splitConjuncts(a.L, dst))
-	}
-	return append(dst, e)
-}
-
 // hashBound recognizes HASH(cols) CMP literal conjuncts over the table's
 // segmentation expression and converts them to ring bounds.
 func hashBound(e expr.Expr, tbl *catalog.Table) (lo, hi *uint64, ok bool) {
@@ -445,10 +440,7 @@ func hashBound(e expr.Expr, tbl *catalog.Table) (lo, hi *uint64, ok bool) {
 	}
 	h, isHash := cmp.L.(*expr.HashFn)
 	lit, isLit := cmp.R.(*expr.Lit)
-	if !isHash || !isLit || lit.V.Null {
-		return nil, nil, false
-	}
-	if !hashMatchesSegmentation(h, tbl) {
+	if !isHash || !isLit || lit.V.Null || !vexec.HashMatchesSeg(h, tbl.Def.Schema, tbl.SegIdx) {
 		return nil, nil, false
 	}
 	n := lit.V.AsInt()
@@ -470,31 +462,6 @@ func hashBound(e expr.Expr, tbl *catalog.Table) (lo, hi *uint64, ok bool) {
 	default:
 		return nil, nil, false
 	}
-}
-
-// hashMatchesSegmentation reports whether a HASH(...) call computes exactly
-// the table's segmentation hash: HASH(*) for synthetic-hash relations
-// (unsegmented tables), or HASH(c1, ..., ck) naming the segmentation columns
-// in order.
-func hashMatchesSegmentation(h *expr.HashFn, tbl *catalog.Table) bool {
-	if len(h.Args) == 0 {
-		// HASH(*): matches when the table's per-row hashes are whole-row
-		// synthetic hashes, i.e. no explicit segmentation columns.
-		return len(tbl.SegIdx) == 0
-	}
-	if len(h.Args) != len(tbl.SegIdx) {
-		return false
-	}
-	for i, a := range h.Args {
-		col, ok := a.(*expr.Col)
-		if !ok {
-			return false
-		}
-		if tbl.Def.Schema.ColIndex(col.Name) != tbl.SegIdx[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // joinShape resolves a join step's ON columns against its two input schemas
@@ -572,7 +539,7 @@ func qualify(tr *vsql.TableRef, col string) string { return displayName(tr) + ".
 // recordQuery emits the QueryFlowEv for a completed SELECT. The result is
 // weighed from its vectors; the numbers are those its boxed rows would give.
 func (s *Session) recordQuery(res *Result, stats *scanStats) {
-	if s.obsv == nil {
+	if stats == nil {
 		return
 	}
 	bytes := 0.0

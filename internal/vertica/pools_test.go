@@ -75,7 +75,9 @@ func TestSetResourcePool(t *testing.T) {
 // TestAdmissionBoundsConcurrency runs many concurrent SELECT sessions
 // through a MAXCONCURRENCY 2 pool and asserts the engine never runs more
 // than 2 at once, queue waits surface in resource_queue_events and the
-// pool.queue histogram, and every statement still succeeds.
+// pool.queue histogram, and every statement still succeeds. The same load
+// outside the pool runs first as the control: it must exceed 2, or the bound
+// was never exercised.
 func TestAdmissionBoundsConcurrency(t *testing.T) {
 	c := MustNewCluster(1)
 	setup, _ := c.Connect(0)
@@ -86,45 +88,70 @@ func TestAdmissionBoundsConcurrency(t *testing.T) {
 
 	// Gate makes each admitted statement hold its slot until observed, via a
 	// UDx that blocks: concurrency peaks are deterministic, not timing-luck.
+	// A statement holds for `hold`, or until the peak first passes the pool's
+	// limit — the one thing the control arm waits for.
+	const limit = 2
 	var cur, peak atomic.Int64
+	var hold time.Duration
+	var exceeded chan struct{}
 	c.RegisterUDx("SLOWID", func(args []types.Value, _ map[string]string) (types.Value, error) {
 		n := cur.Add(1)
 		for {
 			old := peak.Load()
-			if n <= old || peak.CompareAndSwap(old, n) {
+			if n <= old {
+				break
+			}
+			if peak.CompareAndSwap(old, n) {
+				if old <= limit && n > limit {
+					close(exceeded)
+				}
 				break
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-exceeded:
+		case <-time.After(hold):
+		}
 		cur.Add(-1)
 		return args[0], nil
 	})
 
 	const workers = 8
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s, err := c.Connect(0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer s.Close()
-			if _, err := s.Execute("SET RESOURCE_POOL = tiny"); err != nil {
-				t.Error(err)
-				return
-			}
-			for j := 0; j < 5; j++ {
-				if _, err := s.Execute("SELECT SLOWID(a) FROM t"); err != nil {
+	load := func(poolName string, holdFor time.Duration) {
+		peak.Store(0)
+		hold, exceeded = holdFor, make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s, err := c.Connect(0)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-			}
-		}()
+				defer s.Close()
+				if poolName != "" {
+					if _, err := s.Execute("SET RESOURCE_POOL = " + poolName); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for j := 0; j < 5; j++ {
+					if _, err := s.Execute("SELECT SLOWID(a) FROM t"); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	load("", 10*time.Second)
+	if p := peak.Load(); p <= limit {
+		t.Fatalf("control: the load outside the pool peaked at %d concurrent statements, the limit of %d was never exercised", p, limit)
+	}
+	load("tiny", 2*time.Millisecond)
 	if p := peak.Load(); p > 2 {
 		t.Fatalf("observed %d concurrent statements, pool limit 2", p)
 	}

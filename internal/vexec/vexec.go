@@ -62,7 +62,7 @@ func Compile(where expr.Expr, schema types.Schema, segIdx []int) *Pred {
 		return p
 	}
 	var residual, hashed []expr.Expr
-	for _, c := range splitConjuncts(where, nil) {
+	for _, c := range SplitConjuncts(where, nil) {
 		if z, ok := collectZoneChecks(c, schema); ok {
 			p.zones = append(p.zones, z)
 		}
@@ -145,9 +145,10 @@ func applyKernels(kernels []Kernel, b *storage.Batch, sel []int32) []int32 {
 	return sel
 }
 
-func splitConjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
+// SplitConjuncts appends the operands of e's top-level ANDs to dst, in order.
+func SplitConjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
 	if a, ok := e.(*expr.And); ok {
-		return splitConjuncts(a.R, splitConjuncts(a.L, dst))
+		return SplitConjuncts(a.R, SplitConjuncts(a.L, dst))
 	}
 	return append(dst, e)
 }
@@ -239,10 +240,10 @@ func flipOp(op expr.CmpOp) expr.CmpOp {
 	}
 }
 
-// hashMatchesSeg reports whether HASH(...) computes the batch's precomputed
+// HashMatchesSeg reports whether HASH(...) computes the batch's precomputed
 // row hash: HASH(*) when hashes are whole-row synthetic (segIdx empty), or
 // HASH(c1..ck) naming the segmentation columns in order.
-func hashMatchesSeg(h *expr.HashFn, schema types.Schema, segIdx []int) bool {
+func HashMatchesSeg(h *expr.HashFn, schema types.Schema, segIdx []int) bool {
 	if len(h.Args) == 0 {
 		return len(segIdx) == 0
 	}
@@ -268,7 +269,7 @@ func lowerHashCmp(e expr.Expr, schema types.Schema, segIdx []int) (Kernel, bool)
 	}
 	h, isHash := c.L.(*expr.HashFn)
 	lit, isLit := c.R.(*expr.Lit)
-	if !isHash || !isLit || !hashMatchesSeg(h, schema, segIdx) {
+	if !isHash || !isLit || !HashMatchesSeg(h, schema, segIdx) {
 		return nil, false
 	}
 	if lit.V.Null {
