@@ -47,12 +47,11 @@ rebalance-test:
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
-# seed corpora), the handshake and unsupported-version refusals, pipelining
-# order and concurrent-connection suites, the mid-COPY desync and COPY-abort
-# regressions, the wire-equals-in-process differential, and the resource-pool
+# seed corpora), the handshake and unsupported-version refusals, the
+# mid-COPY desync and COPY-abort regressions, the wire-equals-in-process differential, and the resource-pool
 # admission suites — all under the race detector.
 wire-test: wire-fuzz
-	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|Pipeline|ExecuteStream|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential' ./internal/server/
+	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStream|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential' ./internal/server/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 
@@ -80,13 +79,15 @@ wire-fuzz:
 # retention, crash-tail truncation), the engine-level dc suites (history
 # surviving a simulated kill, retention via SET_DATA_COLLECTOR_POLICY,
 # seeded query events), the /metrics + /healthz endpoint suites, and the
-# Chrome-trace exporter and the data collector's per-statement cost bound
-# (records, writes, fsyncs, allocations — counts, not a stopwatch) — all
-# under the race detector.
+# Chrome-trace exporter, the data collector's per-statement cost bound
+# (records, writes, fsyncs, allocations — counts, not a stopwatch), and the
+# simulator's accounting pins (what a traced statement records, what an
+# untraced one allocates) — all under the race detector.
 obs-test:
 	$(GO) test -race ./internal/dc/
 	$(GO) test -race ./internal/obs/
-	$(GO) test -race -run 'DC|QueryEvents|Metrics|Healthz|Counters|Profile|ChromeTrace' ./internal/vertica/
+	$(GO) test -race -run 'DC|QueryEvents|Metrics|Healthz|Counters|Profile|ChromeTrace|UntracedAccounting' ./internal/vertica/
+	$(GO) test -race -run 'SimAccounting' ./internal/server/
 
 # Microbenchmarks. BenchmarkScan*/BenchmarkCount* are the scan throughput
 # record; BenchmarkResultPath is one wire batch from container to boxed client

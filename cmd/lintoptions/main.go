@@ -12,11 +12,9 @@
 // Constructors take a config struct instead.
 //
 // Finally, it flags exported functions taking a map[string]interface{} (or
-// map[string]any) attribute bag anywhere outside internal/obs. Untyped bags
-// belong to the observability layer, whose span/event attributes are
-// genuinely open-schema; engine and connector APIs must spell their inputs
-// as typed structs so the compiler — not a runtime type switch — rejects a
-// wrong value.
+// map[string]any) attribute bag anywhere: APIs spell their inputs as typed
+// structs so the compiler — not a runtime type switch — rejects a wrong
+// value.
 //
 // Run as `make lint` (part of `make check`). Exit status 1 lists offenders.
 package main
@@ -153,9 +151,9 @@ func lintFile(fset *token.FileSet, root, path string) ([]string, error) {
 			bad = append(bad, fmt.Sprintf("%s:%d: exported %s%s takes map[string]string; use typed options (V2SOptions/S2VOptions) or allowlist it in cmd/lintoptions",
 				pos.Filename, pos.Line, rn, fd.Name.Name))
 		}
-		if takesAnyMap && !strings.HasPrefix(filepath.ToSlash(rel), "internal/obs") {
+		if takesAnyMap {
 			pos := fset.Position(fd.Pos())
-			bad = append(bad, fmt.Sprintf("%s:%d: exported %s%s takes map[string]interface{}; untyped attribute bags are reserved for internal/obs — use a typed struct",
+			bad = append(bad, fmt.Sprintf("%s:%d: exported %s%s takes map[string]interface{}; use a typed struct",
 				pos.Filename, pos.Line, rn, fd.Name.Name))
 		}
 		if takesDuration && rn == "" && isConstructor(fd.Name.Name) {

@@ -179,7 +179,7 @@ func (f *fabric) runNativeCopy(realRows int64, cols, parts int, scale float64) (
 			defer s.Close()
 			rec := f.trace.Task(fmt.Sprintf("copy-part-%03d", p), "")
 			rec.Fixed(sim.FixedConnect)
-			ctx := obs.WithPeer(obs.With(context.Background(), sim.Recorder{Rec: rec}), f.cluster.Node(node).Name)
+			ctx := sim.WithTask(obs.WithPeer(context.Background(), f.cluster.Node(node).Name), rec)
 			_, errs[p] = s.ExecuteContext(ctx, fmt.Sprintf("COPY d1copy FROM LOCAL '%s' FORMAT CSV DIRECT", paths[p]))
 		}(p)
 	}

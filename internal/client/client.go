@@ -8,9 +8,9 @@
 //
 // Every operation takes a context.Context: cancellation and deadlines flow
 // from the caller down to the engine (aborting in-flight COPY transactions),
-// and observability rides the same channel — attach an obs.Observer with
-// obs.With and every statement, load stream, and resilience event under that
-// context reports to it.
+// and so does the caller's identity for the engine's spans — peer name
+// (obs.WithPeer) and trace parent (obs.WithSpan) — and, for traced work, the
+// simulator's task record (sim.WithTask) its statements add cost events to.
 package client
 
 import (

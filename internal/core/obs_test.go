@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"vsfabric/internal/client"
 	"vsfabric/internal/obs"
+	"vsfabric/internal/sim"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -103,11 +106,35 @@ func checkCopyStages(t *testing.T, h *harness) (clean, died int) {
 	return clean, died
 }
 
+// taskDials is a connector that counts, per task record (sim.TaskFrom of
+// the dial's context), the connections it opened.
+type taskDials struct {
+	inner client.Connector
+	mu    sync.Mutex
+	n     map[*sim.TaskRec]int
+}
+
+func (d *taskDials) Connect(ctx context.Context, addr string) (client.Conn, error) {
+	conn, err := d.inner.Connect(ctx, addr)
+	if err == nil {
+		d.mu.Lock()
+		d.n[sim.TaskFrom(ctx)]++
+		d.mu.Unlock()
+	}
+	return conn, err
+}
+
 // TestVMonitorAfterConnectorRoundTrip: after a V2S load and an S2V save, the
 // connector's spans are queryable through the v_monitor system tables and
-// the collector holds the full span taxonomy.
+// the collector holds the full span taxonomy — and nothing of the cost trace,
+// which the same traced jobs record in their task records alone.
 func TestVMonitorAfterConnectorRoundTrip(t *testing.T) {
 	h := obsHarness(t, 4, 2)
+	trace := sim.NewTrace()
+	h.sc = spark.NewContext(spark.Conf{NumExecutors: 2, Trace: trace})
+	dials := &taskDials{inner: client.InProc(h.cluster), n: map[*sim.TaskRec]int{}}
+	h.src = NewDefaultSource(dials).WithObserver(h.cluster.Obs())
+	h.src.Register()
 	h.seedTable(t, "d1", 500)
 	h.cluster.Obs().Reset() // drop the seeding noise; watch only the jobs
 
@@ -209,6 +236,32 @@ func TestVMonitorAfterConnectorRoundTrip(t *testing.T) {
 	}
 	if v, _ := res.Value(); v.I != int64(h.cluster.NumNodes()) {
 		t.Errorf("projection_storage rows for d2 = %d, want %d", v.I, h.cluster.NumNodes())
+	}
+
+	// The cost trace has its own channel: no connect record reached the
+	// collector, and every task record holds one FixedConnect per connection
+	// its work opened.
+	if n := h.cluster.Obs().Counter("sim"); n != 0 {
+		t.Errorf("the collector counted %d sim events, want 0", n)
+	}
+	if res := h.query(t, "SELECT * FROM v_monitor.counters WHERE counter_name = 'sim'"); len(res) != 0 {
+		t.Errorf("v_monitor.counters has a sim row: %v", res)
+	}
+	traced := 0
+	for _, task := range trace.Tasks() {
+		connects := 0
+		for _, e := range task.Events() {
+			if e.Type == sim.FixedEv && e.FixedKind == sim.FixedConnect {
+				connects++
+			}
+		}
+		if connects != dials.n[task] {
+			t.Errorf("task %s recorded %d connects, opened %d connections", task.ID, connects, dials.n[task])
+		}
+		traced += connects
+	}
+	if traced == 0 {
+		t.Error("no task record holds a connect")
 	}
 }
 

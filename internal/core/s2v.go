@@ -69,7 +69,7 @@ func (w *s2vWriter) run(sc *spark.Context, df *spark.DataFrame) error {
 func (w *s2vWriter) runJob(sc *spark.Context, df *spark.DataFrame) error {
 	trace := sc.Conf().Trace
 	setupRec := trace.Task("driver-00-setup", "")
-	setupCtx := obs.WithPeer(obs.With(context.Background(), sim.Recorder{Rec: setupRec}), "driver")
+	setupCtx := sim.WithTask(obs.WithPeer(context.Background(), "driver"), setupRec)
 	setupCtx = obs.WithSpanContext(setupCtx, w.jobSC)
 
 	w.rpool = resilience.NewResilient(w.pool, nil, w.opts.Retry)
@@ -114,7 +114,7 @@ func (w *s2vWriter) runJob(sc *spark.Context, df *spark.DataFrame) error {
 	_, jobErr := reports.Collect()
 
 	teardownRec := trace.Task("driver-99-teardown", "")
-	teardownCtx := obs.WithPeer(obs.With(context.Background(), sim.Recorder{Rec: teardownRec}), "driver")
+	teardownCtx := sim.WithTask(obs.WithPeer(context.Background(), "driver"), teardownRec)
 	teardownCtx = obs.WithSpanContext(teardownCtx, w.jobSC)
 	if jobErr != nil {
 		// Total failure or a task out of retries: the staging table is

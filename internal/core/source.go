@@ -48,7 +48,7 @@ func (d *DefaultSource) CreateRelation(sc *spark.Context, options map[string]str
 	if err != nil {
 		return nil, err
 	}
-	opts.Observer = obs.Multi(opts.Observer, d.obsv)
+	opts.Observer = d.obsv
 	return newV2SRelation(sc, d.pool, opts)
 }
 
@@ -62,7 +62,7 @@ func (d *DefaultSource) SaveRelation(sc *spark.Context, mode spark.SaveMode, opt
 	if opts.JobName == "" {
 		opts.JobName = fmt.Sprintf("s2v_job_%d", d.jobSeq.Add(1))
 	}
-	opts.Observer = obs.Multi(opts.Observer, d.obsv)
+	opts.Observer = d.obsv
 	w := &s2vWriter{pool: d.pool, opts: opts, mode: mode}
 	return w.run(sc, df)
 }

@@ -39,7 +39,7 @@ type v2sRelation struct {
 }
 
 // driverCtx is the context driver-side control queries run under: they carry
-// the "driver" peer name but no sim cost recorder (setup work is not part of
+// the "driver" peer name but no sim task record (setup work is not part of
 // any task's modeled cost).
 func driverCtx() context.Context {
 	return obs.WithPeer(context.Background(), "driver")

@@ -152,27 +152,20 @@ func (c *Collector) histFor(name string) *histogram {
 	return h.(*histogram)
 }
 
-// Event records an event and bumps its counter. Events whose Payload is
-// non-nil are resource-accounting records for the sim cost model: they count
-// but are not kept in the event ring (they arrive per row batch and would
-// flush the interesting history).
+// Event records an event in the ring and bumps its counter.
 func (c *Collector) Event(ev Event) {
 	if !c.enabled.Load() {
 		return
 	}
-	if ev.Time.IsZero() && ev.Payload == nil {
+	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
 	c.mu.Lock()
 	c.counters[ev.Name]++
-	if ev.Payload == nil {
-		c.events.add(ev)
-	}
+	c.events.add(ev)
 	c.mu.Unlock()
-	if ev.Payload == nil {
-		if tap := c.tapEvent.Load(); tap != nil {
-			(*tap)(ev)
-		}
+	if tap := c.tapEvent.Load(); tap != nil {
+		(*tap)(ev)
 	}
 }
 

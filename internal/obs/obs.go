@@ -85,23 +85,18 @@ func NewID() uint64 {
 }
 
 // Event is one point-in-time occurrence: a retry, a breaker transition, a
-// failover — or a resource-accounting record carried opaquely in Payload for
-// the simulation cost model.
+// failover.
 type Event struct {
 	Time   time.Time
 	Name   string // event taxonomy name, e.g. "retry", "backoff", "breaker_open", "failover"
 	Node   string // node the event concerns ("" if none)
 	Detail string
-
-	// Payload carries structured data for observers that understand it (the
-	// sim recorder unwraps sim.Event values); the Collector stores events
-	// with a Payload only as counters, not in the event ring.
-	Payload any
 }
 
 // Observer receives completed spans and events. Implementations must be
-// safe for concurrent use. The Collector is the production observer; the
-// sim package's Recorder adapts the same hook to the performance model.
+// safe for concurrent use. The Collector is the production observer; it is
+// always wired explicitly (a cluster's own, a source's WithObserver, a
+// connector's SetObserver), never carried in a context.
 type Observer interface {
 	SpanEnd(sp Span)
 	Event(ev Event)
@@ -204,73 +199,12 @@ func (a *ActiveSpan) End(err error) {
 	a.o.SpanEnd(a.sp)
 }
 
-// multi fans out to several observers.
-type multi []Observer
-
-func (m multi) SpanEnd(sp Span) {
-	for _, o := range m {
-		o.SpanEnd(sp)
-	}
-}
-
-func (m multi) Event(ev Event) {
-	for _, o := range m {
-		o.Event(ev)
-	}
-}
-
-func (m multi) Enabled() bool {
-	for _, o := range m {
-		if e, ok := o.(enabler); !ok || e.Enabled() {
-			return true
-		}
-	}
-	return false
-}
-
-// Multi combines observers; nils are dropped, and a single survivor is
-// returned unwrapped.
-func Multi(os ...Observer) Observer {
-	var out multi
-	for _, o := range os {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
 type ctxKey int
 
 const (
-	observerKey ctxKey = iota
-	peerKey
+	peerKey ctxKey = iota
 	spanCtxKey
 )
-
-// With attaches an observer to the context; operations executed under it
-// (engine statements, resilient connects) report to o.
-func With(ctx context.Context, o Observer) context.Context {
-	if o == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, observerKey, o)
-}
-
-// From extracts the context's observer (nil if none).
-func From(ctx context.Context) Observer {
-	if ctx == nil {
-		return nil
-	}
-	o, _ := ctx.Value(observerKey).(Observer)
-	return o
-}
 
 // WithPeer names the client-side node of operations under this context (the
 // Spark executor in the simulated topology, "driver" for driver work).

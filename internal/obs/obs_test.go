@@ -91,65 +91,20 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestPayloadEventsCountButStayOutOfRing(t *testing.T) {
-	c := NewCollector()
-	c.Event(Event{Name: "sim.fixed", Payload: struct{}{}})
-	c.Event(Event{Name: "retry", Node: "v-node-0"})
-	if got := c.Counter("sim.fixed"); got != 1 {
-		t.Fatalf("payload event counter = %d, want 1", got)
-	}
-	evs := c.Events()
-	if len(evs) != 1 || evs[0].Name != "retry" {
-		t.Fatalf("event ring = %+v, want only the retry event", evs)
-	}
-}
-
-func TestMulti(t *testing.T) {
-	a, b := NewCollector(), NewCollector()
-	if Multi(nil, nil) != nil {
-		t.Fatal("Multi of nils should be nil")
-	}
-	if got := Multi(nil, a); got != Observer(a) {
-		t.Fatal("Multi with one survivor should unwrap it")
-	}
-	m := Multi(a, b)
-	Start(m, "execute", "n").End(nil)
-	m.Event(Event{Name: "retry"})
-	for i, c := range []*Collector{a, b} {
-		if len(c.Spans()) != 1 || c.Counter("retry") != 1 {
-			t.Fatalf("observer %d missed fan-out: spans=%d retry=%d", i, len(c.Spans()), c.Counter("retry"))
-		}
-	}
-	// A multi with every member disabled reports disabled.
-	a.SetEnabled(false)
-	b.SetEnabled(false)
-	if sp := Start(m, "x", ""); sp != nil {
-		t.Fatal("multi with all members disabled should refuse spans")
-	}
-	b.SetEnabled(true)
-	if sp := Start(m, "x", ""); sp == nil {
-		t.Fatal("multi with one enabled member should open spans")
-	}
-}
-
 func TestContextHelpers(t *testing.T) {
-	if From(nil) != nil || Peer(nil) != "" { //nolint:staticcheck // nil ctx tolerance is the contract
+	if Peer(nil) != "" { //nolint:staticcheck // nil ctx tolerance is the contract
 		t.Fatal("nil context should yield zero values")
 	}
 	ctx := context.Background()
-	if From(ctx) != nil || Peer(ctx) != "" {
+	if Peer(ctx) != "" {
 		t.Fatal("bare context should yield zero values")
 	}
-	c := NewCollector()
-	ctx = WithPeer(With(ctx, c), "spark-exec-3")
-	if From(ctx) != Observer(c) {
-		t.Fatal("From did not round-trip observer")
-	}
+	ctx = WithPeer(ctx, "spark-exec-3")
 	if Peer(ctx) != "spark-exec-3" {
 		t.Fatal("Peer did not round-trip")
 	}
-	if With(ctx, nil) != ctx || WithPeer(ctx, "") != ctx {
-		t.Fatal("With(nil)/WithPeer(\"\") should return ctx unchanged")
+	if WithPeer(ctx, "") != ctx {
+		t.Fatal("WithPeer(\"\") should return ctx unchanged")
 	}
 }
 

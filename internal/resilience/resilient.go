@@ -88,9 +88,8 @@ type breakerState struct {
 // schema mismatches) pass through untouched on the first attempt.
 //
 // Every recovery action (retry, backoff, breaker transition, failover)
-// emits an obs.Event to the connector's observer (SetObserver) and to the
-// operation context's observer — this is the event stream behind
-// v_monitor.resilience_events.
+// emits an obs.Event to the connector's observer (SetObserver) — this is the
+// event stream behind v_monitor.resilience_events.
 type ResilientConnector struct {
 	inner client.Connector
 	pol   Policy
@@ -141,10 +140,9 @@ func (r *ResilientConnector) observer() obs.Observer {
 	return r.obsv
 }
 
-// emit delivers a resilience event to the connector observer and the
-// operation context's observer.
-func (r *ResilientConnector) emit(ctx context.Context, ev obs.Event) {
-	if o := obs.Multi(r.observer(), obs.From(ctx)); o != nil {
+// emit delivers a resilience event to the connector observer.
+func (r *ResilientConnector) emit(ev obs.Event) {
+	if o := r.observer(); o != nil {
 		o.Event(ev)
 	}
 }
@@ -254,24 +252,24 @@ func (r *ResilientConnector) backoff(attempt int) time.Duration {
 }
 
 // sleepBackoff emits the backoff event and sleeps before a retry attempt.
-func (r *ResilientConnector) sleepBackoff(ctx context.Context, attempt int, addr string) {
+func (r *ResilientConnector) sleepBackoff(attempt int, addr string) {
 	d := r.backoff(attempt - 1)
-	r.emit(ctx, obs.Event{Name: "backoff", Node: addr, Detail: d.String()})
+	r.emit(obs.Event{Name: "backoff", Node: addr, Detail: d.String()})
 	r.sleep(d)
 }
 
 // Connect implements client.Connector: it dials addr, failing over across
 // the host set with backoff on transient errors. The returned connection
 // enforces the policy's per-operation deadline. Each successful connect
-// reports one sim FixedConnect cost event to the context's observer, so the
-// performance model counts connections wherever they are established.
+// adds one FixedConnect cost event to the context's task record (sim.TaskFrom),
+// so the performance model counts connections wherever they are established.
 func (r *ResilientConnector) Connect(ctx context.Context, addr string) (client.Conn, error) {
 	cands := r.candidates(addr)
 	var lastErr error
 	for attempt := 0; attempt < r.pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			r.emit(ctx, obs.Event{Name: "retry", Node: addr, Detail: fmt.Sprintf("connect attempt %d", attempt+1)})
-			r.sleepBackoff(ctx, attempt, addr)
+			r.emit(obs.Event{Name: "retry", Node: addr, Detail: fmt.Sprintf("connect attempt %d", attempt+1)})
+			r.sleepBackoff(attempt, addr)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -280,13 +278,12 @@ func (r *ResilientConnector) Connect(ctx context.Context, addr string) (client.C
 		conn, err := r.inner.Connect(ctx, host)
 		if err == nil {
 			if r.noteSuccess(host) {
-				r.emit(ctx, obs.Event{Name: "breaker_close", Node: host})
+				r.emit(obs.Event{Name: "breaker_close", Node: host})
 			}
 			if host != addr {
-				r.emit(ctx, obs.Event{Name: "failover", Node: host, Detail: "requested " + addr})
+				r.emit(obs.Event{Name: "failover", Node: host, Detail: "requested " + addr})
 			}
-			r.emit(ctx, obs.Event{Name: "sim", Node: host,
-				Payload: sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedConnect}})
+			sim.TaskFrom(ctx).Fixed(sim.FixedConnect)
 			if r.pol.OpTimeout > 0 {
 				return &deadlineConn{inner: conn, d: r.pol.OpTimeout}, nil
 			}
@@ -295,9 +292,9 @@ func (r *ResilientConnector) Connect(ctx context.Context, addr string) (client.C
 		if !IsTransient(err) {
 			return nil, err
 		}
-		r.emit(ctx, obs.Event{Name: "conn_failure", Node: host, Detail: err.Error()})
+		r.emit(obs.Event{Name: "conn_failure", Node: host, Detail: err.Error()})
 		if r.noteFailure(host) {
-			r.emit(ctx, obs.Event{Name: "breaker_open", Node: host})
+			r.emit(obs.Event{Name: "breaker_open", Node: host})
 		}
 		lastErr = err
 	}
@@ -315,8 +312,8 @@ func (r *ResilientConnector) Execute(ctx context.Context, addr, sql string) (*ve
 	var lastErr error
 	for attempt := 0; attempt < r.pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			r.emit(ctx, obs.Event{Name: "retry", Node: addr, Detail: fmt.Sprintf("statement attempt %d", attempt+1)})
-			r.sleepBackoff(ctx, attempt, addr)
+			r.emit(obs.Event{Name: "retry", Node: addr, Detail: fmt.Sprintf("statement attempt %d", attempt+1)})
+			r.sleepBackoff(attempt, addr)
 		}
 		// Rotate the preferred host per attempt: a node that accepts the
 		// connection but keeps failing statements (dying mid-scan) must not
@@ -454,8 +451,8 @@ func (d *DriverConn) Execute(ctx context.Context, sql string) (*vertica.Result, 
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			d.pool.emit(ctx, obs.Event{Name: "retry", Node: d.addr, Detail: fmt.Sprintf("driver statement attempt %d", attempt+1)})
-			d.pool.sleepBackoff(ctx, attempt, d.addr)
+			d.pool.emit(obs.Event{Name: "retry", Node: d.addr, Detail: fmt.Sprintf("driver statement attempt %d", attempt+1)})
+			d.pool.sleepBackoff(attempt, d.addr)
 		}
 		conn, err := d.ensure(ctx)
 		if err != nil {

@@ -260,9 +260,9 @@ func copyRecoverable(sess *vertica.Session, cr *copyReader) bool {
 // reqCtx builds the context one remote request executes under: the span Peer
 // is stamped from the wire-carried client name or, failing that, the
 // connection's remote address, and any propagated trace context parents the
-// session's spans under the remote job. It carries no observer: the engine
-// records its spans on the cluster's collector itself, and a context observer
-// is the simulator's cost channel, which no remote client listens on.
+// session's spans under the remote job. It carries no simulator task record
+// (sim.WithTask): no remote client keeps a cost trace, so remote statements
+// do no accounting.
 func reqCtx(conn net.Conn, req binRequest) context.Context {
 	peer := req.Peer
 	if peer == "" {

@@ -8,7 +8,6 @@ import (
 
 	"vsfabric/internal/client"
 	"vsfabric/internal/core"
-	"vsfabric/internal/obs"
 	"vsfabric/internal/sim"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
@@ -174,12 +173,12 @@ func TestConnectorOverTCP(t *testing.T) {
 }
 
 // TestSimAccountingStaysInProcess pins where the simulator's cost events go.
-// A context observer is their only channel (Session.record), and only
-// in-process callers attach one: over TCP the statements of every kind leave
-// the node's collector without a "sim" count (it used to receive, count and
-// drop one event per statement, weighing every selected cell of a SELECT to
-// build it), while the same statements in-process under a sim.Recorder
-// record what they always did.
+// A task record in the statement context (sim.WithTask) is their only
+// channel, and only in-process callers attach one: over TCP the statements of
+// every kind leave the node's collector without a "sim" count (it used to
+// receive, count and drop one event per statement, weighing every selected
+// cell of a SELECT to build it), while the same statements in-process under
+// a task record record what they always did.
 func TestSimAccountingStaysInProcess(t *testing.T) {
 	cl, d := startCluster(t, 2)
 	run := func(ctx context.Context, conn client.Conn, table string) {
@@ -224,7 +223,7 @@ func TestSimAccountingStaysInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(obs.With(bg, sim.Recorder{Rec: rec}), local, "tl")
+	run(sim.WithTask(bg, rec), local, "tl")
 	fixed := func(k sim.FixedKind) sim.Event { return sim.Event{Type: sim.FixedEv, FixedKind: k} }
 	load := func(rows, wire, insert, routed float64) sim.Event {
 		return sim.Event{Type: sim.LoadFlowEv, VNode: "v0", ResultRows: rows, WireBytes: wire, InsertRows: insert,

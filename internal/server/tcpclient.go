@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -53,8 +52,8 @@ func WithPeerName(name string) Option {
 
 // TCPConn is a client session over the wire protocol; it implements
 // client.Conn so the connector can run against a remote cluster unchanged.
-// A TCPConn is not safe for concurrent use; pipelining happens through the
-// explicit Pipeline API, not through concurrent Executes.
+// A TCPConn is not safe for concurrent use: each operation writes its
+// request and reads its response before returning.
 type TCPConn struct {
 	conn net.Conn
 	// opTimeout bounds each frame write and each response read; 0 = none.
@@ -111,8 +110,6 @@ func (c *TCPConn) deadline(ctx context.Context) time.Time {
 
 // armWrite/armRead push the matching I/O deadline forward before each
 // frame, so the timeout bounds a stall, not a whole streamed operation.
-// They are split (not one SetDeadline) so a pipeline can keep queueing
-// writes while an earlier response read is in flight.
 func (c *TCPConn) armWrite(ctx context.Context) error {
 	return c.conn.SetWriteDeadline(c.deadline(ctx))
 }
@@ -357,68 +354,6 @@ func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32, stream func(t
 			return nil, fmt.Errorf("%w: unexpected response frame %q", ErrProtocol, typ)
 		}
 	}
-}
-
-// Pipeline batches requests on one connection without waiting for their
-// responses: Queue writes each request immediately, Collect reads the
-// responses back in request order. One network round trip covers the whole
-// batch instead of one per statement.
-type Pipeline struct {
-	c    *TCPConn
-	tags []uint32
-	err  error
-}
-
-// PipeResult is one pipelined statement's outcome.
-type PipeResult struct {
-	Result *vertica.Result
-	Err    error
-}
-
-// Pipeline starts a request pipeline on the connection. The connection
-// must not be used for other operations until Collect returns.
-func (c *TCPConn) Pipeline() *Pipeline { return &Pipeline{c: c} }
-
-// Queue writes one query request without reading its response. The first
-// Queue performs the protocol handshake.
-func (p *Pipeline) Queue(ctx context.Context, sql string) error {
-	if p.err != nil {
-		return p.err
-	}
-	if err := p.c.handshake(ctx); err != nil {
-		p.err = err
-		return err
-	}
-	tag, err := p.c.sendBinRequest(ctx, frameBinQuery, sql)
-	if err != nil {
-		p.err = err
-		return err
-	}
-	p.tags = append(p.tags, tag)
-	return nil
-}
-
-// Collect reads every queued response, in request order. Statement
-// failures land in their PipeResult and later responses are still read;
-// connection-level failures (I/O errors, lost frame sync) abort the whole
-// collection. The pipeline is reset either way and can be reused.
-func (p *Pipeline) Collect(ctx context.Context) ([]PipeResult, error) {
-	tags := p.tags
-	p.tags = nil
-	if p.err != nil {
-		err := p.err
-		p.err = nil
-		return nil, err
-	}
-	out := make([]PipeResult, 0, len(tags))
-	for _, tag := range tags {
-		res, err := p.c.readBinResponse(ctx, tag, nil)
-		if err != nil && !errors.Is(err, ErrRemote) {
-			return nil, err
-		}
-		out = append(out, PipeResult{Result: res, Err: err})
-	}
-	return out, nil
 }
 
 // DialConnector is a client.Connector over TCP: it maps the cluster node

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -293,147 +292,6 @@ func TestUnsupportedVersionRefused(t *testing.T) {
 				t.Fatalf("after the refusal: %v, want EOF", err)
 			}
 		})
-	}
-}
-
-// --- pipelining -----------------------------------------------------------
-
-// TestPipelineOrderAndErrors queues a mixed batch (including a failing
-// statement mid-pipeline) and checks responses come back complete, in
-// order, with the failure isolated to its own slot.
-func TestPipelineOrderAndErrors(t *testing.T) {
-	cl := vertica.MustNewCluster(1)
-	srv := New(cl, 0)
-	ep, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialContext(bg, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Execute(bg, "CREATE TABLE seq (n INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-
-	p := c.Pipeline()
-	const batch = 40
-	for i := 0; i < batch; i++ {
-		sql := fmt.Sprintf("INSERT INTO seq VALUES (%d)", i)
-		if i == 17 {
-			sql = "SELECT * FROM no_such_table"
-		}
-		if err := p.Queue(bg, sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Queue(bg, "SELECT COUNT(*) FROM seq"); err != nil {
-		t.Fatal(err)
-	}
-	results, err := p.Collect(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != batch+1 {
-		t.Fatalf("%d results, want %d", len(results), batch+1)
-	}
-	for i, r := range results[:batch] {
-		if i == 17 {
-			if r.Err == nil || !errors.Is(r.Err, ErrRemote) {
-				t.Fatalf("slot 17: err = %v, want remote error", r.Err)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("slot %d: %v", i, r.Err)
-		}
-		if r.Result.RowsAffected != 1 {
-			t.Fatalf("slot %d: rows affected %d", i, r.Result.RowsAffected)
-		}
-	}
-	count := results[batch]
-	if count.Err != nil || count.Result.Rows[0][0].AsInt() != batch-1 {
-		t.Fatalf("final count: %+v", count)
-	}
-
-	// The pipeline resets after Collect and the connection still serves
-	// plain requests.
-	if err := p.Queue(bg, "SELECT 1 FROM seq WHERE n = 0"); err != nil {
-		t.Fatal(err)
-	}
-	if results, err = p.Collect(bg); err != nil || len(results) != 1 || results[0].Err != nil {
-		t.Fatalf("reused pipeline: %v %+v", err, results)
-	}
-	if _, err := c.Execute(bg, "SELECT COUNT(*) FROM seq"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPipelineConcurrentConnections drives many pipelining connections in
-// parallel (run under -race in CI) to shake out shared-state races in the
-// server's per-connection loops.
-func TestPipelineConcurrentConnections(t *testing.T) {
-	cl := vertica.MustNewCluster(1)
-	srv := New(cl, 0)
-	ep, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	setup, err := DialContext(bg, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := setup.Execute(bg, "CREATE TABLE race_t (n INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	setup.Close()
-
-	const conns, perConn = 8, 25
-	var wg sync.WaitGroup
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := DialContext(bg, ep)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			p := c.Pipeline()
-			for j := 0; j < perConn; j++ {
-				if err := p.Queue(bg, fmt.Sprintf("INSERT INTO race_t VALUES (%d)", id*perConn+j)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			results, err := p.Collect(bg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, r := range results {
-				if r.Err != nil {
-					t.Error(r.Err)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	check, err := DialContext(bg, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer check.Close()
-	res, err := check.Execute(bg, "SELECT COUNT(*) FROM race_t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Rows[0][0].AsInt(); got != conns*perConn {
-		t.Fatalf("count = %d, want %d", got, conns*perConn)
 	}
 }
 

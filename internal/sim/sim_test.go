@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -297,5 +298,19 @@ func TestSingleNetworkMapsInternalTraffic(t *testing.T) {
 	}
 	if !foundShared {
 		t.Error("shuffle demand should land on shared NICs")
+	}
+}
+
+// TestTaskContext: the task record rides its own context value; an untraced
+// context carries none, and a nil record leaves the context as it was.
+func TestTaskContext(t *testing.T) {
+	bg := context.Background()
+	if TaskFrom(bg) != nil || WithTask(bg, nil) != bg {
+		t.Fatal("an untraced context must carry no task record")
+	}
+	rec := NewTrace().Task("t", "s0")
+	TaskFrom(WithTask(bg, rec)).Fixed(FixedConnect)
+	if ev := rec.Events(); len(ev) != 1 || ev[0].FixedKind != FixedConnect {
+		t.Fatalf("events = %+v, want the one connect", ev)
 	}
 }

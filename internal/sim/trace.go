@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sort"
 	"sync"
 )
@@ -136,6 +137,26 @@ func (t *TaskRec) Disk(node string, bytes float64, write bool) {
 		return
 	}
 	t.Add(Event{Type: DiskEv, Node: node, Bytes: bytes, Write: write})
+}
+
+type taskKey struct{}
+
+// WithTask makes rec the task record of the work done under the returned
+// context: the engine's statements and the resilient connector's dials add
+// their cost events to it. It is the trace's only carrier into code that
+// takes just a context (client.Conn). A nil rec leaves ctx unchanged.
+func WithTask(ctx context.Context, rec *TaskRec) context.Context {
+	if rec == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, taskKey{}, rec)
+}
+
+// TaskFrom returns the context's task record, or nil — on which the
+// recording methods are no-ops — when the work is not traced.
+func TaskFrom(ctx context.Context) *TaskRec {
+	rec, _ := ctx.Value(taskKey{}).(*TaskRec)
+	return rec
 }
 
 // Events returns a copy of the recorded events.

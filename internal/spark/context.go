@@ -105,11 +105,11 @@ type TaskContext struct {
 	sc *Context
 }
 
-// Context is the context a task's database operations run under: sim cost
-// events route to the task's recorder, and the executor's name travels to the
-// engine as the session peer.
+// Context is the context a task's database operations run under: the
+// executor's name travels to the engine as the session peer, and a traced
+// task's record receives their cost events (an untraced task carries none).
 func (tc *TaskContext) Context() context.Context {
-	return obs.WithPeer(obs.With(context.Background(), sim.Recorder{Rec: tc.Rec}), tc.ExecNode)
+	return sim.WithTask(obs.WithPeer(context.Background(), tc.ExecNode), tc.Rec)
 }
 
 // Checkpoint gives the failure injector a chance to kill this task attempt

@@ -93,14 +93,18 @@ func (s *Session) writeColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.C
 // node. direct selects the ROS bulk path over the WOS. Stores hosted on DOWN
 // (or removed) nodes are skipped — their writes land on the surviving
 // replicas and are reconciled when the node recovers — but the statement
-// fails up front if any replica set is entirely unwritable. It returns the
-// bytes shuffled from the connected node to each other node, for resource
-// accounting.
+// fails up front if any replica set is entirely unwritable. A traced
+// statement gets back the bytes shuffled from the connected node to each
+// other node, for resource accounting; an untraced one gets nil, and nothing
+// is weighed.
 func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) (map[[2]string]float64, error) {
 	if err := s.writableCheck(tbl); err != nil {
 		return nil, err
 	}
-	route := make(map[[2]string]float64)
+	var route map[[2]string]float64
+	if s.rec != nil {
+		route = make(map[[2]string]float64)
+	}
 	hashes := storage.HashColumns(cols, tbl.SegIdx, n)
 	err := forEachTarget(tbl, cols, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error {
 		if !s.cluster.nodeAcceptsWrites(nodeID) {
@@ -113,7 +117,7 @@ func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.
 			return err
 		}
 		tx.NoteInsert(st)
-		if nodeID != s.node.ID {
+		if route != nil && nodeID != s.node.ID {
 			route[[2]string{s.node.Name, sim.VName(nodeID)}] += float64(batchWireSize(&storage.Batch{Cols: cols, Sel: storage.IdentitySel(len(hashes))}))
 		}
 		return nil
@@ -184,18 +188,20 @@ func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		wire := batchWireSize(&storage.Batch{Cols: cols, Sel: storage.IdentitySel(len(rows))})
-		s.record(sim.Event{
-			Type:       sim.LoadFlowEv,
-			CNode:      s.peer,
-			VNode:      s.node.Name,
-			WireBytes:  float64(wire + 32*len(rows)), // statement framing
-			EncodeKind: sim.CPUCSVFormat,
-			ParseKind:  sim.CPUCSVParse,
-			InsertRows: float64(len(rows)),
-			ResultRows: float64(len(rows)),
-			Route:      route,
-		})
+		if s.rec != nil {
+			wire := batchWireSize(&storage.Batch{Cols: cols, Sel: storage.IdentitySel(len(rows))})
+			s.rec.Add(sim.Event{
+				Type:       sim.LoadFlowEv,
+				CNode:      s.peer,
+				VNode:      s.node.Name,
+				WireBytes:  float64(wire + 32*len(rows)), // statement framing
+				EncodeKind: sim.CPUCSVFormat,
+				ParseKind:  sim.CPUCSVParse,
+				InsertRows: float64(len(rows)),
+				ResultRows: float64(len(rows)),
+				Route:      route,
+			})
+		}
 		return &Result{RowsAffected: int64(len(rows))}, nil
 	})
 }
@@ -363,7 +369,7 @@ func (s *Session) deleteStmt(table string, where expr.Expr, reinsert func([]stor
 				}
 			}
 		}
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedStatusOp})
+		s.rec.Fixed(sim.FixedStatusOp)
 		return &Result{RowsAffected: int64(n)}, nil
 	})
 }
@@ -467,7 +473,7 @@ func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *counti
 	if s.node.Down() {
 		return nil, fmt.Errorf("%w: node %d went down", ErrNodeDown, s.node.ID)
 	}
-	s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
+	s.rec.Fixed(sim.FixedQuery)
 	tbl, ok := s.cluster.cat.Table(cp.Table)
 	if !ok {
 		return nil, fmt.Errorf("vertica: table %q does not exist", cp.Table)
@@ -523,7 +529,7 @@ func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *counti
 		}); err != nil {
 			return nil, err
 		}
-		s.record(sim.Event{
+		s.rec.Add(sim.Event{
 			Type:       sim.LoadFlowEv,
 			CNode:      s.peer,
 			VNode:      s.node.Name,

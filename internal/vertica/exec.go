@@ -21,14 +21,6 @@ func snapshotVis(c *Cluster) storage.Visibility {
 	return storage.Visibility{Epoch: c.txm.LastEpoch()}
 }
 
-// scanStats accumulates the per-query resource accounting that becomes one
-// QueryFlowEv for the performance layer. It is nil when the statement has no
-// observer to send that event to.
-type scanStats struct {
-	scanRows map[string]float64
-	shuffle  map[[2]string]float64
-}
-
 // selectSnapshot resolves a SELECT's read snapshot: AT EPOCH pins it;
 // otherwise the open transaction's view or read-committed.
 func (s *Session) selectSnapshot(st *vsql.Select) (storage.Visibility, error) {
@@ -64,16 +56,12 @@ func (s *Session) runSelect(st *vsql.Select, prof bool) (*Result, *selectPlan, e
 	if err != nil {
 		return nil, nil, err
 	}
-	var stats *scanStats
-	if s.obsv != nil {
-		stats = &scanStats{scanRows: make(map[string]float64), shuffle: make(map[[2]string]float64)}
-	}
-	batches, err := s.run(plan, stats, prof)
+	batches, err := s.run(plan, prof)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := &Result{Schema: plan.schema, Batches: batches, Epoch: vis.Epoch}
-	s.recordQuery(res, stats)
+	s.recordQuery(plan, res)
 	s.recordPlan(plan, res.NumRows(), vis.Epoch)
 	return res, plan, nil
 }
@@ -155,18 +143,19 @@ var scanConcurrency = runtime.GOMAXPROCS(0)
 
 // segJob is one segment's share of a table scan: the replica serving it and
 // the physical rows a full scan of it visits (the planner's estimate and the
-// simulator's scan charge).
+// simulator's scan charge). gathered is an actual: the bytes a traced
+// gathering scan moved from a remote segment to the coordinating node.
 type segJob struct {
 	store     *storage.Store
 	homeNode  int
 	totalRows int
+	gathered  float64
 }
 
 // segResult is the outcome of scanning one segment.
 type segResult struct {
 	batches    []*storage.Batch
 	count      int64             // rows the batches select (kept or, with countOnly, not)
-	shuffleB   float64           // bytes gathered to the coordinator (0 when local)
 	fstats     vexec.FilterStats // kernel/residual work split (profile scans only)
 	contSeen   int64             // ROS containers considered
 	contPruned int64             // ROS containers skipped via zone maps
@@ -185,7 +174,7 @@ func (s *Session) buildSegJobs(tbl *catalog.Table, hr vhash.Range) ([]segJob, er
 		if err != nil {
 			return nil, err
 		}
-		return append(jobs, segJob{store, homeNode, store.TotalRows()}), nil
+		return append(jobs, segJob{store: store, homeNode: homeNode, totalRows: store.TotalRows()}), nil
 	}
 	segs := tbl.SegmentRanges()
 	for i := range tbl.Stores {
@@ -197,7 +186,7 @@ func (s *Session) buildSegJobs(tbl *catalog.Table, hr vhash.Range) ([]segJob, er
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, segJob{store, homeNode, store.TotalRows()})
+		jobs = append(jobs, segJob{store: store, homeNode: homeNode, totalRows: store.TotalRows()})
 	}
 	return jobs, nil
 }
@@ -255,12 +244,12 @@ func runSegJobs(n int, fn func(int)) {
 // stay valid, and keep showing the snapshot they were scanned at, after the
 // statement's epoch pin is gone. The returned count is the rows selected;
 // with countOnly it is all that is returned. The node's actuals are filled in.
-func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanStats, prof bool) ([]*storage.Batch, int64, error) {
+func (s *Session) scanBatches(n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, int64, error) {
 	jobs, pred, opts := n.jobs, n.pred, n.opts
 	results := make([]segResult, len(jobs))
 	runSegJobs(len(jobs), func(i int) {
 		res := &results[i]
-		remote := stats != nil && opts.gather && jobs[i].homeNode != s.node.ID
+		remote := s.rec != nil && opts.gather && jobs[i].homeNode != s.node.ID
 		var fs *vexec.FilterStats
 		if prof {
 			fs = &res.fstats
@@ -279,7 +268,7 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanSt
 					b = b.Project(opts.cols)
 				}
 				if remote {
-					res.shuffleB += float64(batchWireSize(b))
+					jobs[i].gathered += float64(batchWireSize(b))
 				}
 				res.batches = append(res.batches, b)
 			}
@@ -292,20 +281,13 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, stats *scanSt
 		}
 	})
 
-	// Deterministic merge in segment order; per-segment stats fold into the
-	// query's accounting on the coordinating goroutine only.
+	// Deterministic merge in segment order.
 	var out []*storage.Batch
 	var count int64
 	for i := range results {
 		res := &results[i]
 		if res.err != nil {
 			return nil, 0, res.err
-		}
-		if stats != nil {
-			stats.scanRows[sim.VName(jobs[i].homeNode)] += float64(jobs[i].totalRows)
-			if res.shuffleB > 0 {
-				stats.shuffle[[2]string{sim.VName(jobs[i].homeNode), s.node.Name}] += res.shuffleB
-			}
 		}
 		count += res.count
 		n.rowsIn += int64(jobs[i].totalRows)
@@ -536,25 +518,30 @@ func stripQualifier(name string) string {
 
 func qualify(tr *vsql.TableRef, col string) string { return displayName(tr) + "." + col }
 
-// recordQuery emits the QueryFlowEv for a completed SELECT. The result is
-// weighed from its vectors; the numbers are those its boxed rows would give.
-func (s *Session) recordQuery(res *Result, stats *scanStats) {
-	if stats == nil {
+// recordQuery adds a traced SELECT's QueryFlowEv, built from the run plan the
+// way recordPlan builds its query_plans row: every base-table scan, a view's
+// included, charges each segment's home node the rows a full scan of it
+// visits and the bytes it gathered to this node. The result is weighed from
+// its vectors; the numbers are those its boxed rows would give.
+func (s *Session) recordQuery(p *selectPlan, res *Result) {
+	if s.rec == nil {
 		return
 	}
-	bytes := 0.0
+	ev := sim.Event{Type: sim.QueryFlowEv, VNode: s.node.Name, CNode: s.peer, ResultRows: float64(res.NumRows()),
+		ScanRows: make(map[string]float64), Shuffle: make(map[[2]string]float64)}
 	for _, b := range res.Batches {
-		bytes += float64(batchTextSize(b))
+		ev.ResultBytes += float64(batchTextSize(b))
 	}
-	s.record(sim.Event{
-		Type:        sim.QueryFlowEv,
-		VNode:       s.node.Name,
-		CNode:       s.peer,
-		ResultBytes: bytes,
-		ResultRows:  float64(res.NumRows()),
-		ScanRows:    stats.scanRows,
-		Shuffle:     stats.shuffle,
+	p.each(func(n *planNode) {
+		for _, j := range n.jobs {
+			home := sim.VName(j.homeNode)
+			ev.ScanRows[home] += float64(j.totalRows)
+			if j.gathered > 0 {
+				ev.Shuffle[[2]string{home, s.node.Name}] += j.gathered
+			}
+		}
 	})
+	s.rec.Add(ev)
 }
 
 // textCellSize models the client protocol's text row encoding — the reason

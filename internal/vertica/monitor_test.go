@@ -192,15 +192,15 @@ func TestVMonitorCounters(t *testing.T) {
 	}
 }
 
-// TestExecuteContextObserver: an observer attached to the statement context
-// receives the execute span alongside the cluster collector.
-func TestExecuteContextObserver(t *testing.T) {
+// TestExecuteContextPeerAndCancel: the statement context's peer name lands
+// on the cluster's execute span as the client, and a cancelled context runs
+// nothing.
+func TestExecuteContextPeerAndCancel(t *testing.T) {
 	c := testCluster(t, 2)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE ot (id INTEGER)")
 
-	ext := obs.NewCollector()
-	ctx := obs.WithPeer(obs.With(context.Background(), ext), "spark-exec-3")
+	ctx := obs.WithPeer(context.Background(), "spark-exec-3")
 	if _, err := s.ExecuteContext(ctx, "INSERT INTO ot VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}

@@ -423,7 +423,7 @@ func estValue(est int64) types.Value {
 // pipeline's left side; every later scan is the right input of the join node
 // that follows it. prof turns on clock reads and the kernel/residual split
 // (PROFILE only).
-func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) ([]*storage.Batch, error) {
+func (s *Session) run(p *selectPlan, prof bool) ([]*storage.Batch, error) {
 	var cur, right []*storage.Batch
 	if p.nodes[0].op != opScan {
 		cur = []*storage.Batch{{Sel: []int32{0}}} // FROM-less input: one row of no columns
@@ -443,9 +443,9 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) ([]*storage.Ba
 		switch n.op {
 		case opScan:
 			if i == 0 {
-				cur, err = s.runScan(n, p.vis, stats, prof)
+				cur, err = s.runScan(n, p.vis, prof)
 			} else {
-				right, err = s.runScan(n, p.vis, stats, prof)
+				right, err = s.runScan(n, p.vis, prof)
 			}
 
 		case opJoin:
@@ -509,9 +509,9 @@ func (s *Session) run(p *selectPlan, stats *scanStats, prof bool) ([]*storage.Ba
 // its own plan and hands on its batches; a system table columnizes the rows it
 // was planned with. The derived batches take the node's schema and carry no
 // hashes: a view's rows are not the rows its base table's segmentation hashed.
-func (s *Session) runScan(n *planNode, vis storage.Visibility, stats *scanStats, prof bool) ([]*storage.Batch, error) {
+func (s *Session) runScan(n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, error) {
 	if n.tbl != nil {
-		batches, count, err := s.scanBatches(n, vis, stats, prof)
+		batches, count, err := s.scanBatches(n, vis, prof)
 		if n.opts.countOnly {
 			batches = []*storage.Batch{{Schema: n.schema, Cols: []storage.Column{&storage.Int64Column{Vals: []int64{count}}}, Sel: []int32{0}}}
 		}
@@ -520,7 +520,7 @@ func (s *Session) runScan(n *planNode, vis storage.Visibility, stats *scanStats,
 	var batches []*storage.Batch
 	var err error
 	if n.view != nil {
-		batches, err = s.run(n.view, stats, prof)
+		batches, err = s.run(n.view, prof)
 		for _, b := range batches {
 			b.Schema, b.Hashes = n.schema, nil
 		}

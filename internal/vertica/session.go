@@ -72,12 +72,12 @@ type Session struct {
 	node    *Node
 	tx      *txn.Txn // open explicit transaction, nil in autocommit
 
-	// obsv is the caller's observer for the current statement, extracted
-	// from the statement context (the sim cost recorder in benchmarks, a
-	// collector in tests); peer names the connecting client's host in the
-	// simulated topology (e.g. "s3"); curSQL is the statement's source text
-	// for v_monitor.query_plans. All are reset per statement.
-	obsv   obs.Observer
+	// rec is the current statement's simulator task record (sim.TaskFrom of
+	// its context; nil when untraced, and then no accounting is done); peer
+	// names the connecting client's host in the simulated topology (e.g.
+	// "s3"); curSQL is the statement's source text for v_monitor.query_plans.
+	// All are reset per statement.
+	rec    *sim.TaskRec
 	peer   string
 	curSQL string
 	// copyLocal marks the current COPY as reading a node-local file, so its
@@ -160,8 +160,9 @@ func (s *Session) Execute(sql string) (*Result, error) {
 }
 
 // ExecuteContext parses and runs one SQL statement. The context carries
-// cancellation and, via obs.With / obs.WithPeer, the caller's observer and
-// client-host name for the performance layer.
+// cancellation, the client-host name (obs.WithPeer) and trace identity for
+// the execute span, and, via sim.WithTask, the task record the performance
+// layer's cost events go to.
 func (s *Session) ExecuteContext(ctx context.Context, sql string) (*Result, error) {
 	res, err := s.ExecuteColumnar(ctx, sql)
 	return res.Materialize(), err
@@ -193,7 +194,7 @@ func (s *Session) ExecuteStmt(stmt vsql.Statement) (*Result, error) {
 	return res.Materialize(), err
 }
 
-// executeStmtCtx runs one statement: it binds the context's observer and
+// executeStmtCtx runs one statement: it binds the context's task record and
 // peer to the session for the statement's duration, opens the engine-side
 // "execute" span feeding v_monitor.query_requests, and dispatches.
 func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlText string) (*Result, error) {
@@ -203,7 +204,7 @@ func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlTe
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.obsv = obs.From(ctx)
+	s.rec = sim.TaskFrom(ctx)
 	s.peer = obs.Peer(ctx)
 	s.curSQL = sqlText
 	s.sysStmt = systemRead(stmt)
@@ -289,39 +290,39 @@ func (s *Session) dispatch(ctx context.Context, stmt vsql.Statement) (*Result, e
 	}
 	switch st := stmt.(type) {
 	case *vsql.Select:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
+		s.rec.Fixed(sim.FixedQuery)
 		return s.executeSelect(st)
 	case *vsql.Profile:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
+		s.rec.Fixed(sim.FixedQuery)
 		return s.executeProfile(st)
 	case *vsql.Explain:
 		return s.executeExplain(st)
 	case *vsql.Insert:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
+		s.rec.Fixed(sim.FixedQuery)
 		return s.executeInsert(st)
 	case *vsql.Update:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
+		s.rec.Fixed(sim.FixedQuery)
 		return s.executeUpdate(st)
 	case *vsql.Delete:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
+		s.rec.Fixed(sim.FixedQuery)
 		return s.executeDelete(st)
 	case *vsql.CreateTable:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedTableDDL})
+		s.rec.Fixed(sim.FixedTableDDL)
 		return s.executeCreateTable(st)
 	case *vsql.DropTable:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedTableDDL})
+		s.rec.Fixed(sim.FixedTableDDL)
 		return s.executeDropTable(st)
 	case *vsql.CreateView:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedTableDDL})
+		s.rec.Fixed(sim.FixedTableDDL)
 		return s.executeCreateView(st)
 	case *vsql.DropView:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedTableDDL})
+		s.rec.Fixed(sim.FixedTableDDL)
 		return s.executeDropView(st)
 	case *vsql.AlterRename:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedTableDDL})
+		s.rec.Fixed(sim.FixedTableDDL)
 		return s.executeRename(st)
 	case *vsql.AlterCluster:
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedTableDDL})
+		s.rec.Fixed(sim.FixedTableDDL)
 		return s.executeAlterCluster(st)
 	case *vsql.CreateResourcePool:
 		return s.executeCreatePool(st)
@@ -346,7 +347,7 @@ func (s *Session) dispatch(ctx context.Context, stmt vsql.Statement) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedCommit})
+		s.rec.Fixed(sim.FixedCommit)
 		return &Result{Epoch: epoch}, nil
 	case *vsql.Rollback:
 		if s.tx != nil {
@@ -388,7 +389,7 @@ func (s *Session) CopyFromContext(ctx context.Context, sql string, r io.Reader) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.obsv = obs.From(ctx)
+	s.rec = sim.TaskFrom(ctx)
 	s.peer = obs.Peer(ctx)
 	s.sysStmt = false
 	s.curTrace = obs.SpanContextFrom(ctx).TraceID
@@ -470,14 +471,6 @@ func (s *Session) maybeMoveout() {
 	}
 	if over && s.cluster.durable() {
 		_ = s.cluster.Checkpoint()
-	}
-}
-
-// record forwards a resource-usage event to the statement's observer; the
-// sim.Recorder observer unwraps the payload into the cost trace.
-func (s *Session) record(e sim.Event) {
-	if s.obsv != nil {
-		s.obsv.Event(obs.Event{Name: "sim", Node: s.node.Name, Payload: e})
 	}
 }
 
