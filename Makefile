@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test wire-test wire-fuzz obs-test lines
+.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test wire-test wire-fuzz obs-test lines
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -45,6 +45,16 @@ rebalance-test:
 	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep' ./internal/vertica/
 	$(GO) test -race -run 'SentinelRoundTrip' ./internal/server/
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
+
+# Connection-resilience gate: the resilient layer's units (retry budgets and
+# events, backoff, breakers, failover order, deadlines) and its seeded chaos
+# soak over S2V, the connector's chaos, driver-connection and elastic suites
+# and its one-connection planning pins, and the TCP client's deadline,
+# transient-flag and failover tests — all under the race detector.
+resilience-test:
+	$(GO) test -race ./internal/resilience/
+	$(GO) test -race -run 'Chaos|Driver|Elastic|Failover|NodeDown|V2SPlansOnOneConnection|V2SReplans' ./internal/core/
+	$(GO) test -race -run 'OpTimeout|TransientFlag|Failover' ./internal/server/
 
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
 # seed corpora), the handshake and unsupported-version refusals, the

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"vsfabric/internal/core"
+	"vsfabric/internal/obs"
 	"vsfabric/internal/server"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -30,13 +31,14 @@ type executor interface {
 }
 
 // tcpExec adapts the ctx-first TCP connection to the shell's one-shot
-// executor.
+// executor; ctx names the shell to the server as its peer.
 type tcpExec struct {
+	ctx  context.Context
 	conn *server.TCPConn
 }
 
 func (t tcpExec) Execute(sql string) (*vertica.Result, error) {
-	return t.conn.Execute(context.Background(), sql)
+	return t.conn.Execute(t.ctx, sql)
 }
 
 func main() {
@@ -49,13 +51,14 @@ func main() {
 	var local *vertica.Cluster // non-nil only for the in-process engine
 	switch {
 	case *connect != "":
-		conn, err := server.DialContext(context.Background(), *connect, server.WithPeerName("vsql"))
+		ctx := obs.WithPeer(context.Background(), "vsql")
+		conn, err := server.DialContext(ctx, *connect)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vsql: %v\n", err)
 			os.Exit(1)
 		}
 		defer conn.Close()
-		exec = tcpExec{conn}
+		exec = tcpExec{ctx, conn}
 		fmt.Printf("connected to %s\n", *connect)
 	default:
 		cluster, err := vertica.NewCluster(vertica.Config{Nodes: *nodes})

@@ -289,7 +289,7 @@ func segmentationExpr(ctx context.Context, conn client.Conn, table string) (stri
 	return res.Rows[0][0].S, nil
 }
 
-// resultToRows adapts engine results (used by small control queries).
+// singleInt reads a one-cell result (COUNT(*), LAST_EPOCH()) as an integer.
 func singleInt(res *vertica.Result) (int64, error) {
 	v, err := res.Value()
 	if err != nil {

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"vsfabric/internal/client"
+	"vsfabric/internal/obs"
 	"vsfabric/internal/vertica"
 )
 
@@ -111,10 +113,7 @@ func (s *stubConnector) Connect(_ context.Context, addr string) (client.Conn, er
 
 // fastPolicy keeps test retries snappy and deterministic.
 func fastPolicy() Policy {
-	return Policy{
-		MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-		JitterFrac: 0.2, BreakerThreshold: 2, BreakerCooldown: time.Minute, Seed: 7,
-	}
+	return Policy{MaxAttempts: 4, BaseBackoff: time.Millisecond}
 }
 
 // fakeSleeper records requested delays without sleeping.
@@ -197,9 +196,10 @@ func TestBreakerOpensAndCoolsDown(t *testing.T) {
 	now := base
 	r.SetClock(func() time.Time { return now })
 
-	// Each Connect call tries a once then fails over to b, so two calls
-	// accumulate the two consecutive failures that trip a's breaker.
-	for i := 0; i < 2; i++ {
+	// Each Connect call tries a once then fails over to b, so
+	// breakerThreshold calls accumulate the consecutive failures that trip
+	// a's breaker.
+	for i := 0; i < breakerThreshold; i++ {
 		conn, err := r.Connect(bg, "a")
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func TestBreakerOpensAndCoolsDown(t *testing.T) {
 	}
 
 	// After the cooldown a gets a trial again.
-	now = base.Add(pol.BreakerCooldown + time.Second)
+	now = base.Add(breakerCooldown + time.Second)
 	stub.mu.Lock()
 	stub.fail["a"] = 0
 	stub.calls = nil
@@ -290,6 +290,206 @@ func TestDeadlineConnTimesOut(t *testing.T) {
 		t.Errorf("post-timeout use: err = %v, want ErrConnDropped", err)
 	}
 	close(release) // let the hung op drain and the deferred close run
+}
+
+// TestCandidatesCoverEveryHost checks the failover order lists every host
+// once, whether or not the requested address is one of them — a user-given
+// host spelled differently from the catalog's node address, or the address of
+// a node since removed.
+func TestCandidatesCoverEveryHost(t *testing.T) {
+	r := NewResilient(newStubConnector(), []string{"a", "b", "c"}, fastPolicy())
+	for addr, want := range map[string][]string{
+		"a": {"a", "b", "c"},
+		"b": {"b", "c", "a"},
+		"c": {"c", "a", "b"},
+		"x": {"x", "a", "b", "c"},
+	} {
+		if got := r.candidates(addr); !slices.Equal(got, want) {
+			t.Errorf("candidates(%q) = %v, want %v", addr, got, want)
+		}
+	}
+	if got := NewResilient(newStubConnector(), nil, fastPolicy()).candidates("x"); !slices.Equal(got, []string{"x"}) {
+		t.Errorf("no host set: candidates = %v, want [x]", got)
+	}
+}
+
+// TestBackoffCapFollowsBase checks the backoff cap scales with the base: a
+// retry_backoff_ms of 500 waits 500ms (±jitter) before the second attempt,
+// not a fixed 100ms ceiling, and growth stops at backoffCap times the base.
+func TestBackoffCapFollowsBase(t *testing.T) {
+	stub := newStubConnector()
+	stub.fail["a"] = 1
+	fs := &fakeSleeper{}
+	r := NewResilient(stub, nil, Policy{BaseBackoff: 500 * time.Millisecond})
+	r.SetSleep(fs.sleep)
+	conn, err := r.Connect(bg, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if len(fs.delays) != 1 || fs.delays[0] < 400*time.Millisecond || fs.delays[0] > 600*time.Millisecond {
+		t.Fatalf("backoff delays = %v, want one within [400ms, 600ms]", fs.delays)
+	}
+	base := time.Millisecond
+	r = NewResilient(stub, nil, Policy{BaseBackoff: base})
+	lo := time.Duration(float64(backoffCap*base) * (1 - jitterFrac))
+	hi := time.Duration(float64(backoffCap*base) * (1 + jitterFrac))
+	for attempt := 6; attempt < 70; attempt += 7 {
+		if d := r.backoff(attempt); d < lo || d > hi {
+			t.Errorf("backoff(%d) = %v, want within [%v, %v]", attempt, d, lo, hi)
+		}
+	}
+}
+
+// TestBackoffHonoursCancellation checks a job cancelled during a backoff
+// stops waiting at once: with a 10s base backoff, cancelling 10ms in returns
+// context.Canceled well within a second.
+func TestBackoffHonoursCancellation(t *testing.T) {
+	stub := newStubConnector()
+	stub.fail["a"] = 100
+	r := NewResilient(stub, nil, Policy{BaseBackoff: 10 * time.Second})
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := r.Connect(ctx, "a")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("cancelled connect returned after %v", elapsed)
+	}
+}
+
+// TestRetryBudgetsAndEvents pins what each entry point of the resilient layer
+// spends on a fault script — inner connects, statements run — where the work
+// lands, and which recovery events it reports. Hosts are [a b c], the request
+// always names a, and the policy allows 4 attempts.
+func TestRetryBudgetsAndEvents(t *testing.T) {
+	const always = 100
+	connect := func(r *ResilientConnector) error {
+		conn, err := r.Connect(bg, "a")
+		if err == nil {
+			conn.Close()
+		}
+		return err
+	}
+	execute := func(r *ResilientConnector) error {
+		_, err := r.Execute(bg, "a", "SELECT 1")
+		return err
+	}
+	driver := func(stmts int) func(r *ResilientConnector) error {
+		return func(r *ResilientConnector) error {
+			d := NewDriverConn(r, "a")
+			defer d.Close()
+			for i := 0; i < stmts; i++ {
+				if _, err := d.Execute(bg, "SELECT 1"); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	syntaxErr := errors.New("vsql: syntax error")
+	cases := []struct {
+		name      string
+		run       func(*ResilientConnector) error
+		refuse    map[string]int // upcoming connects refused, per host
+		stmtFail  map[string]int // upcoming statements failing, per host
+		stmtErr   error          // what a failing statement returns (default: node down)
+		permanent bool           // every connect fails permanently
+		connects  int
+		stmts     int
+		host      string // where the last successful connect or statement landed
+		wantErr   bool
+		events    map[string]int64 // retry, backoff, failover, conn_failure
+	}{
+		{name: "connect/clean", run: connect, connects: 1, host: "a"},
+		{name: "connect/refused once fails over", run: connect, refuse: map[string]int{"a": 1},
+			connects: 2, host: "b", events: map[string]int64{"retry": 1, "backoff": 1, "failover": 1, "conn_failure": 1}},
+		{name: "connect/every host refuses", run: connect, refuse: map[string]int{"a": always, "b": always, "c": always},
+			connects: 4, wantErr: true, events: map[string]int64{"retry": 3, "backoff": 3, "conn_failure": 4}},
+		{name: "connect/permanent", run: connect, permanent: true, connects: 1, wantErr: true},
+
+		{name: "execute/clean", run: execute, connects: 1, stmts: 1, host: "a"},
+		{name: "execute/statement fails over", run: execute, stmtFail: map[string]int{"a": always},
+			connects: 2, stmts: 2, host: "b", events: map[string]int64{"retry": 1, "backoff": 1}},
+		{name: "execute/connect refused once", run: execute, refuse: map[string]int{"a": 1},
+			connects: 2, stmts: 1, host: "b", events: map[string]int64{"retry": 1, "backoff": 1, "failover": 1, "conn_failure": 1}},
+		{name: "execute/every statement fails", run: execute, stmtFail: map[string]int{"a": always, "b": always, "c": always},
+			connects: 4, stmts: 4, wantErr: true, events: map[string]int64{"retry": 3, "backoff": 3}},
+		{name: "execute/every connect refused", run: execute, refuse: map[string]int{"a": always, "b": always, "c": always},
+			connects: 16, wantErr: true, events: map[string]int64{"retry": 15, "backoff": 15, "conn_failure": 16}},
+		{name: "execute/permanent statement", run: execute, stmtFail: map[string]int{"a": 1}, stmtErr: syntaxErr,
+			connects: 1, stmts: 1, wantErr: true},
+
+		{name: "driver/clean, connection reused", run: driver(2), connects: 1, stmts: 2, host: "a"},
+		{name: "driver/connect refused once", run: driver(1), refuse: map[string]int{"a": 1},
+			connects: 2, stmts: 1, host: "b", events: map[string]int64{"retry": 1, "backoff": 1, "failover": 1, "conn_failure": 1}},
+		// A node that still accepts connections but fails every statement
+		// must not monopolize the driver's retry budget.
+		{name: "driver/statement moves to the next host", run: driver(1), stmtFail: map[string]int{"a": always},
+			connects: 2, stmts: 2, host: "b", events: map[string]int64{"retry": 1, "backoff": 1}},
+		{name: "driver/every statement fails", run: driver(1), stmtFail: map[string]int{"a": always, "b": always, "c": always},
+			connects: 4, stmts: 4, wantErr: true, events: map[string]int64{"retry": 3, "backoff": 3}},
+		{name: "driver/permanent statement", run: driver(1), stmtFail: map[string]int{"a": 1}, stmtErr: syntaxErr,
+			connects: 1, stmts: 1, wantErr: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stub := newStubConnector()
+			for h, n := range c.refuse {
+				stub.fail[h] = n
+			}
+			if c.permanent {
+				stub.permanentErr = errors.New("bad credentials")
+			}
+			stmtErr := c.stmtErr
+			if stmtErr == nil {
+				stmtErr = vertica.ErrNodeDown
+			}
+			stmtFail := map[string]int{}
+			for h, n := range c.stmtFail {
+				stmtFail[h] = n
+			}
+			stmts, last := 0, ""
+			stub.execute = func(host, sql string) (*vertica.Result, error) {
+				stmts++
+				if stmtFail[host] > 0 {
+					stmtFail[host]--
+					return nil, fmt.Errorf("%w: on %s", stmtErr, host)
+				}
+				last = host
+				return &vertica.Result{}, nil
+			}
+			r := NewResilient(stub, []string{"a", "b", "c"}, fastPolicy())
+			r.SetSleep(func(time.Duration) {})
+			col := obs.NewCollector()
+			r.SetObserver(col)
+
+			err := c.run(r)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("err = %v, want error %v", err, c.wantErr)
+			}
+			if c.stmts == 0 && len(stub.calls) > 0 && err == nil {
+				last = stub.calls[len(stub.calls)-1]
+			}
+			if len(stub.calls) != c.connects {
+				t.Errorf("inner connects = %d %v, want %d", len(stub.calls), stub.calls, c.connects)
+			}
+			if stmts != c.stmts {
+				t.Errorf("statements = %d, want %d", stmts, c.stmts)
+			}
+			if !c.wantErr && last != c.host {
+				t.Errorf("landed on %q, want %q", last, c.host)
+			}
+			for _, name := range []string{"retry", "backoff", "failover", "conn_failure"} {
+				if got := col.Counter(name); got != c.events[name] {
+					t.Errorf("%s events = %d, want %d", name, got, c.events[name])
+				}
+			}
+		})
+	}
 }
 
 // ---------- ChaosConnector against the real engine ----------

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,34 +16,42 @@ import (
 	"vsfabric/internal/vertica"
 )
 
-// Policy bounds how hard the resilient layer tries before giving up.
-// The zero value means "use the defaults" everywhere.
+// Policy bounds how hard the resilient layer tries before giving up. Each
+// field is what one connector option key sets; the zero value means "use the
+// defaults" everywhere.
 type Policy struct {
-	// MaxAttempts is the total connect (or connect+execute) attempts per
-	// operation, counting the first. Default 4.
+	// MaxAttempts is the total attempts per connect and per statement,
+	// counting the first (retry_attempts). Default 4.
 	MaxAttempts int
 	// BaseBackoff is the delay before the second attempt; it doubles per
-	// attempt up to MaxBackoff. Default 2ms (the substrate is in-process;
-	// real deployments raise both).
+	// attempt up to backoffCap times itself (retry_backoff_ms). Default 2ms
+	// (the substrate is in-process; real deployments raise it).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Default 100ms.
-	MaxBackoff time.Duration
-	// JitterFrac spreads each backoff uniformly over ±JitterFrac of itself so
-	// synchronized retries de-correlate. Default 0.2.
-	JitterFrac float64
-	// BreakerThreshold is how many consecutive connect failures open a node's
-	// circuit breaker. Default 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker diverts traffic away from a
-	// node before a trial connection is allowed again. Default 250ms.
-	BreakerCooldown time.Duration
 	// OpTimeout is the per-operation deadline applied to every Execute and
-	// CopyFrom on connections this layer hands out; 0 disables it. It is
-	// enforced as a context deadline layered under the caller's own context.
+	// CopyFrom on connections this layer hands out; 0 disables it
+	// (op_timeout_ms). It travels as a context deadline layered under the
+	// caller's own context, which is also how it reaches a TCP socket.
 	OpTimeout time.Duration
-	// Seed seeds the jitter source, keeping retry schedules reproducible.
-	Seed int64
 }
+
+// The fixed parts of the retry schedule.
+const (
+	// backoffCap bounds the exponential growth at this multiple of
+	// BaseBackoff: 100ms at the 2ms default.
+	backoffCap = 50
+	// jitterFrac spreads each backoff uniformly over ±jitterFrac of itself so
+	// synchronized retries de-correlate.
+	jitterFrac = 0.2
+	// jitterSeed seeds the jitter source, keeping retry schedules
+	// reproducible.
+	jitterSeed = 1
+	// breakerThreshold consecutive connect failures open a node's circuit
+	// breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker diverts traffic away from
+	// a node before a trial connection is allowed again.
+	breakerCooldown = 250 * time.Millisecond
+)
 
 // DefaultPolicy returns the defaults spelled out on Policy.
 func DefaultPolicy() Policy { return Policy{}.withDefaults() }
@@ -53,21 +62,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = 2 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 100 * time.Millisecond
-	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = 0.2
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = 3
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = 250 * time.Millisecond
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
 	}
 	return p
 }
@@ -93,7 +87,7 @@ type breakerState struct {
 type ResilientConnector struct {
 	inner client.Connector
 	pol   Policy
-	sleep func(time.Duration)
+	sleep func(time.Duration) // nil: wait on a timer, cancellable by ctx
 	now   func() time.Time
 
 	mu       sync.Mutex
@@ -111,16 +105,16 @@ func NewResilient(inner client.Connector, hosts []string, pol Policy) *Resilient
 	return &ResilientConnector{
 		inner:    inner,
 		pol:      pol,
-		sleep:    time.Sleep,
 		now:      time.Now,
 		hosts:    append([]string(nil), hosts...),
-		rng:      rand.New(rand.NewSource(pol.Seed)),
+		rng:      rand.New(rand.NewSource(jitterSeed)),
 		breakers: make(map[string]*breakerState),
 	}
 }
 
 // SetSleep and SetClock replace the timing sources (tests use fakes so no
-// real time passes).
+// real time passes). A replaced sleep cannot be cut short by cancellation;
+// the next attempt still sees the cancelled context and stops.
 func (r *ResilientConnector) SetSleep(f func(time.Duration)) { r.sleep = f }
 func (r *ResilientConnector) SetClock(f func() time.Time)    { r.now = f }
 
@@ -147,9 +141,6 @@ func (r *ResilientConnector) emit(ev obs.Event) {
 	}
 }
 
-// Policy returns the effective (defaulted) policy.
-func (r *ResilientConnector) Policy() Policy { return r.pol }
-
 // SetHosts installs the failover set once the cluster layout is known.
 func (r *ResilientConnector) SetHosts(hosts []string) {
 	r.mu.Lock()
@@ -158,23 +149,18 @@ func (r *ResilientConnector) SetHosts(hosts []string) {
 }
 
 // candidates returns the failover order for a requested address: the address
-// itself, then the other hosts cyclically from its position — so node i's
+// itself, then every other host cyclically from its position — so node i's
 // traffic fails over to node i+1 first, which is where its buddy projection
-// lives (buddy r of segment i is on node i+r+1 mod n).
+// lives (buddy r of segment i is on node i+r+1 mod n). An address outside the
+// host set is followed by the whole set in order.
 func (r *ResilientConnector) candidates(addr string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := []string{addr}
-	at := -1
-	for i, h := range r.hosts {
-		if h == addr {
-			at = i
-			break
-		}
-	}
-	for i := 1; i < len(r.hosts); i++ {
-		h := r.hosts[(at+i+len(r.hosts))%len(r.hosts)]
-		if h != addr {
+	n := len(r.hosts)
+	at := slices.Index(r.hosts, addr)
+	for i := 1; i <= n; i++ {
+		if h := r.hosts[(at+i)%n]; h != addr {
 			out = append(out, h)
 		}
 	}
@@ -209,9 +195,9 @@ func (r *ResilientConnector) noteFailure(host string) (opened bool) {
 		r.breakers[host] = b
 	}
 	b.consecutive++
-	if b.consecutive >= r.pol.BreakerThreshold {
+	if b.consecutive >= breakerThreshold {
 		wasOpen := r.now().Before(b.openUntil)
-		b.openUntil = r.now().Add(r.pol.BreakerCooldown)
+		b.openUntil = r.now().Add(breakerCooldown)
 		return !wasOpen
 	}
 	return false
@@ -223,7 +209,7 @@ func (r *ResilientConnector) noteSuccess(host string) (closed bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if b := r.breakers[host]; b != nil {
-		closed = b.consecutive >= r.pol.BreakerThreshold
+		closed = b.consecutive >= breakerThreshold
 		b.consecutive = 0
 		b.openUntil = time.Time{}
 	}
@@ -241,21 +227,55 @@ func (r *ResilientConnector) BreakerOpen(host string) bool {
 
 // backoff computes the jittered delay before attempt+1.
 func (r *ResilientConnector) backoff(attempt int) time.Duration {
-	d := r.pol.BaseBackoff << uint(attempt)
-	if d > r.pol.MaxBackoff || d <= 0 {
-		d = r.pol.MaxBackoff
+	limit := backoffCap * r.pol.BaseBackoff
+	d := r.pol.BaseBackoff
+	for i := 0; i < attempt && d < limit; i++ {
+		d *= 2
 	}
+	d = min(d, limit)
 	r.mu.Lock()
-	f := 1 - r.pol.JitterFrac + 2*r.pol.JitterFrac*r.rng.Float64()
+	f := 1 - jitterFrac + 2*jitterFrac*r.rng.Float64()
 	r.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }
 
-// sleepBackoff emits the backoff event and sleeps before a retry attempt.
-func (r *ResilientConnector) sleepBackoff(attempt int, addr string) {
-	d := r.backoff(attempt - 1)
-	r.emit(obs.Event{Name: "backoff", Node: addr, Detail: d.String()})
-	r.sleep(d)
+// wait blocks for d, returning early if ctx is done.
+func (r *ResilientConnector) wait(ctx context.Context, d time.Duration) {
+	if r.sleep != nil {
+		r.sleep(d)
+		return
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
+
+// attempts is the one retry loop: it runs op up to MaxAttempts times, with a
+// retry event and a jittered, cancellable backoff before every attempt after
+// the first. A nil or permanent error ends the loop as it is; a cancelled
+// context ends it with ctx.Err(); running out of attempts wraps the last
+// transient error. what names the operation in events and the final error;
+// addr is the address it was asked of.
+func (r *ResilientConnector) attempts(ctx context.Context, addr, what string, op func(attempt int) error) error {
+	var err error
+	for attempt := 0; attempt < r.pol.MaxAttempts; attempt++ {
+		if attempt > 0 {
+			r.emit(obs.Event{Name: "retry", Node: addr, Detail: fmt.Sprintf("%s attempt %d", what, attempt+1)})
+			d := r.backoff(attempt - 1)
+			r.emit(obs.Event{Name: "backoff", Node: addr, Detail: d.String()})
+			r.wait(ctx, d)
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		if err = op(attempt); !IsTransient(err) {
+			return err
+		}
+	}
+	return fmt.Errorf("resilience: %s to %s failed after %d attempts: %w", what, addr, r.pol.MaxAttempts, err)
 }
 
 // Connect implements client.Connector: it dials addr, failing over across
@@ -265,78 +285,48 @@ func (r *ResilientConnector) sleepBackoff(attempt int, addr string) {
 // so the performance model counts connections wherever they are established.
 func (r *ResilientConnector) Connect(ctx context.Context, addr string) (client.Conn, error) {
 	cands := r.candidates(addr)
-	var lastErr error
-	for attempt := 0; attempt < r.pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.emit(obs.Event{Name: "retry", Node: addr, Detail: fmt.Sprintf("connect attempt %d", attempt+1)})
-			r.sleepBackoff(attempt, addr)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	var conn client.Conn
+	err := r.attempts(ctx, addr, "connect", func(attempt int) error {
 		host := r.pick(cands, attempt)
-		conn, err := r.inner.Connect(ctx, host)
-		if err == nil {
-			if r.noteSuccess(host) {
-				r.emit(obs.Event{Name: "breaker_close", Node: host})
+		c, err := r.inner.Connect(ctx, host)
+		if err != nil {
+			if IsTransient(err) {
+				r.emit(obs.Event{Name: "conn_failure", Node: host, Detail: err.Error()})
+				if r.noteFailure(host) {
+					r.emit(obs.Event{Name: "breaker_open", Node: host})
+				}
 			}
-			if host != addr {
-				r.emit(obs.Event{Name: "failover", Node: host, Detail: "requested " + addr})
-			}
-			sim.TaskFrom(ctx).Fixed(sim.FixedConnect)
-			if r.pol.OpTimeout > 0 {
-				return &deadlineConn{inner: conn, d: r.pol.OpTimeout}, nil
-			}
-			return conn, nil
+			return err
 		}
-		if !IsTransient(err) {
-			return nil, err
+		if r.noteSuccess(host) {
+			r.emit(obs.Event{Name: "breaker_close", Node: host})
 		}
-		r.emit(obs.Event{Name: "conn_failure", Node: host, Detail: err.Error()})
-		if r.noteFailure(host) {
-			r.emit(obs.Event{Name: "breaker_open", Node: host})
+		if host != addr {
+			r.emit(obs.Event{Name: "failover", Node: host, Detail: "requested " + addr})
 		}
-		lastErr = err
+		conn = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("resilience: connect to %s failed after %d attempts: %w", addr, r.pol.MaxAttempts, lastErr)
+	sim.TaskFrom(ctx).Fixed(sim.FixedConnect)
+	if r.pol.OpTimeout > 0 {
+		return &deadlineConn{inner: conn, d: r.pol.OpTimeout}, nil
+	}
+	return conn, nil
 }
 
-// Execute connects (with failover) and runs one statement, retrying the
-// whole connect+execute pair on transient failures — so a node dying after
-// the session was established (mid-scan) still fails over. Use only for
-// idempotent statements (reads, conditional updates): a connection dropped
-// mid-statement leaves the outcome unknown, and this helper will run the
-// statement again.
+// Execute runs one statement on a one-shot DriverConn: connect (with
+// failover), execute, close — the whole pair retried on transient failures,
+// so a node dying after the session was established (mid-scan) still fails
+// over. Use only for idempotent statements (reads, conditional updates): a
+// connection dropped mid-statement leaves the outcome unknown, and this
+// helper will run the statement again.
 func (r *ResilientConnector) Execute(ctx context.Context, addr, sql string) (*vertica.Result, error) {
-	cands := r.candidates(addr)
-	var lastErr error
-	for attempt := 0; attempt < r.pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.emit(obs.Event{Name: "retry", Node: addr, Detail: fmt.Sprintf("statement attempt %d", attempt+1)})
-			r.sleepBackoff(attempt, addr)
-		}
-		// Rotate the preferred host per attempt: a node that accepts the
-		// connection but keeps failing statements (dying mid-scan) must not
-		// monopolize the retry budget.
-		conn, err := r.Connect(ctx, cands[attempt%len(cands)])
-		if err != nil {
-			if !IsTransient(err) {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		res, err := conn.Execute(ctx, sql)
-		conn.Close()
-		if err == nil {
-			return res, nil
-		}
-		if !IsTransient(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("resilience: statement failed after %d attempts: %w", r.pol.MaxAttempts, lastErr)
+	d := NewDriverConn(r, addr)
+	defer d.Close()
+	return d.Execute(ctx, sql)
 }
 
 // deadlineConn bounds every operation on a connection by a deadline, layered
@@ -360,14 +350,8 @@ func (c *deadlineConn) call(ctx context.Context, op func(context.Context) (*vert
 	if c.hung {
 		return nil, Transient(fmt.Errorf("%w: connection abandoned after earlier timeout", ErrConnDropped))
 	}
-	if c.d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.d)
-		defer cancel()
-	}
-	if ctx.Done() == nil {
-		return op(ctx)
-	}
+	ctx, cancel := context.WithTimeout(ctx, c.d)
+	defer cancel()
 	ch := make(chan opResult, 1)
 	go func() {
 		res, err := op(ctx)
@@ -426,16 +410,16 @@ func NewDriverConn(pool *ResilientConnector, addr string) *DriverConn {
 	return &DriverConn{pool: pool, addr: addr}
 }
 
-func (d *DriverConn) ensure(ctx context.Context) (client.Conn, error) {
-	if d.conn != nil {
-		return d.conn, nil
+// ensure returns the open session, dialing host if there is none.
+func (d *DriverConn) ensure(ctx context.Context, host string) (client.Conn, error) {
+	if d.conn == nil {
+		conn, err := d.pool.Connect(ctx, host)
+		if err != nil {
+			return nil, err
+		}
+		d.conn = conn
 	}
-	conn, err := d.pool.Connect(ctx, d.addr)
-	if err != nil {
-		return nil, err
-	}
-	d.conn = conn
-	return conn, nil
+	return d.conn, nil
 }
 
 func (d *DriverConn) drop() {
@@ -445,41 +429,35 @@ func (d *DriverConn) drop() {
 	}
 }
 
-// Execute implements client.Conn.
+// Execute implements client.Conn. A statement runs on the session the last
+// one left open; after a transient failure the session is dropped and the
+// retry dials the next host in the failover order, one host per attempt, so
+// a node that accepts connections but keeps failing statements (dying
+// mid-scan) cannot monopolize the retry budget.
 func (d *DriverConn) Execute(ctx context.Context, sql string) (*vertica.Result, error) {
-	pol := d.pool.Policy()
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			d.pool.emit(obs.Event{Name: "retry", Node: d.addr, Detail: fmt.Sprintf("driver statement attempt %d", attempt+1)})
-			d.pool.sleepBackoff(attempt, d.addr)
-		}
-		conn, err := d.ensure(ctx)
+	cands := d.pool.candidates(d.addr)
+	var res *vertica.Result
+	err := d.pool.attempts(ctx, d.addr, "statement", func(attempt int) error {
+		conn, err := d.ensure(ctx, cands[attempt%len(cands)])
 		if err != nil {
-			if !IsTransient(err) {
-				return nil, err
-			}
-			lastErr = err
-			continue
+			return err
 		}
-		res, err := conn.Execute(ctx, sql)
-		if err == nil {
-			return res, nil
+		if res, err = conn.Execute(ctx, sql); err != nil && IsTransient(err) {
+			d.drop()
 		}
-		if !IsTransient(err) {
-			return nil, err
-		}
-		d.drop()
-		lastErr = err
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("resilience: driver statement failed after %d attempts: %w", pol.MaxAttempts, lastErr)
+	return res, nil
 }
 
 // CopyFrom implements client.Conn. The data stream is not replayable, so only
 // the connection is established resiliently; a mid-copy fault surfaces to the
 // caller.
 func (d *DriverConn) CopyFrom(ctx context.Context, sql string, rd io.Reader) (*vertica.Result, error) {
-	conn, err := d.ensure(ctx)
+	conn, err := d.ensure(ctx, d.addr)
 	if err != nil {
 		return nil, err
 	}

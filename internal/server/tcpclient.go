@@ -20,45 +20,15 @@ import (
 // endpoint cannot wedge a client forever.
 const DefaultDialTimeout = 10 * time.Second
 
-// dialConfig collects the knobs DialContext options set.
-type dialConfig struct {
-	dialTimeout time.Duration
-	opTimeout   time.Duration
-	peerName    string
-}
-
-// Option configures a connection opened by DialContext.
-type Option func(*dialConfig)
-
-// WithDialTimeout bounds connection establishment (0 = no timeout; the
-// default is DefaultDialTimeout). The dial context's own deadline still
-// applies — whichever expires first wins.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *dialConfig) { c.dialTimeout = d }
-}
-
-// WithOpTimeout bounds every frame write and response read on the
-// connection, like SetOpTimeout (0 = no per-operation deadline).
-func WithOpTimeout(d time.Duration) Option {
-	return func(c *dialConfig) { c.opTimeout = d }
-}
-
-// WithPeerName names this client in requests that carry no peer of their
-// own, so server-side spans attribute work to the caller rather than an
-// ephemeral socket address.
-func WithPeerName(name string) Option {
-	return func(c *dialConfig) { c.peerName = name }
-}
-
 // TCPConn is a client session over the wire protocol; it implements
 // client.Conn so the connector can run against a remote cluster unchanged.
 // A TCPConn is not safe for concurrent use: each operation writes its
-// request and reads its response before returning.
+// request and reads its response before returning. Everything a call needs
+// besides the SQL travels in its context: the deadline that bounds its I/O,
+// the peer name the server attributes it to (obs.WithPeer), and its trace
+// identity.
 type TCPConn struct {
 	conn net.Conn
-	// opTimeout bounds each frame write and each response read; 0 = none.
-	opTimeout time.Duration
-	peerName  string
 
 	// shook records the lazy handshake done on the first operation. hsErr
 	// latches a failed handshake: the connection is in an unknown state and
@@ -70,52 +40,33 @@ type TCPConn struct {
 }
 
 // DialContext opens a session against a node server. The context bounds
-// connection establishment (alongside the dial timeout); per-operation
-// deadlines come from WithOpTimeout or each call's own context.
-func DialContext(ctx context.Context, addr string, opts ...Option) (*TCPConn, error) {
-	cfg := dialConfig{dialTimeout: DefaultDialTimeout}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	dialer := net.Dialer{Timeout: cfg.dialTimeout}
+// connection establishment alongside DefaultDialTimeout; each operation is
+// bounded by its own context's deadline.
+func DialContext(ctx context.Context, addr string) (*TCPConn, error) {
+	dialer := net.Dialer{Timeout: DefaultDialTimeout}
 	nc, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &TCPConn{
-		conn:      nc,
-		opTimeout: cfg.opTimeout,
-		peerName:  cfg.peerName,
-	}, nil
+	return &TCPConn{conn: nc}, nil
 }
 
-// SetOpTimeout bounds every subsequent frame write and response read; a
-// server that stops responding surfaces a timeout (classified transient)
-// instead of hanging the caller.
-func (c *TCPConn) SetOpTimeout(d time.Duration) { c.opTimeout = d }
-
-// deadline folds the per-operation timeout and the context deadline into
-// one I/O deadline: whichever expires first wins, and a context with no
-// deadline clears any stale one.
-func (c *TCPConn) deadline(ctx context.Context) time.Time {
-	var dl time.Time
-	if c.opTimeout > 0 {
-		dl = time.Now().Add(c.opTimeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (dl.IsZero() || d.Before(dl)) {
-		dl = d
-	}
+// deadline is the I/O deadline for a frame: the context's deadline, or none
+// — which also clears a stale one left by an earlier call.
+func deadline(ctx context.Context) time.Time {
+	dl, _ := ctx.Deadline()
 	return dl
 }
 
-// armWrite/armRead push the matching I/O deadline forward before each
-// frame, so the timeout bounds a stall, not a whole streamed operation.
+// armWrite/armRead set the calling operation's I/O deadline before each
+// frame, so a server that stops responding surfaces a timeout (classified
+// transient) instead of hanging the caller.
 func (c *TCPConn) armWrite(ctx context.Context) error {
-	return c.conn.SetWriteDeadline(c.deadline(ctx))
+	return c.conn.SetWriteDeadline(deadline(ctx))
 }
 
 func (c *TCPConn) armRead(ctx context.Context) error {
-	return c.conn.SetReadDeadline(c.deadline(ctx))
+	return c.conn.SetReadDeadline(deadline(ctx))
 }
 
 func (c *TCPConn) writeFrame(ctx context.Context, typ byte, payload []byte) error {
@@ -183,9 +134,6 @@ func (c *TCPConn) nextTag() uint32 {
 // span tree a job builds client-side continues uninterrupted on the server.
 func (c *TCPConn) sendBinRequest(ctx context.Context, typ byte, sql string) (uint32, error) {
 	req := binRequest{Tag: c.nextTag(), Peer: obs.Peer(ctx), SQL: sql}
-	if req.Peer == "" {
-		req.Peer = c.peerName
-	}
 	if sc := obs.SpanContextFrom(ctx); sc.Valid() {
 		req.TraceID, req.ParentID = sc.TraceID, sc.SpanID
 	}
@@ -362,11 +310,6 @@ func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32, stream func(t
 type DialConnector struct {
 	// Endpoints maps node address → "host:port".
 	Endpoints map[string]string
-	// DialTimeout bounds connection establishment (0 = DefaultDialTimeout).
-	DialTimeout time.Duration
-	// OpTimeout is applied to every dialed connection via SetOpTimeout
-	// (0 = no per-operation deadline).
-	OpTimeout time.Duration
 }
 
 // Connect implements client.Connector.
@@ -376,12 +319,5 @@ func (d *DialConnector) Connect(ctx context.Context, addr string) (client.Conn, 
 		// Allow dialing a raw endpoint directly.
 		ep = addr
 	}
-	dt := d.DialTimeout
-	if dt <= 0 {
-		dt = DefaultDialTimeout
-	}
-	return DialContext(ctx, ep,
-		WithDialTimeout(dt),
-		WithOpTimeout(d.OpTimeout),
-	)
+	return DialContext(ctx, ep)
 }
