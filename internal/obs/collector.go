@@ -12,21 +12,28 @@ import (
 // long-running fabric holds a fixed observability footprint.
 const DefaultRingCap = 4096
 
-// ring is a fixed-capacity overwrite-oldest buffer.
-type ring[T any] struct {
+// Ring is a bounded in-memory history: a fixed-capacity buffer whose Add
+// overwrites the oldest entry once full. It is the one history type of the
+// fabric — the collector's spans and events, the engine's query plans,
+// admission records and rebalance operations. Not safe for concurrent use:
+// its owner's lock guards it.
+type Ring[T any] struct {
 	buf  []T
 	next int // index of the slot the next write lands in
 	n    int // number of valid entries (<= cap)
 }
 
-func newRing[T any](capacity int) *ring[T] {
+// NewRing returns an empty ring of capacity entries (DefaultRingCap if
+// capacity <= 0).
+func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		capacity = DefaultRingCap
 	}
-	return &ring[T]{buf: make([]T, capacity)}
+	return &Ring[T]{buf: make([]T, capacity)}
 }
 
-func (r *ring[T]) add(v T) {
+// Add appends v, overwriting the oldest entry when the ring is full.
+func (r *Ring[T]) Add(v T) {
 	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
@@ -34,8 +41,8 @@ func (r *ring[T]) add(v T) {
 	}
 }
 
-// snapshot returns the entries oldest-first.
-func (r *ring[T]) snapshot() []T {
+// Snapshot returns a copy of the entries, oldest first.
+func (r *Ring[T]) Snapshot() []T {
 	out := make([]T, 0, r.n)
 	start := r.next - r.n
 	if start < 0 {
@@ -62,15 +69,14 @@ type Collector struct {
 	hists sync.Map
 
 	// tapSpan and tapEvent, when set via SetTap, observe every retained span
-	// and ring-worthy event after it lands — the durable data collector's
-	// feed. Called outside the collector's lock.
+	// and event after it lands — the durable data collector's feed. Called
+	// outside the collector's lock.
 	tapSpan  atomic.Pointer[func(Span)]
 	tapEvent atomic.Pointer[func(Event)]
 
 	mu       sync.Mutex
-	spans    *ring[Span]
-	events   *ring[Event]
-	qevents  *ring[QueryEvent]
+	spans    *Ring[Span]
+	events   *Ring[Event]
 	counters map[string]int64
 }
 
@@ -81,9 +87,8 @@ func NewCollector() *Collector { return NewCollectorCap(DefaultRingCap) }
 // hold at most capacity entries each.
 func NewCollectorCap(capacity int) *Collector {
 	c := &Collector{
-		spans:    newRing[Span](capacity),
-		events:   newRing[Event](capacity),
-		qevents:  newRing[QueryEvent](capacity),
+		spans:    NewRing[Span](capacity),
+		events:   NewRing[Event](capacity),
 		counters: make(map[string]int64),
 	}
 	c.enabled.Store(true)
@@ -100,9 +105,8 @@ func (c *Collector) SetEnabled(on bool) { c.enabled.Store(on) }
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.spans = newRing[Span](len(c.spans.buf))
-	c.events = newRing[Event](len(c.events.buf))
-	c.qevents = newRing[QueryEvent](len(c.qevents.buf))
+	c.spans = NewRing[Span](len(c.spans.buf))
+	c.events = NewRing[Event](len(c.events.buf))
 	c.counters = make(map[string]int64)
 	c.hists.Range(func(k, _ any) bool { c.hists.Delete(k); return true })
 }
@@ -136,7 +140,7 @@ func (c *Collector) SpanEnd(sp Span) {
 	sp.ID = c.seq.Add(1)
 	c.histFor(sp.Name).observe(sp.Duration)
 	c.mu.Lock()
-	c.spans.add(sp)
+	c.spans.Add(sp)
 	c.counters["span."+sp.Name]++
 	c.mu.Unlock()
 	if tap := c.tapSpan.Load(); tap != nil {
@@ -152,7 +156,9 @@ func (c *Collector) histFor(name string) *histogram {
 	return h.(*histogram)
 }
 
-// Event records an event in the ring and bumps its counter.
+// Event records an event in the ring and bumps the counter named after it.
+// It is the one entry for every event, the connector's resilience events and
+// the engine's query events alike (IsQueryEvent tells them apart).
 func (c *Collector) Event(ev Event) {
 	if !c.enabled.Load() {
 		return
@@ -162,7 +168,7 @@ func (c *Collector) Event(ev Event) {
 	}
 	c.mu.Lock()
 	c.counters[ev.Name]++
-	c.events.add(ev)
+	c.events.Add(ev)
 	c.mu.Unlock()
 	if tap := c.tapEvent.Load(); tap != nil {
 		(*tap)(ev)
@@ -185,14 +191,14 @@ func (c *Collector) Add(name string, delta int64) {
 func (c *Collector) Spans() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.spans.snapshot()
+	return c.spans.Snapshot()
 }
 
 // Events returns the retained events, oldest first.
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.events.snapshot()
+	return c.events.Snapshot()
 }
 
 // Counters returns a copy of all counters.

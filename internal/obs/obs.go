@@ -84,13 +84,23 @@ func NewID() uint64 {
 	return x
 }
 
-// Event is one point-in-time occurrence: a retry, a breaker transition, a
-// failover.
+// Event is one point-in-time occurrence: a connector retry, backoff, breaker
+// transition or failover, or a query event the engine raised about a
+// statement (IsQueryEvent).
 type Event struct {
 	Time   time.Time
-	Name   string // event taxonomy name, e.g. "retry", "backoff", "breaker_open", "failover"
+	Name   string // event taxonomy name, e.g. "retry", "failover", "SLOW_QUERY"
 	Node   string // node the event concerns ("" if none)
 	Detail string
+
+	// A query event also names the statement that raised it — its trace (0
+	// if none) and source text ("" for engine-internal events) — and the
+	// measured quantity that triggered it (rows, microseconds: the name
+	// defines the unit) with the limit it crossed (0 when unconditional).
+	TraceID   uint64
+	Query     string
+	Value     int64
+	Threshold int64
 }
 
 // Observer receives completed spans and events. Implementations must be

@@ -222,14 +222,14 @@ func TestHistogramQuantileEdges(t *testing.T) {
 }
 
 // TestRingWraparoundMultipleOverwrites drives the span ring through several
-// full wrap cycles, checking after every write that snapshot() stays
+// full wrap cycles, checking after every write that Snapshot() stays
 // oldest-first and holds exactly the most recent entries.
 func TestRingWraparoundMultipleOverwrites(t *testing.T) {
 	const capacity = 4
-	r := newRing[int](capacity)
+	r := NewRing[int](capacity)
 	for i := 0; i < capacity*5+3; i++ {
-		r.add(i)
-		got := r.snapshot()
+		r.Add(i)
+		got := r.Snapshot()
 		want := i + 1
 		if want > capacity {
 			want = capacity

@@ -54,21 +54,12 @@ type Config struct {
 	QueueTimeout time.Duration `json:"queue_timeout,omitempty"`
 }
 
-// Result describes how an admission went for the caller's accounting.
+// Result describes how an admission went for the caller's accounting. With
+// Admit's error it names the outcome: admitted at once, queued, or — when the
+// error is ErrRejected, ErrQueueTimeout or the context's — refused.
 type Result struct {
 	Queued bool          // true if the request had to wait
 	Waited time.Duration // time spent in the queue (0 if admitted at once)
-}
-
-// QueueEvent is one admission-queue incident, retained in the manager's
-// bounded ring for v_monitor.resource_queue_events. Immediate admissions
-// are counted but not recorded: only waits and refusals are interesting.
-type QueueEvent struct {
-	Time    time.Time
-	Pool    string
-	Outcome string // "queued" | "timeout" | "rejected" | "canceled"
-	Wait    time.Duration
-	Detail  string // statement kind or caller-supplied tag
 }
 
 // Stats is a point-in-time snapshot of one pool for monitoring.
@@ -96,7 +87,6 @@ type waiter struct {
 // parked waiters even if it would fit.
 type Pool struct {
 	name string
-	mgr  *Manager
 
 	mu       sync.Mutex
 	cfg      Config
@@ -163,16 +153,14 @@ func (p *Pool) release(mem int64) {
 
 // Admit asks for a slot sized mem bytes. It returns a release func that
 // MUST be called exactly once when the work finishes, plus a Result saying
-// whether (and how long) the request queued. detail tags queue events
-// (typically the statement kind). A mem of 0 still counts against
-// MaxConcurrency.
-func (p *Pool) Admit(ctx context.Context, mem int64, detail string) (func(), Result, error) {
+// whether (and how long) the request queued. A mem of 0 still counts
+// against MaxConcurrency.
+func (p *Pool) Admit(ctx context.Context, mem int64) (func(), Result, error) {
 	p.mu.Lock()
 	if p.cfg.MemoryBytes > 0 && mem > p.cfg.MemoryBytes {
 		// Could never run: bigger than the whole budget.
 		p.rejections++
 		p.mu.Unlock()
-		p.mgr.record(QueueEvent{Time: time.Now(), Pool: p.name, Outcome: "rejected", Detail: detail})
 		return nil, Result{}, ErrRejected
 	}
 	if p.waiters.Len() == 0 && p.fits(mem) {
@@ -186,7 +174,6 @@ func (p *Pool) Admit(ctx context.Context, mem int64, detail string) (func(), Res
 	if p.cfg.MaxQueueDepth >= 0 && p.waiters.Len() >= p.cfg.MaxQueueDepth {
 		p.rejections++
 		p.mu.Unlock()
-		p.mgr.record(QueueEvent{Time: time.Now(), Pool: p.name, Outcome: "rejected", Detail: detail})
 		return nil, Result{}, ErrRejected
 	}
 	w := &waiter{ch: make(chan struct{}), mem: mem}
@@ -203,7 +190,6 @@ func (p *Pool) Admit(ctx context.Context, mem int64, detail string) (func(), Res
 		defer timer.Stop()
 	}
 
-	var outcome string
 	var err error
 	select {
 	case <-w.ch:
@@ -212,13 +198,12 @@ func (p *Pool) Admit(ctx context.Context, mem int64, detail string) (func(), Res
 		p.admitted++
 		p.queuedTot++
 		p.mu.Unlock()
-		p.mgr.record(QueueEvent{Time: time.Now(), Pool: p.name, Outcome: "queued", Wait: wait, Detail: detail})
 		var once sync.Once
 		return func() { once.Do(func() { p.release(mem) }) }, Result{Queued: true, Waited: wait}, nil
 	case <-timerC:
-		outcome, err = "timeout", ErrQueueTimeout
+		err = ErrQueueTimeout
 	case <-ctx.Done():
-		outcome, err = "canceled", ctx.Err()
+		err = ctx.Err()
 	}
 
 	// Timed out or canceled: withdraw from the queue, racing pump().
@@ -232,42 +217,26 @@ func (p *Pool) Admit(ctx context.Context, mem int64, detail string) (func(), Res
 	} else {
 		p.waiters.Remove(elem)
 	}
-	switch outcome {
-	case "timeout":
+	if err == ErrQueueTimeout {
 		p.timeouts++
-	default:
+	} else {
 		p.cancels++
 	}
 	p.mu.Unlock()
-	p.mgr.record(QueueEvent{Time: time.Now(), Pool: p.name, Outcome: outcome, Wait: time.Since(start), Detail: detail})
 	return nil, Result{Queued: true, Waited: time.Since(start)}, err
 }
 
-// Manager owns the named pools of one cluster plus the bounded ring of
-// queue events backing v_monitor.resource_queue_events.
+// Manager owns the named pools of one cluster.
 type Manager struct {
 	mu    sync.Mutex
 	pools map[string]*Pool
-
-	// OnEvent, when non-nil, observes every retained queue event — the
-	// durable data collector's feed. Set it before the manager is shared;
-	// it runs synchronously on the recording goroutine, outside the
-	// manager's locks.
-	OnEvent func(QueueEvent)
-
-	evMu   sync.Mutex
-	events []QueueEvent // ring
-	evNext int
-	evFull bool
 }
-
-const eventRingCap = 512
 
 // NewManager returns a manager pre-populated with the built-in
 // pass-through "general" pool.
 func NewManager() *Manager {
-	m := &Manager{pools: make(map[string]*Pool), events: make([]QueueEvent, eventRingCap)}
-	m.pools[GeneralPool] = &Pool{name: GeneralPool, mgr: m, cfg: Config{MaxQueueDepth: -1}}
+	m := &Manager{pools: make(map[string]*Pool)}
+	m.pools[GeneralPool] = &Pool{name: GeneralPool, cfg: Config{MaxQueueDepth: -1}}
 	return m
 }
 
@@ -295,7 +264,7 @@ func (m *Manager) Create(name string, cfg Config) (*Pool, error) {
 	if _, ok := m.pools[name]; ok {
 		return nil, ErrExists
 	}
-	p := &Pool{name: name, mgr: m, cfg: cfg}
+	p := &Pool{name: name, cfg: cfg}
 	m.pools[name] = p
 	return p, nil
 }
@@ -306,7 +275,7 @@ func (m *Manager) Ensure(name string, cfg Config) *Pool {
 	m.mu.Lock()
 	p, ok := m.pools[name]
 	if !ok {
-		p = &Pool{name: name, mgr: m, cfg: cfg}
+		p = &Pool{name: name, cfg: cfg}
 		m.pools[name] = p
 		m.mu.Unlock()
 		return p
@@ -365,31 +334,5 @@ func (m *Manager) List() []Stats {
 		out = append(out, p.Snapshot())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func (m *Manager) record(ev QueueEvent) {
-	m.evMu.Lock()
-	m.events[m.evNext] = ev
-	m.evNext++
-	if m.evNext == len(m.events) {
-		m.evNext = 0
-		m.evFull = true
-	}
-	m.evMu.Unlock()
-	if m.OnEvent != nil {
-		m.OnEvent(ev)
-	}
-}
-
-// Events returns retained queue events, oldest first.
-func (m *Manager) Events() []QueueEvent {
-	m.evMu.Lock()
-	defer m.evMu.Unlock()
-	var out []QueueEvent
-	if m.evFull {
-		out = append(out, m.events[m.evNext:]...)
-	}
-	out = append(out, m.events[:m.evNext]...)
 	return out
 }

@@ -12,7 +12,7 @@ import (
 func TestImmediateAdmission(t *testing.T) {
 	m := NewManager()
 	p := m.General()
-	rel, res, err := p.Admit(context.Background(), 1<<20, "select")
+	rel, res, err := p.Admit(context.Background(), 1<<20)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
@@ -38,8 +38,8 @@ func TestConcurrencyBoundAndFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rel1, _, _ := p.Admit(ctx, 0, "a")
-	rel2, _, _ := p.Admit(ctx, 0, "b")
+	rel1, _, _ := p.Admit(ctx, 0)
+	rel2, _, _ := p.Admit(ctx, 0)
 
 	var order []int
 	var mu sync.Mutex
@@ -50,7 +50,7 @@ func TestConcurrencyBoundAndFIFO(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, res, err := p.Admit(ctx, 0, "w")
+			rel, res, err := p.Admit(ctx, 0)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
@@ -95,13 +95,13 @@ func TestMemoryBudget(t *testing.T) {
 	m := NewManager()
 	p, _ := m.Create("mem", Config{MemoryBytes: 100, MaxQueueDepth: -1})
 	ctx := context.Background()
-	rel1, _, err := p.Admit(ctx, 60, "a")
+	rel1, _, err := p.Admit(ctx, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		rel, _, err := p.Admit(ctx, 60, "b")
+		rel, _, err := p.Admit(ctx, 60)
 		if err == nil {
 			rel()
 		}
@@ -114,7 +114,7 @@ func TestMemoryBudget(t *testing.T) {
 	}
 
 	// A request bigger than the whole budget is rejected outright.
-	if _, _, err := p.Admit(ctx, 101, "huge"); !errors.Is(err, ErrRejected) {
+	if _, _, err := p.Admit(ctx, 101); !errors.Is(err, ErrRejected) {
 		t.Fatalf("oversized request: got %v, want ErrRejected", err)
 	}
 }
@@ -123,18 +123,18 @@ func TestQueueDepthReject(t *testing.T) {
 	m := NewManager()
 	p, _ := m.Create("tiny", Config{MaxConcurrency: 1, MaxQueueDepth: 1})
 	ctx := context.Background()
-	rel, _, _ := p.Admit(ctx, 0, "run")
+	rel, _, _ := p.Admit(ctx, 0)
 	defer rel()
-	go p.Admit(ctx, 0, "parked") //nolint:errcheck // released via rel below is irrelevant; parked forever is fine for the test
+	go p.Admit(ctx, 0) //nolint:errcheck // released via rel below is irrelevant; parked forever is fine for the test
 	waitFor(t, func() bool { return p.Snapshot().QueueLen == 1 })
-	if _, _, err := p.Admit(ctx, 0, "over"); !errors.Is(err, ErrRejected) {
+	if _, _, err := p.Admit(ctx, 0); !errors.Is(err, ErrRejected) {
 		t.Fatalf("queue overflow: got %v, want ErrRejected", err)
 	}
 	// MaxQueueDepth 0 means never queue.
 	p2, _ := m.Create("noq", Config{MaxConcurrency: 1})
-	rel2, _, _ := p2.Admit(ctx, 0, "run")
+	rel2, _, _ := p2.Admit(ctx, 0)
 	defer rel2()
-	if _, _, err := p2.Admit(ctx, 0, "busy"); !errors.Is(err, ErrRejected) {
+	if _, _, err := p2.Admit(ctx, 0); !errors.Is(err, ErrRejected) {
 		t.Fatalf("zero-depth queue: got %v, want ErrRejected", err)
 	}
 }
@@ -143,9 +143,9 @@ func TestQueueTimeout(t *testing.T) {
 	m := NewManager()
 	p, _ := m.Create("slow", Config{MaxConcurrency: 1, MaxQueueDepth: -1, QueueTimeout: 10 * time.Millisecond})
 	ctx := context.Background()
-	rel, _, _ := p.Admit(ctx, 0, "hold")
+	rel, _, _ := p.Admit(ctx, 0)
 	defer rel()
-	_, res, err := p.Admit(ctx, 0, "late")
+	_, res, err := p.Admit(ctx, 0)
 	if !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("got %v, want ErrQueueTimeout", err)
 	}
@@ -160,12 +160,12 @@ func TestQueueTimeout(t *testing.T) {
 func TestContextCancel(t *testing.T) {
 	m := NewManager()
 	p, _ := m.Create("c", Config{MaxConcurrency: 1, MaxQueueDepth: -1})
-	rel, _, _ := p.Admit(context.Background(), 0, "hold")
+	rel, _, _ := p.Admit(context.Background(), 0)
 	defer rel()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := p.Admit(ctx, 0, "canceled")
+		_, _, err := p.Admit(ctx, 0)
 		done <- err
 	}()
 	waitFor(t, func() bool { return p.Snapshot().QueueLen == 1 })
@@ -182,11 +182,11 @@ func TestAlterRaisesLimitsUnblocksWaiters(t *testing.T) {
 	m := NewManager()
 	p, _ := m.Create("grow", Config{MaxConcurrency: 1, MaxQueueDepth: -1})
 	ctx := context.Background()
-	rel, _, _ := p.Admit(ctx, 0, "hold")
+	rel, _, _ := p.Admit(ctx, 0)
 	defer rel()
 	done := make(chan error, 1)
 	go func() {
-		rel, _, err := p.Admit(ctx, 0, "waiter")
+		rel, _, err := p.Admit(ctx, 0)
 		if err == nil {
 			defer rel()
 		}
@@ -232,26 +232,6 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-func TestEventsRing(t *testing.T) {
-	m := NewManager()
-	p, _ := m.Create("ev", Config{MaxConcurrency: 1})
-	ctx := context.Background()
-	rel, _, _ := p.Admit(ctx, 0, "hold")
-	for i := 0; i < eventRingCap+10; i++ {
-		p.Admit(ctx, 0, "spill") //nolint:errcheck // intentionally rejected
-	}
-	rel()
-	evs := m.Events()
-	if len(evs) != eventRingCap {
-		t.Fatalf("ring holds %d, want %d", len(evs), eventRingCap)
-	}
-	for _, ev := range evs {
-		if ev.Pool != "ev" || ev.Outcome != "rejected" || ev.Time.IsZero() {
-			t.Fatalf("bad event %+v", ev)
-		}
-	}
-}
-
 // TestAdmitReleaseRace hammers a small pool from many goroutines and checks
 // the concurrency bound is never violated and accounting returns to zero.
 func TestAdmitReleaseRace(t *testing.T) {
@@ -266,7 +246,7 @@ func TestAdmitReleaseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
-				rel, _, err := p.Admit(ctx, 1, "work")
+				rel, _, err := p.Admit(ctx, 1)
 				if err != nil {
 					t.Errorf("admit: %v", err)
 					return

@@ -582,5 +582,5 @@ func mustAdmit(t *testing.T, cl *vertica.Cluster, name string) (func(), pool.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Admit(context.Background(), 0, "test-hold")
+	return p.Admit(context.Background(), 0)
 }

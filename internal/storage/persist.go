@@ -204,8 +204,9 @@ func DecodeColumns(data []byte, maxRows int) (types.Schema, []Column, int, error
 	return schema, cols, int(n), nil
 }
 
-// DecodeRows reverses EncodeRows: the payload of WAL and data-collector
-// records, which their own checksums vouch for.
+// DecodeRows reverses EncodeRows into boxed rows. Production readers (WAL
+// replay, the data collector) decode columns; the benchmark's codec probe
+// calls this.
 func DecodeRows(data []byte) (types.Schema, []types.Row, error) {
 	schema, cols, n, err := DecodeColumns(data, math.MaxInt32)
 	if err != nil || n == 0 {

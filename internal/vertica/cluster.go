@@ -11,7 +11,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vsfabric/internal/catalog"
 	"vsfabric/internal/dc"
@@ -146,17 +145,6 @@ type Config struct {
 	// listener serving Prometheus-text /metrics and a /healthz probe that
 	// reflects the node state machine. Empty (the default) serves nothing.
 	MetricsAddr string
-	// SlowQueryThreshold raises a SLOW_QUERY event for statements running
-	// longer than this (0 = disabled). SET SESSION SLOW_QUERY_THRESHOLD
-	// overrides it per session.
-	SlowQueryThreshold time.Duration
-	// JoinBuildRows raises a JOIN_BUILD_SIDE_LARGE event when a hash join
-	// builds its table over more rows than this (0 = 64K default, <0 =
-	// disabled).
-	JoinBuildRows int64
-	// WALFsyncStall raises a WAL_FSYNC_STALL event when a WAL fsync takes
-	// longer than this (0 = 50ms default, <0 = disabled).
-	WALFsyncStall time.Duration
 }
 
 // Cluster is a running database cluster.
@@ -182,6 +170,10 @@ type Cluster struct {
 	// plans records each SELECT's planning outcome (join order, estimates,
 	// container pruning) for v_monitor.query_plans.
 	plans planTracker
+	// queue records each admission that waited or was refused, for
+	// v_monitor.resource_queue_events; queueMu guards it.
+	queueMu sync.Mutex
+	queue   *obs.Ring[queueEvent]
 
 	udxMu sync.RWMutex
 	udx   map[string]boundFunc
@@ -237,6 +229,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		sessions: make(map[int]int),
 		mon:      obs.NewCollector(),
 		pools:    pool.NewManager(),
+		reb:      rebalanceTracker{ops: obs.NewRing[*rebalanceOp](rebalanceHistory)},
+		plans:    planTracker{ring: obs.NewRing[planRecord](planHistory)},
+		queue:    obs.NewRing[queueEvent](queueHistory),
 	}
 	nodes := make([]*Node, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -276,7 +271,6 @@ func (c *Cluster) Close() error {
 	}
 	if c.dcs != nil {
 		c.mon.SetTap(nil, nil)
-		c.pools.OnEvent = nil
 		c.dcs.Close()
 		c.dcs = nil
 	}

@@ -8,7 +8,6 @@ import (
 
 	"vsfabric/internal/dc"
 	"vsfabric/internal/obs"
-	"vsfabric/internal/pool"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
@@ -38,8 +37,10 @@ var dcComponents = []string{
 }
 
 // dcSchemas maps each component to its row schema. Every spooled record is
-// one storage.EncodeRows-framed row under this schema, so the dc_* tables
-// decode records from any engine version that shares the column set.
+// one row under this schema in the storage.DecodeColumns layout — written
+// plain by storage.AppendBatches (earlier builds chose an encoding per column,
+// which the decoder reads too) — so the dc_* tables decode records from any
+// engine version that shares the column set.
 var dcSchemas = map[string]types.Schema{
 	dcQueryRequests: queryRequestsSchema,
 	// The spooled job trace is the root job span alone; v_monitor.job_traces
@@ -61,9 +62,9 @@ var dcSchemas = map[string]types.Schema{
 	dcQueryEventComp: queryEventsSchema,
 }
 
-// openDC opens the durable data-collector spool under DataDir/dc and taps
-// the cluster's observability feeds into it: the collector's span/event
-// taps, the resource manager's queue-event hook. Called only for durable
+// openDC opens the durable data-collector spool under DataDir/dc and taps the
+// collector's spans and events into it. Query plans and admission records are
+// spooled by the engine where it records them. Called only for durable
 // clusters.
 func (c *Cluster) openDC() error {
 	spool, err := dc.Open(filepath.Join(c.dataDir, "dc"), dcComponents)
@@ -72,7 +73,6 @@ func (c *Cluster) openDC() error {
 	}
 	c.dcs = spool
 	c.mon.SetTap(c.dcSpan, c.dcEvent)
-	c.pools.OnEvent = c.dcQueueEvent
 	return nil
 }
 
@@ -81,14 +81,19 @@ func (c *Cluster) openDC() error {
 // v_monitor.dc_* tables and the policy UDxs.
 func (c *Cluster) DataCollector() *dc.Spool { return c.dcs }
 
-// dcAppend encodes one row under a component's schema and spools it. All
-// failures (including a simulated crash) land in the dc.errors counter;
+// dcAppend encodes one row under a component's schema, plain, and spools it.
+// All failures (including a simulated crash) land in the dc.errors counter;
 // the query that generated the row is never failed by its observability.
 func (c *Cluster) dcAppend(comp string, t time.Time, row types.Row) {
 	if c.dcs == nil {
 		return
 	}
-	payload, err := storage.EncodeRows(dcSchemas[comp], []types.Row{row})
+	schema := dcSchemas[comp]
+	batches, err := columnize([]types.Row{row}, schema)
+	var payload []byte
+	if err == nil {
+		payload, err = storage.AppendBatches(nil, schema, batches)
+	}
 	if err == nil {
 		err = c.dcs.Append(comp, dc.Record{Time: t, Payload: payload})
 	}
@@ -120,26 +125,17 @@ func (c *Cluster) dcSpan(sp obs.Span) {
 	}
 }
 
-// dcEvent is the collector's event tap: ring-worthy events (node failures,
-// recoveries, rebalances) become resilience_events records.
+// dcEvent is the collector's event tap: query events become query_events
+// records, the connector's retries, backoffs, breaker transitions and
+// failovers resilience_events records (eventRecord).
 func (c *Cluster) dcEvent(ev obs.Event) {
-	c.dcAppend(dcResilience, ev.Time, resilienceEventRow(ev))
-}
-
-// dcQueueEvent is the resource manager's hook: admission-queue incidents
-// become resource_queue_events records.
-func (c *Cluster) dcQueueEvent(ev pool.QueueEvent) {
-	c.dcAppend(dcQueueEvents, ev.Time, queueEventRow(ev))
+	comp, row := eventRecord(ev)
+	c.dcAppend(comp, ev.Time, row)
 }
 
 // dcAppendPlan spools one completed SELECT's plan summary.
 func (c *Cluster) dcAppendPlan(r planRecord) {
 	c.dcAppend(dcQueryPlans, time.Now(), r.row())
-}
-
-// dcAppendQueryEvent spools one typed query event.
-func (c *Cluster) dcAppendQueryEvent(ev obs.QueryEvent) {
-	c.dcAppend(dcQueryEventComp, ev.Time, queryEventRow(ev))
 }
 
 // dcTableRows renders v_monitor.dc_<component>: every durably spooled
@@ -161,12 +157,16 @@ func (c *Cluster) dcTableRows(comp string) ([]types.Row, types.Schema, error) {
 	}
 	var rows []types.Row
 	for _, r := range recs {
-		_, rr, derr := storage.DecodeRows(r.Payload)
-		if derr != nil || len(rr) != 1 || len(rr[0]) != len(schema.Cols) {
+		_, cols, n, derr := storage.DecodeColumns(r.Payload, 1)
+		if derr != nil || n != 1 || len(cols) != len(schema.Cols) {
 			c.mon.Add("dc.decode_errors", 1)
 			continue
 		}
-		rows = append(rows, rr[0])
+		row := make(types.Row, len(cols))
+		for j, col := range cols {
+			row[j] = col.Get(0)
+		}
+		rows = append(rows, row)
 	}
 	return rows, schema, nil
 }

@@ -467,8 +467,8 @@ func (c *Cluster) initFreshDir(sp *obs.ActiveSpan) error {
 }
 
 // attachWAL installs l as the cluster's current log, wiring the byte/fsync
-// counters, the WAL_FSYNC_STALL event raise, and the transaction manager's
-// commit hook.
+// counters, the WAL_FSYNC_STALL event, and the transaction manager's commit
+// hook.
 func (c *Cluster) attachWAL(l *wal.Log) {
 	l.OnWrite = func(n int64) {
 		c.mon.Add("wal.bytes", n)
@@ -476,12 +476,12 @@ func (c *Cluster) attachWAL(l *wal.Log) {
 	}
 	l.OnSync = func(d time.Duration) {
 		c.mon.Add("wal.fsyncs", 1)
-		if thr := c.walStallThreshold(); thr > 0 && d >= thr {
-			c.raiseQueryEvent(obs.QueryEvent{
-				Time: time.Now(), Type: obs.EvWALFsyncStall, Node: "v0",
+		if d >= walFsyncStall {
+			c.mon.Event(obs.Event{
+				Name: obs.EvWALFsyncStall, Node: "v0",
 				Detail:    "WAL fsync exceeded stall threshold",
 				Value:     d.Microseconds(),
-				Threshold: thr.Microseconds(),
+				Threshold: walFsyncStall.Microseconds(),
 			})
 		}
 	}

@@ -2,11 +2,14 @@ package vertica
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vsfabric/internal/dc"
+	"vsfabric/internal/obs"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
@@ -91,6 +94,33 @@ func TestDCQueryRequestsSurviveCrash(t *testing.T) {
 	}
 }
 
+// TestDCReadsEncodingChosenRecords: records are spooled plain, but a record an
+// earlier build wrote with storage.EncodeRows — an encoding chosen per column,
+// a dictionary for a one-row string column — still reads back beside them.
+func TestDCReadsEncodingChosenRecords(t *testing.T) {
+	c := durableCluster(t, t.TempDir(), storage.NewContainerCache(0))
+	defer c.Close()
+	s := sess(t, c, 0)
+	at := time.Unix(1700000000, 0).UTC()
+	old := obs.Event{Time: at, Name: "failover", Node: "v-node-1", Detail: "written by EncodeRows"}
+	payload, err := storage.EncodeRows(resilienceEventsSchema, []types.Row{resilienceEventRow(old)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DataCollector().Append(dcResilience, dc.Record{Time: at, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	c.Obs().Event(obs.Event{Name: "retry", Node: "v-node-0", Detail: "written plain"})
+	res := s.MustExecute("SELECT event_type, node_address, detail FROM v_monitor.dc_resilience_events")
+	got := fmt.Sprint(res.Rows)
+	if len(res.Rows) != 2 || !strings.Contains(got, "failover v-node-1 written by EncodeRows") || !strings.Contains(got, "retry v-node-0 written plain") {
+		t.Fatalf("dc_resilience_events = %v, want the EncodeRows record and the plain one", got)
+	}
+	if n := c.Obs().Counter("dc.decode_errors"); n != 0 {
+		t.Fatalf("dc.decode_errors = %d", n)
+	}
+}
+
 // TestDCRetentionPolicySQL drives retention through the SQL surface:
 // SET_DATA_COLLECTOR_POLICY caps a component's disk budget, the oldest
 // segments fall off first, and v_monitor.data_collector reports the policy.
@@ -146,11 +176,12 @@ func TestDCRetentionPolicySQL(t *testing.T) {
 // typed engine events and checks they surface in v_monitor.query_events,
 // inline in PROFILE, and as predictions in EXPLAIN.
 func TestQueryEventsSeededWorkload(t *testing.T) {
+	defer func(rows int64, stall time.Duration) { joinBuildRows, walFsyncStall = rows, stall }(joinBuildRows, walFsyncStall)
+	joinBuildRows = 1               // any hash-join build side trips JOIN_BUILD_SIDE_LARGE
+	walFsyncStall = time.Nanosecond // any commit fsync is a stall
 	c, err := NewCluster(Config{
-		Nodes:         2,
-		JoinBuildRows: 1,               // any hash-join build side trips JOIN_BUILD_SIDE_LARGE
-		DataDir:       t.TempDir(),     // WAL_FSYNC_STALL needs a WAL
-		WALFsyncStall: time.Nanosecond, // any commit fsync is a stall
+		Nodes:   2,
+		DataDir: t.TempDir(), // WAL_FSYNC_STALL needs a WAL
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +281,91 @@ func TestQueryEventsSeededWorkload(t *testing.T) {
 		if r[1].S == "event" {
 			t.Fatalf("EXPLAIN printed an event row: %v", res.Rows)
 		}
+	}
+}
+
+// TestQueryEventsStayInTheirOwnTable posts a resilience event to the
+// collector and has a statement raise a query event: each appears only in its
+// own table — resilience_events or query_events — and, after a durable close
+// and reopen, only in its own dc_ table.
+func TestQueryEventsStayInTheirOwnTable(t *testing.T) {
+	dir := t.TempDir()
+	cache := storage.NewContainerCache(0)
+	c := durableCluster(t, dir, cache)
+	s, err := c.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Obs().Event(obs.Event{Name: "failover", Node: "v-node-1", Detail: "moved to the next host"})
+	s.MustExecute("SET SESSION SLOW_QUERY_THRESHOLD = '1ns'")
+	s.MustExecute("SELECT 1")
+	s.MustExecute("SET SESSION SLOW_QUERY_THRESHOLD = '0'")
+
+	check := func(s *Session, prefix string) {
+		t.Helper()
+		for _, tc := range []struct{ table, want, not string }{
+			{"resilience_events", "failover", "SLOW_QUERY"},
+			{"query_events", "SLOW_QUERY", "failover"},
+		} {
+			got := collectCol(t, s, "SELECT event_type FROM v_monitor."+prefix+tc.table, 0)
+			if !slices.Contains(got, tc.want) || slices.Contains(got, tc.not) {
+				t.Errorf("%s%s has event types %v, want %s and no %s", prefix, tc.table, got, tc.want, tc.not)
+			}
+		}
+	}
+	check(s, "")
+	check(s, "dc_")
+	s.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := durableCluster(t, dir, cache)
+	defer c2.Close()
+	s2, err := c2.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2, "dc_")
+}
+
+// TestQueryEventsSlowQueryThresholdSetting: SET SESSION SLOW_QUERY_THRESHOLD
+// takes a non-negative duration, '0' turns SLOW_QUERY off, and a negative
+// value is refused and leaves the session's threshold as it was.
+func TestQueryEventsSlowQueryThresholdSetting(t *testing.T) {
+	c := testCluster(t, 1)
+	s := sess(t, c, 0)
+	slow := func() int {
+		n := 0
+		for _, ty := range collectCol(t, s, "SELECT event_type FROM v_monitor.query_events", 0) {
+			if ty == "SLOW_QUERY" {
+				n++
+			}
+		}
+		return n
+	}
+	s.MustExecute("SELECT 1")
+	if n := slow(); n != 0 {
+		t.Fatalf("%d SLOW_QUERY events with no threshold set", n)
+	}
+	s.MustExecute("SET SESSION SLOW_QUERY_THRESHOLD = '1ns'")
+	for _, bad := range []string{"'-5s'", "'-1ns'", "'soon'"} {
+		_, err := s.Execute("SET SESSION SLOW_QUERY_THRESHOLD = " + bad)
+		if err == nil || !strings.Contains(err.Error(), "bad SLOW_QUERY_THRESHOLD") {
+			t.Errorf("SET SLOW_QUERY_THRESHOLD = %s: got %v, want a bad SLOW_QUERY_THRESHOLD error", bad, err)
+		}
+	}
+	before := slow()
+	s.MustExecute("SELECT 1")
+	if n := slow() - before; n != 1 {
+		t.Fatalf("one statement over the 1ns threshold raised %d SLOW_QUERY events, want 1", n)
+	}
+	s.MustExecute("SET SESSION SLOW_QUERY_THRESHOLD = '0'")
+	before = slow()
+	s.MustExecute("SELECT 1")
+	if n := slow() - before; n != 0 {
+		t.Fatalf("a statement after SLOW_QUERY_THRESHOLD = '0' raised %d SLOW_QUERY events", n)
 	}
 }
 

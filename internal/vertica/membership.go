@@ -54,54 +54,53 @@ type rebalanceOp struct {
 }
 
 // rebalanceTracker keeps a bounded in-memory history of lifecycle operations.
+// Entries are filled in place by finish, under the tracker's lock.
 type rebalanceTracker struct {
 	mu   sync.Mutex
 	next uint64
-	ops  []rebalanceOp
+	ops  *obs.Ring[*rebalanceOp]
 }
 
-// rebalanceHistory bounds the tracker: old completed entries age out first.
+// rebalanceHistory bounds the tracker: the oldest entries age out first.
 const rebalanceHistory = 256
 
-func (t *rebalanceTracker) start(kind, table string, node int, epoch uint64) uint64 {
+// start records a running operation and returns its entry for finish.
+func (t *rebalanceTracker) start(kind, table string, node int, epoch uint64) *rebalanceOp {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next++
-	t.ops = append(t.ops, rebalanceOp{
+	op := &rebalanceOp{
 		ID: t.next, Kind: kind, Table: table, Node: node,
 		Status: "running", StartEpoch: epoch,
-	})
-	if len(t.ops) > rebalanceHistory {
-		t.ops = append(t.ops[:0:0], t.ops[len(t.ops)-rebalanceHistory:]...)
 	}
-	return t.next
+	t.ops.Add(op)
+	return op
 }
 
-func (t *rebalanceTracker) finish(id uint64, res rebalance.Result, epoch uint64, err error) {
+// finish fills in the entry start returned.
+func (t *rebalanceTracker) finish(op *rebalanceOp, res rebalance.Result, epoch uint64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.ops {
-		if t.ops[i].ID != id {
-			continue
-		}
-		t.ops[i].Rows = res.Rows
-		t.ops[i].RowsMoved = res.RowsMoved
-		t.ops[i].Containers = res.Containers
-		t.ops[i].EndEpoch = epoch
-		if err != nil {
-			t.ops[i].Status = "failed"
-			t.ops[i].Err = err.Error()
-		} else {
-			t.ops[i].Status = "complete"
-		}
-		return
+	op.Rows = res.Rows
+	op.RowsMoved = res.RowsMoved
+	op.Containers = res.Containers
+	op.EndEpoch = epoch
+	op.Status = "complete"
+	if err != nil {
+		op.Status = "failed"
+		op.Err = err.Error()
 	}
 }
 
 func (t *rebalanceTracker) snapshot() []rebalanceOp {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]rebalanceOp(nil), t.ops...)
+	ops := t.ops.Snapshot()
+	out := make([]rebalanceOp, len(ops))
+	for i, op := range ops {
+		out[i] = *op
+	}
+	return out
 }
 
 // AddNode grows the cluster by one node (ALTER CLUSTER ADD NODE) and
@@ -257,12 +256,12 @@ func (c *Cluster) rebalanceTable(kind string, node int, name string, ring []int)
 	if rebalance.RingsEqual(tbl.Ring, ring) {
 		return nil
 	}
-	opID := c.reb.start(kind, name, node, c.txm.LastEpoch())
+	op := c.reb.start(kind, name, node, c.txm.LastEpoch())
 	sp := obs.Start(c.mon, "rebalance", sim.VName(node))
 	healthy := func(id int) bool { return c.nodeUp(id) }
 	lay, res, err := rebalance.MoveTable(tbl, ring, healthy)
 	if err != nil {
-		c.reb.finish(opID, res, c.txm.LastEpoch(), err)
+		c.reb.finish(op, res, c.txm.LastEpoch(), err)
 		if sp != nil {
 			sp.End(err)
 		}
@@ -278,7 +277,7 @@ func (c *Cluster) rebalanceTable(kind string, node int, name string, ring []int)
 		return err
 	})
 	epoch, err := tx.Commit()
-	c.reb.finish(opID, res, epoch, err)
+	c.reb.finish(op, res, epoch, err)
 	if sp != nil {
 		sp.SetDetail(fmt.Sprintf("table %s: %d rows, %d moved", name, res.Rows, res.RowsMoved))
 		sp.End(err)

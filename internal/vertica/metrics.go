@@ -183,20 +183,12 @@ func (c *Cluster) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	// Query events by type.
+	// Query events by type: the collector's per-name counters, one sample
+	// per taxonomy type whether raised yet or not.
 	fmt.Fprintf(&b, "# HELP vsfabric_query_events_total Engine query events by type.\n")
 	fmt.Fprintf(&b, "# TYPE vsfabric_query_events_total counter\n")
-	evCounts := map[obs.QueryEventType]int64{}
-	for _, ev := range c.mon.QueryEvents() {
-		evCounts[ev.Type]++
-	}
-	evTypes := make([]string, 0, len(evCounts))
-	for t := range evCounts {
-		evTypes = append(evTypes, string(t))
-	}
-	sort.Strings(evTypes)
-	for _, t := range evTypes {
-		fmt.Fprintf(&b, "vsfabric_query_events_total{type=%q} %d\n", promEscape(t), evCounts[obs.QueryEventType(t)])
+	for _, t := range obs.QueryEventNames {
+		fmt.Fprintf(&b, "vsfabric_query_events_total{type=%q} %d\n", promEscape(t), c.mon.Counter(t))
 	}
 
 	// Node state: a one-hot gauge per (node, state) plus a plain up gauge.

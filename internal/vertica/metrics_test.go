@@ -282,7 +282,7 @@ func TestHealthzReflectsNodeStates(t *testing.T) {
 // TestMetricsQueryEventSeries checks raised query events surface as
 // vsfabric_query_events_total{type=...} samples.
 func TestMetricsQueryEventSeries(t *testing.T) {
-	c, err := NewCluster(Config{Nodes: 1, MetricsAddr: "127.0.0.1:0", SlowQueryThreshold: 1})
+	c, err := NewCluster(Config{Nodes: 1, MetricsAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +292,7 @@ func TestMetricsQueryEventSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.MustExecute("SET SESSION SLOW_QUERY_THRESHOLD = '1ns'")
 	s.MustExecute("CREATE TABLE qe (id INTEGER)")
 	s.MustExecute("INSERT INTO qe VALUES (1)")
 	s.MustExecute("SELECT id FROM qe")
@@ -306,6 +307,44 @@ func TestMetricsQueryEventSeries(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no vsfabric_query_events_total{type=\"SLOW_QUERY\"} sample:\n%s", grepLines(body, "query_events"))
+	}
+}
+
+// TestMetricsQueryEventTotalsPastTheRing raises more SLOW_QUERY events than
+// the collector's ring holds: the scraped total must count every one of them
+// (a Prometheus counter never stops or goes down), and every type in the
+// taxonomy has a sample, zeros included.
+func TestMetricsQueryEventTotalsPastTheRing(t *testing.T) {
+	c, err := NewCluster(Config{Nodes: 1, MetricsAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 5000
+	s.MustExecute("SET SESSION SLOW_QUERY_THRESHOLD = '1ns'")
+	for i := 0; i < n; i++ {
+		s.MustExecute("SELECT 1")
+	}
+
+	_, body := metricsBody(t, c.MetricsAddr(), "/metrics")
+	got := map[string]float64{}
+	for _, sm := range parsePromText(t, body) {
+		if sm.name == "vsfabric_query_events_total" {
+			got[sm.labels["type"]] = sm.value
+		}
+	}
+	if got["SLOW_QUERY"] < n {
+		t.Errorf("vsfabric_query_events_total{type=\"SLOW_QUERY\"} = %v after %d slow statements", got["SLOW_QUERY"], n)
+	}
+	for _, ty := range []string{"POOL_QUEUE_WAIT", "JOIN_BUILD_SIDE_LARGE", "WAL_FSYNC_STALL"} {
+		if v, ok := got[ty]; !ok || v != 0 {
+			t.Errorf("vsfabric_query_events_total{type=%q} = %v (present %v), want a zero sample", ty, v, ok)
+		}
 	}
 }
 

@@ -60,12 +60,15 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 		}
 		return rows, schema, nil
 
-	case "v_monitor.resilience_events":
+	case "v_monitor.resilience_events", "v_monitor.query_events":
+		comp := strings.TrimPrefix(name, "v_monitor.")
 		var rows []types.Row
 		for _, ev := range s.cluster.mon.Events() {
-			rows = append(rows, resilienceEventRow(ev))
+			if c, row := eventRecord(ev); c == comp {
+				rows = append(rows, row)
+			}
 		}
-		return rows, resilienceEventsSchema, nil
+		return rows, dcSchemas[comp], nil
 
 	case "v_monitor.counters":
 		schema := types.NewSchema(
@@ -85,9 +88,12 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 		return resourcePoolRows(s.cluster.pools)
 
 	case "v_monitor.resource_queue_events":
+		s.cluster.queueMu.Lock()
+		evs := s.cluster.queue.Snapshot()
+		s.cluster.queueMu.Unlock()
 		var rows []types.Row
-		for _, ev := range s.cluster.pools.Events() {
-			rows = append(rows, queueEventRow(ev))
+		for _, ev := range evs {
+			rows = append(rows, ev.row())
 		}
 		return rows, queueEventsSchema, nil
 
@@ -163,13 +169,6 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 			rows = append(rows, p.row())
 		}
 		return rows, queryPlansSchema, nil
-
-	case "v_monitor.query_events":
-		var rows []types.Row
-		for _, ev := range s.cluster.mon.QueryEvents() {
-			rows = append(rows, queryEventRow(ev))
-		}
-		return rows, queryEventsSchema, nil
 
 	case "v_monitor.data_collector":
 		return s.cluster.dataCollectorRows()
@@ -257,6 +256,18 @@ var resilienceEventsSchema = types.NewSchema(
 	types.Column{Name: "detail", T: types.Varchar},
 )
 
+// eventRecord routes an event to its relation and renders its row: the
+// query-event taxonomy (obs.IsQueryEvent) to query_events, every other event —
+// the connector's retries, backoffs, breaker transitions and failovers — to
+// resilience_events. The ring tables and the data collector's event tap both
+// split the collector's one event ring here.
+func eventRecord(ev obs.Event) (comp string, row types.Row) {
+	if obs.IsQueryEvent(ev.Name) {
+		return dcQueryEventComp, queryEventRow(ev)
+	}
+	return dcResilience, resilienceEventRow(ev)
+}
+
 func resilienceEventRow(ev obs.Event) types.Row {
 	return types.Row{
 		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
@@ -277,10 +288,10 @@ var queryEventsSchema = types.NewSchema(
 	types.Column{Name: "threshold", T: types.Int64},
 )
 
-func queryEventRow(ev obs.QueryEvent) types.Row {
+func queryEventRow(ev obs.Event) types.Row {
 	return types.Row{
 		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
-		types.StringValue(string(ev.Type)),
+		types.StringValue(ev.Name),
 		types.StringValue(ev.Node),
 		types.StringValue(fmt.Sprintf("%016x", ev.TraceID)),
 		types.StringValue(ev.Query),

@@ -78,7 +78,7 @@ func TestSystemReadsAnyCase(t *testing.T) {
 	s.MustExecute("CREATE RESOURCE POOL p MAXCONCURRENCY 1 MAXQUEUEDEPTH NONE QUEUETIMEOUT '5ms'")
 	s.MustExecute("SET RESOURCE_POOL = p")
 	// Occupy the pool's only slot out-of-band.
-	rel, _, err := mustPool(t, c, "p").Admit(context.Background(), 0, "hold")
+	rel, _, err := mustPool(t, c, "p").Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,27 +124,3 @@ func TestPlanConsistency(t *testing.T) {
 		}
 	}
 }
-
-// TestPlanTrackerRing: past planHistory plans the oldest age out and the
-// snapshot stays in plan-ID order.
-func TestPlanTrackerRing(t *testing.T) {
-	var tr planTracker
-	const extra = 100
-	for i := 0; i < planHistory+extra; i++ {
-		if i == planHistory/2 {
-			if got := tr.snapshot(); len(got) != i || got[0].ID != 1 || got[i-1].ID != uint64(i) {
-				t.Fatalf("partly filled ring: %d plans", len(got))
-			}
-		}
-		tr.record(planRecord{})
-	}
-	got := tr.snapshot()
-	if len(got) != planHistory {
-		t.Fatalf("ring holds %d plans, want %d", len(got), planHistory)
-	}
-	for i, r := range got {
-		if r.ID != uint64(extra+1+i) {
-			t.Fatalf("plan %d has ID %d, want %d", i, r.ID, extra+1+i)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package vertica
 import (
 	"sync"
 
+	"vsfabric/internal/obs"
 	"vsfabric/internal/types"
 )
 
@@ -65,13 +66,11 @@ func (p planRecord) row() types.Row {
 	}
 }
 
-// planTracker keeps a bounded in-memory ring of query plans: once full, the
-// plan with ID i overwrites slot (i-1) % planHistory, so recording a plan
-// never copies the history.
+// planTracker keeps a bounded in-memory history of query plans.
 type planTracker struct {
 	mu   sync.Mutex
 	next uint64 // plans recorded so far
-	recs []planRecord
+	ring *obs.Ring[planRecord]
 }
 
 // planHistory bounds the tracker: the oldest plans age out first.
@@ -84,11 +83,7 @@ func (t *planTracker) record(r planRecord) planRecord {
 	defer t.mu.Unlock()
 	t.next++
 	r.ID = t.next
-	if len(t.recs) < planHistory {
-		t.recs = append(t.recs, r)
-	} else {
-		t.recs[(r.ID-1)%planHistory] = r
-	}
+	t.ring.Add(r)
 	return r
 }
 
@@ -96,11 +91,7 @@ func (t *planTracker) record(r planRecord) planRecord {
 func (t *planTracker) snapshot() []planRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	oldest := 0
-	if len(t.recs) == planHistory {
-		oldest = int(t.next % planHistory)
-	}
-	return append(append([]planRecord(nil), t.recs[oldest:]...), t.recs[:oldest]...)
+	return t.ring.Snapshot()
 }
 
 // recordPlan summarizes a run plan into v_monitor.query_plans. Queries that

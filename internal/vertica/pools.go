@@ -75,8 +75,8 @@ func (s *Session) executeDropPool(st *vsql.DropResourcePool) (*Result, error) {
 }
 
 // executeSet handles SET [SESSION] <param> = <value>: RESOURCE_POOL routes
-// admission, SLOW_QUERY_THRESHOLD overrides the cluster's SLOW_QUERY event
-// threshold for this session ('0' disables it).
+// admission, SLOW_QUERY_THRESHOLD sets the session's SLOW_QUERY event
+// threshold to a non-negative duration ('0' turns the event off).
 func (s *Session) executeSet(st *vsql.Set) (*Result, error) {
 	switch strings.ToUpper(st.Name) {
 	case "RESOURCE_POOL":
@@ -87,14 +87,10 @@ func (s *Session) executeSet(st *vsql.Set) (*Result, error) {
 		return &Result{}, nil
 	case "SLOW_QUERY_THRESHOLD":
 		d, err := time.ParseDuration(st.Value)
-		if err != nil {
-			if st.Value == "0" {
-				d = 0
-			} else {
-				return nil, fmt.Errorf("vertica: bad SLOW_QUERY_THRESHOLD %q: %v", st.Value, err)
-			}
+		if err != nil || d < 0 {
+			return nil, fmt.Errorf("vertica: bad SLOW_QUERY_THRESHOLD %q: want a non-negative duration such as '250ms'", st.Value)
 		}
-		s.slowQuery, s.slowQuerySet = d, true
+		s.slowQuery = d
 		return &Result{}, nil
 	default:
 		return nil, fmt.Errorf("vertica: unknown session parameter %q", st.Name)
@@ -125,24 +121,36 @@ func (s *Session) admitStmt(ctx context.Context, stmt vsql.Statement) (func(), e
 }
 
 // admit asks the session's pool for a slot, falling back to the general pool
-// if the SET target was dropped since. A queued admission is surfaced as a
-// synthetic "pool.queue" span (feeding the latency histograms and the trace
-// tree) plus pool.* counters; refusals map to the typed pool sentinels that
-// cross the wire as retryable conditions.
+// if the SET target was dropped since. The pool decides; the session records:
+// every outcome bumps pool.* counters, one that waited or was refused becomes
+// a resource_queue_events record, and a queued admission is also surfaced as
+// a synthetic "pool.queue" span (feeding the latency histograms and the trace
+// tree) and a POOL_QUEUE_WAIT event. Refusals map to the typed pool sentinels
+// that cross the wire as retryable conditions.
 func (s *Session) admit(ctx context.Context, kind string, mem int64) (func(), error) {
 	p, err := s.cluster.pools.Get(s.poolName)
 	if err != nil {
 		p = s.cluster.pools.General()
 	}
 	start := time.Now()
-	release, res, err := p.Admit(ctx, mem, kind)
+	release, res, err := p.Admit(ctx, mem)
+	outcome := "queued"
+	switch {
+	case err == pool.ErrQueueTimeout:
+		s.cluster.mon.Add("pool.timeouts", 1)
+		outcome = "timeout"
+	case err == pool.ErrRejected:
+		s.cluster.mon.Add("pool.rejections", 1)
+		outcome = "rejected"
+	case err != nil:
+		outcome = "canceled"
+	}
+	if err != nil || res.Queued {
+		s.cluster.recordQueueEvent(queueEvent{
+			Time: time.Now(), Pool: p.Name(), Outcome: outcome, Wait: res.Waited, Request: kind,
+		})
+	}
 	if err != nil {
-		switch {
-		case err == pool.ErrQueueTimeout:
-			s.cluster.mon.Add("pool.timeouts", 1)
-		case err == pool.ErrRejected:
-			s.cluster.mon.Add("pool.rejections", 1)
-		}
 		return nil, fmt.Errorf("vertica: pool %s: %w", p.Name(), err)
 	}
 	s.cluster.mon.Add("pool.admitted", 1)
@@ -202,7 +210,30 @@ func resourcePoolRows(m *pool.Manager) ([]types.Row, types.Schema, error) {
 	return rows, schema, nil
 }
 
-// queueEventsSchema and queueEventRow define v_monitor.resource_queue_events
+// queueEvent is one admission that waited or was refused; admissions granted
+// at once are counted, not recorded.
+type queueEvent struct {
+	Time    time.Time
+	Pool    string
+	Outcome string // "queued" | "timeout" | "rejected" | "canceled"
+	Wait    time.Duration
+	Request string // statement kind: "select", "dml" or "copy"
+}
+
+// queueHistory bounds the admission records kept in memory: the oldest age
+// out first.
+const queueHistory = 512
+
+// recordQueueEvent files an admission record for
+// v_monitor.resource_queue_events and spools it to the data collector.
+func (c *Cluster) recordQueueEvent(ev queueEvent) {
+	c.queueMu.Lock()
+	c.queue.Add(ev)
+	c.queueMu.Unlock()
+	c.dcAppend(dcQueueEvents, ev.Time, ev.row())
+}
+
+// queueEventsSchema and queueEvent.row define v_monitor.resource_queue_events
 // and its spooled dc twin.
 var queueEventsSchema = types.NewSchema(
 	types.Column{Name: "event_time", T: types.Varchar},
@@ -212,12 +243,12 @@ var queueEventsSchema = types.NewSchema(
 	types.Column{Name: "request_type", T: types.Varchar},
 )
 
-func queueEventRow(ev pool.QueueEvent) types.Row {
+func (ev queueEvent) row() types.Row {
 	return types.Row{
 		types.StringValue(ev.Time.Format(time.RFC3339Nano)),
 		types.StringValue(ev.Pool),
 		types.StringValue(ev.Outcome),
 		types.IntValue(ev.Wait.Microseconds()),
-		types.StringValue(ev.Detail),
+		types.StringValue(ev.Request),
 	}
 }

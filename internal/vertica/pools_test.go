@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vsfabric/internal/pool"
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
@@ -186,7 +187,7 @@ func TestAdmissionQueueTimeoutSurfaces(t *testing.T) {
 	s.MustExecute("CREATE RESOURCE POOL p MAXCONCURRENCY 1 MAXQUEUEDEPTH NONE QUEUETIMEOUT '5ms'")
 
 	// Occupy the only slot out-of-band.
-	rel, _, err := mustPool(t, c, "p").Admit(context.Background(), 0, "hold")
+	rel, _, err := mustPool(t, c, "p").Admit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +205,107 @@ func TestAdmissionQueueTimeoutSurfaces(t *testing.T) {
 	if st := poolStats(t, c, "p"); st.Timeouts != 1 {
 		t.Fatalf("timeouts = %d, want 1", st.Timeouts)
 	}
+}
+
+// TestAdmissionOutcomesRecorded provokes each admission outcome that leaves a
+// record — queued, timeout, rejected, canceled — on its own single-slot pool
+// whose slot is held out-of-band, and checks each lands in
+// resource_queue_events and, across a durable close and reopen, in
+// dc_resource_queue_events, with its pool, request type and wait.
+func TestAdmissionOutcomesRecorded(t *testing.T) {
+	dir := t.TempDir()
+	cache := storage.NewContainerCache(0)
+	c := durableCluster(t, dir, cache)
+	setup := sess(t, c, 0)
+	setup.MustExecute("CREATE TABLE t (a INT)")
+	setup.MustExecute("INSERT INTO t VALUES (1)")
+	setup.MustExecute("CREATE RESOURCE POOL pq MAXCONCURRENCY 1 MAXQUEUEDEPTH NONE QUEUETIMEOUT '30s'")
+	setup.MustExecute("CREATE RESOURCE POOL pt MAXCONCURRENCY 1 MAXQUEUEDEPTH NONE QUEUETIMEOUT '5ms'")
+	setup.MustExecute("CREATE RESOURCE POOL pr MAXCONCURRENCY 1 MAXQUEUEDEPTH 0")
+	setup.MustExecute("CREATE RESOURCE POOL pc MAXCONCURRENCY 1 MAXQUEUEDEPTH NONE QUEUETIMEOUT '30s'")
+
+	// run holds the pool's only slot, runs a SELECT through the pool with ctx,
+	// and once the SELECT is parked in the queue (when park is set) waits a
+	// little and calls park — the release or the cancel that ends the wait.
+	const parked = 2 * time.Millisecond
+	run := func(poolName string, ctx context.Context, park func(release func())) error {
+		rel, _, err := mustPool(t, c, poolName).Admit(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rel()
+		s := sess(t, c, 0)
+		s.MustExecute("SET RESOURCE_POOL = " + poolName)
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.ExecuteContext(ctx, "SELECT a FROM t")
+			done <- err
+		}()
+		if park != nil {
+			deadline := time.Now().Add(5 * time.Second)
+			for poolStats(t, c, poolName).QueueLen != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("pool %s: the SELECT never queued", poolName)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			time.Sleep(parked)
+			park(rel)
+		}
+		return <-done
+	}
+	if err := run("pq", context.Background(), func(release func()) { release() }); err != nil {
+		t.Fatalf("queued: %v", err)
+	}
+	if err := run("pt", context.Background(), nil); !errors.Is(err, pool.ErrQueueTimeout) {
+		t.Fatalf("timeout: got %v", err)
+	}
+	if err := run("pr", context.Background(), nil); !errors.Is(err, pool.ErrRejected) {
+		t.Fatalf("rejected: got %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := run("pc", ctx, func(func()) { cancel() }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled: got %v", err)
+	}
+
+	// outcome → the least wait it must report, in microseconds.
+	want := map[string]struct {
+		pool    string
+		minWait int64
+	}{
+		"queued":   {"pq", parked.Microseconds()},
+		"timeout":  {"pt", 5000},
+		"rejected": {"pr", 0},
+		"canceled": {"pc", parked.Microseconds()},
+	}
+	check := func(s *Session, table string) {
+		t.Helper()
+		res := s.MustExecute("SELECT pool_name, outcome, queue_wait_us, request_type FROM v_monitor." + table)
+		seen := map[string]bool{}
+		for _, r := range res.Rows {
+			w, ok := want[r[1].S]
+			if !ok || r[0].S != w.pool {
+				t.Errorf("%s: unexpected record %v", table, r)
+				continue
+			}
+			if seen[r[1].S] || r[2].I < w.minWait || r[3].S != "select" {
+				t.Errorf("%s: record %v, want one %s record with wait >= %d us and request type select", table, r, r[1].S, w.minWait)
+			}
+			seen[r[1].S] = true
+		}
+		if len(seen) != len(want) {
+			t.Errorf("%s records outcomes %v, want all of queued, timeout, rejected, canceled:\n%v", table, seen, res.Rows)
+		}
+	}
+	check(setup, "resource_queue_events")
+	check(setup, "dc_resource_queue_events")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := durableCluster(t, dir, cache)
+	defer c2.Close()
+	check(sess(t, c2, 0), "dc_resource_queue_events")
 }
 
 func TestPoolDDLSurvivesRestart(t *testing.T) {

@@ -51,7 +51,7 @@ func (s *Session) executeProfile(p *vsql.Profile) (*Result, error) {
 		} else if ev.Value != 0 {
 			detail = fmt.Sprintf("%s (value %d)", detail, ev.Value)
 		}
-		add("event: "+string(ev.Type), 0, 0, 0, 0, 0, detail)
+		add("event: "+ev.Name, 0, 0, 0, 0, 0, detail)
 	}
 	add("total", 0, int64(res.NumRows()), 0, 0, time.Since(start), fmt.Sprintf("epoch %d", res.Epoch))
 	batches, err := columnize(rows, profileSchema)

@@ -93,7 +93,7 @@ func (c *Cluster) recoverTable(n *Node, name string) error {
 		return nil // not in this table's ring (added mid-window, pre-rebalance)
 	}
 	healthy := func(id int) bool { return c.nodeUp(id) }
-	opID := c.reb.start("recovery", name, n.ID, c.txm.LastEpoch())
+	op := c.reb.start("recovery", name, n.ID, c.txm.LastEpoch())
 	var res rebalance.Result
 	res.Table = name
 
@@ -131,13 +131,13 @@ func (c *Cluster) recoverTable(n *Node, name string) error {
 	// SourceFor(…, seg=pos, …) finds any healthy one.
 	nseg := tbl.NumNodes()
 	if err := rebuild(tbl.Stores[pos], pos); err != nil {
-		c.reb.finish(opID, res, c.txm.LastEpoch(), err)
+		c.reb.finish(op, res, c.txm.LastEpoch(), err)
 		return err
 	}
 	for r := range tbl.Buddies {
 		seg := ((pos-r-1)%nseg + nseg) % nseg
 		if err := rebuild(tbl.Buddies[r][pos], seg); err != nil {
-			c.reb.finish(opID, res, c.txm.LastEpoch(), err)
+			c.reb.finish(op, res, c.txm.LastEpoch(), err)
 			return err
 		}
 	}
@@ -145,6 +145,6 @@ func (c *Cluster) recoverTable(n *Node, name string) error {
 	// provisional — ReplaceContents installs already-committed versions — so
 	// the commit's only effects are the epoch close and the lock release.
 	epoch, err := tx.Commit()
-	c.reb.finish(opID, res, epoch, err)
+	c.reb.finish(op, res, epoch, err)
 	return err
 }

@@ -99,12 +99,11 @@ type Session struct {
 	// renders them inline).
 	sysStmt    bool
 	curTrace   uint64
-	stmtEvents []obs.QueryEvent
+	stmtEvents []obs.Event
 
-	// slowQuery overrides the cluster's SLOW_QUERY threshold when
-	// slowQuerySet (SET SESSION SLOW_QUERY_THRESHOLD).
-	slowQuery    time.Duration
-	slowQuerySet bool
+	// slowQuery is the session's SLOW_QUERY threshold (SET SESSION
+	// SLOW_QUERY_THRESHOLD; 0, the default, raises none).
+	slowQuery time.Duration
 
 	closed bool
 }
@@ -233,7 +232,7 @@ func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlTe
 			sp.AddRows(rows)
 		}
 		sp.End(err)
-		if thr := s.slowQueryThreshold(); thr > 0 && dur >= thr {
+		if thr := s.slowQuery; thr > 0 && dur >= thr {
 			s.raiseEvent(obs.EvSlowQuery, "statement exceeded slow-query threshold",
 				dur.Microseconds(), thr.Microseconds())
 		}
