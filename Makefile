@@ -48,22 +48,25 @@ rebalance-test:
 
 # Connection-resilience gate: the resilient layer's units (retry budgets and
 # events, backoff, breakers, failover order, deadlines) and its seeded chaos
-# soak over S2V, the connector's chaos, driver-connection and elastic suites
-# and its one-connection planning pins, and the TCP client's deadline,
+# soak over S2V, the connector's chaos, driver-connection and elastic suites,
+# its one-connection planning and statements-per-job pins and its concurrent
+# plans of one relation, and the TCP client's deadline,
 # transient-flag and failover tests — all under the race detector.
 resilience-test:
 	$(GO) test -race ./internal/resilience/
-	$(GO) test -race -run 'Chaos|Driver|Elastic|Failover|NodeDown|V2SPlansOnOneConnection|V2SReplans' ./internal/core/
+	$(GO) test -race -run 'Chaos|Driver|Elastic|Failover|NodeDown|V2SPlansOnOneConnection|V2SReplans|StatementsPerJob|ConcurrentPlans' ./internal/core/
 	$(GO) test -race -run 'OpTimeout|TransientFlag|Failover' ./internal/server/
 
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
-# seed corpora), the handshake and unsupported-version refusals, the
-# mid-COPY desync and COPY-abort regressions, the wire-equals-in-process differential, and the resource-pool
-# admission suites — all under the race detector.
+# seed corpora), the handshake and unsupported-version refusals, result
+# frames cut at wireBatchRows, the mid-COPY desync and COPY-abort
+# regressions, the wire-equals-in-process differential, a server closing
+# under live sessions, and the resource-pool admission suites with a
+# cancelled SELECT giving its slot back — all under the race detector.
 wire-test: wire-fuzz
-	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStream|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential' ./internal/server/
+	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|ServerCloseEndsLiveSessions' ./internal/server/
 	$(GO) test -race ./internal/pool/
-	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
+	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation' ./internal/vertica/
 
 # Five seconds of native fuzzing on each decoder of untrusted bytes: the wire
 # frames, the batch-frame payload codec (storage.DecodeColumns), the

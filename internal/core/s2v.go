@@ -152,28 +152,26 @@ func (w *s2vWriter) setup(ctx context.Context, conn client.Conn, nParts int) err
 	w.status = "s2v_task_status_" + job
 	w.committer = "s2v_last_committer_" + job
 
-	targetExists, err := w.tableExists(ctx, conn, w.opts.Table)
-	if err != nil {
-		return err
-	}
-	switch w.mode {
-	case spark.SaveErrorIfExists:
-		if targetExists {
-			return fmt.Errorf("core: table %q already exists (mode: errorIfExists)", w.opts.Table)
-		}
-	case spark.SaveAppend:
-		if !targetExists {
-			return fmt.Errorf("core: table %q does not exist (mode: append)", w.opts.Table)
-		}
-		lay, err := discoverLayout(ctx, conn, w.opts.Table)
-		if err != nil {
+	// Overwrite is always allowed: the commit swaps staging over the target,
+	// and staging takes the default segmentation. The other modes ask what
+	// the target is; an append's staging is created LIKE it.
+	stagingSegmented := true
+	if w.mode != spark.SaveOverwrite {
+		target, err := describe(ctx, conn, w.opts.Table)
+		if err != nil && !errors.Is(err, errNoRelation) {
 			return err
 		}
-		if !lay.schema.Equal(w.schema) {
-			return fmt.Errorf("core: DataFrame schema %s does not match target %s", w.schema, lay.schema)
+		exists := err == nil && !target.isView
+		switch {
+		case w.mode == spark.SaveErrorIfExists && exists:
+			return fmt.Errorf("core: table %q already exists (mode: errorIfExists)", w.opts.Table)
+		case w.mode == spark.SaveAppend && !exists:
+			return fmt.Errorf("core: table %q does not exist (mode: append)", w.opts.Table)
+		case w.mode == spark.SaveAppend && !target.schema.Equal(w.schema):
+			return fmt.Errorf("core: DataFrame schema %s does not match target %s", w.schema, target.schema)
+		case w.mode == spark.SaveAppend:
+			stagingSegmented = target.segmented
 		}
-	case spark.SaveOverwrite:
-		// Always allowed; the commit swaps staging over the target.
 	}
 
 	for _, stmt := range []string{
@@ -210,7 +208,7 @@ func (w *s2vWriter) setup(ctx context.Context, conn client.Conn, nParts int) err
 		}
 	}
 
-	lay, err := discoverLayout(ctx, conn, w.staging)
+	lay, err := layout(ctx, conn, w.staging, stagingSegmented)
 	if err != nil {
 		return err
 	}
@@ -503,15 +501,6 @@ func (w *s2vWriter) encodeRows(cs *client.CopyStream, rows []types.Row) error {
 		}
 	}
 	return aw.Close()
-}
-
-func (w *s2vWriter) tableExists(ctx context.Context, conn client.Conn, name string) (bool, error) {
-	res, err := conn.Execute(ctx, fmt.Sprintf(
-		"SELECT table_name FROM v_catalog.tables WHERE table_name = '%s'", types.SQLEscape(name)))
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
 }
 
 // markFailed best-effort records a failed job in the permanent status table.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 
 	"vsfabric/internal/client"
 	"vsfabric/internal/obs"
+	"vsfabric/internal/resilience"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
@@ -179,117 +181,105 @@ func parseS2VOptions(m map[string]string) (S2VOptions, error) {
 	return o, err
 }
 
-// clusterLayout is what the driver discovers from the system catalog during
-// setup: every node address plus the target's segmentation metadata.
-type clusterLayout struct {
-	addrs     []string
-	segmented bool
+// The driver asks the catalog two questions, each in one statement: what a
+// relation is (describe, once per relation) and where it lives as of which
+// epoch (layout, once per plan).
+
+// relDesc is what describe reads about one relation.
+type relDesc struct {
+	schema    types.Schema // columns in ordinal order
 	isView    bool
-	schema    types.Schema
-	// segments[i] is the hash range owned by addrs[i] (segmented tables).
-	segLo, segHi []uint64
+	segmented bool
+	// segExpr is the hash expression the table is segmented by, which
+	// partition predicates range over; HASH(*) for anything else.
+	segExpr string
 }
 
-// discoverLayout reads v_catalog.nodes / tables / columns / segments through
-// one connection.
-func discoverLayout(ctx context.Context, conn client.Conn, table string) (*clusterLayout, error) {
-	lay := &clusterLayout{}
-	res, err := conn.Execute(ctx, "SELECT node_address FROM v_catalog.nodes")
+// errNoRelation is describe's answer for a name that is neither a table nor
+// a readable view.
+var errNoRelation = errors.New("does not exist in Vertica")
+
+// describe reads a table's columns, in ordinal order, joined with its
+// segmentation. A name with no catalog table costs a second statement: the
+// zero-row probe that gives a view its schema.
+func describe(ctx context.Context, conn client.Conn, name string) (*relDesc, error) {
+	res, err := conn.Execute(ctx, fmt.Sprintf(
+		"SELECT c.column_name, c.data_type, c.ordinal_position, t.is_segmented, t.segment_expression "+
+			"FROM v_catalog.columns c JOIN v_catalog.tables t ON c.table_name = t.table_name "+
+			"WHERE t.table_name = '%s' ORDER BY c.ordinal_position", types.SQLEscape(name)))
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range res.Rows {
-		lay.addrs = append(lay.addrs, r[0].S)
-	}
-	if len(lay.addrs) == 0 {
-		return nil, fmt.Errorf("core: cluster reports no nodes")
-	}
-
-	res, err = conn.Execute(ctx, fmt.Sprintf("SELECT is_segmented FROM v_catalog.tables WHERE table_name = '%s'", types.SQLEscape(table)))
-	if err != nil {
-		return nil, err
-	}
-	switch len(res.Rows) {
-	case 0:
-		// Not a table: maybe a view.
-		vres, err := conn.Execute(ctx, fmt.Sprintf("SELECT view_name FROM v_catalog.views WHERE view_name = '%s'", types.SQLEscape(table)))
+	d := &relDesc{segExpr: "HASH(*)"}
+	if len(res.Rows) == 0 {
+		probe, err := conn.Execute(ctx, fmt.Sprintf("SELECT * FROM %s LIMIT 0", name))
 		if err != nil {
-			return nil, err
-		}
-		if len(vres.Rows) == 0 {
-			return nil, fmt.Errorf("core: relation %q does not exist in Vertica", table)
-		}
-		lay.isView = true
-	default:
-		lay.segmented = res.Rows[0][0].AsBool()
-	}
-
-	if lay.isView {
-		// Views have no catalog columns; take the schema from a zero-row
-		// probe.
-		probe, err := conn.Execute(ctx, fmt.Sprintf("SELECT * FROM %s LIMIT 0", table))
-		if err != nil {
-			return nil, err
-		}
-		lay.schema = probe.Schema
-	} else {
-		cres, err := conn.Execute(ctx, fmt.Sprintf(
-			"SELECT column_name, data_type FROM v_catalog.columns WHERE table_name = '%s'", types.SQLEscape(table)))
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range cres.Rows {
-			t, err := types.ParseType(r[1].S)
-			if err != nil {
+			if resilience.IsTransient(err) || ctx.Err() != nil {
 				return nil, err
 			}
-			lay.schema.Cols = append(lay.schema.Cols, types.Column{Name: r[0].S, T: t})
+			return nil, fmt.Errorf("core: relation %q %w", name, errNoRelation)
 		}
-		if lay.schema.NumCols() == 0 {
-			return nil, fmt.Errorf("core: table %q has no columns in catalog", table)
-		}
+		d.schema, d.isView = probe.Schema, true
+		return d, nil
 	}
-
-	if lay.segmented {
-		sres, err := conn.Execute(ctx, fmt.Sprintf(
-			"SELECT node_address, segment_lower_bound, segment_upper_bound FROM v_catalog.segments WHERE table_name = '%s'",
-			types.SQLEscape(table)))
+	for _, r := range res.Rows {
+		t, err := types.ParseType(r[1].S)
 		if err != nil {
 			return nil, err
 		}
-		if len(sres.Rows) == 0 {
-			return nil, fmt.Errorf("core: catalog reports no segments for table %q", table)
+		d.schema.Cols = append(d.schema.Cols, types.Column{Name: r[0].S, T: t})
+	}
+	d.segmented = res.Rows[0][3].AsBool()
+	if e := res.Rows[0][4].S; d.segmented && e != "" {
+		d.segExpr = e
+	}
+	return d, nil
+}
+
+// planLayout is one plan's view of the cluster: the addresses to read from,
+// for a segmented table the hash range each one owns (segLo[i]..segHi[i] on
+// addrs[i]), and the epoch the plan reads at.
+type planLayout struct {
+	addrs        []string
+	segLo, segHi []uint64
+	epoch        uint64
+}
+
+// layout reads where a relation lives and the last closed epoch. A segmented
+// table lives on its segment rows, in ring order; they are authoritative, not
+// the node list: mid-rebalance a table's own ring can hold fewer or more
+// nodes than membership, and scans must be planned against the table's ring.
+// A view or an unsegmented table lives on every node. The engine builds the
+// catalog rows when it plans the statement and evaluates LAST_EPOCH() when it
+// projects them, so the epoch is never older than the layout.
+func layout(ctx context.Context, conn client.Conn, name string, segmented bool) (*planLayout, error) {
+	sql := "SELECT LAST_EPOCH(), node_address FROM v_catalog.nodes"
+	if segmented {
+		sql = fmt.Sprintf("SELECT LAST_EPOCH(), node_address, segment_lower_bound, segment_upper_bound "+
+			"FROM v_catalog.segments WHERE table_name = '%s'", types.SQLEscape(name))
+	}
+	res, err := conn.Execute(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Rows) == 0 {
+		if segmented {
+			return nil, fmt.Errorf("core: catalog reports no segments for table %q", name)
 		}
-		// The segment rows are authoritative, not the node list: mid-rebalance
-		// (a node joining or draining) a table's own ring can momentarily hold
-		// fewer or more nodes than cluster membership, and the table's ring is
-		// what scans must be planned against. The catalog returns segments
-		// ordered by ring position; take addresses from them wholesale.
-		lay.addrs = lay.addrs[:0]
-		for _, r := range sres.Rows {
-			lay.addrs = append(lay.addrs, r[0].S)
-			lay.segLo = append(lay.segLo, uint64(r[1].I))
-			lay.segHi = append(lay.segHi, uint64(r[2].I))
+		return nil, fmt.Errorf("core: cluster reports no nodes")
+	}
+	lay := &planLayout{epoch: uint64(res.Rows[0][0].AsInt())}
+	for _, r := range res.Rows {
+		lay.addrs = append(lay.addrs, r[1].S)
+		if segmented {
+			lay.segLo = append(lay.segLo, uint64(r[2].I))
+			lay.segHi = append(lay.segHi, uint64(r[3].I))
 		}
 	}
 	return lay, nil
 }
 
-// segmentationExpr returns the SQL hash expression matching the table's
-// segmentation, read from the catalog.
-func segmentationExpr(ctx context.Context, conn client.Conn, table string) (string, error) {
-	res, err := conn.Execute(ctx, fmt.Sprintf(
-		"SELECT segment_expression FROM v_catalog.tables WHERE table_name = '%s'", types.SQLEscape(table)))
-	if err != nil {
-		return "", err
-	}
-	if len(res.Rows) == 0 || res.Rows[0][0].S == "" {
-		return "HASH(*)", nil
-	}
-	return res.Rows[0][0].S, nil
-}
-
-// singleInt reads a one-cell result (COUNT(*), LAST_EPOCH()) as an integer.
+// singleInt reads a one-cell result (COUNT(*)) as an integer.
 func singleInt(res *vertica.Result) (int64, error) {
 	v, err := res.Value()
 	if err != nil {

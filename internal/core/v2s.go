@@ -31,11 +31,10 @@ type querySpec struct {
 // the catalog, pruned/filtered scans pinned to one epoch with hash-ring
 // locality, and COUNT pushdown.
 type v2sRelation struct {
-	sc      *spark.Context
-	pool    *resilience.ResilientConnector
-	opts    V2SOptions
-	lay     *clusterLayout
-	segExpr string
+	sc   *spark.Context
+	pool *resilience.ResilientConnector
+	opts V2SOptions
+	desc *relDesc
 }
 
 // driverCtx is the context driver-side control queries run under: they carry
@@ -58,63 +57,57 @@ func newV2SRelation(sc *spark.Context, pool client.Connector, opts V2SOptions) (
 		return nil, err
 	}
 	defer conn.Close()
-	lay, err := discoverLayout(ctx, conn, opts.Table)
+	desc, err := describe(ctx, conn, opts.Table)
+	if err != nil {
+		return nil, err
+	}
+	lay, err := layout(ctx, conn, opts.Table, desc.segmented)
 	if err != nil {
 		return nil, err
 	}
 	rpool.SetHosts(lay.addrs)
-	r := &v2sRelation{sc: sc, pool: rpool, opts: opts, lay: lay}
-	if lay.segmented {
-		expr, err := segmentationExpr(ctx, conn, opts.Table)
-		if err != nil {
-			return nil, err
-		}
-		r.segExpr = expr
-	} else {
-		r.segExpr = "HASH(*)"
+	if opts.NumPartitions == 0 {
+		opts.NumPartitions = 16
 	}
-	if r.opts.NumPartitions == 0 {
-		r.opts.NumPartitions = 16
-	}
-	return r, nil
+	return &v2sRelation{sc: sc, pool: rpool, opts: opts, desc: desc}, nil
 }
 
 // Schema implements spark.BaseRelation.
-func (r *v2sRelation) Schema() (types.Schema, error) { return r.lay.schema, nil }
+func (r *v2sRelation) Schema() (types.Schema, error) { return r.desc.schema, nil }
 
 func filtersSQL(filters []spark.Filter) (string, error) {
 	conds, err := spark.FiltersSQL(filters)
 	return strings.Join(conds, " AND "), err
 }
 
-// planPartitions computes the per-partition query specs from the discovered
+// planPartitions computes the per-partition query specs from one plan's
 // layout — the heart of §3.1.2. Segmented tables split the hash ring along
 // segment boundaries so every spec is node-local; unsegmented tables (fully
 // replicated) split the synthetic whole-row hash ring and spread connections
 // round-robin; views use MOD(HASH(*), P) synthetic partitioning.
-func (r *v2sRelation) planPartitions() [][]querySpec {
+func (r *v2sRelation) planPartitions(lay *planLayout) [][]querySpec {
 	p := r.opts.NumPartitions
 	specs := make([][]querySpec, p)
 	switch {
-	case r.lay.isView:
+	case r.desc.isView:
 		for i := 0; i < p; i++ {
 			specs[i] = []querySpec{{
-				addr: r.lay.addrs[i%len(r.lay.addrs)],
+				addr: lay.addrs[i%len(lay.addrs)],
 				mod:  i, modP: p,
 			}}
 		}
-	case !r.lay.segmented:
+	case !r.desc.segmented:
 		// Replicated everywhere: any node answers any range locally.
 		ranges := vhash.Split(vhash.Range{Lo: 0, Hi: vhash.RingSize}, p)
 		for i := 0; i < p; i++ {
 			specs[i] = []querySpec{{
-				addr: r.lay.addrs[i%len(r.lay.addrs)],
+				addr: lay.addrs[i%len(lay.addrs)],
 				lo:   ranges[i].Lo, hi: ranges[i].Hi,
 				mod: -1,
 			}}
 		}
 	default:
-		n := len(r.lay.addrs)
+		n := len(lay.addrs)
 		if p >= n {
 			// Figure 4(b): split each segment into ~p/n sub-ranges; each
 			// partition gets exactly one node-local range. Partition indexes
@@ -123,7 +116,7 @@ func (r *v2sRelation) planPartitions() [][]querySpec {
 			perSeg := make([][]vhash.Range, n)
 			for s := 0; s < n; s++ {
 				k := p/n + btoi(s < p%n)
-				perSeg[s] = vhash.Split(vhash.Range{Lo: r.lay.segLo[s], Hi: r.lay.segHi[s]}, k)
+				perSeg[s] = vhash.Split(vhash.Range{Lo: lay.segLo[s], Hi: lay.segHi[s]}, k)
 			}
 			idx := 0
 			for slice := 0; idx < p; slice++ {
@@ -132,7 +125,7 @@ func (r *v2sRelation) planPartitions() [][]querySpec {
 						continue
 					}
 					rg := perSeg[s][slice]
-					specs[idx] = []querySpec{{addr: r.lay.addrs[s], lo: rg.Lo, hi: rg.Hi, mod: -1}}
+					specs[idx] = []querySpec{{addr: lay.addrs[s], lo: rg.Lo, hi: rg.Hi, mod: -1}}
 					idx++
 				}
 			}
@@ -143,7 +136,7 @@ func (r *v2sRelation) planPartitions() [][]querySpec {
 				loSeg, hiSeg := n*i/p, n*(i+1)/p
 				for s := loSeg; s < hiSeg; s++ {
 					specs[i] = append(specs[i], querySpec{
-						addr: r.lay.addrs[s], lo: r.lay.segLo[s], hi: r.lay.segHi[s], mod: -1,
+						addr: lay.addrs[s], lo: lay.segLo[s], hi: lay.segHi[s], mod: -1,
 					})
 				}
 			}
@@ -183,7 +176,7 @@ func (r *v2sRelation) specSQL(spec querySpec, cols []string, pushdown string, ep
 	if spec.mod >= 0 {
 		fmt.Fprintf(&b, "MOD(HASH(*), %d) = %d", spec.modP, spec.mod)
 	} else {
-		fmt.Fprintf(&b, "%s >= %d AND %s < %d", r.segExpr, spec.lo, r.segExpr, spec.hi)
+		fmt.Fprintf(&b, "%s >= %d AND %s < %d", r.desc.segExpr, spec.lo, r.desc.segExpr, spec.hi)
 	}
 	if pushdown != "" {
 		fmt.Fprintf(&b, " AND (%s)", pushdown)
@@ -191,40 +184,35 @@ func (r *v2sRelation) specSQL(spec querySpec, cols []string, pushdown string, ep
 	return b.String()
 }
 
-// planJob is the driver's one connection per V2S plan. On it the table's
-// layout is re-discovered — the one captured when the relation was created
-// may predate a cluster membership change, and only the current ring's
-// addresses are guaranteed to carry the table's segments — and then the last
-// closed epoch is pinned: every partition query reads AT this epoch, giving
-// the job one consistent snapshot no matter when (or how often) its tasks run
-// (§3.1.2). Whatever epoch is pinned, the refreshed layout answers it exactly
-// (moved versions carry their full MVCC history).
-func (r *v2sRelation) planJob(ctx context.Context) (epoch uint64, err error) {
+// planJob is the driver's one statement per V2S plan, on its own connection:
+// the table's current layout together with the last closed epoch. The layout
+// captured when the relation was created may predate a cluster membership
+// change, and only the current ring's addresses are guaranteed to carry the
+// table's segments. Every partition query reads AT the epoch, giving the job
+// one consistent snapshot no matter when (or how often) its tasks run
+// (§3.1.2); whatever epoch is pinned, the current layout answers it exactly
+// (moved versions carry their full MVCC history). The layout is the plan's
+// own, so concurrent plans of one relation share nothing but the pool.
+func (r *v2sRelation) planJob(ctx context.Context) (*planLayout, error) {
 	conn, err := r.pool.Connect(ctx, r.opts.Host)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer conn.Close()
-	lay, err := discoverLayout(ctx, conn, r.opts.Table)
+	lay, err := layout(ctx, conn, r.opts.Table, r.desc.segmented)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	r.lay = lay
 	r.pool.SetHosts(lay.addrs)
-	res, err := conn.Execute(ctx, "SELECT LAST_EPOCH()")
-	if err != nil {
-		return 0, err
-	}
-	n, err := singleInt(res)
-	return uint64(n), err
+	return lay, nil
 }
 
 // BuildScan implements spark.PrunedFilteredScan.
 func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (*spark.RDD[types.Row], error) {
 	if len(requiredCols) == 0 {
-		requiredCols = r.lay.schema.ColNames()
+		requiredCols = r.desc.schema.ColNames()
 	}
-	if _, _, err := r.lay.schema.Project(requiredCols); err != nil {
+	if _, _, err := r.desc.schema.Project(requiredCols); err != nil {
 		return nil, err
 	}
 	pushdown, err := filtersSQL(filters)
@@ -239,19 +227,20 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 	// end-to-end duration as the extent of the whole trace.
 	job := obs.Start(r.opts.Observer, "v2s.job", "driver")
 	jctx := obs.WithSpan(driverCtx(), job)
-	epoch, err := r.planJob(jctx)
+	lay, err := r.planJob(jctx)
 	if err != nil {
 		job.End(err)
 		return nil, err
 	}
-	specs := r.planPartitions()
+	epoch := lay.epoch
+	specs := r.planPartitions(lay)
 	if r.opts.DisableLocality {
 		// Ablation: keep the unique non-overlapping ranges but connect each
 		// task to the next node over, so every query gathers its data
 		// across the internal network (the behaviour §3.1.2 eliminates).
 		for i := range specs {
 			for j := range specs[i] {
-				specs[i][j].addr = r.lay.addrs[(nodeIndexOf(r.lay.addrs, specs[i][j].addr)+1)%len(r.lay.addrs)]
+				specs[i][j].addr = lay.addrs[(nodeIndexOf(lay.addrs, specs[i][j].addr)+1)%len(lay.addrs)]
 			}
 		}
 	}
@@ -307,15 +296,15 @@ func (r *v2sRelation) CountRows(filters []spark.Filter) (int64, error) {
 		return 0, err
 	}
 	ctx := driverCtx()
-	epoch, err := r.planJob(ctx)
+	lay, err := r.planJob(ctx)
 	if err != nil {
 		return 0, err
 	}
-	specs := r.planPartitions()
+	specs := r.planPartitions(lay)
 	total := int64(0)
 	for _, group := range specs {
 		for _, spec := range group {
-			res, err := r.pool.Execute(ctx, spec.addr, r.specSQL(spec, nil, pushdown, epoch, true))
+			res, err := r.pool.Execute(ctx, spec.addr, r.specSQL(spec, nil, pushdown, lay.epoch, true))
 			if err != nil {
 				return 0, err
 			}

@@ -86,41 +86,52 @@ type Server struct {
 	cluster *vertica.Cluster
 	nodeID  int
 
+	// closing is done once Close is called: it closes every client
+	// connection and cancels the statements running on them.
+	closing context.Context
+	stop    context.CancelFunc
+
 	mu       sync.Mutex
 	listener net.Listener
-	closed   bool
 	wg       sync.WaitGroup
 }
 
+var errServerClosed = errors.New("server: closed")
+
 // New creates a server for the given node of the cluster.
 func New(cluster *vertica.Cluster, nodeID int) *Server {
-	return &Server{cluster: cluster, nodeID: nodeID}
+	ctx, stop := context.WithCancel(context.Background())
+	return &Server{cluster: cluster, nodeID: nodeID, closing: ctx, stop: stop}
 }
 
 // Listen starts accepting on addr (e.g. "127.0.0.1:0") and returns the bound
-// address.
+// address. A closed server refuses.
 func (s *Server) Listen(addr string) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closing.Err() != nil {
+		return "", errServerClosed
+	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
 	s.listener = l
-	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(l)
 	return l.Addr().String(), nil
 }
 
-// Close stops the listener and waits for active connections to drain.
+// Close stops the listener, ends every client connection — each session ends
+// as if its client hung up, aborting any open transaction — and waits for
+// them to drain.
 func (s *Server) Close() {
 	s.mu.Lock()
-	s.closed = true
-	l := s.listener
-	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
+	s.stop()
+	if s.listener != nil {
+		_ = s.listener.Close()
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 
@@ -134,6 +145,7 @@ func (s *Server) acceptLoop(l net.Listener) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			defer context.AfterFunc(s.closing, func() { _ = conn.Close() })()
 			s.handle(conn)
 		}()
 	}
@@ -197,7 +209,7 @@ func (s *Server) serve(conn net.Conn) {
 				_ = s.sendBinError(conn, req.Tag, sessErr)
 				break
 			}
-			res, err := sess.ExecuteColumnar(reqCtx(conn, req), req.SQL)
+			res, err := sess.ExecuteColumnar(s.reqCtx(conn, req), req.SQL)
 			if err != nil {
 				_ = s.sendBinError(conn, req.Tag, err)
 				break
@@ -218,7 +230,7 @@ func (s *Server) serve(conn net.Conn) {
 				return
 			}
 			cr := &copyReader{conn: conn}
-			res, err := sess.CopyFromContext(reqCtx(conn, req), req.SQL, cr)
+			res, err := sess.CopyFromContext(s.reqCtx(conn, req), req.SQL, cr)
 			if err != nil {
 				if !copyRecoverable(sess, cr) {
 					_ = s.sendBinError(conn, req.Tag, fmt.Errorf("%w: COPY stream broken: %v", ErrProtocol, err))
@@ -257,18 +269,18 @@ func copyRecoverable(sess *vertica.Session, cr *copyReader) bool {
 	return false
 }
 
-// reqCtx builds the context one remote request executes under: the span Peer
-// is stamped from the wire-carried client name or, failing that, the
-// connection's remote address, and any propagated trace context parents the
-// session's spans under the remote job. It carries no simulator task record
-// (sim.WithTask): no remote client keeps a cost trace, so remote statements
-// do no accounting.
-func reqCtx(conn net.Conn, req binRequest) context.Context {
+// reqCtx builds the context one remote request executes under: cancelled
+// when the server closes, its span Peer stamped from the wire-carried client
+// name or, failing that, the connection's remote address, and any propagated
+// trace context parenting the session's spans under the remote job. It
+// carries no simulator task record (sim.WithTask): no remote client keeps a
+// cost trace, so remote statements do no accounting.
+func (s *Server) reqCtx(conn net.Conn, req binRequest) context.Context {
 	peer := req.Peer
 	if peer == "" {
 		peer = conn.RemoteAddr().String()
 	}
-	ctx := obs.WithPeer(context.Background(), peer)
+	ctx := obs.WithPeer(s.closing, peer)
 	if req.TraceID != 0 {
 		ctx = obs.WithSpanContext(ctx, obs.SpanContext{TraceID: req.TraceID, SpanID: req.ParentID})
 	}
@@ -355,7 +367,7 @@ func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) e
 // header and tag, and written once; the buffer is reused, so beyond the
 // result itself the server holds one frame. encErr reports a result that
 // would not encode (the connection is fine); err a failed write.
-func sendBatches(conn net.Conn, tag uint32, schema types.Schema, batches []*storage.Batch) (encErr, err error) {
+func sendBatches(w io.Writer, tag uint32, schema types.Schema, batches []*storage.Batch) (encErr, err error) {
 	var buf []byte
 	var parts []*storage.Batch
 	off := 0 // rows of batches[0] already sent
@@ -376,7 +388,7 @@ func sendBatches(conn net.Conn, tag uint32, schema types.Schema, batches []*stor
 			return encErr, nil
 		}
 		binary.BigEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
-		if _, err := conn.Write(buf); err != nil || len(batches) == 0 {
+		if _, err := w.Write(buf); err != nil || len(batches) == 0 {
 			return nil, err
 		}
 	}

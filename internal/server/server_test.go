@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"vsfabric/internal/client"
 	"vsfabric/internal/core"
@@ -128,6 +130,69 @@ func TestCopyOverTCP(t *testing.T) {
 	}
 	if sum.Rows[0][0].F != 4.5 {
 		t.Errorf("sum = %v", sum.Rows[0][0])
+	}
+}
+
+// TestServerCloseEndsLiveSessions: Close returns promptly while clients still
+// hold connections, an idle one and one inside an open transaction, and ends
+// their sessions as if the clients had hung up: the transaction is not
+// committed, no session stays open, and the closed server refuses to listen
+// again.
+func TestServerCloseEndsLiveSessions(t *testing.T) {
+	cl := vertica.MustNewCluster(1)
+	srv := New(cl, 0)
+	ep, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := DialContext(bg, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := idle.Execute(bg, "CREATE TABLE sc (n INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	inTxn, err := DialContext(bg, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inTxn.Close()
+	for _, sql := range []string{"BEGIN", "INSERT INTO sc VALUES (1)"} {
+		if _, err := inTxn.Execute(bg, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if n := cl.OpenSessions(0); n != 2 {
+		t.Fatalf("%d open sessions before Close, want 2", n)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still blocked 5s after it was called, with two clients connected")
+	}
+	if n := cl.OpenSessions(0); n != 0 {
+		t.Fatalf("%d sessions still open after Close, want 0", n)
+	}
+	if _, err := inTxn.Execute(bg, "COMMIT"); err == nil {
+		t.Fatal("COMMIT succeeded on a connection the closed server ended")
+	}
+	local, err := cl.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if n := local.MustExecute("SELECT COUNT(*) FROM sc").Rows[0][0].I; n != 0 {
+		t.Fatalf("the open transaction's row is visible after Close: %d rows, want 0", n)
+	}
+	if _, err := srv.Listen("127.0.0.1:0"); !errors.Is(err, errServerClosed) {
+		t.Fatalf("Listen after Close = %v, want errServerClosed", err)
 	}
 }
 

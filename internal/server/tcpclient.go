@@ -12,7 +12,6 @@ import (
 	"vsfabric/internal/obs"
 	"vsfabric/internal/resilience"
 	"vsfabric/internal/storage"
-	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
 )
 
@@ -152,26 +151,7 @@ func (c *TCPConn) Execute(ctx context.Context, sql string) (*vertica.Result, err
 	if err != nil {
 		return nil, err
 	}
-	return c.readBinResponse(ctx, tag, nil)
-}
-
-// ExecuteStream executes sql and delivers the result's column vectors
-// batch by batch, without boxing rows: fn is called once per wire batch
-// with a decoded schema, columns, and row count. The returned Result
-// carries the scalar outcome (rows affected, epoch) and the schema, but
-// no rows.
-func (c *TCPConn) ExecuteStream(ctx context.Context, sql string, fn func(schema types.Schema, cols []storage.Column, nrows int) error) (*vertica.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.handshake(ctx); err != nil {
-		return nil, err
-	}
-	tag, err := c.sendBinRequest(ctx, frameBinQuery, sql)
-	if err != nil {
-		return nil, err
-	}
-	return c.readBinResponse(ctx, tag, fn)
+	return c.readBinResponse(ctx, tag)
 }
 
 // CopyFrom implements client.Conn: it streams r as COPY data frames. Context
@@ -192,7 +172,7 @@ func (c *TCPConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*verti
 	}
 	abort := func(cause error) (*vertica.Result, error) {
 		if c.writeFrame(ctx, frameCopyAbort, []byte(cause.Error())) == nil {
-			_, _ = c.readBinResponse(ctx, tag, nil)
+			_, _ = c.readBinResponse(ctx, tag)
 		}
 		return nil, cause
 	}
@@ -217,7 +197,7 @@ func (c *TCPConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*verti
 	if err := c.writeFrame(ctx, frameCopyEnd, nil); err != nil {
 		return nil, err
 	}
-	return c.readBinResponse(ctx, tag, nil)
+	return c.readBinResponse(ctx, tag)
 }
 
 // Close implements client.Conn.
@@ -243,11 +223,10 @@ func remoteError(code, msg string, transient bool) error {
 // readBinResponse reads one tagged response: zero or more batch frames
 // then a done or error frame. Responses arrive in request order, so a
 // mismatched tag means the stream lost sync — a protocol error, not a
-// recoverable condition. Each batch is decoded to column vectors; with a nil
-// stream they are boxed into the returned Result's rows, all at once when the
-// done frame arrives — the one boxing this side of the wire — otherwise each
-// is handed to stream unboxed.
-func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32, stream func(types.Schema, []storage.Column, int) error) (*vertica.Result, error) {
+// recoverable condition. Each batch is decoded to column vectors, and they
+// are boxed into the returned Result's rows all at once when the done frame
+// arrives — the one boxing this side of the wire.
+func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32) (*vertica.Result, error) {
 	res := &vertica.Result{}
 	var batches []*storage.Batch
 	var buf []byte // every frame's payload: decoding copies out of it
@@ -274,11 +253,7 @@ func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32, stream func(t
 				return nil, fmt.Errorf("%w: batch payload: %v", ErrProtocol, err)
 			}
 			res.Schema = schema
-			if stream != nil {
-				if err := stream(schema, cols, n); err != nil {
-					return nil, err
-				}
-			} else if n > 0 {
+			if n > 0 {
 				batches = append(batches, &storage.Batch{Cols: cols, Sel: storage.IdentitySel(n)})
 			}
 		case frameDone:

@@ -14,7 +14,6 @@ import (
 	"vsfabric/internal/pool"
 	"vsfabric/internal/resilience"
 	"vsfabric/internal/storage"
-	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
 )
 
@@ -295,10 +294,12 @@ func TestUnsupportedVersionRefused(t *testing.T) {
 	}
 }
 
-// --- streaming ------------------------------------------------------------
+// --- multi-frame results --------------------------------------------------
 
-// TestExecuteStreamBatches checks a large result arrives as multiple
-// columnar batches whose concatenation equals the boxed result.
+// TestExecuteStreamBatches checks a large result crosses a live connection as
+// several columnar batch frames, each of the result's shape and at most
+// wireBatchRows rows, whose concatenation equals the boxed result Execute
+// returns.
 func TestExecuteStreamBatches(t *testing.T) {
 	cl := vertica.MustNewCluster(1)
 	srv := New(cl, 0)
@@ -325,27 +326,51 @@ func TestExecuteStreamBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var batches, rows int
-	res, err := c.ExecuteStream(bg, "SELECT n FROM big", func(schema types.Schema, cols []storage.Column, n int) error {
-		batches++
-		rows += n
-		if schema.NumCols() != 1 || len(cols) != 1 || cols[0].Len() != n {
-			return fmt.Errorf("batch shape: %d cols, %d rows", len(cols), n)
-		}
-		return nil
-	})
+	const q = "SELECT n FROM big"
+	want, err := c.Execute(bg, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != total {
-		t.Fatalf("streamed %d rows, want %d", rows, total)
+	if len(want.Rows) != total || want.Schema.NumCols() != 1 {
+		t.Fatalf("Execute: %d rows × %d cols, want %d × 1", len(want.Rows), want.Schema.NumCols(), total)
 	}
-	if batches < 2 {
-		t.Fatalf("result of %d rows should stream in >1 batch, got %d", total, batches)
+
+	tag, err := c.sendBinRequest(bg, frameBinQuery, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 || res.Schema.NumCols() != 1 {
-		t.Fatalf("streamed result should carry schema but no rows: %+v", res)
+	var batches []*storage.Batch
+	got := &vertica.Result{}
+	for done := false; !done; {
+		typ, payload, err := readFrame(c.conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rtag, err := tagOf(payload); err != nil || rtag != tag {
+			t.Fatalf("frame %d: tag %d, %v; want %d", len(batches), rtag, err, tag)
+		}
+		switch typ {
+		case frameBatch:
+			schema, cols, n, err := storage.DecodeColumns(payload[4:], wireBatchRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if schema.NumCols() != 1 || len(cols) != 1 || cols[0].Len() != n || n > wireBatchRows {
+				t.Fatalf("batch shape: %d cols, %d rows", len(cols), n)
+			}
+			got.Schema = schema
+			batches = append(batches, &storage.Batch{Cols: cols, Sel: storage.IdentitySel(n)})
+		case frameDone:
+			done = true
+		default:
+			t.Fatalf("unexpected response frame %q", typ)
+		}
 	}
+	if len(batches) < 2 {
+		t.Fatalf("result of %d rows should cross in >1 batch frame, got %d", total, len(batches))
+	}
+	got.Rows = storage.Materialize(batches)
+	exactResults(t, "concatenated frames", got, want)
 }
 
 // --- error handling -------------------------------------------------------
@@ -433,7 +458,7 @@ func TestMidCopyProtocolErrorAbortsTxn(t *testing.T) {
 	if err := c.writeFrame(bg, frameBinQuery, encodeBinRequest(binRequest{Tag: 99, SQL: "SELECT 1"})); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.readBinResponse(bg, tag, nil)
+	_, err = c.readBinResponse(bg, tag)
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("mid-copy violation: err = %v, want typed protocol error", err)
 	}

@@ -127,14 +127,14 @@ func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.
 
 // executeInsert runs INSERT INTO ... VALUES, the trickle-load path the JDBC
 // Default Source baseline uses for saves (§4.7.1).
-func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
+func (s *Session) executeInsert(ctx context.Context, st *vsql.Insert) (*Result, error) {
 	tbl, ok := s.cluster.cat.Table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("vertica: table %q does not exist", st.Table)
 	}
 	schema := tbl.Def.Schema
 	if st.Select != nil {
-		return s.executeInsertSelect(st, tbl)
+		return s.executeInsertSelect(ctx, st, tbl)
 	}
 	colIdx := make([]int, 0, len(st.Cols))
 	if len(st.Cols) == 0 {
@@ -210,11 +210,11 @@ func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
 // the operation S2V append mode uses to commit the staging table into the
 // target under one atomic transaction (§3.2.1 phase 5, §5's discussion of
 // append-mode cost).
-func (s *Session) executeInsertSelect(st *vsql.Insert, tbl *catalog.Table) (*Result, error) {
+func (s *Session) executeInsertSelect(ctx context.Context, st *vsql.Insert, tbl *catalog.Table) (*Result, error) {
 	if len(st.Cols) > 0 {
 		return nil, fmt.Errorf("vertica: INSERT ... SELECT does not support a column list")
 	}
-	res, err := s.executeSelect(st.Select)
+	res, err := s.executeSelect(ctx, st.Select)
 	if err != nil {
 		return nil, err
 	}

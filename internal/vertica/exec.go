@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -35,14 +36,14 @@ func (s *Session) selectSnapshot(st *vsql.Select) (storage.Visibility, error) {
 }
 
 // executeSelect plans and runs a SELECT.
-func (s *Session) executeSelect(st *vsql.Select) (*Result, error) {
-	res, _, err := s.runSelect(st, false)
+func (s *Session) executeSelect(ctx context.Context, st *vsql.Select) (*Result, error) {
+	res, _, err := s.runSelect(ctx, st, false)
 	return res, err
 }
 
 // runSelect is plan + run: it returns the result set and the plan carrying
-// the run's actuals (PROFILE renders it).
-func (s *Session) runSelect(st *vsql.Select, prof bool) (*Result, *selectPlan, error) {
+// the run's actuals (PROFILE renders it). Cancelling ctx stops the run.
+func (s *Session) runSelect(ctx context.Context, st *vsql.Select, prof bool) (*Result, *selectPlan, error) {
 	vis, err := s.selectSnapshot(st)
 	if err != nil {
 		return nil, nil, err
@@ -56,7 +57,7 @@ func (s *Session) runSelect(st *vsql.Select, prof bool) (*Result, *selectPlan, e
 	if err != nil {
 		return nil, nil, err
 	}
-	batches, err := s.run(plan, prof)
+	batches, err := s.run(ctx, plan, prof)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,7 +245,9 @@ func runSegJobs(n int, fn func(int)) {
 // stay valid, and keep showing the snapshot they were scanned at, after the
 // statement's epoch pin is gone. The returned count is the rows selected;
 // with countOnly it is all that is returned. The node's actuals are filled in.
-func (s *Session) scanBatches(n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, int64, error) {
+// A segment checks ctx before each batch: once it is cancelled, every segment
+// stops and the scan fails with ctx's error.
+func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, int64, error) {
 	jobs, pred, opts := n.jobs, n.pred, n.opts
 	results := make([]segResult, len(jobs))
 	runSegJobs(len(jobs), func(i int) {
@@ -255,6 +258,10 @@ func (s *Session) scanBatches(n *planNode, vis storage.Visibility, prof bool) ([
 			fs = &res.fstats
 		}
 		err := jobs[i].store.ScanBatchesPruned(vis, n.hr, s.pruneFunc(pred, res), func(b *storage.Batch) bool {
+			if err := ctx.Err(); err != nil {
+				res.err = err
+				return false
+			}
 			if err := pred.FilterBatchStats(b, fs); err != nil {
 				res.err = err
 				return false

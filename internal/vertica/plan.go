@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -422,13 +423,17 @@ func estValue(est int64) types.Value {
 // batches, each node's of its declared schema. The first scan is the
 // pipeline's left side; every later scan is the right input of the join node
 // that follows it. prof turns on clock reads and the kernel/residual split
-// (PROFILE only).
-func (s *Session) run(p *selectPlan, prof bool) ([]*storage.Batch, error) {
+// (PROFILE only). Cancelling ctx stops the run between nodes and inside a
+// scan.
+func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage.Batch, error) {
 	var cur, right []*storage.Batch
 	if p.nodes[0].op != opScan {
 		cur = []*storage.Batch{{Sel: []int32{0}}} // FROM-less input: one row of no columns
 	}
 	for i := range p.nodes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		n := &p.nodes[i]
 		// The clock is read only under PROFILE: the common path stays free of
 		// time syscalls.
@@ -443,9 +448,9 @@ func (s *Session) run(p *selectPlan, prof bool) ([]*storage.Batch, error) {
 		switch n.op {
 		case opScan:
 			if i == 0 {
-				cur, err = s.runScan(n, p.vis, prof)
+				cur, err = s.runScan(ctx, n, p.vis, prof)
 			} else {
-				right, err = s.runScan(n, p.vis, prof)
+				right, err = s.runScan(ctx, n, p.vis, prof)
 			}
 
 		case opJoin:
@@ -509,9 +514,9 @@ func (s *Session) run(p *selectPlan, prof bool) ([]*storage.Batch, error) {
 // its own plan and hands on its batches; a system table columnizes the rows it
 // was planned with. The derived batches take the node's schema and carry no
 // hashes: a view's rows are not the rows its base table's segmentation hashed.
-func (s *Session) runScan(n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, error) {
+func (s *Session) runScan(ctx context.Context, n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, error) {
 	if n.tbl != nil {
-		batches, count, err := s.scanBatches(n, vis, prof)
+		batches, count, err := s.scanBatches(ctx, n, vis, prof)
 		if n.opts.countOnly {
 			batches = []*storage.Batch{{Schema: n.schema, Cols: []storage.Column{&storage.Int64Column{Vals: []int64{count}}}, Sel: []int32{0}}}
 		}
@@ -520,7 +525,7 @@ func (s *Session) runScan(n *planNode, vis storage.Visibility, prof bool) ([]*st
 	var batches []*storage.Batch
 	var err error
 	if n.view != nil {
-		batches, err = s.run(n.view, prof)
+		batches, err = s.run(ctx, n.view, prof)
 		for _, b := range batches {
 			b.Schema, b.Hashes = n.schema, nil
 		}

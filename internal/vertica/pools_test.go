@@ -3,6 +3,8 @@ package vertica
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -357,6 +359,49 @@ func TestPoolDDLSurvivesRestart(t *testing.T) {
 	st = poolStats(t, c3, "keep")
 	if st.Cfg.MaxConcurrency != 3 {
 		t.Fatalf("pool lost across checkpoint: %+v", st.Cfg)
+	}
+}
+
+// TestSelectHonoursCancellation: a SELECT whose context is cancelled while it
+// scans stops at the next batch, fails with the context's error and gives its
+// pool slot back, so a client that abandons a statement does not leave it
+// running. The UDx cancels on its first call; the table's 20 containers are
+// 20 batches, so a scan that ignored the context would call it 20 000 times.
+func TestSelectHonoursCancellation(t *testing.T) {
+	c := MustNewCluster(1)
+	s, _ := c.Connect(0)
+	defer s.Close()
+	s.MustExecute("CREATE TABLE big (n INTEGER)")
+	const loads, per = 20, 1000
+	for l := 0; l < loads; l++ {
+		var csv strings.Builder
+		for i := 0; i < per; i++ {
+			fmt.Fprintf(&csv, "%d\n", l*per+i)
+		}
+		if _, err := s.CopyFrom("COPY big FROM STDIN FORMAT CSV DIRECT", strings.NewReader(csv.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	c.RegisterUDx("CANCEL_ONCE", func(args []types.Value, _ map[string]string) (types.Value, error) {
+		if calls.Add(1) == 1 {
+			cancel()
+		}
+		return args[0], nil
+	})
+	if _, err := s.ExecuteContext(ctx, "SELECT n FROM big WHERE CANCEL_ONCE(n) >= 0"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled SELECT returned err %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n > 2*per {
+		t.Fatalf("the UDx ran %d times after the first call cancelled the statement, want at most %d (one batch per segment)", n, 2*per)
+	}
+	if running := poolStats(t, c, "general").Running; running != 0 {
+		t.Fatalf("general pool runs %d statements after the cancelled SELECT, want 0", running)
+	}
+	if got := s.MustExecute("SELECT COUNT(*) FROM big").Rows[0][0].I; got != loads*per {
+		t.Fatalf("session after the cancelled SELECT counts %d rows, want %d", got, loads*per)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -24,9 +25,9 @@ var profileSchema = types.Schema{Cols: []types.Column{
 // wrapped query normally (same snapshot rules, same plan) with the clock and
 // the kernel/residual split switched on, and the plan's actuals — not the
 // query's rows — come back as the result set.
-func (s *Session) executeProfile(p *vsql.Profile) (*Result, error) {
+func (s *Session) executeProfile(ctx context.Context, p *vsql.Profile) (*Result, error) {
 	start := time.Now()
-	res, plan, err := s.runSelect(p.Select, true)
+	res, plan, err := s.runSelect(ctx, p.Select, true)
 	if err != nil {
 		return nil, err
 	}

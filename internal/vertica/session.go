@@ -290,15 +290,15 @@ func (s *Session) dispatch(ctx context.Context, stmt vsql.Statement) (*Result, e
 	switch st := stmt.(type) {
 	case *vsql.Select:
 		s.rec.Fixed(sim.FixedQuery)
-		return s.executeSelect(st)
+		return s.executeSelect(ctx, st)
 	case *vsql.Profile:
 		s.rec.Fixed(sim.FixedQuery)
-		return s.executeProfile(st)
+		return s.executeProfile(ctx, st)
 	case *vsql.Explain:
 		return s.executeExplain(st)
 	case *vsql.Insert:
 		s.rec.Fixed(sim.FixedQuery)
-		return s.executeInsert(st)
+		return s.executeInsert(ctx, st)
 	case *vsql.Update:
 		s.rec.Fixed(sim.FixedQuery)
 		return s.executeUpdate(st)

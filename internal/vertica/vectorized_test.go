@@ -73,7 +73,7 @@ func scanRows(s *Session, tbl *catalog.Table, where expr.Expr, vis storage.Visib
 	if err := s.planBaseScan(&n, where, opts); err != nil {
 		return nil, 0, n.schema, err
 	}
-	batches, count, err := s.scanBatches(&n, vis, false)
+	batches, count, err := s.scanBatches(context.Background(), &n, vis, false)
 	return storage.Materialize(batches), count, n.schema, err
 }
 
