@@ -103,12 +103,16 @@ obs-test:
 	$(GO) test -race -run 'SimAccounting' ./internal/server/
 
 # Microbenchmarks. BenchmarkScan*/BenchmarkCount* are the scan throughput
-# record; BenchmarkResultPath is one wire batch from container to boxed client
-# rows (B/row, allocs/row). Aggregation and join timings live in fabricperf's
-# vexec.agg_s / vexec.join_s / vertica.groupby_us / vertica.join_us.
+# record; BenchmarkJoin3Way is sql_mix's three-way join statement (scans, two
+# join steps, group-by) over a 60 000-row fact table, with its bytes per
+# statement; BenchmarkResultPath is one wire batch from container to boxed
+# client rows (B/row, allocs/row). fabricperf's vexec.agg_s / vexec.join_s /
+# vertica.groupby_us / vertica.join_us time the same operators at workload
+# scale.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
+	$(GO) test -run xxx -bench BenchmarkJoin3Way -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
 
 # The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,

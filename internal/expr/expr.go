@@ -435,6 +435,18 @@ func Walk(e Expr, fn func(Expr)) {
 	}
 }
 
+// ReadsRow reports whether e reads its whole input row, not only the columns
+// Columns names: it holds a HASH(*).
+func ReadsRow(e Expr) bool {
+	whole := false
+	Walk(e, func(n Expr) {
+		if h, ok := n.(*HashFn); ok && len(h.Args) == 0 {
+			whole = true
+		}
+	})
+	return whole
+}
+
 // EvalPredicate evaluates e as a WHERE-clause predicate: NULL counts as
 // false, per SQL semantics.
 func EvalPredicate(e Expr, r types.Row, s *types.Schema) (bool, error) {

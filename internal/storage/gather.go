@@ -211,24 +211,96 @@ func isIdentity(sel []int32) bool {
 // GatherRows builds one dense vector per column of a batch set, holding the
 // values at refs (batch bi[k], physical row ri[k]) in order, without boxing a
 // row. It is how a join materializes: the matched index pairs pick each
-// side's columns straight out of its vectors. Every cell is read through
-// Column.Get and appended through the column Builder, so any stored form (an
-// RLE vector) gathers the same way. Column j takes the type of batches[0]'s
-// column j; a cell the Builder cannot take as that type is an error.
+// side's columns straight out of its vectors, one typed copy per column into a
+// vector of exactly len(bi) values, NULL flags carried. Column j takes the
+// type of batches[0]'s column j. A source vector the refs read that is not a
+// dense vector of that type is converted once first: an RLE vector densifies,
+// and a vector of another type is rebuilt through Builder.Append, so a cell
+// of it the column's type cannot take is an error.
 func GatherRows(batches []*Batch, bi, ri []int32) ([]Column, error) {
 	if len(batches) == 0 {
 		return nil, nil
 	}
+	read := make([]bool, len(batches)) // the batches the refs name
+	for _, b := range bi {
+		read[b] = true
+	}
 	cols := make([]Column, len(batches[0].Cols))
+	src := make([]Column, len(batches))
 	for j := range cols {
-		b := NewBuilder(batches[0].Cols[j].Type())
-		b.Grow(len(bi))
-		for k, src := range bi {
-			if err := b.Append(batches[src].Cols[j].Get(int(ri[k]))); err != nil {
-				return nil, fmt.Errorf("storage: column %d: %w", j, err)
+		t := batches[0].Cols[j].Type()
+		for b, bt := range batches {
+			if read[b] {
+				var err error
+				if src[b], err = denseAs(bt.Cols[j], t); err != nil {
+					return nil, fmt.Errorf("storage: column %d: %w", j, err)
+				}
 			}
 		}
-		cols[j] = b.Build()
+		switch t {
+		case types.Int64:
+			vals, nulls := gatherVec(src, bi, ri, func(c Column) ([]int64, []bool) { d := c.(*Int64Column); return d.Vals, d.Nulls })
+			cols[j] = &Int64Column{Vals: vals, Nulls: nulls}
+		case types.Float64:
+			vals, nulls := gatherVec(src, bi, ri, func(c Column) ([]float64, []bool) { d := c.(*Float64Column); return d.Vals, d.Nulls })
+			cols[j] = &Float64Column{Vals: vals, Nulls: nulls}
+		case types.Varchar:
+			vals, nulls := gatherVec(src, bi, ri, func(c Column) ([]string, []bool) { d := c.(*StringColumn); return d.Vals, d.Nulls })
+			cols[j] = &StringColumn{Vals: vals, Nulls: nulls}
+		case types.Bool:
+			vals, nulls := gatherVec(src, bi, ri, func(c Column) ([]bool, []bool) { d := c.(*BoolColumn); return d.Vals, d.Nulls })
+			cols[j] = &BoolColumn{Vals: vals, Nulls: nulls}
+		default:
+			return nil, fmt.Errorf("storage: column %d: unsupported column type %v", j, t)
+		}
 	}
 	return cols, nil
+}
+
+// denseAs returns c as a dense vector of type t: itself, densified when it is
+// of that type in another stored form, else rebuilt cell by cell through
+// types.Coerce.
+func denseAs(c Column, t types.Type) (Column, error) {
+	if c.Type() == t {
+		return Densify(c), nil
+	}
+	b := NewBuilder(t)
+	b.Grow(c.Len())
+	for i := 0; i < c.Len(); i++ {
+		if err := b.Append(c.Get(i)); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
+}
+
+// gatherVec copies the values at refs out of the dense source vectors (nil for
+// a batch no ref names) into one vector of len(bi) values, and their NULL
+// flags into another, nil when no gathered value is NULL.
+func gatherVec[T any](src []Column, bi, ri []int32, vec func(Column) ([]T, []bool)) ([]T, []bool) {
+	vals, nulls := make([][]T, len(src)), make([][]bool, len(src))
+	anyNulls := false
+	for b, c := range src {
+		if c != nil {
+			vals[b], nulls[b] = vec(c)
+			anyNulls = anyNulls || nulls[b] != nil
+		}
+	}
+	out := make([]T, len(bi))
+	for k, b := range bi {
+		out[k] = vals[b][ri[k]]
+	}
+	if !anyNulls {
+		return out, nil
+	}
+	var flags []bool
+	for k, b := range bi {
+		if n := nulls[b]; n != nil && n[ri[k]] {
+			if flags == nil {
+				flags = make([]bool, len(bi))
+			}
+			flags[k] = true
+		}
+	}
+	return out, flags
 }

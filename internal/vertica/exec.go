@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -114,29 +113,30 @@ type scanOpts struct {
 	gather bool
 }
 
-// neededColumns collects the table columns an ungrouped single-table SELECT
-// reads after the scan: those of its select-list expressions. ORDER BY is
-// excluded on purpose — it sorts the projected output, so its keys must
-// already appear in the select list. A star item returns nil: materialize
-// everything.
-func neededColumns(st *vsql.Select) []string {
-	var names []string
+// readNames lists the column names the nodes above the relations read — the
+// select list, GROUP BY keys, aggregate arguments and a residual WHERE — or
+// reports every, with no names, when a `*` or a HASH(*) reads whole rows.
+// ORDER BY is left out on purpose: it sorts the projected output, whose
+// columns the select list already names.
+func readNames(st *vsql.Select, residual expr.Expr) (names []string, every bool) {
+	names = append(names, st.GroupBy...)
+	exprs := []expr.Expr{residual}
 	for _, it := range st.Items {
 		if it.Star {
-			return nil
+			return nil, true
 		}
-		names = it.Expr.Columns(names)
+		exprs = append(exprs, it.Expr, it.Arg)
 	}
-	seen := make(map[string]bool, len(names))
-	out := names[:0]
-	for _, n := range names {
-		key := strings.ToLower(n)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, n)
+	for _, e := range exprs {
+		if e == nil {
+			continue
 		}
+		if expr.ReadsRow(e) {
+			return nil, true
+		}
+		names = e.Columns(names)
 	}
-	return out
+	return names, false
 }
 
 // scanConcurrency bounds the parallel segment-scan worker pool.
@@ -452,78 +452,6 @@ func hashBound(e expr.Expr, tbl *catalog.Table) (lo, hi *uint64, ok bool) {
 		return nil, nil, false
 	}
 }
-
-// joinShape resolves a join step's ON columns against its two input schemas
-// and builds the output schema: left columns then right columns, names
-// qualified by their relation (the left side only at the first step — lref
-// is nil once the left input is itself a join result).
-func joinShape(ls types.Schema, lref *vsql.TableRef, rs types.Schema, jc *vsql.JoinClause) (li, ri int, out types.Schema, err error) {
-	li = resolveJoinCol(ls, jc.LeftCol)
-	ri = resolveJoinCol(rs, jc.RightCol)
-	// The ON columns may be written either way around; try swapping.
-	if li < 0 || ri < 0 {
-		li = resolveJoinCol(ls, jc.RightCol)
-		ri = resolveJoinCol(rs, jc.LeftCol)
-	}
-	if li < 0 || ri < 0 {
-		return 0, 0, out, fmt.Errorf("vertica: join columns %q/%q not found", jc.LeftCol, jc.RightCol)
-	}
-	for _, c := range ls.Cols {
-		name := c.Name
-		if lref != nil {
-			name = qualify(lref, c.Name)
-		}
-		out.Cols = append(out.Cols, types.Column{Name: name, T: c.T})
-	}
-	for _, c := range rs.Cols {
-		out.Cols = append(out.Cols, types.Column{Name: qualify(&jc.Right, c.Name), T: c.T})
-	}
-	return li, ri, out, nil
-}
-
-// joinStep performs one inner equi-join of the planner's pipeline on the
-// typed batch kernel: each side's key table and probe read column vectors,
-// the kernel emits matched index pairs in left-major order (whichever side the
-// hash table is built on), and the pairs gather both sides' vectors into one
-// output batch. No row is boxed.
-func joinStep(left []*storage.Batch, li int, right []*storage.Batch, ri int, buildLeft bool, schema types.Schema) ([]*storage.Batch, error) {
-	var lb, lr, rb, rr []int32
-	vexec.JoinBatches(left, li, right, ri, buildLeft, func(b1, r1, b2, r2 int32) {
-		lb, lr, rb, rr = append(lb, b1), append(lr, r1), append(rb, b2), append(rr, r2)
-	})
-	if len(lb) == 0 {
-		return nil, nil
-	}
-	cols, err := storage.GatherRows(left, lb, lr)
-	if err != nil {
-		return nil, err
-	}
-	rcols, err := storage.GatherRows(right, rb, rr)
-	if err != nil {
-		return nil, err
-	}
-	return []*storage.Batch{{Schema: schema, Cols: append(cols, rcols...), Sel: storage.IdentitySel(len(lb))}}, nil
-}
-
-// resolveJoinCol finds a join column in a schema: the full (possibly
-// qualified) name first — ColIndex's suffix fallback handles a qualified name
-// against an unqualified base-table schema, and exact match handles it
-// against an already-qualified join schema — then the bare column name.
-func resolveJoinCol(schema types.Schema, name string) int {
-	if i := schema.ColIndex(name); i >= 0 {
-		return i
-	}
-	return schema.ColIndex(stripQualifier(name))
-}
-
-func stripQualifier(name string) string {
-	if i := strings.LastIndexByte(name, '.'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
-func qualify(tr *vsql.TableRef, col string) string { return displayName(tr) + "." + col }
 
 // recordQuery adds a traced SELECT's QueryFlowEv, built from the run plan the
 // way recordPlan builds its query_plans row: every base-table scan, a view's

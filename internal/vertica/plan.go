@@ -49,7 +49,8 @@ type planNode struct {
 
 	// scan: a base table (tbl, with the hash range, compiled predicate and
 	// segment jobs the run visits), a view (its own plan), or a system table
-	// (synthesized at plan time: its schema is only known with its rows).
+	// (synthesized at plan time: its schema is only known with its rows); a
+	// join input of the latter two filters its rows by pred at the scan.
 	// filter: the compiled predicate alone.
 	tbl  *catalog.Table
 	hr   vhash.Range
@@ -58,10 +59,12 @@ type planNode struct {
 	opts scanOpts
 	view *selectPlan
 	rows []types.Row
-	// join
-	clause    *vsql.JoinClause
-	li, ri    int
-	buildLeft bool
+	// join: the ON columns' input indexes, and the input columns each side
+	// contributes to the output (nil: all of them)
+	clause       *vsql.JoinClause
+	li, ri       int
+	buildLeft    bool
+	lcols, rcols []int
 	// group-by
 	agg *aggPlan
 	// project: pick re-arranges the input batches' vectors, proj builds new
@@ -188,6 +191,7 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 	grouped := hasAggregates(st) || len(st.GroupBy) > 0
 	var (
 		schema  types.Schema // the pipeline's current schema; FROM-less: no columns
+		star    []int        // the schema columns `*` expands to; nil: all, in order
 		counted bool         // the scan answers COUNT(*) itself
 		picked  bool         // the scan's column pick is the projection
 		err     error
@@ -197,42 +201,8 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 		// One input row of no columns; the items evaluate against it.
 
 	case len(st.Joins) > 0:
-		// Join inputs scan unfiltered: the WHERE clause may reference both
-		// sides, so it runs over the join's output batches.
-		input := func(tr *vsql.TableRef) (planNode, error) {
-			n, err := s.planRelation(tr, vis)
-			if err == nil && n.tbl != nil {
-				err = s.planBaseScan(&n, nil, scanOpts{limit: -1})
-			}
-			return n, err
-		}
-		var steps []plannedJoin
-		steps, p.joinOrder = s.planJoins(st)
-		left, err := input(st.From)
-		if err != nil {
+		if schema, star, err = s.planJoin(p, st, vis); err != nil {
 			return nil, err
-		}
-		p.add(left)
-		schema = left.schema
-		// lref qualifies the left side's column names at the first join only;
-		// later steps see an already-qualified accumulated schema.
-		lref := st.From
-		for _, step := range steps {
-			right, err := input(&step.clause.Right)
-			if err != nil {
-				return nil, err
-			}
-			p.add(right)
-			n := planNode{op: opJoin, target: displayName(&step.clause.Right), est: step.est,
-				clause: step.clause, buildLeft: step.buildLeft}
-			if n.li, n.ri, n.schema, err = joinShape(schema, lref, right.schema, step.clause); err != nil {
-				return nil, err
-			}
-			p.add(n)
-			schema, lref, p.est = n.schema, nil, n.est
-		}
-		if st.Where != nil {
-			p.add(filterNode(st.Where, schema, p.est, "post-join residual"))
 		}
 
 	default:
@@ -276,11 +246,12 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 		default:
 			// A select list of bare columns is picked by the scan itself; one
 			// that does not resolve is the project node's to report.
-			out, proj, err := planProject(st.Items, full)
+			out, proj, err := planProject(st.Items, full, nil)
 			if opts.cols = passThrough(proj); err == nil && opts.cols != nil {
 				rel.schema, picked = out, true
 			} else {
-				opts.cols, rel.schema = resolveNeedCols(full, neededColumns(st))
+				names, _ := readNames(st, nil) // nil when every column is read
+				opts.cols, rel.schema = resolveNeedCols(full, names)
 			}
 		}
 		if err := s.planBaseScan(&rel, st.Where, opts); err != nil {
@@ -305,7 +276,7 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 	default:
 		n := planNode{op: opProject, est: est, schema: schema, detail: "column pick in the scan, no row boxed"}
 		if !picked {
-			if n.schema, n.proj, err = planProject(st.Items, schema); err != nil {
+			if n.schema, n.proj, err = planProject(st.Items, schema, star); err != nil {
 				return nil, err
 			}
 			n.detail = "expressions evaluated per row into column vectors"
@@ -390,7 +361,7 @@ func (n *planNode) describe(actual bool) string {
 			d += fmt.Sprintf(", zone maps prune %d/%d containers", n.estPruned, n.estContainers)
 		}
 	case opJoin:
-		d = fmt.Sprintf("hash join %s = %s, build %s side", n.clause.LeftCol, n.clause.RightCol, n.buildSide())
+		d = fmt.Sprintf("hash join %s = %s, build %s side, gathers %d columns", n.clause.LeftCol, n.clause.RightCol, n.buildSide(), len(n.schema.Cols))
 	case opGroupBy:
 		if actual {
 			d += fmt.Sprintf(" (%s keys), %d groups", n.keyPath, n.rowsOut)
@@ -456,7 +427,7 @@ func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage
 		case opJoin:
 			nLeft, nRight := n.rowsIn, int64(storage.SelectedRows(right))
 			n.rowsIn, n.vecRows = nLeft+nRight, nLeft+nRight
-			cur, err = joinStep(cur, n.li, right, n.ri, n.buildLeft, n.schema)
+			cur, err = joinStep(n, cur, right)
 			buildRows := nRight
 			if n.buildLeft {
 				buildRows = nLeft
@@ -464,17 +435,7 @@ func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage
 			s.raiseJoinBuildEvent(buildRows, n.buildSide(), n.clause.LeftCol, n.clause.RightCol)
 
 		case opFilter:
-			var fs vexec.FilterStats
-			kept := cur[:0]
-			for _, b := range cur {
-				if err = n.pred.FilterBatchStats(b, &fs); err != nil {
-					break
-				}
-				if len(b.Sel) > 0 {
-					kept = append(kept, b)
-				}
-			}
-			cur, n.vecRows, n.resRows = kept, fs.KernelRows, fs.ResidualRows
+			cur, err = filterBatches(n, cur)
 
 		case opGroupBy:
 			cur, err = runGroupBy(n, cur)
@@ -510,10 +471,28 @@ func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage
 	return cur, nil
 }
 
+// filterBatches narrows each batch by the node's predicate, drops the batches
+// it empties, and counts the kernel/residual split.
+func filterBatches(n *planNode, batches []*storage.Batch) ([]*storage.Batch, error) {
+	var fs vexec.FilterStats
+	kept := batches[:0]
+	for _, b := range batches {
+		if err := n.pred.FilterBatchStats(b, &fs); err != nil {
+			return nil, err
+		}
+		if len(b.Sel) > 0 {
+			kept = append(kept, b)
+		}
+	}
+	n.vecRows, n.resRows = fs.KernelRows, fs.ResidualRows
+	return kept, nil
+}
+
 // runScan produces one scan node's batches. A base table scans; a view runs
 // its own plan and hands on its batches; a system table columnizes the rows it
 // was planned with. The derived batches take the node's schema and carry no
 // hashes: a view's rows are not the rows its base table's segmentation hashed.
+// A derived input's predicate filters them here.
 func (s *Session) runScan(ctx context.Context, n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, error) {
 	if n.tbl != nil {
 		batches, count, err := s.scanBatches(ctx, n, vis, prof)
@@ -533,7 +512,10 @@ func (s *Session) runScan(ctx context.Context, n *planNode, vis storage.Visibili
 		batches, err = columnize(n.rows, n.schema)
 	}
 	n.rowsIn = int64(storage.SelectedRows(batches))
-	n.rowsOut = n.rowsIn
+	if err == nil && n.pred != nil {
+		batches, err = filterBatches(n, batches)
+	}
+	n.rowsOut = int64(storage.SelectedRows(batches))
 	return batches, err
 }
 

@@ -68,7 +68,7 @@ func qualifierOf(name string) string {
 
 // clauseConnects reports whether a join clause's ON condition can reference
 // the already-attached relations: one of its columns is qualified by an
-// attached alias/name, or either column is unqualified (those resolve against
+// attached display name, or either column is unqualified (those resolve against
 // the accumulated schema at execution time).
 func clauseConnects(jc *vsql.JoinClause, attached map[string]bool) bool {
 	lq, rq := qualifierOf(jc.LeftCol), qualifierOf(jc.RightCol)
@@ -86,12 +86,9 @@ func clauseConnects(jc *vsql.JoinClause, attached map[string]bool) bool {
 func (s *Session) planJoins(st *vsql.Select) (steps []plannedJoin, order string) {
 	order = displayName(st.From)
 	attached := make(map[string]bool, 1+len(st.Joins))
-	attach := func(tr *vsql.TableRef) {
-		attached[strings.ToLower(tr.Name)] = true
-		if tr.Alias != "" {
-			attached[strings.ToLower(tr.Alias)] = true
-		}
-	}
+	// A qualifier names a relation by its display name only: a join output's
+	// columns carry no other.
+	attach := func(tr *vsql.TableRef) { attached[strings.ToLower(displayName(tr))] = true }
 	attach(st.From)
 	remaining := append([]*vsql.JoinClause(nil), st.Joins...)
 	estLeft := s.relationEst(st.From)

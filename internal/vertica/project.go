@@ -64,14 +64,20 @@ type projCol struct {
 }
 
 // planProject resolves non-aggregate select items to the output schema and
-// each output column's source.
-func planProject(items []vsql.SelectItem, schema types.Schema) (types.Schema, []projCol, error) {
+// each output column's source. star lists the input columns `*` expands to, in
+// order (a join's, in FROM-clause order); nil expands it to every column in
+// schema order.
+func planProject(items []vsql.SelectItem, schema types.Schema, star []int) (types.Schema, []projCol, error) {
 	var out types.Schema
 	var proj []projCol
 	for _, it := range items {
 		if it.Star {
-			for ci, c := range schema.Cols {
-				out.Cols = append(out.Cols, c)
+			for k := range schema.Cols {
+				ci := k
+				if star != nil {
+					ci = star[k]
+				}
+				out.Cols = append(out.Cols, schema.Cols[ci])
 				proj = append(proj, projCol{col: ci})
 			}
 			continue

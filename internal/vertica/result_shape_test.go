@@ -141,7 +141,7 @@ func TestResultVectorsAllocatePerColumn(t *testing.T) {
 
 	plus := &expr.Arith{Op: expr.Add, L: &expr.Col{Name: "g"}, R: &expr.Lit{V: types.IntValue(1)}}
 	twice := &expr.Arith{Op: expr.Mul, L: &expr.Col{Name: "v"}, R: &expr.Lit{V: types.IntValue(2)}}
-	out, proj, err := planProject([]vsql.SelectItem{{Expr: plus}, {Expr: twice}, {Expr: &expr.Col{Name: "name"}}}, schema)
+	out, proj, err := planProject([]vsql.SelectItem{{Expr: plus}, {Expr: twice}, {Expr: &expr.Col{Name: "name"}}}, schema, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -80,3 +81,72 @@ func benchCount(b *testing.B, oracle bool) {
 
 func BenchmarkCountVectorized(b *testing.B) { benchCount(b, false) }
 func BenchmarkCountRowAtATime(b *testing.B) { benchCount(b, true) }
+
+// join3Way is the sql_mix workload's join statement over joinFixture.
+const join3Way = "SELECT dim_b.name, COUNT(*), SUM(f.c1) FROM f JOIN dim_a ON f.pcol = dim_a.pcol " +
+	"JOIN dim_b ON dim_a.grp = dim_b.grp GROUP BY dim_b.name"
+
+// joinFixture loads the shape of the sql_mix join on a 3-node cluster: a fact
+// table f of rows x 11 columns (pcol INTEGER cycling through 0..99, c0..c9
+// FLOAT), dim_a(pcol, grp) with one row per pcol and grp = pcol % 10, and
+// dim_b(grp, name) with one row per grp. Every fact row matches exactly one
+// row of each dimension.
+func joinFixture(tb testing.TB, rows int) *Session {
+	tb.Helper()
+	c, err := NewCluster(Config{Nodes: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := c.Connect(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	cols := []string{"pcol INTEGER"}
+	for j := 0; j < 10; j++ {
+		cols = append(cols, fmt.Sprintf("c%d FLOAT", j))
+	}
+	s.MustExecute("CREATE TABLE f (" + strings.Join(cols, ", ") + ") SEGMENTED BY HASH(pcol)")
+	var csv strings.Builder
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&csv, "%d", i%100)
+		for j := 0; j < 10; j++ {
+			fmt.Fprintf(&csv, ",%d.25", (i*7+j)%1000)
+		}
+		csv.WriteByte('\n')
+	}
+	if _, err := s.CopyFrom("COPY f FROM STDIN FORMAT CSV DIRECT", strings.NewReader(csv.String())); err != nil {
+		tb.Fatal(err)
+	}
+	var a, b []string
+	for p := 0; p < 100; p++ {
+		a = append(a, fmt.Sprintf("(%d, %d)", p, p%10))
+	}
+	for g := 0; g < 10; g++ {
+		b = append(b, fmt.Sprintf("(%d, 'g%d')", g, g))
+	}
+	s.MustExecute("CREATE TABLE dim_a (pcol INTEGER, grp INTEGER) UNSEGMENTED ALL NODES")
+	s.MustExecute("CREATE TABLE dim_b (grp INTEGER, name VARCHAR) UNSEGMENTED ALL NODES")
+	s.MustExecute("INSERT INTO dim_a VALUES " + strings.Join(a, ", "))
+	s.MustExecute("INSERT INTO dim_b VALUES " + strings.Join(b, ", "))
+	return s
+}
+
+// BenchmarkJoin3Way times the sql_mix join statement over a 60 000-row fact
+// table: scans, two join steps and the group-by. Run with -benchmem.
+func BenchmarkJoin3Way(b *testing.B) {
+	s := joinFixture(b, 60_000)
+	var res *Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = s.ExecuteColumnar(context.Background(), join3Way); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if res.NumRows() != 10 {
+		b.Fatalf("%d groups", res.NumRows())
+	}
+}

@@ -243,12 +243,7 @@ func NewArgRow(exprs []expr.Expr, schema types.Schema) *ArgRow {
 	wholeRow := false
 	for _, e := range exprs {
 		names = e.Columns(names)
-		expr.Walk(e, func(n expr.Expr) {
-			// HASH(*) reads the row, not named columns.
-			if h, ok := n.(*expr.HashFn); ok && len(h.Args) == 0 {
-				wholeRow = true
-			}
-		})
+		wholeRow = wholeRow || expr.ReadsRow(e)
 	}
 	a := &ArgRow{row: make(types.Row, len(schema.Cols))}
 	for c := range schema.Cols {
