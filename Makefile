@@ -105,14 +105,16 @@ obs-test:
 # Microbenchmarks. BenchmarkScan*/BenchmarkCount* are the scan throughput
 # record; BenchmarkJoin3Way is sql_mix's three-way join statement (scans, two
 # join steps, group-by) over a 60 000-row fact table, with its bytes per
-# statement; BenchmarkResultPath is one wire batch from container to boxed
-# client rows (B/row, allocs/row). fabricperf's vexec.agg_s / vexec.join_s /
+# statement; BenchmarkGroupBy is sql_mix's INTEGER-key GROUP BY and the join
+# statement's VARCHAR-key group-by, each alone over the same fixture;
+# BenchmarkResultPath is one wire batch from container to boxed client rows
+# (B/row, allocs/row). fabricperf's vexec.agg_s / vexec.join_s /
 # vertica.groupby_us / vertica.join_us time the same operators at workload
 # scale.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
-	$(GO) test -run xxx -bench BenchmarkJoin3Way -benchmem ./internal/vertica/
+	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkGroupBy' -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
 
 # The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,

@@ -14,7 +14,7 @@ import (
 // Type identifies the storage type of a column. The set mirrors the types the
 // paper's experiments exercise: 8-byte floats (dataset D1), 8-byte integers
 // and VARCHAR (dataset D2), plus BOOLEAN which the S2V status tables need.
-type Type int
+type Type uint8
 
 const (
 	Unknown Type = iota
@@ -62,13 +62,14 @@ func ParseType(s string) (Type, error) {
 }
 
 // Value is a nullable scalar. It is a flat struct (no interface boxing) so
-// that rows can be processed in tight loops without allocation.
+// that rows can be processed in tight loops without allocation. The field
+// order packs the three one-byte fields into one word: 40 bytes, not 56.
 type Value struct {
-	T    Type
-	Null bool
+	S    string
 	I    int64
 	F    float64
-	S    string
+	T    Type
+	Null bool
 	B    bool
 }
 

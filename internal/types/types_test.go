@@ -4,7 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize pins Value's packing: rows of boxed values are the engine's
+// materialization currency, so every byte is paid per cell.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Fatalf("sizeof(Value) = %d, want 40", got)
+	}
+}
 
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{Int64: "INTEGER", Float64: "FLOAT", Varchar: "VARCHAR", Bool: "BOOLEAN", Unknown: "UNKNOWN"}

@@ -353,10 +353,38 @@ func TestAggEquivalenceProperty(t *testing.T) {
 		"SELECT grp, SUM(val) FROM t WHERE id >= 300 GROUP BY grp ORDER BY grp",
 		"SELECT name, MIN(val), MAX(val) FROM t WHERE grp IS NOT NULL GROUP BY name ORDER BY name",
 		"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp LIMIT 3",
+		// A single VARCHAR key, grouped by the string itself: NULL names
+		// beside the string 'NULL' and '', in first-seen order; one group;
+		// many groups; only the NULL group.
+		"SELECT name, COUNT(*), COUNT(val), SUM(val), MIN(val), MAX(val), AVG(val) FROM v GROUP BY name",
+		"SELECT name, SUM(id), MIN(id), MAX(id), MIN(tag), MAX(tag) FROM v GROUP BY name ORDER BY name",
+		"SELECT one, COUNT(*), SUM(val), AVG(id) FROM v GROUP BY one",
+		"SELECT tag, COUNT(*), SUM(val), MAX(name) FROM v GROUP BY tag",
+		"SELECT name, COUNT(*), SUM(val) FROM v WHERE name IS NULL GROUP BY name",
 	}
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
 	buildRandomTable(t, s, c, rand.New(rand.NewSource(7)), 600)
+	s.MustExecute("CREATE TABLE v (id INTEGER, name VARCHAR, tag VARCHAR, one VARCHAR, val FLOAT) SEGMENTED BY HASH(id)")
+	rng := rand.New(rand.NewSource(13))
+	names := []string{"NULL", "'NULL'", "''", "'alpha'", "'beta'"}
+	for part := 0; part < 2; part++ {
+		var rows []string
+		for i := 0; i < 300; i++ {
+			val := fmt.Sprintf("%.3f", rng.Float64()*100)
+			if rng.Intn(8) == 0 {
+				val = "NULL"
+			}
+			rows = append(rows, fmt.Sprintf("(%d, %s, 'tag%d', 'same', %s)",
+				part*300+i, names[rng.Intn(len(names))], rng.Intn(200), val))
+		}
+		s.MustExecute("INSERT INTO v VALUES " + strings.Join(rows, ", "))
+		if part == 0 {
+			if err := c.Moveout(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, q := range queries {
 		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
 	}

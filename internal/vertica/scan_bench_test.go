@@ -150,3 +150,40 @@ func BenchmarkJoin3Way(b *testing.B) {
 		b.Fatalf("%d groups", res.NumRows())
 	}
 }
+
+// BenchmarkGroupBy times two group-by statements over joinFixture's 60 000
+// fact rows: sql_mix's GROUP BY of the INTEGER pcol (100 groups, COUNT/SUM/
+// AVG), and the join statement's VARCHAR group-by (dim_b.name, 10 groups,
+// COUNT/SUM) over the joined rows, which setup materializes once into fj so
+// the group-by runs alone. Run with -benchmem.
+func BenchmarkGroupBy(b *testing.B) {
+	s := joinFixture(b, 60_000)
+	s.MustExecute("CREATE TABLE fj (name VARCHAR, c1 FLOAT) SEGMENTED BY HASH(c1)")
+	s.MustExecute("INSERT INTO fj SELECT dim_b.name, f.c1 FROM f JOIN dim_a ON f.pcol = dim_a.pcol " +
+		"JOIN dim_b ON dim_a.grp = dim_b.grp")
+	if err := s.cluster.Moveout(); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name, q string
+		groups  int
+	}{
+		{"int_key", "SELECT pcol, COUNT(*), SUM(c1), AVG(c2) FROM f GROUP BY pcol", 100},
+		{"varchar_key", "SELECT name, COUNT(*), SUM(c1) FROM fj GROUP BY name", 10},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var res *Result
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = s.ExecuteColumnar(context.Background(), bc.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if res.NumRows() != bc.groups {
+				b.Fatalf("%d groups, want %d", res.NumRows(), bc.groups)
+			}
+		})
+	}
+}

@@ -11,17 +11,19 @@ import (
 )
 
 // This file implements vectorized hash aggregation over storage.Batch: group
-// keys are resolved batch-at-a-time into dense group ordinals (an
-// open-addressing table keyed by raw int64 for the single-int64-key fast
-// path, run-at-a-time for RLE group columns, a byte-encoded key map
-// otherwise), then each aggregate updates its typed accumulators in a tight
-// per-column loop — values are boxed into types.Value only once per new
-// group, never per input row. An aggregate whose argument is an expression
-// rather than a column evaluates it per selected row and feeds the same
-// accumulators through the boxed fallback. Accumulator semantics are SQL's as
-// the test oracle's row-at-a-time reference states them (null handling,
-// int-vs-float SUM typing, first-seen MIN/MAX ties, AVG = float sum / non-null
-// count), and the equivalence property suites diff the two.
+// keys are resolved batch-at-a-time into dense group ordinals — a single
+// INTEGER key through the open-addressing intTable (one probe per run for an
+// RLE group column), a single VARCHAR key through a map keyed by the string
+// itself, any other key through a byte-encoded key map — then each aggregate
+// runs a loop specialised by its op and its argument's stored type: COUNT
+// touches only the count, SUM/AVG only the sum state, MIN/MAX the whole
+// accumulator. Values are boxed into types.Value only once per new group,
+// never per input row. An aggregate whose argument is an expression rather
+// than a column evaluates it per selected row and feeds the same accumulators
+// through the boxed fallback. Accumulator semantics are SQL's as the test
+// oracle's row-at-a-time reference states them (null handling, int-vs-float
+// SUM typing, first-seen MIN/MAX ties, AVG = float sum / non-null count), and
+// the equivalence property suites diff the two.
 
 // AggOp is an aggregate function.
 type AggOp int
@@ -67,7 +69,15 @@ type aggAcc struct {
 	minB, maxB bool
 }
 
+// updateInt and updateFloat carry the promotion types.Compare implies for a
+// stream that mixes INTEGER and FLOAT values: from the first FLOAT on, the
+// accumulator is a float one — its INTEGER bounds convert once, and every
+// later INTEGER value is taken as a float.
 func (a *aggAcc) updateInt(v int64) {
+	if a.kind == 'f' {
+		a.updateFloat(float64(v))
+		return
+	}
 	a.count++
 	a.sumF += float64(v)
 	if !a.seen {
@@ -95,6 +105,9 @@ func (a *aggAcc) updateFloat(v float64) {
 		a.kind = 'f'
 		a.minF, a.maxF = v, v
 		return
+	}
+	if a.kind == 'i' {
+		a.kind, a.minF, a.maxF = 'f', float64(a.minI), float64(a.maxI)
 	}
 	a.intSum = false
 	// Strict comparisons: a NaN bound is never displaced and a NaN value
@@ -147,25 +160,38 @@ func (a *aggAcc) updateBool(v bool) {
 	}
 }
 
+// addInt and addFloat are SUM/AVG's updates: they keep exactly what result
+// reads for those ops (count, the sums, seen, intSum) and none of the bounds.
+// Per group, values still add in row order, so a float sum is the reference's
+// bit for bit.
+func (a *aggAcc) addInt(v int64) {
+	a.count++
+	a.sumF += float64(v)
+	if !a.seen {
+		a.seen, a.kind, a.intSum, a.sumI = true, 'i', true, v
+		return
+	}
+	a.sumI += v
+}
+
+func (a *aggAcc) addFloat(v float64) {
+	a.count++
+	a.sumF += v
+	a.seen, a.intSum = true, false
+}
+
 // updateValue is the boxed fallback: an interpreted argument's values, or a
-// batch column whose concrete type doesn't match any typed loop (stored-type
-// drift). An expression can yield INTEGER for one row and FLOAT for another;
-// the accumulator then carries on in float, as types.Compare would order them.
+// batch column of a type no typed loop reads. An expression can yield INTEGER
+// for one row and FLOAT for another; updateInt/updateFloat then carry on in
+// float, as types.Compare would order them.
 func (a *aggAcc) updateValue(v types.Value) {
 	if v.Null {
 		return
 	}
 	switch v.T {
 	case types.Int64:
-		if a.kind == 'f' {
-			a.updateFloat(float64(v.I))
-			return
-		}
 		a.updateInt(v.I)
 	case types.Float64:
-		if a.kind == 'i' {
-			a.kind, a.minF, a.maxF = 'f', float64(a.minI), float64(a.maxI)
-		}
 		a.updateFloat(v.F)
 	case types.Varchar:
 		a.updateString(v.S)
@@ -268,22 +294,21 @@ func (a *ArgRow) Load(b *storage.Batch, i int) types.Row {
 // Consume in deterministic segment order, which keeps float SUM/AVG
 // accumulation order identical to the sequential reference path.
 type HashAgg struct {
-	spec  AggSpec
-	nAggs int
+	spec AggSpec
 
-	// Single-int64-group-key fast path: an open-addressing table of group
-	// ordinals (+1; 0 = empty slot) probed with the raw key, no boxing.
-	fastInt      bool
-	table        []int32
-	mask         uint64
-	intKeys      []int64 // group ordinal -> raw key (undefined for the null group)
-	nullGrp      int32   // ordinal of the NULL-key group, -1 until seen
-	allCountStar bool    // every aggregate is COUNT(*): enables run-counting on RLE keys
+	// Group-key tables; at most one is set. ints serves a single INTEGER key,
+	// strs a single VARCHAR key (keyed by the string itself), byKey any other
+	// key (byte-encoded). A single key's NULL is a group of its own, boxed as
+	// a NULL of keyType.
+	ints         *intTable
+	strs         map[string]int32
+	byKey        map[string]int32
+	keyType      types.Type
+	nullGrp      int32 // -1 until a single key's NULL is seen
+	allCountStar bool  // every aggregate is COUNT(*): enables run-counting on RLE keys
 
-	byKey map[string]int32 // general path: byte-encoded key -> group ordinal
-
-	keys []([]types.Value) // group ordinal -> boxed key values, first-seen order
-	accs []aggAcc          // (group ordinal * nAggs + agg index)
+	keys [][]types.Value // group ordinal -> boxed key values, first-seen order
+	accs [][]aggAcc      // aggregate index -> group ordinal -> accumulator
 
 	groupBuf []int32
 	keyBuf   []byte
@@ -301,14 +326,17 @@ type HashAgg struct {
 // NewHashAgg builds an aggregator for one query. schema is the batch schema
 // the spec's column indexes refer to.
 func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
-	h := &HashAgg{spec: spec, nAggs: len(spec.Aggs), nullGrp: -1}
-	h.fastInt = len(spec.GroupCols) == 1 &&
-		spec.GroupCols[0] < len(schema.Cols) &&
-		schema.Cols[spec.GroupCols[0]].T == types.Int64
-	if h.fastInt {
-		h.table = make([]int32, 64)
-		h.mask = 63
-	} else if len(spec.GroupCols) > 0 {
+	h := &HashAgg{spec: spec, nullGrp: -1, accs: make([][]aggAcc, len(spec.Aggs))}
+	if len(spec.GroupCols) == 1 && spec.GroupCols[0] < len(schema.Cols) {
+		h.keyType = schema.Cols[spec.GroupCols[0]].T
+	}
+	switch {
+	case len(spec.GroupCols) == 0:
+	case h.keyType == types.Int64:
+		h.ints = newIntTable()
+	case h.keyType == types.Varchar:
+		h.strs = make(map[string]int32)
+	default:
 		h.byKey = make(map[string]int32)
 	}
 	h.allCountStar = len(spec.Aggs) > 0
@@ -327,64 +355,47 @@ func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
 	}
 	if len(spec.GroupCols) == 0 {
 		// A global aggregate over zero rows still yields one row.
-		h.newGroup(nil, 0)
+		h.newGroup(nil)
 	}
 	return h
 }
 
-func (h *HashAgg) newGroup(keyVals []types.Value, intKey int64) int32 {
+func (h *HashAgg) newGroup(keyVals []types.Value) int32 {
 	g := int32(len(h.keys))
 	h.keys = append(h.keys, keyVals)
-	h.intKeys = append(h.intKeys, intKey)
-	h.accs = append(h.accs, make([]aggAcc, h.nAggs)...)
+	for j := range h.accs {
+		h.accs[j] = append(h.accs[j], aggAcc{})
+	}
 	return g
 }
 
-func hashInt(k int64) uint64 {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	return h ^ (h >> 29)
-}
-
-// lookupInt returns the group ordinal for an int64 key, creating the group on
-// first sight. Load is kept under 2/3 by doubling.
+// lookupInt returns the group ordinal for an INTEGER key, creating the group
+// on first sight.
 func (h *HashAgg) lookupInt(k int64) int32 {
-	i := hashInt(k) & h.mask
-	for {
-		s := h.table[i]
-		if s == 0 {
-			g := h.newGroup([]types.Value{types.IntValue(k)}, k)
-			h.table[i] = g + 1
-			if uint64(len(h.keys))*3 >= (h.mask+1)*2 {
-				h.growTable()
-			}
-			return g
-		}
-		if h.intKeys[s-1] == k {
-			return s - 1
-		}
-		i = (i + 1) & h.mask
+	if g := h.ints.find(k); g >= 0 {
+		return g
 	}
+	return h.newIntGroup(k)
 }
 
-func (h *HashAgg) growTable() {
-	n := (h.mask + 1) * 2
-	h.table = make([]int32, n)
-	h.mask = n - 1
-	for g, k := range h.intKeys {
-		if int32(g) == h.nullGrp {
-			continue
-		}
-		i := hashInt(k) & h.mask
-		for h.table[i] != 0 {
-			i = (i + 1) & h.mask
-		}
-		h.table[i] = int32(g) + 1
+func (h *HashAgg) newIntGroup(k int64) int32 {
+	h.ints.insert(k, int32(len(h.keys)))
+	return h.newGroup([]types.Value{types.IntValue(k)})
+}
+
+// lookupString is lookupInt for a VARCHAR key.
+func (h *HashAgg) lookupString(s string) int32 {
+	g, ok := h.strs[s]
+	if !ok {
+		g = h.newGroup([]types.Value{types.StringValue(s)})
+		h.strs[s] = g
 	}
+	return g
 }
 
 func (h *HashAgg) nullGroup() int32 {
 	if h.nullGrp < 0 {
-		h.nullGrp = h.newGroup([]types.Value{types.NullValue(types.Int64)}, 0)
+		h.nullGrp = h.newGroup([]types.Value{types.NullValue(h.keyType)})
 	}
 	return h.nullGrp
 }
@@ -397,7 +408,7 @@ func (h *HashAgg) Consume(b *storage.Batch) error {
 		return nil
 	}
 	h.rows += int64(n)
-	if h.fastInt && h.allCountStar {
+	if h.ints != nil && h.allCountStar {
 		if col, ok := b.Cols[h.spec.GroupCols[0]].(*storage.Int64RLEColumn); ok {
 			// Popcount-style COUNT over an RLE group key: one table probe and
 			// one addition per (run, sel-range) instead of per row.
@@ -425,28 +436,21 @@ func (h *HashAgg) Consume(b *storage.Batch) error {
 }
 
 func (h *HashAgg) consumeRLECounts(col *storage.Int64RLEColumn, sel []int32) {
-	run := 0
-	end := int32(-1)
+	cur := newRunCursor(col)
 	var g int32
 	var pending int64
 	flush := func() {
-		if pending == 0 {
-			return
-		}
-		base := int(g) * h.nAggs
-		for j := 0; j < h.nAggs; j++ {
-			h.accs[base+j].count += pending
+		for j := range h.accs {
+			h.accs[j][g].count += pending
 		}
 		pending = 0
 	}
 	for _, i := range sel {
-		if i >= end {
-			flush()
-			for run < len(col.RunEnds) && i >= col.RunEnds[run] {
-				run++
+		if cur.next(i) {
+			if pending > 0 {
+				flush()
 			}
-			end = col.RunEnds[run]
-			g = h.lookupInt(col.RunVals[run])
+			g = h.lookupInt(cur.val())
 		}
 		pending++
 	}
@@ -455,65 +459,83 @@ func (h *HashAgg) consumeRLECounts(col *storage.Int64RLEColumn, sel []int32) {
 
 // resolveGroups fills groupOf[k] with the group ordinal of selected row k.
 func (h *HashAgg) resolveGroups(b *storage.Batch, groupOf []int32) {
-	if len(h.spec.GroupCols) == 0 {
-		for k := range groupOf {
-			groupOf[k] = 0
-		}
-		return
+	switch {
+	case len(h.spec.GroupCols) == 0:
+		clear(groupOf)
+	case h.ints != nil:
+		h.resolveInts(b.Cols[h.spec.GroupCols[0]], b.Sel, groupOf)
+	case h.strs != nil:
+		h.resolveStrings(b.Cols[h.spec.GroupCols[0]], b.Sel, groupOf)
+	default:
+		h.resolveGeneric(b, groupOf)
 	}
-	if h.fastInt {
-		gc := h.spec.GroupCols[0]
-		switch col := b.Cols[gc].(type) {
-		case *storage.Int64Column:
-			if col.Nulls == nil {
-				for k, i := range b.Sel {
-					groupOf[k] = h.lookupInt(col.Vals[i])
-				}
-			} else {
-				for k, i := range b.Sel {
-					if col.Nulls[i] {
-						groupOf[k] = h.nullGroup()
-					} else {
-						groupOf[k] = h.lookupInt(col.Vals[i])
-					}
-				}
-			}
-		case *storage.Int64RLEColumn:
-			// Run-at-a-time: one table probe per run boundary, not per row.
-			run := 0
-			end := int32(-1)
-			var g int32
-			for k, i := range b.Sel {
-				if i >= end {
-					for run < len(col.RunEnds) && i >= col.RunEnds[run] {
-						run++
-					}
-					end = col.RunEnds[run]
-					g = h.lookupInt(col.RunVals[run])
-				}
-				groupOf[k] = g
-			}
-		default:
-			// Stored-type drift on a schema-int column: box, but keep the
-			// int key table so equal keys still land in one group.
-			h.boxed = true
-			for k, i := range b.Sel {
-				v := b.Cols[gc].Get(int(i))
-				if v.Null {
-					groupOf[k] = h.nullGroup()
-				} else {
-					groupOf[k] = h.lookupInt(v.AsInt())
-				}
-			}
-		}
-		return
-	}
-	h.resolveGeneric(b, groupOf)
 }
 
-// resolveGeneric handles multi-column and non-int group keys by encoding each
-// key into a compact byte string (type-tagged, length-prefixed — no separator
-// ambiguity, NULL distinct from any value) and interning it in a map.
+func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
+	switch c := col.(type) {
+	case *storage.Int64Column:
+		// lookupInt spelled out: find inlines here, so only a new key or a
+		// NULL pays a call.
+		for k, i := range sel {
+			if c.Nulls != nil && c.Nulls[i] {
+				groupOf[k] = h.nullGroup()
+			} else if g := h.ints.find(c.Vals[i]); g >= 0 {
+				groupOf[k] = g
+			} else {
+				groupOf[k] = h.newIntGroup(c.Vals[i])
+			}
+		}
+	case *storage.Int64RLEColumn:
+		cur := newRunCursor(c)
+		var g int32
+		for k, i := range sel {
+			if cur.next(i) {
+				g = h.lookupInt(cur.val())
+			}
+			groupOf[k] = g
+		}
+	default:
+		// Stored-type drift on a schema-INTEGER column: box, but keep the int
+		// key table so equal keys still land in one group.
+		h.boxed = true
+		for k, i := range sel {
+			if v := col.Get(int(i)); v.Null {
+				groupOf[k] = h.nullGroup()
+			} else {
+				groupOf[k] = h.lookupInt(v.AsInt())
+			}
+		}
+	}
+}
+
+func (h *HashAgg) resolveStrings(col storage.Column, sel, groupOf []int32) {
+	c, ok := col.(*storage.StringColumn)
+	if !ok {
+		// Stored-type drift on a schema-VARCHAR column: a value keys by its
+		// VARCHAR rendering, as the output column will hold it.
+		h.boxed = true
+		for k, i := range sel {
+			if v := col.Get(int(i)); v.Null {
+				groupOf[k] = h.nullGroup()
+			} else {
+				groupOf[k] = h.lookupString(v.String())
+			}
+		}
+		return
+	}
+	for k, i := range sel {
+		if c.Nulls != nil && c.Nulls[i] {
+			groupOf[k] = h.nullGroup()
+		} else {
+			groupOf[k] = h.lookupString(c.Vals[i])
+		}
+	}
+}
+
+// resolveGeneric handles multi-column keys and single FLOAT or BOOLEAN keys
+// by encoding each key into a compact byte string (type-tagged,
+// length-prefixed — no separator ambiguity, NULL distinct from any value) and
+// interning it in a map.
 func (h *HashAgg) resolveGeneric(b *storage.Batch, groupOf []int32) {
 	buf := h.keyBuf
 	for k, i := range b.Sel {
@@ -524,7 +546,7 @@ func (h *HashAgg) resolveGeneric(b *storage.Batch, groupOf []int32) {
 			for x, gc := range h.spec.GroupCols {
 				vals[x] = b.Cols[gc].Get(int(i))
 			}
-			g = h.newGroup(vals, 0)
+			g = h.newGroup(vals)
 			h.byKey[string(buf)] = g
 		}
 		groupOf[k] = g
@@ -631,78 +653,117 @@ func (h *HashAgg) updateInterpreted(b *storage.Batch, groupOf []int32) error {
 			if err != nil {
 				return err
 			}
-			h.accs[int(groupOf[k])*h.nAggs+j].updateValue(v)
+			h.accs[j][groupOf[k]].updateValue(v)
 		}
 	}
 	return nil
 }
 
-// updateAgg runs aggregate j's typed update loop over the batch; an
-// interpreted argument is updateInterpreted's.
+// updateAgg runs aggregate j's loop over the batch, specialised by op and by
+// the argument column's stored type; an interpreted argument is
+// updateInterpreted's.
 func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) {
 	ae := h.spec.Aggs[j]
 	if ae.Arg != nil {
 		return
 	}
+	accs := h.accs[j]
 	if ae.Col < 0 {
 		// COUNT(*): every selected row counts, null or not.
-		for k := range b.Sel {
-			h.accs[int(groupOf[k])*h.nAggs+j].count++
+		for _, g := range groupOf {
+			accs[g].count++
 		}
 		return
 	}
-	switch col := b.Cols[ae.Col].(type) {
-	case *storage.Int64Column:
-		if col.Nulls == nil {
-			for k, i := range b.Sel {
-				h.accs[int(groupOf[k])*h.nAggs+j].updateInt(col.Vals[i])
+	col := b.Cols[ae.Col]
+	switch ae.Op {
+	case AggCount:
+		for k, i := range b.Sel {
+			if !col.IsNull(int(i)) {
+				accs[groupOf[k]].count++
 			}
-		} else {
-			for k, i := range b.Sel {
-				if !col.Nulls[i] {
-					h.accs[int(groupOf[k])*h.nAggs+j].updateInt(col.Vals[i])
-				}
+		}
+		return
+	case AggSum, AggAvg:
+		if addNumbers(accs, col, b.Sel, groupOf) {
+			return
+		}
+	}
+	h.updateAll(accs, col, b.Sel, groupOf)
+}
+
+// addNumbers is SUM/AVG over a numeric column; false when the column's values
+// take updateAll instead.
+func addNumbers(accs []aggAcc, col storage.Column, sel, groupOf []int32) bool {
+	switch c := col.(type) {
+	case *storage.Float64Column:
+		if c.Nulls == nil {
+			for k, i := range sel {
+				accs[groupOf[k]].addFloat(c.Vals[i])
+			}
+			return true
+		}
+		for k, i := range sel {
+			if !c.Nulls[i] {
+				accs[groupOf[k]].addFloat(c.Vals[i])
+			}
+		}
+	case *storage.Int64Column:
+		for k, i := range sel {
+			if c.Nulls == nil || !c.Nulls[i] {
+				accs[groupOf[k]].addInt(c.Vals[i])
 			}
 		}
 	case *storage.Int64RLEColumn:
-		run := 0
-		end := int32(-1)
-		var v int64
-		for k, i := range b.Sel {
-			if i >= end {
-				for run < len(col.RunEnds) && i >= col.RunEnds[run] {
-					run++
-				}
-				end = col.RunEnds[run]
-				v = col.RunVals[run]
+		cur := newRunCursor(c)
+		for k, i := range sel {
+			cur.next(i)
+			accs[groupOf[k]].addInt(cur.val())
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// updateAll is the full update MIN/MAX need, per stored type, boxing only a
+// column of a type no typed loop reads.
+func (h *HashAgg) updateAll(accs []aggAcc, col storage.Column, sel, groupOf []int32) {
+	switch c := col.(type) {
+	case *storage.Int64Column:
+		for k, i := range sel {
+			if c.Nulls == nil || !c.Nulls[i] {
+				accs[groupOf[k]].updateInt(c.Vals[i])
 			}
-			h.accs[int(groupOf[k])*h.nAggs+j].updateInt(v)
+		}
+	case *storage.Int64RLEColumn:
+		cur := newRunCursor(c)
+		for k, i := range sel {
+			cur.next(i)
+			accs[groupOf[k]].updateInt(cur.val())
 		}
 	case *storage.Float64Column:
-		for k, i := range b.Sel {
-			if col.Nulls != nil && col.Nulls[i] {
-				continue
+		for k, i := range sel {
+			if c.Nulls == nil || !c.Nulls[i] {
+				accs[groupOf[k]].updateFloat(c.Vals[i])
 			}
-			h.accs[int(groupOf[k])*h.nAggs+j].updateFloat(col.Vals[i])
 		}
 	case *storage.StringColumn:
-		for k, i := range b.Sel {
-			if col.Nulls != nil && col.Nulls[i] {
-				continue
+		for k, i := range sel {
+			if c.Nulls == nil || !c.Nulls[i] {
+				accs[groupOf[k]].updateString(c.Vals[i])
 			}
-			h.accs[int(groupOf[k])*h.nAggs+j].updateString(col.Vals[i])
 		}
 	case *storage.BoolColumn:
-		for k, i := range b.Sel {
-			if col.Nulls != nil && col.Nulls[i] {
-				continue
+		for k, i := range sel {
+			if c.Nulls == nil || !c.Nulls[i] {
+				accs[groupOf[k]].updateBool(c.Vals[i])
 			}
-			h.accs[int(groupOf[k])*h.nAggs+j].updateBool(col.Vals[i])
 		}
 	default:
 		h.boxed = true
-		for k, i := range b.Sel {
-			h.accs[int(groupOf[k])*h.nAggs+j].updateValue(col.Get(int(i)))
+		for k, i := range sel {
+			accs[groupOf[k]].updateValue(col.Get(int(i)))
 		}
 	}
 }
@@ -716,7 +777,7 @@ func (h *HashAgg) GroupKey(g int) []types.Value { return h.keys[g] }
 
 // AggResult finalizes aggregate j of group g.
 func (h *HashAgg) AggResult(g, j int) types.Value {
-	return h.accs[g*h.nAggs+j].result(h.spec.Aggs[j].Op)
+	return h.accs[j][g].result(h.spec.Aggs[j].Op)
 }
 
 // Rows returns the number of selected input rows consumed.
@@ -731,8 +792,10 @@ func (h *HashAgg) FastPath() string {
 	switch {
 	case len(h.spec.GroupCols) == 0:
 		return "global"
-	case h.fastInt:
+	case h.ints != nil:
 		return "int64"
+	case h.strs != nil:
+		return "varchar"
 	default:
 		return "generic"
 	}

@@ -1,6 +1,8 @@
 package vexec
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"vsfabric/internal/expr"
@@ -228,5 +230,189 @@ func TestHashAggInterpretedArgument(t *testing.T) {
 	h = NewHashAgg(AggSpec{Aggs: []AggExpr{{Op: AggSum, Col: -1, Arg: div}}}, schema)
 	if err := h.Consume(b); err == nil {
 		t.Fatal("division by zero in an aggregate argument did not surface")
+	}
+}
+
+// TestHashAggDriftPromotesKind: a FLOAT-schema column whose stored type
+// drifts between batches (INTEGER then FLOAT, and the reverse) must finalize
+// every op as the boxed reference does — MIN/MAX promote to float on the
+// first FLOAT and keep the INTEGER bounds, whichever typed loop carried them.
+func TestHashAggDriftPromotesKind(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "f", T: types.Float64})
+	ints := func(v int64) *storage.Batch {
+		return &storage.Batch{Schema: schema, Cols: []storage.Column{&storage.Int64Column{Vals: []int64{v}}}, Sel: []int32{0}}
+	}
+	floats := func(v float64) *storage.Batch {
+		return &storage.Batch{Schema: schema, Cols: []storage.Column{&storage.Float64Column{Vals: []float64{v}}}, Sel: []int32{0}}
+	}
+	ops := []AggOp{AggMin, AggMax, AggSum, AggAvg, AggCount}
+	spec := AggSpec{}
+	for _, op := range ops {
+		spec.Aggs = append(spec.Aggs, AggExpr{Op: op, Col: 0})
+	}
+	for _, c := range []struct {
+		batches  []*storage.Batch
+		vals     []types.Value
+		min, max types.Value
+	}{
+		{[]*storage.Batch{ints(5), floats(-2.5)}, []types.Value{i64(5), f64(-2.5)}, f64(-2.5), f64(5)},
+		{[]*storage.Batch{floats(2.5), ints(-7)}, []types.Value{f64(2.5), i64(-7)}, f64(-7), f64(2.5)},
+	} {
+		h := NewHashAgg(spec, schema)
+		for _, b := range c.batches {
+			if err := h.Consume(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ref aggAcc
+		for _, v := range c.vals {
+			ref.updateValue(v)
+		}
+		for j, op := range ops {
+			wantValue(t, h.AggResult(0, j), ref.result(op), fmt.Sprintf("op %d over %v", op, c.vals))
+		}
+		wantValue(t, h.AggResult(0, 0), c.min, "MIN")
+		wantValue(t, h.AggResult(0, 1), c.max, "MAX")
+	}
+}
+
+// TestHashAggTypedLoopsMatchBoxedReference diffs every key path and every
+// op's typed loop against the boxed reference: one accumulator per (group,
+// aggregate) fed each selected row's value through updateValue. Batches carry
+// NULLs, narrowed selections, RLE vectors, and columns whose stored type
+// drifts from the schema's from batch to batch.
+func TestHashAggTypedLoopsMatchBoxedReference(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "k", T: types.Int64}, types.Column{Name: "name", T: types.Varchar},
+		types.Column{Name: "x", T: types.Int64}, types.Column{Name: "f", T: types.Float64},
+		types.Column{Name: "s", T: types.Varchar}, types.Column{Name: "b", T: types.Bool})
+	names := []string{"alpha", "NULL", "", "7", "2.5"}
+	rng := rand.New(rand.NewSource(5))
+	nulls := func(n int) []bool {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = rng.Intn(5) == 0
+		}
+		return out
+	}
+	ints := func(n int, lo, span int64) storage.Column {
+		if rng.Intn(3) == 0 {
+			// RLE: runs of one to five equal values.
+			c := &storage.Int64RLEColumn{}
+			for end := 0; end < n; {
+				end = min(n, end+1+rng.Intn(5))
+				c.RunEnds = append(c.RunEnds, int32(end))
+				c.RunVals = append(c.RunVals, lo+rng.Int63n(span))
+			}
+			return c
+		}
+		c := &storage.Int64Column{Vals: make([]int64, n), Nulls: nulls(n)}
+		for i := range c.Vals {
+			c.Vals[i] = lo + rng.Int63n(span)
+		}
+		return c
+	}
+	floats := func(n int) storage.Column {
+		c := &storage.Float64Column{Vals: make([]float64, n), Nulls: nulls(n)}
+		for i := range c.Vals {
+			c.Vals[i] = float64(rng.Intn(2000)-1000) / 8
+		}
+		return c
+	}
+	batch := func() *storage.Batch {
+		n := 1 + rng.Intn(60)
+		str := &storage.StringColumn{Vals: make([]string, n), Nulls: nulls(n)}
+		for i := range str.Vals {
+			str.Vals[i] = names[rng.Intn(len(names))]
+		}
+		bools := &storage.BoolColumn{Vals: make([]bool, n), Nulls: nulls(n)}
+		for i := range bools.Vals {
+			bools.Vals[i] = rng.Intn(2) == 0
+		}
+		// x (INTEGER) and f (FLOAT) arrive in either stored type.
+		x, f := ints(n, -50, 100), floats(n)
+		if rng.Intn(3) == 0 {
+			x = floats(n)
+		}
+		if rng.Intn(3) == 0 {
+			f = ints(n, -50, 100)
+		}
+		var sel []int32
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) != 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		return &storage.Batch{Schema: schema, Cols: []storage.Column{ints(n, 0, 12), str, x, f, str, bools}, Sel: sel}
+	}
+	spec := AggSpec{Aggs: []AggExpr{{Op: AggCount, Col: -1}}}
+	for _, op := range []AggOp{AggCount, AggSum, AggAvg, AggMin, AggMax} {
+		for col := 2; col < len(schema.Cols); col++ {
+			spec.Aggs = append(spec.Aggs, AggExpr{Op: op, Col: col})
+		}
+	}
+	for _, keys := range []struct {
+		cols []int
+		path string
+	}{{nil, "global"}, {[]int{0}, "int64"}, {[]int{1}, "varchar"}, {[]int{1, 0}, "generic"}} {
+		spec.GroupCols = keys.cols
+		for trial := 0; trial < 20; trial++ {
+			h := NewHashAgg(spec, schema)
+			if h.FastPath() != keys.path {
+				t.Fatalf("fast path %q, want %q", h.FastPath(), keys.path)
+			}
+			type group struct {
+				key  []types.Value
+				accs []aggAcc
+			}
+			var order []string
+			ref := map[string]*group{}
+			if keys.cols == nil {
+				order, ref[""] = []string{""}, &group{accs: make([]aggAcc, len(spec.Aggs))}
+			}
+			for nb := rng.Intn(6); nb >= 0; nb-- {
+				b := batch()
+				if err := h.Consume(b); err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range b.Sel {
+					var id string
+					var key []types.Value
+					for _, gc := range keys.cols {
+						v := b.Cols[gc].Get(int(i))
+						key = append(key, v)
+						id += fmt.Sprintf("%v/%q|", v.Null, v.String())
+					}
+					g := ref[id]
+					if g == nil {
+						g = &group{key: key, accs: make([]aggAcc, len(spec.Aggs))}
+						ref[id] = g
+						order = append(order, id)
+					}
+					for j, a := range spec.Aggs {
+						if a.Col < 0 {
+							g.accs[j].count++
+						} else {
+							g.accs[j].updateValue(b.Cols[a.Col].Get(int(i)))
+						}
+					}
+				}
+			}
+			if h.NumGroups() != len(order) {
+				t.Fatalf("%s keys: %d groups, want %d", keys.path, h.NumGroups(), len(order))
+			}
+			for g, id := range order {
+				for x, v := range ref[id].key {
+					wantValue(t, h.GroupKey(g)[x], v, fmt.Sprintf("%s keys: group %d key %d", keys.path, g, x))
+				}
+				for j, a := range spec.Aggs {
+					wantValue(t, h.AggResult(g, j), ref[id].accs[j].result(a.Op),
+						fmt.Sprintf("%s keys: group %d, op %d over column %d", keys.path, g, a.Op, a.Col))
+				}
+			}
+		}
 	}
 }

@@ -2,18 +2,20 @@ package vexec
 
 import (
 	"math"
+	"slices"
 
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
 // This file implements the vectorized hash join: the build side's key table
-// is populated straight from column vectors (a map keyed by raw int64 when
-// every build batch stores the key column as an int vector, a typed JoinKey
-// map otherwise) and the probe side reads its keys from vectors too — rows
-// are boxed into types.Row only for matching pairs, by the caller's emit
-// function. Key semantics are the engine's typed join keys: NULL never
-// matches, INTEGER matches integral FLOAT, no cross-family collisions.
+// is populated straight from column vectors (the open-addressing intTable
+// when every build batch stores the key column as an int vector, a typed
+// JoinKey map otherwise) and the probe side resolves its keys from vectors a
+// chunk of rows at a time — rows are boxed into types.Row only for matching
+// pairs, by the caller's emit function. Key semantics are the engine's typed
+// join keys: NULL never matches, INTEGER matches integral FLOAT, no
+// cross-family collisions.
 
 // JoinKey is a typed, comparable hash-join key, identical in semantics to
 // the engine's row-path key so both execution paths join exactly the same
@@ -90,12 +92,18 @@ func joinKeyAt(col storage.Column, i int) (JoinKey, bool) {
 // pairRef locates one row: batch index within a batch set, physical row.
 type pairRef struct{ b, r int32 }
 
-// joinTable is the build side: key -> build-row ordinals (dense, in build
-// scan order), with refs mapping ordinals back to (batch, row).
+// joinTable is the build side. Each build key has a dense key ordinal — from
+// the intTable HashAgg also groups through when every build batch stores the
+// key column as an int vector, from a JoinKey map otherwise — and each key
+// ordinal ko owns the build-row ordinals rows[start[ko]:start[ko+1]], in build
+// scan order. refs maps a build-row ordinal back to its (batch, row).
 type joinTable struct {
-	intMap map[int64][]int32 // set when every build batch stores int64 keys
-	genMap map[JoinKey][]int32
+	ints   *intTable
+	gen    map[JoinKey]int32
+	start  []int32
+	rows   []int32
 	refs   []pairRef
+	probed [probeChunk]int32 // probe's result
 }
 
 func buildJoinTable(batches []*storage.Batch, keyCol int) *joinTable {
@@ -111,8 +119,10 @@ func buildJoinTable(batches []*storage.Batch, keyCol int) *joinTable {
 		}
 	}
 	t.refs = make([]pairRef, 0, total)
+	keyOf := make([]int32, 0, total) // build-row ordinal -> key ordinal
+	nKeys := 0
 	if intKind {
-		t.intMap = make(map[int64][]int32, total)
+		t.ints = newIntTable()
 		for bi, b := range batches {
 			switch col := b.Cols[keyCol].(type) {
 			case *storage.Int64Column:
@@ -120,84 +130,111 @@ func buildJoinTable(batches []*storage.Batch, keyCol int) *joinTable {
 					if col.Nulls != nil && col.Nulls[i] {
 						continue
 					}
-					t.addInt(col.Vals[i], int32(bi), i)
+					keyOf = append(keyOf, t.ints.insert(col.Vals[i], int32(t.ints.n)))
+					t.refs = append(t.refs, pairRef{int32(bi), i})
 				}
 			case *storage.Int64RLEColumn:
-				run := 0
-				end := int32(-1)
-				var v int64
+				cur := newRunCursor(col)
 				for _, i := range b.Sel {
-					if i >= end {
-						for run < len(col.RunEnds) && i >= col.RunEnds[run] {
-							run++
-						}
-						end = col.RunEnds[run]
-						v = col.RunVals[run]
-					}
-					t.addInt(v, int32(bi), i)
+					cur.next(i)
+					keyOf = append(keyOf, t.ints.insert(cur.val(), int32(t.ints.n)))
+					t.refs = append(t.refs, pairRef{int32(bi), i})
 				}
 			}
 		}
-		return t
-	}
-	t.genMap = make(map[JoinKey][]int32, total)
-	for bi, b := range batches {
-		col := b.Cols[keyCol]
-		for _, i := range b.Sel {
-			k, ok := joinKeyAt(col, int(i))
-			if !ok {
-				continue
+		nKeys = t.ints.n
+	} else {
+		t.gen = make(map[JoinKey]int32)
+		for bi, b := range batches {
+			col := b.Cols[keyCol]
+			for _, i := range b.Sel {
+				k, ok := joinKeyAt(col, int(i))
+				if !ok {
+					continue
+				}
+				ko, seen := t.gen[k]
+				if !seen {
+					ko = int32(len(t.gen))
+					t.gen[k] = ko
+				}
+				keyOf = append(keyOf, ko)
+				t.refs = append(t.refs, pairRef{int32(bi), i})
 			}
-			ord := int32(len(t.refs))
-			t.refs = append(t.refs, pairRef{int32(bi), i})
-			t.genMap[k] = append(t.genMap[k], ord)
 		}
+		nKeys = len(t.gen)
+	}
+	// A stable counting sort of build-row ordinals by key ordinal: each key's
+	// rows stay in build scan order.
+	t.start = make([]int32, nKeys+1)
+	for _, ko := range keyOf {
+		t.start[ko+1]++
+	}
+	for ko := 1; ko <= nKeys; ko++ {
+		t.start[ko] += t.start[ko-1]
+	}
+	next := slices.Clone(t.start[:nKeys])
+	t.rows = make([]int32, len(keyOf))
+	for ord, ko := range keyOf {
+		t.rows[next[ko]] = int32(ord)
+		next[ko]++
 	}
 	return t
 }
 
-func (t *joinTable) addInt(v int64, b, r int32) {
-	ord := int32(len(t.refs))
-	t.refs = append(t.refs, pairRef{b, r})
-	t.intMap[v] = append(t.intMap[v], ord)
-}
+// probeChunk bounds how many probe rows resolve at a time, so the key-ordinal
+// scratch stays a fixed 4 KiB however large a joined batch grows.
+const probeChunk = 1024
 
-// lookup returns the build ordinals matching key k of the probe column at
-// physical row i (nil slice when no match or the probe key is NULL).
-func (t *joinTable) lookup(col storage.Column, i int) []int32 {
-	if t.intMap != nil {
-		// Int build keys: int and integral-float probes can match; strings
-		// and bools never do.
-		switch c := col.(type) {
-		case *storage.Int64Column:
+// probe returns, for each row of sel (at most probeChunk of them), the key
+// ordinal it matches in the probe column col, or -1: a NULL, a key the build
+// side lacks, and — against int build keys — a string, a bool or a
+// non-integral float match nothing. The result is overwritten by the next
+// probe.
+func (t *joinTable) probe(col storage.Column, sel []int32) []int32 {
+	ko := t.probed[:len(sel)]
+	if t.ints == nil {
+		for k, i := range sel {
+			ko[k] = -1
+			if key, ok := joinKeyAt(col, int(i)); ok {
+				if o, hit := t.gen[key]; hit {
+					ko[k] = o
+				}
+			}
+		}
+		return ko
+	}
+	switch c := col.(type) {
+	case *storage.Int64Column:
+		for k, i := range sel {
 			if c.Nulls != nil && c.Nulls[i] {
-				return nil
+				ko[k] = -1
+			} else {
+				ko[k] = t.ints.find(c.Vals[i])
 			}
-			return t.intMap[c.Vals[i]]
-		case *storage.Int64RLEColumn:
-			return t.intMap[c.RunVals[c.RunOf(i)]]
-		case *storage.Float64Column:
-			if c.Nulls != nil && c.Nulls[i] {
-				return nil
+		}
+	case *storage.Int64RLEColumn:
+		// Start at the chunk's first run, not the batch's.
+		cur := runCursor{col: c, run: c.RunOf(int(sel[0])), end: -1}
+		var o int32
+		for k, i := range sel {
+			if cur.next(i) {
+				o = t.ints.find(cur.val())
 			}
-			if k := floatJoinKey(c.Vals[i]); k.kind == 'i' {
-				return t.intMap[k.i]
+			ko[k] = o
+		}
+	default:
+		for k, i := range sel {
+			ko[k] = -1
+			if key, ok := joinKeyAt(col, int(i)); ok && key.kind == 'i' {
+				ko[k] = t.ints.find(key.i)
 			}
-			return nil
-		default:
-			k, ok := joinKeyAt(col, i)
-			if !ok || k.kind != 'i' {
-				return nil
-			}
-			return t.intMap[k.i]
 		}
 	}
-	k, ok := joinKeyAt(col, i)
-	if !ok {
-		return nil
-	}
-	return t.genMap[k]
+	return ko
 }
+
+// matches returns key ordinal ko's build-row ordinals, in build scan order.
+func (t *joinTable) matches(ko int32) []int32 { return t.rows[t.start[ko]:t.start[ko+1]] }
 
 // JoinBatches hash-joins two batch sets on the given key columns, calling
 // emit once per matching (left, right) pair in left-major order: left rows in
@@ -212,11 +249,16 @@ func JoinBatches(left []*storage.Batch, lcol int, right []*storage.Batch, rcol i
 			return
 		}
 		for bi, b := range left {
-			col := b.Cols[lcol]
-			for _, i := range b.Sel {
-				for _, ord := range t.lookup(col, int(i)) {
-					ref := t.refs[ord]
-					emit(int32(bi), i, ref.b, ref.r)
+			for lo := 0; lo < len(b.Sel); lo += probeChunk {
+				sel := b.Sel[lo:min(lo+probeChunk, len(b.Sel))]
+				for k, ko := range t.probe(b.Cols[lcol], sel) {
+					if ko < 0 {
+						continue
+					}
+					for _, ord := range t.matches(ko) {
+						ref := t.refs[ord]
+						emit(int32(bi), sel[k], ref.b, ref.r)
+					}
 				}
 			}
 		}
@@ -231,11 +273,16 @@ func JoinBatches(left []*storage.Batch, lcol int, right []*storage.Batch, rcol i
 	buckets := make([][]pairRef, len(t.refs))
 	matched := false
 	for bi, b := range right {
-		col := b.Cols[rcol]
-		for _, i := range b.Sel {
-			for _, ord := range t.lookup(col, int(i)) {
-				buckets[ord] = append(buckets[ord], pairRef{int32(bi), i})
-				matched = true
+		for lo := 0; lo < len(b.Sel); lo += probeChunk {
+			sel := b.Sel[lo:min(lo+probeChunk, len(b.Sel))]
+			for k, ko := range t.probe(b.Cols[rcol], sel) {
+				if ko < 0 {
+					continue
+				}
+				for _, ord := range t.matches(ko) {
+					buckets[ord] = append(buckets[ord], pairRef{int32(bi), sel[k]})
+					matched = true
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package vexec
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vsfabric/internal/storage"
@@ -114,5 +116,112 @@ func TestJoinKeyOf(t *testing.T) {
 	fk2, _ := JoinKeyOf(f64(2.5))
 	if ik == fk2 {
 		t.Fatal("2 and 2.5 keys collide")
+	}
+}
+
+// TestJoinBatchesDuplicateBuildKeysInScanOrder: a key held by several build
+// rows, across batches and in an RLE vector, emits those rows in build scan
+// order, whichever side is built.
+func TestJoinBatchesDuplicateBuildKeysInScanOrder(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "id", T: types.Int64})
+	rle := &storage.Batch{Schema: schema, Cols: []storage.Column{
+		&storage.Int64RLEColumn{RunEnds: []int32{2, 3, 5}, RunVals: []int64{3, 1, 3}},
+	}, Sel: []int32{0, 1, 2, 3, 4}}
+	right := []*storage.Batch{idBatch(t, i64(3), i64(2), i64(3)), rle}
+	left := []*storage.Batch{idBatch(t, i64(3), i64(1), i64(3))}
+	want := []emitted{
+		{0, 0, 0, 0}, {0, 0, 0, 2}, {0, 0, 1, 0}, {0, 0, 1, 1}, {0, 0, 1, 3}, {0, 0, 1, 4},
+		{0, 1, 1, 2},
+		{0, 2, 0, 0}, {0, 2, 0, 2}, {0, 2, 1, 0}, {0, 2, 1, 1}, {0, 2, 1, 3}, {0, 2, 1, 4},
+	}
+	for _, bl := range []bool{false, true} {
+		if got := collectJoin(left, 0, right, 0, bl); !reflect.DeepEqual(got, want) {
+			t.Fatalf("buildLeft=%v:\n got %v\nwant %v", bl, got, want)
+		}
+	}
+}
+
+// TestJoinBatchesMatchNestedLoop diffs the hash join against a nested loop
+// over JoinKeyOf keys, with enough distinct INTEGER build keys that the int
+// table grows past its first size, duplicates and NULLs on both sides, RLE
+// vectors, and a FLOAT probe side (integral values match, others do not).
+func TestJoinBatchesMatchNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	side := func(batches int, floats bool) []*storage.Batch {
+		var out []*storage.Batch
+		for ; batches > 0; batches-- {
+			// An RLE batch holds runs of five to eight equal keys and no NULLs.
+			rle := !floats && rng.Intn(3) == 0
+			null := types.NullValue(types.Int64)
+			if floats {
+				null = types.NullValue(types.Float64)
+			}
+			var rows []types.Value
+			for n := rng.Intn(250); n > 0; n-- {
+				k := int64(rng.Intn(1500))
+				switch {
+				case rle:
+					for reps := 5 + rng.Intn(4); reps > 0; reps-- {
+						rows = append(rows, i64(k))
+					}
+				case rng.Intn(20) == 0:
+					rows = append(rows, null)
+				case floats && rng.Intn(3) == 0:
+					rows = append(rows, f64(float64(k)+0.5))
+				case floats:
+					rows = append(rows, f64(float64(k)))
+				default:
+					rows = append(rows, i64(k))
+				}
+			}
+			if len(rows) < 64 {
+				continue
+			}
+			b := idBatch(t, rows...)
+			if rle {
+				b.Cols[0] = storage.CompressColumn(b.Cols[0])
+				if _, ok := b.Cols[0].(*storage.Int64RLEColumn); !ok {
+					t.Fatal("runs of five or more did not compress")
+				}
+			}
+			b.Sel = slices.DeleteFunc(b.Sel, func(int32) bool { return rng.Intn(6) == 0 })
+			out = append(out, b)
+		}
+		return out
+	}
+	nested := func(left, right []*storage.Batch) []emitted {
+		var out []emitted
+		for lb, l := range left {
+			for _, lr := range l.Sel {
+				lk, ok := JoinKeyOf(l.Cols[0].Get(int(lr)))
+				if !ok {
+					continue
+				}
+				for rb, r := range right {
+					for _, rr := range r.Sel {
+						if rk, ok := JoinKeyOf(r.Cols[0].Get(int(rr))); ok && rk == lk {
+							out = append(out, emitted{int32(lb), lr, int32(rb), rr})
+						}
+					}
+				}
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 4; trial++ {
+		ints, mixed := side(5, false), side(3, trial%2 == 1)
+		if tbl := buildJoinTable(ints, 0); tbl.ints == nil || len(tbl.ints.slots) <= 64 {
+			t.Fatal("the int build side never left its first table size")
+		}
+		for _, bl := range []bool{false, true} {
+			want := nested(mixed, ints)
+			if got := collectJoin(mixed, 0, ints, 0, bl); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, int keys built %v: %d pairs, want %d", trial, bl, len(got), len(want))
+			}
+			want = nested(ints, mixed)
+			if got := collectJoin(ints, 0, mixed, 0, bl); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, int keys probing, buildLeft=%v: %d pairs, want %d", trial, bl, len(got), len(want))
+			}
+		}
 	}
 }
