@@ -62,16 +62,19 @@ resilience-test:
 # frames cut at wireBatchRows, the mid-COPY desync and COPY-abort
 # regressions, the wire-equals-in-process differential, a server closing
 # under live sessions, and the resource-pool admission suites with a
-# cancelled SELECT giving its slot back — all under the race detector.
+# cancelled SELECT giving its slot back, its computed operators (project,
+# group-by, filter over derived rows) included — all under the race detector.
 wire-test: wire-fuzz
 	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|ServerCloseEndsLiveSessions' ./internal/server/
 	$(GO) test -race ./internal/pool/
-	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation' ./internal/vertica/
+	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation' ./internal/vertica/
 
 # Five seconds of native fuzzing on each decoder of untrusted bytes: the wire
 # frames, the batch-frame payload codec (storage.DecodeColumns), the
 # WAL/data-collector frame scanner (framelog.Scan), the SQL parser
-# (vsql.Parse, which reads whatever statement text a connection sends), the
+# (vsql.Parse, which reads whatever statement text a connection sends; each
+# expression it parses must print back to itself and evaluate compiled as
+# Eval does), the
 # Avro container reader (avro.Reader, which reads whatever a COPY streams) and
 # the two data-file decoders recovery runs (storage.UnmarshalContainer and
 # Store.LoadWOS; their harness re-seals the checksum). Those two skip input

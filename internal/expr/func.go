@@ -23,31 +23,39 @@ type FuncCall struct {
 	Args   []Expr
 	Params map[string]string
 	Impl   func(args []types.Value, params map[string]string) (types.Value, error)
-	Ret    types.Type // types.Unknown (a call bound by hand): Impl's value passes as it is
+	Ret    types.Type // types.Unknown (a call bound by hand): FLOAT, as a UDx's
 }
 
-// Eval implements Expr.
-func (f *FuncCall) Eval(r types.Row, s *types.Schema) (types.Value, error) {
+// Operands implements Op.
+func (f *FuncCall) Operands() []Expr { return f.Args }
+
+// Type is the call's type: its declared return type.
+func (f *FuncCall) Type() types.Type {
+	if f.Ret == types.Unknown {
+		return types.Float64
+	}
+	return f.Ret
+}
+
+// Apply implements Op: Impl's value, held to the call's type by
+// types.Coerce.
+func (f *FuncCall) Apply(args []types.Value) (types.Value, error) {
 	if f.Impl == nil {
 		return types.Value{}, fmt.Errorf("expr: unbound function %q (no such builtin or UDx)", f.Name)
 	}
-	vals := make([]types.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := a.Eval(r, s)
-		if err != nil {
-			return types.Value{}, err
-		}
-		vals[i] = v
-	}
-	v, err := f.Impl(vals, f.Params)
-	if err != nil || f.Ret == types.Unknown {
+	v, err := f.Impl(args, f.Params)
+	if err != nil {
 		return v, err
 	}
-	if v, err = types.Coerce(v, f.Ret); err != nil {
-		return types.Value{}, fmt.Errorf("expr: function %s declared %v: %w", f.Name, f.Ret, err)
+	t := f.Type()
+	if v, err = types.Coerce(v, t); err != nil {
+		return types.Value{}, fmt.Errorf("expr: function %s declared %v: %w", f.Name, t, err)
 	}
 	return v, nil
 }
+
+// Eval implements Expr.
+func (f *FuncCall) Eval(r types.Row, s *types.Schema) (types.Value, error) { return evalOp(f, r, s) }
 
 // SQL implements Expr.
 func (f *FuncCall) SQL() string {

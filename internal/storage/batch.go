@@ -34,7 +34,9 @@ type Batch struct {
 func (b *Batch) Len() int { return len(b.Sel) }
 
 // Row materializes physical row i (not a selection index) across all
-// columns. Used by residual-predicate evaluation.
+// columns: the row-at-a-time reference scan's (Store.Scan) and the test
+// oracle's view of a batch. Production evaluates expressions over the
+// vectors (vexec.CompileExpr).
 func (b *Batch) Row(i int, dst types.Row) types.Row {
 	if cap(dst) < len(b.Cols) {
 		dst = make(types.Row, len(b.Cols))

@@ -175,10 +175,9 @@ func gatherValues(p []byte, batches []*Batch, j int) {
 func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) {
 	n := SelectedRows(batches)
 	cols := make([]Column, schema.NumCols())
-	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && len(cols) > 0 && n == batches[0].Cols[0].Len() &&
-		isIdentity(batches[0].Sel)
+	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && isIdentity(batches[0].Sel)
 	for j, sc := range schema.Cols {
-		if whole && batches[0].Cols[j].Type() == sc.T {
+		if whole && batches[0].Cols[j].Type() == sc.T && batches[0].Cols[j].Len() == n {
 			cols[j] = Densify(batches[0].Cols[j])
 			continue
 		}

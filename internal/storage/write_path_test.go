@@ -101,6 +101,26 @@ func TestDenseColumnsMatchesColumnize(t *testing.T) {
 	}
 }
 
+// A single batch selecting its first column's every row shares only the
+// columns of that length; a longer column is cut to the selected rows.
+func TestDenseColumnsCutsLongerColumn(t *testing.T) {
+	rows := writeRows(rand.New(rand.NewSource(13)), 50)
+	long, _ := ColumnsFromRows(rows, gatherSchema)
+	short, _ := ColumnsFromRows(rows[:20], gatherSchema)
+	cols, n, err := DenseColumns(gatherSchema, []*Batch{{Cols: append([]Column{short[0]}, long[1:]...), Sel: IdentitySel(20)}})
+	if err != nil || n != 20 {
+		t.Fatal(n, err)
+	}
+	if cols[0] != short[0] {
+		t.Error("the 20-row column was copied")
+	}
+	for j, c := range cols[1:] {
+		if c.Len() != 20 {
+			t.Errorf("column %d: a 20-row selection over a 50-row column gives %d rows", j+1, c.Len())
+		}
+	}
+}
+
 // The vector entries are the row entries minus the boxing: EncodeColumns
 // writes EncodeRows' bytes, AppendColumns builds AppendROS's container and
 // buffers AppendWOS's rows.

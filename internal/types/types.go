@@ -177,12 +177,17 @@ func (v Value) String() string {
 }
 
 // SQLLiteral renders the value as a literal the SQL parser reads back: NULL,
-// a quoted string, or String's form.
+// a quoted string, or String's form — for a FLOAT with a fraction or an
+// exponent, so a whole one reads back a FLOAT, not an INTEGER.
 func (v Value) SQLLiteral() string {
-	if !v.Null && v.T == Varchar {
+	s := v.String()
+	switch {
+	case !v.Null && v.T == Varchar:
 		return "'" + SQLEscape(v.S) + "'"
+	case !v.Null && v.T == Float64 && !strings.ContainsAny(s, ".eIN"):
+		return s + ".0"
 	}
-	return v.String()
+	return s
 }
 
 // SQLEscape doubles the single quotes of s, for splicing between the quotes
@@ -235,7 +240,7 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // whole number narrows to INTEGER, anything renders into VARCHAR, and every
 // other mismatch is an error — never a silent NaN or zero. INSERT VALUES,
 // UPDATE SET, a function's declared return type and every operator that builds
-// a result vector (through storage.Builder.Append) apply it.
+// a result vector apply it.
 func Coerce(v Value, t Type) (Value, error) {
 	if v.Null {
 		return NullValue(t), nil

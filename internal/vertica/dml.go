@@ -264,7 +264,7 @@ func insertSelectColumns(res *Result, schema types.Schema) ([]storage.Column, in
 // rows are deleted and re-inserted with the assignments applied (re-routed
 // if a segmentation column changed). The affected-row count is what the S2V
 // protocol's conditional check-and-set steps branch on (§3.2.1).
-func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
+func (s *Session) executeUpdate(ctx context.Context, st *vsql.Update) (*Result, error) {
 	tbl, ok := s.cluster.cat.Table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("vertica: table %q does not exist", st.Table)
@@ -283,16 +283,21 @@ func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
 		if err := s.cluster.bindFuncs(sc.Expr); err != nil {
 			return nil, err
 		}
-		set.Cols, proj[i] = append(set.Cols, schema.Cols[setIdx[i]]), projCol{e: sc.Expr}
+		vec, _ := vexec.CompileExpr(sc.Expr, schema)
+		set.Cols, proj[i] = append(set.Cols, schema.Cols[setIdx[i]]), projCol{vec: vec}
 	}
 	assign := func(cols []storage.Column, matched []*storage.Batch) ([]storage.Column, error) {
-		assigned, err := projectBatches(set, proj, matched)
+		assigned, err := projectBatches(ctx, set, proj, matched)
+		var setCols []storage.Column
+		if err == nil {
+			setCols, _, err = storage.DenseColumns(set, assigned)
+		}
 		if err != nil {
 			return nil, err
 		}
 		updated := slices.Clone(cols)
 		for i, idx := range setIdx {
-			updated[idx] = assigned[0].Cols[i]
+			updated[idx] = setCols[i]
 		}
 		return updated, nil
 	}

@@ -397,60 +397,16 @@ func (s *Session) localPos(tbl *catalog.Table) int {
 // optimization that makes the connector's locality-aware partition queries
 // (§3.1.2) cheap: the range test runs against precomputed segment hashes.
 func extractHashRange(where expr.Expr, tbl *catalog.Table) (vhash.Range, expr.Expr) {
-	full := vhash.Range{Lo: 0, Hi: vhash.RingSize}
-	if where == nil {
-		return full, nil
-	}
-	conjuncts := vexec.SplitConjuncts(where, nil)
-	hr := full
+	hr := vhash.Range{Lo: 0, Hi: vhash.RingSize}
 	var residual []expr.Expr
-	for _, c := range conjuncts {
-		lo, hi, ok := hashBound(c, tbl)
-		if !ok {
+	for _, c := range vexec.SplitConjuncts(where, nil) {
+		if r, ok := vexec.HashRange(c, tbl.Def.Schema, tbl.SegIdx); ok {
+			hr.Lo, hr.Hi = max(hr.Lo, r.Lo), min(hr.Hi, r.Hi)
+		} else {
 			residual = append(residual, c)
-			continue
-		}
-		if lo != nil && *lo > hr.Lo {
-			hr.Lo = *lo
-		}
-		if hi != nil && *hi < hr.Hi {
-			hr.Hi = *hi
 		}
 	}
 	return hr, expr.Conjoin(residual...)
-}
-
-// hashBound recognizes HASH(cols) CMP literal conjuncts over the table's
-// segmentation expression and converts them to ring bounds.
-func hashBound(e expr.Expr, tbl *catalog.Table) (lo, hi *uint64, ok bool) {
-	cmp, isCmp := e.(*expr.Cmp)
-	if !isCmp {
-		return nil, nil, false
-	}
-	h, isHash := cmp.L.(*expr.HashFn)
-	lit, isLit := cmp.R.(*expr.Lit)
-	if !isHash || !isLit || lit.V.Null || !vexec.HashMatchesSeg(h, tbl.Def.Schema, tbl.SegIdx) {
-		return nil, nil, false
-	}
-	n := lit.V.AsInt()
-	if n < 0 {
-		n = 0
-	}
-	u := uint64(n)
-	switch cmp.Op {
-	case expr.GE:
-		return &u, nil, true
-	case expr.GT:
-		v := u + 1
-		return &v, nil, true
-	case expr.LT:
-		return nil, &u, true
-	case expr.LE:
-		v := u + 1
-		return nil, &v, true
-	default:
-		return nil, nil, false
-	}
 }
 
 // recordQuery adds a traced SELECT's QueryFlowEv, built from the run plan the

@@ -22,7 +22,7 @@ import (
 // them — in the fixed order SQL gives them. No batches, kernels, zone maps,
 // pushdowns, planner or plan — everything the production path adds on top of
 // "scan, join, filter, project" is absent here. What the two share is the
-// typing (inferType, buildAggPlan) and the expression evaluator.
+// typing (vexec.TypeOf, buildAggPlan) and the expression evaluator.
 
 // oracleSelect answers a SELECT on the oracle.
 func oracleSelect(t testing.TB, s *Session, sql string) *Result {
@@ -248,7 +248,7 @@ func selectShape(items []vsql.SelectItem, schema types.Schema) (types.Schema, []
 		if name == "" {
 			name = exprName(e)
 		}
-		outSchema.Cols = append(outSchema.Cols, types.Column{Name: name, T: inferType(e, schema)})
+		outSchema.Cols = append(outSchema.Cols, types.Column{Name: name, T: vexec.TypeOf(e, schema)})
 		sc := schema
 		evals = append(evals, func(r types.Row) (types.Value, error) { return e.Eval(r, &sc) })
 	}

@@ -177,7 +177,7 @@ func (s *Session) planBaseScan(n *planNode, where expr.Expr, opts scanOpts) erro
 
 // filterNode is a WHERE clause over derived batches — join output, a view, a
 // system table. Such batches carry no stored hashes, so the predicate's HASH
-// conjuncts run interpreted (vexec decides that per batch).
+// conjuncts run compiled (vexec decides that per batch).
 func filterNode(where expr.Expr, schema types.Schema, est int64, detail string) planNode {
 	return planNode{op: opFilter, est: est, detail: detail, schema: schema, pred: vexec.Compile(where, schema, nil)}
 }
@@ -279,7 +279,7 @@ func (s *Session) planSelect(st *vsql.Select, vis storage.Visibility) (*selectPl
 			if n.schema, n.proj, err = planProject(st.Items, schema, star); err != nil {
 				return nil, err
 			}
-			n.detail = "expressions evaluated per row into column vectors"
+			n.detail = "expressions compiled to column vectors"
 			if pick := passThrough(n.proj); st.From == nil {
 				n.detail = "FROM-less SELECT"
 			} else if pick != nil {
@@ -394,8 +394,8 @@ func estValue(est int64) types.Value {
 // batches, each node's of its declared schema. The first scan is the
 // pipeline's left side; every later scan is the right input of the join node
 // that follows it. prof turns on clock reads and the kernel/residual split
-// (PROFILE only). Cancelling ctx stops the run between nodes and inside a
-// scan.
+// (PROFILE only). Cancelling ctx stops the run between nodes and between the
+// batches a scan, filter, project or group-by node works through.
 func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage.Batch, error) {
 	var cur, right []*storage.Batch
 	if p.nodes[0].op != opScan {
@@ -435,10 +435,10 @@ func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage
 			s.raiseJoinBuildEvent(buildRows, n.buildSide(), n.clause.LeftCol, n.clause.RightCol)
 
 		case opFilter:
-			cur, err = filterBatches(n, cur)
+			cur, err = filterBatches(ctx, n, cur)
 
 		case opGroupBy:
-			cur, err = runGroupBy(n, cur)
+			cur, err = runGroupBy(ctx, n, cur)
 
 		case opProject:
 			switch {
@@ -447,7 +447,7 @@ func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage
 					cur[k] = b.Project(n.pick)
 				}
 			case n.proj != nil:
-				cur, err = projectBatches(n.schema, n.proj, cur)
+				cur, err = projectBatches(ctx, n.schema, n.proj, cur)
 			}
 
 		case opSort:
@@ -472,11 +472,15 @@ func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage
 }
 
 // filterBatches narrows each batch by the node's predicate, drops the batches
-// it empties, and counts the kernel/residual split.
-func filterBatches(n *planNode, batches []*storage.Batch) ([]*storage.Batch, error) {
+// it empties, and counts the kernel/residual split. Cancelling ctx stops it
+// between batches.
+func filterBatches(ctx context.Context, n *planNode, batches []*storage.Batch) ([]*storage.Batch, error) {
 	var fs vexec.FilterStats
 	kept := batches[:0]
 	for _, b := range batches {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if err := n.pred.FilterBatchStats(b, &fs); err != nil {
 			return nil, err
 		}
@@ -513,7 +517,7 @@ func (s *Session) runScan(ctx context.Context, n *planNode, vis storage.Visibili
 	}
 	n.rowsIn = int64(storage.SelectedRows(batches))
 	if err == nil && n.pred != nil {
-		batches, err = filterBatches(n, batches)
+		batches, err = filterBatches(ctx, n, batches)
 	}
 	n.rowsOut = int64(storage.SelectedRows(batches))
 	return batches, err

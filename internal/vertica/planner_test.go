@@ -2,6 +2,7 @@ package vertica
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -113,6 +114,36 @@ func TestExplainScanPruning(t *testing.T) {
 		if runErr == nil || planErr == nil || runErr.Error() != planErr.Error() {
 			t.Fatalf("%s:\n run     %v\n EXPLAIN %v", q, runErr, planErr)
 		}
+	}
+}
+
+// TestNegativeLiterals: a minus sign before a number is part of the literal,
+// not 0 - x. So a connector-style pushdown with a negative bound keeps its
+// kernel and its zone-map pruning, the smallest INTEGER is an INTEGER, and
+// -0.0 keeps its sign; a minus before anything else is still arithmetic.
+func TestNegativeLiterals(t *testing.T) {
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	prunableTable(t, s, c)
+
+	scan := s.MustExecute("EXPLAIN SELECT * FROM pz WHERE val < -0.5").Rows[0]
+	if !strings.Contains(scan[6].S, "1 kernels") || scan[4].I == 0 || scan[5].I != scan[4].I {
+		t.Fatalf("val < -0.5 over values >= 0.5: %v, want 1 kernel and every container pruned", scan)
+	}
+	s.MustExecute("CREATE TABLE neg (i INTEGER)")
+	s.MustExecute("INSERT INTO neg VALUES (-9223372036854775807)")
+	if n := s.MustExecute("SELECT COUNT(*) FROM neg WHERE i > -9223372036854775808").Rows[0][0].I; n != 1 {
+		t.Fatalf("i > -9223372036854775808 counts %d rows of i = -9223372036854775807, want 1", n)
+	}
+	res := s.MustExecute("SELECT -0.0, -9223372036854775808, -(id) FROM pz WHERE id = 3")
+	if z := res.Rows[0][0]; z.T != types.Float64 || !math.Signbit(z.F) {
+		t.Fatalf("SELECT -0.0 = %v (%v), want FLOAT negative zero", z, z.T)
+	}
+	if m := res.Rows[0][1]; m.T != types.Int64 || m.I != math.MinInt64 {
+		t.Fatalf("SELECT -9223372036854775808 = %v (%v), want the INTEGER", m, m.T)
+	}
+	if neg := res.Rows[0][2]; neg.T != types.Int64 || neg.I != -3 {
+		t.Fatalf("-(id) = %v (%v), want INTEGER -3", neg, neg.T)
 	}
 }
 

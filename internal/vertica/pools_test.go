@@ -405,6 +405,55 @@ func TestSelectHonoursCancellation(t *testing.T) {
 	}
 }
 
+// TestComputedOperatorsHonourCancellation: the operators that evaluate
+// expressions over their input — a computed select list, a group-by's
+// argument, a WHERE over a view's rows — check the statement's context
+// between batches. A SELECT its first UDx call cancels fails with
+// context.Canceled after at most one batch of calls and gives its pool slot
+// back.
+func TestComputedOperatorsHonourCancellation(t *testing.T) {
+	c := MustNewCluster(1)
+	s, _ := c.Connect(0)
+	defer s.Close()
+	s.MustExecute("CREATE TABLE big (n INTEGER)")
+	const loads, per = 20, 1000
+	for l := 0; l < loads; l++ {
+		var csv strings.Builder
+		for i := 0; i < per; i++ {
+			fmt.Fprintf(&csv, "%d\n", l*per+i)
+		}
+		if _, err := s.CopyFrom("COPY big FROM STDIN FORMAT CSV DIRECT", strings.NewReader(csv.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.MustExecute("CREATE VIEW bigv AS SELECT n FROM big")
+	for _, q := range []string{
+		"SELECT CANCEL_ONCE(n) FROM big",
+		"SELECT SUM(CANCEL_ONCE(n)) FROM big",
+		"SELECT n FROM bigv WHERE CANCEL_ONCE(n) >= 0",
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		c.RegisterUDx("CANCEL_ONCE", func(args []types.Value, _ map[string]string) (types.Value, error) {
+			if calls.Add(1) == 1 {
+				cancel()
+			}
+			return args[0], nil
+		})
+		_, err := s.ExecuteContext(ctx, q)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled SELECT returned err %v, want context.Canceled", q, err)
+		}
+		if n := calls.Load(); n > per {
+			t.Fatalf("%s: the UDx ran %d times after the first call cancelled the statement, want at most one batch (%d)", q, n, per)
+		}
+		if running := poolStats(t, c, "general").Running; running != 0 {
+			t.Fatalf("%s: general pool runs %d statements after the cancelled SELECT, want 0", q, running)
+		}
+	}
+}
+
 func poolStats(t *testing.T, c *Cluster, name string) pool.Stats {
 	t.Helper()
 	return mustPool(t, c, name).Snapshot()

@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,8 +16,9 @@ import (
 // This file holds the operators that build new vectors above the relations —
 // a computed select list and ORDER BY — and the validation of an aggregation.
 // Each builds vectors of its node's declared types: the plan-time schema is
-// authoritative, and a value it cannot hold fails the statement
-// (storage.Builder.Append applies types.Coerce).
+// authoritative (vexec.CompileExpr types an expression for it and for the
+// vector it builds by one rule), and a value it cannot hold fails the
+// statement (types.Coerce).
 
 // orderIndexes resolves ORDER BY keys against the result schema.
 func orderIndexes(schema types.Schema, keys []vsql.OrderItem) ([]int, error) {
@@ -57,10 +59,10 @@ func sortBatches(n *planNode, batches []*storage.Batch) ([]*storage.Batch, error
 }
 
 // projCol is one output column of a computed select list: input column col
-// passed through as a vector, or (e != nil) an expression evaluated per row.
+// passed through as a vector, or (vec != nil) an expression compiled to one.
 type projCol struct {
 	col int
-	e   expr.Expr
+	vec vexec.Vec
 }
 
 // planProject resolves non-aggregate select items to the output schema and
@@ -91,11 +93,12 @@ func planProject(items []vsql.SelectItem, schema types.Schema, star []int) (type
 		if name == "" {
 			name = exprName(it.Expr)
 		}
-		out.Cols = append(out.Cols, types.Column{Name: name, T: inferType(it.Expr, schema)})
+		vec, t := vexec.CompileExpr(it.Expr, schema)
+		out.Cols = append(out.Cols, types.Column{Name: name, T: t})
 		if c, bare := it.Expr.(*expr.Col); bare {
 			proj = append(proj, projCol{col: schema.ColIndex(c.Name)})
 		} else {
-			proj = append(proj, projCol{e: it.Expr})
+			proj = append(proj, projCol{vec: vec})
 		}
 	}
 	return out, proj, nil
@@ -107,7 +110,7 @@ func planProject(items []vsql.SelectItem, schema types.Schema, star []int) (type
 func passThrough(proj []projCol) []int {
 	cols := make([]int, len(proj))
 	for j, pc := range proj {
-		if pc.e != nil {
+		if pc.vec != nil {
 			return nil
 		}
 		cols[j] = pc.col
@@ -116,55 +119,36 @@ func passThrough(proj []projCol) []int {
 }
 
 // projectBatches runs a computed select list (or an UPDATE's SET list, which
-// is one): one Builder per output column, sized once for the whole input. A
-// passed-through column is appended a vector at a time; the expressions
-// evaluate per selected row against a row holding only the columns they name
-// (vexec.ArgRow, as an aggregate's interpreted argument does), and each value
-// goes straight into its column's Builder.
-func projectBatches(schema types.Schema, proj []projCol, batches []*storage.Batch) ([]*storage.Batch, error) {
-	rows := storage.SelectedRows(batches)
-	if rows == 0 {
-		return nil, nil
-	}
-	out := make([]*storage.Builder, len(proj))
-	var exprs []expr.Expr
-	for j, pc := range proj {
-		out[j] = storage.NewBuilder(schema.Cols[j].T)
-		out[j].Grow(rows)
-		if pc.e != nil {
-			exprs = append(exprs, pc.e)
-		}
-	}
-	args := vexec.NewArgRow(exprs, batches[0].Schema)
+// is one): each input batch leaves as one batch over the same rows, its
+// columns a passed-through column's own vector or the one an expression's
+// compiled form builds, nothing copied — a vector of another type than its
+// column (an UPDATE assigning an INTEGER to a FLOAT column) is cast
+// (vexec.Cast). Cancelling ctx stops it between batches.
+func projectBatches(ctx context.Context, schema types.Schema, proj []projCol, batches []*storage.Batch) ([]*storage.Batch, error) {
+	out := make([]*storage.Batch, 0, len(batches))
 	for _, b := range batches {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if len(b.Sel) == 0 {
+			continue
+		}
+		p := &storage.Batch{Schema: schema, Cols: make([]storage.Column, len(proj)), Sel: b.Sel}
 		for j, pc := range proj {
-			if pc.e == nil {
-				if err := out[j].AppendColumn(b.Cols[pc.col], b.Sel); err != nil {
-					return nil, err
-				}
+			var col storage.Column
+			var err error
+			if pc.vec == nil {
+				col = b.Cols[pc.col]
+			} else if col, err = pc.vec(b, b.Sel); err != nil {
+				return nil, err
+			}
+			if p.Cols[j], err = vexec.Cast(col, schema.Cols[j].T, b.Sel); err != nil {
+				return nil, err
 			}
 		}
-		for _, i := range b.Sel {
-			row := args.Load(b, int(i))
-			for j, pc := range proj {
-				if pc.e == nil {
-					continue
-				}
-				v, err := pc.e.Eval(row, &b.Schema)
-				if err == nil {
-					err = out[j].Append(v)
-				}
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
+		out = append(out, p)
 	}
-	cols := make([]storage.Column, len(out))
-	for j, b := range out {
-		cols[j] = b.Build()
-	}
-	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.IdentitySel(rows)}}, nil
+	return out, nil
 }
 
 func exprName(e expr.Expr) string {
@@ -179,39 +163,6 @@ func exprName(e expr.Expr) string {
 		return "mod"
 	default:
 		return "?column?"
-	}
-}
-
-// inferType types an expression for result schemas. What it says is what the
-// operator builds: Arith.Eval's INTEGER-unless-a-FLOAT-operand rule and a bound
-// function's declared return type make the inference exact for everything but
-// a value types.Coerce then widens (an INTEGER into a FLOAT column).
-func inferType(e expr.Expr, schema types.Schema) types.Type {
-	switch n := e.(type) {
-	case *expr.Col:
-		if i := schema.ColIndex(n.Name); i >= 0 {
-			return schema.Cols[i].T
-		}
-		return types.Unknown
-	case *expr.Lit:
-		return n.V.T
-	case *expr.HashFn, *expr.ModFn:
-		return types.Int64
-	case *expr.Cmp, *expr.And, *expr.Or, *expr.Not, *expr.IsNull:
-		return types.Bool
-	case *expr.Arith:
-		lt, rt := inferType(n.L, schema), inferType(n.R, schema)
-		if lt == types.Int64 && rt == types.Int64 {
-			return types.Int64
-		}
-		return types.Float64
-	case *expr.FuncCall:
-		if n.Ret != types.Unknown {
-			return n.Ret // bound: the registry's declared return type
-		}
-		return types.Float64
-	default:
-		return types.Unknown
 	}
 }
 
@@ -266,7 +217,7 @@ func buildAggPlan(st *vsql.Select, schema types.Schema) (*aggPlan, error) {
 			if it.Agg == vsql.AggCount {
 				t = types.Int64
 			} else if it.Arg != nil {
-				at := inferType(it.Arg, schema)
+				at := vexec.TypeOf(it.Arg, schema)
 				if it.Agg == vsql.AggMin || it.Agg == vsql.AggMax || (it.Agg == vsql.AggSum && at == types.Int64) {
 					t = at
 				}
@@ -274,7 +225,7 @@ func buildAggPlan(st *vsql.Select, schema types.Schema) (*aggPlan, error) {
 			ap.out.Cols = append(ap.out.Cols, types.Column{Name: name, T: t})
 			ap.items = append(ap.items, aggItemPlan{agg: it.Agg, arg: it.Arg, aggIdx: len(ap.spec.Aggs), groupCol: -1})
 			// A plain column of the input runs on its typed vector; any other
-			// argument is interpreted per row inside the kernel.
+			// argument is compiled inside the kernel.
 			ae := vexec.AggExpr{Op: op, Col: -1, Arg: it.Arg}
 			if c, isCol := it.Arg.(*expr.Col); isCol {
 				if i := schema.ColIndex(c.Name); i >= 0 {

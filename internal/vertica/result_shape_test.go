@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -130,7 +131,7 @@ func TestResultVectorsAllocatePerColumn(t *testing.T) {
 		}
 	})
 	total := testing.AllocsPerRun(5, func() {
-		if out, err := runGroupBy(node, in); err != nil || storage.SelectedRows(out) != groups {
+		if out, err := runGroupBy(context.Background(), node, in); err != nil || storage.SelectedRows(out) != groups {
 			t.Fatalf("group-by: %d rows, %v", storage.SelectedRows(out), err)
 		}
 	})
@@ -146,7 +147,7 @@ func TestResultVectorsAllocatePerColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if b, err := projectBatches(out, proj, in); err != nil || storage.SelectedRows(b) != rows {
+		if b, err := projectBatches(context.Background(), out, proj, in); err != nil || storage.SelectedRows(b) != rows {
 			t.Fatalf("projection: %d rows, %v", storage.SelectedRows(b), err)
 		}
 	})

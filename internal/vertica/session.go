@@ -301,7 +301,7 @@ func (s *Session) dispatch(ctx context.Context, stmt vsql.Statement) (*Result, e
 		return s.executeInsert(ctx, st)
 	case *vsql.Update:
 		s.rec.Fixed(sim.FixedQuery)
-		return s.executeUpdate(st)
+		return s.executeUpdate(ctx, st)
 	case *vsql.Delete:
 		s.rec.Fixed(sim.FixedQuery)
 		return s.executeDelete(st)

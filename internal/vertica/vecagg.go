@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"context"
 	"fmt"
 
 	"vsfabric/internal/storage"
@@ -27,9 +28,13 @@ var aggOps = map[vsql.AggFn]vexec.AggOp{
 // runGroupBy runs a group-by node: one hash table consumes every batch, and
 // the groups leave it as one batch of key and aggregate vectors of the node's
 // declared types, built a column at a time in first-seen group order.
-func runGroupBy(n *planNode, batches []*storage.Batch) ([]*storage.Batch, error) {
+// Cancelling ctx stops it between batches.
+func runGroupBy(ctx context.Context, n *planNode, batches []*storage.Batch) ([]*storage.Batch, error) {
 	ha := vexec.NewHashAgg(n.agg.spec, n.agg.in)
 	for _, b := range batches {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if err := ha.Consume(b); err != nil {
 			return nil, err
 		}

@@ -288,6 +288,39 @@ func TestInsertSelectBatchesMatchBoxedRoute(t *testing.T) {
 	}
 }
 
+// A computed select item's vector and a passed-through column's share a batch,
+// so they must be one length: a filter keeping a prefix of a single container
+// once handed the write path a computed vector cut at the last kept row beside
+// the container's full-length column, and the INSERT or UPDATE failed.
+func TestInsertSelectComputedColumn(t *testing.T) {
+	c := testCluster(t, 1)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE src (id INTEGER, v FLOAT)")
+	var csv strings.Builder
+	for i := 1; i <= 10; i++ {
+		fmt.Fprintf(&csv, "%d,%d.5\n", i, i)
+	}
+	if _, err := s.CopyFrom("COPY src FROM STDIN FORMAT CSV DIRECT", strings.NewReader(csv.String())); err != nil {
+		t.Fatal(err)
+	}
+	s.MustExecute("CREATE TABLE dst (w FLOAT, id INTEGER)")
+	if res := s.MustExecute("INSERT INTO dst SELECT v + 1, id FROM src WHERE id <= 3"); res.RowsAffected != 3 {
+		t.Fatalf("INSERT ... SELECT affected %d rows, want 3", res.RowsAffected)
+	}
+	if res := s.MustExecute("UPDATE src SET v = v + 1, id = id WHERE id <= 3"); res.RowsAffected != 3 {
+		t.Fatalf("UPDATE affected %d rows, want 3", res.RowsAffected)
+	}
+	for q, want := range map[string]float64{
+		"SELECT SUM(w), SUM(id) FROM dst":               10.5,
+		"SELECT SUM(v), SUM(id) FROM src WHERE id <= 3": 10.5,
+	} {
+		row := s.MustExecute(q).Rows[0]
+		if row[0].F != want || row[1].I != 6 {
+			t.Errorf("%s = %v, want %v and 6", q, row, want)
+		}
+	}
+}
+
 // A block whose record count disagrees with its bytes fails the COPY; under
 // autocommit nothing is committed and the session stays usable. At 579c79c
 // the first file loaded 3 of its 6 rows and reported success.

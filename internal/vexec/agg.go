@@ -3,7 +3,6 @@ package vexec
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 
 	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
@@ -19,11 +18,11 @@ import (
 // touches only the count, SUM/AVG only the sum state, MIN/MAX the whole
 // accumulator. Values are boxed into types.Value only once per new group,
 // never per input row. An aggregate whose argument is an expression rather
-// than a column evaluates it per selected row and feeds the same accumulators
-// through the boxed fallback. Accumulator semantics are SQL's as the test
-// oracle's row-at-a-time reference states them (null handling, int-vs-float
-// SUM typing, first-seen MIN/MAX ties, AVG = float sum / non-null count), and
-// the equivalence property suites diff the two.
+// than a column evaluates it compiled (CompileExpr) into one vector per batch,
+// which feeds the same typed loops a column does. Accumulator semantics are
+// SQL's as the test oracle's row-at-a-time reference states them (null
+// handling, int-vs-float SUM typing, first-seen MIN/MAX ties, AVG = float sum
+// / non-null count), and the equivalence property suites diff the two.
 
 // AggOp is an aggregate function.
 type AggOp int
@@ -37,8 +36,8 @@ const (
 )
 
 // AggExpr is one aggregate item: Op over the schema column Col, or — when Arg
-// is set — over Arg evaluated against each selected row. Col < 0 with no Arg
-// means COUNT(*) (count every selected row, null or not).
+// is set — over the vector Arg evaluates to. Col < 0 with no Arg means
+// COUNT(*) (count every selected row, null or not).
 type AggExpr struct {
 	Op  AggOp
 	Col int
@@ -180,10 +179,10 @@ func (a *aggAcc) addFloat(v float64) {
 	a.seen, a.intSum = true, false
 }
 
-// updateValue is the boxed fallback: an interpreted argument's values, or a
-// batch column of a type no typed loop reads. An expression can yield INTEGER
-// for one row and FLOAT for another; updateInt/updateFloat then carry on in
-// float, as types.Compare would order them.
+// updateValue is the boxed fallback, for a batch column of a type no typed
+// loop reads. Its values may change kind from one update to the next;
+// updateInt/updateFloat then carry on in float, as types.Compare would order
+// them.
 func (a *aggAcc) updateValue(v types.Value) {
 	if v.Null {
 		return
@@ -254,41 +253,6 @@ func (a *aggAcc) minmax(wantMin bool) types.Value {
 	return types.NullValue(types.Float64)
 }
 
-// ArgRow is how interpreted expressions read a batch: one full-width row,
-// reused for every input row, into which only the columns the expressions name
-// are boxed. Aggregate arguments and a computed select list both evaluate
-// through it.
-type ArgRow struct {
-	cols []int
-	row  types.Row
-}
-
-// NewArgRow prepares the row for exprs over batches of the given schema.
-func NewArgRow(exprs []expr.Expr, schema types.Schema) *ArgRow {
-	var names []string
-	wholeRow := false
-	for _, e := range exprs {
-		names = e.Columns(names)
-		wholeRow = wholeRow || expr.ReadsRow(e)
-	}
-	a := &ArgRow{row: make(types.Row, len(schema.Cols))}
-	for c := range schema.Cols {
-		if wholeRow || slices.ContainsFunc(names, func(n string) bool { return schema.ColIndex(n) == c }) {
-			a.cols = append(a.cols, c)
-		}
-	}
-	return a
-}
-
-// Load boxes physical row i of b into the row and returns it; the row is
-// overwritten by the next Load.
-func (a *ArgRow) Load(b *storage.Batch, i int) types.Row {
-	for _, c := range a.cols {
-		a.row[c] = b.Cols[c].Get(i)
-	}
-	return a.row
-}
-
 // HashAgg is a single-pass vectorized hash aggregator. It is used by a single
 // goroutine: parallel segment scans feed batches to a coordinator that calls
 // Consume in deterministic segment order, which keeps float SUM/AVG
@@ -313,14 +277,11 @@ type HashAgg struct {
 	groupBuf []int32
 	keyBuf   []byte
 
-	// Interpreted arguments: the aggregates that carry one, and the row their
-	// columns are boxed into, once per input row for all of them.
-	argAggs []int
-	args    *ArgRow
+	args []Vec // aggregate index -> its expression argument, compiled; nil for a column
 
 	rows         int64 // selected rows consumed
-	fallbackRows int64 // rows that went through a boxed fallback loop
-	boxed        bool  // the batch being consumed took a boxed loop
+	fallbackRows int64 // rows that went through a boxed fallback or per-row value loop
+	boxed        bool  // the batch being consumed took one
 }
 
 // NewHashAgg builds an aggregator for one query. schema is the batch schema
@@ -340,18 +301,14 @@ func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
 		h.byKey = make(map[string]int32)
 	}
 	h.allCountStar = len(spec.Aggs) > 0
-	var args []expr.Expr
+	h.args = make([]Vec, len(spec.Aggs))
 	for j, a := range spec.Aggs {
 		if a.Op != AggCount || a.Col >= 0 || a.Arg != nil {
 			h.allCountStar = false
 		}
 		if a.Arg != nil {
-			h.argAggs = append(h.argAggs, j)
-			args = append(args, a.Arg)
+			h.args[j], _ = CompileExpr(a.Arg, schema)
 		}
-	}
-	if h.argAggs != nil {
-		h.args = NewArgRow(args, schema)
 	}
 	if len(spec.GroupCols) == 0 {
 		// A global aggregate over zero rows still yields one row.
@@ -401,7 +358,7 @@ func (h *HashAgg) nullGroup() int32 {
 }
 
 // Consume folds one filtered batch into the aggregation state. Only an
-// interpreted aggregate argument can fail.
+// expression argument can fail.
 func (h *HashAgg) Consume(b *storage.Batch) error {
 	n := len(b.Sel)
 	if n == 0 {
@@ -424,10 +381,9 @@ func (h *HashAgg) Consume(b *storage.Batch) error {
 	h.groupBuf = groupOf
 	h.resolveGroups(b, groupOf)
 	for j := range h.spec.Aggs {
-		h.updateAgg(b, j, groupOf)
-	}
-	if err := h.updateInterpreted(b, groupOf); err != nil {
-		return err
+		if err := h.updateAgg(b, j, groupOf); err != nil {
+			return err
+		}
 	}
 	if h.boxed {
 		h.fallbackRows, h.boxed = h.fallbackRows+int64(n), false
@@ -638,44 +594,28 @@ func b2b(v bool) byte {
 	return 0
 }
 
-// updateInterpreted feeds the aggregates whose argument is an expression:
-// each selected row boxes the columns those expressions read, once, and every
-// such aggregate evaluates against it.
-func (h *HashAgg) updateInterpreted(b *storage.Batch, groupOf []int32) error {
-	if h.argAggs == nil {
-		return nil
-	}
-	h.boxed = true
-	for k, i := range b.Sel {
-		row := h.args.Load(b, int(i))
-		for _, j := range h.argAggs {
-			v, err := h.spec.Aggs[j].Arg.Eval(row, &b.Schema)
-			if err != nil {
-				return err
-			}
-			h.accs[j][groupOf[k]].updateValue(v)
-		}
-	}
-	return nil
-}
-
 // updateAgg runs aggregate j's loop over the batch, specialised by op and by
-// the argument column's stored type; an interpreted argument is
-// updateInterpreted's.
-func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) {
-	ae := h.spec.Aggs[j]
-	if ae.Arg != nil {
-		return
-	}
-	accs := h.accs[j]
-	if ae.Col < 0 {
+// the stored type of its argument's vector: a column's own, or the one its
+// compiled expression builds (whose per-row value loop marks the batch boxed).
+func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
+	ae, accs := h.spec.Aggs[j], h.accs[j]
+	var col storage.Column
+	switch {
+	case h.args[j] != nil:
+		var err error
+		if col, err = h.args[j](b, b.Sel); err != nil {
+			return err
+		}
+		h.boxed = true
+	case ae.Col < 0:
 		// COUNT(*): every selected row counts, null or not.
 		for _, g := range groupOf {
 			accs[g].count++
 		}
-		return
+		return nil
+	default:
+		col = b.Cols[ae.Col]
 	}
-	col := b.Cols[ae.Col]
 	switch ae.Op {
 	case AggCount:
 		for k, i := range b.Sel {
@@ -683,13 +623,14 @@ func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) {
 				accs[groupOf[k]].count++
 			}
 		}
-		return
+		return nil
 	case AggSum, AggAvg:
 		if addNumbers(accs, col, b.Sel, groupOf) {
-			return
+			return nil
 		}
 	}
 	h.updateAll(accs, col, b.Sel, groupOf)
+	return nil
 }
 
 // addNumbers is SUM/AVG over a numeric column; false when the column's values

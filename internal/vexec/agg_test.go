@@ -219,7 +219,7 @@ func TestHashAggInterpretedArgument(t *testing.T) {
 	wantValue(t, h.AggResult(0, 1), f64(0.5), "MIN over 1, 0.5, 9.0")
 	wantValue(t, h.AggResult(0, 2), f64(9), "MAX over 1, 0.5, 9.0")
 	wantValue(t, h.AggResult(1, 0), types.NullValue(types.Float64), "SUM of NULL")
-	wantValue(t, h.AggResult(1, 1), i64(2), "MIN over 2")
+	wantValue(t, h.AggResult(1, 1), f64(2), "MIN over 2, a FLOAT vector's")
 	wantValue(t, h.AggResult(1, 3), i64(0), "COUNT(f + 1) skips NULL")
 	wantValue(t, h.AggResult(1, 4), i64(1), "COUNT(*)")
 	if h.Rows() != 4 || h.FallbackRows() != 4 {

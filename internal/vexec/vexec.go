@@ -1,44 +1,45 @@
-// Package vexec compiles WHERE-clause predicates into typed kernels that run
-// over columnar batches without boxing values through types.Value — the
-// MonetDB/X100-style vectorized execution layer under the SQL engine's scan
-// path. A predicate is split into conjuncts; each conjunct that matches a
-// recognized shape (column CMP literal, IS [NOT] NULL, bare boolean column,
-// HASH(segcols) CMP literal) is lowered to a tight loop over the concrete
-// column vector, with a fast path that evaluates RLE-compressed int columns
-// run-by-run without decoding. Conjuncts that don't lower fall back to the
-// interpreted expr.EvalPredicate as a residual, so any predicate the
-// interpreter accepts runs unchanged — just slower.
+// Package vexec runs expressions over columnar batches without boxing rows —
+// the MonetDB/X100-style vectorized execution layer under the SQL engine. It
+// holds the one production expression evaluator (CompileExpr: an expression
+// compiled once per plan into a function from a batch to a vector) and, on
+// top of it, WHERE-clause predicates: a predicate is split into conjuncts;
+// each conjunct that matches a recognized shape (column CMP literal, IS [NOT]
+// NULL, bare boolean column, HASH(segcols) CMP literal) is lowered to a tight
+// loop over the concrete column vector, with a fast path that evaluates
+// RLE-compressed int columns run-by-run without decoding. The other conjuncts
+// run compiled, as a residual over the rows the kernels kept, so any
+// predicate the evaluator accepts runs unchanged.
 //
-// Kernel semantics follow SQL three-valued logic exactly as the interpreter
-// applies it to a WHERE clause: a conjunct keeps a row only when it
-// evaluates to non-NULL true, so a conjunction of keep-if-true kernels
-// equals EvalPredicate over the AND of the conjuncts.
+// Kernel semantics follow SQL three-valued logic exactly as a WHERE clause
+// applies it: a conjunct keeps a row only when it evaluates to non-NULL true,
+// so a conjunction of keep-if-true kernels equals EvalPredicate over the AND
+// of the conjuncts.
 package vexec
 
 import (
 	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
+	"vsfabric/internal/vhash"
 )
 
 // Kernel narrows a selection vector over one batch: it writes the surviving
 // subset of sel (in order) into sel's backing array and returns it.
 type Kernel func(b *storage.Batch, sel []int32) []int32
 
-// Pred is a compiled predicate: zero or more typed kernels plus an optional
-// interpreted residual conjunct.
+// Pred is a compiled predicate: zero or more typed kernels plus the compiled
+// conjuncts no kernel answers.
 // A Pred is immutable after Compile and safe for concurrent FilterBatch
 // calls from parallel segment scans.
 type Pred struct {
-	kernels  []Kernel
-	residual expr.Expr
-	// hashKernels are the HASH(...) CMP literal conjuncts, which read the
-	// batch's stored hash vector. Only a storage container's batch has one: on
-	// a derived batch (join output, view, system table — Hashes == nil) the
-	// same conjuncts run interpreted, as part of derived.
+	kernels []Kernel
+	// conjuncts are the HASH(...) CMP literal conjuncts, compiled, followed by
+	// the residual (every conjunct that did not lower, compiled as one AND).
+	// hashKernels answer the HASH conjuncts from the batch's stored hash
+	// vector instead; only a storage container's batch has one, so a derived
+	// batch (join output, view, system table — Hashes == nil) evaluates them.
+	conjuncts   []Vec
 	hashKernels []Kernel
-	derived     expr.Expr // the hash conjuncts AND residual
-	schema      types.Schema
 	// zones holds the prunable conjunct shapes (column CMP literal, IS [NOT]
 	// NULL) tested against per-container zone maps by CanPrune.
 	zones []zoneCheck
@@ -47,9 +48,6 @@ type Pred struct {
 // NumKernels returns how many conjuncts compiled to typed kernels.
 func (p *Pred) NumKernels() int { return len(p.kernels) + len(p.hashKernels) }
 
-// Residual returns the interpreted remainder (nil when fully compiled).
-func (p *Pred) Residual() expr.Expr { return p.residual }
-
 // Compile lowers where against the schema. segIdx gives the schema indexes
 // of the segmentation columns used to precompute batch hashes (HASH(...)
 // conjuncts matching it lower to hash-vector kernels); pass nil when batch
@@ -57,48 +55,53 @@ func (p *Pred) Residual() expr.Expr { return p.residual }
 // per batch, by whether it carries a hash vector at all. A nil where compiles
 // to a pass-through predicate.
 func Compile(where expr.Expr, schema types.Schema, segIdx []int) *Pred {
-	p := &Pred{schema: schema}
+	p := &Pred{}
 	if where == nil {
 		return p
 	}
-	var residual, hashed []expr.Expr
+	var residual []expr.Expr
 	for _, c := range SplitConjuncts(where, nil) {
 		if z, ok := collectZoneChecks(c, schema); ok {
 			p.zones = append(p.zones, z)
 		}
-		if k, ok := lowerHashCmp(c, schema, segIdx); ok {
-			if k != nil {
-				p.hashKernels = append(p.hashKernels, k)
-			}
-			hashed = append(hashed, c)
+		k, stored, ok := lowerHashCmp(c, schema, segIdx)
+		if stored {
+			vec, _ := CompileExpr(c, schema)
+			p.hashKernels, p.conjuncts = append(p.hashKernels, k), append(p.conjuncts, vec)
 			continue
 		}
-		if k, ok := lower(c, schema); ok {
-			if k != nil { // nil = always-true conjunct, dropped
-				p.kernels = append(p.kernels, k)
-			}
-			continue
+		if !ok {
+			k, ok = lower(c, schema)
 		}
-		residual = append(residual, c)
+		switch {
+		case !ok:
+			residual = append(residual, c)
+		case k != nil: // nil = always-true conjunct, dropped
+			p.kernels = append(p.kernels, k)
+		}
 	}
-	p.residual = expr.Conjoin(residual...)
-	p.derived = expr.Conjoin(append(hashed, p.residual)...)
+	if residual != nil {
+		vec, _ := CompileExpr(expr.Conjoin(residual...), schema)
+		p.conjuncts = append(p.conjuncts, vec)
+	}
 	return p
 }
 
 // FilterStats counts how filtering work split between compiled kernels and
-// the interpreted residual, accumulated across FilterBatchStats calls.
+// the rows evaluated a row at a time, accumulated across FilterBatchStats
+// calls.
 type FilterStats struct {
 	// KernelRows is the number of selected rows the typed kernels examined
 	// (0 when the predicate compiled to no kernels).
 	KernelRows int64
-	// ResidualRows is the number of rows that survived the kernels and were
-	// evaluated by the interpreted residual (0 when fully compiled).
+	// ResidualRows is the number of rows that survived the kernels and went
+	// through the compiled conjuncts' per-row value loops (0 when fully
+	// lowered).
 	ResidualRows int64
 }
 
-// FilterBatch narrows b.Sel in place: kernels first, then the interpreted
-// residual over materialized rows of the survivors.
+// FilterBatch narrows b.Sel in place: kernels first, then the compiled
+// conjuncts over the survivors.
 func (p *Pred) FilterBatch(b *storage.Batch) error { return p.FilterBatchStats(b, nil) }
 
 // FilterBatchStats is FilterBatch with optional work accounting for query
@@ -108,28 +111,21 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 	if fs != nil && p.NumKernels() > 0 {
 		fs.KernelRows += int64(len(sel))
 	}
-	sel = applyKernels(p.kernels, b, sel)
-	residual := p.derived
+	sel, rest := applyKernels(p.kernels, b, sel), p.conjuncts
 	if b.Hashes != nil {
-		sel, residual = applyKernels(p.hashKernels, b, sel), p.residual
+		sel, rest = applyKernels(p.hashKernels, b, sel), rest[len(p.hashKernels):]
 	}
-	if residual != nil && len(sel) > 0 {
-		if fs != nil {
-			fs.ResidualRows += int64(len(sel))
+	if fs != nil && len(rest) > 0 {
+		fs.ResidualRows += int64(len(sel))
+	}
+	for _, c := range rest {
+		if len(sel) == 0 {
+			break
 		}
-		out := sel[:0]
-		var scratch types.Row // reused across rows within this batch
-		for _, i := range sel {
-			scratch = b.Row(int(i), scratch)
-			ok, err := expr.EvalPredicate(residual, scratch, &b.Schema)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, i)
-			}
+		var err error
+		if sel, err = keepTrue(c, b, sel); err != nil {
+			return err
 		}
-		sel = out
 	}
 	b.Sel = sel
 	return nil
@@ -155,7 +151,7 @@ func SplitConjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
 
 // lower compiles one conjunct. It returns (nil, true) for conjuncts that are
 // always true (droppable), (kernel, true) on success, and (_, false) when
-// the conjunct must run interpreted.
+// the conjunct must run compiled as a residual.
 func lower(e expr.Expr, schema types.Schema) (Kernel, bool) {
 	switch n := e.(type) {
 	case *expr.Lit:
@@ -168,7 +164,7 @@ func lower(e expr.Expr, schema types.Schema) (Kernel, bool) {
 		if ci < 0 || schema.Cols[ci].T != types.Bool {
 			return nil, false
 		}
-		return boolTrueKernel(ci), true
+		return boolTrueKernel(ci, boxedKernel(e, schema)), true
 	case *expr.IsNull:
 		col, ok := n.E.(*expr.Col)
 		if !ok {
@@ -186,43 +182,50 @@ func lower(e expr.Expr, schema types.Schema) (Kernel, bool) {
 }
 
 func lowerCmp(c *expr.Cmp, schema types.Schema) (Kernel, bool) {
-	op := c.Op
-	col, okL := c.L.(*expr.Col)
-	lit, okR := c.R.(*expr.Lit)
-	if !okL || !okR {
-		// literal CMP column: flip the operands.
-		lit2, okL2 := c.L.(*expr.Lit)
-		col2, okR2 := c.R.(*expr.Col)
-		if !okL2 || !okR2 {
-			return nil, false
-		}
-		col, lit, op = col2, lit2, flipOp(op)
-	}
-	ci := schema.ColIndex(col.Name)
-	if ci < 0 {
+	ci, op, lit, ok := colCmpLit(c, schema)
+	if !ok {
 		return nil, false
 	}
-	if lit.V.Null {
+	if lit.Null {
 		// CMP with NULL is NULL for every row: nothing survives.
 		return selectNone, true
 	}
-	colT, litT := schema.Cols[ci].T, lit.V.T
+	colT, litT, boxed := schema.Cols[ci].T, lit.T, boxedKernel(c, schema)
 	switch {
 	case colT == types.Int64 && litT == types.Int64:
-		return intCmpKernel(ci, op, lit.V.I), true
+		return intCmpKernel(ci, op, lit.I, boxed), true
 	case colT == types.Int64 && litT == types.Float64,
 		colT == types.Float64 && (litT == types.Int64 || litT == types.Float64):
 		// Mixed numeric comparisons promote to float64, exactly as
 		// types.Compare does.
-		return floatCmpKernel(ci, op, lit.V.AsFloat()), true
+		return floatCmpKernel(ci, op, lit.AsFloat(), boxed), true
 	case colT == types.Varchar && litT == types.Varchar:
-		return stringCmpKernel(ci, op, lit.V.S), true
+		return stringCmpKernel(ci, op, lit.S, boxed), true
 	case colT == types.Bool && litT == types.Bool:
-		return boolCmpKernel(ci, op, lit.V.B), true
+		return boolCmpKernel(ci, op, lit.B, boxed), true
 	}
-	// Cross-family comparisons (e.g. int column vs varchar literal) keep the
-	// interpreter's exact — if odd — semantics by running as residual.
+	// Cross-family comparisons (e.g. int column vs varchar literal) keep their
+	// exact — if odd — semantics by running as residual.
 	return nil, false
+}
+
+// colCmpLit matches a column CMP literal comparison, written either way
+// round: the column's schema index, the operator as the column sees it, and
+// the literal.
+func colCmpLit(c *expr.Cmp, schema types.Schema) (ci int, op expr.CmpOp, lit types.Value, ok bool) {
+	col, isCol := c.L.(*expr.Col)
+	l, isLit := c.R.(*expr.Lit)
+	op = c.Op
+	if !isCol || !isLit {
+		l, isLit = c.L.(*expr.Lit)
+		col, isCol = c.R.(*expr.Col)
+		op = flipOp(op)
+	}
+	if !isCol || !isLit {
+		return -1, op, types.Value{}, false
+	}
+	ci = schema.ColIndex(col.Name)
+	return ci, op, l.V, ci >= 0
 }
 
 func flipOp(op expr.CmpOp) expr.CmpOp {
@@ -240,13 +243,22 @@ func flipOp(op expr.CmpOp) expr.CmpOp {
 	}
 }
 
-// HashMatchesSeg reports whether HASH(...) computes the batch's precomputed
+// boxedKernel is what a kernel runs over a batch whose stored vector is not of
+// the type it was compiled for (a table's stored column type drifted from its
+// schema): the conjunct compiled, which a column and a literal cannot fail.
+// Only such a batch compiles it, so planning pays nothing for the path.
+func boxedKernel(conjunct expr.Expr, schema types.Schema) Kernel {
+	return func(b *storage.Batch, sel []int32) []int32 {
+		vec, _ := CompileExpr(conjunct, schema)
+		out, _ := keepTrue(vec, b, sel)
+		return out
+	}
+}
+
+// hashMatchesSeg reports whether HASH(...) computes the batch's precomputed
 // row hash: HASH(*) when hashes are whole-row synthetic (segIdx empty), or
 // HASH(c1..ck) naming the segmentation columns in order.
-func HashMatchesSeg(h *expr.HashFn, schema types.Schema, segIdx []int) bool {
-	if len(h.Args) == 0 {
-		return len(segIdx) == 0
-	}
+func hashMatchesSeg(h *expr.HashFn, schema types.Schema, segIdx []int) bool {
 	if len(h.Args) != len(segIdx) {
 		return false
 	}
@@ -259,72 +271,67 @@ func HashMatchesSeg(h *expr.HashFn, schema types.Schema, segIdx []int) bool {
 	return true
 }
 
-// lowerHashCmp compiles a HASH(segcols) CMP literal conjunct to a kernel over
-// the batch's precomputed hash vector (nil when always true); ok is false for
-// any other conjunct.
-func lowerHashCmp(e expr.Expr, schema types.Schema, segIdx []int) (Kernel, bool) {
+// HashRange returns the ring positions a HASH(segcols) CMP INTEGER conjunct
+// admits, HASH(segcols) being the stored hash hashMatchesSeg names: all of them
+// when the bound lies below the ring, none when above it or NULL. ok is false
+// for any other conjunct, <> included.
+func HashRange(e expr.Expr, schema types.Schema, segIdx []int) (r vhash.Range, ok bool) {
 	c, isCmp := e.(*expr.Cmp)
-	if !isCmp {
-		return nil, false
+	if !isCmp || c.Op == expr.NE {
+		return r, false
 	}
 	h, isHash := c.L.(*expr.HashFn)
 	lit, isLit := c.R.(*expr.Lit)
-	if !isHash || !isLit || !HashMatchesSeg(h, schema, segIdx) {
-		return nil, false
+	if !isHash || !isLit || !hashMatchesSeg(h, schema, segIdx) || !lit.V.Null && lit.V.T != types.Int64 {
+		return r, false
 	}
 	if lit.V.Null {
-		return selectNone, true
+		return r, true
 	}
-	n := lit.V.AsInt()
-	// Hash values are uint32 widened to int64, so they are always >= 0 and
-	// <= MaxUint32; bounds outside that range collapse to always/never.
+	ring := int64(vhash.RingSize)
+	n, lo, hi := min(max(lit.V.I, -1), ring), int64(0), ring
 	switch c.Op {
-	case expr.GE, expr.GT:
-		if n < 0 {
-			return nil, true // always true
-		}
-	case expr.LT, expr.LE:
-		if n < 0 {
-			return selectNone, true
-		}
+	case expr.GE:
+		lo = n
+	case expr.GT:
+		lo = n + 1
+	case expr.LT:
+		hi = n
+	case expr.LE:
+		hi = n + 1
 	case expr.EQ:
-		if n < 0 || n > int64(^uint32(0)) {
-			return selectNone, true
-		}
-	default:
-		return nil, false // NE stays interpreted; it never prunes usefully
+		lo, hi = n, n+1
 	}
-	return hashCmpKernel(c.Op, uint64(n)), true
+	return vhash.Range{Lo: uint64(min(max(lo, 0), ring)), Hi: uint64(min(max(hi, 0), ring))}, true
 }
 
-// selectNone drops every row (a conjunct that can never be true).
-func selectNone(_ *storage.Batch, sel []int32) []int32 { return sel[:0] }
-
-func hashCmpKernel(op expr.CmpOp, n uint64) Kernel {
+// lowerHashCmp compiles a HASH(segcols) CMP INTEGER conjunct. One admitting
+// no ring position or all of them is constant on any batch: (selectNone,
+// false, true) or (nil, false, true). Otherwise the kernel reads the batch's
+// stored hash vector (stored). ok is false for any other conjunct.
+func lowerHashCmp(e expr.Expr, schema types.Schema, segIdx []int) (k Kernel, stored, ok bool) {
+	r, ok := HashRange(e, schema, segIdx)
+	switch {
+	case !ok:
+		return nil, false, false
+	case r.Empty():
+		return selectNone, false, true
+	case r.Width() == vhash.RingSize:
+		return nil, false, true
+	}
 	return func(b *storage.Batch, sel []int32) []int32 {
 		out := sel[:0]
 		for _, i := range sel {
-			h := uint64(b.Hashes[i])
-			var keep bool
-			switch op {
-			case expr.GE:
-				keep = h >= n
-			case expr.GT:
-				keep = h > n
-			case expr.LT:
-				keep = h < n
-			case expr.LE:
-				keep = h <= n
-			case expr.EQ:
-				keep = h == n
-			}
-			if keep {
+			if r.Contains(b.Hashes[i]) {
 				out = append(out, i)
 			}
 		}
 		return out
-	}
+	}, true, true
 }
+
+// selectNone drops every row (a conjunct that can never be true).
+func selectNone(_ *storage.Batch, sel []int32) []int32 { return sel[:0] }
 
 func nullKernel(ci int, negate bool) Kernel {
 	return func(b *storage.Batch, sel []int32) []int32 {
@@ -339,11 +346,11 @@ func nullKernel(ci int, negate bool) Kernel {
 	}
 }
 
-func boolTrueKernel(ci int) Kernel {
+func boolTrueKernel(ci int, boxed Kernel) Kernel {
 	return func(b *storage.Batch, sel []int32) []int32 {
 		col, ok := b.Cols[ci].(*storage.BoolColumn)
 		if !ok {
-			return fallbackTruth(b, sel, ci)
+			return boxed(b, sel)
 		}
 		out := sel[:0]
 		for _, i := range sel {
@@ -355,44 +362,11 @@ func boolTrueKernel(ci int) Kernel {
 	}
 }
 
-// fallbackTruth handles a type-mismatched batch column (possible only if a
-// table's stored column type drifts from its schema) via boxed values.
-func fallbackTruth(b *storage.Batch, sel []int32, ci int) []int32 {
-	col := b.Cols[ci]
-	out := sel[:0]
-	for _, i := range sel {
-		v := col.Get(int(i))
-		if !v.Null && v.AsBool() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// cmpKeep converts a three-way comparison result into keep/drop under op.
-func cmpKeep(op expr.CmpOp, n int) bool {
-	switch op {
-	case expr.EQ:
-		return n == 0
-	case expr.NE:
-		return n != 0
-	case expr.LT:
-		return n < 0
-	case expr.LE:
-		return n <= 0
-	case expr.GT:
-		return n > 0
-	case expr.GE:
-		return n >= 0
-	}
-	return false
-}
-
-func intCmpKernel(ci int, op expr.CmpOp, lit int64) Kernel {
+func intCmpKernel(ci int, op expr.CmpOp, lit int64, boxed Kernel) Kernel {
 	return func(b *storage.Batch, sel []int32) []int32 {
 		switch col := b.Cols[ci].(type) {
 		case *storage.Int64RLEColumn:
-			return intCmpRLE(col, sel, op, lit)
+			return rleKeep(col, sel, func(v int64) bool { return op.Holds(compare3(v, lit)) })
 		case *storage.Int64Column:
 			out := sel[:0]
 			if col.Nulls == nil {
@@ -442,21 +416,21 @@ func intCmpKernel(ci int, op expr.CmpOp, lit int64) Kernel {
 					continue
 				}
 				v := col.Vals[i]
-				if cmpKeep(op, compareInt(v, lit)) {
+				if op.Holds(compare3(v, lit)) {
 					out = append(out, i)
 				}
 			}
 			return out
 		default:
-			return fallbackCmp(b, sel, ci, op, types.IntValue(lit))
+			return boxed(b, sel)
 		}
 	}
 }
 
-// intCmpRLE evaluates the comparison once per RLE run and filters the
-// selection by run membership — never touching per-row values. sel is
-// ascending, so a single forward walk over the runs suffices.
-func intCmpRLE(col *storage.Int64RLEColumn, sel []int32, op expr.CmpOp, lit int64) []int32 {
+// rleKeep evaluates keep once per RLE run and filters the selection by run
+// membership — never touching per-row values. sel is ascending, so a single
+// forward walk over the runs suffices.
+func rleKeep(col *storage.Int64RLEColumn, sel []int32, keep func(int64) bool) []int32 {
 	out := sel[:0]
 	run := 0
 	match := false
@@ -467,7 +441,7 @@ func intCmpRLE(col *storage.Int64RLEColumn, sel []int32, op expr.CmpOp, lit int6
 				run++
 			}
 			end = col.RunEnds[run]
-			match = cmpKeep(op, compareInt(col.RunVals[run], lit))
+			match = keep(col.RunVals[run])
 		}
 		if match {
 			out = append(out, i)
@@ -476,7 +450,9 @@ func intCmpRLE(col *storage.Int64RLEColumn, sel []int32, op expr.CmpOp, lit int6
 	return out
 }
 
-func compareInt(a, b int64) int {
+// compare3 is a three-way comparison that, like types.Compare, calls NaN
+// equal to everything.
+func compare3[T int64 | float64 | string | byte](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -486,7 +462,7 @@ func compareInt(a, b int64) int {
 	return 0
 }
 
-func floatCmpKernel(ci int, op expr.CmpOp, lit float64) Kernel {
+func floatCmpKernel(ci int, op expr.CmpOp, lit float64, boxed Kernel) Kernel {
 	return func(b *storage.Batch, sel []int32) []int32 {
 		out := sel[:0]
 		switch col := b.Cols[ci].(type) {
@@ -495,7 +471,7 @@ func floatCmpKernel(ci int, op expr.CmpOp, lit float64) Kernel {
 				if col.Nulls != nil && col.Nulls[i] {
 					continue
 				}
-				if cmpKeep(op, compareFloat(col.Vals[i], lit)) {
+				if op.Holds(compare3(col.Vals[i], lit)) {
 					out = append(out, i)
 				}
 			}
@@ -505,64 +481,28 @@ func floatCmpKernel(ci int, op expr.CmpOp, lit float64) Kernel {
 				if col.Nulls != nil && col.Nulls[i] {
 					continue
 				}
-				if cmpKeep(op, compareFloat(float64(col.Vals[i]), lit)) {
+				if op.Holds(compare3(float64(col.Vals[i]), lit)) {
 					out = append(out, i)
 				}
 			}
 			return out
 		case *storage.Int64RLEColumn:
-			run := 0
-			match := false
-			end := int32(-1)
-			for _, i := range sel {
-				if i >= end {
-					for run < len(col.RunEnds) && i >= col.RunEnds[run] {
-						run++
-					}
-					end = col.RunEnds[run]
-					match = cmpKeep(op, compareFloat(float64(col.RunVals[run]), lit))
-				}
-				if match {
-					out = append(out, i)
-				}
-			}
-			return out
+			return rleKeep(col, sel, func(v int64) bool { return op.Holds(compare3(float64(v), lit)) })
 		default:
-			return fallbackCmp(b, sel, ci, op, types.FloatValue(lit))
+			return boxed(b, sel)
 		}
 	}
 }
 
-func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func stringCmpKernel(ci int, op expr.CmpOp, lit string) Kernel {
+func stringCmpKernel(ci int, op expr.CmpOp, lit string, boxed Kernel) Kernel {
 	return func(b *storage.Batch, sel []int32) []int32 {
 		col, ok := b.Cols[ci].(*storage.StringColumn)
 		if !ok {
-			return fallbackCmp(b, sel, ci, op, types.StringValue(lit))
+			return boxed(b, sel)
 		}
 		out := sel[:0]
 		for _, i := range sel {
-			if col.Nulls != nil && col.Nulls[i] {
-				continue
-			}
-			v := col.Vals[i]
-			var n int
-			switch {
-			case v < lit:
-				n = -1
-			case v > lit:
-				n = 1
-			}
-			if cmpKeep(op, n) {
+			if (col.Nulls == nil || !col.Nulls[i]) && op.Holds(compare3(col.Vals[i], lit)) {
 				out = append(out, i)
 			}
 		}
@@ -570,49 +510,19 @@ func stringCmpKernel(ci int, op expr.CmpOp, lit string) Kernel {
 	}
 }
 
-func boolCmpKernel(ci int, op expr.CmpOp, lit bool) Kernel {
+func boolCmpKernel(ci int, op expr.CmpOp, lit bool, boxed Kernel) Kernel {
 	return func(b *storage.Batch, sel []int32) []int32 {
 		col, ok := b.Cols[ci].(*storage.BoolColumn)
 		if !ok {
-			return fallbackCmp(b, sel, ci, op, types.BoolValue(lit))
+			return boxed(b, sel)
 		}
 		out := sel[:0]
 		for _, i := range sel {
-			if col.Nulls != nil && col.Nulls[i] {
-				continue
-			}
 			// false < true, per types.Compare.
-			var n int
-			v := col.Vals[i]
-			switch {
-			case v == lit:
-				n = 0
-			case lit:
-				n = -1
-			default:
-				n = 1
-			}
-			if cmpKeep(op, n) {
+			if (col.Nulls == nil || !col.Nulls[i]) && op.Holds(compare3(b2b(col.Vals[i]), b2b(lit))) {
 				out = append(out, i)
 			}
 		}
 		return out
 	}
-}
-
-// fallbackCmp compares via boxed values when the batch column's concrete
-// type doesn't match the schema-declared type the kernel was compiled for.
-func fallbackCmp(b *storage.Batch, sel []int32, ci int, op expr.CmpOp, lit types.Value) []int32 {
-	col := b.Cols[ci]
-	out := sel[:0]
-	for _, i := range sel {
-		v := col.Get(int(i))
-		if v.Null {
-			continue
-		}
-		if cmpKeep(op, types.Compare(v, lit)) {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -73,7 +73,7 @@ func runBoth(t *testing.T, where expr.Expr, b *storage.Batch, wantKernels int) [
 	want := interpretSel(t, where, b, b.Sel)
 	p := Compile(where, b.Schema, nil)
 	if wantKernels >= 0 && p.NumKernels() != wantKernels {
-		t.Fatalf("Compile(%s): %d kernels, want %d (residual %v)", where.SQL(), p.NumKernels(), wantKernels, p.Residual())
+		t.Fatalf("Compile(%s): %d kernels, want %d (%d compiled conjuncts)", where.SQL(), p.NumKernels(), wantKernels, len(p.conjuncts))
 	}
 	if err := p.FilterBatch(b); err != nil {
 		t.Fatalf("FilterBatch(%s): %v", where.SQL(), err)
@@ -215,7 +215,7 @@ func TestKernelRLERunBoundaries(t *testing.T) {
 				Hashes: make([]uint32, len(vals)), Sel: append([]int32(nil), baseSel...)}
 			want := interpretSel(t, cmp(op, col("x"), lit(types.IntValue(1))), b, b.Sel)
 			p := Compile(cmp(op, col("x"), lit(types.IntValue(1))), schema, nil)
-			if p.NumKernels() != 1 || p.Residual() != nil {
+			if p.NumKernels() != 1 || p.conjuncts != nil {
 				t.Fatalf("RLE predicate did not fully compile")
 			}
 			if err := p.FilterBatch(b); err != nil {
@@ -252,7 +252,7 @@ func TestKernelMixedCompiledAndResidual(t *testing.T) {
 	if p.NumKernels() != 1 {
 		t.Fatalf("want 1 compiled kernel, got %d", p.NumKernels())
 	}
-	if p.Residual() == nil {
+	if p.conjuncts == nil {
 		t.Fatalf("want a residual for the OR conjunct")
 	}
 	runBoth(t, where, b, -1)
@@ -268,7 +268,7 @@ func TestKernelHashRange(t *testing.T) {
 	mid := int64(1) << 31
 	where := cmp(expr.GE, &expr.HashFn{}, lit(types.IntValue(mid)))
 	p := Compile(where, schema, nil)
-	if p.NumKernels() != 1 || p.Residual() != nil {
+	if p.NumKernels() != 1 || len(p.conjuncts) != len(p.hashKernels) {
 		t.Fatalf("HASH(*) range did not compile to a kernel")
 	}
 	want := interpretSel(t, where, b, b.Sel)
@@ -400,7 +400,7 @@ func TestVectorizedMatchesInterpretedProperty(t *testing.T) {
 
 func TestCompileNilPredicate(t *testing.T) {
 	p := Compile(nil, intSchema(), nil)
-	if p.NumKernels() != 0 || p.Residual() != nil {
+	if p.NumKernels() != 0 || p.conjuncts != nil {
 		t.Fatalf("nil predicate should be a pass-through")
 	}
 	rows := []types.Row{

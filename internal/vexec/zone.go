@@ -22,8 +22,7 @@ type zoneCheck struct {
 // collectZoneChecks extracts prunable checks from a conjunct. It runs beside
 // lowering: a conjunct may produce both a kernel and a zone check (the check
 // skips whole containers, the kernel filters the survivors), and a residual
-// conjunct of the right shape can still prune even though it runs
-// interpreted.
+// conjunct of the right shape can still prune though it runs compiled.
 func collectZoneChecks(e expr.Expr, schema types.Schema) (zoneCheck, bool) {
 	switch n := e.(type) {
 	case *expr.IsNull:
@@ -37,27 +36,16 @@ func collectZoneChecks(e expr.Expr, schema types.Schema) (zoneCheck, bool) {
 		}
 		return zoneCheck{ci: ci, isNull: true, negate: n.Negate}, true
 	case *expr.Cmp:
-		op := n.Op
-		col, okL := n.L.(*expr.Col)
-		lit, okR := n.R.(*expr.Lit)
-		if !okL || !okR {
-			lit2, okL2 := n.L.(*expr.Lit)
-			col2, okR2 := n.R.(*expr.Col)
-			if !okL2 || !okR2 {
-				return zoneCheck{}, false
-			}
-			col, lit, op = col2, lit2, flipOp(op)
-		}
-		ci := schema.ColIndex(col.Name)
-		if ci < 0 || lit.V.Null {
+		ci, op, lit, ok := colCmpLit(n, schema)
+		if !ok || lit.Null {
 			return zoneCheck{}, false
 		}
-		if !sameCompareFamily(schema.Cols[ci].T, lit.V.T) {
-			// Cross-family comparisons keep the interpreter's odd semantics;
-			// min/max bounds say nothing about them.
+		if !sameCompareFamily(schema.Cols[ci].T, lit.T) {
+			// Cross-family comparisons keep their odd semantics; min/max
+			// bounds say nothing about them.
 			return zoneCheck{}, false
 		}
-		return zoneCheck{ci: ci, op: op, lit: lit.V}, true
+		return zoneCheck{ci: ci, op: op, lit: lit}, true
 	}
 	return zoneCheck{}, false
 }

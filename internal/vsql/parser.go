@@ -473,20 +473,16 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 	switch {
 	case t.kind == tokNumber:
 		p.pos++
-		if !strings.ContainsAny(t.text, ".eE") {
-			n, err := strconv.ParseInt(t.text, 10, 64)
-			if err == nil {
-				return &expr.Lit{V: types.IntValue(n)}, nil
-			}
-		}
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("vsql: bad number %q", t.text)
-		}
-		return &expr.Lit{V: types.FloatValue(f)}, nil
+		return numberLit(t.text)
 	case t.kind == tokString:
 		p.pos++
 		return &expr.Lit{V: types.StringValue(t.text)}, nil
+	case t.kind == tokOp && t.text == "-" && p.toks[p.pos+1].kind == tokNumber:
+		// A negative number is one literal, not 0 - x: it keeps its type
+		// (-9223372036854775808 is an INTEGER), its sign (-0.0) and its shape
+		// (col < -0.5 lowers to a kernel).
+		p.pos += 2
+		return numberLit("-" + p.toks[p.pos-1].text)
 	case t.kind == tokOp && t.text == "-":
 		p.pos++
 		e, err := p.parsePrimary()
@@ -532,6 +528,37 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 	}
 }
 
+// numberLit reads a number token, sign included: an INTEGER when it has no
+// fraction or exponent and fits, a FLOAT otherwise.
+func numberLit(text string) (expr.Expr, error) {
+	if !strings.ContainsAny(text, ".eE") {
+		if n, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return &expr.Lit{V: types.IntValue(n)}, nil
+		}
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return nil, fmt.Errorf("vsql: bad number %q", text)
+	}
+	return &expr.Lit{V: types.FloatValue(f)}, nil
+}
+
+// asciiCase maps the ASCII letters of an identifier to one case (up selects
+// which) and leaves every other byte as it is: the lexer reads an identifier
+// byte by byte, so a Unicode case mapping could turn it into one it rejects.
+func asciiCase(s string, up bool) string {
+	b := []byte(s)
+	for i, c := range b {
+		switch {
+		case up && 'a' <= c && c <= 'z':
+			b[i] = c - 'a' + 'A'
+		case !up && 'A' <= c && c <= 'Z':
+			b[i] = c - 'A' + 'a'
+		}
+	}
+	return string(b)
+}
+
 // parseCall parses the argument list of name(, having consumed "name(".
 // It recognizes the engine builtins HASH and MOD and otherwise produces a
 // generic FuncCall with optional USING PARAMETERS.
@@ -569,7 +596,8 @@ func (p *parser) parseCall(name string) (expr.Expr, error) {
 			return nil, err
 		}
 	}
-	switch strings.ToUpper(name) {
+	name = asciiCase(name, true)
+	switch name {
 	case "HASH":
 		if star {
 			return &expr.HashFn{}, nil
@@ -584,7 +612,7 @@ func (p *parser) parseCall(name string) (expr.Expr, error) {
 		if star {
 			return nil, fmt.Errorf("vsql: %s(*) is not valid here", name)
 		}
-		fc := &expr.FuncCall{Name: strings.ToUpper(name), Args: args}
+		fc := &expr.FuncCall{Name: name, Args: args}
 		if len(params) > 0 {
 			fc.Params = params
 		}
@@ -608,7 +636,7 @@ func (p *parser) parseUsingParams(params map[string]string) error {
 		t := p.next()
 		switch t.kind {
 		case tokString, tokNumber, tokIdent:
-			params[strings.ToLower(k)] = t.text
+			params[asciiCase(k, false)] = t.text
 		default:
 			return fmt.Errorf("vsql: bad parameter value near %q", t.text)
 		}
