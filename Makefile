@@ -60,12 +60,13 @@ resilience-test:
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
 # seed corpora), the handshake and unsupported-version refusals, result
 # frames cut at wireBatchRows, the mid-COPY desync and COPY-abort
-# regressions, the wire-equals-in-process differential, a server closing
+# regressions, the wire-equals-in-process differential (every join output
+# form among its shapes), a server closing
 # under live sessions, and the resource-pool admission suites with a
 # cancelled SELECT giving its slot back, its computed operators (project,
 # group-by, filter over derived rows) included — all under the race detector.
 wire-test: wire-fuzz
-	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|ServerCloseEndsLiveSessions' ./internal/server/
+	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|WireJoinOutputForms|ServerCloseEndsLiveSessions' ./internal/server/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation' ./internal/vertica/
 
@@ -107,8 +108,10 @@ obs-test:
 
 # Microbenchmarks. BenchmarkScan*/BenchmarkCount* are the scan throughput
 # record; BenchmarkJoin3Way is sql_mix's three-way join statement (scans, two
-# join steps, group-by) over a 60 000-row fact table, with its bytes per
-# statement; BenchmarkGroupBy is sql_mix's INTEGER-key GROUP BY and the join
+# join steps to unique keys, group-by) over a 60 000-row fact table, with its
+# bytes per statement; BenchmarkJoinDuplicateKeys is a join to repeated build
+# keys over the same fact table, the form that gathers the probe side by
+# matched pairs; BenchmarkGroupBy is sql_mix's INTEGER-key GROUP BY and the join
 # statement's VARCHAR-key group-by, each alone over the same fixture;
 # BenchmarkResultPath is one wire batch from container to boxed client rows
 # (B/row, allocs/row). fabricperf's vexec.agg_s / vexec.join_s /
@@ -117,7 +120,7 @@ obs-test:
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
-	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkGroupBy' -benchmem ./internal/vertica/
+	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy' -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
 
 # The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,

@@ -16,6 +16,9 @@ const ModelMetadataTable = "pmml_models"
 
 const modelDFSPrefix = "models/"
 
+// modelPath is where a model's PMML document lives in the DFS.
+func modelPath(name string) string { return modelDFSPrefix + name + ".pmml" }
+
 // InstallPMMLSupport is the server-side half of MD: it creates the model
 // metadata table and registers the PMMLPredict scalar UDx, the generic
 // evaluator for numeric-vector models. Call once per cluster, like
@@ -33,26 +36,38 @@ func InstallPMMLSupport(c *vertica.Cluster) error {
 		return err
 	}
 
-	var cache sync.Map // model name → *pmml.Evaluator
+	// A model's evaluator is built once per deployment: the cache holds, per
+	// model name, the evaluator of the document version it was built from,
+	// and a redeploy's new version replaces it on the next call. The version
+	// is read before the document, so no evaluator is older than its version.
+	type evaluator struct {
+		version uint64
+		ev      *pmml.Evaluator
+	}
+	var cache sync.Map // model name → evaluator
 	c.RegisterUDx("PMMLPredict", func(args []types.Value, params map[string]string) (types.Value, error) {
 		name := params["model_name"]
 		if name == "" {
 			return types.Value{}, fmt.Errorf("PMMLPredict: USING PARAMETERS model_name='...' is required")
 		}
-		var ev *pmml.Evaluator
-		if cached, ok := cache.Load(name); ok {
-			ev = cached.(*pmml.Evaluator)
-		} else {
+		info, err := c.DFS().Stat(modelPath(name))
+		if err != nil {
+			return types.Value{}, fmt.Errorf("core: model %q is not deployed: %w", name, err)
+		}
+		cached, ok := cache.Load(name)
+		if !ok || cached.(evaluator).version != info.Version {
 			doc, err := GetPMML(c, name)
 			if err != nil {
 				return types.Value{}, err
 			}
-			ev, err = pmml.NewEvaluator(doc)
+			ev, err := pmml.NewEvaluator(doc)
 			if err != nil {
 				return types.Value{}, err
 			}
-			cache.Store(name, ev)
+			cached = evaluator{info.Version, ev}
+			cache.Store(name, cached)
 		}
+		ev := cached.(evaluator).ev
 		if len(args) != ev.NumFeatures() {
 			return types.Value{}, fmt.Errorf("PMMLPredict: model %q takes %d features, got %d",
 				name, ev.NumFeatures(), len(args))
@@ -87,7 +102,7 @@ func DeployPMMLModel(c *vertica.Cluster, name string, doc *pmml.Document) error 
 	if err != nil {
 		return fmt.Errorf("core: model %q is not scorable: %w", name, err)
 	}
-	path := modelDFSPrefix + name + ".pmml"
+	path := modelPath(name)
 	if err := c.DFS().Put(path, data); err != nil {
 		return err
 	}
@@ -108,7 +123,7 @@ func DeployPMMLModel(c *vertica.Cluster, name string, doc *pmml.Document) error 
 
 // GetPMML reads a deployed model back from the DFS (§3.3's GetPMML()).
 func GetPMML(c *vertica.Cluster, name string) (*pmml.Document, error) {
-	data, err := c.DFS().Get(modelDFSPrefix + name + ".pmml")
+	data, err := c.DFS().Get(modelPath(name))
 	if err != nil {
 		return nil, fmt.Errorf("core: model %q is not deployed: %w", name, err)
 	}

@@ -130,6 +130,38 @@ func TestMDRedeployReplaces(t *testing.T) {
 	}
 }
 
+// TestMDRedeployScoresNewModel: a statement after a redeploy scores the
+// document deployed last, not the evaluator an earlier statement built for
+// the same model name.
+func TestMDRedeployScoresNewModel(t *testing.T) {
+	h := newHarness(t, 2, 2, nil)
+	if err := InstallPMMLSupport(h.cluster); err != nil {
+		t.Fatal(err)
+	}
+	h.sql(t, "CREATE TABLE tt (x FLOAT)", "INSERT INTO tt VALUES (1.0)")
+	s, err := h.cluster.Connect(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, weight := range []float64{1, 5, 2} {
+		doc, err := (&mllib.LinearRegressionModel{Weights: mllib.Vector{weight}}).ToPMML([]string{"x"}, "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DeployPMMLModel(h.cluster, "m", doc); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Execute("SELECT PMMLPredict(x USING PARAMETERS model_name='m') FROM tt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].F; got != weight {
+			t.Fatalf("after deploying y = %g·x, PMMLPredict(1) = %g", weight, got)
+		}
+	}
+}
+
 func TestMDErrors(t *testing.T) {
 	h := newHarness(t, 2, 2, nil)
 	if err := InstallPMMLSupport(h.cluster); err != nil {

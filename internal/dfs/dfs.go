@@ -18,6 +18,9 @@ type FileInfo struct {
 	Path     string
 	Size     int
 	Modified time.Time
+	// Version is the file system's count of Puts when this content was put:
+	// a rewrite of the path always changes it, whatever the clock says.
+	Version uint64
 }
 
 // FS is the cluster-internal distributed file system.
@@ -25,6 +28,7 @@ type FS struct {
 	mu    sync.RWMutex
 	files map[string][]byte
 	meta  map[string]FileInfo
+	puts  uint64
 	// clock is injectable for deterministic tests.
 	clock func() time.Time
 }
@@ -51,8 +55,20 @@ func (f *FS) Put(path string, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.files[p] = cp
-	f.meta[p] = FileInfo{Path: p, Size: len(cp), Modified: f.clock()}
+	f.puts++
+	f.meta[p] = FileInfo{Path: p, Size: len(cp), Modified: f.clock(), Version: f.puts}
 	return nil
+}
+
+// Stat describes a stored file.
+func (f *FS) Stat(path string) (FileInfo, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	info, ok := f.meta[clean(path)]
+	if !ok {
+		return FileInfo{}, fmt.Errorf("dfs: no such file %q", path)
+	}
+	return info, nil
 }
 
 // Get reads a file.

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -29,11 +30,17 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestOverwrite(t *testing.T) {
 	fs := New()
+	fs.clock = func() time.Time { return time.Unix(1, 0) }
 	_ = fs.Put("f", []byte("one"))
+	first, _ := fs.Stat("f")
 	_ = fs.Put("f", []byte("two"))
 	got, _ := fs.Get("f")
 	if string(got) != "two" {
 		t.Errorf("overwrite = %q", got)
+	}
+	// A rewrite within one clock tick still shows as a new version.
+	if second, err := fs.Stat("f"); err != nil || second.Version == first.Version {
+		t.Errorf("Stat after overwrite = %+v, %v; before %+v", second, err, first)
 	}
 }
 
@@ -61,6 +68,9 @@ func TestErrors(t *testing.T) {
 	fs := New()
 	if _, err := fs.Get("missing"); err == nil {
 		t.Error("missing file should error")
+	}
+	if _, err := fs.Stat("missing"); err == nil {
+		t.Error("Stat of a missing file should error")
 	}
 	if err := fs.Put("", []byte("x")); err == nil {
 		t.Error("empty path should error")

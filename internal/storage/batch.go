@@ -20,7 +20,8 @@ type Batch struct {
 	// Sel lists surviving row indexes: in ascending order out of a scan, a
 	// join or a filter; in result order out of a sort, whose one batch holds
 	// dense vectors only (the run-walking loops below rely on ascent and only
-	// ever meet a scan's RLE vectors).
+	// ever meet a scan's RLE vectors). A join to unique keys hands on its
+	// probe batch's vectors with Sel narrowed to the matched rows.
 	Sel []int32
 
 	// ros or wos is where a store's scan cut the batch from — the container,

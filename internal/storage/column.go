@@ -162,6 +162,29 @@ func (c *Int64RLEColumn) Get(i int) types.Value {
 	return types.IntValue(c.RunVals[c.RunOf(i)])
 }
 
+// DictColumn stores a vector as codes into a dictionary: row i holds Dict's
+// value at Codes[i]. A join carries its build side this way — Dict is the build
+// side's column gathered once, Codes one build row per output row, shared by
+// every build column of the step — so no build value is copied per matched
+// row. It is one level deep: Dict is a dense vector (never a DictColumn or an
+// RLE vector), and every code indexes it, a row no selection lists included.
+type DictColumn struct {
+	Codes []int32
+	Dict  Column
+}
+
+// Type implements Column.
+func (c *DictColumn) Type() types.Type { return c.Dict.Type() }
+
+// Len implements Column.
+func (c *DictColumn) Len() int { return len(c.Codes) }
+
+// IsNull implements Column.
+func (c *DictColumn) IsNull(i int) bool { return c.Dict.IsNull(int(c.Codes[i])) }
+
+// Get implements Column.
+func (c *DictColumn) Get(i int) types.Value { return c.Dict.Get(int(c.Codes[i])) }
+
 // minRLERows is the smallest vector worth compressing; below it the run
 // bookkeeping costs more than it saves.
 const minRLERows = 64
@@ -197,23 +220,47 @@ func CompressColumn(c Column) Column {
 	return &Int64RLEColumn{RunEnds: ends, RunVals: vals}
 }
 
-// Densify converts a compressed column back to its dense representation;
-// dense columns pass through unchanged. Serialization and other paths that
-// type-switch on the dense column set call this first.
+// Densify converts a compressed or dictionary-coded column back to its dense
+// representation; dense columns pass through unchanged. Serialization and
+// other paths that type-switch on the dense column set call this first.
 func Densify(c Column) Column {
-	col, ok := c.(*Int64RLEColumn)
-	if !ok {
-		return c
-	}
-	vals := make([]int64, 0, col.Len())
-	prev := int32(0)
-	for k, end := range col.RunEnds {
-		for i := prev; i < end; i++ {
-			vals = append(vals, col.RunVals[k])
+	switch col := c.(type) {
+	case *Int64RLEColumn:
+		vals := make([]int64, 0, col.Len())
+		prev := int32(0)
+		for k, end := range col.RunEnds {
+			for i := prev; i < end; i++ {
+				vals = append(vals, col.RunVals[k])
+			}
+			prev = end
 		}
-		prev = end
+		return &Int64Column{Vals: vals}
+	case *DictColumn:
+		return takeDense(col.Dict, col.Codes)
 	}
-	return &Int64Column{Vals: vals}
+	return c
+}
+
+// takeDense returns the values of the dense vector c at idx, in that order, as
+// a dense vector of its kind, NULL flags nil when none of them is NULL.
+func takeDense(c Column, idx []int32) Column {
+	var nulls []bool
+	if src := nullsOf(c); src != nil {
+		if nulls = appendSel(nil, src, idx); !slices.Contains(nulls, true) {
+			nulls = nil
+		}
+	}
+	switch c := c.(type) {
+	case *Int64Column:
+		return &Int64Column{Vals: appendSel(nil, c.Vals, idx), Nulls: nulls}
+	case *Float64Column:
+		return &Float64Column{Vals: appendSel(nil, c.Vals, idx), Nulls: nulls}
+	case *StringColumn:
+		return &StringColumn{Vals: appendSel(nil, c.Vals, idx), Nulls: nulls}
+	case *BoolColumn:
+		return &BoolColumn{Vals: appendSel(nil, c.Vals, idx), Nulls: nulls}
+	}
+	panic(fmt.Sprintf("storage: %T is not a dense vector", c))
 }
 
 // Builder accumulates values of one type and produces an immutable Column.

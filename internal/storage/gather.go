@@ -15,8 +15,9 @@ import (
 // then one length-prefixed plain-encoded chunk per column. Values are
 // gathered through each selection vector straight from the column vectors
 // into dst, which is grown once to the exact encoded size: no row is boxed
-// and no intermediate column is built. Every batch must carry one column per
-// schema column, of that column's type.
+// and no intermediate column is built; a DictColumn is read through its
+// dictionary, into the bytes its densified vector would give. Every batch must
+// carry one column per schema column, of that column's type.
 func AppendBatches(dst []byte, schema types.Schema, batches []*Batch) ([]byte, error) {
 	n := SelectedRows(batches)
 	dst = appendSchema(dst, schema)
@@ -29,10 +30,16 @@ func AppendBatches(dst []byte, schema types.Schema, batches []*Batch) ([]byte, e
 	type chunk struct {
 		size    int
 		anyNull bool
+		src     []colRead
 	}
 	chunks, total := make([]chunk, len(schema.Cols)), 0
+	reads := make([]colRead, len(schema.Cols)*len(batches))
 	for j, c := range schema.Cols {
-		payload, anyNull, err := gatherSize(batches, j, c.T)
+		src := reads[j*len(batches) : (j+1)*len(batches)]
+		if err := columnReads(src, batches, j, c.T); err != nil {
+			return nil, err
+		}
+		payload, anyNull, err := gatherSize(src)
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +47,7 @@ func AppendBatches(dst []byte, schema types.Schema, batches []*Batch) ([]byte, e
 		if anyNull {
 			size += (n + 7) / 8
 		}
-		chunks[j] = chunk{size, anyNull}
+		chunks[j] = chunk{size, anyNull, src}
 		total += uvarintLen(uint64(size)) + size
 	}
 	dst = slices.Grow(dst, total)
@@ -52,12 +59,35 @@ func AppendBatches(dst []byte, schema types.Schema, batches []*Batch) ([]byte, e
 		if dst = append(dst, 0); chunks[j].anyNull {
 			dst[len(dst)-1] = 1
 			dst = dst[:len(dst)+(n+7)/8]
-			gatherNulls(dst[len(dst)-(n+7)/8:], batches, j)
+			gatherNulls(dst[len(dst)-(n+7)/8:], chunks[j].src)
 		}
-		gatherValues(dst[len(dst):end], batches, j)
+		gatherValues(dst[len(dst):end], chunks[j].src)
 		dst = dst[:end]
 	}
 	return dst, nil
+}
+
+// colRead is what one batch's column reads: a vector and the positions of it,
+// in row order.
+type colRead struct {
+	col Column
+	sel []int32
+}
+
+// columnReads fills src[k] with what column j of batch k reads: the column at
+// the batch's selection, or — for a DictColumn — its dictionary at the codes
+// of the selected rows.
+func columnReads(src []colRead, batches []*Batch, j int, t types.Type) error {
+	for k, b := range batches {
+		if j >= len(b.Cols) || b.Cols[j].Type() != t {
+			return fmt.Errorf("storage: batch column %d does not fit its %v schema column", j, t)
+		}
+		src[k] = colRead{b.Cols[j], b.Sel}
+		if d, ok := b.Cols[j].(*DictColumn); ok {
+			src[k] = colRead{d.Dict, appendSel(nil, d.Codes, b.Sel)}
+		}
+	}
+	return nil
 }
 
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -77,87 +107,84 @@ func nullsOf(c Column) []bool {
 	return nil
 }
 
-// gatherSize returns the plain-encoded payload size of column j's selected
+// gatherSize returns the plain-encoded payload size of a column's selected
 // values and whether any of them is NULL.
-func gatherSize(batches []*Batch, j int, t types.Type) (payload int, anyNull bool, err error) {
-	for _, b := range batches {
-		if j >= len(b.Cols) || b.Cols[j].Type() != t {
-			return 0, false, fmt.Errorf("storage: batch column %d does not fit its %v schema column", j, t)
-		}
-		switch c := b.Cols[j].(type) {
+func gatherSize(src []colRead) (payload int, anyNull bool, err error) {
+	for _, r := range src {
+		switch c := r.col.(type) {
 		case *Int64Column, *Int64RLEColumn, *Float64Column:
-			payload += 8 * len(b.Sel)
+			payload += 8 * len(r.sel)
 		case *BoolColumn:
-			payload += len(b.Sel)
+			payload += len(r.sel)
 		case *StringColumn:
-			for _, i := range b.Sel {
+			for _, i := range r.sel {
 				payload += uvarintLen(uint64(len(c.Vals[i]))) + len(c.Vals[i])
 			}
 		default:
 			return 0, false, fmt.Errorf("storage: cannot encode column kind %T", c)
 		}
-		nulls := nullsOf(b.Cols[j])
-		for k := 0; nulls != nil && !anyNull && k < len(b.Sel); k++ {
-			anyNull = nulls[b.Sel[k]]
+		nulls := nullsOf(r.col)
+		for k := 0; nulls != nil && !anyNull && k < len(r.sel); k++ {
+			anyNull = nulls[r.sel[k]]
 		}
 	}
 	return payload, anyNull, nil
 }
 
-// gatherNulls fills the packed NULL bitmap of column j's selected rows.
-func gatherNulls(bitmap []byte, batches []*Batch, j int) {
+// gatherNulls fills the packed NULL bitmap of a column's selected rows.
+func gatherNulls(bitmap []byte, src []colRead) {
 	clear(bitmap)
 	k := 0
-	for _, b := range batches {
-		if nulls := nullsOf(b.Cols[j]); nulls != nil {
-			for o, i := range b.Sel {
+	for _, r := range src {
+		if nulls := nullsOf(r.col); nulls != nil {
+			for o, i := range r.sel {
 				if nulls[i] {
 					bitmap[(k+o)/8] |= 1 << uint((k+o)%8)
 				}
 			}
 		}
-		k += len(b.Sel)
+		k += len(r.sel)
 	}
 }
 
-// gatherValues writes column j's selected values, plain-encoded, into p,
+// gatherValues writes a column's selected values, plain-encoded, into p,
 // which gatherSize sized for them.
-func gatherValues(p []byte, batches []*Batch, j int) {
-	for _, b := range batches {
-		if len(b.Sel) == 0 {
+func gatherValues(p []byte, src []colRead) {
+	for _, r := range src {
+		if len(r.sel) == 0 {
 			continue
 		}
-		switch c := b.Cols[j].(type) {
+		switch c := r.col.(type) {
 		case *Int64Column:
-			for k, i := range b.Sel {
+			for k, i := range r.sel {
 				binary.LittleEndian.PutUint64(p[8*k:], uint64(c.Vals[i]))
 			}
-			p = p[8*len(b.Sel):]
+			p = p[8*len(r.sel):]
 		case *Int64RLEColumn:
 			// Sel ascends, so one forward walk over the runs serves it.
-			run := c.RunOf(int(b.Sel[0]))
-			for k, i := range b.Sel {
+			run := c.RunOf(int(r.sel[0]))
+			for k, i := range r.sel {
 				for c.RunEnds[run] <= i {
 					run++
 				}
 				binary.LittleEndian.PutUint64(p[8*k:], uint64(c.RunVals[run]))
 			}
-			p = p[8*len(b.Sel):]
+			p = p[8*len(r.sel):]
 		case *Float64Column:
-			for k, i := range b.Sel {
+			for k, i := range r.sel {
 				binary.LittleEndian.PutUint64(p[8*k:], math.Float64bits(c.Vals[i]))
 			}
-			p = p[8*len(b.Sel):]
+			p = p[8*len(r.sel):]
 		case *BoolColumn:
-			for k, i := range b.Sel {
+			for k, i := range r.sel {
 				p[k] = 0
 				if c.Vals[i] {
 					p[k] = 1
 				}
 			}
-			p = p[len(b.Sel):]
+			p = p[len(r.sel):]
 		case *StringColumn:
-			for _, i := range b.Sel {
+			for _, i := range r.sel {
 				p = p[binary.PutUvarint(p, uint64(len(c.Vals[i]))):]
 				p = p[copy(p, c.Vals[i]):]
 			}
@@ -213,9 +240,10 @@ func isIdentity(sel []int32) bool {
 // side's columns straight out of its vectors, one typed copy per column into a
 // vector of exactly len(bi) values, NULL flags carried. Column j takes the
 // type of batches[0]'s column j. A source vector the refs read that is not a
-// dense vector of that type is converted once first: an RLE vector densifies,
-// and a vector of another type is rebuilt through Builder.Append, so a cell
-// of it the column's type cannot take is an error.
+// dense vector of that type is converted once first: an RLE or
+// dictionary-coded vector densifies, and a vector of another type is rebuilt
+// through Builder.Append, so a cell of it the column's type cannot take is an
+// error.
 func GatherRows(batches []*Batch, bi, ri []int32) ([]Column, error) {
 	if len(batches) == 0 {
 		return nil, nil

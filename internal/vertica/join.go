@@ -228,45 +228,13 @@ func qualified(s types.Schema, tr *vsql.TableRef) types.Schema {
 	return out
 }
 
-// joinStep runs one join node on the typed batch kernel: each side's key
-// table and probe read column vectors, the kernel emits matched index pairs in
-// left-major order (whichever side the hash table is built on), and the pairs
-// gather the node's columns of each side — lcols and rcols, nil for all —
-// into one output batch. No row is boxed. The pair lists start at the probe
-// side's row count, the pairs an N:1 join emits.
+// joinStep runs one join node on vexec's hash join: the build side's carried
+// columns leave dictionary-coded, and the probe side's are the probe batches
+// themselves (a join to unique keys, probing the left input) or gathered by
+// matched pairs. No row is boxed.
 func joinStep(n *planNode, left, right []*storage.Batch) ([]*storage.Batch, error) {
-	probe := left
-	if n.buildLeft {
-		probe = right
-	}
-	size := storage.SelectedRows(probe)
-	lb, lr := make([]int32, 0, size), make([]int32, 0, size)
-	rb, rr := make([]int32, 0, size), make([]int32, 0, size)
-	vexec.JoinBatches(left, n.li, right, n.ri, n.buildLeft, func(b1, r1, b2, r2 int32) {
-		lb, lr, rb, rr = append(lb, b1), append(lr, r1), append(rb, b2), append(rr, r2)
-	})
-	if len(lb) == 0 {
-		return nil, nil
-	}
-	cols, err := storage.GatherRows(pickColumns(left, n.lcols), lb, lr)
-	if err != nil {
-		return nil, err
-	}
-	rcols, err := storage.GatherRows(pickColumns(right, n.rcols), rb, rr)
-	if err != nil {
-		return nil, err
-	}
-	return []*storage.Batch{{Schema: n.schema, Cols: append(cols, rcols...), Sel: storage.IdentitySel(len(lb))}}, nil
-}
-
-// pickColumns narrows each batch to the given columns; nil keeps them all.
-func pickColumns(batches []*storage.Batch, cols []int) []*storage.Batch {
-	if cols == nil {
-		return batches
-	}
-	out := make([]*storage.Batch, len(batches))
-	for i, b := range batches {
-		out[i] = b.Project(cols)
-	}
-	return out
+	out, shared, err := vexec.HashJoin(left, right, vexec.JoinSpec{LeftKey: n.li, RightKey: n.ri, BuildLeft: n.buildLeft,
+		LeftCols: n.lcols, RightCols: n.rcols, Schema: n.schema})
+	n.shared = shared
+	return out, err
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"vsfabric/internal/vertica/scantest"
 )
 
 // TestJoinOnEitherOrder: an ON clause joins the same columns whichever way
@@ -165,7 +168,7 @@ func TestJoinGathersPrunedWidth(t *testing.T) {
 	var pairs int64
 	for _, r := range s.MustExecute("PROFILE " + join3Way).Rows {
 		if r[0].S == "join" {
-			if pairs += r[2].I; !strings.Contains(r[6].S, "gathers 2 columns") {
+			if pairs += r[2].I; !strings.Contains(r[6].S, "carries 2 columns") {
 				t.Errorf("join step %v: want 2 columns gathered", r)
 			}
 		}
@@ -191,4 +194,81 @@ func TestJoinGathersPrunedWidth(t *testing.T) {
 	} else {
 		t.Logf("join allocated %d bytes for %d pairs (bound %d)", got, pairs, bound)
 	}
+}
+
+// TestJoinToUniqueKeysSharesProbe: both of the sql_mix join's steps join to
+// unique keys, so each hands on its probe batches — the fact rows are never
+// copied — and carries the build side as codes. What a step allocates is its
+// selection and its codes, 8 bytes a probe row: the statement stays within 12
+// bytes a probe row a step, plus TestJoinGathersPrunedWidth's allowance for the
+// scans and the aggregation.
+func TestJoinToUniqueKeysSharesProbe(t *testing.T) {
+	const rows, slack = 60_000, 2 << 20
+	s := joinFixture(t, rows)
+	steps := 0
+	for _, r := range s.MustExecute("PROFILE " + join3Way).Rows {
+		if r[0].S == "join" {
+			steps++
+			if !strings.Contains(r[6].S, "probe batches shared") {
+				t.Errorf("join step %v: want the probe batches shared", r)
+			}
+		}
+	}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := s.ExecuteColumnar(context.Background(), join3Way)
+		runtime.ReadMemStats(&after)
+		if err != nil || res.NumRows() != 10 {
+			t.Fatalf("join: %v, %d rows", err, res.NumRows())
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	bound := uint64(12*rows*steps + slack)
+	if got := run(); got > bound {
+		t.Fatalf("join allocated %d bytes over %d steps, bound %d", got, steps, bound)
+	} else {
+		t.Logf("join allocated %d bytes over %d steps (bound %d)", got, steps, bound)
+	}
+}
+
+// TestJoinOutputFormsMatchOracle: both join output forms — the probe batches
+// handed on with their selection narrowed, or the probe side gathered by
+// matched pairs, the build side dictionary-coded in either — answer as the
+// oracle does through every consumer: the next join's probe, a GROUP BY of
+// each kind of build column, expressions and HASH(*) over the joined row,
+// ORDER BY, LIMIT and INSERT…SELECT. Each case pins the form of its steps.
+func TestJoinOutputFormsMatchOracle(t *testing.T) {
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	scantest.BuildJoin(5, func(q string) { s.MustExecute(q) }, func() {
+		if err := c.Moveout(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, tc := range scantest.JoinCases() {
+		got := s.MustExecute(tc.Query)
+		if len(got.Rows) == 0 {
+			t.Fatalf("%s: empty result, fixture broken", tc.Query)
+		}
+		if want := oracleSelect(t, s, tc.Query); strings.Contains(tc.Query, "ORDER BY") {
+			sameResults(t, tc.Query, got, want)
+		} else {
+			sameMultiset(t, tc.Query, rowMultiset(got.Rows), rowMultiset(want.Rows))
+		}
+		var forms []scantest.JoinForm
+		for _, r := range s.MustExecute("PROFILE " + tc.Query).Rows {
+			if r[0].S == "join" {
+				forms = append(forms, scantest.JoinForm{BuildLeft: strings.Contains(r[6].S, "build left side"),
+					Shared: strings.Contains(r[6].S, "probe batches shared")})
+			}
+		}
+		if !slices.Equal(forms, tc.Steps) {
+			t.Errorf("%s: join steps %+v, want %+v", tc.Query, forms, tc.Steps)
+		}
+	}
+	s.MustExecute(scantest.JoinInsert)
+	sameResults(t, scantest.JoinInsert, s.MustExecute(scantest.JoinInserted), oracleSelect(t, s, scantest.JoinInsertSelect))
 }

@@ -87,6 +87,7 @@ type planNode struct {
 	vecRows, resRows     int64
 	contSeen, contPruned int64
 	keyPath              string // group-by: the hash table's key strategy
+	shared               bool   // join: the output is the probe batches, narrowed
 	dur                  time.Duration
 }
 
@@ -361,7 +362,13 @@ func (n *planNode) describe(actual bool) string {
 			d += fmt.Sprintf(", zone maps prune %d/%d containers", n.estPruned, n.estContainers)
 		}
 	case opJoin:
-		d = fmt.Sprintf("hash join %s = %s, build %s side, gathers %d columns", n.clause.LeftCol, n.clause.RightCol, n.buildSide(), len(n.schema.Cols))
+		d = fmt.Sprintf("hash join %s = %s, build %s side, carries %d columns", n.clause.LeftCol, n.clause.RightCol, n.buildSide(), len(n.schema.Cols))
+		switch {
+		case actual && n.shared:
+			d += ", probe batches shared"
+		case actual:
+			d += ", probe gathered by pairs"
+		}
 	case opGroupBy:
 		if actual {
 			d += fmt.Sprintf(" (%s keys), %d groups", n.keyPath, n.rowsOut)

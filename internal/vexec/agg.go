@@ -13,16 +13,18 @@ import (
 // keys are resolved batch-at-a-time into dense group ordinals — a single
 // INTEGER key through the open-addressing intTable (one probe per run for an
 // RLE group column), a single VARCHAR key through a map keyed by the string
-// itself, any other key through a byte-encoded key map — then each aggregate
-// runs a loop specialised by its op and its argument's stored type: COUNT
-// touches only the count, SUM/AVG only the sum state, MIN/MAX the whole
-// accumulator. Values are boxed into types.Value only once per new group,
-// never per input row. An aggregate whose argument is an expression rather
-// than a column evaluates it compiled (CompileExpr) into one vector per batch,
-// which feeds the same typed loops a column does. Accumulator semantics are
-// SQL's as the test oracle's row-at-a-time reference states them (null
-// handling, int-vs-float SUM typing, first-seen MIN/MAX ties, AVG = float sum
-// / non-null count), and the equivalence property suites diff the two.
+// itself, any other key through a byte-encoded key map; a single key that
+// arrives dictionary-coded (a join's build column) resolves each code once
+// per dictionary — then each aggregate runs a loop specialised by its op and
+// its argument's stored type: COUNT touches only the count, SUM/AVG only the
+// sum state, MIN/MAX the whole accumulator. Values are boxed into types.Value
+// only once per new group, never per input row. An aggregate whose argument is
+// an expression rather than a column evaluates it compiled (CompileExpr) into
+// one vector per batch, which feeds the same typed loops a column does.
+// Accumulator semantics are SQL's as the test oracle's row-at-a-time reference
+// states them (null handling, int-vs-float SUM typing, first-seen MIN/MAX
+// ties, AVG = float sum / non-null count), and the equivalence property suites
+// diff the two.
 
 // AggOp is an aggregate function.
 type AggOp int
@@ -270,6 +272,9 @@ type HashAgg struct {
 	keyType      types.Type
 	nullGrp      int32 // -1 until a single key's NULL is seen
 	allCountStar bool  // every aggregate is COUNT(*): enables run-counting on RLE keys
+	// codeGroups holds the group of each code a single DictColumn key has
+	// carried, -1 for the others.
+	codeGroups codeMemo
 
 	keys [][]types.Value // group ordinal -> boxed key values, first-seen order
 	accs [][]aggAcc      // aggregate index -> group ordinal -> accumulator
@@ -418,12 +423,45 @@ func (h *HashAgg) resolveGroups(b *storage.Batch, groupOf []int32) {
 	switch {
 	case len(h.spec.GroupCols) == 0:
 		clear(groupOf)
-	case h.ints != nil:
-		h.resolveInts(b.Cols[h.spec.GroupCols[0]], b.Sel, groupOf)
-	case h.strs != nil:
-		h.resolveStrings(b.Cols[h.spec.GroupCols[0]], b.Sel, groupOf)
+	case len(h.spec.GroupCols) == 1:
+		h.resolveKey(b.Cols[h.spec.GroupCols[0]], b.Sel, groupOf)
 	default:
-		h.resolveGeneric(b, groupOf)
+		keys := make([]storage.Column, len(h.spec.GroupCols))
+		for x, gc := range h.spec.GroupCols {
+			keys[x] = b.Cols[gc]
+		}
+		h.resolveGeneric(keys, b.Sel, groupOf)
+	}
+}
+
+// resolveKey resolves the rows sel of a single key column.
+func (h *HashAgg) resolveKey(col storage.Column, sel, groupOf []int32) {
+	if d, ok := col.(*storage.DictColumn); ok {
+		h.resolveCodes(d, sel, groupOf)
+		return
+	}
+	switch {
+	case h.ints != nil:
+		h.resolveInts(col, sel, groupOf)
+	case h.strs != nil:
+		h.resolveStrings(col, sel, groupOf)
+	default:
+		h.resolveGeneric([]storage.Column{col}, sel, groupOf)
+	}
+}
+
+// resolveCodes resolves a dictionary-coded key: a code's group is looked up
+// in the dictionary the first time a row carries it, so groups are still
+// discovered in row order, and read from that lookup after — in this batch
+// and every later one over the same dictionary.
+func (h *HashAgg) resolveCodes(d *storage.DictColumn, sel, groupOf []int32) {
+	groups := h.codeGroups.slots(d.Dict, -1)
+	for k, i := range sel {
+		code := d.Codes[i]
+		if groups[code] < 0 {
+			h.resolveKey(d.Dict, d.Codes[i:i+1], groups[code:code+1])
+		}
+		groupOf[k] = groups[code]
 	}
 }
 
@@ -488,19 +526,19 @@ func (h *HashAgg) resolveStrings(col storage.Column, sel, groupOf []int32) {
 	}
 }
 
-// resolveGeneric handles multi-column keys and single FLOAT or BOOLEAN keys
-// by encoding each key into a compact byte string (type-tagged,
-// length-prefixed — no separator ambiguity, NULL distinct from any value) and
-// interning it in a map.
-func (h *HashAgg) resolveGeneric(b *storage.Batch, groupOf []int32) {
+// resolveGeneric handles multi-column keys and single FLOAT or BOOLEAN keys,
+// given the key columns in GROUP BY order, by encoding each key into a compact
+// byte string (type-tagged, length-prefixed — no separator ambiguity, NULL
+// distinct from any value) and interning it in a map.
+func (h *HashAgg) resolveGeneric(keys []storage.Column, sel, groupOf []int32) {
 	buf := h.keyBuf
-	for k, i := range b.Sel {
-		buf = h.appendKey(buf[:0], b, int(i))
+	for k, i := range sel {
+		buf = appendKey(buf[:0], keys, int(i))
 		g, ok := h.byKey[string(buf)]
 		if !ok {
-			vals := make([]types.Value, len(h.spec.GroupCols))
-			for x, gc := range h.spec.GroupCols {
-				vals[x] = b.Cols[gc].Get(int(i))
+			vals := make([]types.Value, len(keys))
+			for x, col := range keys {
+				vals[x] = col.Get(int(i))
 			}
 			g = h.newGroup(vals)
 			h.byKey[string(buf)] = g
@@ -510,9 +548,8 @@ func (h *HashAgg) resolveGeneric(b *storage.Batch, groupOf []int32) {
 	h.keyBuf = buf
 }
 
-func (h *HashAgg) appendKey(buf []byte, b *storage.Batch, i int) []byte {
-	for _, gc := range h.spec.GroupCols {
-		col := b.Cols[gc]
+func appendKey(buf []byte, keys []storage.Column, i int) []byte {
+	for _, col := range keys {
 		switch c := col.(type) {
 		case *storage.Int64Column:
 			if c.Nulls != nil && c.Nulls[i] {
@@ -616,20 +653,28 @@ func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
 	default:
 		col = b.Cols[ae.Col]
 	}
+	sel := b.Sel
+	if d, ok := col.(*storage.DictColumn); ok {
+		// The dictionary's own typed loops, at the selected rows' codes.
+		col, sel = d.Dict, make([]int32, len(b.Sel))
+		for k, i := range b.Sel {
+			sel[k] = d.Codes[i]
+		}
+	}
 	switch ae.Op {
 	case AggCount:
-		for k, i := range b.Sel {
+		for k, i := range sel {
 			if !col.IsNull(int(i)) {
 				accs[groupOf[k]].count++
 			}
 		}
 		return nil
 	case AggSum, AggAvg:
-		if addNumbers(accs, col, b.Sel, groupOf) {
+		if addNumbers(accs, col, sel, groupOf) {
 			return nil
 		}
 	}
-	h.updateAll(accs, col, b.Sel, groupOf)
+	h.updateAll(accs, col, sel, groupOf)
 	return nil
 }
 

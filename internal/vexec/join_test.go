@@ -1,6 +1,7 @@
 package vexec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -101,6 +102,133 @@ func TestJoinBatchesRespectsSelection(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("buildLeft=%v:\n got %v\nwant %v", bl, got, want)
 		}
+	}
+}
+
+// TestHashJoinOutputForms: HashJoin's rows are JoinBatches' pairs, left
+// columns then right, and its batches take the form the build table allows.
+// To unique keys with the probe side on the left, each probe batch that
+// matched leaves with its own vectors, its selection narrowed and no stored
+// hashes; otherwise the probe side is gathered into one batch. Either way the
+// build side leaves as DictColumns that share one codes vector, one code per
+// physical row and each in range, over dense dictionaries.
+func TestHashJoinOutputForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	schema := types.NewSchema(types.Column{Name: "k", T: types.Int64}, types.Column{Name: "v", T: types.Varchar})
+	side := func(unique bool) []*storage.Batch {
+		var out []*storage.Batch
+		keys := rng.Perm(60)
+		for b := 0; b < 3; b++ {
+			var rows []types.Row
+			for n := 1 + rng.Intn(20); n > 0; n-- {
+				k := i64(int64(rng.Intn(30)))
+				if unique {
+					k, keys = i64(int64(keys[0])), keys[1:]
+				}
+				if rng.Intn(8) == 0 {
+					k = types.NullValue(types.Int64)
+				}
+				rows = append(rows, types.Row{k, str(fmt.Sprint("v", rng.Intn(4)))})
+			}
+			batch := mkBatch(t, schema, rows)
+			batch.Sel = slices.DeleteFunc(batch.Sel, func(int32) bool { return rng.Intn(4) == 0 })
+			out = append(out, batch)
+		}
+		return out
+	}
+	// uniqueKeys reports whether no two selected rows share a non-NULL key.
+	uniqueKeys := func(batches []*storage.Batch) bool {
+		seen := make(map[int64]bool)
+		for _, b := range batches {
+			for _, i := range b.Sel {
+				if v := b.Cols[0].Get(int(i)); !v.Null {
+					if seen[v.I] {
+						return false
+					}
+					seen[v.I] = true
+				}
+			}
+		}
+		return true
+	}
+	forms := map[bool]int{}
+	for trial := 0; trial < 40; trial++ {
+		unique, buildLeft := trial%2 == 0, trial%4 >= 2
+		left, right := side(unique && buildLeft), side(unique && !buildLeft)
+		spec := JoinSpec{LeftKey: 0, RightKey: 0, BuildLeft: buildLeft}
+		if trial%3 == 0 {
+			spec.LeftCols, spec.RightCols = []int{1}, []int{1, 0}
+		}
+		pick := func(cols []int) []int {
+			if cols == nil {
+				return []int{0, 1}
+			}
+			return cols
+		}
+		var want []types.Row
+		JoinBatches(left, 0, right, 0, buildLeft, func(lb, lr, rb, rr int32) {
+			var row types.Row
+			for _, c := range pick(spec.LeftCols) {
+				row = append(row, left[lb].Cols[c].Get(int(lr)))
+			}
+			for _, c := range pick(spec.RightCols) {
+				row = append(row, right[rb].Cols[c].Get(int(rr)))
+			}
+			want = append(want, row)
+		})
+		out, shared, err := HashJoin(left, right, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := storage.Materialize(out); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: rows\n %v\nwant %v", trial, got, want)
+		}
+		if want := !buildLeft && uniqueKeys(right); shared != want {
+			t.Fatalf("trial %d (unique build keys %v, buildLeft %v): shared = %v", trial, want, buildLeft, shared)
+		}
+		forms[shared]++
+		leftWidth := len(pick(spec.LeftCols))
+		for _, b := range out {
+			if b.Hashes != nil {
+				t.Fatalf("trial %d: a join's batch carries stored hashes", trial)
+			}
+			width := b.Cols[0].Len()
+			var codes []int32
+			for j, c := range b.Cols {
+				if c.Len() != width {
+					t.Fatalf("trial %d: column %d holds %d rows, column 0 %d", trial, j, c.Len(), width)
+				}
+				if (j < leftWidth) == buildLeft {
+					d, ok := c.(*storage.DictColumn)
+					if !ok {
+						t.Fatalf("trial %d: build column %d is a %T", trial, j, c)
+					}
+					if codes == nil {
+						codes = d.Codes
+					} else if &codes[0] != &d.Codes[0] {
+						t.Fatalf("trial %d: build column %d has codes of its own", trial, j)
+					}
+					if storage.Densify(d.Dict) != d.Dict {
+						t.Fatalf("trial %d: build column %d's dictionary is a %T", trial, j, d.Dict)
+					}
+					for _, code := range d.Codes {
+						if code < 0 || int(code) >= d.Dict.Len() {
+							t.Fatalf("trial %d: code %d outside a %d-row dictionary", trial, code, d.Dict.Len())
+						}
+					}
+				}
+			}
+			if !shared {
+				continue
+			}
+			probe := slices.IndexFunc(left, func(l *storage.Batch) bool { return l.Cols[pick(spec.LeftCols)[0]] == b.Cols[0] })
+			if probe < 0 || !slices.IsSorted(b.Sel) || len(b.Sel) > len(left[probe].Sel) {
+				t.Fatalf("trial %d: a shared batch is not a probe batch narrowed: %v", trial, b.Sel)
+			}
+		}
+	}
+	if forms[true] == 0 || forms[false] == 0 {
+		t.Fatalf("trials took one form only: %v", forms)
 	}
 }
 

@@ -72,6 +72,28 @@ func (t *intTable) grow() {
 	}
 }
 
+// codeMemo remembers, per dictionary of the DictColumns a consumer meets, an
+// answer for each code: the join probe's key ordinal, HashAgg's group. Kept
+// per dictionary, a code is resolved once however many batches carry it.
+type codeMemo map[storage.Column][]int32
+
+// slots returns dict's answers, one per code, each unset until its code is
+// first resolved.
+func (m *codeMemo) slots(dict storage.Column, unset int32) []int32 {
+	s := (*m)[dict]
+	if s == nil {
+		s = make([]int32, dict.Len())
+		for code := range s {
+			s[code] = unset
+		}
+		if *m == nil {
+			*m = make(codeMemo)
+		}
+		(*m)[dict] = s
+	}
+	return s
+}
+
 // runCursor walks an RLE column's runs along an ascending selection vector,
 // so a caller does per-run work once per run rather than once per row.
 type runCursor struct {
