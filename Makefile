@@ -113,6 +113,7 @@ obs-test:
 # keys over the same fact table, the form that gathers the probe side by
 # matched pairs; BenchmarkGroupBy is sql_mix's INTEGER-key GROUP BY and the join
 # statement's VARCHAR-key group-by, each alone over the same fixture;
+# BenchmarkPointFilter is sql_mix's point and filter statements over it;
 # BenchmarkResultPath is one wire batch from container to boxed client rows
 # (B/row, allocs/row). fabricperf's vexec.agg_s / vexec.join_s /
 # vertica.groupby_us / vertica.join_us time the same operators at workload
@@ -120,7 +121,7 @@ obs-test:
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
-	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy' -benchmem ./internal/vertica/
+	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy|BenchmarkPointFilter' -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
 
 # The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,

@@ -79,7 +79,7 @@ func deleteWhere(t testing.TB, s *storage.Store, vis storage.Visibility, tag uin
 	defer s.HoldRows()()
 	var selected []*storage.Batch
 	err := s.ScanHeld(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, nil, func(b *storage.Batch) bool {
-		keep := b.Sel[:0]
+		var keep []int32
 		for _, i := range b.Sel {
 			if match(b.Row(int(i), nil)) {
 				keep = append(keep, i)

@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
 	"vsfabric/internal/types"
 	"vsfabric/internal/vhash"
 )
@@ -8,9 +12,9 @@ import (
 // Batch is one unit of vectorized scan output: the immutable column vectors
 // of a single ROS container (or of the WOS buffer) plus a selection vector of
 // the row indexes that survived MVCC visibility and the hash-range mask.
-// Predicate kernels narrow Sel in place; only the rows left in Sel at the
-// end of the pipeline are ever materialized into types.Row form (late
-// materialization, the MonetDB/X100 execution model).
+// Predicate kernels narrow the selection into vectors of their own; only the
+// rows left in Sel at the end of the pipeline are ever materialized into
+// types.Row form (late materialization, the MonetDB/X100 execution model).
 type Batch struct {
 	Schema types.Schema
 	Cols   []Column
@@ -22,6 +26,10 @@ type Batch struct {
 	// dense vectors only (the run-walking loops below rely on ascent and only
 	// ever meet a scan's RLE vectors). A join to unique keys hands on its
 	// probe batch's vectors with Sel narrowed to the matched rows.
+	//
+	// Sel is read-only to everyone who did not allocate it: a scan hands out
+	// the shared identity selection (IdentitySel) for a container every row
+	// of which it sees, so narrowing writes into a vector the narrower owns.
 	Sel []int32
 
 	// ros or wos is where a store's scan cut the batch from — the container,
@@ -60,13 +68,63 @@ func (b *Batch) Project(colIdx []int) *Batch {
 	return p
 }
 
-// IdentitySel returns the selection vector of n rows that selects them all.
+// identity is the process-wide identity selection, 0,1,2,… Nothing writes a
+// vector once it is published: growing it publishes a new, longer one, and
+// batches cut from an older one keep that one alive, unchanged.
+var (
+	identityMu sync.Mutex
+	identity   atomic.Pointer[[]int32]
+)
+
+// IdentitySel returns the selection vector of n rows that selects them all: a
+// prefix of the one shared identity vector, capacity-capped so that appending
+// to it copies. Like every Sel, it is read-only to whoever did not allocate it.
 func IdentitySel(n int) []int32 {
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
+	if v := identityVals(); len(v) >= n {
+		return v[:n:n]
 	}
-	return sel
+	identityMu.Lock()
+	defer identityMu.Unlock()
+	v := identityVals()
+	if len(v) < n {
+		// Doubling keeps slowly growing requests from rebuilding it each
+		// time; it never holds more than twice the largest one.
+		v = make([]int32, max(n, 2*len(v)))
+		for i := range v {
+			v[i] = int32(i)
+		}
+		identity.Store(&v)
+	}
+	return v[:n:n]
+}
+
+func identityVals() []int32 {
+	if p := identity.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// IsIdentity reports whether sel is a prefix of the shared identity vector —
+// so that sel[k] == k for every k — by where it starts, not by its values. An
+// identity cut from a vector since outgrown, or one a caller built itself,
+// reads false: the answer picks a dense loop over an indexed one, never what
+// the loop computes.
+func IsIdentity(sel []int32) bool {
+	v := identityVals()
+	return len(sel) > 0 && len(v) > 0 && &sel[0] == &v[0]
+}
+
+// CheckIdentitySel reports an error when an entry of the shared identity
+// vector differs from its index: something wrote through a Sel it did not
+// allocate. Test packages run it after their tests.
+func CheckIdentitySel() error {
+	for k, i := range identityVals() {
+		if int(i) != k {
+			return fmt.Errorf("storage: shared identity selection written: entry %d holds %d", k, i)
+		}
+	}
+	return nil
 }
 
 // SelectedRows counts the rows a batch set selects.
@@ -152,31 +210,31 @@ func boxColumn(dst []types.Value, width int, col Column, sel []int32) {
 // coversRing reports whether hr covers the whole hash ring (no mask needed).
 func coversRing(hr vhash.Range) bool { return hr.Lo == 0 && hr.Hi == vhash.RingSize }
 
-// batchFromContainer builds the container's batch: the selection vector is
-// computed in one pass under a single RLock — the delete vector and the
-// hash-range mask are applied together, instead of the row-at-a-time path's
-// per-row lock acquisition.
+// batchFromContainer builds the container's batch. A container with no delete
+// vector, scanned over the whole ring, has every row selected: its batch
+// carries the shared identity selection and nothing is built. Otherwise the
+// selection vector is computed in one pass under a single RLock — the delete
+// vector and the hash-range mask are applied together, instead of the
+// row-at-a-time path's per-row lock acquisition.
 func batchFromContainer(c *ROSContainer, schema types.Schema, vis Visibility, hr vhash.Range) *Batch {
 	c.mu.RLock()
 	if !vis.seesInsert(c.start) {
 		c.mu.RUnlock()
 		return nil
 	}
-	sel := make([]int32, 0, c.RowCount)
 	full := coversRing(hr)
+	if c.del == nil && full {
+		c.mu.RUnlock()
+		return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, Sel: IdentitySel(c.RowCount), ros: c}
+	}
+	sel := make([]int32, 0, c.RowCount)
 	if c.del == nil {
 		// No deletes recorded: the selection is purely the hash mask and can
 		// be built without consulting MVCC per row.
 		c.mu.RUnlock()
-		if full {
-			for i := 0; i < c.RowCount; i++ {
+		for i, h := range c.Hashes {
+			if hr.Contains(h) {
 				sel = append(sel, int32(i))
-			}
-		} else {
-			for i, h := range c.Hashes {
-				if hr.Contains(h) {
-					sel = append(sel, int32(i))
-				}
 			}
 		}
 	} else {
@@ -198,8 +256,10 @@ func batchFromContainer(c *ROSContainer, schema types.Schema, vis Visibility, hr
 // ScanBatches calls fn once per ROS container (and once for the WOS
 // buffer, if it has a visible row) with MVCC visibility and the hash-range mask
 // already applied in the selection vector. Returning false from fn stops the
-// scan. Batches share the containers' immutable column vectors; callers must
-// not mutate them.
+// scan. Batches share the containers' immutable column vectors, and a batch
+// over a container the scan sees whole carries the shared identity selection:
+// callers write through neither, and narrow a batch by giving it a selection
+// vector of their own.
 func (s *Store) ScanBatches(vis Visibility, hr vhash.Range, fn func(*Batch) bool) error {
 	return s.ScanBatchesPruned(vis, hr, nil, fn)
 }

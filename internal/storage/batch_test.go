@@ -58,7 +58,7 @@ func deleteWhere(t testing.TB, s *Store, vis Visibility, tag uint64, match func(
 	defer s.HoldRows()()
 	var selected []*Batch
 	err := s.ScanHeld(vis, fullRing(), nil, func(b *Batch) bool {
-		keep := b.Sel[:0]
+		var keep []int32
 		for _, i := range b.Sel {
 			if match(b.Row(int(i), nil)) {
 				keep = append(keep, i)

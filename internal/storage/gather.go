@@ -197,12 +197,13 @@ func gatherValues(p []byte, src []colRead) {
 // rows in. It is the one bulk copy between vectors (a load's decoded blocks
 // strung together, one target's share cut out of a load, a scan's batches
 // made insertable), and no copy at all when a single batch of dense vectors
-// selects every row it has: those vectors are returned as they are, shared.
+// selects every row it has through the shared identity selection: those
+// vectors are returned as they are, shared.
 // Every batch must carry one column per schema column, of that column's type.
 func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) {
 	n := SelectedRows(batches)
 	cols := make([]Column, schema.NumCols())
-	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && isIdentity(batches[0].Sel)
+	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && IsIdentity(batches[0].Sel)
 	for j, sc := range schema.Cols {
 		if whole && batches[0].Cols[j].Type() == sc.T && batches[0].Cols[j].Len() == n {
 			cols[j] = Densify(batches[0].Cols[j])
@@ -221,17 +222,6 @@ func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) 
 		cols[j] = b.Build()
 	}
 	return cols, n, nil
-}
-
-// isIdentity reports whether sel lists 0..len(sel)-1 in order. A scan's
-// selection ascends, but a sort's is a permutation of the same length.
-func isIdentity(sel []int32) bool {
-	for k, i := range sel {
-		if int(i) != k {
-			return false
-		}
-	}
-	return true
 }
 
 // GatherRows builds one dense vector per column of a batch set, holding the

@@ -604,10 +604,11 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 			e := effects(rec.Tag)
 			for _, st := range allStores(tbl) {
 				// The statement's selection again, by equality: each batch
-				// narrows to the rows that were logged and is marked.
+				// narrows to the rows that were logged, into a vector of its
+				// own (b.Sel may be the shared identity), and is marked.
 				var merr error
 				serr := st.ScanBatches(vis, fullRing(), func(b *storage.Batch) bool {
-					keep := b.Sel[:0]
+					var keep []int32
 					for _, i := range b.Sel {
 						if key = appendRowKey(key[:0], b.Cols, int(i)); keys[string(key)] {
 							keep = append(keep, i)

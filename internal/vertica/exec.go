@@ -241,9 +241,11 @@ func runSegJobs(n int, fn func(int)) {
 // kernels (vexec) and zone-map container pruning, segments fan out over a
 // bounded worker pool, and the surviving batches merge in segment order, so
 // results are deterministic and match a sequential scan. The batches alias the
-// containers' immutable column vectors and own their selection vectors: they
-// stay valid, and keep showing the snapshot they were scanned at, after the
-// statement's epoch pin is gone. The returned count is the rows selected;
+// containers' immutable column vectors and carry selection vectors nothing
+// writes once built — the shared identity for a container the scan sees
+// whole, otherwise one the scan or its filter built: they stay valid, and keep
+// showing the snapshot they were scanned at, after the statement's epoch pin
+// is gone. The returned count is the rows selected;
 // with countOnly it is all that is returned. The node's actuals are filled in.
 // A segment checks ctx before each batch: once it is cancelled, every segment
 // stops and the scan fails with ctx's error.

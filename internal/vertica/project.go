@@ -3,6 +3,7 @@ package vertica
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,7 +41,8 @@ func sortBatches(n *planNode, batches []*storage.Batch) ([]*storage.Batch, error
 	if err != nil || rows == 0 {
 		return nil, err
 	}
-	sel := storage.IdentitySel(rows)
+	// A copy: the sort permutes it, and IdentitySel's vector is shared.
+	sel := slices.Clone(storage.IdentitySel(rows))
 	sort.SliceStable(sel, func(a, b int) bool {
 		for i, k := range n.orderBy {
 			key := cols[n.sortIdx[i]]

@@ -151,6 +151,38 @@ func BenchmarkJoin3Way(b *testing.B) {
 	}
 }
 
+// BenchmarkPointFilter times sql_mix's point and filter statements over
+// joinFixture's 60 000 fact rows: a kernel over every row of every container
+// the scan sees whole, then a LIMIT or a second kernel over the 1 % left.
+// joinFixture's c1 is never below 0.25, so sql_mix's cut of 0.01 would let
+// the zone maps prune every container; the filter's cut is 100 instead,
+// keeping 60 of pcol 42's 600 rows. Run with -benchmem.
+func BenchmarkPointFilter(b *testing.B) {
+	s := joinFixture(b, 60_000)
+	for _, bc := range []struct {
+		name, q string
+		rows    int
+	}{
+		{"point", "SELECT c0 FROM f WHERE pcol = 42 LIMIT 1", 1},
+		{"filter", "SELECT * FROM f WHERE pcol = 42 AND c1 < 100", 60},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var res *Result
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = s.ExecuteColumnar(context.Background(), bc.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if res.NumRows() != bc.rows {
+				b.Fatalf("%d rows, want %d", res.NumRows(), bc.rows)
+			}
+		})
+	}
+}
+
 // BenchmarkJoinDuplicateKeys times the join form BenchmarkJoin3Way's does not
 // take: a build side whose keys repeat, so the probe side is gathered by
 // matched pairs. dim_d holds two rows per pcol, so the 60 000 fact rows of

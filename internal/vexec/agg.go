@@ -469,7 +469,17 @@ func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
 	switch c := col.(type) {
 	case *storage.Int64Column:
 		// lookupInt spelled out: find inlines here, so only a new key or a
-		// NULL pays a call.
+		// NULL pays a call. Over an identity selection row k is c.Vals[k].
+		if c.Nulls == nil && storage.IsIdentity(sel) {
+			for k, v := range c.Vals[:len(sel)] {
+				if g := h.ints.find(v); g >= 0 {
+					groupOf[k] = g
+				} else {
+					groupOf[k] = h.newIntGroup(v)
+				}
+			}
+			return
+		}
 		for k, i := range sel {
 			if c.Nulls != nil && c.Nulls[i] {
 				groupOf[k] = h.nullGroup()
@@ -683,14 +693,20 @@ func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
 func addNumbers(accs []aggAcc, col storage.Column, sel, groupOf []int32) bool {
 	switch c := col.(type) {
 	case *storage.Float64Column:
-		if c.Nulls == nil {
+		switch {
+		case c.Nulls != nil:
 			for k, i := range sel {
-				accs[groupOf[k]].addFloat(c.Vals[i])
+				if !c.Nulls[i] {
+					accs[groupOf[k]].addFloat(c.Vals[i])
+				}
 			}
-			return true
-		}
-		for k, i := range sel {
-			if !c.Nulls[i] {
+		case storage.IsIdentity(sel):
+			// Row k is c.Vals[k].
+			for k, v := range c.Vals[:len(sel)] {
+				accs[groupOf[k]].addFloat(v)
+			}
+		default:
+			for k, i := range sel {
 				accs[groupOf[k]].addFloat(c.Vals[i])
 			}
 		}

@@ -198,14 +198,13 @@ func setNull(nulls []bool, n int, i int32, null bool) []bool {
 	return nulls
 }
 
-// keepTrue narrows sel, in place, to the rows where v evaluates non-NULL
-// true: a WHERE clause's reading of a value.
-func keepTrue(v Vec, b *storage.Batch, sel []int32) ([]int32, error) {
+// keepTrue appends to out, as a Kernel does, the rows of sel where v
+// evaluates non-NULL true: a WHERE clause's reading of a value.
+func keepTrue(v Vec, b *storage.Batch, sel, out []int32) ([]int32, error) {
 	col, err := v(b, sel)
 	if err != nil {
 		return nil, err
 	}
-	out := sel[:0]
 	for _, i := range sel {
 		if t := col.Get(int(i)); !t.Null && t.AsBool() {
 			out = append(out, i)

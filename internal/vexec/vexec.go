@@ -23,9 +23,13 @@ import (
 	"vsfabric/internal/vhash"
 )
 
-// Kernel narrows a selection vector over one batch: it writes the surviving
-// subset of sel (in order) into sel's backing array and returns it.
-type Kernel func(b *storage.Batch, sel []int32) []int32
+// Kernel narrows a selection over one batch: it appends the rows of sel it
+// keeps, in order, to out and returns the result. sel is read-only to it — it
+// may be a scan's shared identity selection (storage.IdentitySel). out is the
+// caller's: empty, or sel's own backing when the caller narrows a vector it
+// allocated in place, which is safe because the k-th kept row is written only
+// after the k-th row of sel is read.
+type Kernel func(b *storage.Batch, sel, out []int32) []int32
 
 // Pred is a compiled predicate: zero or more typed kernels plus the compiled
 // conjuncts no kernel answers.
@@ -100,45 +104,70 @@ type FilterStats struct {
 	ResidualRows int64
 }
 
-// FilterBatch narrows b.Sel in place: kernels first, then the compiled
-// conjuncts over the survivors.
+// FilterBatch narrows b.Sel: kernels first, then the compiled conjuncts over
+// the survivors. It never writes through b.Sel, which may be shared.
 func (p *Pred) FilterBatch(b *storage.Batch) error { return p.FilterBatchStats(b, nil) }
 
 // FilterBatchStats is FilterBatch with optional work accounting for query
 // profiling; fs may be nil.
 func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
-	sel := b.Sel
+	f := narrowing{b: b, sel: b.Sel}
 	if fs != nil && p.NumKernels() > 0 {
-		fs.KernelRows += int64(len(sel))
+		fs.KernelRows += int64(len(f.sel))
 	}
-	sel, rest := applyKernels(p.kernels, b, sel), p.conjuncts
+	f.apply(p.kernels)
+	rest := p.conjuncts
 	if b.Hashes != nil {
-		sel, rest = applyKernels(p.hashKernels, b, sel), rest[len(p.hashKernels):]
+		f.apply(p.hashKernels)
+		rest = rest[len(p.hashKernels):]
 	}
 	if fs != nil && len(rest) > 0 {
-		fs.ResidualRows += int64(len(sel))
+		fs.ResidualRows += int64(len(f.sel))
 	}
 	for _, c := range rest {
-		if len(sel) == 0 {
+		if len(f.sel) == 0 {
 			break
 		}
 		var err error
-		if sel, err = keepTrue(c, b, sel); err != nil {
+		if f.sel, err = keepTrue(c, b, f.sel, f.out()); err != nil {
 			return err
 		}
 	}
-	b.Sel = sel
+	b.Sel = f.sel
 	return nil
 }
 
-func applyKernels(kernels []Kernel, b *storage.Batch, sel []int32) []int32 {
-	for _, k := range kernels {
-		if len(sel) == 0 {
-			break
-		}
-		sel = k(b, sel)
+// narrowing is one FilterBatch call's selection. The first narrowing writes
+// into a vector of the call's own and every later one narrows that vector in
+// place: a batch gets at most one new selection vector. It is sized to the
+// selection it narrows, except when that is the shared identity — a whole
+// container, which a WHERE mostly narrows to a sliver — where it grows by
+// append instead of being zeroed at the container's size.
+type narrowing struct {
+	b     *storage.Batch
+	sel   []int32
+	owned bool
+}
+
+// out returns the vector the next narrowing appends to.
+func (f *narrowing) out() []int32 {
+	if f.owned {
+		return f.sel[:0]
 	}
-	return sel
+	f.owned = true
+	if storage.IsIdentity(f.sel) {
+		return nil
+	}
+	return make([]int32, 0, len(f.sel))
+}
+
+func (f *narrowing) apply(kernels []Kernel) {
+	for _, k := range kernels {
+		if len(f.sel) == 0 {
+			return
+		}
+		f.sel = k(f.b, f.sel, f.out())
+	}
 }
 
 // SplitConjuncts appends the operands of e's top-level ANDs to dst, in order.
@@ -248,10 +277,10 @@ func flipOp(op expr.CmpOp) expr.CmpOp {
 // schema): the conjunct compiled, which a column and a literal cannot fail.
 // Only such a batch compiles it, so planning pays nothing for the path.
 func boxedKernel(conjunct expr.Expr, schema types.Schema) Kernel {
-	return func(b *storage.Batch, sel []int32) []int32 {
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		vec, _ := CompileExpr(conjunct, schema)
-		out, _ := keepTrue(vec, b, sel)
-		return out
+		kept, _ := keepTrue(vec, b, sel, out)
+		return kept
 	}
 }
 
@@ -319,8 +348,7 @@ func lowerHashCmp(e expr.Expr, schema types.Schema, segIdx []int) (k Kernel, sto
 	case r.Width() == vhash.RingSize:
 		return nil, false, true
 	}
-	return func(b *storage.Batch, sel []int32) []int32 {
-		out := sel[:0]
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		for _, i := range sel {
 			if r.Contains(b.Hashes[i]) {
 				out = append(out, i)
@@ -330,13 +358,14 @@ func lowerHashCmp(e expr.Expr, schema types.Schema, segIdx []int) (k Kernel, sto
 	}, true, true
 }
 
-// selectNone drops every row (a conjunct that can never be true).
-func selectNone(_ *storage.Batch, sel []int32) []int32 { return sel[:0] }
+// selectNone drops every row (a conjunct that can never be true). It returns
+// nil, not sel[:0]: the caller owns what a kernel returns, and sel may be
+// shared.
+func selectNone(*storage.Batch, []int32, []int32) []int32 { return nil }
 
 func nullKernel(ci int, negate bool) Kernel {
-	return func(b *storage.Batch, sel []int32) []int32 {
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		col := b.Cols[ci]
-		out := sel[:0]
 		for _, i := range sel {
 			if col.IsNull(int(i)) != negate {
 				out = append(out, i)
@@ -347,12 +376,11 @@ func nullKernel(ci int, negate bool) Kernel {
 }
 
 func boolTrueKernel(ci int, boxed Kernel) Kernel {
-	return func(b *storage.Batch, sel []int32) []int32 {
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		col, ok := b.Cols[ci].(*storage.BoolColumn)
 		if !ok {
-			return boxed(b, sel)
+			return boxed(b, sel, out)
 		}
-		out := sel[:0]
 		for _, i := range sel {
 			if (col.Nulls == nil || !col.Nulls[i]) && col.Vals[i] {
 				out = append(out, i)
@@ -363,75 +391,121 @@ func boolTrueKernel(ci int, boxed Kernel) Kernel {
 }
 
 func intCmpKernel(ci int, op expr.CmpOp, lit int64, boxed Kernel) Kernel {
-	return func(b *storage.Batch, sel []int32) []int32 {
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		switch col := b.Cols[ci].(type) {
 		case *storage.Int64RLEColumn:
-			return rleKeep(col, sel, func(v int64) bool { return op.Holds(compare3(v, lit)) })
+			return rleKeep(col, sel, out, func(v int64) bool { return op.Holds(compare3(v, lit)) })
 		case *storage.Int64Column:
-			out := sel[:0]
-			if col.Nulls == nil {
-				// Hot loop: no null checks, no branching beyond the compare.
-				switch op {
-				case expr.EQ:
-					for _, i := range sel {
-						if col.Vals[i] == lit {
-							out = append(out, i)
-						}
-					}
-				case expr.NE:
-					for _, i := range sel {
-						if col.Vals[i] != lit {
-							out = append(out, i)
-						}
-					}
-				case expr.LT:
-					for _, i := range sel {
-						if col.Vals[i] < lit {
-							out = append(out, i)
-						}
-					}
-				case expr.LE:
-					for _, i := range sel {
-						if col.Vals[i] <= lit {
-							out = append(out, i)
-						}
-					}
-				case expr.GT:
-					for _, i := range sel {
-						if col.Vals[i] > lit {
-							out = append(out, i)
-						}
-					}
-				case expr.GE:
-					for _, i := range sel {
-						if col.Vals[i] >= lit {
-							out = append(out, i)
-						}
+			switch {
+			case col.Nulls != nil:
+				for _, i := range sel {
+					if !col.Nulls[i] && op.Holds(compare3(col.Vals[i], lit)) {
+						out = append(out, i)
 					}
 				}
 				return out
+			case storage.IsIdentity(sel):
+				return intCmpDense(col.Vals[:len(sel)], op, lit, out)
 			}
-			for _, i := range sel {
-				if col.Nulls[i] {
-					continue
-				}
-				v := col.Vals[i]
-				if op.Holds(compare3(v, lit)) {
-					out = append(out, i)
-				}
-			}
-			return out
+			return intCmpSel(col.Vals, sel, op, lit, out)
 		default:
-			return boxed(b, sel)
+			return boxed(b, sel, out)
 		}
 	}
 }
 
-// rleKeep evaluates keep once per RLE run and filters the selection by run
-// membership — never touching per-row values. sel is ascending, so a single
-// forward walk over the runs suffices.
-func rleKeep(col *storage.Int64RLEColumn, sel []int32, keep func(int64) bool) []int32 {
-	out := sel[:0]
+// intCmpDense and intCmpSel are the hot null-free INTEGER loops: no null
+// checks, no branching beyond the compare. intCmpDense serves an identity
+// selection, whose row k is vals[k]: it reads the vector straight through,
+// where intCmpSel loads each row's index from sel first.
+func intCmpDense(vals []int64, op expr.CmpOp, lit int64, out []int32) []int32 {
+	switch op {
+	case expr.EQ:
+		for i, v := range vals {
+			if v == lit {
+				out = append(out, int32(i))
+			}
+		}
+	case expr.NE:
+		for i, v := range vals {
+			if v != lit {
+				out = append(out, int32(i))
+			}
+		}
+	case expr.LT:
+		for i, v := range vals {
+			if v < lit {
+				out = append(out, int32(i))
+			}
+		}
+	case expr.LE:
+		for i, v := range vals {
+			if v <= lit {
+				out = append(out, int32(i))
+			}
+		}
+	case expr.GT:
+		for i, v := range vals {
+			if v > lit {
+				out = append(out, int32(i))
+			}
+		}
+	case expr.GE:
+		for i, v := range vals {
+			if v >= lit {
+				out = append(out, int32(i))
+			}
+		}
+	}
+	return out
+}
+
+func intCmpSel(vals []int64, sel []int32, op expr.CmpOp, lit int64, out []int32) []int32 {
+	switch op {
+	case expr.EQ:
+		for _, i := range sel {
+			if vals[i] == lit {
+				out = append(out, i)
+			}
+		}
+	case expr.NE:
+		for _, i := range sel {
+			if vals[i] != lit {
+				out = append(out, i)
+			}
+		}
+	case expr.LT:
+		for _, i := range sel {
+			if vals[i] < lit {
+				out = append(out, i)
+			}
+		}
+	case expr.LE:
+		for _, i := range sel {
+			if vals[i] <= lit {
+				out = append(out, i)
+			}
+		}
+	case expr.GT:
+		for _, i := range sel {
+			if vals[i] > lit {
+				out = append(out, i)
+			}
+		}
+	case expr.GE:
+		for _, i := range sel {
+			if vals[i] >= lit {
+				out = append(out, i)
+			}
+		}
+	}
+	return out
+}
+
+// rleKeep evaluates keep once per RLE run and appends to out the rows of sel
+// in runs it keeps — never touching per-row values. sel is ascending, so a
+// single forward walk over the runs suffices.
+func rleKeep(col *storage.Int64RLEColumn, sel, out []int32, keep func(int64) bool) []int32 {
 	run := 0
 	match := false
 	end := int32(-1)
@@ -463,8 +537,7 @@ func compare3[T int64 | float64 | string | byte](a, b T) int {
 }
 
 func floatCmpKernel(ci int, op expr.CmpOp, lit float64, boxed Kernel) Kernel {
-	return func(b *storage.Batch, sel []int32) []int32 {
-		out := sel[:0]
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		switch col := b.Cols[ci].(type) {
 		case *storage.Float64Column:
 			for _, i := range sel {
@@ -487,20 +560,19 @@ func floatCmpKernel(ci int, op expr.CmpOp, lit float64, boxed Kernel) Kernel {
 			}
 			return out
 		case *storage.Int64RLEColumn:
-			return rleKeep(col, sel, func(v int64) bool { return op.Holds(compare3(float64(v), lit)) })
+			return rleKeep(col, sel, out, func(v int64) bool { return op.Holds(compare3(float64(v), lit)) })
 		default:
-			return boxed(b, sel)
+			return boxed(b, sel, out)
 		}
 	}
 }
 
 func stringCmpKernel(ci int, op expr.CmpOp, lit string, boxed Kernel) Kernel {
-	return func(b *storage.Batch, sel []int32) []int32 {
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		col, ok := b.Cols[ci].(*storage.StringColumn)
 		if !ok {
-			return boxed(b, sel)
+			return boxed(b, sel, out)
 		}
-		out := sel[:0]
 		for _, i := range sel {
 			if (col.Nulls == nil || !col.Nulls[i]) && op.Holds(compare3(col.Vals[i], lit)) {
 				out = append(out, i)
@@ -511,12 +583,11 @@ func stringCmpKernel(ci int, op expr.CmpOp, lit string, boxed Kernel) Kernel {
 }
 
 func boolCmpKernel(ci int, op expr.CmpOp, lit bool, boxed Kernel) Kernel {
-	return func(b *storage.Batch, sel []int32) []int32 {
+	return func(b *storage.Batch, sel, out []int32) []int32 {
 		col, ok := b.Cols[ci].(*storage.BoolColumn)
 		if !ok {
-			return boxed(b, sel)
+			return boxed(b, sel, out)
 		}
-		out := sel[:0]
 		for _, i := range sel {
 			// false < true, per types.Compare.
 			if (col.Nulls == nil || !col.Nulls[i]) && op.Holds(compare3(b2b(col.Vals[i]), b2b(lit))) {
