@@ -114,6 +114,10 @@ obs-test:
 # matched pairs; BenchmarkGroupBy is sql_mix's INTEGER-key GROUP BY and the join
 # statement's VARCHAR-key group-by, each alone over the same fixture;
 # BenchmarkPointFilter is sql_mix's point and filter statements over it;
+# BenchmarkV2SPartitionScan is the partition statements of a V2S job on
+# 2 nodes over a 300 000-row d1-shaped table, v2s_pushdown's shape (pcol < 5,
+# two columns) and v2s_full's (every column), in 4 partitions (half a segment
+# each) and in 2 (a whole segment each), engine side only;
 # BenchmarkResultPath is one wire batch from container to boxed client rows
 # (B/row, allocs/row). fabricperf's vexec.agg_s / vexec.join_s /
 # vertica.groupby_us / vertica.join_us time the same operators at workload
@@ -121,7 +125,7 @@ obs-test:
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
-	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy|BenchmarkPointFilter' -benchmem ./internal/vertica/
+	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy|BenchmarkPointFilter|BenchmarkV2SPartitionScan' -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
 
 # The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,

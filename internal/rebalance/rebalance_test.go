@@ -218,6 +218,59 @@ func TestMoveTableGrow(t *testing.T) {
 	}
 }
 
+// TestMoveTableAfterMoveoutAndDelete: rows trickled into the WOS and moved
+// out make containers with no delete vector, which a DELETE's scan is handed
+// whole as the shared identity selection. Deleting every third row narrows
+// into vectors of the DELETE's own — the shared vector is left as it was —
+// and the move answers both epochs exactly as the old layout does.
+func TestMoveTableAfterMoveoutAndDelete(t *testing.T) {
+	const nRows = 240
+	tbl := buildTable(t, 3, 1, true, 0, 1)
+	n := len(tbl.Ring)
+	for i := 0; i < nRows; i++ {
+		r := types.Row{types.IntValue(int64(i))}
+		seg := vhash.SegmentOf(tbl.RowHash(r), n)
+		stores := []*storage.Store{tbl.Stores[seg]}
+		for b := range tbl.Buddies {
+			stores = append(stores, tbl.Buddies[b][(seg+b+1)%n])
+		}
+		for _, st := range stores {
+			cols, err := storage.ColumnsFromRows([]types.Row{r}, st.Schema())
+			if err == nil {
+				err = st.AppendColumns(cols, storage.HashColumns(cols, st.SegIdx(), 1), 1, false)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	all := append([]*storage.Store(nil), tbl.Stores...)
+	for _, rep := range tbl.Buddies {
+		all = append(all, rep...)
+	}
+	for _, st := range all {
+		if err := st.Moveout(1); err != nil {
+			t.Fatal(err)
+		}
+		if st.WOSLen() != 0 || st.ContainerCount() != 1 {
+			t.Fatalf("after moveout: %d WOS rows, %d containers", st.WOSLen(), st.ContainerCount())
+		}
+	}
+	deleteEverywhere(t, tbl, 2, func(r types.Row) bool { return r[0].I%3 == 1 })
+	if err := storage.CheckIdentitySel(); err != nil {
+		t.Fatal(err)
+	}
+	lay, _, err := MoveTable(tbl, []int{0, 1, 2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e, want := range map[uint64]int{1: nRows, 2: nRows - nRows/3} {
+		if got, old := countAt(lay.Stores, e), countAt(tbl.Stores, e); got != want || old != want {
+			t.Fatalf("epoch %d: new layout has %d rows, old %d; want %d", e, got, old, want)
+		}
+	}
+}
+
 // TestMoveTableShrink drains a node and checks no rows are lost and nothing
 // lands on the departed node.
 func TestMoveTableShrink(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 
 // Batch is one unit of vectorized scan output: the immutable column vectors
 // of a single ROS container (or of the WOS buffer) plus a selection vector of
-// the row indexes that survived MVCC visibility and the hash-range mask.
+// the row indexes that survived MVCC visibility (and the storage scan's
+// hash-range mask, which the engine's scan leaves at the whole ring).
 // Predicate kernels narrow the selection into vectors of their own; only the
 // rows left in Sel at the end of the pipeline are ever materialized into
 // types.Row form (late materialization, the MonetDB/X100 execution model).
@@ -21,6 +22,11 @@ type Batch struct {
 	// Hashes holds the per-row segmentation hash, aligned with the columns.
 	// Kernels over HASH(segcols) predicates evaluate against it directly.
 	Hashes []uint32
+	// HashSpan is the ring interval every entry of Hashes lies in, deleted
+	// rows' included: a container's batch carries its container's span, so a
+	// filter decides a hash range for the whole batch when the span lies
+	// inside the range or outside it. Empty when unknown (the WOS's batch).
+	HashSpan vhash.Range
 	// Sel lists surviving row indexes: in ascending order out of a scan, a
 	// join or a filter; in result order out of a sort, whose one batch holds
 	// dense vectors only (the run-walking loops below rely on ascent and only
@@ -60,7 +66,7 @@ func (b *Batch) Row(i int, dst types.Row) types.Row {
 // Project returns a batch over the same rows carrying only the given columns,
 // in the given order (repeats allowed). The vectors are shared, not copied.
 func (b *Batch) Project(colIdx []int) *Batch {
-	p := &Batch{Cols: make([]Column, len(colIdx)), Hashes: b.Hashes, Sel: b.Sel}
+	p := &Batch{Cols: make([]Column, len(colIdx)), Hashes: b.Hashes, HashSpan: b.HashSpan, Sel: b.Sel}
 	p.Schema.Cols = make([]types.Column, len(colIdx))
 	for j, ci := range colIdx {
 		p.Cols[j], p.Schema.Cols[j] = b.Cols[ci], b.Schema.Cols[ci]
@@ -225,7 +231,7 @@ func batchFromContainer(c *ROSContainer, schema types.Schema, vis Visibility, hr
 	full := coversRing(hr)
 	if c.del == nil && full {
 		c.mu.RUnlock()
-		return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, Sel: IdentitySel(c.RowCount), ros: c}
+		return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, HashSpan: c.span, Sel: IdentitySel(c.RowCount), ros: c}
 	}
 	sel := make([]int32, 0, c.RowCount)
 	if c.del == nil {
@@ -250,7 +256,7 @@ func batchFromContainer(c *ROSContainer, schema types.Schema, vis Visibility, hr
 		}
 		c.mu.RUnlock()
 	}
-	return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, Sel: sel, ros: c}
+	return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, HashSpan: c.span, Sel: sel, ros: c}
 }
 
 // ScanBatches calls fn once per ROS container (and once for the WOS

@@ -375,6 +375,7 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 		Cols:     cols,
 		RowCount: n,
 		Hashes:   hashes,
+		span:     hashSpan(hashes),
 		stats:    stats,
 		start:    start,
 		del:      del,

@@ -54,6 +54,11 @@ type ROSContainer struct {
 	RowCount int
 	Hashes   []uint32 // per-row segmentation hash, precomputed at write time
 
+	// span is the ring interval Hashes lies in, [min, max+1): computed when
+	// the container is built or loaded, never stored, so the on-disk format
+	// does not carry it. Empty for a container of no rows.
+	span vhash.Range
+
 	// stats holds the per-column zone maps (null count, min/max), computed
 	// once at construction or load. Columns are immutable, so the slice is
 	// shared by clones and never mutated after the container is published.
@@ -90,6 +95,7 @@ func newContainer(cols []Column, n int, schema types.Schema, hashes []uint32, st
 		Cols:     packed,
 		RowCount: n,
 		Hashes:   hashes,
+		span:     hashSpan(hashes),
 		stats:    ComputeStats(packed),
 		start:    start,
 		del:      del,
@@ -108,6 +114,19 @@ func checkColumns(cols []Column, n int, schema types.Schema) error {
 		}
 	}
 	return nil
+}
+
+// hashSpan returns the ring interval the hashes lie in, [min, max+1), or the
+// empty range when there are none.
+func hashSpan(hashes []uint32) vhash.Range {
+	if len(hashes) == 0 {
+		return vhash.Range{}
+	}
+	lo, hi := hashes[0], hashes[0]
+	for _, h := range hashes[1:] {
+		lo, hi = min(lo, h), max(hi, h)
+	}
+	return vhash.Range{Lo: uint64(lo), Hi: uint64(hi) + 1}
 }
 
 // HashColumns computes the segmentation hash of each of the n rows the
@@ -202,6 +221,7 @@ func (c *ROSContainer) Clone() *ROSContainer {
 		Cols:     c.Cols,
 		RowCount: c.RowCount,
 		Hashes:   c.Hashes,
+		span:     c.span,
 		stats:    c.stats,
 		start:    c.start,
 		diskRef:  c.diskRef,

@@ -154,6 +154,9 @@ func sameContainers(t *testing.T, what string, got, want []*ROSContainer) {
 		if !reflect.DeepEqual(g.Hashes, w.Hashes) {
 			t.Fatalf("%s container %d hashes differ", what, k)
 		}
+		if g.span != w.span {
+			t.Fatalf("%s container %d hash span %v, want %v", what, k, g.span, w.span)
+		}
 		if !reflect.DeepEqual(g.del, w.del) {
 			t.Fatalf("%s container %d delete vector %v, want %v", what, k, g.del, w.del)
 		}

@@ -343,3 +343,49 @@ func TestVisAtPinsEpoch(t *testing.T) {
 		t.Errorf("Vis() sees %d rows, want 2", got)
 	}
 }
+
+// TestDeleteOverMovedOutContainer: a DELETE whose scan meets a moved-out
+// container with no delete vector is handed the shared identity selection for
+// it, and narrows into a vector of its own: deleting every other row marks
+// exactly those rows and leaves the shared vector as it was.
+func TestDeleteOverMovedOutContainer(t *testing.T) {
+	m := NewManager()
+	s := storage.NewStore(schema, nil)
+	ins := m.Begin()
+	if err := ins.Acquire("t", LockInsert); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int64, 20)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	appendWOS(t, s, rows(ids...), ins.Tag())
+	ins.NoteInsert(s)
+	epoch, err := ins.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Moveout(epoch); err != nil {
+		t.Fatal(err)
+	}
+	if s.WOSLen() != 0 || s.ContainerCount() != 1 {
+		t.Fatalf("after moveout: %d WOS rows, %d containers", s.WOSLen(), s.ContainerCount())
+	}
+	del := m.Begin()
+	if err := del.Acquire("t", LockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	if n := deleteWhere(t, s, del.Vis(), del.Tag(), func(r types.Row) bool { return r[0].I%2 == 1 }); n != 10 {
+		t.Fatalf("deleted %d rows, want 10", n)
+	}
+	del.NoteDelete(s)
+	if _, err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(s, m.Begin().Vis()); got != 10 {
+		t.Fatalf("%d rows left, want 10", got)
+	}
+	if err := storage.CheckIdentitySel(); err != nil {
+		t.Fatal(err)
+	}
+}

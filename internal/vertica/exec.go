@@ -237,8 +237,10 @@ func runSegJobs(n int, fn func(int)) {
 
 // scanBatches is the engine's one scan: it reads a planned base-table scan
 // node under the read context into column batches without boxing a row. The
-// node's hash range prunes segments, its predicate runs as typed column
-// kernels (vexec) and zone-map container pruning, segments fan out over a
+// node's hash range prunes segments; each segment's store is scanned over the
+// whole ring, so a container without deletes reaches the filter whole, as the
+// shared identity. The predicate runs as zone-map container pruning, then as
+// column kernels (vexec), its HASH range last. Segments fan out over a
 // bounded worker pool, and the surviving batches merge in segment order, so
 // results are deterministic and match a sequential scan. The batches alias the
 // containers' immutable column vectors and carry selection vectors nothing
@@ -259,7 +261,7 @@ func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visi
 		if prof {
 			fs = &res.fstats
 		}
-		err := jobs[i].store.ScanBatchesPruned(vis, n.hr, s.pruneFunc(pred, res), func(b *storage.Batch) bool {
+		err := jobs[i].store.ScanBatchesPruned(vis, fullRing(), s.pruneFunc(pred, res), func(b *storage.Batch) bool {
 			if err := ctx.Err(); err != nil {
 				res.err = err
 				return false
@@ -300,8 +302,7 @@ func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visi
 		}
 		count += res.count
 		n.rowsIn += int64(jobs[i].totalRows)
-		n.vecRows += res.fstats.KernelRows
-		n.resRows += res.fstats.ResidualRows
+		n.work.Add(res.fstats)
 		n.contSeen += res.contSeen
 		n.contPruned += res.contPruned
 		out = append(out, res.batches...)
@@ -391,24 +392,6 @@ func (s *Session) localPos(tbl *catalog.Table) int {
 		return p
 	}
 	return 0
-}
-
-// extractHashRange pulls `HASH(segcols) >= lo` / `HASH(segcols) < hi`
-// conjuncts matching the table's segmentation out of the predicate, returning
-// the combined ring range and the residual predicate. This is the engine
-// optimization that makes the connector's locality-aware partition queries
-// (§3.1.2) cheap: the range test runs against precomputed segment hashes.
-func extractHashRange(where expr.Expr, tbl *catalog.Table) (vhash.Range, expr.Expr) {
-	hr := vhash.Range{Lo: 0, Hi: vhash.RingSize}
-	var residual []expr.Expr
-	for _, c := range vexec.SplitConjuncts(where, nil) {
-		if r, ok := vexec.HashRange(c, tbl.Def.Schema, tbl.SegIdx); ok {
-			hr.Lo, hr.Hi = max(hr.Lo, r.Lo), min(hr.Hi, r.Hi)
-		} else {
-			residual = append(residual, c)
-		}
-	}
-	return hr, expr.Conjoin(residual...)
 }
 
 // recordQuery adds a traced SELECT's QueryFlowEv, built from the run plan the

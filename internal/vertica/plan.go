@@ -47,13 +47,12 @@ type planNode struct {
 	detail string       // the decision in words, fixed at plan time
 	schema types.Schema // the operator's output schema
 
-	// scan: a base table (tbl, with the hash range, compiled predicate and
-	// segment jobs the run visits), a view (its own plan), or a system table
+	// scan: a base table (tbl, with the compiled predicate and the segment
+	// jobs the run visits), a view (its own plan), or a system table
 	// (synthesized at plan time: its schema is only known with its rows); a
 	// join input of the latter two filters its rows by pred at the scan.
 	// filter: the compiled predicate alone.
 	tbl  *catalog.Table
-	hr   vhash.Range
 	pred *vexec.Pred
 	jobs []segJob
 	opts scanOpts
@@ -81,10 +80,11 @@ type planNode struct {
 	// for EXPLAIN only (a run counts the real thing).
 	estContainers, estPruned int64
 
-	// Actuals, filled by run. Kernel/residual rows and the duration are only
-	// collected under PROFILE.
+	// Actuals, filled by run. The kernel/residual split (work: a base scan's
+	// filter fills the rest of it too) and the duration are only collected
+	// under PROFILE.
 	rowsIn, rowsOut      int64
-	vecRows, resRows     int64
+	work                 vexec.FilterStats
 	contSeen, contPruned int64
 	keyPath              string // group-by: the hash table's key strategy
 	shared               bool   // join: the output is the probe batches, narrowed
@@ -156,17 +156,17 @@ func (s *Session) planRelation(tr *vsql.TableRef, vis storage.Visibility) (planN
 	return n, nil
 }
 
-// planBaseScan fixes what a base-table scan visits: the hash-range conjuncts
-// prune segments, the residual compiles to typed kernels and zone checks, and
-// the surviving segments resolve to live replicas. The estimate is the
-// physical rows those replicas hold.
+// planBaseScan fixes what a base-table scan visits: the predicate compiles to
+// typed kernels, one range kernel for its segmentation HASH conjuncts and zone
+// checks, the range those conjuncts admit prunes segments, and the surviving
+// segments resolve to live replicas. The estimate is the physical rows those
+// replicas hold. This is what makes the connector's locality-aware partition
+// queries (§3.1.2) cheap.
 func (s *Session) planBaseScan(n *planNode, where expr.Expr, opts scanOpts) error {
-	var residual expr.Expr
-	n.hr, residual = extractHashRange(where, n.tbl)
-	n.pred = vexec.Compile(residual, n.tbl.Def.Schema, n.tbl.SegIdx)
+	n.pred = vexec.Compile(where, n.tbl.Def.Schema, n.tbl.SegIdx)
 	n.opts = opts
 	var err error
-	if n.jobs, err = s.buildSegJobs(n.tbl, n.hr); err != nil {
+	if n.jobs, err = s.buildSegJobs(n.tbl, n.pred.Ring()); err != nil {
 		return err
 	}
 	n.est = 0
@@ -361,6 +361,15 @@ func (n *planNode) describe(actual bool) string {
 		case !actual && n.pred.HasZoneChecks():
 			d += fmt.Sprintf(", zone maps prune %d/%d containers", n.estPruned, n.estContainers)
 		}
+		if !actual {
+			break
+		}
+		if n.work.IdentityRows > 0 {
+			d += fmt.Sprintf(", %d rows read as whole containers", n.work.IdentityRows)
+		}
+		if r := n.pred.Ring(); !r.Empty() && r.Width() < vhash.RingSize {
+			d += fmt.Sprintf(", hash range tested %d rows", n.work.RangeRows)
+		}
 	case opJoin:
 		d = fmt.Sprintf("hash join %s = %s, build %s side, carries %d columns", n.clause.LeftCol, n.clause.RightCol, n.buildSide(), len(n.schema.Cols))
 		switch {
@@ -433,7 +442,7 @@ func (s *Session) run(ctx context.Context, p *selectPlan, prof bool) ([]*storage
 
 		case opJoin:
 			nLeft, nRight := n.rowsIn, int64(storage.SelectedRows(right))
-			n.rowsIn, n.vecRows = nLeft+nRight, nLeft+nRight
+			n.rowsIn, n.work.KernelRows = nLeft+nRight, nLeft+nRight
 			cur, err = joinStep(n, cur, right)
 			buildRows := nRight
 			if n.buildLeft {
@@ -495,7 +504,7 @@ func filterBatches(ctx context.Context, n *planNode, batches []*storage.Batch) (
 			kept = append(kept, b)
 		}
 	}
-	n.vecRows, n.resRows = fs.KernelRows, fs.ResidualRows
+	n.work = fs
 	return kept, nil
 }
 
@@ -517,7 +526,7 @@ func (s *Session) runScan(ctx context.Context, n *planNode, vis storage.Visibili
 	if n.view != nil {
 		batches, err = s.run(ctx, n.view, prof)
 		for _, b := range batches {
-			b.Schema, b.Hashes = n.schema, nil
+			b.Schema, b.Hashes, b.HashSpan = n.schema, nil, vhash.Range{}
 		}
 	} else {
 		batches, err = columnize(n.rows, n.schema)

@@ -40,7 +40,7 @@ func (s *Session) executeProfile(ctx context.Context, p *vsql.Profile) (*Result,
 		})
 	}
 	plan.each(func(n *planNode) {
-		add(n.name(), n.rowsIn, n.rowsOut, n.vecRows, n.resRows, n.dur, n.describe(true))
+		add(n.name(), n.rowsIn, n.rowsOut, n.work.KernelRows, n.work.ResidualRows, n.dur, n.describe(true))
 	})
 	// Inline query events: everything the statement raised while executing,
 	// rendered as pseudo-operators ahead of the "total" row. Value and

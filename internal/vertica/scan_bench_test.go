@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"vsfabric/internal/vhash"
 )
 
 // benchScanRows is the table size the scan benchmarks run against: 1M rows
@@ -246,5 +248,108 @@ func BenchmarkGroupBy(b *testing.B) {
 				b.Fatalf("%d groups, want %d", res.NumRows(), bc.groups)
 			}
 		})
+	}
+}
+
+// partitionFixture loads the shape of the V2S workloads' d1 table on a
+// cluster of the given size: f of rows x 11 columns (pcol INTEGER cycling
+// through 0..99, c0..c9 FLOAT scrambled per row) segmented by every column,
+// HASH(*), through COPY DIRECT, so each node holds containers without
+// deletes. Like d1's, no two rows repeat a pattern, so a container's hashes
+// fall in or out of a partition's range in no order a branch predictor
+// learns.
+func partitionFixture(tb testing.TB, nodes, rows int) *Session {
+	tb.Helper()
+	c, err := NewCluster(Config{Nodes: nodes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := c.Connect(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	cols := []string{"pcol INTEGER"}
+	for j := 0; j < 10; j++ {
+		cols = append(cols, fmt.Sprintf("c%d FLOAT", j))
+	}
+	s.MustExecute("CREATE TABLE f (" + strings.Join(cols, ", ") + ")")
+	var csv strings.Builder
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&csv, "%d", i%100)
+		for j := 0; j < 10; j++ {
+			fmt.Fprintf(&csv, ",%d.25", (i*2654435761+j*40503)%100000)
+		}
+		csv.WriteByte('\n')
+	}
+	if _, err := s.CopyFrom("COPY f FROM STDIN FORMAT CSV DIRECT", strings.NewReader(csv.String())); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// partitionStatements renders the statements of a V2S job of parts
+// partitions over table f, as the connector renders them (§3.1.2, Figure
+// 4(b)): one per slice of a node's segment, read at the last closed epoch,
+// with the pushed-down filter ANDed on when there is one.
+func partitionStatements(tb testing.TB, s *Session, items, pushdown string, parts int) []string {
+	tb.Helper()
+	tbl, ok := s.cluster.cat.Table("f")
+	if !ok {
+		tb.Fatal("no table f")
+	}
+	segs := tbl.SegmentRanges()
+	var out []string
+	for _, seg := range segs {
+		for _, r := range vhash.Split(seg, max(1, parts/len(segs))) {
+			q := fmt.Sprintf("AT EPOCH %d SELECT %s FROM f WHERE HASH(*) >= %d AND HASH(*) < %d",
+				s.cluster.LastEpoch(), items, r.Lo, r.Hi)
+			if pushdown != "" {
+				q += " AND (" + pushdown + ")"
+			}
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// BenchmarkV2SPartitionScan times the partition statements of one V2S job on
+// 2 nodes over partitionFixture's 300 000 rows: v2s_pushdown's shape
+// (pcol < 5, two columns) and v2s_full's (no filter, every column), each as a
+// 4-partition job (half a segment a statement, fabricperf's on 2 cores) and a
+// 2-partition one (a whole segment a statement, decided by each container's
+// hash span). One op is the job's statements, engine side only (no wire, no
+// boxing). Run with -benchmem.
+func BenchmarkV2SPartitionScan(b *testing.B) {
+	const rows = 300_000
+	s := partitionFixture(b, 2, rows)
+	all := "pcol, c0, c1, c2, c3, c4, c5, c6, c7, c8, c9"
+	for _, parts := range []int{4, 2} {
+		for _, bc := range []struct {
+			name, items, pushdown string
+			rows                  int
+		}{
+			{"pushdown", "pcol, c0", "pcol < 5", rows / 20},
+			{"full", all, "", rows},
+		} {
+			b.Run(fmt.Sprintf("%s_%dparts", bc.name, parts), func(b *testing.B) {
+				stmts := partitionStatements(b, s, bc.items, bc.pushdown, parts)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					n := 0
+					for _, q := range stmts {
+						res, err := s.ExecuteColumnar(context.Background(), q)
+						if err != nil {
+							b.Fatal(err)
+						}
+						n += res.NumRows()
+					}
+					if n != bc.rows {
+						b.Fatalf("%d rows, want %d", n, bc.rows)
+					}
+				}
+				b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
 	}
 }

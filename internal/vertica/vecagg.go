@@ -40,7 +40,7 @@ func runGroupBy(ctx context.Context, n *planNode, batches []*storage.Batch) ([]*
 		}
 	}
 	n.keyPath = ha.FastPath()
-	n.vecRows, n.resRows = ha.Rows()-ha.FallbackRows(), ha.FallbackRows()
+	n.work.KernelRows, n.work.ResidualRows = ha.Rows()-ha.FallbackRows(), ha.FallbackRows()
 	groups := ha.NumGroups()
 	if groups == 0 {
 		return nil, nil

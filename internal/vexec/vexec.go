@@ -17,6 +17,8 @@
 package vexec
 
 import (
+	"slices"
+
 	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
@@ -31,58 +33,80 @@ import (
 // after the k-th row of sel is read.
 type Kernel func(b *storage.Batch, sel, out []int32) []int32
 
-// Pred is a compiled predicate: zero or more typed kernels plus the compiled
-// conjuncts no kernel answers.
+// Pred is a compiled predicate: zero or more typed kernels, one ring range
+// for its stored-hash conjuncts, and the compiled conjuncts no kernel answers.
 // A Pred is immutable after Compile and safe for concurrent FilterBatch
 // calls from parallel segment scans.
 type Pred struct {
 	kernels []Kernel
-	// conjuncts are the HASH(...) CMP literal conjuncts, compiled, followed by
-	// the residual (every conjunct that did not lower, compiled as one AND).
-	// hashKernels answer the HASH conjuncts from the batch's stored hash
-	// vector instead; only a storage container's batch has one, so a derived
-	// batch (join output, view, system table — Hashes == nil) evaluates them.
-	conjuncts   []Vec
-	hashKernels []Kernel
+	// ring is what the HASH(segcols) CMP INTEGER conjuncts — HASH(segcols)
+	// being the batch's stored hash — intersect to (the whole ring when there
+	// are none), and inRing its kernel over the batch's Hashes: nil when they
+	// admit every ring position or none (always true: dropped; never: a
+	// selectNone kernel). Only a storage container's batch has a hash vector, so a
+	// derived batch (join output, view, system table — Hashes == nil)
+	// evaluates those conjuncts compiled instead.
+	ring   vhash.Range
+	inRing Kernel
+	// conjuncts are, when inRing is set, the stored-hash conjuncts compiled
+	// as one, then the residual (every conjunct that did not lower, compiled
+	// as one AND).
+	conjuncts []Vec
 	// zones holds the prunable conjunct shapes (column CMP literal, IS [NOT]
 	// NULL) tested against per-container zone maps by CanPrune.
 	zones []zoneCheck
 }
 
-// NumKernels returns how many conjuncts compiled to typed kernels.
-func (p *Pred) NumKernels() int { return len(p.kernels) + len(p.hashKernels) }
+// NumKernels returns how many kernels the conjuncts compiled to: the typed
+// ones plus the one range kernel.
+func (p *Pred) NumKernels() int {
+	if p.inRing != nil {
+		return len(p.kernels) + 1
+	}
+	return len(p.kernels)
+}
+
+// Ring returns the ring positions the predicate's stored-hash conjuncts admit
+// together: the whole ring when it has none. A scan visits only the segments
+// it overlaps.
+func (p *Pred) Ring() vhash.Range { return p.ring }
 
 // Compile lowers where against the schema. segIdx gives the schema indexes
 // of the segmentation columns used to precompute batch hashes (HASH(...)
-// conjuncts matching it lower to hash-vector kernels); pass nil when batch
-// hashes are whole-row synthetic hashes. Whether those kernels run is decided
-// per batch, by whether it carries a hash vector at all. A nil where compiles
-// to a pass-through predicate.
+// conjuncts matching it intersect into one range kernel over the hash
+// vector); pass nil when batch hashes are whole-row synthetic hashes. Whether
+// that kernel runs is decided per batch, by whether it carries a hash vector
+// at all. A nil where compiles to a pass-through predicate.
 func Compile(where expr.Expr, schema types.Schema, segIdx []int) *Pred {
-	p := &Pred{}
+	p := &Pred{ring: vhash.Range{Lo: 0, Hi: vhash.RingSize}}
 	if where == nil {
 		return p
 	}
-	var residual []expr.Expr
+	var stored, residual []expr.Expr
 	for _, c := range SplitConjuncts(where, nil) {
 		if z, ok := collectZoneChecks(c, schema); ok {
 			p.zones = append(p.zones, z)
 		}
-		k, stored, ok := lowerHashCmp(c, schema, segIdx)
-		if stored {
-			vec, _ := CompileExpr(c, schema)
-			p.hashKernels, p.conjuncts = append(p.hashKernels, k), append(p.conjuncts, vec)
+		if r, ok := HashRange(c, schema, segIdx); ok {
+			p.ring, stored = p.ring.Intersect(r), append(stored, c)
 			continue
 		}
-		if !ok {
-			k, ok = lower(c, schema)
-		}
+		k, ok := lower(c, schema)
 		switch {
 		case !ok:
 			residual = append(residual, c)
 		case k != nil: // nil = always-true conjunct, dropped
 			p.kernels = append(p.kernels, k)
 		}
+	}
+	switch {
+	case p.ring.Width() == vhash.RingSize:
+		// No stored-hash conjunct, or every ring position: always true.
+	case p.ring.Empty():
+		p.kernels = append(p.kernels, selectNone)
+	default:
+		vec, _ := CompileExpr(expr.Conjoin(stored...), schema)
+		p.inRing, p.conjuncts = rangeKernel(p.ring), append(p.conjuncts, vec)
 	}
 	if residual != nil {
 		vec, _ := CompileExpr(expr.Conjoin(residual...), schema)
@@ -93,33 +117,76 @@ func Compile(where expr.Expr, schema types.Schema, segIdx []int) *Pred {
 
 // FilterStats counts how filtering work split between compiled kernels and
 // the rows evaluated a row at a time, accumulated across FilterBatchStats
-// calls.
+// calls. PROFILE prints a scan's: KernelRows and ResidualRows as columns, the
+// other two in its detail.
 type FilterStats struct {
-	// KernelRows is the number of selected rows the typed kernels examined
-	// (0 when the predicate compiled to no kernels).
+	// KernelRows is the number of selected rows the kernels examined: the
+	// rows reaching the first kernel that ran (0 when none did).
 	KernelRows int64
+	// RangeRows is the number of rows the range kernel examined: the typed
+	// kernels' survivors, none of a batch whose hash span decided it whole.
+	RangeRows int64
 	// ResidualRows is the number of rows that survived the kernels and went
 	// through the compiled conjuncts' per-row value loops (0 when fully
 	// lowered).
 	ResidualRows int64
+	// IdentityRows is the number of rows that reached the filter carrying the
+	// shared identity selection (storage.IsIdentity): whole containers.
+	IdentityRows int64
 }
 
-// FilterBatch narrows b.Sel: kernels first, then the compiled conjuncts over
-// the survivors. It never writes through b.Sel, which may be shared.
+// Add accumulates o into fs.
+func (fs *FilterStats) Add(o FilterStats) {
+	fs.KernelRows += o.KernelRows
+	fs.RangeRows += o.RangeRows
+	fs.ResidualRows += o.ResidualRows
+	fs.IdentityRows += o.IdentityRows
+}
+
+// FilterBatch narrows b.Sel: the hash span, the typed kernels, the range
+// kernel over their survivors, then the compiled conjuncts over what is left.
+// It never writes through b.Sel, which may be shared.
 func (p *Pred) FilterBatch(b *storage.Batch) error { return p.FilterBatchStats(b, nil) }
 
 // FilterBatchStats is FilterBatch with optional work accounting for query
 // profiling; fs may be nil.
+//
+// The range kernel runs last of the kernels because a batch whose rows are
+// all inside or all outside the range is decided whole by its hash span, and
+// on any other batch a V2S partition's pushed-down filter keeps a sliver:
+// the typed kernels read a whole container down its vectors, and only their
+// survivors pay the per-row hash test.
 func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
+	stored := b.Hashes != nil
+	testRing := p.inRing != nil && stored
+	if testRing && !b.HashSpan.Empty() {
+		switch {
+		case p.ring.Intersect(b.HashSpan).Empty():
+			b.Sel = nil // no row's hash is in the range
+			return nil
+		case p.ring.Covers(b.HashSpan):
+			testRing = false // every row's is
+		}
+	}
 	f := narrowing{b: b, sel: b.Sel}
-	if fs != nil && p.NumKernels() > 0 {
-		fs.KernelRows += int64(len(f.sel))
+	if fs != nil {
+		if storage.IsIdentity(f.sel) {
+			fs.IdentityRows += int64(len(f.sel))
+		}
+		if len(p.kernels) > 0 || testRing {
+			fs.KernelRows += int64(len(f.sel))
+		}
 	}
 	f.apply(p.kernels)
 	rest := p.conjuncts
-	if b.Hashes != nil {
-		f.apply(p.hashKernels)
-		rest = rest[len(p.hashKernels):]
+	if p.inRing != nil && stored {
+		if testRing && len(f.sel) > 0 {
+			if fs != nil {
+				fs.RangeRows += int64(len(f.sel))
+			}
+			f.sel = p.inRing(b, f.sel, f.out())
+		}
+		rest = rest[1:]
 	}
 	if fs != nil && len(rest) > 0 {
 		fs.ResidualRows += int64(len(f.sel))
@@ -334,28 +401,25 @@ func HashRange(e expr.Expr, schema types.Schema, segIdx []int) (r vhash.Range, o
 	return vhash.Range{Lo: uint64(min(max(lo, 0), ring)), Hi: uint64(min(max(hi, 0), ring))}, true
 }
 
-// lowerHashCmp compiles a HASH(segcols) CMP INTEGER conjunct. One admitting
-// no ring position or all of them is constant on any batch: (selectNone,
-// false, true) or (nil, false, true). Otherwise the kernel reads the batch's
-// stored hash vector (stored). ok is false for any other conjunct.
-func lowerHashCmp(e expr.Expr, schema types.Schema, segIdx []int) (k Kernel, stored, ok bool) {
-	r, ok := HashRange(e, schema, segIdx)
-	switch {
-	case !ok:
-		return nil, false, false
-	case r.Empty():
-		return selectNone, false, true
-	case r.Width() == vhash.RingSize:
-		return nil, false, true
-	}
+// rangeKernel keeps the rows whose stored hash lies in r. Its loop does not
+// branch on the hash: each row is written to the next free slot, which
+// advances only when the hash is in range, because the rows of a container a
+// partition splits are in range or not at random, which no branch predictor
+// guesses.
+func rangeKernel(r vhash.Range) Kernel {
+	lo, w := int64(r.Lo), int64(r.Width())
 	return func(b *storage.Batch, sel, out []int32) []int32 {
+		out = slices.Grow(out, len(sel))
+		n, buf := len(out), out[:len(out)+len(sel)]
 		for _, i := range sel {
-			if r.Contains(b.Hashes[i]) {
-				out = append(out, i)
-			}
+			buf[n] = i
+			// 1 when 0 <= x < w, from two sign bits. Written out here: a
+			// helper is not inlined into this closure.
+			x := int64(b.Hashes[i]) - lo
+			n += int((x-w)>>63&^(x>>63)) & 1
 		}
-		return out
-	}, true, true
+		return buf[:n]
+	}
 }
 
 // selectNone drops every row (a conjunct that can never be true). It returns

@@ -130,6 +130,12 @@ func (r Range) Width() uint64 { return r.Hi - r.Lo }
 // Empty reports whether the range covers nothing.
 func (r Range) Empty() bool { return r.Hi <= r.Lo }
 
+// Intersect returns the positions both ranges cover (empty when none).
+func (r Range) Intersect(o Range) Range { return Range{Lo: max(r.Lo, o.Lo), Hi: min(r.Hi, o.Hi)} }
+
+// Covers reports whether every position of o lies inside r.
+func (r Range) Covers(o Range) bool { return r.Lo <= o.Lo && o.Hi <= r.Hi }
+
 // Segments divides the ring into n contiguous, non-overlapping segments that
 // exactly cover [0, RingSize). Segment i is assigned to node i, the layout
 // recorded in the system catalog and consulted by the connector (§3.1.2).
