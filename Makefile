@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test wire-test wire-fuzz obs-test lines
+.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test lines
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -56,6 +56,18 @@ resilience-test:
 	$(GO) test -race ./internal/resilience/
 	$(GO) test -race -run 'Chaos|Driver|Elastic|Failover|NodeDown|V2SPlansOnOneConnection|V2SReplans|StatementsPerJob|ConcurrentPlans' ./internal/core/
 	$(GO) test -race -run 'OpTimeout|TransientFlag|Failover' ./internal/server/
+
+# S2V gate: the Avro container units (each codec's header and round trip, the
+# golden file, the block decoder against its reference), the Spark scheduler
+# and its failure injector (hold and release rules included), every S2V suite
+# of the connector (the raw Avro streams, phase-boundary failures,
+# speculation, total failure, the elected committer dying, concurrent jobs),
+# and the seeded exactly-once property tests three times over — all under the
+# race detector.
+s2v-test:
+	$(GO) test -race ./internal/avro/ ./internal/spark/
+	$(GO) test -race -run 'TestS2V|TestConcurrentS2VJobs' ./internal/core/
+	$(GO) test -race -count 3 -run 'TestS2VExactlyOnceRandomFailures|TestS2VAppendExactlyOnceRandomFailures' ./internal/core/
 
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
 # seed corpora), the handshake and unsupported-version refusals, result

@@ -94,6 +94,6 @@ func BenchmarkMD_DeployAndScore(b *testing.B) { runExperiment(b, "md") }
 // dual-NIC (the paper's testbed) and shared-NIC hardware.
 func BenchmarkAblation_Locality(b *testing.B) { runExperiment(b, "ablation_locality") }
 
-// BenchmarkAblation_Encoding compares S2V's Avro+deflate task encoding
-// (§3.2.2) against CSV.
+// BenchmarkAblation_Encoding compares S2V's raw Avro task encoding (§3.2.2)
+// against CSV.
 func BenchmarkAblation_Encoding(b *testing.B) { runExperiment(b, "ablation_encoding") }

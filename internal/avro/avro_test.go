@@ -360,6 +360,16 @@ func TestRowBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// headerCodec is the codec a file's header names.
+func headerCodec(t *testing.T, data []byte) Codec {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.codec
+}
+
 func TestOCFRoundTrip(t *testing.T) {
 	for _, codec := range []Codec{CodecNull, CodecDeflate} {
 		var buf bytes.Buffer
@@ -374,6 +384,9 @@ func TestOCFRoundTrip(t *testing.T) {
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if got := headerCodec(t, buf.Bytes()); got != codec {
+			t.Errorf("codec %s: header avro.codec = %q", codec, got)
 		}
 		schema, rows, err := ReadAll(&buf)
 		if err != nil {
@@ -639,6 +652,9 @@ func TestBlockCodecMatchesReference(t *testing.T) {
 				if err := w.Close(); err != nil {
 					t.Fatal(err)
 				}
+				if got := headerCodec(t, buf.Bytes()); got != codec {
+					t.Errorf("%s: header avro.codec = %q", what, got)
+				}
 				_, got, err := refReadAll(buf.Bytes())
 				if err != nil {
 					t.Fatalf("%s: reference reader on the block writer's file: %v", what, err)
@@ -843,8 +859,8 @@ func TestReaderBoundsStreamSizes(t *testing.T) {
 	}
 }
 
-// A 10 000-row file decodes in a fixed number of allocations per block — the
-// vectors, and the inflater's Huffman tables — and nothing per row.
+// A 10 000-row deflated file decodes in a fixed number of allocations per
+// block — the vectors, and the inflater's Huffman tables — and nothing per row.
 func TestReadBlockAllocsPerBlockNotPerRow(t *testing.T) {
 	s := Schema{Name: "row", Fields: []Field{{Name: "a", Type: types.Int64}, {Name: "b", Type: types.Float64}, {Name: "c", Type: types.Varchar}}}
 	var buf bytes.Buffer
@@ -856,6 +872,11 @@ func TestReadBlockAllocsPerBlockNotPerRow(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The bound below is the inflater's: a file the writer sent raw would
+	// pass it without exercising inflate at all.
+	if got := headerCodec(t, buf.Bytes()); got != CodecDeflate {
+		t.Fatalf("header avro.codec = %q, want deflate", got)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		r, err := NewReader(bytes.NewReader(buf.Bytes()))

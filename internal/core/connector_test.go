@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vsfabric/internal/avro"
 	"vsfabric/internal/client"
 	"vsfabric/internal/spark"
 	"vsfabric/internal/types"
@@ -510,6 +515,65 @@ func TestS2VRoundTripThroughV2S(t *testing.T) {
 
 // ---------- Options ----------
 
+// copyCapture is a Connector that keeps every COPY stream as it was sent.
+type copyCapture struct {
+	client.Connector
+	mu      sync.Mutex
+	streams [][]byte
+}
+
+func (c *copyCapture) Connect(ctx context.Context, addr string) (client.Conn, error) {
+	conn, err := c.Connector.Connect(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &capturedConn{Conn: conn, capture: c}, nil
+}
+
+type capturedConn struct {
+	client.Conn
+	capture *copyCapture
+}
+
+func (c *capturedConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*vertica.Result, error) {
+	var sent bytes.Buffer
+	res, err := c.Conn.CopyFrom(ctx, sql, io.TeeReader(r, &sent))
+	c.capture.mu.Lock()
+	c.capture.streams = append(c.capture.streams, sent.Bytes())
+	c.capture.mu.Unlock()
+	return res, err
+}
+
+// TestS2VSendsAvroRaw: every task's COPY stream is an Avro file whose header
+// names the null codec — its metadata entry is the key "avro.codec" and the
+// value "null", each behind its zigzag length — and the files hold the job's
+// rows.
+func TestS2VSendsAvroRaw(t *testing.T) {
+	h := newHarness(t, 2, 2, nil)
+	capture := &copyCapture{Connector: client.InProc(h.cluster)}
+	NewDefaultSource(capture).Register()
+	if err := saveDF(t, h, testDF(h, 1000, 4), spark.SaveOverwrite, "target", 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(capture.streams) != 4 {
+		t.Fatalf("%d COPY streams, want one per partition (4)", len(capture.streams))
+	}
+	rows := 0
+	for i, s := range capture.streams {
+		if !bytes.Contains(s, []byte("\x14avro.codec\x08null")) {
+			t.Errorf("stream %d: header does not name the null codec: %q", i, s[:min(len(s), 200)])
+		}
+		_, got, err := avro.ReadAll(bytes.NewReader(s))
+		if err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		rows += len(got)
+	}
+	if rows != 1000 {
+		t.Errorf("the streams hold %d rows, want 1000", rows)
+	}
+}
+
 func TestParseOptions(t *testing.T) {
 	o, err := parseS2VOptions(map[string]string{
 		"host": "h", "table": "t", "numPartitions": "32",
@@ -574,5 +638,65 @@ func TestParseOptions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s %v: got %v, want an error containing %q", tc.name, tc.opts, err, tc.want)
 		}
+	}
+}
+
+// TestS2VCommitsWhenElectedCommitterDies replays, deterministically, the
+// schedule in which the five-phase protocol published nothing: the elected
+// committer died, and the one attempt that could have taken over had
+// already returned. Stocator's analysis of task attempts against an output
+// commit gives the cases; each maps to a step of Figure 5:
+//
+//   - an attempt dies before it stages its data: nothing of it is visible,
+//     and its retry stages again (phase 1's transaction);
+//   - an attempt dies after staging: its retry finds the task's done flag
+//     and goes straight to phase 2;
+//   - two attempts of one task both stage (speculation): the conditional
+//     update on the done flag admits one, and the other rolls its COPY back;
+//   - one attempt of a task returns while another is still running, and
+//     Spark counts the task done and retries neither: if the one still
+//     running is the elected committer and it dies before publishing, no
+//     task is left to publish — this test;
+//   - the committer dies after publishing: its retry finds the job finished;
+//   - the whole job dies: nothing is published and the job is FAILED.
+//
+// The schedule: attempt A (0) of partition 0 stages first; its speculative
+// duplicate B (attempt 1) then finds partition 0 done while partition 1 is
+// still staging, and returns from phase 2 ("someone else will commit"), so
+// Spark counts partition 0 done. Partition 1 stages and reaches phase 3
+// only after A has won the election, and loses it; A dies right after
+// winning, and is not retried because B already returned. Every task
+// returns nil, so the driver must notice the unfinished job and publish it.
+func TestS2VCommitsWhenElectedCommitterDies(t *testing.T) {
+	inj := spark.NewFailureInjector()
+	inj.Speculate(0)
+	inj.HoldAt(0, 1, "s2v.task_start", "A staged").
+		ReleaseAt(0, 0, "s2v.phase1.after_commit", "A staged")
+	inj.HoldAt(1, 0, "s2v.phase1.after_copy", "B returned").
+		ReleaseAt(0, 1, spark.TaskEnd, "B returned")
+	inj.HoldAt(0, 0, "s2v.phase1.after_commit", "partition 1 staged").
+		ReleaseAt(1, 0, "s2v.phase1.after_commit", "partition 1 staged")
+	inj.HoldAt(1, 0, "s2v.phase2.all_done", "A elected").
+		ReleaseAt(0, 0, "s2v.phase3.after", "A elected").
+		FailTaskAt(0, 0, "s2v.phase3.after", 1)
+	h := newHarness(t, 2, 2, inj)
+	if err := saveDF(t, h, testDF(h, 200, 2), spark.SaveOverwrite, "target", 2, map[string]string{"jobname": "dead_committer"}); err != nil {
+		t.Fatalf("save: %v (injected: %v)", err, inj.Log())
+	}
+	if !strings.Contains(strings.Join(inj.Log(), " "), "s2v.phase3.after@task0.attempt0") {
+		t.Fatalf("the elected committer never died: %v", inj.Log())
+	}
+	if got := h.count(t, "target"); got != 200 {
+		t.Fatalf("target has %d rows, want 200 (injected: %v)", got, inj.Log())
+	}
+	want := float64(199*200)/2 + 0.25*200
+	if got := h.sumCol(t, "target", "val"); got != want {
+		t.Errorf("sum %v, want %v (duplicate or partial load)", got, want)
+	}
+	s, _ := h.cluster.Connect(0)
+	defer s.Close()
+	res, err := s.Execute("SELECT status, finished FROM s2v_job_status WHERE job_name = 'dead_committer'")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "SUCCESS" || !res.Rows[0][1].AsBool() {
+		t.Errorf("job status = %v, %v; want one finished SUCCESS row", res, err)
 	}
 }

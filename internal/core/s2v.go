@@ -126,22 +126,55 @@ func (w *s2vWriter) runJob(sc *spark.Context, df *spark.DataFrame) error {
 		return fmt.Errorf("core: S2V job %q failed: %w", w.opts.JobName, jobErr)
 	}
 
-	// The job's tasks all completed; the last committer has decided the
-	// outcome. Read it back and clean up.
-	res, err := conn.Execute(teardownCtx, fmt.Sprintf(
-		"SELECT status, failed_rows_percent FROM %s WHERE job_name = '%s'", JobStatusTable, types.SQLEscape(w.opts.JobName)))
+	// Every task returned. The elected committer has normally published the
+	// job; if it died after phase 3 while a duplicate of its partition had
+	// already returned from phase 2, nobody did, and the driver publishes in
+	// its place through the same transaction. Its conditional UPDATE ...
+	// WHERE finished = FALSE admits one publisher, so this cannot commit twice.
+	st, err := w.jobStatus(teardownCtx, conn)
 	if err != nil {
 		return err
 	}
+	var commitErr error
+	if !st.finished {
+		commitErr = w.driverCommit(teardownCtx)
+		if st, err = w.jobStatus(teardownCtx, conn); err != nil {
+			return err
+		}
+	}
+	switch {
+	case st.finished && st.status == "SUCCESS":
+		w.dropTemp(teardownCtx, conn, false)
+		return nil
+	case st.finished && st.status == "FAILED":
+		w.dropTemp(teardownCtx, conn, true)
+		return fmt.Errorf("%w: %.4f%% rejected (job %q)", ErrToleranceExceeded, st.pct*100, w.opts.JobName)
+	default:
+		w.markFailed(teardownCtx, conn)
+		w.dropTemp(teardownCtx, conn, true)
+		return fmt.Errorf("core: S2V job %q left unfinished (status %s) after its tasks returned (driver publish: %v)", w.opts.JobName, st.status, commitErr)
+	}
+}
+
+// jobState is the job's row in the permanent status table.
+type jobState struct {
+	status   string
+	pct      float64
+	finished bool
+}
+
+// jobStatus reads the job's row from the permanent status table.
+func (w *s2vWriter) jobStatus(ctx context.Context, conn client.Conn) (jobState, error) {
+	res, err := conn.Execute(ctx, fmt.Sprintf(
+		"SELECT status, failed_rows_percent, finished FROM %s WHERE job_name = '%s'", JobStatusTable, types.SQLEscape(w.opts.JobName)))
+	if err != nil {
+		return jobState{}, err
+	}
 	if len(res.Rows) != 1 {
-		return fmt.Errorf("core: job %q missing from %s", w.opts.JobName, JobStatusTable)
+		return jobState{}, fmt.Errorf("core: job %q missing from %s", w.opts.JobName, JobStatusTable)
 	}
-	status, pct := res.Rows[0][0].S, res.Rows[0][1].F
-	w.dropTemp(teardownCtx, conn, status != "SUCCESS")
-	if status != "SUCCESS" {
-		return fmt.Errorf("%w: %.4f%% rejected (job %q)", ErrToleranceExceeded, pct*100, w.opts.JobName)
-	}
-	return nil
+	r := res.Rows[0]
+	return jobState{status: r[0].S, pct: r[1].F, finished: r[2].AsBool()}, nil
 }
 
 // setup creates the staging table, the three bookkeeping tables, and the
@@ -369,6 +402,26 @@ func (w *s2vWriter) phase4(ctx context.Context, conn client.Conn) (int64, error)
 // phase5 is the last committer's publish: tolerance check, then an atomic
 // status flip together with the staging-into-target move.
 func (w *s2vWriter) phase5(ctx context.Context, tc *spark.TaskContext, conn client.Conn) error {
+	return w.publish(ctx, conn, tc.Checkpoint)
+}
+
+// driverCommit is the driver's entry into phase 5, with no checkpoints, on a
+// session of its own: the transaction cannot run on the self-healing driver
+// connection, which may re-dial between two of its statements. Closing the
+// session aborts whatever a failed publish left open.
+func (w *s2vWriter) driverCommit(ctx context.Context) error {
+	conn, err := w.rpool.Connect(ctx, w.opts.Host)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	return w.publish(ctx, conn, func(string) error { return nil })
+}
+
+// publish is phase 5's body. The status flip is conditional on the job
+// being unfinished, which makes the publish exactly once however many
+// committers reach it.
+func (w *s2vWriter) publish(ctx context.Context, conn client.Conn, checkpoint func(string) error) error {
 	res, err := conn.Execute(ctx, fmt.Sprintf(
 		"SELECT SUM(rows_inserted), SUM(rows_rejected) FROM %s", w.status))
 	if err != nil {
@@ -380,7 +433,7 @@ func (w *s2vWriter) phase5(ctx context.Context, tc *spark.TaskContext, conn clie
 	if inserted+rejected > 0 {
 		pct = rejected / (inserted + rejected)
 	}
-	if err := tc.Checkpoint("s2v.phase5.before_commit"); err != nil {
+	if err := checkpoint("s2v.phase5.before_commit"); err != nil {
 		return err
 	}
 	if pct > w.opts.FailedRowsPercentTolerance {
@@ -422,7 +475,7 @@ func (w *s2vWriter) phase5(ctx context.Context, tc *spark.TaskContext, conn clie
 	if _, err := conn.Execute(ctx, "COMMIT"); err != nil {
 		return err
 	}
-	return tc.Checkpoint("s2v.phase5.after_commit")
+	return checkpoint("s2v.phase5.after_commit")
 }
 
 // phase1 copies the partition into the staging table and flips this task's
@@ -480,8 +533,12 @@ func (w *s2vWriter) phase1(ctx context.Context, tc *spark.TaskContext, conn clie
 }
 
 // encodeRows streams the partition's rows in the configured task encoding:
-// Avro object-container blocks with deflate (§3.2.2) or CSV lines (the
-// encoding ablation).
+// Avro object-container blocks (§3.2.2) or CSV lines (the encoding
+// ablation). The Avro blocks go raw: a deflated stream costs its task the
+// deflate and its COPY the inflate, both in the stream's own time, and
+// measured end to end over loopback TCP that is more than the saved bytes are
+// worth, for D1's floats and for text alike (DESIGN.md, "Why S2V sends Avro
+// raw").
 func (w *s2vWriter) encodeRows(cs *client.CopyStream, rows []types.Row) error {
 	if w.opts.CopyFormat == "csv" {
 		for _, r := range rows {
@@ -491,7 +548,7 @@ func (w *s2vWriter) encodeRows(cs *client.CopyStream, rows []types.Row) error {
 		}
 		return nil
 	}
-	aw, err := avro.NewWriter(cs, avro.FromTypes(w.schema), avro.CodecDeflate, 4096)
+	aw, err := avro.NewWriter(cs, avro.FromTypes(w.schema), avro.CodecNull, 4096)
 	if err != nil {
 		return err
 	}

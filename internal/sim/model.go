@@ -54,7 +54,10 @@ type CostModel struct {
 // DefaultModel returns the cost model calibrated against the paper's
 // reported anchors (Figure 6: V2S 497 s @32 / 475 s @128 partitions, S2V
 // 252 s @128; Table 2: single-stream ~38 MBps, saturated ~120 MBps;
-// Figure 11: 5 s / 3 s one-row overheads; Table 4: COPY 238 s).
+// Figure 11: 5 s / 3 s one-row overheads; Table 4: COPY 238 s). The two
+// Avro rates were calibrated as 55 and 5 MB/s when S2V deflated D1 to 0.897
+// of its records; S2V now sends records raw, so they read 55/0.897 and
+// 5/0.897 MB/s of the same rows.
 func DefaultModel() *CostModel {
 	return &CostModel{
 		NICBytesPerSec:  125e6,
@@ -68,15 +71,15 @@ func DefaultModel() *CostModel {
 		SparkSlotsPerNode: 24,
 
 		CPUCost: map[CPUKind]float64{
-			CPUScanRow:     40e-9,       // visit + hash-range check per row
-			CPUWireEncode:  1.0 / 40e6,  // ≈40 MBps single-stream result encode
-			CPUWireDecode:  1.0 / 150e6, // client-side decode is cheap
-			CPUAvroEncode:  1.0 / 55e6,  // Spark-side Avro encode per byte
-			CPUCopyParse:   1.0 / 5e6,   // Vertica network-COPY ingest (parse+sort+ROS) per byte, aggregated over the pool's cores
-			CPUCSVParse:    1.0 / 75e6,  // CSV parse per byte
-			CPUCSVFormat:   1.0 / 120e6, // CSV format per byte
-			CPUInsertRow:   9e-3,        // per-row INSERT statement path (JDBC save)
-			CPURowOverhead: 1.8e-6,      // per-row pipeline overhead (Figure 9)
+			CPUScanRow:     40e-9,        // visit + hash-range check per row
+			CPUWireEncode:  1.0 / 40e6,   // ≈40 MBps single-stream result encode
+			CPUWireDecode:  1.0 / 150e6,  // client-side decode is cheap
+			CPUAvroEncode:  1.0 / 61.3e6, // Spark-side Avro encode per byte
+			CPUCopyParse:   1.0 / 5.57e6, // Vertica network-COPY ingest (parse+sort+ROS) per byte, aggregated over the pool's cores
+			CPUCSVParse:    1.0 / 75e6,   // CSV parse per byte
+			CPUCSVFormat:   1.0 / 120e6,  // CSV format per byte
+			CPUInsertRow:   9e-3,         // per-row INSERT statement path (JDBC save)
+			CPURowOverhead: 1.8e-6,       // per-row pipeline overhead (Figure 9)
 			CPUColfileEnc:  1.0 / 160e6,
 			CPUColfileDec:  1.0 / 200e6,
 			CPUModelScore:  2e-6, // per row scored by a PMML UDx

@@ -202,6 +202,7 @@ func RunJob[R any](sc *Context, numPartitions int, fn func(tc *TaskContext) (R, 
 				setErr(fmt.Errorf("spark: task %d failed %d times, most recent: %w", p, next, err))
 			}
 		}
+		_ = tc.Checkpoint(TaskEnd)
 	}
 
 	for p := 0; p < numPartitions; p++ {

@@ -3,6 +3,8 @@ package spark
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -209,6 +211,45 @@ func TestInjectorCheckpointMatch(t *testing.T) {
 	}
 	if len(inj.Log()) != 1 {
 		t.Errorf("log = %v", inj.Log())
+	}
+}
+
+// A hold orders attempts across tasks: task 0 waits at its checkpoint until
+// task 1's attempt is over, so task 1 finishes first every run; a release
+// at the checkpoint a failure also fires at happens before the failure.
+func TestInjectorHoldAndRelease(t *testing.T) {
+	inj := NewFailureInjector()
+	inj.HoldAt(0, 0, "mid", "task1 over").ReleaseAt(1, 0, TaskEnd, "task1 over")
+	inj.HoldAt(2, -1, "mid", "task3 failing").ReleaseAt(3, 0, "mid", "task3 failing").FailTaskAt(3, 0, "mid", 1)
+	sc := testCtx(inj)
+	var (
+		mu    sync.Mutex
+		order []int
+	)
+	_, err := RunJob(sc, 4, func(tc *TaskContext) (int, error) {
+		if err := tc.Checkpoint("mid"); err != nil {
+			return 0, err
+		}
+		mu.Lock()
+		order = append(order, tc.PartitionID)
+		mu.Unlock()
+		return 1, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := map[int]int{}
+	for i, p := range order {
+		pos[p] = i
+	}
+	if len(order) != 4 || pos[1] > pos[0] {
+		t.Errorf("completion order %v: task 0 must wait for task 1", order)
+	}
+	log := strings.Join(inj.Log(), " ")
+	for _, want := range []string{"hold task1 over mid@task0.attempt0", "release task1 over spark.task_end@task1.attempt0", "release task3 failing mid@task3.attempt0 mid@task3.attempt0"} {
+		if !strings.Contains(log, want) {
+			t.Errorf("log %q lacks %q", log, want)
+		}
 	}
 }
 
