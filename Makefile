@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test lines
+.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -115,8 +115,21 @@ wire-fuzz:
 obs-test:
 	$(GO) test -race ./internal/dc/
 	$(GO) test -race ./internal/obs/
-	$(GO) test -race -run 'DC|QueryEvents|Metrics|Healthz|Counters|Profile|ChromeTrace|UntracedAccounting' ./internal/vertica/
+	$(GO) test -race -run 'DC|QueryEvents|Metrics|Healthz|Counters|Profile|UntracedAccounting' ./internal/vertica/
 	$(GO) test -race -run 'SimAccounting' ./internal/server/
+
+# Gate patterns must not rot: every alternative of every quoted -run pattern
+# in this file names at least one test, fuzz target or example of its
+# package (go test -list). A renamed or deleted test otherwise leaves its
+# gate running nothing. The -run xxx of the fuzz and bench lines is meant to
+# match nothing and is not quoted.
+gates:
+	@grep -o "\-run '[^']*' [^ ]*" Makefile | while read -r _ pat pkg; do \
+	  names=$$($(GO) test -list . $$pkg | grep -E '^(Test|Fuzz|Example)') || exit 1; \
+	  for alt in $$(echo $$pat | tr -d "'" | tr '|' ' '); do \
+	    echo "$$names" | grep -q -- "$$alt" || { echo "gates: -run alternative $$alt matches no test in $$pkg"; exit 1; }; \
+	  done; \
+	done
 
 # Microbenchmarks. BenchmarkScan*/BenchmarkCount* are the scan throughput
 # record; BenchmarkJoin3Way is sql_mix's three-way join statement (scans, two

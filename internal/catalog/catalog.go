@@ -66,9 +66,6 @@ type Table struct {
 // NumNodes returns the number of ring positions (segments) the table spans.
 func (t *Table) NumNodes() int { return len(t.Ring) }
 
-// NodeOf returns the ID of the node hosting ring position p.
-func (t *Table) NodeOf(p int) int { return t.Ring[p] }
-
 // PosOf returns the ring position hosted by the given node ID, or -1 if the
 // node is not in this table's ring (e.g. freshly added, pre-rebalance).
 func (t *Table) PosOf(nodeID int) int {

@@ -162,6 +162,44 @@ func TestS2VSurvivesConnectionChaos(t *testing.T) {
 	}
 }
 
+// TestS2VSurvivesLostResults: the ambiguous-outcome drop — a statement runs,
+// then its connection dies before the result arrives — on the protocol's
+// guarded statements. Whether the lost statement is a COMMIT, one of the
+// conditional UPDATEs or a BEGIN, and whoever sent it (the driver or a
+// task), an 8-partition save must complete exactly-once.
+func TestS2VSurvivesLostResults(t *testing.T) {
+	for _, c := range []struct {
+		match string
+		times int
+	}{{"COMMIT", 1}, {"COMMIT", 3}, {"COMMIT", 8}, {"UPDATE", 2}, {"BEGIN", 2}} {
+		t.Run(fmt.Sprintf("%s_x%d", c.match, c.times), func(t *testing.T) {
+			h := newChaosHarness(t, 4, 4, 6, vertica.Config{})
+			const n = 2000
+			df := testDF(h.harness, n, 8)
+			wantSum := 0.0
+			for i := 0; i < n; i++ {
+				wantSum += float64(i) + 0.25
+			}
+			h.chaos.DropAfterStatement("", c.match, c.times)
+			err := df.Write().Format(DefaultSourceName).
+				Options(fastRetry(loadOpts(h.harness, "lost_target", 8))).
+				Mode(spark.SaveOverwrite).Save()
+			if err != nil {
+				t.Fatalf("S2V should survive %d lost %s results: %v", c.times, c.match, err)
+			}
+			if got := len(h.chaos.Log()); got != c.times {
+				t.Fatalf("chaos log = %v, want %d drops", h.chaos.Log(), c.times)
+			}
+			if got := h.count(t, "lost_target"); got != n {
+				t.Fatalf("count = %d, want %d (exactly-once violated)", got, n)
+			}
+			if got := h.sumCol(t, "lost_target", "val"); got != wantSum {
+				t.Fatalf("sum = %v, want %v (exactly-once violated)", got, wantSum)
+			}
+		})
+	}
+}
+
 // TestS2VDriverConnRefusedAtSetup exercises the resilient driver connection
 // from the very first statement: the driver's initial connects are refused
 // and must fail over / back off until one lands.

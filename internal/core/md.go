@@ -91,7 +91,8 @@ func InstallPMMLSupport(c *vertica.Cluster) error {
 // DeployPMMLModel stores a PMML document into the database's internal DFS
 // and records its metadata, making it available to in-database scoring
 // (§3.3's DeployPMMLModel()). Deploying under an existing name replaces the
-// model.
+// model: its metadata row is deleted and inserted in one transaction, so a
+// concurrent ListModels finds the old row or the new one, never neither.
 func DeployPMMLModel(c *vertica.Cluster, name string, doc *pmml.Document) error {
 	data, err := pmml.Marshal(doc)
 	if err != nil {
@@ -111,14 +112,19 @@ func DeployPMMLModel(c *vertica.Cluster, name string, doc *pmml.Document) error 
 		return err
 	}
 	defer s.Close()
-	if _, err := s.Execute(fmt.Sprintf(
-		"DELETE FROM %s WHERE model_name = '%s'", ModelMetadataTable, types.SQLEscape(name))); err != nil {
-		return err
+	for _, stmt := range []string{
+		"BEGIN",
+		fmt.Sprintf("DELETE FROM %s WHERE model_name = '%s'", ModelMetadataTable, types.SQLEscape(name)),
+		fmt.Sprintf("INSERT INTO %s VALUES ('%s', '%s', %d, '%s', %d)",
+			ModelMetadataTable, types.SQLEscape(name), doc.ModelType(), len(data), path, ev.NumFeatures()),
+		"COMMIT",
+	} {
+		if _, err := s.Execute(stmt); err != nil {
+			_, _ = s.Execute("ROLLBACK")
+			return err
+		}
 	}
-	_, err = s.Execute(fmt.Sprintf(
-		"INSERT INTO %s VALUES ('%s', '%s', %d, '%s', %d)",
-		ModelMetadataTable, types.SQLEscape(name), doc.ModelType(), len(data), path, ev.NumFeatures()))
-	return err
+	return nil
 }
 
 // GetPMML reads a deployed model back from the DFS (§3.3's GetPMML()).

@@ -130,6 +130,54 @@ func TestMDRedeployReplaces(t *testing.T) {
 	}
 }
 
+// TestMDRedeployIsAtomic: a redeploy replaces a model's metadata row in one
+// transaction, so a ListModels running beside a stream of redeploys always
+// finds the model exactly once.
+func TestMDRedeployIsAtomic(t *testing.T) {
+	h := newHarness(t, 2, 2, nil)
+	if err := InstallPMMLSupport(h.cluster); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := (&mllib.LinearRegressionModel{Weights: mllib.Vector{1}}).ToPMML([]string{"x"}, "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DeployPMMLModel(h.cluster, "m", doc); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 300; i++ {
+			if err := DeployPMMLModel(h.cluster, "m", doc); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var lists, misses int
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if misses > 0 {
+				t.Fatalf("%d of %d listings during redeploys found %s without exactly one model", misses, lists, ModelMetadataTable)
+			}
+			return
+		default:
+		}
+		models, err := ListModels(h.cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lists++; len(models) != 1 {
+			misses++
+		}
+	}
+}
+
 // TestMDRedeployScoresNewModel: a statement after a redeploy scores the
 // document deployed last, not the evaluator an earlier statement built for
 // the same model name.

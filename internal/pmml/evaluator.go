@@ -40,9 +40,6 @@ func NewEvaluator(d *Document) (*Evaluator, error) {
 // NumFeatures returns the input vector width.
 func (e *Evaluator) NumFeatures() int { return len(e.fields) }
 
-// FieldNames returns the input field names.
-func (e *Evaluator) FieldNames() []string { return e.fields }
-
 // Predict scores one feature vector: a real value for regression, the
 // predicted class (0/1) for logistic classification, and the nearest
 // cluster index for k-means.

@@ -194,15 +194,6 @@ func (m *CostModel) steps(e Event, scale float64) []Step {
 			Demands: []Demand{{Res: "cpu:" + e.Node, PerUnit: cost}},
 			RateCap: 1 / cost,
 		})
-	case DiskEv:
-		bytes := e.Bytes * scale
-		if bytes <= 0 {
-			return nil
-		}
-		return one(FlowStep{
-			Units:   bytes,
-			Demands: []Demand{{Res: "disk:" + e.Node, PerUnit: 1}},
-		})
 	case QueryFlowEv:
 		return one(m.queryFlowStep(e, scale))
 	case LoadFlowEv:

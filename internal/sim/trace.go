@@ -75,8 +75,8 @@ type Event struct {
 	// the stream reads the node's disk instead of crossing the network.
 	Local bool
 
-	// Disk stage (DiskEv): Bytes read (Write=false) or written on Node's
-	// data disk, pipelined with the surrounding flow.
+	// HDFS block (BlockFlowEv): Bytes of the block, read (Write=false) or
+	// written.
 	Bytes float64
 	Write bool
 }
@@ -90,7 +90,6 @@ const (
 	CPUEv
 	QueryFlowEv
 	LoadFlowEv
-	DiskEv
 	// BlockFlowEv is an HDFS block read or write: a pipelined
 	// disk+network+codec flow between a datanode (VNode) and a client
 	// (CNode). Write=true adds the replication pipeline recorded in Route
@@ -129,14 +128,6 @@ func (t *TaskRec) CPU(node string, kind CPUKind, units float64) {
 		return
 	}
 	t.Add(Event{Type: CPUEv, Node: node, CPUKind: kind, Units: units})
-}
-
-// Disk records a disk stage.
-func (t *TaskRec) Disk(node string, bytes float64, write bool) {
-	if bytes <= 0 {
-		return
-	}
-	t.Add(Event{Type: DiskEv, Node: node, Bytes: bytes, Write: write})
 }
 
 type taskKey struct{}
@@ -203,23 +194,4 @@ func (tr *Trace) Tasks() []*TaskRec {
 	copy(out, tr.tasks)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// TotalBytes sums a rough byte count across all flows, useful for sanity
-// checks in tests.
-func (tr *Trace) TotalBytes() float64 {
-	total := 0.0
-	for _, t := range tr.Tasks() {
-		for _, e := range t.Events() {
-			switch e.Type {
-			case QueryFlowEv:
-				total += e.ResultBytes
-			case LoadFlowEv:
-				total += e.WireBytes
-			case DiskEv:
-				total += e.Bytes
-			}
-		}
-	}
-	return total
 }

@@ -431,6 +431,5 @@ func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
 	if err != nil {
 		return err
 	}
-	s.AttachContainer(c)
-	return nil
+	return s.AttachContainer(c)
 }

@@ -229,11 +229,9 @@ func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) 
 // row. It is how a join materializes: the matched index pairs pick each
 // side's columns straight out of its vectors, one typed copy per column into a
 // vector of exactly len(bi) values, NULL flags carried. Column j takes the
-// type of batches[0]'s column j. A source vector the refs read that is not a
-// dense vector of that type is converted once first: an RLE or
-// dictionary-coded vector densifies, and a vector of another type is rebuilt
-// through Builder.Append, so a cell of it the column's type cannot take is an
-// error.
+// type of batches[0]'s column j, and every batch the refs read must carry a
+// vector of that type there, as AppendBatches requires; an RLE or
+// dictionary-coded one densifies once first.
 func GatherRows(batches []*Batch, bi, ri []int32) ([]Column, error) {
 	if len(batches) == 0 {
 		return nil, nil
@@ -248,10 +246,10 @@ func GatherRows(batches []*Batch, bi, ri []int32) ([]Column, error) {
 		t := batches[0].Cols[j].Type()
 		for b, bt := range batches {
 			if read[b] {
-				var err error
-				if src[b], err = denseAs(bt.Cols[j], t); err != nil {
-					return nil, fmt.Errorf("storage: column %d: %w", j, err)
+				if bt.Cols[j].Type() != t {
+					return nil, fmt.Errorf("storage: batch %d column %d is %v, want %v", b, j, bt.Cols[j].Type(), t)
 				}
+				src[b] = Densify(bt.Cols[j])
 			}
 		}
 		switch t {
@@ -272,23 +270,6 @@ func GatherRows(batches []*Batch, bi, ri []int32) ([]Column, error) {
 		}
 	}
 	return cols, nil
-}
-
-// denseAs returns c as a dense vector of type t: itself, densified when it is
-// of that type in another stored form, else rebuilt cell by cell through
-// types.Coerce.
-func denseAs(c Column, t types.Type) (Column, error) {
-	if c.Type() == t {
-		return Densify(c), nil
-	}
-	b := NewBuilder(t)
-	b.Grow(c.Len())
-	for i := 0; i < c.Len(); i++ {
-		if err := b.Append(c.Get(i)); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
 }
 
 // gatherVec copies the values at refs out of the dense source vectors (nil for

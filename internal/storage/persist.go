@@ -368,6 +368,9 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 			if stats[i].Max, err = readStatValue(r); err != nil {
 				return nil, err
 			}
+			if t := schema.Cols[i].T; stats[i].Min.T != t || stats[i].Max.T != t {
+				return nil, corruptf("column %d's zone map bounds a %v column by %v and %v", i, t, stats[i].Min.T, stats[i].Max.T)
+			}
 		}
 	}
 	return &ROSContainer{

@@ -146,6 +146,27 @@ func TestUnmarshalContainerRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestUnmarshalContainerRejectsMistypedZoneMap: a checksum-valid container
+// whose zone map bounds a column with a value of another type is refused, so
+// every bound CanPrune reads is of its column's type.
+func TestUnmarshalContainerRejectsMistypedZoneMap(t *testing.T) {
+	for _, bound := range []string{"min", "max"} {
+		c, _ := NewROSContainer(persistRows(), persistSchema(), []int{0}, 2)
+		if bound == "min" {
+			c.stats[0].Min = types.StringValue("a")
+		} else {
+			c.stats[0].Max = types.StringValue("z")
+		}
+		data, err := MarshalContainer(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalContainer(data); err == nil {
+			t.Fatalf("a VARCHAR %s on an INTEGER column unmarshalled", bound)
+		}
+	}
+}
+
 func TestMarshalWOSRoundTrip(t *testing.T) {
 	schema := persistSchema()
 	s := NewStore(schema, []int{0})

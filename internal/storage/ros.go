@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -327,8 +328,7 @@ func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64, direct
 	if err != nil {
 		return err
 	}
-	s.AttachContainer(c)
-	return nil
+	return s.AttachContainer(c)
 }
 
 // Moveout converts committed WOS contents into ROS containers, mirroring the
@@ -530,11 +530,17 @@ func (s *Store) WOSLen() int { return s.wos.Len() }
 func (s *Store) Containers() []*ROSContainer { return s.snapshot() }
 
 // AttachContainer appends a finished container: one just built by a load, or
-// one loaded from disk (crash recovery).
-func (s *Store) AttachContainer(c *ROSContainer) {
+// one loaded from disk (crash recovery). A container whose column types are
+// not the store's schema's is refused, so every vector a scan hands on is of
+// its schema column's type.
+func (s *Store) AttachContainer(c *ROSContainer) error {
+	if !slices.EqualFunc(c.Schema.Cols, s.schema.Cols, func(a, b types.Column) bool { return a.T == b.T }) {
+		return fmt.Errorf("storage: container of %v does not fit a store of %v", c.Schema, s.schema)
+	}
 	s.mu.Lock()
 	s.ros = append(s.ros, c)
 	s.mu.Unlock()
+	return nil
 }
 
 // TotalRows returns the physical number of rows across ROS containers and

@@ -180,7 +180,6 @@ type Cluster struct {
 
 	sessMu   sync.Mutex
 	sessions map[int]int // node id → open session count
-	jobSeq   atomic.Uint64
 
 	// mon collects engine-side spans (query executes, COPY streams) and
 	// backs the v_monitor.query_requests / load_streams system tables.
@@ -343,14 +342,8 @@ func (c *Cluster) Catalog() *catalog.Catalog { return c.cat }
 // DFS exposes the internal distributed file system used by model deployment.
 func (c *Cluster) DFS() *dfs.FS { return c.dfs }
 
-// TxnManager exposes the transaction manager (for tests).
-func (c *Cluster) TxnManager() *txn.Manager { return c.txm }
-
 // LastEpoch returns the last closed epoch.
 func (c *Cluster) LastEpoch() uint64 { return c.txm.LastEpoch() }
-
-// NextJobID returns a cluster-unique id suffix for connector temp tables.
-func (c *Cluster) NextJobID() uint64 { return c.jobSeq.Add(1) }
 
 // Pools exposes the cluster's resource-pool manager (for tests and tools;
 // normal administration goes through CREATE/ALTER RESOURCE POOL SQL).

@@ -509,8 +509,10 @@ func (c *Cluster) loadStores(stores []*storage.Store, sms []storeManifest) error
 			if err != nil {
 				return fmt.Errorf("vertica: loading container %s: %w", ref, err)
 			}
+			if err := stores[i].AttachContainer(cont); err != nil {
+				return fmt.Errorf("vertica: loading container %s: %w", ref, err)
+			}
 			cont.SetDiskRef(ref)
-			stores[i].AttachContainer(cont)
 		}
 		if sm.WOS != "" {
 			data, err := os.ReadFile(filepath.Join(c.dataDir, sm.WOS))

@@ -1,6 +1,7 @@
 package vertica
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -106,6 +107,61 @@ func TestDurableRoundTrip(t *testing.T) {
 	s3 := sess(t, c3, 0)
 	if got := dumpTable(s3, "ev"); !sameRows(got, want2) {
 		t.Fatalf("second reopen lost data:\n got %v\nwant %v", got, want2)
+	}
+}
+
+// TestRecoveryRefusesContainerOfAnotherType: a checksum-valid container file
+// written under (a FLOAT), found where the manifest names a container of an
+// (a INTEGER) table, fails recovery instead of attaching, so a scan never
+// hands the kernels a vector of another type than its schema column's.
+func TestRecoveryRefusesContainerOfAnotherType(t *testing.T) {
+	dir := t.TempDir()
+	c := durableCluster(t, dir, nil)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE ints (a INTEGER) UNSEGMENTED ALL NODES")
+	s.MustExecute("CREATE TABLE floats (a FLOAT) UNSEGMENTED ALL NODES")
+	for table, data := range map[string]string{"ints": "1\n2\n3\n", "floats": "0.5\n1.5\n"} {
+		if _, err := s.CopyFrom("COPY "+table+" FROM STDIN FORMAT CSV DIRECT", strings.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	file := map[string]string{}
+	for _, tm := range m.Tables {
+		if len(tm.Stores) == 0 || len(tm.Stores[0].Containers) == 0 {
+			t.Fatalf("table %s persisted no container on its first store", tm.Def.Name)
+		}
+		file[tm.Def.Name] = filepath.Join(dir, tm.Stores[0].Containers[0])
+	}
+	floats, err := os.ReadFile(file["floats"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file["ints"], floats, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewCluster(Config{Nodes: 2, DataDir: dir})
+	if err == nil {
+		c2.Close()
+		t.Fatal("recovery attached a FLOAT container to an INTEGER table")
+	}
+	if !strings.Contains(err.Error(), file["ints"][len(dir)+1:]) {
+		t.Fatalf("recovery failed with %v, want an error naming the container file", err)
 	}
 }
 

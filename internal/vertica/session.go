@@ -24,8 +24,8 @@ type Result struct {
 	// result set of no rows.
 	Batches []*storage.Batch
 	// Rows is the result set in row form. Only Materialize fills it, at the
-	// row API's edge: Execute, ExecuteContext, ExecuteStmt and client.Conn
-	// return it set and Batches nil.
+	// row API's edge: Execute, ExecuteContext and client.Conn return it set
+	// and Batches nil.
 	Rows         []types.Row
 	RowsAffected int64
 	// Epoch is the snapshot epoch a SELECT read at, or the commit epoch of a
@@ -185,12 +185,6 @@ func (s *Session) MustExecute(sql string) *Result {
 		panic(fmt.Sprintf("vertica: %v (sql: %s)", err, sql))
 	}
 	return r
-}
-
-// ExecuteStmt runs a parsed statement under a background context.
-func (s *Session) ExecuteStmt(stmt vsql.Statement) (*Result, error) {
-	res, err := s.executeStmtCtx(context.Background(), stmt, "")
-	return res.Materialize(), err
 }
 
 // executeStmtCtx runs one statement: it binds the context's task record and

@@ -2,6 +2,7 @@ package vexec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"vsfabric/internal/expr"
@@ -16,11 +17,14 @@ import (
 // itself, any other key through a byte-encoded key map; a single key that
 // arrives dictionary-coded (a join's build column) resolves each code once
 // per dictionary — then each aggregate runs a loop specialised by its op and
-// its argument's stored type: COUNT touches only the count, SUM/AVG only the
-// sum state, MIN/MAX the whole accumulator. Values are boxed into types.Value
-// only once per new group, never per input row. An aggregate whose argument is
-// an expression rather than a column evaluates it compiled (CompileExpr) into
-// one vector per batch, which feeds the same typed loops a column does.
+// its argument's stored form: COUNT touches only the count, SUM/AVG only the
+// sum state, MIN/MAX the whole accumulator. Every vector is of its schema
+// column's type, so an accumulator holds values of one type, the argument's,
+// and finalizes by it; a vector of another type fails the batch. Values are
+// boxed into types.Value only once per new group, never per input row. An
+// aggregate whose argument is an expression rather than a column evaluates it
+// compiled (CompileExpr) into one vector per batch, which feeds the same typed
+// loops a column does.
 // Accumulator semantics are SQL's as the test oracle's row-at-a-time reference
 // states them (null handling, int-vs-float SUM typing, first-seen MIN/MAX
 // ties, AVG = float sum / non-null count), and the equivalence property suites
@@ -53,16 +57,14 @@ type AggSpec struct {
 	Aggs      []AggExpr
 }
 
-// aggAcc is one (group, aggregate) accumulator. kind records the concrete
-// type of the first non-null value so MIN/MAX finalize to the input type,
-// exactly as the reference keeps typed values.
+// aggAcc is one (group, aggregate) accumulator: the state of every op over
+// non-NULL values, count being how many. Which of it result reads is decided
+// by the op and by the type of the aggregate's argument, which every vector
+// it reads has.
 type aggAcc struct {
-	count  int64
-	sumF   float64
-	sumI   int64
-	intSum bool
-	seen   bool
-	kind   byte // 'i', 'f', 's', 'b'
+	count int64
+	sumF  float64
+	sumI  int64
 
 	minI, maxI int64
 	minF, maxF float64
@@ -70,189 +72,102 @@ type aggAcc struct {
 	minB, maxB bool
 }
 
-// updateInt and updateFloat carry the promotion types.Compare implies for a
-// stream that mixes INTEGER and FLOAT values: from the first FLOAT on, the
-// accumulator is a float one — its INTEGER bounds convert once, and every
-// later INTEGER value is taken as a float.
-func (a *aggAcc) updateInt(v int64) {
-	if a.kind == 'f' {
-		a.updateFloat(float64(v))
-		return
-	}
-	a.count++
-	a.sumF += float64(v)
-	if !a.seen {
-		a.seen = true
-		a.kind = 'i'
-		a.intSum = true
-		a.sumI = v
-		a.minI, a.maxI = v, v
-		return
-	}
-	a.sumI += v
-	if v < a.minI {
-		a.minI = v
-	}
-	if v > a.maxI {
-		a.maxI = v
-	}
-}
-
-func (a *aggAcc) updateFloat(v float64) {
-	a.count++
-	a.sumF += v
-	if !a.seen {
-		a.seen = true
-		a.kind = 'f'
-		a.minF, a.maxF = v, v
-		return
-	}
-	if a.kind == 'i' {
-		a.kind, a.minF, a.maxF = 'f', float64(a.minI), float64(a.maxI)
-	}
-	a.intSum = false
-	// Strict comparisons: a NaN bound is never displaced and a NaN value
-	// never displaces, matching types.Compare's unordered-NaN behavior.
-	if v < a.minF {
-		a.minF = v
-	}
-	if v > a.maxF {
-		a.maxF = v
-	}
-}
-
-func (a *aggAcc) updateString(v string) {
-	a.count++
-	// The reference sums v.AsFloat() for every non-null value, which parses
-	// varchars (NaN when unparsable); keep that — odd — behavior.
-	a.sumF += types.Value{T: types.Varchar, S: v}.AsFloat()
-	if !a.seen {
-		a.seen = true
-		a.kind = 's'
-		a.minS, a.maxS = v, v
-		return
-	}
-	a.intSum = false
-	if v < a.minS {
-		a.minS = v
-	}
-	if v > a.maxS {
-		a.maxS = v
-	}
-}
-
-func (a *aggAcc) updateBool(v bool) {
-	a.count++
-	if v {
-		a.sumF++
-	}
-	if !a.seen {
-		a.seen = true
-		a.kind = 'b'
-		a.minB, a.maxB = v, v
-		return
-	}
-	a.intSum = false
-	if !v {
-		a.minB = false // false < true
-	}
-	if v {
-		a.maxB = true
-	}
-}
-
 // addInt and addFloat are SUM/AVG's updates: they keep exactly what result
-// reads for those ops (count, the sums, seen, intSum) and none of the bounds.
-// Per group, values still add in row order, so a float sum is the reference's
-// bit for bit.
+// reads for those ops (count and the sums) and none of the bounds. Per
+// group, values still add in row order, so a float sum is the reference's bit
+// for bit.
 func (a *aggAcc) addInt(v int64) {
 	a.count++
 	a.sumF += float64(v)
-	if !a.seen {
-		a.seen, a.kind, a.intSum, a.sumI = true, 'i', true, v
-		return
-	}
 	a.sumI += v
 }
 
 func (a *aggAcc) addFloat(v float64) {
 	a.count++
 	a.sumF += v
-	a.seen, a.intSum = true, false
 }
 
-// updateValue is the boxed fallback, for a batch column of a type no typed
-// loop reads. Its values may change kind from one update to the next;
-// updateInt/updateFloat then carry on in float, as types.Compare would order
-// them.
-func (a *aggAcc) updateValue(v types.Value) {
-	if v.Null {
-		return
+// updateInt, updateFloat, updateString and updateBool are the full update
+// MIN/MAX need, one per argument type.
+func (a *aggAcc) updateInt(v int64) {
+	first := a.count == 0
+	a.addInt(v)
+	if first || v < a.minI {
+		a.minI = v
 	}
-	switch v.T {
-	case types.Int64:
-		a.updateInt(v.I)
-	case types.Float64:
-		a.updateFloat(v.F)
-	case types.Varchar:
-		a.updateString(v.S)
-	case types.Bool:
-		a.updateBool(v.B)
+	if first || v > a.maxI {
+		a.maxI = v
 	}
 }
 
-func (a *aggAcc) result(op AggOp) types.Value {
-	switch op {
-	case AggCount:
+func (a *aggAcc) updateFloat(v float64) {
+	first := a.count == 0
+	a.addFloat(v)
+	// Strict comparisons: a NaN bound is never displaced and a NaN value
+	// never displaces, matching types.Compare's unordered-NaN behavior.
+	if first || v < a.minF {
+		a.minF = v
+	}
+	if first || v > a.maxF {
+		a.maxF = v
+	}
+}
+
+func (a *aggAcc) updateString(v string) {
+	first := a.count == 0
+	// The reference sums v.AsFloat() for every non-null value, which parses
+	// varchars (NaN when unparsable); keep that — odd — behavior.
+	a.addFloat(types.Value{T: types.Varchar, S: v}.AsFloat())
+	if first || v < a.minS {
+		a.minS = v
+	}
+	if first || v > a.maxS {
+		a.maxS = v
+	}
+}
+
+func (a *aggAcc) updateBool(v bool) {
+	first := a.count == 0
+	a.addFloat(float64(b2b(v)))
+	a.minB = v && (first || a.minB) // false < true
+	a.maxB = v || (!first && a.maxB)
+}
+
+// result finalizes op over an argument of type t: COUNT as INTEGER, AVG as
+// FLOAT, SUM as INTEGER over INTEGER values and FLOAT otherwise, MIN and MAX
+// as t; every op but COUNT is NULL over no value.
+func (a *aggAcc) result(op AggOp, t types.Type) types.Value {
+	switch {
+	case op == AggCount:
 		return types.IntValue(a.count)
-	case AggSum:
-		if !a.seen {
-			return types.NullValue(types.Float64)
-		}
-		if a.intSum {
-			return types.IntValue(a.sumI)
-		}
-		return types.FloatValue(a.sumF)
-	case AggAvg:
-		if a.count == 0 {
-			return types.NullValue(types.Float64)
-		}
+	case a.count == 0:
+		return types.NullValue(types.Float64)
+	case op == AggAvg:
 		return types.FloatValue(a.sumF / float64(a.count))
-	case AggMin:
-		return a.minmax(true)
-	case AggMax:
-		return a.minmax(false)
+	case op == AggSum && t == types.Int64:
+		return types.IntValue(a.sumI)
+	case op == AggSum:
+		return types.FloatValue(a.sumF)
+	}
+	switch t {
+	case types.Int64:
+		return types.IntValue(bound(op, a.minI, a.maxI))
+	case types.Float64:
+		return types.FloatValue(bound(op, a.minF, a.maxF))
+	case types.Varchar:
+		return types.StringValue(bound(op, a.minS, a.maxS))
+	case types.Bool:
+		return types.BoolValue(bound(op, a.minB, a.maxB))
 	}
 	return types.NullValue(types.Float64)
 }
 
-func (a *aggAcc) minmax(wantMin bool) types.Value {
-	if !a.seen {
-		return types.NullValue(types.Float64)
+// bound is MIN's bound lo or MAX's hi.
+func bound[T any](op AggOp, lo, hi T) T {
+	if op == AggMin {
+		return lo
 	}
-	switch a.kind {
-	case 'i':
-		if wantMin {
-			return types.IntValue(a.minI)
-		}
-		return types.IntValue(a.maxI)
-	case 'f':
-		if wantMin {
-			return types.FloatValue(a.minF)
-		}
-		return types.FloatValue(a.maxF)
-	case 's':
-		if wantMin {
-			return types.StringValue(a.minS)
-		}
-		return types.StringValue(a.maxS)
-	case 'b':
-		if wantMin {
-			return types.BoolValue(a.minB)
-		}
-		return types.BoolValue(a.maxB)
-	}
-	return types.NullValue(types.Float64)
+	return hi
 }
 
 // HashAgg is a single-pass vectorized hash aggregator. It is used by a single
@@ -282,11 +197,12 @@ type HashAgg struct {
 	groupBuf []int32
 	keyBuf   []byte
 
-	args []Vec // aggregate index -> its expression argument, compiled; nil for a column
+	args []Vec        // aggregate index -> its expression argument, compiled; nil for a column
+	argT []types.Type // aggregate index -> its argument's type (a column's or the expression's)
 
 	rows         int64 // selected rows consumed
-	fallbackRows int64 // rows that went through a boxed fallback or per-row value loop
-	boxed        bool  // the batch being consumed took one
+	fallbackRows int64 // rows an expression argument evaluated through its per-row value loop
+	boxed        bool  // the batch being consumed did
 }
 
 // NewHashAgg builds an aggregator for one query. schema is the batch schema
@@ -306,13 +222,16 @@ func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
 		h.byKey = make(map[string]int32)
 	}
 	h.allCountStar = len(spec.Aggs) > 0
-	h.args = make([]Vec, len(spec.Aggs))
+	h.args, h.argT = make([]Vec, len(spec.Aggs)), make([]types.Type, len(spec.Aggs))
 	for j, a := range spec.Aggs {
 		if a.Op != AggCount || a.Col >= 0 || a.Arg != nil {
 			h.allCountStar = false
 		}
-		if a.Arg != nil {
-			h.args[j], _ = CompileExpr(a.Arg, schema)
+		switch {
+		case a.Arg != nil:
+			h.args[j], h.argT[j] = CompileExpr(a.Arg, schema)
+		case a.Col >= 0:
+			h.argT[j] = schema.Cols[a.Col].T
 		}
 	}
 	if len(spec.GroupCols) == 0 {
@@ -362,12 +281,18 @@ func (h *HashAgg) nullGroup() int32 {
 	return h.nullGrp
 }
 
-// Consume folds one filtered batch into the aggregation state. Only an
-// expression argument can fail.
+// Consume folds one filtered batch into the aggregation state. It fails when
+// an expression argument does, or when a vector it reads is not of its
+// schema column's type.
 func (h *HashAgg) Consume(b *storage.Batch) error {
 	n := len(b.Sel)
 	if n == 0 {
 		return nil
+	}
+	if h.keyType != types.Unknown {
+		if t := b.Cols[h.spec.GroupCols[0]].Type(); t != h.keyType {
+			return fmt.Errorf("vexec: a %v group key vector under a %v key column", t, h.keyType)
+		}
 	}
 	h.rows += int64(n)
 	if h.ints != nil && h.allCountStar {
@@ -466,30 +391,7 @@ func (h *HashAgg) resolveCodes(d *storage.DictColumn, sel, groupOf []int32) {
 }
 
 func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
-	switch c := col.(type) {
-	case *storage.Int64Column:
-		// lookupInt spelled out: find inlines here, so only a new key or a
-		// NULL pays a call. Over an identity selection row k is c.Vals[k].
-		if c.Nulls == nil && storage.IsIdentity(sel) {
-			for k, v := range c.Vals[:len(sel)] {
-				if g := h.ints.find(v); g >= 0 {
-					groupOf[k] = g
-				} else {
-					groupOf[k] = h.newIntGroup(v)
-				}
-			}
-			return
-		}
-		for k, i := range sel {
-			if c.Nulls != nil && c.Nulls[i] {
-				groupOf[k] = h.nullGroup()
-			} else if g := h.ints.find(c.Vals[i]); g >= 0 {
-				groupOf[k] = g
-			} else {
-				groupOf[k] = h.newIntGroup(c.Vals[i])
-			}
-		}
-	case *storage.Int64RLEColumn:
+	if c, ok := col.(*storage.Int64RLEColumn); ok {
 		cur := newRunCursor(c)
 		var g int32
 		for k, i := range sel {
@@ -498,35 +400,34 @@ func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
 			}
 			groupOf[k] = g
 		}
-	default:
-		// Stored-type drift on a schema-INTEGER column: box, but keep the int
-		// key table so equal keys still land in one group.
-		h.boxed = true
-		for k, i := range sel {
-			if v := col.Get(int(i)); v.Null {
-				groupOf[k] = h.nullGroup()
+		return
+	}
+	c := col.(*storage.Int64Column)
+	// lookupInt spelled out: find inlines here, so only a new key or a NULL
+	// pays a call. Over an identity selection row k is c.Vals[k].
+	if c.Nulls == nil && storage.IsIdentity(sel) {
+		for k, v := range c.Vals[:len(sel)] {
+			if g := h.ints.find(v); g >= 0 {
+				groupOf[k] = g
 			} else {
-				groupOf[k] = h.lookupInt(v.AsInt())
+				groupOf[k] = h.newIntGroup(v)
 			}
+		}
+		return
+	}
+	for k, i := range sel {
+		if c.Nulls != nil && c.Nulls[i] {
+			groupOf[k] = h.nullGroup()
+		} else if g := h.ints.find(c.Vals[i]); g >= 0 {
+			groupOf[k] = g
+		} else {
+			groupOf[k] = h.newIntGroup(c.Vals[i])
 		}
 	}
 }
 
 func (h *HashAgg) resolveStrings(col storage.Column, sel, groupOf []int32) {
-	c, ok := col.(*storage.StringColumn)
-	if !ok {
-		// Stored-type drift on a schema-VARCHAR column: a value keys by its
-		// VARCHAR rendering, as the output column will hold it.
-		h.boxed = true
-		for k, i := range sel {
-			if v := col.Get(int(i)); v.Null {
-				groupOf[k] = h.nullGroup()
-			} else {
-				groupOf[k] = h.lookupString(v.String())
-			}
-		}
-		return
-	}
+	c := col.(*storage.StringColumn)
 	for k, i := range sel {
 		if c.Nulls != nil && c.Nulls[i] {
 			groupOf[k] = h.nullGroup()
@@ -642,7 +543,7 @@ func b2b(v bool) byte {
 }
 
 // updateAgg runs aggregate j's loop over the batch, specialised by op and by
-// the stored type of its argument's vector: a column's own, or the one its
+// the stored form of its argument's vector: a column's own, or the one its
 // compiled expression builds (whose per-row value loop marks the batch boxed).
 func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
 	ae, accs := h.spec.Aggs[j], h.accs[j]
@@ -662,6 +563,9 @@ func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
 		return nil
 	default:
 		col = b.Cols[ae.Col]
+	}
+	if col.Type() != h.argT[j] {
+		return fmt.Errorf("vexec: aggregate %d reads a %v vector, its argument is %v", j, col.Type(), h.argT[j])
 	}
 	sel := b.Sel
 	if d, ok := col.(*storage.DictColumn); ok {
@@ -684,8 +588,7 @@ func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
 			return nil
 		}
 	}
-	h.updateAll(accs, col, sel, groupOf)
-	return nil
+	return updateAll(accs, col, sel, groupOf)
 }
 
 // addNumbers is SUM/AVG over a numeric column; false when the column's values
@@ -728,9 +631,8 @@ func addNumbers(accs []aggAcc, col storage.Column, sel, groupOf []int32) bool {
 	return true
 }
 
-// updateAll is the full update MIN/MAX need, per stored type, boxing only a
-// column of a type no typed loop reads.
-func (h *HashAgg) updateAll(accs []aggAcc, col storage.Column, sel, groupOf []int32) {
+// updateAll is the full update MIN/MAX need, per stored form.
+func updateAll(accs []aggAcc, col storage.Column, sel, groupOf []int32) error {
 	switch c := col.(type) {
 	case *storage.Int64Column:
 		for k, i := range sel {
@@ -763,11 +665,9 @@ func (h *HashAgg) updateAll(accs []aggAcc, col storage.Column, sel, groupOf []in
 			}
 		}
 	default:
-		h.boxed = true
-		for k, i := range sel {
-			accs[groupOf[k]].updateValue(col.Get(int(i)))
-		}
+		return fmt.Errorf("vexec: no aggregate loop reads a %T vector", col)
 	}
+	return nil
 }
 
 // NumGroups returns the number of groups, in first-seen order — the same
@@ -779,14 +679,15 @@ func (h *HashAgg) GroupKey(g int) []types.Value { return h.keys[g] }
 
 // AggResult finalizes aggregate j of group g.
 func (h *HashAgg) AggResult(g, j int) types.Value {
-	return h.accs[j][g].result(h.spec.Aggs[j].Op)
+	return h.accs[j][g].result(h.spec.Aggs[j].Op, h.argT[j])
 }
 
 // Rows returns the number of selected input rows consumed.
 func (h *HashAgg) Rows() int64 { return h.rows }
 
-// FallbackRows returns how many of those rows went through a boxed fallback
-// loop instead of a typed kernel (profiling: kernel-vs-fallback split).
+// FallbackRows returns how many of those rows an expression argument
+// evaluated through the compiled evaluator's per-row value loop instead of a
+// typed kernel (profiling: kernel-vs-fallback split).
 func (h *HashAgg) FallbackRows() int64 { return h.fallbackRows }
 
 // FastPath names the group-key strategy for profile output.

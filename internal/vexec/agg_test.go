@@ -233,54 +233,52 @@ func TestHashAggInterpretedArgument(t *testing.T) {
 	}
 }
 
-// TestHashAggDriftPromotesKind: a FLOAT-schema column whose stored type
-// drifts between batches (INTEGER then FLOAT, and the reverse) must finalize
-// every op as the boxed reference does — MIN/MAX promote to float on the
-// first FLOAT and keep the INTEGER bounds, whichever typed loop carried them.
-func TestHashAggDriftPromotesKind(t *testing.T) {
-	schema := types.NewSchema(types.Column{Name: "f", T: types.Float64})
-	ints := func(v int64) *storage.Batch {
-		return &storage.Batch{Schema: schema, Cols: []storage.Column{&storage.Int64Column{Vals: []int64{v}}}, Sel: []int32{0}}
-	}
-	floats := func(v float64) *storage.Batch {
-		return &storage.Batch{Schema: schema, Cols: []storage.Column{&storage.Float64Column{Vals: []float64{v}}}, Sel: []int32{0}}
-	}
-	ops := []AggOp{AggMin, AggMax, AggSum, AggAvg, AggCount}
-	spec := AggSpec{}
-	for _, op := range ops {
-		spec.Aggs = append(spec.Aggs, AggExpr{Op: op, Col: 0})
-	}
+// TestHashAggRefusesMistypedVector: a vector that is not of its schema
+// column's type fails the batch, as a group key or as an aggregate's argument,
+// rather than being read as another type's accumulator state.
+func TestHashAggRefusesMistypedVector(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "k", T: types.Int64}, types.Column{Name: "f", T: types.Float64})
+	ints := &storage.Int64Column{Vals: []int64{1, 2}}
+	floats := &storage.Float64Column{Vals: []float64{0.5, 1.5}}
 	for _, c := range []struct {
-		batches  []*storage.Batch
-		vals     []types.Value
-		min, max types.Value
+		what string
+		spec AggSpec
+		cols []storage.Column
 	}{
-		{[]*storage.Batch{ints(5), floats(-2.5)}, []types.Value{i64(5), f64(-2.5)}, f64(-2.5), f64(5)},
-		{[]*storage.Batch{floats(2.5), ints(-7)}, []types.Value{f64(2.5), i64(-7)}, f64(-7), f64(2.5)},
+		{"FLOAT vector as an INTEGER key", AggSpec{GroupCols: []int{0}, Aggs: []AggExpr{{Op: AggCount, Col: -1}}}, []storage.Column{floats, floats}},
+		{"INTEGER vector as a FLOAT argument", AggSpec{Aggs: []AggExpr{{Op: AggMin, Col: 1}}}, []storage.Column{ints, ints}},
+		{"FLOAT vector as an INTEGER argument", AggSpec{Aggs: []AggExpr{{Op: AggSum, Col: 0}}}, []storage.Column{floats, floats}},
 	} {
-		h := NewHashAgg(spec, schema)
-		for _, b := range c.batches {
-			if err := h.Consume(b); err != nil {
-				t.Fatal(err)
-			}
+		c.spec.Aggs = append(c.spec.Aggs, AggExpr{Op: AggSum, Col: 1})
+		b := &storage.Batch{Schema: schema, Cols: c.cols, Sel: []int32{0, 1}}
+		if err := NewHashAgg(c.spec, schema).Consume(b); err == nil {
+			t.Errorf("%s: consumed", c.what)
 		}
-		var ref aggAcc
-		for _, v := range c.vals {
-			ref.updateValue(v)
-		}
-		for j, op := range ops {
-			wantValue(t, h.AggResult(0, j), ref.result(op), fmt.Sprintf("op %d over %v", op, c.vals))
-		}
-		wantValue(t, h.AggResult(0, 0), c.min, "MIN")
-		wantValue(t, h.AggResult(0, 1), c.max, "MAX")
+	}
+}
+
+// updateValue is the boxed reference the typed loops are diffed against: one
+// value at a time, through the full update of its type.
+func (a *aggAcc) updateValue(v types.Value) {
+	if v.Null {
+		return
+	}
+	switch v.T {
+	case types.Int64:
+		a.updateInt(v.I)
+	case types.Float64:
+		a.updateFloat(v.F)
+	case types.Varchar:
+		a.updateString(v.S)
+	case types.Bool:
+		a.updateBool(v.B)
 	}
 }
 
 // TestHashAggTypedLoopsMatchBoxedReference diffs every key path and every
 // op's typed loop against the boxed reference: one accumulator per (group,
 // aggregate) fed each selected row's value through updateValue. Batches carry
-// NULLs, narrowed selections, RLE vectors, and columns whose stored type
-// drifts from the schema's from batch to batch.
+// NULLs, narrowed selections and RLE vectors.
 func TestHashAggTypedLoopsMatchBoxedReference(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", T: types.Int64}, types.Column{Name: "name", T: types.Varchar},
@@ -332,14 +330,7 @@ func TestHashAggTypedLoopsMatchBoxedReference(t *testing.T) {
 		for i := range bools.Vals {
 			bools.Vals[i] = rng.Intn(2) == 0
 		}
-		// x (INTEGER) and f (FLOAT) arrive in either stored type.
 		x, f := ints(n, -50, 100), floats(n)
-		if rng.Intn(3) == 0 {
-			x = floats(n)
-		}
-		if rng.Intn(3) == 0 {
-			f = ints(n, -50, 100)
-		}
 		var sel []int32
 		for i := 0; i < n; i++ {
 			if rng.Intn(4) != 0 {
@@ -409,7 +400,11 @@ func TestHashAggTypedLoopsMatchBoxedReference(t *testing.T) {
 					wantValue(t, h.GroupKey(g)[x], v, fmt.Sprintf("%s keys: group %d key %d", keys.path, g, x))
 				}
 				for j, a := range spec.Aggs {
-					wantValue(t, h.AggResult(g, j), ref[id].accs[j].result(a.Op),
+					argT := types.Unknown
+					if a.Col >= 0 {
+						argT = schema.Cols[a.Col].T
+					}
+					wantValue(t, h.AggResult(g, j), ref[id].accs[j].result(a.Op, argT),
 						fmt.Sprintf("%s keys: group %d, op %d over column %d", keys.path, g, a.Op, a.Col))
 				}
 			}

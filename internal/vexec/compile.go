@@ -20,13 +20,14 @@ type Vec func(b *storage.Batch, sel []int32) (storage.Column, error)
 // vector, not a copy. Every operator runs one loop over sel applying its
 // value rule (expr.Op's Apply, the rule Eval applies to a row) into a vector
 // of the type the rule gives its operands' vectors — an AND or OR evaluating
-// its right operand only on the rows its left one leaves undecided. So a
-// batch that evaluates without error gives what Eval over its rows would —
-// the same values, kind included, from the same UDx calls — a batch whose
-// stored vectors drift from its schema included. Otherwise only the failure
-// matches: a batch fails exactly when some row's Eval does, but every other
-// operator evaluates each operand over the whole selection first, so the
-// error may be another row's and the UDx calls more.
+// its right operand only on the rows its left one leaves undecided. Every
+// vector of a batch is of its schema column's type (storage establishes it
+// where data enters), so each operator's vector is of the type the plan gives
+// it. A batch that evaluates without error gives what Eval over its rows
+// would — the same values, kind included, from the same UDx calls. Otherwise
+// only the failure matches: a batch fails exactly when some row's Eval does,
+// but every other operator evaluates each operand over the whole selection
+// first, so the error may be another row's and the UDx calls more.
 func CompileExpr(e expr.Expr, schema types.Schema) (Vec, types.Type) {
 	switch n := e.(type) {
 	case *expr.Col:
@@ -93,7 +94,7 @@ func compileOp(op expr.Op, schema types.Schema) (Vec, types.Type) {
 				return nil, err
 			}
 		}
-		out, vals := newVector(vectorType(op, t, ts, cols), b, sel), make([]types.Value, len(cols))
+		out, vals := newVector(t, b, sel), make([]types.Value, len(cols))
 		for _, i := range sel {
 			for k, c := range cols {
 				vals[k] = types.Value{}
@@ -111,22 +112,6 @@ func compileOp(op expr.Op, schema types.Schema) (Vec, types.Type) {
 		}
 		return out, nil
 	}, t
-}
-
-// vectorType is the type op's rule gives its operand vectors cols: t, the
-// type it gives the types ts a plan knows them by, unless a stored vector
-// drifted from its schema's type.
-func vectorType(op expr.Op, t types.Type, ts []types.Type, cols []storage.Column) types.Type {
-	got := append(make([]types.Type, 0, 4), ts...)
-	for k := range ts {
-		if cols[k] != nil {
-			got[k] = cols[k].Type()
-		}
-	}
-	if slices.Equal(got, ts) {
-		return t
-	}
-	return expr.ResultType(op, got)
 }
 
 // Cast returns col as a vector of type t at the positions sel: col itself

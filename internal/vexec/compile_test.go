@@ -129,14 +129,12 @@ func (g *exprGen) kernelConjunct() expr.Expr {
 
 // batch fills intSchema's columns with n rows — NULLs, zeros, the values the
 // guards and the failing call test for, INTEGER edges — and picks a random
-// selection. Stored vectors drift from the schema: x may be run-length
-// encoded or stored as a FLOAT vector, and f (FLOAT) as an INTEGER vector.
+// selection. x may be run-length encoded.
 func (g *exprGen) batch() *storage.Batch {
 	n := 1 + g.rng.Intn(40)
 	ints := []int64{0, 1, -1, 2, 7, 13, math.MaxInt64, math.MinInt64}
 	x := &storage.Int64Column{Vals: make([]int64, n), Nulls: make([]bool, n)}
 	f := &storage.Float64Column{Vals: make([]float64, n), Nulls: make([]bool, n)}
-	fi := &storage.Int64Column{Vals: make([]int64, n), Nulls: make([]bool, n)}
 	s := &storage.StringColumn{Vals: make([]string, n), Nulls: make([]bool, n)}
 	b := &storage.BoolColumn{Vals: make([]bool, n), Nulls: make([]bool, n)}
 	strs := []string{"a", "", "7", "2.5", "zz"}
@@ -144,21 +142,10 @@ func (g *exprGen) batch() *storage.Batch {
 	for i := 0; i < n; i++ {
 		x.Vals[i], x.Nulls[i] = ints[g.rng.Intn(len(ints))], g.rng.Intn(6) == 0
 		f.Vals[i], f.Nulls[i] = floats[g.rng.Intn(len(floats))], g.rng.Intn(6) == 0
-		fi.Vals[i], fi.Nulls[i] = ints[g.rng.Intn(len(ints))], f.Nulls[i]
 		s.Vals[i], s.Nulls[i] = strs[g.rng.Intn(len(strs))], g.rng.Intn(6) == 0
 		b.Vals[i], b.Nulls[i] = g.rng.Intn(2) == 0, g.rng.Intn(6) == 0
 	}
 	cols := []storage.Column{x, f, s, b}
-	if g.rng.Intn(3) == 0 {
-		cols[1] = fi
-	}
-	if g.rng.Intn(5) == 0 {
-		xf := &storage.Float64Column{Vals: make([]float64, n), Nulls: x.Nulls}
-		for i, v := range x.Vals {
-			xf.Vals[i] = float64(v)
-		}
-		cols[0] = xf
-	}
 	if g.rng.Intn(4) == 0 {
 		rle := &storage.Int64RLEColumn{}
 		for i, v := range x.Vals {
@@ -213,11 +200,11 @@ func evalRows(e expr.Expr, b *storage.Batch, sel []int32) ([]types.Value, error)
 // TestCompiledMatchesEval diffs the compiled evaluator against Eval over
 // generated expressions and batches: value for value (kind included), error
 // for error (the same message row by row), and bound-function call for call.
-// The vector is as long as the batch's own, and over a batch whose vectors are
-// of their schema's types it is of the type CompileExpr gives the expression.
+// The vector is as long as the batch's own and of the type CompileExpr gives
+// the expression.
 func TestCompiledMatchesEval(t *testing.T) {
 	g := &exprGen{rng: rand.New(rand.NewSource(27))}
-	var errs, drifted int
+	var errs int
 	for trial := 0; trial < 3000; trial++ {
 		e := g.gen(4)
 		b := g.batch()
@@ -245,16 +232,13 @@ func TestCompiledMatchesEval(t *testing.T) {
 					t.Fatalf("trial %d %s row %d: compiled %v (%v), Eval %v (%v)", trial, e.SQL(), i, got, got.T, want[k], want[k].T)
 				}
 			}
-			_, isDrift := b.Cols[1].(*storage.Int64Column)
-			if _, xDrift := b.Cols[0].(*storage.Float64Column); isDrift || xDrift {
-				drifted++
-			} else if _, isCol := e.(*expr.Col); !isCol && col.Type() != typ {
+			if col.Type() != typ {
 				t.Fatalf("trial %d %s: a %v vector, typed %v", trial, e.SQL(), col.Type(), typ)
 			}
 		}
 		// As a WHERE clause beside a conjunct a kernel answers: where
-		// EvalPredicate keeps rows without failing, the kernels (with their
-		// path for a drifted vector) and the compiled residual keep the same.
+		// EvalPredicate keeps rows without failing, the kernels and the
+		// compiled residual keep the same.
 		where := expr.Conjoin(g.kernelConjunct(), e)
 		keep, evalErr := []int32{}, error(nil)
 		for _, i := range b.Sel {
@@ -285,8 +269,8 @@ func TestCompiledMatchesEval(t *testing.T) {
 			}
 		}
 	}
-	if errs < 100 || drifted < 100 {
-		t.Fatalf("generator too tame: %d failing evaluations, %d over drifted vectors", errs, drifted)
+	if errs < 100 {
+		t.Fatalf("generator too tame: %d failing evaluations", errs)
 	}
 }
 

@@ -88,10 +88,9 @@ func kernelConjuncts() []expr.Expr {
 }
 
 // TestDictColumnMatchesDenseVector: over dictionary-coded columns — NULL
-// dictionary entries, codes of unselected rows pointing elsewhere, and
-// dictionaries whose stored type drifted from the schema (an RLE column's
-// dictionary is dense) — the compiled evaluator, every kernel (by its path
-// for a vector it was not compiled for), HashAgg's key and argument paths
+// dictionary entries, codes of unselected rows pointing elsewhere, and an RLE
+// column's dense dictionary — the compiled evaluator, every kernel (by its
+// boxed path, the one a DictColumn takes), HashAgg's key and argument paths
 // and a join's probe and build give what they give over the batch's own
 // vectors. The coded twins of one batch share one dictionary, so HashAgg and
 // the probe carry what they learn about a code from one batch to the next;

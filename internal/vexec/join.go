@@ -18,9 +18,9 @@ import (
 // semantics are the engine's typed join keys: NULL never matches, INTEGER
 // matches integral FLOAT, no cross-family collisions.
 
-// JoinKey is a typed, comparable hash-join key, identical in semantics to
-// the engine's row-path key so both execution paths join exactly the same
-// pairs.
+// JoinKey is a typed, comparable hash-join key: a key column's value, with
+// INTEGER and integral FLOAT one kind, so they match as types.Compare orders
+// them.
 type JoinKey struct {
 	kind byte // 'i' integral numeric, 'f' non-integral float, 's' string, 'b' bool
 	i    int64
@@ -59,8 +59,9 @@ func floatJoinKey(f float64) JoinKey {
 	return JoinKey{kind: 'f', f: f}
 }
 
-// joinKeyAt extracts the key of physical row i from a column vector without
-// boxing (typed fast paths; boxed fallback for drifted column types).
+// joinKeyAt extracts the key of physical row i from a column vector: straight
+// from a dense or RLE vector without boxing, through its boxed value from a
+// DictColumn (a join's build side), the one other form a key vector takes.
 func joinKeyAt(col storage.Column, i int) (JoinKey, bool) {
 	switch c := col.(type) {
 	case *storage.Int64Column:

@@ -339,10 +339,10 @@ func flipOp(op expr.CmpOp) expr.CmpOp {
 	}
 }
 
-// boxedKernel is what a kernel runs over a batch whose stored vector is not of
-// the type it was compiled for (a table's stored column type drifted from its
-// schema): the conjunct compiled, which a column and a literal cannot fail.
-// Only such a batch compiles it, so planning pays nothing for the path.
+// boxedKernel is what a kernel runs over a batch whose vector is a DictColumn
+// (a join's build side), the one form no kernel loop reads: the conjunct
+// compiled, which a column and a literal cannot fail. Only such a batch
+// compiles it, so planning pays nothing for the path.
 func boxedKernel(conjunct expr.Expr, schema types.Schema) Kernel {
 	return func(b *storage.Batch, sel, out []int32) []int32 {
 		vec, _ := CompileExpr(conjunct, schema)

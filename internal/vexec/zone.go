@@ -72,7 +72,9 @@ func (p *Pred) HasZoneChecks() bool { return len(p.zones) > 0 }
 
 // CanPrune reports whether a container's zone maps prove that no physical row
 // can satisfy the predicate, so the scan may skip the container without
-// building a selection vector. stats is indexed like the schema's columns.
+// building a selection vector. stats is indexed like the schema's columns, and
+// each bound is of its column's type (storage refuses a container file whose
+// zone map is not), so it orders against the check's literal by value.
 func (p *Pred) CanPrune(stats []storage.ColStats, rowCount int) bool {
 	if rowCount == 0 {
 		return true
@@ -93,11 +95,6 @@ func (p *Pred) CanPrune(stats []storage.ColStats, rowCount int) bool {
 		}
 		if !st.HasMinMax {
 			return true // every value NULL: col CMP lit is NULL for all rows
-		}
-		// Guard against stored-column type drift: bounds must still order
-		// against the literal by value for the range test to mean anything.
-		if !sameCompareFamily(st.Min.T, z.lit.T) || !sameCompareFamily(st.Max.T, z.lit.T) {
-			continue
 		}
 		lo := types.Compare(z.lit, st.Min) // <0: lit below every value
 		hi := types.Compare(z.lit, st.Max) // >0: lit above every value

@@ -97,16 +97,11 @@ func TestCanPruneConjunct(t *testing.T) {
 	}
 }
 
-func TestCanPruneEmptyAndTypeDrift(t *testing.T) {
+func TestCanPruneEmpty(t *testing.T) {
 	schema := intSchema()
 	p := Compile(cmp(expr.GT, col("x"), lit(i64(10))), schema, nil)
 	if !p.CanPrune(statsFor(intStats(1, 50, 0)), 0) {
 		t.Error("zero-row container always prunes")
-	}
-	// A stats entry whose bounds don't order against the literal is ignored.
-	drift := storage.ColStats{HasMinMax: true, Min: types.StringValue("a"), Max: types.StringValue("z")}
-	if p.CanPrune(statsFor(drift), 100) {
-		t.Error("type-drifted stats must not prune")
 	}
 	// NoZone predicate: nothing extracted, never prunes.
 	bare := Compile(nil, schema, nil)
