@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines
+.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines surface
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -172,3 +172,18 @@ lines:
 	  | xargs -0 wc -l \
 	  | awk '$$2 != "total" { n = split($$2, p, "/"); d = (n > 3) ? p[2] "/" p[3] : (n > 2 ? p[2] : "."); c[d] += $$1; t += $$1 } \
 	         END { for (d in c) printf "%7d %s\n", c[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# Exported API per library package (go doc -all, offline): funcs, methods,
+# types, vars and consts (an exported name inside a const or var block counts
+# once). The table a simplicity entry in CHANGES.md lists before and after.
+# Informational, never a gate.
+surface:
+	@printf '%6s %7s %6s %5s %6s %s\n' funcs methods types vars consts package
+	@for p in $$($(GO) list -f '{{if and (ne .Name "main") .GoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+	  $(GO) doc -all $$p | awk -v p=$${p#*/} ' \
+	    /^\)/ { blk = ""; next } \
+	    blk != "" { if ($$0 ~ /^\t[A-Z]/) n[blk]++; next } \
+	    /^func \(/ { m++; next } /^func / { f++; next } /^type / { t++; next } \
+	    /^(const|var) \($$/ { blk = $$1; next } /^(const|var) [A-Z]/ { n[$$1]++ } \
+	    END { printf "%6d %7d %6d %5d %6d %s\n", f, m, t, n["var"], n["const"], p }'; \
+	done

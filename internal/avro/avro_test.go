@@ -465,7 +465,7 @@ func TestOCFTruncated(t *testing.T) {
 	r, err := NewReader(bytes.NewReader(data[:len(data)-4]))
 	if err == nil {
 		for {
-			if _, err = r.Next(); err != nil {
+			if _, _, err = r.ReadBlock(); err != nil {
 				break
 			}
 		}
@@ -547,25 +547,6 @@ func readBlocks(data []byte) ([]types.Row, error) {
 			}
 			rows = append(rows, row)
 		}
-	}
-}
-
-// nextAll decodes data through Reader.Next.
-func nextAll(data []byte) ([]types.Row, error) {
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	var rows []types.Row
-	for {
-		row, err := r.Next()
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
 	}
 }
 
@@ -669,7 +650,6 @@ func TestBlockCodecMatchesReference(t *testing.T) {
 				file := refOCF(t, s, codec, blocks)
 				for name, decode := range map[string]func([]byte) ([]types.Row, error){
 					"ReadBlock": readBlocks,
-					"Next":      nextAll,
 					"ReadAll": func(b []byte) ([]types.Row, error) {
 						_, rows, err := ReadAll(bytes.NewReader(b))
 						return rows, err
@@ -774,7 +754,6 @@ func TestBlockCountMustMatchBytes(t *testing.T) {
 			data := lyingCountFile(t, codec, count)
 			for name, decode := range map[string]func([]byte) ([]types.Row, error){
 				"ReadBlock": readBlocks,
-				"Next":      nextAll,
 				"ReadAll": func(b []byte) ([]types.Row, error) {
 					_, rows, err := ReadAll(bytes.NewReader(b))
 					return rows, err
@@ -920,8 +899,8 @@ func FuzzAvroReader(f *testing.F) {
 				if !strings.HasPrefix(err.Error(), "avro:") {
 					t.Fatalf("ReadBlock error outside the package's namespace: %v", err)
 				}
-				if _, again := nextAll(data); again == nil {
-					t.Fatalf("ReadBlock failed (%v) where Next decoded the file", err)
+				if _, _, again := ReadAll(bytes.NewReader(data)); again == nil {
+					t.Fatalf("ReadBlock failed (%v) where ReadAll decoded the file", err)
 				}
 				return
 			}
@@ -930,11 +909,11 @@ func FuzzAvroReader(f *testing.F) {
 			}
 			rows = append(rows, storage.Materialize([]*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}})...)
 		}
-		again, err := nextAll(data)
+		_, again, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("ReadBlock decoded %d rows, Next failed: %v", len(rows), err)
+			t.Fatalf("ReadBlock decoded %d rows, ReadAll failed: %v", len(rows), err)
 		}
-		sameRows(t, "Next vs ReadBlock", again, rows)
+		sameRows(t, "ReadAll vs ReadBlock", again, rows)
 	})
 }
 

@@ -195,8 +195,8 @@ func (w *Writer) Close() error {
 }
 
 // Reader consumes an Avro Object Container File block by block, decoding
-// each into column vectors (ReadBlock); Next and ReadAll are boxing views
-// over the same decoder.
+// each into column vectors (ReadBlock); ReadAll is a boxing view over the
+// same decoder.
 type Reader struct {
 	br     *bufio.Reader
 	schema Schema
@@ -210,10 +210,6 @@ type Reader struct {
 	src   bytes.Reader     // the inflater's view of raw
 	fr    io.ReadCloser    // the inflater
 	lim   io.LimitedReader // caps what one block may inflate to
-
-	// Next's position in the block it is boxing.
-	cur    []storage.Column
-	n, pos int
 }
 
 // readLong reads an Avro long. io.EOF means the stream ended before the
@@ -404,23 +400,6 @@ func (r *Reader) readBlockData() ([]byte, error) {
 		return nil, fmt.Errorf("avro: block inflates past %d bytes", maxBlockBytes)
 	}
 	return r.plain.Bytes(), nil
-}
-
-// Next returns the next row, or io.EOF at end of file.
-func (r *Reader) Next() (types.Row, error) {
-	for r.pos == r.n {
-		cols, n, err := r.ReadBlock()
-		if err != nil {
-			return nil, err
-		}
-		r.cur, r.n, r.pos = cols, n, 0
-	}
-	row := make(types.Row, len(r.cur))
-	for j, c := range r.cur {
-		row[j] = c.Get(r.pos)
-	}
-	r.pos++
-	return row, nil
 }
 
 // ReadAll decodes every row of an OCF stream.

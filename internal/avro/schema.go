@@ -6,8 +6,8 @@
 //
 // The writer encodes records straight from rows into a block buffer; the
 // reader decodes a block straight into column vectors (ReadBlock), which is
-// how COPY loads them, and boxes rows only for callers that ask for rows
-// (Next, ReadAll).
+// how COPY loads them, and boxes rows only for a caller that asks for rows
+// (ReadAll).
 package avro
 
 import (

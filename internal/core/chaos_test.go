@@ -165,13 +165,13 @@ func TestS2VSurvivesConnectionChaos(t *testing.T) {
 // TestS2VSurvivesLostResults: the ambiguous-outcome drop — a statement runs,
 // then its connection dies before the result arrives — on the protocol's
 // guarded statements. Whether the lost statement is a COMMIT, one of the
-// conditional UPDATEs or a BEGIN, and whoever sent it (the driver or a
-// task), an 8-partition save must complete exactly-once.
+// conditional UPDATEs, a BEGIN or one of setup's INSERTs, and whoever sent it
+// (the driver or a task), an 8-partition save must complete exactly-once.
 func TestS2VSurvivesLostResults(t *testing.T) {
 	for _, c := range []struct {
 		match string
 		times int
-	}{{"COMMIT", 1}, {"COMMIT", 3}, {"COMMIT", 8}, {"UPDATE", 2}, {"BEGIN", 2}} {
+	}{{"COMMIT", 1}, {"COMMIT", 3}, {"COMMIT", 8}, {"UPDATE", 2}, {"BEGIN", 2}, {"INSERT INTO", 2}} {
 		t.Run(fmt.Sprintf("%s_x%d", c.match, c.times), func(t *testing.T) {
 			h := newChaosHarness(t, 4, 4, 6, vertica.Config{})
 			const n = 2000

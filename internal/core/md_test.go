@@ -6,6 +6,7 @@ import (
 
 	"vsfabric/internal/mllib"
 	"vsfabric/internal/spark"
+	"vsfabric/internal/vertica"
 	"vsfabric/internal/workload"
 )
 
@@ -236,5 +237,66 @@ func TestMDErrors(t *testing.T) {
 	}
 	if _, err := s.Execute("SELECT PMMLPredict(x USING PARAMETERS model_name='two') FROM tt"); err == nil {
 		t.Error("wrong arity should error")
+	}
+}
+
+// TestMDModelSurvivesDurableRestart: a model deployed into a durable cluster
+// is listed and scores after the cluster is closed and reopened on its data
+// directory, and a model deleted from the DFS before the restart stays gone.
+func TestMDModelSurvivesDurableRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *vertica.Cluster {
+		c, err := vertica.NewCluster(vertica.Config{Nodes: 2, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := InstallPMMLSupport(c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := open()
+	s, err := c.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"CREATE TABLE tt (x FLOAT)", "INSERT INTO tt VALUES (2.0)"} {
+		if _, err := s.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	for name, weight := range map[string]float64{"m": 3, "gone": 1} {
+		doc, err := (&mllib.LinearRegressionModel{Weights: mllib.Vector{weight}}).ToPMML([]string{"x"}, "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DeployPMMLModel(c, name, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.DFS().Delete(modelPath("gone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c = open()
+	defer c.Close()
+	if c.DFS().Exists(modelPath("gone")) {
+		t.Error("a model deleted before the restart is back")
+	}
+	s, err = c.Connect(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Execute("SELECT PMMLPredict(x USING PARAMETERS model_name='m') FROM tt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].F; got != 6 {
+		t.Fatalf("PMMLPredict(2) with y = 3·x after a restart = %g", got)
 	}
 }

@@ -76,9 +76,10 @@ func (w *s2vWriter) runJob(sc *spark.Context, df *spark.DataFrame) error {
 	w.rpool.SetObserver(w.opts.Observer)
 	// The driver connection is self-healing: a connection dropped at a phase
 	// boundary (between statements) is re-dialed — failing over to another
-	// node — and the statement retried. Every driver statement is autocommit
-	// and either idempotent or guarded (DROP IF EXISTS, conditional UPDATE),
-	// so a retry after a pre-execution drop cannot double-apply.
+	// node — and the statement retried. Every statement sent on it is
+	// autocommit and either idempotent or guarded (DROP IF EXISTS,
+	// conditional UPDATE), so a retry cannot double-apply; setup's INSERTs,
+	// which are neither, run in seed's transaction instead.
 	conn := resilience.NewDriverConn(w.rpool, w.opts.Host)
 	defer conn.Close()
 
@@ -207,40 +208,25 @@ func (w *s2vWriter) setup(ctx context.Context, conn client.Conn, nParts int) err
 		}
 	}
 
-	for _, stmt := range []string{
-		fmt.Sprintf("DROP TABLE IF EXISTS %s", w.staging),
-		fmt.Sprintf("DROP TABLE IF EXISTS %s", w.status),
-		fmt.Sprintf("DROP TABLE IF EXISTS %s", w.committer),
-	} {
-		if _, err := conn.Execute(ctx, stmt); err != nil {
-			return err
-		}
-	}
 	stagingDDL := fmt.Sprintf("CREATE TEMP TABLE %s %s", w.staging, w.schema)
 	if w.mode == spark.SaveAppend {
 		// Staging mirrors the target's definition so the final
 		// INSERT..SELECT is segment-aligned.
 		stagingDDL = fmt.Sprintf("CREATE TEMP TABLE %s LIKE %s", w.staging, w.opts.Table)
 	}
-	ddl := []string{
+	for _, stmt := range []string{
+		fmt.Sprintf("DROP TABLE IF EXISTS %s", w.staging),
+		fmt.Sprintf("DROP TABLE IF EXISTS %s", w.status),
+		fmt.Sprintf("DROP TABLE IF EXISTS %s", w.committer),
 		stagingDDL,
 		fmt.Sprintf("CREATE TEMP TABLE %s (task_id INTEGER, rows_inserted INTEGER, rows_rejected INTEGER, done BOOLEAN) UNSEGMENTED ALL NODES", w.status),
 		fmt.Sprintf("CREATE TEMP TABLE %s (task_id INTEGER) UNSEGMENTED ALL NODES", w.committer),
 		fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (job_name VARCHAR, failed_rows_percent FLOAT, finished BOOLEAN, status VARCHAR) UNSEGMENTED ALL NODES", JobStatusTable),
-		fmt.Sprintf("INSERT INTO %s VALUES (-1)", w.committer),
-		fmt.Sprintf("INSERT INTO %s VALUES ('%s', 0.0, FALSE, 'RUNNING')", JobStatusTable, types.SQLEscape(w.opts.JobName)),
-	}
-	var taskRows []string
-	for p := 0; p < nParts; p++ {
-		taskRows = append(taskRows, fmt.Sprintf("(%d, 0, 0, FALSE)", p))
-	}
-	ddl = append(ddl, fmt.Sprintf("INSERT INTO %s VALUES %s", w.status, strings.Join(taskRows, ", ")))
-	for _, stmt := range ddl {
+	} {
 		if _, err := conn.Execute(ctx, stmt); err != nil {
 			return err
 		}
 	}
-
 	lay, err := layout(ctx, conn, w.staging, stagingSegmented)
 	if err != nil {
 		return err
@@ -248,7 +234,44 @@ func (w *s2vWriter) setup(ctx context.Context, conn client.Conn, nParts int) err
 	w.addrs = lay.addrs
 	// From here on, task and driver reconnects can fail over cluster-wide.
 	w.rpool.SetHosts(w.addrs)
-	return nil
+	var taskRows []string
+	for p := 0; p < nParts; p++ {
+		taskRows = append(taskRows, fmt.Sprintf("(%d, 0, 0, FALSE)", p))
+	}
+	return w.seed(ctx, conn, []string{
+		fmt.Sprintf("INSERT INTO %s VALUES (-1)", w.committer),
+		fmt.Sprintf("INSERT INTO %s VALUES ('%s', 0.0, FALSE, 'RUNNING')", JobStatusTable, types.SQLEscape(w.opts.JobName)),
+		fmt.Sprintf("INSERT INTO %s VALUES %s", w.status, strings.Join(taskRows, ", ")),
+	})
+}
+
+// seed inserts the rows a job starts from — the committer's -1, the job's
+// RUNNING row and one status row per task — in one transaction on a session
+// of its own, as driverCommit does: the self-healing driver connection may
+// re-dial inside a transaction. An INSERT is not safe to repeat, so a retry
+// after a transient failure, whose outcome is unknown, first reads the
+// committer table (created empty just before) and runs the transaction again
+// only if it did not commit.
+func (w *s2vWriter) seed(ctx context.Context, conn client.Conn, inserts []string) error {
+	return w.rpool.Attempts(ctx, w.opts.Host, "seed", func(attempt int) error {
+		if attempt > 0 {
+			res, err := conn.Execute(ctx, "SELECT COUNT(*) FROM "+w.committer)
+			if err != nil || res.Rows[0][0].I > 0 {
+				return err
+			}
+		}
+		sess, err := w.rpool.Connect(ctx, w.opts.Host)
+		if err != nil {
+			return err
+		}
+		defer sess.Close()
+		for _, stmt := range append(append([]string{"BEGIN"}, inserts...), "COMMIT") {
+			if _, err := sess.Execute(ctx, stmt); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // phaseSpan opens one "s2v.phaseN" span for a task, parented under the span

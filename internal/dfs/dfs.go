@@ -6,11 +6,17 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"vsfabric/internal/framelog"
 )
 
 // FileInfo describes one stored file.
@@ -25,7 +31,10 @@ type FileInfo struct {
 
 // FS is the cluster-internal distributed file system.
 type FS struct {
-	mu    sync.RWMutex
+	mu sync.RWMutex
+	// dir, when set (Open), holds a copy of every file, written before Put
+	// or Delete returns.
+	dir   string
 	files map[string][]byte
 	meta  map[string]FileInfo
 	puts  uint64
@@ -42,6 +51,43 @@ func New() *FS {
 	}
 }
 
+// tmpSuffix marks framelog.WriteFileAtomic's temporary file: one left in a
+// durable DFS's directory is an interrupted Put, not a file.
+const tmpSuffix = ".tmp"
+
+// Open returns a DFS that keeps its files under dir as well, loading the
+// files a previous process left there.
+func Open(dir string) (*FS, error) {
+	f := New()
+	f.dir = dir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || strings.HasSuffix(path, tmpSuffix) {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		f.store(filepath.ToSlash(rel), data, info.ModTime())
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dfs: loading %s: %w", dir, err)
+	}
+	return f, nil
+}
+
 func clean(path string) string { return strings.TrimPrefix(path, "/") }
 
 // Put stores (or overwrites) a file.
@@ -54,10 +100,28 @@ func (f *FS) Put(path string, data []byte) error {
 	copy(cp, data)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.files[p] = cp
-	f.puts++
-	f.meta[p] = FileInfo{Path: p, Size: len(cp), Modified: f.clock(), Version: f.puts}
+	if f.dir != "" {
+		if !filepath.IsLocal(p) || strings.HasSuffix(p, tmpSuffix) {
+			return fmt.Errorf("dfs: path %q cannot be stored", path)
+		}
+		disk := filepath.Join(f.dir, filepath.FromSlash(p))
+		if err := os.MkdirAll(filepath.Dir(disk), 0o755); err != nil {
+			return err
+		}
+		if err := framelog.WriteFileAtomic(disk, cp); err != nil {
+			return err
+		}
+	}
+	f.store(p, cp, f.clock())
 	return nil
+}
+
+// store records a file's content as the next version; f.mu is held or f is
+// not yet shared.
+func (f *FS) store(p string, data []byte, modified time.Time) {
+	f.files[p] = data
+	f.puts++
+	f.meta[p] = FileInfo{Path: p, Size: len(data), Modified: modified, Version: f.puts}
 }
 
 // Stat describes a stored file.
@@ -99,6 +163,11 @@ func (f *FS) Delete(path string) error {
 	defer f.mu.Unlock()
 	if _, ok := f.files[p]; !ok {
 		return fmt.Errorf("dfs: no such file %q", path)
+	}
+	if f.dir != "" {
+		if err := os.Remove(filepath.Join(f.dir, filepath.FromSlash(p))); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
 	}
 	delete(f.files, p)
 	delete(f.meta, p)

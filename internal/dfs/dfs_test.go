@@ -2,6 +2,9 @@ package dfs
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -74,5 +77,50 @@ func TestErrors(t *testing.T) {
 	}
 	if err := fs.Put("", []byte("x")); err == nil {
 		t.Error("empty path should error")
+	}
+}
+
+// A durable DFS writes Put and Delete through to its directory, reopens with
+// the files left there (an interrupted Put's temporary file is not one), and
+// refuses a path that would leave the directory.
+func TestOpenPersists(t *testing.T) {
+	dir := t.TempDir()
+	f, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"models/a.pmml", "/models/b.pmml", "top"} {
+		if err := f.Put(p, []byte("doc "+p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Put("models/a.pmml", []byte("doc 2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Delete("top"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"../escape", "models/../../escape", "x.tmp"} {
+		if err := f.Put(p, []byte("x")); err == nil {
+			t.Errorf("Put(%q) should fail on a durable DFS", p)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "models", "c.pmml.tmp"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, info := range g.List("") {
+		paths = append(paths, info.Path)
+	}
+	if fmt.Sprint(paths) != "[models/a.pmml models/b.pmml]" {
+		t.Fatalf("reopened DFS lists %v", paths)
+	}
+	if data, err := g.Get("models/a.pmml"); err != nil || string(data) != "doc 2" {
+		t.Errorf("reopened models/a.pmml = %q, %v", data, err)
 	}
 }

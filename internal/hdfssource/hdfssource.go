@@ -1,17 +1,19 @@
 // Package hdfssource is Spark's native HDFS integration for the comparison
 // baseline of §4.7.2: DataFrames written as columnar files (one or more
-// block-sized files per partition) and read back with one Spark partition
-// per HDFS block — the property that gives the HDFS read path its very high
-// default parallelism (2240 partitions for the paper's dataset).
+// block-sized files per partition, each a storage row block: schema, row
+// count, one column chunk per column — the stand-in for a Parquet file) and
+// read back with one Spark partition per HDFS block — the property that gives
+// the HDFS read path its very high default parallelism (2240 partitions for
+// the paper's dataset).
 package hdfssource
 
 import (
 	"fmt"
 
-	"vsfabric/internal/colfile"
 	"vsfabric/internal/hdfs"
 	"vsfabric/internal/sim"
 	"vsfabric/internal/spark"
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
@@ -33,7 +35,7 @@ func Write(fs *hdfs.FS, dir string, df *spark.DataFrame, maxFileBytes int) error
 			if len(batch) == 0 && fileIdx > 0 {
 				return nil
 			}
-			data, err := colfile.WriteAll(schema, batch, 0)
+			data, err := storage.EncodeRows(schema, batch)
 			if err != nil {
 				return err
 			}
@@ -41,8 +43,9 @@ func Write(fs *hdfs.FS, dir string, df *spark.DataFrame, maxFileBytes int) error
 			fileIdx++
 			return fs.WriteFile(path, data, tc.Rec, tc.ExecNode, sim.CPUColfileEnc)
 		}
-		// Estimate rows per file from the first row's width; colfile
-		// encoding is never larger than ~1.1× raw for our types.
+		// Cut files by the rows' wire size: a row block stores a value in
+		// at most its wire size, so a file passes the cap by no more than
+		// its headers and NULL bitmaps.
 		var batch []types.Row
 		batchBytes := 0
 		for _, r := range rows {
@@ -67,29 +70,25 @@ func Read(sc *spark.Context, fs *hdfs.FS, dir string) (*spark.DataFrame, error) 
 	if len(files) == 0 {
 		return nil, fmt.Errorf("hdfssource: no files under %q", dir)
 	}
-	// Schema from the first file's header (its first block suffices).
-	blocks, err := fs.Blocks(files[0])
+	// Schema from the first file, read whole outside any task (no
+	// simulated cost).
+	head, err := fs.ReadFile(files[0], nil, "", sim.CPUColfileDec)
 	if err != nil {
 		return nil, err
 	}
-	head, err := fs.ReadBlock(blocks[0], nil, "", sim.CPUColfileDec)
+	schema, _, err := storage.DecodeRows(head)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hdfssource: %s: %w", files[0], err)
 	}
-	rd, err := colfile.NewReader(head)
-	if err != nil {
-		return nil, err
-	}
-	schema := rd.Schema()
 
 	rdd := spark.NewRDD(sc, len(files), func(tc *spark.TaskContext, p int) ([]types.Row, error) {
 		data, err := fs.ReadFile(files[p], tc.Rec, tc.ExecNode, sim.CPUColfileDec)
 		if err != nil {
 			return nil, err
 		}
-		s, rows, err := colfile.ReadAll(data)
+		s, rows, err := storage.DecodeRows(data)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hdfssource: %s: %w", files[p], err)
 		}
 		if !s.Equal(schema) {
 			return nil, fmt.Errorf("hdfssource: %s schema %s != %s", files[p], s, schema)

@@ -253,13 +253,13 @@ func (r *ResilientConnector) wait(ctx context.Context, d time.Duration) {
 	}
 }
 
-// attempts is the one retry loop: it runs op up to MaxAttempts times, with a
+// Attempts is the one retry loop: it runs op up to MaxAttempts times, with a
 // retry event and a jittered, cancellable backoff before every attempt after
 // the first. A nil or permanent error ends the loop as it is; a cancelled
 // context ends it with ctx.Err(); running out of attempts wraps the last
 // transient error. what names the operation in events and the final error;
 // addr is the address it was asked of.
-func (r *ResilientConnector) attempts(ctx context.Context, addr, what string, op func(attempt int) error) error {
+func (r *ResilientConnector) Attempts(ctx context.Context, addr, what string, op func(attempt int) error) error {
 	var err error
 	for attempt := 0; attempt < r.pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -286,7 +286,7 @@ func (r *ResilientConnector) attempts(ctx context.Context, addr, what string, op
 func (r *ResilientConnector) Connect(ctx context.Context, addr string) (client.Conn, error) {
 	cands := r.candidates(addr)
 	var conn client.Conn
-	err := r.attempts(ctx, addr, "connect", func(attempt int) error {
+	err := r.Attempts(ctx, addr, "connect", func(attempt int) error {
 		host := r.pick(cands, attempt)
 		c, err := r.inner.Connect(ctx, host)
 		if err != nil {
@@ -437,7 +437,7 @@ func (d *DriverConn) drop() {
 func (d *DriverConn) Execute(ctx context.Context, sql string) (*vertica.Result, error) {
 	cands := d.pool.candidates(d.addr)
 	var res *vertica.Result
-	err := d.pool.attempts(ctx, d.addr, "statement", func(attempt int) error {
+	err := d.pool.Attempts(ctx, d.addr, "statement", func(attempt int) error {
 		conn, err := d.ensure(ctx, cands[attempt%len(cands)])
 		if err != nil {
 			return err

@@ -21,8 +21,8 @@ const (
 	CPUCSVFormat   CPUKind = "csv_format"     // format one CSV byte
 	CPUInsertRow   CPUKind = "insert_row"     // Vertica: per-row INSERT-statement path (JDBC baseline)
 	CPURowOverhead CPUKind = "row_overhead"   // per-row fixed work in the transfer pipeline (Figure 9)
-	CPUColfileEnc  CPUKind = "colfile_encode" // Spark: encode one colfile byte
-	CPUColfileDec  CPUKind = "colfile_decode" // Spark: decode one colfile byte
+	CPUColfileEnc  CPUKind = "colfile_encode" // Spark: encode one HDFS file byte (a row block)
+	CPUColfileDec  CPUKind = "colfile_decode" // Spark: decode one HDFS file byte (a row block)
 	CPUModelScore  CPUKind = "model_score"    // Vertica UDx: score one row against a PMML model
 	CPUHashRow     CPUKind = "hash_row"       // hash one row for routing/segmentation
 )

@@ -260,14 +260,14 @@ func TestRLEColumnEncodesAndDecodes(t *testing.T) {
 		vals[i] = int64(i / 50)
 	}
 	rle := CompressColumn(&Int64Column{Vals: vals})
-	if ChooseEncoding(rle) != EncRLE {
-		t.Fatalf("RLE column should choose RLE encoding, got %v", ChooseEncoding(rle))
+	if chooseEncoding(rle) != encRLE {
+		t.Fatalf("RLE column should choose RLE encoding, got %v", chooseEncoding(rle))
 	}
-	data, err := EncodeColumn(rle, ChooseEncoding(rle))
+	data, err := encodeColumn(rle, chooseEncoding(rle))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeColumn(data)
+	dec, err := decodeColumn(data, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,7 +191,7 @@ const minRLERows = 64
 
 // CompressColumn converts a dense column to a compressed in-memory form when
 // profitable (currently: null-free int64 vectors whose run count is under a
-// quarter of the row count, mirroring ChooseEncoding's RLE heuristic).
+// quarter of the row count, mirroring chooseEncoding's RLE heuristic).
 // Otherwise it returns the column unchanged.
 func CompressColumn(c Column) Column {
 	col, ok := c.(*Int64Column)
@@ -410,26 +410,13 @@ func ColumnsFromRows(rows []types.Row, schema types.Schema) ([]Column, error) {
 	return cols, nil
 }
 
-// NewROSContainer builds a container from rows: columnize, hash, then the
-// column constructor. segIdx are the segmentation column indexes the per-row
-// ring hashes are computed over (empty = whole-row synthetic hash).
-func NewROSContainer(rows []types.Row, schema types.Schema, segIdx []int, start uint64) (*ROSContainer, error) {
-	cols, err := ColumnsFromRows(rows, schema)
-	if err != nil {
-		return nil, err
-	}
-	return newContainer(cols, len(rows), schema, HashColumns(cols, segIdx, len(rows)), start, nil)
-}
-
 // AppendROS builds a ROS container from rows stamped with the given epoch or
-// provisional tag and adds it: AppendColumns for a caller that holds rows.
+// provisional tag and adds it: AppendColumns (direct) for a caller that holds
+// rows.
 func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	c, err := NewROSContainer(rows, s.schema, s.segIdx, tag)
+	cols, err := ColumnsFromRows(rows, s.schema)
 	if err != nil {
 		return err
 	}
-	return s.AttachContainer(c)
+	return s.AppendColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag, true)
 }

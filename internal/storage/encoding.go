@@ -11,52 +11,38 @@ import (
 	"vsfabric/internal/types"
 )
 
-// Encoding identifies how a column vector is serialized on "disk" (ROS spill,
-// colfile column chunks). The set follows the C-Store/Vertica families the
-// paper's storage layer is built on.
-type Encoding byte
+// encoding identifies how a column chunk is serialized in a ROS container or
+// a WOS snapshot, the two layouts that choose one per column (a row block's
+// chunks are always plain: AppendBatches). The set follows the
+// C-Store/Vertica families the paper's storage layer is built on.
+type encoding byte
 
 // Supported column encodings.
 const (
-	// EncPlain stores values verbatim: fixed 8-byte ints/floats, 1-byte
+	// encPlain stores values verbatim: fixed 8-byte ints/floats, 1-byte
 	// bools, length-prefixed strings.
-	EncPlain Encoding = iota
-	// EncRLE stores (runLength, value) pairs; ideal for sorted or
+	encPlain encoding = iota
+	// encRLE stores (runLength, value) pairs; ideal for sorted or
 	// low-cardinality columns.
-	EncRLE
-	// EncDeltaVarint stores int64s as zigzag-varint deltas from the previous
+	encRLE
+	// encDeltaVarint stores int64s as zigzag-varint deltas from the previous
 	// value; ideal for monotonically increasing ids.
-	EncDeltaVarint
-	// EncDict stores a string dictionary plus varint codes; ideal for
+	encDeltaVarint
+	// encDict stores a string dictionary plus varint codes; ideal for
 	// repetitive strings.
-	EncDict
+	encDict
 )
 
-func (e Encoding) String() string {
-	switch e {
-	case EncPlain:
-		return "PLAIN"
-	case EncRLE:
-		return "RLE"
-	case EncDeltaVarint:
-		return "DELTA"
-	case EncDict:
-		return "DICT"
-	default:
-		return "?"
-	}
-}
-
-// ChooseEncoding inspects a column and picks a reasonable encoding, the way
+// chooseEncoding inspects a column and picks a reasonable encoding, the way
 // the database's write path would.
-func ChooseEncoding(c Column) Encoding {
+func chooseEncoding(c Column) encoding {
 	n := c.Len()
 	if n == 0 {
-		return EncPlain
+		return encPlain
 	}
 	switch col := c.(type) {
 	case *Int64RLEColumn:
-		return EncRLE
+		return encRLE
 	case *Int64Column:
 		runs, sorted := 1, true
 		for i := 1; i < n; i++ {
@@ -68,32 +54,40 @@ func ChooseEncoding(c Column) Encoding {
 			}
 		}
 		if runs*4 < n {
-			return EncRLE
+			return encRLE
 		}
 		if sorted {
-			return EncDeltaVarint
+			return encDeltaVarint
 		}
-		return EncPlain
+		return encPlain
 	case *StringColumn:
 		distinct := make(map[string]struct{}, 64)
 		for _, s := range col.Vals {
 			distinct[s] = struct{}{}
 			if len(distinct) > n/4+1 || len(distinct) > 1<<16 {
-				return EncPlain
+				return encPlain
 			}
 		}
-		return EncDict
+		return encDict
 	case *BoolColumn:
-		return EncRLE
+		return encRLE
 	default:
-		return EncPlain
+		return encPlain
 	}
 }
 
-// EncodeColumn serializes a column with the given encoding. The layout is:
-// [type byte][encoding byte][varint rowCount][null bitmap?][payload].
-func EncodeColumn(c Column, enc Encoding) ([]byte, error) {
-	c = Densify(c) // the wire encoders type-switch on the dense column set
+// encodeColumn serializes a column with the given encoding. The layout is:
+// [type byte][encoding byte][varint rowCount][null bitmap?][payload]. A plain
+// chunk is the one a row block carries (plainChunk).
+func encodeColumn(c Column, enc encoding) ([]byte, error) {
+	if enc == encPlain {
+		ch, err := sizePlain(c.Type(), c.Len(), []colRead{readOf(c, IdentitySel(c.Len()))})
+		if err != nil {
+			return nil, err
+		}
+		return ch.appendTo(nil), nil
+	}
+	c = Densify(c) // the other encoders type-switch on the dense column set
 	var buf bytes.Buffer
 	buf.WriteByte(byte(c.Type()))
 	buf.WriteByte(byte(enc))
@@ -101,13 +95,11 @@ func EncodeColumn(c Column, enc Encoding) ([]byte, error) {
 	writeNulls(&buf, c)
 	var err error
 	switch enc {
-	case EncPlain:
-		err = encodePlain(&buf, c)
-	case EncRLE:
+	case encRLE:
 		err = encodeRLE(&buf, c)
-	case EncDeltaVarint:
+	case encDeltaVarint:
 		err = encodeDelta(&buf, c)
-	case EncDict:
+	case encDict:
 		err = encodeDict(&buf, c)
 	default:
 		err = fmt.Errorf("storage: unknown encoding %d", enc)
@@ -129,10 +121,11 @@ func corruptf(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// maxRLERows bounds the rows an RLE chunk decoded on its own (DecodeColumn)
-// may expand to. RLE is the one encoding whose decoded size the encoded bytes
-// do not bound — a run of any length is a few bytes — so where no enclosing
-// header says how many rows to expect, a fixed limit stands in.
+// maxRLERows bounds the rows an RLE chunk decoded on its own (decodeColumn
+// with rows < 0) may expand to. RLE is the one encoding whose decoded size
+// the encoded bytes do not bound — a run of any length is a few bytes — so
+// where no enclosing header says how many rows to expect, a fixed limit
+// stands in.
 const maxRLERows = 1 << 24
 
 // reader is a bounds-checked cursor over encoded bytes. Fields are sliced
@@ -199,12 +192,9 @@ func (r *reader) str() (string, error) {
 	return string(p), err
 }
 
-// DecodeColumn deserializes a column produced by EncodeColumn.
-func DecodeColumn(data []byte) (Column, error) { return decodeColumn(data, -1) }
-
-// decodeColumn decodes a chunk that must hold exactly rows rows — a count the
-// caller has already bounded — or, with rows < 0, as many as its own header
-// says.
+// decodeColumn decodes a chunk encodeColumn or AppendBatches wrote, which
+// must hold exactly rows rows — a count the caller has already bounded — or,
+// with rows < 0, as many as its own header says.
 func decodeColumn(data []byte, rows int64) (Column, error) {
 	r := &reader{b: data}
 	tb, err := r.byte()
@@ -215,7 +205,7 @@ func decodeColumn(data []byte, rows int64) (Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, enc := types.Type(tb), Encoding(eb)
+	t, enc := types.Type(tb), encoding(eb)
 	n64, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -223,7 +213,7 @@ func decodeColumn(data []byte, rows int64) (Column, error) {
 	switch {
 	case rows >= 0 && n64 != uint64(rows):
 		return nil, corruptf("column chunk of %d rows, want %d", n64, rows)
-	case enc != EncRLE && n64 > uint64(len(r.b)):
+	case enc != encRLE && n64 > uint64(len(r.b)):
 		// Every encoding but RLE spends at least a byte per row.
 		return nil, corruptf("%d rows in a %d-byte chunk", n64, len(data))
 	case rows < 0 && n64 > maxRLERows:
@@ -235,13 +225,13 @@ func decodeColumn(data []byte, rows int64) (Column, error) {
 		return nil, err
 	}
 	switch enc {
-	case EncPlain:
+	case encPlain:
 		return decodePlain(r, t, n, nulls)
-	case EncRLE:
+	case encRLE:
 		return decodeRLE(r, t, n, nulls)
-	case EncDeltaVarint:
+	case encDeltaVarint:
 		return decodeDelta(r, t, n, nulls)
-	case EncDict:
+	case encDict:
 		return decodeDict(r, t, n, nulls)
 	default:
 		return nil, corruptf("unknown encoding %d", enc)
@@ -290,42 +280,6 @@ func readNulls(r *reader, n int) ([]bool, error) {
 		nulls[i] = bitmap[i/8]&(1<<uint(i%8)) != 0
 	}
 	return nulls, nil
-}
-
-func encodePlain(buf *bytes.Buffer, c Column) error {
-	n := c.Len()
-	switch col := c.(type) {
-	case *Int64Column:
-		buf.Grow(8 * n)
-		out := buf.AvailableBuffer()
-		for _, v := range col.Vals {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-		buf.Write(out)
-	case *Float64Column:
-		buf.Grow(8 * n)
-		out := buf.AvailableBuffer()
-		for _, v := range col.Vals {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-		buf.Write(out)
-	case *StringColumn:
-		for i := 0; i < n; i++ {
-			writeUvarint(buf, uint64(len(col.Vals[i])))
-			buf.WriteString(col.Vals[i])
-		}
-	case *BoolColumn:
-		for i := 0; i < n; i++ {
-			if col.Vals[i] {
-				buf.WriteByte(1)
-			} else {
-				buf.WriteByte(0)
-			}
-		}
-	default:
-		return fmt.Errorf("storage: plain encoding unsupported for %T", c)
-	}
-	return nil
 }
 
 func decodePlain(r *reader, t types.Type, n int, nulls []bool) (Column, error) {

@@ -10,14 +10,14 @@ import (
 	"vsfabric/internal/types"
 )
 
-// AppendBatches appends to dst the rows the batches select, in order, in the
-// layout DecodeColumns reads (the one EncodeRows writes): schema, row count,
-// then one length-prefixed plain-encoded chunk per column. Values are
-// gathered through each selection vector straight from the column vectors
-// into dst, which is grown once to the exact encoded size: no row is boxed
-// and no intermediate column is built; a DictColumn is read through its
-// dictionary, into the bytes its densified vector would give. Every batch must
-// carry one column per schema column, of that column's type.
+// AppendBatches appends to dst the rows the batches select, in order, as one
+// row block: schema, row count, then one length-prefixed plain chunk per
+// column (plainChunk). It is the one writer of the layout DecodeColumns reads
+// — WAL insert and delete records, data-collector records, wire frames and
+// HDFS files. Values are gathered through each selection vector straight from
+// the column vectors into dst, which is grown once to the exact encoded size:
+// no row is boxed and no intermediate column is built. Every batch must carry
+// one column per schema column, of that column's type.
 func AppendBatches(dst []byte, schema types.Schema, batches []*Batch) ([]byte, error) {
 	n := SelectedRows(batches)
 	dst = appendSchema(dst, schema)
@@ -27,44 +27,64 @@ func AppendBatches(dst []byte, schema types.Schema, batches []*Batch) ([]byte, e
 	}
 	// Size every chunk first: a chunk's length prefix precedes it, and the
 	// sum sizes the one allocation.
-	type chunk struct {
-		size    int
-		anyNull bool
-		src     []colRead
-	}
-	chunks, total := make([]chunk, len(schema.Cols)), 0
+	chunks, total := make([]plainChunk, len(schema.Cols)), 0
 	reads := make([]colRead, len(schema.Cols)*len(batches))
 	for j, c := range schema.Cols {
 		src := reads[j*len(batches) : (j+1)*len(batches)]
 		if err := columnReads(src, batches, j, c.T); err != nil {
 			return nil, err
 		}
-		payload, anyNull, err := gatherSize(src)
-		if err != nil {
+		var err error
+		if chunks[j], err = sizePlain(c.T, n, src); err != nil {
 			return nil, err
 		}
-		size := 2 + uvarintLen(uint64(n)) + 1 + payload // type, encoding, row count, null marker
-		if anyNull {
-			size += (n + 7) / 8
-		}
-		chunks[j] = chunk{size, anyNull, src}
-		total += uvarintLen(uint64(size)) + size
+		total += uvarintLen(uint64(chunks[j].size)) + chunks[j].size
 	}
 	dst = slices.Grow(dst, total)
-	for j, c := range schema.Cols {
-		dst = binary.AppendUvarint(dst, uint64(chunks[j].size))
-		end := len(dst) + chunks[j].size
-		dst = append(dst, byte(c.T), byte(EncPlain))
-		dst = binary.AppendUvarint(dst, uint64(n))
-		if dst = append(dst, 0); chunks[j].anyNull {
-			dst[len(dst)-1] = 1
-			dst = dst[:len(dst)+(n+7)/8]
-			gatherNulls(dst[len(dst)-(n+7)/8:], chunks[j].src)
-		}
-		gatherValues(dst[len(dst):end], chunks[j].src)
-		dst = dst[:end]
+	for _, ch := range chunks {
+		dst = binary.AppendUvarint(dst, uint64(ch.size))
+		dst = ch.appendTo(dst)
 	}
 	return dst, nil
+}
+
+// plainChunk is a column chunk in the plain encoding, sized before it is
+// written: [type][encPlain][uvarint rows][NULL marker, then the packed bitmap
+// if any row is NULL][values: 8 bytes per INTEGER or FLOAT, 1 per BOOLEAN, a
+// uvarint length and the bytes per VARCHAR].
+type plainChunk struct {
+	t       types.Type
+	n, size int
+	anyNull bool
+	src     []colRead
+}
+
+// sizePlain sizes the plain chunk of the n rows src reads.
+func sizePlain(t types.Type, n int, src []colRead) (plainChunk, error) {
+	payload, anyNull, err := gatherSize(src)
+	if err != nil {
+		return plainChunk{}, err
+	}
+	size := 2 + uvarintLen(uint64(n)) + 1 + payload // type, encoding, row count, null marker
+	if anyNull {
+		size += (n + 7) / 8
+	}
+	return plainChunk{t, n, size, anyNull, src}, nil
+}
+
+// appendTo appends the chunk to dst.
+func (ch plainChunk) appendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, ch.size)
+	end := len(dst) + ch.size
+	dst = append(dst, byte(ch.t), byte(encPlain))
+	dst = binary.AppendUvarint(dst, uint64(ch.n))
+	if dst = append(dst, 0); ch.anyNull {
+		dst[len(dst)-1] = 1
+		dst = dst[:len(dst)+(ch.n+7)/8]
+		gatherNulls(dst[len(dst)-(ch.n+7)/8:], ch.src)
+	}
+	gatherValues(dst[len(dst):end], ch.src)
+	return dst[:end]
 }
 
 // colRead is what one batch's column reads: a vector and the positions of it,
@@ -74,18 +94,22 @@ type colRead struct {
 	sel []int32
 }
 
-// columnReads fills src[k] with what column j of batch k reads: the column at
-// the batch's selection, or — for a DictColumn — its dictionary at the codes
-// of the selected rows.
+// readOf is what a column read at sel reads: the column itself, or — for a
+// DictColumn — its dictionary at the codes of the selected rows.
+func readOf(c Column, sel []int32) colRead {
+	if d, ok := c.(*DictColumn); ok {
+		return colRead{d.Dict, appendSel(nil, d.Codes, sel)}
+	}
+	return colRead{c, sel}
+}
+
+// columnReads fills src[k] with what column j of batch k reads.
 func columnReads(src []colRead, batches []*Batch, j int, t types.Type) error {
 	for k, b := range batches {
 		if j >= len(b.Cols) || b.Cols[j].Type() != t {
 			return fmt.Errorf("storage: batch column %d does not fit its %v schema column", j, t)
 		}
-		src[k] = colRead{b.Cols[j], b.Sel}
-		if d, ok := b.Cols[j].(*DictColumn); ok {
-			src[k] = colRead{d.Dict, appendSel(nil, d.Codes, b.Sel)}
-		}
+		src[k] = readOf(b.Cols[j], b.Sel)
 	}
 	return nil
 }

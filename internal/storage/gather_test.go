@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,7 +41,7 @@ func sameRows(t *testing.T, what string, got, want []types.Row) {
 // gatherSchema has one column per kind the gather-encoder handles; kindBatch
 // fills it with n rows: an RLE integer column, a dense integer column with
 // NULLs, floats including NaN, -0 and NULLs, low-cardinality strings (what
-// ChooseEncoding would dictionary-encode), high-cardinality strings with
+// chooseEncoding would dictionary-encode), high-cardinality strings with
 // NULLs, and booleans with NULLs.
 var gatherSchema = types.Schema{Cols: []types.Column{
 	{Name: "rle", T: types.Int64}, {Name: "i", T: types.Int64}, {Name: "f", T: types.Float64},
@@ -199,19 +200,19 @@ func TestDecodersBoundUntrustedLengths(t *testing.T) {
 	huge := uv(1 << 62)
 	oneIntCol := cat(uv(1), uv(1), []byte("c"), []byte{byte(types.Int64)}) // schema (c INTEGER)
 	column := map[string][]byte{
-		"plain row count":  cat([]byte{byte(types.Int64), byte(EncPlain)}, huge, []byte{0}),
-		"delta row count":  cat([]byte{byte(types.Int64), byte(EncDeltaVarint)}, huge, []byte{0}),
-		"null bitmap":      cat([]byte{byte(types.Bool), byte(EncPlain)}, uv(64), []byte{1, 0xff}),
-		"RLE row count":    cat([]byte{byte(types.Int64), byte(EncRLE)}, huge, []byte{0}, uv(1), []byte{2}),
-		"RLE run":          cat([]byte{byte(types.Int64), byte(EncRLE)}, uv(10), []byte{0}, uv(math.MaxUint64), []byte{2}),
-		"dict size":        cat([]byte{byte(types.Varchar), byte(EncDict)}, uv(1), []byte{0}, huge, []byte{0}),
-		"dict string":      cat([]byte{byte(types.Varchar), byte(EncDict)}, uv(1), []byte{0}, uv(1), huge),
-		"plain string":     cat([]byte{byte(types.Varchar), byte(EncPlain)}, uv(1), []byte{0}, huge),
+		"plain row count":  cat([]byte{byte(types.Int64), byte(encPlain)}, huge, []byte{0}),
+		"delta row count":  cat([]byte{byte(types.Int64), byte(encDeltaVarint)}, huge, []byte{0}),
+		"null bitmap":      cat([]byte{byte(types.Bool), byte(encPlain)}, uv(64), []byte{1, 0xff}),
+		"RLE row count":    cat([]byte{byte(types.Int64), byte(encRLE)}, huge, []byte{0}, uv(1), []byte{2}),
+		"RLE run":          cat([]byte{byte(types.Int64), byte(encRLE)}, uv(10), []byte{0}, uv(math.MaxUint64), []byte{2}),
+		"dict size":        cat([]byte{byte(types.Varchar), byte(encDict)}, uv(1), []byte{0}, huge, []byte{0}),
+		"dict string":      cat([]byte{byte(types.Varchar), byte(encDict)}, uv(1), []byte{0}, uv(1), huge),
+		"plain string":     cat([]byte{byte(types.Varchar), byte(encPlain)}, uv(1), []byte{0}, huge),
 		"unknown encoding": cat([]byte{byte(types.Int64), 0x7f}, uv(0), []byte{0}),
 	}
 	for name, data := range column {
-		if _, err := DecodeColumn(data); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("DecodeColumn(%s): %v, want ErrCorrupt", name, err)
+		if _, err := decodeColumn(data, -1); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("decodeColumn(%s): %v, want ErrCorrupt", name, err)
 		}
 	}
 	block := map[string][]byte{
@@ -219,16 +220,102 @@ func TestDecodersBoundUntrustedLengths(t *testing.T) {
 		"schema name length":  cat(uv(1), huge),
 		"column chunk size":   cat(oneIntCol, uv(3), huge),
 		"rows of no columns":  cat(uv(0), uv(5)),
-		"rows past the limit": cat(oneIntCol, uv(1<<14+1), uv(6), []byte{byte(types.Int64), byte(EncRLE)}, uv(1<<14+1), []byte{0}),
-		"chunk row count":     cat(oneIntCol, uv(2), uv(5), []byte{byte(types.Int64), byte(EncRLE)}, uv(9), []byte{0}, uv(9), []byte{2}),
+		"rows past the limit": cat(oneIntCol, uv(1<<14+1), uv(6), []byte{byte(types.Int64), byte(encRLE)}, uv(1<<14+1), []byte{0}),
+		"chunk row count":     cat(oneIntCol, uv(2), uv(5), []byte{byte(types.Int64), byte(encRLE)}, uv(9), []byte{0}, uv(9), []byte{2}),
 		"column of wrong type": cat(oneIntCol, uv(1), uv(12),
-			[]byte{byte(types.Float64), byte(EncPlain)}, uv(1), []byte{0}, make([]byte, 8)),
+			[]byte{byte(types.Float64), byte(encPlain)}, uv(1), []byte{0}, make([]byte, 8)),
 	}
 	for name, data := range block {
 		if _, _, _, err := DecodeColumns(data, 1<<14); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("DecodeColumns(%s): %v, want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// TestPlainChunkIsTheRowBlockChunk: a ROS container's or WOS snapshot's
+// plain chunk (encodeColumn) is byte for byte the chunk a row block carries
+// for the same vector (AppendBatches), for every vector form — dense with and
+// without NULLs, RLE and dictionary-coded — and decodes to the vector's
+// values.
+func TestPlainChunkIsTheRowBlockChunk(t *testing.T) {
+	b := kindBatch(rand.New(rand.NewSource(5)), 200)
+	forms := map[string]Column{
+		"dense ints":            &Int64Column{Vals: b.Cols[1].(*Int64Column).Vals},
+		"dense ints with NULLs": b.Cols[1],
+		"floats with NULLs":     b.Cols[2],
+		"strings":               b.Cols[3],
+		"strings with NULLs":    b.Cols[4],
+		"bools with NULLs":      b.Cols[5],
+		"RLE":                   b.Cols[0],
+		"dict": &DictColumn{Codes: []int32{2, 0, 0, 1, 2}, Dict: &StringColumn{
+			Vals: []string{"x", "", "zz"}, Nulls: []bool{false, true, false}}},
+	}
+	for name, c := range forms {
+		n := c.Len()
+		chunk, err := encodeColumn(c, encPlain)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		schema := types.Schema{Cols: []types.Column{{Name: "c", T: c.Type()}}}
+		block, err := AppendBatches(nil, schema, []*Batch{{Cols: []Column{c}, Sel: IdentitySel(n)}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := &reader{b: block}
+		if _, err := readSchema(r); err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := r.uvarint(); err != nil || rows != uint64(n) {
+			t.Fatalf("%s: block of %d rows (%v), want %d", name, rows, err, n)
+		}
+		size, err := r.uvarint()
+		if err != nil || size != uint64(len(r.b)) || string(r.b) != string(chunk) {
+			t.Fatalf("%s: row block chunk %x (size %d), encodeColumn's plain chunk %x", name, r.b, size, chunk)
+		}
+		got, err := decodeColumn(chunk, int64(n))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameRows(t, name, Materialize([]*Batch{{Cols: []Column{got}, Sel: IdentitySel(n)}}),
+			Materialize([]*Batch{{Cols: []Column{c}, Sel: IdentitySel(n)}}))
+	}
+}
+
+// chosenBlock is a row block whose chunks carry the encoding chooseEncoding
+// picks per column — the form WAL insert and delete records took before every
+// row block was written plain by AppendBatches. Such records must still
+// decode.
+func chosenBlock(t testing.TB, schema types.Schema, rows []types.Row) []byte {
+	cols, err := ColumnsFromRows(rows, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	writeSchema(&buf, schema)
+	writeUvarint(&buf, uint64(len(rows)))
+	if err := writeColumns(&buf, cols); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEncodingChosenBlockDecodes: a row block with delta and dictionary
+// chunks decodes to its rows.
+func TestEncodingChosenBlockDecodes(t *testing.T) {
+	schema := types.Schema{Cols: []types.Column{{Name: "id", T: types.Int64}, {Name: "tag", T: types.Varchar}}}
+	rows := make([]types.Row, 40)
+	for i := range rows {
+		rows[i] = types.Row{types.IntValue(int64(i)), types.StringValue([]string{"a", "b"}[i%2])}
+	}
+	cols, _ := ColumnsFromRows(rows, schema)
+	if e0, e1 := chooseEncoding(cols[0]), chooseEncoding(cols[1]); e0 != encDeltaVarint || e1 != encDict {
+		t.Fatalf("chosen encodings %v, %v; want DELTA, DICT", e0, e1)
+	}
+	gotSchema, got, err := DecodeRows(chosenBlock(t, schema, rows))
+	if err != nil || !gotSchema.Equal(schema) {
+		t.Fatalf("decode: %v (schema %v)", err, gotSchema)
+	}
+	sameRows(t, "encoding-chosen block", got, rows)
 }
 
 // FuzzDecodeColumns: no input panics the batch decoder or makes it allocate
@@ -244,11 +331,7 @@ func FuzzDecodeColumns(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	rows, err := EncodeRows(batchSchema(), batchRows(0, 20)) // delta + plain chunks
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(rows)
+	f.Add(chosenBlock(f, batchSchema(), batchRows(0, 20))) // delta + plain chunks
 	f.Add(cat(uv(1), uv(1), []byte("c"), []byte{byte(types.Int64)}, uv(0)))
 	f.Add(uv(1 << 62))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -104,7 +104,7 @@ func TestGoldenContainerLoadsAndRemarshals(t *testing.T) {
 	}
 	// The stored hashes are the segmentation hashes: a freshly built container
 	// of the same rows has the same ones, and the same zone maps.
-	fresh, err := NewROSContainer(all, goldenSchema(), []int{0}, 3)
+	fresh, err := rosContainer(all, goldenSchema(), []int{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

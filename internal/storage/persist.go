@@ -12,9 +12,9 @@ import (
 )
 
 // This file implements the durable forms of the storage layer: row blocks
-// (the payload of WAL insert/delete records), ROS container files (one file
-// per container, column pages serialized with the existing encodings), and
-// WOS snapshots (the committed remainder of a write buffer at checkpoint).
+// (the payload of WAL insert/delete records, written by AppendBatches), ROS
+// container files (one file per container, column pages serialized with the
+// existing encodings), and WOS snapshots (the committed remainder of a write buffer at checkpoint).
 // Every format ends in a CRC32 so recovery can reject torn or corrupt files.
 
 var (
@@ -111,7 +111,7 @@ func readSchema(r *reader) (types.Schema, error) {
 func writeColumns(buf *bytes.Buffer, cols []Column) error {
 	chunks, total := make([][]byte, len(cols)), 0
 	for i, c := range cols {
-		chunk, err := EncodeColumn(c, ChooseEncoding(c))
+		chunk, err := encodeColumn(c, chooseEncoding(c))
 		if err != nil {
 			return err
 		}
@@ -146,36 +146,18 @@ func readColumns(r *reader, ncols int, nrows uint64) ([]Column, error) {
 	return cols, nil
 }
 
-// EncodeRows serializes rows column-wise with the storage encodings plus the
-// schema needed to decode them standalone — the payload format of WAL
-// insert/delete records. It is EncodeColumns for a caller that holds rows.
+// EncodeRows is AppendBatches for a caller that holds rows: the row block of
+// rows, columnized once. The benchmark's codec probe, the HDFS baseline's
+// files and tests call it.
 func EncodeRows(schema types.Schema, rows []types.Row) ([]byte, error) {
 	cols, err := ColumnsFromRows(rows, schema)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeColumns(schema, cols, len(rows))
+	return AppendBatches(nil, schema, []*Batch{{Cols: cols, Sel: IdentitySel(len(rows))}})
 }
 
-// EncodeColumns is EncodeRows over the n rows that dense vectors, one per
-// schema column, already hold: byte for byte what EncodeRows writes for the
-// same rows, without boxing them.
-func EncodeColumns(schema types.Schema, cols []Column, n int) ([]byte, error) {
-	var buf bytes.Buffer
-	writeSchema(&buf, schema)
-	writeUvarint(&buf, uint64(n))
-	if n > 0 {
-		if err := checkColumns(cols, n, schema); err != nil {
-			return nil, err
-		}
-		if err := writeColumns(&buf, cols); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeColumns reverses EncodeRows/AppendBatches without materializing
+// DecodeColumns reverses AppendBatches without materializing
 // rows: the decoded vectors can feed a Batch (or the wire) directly. maxRows
 // is the most rows the source may put in one block; a block claiming more is
 // corrupt. nrows 0 returns nil columns with the schema intact.
@@ -204,9 +186,9 @@ func DecodeColumns(data []byte, maxRows int) (types.Schema, []Column, int, error
 	return schema, cols, int(n), nil
 }
 
-// DecodeRows reverses EncodeRows into boxed rows. Production readers (WAL
-// replay, the data collector) decode columns; the benchmark's codec probe
-// calls this.
+// DecodeRows reverses EncodeRows into boxed rows. WAL replay and the data
+// collector decode columns; the benchmark's codec probe and the HDFS
+// baseline's reader call this.
 func DecodeRows(data []byte) (types.Schema, []types.Row, error) {
 	schema, cols, n, err := DecodeColumns(data, math.MaxInt32)
 	if err != nil || n == 0 {

@@ -27,6 +27,15 @@ func persistRows() []types.Row {
 	}
 }
 
+// rosContainer builds the container AppendROS would attach for rows.
+func rosContainer(rows []types.Row, schema types.Schema, segIdx []int, start uint64) (*ROSContainer, error) {
+	cols, err := ColumnsFromRows(rows, schema)
+	if err != nil {
+		return nil, err
+	}
+	return newContainer(cols, len(rows), schema, HashColumns(cols, segIdx, len(rows)), start, nil)
+}
+
 func TestEncodeRowsRoundTrip(t *testing.T) {
 	schema := persistSchema()
 	rows := persistRows()
@@ -57,7 +66,7 @@ func TestEncodeRowsRoundTrip(t *testing.T) {
 func TestMarshalContainerRoundTrip(t *testing.T) {
 	schema := persistSchema()
 	rows := persistRows()
-	c, err := NewROSContainer(rows, schema, []int{0}, 3)
+	c, err := rosContainer(rows, schema, []int{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,7 @@ func TestMarshalContainerRoundTrip(t *testing.T) {
 	}
 
 	// No-deletes container round-trips with a nil delete vector.
-	c2, _ := NewROSContainer(rows, schema, []int{0}, 2)
+	c2, _ := rosContainer(rows, schema, []int{0}, 2)
 	data2, err := MarshalContainer(c2)
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +123,14 @@ func TestMarshalContainerRoundTrip(t *testing.T) {
 }
 
 func TestMarshalContainerRefusesProvisional(t *testing.T) {
-	c, _ := NewROSContainer(persistRows(), persistSchema(), []int{0}, ProvisionalBase+1)
+	c, _ := rosContainer(persistRows(), persistSchema(), []int{0}, ProvisionalBase+1)
 	if _, err := MarshalContainer(c); err == nil {
 		t.Fatal("provisional container must not be persistable")
 	}
 }
 
 func TestUnmarshalContainerRejectsCorruption(t *testing.T) {
-	c, _ := NewROSContainer(persistRows(), persistSchema(), []int{0}, 2)
+	c, _ := rosContainer(persistRows(), persistSchema(), []int{0}, 2)
 	data, err := MarshalContainer(c)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +160,7 @@ func TestUnmarshalContainerRejectsCorruption(t *testing.T) {
 // every bound CanPrune reads is of its column's type.
 func TestUnmarshalContainerRejectsMistypedZoneMap(t *testing.T) {
 	for _, bound := range []string{"min", "max"} {
-		c, _ := NewROSContainer(persistRows(), persistSchema(), []int{0}, 2)
+		c, _ := rosContainer(persistRows(), persistSchema(), []int{0}, 2)
 		if bound == "min" {
 			c.stats[0].Min = types.StringValue("a")
 		} else {
@@ -213,7 +222,7 @@ func TestMarshalWOSRoundTrip(t *testing.T) {
 
 func TestContainerCache(t *testing.T) {
 	schema := persistSchema()
-	base, _ := NewROSContainer(persistRows(), schema, []int{0}, 2)
+	base, _ := rosContainer(persistRows(), schema, []int{0}, 2)
 	data, err := MarshalContainer(base)
 	if err != nil {
 		t.Fatal(err)

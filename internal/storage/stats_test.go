@@ -55,7 +55,7 @@ func TestComputeColStatsAllNull(t *testing.T) {
 
 func TestContainerStatsPersistRoundTrip(t *testing.T) {
 	schema := persistSchema()
-	c, err := NewROSContainer(persistRows(), schema, []int{0}, 3)
+	c, err := rosContainer(persistRows(), schema, []int{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

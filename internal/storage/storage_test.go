@@ -63,13 +63,13 @@ func col(t *testing.T, typ types.Type, vals ...types.Value) Column {
 	return b.Build()
 }
 
-func roundTrip(t *testing.T, c Column, enc Encoding) Column {
+func roundTrip(t *testing.T, c Column, enc encoding) Column {
 	t.Helper()
-	data, err := EncodeColumn(c, enc)
+	data, err := encodeColumn(c, enc)
 	if err != nil {
 		t.Fatalf("encode %v: %v", enc, err)
 	}
-	got, err := DecodeColumn(data)
+	got, err := decodeColumn(data, -1)
 	if err != nil {
 		t.Fatalf("decode %v: %v", enc, err)
 	}
@@ -89,19 +89,19 @@ func roundTrip(t *testing.T, c Column, enc Encoding) Column {
 
 func TestEncodingsRoundTrip(t *testing.T) {
 	ints := col(t, types.Int64, types.IntValue(1), types.IntValue(1), types.IntValue(5), types.NullValue(types.Int64), types.IntValue(-9))
-	for _, e := range []Encoding{EncPlain, EncRLE, EncDeltaVarint} {
+	for _, e := range []encoding{encPlain, encRLE, encDeltaVarint} {
 		roundTrip(t, ints, e)
 	}
 	floats := col(t, types.Float64, types.FloatValue(1.5), types.FloatValue(math.Pi), types.NullValue(types.Float64))
-	for _, e := range []Encoding{EncPlain, EncRLE} {
+	for _, e := range []encoding{encPlain, encRLE} {
 		roundTrip(t, floats, e)
 	}
 	strs := col(t, types.Varchar, types.StringValue("aa"), types.StringValue("bb"), types.StringValue("aa"), types.NullValue(types.Varchar))
-	for _, e := range []Encoding{EncPlain, EncRLE, EncDict} {
+	for _, e := range []encoding{encPlain, encRLE, encDict} {
 		roundTrip(t, strs, e)
 	}
 	bools := col(t, types.Bool, types.BoolValue(true), types.BoolValue(true), types.BoolValue(false))
-	for _, e := range []Encoding{EncPlain, EncRLE} {
+	for _, e := range []encoding{encPlain, encRLE} {
 		roundTrip(t, bools, e)
 	}
 }
@@ -115,12 +115,12 @@ func TestEncodingQuickInt(t *testing.T) {
 			}
 		}
 		c := b.Build()
-		for _, e := range []Encoding{EncPlain, EncRLE, EncDeltaVarint} {
-			data, err := EncodeColumn(c, e)
+		for _, e := range []encoding{encPlain, encRLE, encDeltaVarint} {
+			data, err := encodeColumn(c, e)
 			if err != nil {
 				return false
 			}
-			got, err := DecodeColumn(data)
+			got, err := decodeColumn(data, -1)
 			if err != nil || got.Len() != len(vals) {
 				return false
 			}
@@ -142,35 +142,35 @@ func TestChooseEncoding(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = sortedInts.Append(types.IntValue(int64(i)))
 	}
-	if got := ChooseEncoding(sortedInts.Build()); got != EncDeltaVarint {
+	if got := chooseEncoding(sortedInts.Build()); got != encDeltaVarint {
 		t.Errorf("sorted ints -> %v, want DELTA", got)
 	}
 	runs := NewBuilder(types.Int64)
 	for i := 0; i < 100; i++ {
 		_ = runs.Append(types.IntValue(int64(i / 50)))
 	}
-	if got := ChooseEncoding(runs.Build()); got != EncRLE {
+	if got := chooseEncoding(runs.Build()); got != encRLE {
 		t.Errorf("runs -> %v, want RLE", got)
 	}
 	lowCard := NewBuilder(types.Varchar)
 	for i := 0; i < 100; i++ {
 		_ = lowCard.Append(types.StringValue([]string{"a", "b"}[i%2]))
 	}
-	if got := ChooseEncoding(lowCard.Build()); got != EncDict {
+	if got := chooseEncoding(lowCard.Build()); got != encDict {
 		t.Errorf("low-cardinality strings -> %v, want DICT", got)
 	}
 }
 
 func TestDecodeCorruptData(t *testing.T) {
 	c := col(t, types.Int64, types.IntValue(1), types.IntValue(2))
-	data, err := EncodeColumn(c, EncPlain)
+	data, err := encodeColumn(c, encPlain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeColumn(data[:len(data)-3]); err == nil {
+	if _, err := decodeColumn(data[:len(data)-3], -1); err == nil {
 		t.Error("truncated data should fail to decode")
 	}
-	if _, err := DecodeColumn([]byte{}); err == nil {
+	if _, err := decodeColumn([]byte{}, -1); err == nil {
 		t.Error("empty data should fail to decode")
 	}
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -121,9 +120,8 @@ func TestDenseColumnsCutsLongerColumn(t *testing.T) {
 	}
 }
 
-// The vector entries are the row entries minus the boxing: EncodeColumns
-// writes EncodeRows' bytes, AppendColumns builds AppendROS's container and
-// buffers AppendWOS's rows.
+// The vector entry is the row entries minus the boxing: AppendColumns builds
+// AppendROS's container and buffers AppendWOS's rows.
 func TestColumnEntriesMatchRowEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, 70, 400} {
@@ -132,15 +130,6 @@ func TestColumnEntriesMatchRowEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EncodeRows(gatherSchema, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EncodeColumns(gatherSchema, cols, n)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: EncodeColumns differs from EncodeRows (err %v)", n, err)
-		}
-
 		segIdx := []int{1, 3}
 		for _, direct := range []bool{true, false} {
 			byRows, byCols := NewStore(gatherSchema, segIdx), NewStore(gatherSchema, segIdx)

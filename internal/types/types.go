@@ -1,7 +1,7 @@
 // Package types defines the value model shared by every component of the
 // fabric: column types, nullable values, rows, and schemas. It is the common
 // currency between the Vertica engine, the Spark engine, the connector, and
-// the codecs (CSV, Avro, colfile).
+// the codecs (CSV, Avro, the storage row block).
 package types
 
 import (

@@ -9,6 +9,7 @@ package vertica
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -243,6 +244,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.cache = cfg.Cache
 		if c.cache == nil {
 			c.cache = storage.NewContainerCache(storage.DefaultCacheBytes)
+		}
+		var err error
+		if c.dfs, err = dfs.Open(filepath.Join(cfg.DataDir, "dfs")); err != nil {
+			return nil, fmt.Errorf("vertica: opening the DFS under %s: %w", cfg.DataDir, err)
 		}
 		if err := c.openDurable(); err != nil {
 			return nil, fmt.Errorf("vertica: opening data directory %s: %w", cfg.DataDir, err)

@@ -33,6 +33,7 @@ import (
 //	wal-<seq>.log      — the current write-ahead log
 //	node-<i>/c-<id>.ros — one file per ROS container on node i
 //	node-<i>/w-<id>.wos — node i's committed WOS snapshot for one table
+//	dfs/<path>         — the internal DFS's files (deployed models)
 //
 // Invariants:
 //   - Provisional (uncommitted) state is never persisted in data files; the
@@ -148,7 +149,7 @@ func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, cols []storage.Colu
 	if !s.cluster.durable() || n == 0 {
 		return nil
 	}
-	payload, err := storage.EncodeColumns(tbl.Def.Schema, cols, n)
+	payload, err := storage.AppendBatches(nil, tbl.Def.Schema, []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}})
 	if err != nil {
 		return err
 	}
@@ -166,7 +167,7 @@ func (s *Session) logDelete(tx *txn.Txn, tbl *catalog.Table, cols []storage.Colu
 	if !s.cluster.durable() || n == 0 {
 		return nil
 	}
-	payload, err := storage.EncodeColumns(tbl.Def.Schema, cols, n)
+	payload, err := storage.AppendBatches(nil, tbl.Def.Schema, []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}})
 	if err != nil {
 		return err
 	}

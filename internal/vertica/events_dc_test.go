@@ -1,7 +1,9 @@
 package vertica
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -95,17 +97,21 @@ func TestDCQueryRequestsSurviveCrash(t *testing.T) {
 }
 
 // TestDCReadsEncodingChosenRecords: records are spooled plain, but a record an
-// earlier build wrote with storage.EncodeRows — an encoding chosen per column,
-// a dictionary for a one-row string column — still reads back beside them.
+// earlier build wrote with an encoding chosen per column — a dictionary for a
+// one-row string column — still reads back beside them. The fixture holds
+// that build's storage.EncodeRows of one failover event.
 func TestDCReadsEncodingChosenRecords(t *testing.T) {
 	c := durableCluster(t, t.TempDir(), storage.NewContainerCache(0))
 	defer c.Close()
 	s := sess(t, c, 0)
 	at := time.Unix(1700000000, 0).UTC()
 	old := obs.Event{Time: at, Name: "failover", Node: "v-node-1", Detail: "written by EncodeRows"}
-	payload, err := storage.EncodeRows(resilienceEventsSchema, []types.Row{resilienceEventRow(old)})
+	payload, err := os.ReadFile("testdata/dc_resilience_event_dict.bin")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plain, _ := storage.EncodeRows(resilienceEventsSchema, []types.Row{resilienceEventRow(old)}); bytes.Equal(payload, plain) {
+		t.Fatal("the fixture is a plain row block")
 	}
 	if err := c.DataCollector().Append(dcResilience, dc.Record{Time: at, Payload: payload}); err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ type Record struct {
 	Op     byte   // DDL opcode (the engine defines the codes)
 	Direct bool   // insert: ROS bulk path vs WOS trickle path
 	Table  string // target table (insert/delete)
-	Rows   []byte // storage.EncodeColumns payload (insert/delete)
+	Rows   []byte // storage.AppendBatches row block (insert/delete)
 	DDL    []byte // DDL payload (engine-defined encoding)
 }
 
