@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines surface
+.PHONY: check build vet lint test race bench bench-smoke perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines surface
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -74,11 +74,13 @@ s2v-test:
 # frames cut at wireBatchRows, the mid-COPY desync and COPY-abort
 # regressions, the wire-equals-in-process differential (every join output
 # form among its shapes), a server closing
-# under live sessions, and the resource-pool admission suites with a
+# under live sessions, the client's boxing of result vectors against each
+# column's Get, and the resource-pool admission suites with a
 # cancelled SELECT giving its slot back, its computed operators (project,
 # group-by, filter over derived rows) included — all under the race detector.
 wire-test: wire-fuzz
 	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|WireJoinOutputForms|ServerCloseEndsLiveSessions' ./internal/server/
+	$(GO) test -race -run 'MaterializeMatchesGet|BatchMaterializeSubset|GatherEncodeMatchesMaterialize' ./internal/storage/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation' ./internal/vertica/
 
@@ -152,6 +154,11 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
 	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy|BenchmarkPointFilter|BenchmarkV2SPartitionScan' -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
+
+# Every Go benchmark once, timings ignored: a benchmark whose own check fails
+# (BenchmarkResultPath's landed-row count, say) fails this target. CI runs it.
+bench-smoke:
+	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # The end-to-end benchmark (BENCHMARK.json): all four fabricperf workloads,
 # measured then traced, with per-layer tables. Minutes of wall time and

@@ -128,3 +128,35 @@ func TestUtilizationSeriesShape(t *testing.T) {
 		t.Errorf("16 connections should saturate the NIC, got %v B/s", hi)
 	}
 }
+
+// TestFig12HDFSReproducible: HDFS places a block by its path and index, not by
+// the order concurrent writers arrive, so three runs of fig12 report the same
+// HDFS read and write seconds.
+func TestFig12HDFSReproducible(t *testing.T) {
+	exp, _ := ByID("fig12")
+	var first map[string]string
+	for run := 0; run < 3; run++ {
+		rep, err := exp.Run(RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, row := range rep.Rows {
+			if strings.HasPrefix(row[0], "HDFS ") {
+				got[row[0]] = row[1]
+			}
+		}
+		if len(got) != 2 {
+			t.Fatalf("run %d: HDFS rows %v, want read and write", run, got)
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		for method, secs := range first {
+			if got[method] != secs {
+				t.Errorf("run %d: %s = %s, first run %s", run, method, got[method], secs)
+			}
+		}
+	}
+}

@@ -154,6 +154,42 @@ func TestV2SLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestV2SFewerPartitionsThanNodes: a partition covering several whole
+// segments (Figure 4(a)) concatenates its specs' results in segment order, so
+// every numPartitions below the node count reads the rows one partition per
+// node reads, in the same order.
+func TestV2SFewerPartitionsThanNodes(t *testing.T) {
+	h := newHarness(t, 4, 2, nil)
+	h.seedTable(t, "d1", 1000)
+	collect := func(parts int) []types.Row {
+		t.Helper()
+		df, err := h.sc.Read().Format(DefaultSourceName).Options(loadOpts(h, "d1", parts)).Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := df.Collect()
+		if err != nil {
+			t.Fatalf("parts=%d: %v", parts, err)
+		}
+		return rows
+	}
+	want := collect(4)
+	if len(want) != 1000 {
+		t.Fatalf("parts=4: got %d rows, want 1000", len(want))
+	}
+	for _, parts := range []int{1, 2, 3} {
+		got := collect(parts)
+		if len(got) != len(want) {
+			t.Fatalf("parts=%d: got %d rows, want %d", parts, len(got), len(want))
+		}
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("parts=%d: row %d = %v, want %v", parts, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestV2SProjectionAndFilterPushdown(t *testing.T) {
 	h := newHarness(t, 4, 2, nil)
 	h.seedTable(t, "d1", 500)

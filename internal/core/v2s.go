@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"vsfabric/internal/client"
@@ -259,7 +260,9 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 		// Engine/wire spans from this task's queries parent under the
 		// partition span, not the job directly.
 		ctx = obs.WithSpan(ctx, sp)
-		var out []types.Row
+		// Each spec's result is the client's one boxed slice. A partition of
+		// one spec is that slice; several are held and concatenated once.
+		parts := make([][]types.Row, 0, len(specs[p]))
 		for _, spec := range specs[p] {
 			// Execute retries the connect+execute pair with failover, so a
 			// node dying mid-scan re-runs this spec's query against the next
@@ -274,17 +277,16 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 				return nil, err
 			}
 			sp.AddRows(int64(len(res.Rows)))
-			if out == nil {
-				out = res.Rows // the client's one boxed slice becomes the partition
-			} else {
-				out = append(out, res.Rows...)
-			}
+			parts = append(parts, res.Rows)
 		}
 		sp.End(nil)
 		if err := tc.Checkpoint("v2s.task_done"); err != nil {
 			return nil, err
 		}
-		return out, nil
+		if len(parts) == 1 {
+			return parts[0], nil
+		}
+		return slices.Concat(parts...), nil
 	}), nil
 }
 

@@ -7,6 +7,7 @@ package hdfs
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -46,10 +47,9 @@ type fileMeta struct {
 type FS struct {
 	cfg Config
 
-	mu     sync.RWMutex
-	files  map[string]*fileMeta
-	store  []map[string][]byte // per-datanode block key → data
-	nextDN int
+	mu    sync.RWMutex
+	files map[string]*fileMeta
+	store []map[string][]byte // per-datanode block key → data
 }
 
 // New creates a filesystem.
@@ -78,10 +78,19 @@ func (f *FS) Config() Config { return f.cfg }
 
 func blockKey(path string, idx int) string { return fmt.Sprintf("%s#%d", path, idx) }
 
-// WriteFile stores data as a new file, splitting into blocks placed
-// round-robin with pipeline replication onto the following datanodes. rec
-// (optional) records the ingest and replication flows; clientNode names the
-// writer's node in the simulated topology.
+// primaryOf places a block's primary replica by a hash of its key, so a
+// file's layout depends only on its path and size — never on the order in
+// which concurrent writers arrive.
+func (f *FS) primaryOf(key string) int {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return int(h.Sum32() % uint32(f.cfg.DataNodes))
+}
+
+// WriteFile stores data as a new file, splitting into blocks whose primary
+// replica is placed by primaryOf, with pipeline replication onto the
+// following datanodes. rec (optional) records the ingest and replication
+// flows; clientNode names the writer's node in the simulated topology.
 func (f *FS) WriteFile(path string, data []byte, rec *sim.TaskRec, clientNode string, codec sim.CPUKind) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -96,14 +105,14 @@ func (f *FS) WriteFile(path string, data []byte, rec *sim.TaskRec, clientNode st
 		}
 		block := make([]byte, end-off)
 		copy(block, data[off:end])
-		primary := f.nextDN % f.cfg.DataNodes
-		f.nextDN++
+		key := blockKey(path, idx)
+		primary := f.primaryOf(key)
 		ref := BlockRef{Path: path, Index: idx, Size: len(block)}
 		route := map[[2]string]float64{}
 		for r := 0; r < f.cfg.Replication; r++ {
 			dn := (primary + r) % f.cfg.DataNodes
 			ref.Replicas = append(ref.Replicas, dn)
-			f.store[dn][blockKey(path, idx)] = block
+			f.store[dn][key] = block
 			if r > 0 {
 				prev := (primary + r - 1) % f.cfg.DataNodes
 				route[[2]string{sim.HName(prev), sim.HName(dn)}] = float64(len(block))

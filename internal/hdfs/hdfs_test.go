@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"vsfabric/internal/sim"
@@ -141,5 +142,34 @@ func TestEmptyFile(t *testing.T) {
 	got, err := fs.ReadFile("empty", nil, "", sim.CPUCSVParse)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty file read = %v, %v", got, err)
+	}
+}
+
+// TestPlacementIndependentOfWriteOrder: a file's blocks land on the same
+// replicas whichever order the files are written in.
+func TestPlacementIndependentOfWriteOrder(t *testing.T) {
+	paths := []string{"d/part-0", "d/part-1", "d/part-2", "d/part-3", "d/part-4"}
+	layout := func(order []int) map[string][]BlockRef {
+		fs := newFS(t, 4, 8, 3)
+		for _, i := range order {
+			if err := fs.WriteFile(paths[i], make([]byte, 8*(i+2)), nil, "", sim.CPUCSVFormat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := map[string][]BlockRef{}
+		for _, p := range paths {
+			blocks, err := fs.Blocks(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[p] = blocks
+		}
+		return out
+	}
+	a, b := layout([]int{0, 1, 2, 3, 4}), layout([]int{3, 1, 4, 0, 2})
+	for _, p := range paths {
+		if fmt.Sprint(a[p]) != fmt.Sprint(b[p]) {
+			t.Errorf("%s: written first %v, written in another order %v", p, a[p], b[p])
+		}
 	}
 }

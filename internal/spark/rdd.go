@@ -184,11 +184,24 @@ func (r *RDD[T]) Collect() ([]T, error) {
 		return nil, err
 	}
 	r.maybeFillCache(parts)
-	var out []T
+	return concat(parts), nil
+}
+
+// concat copies parts, in order, into one slice allocated at its final size.
+// It returns nil when the parts hold nothing.
+func concat[T any](parts [][]T) []T {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
 	for _, p := range parts {
 		out = append(out, p...)
 	}
-	return out, nil
+	return out
 }
 
 func (r *RDD[T]) maybeFillCache(parts [][]T) {

@@ -38,6 +38,41 @@ func TestParallelizeCollect(t *testing.T) {
 	}
 }
 
+// TestCollectSizesResultOnce: Collect returns the partitions' elements in
+// partition order in one slice allocated at its final size, and nil when no
+// partition holds anything.
+func TestCollectSizesResultOnce(t *testing.T) {
+	sc := testCtx(nil)
+	sizes := []int{3, 0, 17, 1, 0, 9}
+	rdd := NewRDD(sc, len(sizes), func(_ *TaskContext, p int) ([]int, error) {
+		out := make([]int, sizes[p], sizes[p]+5) // spare capacity Collect must not inherit
+		for i := range out {
+			out[i] = p*100 + i
+		}
+		return out, nil
+	})
+	got, err := rdd.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for p, n := range sizes {
+		for i := 0; i < n; i++ {
+			want = append(want, p*100+i)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Collect = %v, want %v", got, want)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("Collect: len %d, cap %d", len(got), cap(got))
+	}
+	empty := NewRDD(sc, 3, func(*TaskContext, int) ([]int, error) { return []int{}, nil })
+	if got, err := empty.Collect(); err != nil || got != nil {
+		t.Fatalf("Collect of empty partitions = %#v, %v; want nil", got, err)
+	}
+}
+
 func TestMapFilterCount(t *testing.T) {
 	sc := testCtx(nil)
 	rdd := Parallelize(sc, []int{1, 2, 3, 4, 5, 6}, 3)

@@ -176,19 +176,35 @@ func Materialize(batches []*Batch) []types.Row {
 
 // boxColumn writes the selected values of col to dst[0], dst[width],
 // dst[2*width], ...: one column of a row-major block.
+//
+// dst must be fresh zeroed memory; Materialize's own make is the only caller.
+// Each typed case therefore stores only the fields its type uses, T and one
+// value field, and never assigns a whole types.Value: a composite-literal
+// store into a pointer-holding struct first zeroes it, and while the
+// collector marks that zeroing takes the bulk write barrier once per value.
+// S, the one pointer field, is written only for VARCHAR. A NULL slot ends up
+// exactly types.NullValue of the column's type.
 func boxColumn(dst []types.Value, width int, col Column, sel []int32) {
 	switch c := col.(type) {
 	case *Int64Column:
 		for k, i := range sel {
-			dst[k*width] = types.Value{T: types.Int64, I: c.Vals[i]}
+			d := &dst[k*width]
+			d.T, d.I = types.Int64, c.Vals[i]
 		}
 	case *Float64Column:
 		for k, i := range sel {
-			dst[k*width] = types.Value{T: types.Float64, F: c.Vals[i]}
+			d := &dst[k*width]
+			d.T, d.F = types.Float64, c.Vals[i]
 		}
 	case *StringColumn:
 		for k, i := range sel {
-			dst[k*width] = types.Value{T: types.Varchar, S: c.Vals[i]}
+			d := &dst[k*width]
+			d.T, d.S = types.Varchar, c.Vals[i]
+		}
+	case *BoolColumn:
+		for k, i := range sel {
+			d := &dst[k*width]
+			d.T, d.B = types.Bool, c.Vals[i]
 		}
 	case *Int64RLEColumn:
 		// sel ascends, so one forward walk over the runs serves it.
@@ -197,7 +213,8 @@ func boxColumn(dst []types.Value, width int, col Column, sel []int32) {
 			for c.RunEnds[run] <= i {
 				run++
 			}
-			dst[k*width] = types.Value{T: types.Int64, I: c.RunVals[run]}
+			d := &dst[k*width]
+			d.T, d.I = types.Int64, c.RunVals[run]
 		}
 	default:
 		for k, i := range sel {
@@ -205,9 +222,14 @@ func boxColumn(dst []types.Value, width int, col Column, sel []int32) {
 		}
 	}
 	if nulls := nullsOf(col); nulls != nil {
+		// Undo the value field the typed pass stored under a NULL slot.
 		for k, i := range sel {
 			if nulls[i] {
-				dst[k*width] = types.NullValue(col.Type())
+				d := &dst[k*width]
+				d.I, d.F, d.B, d.Null = 0, 0, false, true
+				if d.S != "" {
+					d.S = ""
+				}
 			}
 		}
 	}

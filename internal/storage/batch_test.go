@@ -348,3 +348,80 @@ func TestScanBatchesRace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMaterializeMatchesGet is Materialize's reference: every boxed cell,
+// compared as a whole types.Value, equals its column's Get — or exactly
+// types.NullValue of the column's type for a NULL slot, whatever the vector
+// holds under it. It covers each column form, a non-identity selection that
+// crosses boxBlock, and several batches in one call.
+func TestMaterializeMatchesGet(t *testing.T) {
+	const n = 3*boxBlock + 17
+	rng := rand.New(rand.NewSource(7))
+	schema := types.Schema{Cols: []types.Column{
+		{Name: "i", T: types.Int64},
+		{Name: "f", T: types.Float64},
+		{Name: "s", T: types.Varchar},
+		{Name: "b", T: types.Bool},
+		{Name: "r", T: types.Int64},
+		{Name: "d", T: types.Varchar},
+	}}
+	mkBatch := func(sel []int32) *Batch {
+		ic := &Int64Column{Vals: make([]int64, n), Nulls: make([]bool, n)}
+		fc := &Float64Column{Vals: make([]float64, n), Nulls: make([]bool, n)}
+		sc := &StringColumn{Vals: make([]string, n), Nulls: make([]bool, n)}
+		bc := &BoolColumn{Vals: make([]bool, n), Nulls: make([]bool, n)}
+		rc := &Int64RLEColumn{}
+		dict := &StringColumn{Vals: []string{"x", "", "zz"}, Nulls: []bool{false, false, true}}
+		dc := &DictColumn{Codes: make([]int32, n), Dict: dict}
+		for i := 0; i < n; i++ {
+			// A NULL slot keeps a non-zero value under it.
+			ic.Vals[i], fc.Vals[i] = rng.Int63()-rng.Int63(), rng.NormFloat64()+1
+			sc.Vals[i], bc.Vals[i] = fmt.Sprintf("v%d", i), true
+			ic.Nulls[i], fc.Nulls[i] = i%5 == 1, i%7 == 2
+			sc.Nulls[i], bc.Nulls[i] = i%3 == 0, i%4 == 3
+			if i%11 == 0 || i == n-1 {
+				rc.RunEnds = append(rc.RunEnds, int32(i+1))
+				rc.RunVals = append(rc.RunVals, int64(i*13-40))
+			}
+			dc.Codes[i] = int32(i % 3)
+		}
+		cols := []Column{ic, fc, sc, bc, rc, dc}
+		if sel == nil {
+			sel = IdentitySel(n)
+		}
+		return &Batch{Schema: schema, Cols: cols, Sel: sel}
+	}
+	var sparse []int32
+	for i := int32(0); i < n; i++ {
+		if rng.Intn(3) != 0 {
+			sparse = append(sparse, i)
+		}
+	}
+	batches := []*Batch{mkBatch(sparse), mkBatch(nil), mkBatch([]int32{0, n - 1}), mkBatch([]int32{})}
+	got := Materialize(batches)
+	if len(got) != SelectedRows(batches) {
+		t.Fatalf("Materialize returned %d rows, want %d", len(got), SelectedRows(batches))
+	}
+	k := 0
+	for bi, b := range batches {
+		for _, i := range b.Sel {
+			row := got[k]
+			if len(row) != len(b.Cols) || cap(row) != len(b.Cols) {
+				t.Fatalf("row %d: len %d cap %d, want %d", k, len(row), cap(row), len(b.Cols))
+			}
+			for j, col := range b.Cols {
+				want := col.Get(int(i))
+				if col.IsNull(int(i)) {
+					want = types.NullValue(col.Type())
+				}
+				if row[j] != want {
+					t.Fatalf("batch %d row %d col %s: boxed %#v, want %#v", bi, i, schema.Cols[j].Name, row[j], want)
+				}
+			}
+			k++
+		}
+	}
+	if Materialize([]*Batch{mkBatch([]int32{})}) != nil {
+		t.Fatal("Materialize of no selected rows is not nil")
+	}
+}
