@@ -36,13 +36,14 @@ recover-test:
 # Elastic-membership gate: the rebalance units, the columnar version movement
 # under them against its row-boxing reference, the cluster-lifecycle suites
 # (ALTER CLUSTER, node recovery, crash sweeps over the rebalance/recovery
-# state machines), the wire sentinel round-trip, and the chaos acceptance
+# state machines), every consumer of replica placement against the buddy
+# rule, the wire sentinel round-trip, and the chaos acceptance
 # scenario (grow + kill + heal under live COPY and V2S) — all under the race
 # detector.
 rebalance-test:
 	$(GO) test -race ./internal/rebalance/
 	$(GO) test -race -run 'ColumnarVersions' ./internal/storage/
-	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep' ./internal/vertica/
+	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep|ReplicaPlacementEquivalence' ./internal/vertica/
 	$(GO) test -race -run 'SentinelRoundTrip' ./internal/server/
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 
@@ -75,14 +76,15 @@ s2v-test:
 # regressions, the wire-equals-in-process differential (every join output
 # form among its shapes), a server closing
 # under live sessions, the client's boxing of result vectors against each
-# column's Get, and the resource-pool admission suites with a
+# column's Get, the resource-pool admission suites with a
 # cancelled SELECT giving its slot back, its computed operators (project,
-# group-by, filter over derived rows) included — all under the race detector.
+# group-by, filter over derived rows) included, and a closed session refusing
+# COPY ... FROM STDIN — all under the race detector.
 wire-test: wire-fuzz
 	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|WireJoinOutputForms|ServerCloseEndsLiveSessions' ./internal/server/
 	$(GO) test -race -run 'MaterializeMatchesGet|BatchMaterializeSubset|GatherEncodeMatchesMaterialize' ./internal/storage/
 	$(GO) test -race ./internal/pool/
-	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation' ./internal/vertica/
+	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation|ClosedSessionRefusesCopy' ./internal/vertica/
 
 # Five seconds of native fuzzing on each decoder of untrusted bytes: the wire
 # frames, the batch-frame payload codec (storage.DecodeColumns), the

@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strconv"
 	"strings"
 	"testing"
@@ -158,5 +162,40 @@ func TestFig12HDFSReproducible(t *testing.T) {
 				t.Errorf("run %d: %s = %s, first run %s", run, method, got[method], secs)
 			}
 		}
+	}
+}
+
+// TestTitlesPrintPercentOnce: experiment and report titles and paper lines
+// are printed with %s, so a "%%" in one of them prints doubled. Every
+// string literal given to a Title or Paper field in the package is checked.
+func TestTitlesPrintPercentOnce(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				kv, ok := n.(*ast.KeyValueExpr)
+				if !ok {
+					return true
+				}
+				key, ok := kv.Key.(*ast.Ident)
+				lit, isLit := kv.Value.(*ast.BasicLit)
+				if !ok || !isLit || lit.Kind != token.STRING || key.Name != "Title" && key.Name != "Paper" {
+					return true
+				}
+				checked++
+				if strings.Contains(lit.Value, "%%") {
+					t.Errorf("%s: %s %s prints %%%% doubled", fset.Position(lit.Pos()), key.Name, lit.Value)
+				}
+				return true
+			})
+		}
+	}
+	if checked < len(All()) {
+		t.Fatalf("checked %d Title/Paper literals, fewer than the %d experiments", checked, len(All()))
 	}
 }

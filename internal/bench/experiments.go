@@ -34,7 +34,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:    "table2",
-		Title: "Vertica node CPU%% and network MBps during V2S, 4 vs 32 partitions (first 300 s)",
+		Title: "Vertica node CPU% and network MBps during V2S, 4 vs 32 partitions (first 300 s)",
 		Run:   runTable2,
 	})
 	register(Experiment{
@@ -284,7 +284,7 @@ func runTable3(cfg RunConfig) (*Report, error) {
 func init() {
 	register(Experiment{
 		ID:    "fig10",
-		Title: "Load: V2S vs JDBC Default Source, with/without 5%% selectivity pushdown",
+		Title: "Load: V2S vs JDBC Default Source, with/without 5% selectivity pushdown",
 		Run:   runFig10,
 	})
 	register(Experiment{
@@ -327,7 +327,7 @@ func runFig10(cfg RunConfig) (*Report, error) {
 	rep := &Report{
 		ID:     "fig10",
 		Title:  "Load: V2S vs JDBC Default Source (D1 + integer column, 100M rows)",
-		Paper:  "with 5%% pushdown: similar; without pushdown: V2S ~4x faster",
+		Paper:  "with 5% pushdown: similar; without pushdown: V2S ~4x faster",
 		Header: []string{"method", "pushdown", "time (s)"},
 	}
 	f, err := newFabric(4, 8, 0)
@@ -420,7 +420,7 @@ func runFig12(cfg RunConfig) (*Report, error) {
 	rep := &Report{
 		ID:     "fig12",
 		Title:  "V2S/S2V vs HDFS read/write (D1, 100M rows; HDFS gets its own 4-node cluster)",
-		Paper:  "HDFS read ~30%% faster than V2S (2240 block partitions); HDFS write ~ S2V",
+		Paper:  "HDFS read ~30% faster than V2S (2240 block partitions); HDFS write ~ S2V",
 		Header: []string{"method", "time (s)"},
 	}
 	f, err := newFabric(4, 8, 4)
@@ -491,7 +491,7 @@ func runTable4(cfg RunConfig) (*Report, error) {
 	rep := &Report{
 		ID:     "table4",
 		Title:  "Save: S2V vs Vertica native parallel COPY (D1, 100M rows)",
-		Paper:  "COPY best 238 s @8 file parts; S2V best 252 s @128 partitions (~6%% slower)",
+		Paper:  "COPY best 238 s @8 file parts; S2V best 252 s @128 partitions (~6% slower)",
 		Header: []string{"method", "parallelism", "time (s)"},
 	}
 	f, err := newFabric(4, 8, 0)

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 
-	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vhash"
 )
@@ -36,69 +35,14 @@ type TableDef struct {
 	Temp bool
 }
 
-// Table is a live table: its definition plus the per-position segment stores.
-//
-// Layout is expressed against the table's Ring: Ring[p] is the ID of the node
-// hosting ring position p, and the table has exactly len(Ring) segments.
-// Before elastic membership the ring was implicitly [0..numNodes-1]; now each
-// table carries its own ring so an online rebalance can move it to a new
-// membership one table at a time while readers of the old layout stay
-// correct.
+// Table is a live table: its definition plus its Layout, the stores holding
+// its rows.
 type Table struct {
 	Def    TableDef
 	SegIdx []int // schema indexes of the segmentation columns
-
-	// Ring[p] is the node ID at ring position p. Segment p's hash range is
-	// Segments(len(Ring))[p].
-	Ring []int
-	// Stores[p] is ring position p's primary store: for segmented tables the
-	// segment whose hash range is Segments(n)[p]; for unsegmented tables a
-	// full replica.
-	Stores []*storage.Store
-	// Buddies[r][p] is ring position p's r-th buddy replica, holding the
-	// segment of position (p-r-1) mod n, so the cluster tolerates KSafety
-	// node losses.
-	Buddies [][]*storage.Store
+	*Layout
 
 	CreatedEpoch uint64
-}
-
-// NumNodes returns the number of ring positions (segments) the table spans.
-func (t *Table) NumNodes() int { return len(t.Ring) }
-
-// PosOf returns the ring position hosted by the given node ID, or -1 if the
-// node is not in this table's ring (e.g. freshly added, pre-rebalance).
-func (t *Table) PosOf(nodeID int) int {
-	for p, id := range t.Ring {
-		if id == nodeID {
-			return p
-		}
-	}
-	return -1
-}
-
-// SegmentRanges returns the hash range owned by each ring position.
-// Unsegmented tables report the full ring for every position (any replica can
-// serve any range locally) — this is what lets V2S use synthetic hash ranges
-// for them.
-func (t *Table) SegmentRanges() []vhash.Range {
-	n := len(t.Ring)
-	if !t.Def.Segmented {
-		out := make([]vhash.Range, n)
-		for i := range out {
-			out[i] = vhash.Range{Lo: 0, Hi: vhash.RingSize}
-		}
-		return out
-	}
-	return vhash.Segments(n)
-}
-
-// HomeNode returns the ring position owning the given row hash.
-func (t *Table) HomeNode(h uint32) int {
-	if !t.Def.Segmented {
-		return 0
-	}
-	return vhash.SegmentOf(h, len(t.Ring))
 }
 
 // RowHash computes the segmentation hash of a row of this table.
@@ -182,26 +126,11 @@ func (c *Catalog) CreateTableAt(def TableDef, epoch uint64, ring []int) (*Table,
 	}
 	if ring == nil {
 		ring = c.Ring()
-	} else {
-		ring = append([]int(nil), ring...)
 	}
 	if def.KSafety < 0 || def.KSafety >= len(ring) {
 		return nil, fmt.Errorf("catalog: k-safety %d invalid for %d nodes", def.KSafety, len(ring))
 	}
-	t := &Table{Def: def, SegIdx: segIdx, Ring: ring, CreatedEpoch: epoch}
-	t.Stores = make([]*storage.Store, len(ring))
-	for i := range t.Stores {
-		t.Stores[i] = storage.NewStore(def.Schema, segIdx)
-	}
-	if def.Segmented && def.KSafety > 0 {
-		t.Buddies = make([][]*storage.Store, def.KSafety)
-		for r := range t.Buddies {
-			t.Buddies[r] = make([]*storage.Store, len(ring))
-			for i := range t.Buddies[r] {
-				t.Buddies[r][i] = storage.NewStore(def.Schema, segIdx)
-			}
-		}
-	}
+	t := &Table{Def: def, SegIdx: segIdx, Layout: NewLayout(def, segIdx, ring), CreatedEpoch: epoch}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,25 +145,20 @@ func (c *Catalog) CreateTableAt(def TableDef, epoch uint64, ring []int) (*Table,
 	return t, nil
 }
 
-// SwapLayout atomically replaces a table's ring and stores with a rebalanced
-// layout, copy-on-write: concurrent readers holding the old *Table keep
-// scanning the old (complete, immutable-from-here) stores, while every later
-// lookup sees the new layout. The caller serializes against writers by
-// holding the table's EXCLUSIVE lock.
-func (c *Catalog) SwapLayout(name string, ring []int, stores []*storage.Store, buddies [][]*storage.Store) (*Table, error) {
+// SwapLayout atomically replaces a table's layout with a rebalanced one,
+// copy-on-write: concurrent readers holding the old *Table keep scanning the
+// old (complete, immutable-from-here) stores, while every later lookup sees
+// the new layout. The caller serializes against writers by holding the
+// table's EXCLUSIVE lock.
+func (c *Catalog) SwapLayout(name string, lay *Layout) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t, ok := c.tables[key(name)]
 	if !ok {
 		return nil, fmt.Errorf("catalog: table %q does not exist", name)
 	}
-	if len(stores) != len(ring) {
-		return nil, fmt.Errorf("catalog: layout has %d stores for %d ring positions", len(stores), len(ring))
-	}
 	nt := *t
-	nt.Ring = append([]int(nil), ring...)
-	nt.Stores = stores
-	nt.Buddies = buddies
+	nt.Layout = lay
 	c.tables[key(name)] = &nt
 	return &nt, nil
 }
@@ -288,26 +212,6 @@ func (c *Catalog) RenameTable(oldName, newName string) error {
 	nt.Def.Name = newName
 	nt.Def.Temp = false
 	c.tables[nk] = &nt
-	return nil
-}
-
-// SwapTables atomically replaces target with source (source is renamed to
-// target; any previous target is dropped). This is the one-step overwrite
-// commit used by S2V overwrite mode.
-func (c *Catalog) SwapTables(source, target string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sk, tk := key(source), key(target)
-	st, ok := c.tables[sk]
-	if !ok {
-		return fmt.Errorf("catalog: table %q does not exist", source)
-	}
-	delete(c.tables, sk)
-	delete(c.tables, tk)
-	nt := *st
-	nt.Def.Name = target
-	nt.Def.Temp = false
-	c.tables[tk] = &nt
 	return nil
 }
 

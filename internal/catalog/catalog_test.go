@@ -107,15 +107,20 @@ func TestRenameAndSwap(t *testing.T) {
 	if err := c.RenameTable("b", "c"); err == nil {
 		t.Error("renaming over existing should fail")
 	}
-	// SwapTables replaces the target atomically.
-	if err := c.SwapTables("b", "c"); err != nil {
+	// SwapLayout installs a rebalanced layout copy-on-write: a later lookup
+	// sees it, a reader holding the old *Table keeps the old stores.
+	lay := NewLayout(tbl.Def, tbl.SegIdx, []int{1, 0})
+	if _, err := c.SwapLayout("b", lay); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Table("b"); ok {
-		t.Error("source should be gone after swap")
+	if got, _ := c.Table("b"); got.Layout != lay || got.Stores[0] == tbl.Stores[0] {
+		t.Error("swap should install the new layout under the table's name")
 	}
-	if got, _ := c.Table("c"); got.Stores[0] != tbl.Stores[0] {
-		t.Error("swap should install the source's data under the target name")
+	if tbl.Ring[0] != 0 || tbl.Stores[0] == lay.Stores[0] {
+		t.Error("swap must leave the old *Table's layout as it was")
+	}
+	if _, err := c.SwapLayout("missing", lay); err == nil {
+		t.Error("swapping a missing table's layout should fail")
 	}
 }
 

@@ -194,23 +194,6 @@ func (f *FS) ReadFile(path string, rec *sim.TaskRec, clientNode string, codec si
 	return out, nil
 }
 
-// Delete removes a file and its blocks.
-func (f *FS) Delete(path string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	meta, ok := f.files[path]
-	if !ok {
-		return fmt.Errorf("hdfs: no such file %q", path)
-	}
-	for _, b := range meta.blocks {
-		for _, dn := range b.Replicas {
-			delete(f.store[dn], blockKey(path, b.Index))
-		}
-	}
-	delete(f.files, path)
-	return nil
-}
-
 // List returns file paths under a prefix, sorted.
 func (f *FS) List(prefix string) []string {
 	f.mu.RLock()
@@ -223,17 +206,6 @@ func (f *FS) List(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// FileSize returns the file's byte size.
-func (f *FS) FileSize(path string) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	meta, ok := f.files[path]
-	if !ok {
-		return 0, fmt.Errorf("hdfs: no such file %q", path)
-	}
-	return meta.size, nil
 }
 
 // TotalBlocks counts blocks across files under a prefix (the paper quotes

@@ -30,10 +30,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Errorf("round trip mismatch: %q", got)
 	}
-	sz, err := fs.FileSize("a/b.txt")
-	if err != nil || sz != len(data) {
-		t.Errorf("size = %d, %v", sz, err)
-	}
 }
 
 func TestBlockLayout(t *testing.T) {
@@ -79,22 +75,13 @@ func TestImmutableFiles(t *testing.T) {
 	}
 }
 
-func TestDeleteAndList(t *testing.T) {
+func TestList(t *testing.T) {
 	fs := newFS(t, 2, 10, 1)
 	_ = fs.WriteFile("dir/a", []byte("1"), nil, "", sim.CPUCSVFormat)
 	_ = fs.WriteFile("dir/b", []byte("2"), nil, "", sim.CPUCSVFormat)
 	_ = fs.WriteFile("other/c", []byte("3"), nil, "", sim.CPUCSVFormat)
 	if got := fs.List("dir/"); len(got) != 2 || got[0] != "dir/a" {
 		t.Errorf("List = %v", got)
-	}
-	if err := fs.Delete("dir/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadFile("dir/a", nil, "", sim.CPUCSVParse); err == nil {
-		t.Error("deleted file should be gone")
-	}
-	if err := fs.Delete("dir/a"); err == nil {
-		t.Error("double delete should fail")
 	}
 }
 
@@ -103,7 +90,7 @@ func TestRecordingEvents(t *testing.T) {
 	tr := sim.NewTrace()
 	rec := tr.Task("w", "s0")
 	data := make([]byte, 20) // 3 blocks
-	if err := fs.WriteFile("f", data, rec, "s0", sim.CPUColfileEnc); err != nil {
+	if err := fs.WriteFile("f", data, rec, "s0", sim.CPURowBlockEnc); err != nil {
 		t.Fatal(err)
 	}
 	events := rec.Events()
@@ -120,7 +107,7 @@ func TestRecordingEvents(t *testing.T) {
 		t.Errorf("recorded %d write flows, want 3", writes)
 	}
 	rec2 := tr.Task("r", "s1")
-	if _, err := fs.ReadFile("f", rec2, "s1", sim.CPUColfileDec); err != nil {
+	if _, err := fs.ReadFile("f", rec2, "s1", sim.CPURowBlockDec); err != nil {
 		t.Fatal(err)
 	}
 	reads := 0

@@ -41,7 +41,7 @@ func Write(fs *hdfs.FS, dir string, df *spark.DataFrame, maxFileBytes int) error
 			}
 			path := fmt.Sprintf("%s/part-%05d-%03d.vcf", dir, tc.PartitionID, fileIdx)
 			fileIdx++
-			return fs.WriteFile(path, data, tc.Rec, tc.ExecNode, sim.CPUColfileEnc)
+			return fs.WriteFile(path, data, tc.Rec, tc.ExecNode, sim.CPURowBlockEnc)
 		}
 		// Cut files by the rows' wire size: a row block stores a value in
 		// at most its wire size, so a file passes the cap by no more than
@@ -72,7 +72,7 @@ func Read(sc *spark.Context, fs *hdfs.FS, dir string) (*spark.DataFrame, error) 
 	}
 	// Schema from the first file, read whole outside any task (no
 	// simulated cost).
-	head, err := fs.ReadFile(files[0], nil, "", sim.CPUColfileDec)
+	head, err := fs.ReadFile(files[0], nil, "", sim.CPURowBlockDec)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func Read(sc *spark.Context, fs *hdfs.FS, dir string) (*spark.DataFrame, error) 
 	}
 
 	rdd := spark.NewRDD(sc, len(files), func(tc *spark.TaskContext, p int) ([]types.Row, error) {
-		data, err := fs.ReadFile(files[p], tc.Rec, tc.ExecNode, sim.CPUColfileDec)
+		data, err := fs.ReadFile(files[p], tc.Rec, tc.ExecNode, sim.CPURowBlockDec)
 		if err != nil {
 			return nil, err
 		}

@@ -19,11 +19,9 @@ package rebalance
 
 import (
 	"fmt"
-	"sort"
 
 	"vsfabric/internal/catalog"
 	"vsfabric/internal/storage"
-	"vsfabric/internal/vhash"
 )
 
 // Result summarizes one table move for progress reporting
@@ -35,35 +33,17 @@ type Result struct {
 	Containers int // ROS containers built across the new primary stores
 }
 
-// Layout is a complete replacement layout for a table, ready to be installed
-// with catalog.SwapLayout inside a commit hook.
-type Layout struct {
-	Ring    []int
-	Stores  []*storage.Store
-	Buddies [][]*storage.Store
-}
-
-// SourceFor picks the replica to export old segment seg from: the primary if
-// its node is healthy, else the first healthy buddy. healthy == nil trusts
+// SourceFor picks the replica to export segment seg from: the first of
+// catalog.Layout.Replicas(seg) whose node is healthy. healthy == nil trusts
 // the primary unconditionally (WAL replay, where every store is current).
 func SourceFor(t *catalog.Table, seg int, healthy func(nodeID int) bool) (*storage.Store, error) {
-	n := len(t.Ring)
-	if healthy == nil || healthy(t.Ring[seg]) {
-		return t.Stores[seg], nil
-	}
-	if !t.Def.Segmented {
-		for p := range t.Ring {
-			if healthy(t.Ring[p]) {
-				return t.Stores[p], nil
-			}
+	for _, rep := range t.Replicas(seg) {
+		if healthy == nil || healthy(rep.Node) {
+			return rep.Store, nil
 		}
+	}
+	if len(t.Segs(0)) == 1 {
 		return nil, fmt.Errorf("rebalance: table %q has no live replica", t.Def.Name)
-	}
-	for r := range t.Buddies {
-		host := (seg + r + 1) % n
-		if healthy(t.Ring[host]) {
-			return t.Buddies[r][host], nil
-		}
 	}
 	return nil, fmt.Errorf("rebalance: segment %d of table %q has no live replica (k-safety exhausted)", seg, t.Def.Name)
 }
@@ -92,7 +72,7 @@ func validateRing(ring []int) error {
 // healthy reports whether a node's stores are current; nil trusts every
 // primary. The old stores are left untouched, so readers holding the old
 // *Table stay correct.
-func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (*Layout, Result, error) {
+func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (*catalog.Layout, Result, error) {
 	res := Result{Table: t.Def.Name}
 	if err := validateRing(newRing); err != nil {
 		return nil, res, err
@@ -100,25 +80,14 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 	if t.Def.KSafety >= len(newRing) {
 		return nil, res, fmt.Errorf("rebalance: table %q k-safety %d needs more than %d nodes", t.Def.Name, t.Def.KSafety, len(newRing))
 	}
+	lay := catalog.NewLayout(t.Def, t.SegIdx, newRing)
 
-	schema, segIdx := t.Def.Schema, t.SegIdx
-	nNew := len(newRing)
-	newStores := make([]*storage.Store, nNew)
-	for p := range newStores {
-		newStores[p] = storage.NewStore(schema, segIdx)
-	}
-
-	// Export each old segment from a live replica into one set of versions
-	// (an unsegmented table's one replica holds them all). Export order
-	// (segments ascending, containers then WOS within each) is deterministic,
-	// so the order of each new store's share — and with it the imported
-	// container layout — is too.
+	// Export each old segment from a live replica into one set of versions.
+	// Export order (segments ascending, containers then WOS within each) is
+	// deterministic, so the order of each new store's share — and with it
+	// the imported container layout — is too.
 	var versions storage.Versions
-	segs := len(t.Ring)
-	if !t.Def.Segmented {
-		segs = 1
-	}
-	for seg := 0; seg < segs; seg++ {
+	for _, seg := range t.Segs(0) {
 		src, err := SourceFor(t, seg, healthy)
 		if err != nil {
 			return nil, res, err
@@ -129,50 +98,34 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 	}
 	res.Rows = versions.Len()
 
-	// Each new position's share, as positions in versions: the versions whose
-	// hash it owns, or every version of an unsegmented table.
-	buckets := make([][]int32, nNew)
-	if t.Def.Segmented {
-		for i, h := range versions.Hashes {
-			home := vhash.SegmentOf(h, nNew)
-			buckets[home] = append(buckets[home], int32(i))
-			if t.Ring[vhash.SegmentOf(h, len(t.Ring))] != newRing[home] {
+	// Each new segment's share, as positions in versions, imported into
+	// each of its replicas.
+	buckets := make([][]int32, len(lay.Segs(0)))
+	for i, h := range versions.Hashes {
+		seg := lay.HomeNode(h)
+		buckets[seg] = append(buckets[seg], int32(i))
+	}
+	for seg, bucket := range buckets {
+		for _, rep := range lay.Replicas(seg) {
+			if err := rep.Store.ImportVersions(&versions, bucket); err != nil {
+				return nil, res, err
+			}
+		}
+	}
+	// A version moved when it lands in the primary of a node whose old
+	// primary did not hold it.
+	for p, id := range newRing {
+		held := -1
+		if q := t.PosOf(id); q >= 0 {
+			held = t.Hosted(q)[0].Seg
+		}
+		for _, i := range buckets[lay.Hosted(p)[0].Seg] {
+			if t.HomeNode(versions.Hashes[i]) != held {
 				res.RowsMoved++
 			}
 		}
-	} else {
-		all := storage.IdentitySel(versions.Len())
-		for p, id := range newRing {
-			buckets[p] = all
-			if t.PosOf(id) < 0 {
-				res.RowsMoved += versions.Len()
-			}
-		}
+		res.Containers += lay.Stores[p].ContainerCount()
 	}
-	for p := range newStores {
-		if err := newStores[p].ImportVersions(&versions, buckets[p]); err != nil {
-			return nil, res, err
-		}
-		res.Containers += newStores[p].ContainerCount()
-	}
-	var newBuddies [][]*storage.Store
-	if t.Def.Segmented && t.Def.KSafety > 0 {
-		newBuddies = make([][]*storage.Store, t.Def.KSafety)
-		for r := range newBuddies {
-			newBuddies[r] = make([]*storage.Store, nNew)
-			for p := range newBuddies[r] {
-				st := storage.NewStore(schema, segIdx)
-				// Buddies[r][p] holds the segment whose home position is
-				// (p-r-1) mod n — same convention as the write path.
-				seg := ((p-r-1)%nNew + nNew) % nNew
-				if err := st.ImportVersions(&versions, buckets[seg]); err != nil {
-					return nil, res, err
-				}
-				newBuddies[r][p] = st
-			}
-		}
-	}
-	lay := &Layout{Ring: append([]int(nil), newRing...), Stores: newStores, Buddies: newBuddies}
 	return lay, res, nil
 }
 
@@ -198,11 +151,4 @@ func RingsEqual(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// SortedCopy returns a sorted copy of ring — handy for stable test output.
-func SortedCopy(ring []int) []int {
-	out := append([]int(nil), ring...)
-	sort.Ints(out)
-	return out
 }

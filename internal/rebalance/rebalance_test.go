@@ -148,9 +148,6 @@ func TestRingHelpers(t *testing.T) {
 	if RingsEqual([]int{0, 1}, []int{0, 1, 2}) {
 		t.Fatal("RingsEqual must compare lengths")
 	}
-	if got := SortedCopy([]int{3, 0, 2}); !RingsEqual(got, []int{0, 2, 3}) {
-		t.Fatalf("SortedCopy = %v", got)
-	}
 }
 
 // TestMoveTableGrow moves a 3-node KSAFE 1 table onto a 4-node ring and

@@ -80,8 +80,8 @@ func DefaultModel() *CostModel {
 			CPUCSVFormat:   1.0 / 120e6,  // CSV format per byte
 			CPUInsertRow:   9e-3,         // per-row INSERT statement path (JDBC save)
 			CPURowOverhead: 1.8e-6,       // per-row pipeline overhead (Figure 9)
-			CPUColfileEnc:  1.0 / 160e6,
-			CPUColfileDec:  1.0 / 200e6,
+			CPURowBlockEnc: 1.0 / 160e6,
+			CPURowBlockDec: 1.0 / 200e6,
 			CPUModelScore:  2e-6, // per row scored by a PMML UDx
 			CPUHashRow:     60e-9,
 		},

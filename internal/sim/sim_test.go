@@ -191,7 +191,6 @@ func TestTraceRecorderNilSafe(t *testing.T) {
 	var tr *Trace
 	rec := tr.Task("x", "s0") // nil trace → nil rec
 	rec.Fixed(FixedConnect)   // must not panic
-	rec.CPU("s0", CPUHashRow, 5)
 	rec.Add(Event{})
 	if tr.Tasks() != nil {
 		t.Error("nil trace should have no tasks")

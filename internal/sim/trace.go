@@ -12,19 +12,19 @@ type CPUKind string
 
 // CPU work kinds recorded by the engines and the connector.
 const (
-	CPUScanRow     CPUKind = "scan_row"       // Vertica: visit one row during a segment scan (hash check)
-	CPUWireEncode  CPUKind = "wire_encode"    // Vertica: encode one result byte for the client protocol
-	CPUWireDecode  CPUKind = "wire_decode"    // client: decode one result byte
-	CPUAvroEncode  CPUKind = "avro_encode"    // Spark: Avro-encode one byte
-	CPUCopyParse   CPUKind = "copy_parse"     // Vertica: parse one COPY input byte (Avro or CSV)
-	CPUCSVParse    CPUKind = "csv_parse"      // Spark/Vertica: parse one CSV byte
-	CPUCSVFormat   CPUKind = "csv_format"     // format one CSV byte
-	CPUInsertRow   CPUKind = "insert_row"     // Vertica: per-row INSERT-statement path (JDBC baseline)
-	CPURowOverhead CPUKind = "row_overhead"   // per-row fixed work in the transfer pipeline (Figure 9)
-	CPUColfileEnc  CPUKind = "colfile_encode" // Spark: encode one HDFS file byte (a row block)
-	CPUColfileDec  CPUKind = "colfile_decode" // Spark: decode one HDFS file byte (a row block)
-	CPUModelScore  CPUKind = "model_score"    // Vertica UDx: score one row against a PMML model
-	CPUHashRow     CPUKind = "hash_row"       // hash one row for routing/segmentation
+	CPUScanRow     CPUKind = "scan_row"         // Vertica: visit one row during a segment scan (hash check)
+	CPUWireEncode  CPUKind = "wire_encode"      // Vertica: encode one result byte for the client protocol
+	CPUWireDecode  CPUKind = "wire_decode"      // client: decode one result byte
+	CPUAvroEncode  CPUKind = "avro_encode"      // Spark: Avro-encode one byte
+	CPUCopyParse   CPUKind = "copy_parse"       // Vertica: parse one COPY input byte (Avro or CSV)
+	CPUCSVParse    CPUKind = "csv_parse"        // Spark/Vertica: parse one CSV byte
+	CPUCSVFormat   CPUKind = "csv_format"       // format one CSV byte
+	CPUInsertRow   CPUKind = "insert_row"       // Vertica: per-row INSERT-statement path (JDBC baseline)
+	CPURowOverhead CPUKind = "row_overhead"     // per-row fixed work in the transfer pipeline (Figure 9)
+	CPURowBlockEnc CPUKind = "row_block_encode" // Spark: encode one HDFS file byte (a row block)
+	CPURowBlockDec CPUKind = "row_block_decode" // Spark: decode one HDFS file byte (a row block)
+	CPUModelScore  CPUKind = "model_score"      // Vertica UDx: score one row against a PMML model
+	CPUHashRow     CPUKind = "hash_row"         // hash one row for routing/segmentation
 )
 
 // FixedKind labels a latency-only overhead.
@@ -120,14 +120,6 @@ func (t *TaskRec) Add(e Event) {
 // Fixed records a latency-only overhead.
 func (t *TaskRec) Fixed(kind FixedKind) {
 	t.Add(Event{Type: FixedEv, FixedKind: kind})
-}
-
-// CPU records a pure CPU stage.
-func (t *TaskRec) CPU(node string, kind CPUKind, units float64) {
-	if units <= 0 {
-		return
-	}
-	t.Add(Event{Type: CPUEv, Node: node, CPUKind: kind, Units: units})
 }
 
 type taskKey struct{}

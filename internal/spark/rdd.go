@@ -79,21 +79,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	})
 }
 
-// FlatMap applies f and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return NewRDD(r.sc, r.nParts, func(tc *TaskContext, p int) ([]U, error) {
-		in, err := r.partition(tc, p)
-		if err != nil {
-			return nil, err
-		}
-		var out []U
-		for _, v := range in {
-			out = append(out, f(v)...)
-		}
-		return out, nil
-	})
-}
-
 // Filter keeps elements where pred is true.
 func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	return NewRDD(r.sc, r.nParts, func(tc *TaskContext, p int) ([]T, error) {
@@ -266,25 +251,6 @@ func (r *RDD[T]) ForeachPartition(f func(tc *TaskContext, in []T) error) error {
 		return struct{}{}, f(tc, in)
 	})
 	return err
-}
-
-// Sample deterministically keeps every k-th element (1/k sampling) — enough
-// for the workload generators.
-func (r *RDD[T]) Sample(k int) *RDD[T] {
-	if k <= 1 {
-		return r
-	}
-	return NewRDD(r.sc, r.nParts, func(tc *TaskContext, p int) ([]T, error) {
-		in, err := r.partition(tc, p)
-		if err != nil {
-			return nil, err
-		}
-		var out []T
-		for i := 0; i < len(in); i += k {
-			out = append(out, in[i])
-		}
-		return out, nil
-	})
 }
 
 // String describes the RDD.

@@ -87,21 +87,6 @@ func TestMapFilterCount(t *testing.T) {
 	}
 }
 
-func TestFlatMapAndSample(t *testing.T) {
-	sc := testCtx(nil)
-	rdd := Parallelize(sc, []int{1, 2}, 2)
-	fm := FlatMap(rdd, func(v int) []int { return []int{v, v * 10} })
-	n, _ := fm.Count()
-	if n != 4 {
-		t.Errorf("flatmap count = %d", n)
-	}
-	s := Parallelize(sc, make([]int, 100), 4).Sample(10)
-	sn, _ := s.Count()
-	if sn < 8 || sn > 12 {
-		t.Errorf("sample count = %d", sn)
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	sc := testCtx(nil)
 	rdd := Parallelize(sc, []int{1, 2, 3, 4, 5}, 3)

@@ -241,12 +241,6 @@ func (t *Txn) Vis() storage.Visibility {
 	return storage.Visibility{Epoch: t.m.LastEpoch(), Tag: t.tag}
 }
 
-// VisAt returns a read context pinned to an explicit epoch (the AT EPOCH
-// clause), still seeing the transaction's own writes.
-func (t *Txn) VisAt(epoch uint64) storage.Visibility {
-	return storage.Visibility{Epoch: epoch, Tag: t.tag}
-}
-
 // Acquire takes the table lock in the given mode, blocking up to the
 // manager's LockTimeout. Re-acquiring an already-held mode is a no-op;
 // holding INSERT and requesting EXCLUSIVE upgrades in place.

@@ -318,32 +318,6 @@ type fakeErr struct{}
 
 func (*fakeErr) Error() string { return "fake" }
 
-func TestVisAtPinsEpoch(t *testing.T) {
-	m := NewManager()
-	s := storage.NewStore(schema, nil)
-	commit := func(ids ...int64) uint64 {
-		tx := m.Begin()
-		_ = tx.Acquire("t", LockInsert)
-		_ = s.AppendROS(rows(ids...), tx.Tag())
-		tx.NoteInsert(s)
-		e, err := tx.Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	e1 := commit(1)
-	commit(2)
-	tx := m.Begin()
-	defer tx.Abort()
-	if got := count(s, tx.VisAt(e1)); got != 1 {
-		t.Errorf("VisAt(%d) sees %d rows, want 1", e1, got)
-	}
-	if got := count(s, tx.Vis()); got != 2 {
-		t.Errorf("Vis() sees %d rows, want 2", got)
-	}
-}
-
 // TestDeleteOverMovedOutContainer: a DELETE whose scan meets a moved-out
 // container with no delete vector is handed the shared identity selection for
 // it, and narrows into a vector of its own: deleting every other row marks

@@ -68,7 +68,7 @@ func (c *Cluster) applyDDL(op byte, p ddlPayload, strict bool) error {
 		if err != nil {
 			return fmt.Errorf("vertica: rebalancing %q: %w", p.Name, err)
 		}
-		_, err = c.cat.SwapLayout(p.Name, lay.Ring, lay.Stores, lay.Buddies)
+		_, err = c.cat.SwapLayout(p.Name, lay)
 		return err
 	case opCreatePool, opAlterPool:
 		if p.Pool == nil {

@@ -47,31 +47,15 @@ func (s *Session) lockTable(tx *txn.Txn, name string, mode txn.LockMode) (*catal
 // acknowledged while an entire segment's writes landed nowhere — an
 // unrecoverable loss once the downed replicas rebuild from each other.
 func (s *Session) writableCheck(tbl *catalog.Table) error {
-	n := len(tbl.Ring)
-	for seg := 0; seg < n; seg++ {
-		if s.cluster.nodeAcceptsWrites(tbl.Ring[seg]) {
-			continue
-		}
-		ok := false
-		if tbl.Def.Segmented {
-			for r := range tbl.Buddies {
-				if s.cluster.nodeAcceptsWrites(tbl.Ring[(seg+r+1)%n]) {
-					ok = true
-					break
-				}
-			}
-		} else {
-			for _, id := range tbl.Ring {
-				if s.cluster.nodeAcceptsWrites(id) {
-					ok = true
-					break
-				}
+next:
+	for _, seg := range tbl.Segs(0) {
+		for _, rep := range tbl.Replicas(seg) {
+			if s.cluster.nodeAcceptsWrites(rep.Node) {
+				continue next
 			}
 		}
-		if !ok {
-			return fmt.Errorf("%w: segment %d of table %q has no writable replica (k-safety exhausted)",
-				ErrNodeDown, seg, tbl.Def.Name)
-		}
+		return fmt.Errorf("%w: segment %d of table %q has no writable replica (k-safety exhausted)",
+			ErrNodeDown, seg, tbl.Def.Name)
 	}
 	return nil
 }
@@ -401,33 +385,28 @@ func (s *Session) selectRows(tbl *catalog.Table, where expr.Expr, vis storage.Vi
 			unhold()
 		}
 	}()
-	for i, st := range allStores(tbl) {
-		// allStores lists each replica set in ring order.
-		if !s.cluster.nodeAcceptsWrites(tbl.Ring[i%len(tbl.Ring)]) {
-			continue
-		}
-		holds = append(holds, st.HoldRows())
-		batches := []*storage.Batch{}
-		var ferr error
-		err := st.ScanHeld(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
-			if ferr = pred.FilterBatch(b); len(b.Sel) > 0 {
-				batches = append(batches, b)
+	for _, seg := range tbl.Segs(0) {
+		for _, rep := range tbl.Replicas(seg) {
+			if !s.cluster.nodeAcceptsWrites(rep.Node) {
+				continue
 			}
-			return ferr == nil
-		})
-		if err = errors.Join(ferr, err); err != nil {
-			return nil, nil, nil, err
+			st := rep.Store
+			holds = append(holds, st.HoldRows())
+			batches := []*storage.Batch{}
+			var ferr error
+			err := st.ScanHeld(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
+				if ferr = pred.FilterBatch(b); len(b.Sel) > 0 {
+					batches = append(batches, b)
+				}
+				return ferr == nil
+			})
+			if err = errors.Join(ferr, err); err != nil {
+				return nil, nil, nil, err
+			}
+			found[st] = batches
 		}
-		found[st] = batches
 	}
-	segs := []int{s.localPos(tbl)}
-	if tbl.Def.Segmented {
-		segs = segs[:0]
-		for pos := range tbl.Stores {
-			segs = append(segs, pos)
-		}
-	}
-	for _, pos := range segs {
+	for _, pos := range tbl.Segs(s.localPos(tbl)) {
 		st, _, err := s.replicaFor(tbl, pos)
 		if err != nil {
 			return nil, nil, nil, err

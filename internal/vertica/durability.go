@@ -196,27 +196,30 @@ func (c *Cluster) logDDL(op byte, p ddlPayload) error {
 
 // forEachTarget visits every store that must receive rows of tbl — held as
 // dense column vectors, with their segmentation hashes — with the node the
-// store lives on and that store's share of the rows: unsegmented tables
-// replicate everywhere; segmented tables partition the row indexes by home
-// node and gather each home's share for its segment's node plus the buddy
-// replicas (a home that owns every row is handed the vectors as they are).
-// This single routing function is shared by the write path and WAL replay, so
-// recovery reproduces placement exactly.
+// store lives on and that store's share of the rows: the row indexes are
+// partitioned by home segment, and each segment's share is gathered once
+// for every one of its replicas (a segment that owns every row, such as an
+// unsegmented table's one, is handed the vectors as they are). This single
+// routing function is shared by the write path and WAL replay, so recovery
+// reproduces placement exactly.
 func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error) error {
-	if !tbl.Def.Segmented {
-		for i, st := range tbl.Stores {
-			if err := visit(st, tbl.Ring[i], cols, hashes); err != nil {
+	visitReplicas := func(seg int, cols []storage.Column, hashes []uint32) error {
+		for _, rep := range tbl.Replicas(seg) {
+			if err := visit(rep.Store, rep.Node, cols, hashes); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	nn := tbl.NumNodes()
-	counts := make([]int, nn)
+	nseg := len(tbl.Segs(0))
+	if nseg == 1 {
+		return visitReplicas(0, cols, hashes)
+	}
+	counts := make([]int, nseg)
 	for _, h := range hashes {
 		counts[tbl.HomeNode(h)]++
 	}
-	sels := make([][]int32, nn)
+	sels := make([][]int32, nseg)
 	for home, c := range counts {
 		sels[home] = make([]int32, 0, c)
 	}
@@ -239,14 +242,8 @@ func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, v
 				shareHashes[k] = hashes[i]
 			}
 		}
-		if err := visit(tbl.Stores[home], tbl.Ring[home], share, shareHashes); err != nil {
+		if err := visitReplicas(home, share, shareHashes); err != nil {
 			return err
-		}
-		for r := range tbl.Buddies {
-			host := (home + r + 1) % nn
-			if err := visit(tbl.Buddies[r][host], tbl.Ring[host], share, shareHashes); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -163,27 +163,19 @@ type segResult struct {
 	err        error
 }
 
-// buildSegJobs lists the (store, home node) pairs a table scan visits:
-// the local replica for unsegmented tables, otherwise every segment whose
-// hash range intersects hr, failing over to buddies for down nodes.
+// buildSegJobs lists the (store, home node) pairs a table scan visits: every
+// segment whose hash range intersects hr, failing over to buddies for down
+// nodes. An unsegmented table's one segment is read from the connected
+// node's local replica when it is UP (zero shuffle).
 func (s *Session) buildSegJobs(tbl *catalog.Table, hr vhash.Range) ([]segJob, error) {
 	var jobs []segJob
-	if !tbl.Def.Segmented {
-		// Unsegmented tables are replicated everywhere: serve entirely from
-		// the connected node's local replica (zero shuffle).
-		store, homeNode, err := s.replicaFor(tbl, s.localPos(tbl))
-		if err != nil {
-			return nil, err
-		}
-		return append(jobs, segJob{store: store, homeNode: homeNode, totalRows: store.TotalRows()}), nil
-	}
-	segs := tbl.SegmentRanges()
-	for i := range tbl.Stores {
+	ranges := tbl.SegmentRanges()
+	for _, seg := range tbl.Segs(s.localPos(tbl)) {
 		// Skip segments the requested hash range cannot touch.
-		if segs[i].Lo >= hr.Hi || segs[i].Hi <= hr.Lo {
+		if ranges[seg].Lo >= hr.Hi || ranges[seg].Hi <= hr.Lo {
 			continue
 		}
-		store, homeNode, err := s.replicaFor(tbl, i)
+		store, homeNode, err := s.replicaFor(tbl, seg)
 		if err != nil {
 			return nil, err
 		}
@@ -355,30 +347,14 @@ func resolveNeedCols(schema types.Schema, needCols []string) ([]int, types.Schem
 	return idx, out
 }
 
-// replicaFor returns the store serving ring position pos of the table, plus
-// the ID of the node actually serving, failing over to a buddy replica on a
-// surviving node when the position's own node is not UP. Only UP nodes serve
-// reads: a DOWN or RECOVERING node's stores may be missing writes it slept
-// through.
+// replicaFor returns the store serving segment pos of the table, plus the ID
+// of the node actually serving: the first of its replicas, in failover order,
+// on an UP node. Only UP nodes serve reads: a DOWN or RECOVERING node's
+// stores may be missing writes it slept through.
 func (s *Session) replicaFor(tbl *catalog.Table, pos int) (*storage.Store, int, error) {
-	if s.cluster.nodeUp(tbl.Ring[pos]) {
-		return tbl.Stores[pos], tbl.Ring[pos], nil
-	}
-	n := len(tbl.Ring)
-	for r := range tbl.Buddies {
-		// Buddy replica r of position pos lives at ring position (pos+r+1)
-		// mod n.
-		host := (pos + r + 1) % n
-		if s.cluster.nodeUp(tbl.Ring[host]) {
-			return tbl.Buddies[r][host], tbl.Ring[host], nil
-		}
-	}
-	if !tbl.Def.Segmented {
-		// Unsegmented tables are fully replicated: any live node serves.
-		for p := range tbl.Stores {
-			if s.cluster.nodeUp(tbl.Ring[p]) {
-				return tbl.Stores[p], tbl.Ring[p], nil
-			}
+	for _, rep := range tbl.Replicas(pos) {
+		if s.cluster.nodeUp(rep.Node) {
+			return rep.Store, rep.Node, nil
 		}
 	}
 	return nil, 0, fmt.Errorf("vertica: segment %d of table %q unavailable (node down, k-safety exhausted)", pos, tbl.Def.Name)

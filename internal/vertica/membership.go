@@ -273,7 +273,7 @@ func (c *Cluster) rebalanceTable(kind string, node int, name string, ring []int)
 		}
 		// Swapped in directly: applyDDL's rebalance arm recomputes the move,
 		// and this one was just streamed under the table lock.
-		_, err := c.cat.SwapLayout(name, lay.Ring, lay.Stores, lay.Buddies)
+		_, err := c.cat.SwapLayout(name, lay)
 		return err
 	})
 	epoch, err := tx.Commit()

@@ -26,8 +26,8 @@ type plannedJoin struct {
 }
 
 // relationEst estimates a relation's cardinality from catalog statistics:
-// the physical row count across its primary stores (one store for replicated
-// unsegmented tables). Views and system tables are unsized.
+// the physical row count of one replica of each segment (one store for a
+// replicated unsegmented table). Views and system tables are unsized.
 func (s *Session) relationEst(tr *vsql.TableRef) int64 {
 	if isSystemRelation(tr.Name) {
 		return estUnknown
@@ -39,12 +39,9 @@ func (s *Session) relationEst(tr *vsql.TableRef) int64 {
 	if !ok {
 		return estUnknown
 	}
-	if !tbl.Def.Segmented {
-		return int64(tbl.Stores[0].TotalRows())
-	}
 	var n int64
-	for _, st := range tbl.Stores {
-		n += int64(st.TotalRows())
+	for _, seg := range tbl.Segs(0) {
+		n += int64(tbl.Replicas(seg)[0].Store.TotalRows())
 	}
 	return n
 }

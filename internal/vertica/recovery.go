@@ -125,18 +125,8 @@ func (c *Cluster) recoverTable(n *Node, name string) error {
 		return nil
 	}
 
-	// The node's primary store holds segment pos; each buddy slot it hosts,
-	// Buddies[r][pos], holds the segment whose home position is (pos-r-1)
-	// mod n. Unsegmented tables keep a full replica at every position, and
-	// SourceFor(…, seg=pos, …) finds any healthy one.
-	nseg := tbl.NumNodes()
-	if err := rebuild(tbl.Stores[pos], pos); err != nil {
-		c.reb.finish(op, res, c.txm.LastEpoch(), err)
-		return err
-	}
-	for r := range tbl.Buddies {
-		seg := ((pos-r-1)%nseg + nseg) % nseg
-		if err := rebuild(tbl.Buddies[r][pos], seg); err != nil {
+	for _, h := range tbl.Hosted(pos) {
+		if err := rebuild(h.Store, h.Seg); err != nil {
 			c.reb.finish(op, res, c.txm.LastEpoch(), err)
 			return err
 		}

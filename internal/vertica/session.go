@@ -187,15 +187,16 @@ func (s *Session) MustExecute(sql string) *Result {
 	return r
 }
 
-// executeStmtCtx runs one statement: it binds the context's task record and
-// peer to the session for the statement's duration, opens the engine-side
-// "execute" span feeding v_monitor.query_requests, and dispatches.
-func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlText string) (*Result, error) {
+// beginStmt is the prologue of every statement, COPY ... FROM STDIN's
+// included: a closed session runs nothing, a cancelled context fails before
+// any work, and the per-statement state is reset, binding the context's task
+// record and peer to the session for the statement's duration.
+func (s *Session) beginStmt(ctx context.Context, stmt vsql.Statement, sqlText string) error {
 	if s.closed {
-		return nil, fmt.Errorf("vertica: session is closed")
+		return fmt.Errorf("vertica: session is closed")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	s.rec = sim.TaskFrom(ctx)
 	s.peer = obs.Peer(ctx)
@@ -203,6 +204,15 @@ func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlTe
 	s.sysStmt = systemRead(stmt)
 	s.curTrace = obs.SpanContextFrom(ctx).TraceID
 	s.stmtEvents = nil
+	return nil
+}
+
+// executeStmtCtx runs one statement: after beginStmt it opens the engine-side
+// "execute" span feeding v_monitor.query_requests, and dispatches.
+func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlText string) (*Result, error) {
+	if err := s.beginStmt(ctx, stmt, sqlText); err != nil {
+		return nil, err
+	}
 	release, err := s.admitStmt(ctx, stmt)
 	if err != nil {
 		return nil, err
@@ -379,14 +389,9 @@ func (s *Session) CopyFromContext(ctx context.Context, sql string, r io.Reader) 
 	if !cp.FromStdin {
 		return nil, fmt.Errorf("vertica: CopyFrom requires COPY ... FROM STDIN")
 	}
-	if err := ctx.Err(); err != nil {
+	if err := s.beginStmt(ctx, cp, sql); err != nil {
 		return nil, err
 	}
-	s.rec = sim.TaskFrom(ctx)
-	s.peer = obs.Peer(ctx)
-	s.sysStmt = false
-	s.curTrace = obs.SpanContextFrom(ctx).TraceID
-	s.stmtEvents = nil
 	release, err := s.admit(ctx, "copy", copyMemEstimate)
 	if err != nil {
 		return nil, err
