@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-smoke perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines surface
+.PHONY: check build vet lint test race examples bench bench-smoke perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines surface
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -21,6 +21,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every program under examples/ end to end. Each narrates a run and exits
+# non-zero on any error or broken expectation; only a failing one's output is
+# shown.
+examples:
+	@for d in examples/*/; do \
+	  out=$$($(GO) run ./$$d 2>&1) || { echo "$$out"; echo "examples: $$d failed"; exit 1; }; \
+	  echo "ok  $$d"; \
+	done
 
 # Crash-recovery smoke: the frame-log/WAL/persistence units (the golden
 # container and WOS-snapshot files among them) plus the kill-and-restart chaos

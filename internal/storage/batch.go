@@ -28,10 +28,9 @@ type Batch struct {
 	// inside the range or outside it. Empty when unknown (the WOS's batch).
 	HashSpan vhash.Range
 	// Sel lists surviving row indexes: in ascending order out of a scan, a
-	// join or a filter; in result order out of a sort, whose one batch holds
-	// dense vectors only (the run-walking loops below rely on ascent and only
-	// ever meet a scan's RLE vectors). A join to unique keys hands on its
-	// probe batch's vectors with Sel narrowed to the matched rows.
+	// join or a filter; in result order out of a sort. A join to unique keys
+	// hands on its probe batch's vectors with Sel narrowed to the matched
+	// rows.
 	//
 	// Sel is read-only to everyone who did not allocate it: a scan hands out
 	// the shared identity selection (IdentitySel) for a container every row
@@ -205,16 +204,6 @@ func boxColumn(dst []types.Value, width int, col Column, sel []int32) {
 		for k, i := range sel {
 			d := &dst[k*width]
 			d.T, d.B = types.Bool, c.Vals[i]
-		}
-	case *Int64RLEColumn:
-		// sel ascends, so one forward walk over the runs serves it.
-		run := c.RunOf(int(sel[0]))
-		for k, i := range sel {
-			for c.RunEnds[run] <= i {
-				run++
-			}
-			d := &dst[k*width]
-			d.T, d.I = types.Int64, c.RunVals[run]
 		}
 	default:
 		for k, i := range sel {

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -212,58 +213,19 @@ func TestBatchMaterializeSubset(t *testing.T) {
 	}
 }
 
-func TestCompressColumnRoundTrip(t *testing.T) {
-	// Low-cardinality null-free int column compresses to RLE; Densify
-	// restores an identical dense column.
-	vals := make([]int64, 500)
-	for i := range vals {
-		vals[i] = int64(i / 100)
-	}
-	dense := &Int64Column{Vals: vals}
-	comp := CompressColumn(dense)
-	if _, ok := comp.(*Int64RLEColumn); !ok {
-		t.Fatalf("expected RLE, got %T", comp)
-	}
-	back := Densify(comp)
-	d2, ok := back.(*Int64Column)
-	if !ok || len(d2.Vals) != len(vals) {
-		t.Fatalf("Densify returned %T len %d", back, back.Len())
-	}
-	for i := range vals {
-		if d2.Vals[i] != vals[i] {
-			t.Fatalf("Densify[%d] = %d, want %d", i, d2.Vals[i], vals[i])
-		}
-	}
-
-	// Columns that must NOT compress: nullable, short, high-cardinality.
-	nullable := &Int64Column{Vals: make([]int64, 500), Nulls: make([]bool, 500)}
-	nullable.Nulls[3] = true
-	if _, ok := CompressColumn(nullable).(*Int64RLEColumn); ok {
-		t.Fatal("nullable column must stay dense")
-	}
-	short := &Int64Column{Vals: []int64{1, 1, 1}}
-	if _, ok := CompressColumn(short).(*Int64RLEColumn); ok {
-		t.Fatal("short column must stay dense")
-	}
-	hi := make([]int64, 500)
-	for i := range hi {
-		hi[i] = int64(i)
-	}
-	if _, ok := CompressColumn(&Int64Column{Vals: hi}).(*Int64RLEColumn); ok {
-		t.Fatal("high-cardinality column must stay dense")
-	}
-}
-
+// TestRLEColumnEncodesAndDecodes pins the on-disk RLE encoding: a dense,
+// run-heavy INTEGER vector is stored run-length encoded and decodes to the
+// same dense vector.
 func TestRLEColumnEncodesAndDecodes(t *testing.T) {
 	vals := make([]int64, 200)
 	for i := range vals {
 		vals[i] = int64(i / 50)
 	}
-	rle := CompressColumn(&Int64Column{Vals: vals})
-	if chooseEncoding(rle) != encRLE {
-		t.Fatalf("RLE column should choose RLE encoding, got %v", chooseEncoding(rle))
+	col := &Int64Column{Vals: vals}
+	if got := chooseEncoding(col); got != encRLE {
+		t.Fatalf("run-heavy INTEGER vector chose encoding %v, want RLE", got)
 	}
-	data, err := encodeColumn(rle, chooseEncoding(rle))
+	data, err := encodeColumn(col, encRLE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +233,9 @@ func TestRLEColumnEncodesAndDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Len() != len(vals) {
-		t.Fatalf("decoded len %d, want %d", dec.Len(), len(vals))
-	}
-	for i := range vals {
-		if dec.Get(i).I != vals[i] {
-			t.Fatalf("decoded[%d] = %d, want %d", i, dec.Get(i).I, vals[i])
-		}
+	got, ok := dec.(*Int64Column)
+	if !ok || got.Nulls != nil || !slices.Equal(got.Vals, vals) {
+		t.Fatalf("decoded %#v, want the dense vector %v", dec, vals)
 	}
 }
 
@@ -370,7 +328,7 @@ func TestMaterializeMatchesGet(t *testing.T) {
 		fc := &Float64Column{Vals: make([]float64, n), Nulls: make([]bool, n)}
 		sc := &StringColumn{Vals: make([]string, n), Nulls: make([]bool, n)}
 		bc := &BoolColumn{Vals: make([]bool, n), Nulls: make([]bool, n)}
-		rc := &Int64RLEColumn{}
+		rc := &Int64Column{Vals: make([]int64, n)} // runs of 11 equal values
 		dict := &StringColumn{Vals: []string{"x", "", "zz"}, Nulls: []bool{false, false, true}}
 		dc := &DictColumn{Codes: make([]int32, n), Dict: dict}
 		for i := 0; i < n; i++ {
@@ -379,10 +337,7 @@ func TestMaterializeMatchesGet(t *testing.T) {
 			sc.Vals[i], bc.Vals[i] = fmt.Sprintf("v%d", i), true
 			ic.Nulls[i], fc.Nulls[i] = i%5 == 1, i%7 == 2
 			sc.Nulls[i], bc.Nulls[i] = i%3 == 0, i%4 == 3
-			if i%11 == 0 || i == n-1 {
-				rc.RunEnds = append(rc.RunEnds, int32(i+1))
-				rc.RunVals = append(rc.RunVals, int64(i*13-40))
-			}
+			rc.Vals[i] = int64(min((i+10)/11*11, n-1)*13 - 40)
 			dc.Codes[i] = int32(i % 3)
 		}
 		cols := []Column{ic, fc, sc, bc, rc, dc}

@@ -1,10 +1,12 @@
 // Package storage implements the engine's columnar storage: typed column
-// vectors, Read Optimized Storage (ROS) containers with light-weight column
-// encodings, a Write Optimized Storage (WOS) buffer of append-only vectors,
-// and delete vectors over both. This mirrors the Vertica storage organization sketched in
-// §2.1.1 of the paper; the details follow the C-Store lineage (plain, RLE,
-// delta and dictionary encodings) at the fidelity the connector experiments
-// need.
+// vectors, Read Optimized Storage (ROS) containers, a Write Optimized Storage
+// (WOS) buffer of append-only vectors, and delete vectors over both. A vector
+// in memory is dense — a value slice and NULL flags of its column's type — or
+// a join's dictionary codes (DictColumn); a container file or WOS snapshot
+// chooses a light-weight encoding per column (plain, RLE, delta or
+// dictionary) and decodes back to dense vectors. This mirrors the Vertica
+// storage organization sketched in §2.1.1 of the paper; the details follow
+// the C-Store lineage at the fidelity the connector experiments need.
 package storage
 
 import (
@@ -118,56 +120,12 @@ func (c *BoolColumn) Get(i int) types.Value {
 	return types.BoolValue(c.Vals[i])
 }
 
-// Int64RLEColumn stores an int64 vector as run-length-encoded (end, value)
-// pairs kept in memory, so scans over sorted or low-cardinality columns
-// operate directly on the compressed form (C-Store's operate-on-compressed-
-// data principle). Run k covers row indexes [RunEnds[k-1], RunEnds[k]).
-// RLE columns never contain NULLs: CompressColumn only converts null-free
-// vectors.
-type Int64RLEColumn struct {
-	RunEnds []int32
-	RunVals []int64
-}
-
-// Type implements Column.
-func (c *Int64RLEColumn) Type() types.Type { return types.Int64 }
-
-// Len implements Column.
-func (c *Int64RLEColumn) Len() int {
-	if len(c.RunEnds) == 0 {
-		return 0
-	}
-	return int(c.RunEnds[len(c.RunEnds)-1])
-}
-
-// IsNull implements Column.
-func (c *Int64RLEColumn) IsNull(int) bool { return false }
-
-// RunOf returns the run index covering row i.
-func (c *Int64RLEColumn) RunOf(i int) int {
-	lo, hi := 0, len(c.RunEnds)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(c.RunEnds[mid]) <= i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Get implements Column.
-func (c *Int64RLEColumn) Get(i int) types.Value {
-	return types.IntValue(c.RunVals[c.RunOf(i)])
-}
-
 // DictColumn stores a vector as codes into a dictionary: row i holds Dict's
 // value at Codes[i]. A join carries its build side this way — Dict is the build
 // side's column gathered once, Codes one build row per output row, shared by
 // every build column of the step — so no build value is copied per matched
-// row. It is one level deep: Dict is a dense vector (never a DictColumn or an
-// RLE vector), and every code indexes it, a row no selection lists included.
+// row. It is one level deep: Dict is a dense vector, and every code indexes
+// it, a row no selection lists included.
 type DictColumn struct {
 	Codes []int32
 	Dict  Column
@@ -185,57 +143,11 @@ func (c *DictColumn) IsNull(i int) bool { return c.Dict.IsNull(int(c.Codes[i])) 
 // Get implements Column.
 func (c *DictColumn) Get(i int) types.Value { return c.Dict.Get(int(c.Codes[i])) }
 
-// minRLERows is the smallest vector worth compressing; below it the run
-// bookkeeping costs more than it saves.
-const minRLERows = 64
-
-// CompressColumn converts a dense column to a compressed in-memory form when
-// profitable (currently: null-free int64 vectors whose run count is under a
-// quarter of the row count, mirroring chooseEncoding's RLE heuristic).
-// Otherwise it returns the column unchanged.
-func CompressColumn(c Column) Column {
-	col, ok := c.(*Int64Column)
-	if !ok || col.Nulls != nil || len(col.Vals) < minRLERows {
-		return c
-	}
-	runs := 1
-	for i := 1; i < len(col.Vals); i++ {
-		if col.Vals[i] != col.Vals[i-1] {
-			runs++
-		}
-	}
-	if runs*4 >= len(col.Vals) {
-		return c
-	}
-	ends := make([]int32, 0, runs)
-	vals := make([]int64, 0, runs)
-	for i := 1; i < len(col.Vals); i++ {
-		if col.Vals[i] != col.Vals[i-1] {
-			ends = append(ends, int32(i))
-			vals = append(vals, col.Vals[i-1])
-		}
-	}
-	ends = append(ends, int32(len(col.Vals)))
-	vals = append(vals, col.Vals[len(col.Vals)-1])
-	return &Int64RLEColumn{RunEnds: ends, RunVals: vals}
-}
-
-// Densify converts a compressed or dictionary-coded column back to its dense
+// Densify converts a join's dictionary-coded column to its dense
 // representation; dense columns pass through unchanged. Serialization and
 // other paths that type-switch on the dense column set call this first.
 func Densify(c Column) Column {
-	switch col := c.(type) {
-	case *Int64RLEColumn:
-		vals := make([]int64, 0, col.Len())
-		prev := int32(0)
-		for k, end := range col.RunEnds {
-			for i := prev; i < end; i++ {
-				vals = append(vals, col.RunVals[k])
-			}
-			prev = end
-		}
-		return &Int64Column{Vals: vals}
-	case *DictColumn:
+	if col, ok := c.(*DictColumn); ok {
 		return takeDense(col.Dict, col.Codes)
 	}
 	return c
@@ -323,8 +235,8 @@ func (b *Builder) Append(v types.Value) error {
 }
 
 // AppendColumn appends the rows of c that sel lists, in that order, a vector
-// at a time, without boxing a value. c must be of the builder's type, in any
-// stored form.
+// at a time, without boxing a value. c must be of the builder's type, dense
+// or a join's codes.
 func (b *Builder) AppendColumn(c Column, sel []int32) error {
 	if c.Type() != b.t {
 		return fmt.Errorf("storage: appending %v column to %v column", c.Type(), b.t)

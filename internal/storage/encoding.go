@@ -41,8 +41,6 @@ func chooseEncoding(c Column) encoding {
 		return encPlain
 	}
 	switch col := c.(type) {
-	case *Int64RLEColumn:
-		return encRLE
 	case *Int64Column:
 		runs, sorted := 1, true
 		for i := 1; i < n; i++ {

@@ -136,7 +136,7 @@ func nullsOf(c Column) []bool {
 func gatherSize(src []colRead) (payload int, anyNull bool, err error) {
 	for _, r := range src {
 		switch c := r.col.(type) {
-		case *Int64Column, *Int64RLEColumn, *Float64Column:
+		case *Int64Column, *Float64Column:
 			payload += 8 * len(r.sel)
 		case *BoolColumn:
 			payload += len(r.sel)
@@ -182,16 +182,6 @@ func gatherValues(p []byte, src []colRead) {
 		case *Int64Column:
 			for k, i := range r.sel {
 				binary.LittleEndian.PutUint64(p[8*k:], uint64(c.Vals[i]))
-			}
-			p = p[8*len(r.sel):]
-		case *Int64RLEColumn:
-			// Sel ascends, so one forward walk over the runs serves it.
-			run := c.RunOf(int(r.sel[0]))
-			for k, i := range r.sel {
-				for c.RunEnds[run] <= i {
-					run++
-				}
-				binary.LittleEndian.PutUint64(p[8*k:], uint64(c.RunVals[run]))
 			}
 			p = p[8*len(r.sel):]
 		case *Float64Column:
@@ -254,8 +244,8 @@ func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) 
 // side's columns straight out of its vectors, one typed copy per column into a
 // vector of exactly len(bi) values, NULL flags carried. Column j takes the
 // type of batches[0]'s column j, and every batch the refs read must carry a
-// vector of that type there, as AppendBatches requires; an RLE or
-// dictionary-coded one densifies once first.
+// vector of that type there, as AppendBatches requires; a dictionary-coded
+// one densifies once first.
 func GatherRows(batches []*Batch, bi, ri []int32) ([]Column, error) {
 	if len(batches) == 0 {
 		return nil, nil

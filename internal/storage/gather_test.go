@@ -39,20 +39,23 @@ func sameRows(t *testing.T, what string, got, want []types.Row) {
 }
 
 // gatherSchema has one column per kind the gather-encoder handles; kindBatch
-// fills it with n rows: an RLE integer column, a dense integer column with
-// NULLs, floats including NaN, -0 and NULLs, low-cardinality strings (what
+// fills it with n rows: an integer column of runs of equal values (what
+// chooseEncoding would run-length encode), an integer column with NULLs, floats including NaN, -0 and NULLs, low-cardinality strings (what
 // chooseEncoding would dictionary-encode), high-cardinality strings with
 // NULLs, and booleans with NULLs.
 var gatherSchema = types.Schema{Cols: []types.Column{
-	{Name: "rle", T: types.Int64}, {Name: "i", T: types.Int64}, {Name: "f", T: types.Float64},
+	{Name: "runs", T: types.Int64}, {Name: "i", T: types.Int64}, {Name: "f", T: types.Float64},
 	{Name: "dict", T: types.Varchar}, {Name: "s", T: types.Varchar}, {Name: "b", T: types.Bool},
 }}
 
 func kindBatch(rng *rand.Rand, n int) *Batch {
-	rle := &Int64RLEColumn{}
-	for end := 0; end < n; {
-		end = min(n, end+1+rng.Intn(40))
-		rle.RunEnds, rle.RunVals = append(rle.RunEnds, int32(end)), append(rle.RunVals, rng.Int63n(7)-3)
+	runs := &Int64Column{Vals: make([]int64, n)}
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+rng.Intn(40))
+		v := rng.Int63n(7) - 3
+		for ; lo < hi; lo++ {
+			runs.Vals[lo] = v
+		}
 	}
 	ints := &Int64Column{Vals: make([]int64, n), Nulls: make([]bool, n)}
 	floats := &Float64Column{Vals: make([]float64, n), Nulls: make([]bool, n)}
@@ -70,7 +73,7 @@ func kindBatch(rng *rand.Rand, n int) *Batch {
 		strs.Vals[i], strs.Nulls[i] = fmt.Sprintf("s%d-%x", i, rng.Int63()), rng.Intn(9) == 0
 		bools.Vals[i], bools.Nulls[i] = rng.Intn(2) == 0, rng.Intn(9) == 0
 	}
-	return &Batch{Schema: gatherSchema, Cols: []Column{rle, ints, floats, dict, strs, bools}}
+	return &Batch{Schema: gatherSchema, Cols: []Column{runs, ints, floats, dict, strs, bools}}
 }
 
 func randomSel(rng *rand.Rand, n int, keep float64) []int32 {

@@ -79,25 +79,21 @@ type ROSContainer struct {
 
 // newContainer is the one constructor of in-memory containers — COPY DIRECT,
 // moveout, rebalance and recovery import all end here — so every container
-// is compressed and carries zone maps. cols are n-row dense vectors, one per
-// schema column, which the container takes over (they may be shared with
-// other containers, never written again); hashes are the rows' segmentation
-// hashes and del the delete vector (nil = no row deleted).
+// carries zone maps. cols are n-row dense vectors, one per schema column,
+// which the container keeps as they are (they may be shared with other
+// containers, never written again); hashes are the rows' segmentation hashes
+// and del the delete vector (nil = no row deleted).
 func newContainer(cols []Column, n int, schema types.Schema, hashes []uint32, start uint64, del []uint64) (*ROSContainer, error) {
 	if err := checkColumns(cols, n, schema); err != nil {
 		return nil, err
 	}
-	packed := make([]Column, len(cols))
-	for i, c := range cols {
-		packed[i] = CompressColumn(c)
-	}
 	return &ROSContainer{
 		Schema:   schema,
-		Cols:     packed,
+		Cols:     cols,
 		RowCount: n,
 		Hashes:   hashes,
 		span:     hashSpan(hashes),
-		stats:    ComputeStats(packed),
+		stats:    ComputeStats(cols),
 		start:    start,
 		del:      del,
 	}, nil
@@ -256,8 +252,6 @@ func (c *ROSContainer) DataBytes() int {
 			for _, s := range cc.Vals {
 				n += 4 + len(s)
 			}
-		case *Int64RLEColumn:
-			n += 12 * len(cc.RunVals) // 8-byte value + 4-byte run end
 		}
 	}
 	return n

@@ -1,6 +1,11 @@
 package storage
 
-import "vsfabric/internal/types"
+import (
+	"fmt"
+	"math"
+
+	"vsfabric/internal/types"
+)
 
 // ColStats is the zone map for one column of one ROS container: the null
 // count plus the min/max over non-null values. Containers are immutable, so
@@ -17,43 +22,25 @@ type ColStats struct {
 	Min, Max  types.Value
 }
 
-// ComputeColStats scans a column once and returns its zone map. Typed fast
-// paths avoid boxing for the concrete column representations; anything else
-// falls back to Get.
+// ComputeColStats scans a column once and returns its zone map, boxing no
+// value but the two bounds. A NaN in a FLOAT column widens its bounds to
+// [-Inf, +Inf]: the kernels call NaN equal to every literal, so no bound may
+// exclude it.
 func ComputeColStats(col Column) ColStats {
-	switch c := col.(type) {
+	switch c := Densify(col).(type) {
 	case *Int64Column:
 		return int64Stats(c.Vals, c.Nulls)
-	case *Int64RLEColumn:
-		// RLE never stores NULLs; min/max over run values covers all rows.
-		var st ColStats
-		for i, v := range c.RunVals {
-			if i == 0 {
-				st.HasMinMax = true
-				st.Min = types.IntValue(v)
-				st.Max = types.IntValue(v)
-				continue
-			}
-			if v < st.Min.I {
-				st.Min = types.IntValue(v)
-			}
-			if v > st.Max.I {
-				st.Max = types.IntValue(v)
-			}
-		}
-		return st
 	case *Float64Column:
 		var st ColStats
-		var lo, hi float64
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, v := range c.Vals {
 			if c.Nulls != nil && c.Nulls[i] {
 				st.NullCount++
 				continue
 			}
-			if !st.HasMinMax {
-				st.HasMinMax = true
-				lo, hi = v, v
-				continue
+			st.HasMinMax = true
+			if v != v {
+				lo, hi = math.Inf(-1), math.Inf(1)
 			}
 			if v < lo {
 				lo = v
@@ -112,28 +99,8 @@ func ComputeColStats(col Column) ColStats {
 			st.Max = types.BoolValue(seenT)
 		}
 		return st
-	default:
-		var st ColStats
-		for i := 0; i < col.Len(); i++ {
-			v := col.Get(i)
-			if v.Null {
-				st.NullCount++
-				continue
-			}
-			if !st.HasMinMax {
-				st.HasMinMax = true
-				st.Min, st.Max = v, v
-				continue
-			}
-			if types.Compare(v, st.Min) < 0 {
-				st.Min = v
-			}
-			if types.Compare(v, st.Max) > 0 {
-				st.Max = v
-			}
-		}
-		return st
 	}
+	panic(fmt.Sprintf("storage: %T is not a dense vector", col))
 }
 
 func int64Stats(vals []int64, nulls []bool) ColStats {

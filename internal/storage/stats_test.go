@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"testing"
 
 	"vsfabric/internal/types"
@@ -36,6 +37,15 @@ func TestComputeColStats(t *testing.T) {
 	// ok: {true, false, NULL}
 	if stats[3].NullCount != 1 || stats[3].Min.B != false || stats[3].Max.B != true {
 		t.Fatalf("ok stats: %+v", stats[3])
+	}
+
+	// A NaN anywhere in a FLOAT column, first included, widens its zone map
+	// to [-Inf, +Inf]: the kernels call NaN equal to every literal.
+	for _, vals := range [][]float64{{math.NaN(), 0.1, 0.9}, {0.1, math.NaN(), 0.9}} {
+		st := ComputeColStats(&Float64Column{Vals: vals})
+		if !st.HasMinMax || !math.IsInf(st.Min.F, -1) || !math.IsInf(st.Max.F, 1) {
+			t.Fatalf("stats of %v: %+v, want [-Inf, +Inf]", vals, st)
+		}
 	}
 }
 

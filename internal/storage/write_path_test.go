@@ -11,7 +11,7 @@ import (
 )
 
 // writeRows boxes n random rows of gatherSchema — every kind, NULLs in each,
-// empty strings, an RLE-able run column — the way a row source hands them to
+// empty strings, a column of runs — the way a row source hands them to
 // the write path (NULL slots hold the zero value).
 func writeRows(rng *rand.Rand, n int) []types.Row {
 	b := kindBatch(rng, n)
@@ -21,7 +21,7 @@ func writeRows(rng *rand.Rand, n int) []types.Row {
 
 // Hashing column vectors is hashing rows: HashColumns agrees with
 // vhash.HashRow on every row, for whole-row and column-subset segmentation,
-// over dense and run-length-encoded vectors.
+// over dense vectors and dictionary-coded ones (a join's build side).
 func TestHashColumnsMatchesHashRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 63, 500} {
@@ -30,12 +30,12 @@ func TestHashColumnsMatchesHashRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed := make([]Column, len(cols))
+		coded := make([]Column, len(cols))
 		for i, c := range cols {
-			packed[i] = CompressColumn(c)
+			coded[i] = &DictColumn{Codes: IdentitySel(n), Dict: c}
 		}
 		for _, segIdx := range [][]int{nil, {0}, {2}, {4, 1}, {5, 3, 0}} {
-			for _, in := range [][]Column{cols, packed} {
+			for _, in := range [][]Column{cols, coded} {
 				got := HashColumns(in, segIdx, n)
 				for i, r := range rows {
 					if want := vhash.HashRow(r, segIdx); got[i] != want {
@@ -48,8 +48,8 @@ func TestHashColumnsMatchesHashRow(t *testing.T) {
 }
 
 // DenseColumns over any cut of a row set — blocks strung together, a sparse
-// selection, run-length-encoded inputs — is ColumnsFromRows of the rows the
-// batches select; a single dense batch selected whole is shared, not copied.
+// selection — is ColumnsFromRows of the rows the batches select; a single
+// dense batch selected whole is shared, not copied.
 func TestDenseColumnsMatchesColumnize(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for iter := 0; iter < 30; iter++ {

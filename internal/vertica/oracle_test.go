@@ -432,9 +432,6 @@ func oracleWriteRows(t testing.TB, tbl *catalog.Table, rows []types.Row) (map[*s
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, c := range cols {
-			cols[i] = storage.CompressColumn(c)
-		}
 		hashes := make([]uint32, len(share))
 		for i, r := range share {
 			hashes[i] = vhash.HashRow(r, st.SegIdx())

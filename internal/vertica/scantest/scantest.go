@@ -19,8 +19,9 @@ const Rows = 1200
 
 // Build creates table ct through exec and leaves every storage tier behind:
 // three ROS containers per segment (moveout runs between inserts), committed
-// deletes across them, and a WOS tail. grp arrives in long runs, so the
-// containers hold it run-length encoded; val, name and ok carry NULLs.
+// deletes across them, and a WOS tail. grp arrives in long runs (the shape a
+// persisted container stores run-length encoded); val, name and ok carry
+// NULLs.
 func Build(seed int64, exec func(sql string), moveout func()) {
 	rng := rand.New(rand.NewSource(seed))
 	exec("CREATE TABLE ct (id INTEGER, grp INTEGER, val FLOAT, name VARCHAR, ok BOOLEAN) SEGMENTED BY HASH(id)")

@@ -12,12 +12,11 @@ import (
 
 // This file implements vectorized hash aggregation over storage.Batch: group
 // keys are resolved batch-at-a-time into dense group ordinals — a single
-// INTEGER key through the open-addressing intTable (one probe per run for an
-// RLE group column), a single VARCHAR key through a map keyed by the string
-// itself, any other key through a byte-encoded key map; a single key that
-// arrives dictionary-coded (a join's build column) resolves each code once
-// per dictionary — then each aggregate runs a loop specialised by its op and
-// its argument's stored form: COUNT touches only the count, SUM/AVG only the
+// INTEGER key through the open-addressing intTable, a single VARCHAR key
+// through a map keyed by the string itself, any other key through a
+// byte-encoded key map; a single key that arrives dictionary-coded (a join's
+// build column) resolves each code once per dictionary — then each aggregate
+// runs a loop specialised by its op and its argument's stored form: COUNT touches only the count, SUM/AVG only the
 // sum state, MIN/MAX the whole accumulator. Every vector is of its schema
 // column's type, so an accumulator holds values of one type, the argument's,
 // and finalizes by it; a vector of another type fails the batch. Values are
@@ -181,12 +180,11 @@ type HashAgg struct {
 	// strs a single VARCHAR key (keyed by the string itself), byKey any other
 	// key (byte-encoded). A single key's NULL is a group of its own, boxed as
 	// a NULL of keyType.
-	ints         *intTable
-	strs         map[string]int32
-	byKey        map[string]int32
-	keyType      types.Type
-	nullGrp      int32 // -1 until a single key's NULL is seen
-	allCountStar bool  // every aggregate is COUNT(*): enables run-counting on RLE keys
+	ints    *intTable
+	strs    map[string]int32
+	byKey   map[string]int32
+	keyType types.Type
+	nullGrp int32 // -1 until a single key's NULL is seen
 	// codeGroups holds the group of each code a single DictColumn key has
 	// carried, -1 for the others.
 	codeGroups codeMemo
@@ -221,12 +219,8 @@ func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
 	default:
 		h.byKey = make(map[string]int32)
 	}
-	h.allCountStar = len(spec.Aggs) > 0
 	h.args, h.argT = make([]Vec, len(spec.Aggs)), make([]types.Type, len(spec.Aggs))
 	for j, a := range spec.Aggs {
-		if a.Op != AggCount || a.Col >= 0 || a.Arg != nil {
-			h.allCountStar = false
-		}
 		switch {
 		case a.Arg != nil:
 			h.args[j], h.argT[j] = CompileExpr(a.Arg, schema)
@@ -250,21 +244,13 @@ func (h *HashAgg) newGroup(keyVals []types.Value) int32 {
 	return g
 }
 
-// lookupInt returns the group ordinal for an INTEGER key, creating the group
-// on first sight.
-func (h *HashAgg) lookupInt(k int64) int32 {
-	if g := h.ints.find(k); g >= 0 {
-		return g
-	}
-	return h.newIntGroup(k)
-}
-
 func (h *HashAgg) newIntGroup(k int64) int32 {
 	h.ints.insert(k, int32(len(h.keys)))
 	return h.newGroup([]types.Value{types.IntValue(k)})
 }
 
-// lookupString is lookupInt for a VARCHAR key.
+// lookupString returns the group ordinal for a VARCHAR key, creating the
+// group on first sight.
 func (h *HashAgg) lookupString(s string) int32 {
 	g, ok := h.strs[s]
 	if !ok {
@@ -295,14 +281,6 @@ func (h *HashAgg) Consume(b *storage.Batch) error {
 		}
 	}
 	h.rows += int64(n)
-	if h.ints != nil && h.allCountStar {
-		if col, ok := b.Cols[h.spec.GroupCols[0]].(*storage.Int64RLEColumn); ok {
-			// Popcount-style COUNT over an RLE group key: one table probe and
-			// one addition per (run, sel-range) instead of per row.
-			h.consumeRLECounts(col, b.Sel)
-			return nil
-		}
-	}
 	groupOf := h.groupBuf
 	if cap(groupOf) < n {
 		groupOf = make([]int32, n)
@@ -319,28 +297,6 @@ func (h *HashAgg) Consume(b *storage.Batch) error {
 		h.fallbackRows, h.boxed = h.fallbackRows+int64(n), false
 	}
 	return nil
-}
-
-func (h *HashAgg) consumeRLECounts(col *storage.Int64RLEColumn, sel []int32) {
-	cur := newRunCursor(col)
-	var g int32
-	var pending int64
-	flush := func() {
-		for j := range h.accs {
-			h.accs[j][g].count += pending
-		}
-		pending = 0
-	}
-	for _, i := range sel {
-		if cur.next(i) {
-			if pending > 0 {
-				flush()
-			}
-			g = h.lookupInt(cur.val())
-		}
-		pending++
-	}
-	flush()
 }
 
 // resolveGroups fills groupOf[k] with the group ordinal of selected row k.
@@ -391,20 +347,9 @@ func (h *HashAgg) resolveCodes(d *storage.DictColumn, sel, groupOf []int32) {
 }
 
 func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
-	if c, ok := col.(*storage.Int64RLEColumn); ok {
-		cur := newRunCursor(c)
-		var g int32
-		for k, i := range sel {
-			if cur.next(i) {
-				g = h.lookupInt(cur.val())
-			}
-			groupOf[k] = g
-		}
-		return
-	}
 	c := col.(*storage.Int64Column)
-	// lookupInt spelled out: find inlines here, so only a new key or a NULL
-	// pays a call. Over an identity selection row k is c.Vals[k].
+	// find inlines here, so only a new key or a NULL pays a call. Over an
+	// identity selection row k is c.Vals[k].
 	if c.Nulls == nil && storage.IsIdentity(sel) {
 		for k, v := range c.Vals[:len(sel)] {
 			if g := h.ints.find(v); g >= 0 {
@@ -468,8 +413,6 @@ func appendKey(buf []byte, keys []storage.Column, i int) []byte {
 				continue
 			}
 			buf = appendKeyInt(buf, c.Vals[i])
-		case *storage.Int64RLEColumn:
-			buf = appendKeyInt(buf, c.RunVals[c.RunOf(i)])
 		case *storage.Float64Column:
 			if c.Nulls != nil && c.Nulls[i] {
 				buf = append(buf, 0)
@@ -619,12 +562,6 @@ func addNumbers(accs []aggAcc, col storage.Column, sel, groupOf []int32) bool {
 				accs[groupOf[k]].addInt(c.Vals[i])
 			}
 		}
-	case *storage.Int64RLEColumn:
-		cur := newRunCursor(c)
-		for k, i := range sel {
-			cur.next(i)
-			accs[groupOf[k]].addInt(cur.val())
-		}
 	default:
 		return false
 	}
@@ -639,12 +576,6 @@ func updateAll(accs []aggAcc, col storage.Column, sel, groupOf []int32) error {
 			if c.Nulls == nil || !c.Nulls[i] {
 				accs[groupOf[k]].updateInt(c.Vals[i])
 			}
-		}
-	case *storage.Int64RLEColumn:
-		cur := newRunCursor(c)
-		for k, i := range sel {
-			cur.next(i)
-			accs[groupOf[k]].updateInt(cur.val())
 		}
 	case *storage.Float64Column:
 		for k, i := range sel {

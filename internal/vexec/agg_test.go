@@ -132,35 +132,6 @@ func TestHashAggEmptyGlobalGroup(t *testing.T) {
 	}
 }
 
-func TestHashAggRLECountStar(t *testing.T) {
-	schema := types.NewSchema(types.Column{Name: "k", T: types.Int64})
-	rle := &storage.Int64RLEColumn{RunEnds: []int32{3, 5}, RunVals: []int64{7, 9}}
-	full := &storage.Batch{
-		Schema: schema, Cols: []storage.Column{rle},
-		Sel: []int32{0, 1, 2, 3, 4},
-	}
-	h := NewHashAgg(AggSpec{
-		GroupCols: []int{0},
-		Aggs:      []AggExpr{{Op: AggCount, Col: -1}},
-	}, schema)
-	h.Consume(full)
-	if h.NumGroups() != 2 {
-		t.Fatalf("groups = %d, want 2", h.NumGroups())
-	}
-	wantValue(t, h.GroupKey(0)[0], i64(7), "g0 key")
-	wantValue(t, h.AggResult(0, 0), i64(3), "count(7)")
-	wantValue(t, h.AggResult(1, 0), i64(2), "count(9)")
-
-	// A narrowed selection vector must count only selected rows per run.
-	h2 := NewHashAgg(AggSpec{
-		GroupCols: []int{0},
-		Aggs:      []AggExpr{{Op: AggCount, Col: -1}},
-	}, schema)
-	h2.Consume(&storage.Batch{Schema: schema, Cols: []storage.Column{rle}, Sel: []int32{1, 2, 4}})
-	wantValue(t, h2.AggResult(0, 0), i64(2), "count(7) under sel")
-	wantValue(t, h2.AggResult(1, 0), i64(1), "count(9) under sel")
-}
-
 func TestHashAggManyGroupsGrowsTable(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "k", T: types.Int64})
 	rows := make([]types.Row, 1000)
@@ -278,7 +249,7 @@ func (a *aggAcc) updateValue(v types.Value) {
 // TestHashAggTypedLoopsMatchBoxedReference diffs every key path and every
 // op's typed loop against the boxed reference: one accumulator per (group,
 // aggregate) fed each selected row's value through updateValue. Batches carry
-// NULLs, narrowed selections and RLE vectors.
+// NULLs, narrowed selections and runs of equal keys.
 func TestHashAggTypedLoopsMatchBoxedReference(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", T: types.Int64}, types.Column{Name: "name", T: types.Varchar},
@@ -298,12 +269,14 @@ func TestHashAggTypedLoopsMatchBoxedReference(t *testing.T) {
 	}
 	ints := func(n int, lo, span int64) storage.Column {
 		if rng.Intn(3) == 0 {
-			// RLE: runs of one to five equal values.
-			c := &storage.Int64RLEColumn{}
-			for end := 0; end < n; {
-				end = min(n, end+1+rng.Intn(5))
-				c.RunEnds = append(c.RunEnds, int32(end))
-				c.RunVals = append(c.RunVals, lo+rng.Int63n(span))
+			// Runs of one to five equal values, no NULLs.
+			c := &storage.Int64Column{Vals: make([]int64, n)}
+			for at := 0; at < n; {
+				end := min(n, at+1+rng.Intn(5))
+				v := lo + rng.Int63n(span)
+				for ; at < end; at++ {
+					c.Vals[at] = v
+				}
 			}
 			return c
 		}

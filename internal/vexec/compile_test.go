@@ -129,7 +129,7 @@ func (g *exprGen) kernelConjunct() expr.Expr {
 
 // batch fills intSchema's columns with n rows — NULLs, zeros, the values the
 // guards and the failing call test for, INTEGER edges — and picks a random
-// selection. x may be run-length encoded.
+// selection. x may be null-free.
 func (g *exprGen) batch() *storage.Batch {
 	n := 1 + g.rng.Intn(40)
 	ints := []int64{0, 1, -1, 2, 7, 13, math.MaxInt64, math.MinInt64}
@@ -147,15 +147,7 @@ func (g *exprGen) batch() *storage.Batch {
 	}
 	cols := []storage.Column{x, f, s, b}
 	if g.rng.Intn(4) == 0 {
-		rle := &storage.Int64RLEColumn{}
-		for i, v := range x.Vals {
-			if i > 0 && v == x.Vals[i-1] {
-				rle.RunEnds[len(rle.RunEnds)-1]++
-				continue
-			}
-			rle.RunEnds, rle.RunVals = append(rle.RunEnds, int32(i+1)), append(rle.RunVals, v)
-		}
-		cols[0] = rle
+		cols[0] = &storage.Int64Column{Vals: x.Vals} // null-free
 	}
 	var sel []int32
 	for i := 0; i < n; i++ {

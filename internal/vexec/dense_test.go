@@ -20,7 +20,7 @@ import (
 // the indexed loops give over an owned copy of the same identity: the same
 // rows kept under every comparison, the same groups in the same discovery
 // order, and accumulators equal field for field, float sums bit for bit.
-// Vectors with NULLs (which take the indexed loops), RLE vectors and a
+// Vectors with NULLs (which take the indexed loops), runs of equal keys and a
 // LIMIT-cut prefix of the shared identity ride along.
 func TestDenseLoopsMatchIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
@@ -41,13 +41,13 @@ func TestDenseLoopsMatchIndexed(t *testing.T) {
 		case 0:
 			return &storage.Int64Column{Vals: vals, Nulls: nulls(n)}, "INTEGER with NULLs"
 		case 1:
-			c := &storage.Int64RLEColumn{}
-			for end := 0; end < n; {
-				end = min(n, end+1+rng.Intn(8))
-				c.RunEnds = append(c.RunEnds, int32(end))
-				c.RunVals = append(c.RunVals, vals[end-1])
+			for at := 0; at < n; {
+				end := min(n, at+1+rng.Intn(8))
+				for ; at < end; at++ {
+					vals[at] = vals[end-1]
+				}
 			}
-			return c, "RLE"
+			return &storage.Int64Column{Vals: vals}, "INTEGER runs"
 		}
 		return &storage.Int64Column{Vals: vals}, "INTEGER"
 	}
@@ -112,7 +112,7 @@ func TestDenseLoopsMatchIndexed(t *testing.T) {
 // TestKernelsWriteOnlyTheirOutput: a filter never writes through the Sel it is
 // handed — a scan's batch may carry the shared identity — and hands back a
 // selection of its own. Every kernel shape runs as the first narrowing over
-// the shared identity, its column dense, with NULLs or RLE: each
+// the shared identity, its column dense, with NULLs or a join's codes: each
 // comparison family, IS [NOT] NULL, a bare BOOLEAN, the stored-hash kernel, a
 // conjunct that can never be true, and a residual alone and after a kernel.
 func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
@@ -131,13 +131,14 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 	x := base.Cols[0].(*storage.Int64Column)
 	withNulls := &storage.Int64Column{Vals: x.Vals, Nulls: make([]bool, n)}
 	withNulls.Nulls[5], withNulls.Nulls[40] = true, true
+	reversed := make([]int32, n)
+	for i := range reversed {
+		reversed[i] = int32(n - 1 - i)
+	}
 	xs := []struct {
 		name string
 		col  storage.Column
-	}{{"INTEGER", x}, {"INTEGER with NULLs", withNulls}, {"RLE", storage.CompressColumn(x)}}
-	if _, ok := xs[2].col.(*storage.Int64RLEColumn); !ok {
-		t.Fatalf("runs of 8 did not compress: %T", xs[2].col)
-	}
+	}{{"INTEGER", x}, {"INTEGER with NULLs", withNulls}, {"codes", &storage.DictColumn{Codes: reversed, Dict: x}}}
 	residual := &expr.Or{L: cmp(expr.LT, col("f"), lit(types.FloatValue(3))), R: cmp(expr.EQ, col("s"), lit(types.StringValue("s4")))}
 	preds := []expr.Expr{
 		cmp(expr.GT, col("x"), lit(types.IntValue(4))),

@@ -88,8 +88,8 @@ func kernelConjuncts() []expr.Expr {
 }
 
 // TestDictColumnMatchesDenseVector: over dictionary-coded columns — NULL
-// dictionary entries, codes of unselected rows pointing elsewhere, and an RLE
-// column's dense dictionary — the compiled evaluator, every kernel (by its
+// dictionary entries, codes of unselected rows pointing elsewhere, and a
+// null-free dictionary — the compiled evaluator, every kernel (by its
 // boxed path, the one a DictColumn takes), HashAgg's key and argument paths
 // and a join's probe and build give what they give over the batch's own
 // vectors. The coded twins of one batch share one dictionary, so HashAgg and

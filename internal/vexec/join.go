@@ -60,7 +60,7 @@ func floatJoinKey(f float64) JoinKey {
 }
 
 // joinKeyAt extracts the key of physical row i from a column vector: straight
-// from a dense or RLE vector without boxing, through its boxed value from a
+// from a dense vector without boxing, through its boxed value from a
 // DictColumn (a join's build side), the one other form a key vector takes.
 func joinKeyAt(col storage.Column, i int) (JoinKey, bool) {
 	switch c := col.(type) {
@@ -69,8 +69,6 @@ func joinKeyAt(col storage.Column, i int) (JoinKey, bool) {
 			return JoinKey{}, false
 		}
 		return JoinKey{kind: 'i', i: c.Vals[i]}, true
-	case *storage.Int64RLEColumn:
-		return JoinKey{kind: 'i', i: c.RunVals[c.RunOf(i)]}, true
 	case *storage.Float64Column:
 		if c.Nulls != nil && c.Nulls[i] {
 			return JoinKey{}, false
@@ -120,9 +118,7 @@ func buildJoinTable(batches []*storage.Batch, keyCol int) *joinTable {
 	total := 0
 	for _, b := range batches {
 		total += len(b.Sel)
-		switch b.Cols[keyCol].(type) {
-		case *storage.Int64Column, *storage.Int64RLEColumn:
-		default:
+		if _, ok := b.Cols[keyCol].(*storage.Int64Column); !ok {
 			intKind = false
 		}
 	}
@@ -132,22 +128,13 @@ func buildJoinTable(batches []*storage.Batch, keyCol int) *joinTable {
 	if intKind {
 		t.ints = newIntTable()
 		for bi, b := range batches {
-			switch col := b.Cols[keyCol].(type) {
-			case *storage.Int64Column:
-				for _, i := range b.Sel {
-					if col.Nulls != nil && col.Nulls[i] {
-						continue
-					}
-					keyOf = append(keyOf, t.ints.insert(col.Vals[i], int32(t.ints.n)))
-					t.bi, t.ri = append(t.bi, int32(bi)), append(t.ri, i)
+			col := b.Cols[keyCol].(*storage.Int64Column)
+			for _, i := range b.Sel {
+				if col.Nulls != nil && col.Nulls[i] {
+					continue
 				}
-			case *storage.Int64RLEColumn:
-				cur := newRunCursor(col)
-				for _, i := range b.Sel {
-					cur.next(i)
-					keyOf = append(keyOf, t.ints.insert(cur.val(), int32(t.ints.n)))
-					t.bi, t.ri = append(t.bi, int32(bi)), append(t.ri, i)
-				}
+				keyOf = append(keyOf, t.ints.insert(col.Vals[i], int32(t.ints.n)))
+				t.bi, t.ri = append(t.bi, int32(bi)), append(t.ri, i)
 			}
 		}
 		nKeys = t.ints.n
@@ -221,19 +208,6 @@ func (t *joinTable) probe(col storage.Column, sel []int32) []int32 {
 				} else {
 					ko[k] = t.ints.find(c.Vals[i])
 				}
-			}
-			return ko
-		}
-	case *storage.Int64RLEColumn:
-		if t.ints != nil {
-			// Start at the chunk's first run, not the batch's.
-			cur := runCursor{col: c, run: c.RunOf(int(sel[0])), end: -1}
-			var o int32
-			for k, i := range sel {
-				if cur.next(i) {
-					o = t.ints.find(cur.val())
-				}
-				ko[k] = o
 			}
 			return ko
 		}

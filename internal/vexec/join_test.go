@@ -248,14 +248,11 @@ func TestJoinKeyOf(t *testing.T) {
 }
 
 // TestJoinBatchesDuplicateBuildKeysInScanOrder: a key held by several build
-// rows, across batches and in an RLE vector, emits those rows in build scan
+// rows, across batches and in runs within one, emits those rows in build scan
 // order, whichever side is built.
 func TestJoinBatchesDuplicateBuildKeysInScanOrder(t *testing.T) {
-	schema := types.NewSchema(types.Column{Name: "id", T: types.Int64})
-	rle := &storage.Batch{Schema: schema, Cols: []storage.Column{
-		&storage.Int64RLEColumn{RunEnds: []int32{2, 3, 5}, RunVals: []int64{3, 1, 3}},
-	}, Sel: []int32{0, 1, 2, 3, 4}}
-	right := []*storage.Batch{idBatch(t, i64(3), i64(2), i64(3)), rle}
+	runs := idBatch(t, i64(3), i64(3), i64(1), i64(3), i64(3))
+	right := []*storage.Batch{idBatch(t, i64(3), i64(2), i64(3)), runs}
 	left := []*storage.Batch{idBatch(t, i64(3), i64(1), i64(3))}
 	want := []emitted{
 		{0, 0, 0, 0}, {0, 0, 0, 2}, {0, 0, 1, 0}, {0, 0, 1, 1}, {0, 0, 1, 3}, {0, 0, 1, 4},
@@ -271,15 +268,15 @@ func TestJoinBatchesDuplicateBuildKeysInScanOrder(t *testing.T) {
 
 // TestJoinBatchesMatchNestedLoop diffs the hash join against a nested loop
 // over JoinKeyOf keys, with enough distinct INTEGER build keys that the int
-// table grows past its first size, duplicates and NULLs on both sides, RLE
-// vectors, and a FLOAT probe side (integral values match, others do not).
+// table grows past its first size, duplicates and NULLs on both sides, runs
+// of equal keys, and a FLOAT probe side (integral values match, others do not).
 func TestJoinBatchesMatchNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	side := func(batches int, floats bool) []*storage.Batch {
 		var out []*storage.Batch
 		for ; batches > 0; batches-- {
-			// An RLE batch holds runs of five to eight equal keys and no NULLs.
-			rle := !floats && rng.Intn(3) == 0
+			// A batch of runs holds runs of five to eight equal keys and no NULLs.
+			runs := !floats && rng.Intn(3) == 0
 			null := types.NullValue(types.Int64)
 			if floats {
 				null = types.NullValue(types.Float64)
@@ -288,7 +285,7 @@ func TestJoinBatchesMatchNestedLoop(t *testing.T) {
 			for n := rng.Intn(250); n > 0; n-- {
 				k := int64(rng.Intn(1500))
 				switch {
-				case rle:
+				case runs:
 					for reps := 5 + rng.Intn(4); reps > 0; reps-- {
 						rows = append(rows, i64(k))
 					}
@@ -302,16 +299,7 @@ func TestJoinBatchesMatchNestedLoop(t *testing.T) {
 					rows = append(rows, i64(k))
 				}
 			}
-			if len(rows) < 64 {
-				continue
-			}
 			b := idBatch(t, rows...)
-			if rle {
-				b.Cols[0] = storage.CompressColumn(b.Cols[0])
-				if _, ok := b.Cols[0].(*storage.Int64RLEColumn); !ok {
-					t.Fatal("runs of five or more did not compress")
-				}
-			}
 			b.Sel = slices.DeleteFunc(b.Sel, func(int32) bool { return rng.Intn(6) == 0 })
 			out = append(out, b)
 		}

@@ -93,30 +93,3 @@ func (m *codeMemo) slots(dict storage.Column, unset int32) []int32 {
 	}
 	return s
 }
-
-// runCursor walks an RLE column's runs along an ascending selection vector,
-// so a caller does per-run work once per run rather than once per row.
-type runCursor struct {
-	col *storage.Int64RLEColumn
-	run int
-	end int32 // first row past the current run; -1 before the first
-}
-
-func newRunCursor(col *storage.Int64RLEColumn) runCursor {
-	return runCursor{col: col, end: -1}
-}
-
-// next moves to the run holding row i and reports whether that is a new run.
-func (c *runCursor) next(i int32) bool {
-	if i < c.end {
-		return false
-	}
-	for c.run < len(c.col.RunEnds) && i >= c.col.RunEnds[c.run] {
-		c.run++
-	}
-	c.end = c.col.RunEnds[c.run]
-	return true
-}
-
-// val is the current run's value.
-func (c *runCursor) val() int64 { return c.col.RunVals[c.run] }

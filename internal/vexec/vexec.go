@@ -5,10 +5,9 @@
 // top of it, WHERE-clause predicates: a predicate is split into conjuncts;
 // each conjunct that matches a recognized shape (column CMP literal, IS [NOT]
 // NULL, bare boolean column, HASH(segcols) CMP literal) is lowered to a tight
-// loop over the concrete column vector, with a fast path that evaluates
-// RLE-compressed int columns run-by-run without decoding. The other conjuncts
-// run compiled, as a residual over the rows the kernels kept, so any
-// predicate the evaluator accepts runs unchanged.
+// loop over the column's dense vector. The other conjuncts run compiled, as a
+// residual over the rows the kernels kept, so any predicate the evaluator
+// accepts runs unchanged.
 //
 // Kernel semantics follow SQL three-valued logic exactly as a WHERE clause
 // applies it: a conjunct keeps a row only when it evaluates to non-NULL true,
@@ -457,8 +456,6 @@ func boolTrueKernel(ci int, boxed Kernel) Kernel {
 func intCmpKernel(ci int, op expr.CmpOp, lit int64, boxed Kernel) Kernel {
 	return func(b *storage.Batch, sel, out []int32) []int32 {
 		switch col := b.Cols[ci].(type) {
-		case *storage.Int64RLEColumn:
-			return rleKeep(col, sel, out, func(v int64) bool { return op.Holds(compare3(v, lit)) })
 		case *storage.Int64Column:
 			switch {
 			case col.Nulls != nil:
@@ -566,28 +563,6 @@ func intCmpSel(vals []int64, sel []int32, op expr.CmpOp, lit int64, out []int32)
 	return out
 }
 
-// rleKeep evaluates keep once per RLE run and appends to out the rows of sel
-// in runs it keeps — never touching per-row values. sel is ascending, so a
-// single forward walk over the runs suffices.
-func rleKeep(col *storage.Int64RLEColumn, sel, out []int32, keep func(int64) bool) []int32 {
-	run := 0
-	match := false
-	end := int32(-1)
-	for _, i := range sel {
-		if i >= end {
-			for run < len(col.RunEnds) && i >= col.RunEnds[run] {
-				run++
-			}
-			end = col.RunEnds[run]
-			match = keep(col.RunVals[run])
-		}
-		if match {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // compare3 is a three-way comparison that, like types.Compare, calls NaN
 // equal to everything.
 func compare3[T int64 | float64 | string | byte](a, b T) int {
@@ -623,8 +598,6 @@ func floatCmpKernel(ci int, op expr.CmpOp, lit float64, boxed Kernel) Kernel {
 				}
 			}
 			return out
-		case *storage.Int64RLEColumn:
-			return rleKeep(col, sel, out, func(v int64) bool { return op.Holds(compare3(float64(v), lit)) })
 		default:
 			return boxed(b, sel, out)
 		}

@@ -171,63 +171,6 @@ func TestKernelEmptySelection(t *testing.T) {
 	}
 }
 
-func TestKernelRLERunBoundaries(t *testing.T) {
-	// Build an RLE-compressible vector: 100 zeros, 100 ones, 100 twos, and a
-	// single trailing 3 (a 1-row run at the very end).
-	var vals []int64
-	for _, spec := range []struct {
-		v int64
-		n int
-	}{{0, 100}, {1, 100}, {2, 100}, {3, 1}} {
-		for i := 0; i < spec.n; i++ {
-			vals = append(vals, spec.v)
-		}
-	}
-	dense := &storage.Int64Column{Vals: vals}
-	comp := storage.CompressColumn(dense)
-	rle, ok := comp.(*storage.Int64RLEColumn)
-	if !ok {
-		t.Fatalf("CompressColumn did not produce RLE (got %T)", comp)
-	}
-	if rle.Len() != len(vals) {
-		t.Fatalf("RLE Len = %d, want %d", rle.Len(), len(vals))
-	}
-	for i := range vals {
-		if got := rle.Get(i).I; got != vals[i] {
-			t.Fatalf("RLE Get(%d) = %d, want %d", i, got, vals[i])
-		}
-	}
-	schema := types.Schema{Cols: []types.Column{{Name: "x", T: types.Int64}}}
-	full := make([]int32, len(vals))
-	for i := range full {
-		full[i] = int32(i)
-	}
-	selCases := [][]int32{
-		full,
-		{0, 99, 100, 199, 200, 299, 300}, // every run boundary, both sides
-		{300},                            // only the 1-row trailing run
-		{50, 150, 250},                   // run interiors
-		{},                               // empty selection
-	}
-	for _, op := range []expr.CmpOp{expr.EQ, expr.NE, expr.LT, expr.GE} {
-		for ci, baseSel := range selCases {
-			b := &storage.Batch{Schema: schema, Cols: []storage.Column{comp},
-				Hashes: make([]uint32, len(vals)), Sel: append([]int32(nil), baseSel...)}
-			want := interpretSel(t, cmp(op, col("x"), lit(types.IntValue(1))), b, b.Sel)
-			p := Compile(cmp(op, col("x"), lit(types.IntValue(1))), schema, nil)
-			if p.NumKernels() != 1 || p.conjuncts != nil {
-				t.Fatalf("RLE predicate did not fully compile")
-			}
-			if err := p.FilterBatch(b); err != nil {
-				t.Fatal(err)
-			}
-			if !selEqual(b.Sel, want) {
-				t.Fatalf("op %v case %d: got %v, want %v", op, ci, b.Sel, want)
-			}
-		}
-	}
-}
-
 func TestKernelMixedCompiledAndResidual(t *testing.T) {
 	schema := intSchema()
 	var rows []types.Row

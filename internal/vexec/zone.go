@@ -1,6 +1,8 @@
 package vexec
 
 import (
+	"math"
+
 	"vsfabric/internal/expr"
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
@@ -74,7 +76,9 @@ func (p *Pred) HasZoneChecks() bool { return len(p.zones) > 0 }
 // can satisfy the predicate, so the scan may skip the container without
 // building a selection vector. stats is indexed like the schema's columns, and
 // each bound is of its column's type (storage refuses a container file whose
-// zone map is not), so it orders against the check's literal by value.
+// zone map is not), so it orders against the check's literal by value. A NaN
+// bound, which a FLOAT container file written before storage widened NaN to
+// [-Inf, +Inf] may carry, prunes nothing.
 func (p *Pred) CanPrune(stats []storage.ColStats, rowCount int) bool {
 	if rowCount == 0 {
 		return true
@@ -95,6 +99,9 @@ func (p *Pred) CanPrune(stats []storage.ColStats, rowCount int) bool {
 		}
 		if !st.HasMinMax {
 			return true // every value NULL: col CMP lit is NULL for all rows
+		}
+		if isNaN(st.Min) || isNaN(st.Max) {
+			continue
 		}
 		lo := types.Compare(z.lit, st.Min) // <0: lit below every value
 		hi := types.Compare(z.lit, st.Max) // >0: lit above every value
@@ -128,3 +135,5 @@ func (p *Pred) CanPrune(stats []storage.ColStats, rowCount int) bool {
 	}
 	return false
 }
+
+func isNaN(v types.Value) bool { return v.T == types.Float64 && math.IsNaN(v.F) }

@@ -1,6 +1,7 @@
 package vexec
 
 import (
+	"math"
 	"testing"
 
 	"vsfabric/internal/expr"
@@ -48,6 +49,20 @@ func TestCanPruneRanges(t *testing.T) {
 		if got := p.CanPrune(statsFor(tc.stats), 100); got != tc.prune {
 			t.Errorf("%s over [%v..%v]: prune=%v, want %v",
 				tc.where.SQL(), tc.stats.Min, tc.stats.Max, got, tc.prune)
+		}
+	}
+}
+
+// TestCanPruneNaNBound: a FLOAT zone map bounded by NaN, as a container file
+// written before storage widened NaN to [-Inf, +Inf] may carry, prunes under
+// no comparison.
+func TestCanPruneNaNBound(t *testing.T) {
+	nan := f64(math.NaN())
+	stats := []storage.ColStats{{}, {HasMinMax: true, Min: nan, Max: nan}, {}, {}}
+	for _, op := range []expr.CmpOp{expr.EQ, expr.NE, expr.LT, expr.LE, expr.GT, expr.GE} {
+		where := cmp(op, col("f"), lit(f64(0.5)))
+		if Compile(where, intSchema(), nil).CanPrune(stats, 3) {
+			t.Errorf("%s pruned a container bounded by NaN", where.SQL())
 		}
 	}
 }
