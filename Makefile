@@ -32,13 +32,14 @@ examples:
 	done
 
 # Crash-recovery smoke: the frame-log/WAL/persistence units (the golden
-# container and WOS-snapshot files among them) plus the kill-and-restart chaos
-# suite (crash at every WAL record boundary), the DELETE/UPDATE differential
-# across a restart and the scan-versus-moveout suite, under the race detector.
+# container file among them) plus the kill-and-restart chaos suite (crash at
+# every WAL record boundary), the checkpoint suites (a failed one, one across
+# an open DELETE), the DELETE/UPDATE differential across a restart and the
+# scan-versus-moveout suite, under the race detector.
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'Persist|Marshal|Encode|ContainerCache|DrainCommitted|MoveoutContainerOrder|LoadWOS|Golden' ./internal/storage/
+	$(GO) test -race -run 'Persist|Marshal|Encode|ContainerCache|DrainCommitted|MoveoutContainerOrder|Golden' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
 	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|SelectDuringMoveout' ./internal/vertica/
 
@@ -102,10 +103,10 @@ wire-test: wire-fuzz
 # expression it parses must print back to itself and evaluate compiled as
 # Eval does), the
 # Avro container reader (avro.Reader, which reads whatever a COPY streams) and
-# the two data-file decoders recovery runs (storage.UnmarshalContainer and
-# Store.LoadWOS; their harness re-seals the checksum). Those two skip input
-# minimization: their seeds are whole files, and minimizing one interesting
-# input at the default budget outlasts the five seconds.
+# the data-file decoder recovery runs (storage.UnmarshalContainer; its harness
+# re-seals the checksum). That one skips input minimization: its seeds are
+# whole files, and minimizing one interesting input at the default budget
+# outlasts the five seconds.
 wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
@@ -115,7 +116,6 @@ wire-fuzz:
 	$(GO) test -race -run xxx -fuzz FuzzParse -fuzztime 5s ./internal/vsql/
 	$(GO) test -race -run xxx -fuzz FuzzAvroReader -fuzztime 5s ./internal/avro/
 	$(GO) test -race -run xxx -fuzz FuzzUnmarshalContainer -fuzztime 5s -fuzzminimizetime 0 ./internal/storage/
-	$(GO) test -race -run xxx -fuzz FuzzLoadWOS -fuzztime 5s -fuzzminimizetime 0 ./internal/storage/
 
 # Observability gate: the data-collector spool units (framing, rotation,
 # retention, crash-tail truncation), the engine-level dc suites (history

@@ -2,8 +2,8 @@
 // vectors, Read Optimized Storage (ROS) containers, a Write Optimized Storage
 // (WOS) buffer of append-only vectors, and delete vectors over both. A vector
 // in memory is dense — a value slice and NULL flags of its column's type — or
-// a join's dictionary codes (DictColumn); a container file or WOS snapshot
-// chooses a light-weight encoding per column (plain, RLE, delta or
+// a join's dictionary codes (DictColumn); a container file chooses a
+// light-weight encoding per column (plain, RLE, delta or
 // dictionary) and decodes back to dense vectors. This mirrors the Vertica
 // storage organization sketched in §2.1.1 of the paper; the details follow
 // the C-Store lineage at the fidelity the connector experiments need.

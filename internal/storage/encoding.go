@@ -11,9 +11,9 @@ import (
 	"vsfabric/internal/types"
 )
 
-// encoding identifies how a column chunk is serialized in a ROS container or
-// a WOS snapshot, the two layouts that choose one per column (a row block's
-// chunks are always plain: AppendBatches). The set follows the
+// encoding identifies how a column chunk is serialized in a ROS container, the
+// one layout that chooses one per column (a row block's chunks are always
+// plain: AppendBatches). The set follows the
 // C-Store/Vertica families the paper's storage layer is built on.
 type encoding byte
 

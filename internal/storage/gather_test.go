@@ -235,8 +235,8 @@ func TestDecodersBoundUntrustedLengths(t *testing.T) {
 	}
 }
 
-// TestPlainChunkIsTheRowBlockChunk: a ROS container's or WOS snapshot's
-// plain chunk (encodeColumn) is byte for byte the chunk a row block carries
+// TestPlainChunkIsTheRowBlockChunk: a ROS container's plain chunk
+// (encodeColumn) is byte for byte the chunk a row block carries
 // for the same vector (AppendBatches), for every vector form — dense with and
 // without NULLs, RLE and dictionary-coded — and decodes to the vector's
 // values.

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -11,17 +10,12 @@ import (
 	"vsfabric/internal/types"
 )
 
-// The two golden files were written by commit 761dcd3's MarshalContainer and
-// MarshalWOS (the last commit whose WOS buffered boxed rows) from the rows
-// goldenRows generates:
+// The golden file was written by commit 761dcd3's MarshalContainer (the last
+// commit whose WOS buffered boxed rows) from the rows goldenRows generates:
 //
 //	golden-761dcd3.vrc2  rows 0..199 inserted at epoch 3, segmented on id;
 //	                     every 10th row deleted at epoch 5, rows ≡ 1 (mod 25)
 //	                     at epoch 7
-//	golden-761dcd3.wos   rows 200..205 at epoch 4 and 206..209 at epoch 6, row
-//	                     201 deleted at epoch 8; the writer also held row 300
-//	                     under a provisional tag and a provisional delete mark
-//	                     on row 207, neither of which a snapshot carries
 func goldenSchema() types.Schema {
 	return types.Schema{Cols: []types.Column{
 		{Name: "id", T: types.Int64},
@@ -121,80 +115,6 @@ func TestGoldenContainerLoadsAndRemarshals(t *testing.T) {
 	}
 }
 
-func TestGoldenWOSLoadsAndRemarshals(t *testing.T) {
-	data := readGolden(t, "golden-761dcd3.wos")
-	s := NewStore(goldenSchema(), []int{0})
-	if err := s.LoadWOS(data); err != nil {
-		t.Fatal(err)
-	}
-	all := goldenRows(200, 210)
-	for epoch, keep := range map[uint64]func(int) bool{
-		3: func(int) bool { return false },
-		4: func(i int) bool { return i < 6 },
-		6: func(int) bool { return true },
-		8: func(i int) bool { return i != 1 },
-	} {
-		sameRows(t, fmt.Sprintf("epoch %d", epoch), collectBatches(t, s, Visibility{Epoch: epoch}, fullRing()), keepRows(all, keep))
-	}
-	// The same buffer built through the write entry, provisional state and
-	// all, snapshots to the same bytes.
-	built := NewStore(goldenSchema(), []int{0})
-	appendWOS(t, built, all[:6], 4)
-	appendWOS(t, built, all[6:], 6)
-	appendWOS(t, built, goldenRows(300, 301), ProvisionalBase+3)
-	deleteWhere(t, built, Visibility{Epoch: 8}, 8, func(r types.Row) bool { return r[0].I == 201 })
-	deleteWhere(t, built, Visibility{Epoch: 8}, ProvisionalBase+9, func(r types.Row) bool { return r[0].I == 207 })
-	sameVersions(t, "loaded vs built", exportVersions(t, s), exportRowVersions(built))
-	for _, st := range []*Store{s, built} {
-		again, n, err := st.MarshalWOS()
-		if err != nil || n != 10 {
-			t.Fatalf("MarshalWOS: %d rows, err %v", n, err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatal("re-marshalled WOS snapshot differs from the golden file")
-		}
-	}
-	// Moved out, the snapshot's rows keep their epochs and the delete.
-	if err := s.Moveout(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.ContainerCount() != 2 || s.WOSLen() != 1 {
-		t.Fatalf("moveout left %d containers and %d WOS rows, want 2 and the deleted row", s.ContainerCount(), s.WOSLen())
-	}
-	sameRows(t, "epoch 8 after moveout", collectBatches(t, s, Visibility{Epoch: 8}, fullRing()), keepRows(all, func(i int) bool { return i != 1 }))
-}
-
-// TestLoadWOSRejectsOtherTablesSnapshot: a snapshot is checked against the
-// store it is loaded into, not trusted for its own schema.
-func TestLoadWOSRejectsOtherTablesSnapshot(t *testing.T) {
-	two := NewStore(schema2, []int{0})
-	appendWOS(t, two, intRows(1, 2, 3), 2)
-	data, _, err := two.MarshalWOS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	three := NewStore(types.NewSchema(
-		types.Column{Name: "id", T: types.Int64},
-		types.Column{Name: "name", T: types.Varchar},
-		types.Column{Name: "extra", T: types.Float64},
-	), []int{0})
-	if err := three.LoadWOS(data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("2-column snapshot into a 3-column store: %v, want ErrCorrupt", err)
-	}
-	retyped := NewStore(types.NewSchema(
-		types.Column{Name: "id", T: types.Int64},
-		types.Column{Name: "name", T: types.Float64},
-	), []int{0})
-	if err := retyped.LoadWOS(data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("VARCHAR column into a FLOAT store column: %v, want ErrCorrupt", err)
-	}
-	for _, s := range []*Store{three, retyped} {
-		if s.WOSLen() != 0 || len(collectBatches(t, s, Visibility{Epoch: 9}, fullRing())) != 0 {
-			t.Fatal("a refused snapshot left rows behind")
-		}
-	}
-}
-
 // reseal replaces data's trailing CRC with the checksum of its body, so a
 // mutated file gets past the checksum and into the decoder.
 func reseal(data []byte) []byte {
@@ -214,10 +134,10 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// decodeBound is the most a container or WOS-snapshot decoder may allocate for
-// an n-byte file. Every row costs the file at least 2 bytes outside the columns
-// (a hash, or two epochs) and every column at least 6 (schema entry, chunk
-// header), so a file holds at most n²/12 cells however its RLE chunks expand;
+// decodeBound is the most the container decoder may allocate for an n-byte
+// file. Every row costs the file at least 2 bytes outside the columns (its
+// hash takes 4) and every column at least 6 (schema entry, chunk header), so a
+// file holds at most n²/12 cells however its RLE chunks expand;
 // 64 bytes covers a decoded cell (a 16-byte string header, its NULL flag,
 // append's regrowth) and the per-byte term the rest.
 func decodeBound(n int) uint64 { return 1<<18 + 64*uint64(n) + 64*uint64(n)*uint64(n)/12 }
@@ -248,32 +168,6 @@ func FuzzUnmarshalContainer(f *testing.F) {
 			if _, err := MarshalContainer(c); err != nil {
 				t.Fatalf("accepted container does not marshal: %v", err)
 			}
-		}
-	})
-}
-
-// FuzzLoadWOS: no file panics the WOS-snapshot decoder or makes it allocate
-// beyond decodeBound, and a snapshot it accepts scans, moves out and marshals.
-func FuzzLoadWOS(f *testing.F) {
-	golden := readGolden(f, "golden-761dcd3.wos")
-	f.Add(golden)
-	f.Add(golden[:len(golden)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		data = reseal(data)
-		s := NewStore(goldenSchema(), []int{0})
-		var err error
-		if got, most := allocated(func() { err = s.LoadWOS(data) }), decodeBound(len(data)); got > most {
-			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, most)
-		}
-		if err != nil {
-			return
-		}
-		collectBatches(t, s, Visibility{Epoch: ProvisionalBase - 1}, fullRing())
-		if _, _, err := s.MarshalWOS(); err != nil {
-			t.Fatalf("accepted snapshot does not marshal: %v", err)
-		}
-		if err := s.Moveout(0); err != nil {
-			t.Fatalf("accepted snapshot does not move out: %v", err)
 		}
 	})
 }

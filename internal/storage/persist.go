@@ -12,15 +12,13 @@ import (
 )
 
 // This file implements the durable forms of the storage layer: row blocks
-// (the payload of WAL insert/delete records, written by AppendBatches), ROS
+// (the payload of WAL insert/delete records, written by AppendBatches) and ROS
 // container files (one file per container, column pages serialized with the
-// existing encodings), and WOS snapshots (the committed remainder of a write buffer at checkpoint).
-// Every format ends in a CRC32 so recovery can reject torn or corrupt files.
+// existing encodings). A checkpoint moves every committed row out of the WOS
+// first, so a store's durable form is its container files alone. A container
+// file ends in a CRC32 so recovery can reject torn or corrupt files.
 
-var (
-	rosMagic = []byte("VRC2") // per-column zone maps after the delete section
-	wosMagic = []byte("VWS1")
-)
+var rosMagic = []byte("VRC2") // per-column zone maps after the delete section
 
 // writeStatValue serializes a non-null zone-map bound: type byte + payload.
 func writeStatValue(buf *bytes.Buffer, v types.Value) {
@@ -365,88 +363,4 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 		start:    start,
 		del:      del,
 	}, nil
-}
-
-// MarshalWOS serializes the committed rows of the store's write buffer
-// (insert epoch committed; delete marks kept only when committed) for the
-// checkpoint. Provisional rows are excluded — the WAL's carried-over records
-// re-create them on recovery if their transaction ever commits. The returned
-// count is the number of rows serialized; zero means no file is needed.
-func (s *Store) MarshalWOS() ([]byte, int, error) {
-	w := s.wos
-	w.mu.RLock()
-	sel := w.buf.committedSel()
-	batch := &Batch{Cols: w.buf.Columns(), Sel: sel}
-	starts, dels := appendSel(nil, w.buf.Starts, sel), appendSel(nil, w.buf.Dels, sel)
-	w.mu.RUnlock()
-	if len(sel) == 0 {
-		return nil, 0, nil
-	}
-	var buf bytes.Buffer
-	buf.Write(wosMagic)
-	writeUvarint(&buf, uint64(len(sel)))
-	writeSchema(&buf, s.schema)
-	cols, _, err := DenseColumns(s.schema, []*Batch{batch})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := writeColumns(&buf, cols); err != nil {
-		return nil, 0, err
-	}
-	for i := range sel {
-		writeUvarint(&buf, starts[i])
-		writeUvarint(&buf, committedDel(dels[i]))
-	}
-	return sealCRC(&buf), len(sel), nil
-}
-
-// LoadWOS restores a checkpointed WOS snapshot into the store's write buffer
-// (crash recovery). Segmentation hashes are recomputed from the store's
-// layout rather than persisted.
-func (s *Store) LoadWOS(data []byte) error {
-	body, err := checkCRC(data, "WOS snapshot")
-	if err != nil {
-		return err
-	}
-	r := &reader{b: body}
-	head, err := r.take(uint64(len(wosMagic)))
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(head, wosMagic) {
-		return fmt.Errorf("storage: bad WOS snapshot magic %q", head)
-	}
-	n64, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	schema, err := readSchema(r)
-	if err != nil {
-		return err
-	}
-	// The two uvarints each row has after the columns bound the row count.
-	if n64 > uint64(len(r.b)/2) {
-		return corruptf("%d-row WOS snapshot in %d bytes", n64, len(r.b))
-	}
-	cols, err := readColumns(r, schema.NumCols(), n64)
-	if err != nil {
-		return err
-	}
-	n := int(n64)
-	if err := checkColumns(cols, n, s.schema); err != nil {
-		return corruptf("WOS snapshot of another table: %v", err)
-	}
-	starts, dels := make([]uint64, n), make([]uint64, n)
-	for i := range starts {
-		if starts[i], err = r.uvarint(); err != nil {
-			return err
-		}
-		if dels[i], err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	w := s.wos
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.add(cols, IdentitySel(n), HashColumns(cols, s.segIdx, n), starts, dels, 0)
 }

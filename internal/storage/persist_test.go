@@ -3,11 +3,11 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"vsfabric/internal/types"
-	"vsfabric/internal/vhash"
 )
 
 func persistSchema() types.Schema {
@@ -176,50 +176,6 @@ func TestUnmarshalContainerRejectsMistypedZoneMap(t *testing.T) {
 	}
 }
 
-func TestMarshalWOSRoundTrip(t *testing.T) {
-	schema := persistSchema()
-	s := NewStore(schema, []int{0})
-	appendWOS(t, s, persistRows(), 4)
-	// A committed delete ahead of the AHM (retained row) and a provisional
-	// insert; the snapshot keeps the first, skips the second.
-	deleteWhere(t, s, Visibility{Epoch: 6}, 6, func(r types.Row) bool {
-		return !r[0].Null && r[0].I == 1
-	})
-	appendWOS(t, s, []types.Row{{types.IntValue(99), types.FloatValue(0), types.StringValue("prov"), types.BoolValue(true)}}, ProvisionalBase+7)
-
-	data, n, err := s.MarshalWOS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("snapshot has %d rows, want 3 committed", n)
-	}
-	s2 := NewStore(schema, []int{0})
-	if err := s2.LoadWOS(data); err != nil {
-		t.Fatal(err)
-	}
-	full := vhash.Range{Lo: 0, Hi: vhash.RingSize}
-	// At epoch 5 the delete isn't visible: all 3 rows.
-	if got := collectScan(s2, Visibility{Epoch: 5}, full); len(got) != 3 {
-		t.Fatalf("epoch 5: %d rows, want 3", len(got))
-	}
-	// At epoch 6 the deleted row disappears.
-	if got := collectScan(s2, Visibility{Epoch: 6}, full); len(got) != 2 {
-		t.Fatalf("epoch 6: %d rows, want 2", len(got))
-	}
-	// Loaded hashes must match freshly computed segmentation hashes, or
-	// segment-pruned scans would silently miss rows.
-	want := collectScan(s, Visibility{Epoch: 5}, full)
-	for _, seg := range vhash.Segments(4) {
-		a := collectScan(s, Visibility{Epoch: 5}, seg)
-		b := collectScan(s2, Visibility{Epoch: 5}, seg)
-		if !rowsEqual(a, b) {
-			t.Fatalf("segment %v: %d vs %d rows", seg, len(b), len(a))
-		}
-	}
-	_ = want
-}
-
 func TestContainerCache(t *testing.T) {
 	schema := persistSchema()
 	base, _ := rosContainer(persistRows(), schema, []int{0}, 2)
@@ -288,8 +244,9 @@ func TestContainerCache(t *testing.T) {
 }
 
 // TestDrainCommittedRespectsAHM pins down the moveout row-loss bug: a row
-// whose committed delete epoch is ahead of the AHM must stay in the WOS so
-// pinned readers between insert and delete still see it.
+// whose committed delete epoch is ahead of the AHM moves to ROS with its mark,
+// so pinned readers between insert and delete still see it, and only the
+// uncommitted insert stays in the WOS.
 func TestDrainCommittedRespectsAHM(t *testing.T) {
 	mk := func() *Store {
 		s := NewStore(schema2, nil)
@@ -299,15 +256,23 @@ func TestDrainCommittedRespectsAHM(t *testing.T) {
 		deleteWhere(t, s, Visibility{Epoch: 6}, 6, func(r types.Row) bool { return r[0].I == 2 })
 		return s
 	}
+	onlyProvisional := func(what string, s *Store) {
+		t.Helper()
+		w := s.wos.buf
+		if w.Len() != 1 || w.Starts[0] != ProvisionalBase+4 {
+			t.Fatalf("%s: WOS holds %d rows starting %v, want the provisional insert alone", what, w.Len(), w.Starts)
+		}
+	}
 
-	// AHM behind the delete: the deleted row must be retained, not purged.
+	// AHM behind the delete: the deleted row moves with its mark, not purged.
 	s := mk()
 	from, drained := s.wos.DrainCommitted(3)
-	if len(drained) != 1 || from.Columns()[0].Get(int(drained[0])).I != 1 || from.Starts[drained[0]] != 2 {
+	if len(drained) != 2 || from.Columns()[0].Get(int(drained[0])).I != 1 || from.Columns()[0].Get(int(drained[1])).I != 2 || from.Dels[drained[1]] != 6 {
 		t.Fatalf("ahm=3 drained %v of %v", drained, from.Columns()[0])
 	}
-	if s.WOSLen() != 2 {
-		t.Fatalf("ahm=3 retained %d rows, want deleted row + provisional", s.WOSLen())
+	onlyProvisional("ahm=3", s)
+	if err := s.ImportVersions(from, drained); err != nil {
+		t.Fatal(err)
 	}
 	// A reader pinned at epoch 3 must still see row 2 after the drain.
 	seen := 0
@@ -322,16 +287,55 @@ func TestDrainCommittedRespectsAHM(t *testing.T) {
 
 	// AHM at the delete epoch: purge is now safe.
 	s = mk()
-	if _, drained = s.wos.DrainCommitted(6); len(drained) != 1 || s.WOSLen() != 1 {
-		t.Fatalf("ahm=6: drained %d, retained %d (want 1 drained, provisional only)", len(drained), s.WOSLen())
+	if _, drained = s.wos.DrainCommitted(6); len(drained) != 1 {
+		t.Fatalf("ahm=6: drained %d, want 1", len(drained))
 	}
+	onlyProvisional("ahm=6", s)
 
-	// Provisional delete mark: keep buffered regardless of AHM.
+	// Provisional delete mark: the row moves, carrying the mark, whatever the
+	// AHM; its own transaction no longer sees the row, everyone else does.
 	s = NewStore(schema2, nil)
 	appendWOS(t, s, intRows(9), 2)
-	deleteWhere(t, s, Visibility{Epoch: 6, Tag: ProvisionalBase + 8}, ProvisionalBase+8, func(types.Row) bool { return true })
-	if _, drained := s.wos.DrainCommitted(100); len(drained) != 0 || s.WOSLen() != 1 {
-		t.Fatalf("provisionally deleted row moved out: drained %d, kept %d", len(drained), s.WOSLen())
+	tag := uint64(ProvisionalBase + 8)
+	deleteWhere(t, s, Visibility{Epoch: 6, Tag: tag}, tag, func(types.Row) bool { return true })
+	if err := s.Moveout(100); err != nil {
+		t.Fatal(err)
+	}
+	if s.WOSLen() != 0 || s.ContainerCount() != 1 {
+		t.Fatalf("provisionally deleted row: %d WOS rows, %d containers; want it moved out", s.WOSLen(), s.ContainerCount())
+	}
+	if s.RowCount(Visibility{Epoch: 6}) != 1 || s.RowCount(Visibility{Epoch: 6, Tag: tag}) != 0 {
+		t.Fatal("a provisional mark moved out changed what a reader sees")
+	}
+}
+
+// TestDrainCommittedDuringRebase: a commit rewriting a provisional delete mark
+// while a moveout carries the mark from the WOS into a container finds it in
+// one or the other, never in neither. The rewrite starts once the buffer is
+// drained, while the moveout still builds its container.
+func TestDrainCommittedDuringRebase(t *testing.T) {
+	const n = 20000
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	tag := uint64(ProvisionalBase + 5)
+	for trial := 0; trial < 10; trial++ {
+		s := NewStore(schema2, []int{0})
+		appendWOS(t, s, intRows(ids...), 2)
+		deleteWhere(t, s, Visibility{Epoch: 2, Tag: tag}, tag, func(r types.Row) bool { return r[0].I%2 == 0 })
+		moved := make(chan error, 1)
+		go func() { moved <- s.Moveout(2) }()
+		for s.WOSLen() != 0 {
+			runtime.Gosched()
+		}
+		s.RebaseDeletes(tag, 3)
+		if err := <-moved; err != nil {
+			t.Fatal(err)
+		}
+		if got := s.RowCount(Visibility{Epoch: 3}); got != n/2 {
+			t.Fatalf("trial %d: %d rows visible once the delete committed, want %d", trial, got, n/2)
+		}
 	}
 }
 
@@ -361,12 +365,5 @@ func TestMoveoutContainerOrderDeterministic(t *testing.T) {
 			}
 			prev = c.StartEpoch()
 		}
-	}
-}
-
-func TestLoadWOSRejectsGarbage(t *testing.T) {
-	s := NewStore(persistSchema(), []int{0})
-	if err := s.LoadWOS([]byte("not a wos snapshot")); err == nil {
-		t.Fatal("garbage WOS snapshot accepted")
 	}
 }

@@ -268,7 +268,8 @@ type Store struct {
 	// rowsMu keeps the tuple mover out — moveout is the one writer the table's
 	// EXCLUSIVE lock does not exclude. A DELETE or UPDATE holds it exclusively
 	// from selecting rows by position to marking them; a scan holds it shared
-	// while it snapshots the container list and the WOS together.
+	// while it snapshots the container list and the WOS together, and so does
+	// a commit or abort while it rewrites delete marks.
 	rowsMu sync.RWMutex
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
@@ -326,12 +327,12 @@ func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64, direct
 }
 
 // Moveout converts committed WOS contents into ROS containers, mirroring the
-// Vertica Tuple Mover. Provisional (uncommitted) rows stay in the WOS, as do
-// committed rows whose delete epoch is still ahead of the Ancient History
-// Mark (a reader pinned between the insert and delete epochs must keep
-// seeing them). Containers are built in ascending epoch order so the store's
-// container sequence — and with it the deterministic segment-order merge of
-// parallel scans — is stable across runs.
+// Vertica Tuple Mover: every row whose insert has committed moves, with its
+// delete mark, except a row whose delete committed at or behind the Ancient
+// History Mark, which is purged. Provisional (uncommitted) inserts stay in the
+// WOS. Containers are built in ascending epoch order so the store's container
+// sequence — and with it the deterministic segment-order merge of parallel
+// scans — is stable across runs.
 func (s *Store) Moveout(ahm uint64) error {
 	s.rowsMu.Lock()
 	defer s.rowsMu.Unlock()
@@ -462,8 +463,12 @@ func (s *Store) DropInserts(tag uint64) {
 }
 
 // RebaseDeletes rewrites delete marks carrying the provisional tag to the
-// final commit epoch.
+// final commit epoch. A moveout carries such marks from the WOS into a new
+// container, so the rewrite holds the rows in place, as a scan does: a row
+// moving meanwhile would otherwise be found in neither.
 func (s *Store) RebaseDeletes(tag, epoch uint64) {
+	s.rowsMu.RLock()
+	defer s.rowsMu.RUnlock()
 	for _, c := range s.snapshot() {
 		c.mu.Lock()
 		c.dirty = rewrite(c.del, tag, epoch) || c.dirty

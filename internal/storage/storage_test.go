@@ -343,8 +343,8 @@ func TestMarkDeletedNamesRowsByPosition(t *testing.T) {
 	s := NewStore(schema2, []int{0})
 	_ = s.AppendROS(intRows(1, 2, 3), 1)
 	appendWOS(t, s, intRows(4, 5, 6), 1)
-	scan := func() (batches []*Batch) {
-		_ = s.ScanHeld(Visibility{Epoch: 1}, fullRing(), nil, func(b *Batch) bool {
+	scan := func(epoch uint64) (batches []*Batch) {
+		_ = s.ScanHeld(Visibility{Epoch: epoch}, fullRing(), nil, func(b *Batch) bool {
 			b.Sel = b.Sel[1:2] // ids 2 and 5
 			batches = append(batches, b)
 			return true
@@ -353,7 +353,7 @@ func TestMarkDeletedNamesRowsByPosition(t *testing.T) {
 	}
 
 	release := s.HoldRows()
-	batches := scan()
+	batches := scan(1)
 	moved := make(chan error)
 	go func() { moved <- s.Moveout(1) }()
 	select {
@@ -378,13 +378,18 @@ func TestMarkDeletedNamesRowsByPosition(t *testing.T) {
 		t.Fatalf("after deleting ids 2 and 5: %v, want %v", ids, want)
 	}
 
-	// Not held: the WOS batch's rows are moved out from under it.
+	// Not held: the WOS batch's rows are moved out from under it. The scan
+	// reads at epoch 2, where the WOS's rows are visible, so it ends in a WOS
+	// batch.
 	appendWOS(t, s, intRows(7, 8, 9), 2)
-	batches = scan()
+	batches = scan(2)
+	wosBatch := batches[len(batches)-1]
+	if wosBatch.wos == nil {
+		t.Fatal("the scan at epoch 2 did not end in a WOS batch")
+	}
 	if err := s.Moveout(2); err != nil {
 		t.Fatal(err)
 	}
-	wosBatch := batches[len(batches)-1]
 	if n, err := s.MarkDeleted(wosBatch, 3); n != 0 || err == nil {
 		t.Fatalf("MarkDeleted on moved WOS rows = %d, %v; want an error", n, err)
 	}

@@ -237,16 +237,17 @@ func TestColumnarVersionsMatchRowReference(t *testing.T) {
 			sameContainers(t, fmt.Sprintf("%s home %d", what, home), dst.Containers(), want)
 		}
 
-		// Moveout: the parent boxed the committed live WOS rows into versions
-		// with no delete mark and imported those after the containers
-		// already there.
+		// Moveout: every committed WOS row, boxed into a version with its
+		// delete mark as the buffer holds it (committed or provisional), is
+		// imported after the containers already there; at AHM 0 no committed
+		// delete is behind the mark, so none is purged.
 		before := src.Containers()
 		var drained []rowVersion
 		w := src.wos.buf
 		rows := &Batch{Cols: w.Columns()}
 		for i := 0; i < w.Len(); i++ {
-			if w.Starts[i] < ProvisionalBase && w.Dels[i] == 0 {
-				drained = append(drained, rowVersion{Row: rows.Row(i, nil), Hash: w.Hashes[i], Start: w.Starts[i]})
+			if w.Starts[i] < ProvisionalBase {
+				drained = append(drained, rowVersion{Row: rows.Row(i, nil), Hash: w.Hashes[i], Start: w.Starts[i], Del: w.Dels[i]})
 			}
 		}
 		want, err = containersFromRowVersions(gatherSchema, drained)
@@ -262,6 +263,9 @@ func TestColumnarVersionsMatchRowReference(t *testing.T) {
 		sameContainers(t, what+" moveout built", after[len(before):], want)
 		if got := src.RowCount(Visibility{Epoch: 1 << 20}); got != len(visBefore) {
 			t.Fatalf("%s: %d rows visible after moveout, %d before", what, got, len(visBefore))
+		}
+		if src.WOSLen() != 3 {
+			t.Fatalf("%s: moveout left %d WOS rows, want the 3 provisional inserts", what, src.WOSLen())
 		}
 	}
 }

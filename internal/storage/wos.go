@@ -86,12 +86,13 @@ func rewrite(marks []uint64, from, to uint64) (found bool) {
 	return found
 }
 
-// DrainCommitted removes all committed live rows and returns the buffer that
-// held them with their positions in it. Provisional rows stay put. Rows whose
-// delete has committed are purged only once no reader can still see them: a
-// row deleted at epoch d is visible to a reader pinned at any epoch p < d, so
-// it must survive until the Ancient History Mark (the minimum pinned epoch)
-// reaches d. Rows with ahm < delete epoch stay buffered; the rest are purged.
+// DrainCommitted removes every row whose insert has committed and returns the
+// buffer that held them with the positions of the rows that move on to ROS.
+// A row moves with its delete mark, committed or provisional, which its
+// container carries as the buffer did. Only a row whose delete committed at or
+// behind the Ancient History Mark (the minimum pinned epoch) is purged: a row
+// deleted at epoch d is visible to a reader pinned at any epoch p < d, and
+// once the AHM reaches d no such reader is left. Uncommitted inserts stay.
 func (w *WOS) DrainCommitted(ahm uint64) (from *Versions, drained []int32) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -99,18 +100,9 @@ func (w *WOS) DrainCommitted(ahm uint64) (from *Versions, drained []int32) {
 	keep := make([]int32, 0, v.Len())
 	for i, start := range v.Starts {
 		switch del := v.Dels[i]; {
-		case start >= ProvisionalBase || del >= ProvisionalBase:
-			// Uncommitted insert or uncommitted delete: keep buffered.
+		case start >= ProvisionalBase:
 			keep = append(keep, int32(i))
-		case del != 0 && del <= ahm:
-			// Committed delete behind the AHM: no pinned reader can see the
-			// row any more, purge it.
-		case del != 0:
-			// Committed delete still ahead of the AHM: a reader pinned
-			// between the insert and delete epochs must keep seeing the row,
-			// so it stays buffered until the AHM catches up.
-			keep = append(keep, int32(i))
-		default:
+		case del == 0 || del > ahm: // a provisional mark is always ahead
 			drained = append(drained, int32(i))
 		}
 	}

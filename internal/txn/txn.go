@@ -161,8 +161,8 @@ func (m *Manager) AHM() uint64 {
 }
 
 // CheckpointLock stalls commits for the duration of a storage checkpoint, so
-// the persisted containers, WOS snapshots, and WAL cutover form one
-// consistent durable epoch. Pair with CheckpointUnlock.
+// the persisted containers and the WAL cutover form one consistent durable
+// epoch. Pair with CheckpointUnlock.
 func (m *Manager) CheckpointLock() { m.commitMu.Lock() }
 
 // CheckpointUnlock releases CheckpointLock.

@@ -442,10 +442,11 @@ func (c *Cluster) bindFuncs(e expr.Expr) (err error) {
 	return err
 }
 
-// Moveout runs the tuple mover on every table: committed WOS rows older than
-// the Ancient History Mark become ROS containers (rows a pinned reader can
-// still see stay buffered). On a durable cluster moveout is a checkpoint:
-// the moved containers are persisted and the write-ahead log truncated.
+// Moveout runs the tuple mover on every table: every committed WOS row becomes
+// part of a ROS container, delete mark and all, except a row whose delete
+// committed at or behind the Ancient History Mark, which is purged. On a
+// durable cluster moveout is a checkpoint: the moved containers are persisted
+// and the write-ahead log truncated.
 func (c *Cluster) Moveout() error {
 	if c.durable() {
 		return c.Checkpoint()

@@ -23,22 +23,22 @@ import (
 )
 
 // This file implements the cluster's durable form: a per-node data directory
-// of ROS container files and WOS snapshots, a write-ahead log, ARIES-style
-// replay on open, and the checkpoint (the durable tuple-mover pass) that
-// persists container state and truncates the log.
+// of ROS container files, a write-ahead log, ARIES-style replay on open, and
+// the checkpoint (the durable tuple-mover pass) that moves every committed
+// row into ROS, persists container state and truncates the log.
 //
 // Layout under Config.DataDir:
 //
 //	MANIFEST.json      — the durable catalog + file map, swapped atomically
 //	wal-<seq>.log      — the current write-ahead log
 //	node-<i>/c-<id>.ros — one file per ROS container on node i
-//	node-<i>/w-<id>.wos — node i's committed WOS snapshot for one table
 //	dfs/<path>         — the internal DFS's files (deployed models)
 //
 // Invariants:
 //   - Provisional (uncommitted) state is never persisted in data files; the
 //     WAL alone carries it, and a checkpoint copies still-pending records
-//     into the fresh log it cuts over to.
+//     into the fresh log it cuts over to. After the checkpoint's moveout the
+//     WOS holds only uncommitted inserts, so no data file holds WOS rows.
 //   - A transaction is durable iff its commit record reached the log —
 //     fsynced before Commit returns.
 //   - The manifest is the recovery root: data files and the new WAL are
@@ -46,6 +46,11 @@ import (
 //     a crash at any instant recovers from whichever manifest is current.
 
 const manifestName = "MANIFEST.json"
+
+// manifestVersion is the manifest format this build writes and the only one
+// it reads. Version 1 could name a WOS snapshot file per store, which this
+// build has no reader for; encoding/json would drop the field without a word.
+const manifestVersion = 2
 
 // DDL opcodes carried in wal.Record.Op.
 const (
@@ -81,11 +86,10 @@ type ddlPayload struct {
 	Pool *pool.Config `json:"pool,omitempty"`
 }
 
-// storeManifest locates one store's durable files (paths relative to the
+// storeManifest locates one store's container files (paths relative to the
 // data directory).
 type storeManifest struct {
 	Containers []string `json:"containers,omitempty"`
-	WOS        string   `json:"wos,omitempty"`
 }
 
 type tableManifest struct {
@@ -109,9 +113,9 @@ type manifest struct {
 	WALFile      string `json:"wal_file"`
 	WALSeq       uint64 `json:"wal_seq"`
 	NextDiskID   uint64 `json:"next_disk_id"`
-	// Nodes is the number of node slots ever allocated (0 in pre-membership
-	// manifests, meaning the configured count); Removed lists the IDs of
-	// nodes dropped by ALTER CLUSTER REMOVE NODE.
+	// Nodes is the number of node slots ever allocated (0 in a fresh
+	// directory's first manifest, meaning the configured count); Removed lists
+	// the IDs of nodes dropped by ALTER CLUSTER REMOVE NODE.
 	Nodes   int             `json:"nodes,omitempty"`
 	Removed []int           `json:"removed,omitempty"`
 	Tables  []tableManifest `json:"tables,omitempty"`
@@ -291,10 +295,10 @@ func appendRowKey(key []byte, cols []storage.Column, i int) []byte {
 }
 
 // openDurable attaches the cluster to its data directory: it loads the
-// manifest's containers and WOS snapshots (through the container cache),
-// replays the write-ahead log — redoing committed transactions, discarding
-// provisional ones — and reopens the log for appending. A missing manifest
-// initializes a fresh directory.
+// manifest's containers (through the container cache), replays the write-ahead
+// log — redoing committed transactions, discarding provisional ones — and
+// reopens the log for appending. A missing manifest initializes a fresh
+// directory; a manifest of another format version is refused.
 func (c *Cluster) openDurable() error {
 	if err := os.MkdirAll(c.dataDir, 0o755); err != nil {
 		return err
@@ -317,6 +321,9 @@ func (c *Cluster) openDurable() error {
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return fmt.Errorf("vertica: corrupt manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		return fmt.Errorf("vertica: manifest version %d, this build reads version %d", m.Version, manifestVersion)
 	}
 
 	// Restore membership: grow the node slice to every slot the manifest
@@ -341,24 +348,16 @@ func (c *Cluster) openDurable() error {
 		c.pools.Ensure(name, cfg)
 	}
 
-	// Rebuild the catalog, loading each store's containers and WOS snapshot.
-	// Each table is rebuilt on the exact ring its manifest recorded — a crash
+	// Rebuild the catalog, loading each store's containers. Each table is
+	// rebuilt on the exact ring its manifest recorded — a crash
 	// mid-membership-change leaves tables on different rings, converged after
 	// replay.
 	for _, tm := range m.Tables {
-		tmRing := tm.Ring
-		if tmRing == nil {
-			// Pre-membership manifest: implicit ring [0..n-1].
-			tmRing = make([]int, len(tm.Stores))
-			for i := range tmRing {
-				tmRing[i] = i
-			}
-		}
-		if len(tm.Stores) != len(tmRing) {
+		if len(tm.Stores) != len(tm.Ring) {
 			return fmt.Errorf("vertica: manifest table %q has %d stores for %d ring positions",
-				tm.Def.Name, len(tm.Stores), len(tmRing))
+				tm.Def.Name, len(tm.Stores), len(tm.Ring))
 		}
-		tbl, err := c.cat.CreateTableAt(tm.Def, tm.CreatedEpoch, tmRing)
+		tbl, err := c.cat.CreateTableAt(tm.Def, tm.CreatedEpoch, tm.Ring)
 		if err != nil {
 			return err
 		}
@@ -439,7 +438,7 @@ func (c *Cluster) initFreshDir(sp *obs.ActiveSpan) error {
 		return err
 	}
 	m := manifest{
-		Version:      1,
+		Version:      manifestVersion,
 		DurableEpoch: c.txm.LastEpoch(),
 		WALFile:      walFile,
 		WALSeq:       c.walSeq,
@@ -489,7 +488,7 @@ func (c *Cluster) attachWAL(l *wal.Log) {
 	c.txm.SetCommitLog(l)
 }
 
-// loadStores attaches each manifest store's container files and WOS snapshot.
+// loadStores attaches each manifest store's container files.
 func (c *Cluster) loadStores(stores []*storage.Store, sms []storeManifest) error {
 	if len(sms) != len(stores) {
 		return fmt.Errorf("vertica: manifest store count %d, expected %d", len(sms), len(stores))
@@ -511,15 +510,6 @@ func (c *Cluster) loadStores(stores []*storage.Store, sms []storeManifest) error
 				return fmt.Errorf("vertica: loading container %s: %w", ref, err)
 			}
 			cont.SetDiskRef(ref)
-		}
-		if sm.WOS != "" {
-			data, err := os.ReadFile(filepath.Join(c.dataDir, sm.WOS))
-			if err != nil {
-				return fmt.Errorf("vertica: loading WOS snapshot %s: %w", sm.WOS, err)
-			}
-			if err := stores[i].LoadWOS(data); err != nil {
-				return fmt.Errorf("vertica: WOS snapshot %s: %w", sm.WOS, err)
-			}
 		}
 	}
 	return nil
@@ -673,12 +663,14 @@ func (c *Cluster) replayDDL(rec wal.Record) error {
 	return c.applyDDL(rec.Op, p, false)
 }
 
-// Checkpoint runs the durable tuple-mover pass: moveout, persist every
-// committed container and WOS snapshot, cut the WAL over to a fresh file
-// (carrying records of still-open transactions), and swap the manifest.
-// Commits are stalled for the duration, so the persisted state is exactly
-// the durable epoch the new manifest names. On a non-durable cluster it
-// degrades to a plain moveout.
+// Checkpoint runs the durable tuple-mover pass: moveout (which leaves only
+// uncommitted inserts in the WOS), persist every committed container, cut the
+// WAL over to a fresh file (carrying records of still-open transactions), and
+// swap the manifest. Commits are stalled for the duration, so the persisted
+// state is exactly the durable epoch the new manifest names. A checkpoint
+// that fails leaves the current log live, so later commits still land in the
+// log the current manifest names. On a non-durable cluster it degrades to a
+// plain moveout.
 func (c *Cluster) Checkpoint() error {
 	if !c.durable() {
 		return c.moveoutAll()
@@ -692,7 +684,7 @@ func (c *Cluster) Checkpoint() error {
 	}
 	durableEpoch := c.txm.LastEpoch()
 
-	m := manifest{Version: 1, DurableEpoch: durableEpoch, Nodes: c.NumNodes()}
+	m := manifest{Version: manifestVersion, DurableEpoch: durableEpoch, Nodes: c.NumNodes()}
 	for _, n := range c.nodeList() {
 		if n.State() == NodeRemoved {
 			m.Removed = append(m.Removed, n.ID)
@@ -729,39 +721,40 @@ func (c *Cluster) Checkpoint() error {
 
 	// Cut the WAL over: new file with a checkpoint record, carry pending
 	// records, then redirect appenders. Commits cannot race this — the
-	// commit lock is held — and non-commit appends forward via the seal.
+	// commit lock is held — and other appends wait on the old log's lock
+	// while the seal publishes the manifest naming the new file.
 	newSeq := c.walSeq + 1
 	newFile := fmt.Sprintf("wal-%d.log", newSeq)
+	newPath := filepath.Join(c.dataDir, newFile)
 	// A checkpoint that crashed after creating its new log but before the
 	// manifest swap leaves a stale file under this name; it was never
 	// referenced, so clear it rather than appending after its records.
-	_ = os.Remove(filepath.Join(c.dataDir, newFile))
-	newLog, err := wal.Open(filepath.Join(c.dataDir, newFile))
+	_ = os.Remove(newPath)
+	newLog, err := wal.Open(newPath)
 	if err != nil {
-		return err
-	}
-	if err := newLog.Append(wal.Record{Type: wal.RecCheckpoint, Epoch: durableEpoch}); err != nil {
-		newLog.Close()
-		return err
-	}
-	// Sealing redirects every later append (and the commit log's writes, via
-	// forwarding) into the new file while c.wlog still points at the old one,
-	// so the pointer swap can wait until the manifest naming the new file is
-	// durable.
-	old := c.curWAL()
-	if old != nil {
-		if err := old.Seal(newLog); err != nil {
-			newLog.Close() // not yet the live tail: nothing forwards to it
-			return err
-		}
-	}
-	if err := newLog.Sync(); err != nil {
 		return err
 	}
 	m.WALFile = newFile
 	m.WALSeq = newSeq
 	m.NextDiskID = c.nextDiskID.Load()
-	if err := c.writeManifest(&m); err != nil {
+	publish := func() error { return c.writeManifest(&m) }
+	old := c.curWAL()
+	switch err = newLog.Append(wal.Record{Type: wal.RecCheckpoint, Epoch: durableEpoch}); {
+	case err != nil:
+	case old != nil:
+		// The seal forwards later appends into the new file only once the
+		// manifest naming it is durable; until then the old log stays live.
+		err = old.Seal(newLog, publish)
+	default: // a closed cluster has no log to seal
+		if err = newLog.Sync(); err == nil {
+			err = publish()
+		}
+	}
+	if err != nil {
+		// Not the live tail: nothing forwards to it. A file left behind is
+		// cleared by the next checkpoint, which reuses its name.
+		newLog.Close()
+		_ = os.Remove(newPath)
 		return err
 	}
 	oldFile := fmt.Sprintf("wal-%d.log", c.walSeq)
@@ -778,10 +771,10 @@ func (c *Cluster) Checkpoint() error {
 	return nil
 }
 
-// persistStores writes each store's dirty/new committed containers and WOS
-// snapshot, returning the manifest entries. Containers are never rewritten
-// in place: a changed container gets a fresh file, and the old one is
-// removed only after the new manifest is durable. Files land under the
+// persistStores writes each store's dirty/new committed containers, returning
+// the manifest entries. Containers are never rewritten in place: a changed
+// container gets a fresh file, and the old one is removed only after the new
+// manifest is durable. Files land under the
 // node-<id> directory of the node owning each ring position — node IDs, not
 // positions, so a table whose ring lags the membership ring still files its
 // data under the right host.
@@ -814,17 +807,6 @@ func (c *Cluster) persistStores(stores []*storage.Store, ring []int, table strin
 			}
 			out[i].Containers = append(out[i].Containers, ref)
 		}
-		data, n, err := st.MarshalWOS()
-		if err != nil {
-			return nil, fmt.Errorf("vertica: persisting %s WOS: %w", table, err)
-		}
-		if n > 0 {
-			ref := filepath.Join(fmt.Sprintf("node-%d", ring[i]), fmt.Sprintf("w-%d.wos", c.nextDiskID.Add(1)))
-			if err := framelog.WriteFileAtomic(filepath.Join(c.dataDir, ref), data); err != nil {
-				return nil, err
-			}
-			out[i].WOS = ref
-		}
 	}
 	return out, nil
 }
@@ -848,9 +830,6 @@ func (c *Cluster) removeStaleFiles(m *manifest, oldWAL string) {
 			for _, sm := range sms {
 				for _, ref := range sm.Containers {
 					live[ref] = true
-				}
-				if sm.WOS != "" {
-					live[sm.WOS] = true
 				}
 			}
 		}

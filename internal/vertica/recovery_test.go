@@ -617,3 +617,200 @@ func TestDurableAtEpochAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("restart resurrected deleted rows: %d, want 30", n)
 	}
 }
+
+// reopenCounts opens a second cluster on dir while the first is still open —
+// a crash, as far as the data directory can tell — and returns the counts the
+// queries read from it.
+func reopenCounts(t *testing.T, dir string, queries ...string) []int64 {
+	t.Helper()
+	c := durableCluster(t, dir, nil)
+	t.Cleanup(func() { c.Close() })
+	s := sess(t, c, 0)
+	out := make([]int64, len(queries))
+	for i, q := range queries {
+		out[i] = mustI(t, s.MustExecute(q))
+	}
+	return out
+}
+
+// wosFiles lists every *.wos file under dir.
+func wosFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".wos") {
+			out = append(out, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCheckpointMovesPinnedDeletesIntoContainers: rows deleted while a reader
+// is pinned before the delete leave the WOS at the checkpoint with their
+// marks, so the data directory holds container files alone, and a crash
+// afterwards still serves both the pinned and the latest count.
+func TestCheckpointMovesPinnedDeletesIntoContainers(t *testing.T) {
+	dir := t.TempDir()
+	c := durableCluster(t, dir, nil)
+	t.Cleanup(func() { c.Close() })
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
+	var vals []string
+	for i := 0; i < 40; i++ {
+		vals = append(vals, fmt.Sprintf("(%d)", i))
+	}
+	s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
+	pinned := c.LastEpoch()
+	reader := sess(t, c, 1)
+	if err := reader.PinEpoch(pinned); err != nil {
+		t.Fatal(err)
+	}
+	s.MustExecute("DELETE FROM t WHERE id >= 30")
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if files := wosFiles(t, dir); len(files) != 0 {
+		t.Fatalf("checkpoint left WOS files %v", files)
+	}
+	atPinned := fmt.Sprintf("AT EPOCH %d SELECT COUNT(*) FROM t", pinned)
+	if got := reopenCounts(t, dir, atPinned, "SELECT COUNT(*) FROM t"); got[0] != 40 || got[1] != 30 {
+		t.Fatalf("after a crash: pinned count %d, latest %d; want 40 and 30", got[0], got[1])
+	}
+}
+
+// TestCheckpointAcrossOpenDelete: a DELETE whose transaction is open across a
+// checkpoint leaves its provisional marks inside the containers the
+// checkpoint persists (as live rows: the carried WAL record re-applies them).
+// Committed, the rows are gone after a crash; rolled back, they are all
+// there — before and after a second checkpoint rewrites the marked
+// containers.
+func TestCheckpointAcrossOpenDelete(t *testing.T) {
+	for _, final := range []string{"COMMIT", "ROLLBACK"} {
+		t.Run(final, func(t *testing.T) {
+			dir := t.TempDir()
+			c := durableCluster(t, dir, nil)
+			t.Cleanup(func() { c.Close() })
+			s := sess(t, c, 0)
+			s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
+			s.MustExecute("INSERT INTO t VALUES (1), (2), (3), (4), (5), (6)")
+			s.MustExecute("BEGIN")
+			if n := s.MustExecute("DELETE FROM t WHERE id <= 4").RowsAffected; n != 4 {
+				t.Fatalf("DELETE affected %d rows, want 4", n)
+			}
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := c.Catalog().Table("t")
+			for _, st := range allStores(tbl) {
+				if n := st.WOSLen(); n != 0 {
+					t.Fatalf("checkpoint left %d committed rows in a WOS", n)
+				}
+			}
+			s.MustExecute(final)
+			want := int64(2)
+			if final == "ROLLBACK" {
+				want = 6
+			}
+			if n := mustI(t, s.MustExecute("SELECT COUNT(*) FROM t")); n != want {
+				t.Fatalf("live count after %s = %d, want %d", final, n, want)
+			}
+			if got := reopenCounts(t, dir, "SELECT COUNT(*) FROM t"); got[0] != want {
+				t.Fatalf("after %s and a crash: %d rows, want %d", final, got[0], want)
+			}
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reopenCounts(t, dir, "SELECT COUNT(*) FROM t"); got[0] != want {
+				t.Fatalf("after %s, a checkpoint and a crash: %d rows, want %d", final, got[0], want)
+			}
+		})
+	}
+}
+
+// TestFailedCheckpointKeepsLaterCommits: a checkpoint that cannot write its
+// manifest leaves the current log live, so commits acknowledged after it
+// survive a crash, and the next checkpoint succeeds.
+func TestFailedCheckpointKeepsLaterCommits(t *testing.T) {
+	dir := t.TempDir()
+	c := durableCluster(t, dir, nil)
+	t.Cleanup(func() { c.Close() })
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
+	s.MustExecute("INSERT INTO t VALUES (1)")
+	blocker := filepath.Join(dir, manifestName+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with its manifest unwritable")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal-2.log")); !os.IsNotExist(err) {
+		t.Fatalf("failed checkpoint left its successor log behind: %v", err)
+	}
+	s.MustExecute("INSERT INTO t VALUES (2)")
+	s.MustExecute("INSERT INTO t VALUES (3)")
+	if got := reopenCounts(t, dir, "SELECT COUNT(*) FROM t"); got[0] != 3 {
+		t.Fatalf("after a failed checkpoint and a crash: %d rows, want 3", got[0])
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after a failed one: %v", err)
+	}
+	s.MustExecute("INSERT INTO t VALUES (4)")
+	if got := reopenCounts(t, dir, "SELECT COUNT(*) FROM t"); got[0] != 4 {
+		t.Fatalf("after the next checkpoint and a crash: %d rows, want 4", got[0])
+	}
+}
+
+// TestDurableRefusesManifestOfAnotherVersion: a data directory whose manifest
+// is of another format version is refused by name, not read as this one.
+func TestDurableRefusesManifestOfAnotherVersion(t *testing.T) {
+	dir := t.TempDir()
+	c := durableCluster(t, dir, nil)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
+	s.MustExecute("INSERT INTO t VALUES (1)")
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{1, manifestVersion + 1} {
+		m["version"] = v
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := NewCluster(Config{Nodes: 2, DataDir: dir})
+		if err == nil {
+			c2.Close()
+			t.Fatalf("a version %d manifest was opened", v)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", manifestVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d manifest refused with %q, want it to name %q", v, err, want)
+			}
+		}
+	}
+}

@@ -290,12 +290,15 @@ func (l *Log) LogAbort(tag uint64) error {
 	return l.appendLocked(Record{Type: RecAbort, Tag: tag})
 }
 
-// Seal redirects the log's future into next: the records of still-uncommitted
-// transactions are copied over in their original append order, and any
-// appends that race the checkpoint's log swap are forwarded. The sealed file
-// itself is frozen — the caller deletes it once the checkpoint manifest is
-// durable.
-func (l *Log) Seal(next *Log) error {
+// Seal redirects the log's future into next once publish has made next the
+// log to recover from: the records of still-uncommitted transactions are
+// copied over in their original append order, next is synced, publish runs
+// (the checkpoint writes the manifest naming next), and from then on every
+// append is forwarded. All of it runs under the log's lock, so no record
+// lands in the log meanwhile. If any step fails the log stays live and
+// unchanged, and the caller discards next. The sealed file itself is frozen —
+// the caller deletes it once the checkpoint manifest is durable.
+func (l *Log) Seal(next *Log, publish func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.tear.Err(); err != nil {
@@ -313,6 +316,12 @@ func (l *Log) Seal(next *Log) error {
 		if err := next.Append(p.rec); err != nil {
 			return err
 		}
+	}
+	if err := next.Sync(); err != nil {
+		return err
+	}
+	if err := publish(); err != nil {
+		return err
 	}
 	l.w.Flush()
 	l.sealed = next

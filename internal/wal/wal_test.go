@@ -151,7 +151,7 @@ func TestSealCarriesPendingAndForwards(t *testing.T) {
 	newPath := filepath.Join(dir, "wal-2.log")
 	newL := openT(t, newPath)
 	newL.Append(Record{Type: RecCheckpoint, Epoch: 2})
-	if err := oldL.Seal(newL); err != nil {
+	if err := oldL.Seal(newL, published); err != nil {
 		t.Fatal(err)
 	}
 	// A straggler append against the sealed log lands in the successor.
@@ -183,6 +183,50 @@ func TestSealCarriesPendingAndForwards(t *testing.T) {
 	}
 }
 
+// published is a Seal publish step that always succeeds.
+func published() error { return nil }
+
+// TestSealFailedPublishKeepsLogLive: when the step that makes the successor
+// the log to recover from fails, the log is not sealed — later records land
+// in it, its open transactions stay pending — and a later seal succeeds.
+func TestSealFailedPublishKeepsLogLive(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "wal-1.log")
+	oldL := openT(t, oldPath)
+	oldL.Append(Record{Type: RecInsert, Tag: 12, Table: "t", Rows: []byte("x")})
+	failed := openT(t, filepath.Join(dir, "wal-2.log"))
+	boom := errors.New("manifest unwritable")
+	if err := oldL.Seal(failed, func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Seal with a failing publish = %v, want %v", err, boom)
+	}
+	failed.Close()
+	if err := oldL.LogCommit(12, 3); err != nil {
+		t.Fatal(err)
+	}
+	oldL.Append(Record{Type: RecInsert, Tag: 13, Table: "t", Rows: []byte("y")})
+	got, err := ReadAll(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[1].Type != RecCommit || got[1].Tag != 12 {
+		t.Fatalf("log after a failed seal holds %+v, want the insert and its commit", got)
+	}
+
+	nextPath := filepath.Join(dir, "wal-3.log")
+	next := openT(t, nextPath)
+	if err := oldL.Seal(next, published); err != nil {
+		t.Fatalf("second seal: %v", err)
+	}
+	next.Close()
+	carried, err := ReadAll(nextPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(carried) != 1 || carried[0].Tag != 13 {
+		t.Fatalf("second seal carried %+v, want tag 13's insert alone", carried)
+	}
+}
+
 func TestPendingClearedOnCommitAndAbort(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, filepath.Join(dir, "wal-1.log"))
@@ -191,7 +235,7 @@ func TestPendingClearedOnCommitAndAbort(t *testing.T) {
 	l.LogCommit(20, 2)
 	l.LogAbort(21)
 	next := openT(t, filepath.Join(dir, "wal-2.log"))
-	if err := l.Seal(next); err != nil {
+	if err := l.Seal(next, published); err != nil {
 		t.Fatal(err)
 	}
 	next.Sync()
