@@ -39,7 +39,7 @@ examples:
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'Persist|Marshal|Encode|ContainerCache|DrainCommitted|MoveoutContainerOrder|Golden' ./internal/storage/
+	$(GO) test -race -run 'Persist|Marshal|Encode|DrainCommitted|MoveoutContainerOrder|Golden' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
 	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|SelectDuringMoveout' ./internal/vertica/
 

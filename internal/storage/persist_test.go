@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -173,73 +172,6 @@ func TestUnmarshalContainerRejectsMistypedZoneMap(t *testing.T) {
 		if _, err := UnmarshalContainer(data); err == nil {
 			t.Fatalf("a VARCHAR %s on an INTEGER column unmarshalled", bound)
 		}
-	}
-}
-
-func TestContainerCache(t *testing.T) {
-	schema := persistSchema()
-	base, _ := rosContainer(persistRows(), schema, []int{0}, 2)
-	data, err := MarshalContainer(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := 0
-	read := func() (*ROSContainer, error) {
-		reads++
-		return UnmarshalContainer(data)
-	}
-	cc := NewContainerCache(1 << 20)
-	c1, err := cc.Load("k1", read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := cc.Load("k1", read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reads != 1 {
-		t.Fatalf("cache missed a warm key: %d reads", reads)
-	}
-	if c1 == c2 {
-		t.Fatal("Load must clone: two loads returned the same container")
-	}
-	// Mutating one clone's delete vector must not leak into later loads.
-	c1.mu.Lock()
-	if c1.del == nil {
-		c1.del = make([]uint64, c1.RowCount)
-	}
-	c1.del[0] = 10
-	c1.mu.Unlock()
-	c3, err := cc.Load("k1", read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c3.del != nil && c3.del[0] == 10 {
-		t.Fatal("clone mutation leaked into cache")
-	}
-	hits, misses, _ := cc.Stats()
-	if hits < 2 || misses != 1 {
-		t.Fatalf("stats: hits=%d misses=%d", hits, misses)
-	}
-	// Invalidate forces a re-read.
-	cc.Invalidate("k1")
-	if _, err := cc.Load("k1", read); err != nil {
-		t.Fatal(err)
-	}
-	if reads != 2 {
-		t.Fatalf("invalidate did not evict: %d reads", reads)
-	}
-	// A tiny cache evicts down to a single (oversized) resident entry.
-	small := NewContainerCache(1)
-	for i := 0; i < 3; i++ {
-		if _, err := small.Load(fmt.Sprintf("k%d", i), read); err != nil {
-			t.Fatal(err)
-		}
-	}
-	one, _ := cc.Load("k1", read)
-	_, _, bytes := small.Stats()
-	if perEntry := one.DataBytes() + 12*one.RowCount; bytes > perEntry {
-		t.Fatalf("tiny cache retained %d bytes (> one entry %d)", bytes, perEntry)
 	}
 }
 

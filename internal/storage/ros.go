@@ -18,6 +18,9 @@ import (
 // real commit epoch, at abort it is swept away.
 const ProvisionalBase uint64 = 1 << 62
 
+// DefaultCacheBytes is 64 MiB; only the benchmark's recorded config reads it.
+const DefaultCacheBytes = 64 << 20
+
 // Visibility carries the MVCC read context for a scan: the snapshot epoch
 // plus the reader's own provisional tag (0 for plain snapshot reads). A row
 // is visible if it was inserted at or before the snapshot epoch — or by this
@@ -204,29 +207,6 @@ func (c *ROSContainer) SetDiskRef(ref string) {
 	defer c.mu.Unlock()
 	c.diskRef = ref
 	c.dirty = false
-}
-
-// Clone returns a container sharing the immutable column data (Cols, Hashes,
-// Schema) but with independent mutable MVCC state: the start epoch, the
-// delete vector, and the disk reference. The container cache hands out clones
-// so concurrently open clusters never share delete vectors.
-func (c *ROSContainer) Clone() *ROSContainer {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	nc := &ROSContainer{
-		Schema:   c.Schema,
-		Cols:     c.Cols,
-		RowCount: c.RowCount,
-		Hashes:   c.Hashes,
-		span:     c.span,
-		stats:    c.stats,
-		start:    c.start,
-		diskRef:  c.diskRef,
-	}
-	if c.del != nil {
-		nc.del = append(make([]uint64, 0, len(c.del)), c.del...)
-	}
-	return nc
 }
 
 // Row materializes row i. Like Store.Scan, which it serves, it is kept only as

@@ -20,7 +20,6 @@ import (
 	"vsfabric/internal/obs"
 	"vsfabric/internal/pool"
 	"vsfabric/internal/sim"
-	"vsfabric/internal/storage"
 	"vsfabric/internal/txn"
 	"vsfabric/internal/types"
 	"vsfabric/internal/wal"
@@ -129,6 +128,7 @@ type Config struct {
 	KSafety int
 	// WOSMoveoutRows triggers an automatic moveout when a table's WOS
 	// buffer on any node exceeds this many rows (0 = manual moveout only).
+	// On a durable cluster crossing it runs a full Checkpoint instead.
 	WOSMoveoutRows int
 	// MaxClientSessions bounds concurrent sessions per node (the
 	// MAX-CLIENT-SESSIONS parameter raised to 100 in §4.1).
@@ -138,10 +138,6 @@ type Config struct {
 	// commit, and NewCluster recovers the last durable epoch from it on
 	// reopen. Empty (the default) runs fully in memory.
 	DataDir string
-	// Cache optionally shares a container cache across clusters (the
-	// kill-and-restart suite reopening the same directory). Nil allocates a
-	// private cache of storage.DefaultCacheBytes.
-	Cache *storage.ContainerCache
 	// MetricsAddr, when set (e.g. "127.0.0.1:8085" or ":0"), starts an HTTP
 	// listener serving Prometheus-text /metrics and a /healthz probe that
 	// reflects the node state machine. Empty (the default) serves nothing.
@@ -192,11 +188,10 @@ type Cluster struct {
 	pools *pool.Manager
 
 	// Durable-mode state (zero when Config.DataDir is empty): the data
-	// directory, the decoded-container cache, and the current write-ahead
-	// log with its file sequence number. walMu guards the log pointer across
-	// checkpoint cutover; nextDiskID names new data files.
+	// directory and the current write-ahead log with its file sequence
+	// number. walMu guards the log pointer across checkpoint cutover;
+	// nextDiskID names new data files.
 	dataDir    string
-	cache      *storage.ContainerCache
 	walMu      sync.Mutex
 	wlog       *wal.Log
 	walSeq     uint64
@@ -241,10 +236,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.registerBuiltins()
 	if cfg.DataDir != "" {
 		c.dataDir = cfg.DataDir
-		c.cache = cfg.Cache
-		if c.cache == nil {
-			c.cache = storage.NewContainerCache(storage.DefaultCacheBytes)
-		}
 		var err error
 		if c.dfs, err = dfs.Open(filepath.Join(cfg.DataDir, "dfs")); err != nil {
 			return nil, fmt.Errorf("vertica: opening the DFS under %s: %w", cfg.DataDir, err)

@@ -106,7 +106,7 @@ func TestColumnarLimitStopsScanEarly(t *testing.T) {
 // rows deleted, purged by the tuple mover and checkpointed away after the
 // statement still come out of the batches it returned.
 func TestColumnarBatchesOutliveEpochPin(t *testing.T) {
-	c := durableCluster(t, t.TempDir(), nil)
+	c := durableCluster(t, t.TempDir())
 	defer c.Close()
 	s := sess(t, c, 0)
 	buildScanFixture(t, c, s)

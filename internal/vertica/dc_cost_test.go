@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"vsfabric/internal/storage"
 )
 
 // dcFootprint is what the data collector has cost so far, in counts.
@@ -50,7 +48,7 @@ func takeDCFootprint(t *testing.T, c *Cluster, dir string) dcFootprint {
 // 0.99–1.20× on unchanged code).
 func TestDCCostPerStatement(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, storage.NewContainerCache(0))
+	c := durableCluster(t, dir)
 	defer c.Close()
 	s, err := c.Connect(0)
 	if err != nil {

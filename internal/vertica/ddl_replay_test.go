@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"vsfabric/internal/storage"
 	"vsfabric/internal/wal"
 )
 
@@ -89,8 +88,7 @@ func TestDDLLiveEqualsReplay(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cache := storage.NewContainerCache(0)
-			c := durableCluster(t, dir, cache)
+			c := durableCluster(t, dir)
 			s := sess(t, c, 0)
 			for _, q := range strings.Split(tc.setup, ";") {
 				s.MustExecute(q)
@@ -124,7 +122,7 @@ func TestDDLLiveEqualsReplay(t *testing.T) {
 				}
 			}
 
-			c2 := durableCluster(t, dir, cache)
+			c2 := durableCluster(t, dir)
 			defer c2.Close()
 			if replayed := snapshotDDLState(t, c2); !reflect.DeepEqual(replayed, live) {
 				t.Fatalf("replayed state differs from live\n live %+v\nreplay %+v", live, replayed)
@@ -146,8 +144,7 @@ func TestDDLLiveEqualsReplay(t *testing.T) {
 func TestConcurrentDDLHasOneWinner(t *testing.T) {
 	const sessions, rounds = 8, 150
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	race := func(stmt string) (ok int) {
 		t.Helper()
 		errs := make(chan error, sessions)
@@ -212,7 +209,7 @@ func TestConcurrentDDLHasOneWinner(t *testing.T) {
 	live := snapshotDDLState(t, c)
 	c.curWAL().FailAfterRecords(0)
 	_ = c.Close()
-	c2 := durableCluster(t, dir, cache)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	if replayed := snapshotDDLState(t, c2); !reflect.DeepEqual(replayed, live) {
 		t.Fatalf("replayed state differs from live\n live %+v\nreplay %+v", live, replayed)

@@ -295,9 +295,9 @@ func appendRowKey(key []byte, cols []storage.Column, i int) []byte {
 }
 
 // openDurable attaches the cluster to its data directory: it loads the
-// manifest's containers (through the container cache), replays the write-ahead
-// log — redoing committed transactions, discarding provisional ones — and
-// reopens the log for appending. A missing manifest initializes a fresh
+// manifest's container files into their stores, replays the write-ahead log —
+// redoing committed transactions, discarding provisional ones — and reopens
+// the log for appending. A missing manifest initializes a fresh
 // directory; a manifest of another format version is refused.
 func (c *Cluster) openDurable() error {
 	if err := os.MkdirAll(c.dataDir, 0o755); err != nil {
@@ -495,14 +495,11 @@ func (c *Cluster) loadStores(stores []*storage.Store, sms []storeManifest) error
 	}
 	for i, sm := range sms {
 		for _, ref := range sm.Containers {
-			path := filepath.Join(c.dataDir, ref)
-			cont, err := c.cache.Load(path, func() (*storage.ROSContainer, error) {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					return nil, err
-				}
-				return storage.UnmarshalContainer(data)
-			})
+			data, err := os.ReadFile(filepath.Join(c.dataDir, ref))
+			if err != nil {
+				return fmt.Errorf("vertica: loading container %s: %w", ref, err)
+			}
+			cont, err := storage.UnmarshalContainer(data)
 			if err != nil {
 				return fmt.Errorf("vertica: loading container %s: %w", ref, err)
 			}
@@ -670,12 +667,14 @@ func (c *Cluster) replayDDL(rec wal.Record) error {
 // state is exactly the durable epoch the new manifest names. A checkpoint
 // that fails leaves the current log live, so later commits still land in the
 // log the current manifest names. On a non-durable cluster it degrades to a
-// plain moveout.
-func (c *Cluster) Checkpoint() error {
+// plain moveout. Its span ends with its error on every path: the automatic
+// checkpoint discards the error, so the span is its only record.
+func (c *Cluster) Checkpoint() (err error) {
 	if !c.durable() {
 		return c.moveoutAll()
 	}
 	sp := obs.Start(c.mon, "checkpoint", "v0")
+	defer func() { sp.End(err) }()
 	c.txm.CheckpointLock()
 	defer c.txm.CheckpointUnlock()
 
@@ -764,10 +763,7 @@ func (c *Cluster) Checkpoint() error {
 		_ = old.Close()
 	}
 	c.removeStaleFiles(&m, oldFile)
-	if sp != nil {
-		sp.SetDetail(fmt.Sprintf("epoch %d", durableEpoch))
-		sp.End(nil)
-	}
+	sp.SetDetail(fmt.Sprintf("epoch %d", durableEpoch))
 	return nil
 }
 
@@ -797,9 +793,6 @@ func (c *Cluster) persistStores(stores []*storage.Store, ring []int, table strin
 				newRef := filepath.Join(fmt.Sprintf("node-%d", ring[i]), fmt.Sprintf("c-%d.ros", c.nextDiskID.Add(1)))
 				if err := framelog.WriteFileAtomic(filepath.Join(c.dataDir, newRef), data); err != nil {
 					return nil, err
-				}
-				if ref != "" {
-					c.cache.Invalidate(filepath.Join(c.dataDir, ref))
 				}
 				cont.SetDiskRef(newRef)
 				ref = newRef
@@ -853,7 +846,6 @@ func (c *Cluster) removeStaleFiles(m *manifest, oldWAL string) {
 	}
 	sort.Strings(stale)
 	for _, ref := range stale {
-		c.cache.Invalidate(filepath.Join(c.dataDir, ref))
 		_ = os.Remove(filepath.Join(c.dataDir, ref))
 	}
 }

@@ -37,8 +37,7 @@ func collectCol(t *testing.T, s *Session, query string, col int) []string {
 // v_monitor.dc_query_requests.
 func TestDCQueryRequestsSurviveCrash(t *testing.T) {
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	s, err := c.Connect(0)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +69,7 @@ func TestDCQueryRequestsSurviveCrash(t *testing.T) {
 
 	// Reopen the same directory: the torn tail is truncated away and every
 	// pre-crash request is still there.
-	c2 := durableCluster(t, dir, cache)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	s2, err := c2.Connect(0)
 	if err != nil {
@@ -101,7 +100,7 @@ func TestDCQueryRequestsSurviveCrash(t *testing.T) {
 // one-row string column — still reads back beside them. The fixture holds
 // that build's storage.EncodeRows of one failover event.
 func TestDCReadsEncodingChosenRecords(t *testing.T) {
-	c := durableCluster(t, t.TempDir(), storage.NewContainerCache(0))
+	c := durableCluster(t, t.TempDir())
 	defer c.Close()
 	s := sess(t, c, 0)
 	at := time.Unix(1700000000, 0).UTC()
@@ -132,7 +131,7 @@ func TestDCReadsEncodingChosenRecords(t *testing.T) {
 // segments fall off first, and v_monitor.data_collector reports the policy.
 func TestDCRetentionPolicySQL(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, storage.NewContainerCache(0))
+	c := durableCluster(t, dir)
 	defer c.Close()
 	s, err := c.Connect(0)
 	if err != nil {
@@ -296,8 +295,7 @@ func TestQueryEventsSeededWorkload(t *testing.T) {
 // and reopen, only in its own dc_ table.
 func TestQueryEventsStayInTheirOwnTable(t *testing.T) {
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	s, err := c.Connect(0)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +324,7 @@ func TestQueryEventsStayInTheirOwnTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := durableCluster(t, dir, cache)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	s2, err := c2.Connect(0)
 	if err != nil {

@@ -172,7 +172,7 @@ func TestSharedIdentityUnderConcurrentWriters(t *testing.T) {
 // was.
 func TestReplayedDeleteLeavesIdentity(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE rd (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)")
 	var csv strings.Builder
@@ -191,7 +191,7 @@ func TestReplayedDeleteLeavesIdentity(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2 := durableCluster(t, dir, nil)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	if got := dumpTable(sess(t, c2, 0), "rd"); strings.Join(got, "\n") != strings.Join(want, "\n") || len(want) != 500-71 {
 		t.Fatalf("after replay: %d rows, want %d of 500", len(got), len(want))

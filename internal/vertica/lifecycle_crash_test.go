@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"vsfabric/internal/storage"
 	"vsfabric/internal/wal"
 )
 
@@ -26,10 +25,10 @@ func membershipWorkload() []crashStep {
 // mid-ALTER can leave committed per-table rebalance transactions (pure
 // movement, no row changes) that the model run never executed. It also
 // checks reopen converged every table onto the logged membership ring.
-func verifyMembershipRecovery(t *testing.T, label, dir string, cache *storage.ContainerCache, steps []crashStep, acks []bool) {
+func verifyMembershipRecovery(t *testing.T, label, dir string, steps []crashStep, acks []bool) {
 	t.Helper()
 	want, _ := modelState(t, steps, acks)
-	c, err := NewCluster(Config{Nodes: 2, DataDir: dir, Cache: cache})
+	c, err := NewCluster(Config{Nodes: 2, DataDir: dir})
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
@@ -63,12 +62,11 @@ func TestMembershipCrashSweep(t *testing.T) {
 	}
 	for n := 0; n < appends; n++ {
 		dir := t.TempDir()
-		cache := storage.NewContainerCache(0)
-		c := durableCluster(t, dir, cache)
+		c := durableCluster(t, dir)
 		c.curWAL().FailAfterRecords(n)
 		acks := runSteps(t, c, steps)
 		_ = c.Close()
-		verifyMembershipRecovery(t, fmt.Sprintf("crash@%d", n), dir, cache, steps, acks)
+		verifyMembershipRecovery(t, fmt.Sprintf("crash@%d", n), dir, steps, acks)
 	}
 }
 
@@ -107,7 +105,7 @@ func runRecoveryWorkload(t *testing.T, c *Cluster) []bool {
 func TestRecoveryCrashSweep(t *testing.T) {
 	// Count the clean run's appends.
 	cleanDir := t.TempDir()
-	c := durableCluster(t, cleanDir, nil)
+	c := durableCluster(t, cleanDir)
 	acks := runRecoveryWorkload(t, c)
 	for i, ok := range acks {
 		if !ok {
@@ -134,8 +132,7 @@ func TestRecoveryCrashSweep(t *testing.T) {
 	}
 	for n := 0; n < appends; n++ {
 		dir := t.TempDir()
-		cache := storage.NewContainerCache(0)
-		c := durableCluster(t, dir, cache)
+		c := durableCluster(t, dir)
 		c.curWAL().FailAfterRecords(n)
 		acks := runRecoveryWorkload(t, c)
 		_ = c.Close()
@@ -149,7 +146,7 @@ func TestRecoveryCrashSweep(t *testing.T) {
 		if !acks[0] {
 			want = nil // table never existed
 		}
-		c2, err := NewCluster(Config{Nodes: 2, DataDir: dir, Cache: cache})
+		c2, err := NewCluster(Config{Nodes: 2, DataDir: dir})
 		if err != nil {
 			t.Fatalf("crash@%d: recovery failed: %v", n, err)
 		}

@@ -17,9 +17,9 @@ import (
 //
 //   /metrics — Prometheus text exposition: every obs counter, the latency
 //              histograms re-expressed as cumulative le-bucketed series,
-//              resource-pool occupancy and queue depth, container-cache
-//              hit rates, WAL bytes/fsyncs, data-collector spool sizes,
-//              query-event totals, and per-node state gauges.
+//              resource-pool occupancy and queue depth, WAL bytes/fsyncs,
+//              data-collector spool sizes, query-event totals, and per-node
+//              state gauges.
 //   /healthz — 200 when every non-removed node is UP, 503 otherwise, with
 //              one "node state" line per node either way. Suitable as a
 //              liveness/readiness probe for the whole fabric node.
@@ -136,23 +136,6 @@ func (c *Cluster) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "vsfabric_pool_refused_total{pool=%q,reason=\"timeout\"} %d\n", promEscape(st.Name), st.Timeouts)
 		fmt.Fprintf(&b, "vsfabric_pool_refused_total{pool=%q,reason=\"rejected\"} %d\n", promEscape(st.Name), st.Rejections)
 	}
-
-	// Container cache. In-memory clusters have no cache; the series still
-	// exist (all-zero) so dashboards can rely on them.
-	var hits, misses int64
-	var bytes int
-	if c.cache != nil {
-		hits, misses, bytes = c.cache.Stats()
-	}
-	fmt.Fprintf(&b, "# HELP vsfabric_container_cache_hits_total Decoded-container cache hits.\n")
-	fmt.Fprintf(&b, "# TYPE vsfabric_container_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "vsfabric_container_cache_hits_total %d\n", hits)
-	fmt.Fprintf(&b, "# HELP vsfabric_container_cache_misses_total Decoded-container cache misses.\n")
-	fmt.Fprintf(&b, "# TYPE vsfabric_container_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "vsfabric_container_cache_misses_total %d\n", misses)
-	fmt.Fprintf(&b, "# HELP vsfabric_container_cache_bytes Resident bytes in the decoded-container cache.\n")
-	fmt.Fprintf(&b, "# TYPE vsfabric_container_cache_bytes gauge\n")
-	fmt.Fprintf(&b, "vsfabric_container_cache_bytes %d\n", bytes)
 
 	// WAL: always emitted (zero on in-memory clusters) so dashboards can
 	// rely on the series existing.

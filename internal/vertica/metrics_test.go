@@ -121,7 +121,7 @@ func metricsBody(t *testing.T, addr, path string) (int, string) {
 // TestMetricsEndpoint drives a small workload through a cluster with the
 // metrics listener enabled and validates the full scrape under the text
 // exposition rules, including histogram bucket monotonicity and the
-// presence of the pool/cache/WAL/node series the issue requires.
+// presence of the pool/WAL/node series the issue requires.
 func TestMetricsEndpoint(t *testing.T) {
 	c, err := NewCluster(Config{Nodes: 2, MetricsAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -160,9 +160,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"vsfabric_pool_running",
 		"vsfabric_pool_queue_depth",
 		"vsfabric_pool_admitted_total",
-		"vsfabric_container_cache_hits_total",
-		"vsfabric_container_cache_misses_total",
-		"vsfabric_container_cache_bytes",
 		"vsfabric_wal_bytes_total",
 		"vsfabric_wal_fsyncs_total",
 		"vsfabric_node_state",

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vsfabric/internal/pool"
-	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
@@ -216,8 +215,7 @@ func TestAdmissionQueueTimeoutSurfaces(t *testing.T) {
 // dc_resource_queue_events, with its pool, request type and wait.
 func TestAdmissionOutcomesRecorded(t *testing.T) {
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	setup := sess(t, c, 0)
 	setup.MustExecute("CREATE TABLE t (a INT)")
 	setup.MustExecute("INSERT INTO t VALUES (1)")
@@ -305,7 +303,7 @@ func TestAdmissionOutcomesRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := durableCluster(t, dir, cache)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	check(sess(t, c2, 0), "dc_resource_queue_events")
 }

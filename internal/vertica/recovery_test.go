@@ -10,13 +10,13 @@ import (
 	"strings"
 	"testing"
 
-	"vsfabric/internal/storage"
+	"vsfabric/internal/obs"
 	"vsfabric/internal/wal"
 )
 
-func durableCluster(t *testing.T, dir string, cache *storage.ContainerCache) *Cluster {
+func durableCluster(t *testing.T, dir string) *Cluster {
 	t.Helper()
-	c, err := NewCluster(Config{Nodes: 2, DataDir: dir, Cache: cache})
+	c, err := NewCluster(Config{Nodes: 2, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +60,8 @@ func sameRows(a, b []string) bool {
 
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
 
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE ev (id INTEGER, v FLOAT, name VARCHAR) SEGMENTED BY HASH(id)")
 	s.MustExecute("INSERT INTO ev VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, NULL, NULL)")
@@ -82,7 +81,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := durableCluster(t, dir, cache)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	s2 := sess(t, c2, 1)
 	if got := dumpTable(s2, "ev"); !sameRows(got, want) {
@@ -102,7 +101,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	want2 := dumpTable(s2, "ev")
 	s2.Close()
 	c2.Close()
-	c3 := durableCluster(t, dir, cache)
+	c3 := durableCluster(t, dir)
 	defer c3.Close()
 	s3 := sess(t, c3, 0)
 	if got := dumpTable(s3, "ev"); !sameRows(got, want2) {
@@ -116,7 +115,7 @@ func TestDurableRoundTrip(t *testing.T) {
 // hands the kernels a vector of another type than its schema column's.
 func TestRecoveryRefusesContainerOfAnotherType(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE ints (a INTEGER) UNSEGMENTED ALL NODES")
 	s.MustExecute("CREATE TABLE floats (a FLOAT) UNSEGMENTED ALL NODES")
@@ -176,8 +175,7 @@ func mustI(t *testing.T, res *Result) int64 {
 
 func TestCheckpointTruncatesWALAndReopens(t *testing.T) {
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t (id INTEGER, v INTEGER) SEGMENTED BY HASH(id)")
 	var vals []string
@@ -217,7 +215,7 @@ func TestCheckpointTruncatesWALAndReopens(t *testing.T) {
 	s.Close()
 	c.Close()
 
-	c2 := durableCluster(t, dir, cache)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	s2 := sess(t, c2, 0)
 	if got := dumpTable(s2, "t"); !sameRows(got, want) {
@@ -229,18 +227,12 @@ func TestCheckpointTruncatesWALAndReopens(t *testing.T) {
 	s2.Close()
 	c2.Close()
 
-	// The first reopen faulted the container files in; a second reopen of the
-	// same directory must serve them from the shared cache.
-	_, missesBefore, _ := cache.Stats()
-	c3 := durableCluster(t, dir, cache)
+	// A second reopen of the same directory reads the same files again.
+	c3 := durableCluster(t, dir)
 	defer c3.Close()
-	hits, misses, _ := cache.Stats()
-	if hits == 0 || misses != missesBefore {
-		t.Fatalf("second reopen not served from cache (hits=%d misses=%d->%d)", hits, missesBefore, misses)
-	}
 	s3 := sess(t, c3, 1)
 	if got := dumpTable(s3, "t"); !sameRows(got, want) {
-		t.Fatalf("cached reopen lost rows: %d, want %d", len(got), len(want))
+		t.Fatalf("second reopen lost rows: %d, want %d", len(got), len(want))
 	}
 }
 
@@ -347,7 +339,7 @@ func modelState(t *testing.T, steps []crashStep, acks []bool) ([]string, uint64)
 func countWorkloadAppends(t *testing.T, steps []crashStep) int {
 	t.Helper()
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	acks := runSteps(t, c, steps)
 	for i, ok := range acks {
 		if !ok {
@@ -370,10 +362,10 @@ func countWorkloadAppends(t *testing.T, steps []crashStep) int {
 // verifyRecovery reopens the directory and checks the recovered state matches
 // the acknowledged prefix exactly: no committed row lost, no unacknowledged
 // or aborted row resurfacing. It also proves the cluster is writable again.
-func verifyRecovery(t *testing.T, label, dir string, cache *storage.ContainerCache, steps []crashStep, acks []bool) {
+func verifyRecovery(t *testing.T, label, dir string, steps []crashStep, acks []bool) {
 	t.Helper()
 	want, wantEpoch := modelState(t, steps, acks)
-	c, err := NewCluster(Config{Nodes: 2, DataDir: dir, Cache: cache})
+	c, err := NewCluster(Config{Nodes: 2, DataDir: dir})
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
@@ -410,12 +402,11 @@ func TestKillAndRestartSweep(t *testing.T) {
 	}
 	for n := 0; n < appends; n++ {
 		dir := t.TempDir()
-		cache := storage.NewContainerCache(0)
-		c := durableCluster(t, dir, cache)
+		c := durableCluster(t, dir)
 		c.curWAL().FailAfterRecords(n)
 		acks := runSteps(t, c, steps)
 		_ = c.Close()
-		verifyRecovery(t, fmt.Sprintf("crash@%d", n), dir, cache, steps, acks)
+		verifyRecovery(t, fmt.Sprintf("crash@%d", n), dir, steps, acks)
 	}
 }
 
@@ -425,7 +416,7 @@ func TestKillAndRestartSweep(t *testing.T) {
 func crashAtRecord(t *testing.T, steps []crashStep, match func(wal.Record) bool) int {
 	t.Helper()
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	runSteps(t, c, steps)
 	c.Close()
 	recs, err := wal.ReadAll(filepath.Join(dir, "wal-1.log"))
@@ -450,8 +441,7 @@ func TestCrashMidCopy(t *testing.T) {
 		return r.Type == wal.RecInsert && r.Direct
 	})
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	c.curWAL().FailAfterRecords(n)
 	acks := runSteps(t, c, steps)
 	if acks[2] {
@@ -461,7 +451,7 @@ func TestCrashMidCopy(t *testing.T) {
 		t.Fatal("steps before the COPY should have succeeded")
 	}
 	_ = c.Close()
-	verifyRecovery(t, "mid-copy", dir, cache, steps, acks)
+	verifyRecovery(t, "mid-copy", dir, steps, acks)
 }
 
 // TestCrashMidCommit kills the node while the commit record itself is being
@@ -473,12 +463,11 @@ func TestCrashMidCommit(t *testing.T) {
 		return r.Type == wal.RecCommit
 	})
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	c.curWAL().FailAfterRecords(n)
 	acks := runSteps(t, c, steps)
 	_ = c.Close()
-	verifyRecovery(t, "mid-commit", dir, cache, steps, acks)
+	verifyRecovery(t, "mid-commit", dir, steps, acks)
 }
 
 // TestReplayPropertyRandomInterleavings drives random workloads (inserts,
@@ -515,12 +504,11 @@ func TestReplayPropertyRandomInterleavings(t *testing.T) {
 		appends := countWorkloadAppends(t, steps)
 		n := rng.Intn(appends)
 		dir := t.TempDir()
-		cache := storage.NewContainerCache(0)
-		c := durableCluster(t, dir, cache)
+		c := durableCluster(t, dir)
 		c.curWAL().FailAfterRecords(n)
 		acks := runSteps(t, c, steps)
 		_ = c.Close()
-		verifyRecovery(t, fmt.Sprintf("seed%d@%d", seed, n), dir, cache, steps, acks)
+		verifyRecovery(t, fmt.Sprintf("seed%d@%d", seed, n), dir, steps, acks)
 	}
 }
 
@@ -583,8 +571,7 @@ func TestAtEpochDuringMoveoutKeepsPinnedRows(t *testing.T) {
 // checkpoint AND a restart must not resurrect the deleted rows at latest.
 func TestDurableAtEpochAcrossCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	cache := storage.NewContainerCache(0)
-	c := durableCluster(t, dir, cache)
+	c := durableCluster(t, dir)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
 	var vals []string
@@ -610,7 +597,7 @@ func TestDurableAtEpochAcrossCheckpoint(t *testing.T) {
 	s.Close()
 	c.Close()
 
-	c2 := durableCluster(t, dir, cache)
+	c2 := durableCluster(t, dir)
 	defer c2.Close()
 	s2 := sess(t, c2, 0)
 	if n := mustI(t, s2.MustExecute("SELECT COUNT(*) FROM t")); n != 30 {
@@ -623,7 +610,7 @@ func TestDurableAtEpochAcrossCheckpoint(t *testing.T) {
 // queries read from it.
 func reopenCounts(t *testing.T, dir string, queries ...string) []int64 {
 	t.Helper()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	t.Cleanup(func() { c.Close() })
 	s := sess(t, c, 0)
 	out := make([]int64, len(queries))
@@ -655,7 +642,7 @@ func wosFiles(t *testing.T, dir string) []string {
 // afterwards still serves both the pinned and the latest count.
 func TestCheckpointMovesPinnedDeletesIntoContainers(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	t.Cleanup(func() { c.Close() })
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
@@ -692,7 +679,7 @@ func TestCheckpointAcrossOpenDelete(t *testing.T) {
 	for _, final := range []string{"COMMIT", "ROLLBACK"} {
 		t.Run(final, func(t *testing.T) {
 			dir := t.TempDir()
-			c := durableCluster(t, dir, nil)
+			c := durableCluster(t, dir)
 			t.Cleanup(func() { c.Close() })
 			s := sess(t, c, 0)
 			s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
@@ -736,7 +723,7 @@ func TestCheckpointAcrossOpenDelete(t *testing.T) {
 // survive a crash, and the next checkpoint succeeds.
 func TestFailedCheckpointKeepsLaterCommits(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	t.Cleanup(func() { c.Close() })
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
@@ -769,11 +756,38 @@ func TestFailedCheckpointKeepsLaterCommits(t *testing.T) {
 	}
 }
 
+// TestFailedCheckpointEndsItsSpan: a checkpoint that fails still closes its
+// span, carrying the error. The automatic checkpoint discards its error, so
+// the span is the failure's only record.
+func TestFailedCheckpointEndsItsSpan(t *testing.T) {
+	dir := t.TempDir()
+	c := durableCluster(t, dir)
+	t.Cleanup(func() { c.Close() })
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
+	s.MustExecute("INSERT INTO t VALUES (1)")
+	if err := os.Mkdir(filepath.Join(dir, manifestName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded with its manifest unwritable")
+	}
+	var failed []obs.Span
+	for _, sp := range c.Obs().Spans() {
+		if sp.Name == "checkpoint" {
+			failed = append(failed, sp)
+		}
+	}
+	if len(failed) != 1 || failed[0].Err == "" {
+		t.Fatalf("checkpoint spans after a failed checkpoint: %+v, want one with its error", failed)
+	}
+}
+
 // TestDurableRefusesManifestOfAnotherVersion: a data directory whose manifest
 // is of another format version is refused by name, not read as this one.
 func TestDurableRefusesManifestOfAnotherVersion(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
 	s.MustExecute("INSERT INTO t VALUES (1)")

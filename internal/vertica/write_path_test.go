@@ -190,7 +190,7 @@ func TestVectorWritePathMatchesRowPath(t *testing.T) {
 // a trickle INSERT's WAL record is still storage.EncodeRows of its rows.
 func TestRowSourcesCrossTheVectorEntry(t *testing.T) {
 	dir := t.TempDir()
-	c := durableCluster(t, dir, nil)
+	c := durableCluster(t, dir)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t (id INTEGER, v FLOAT, name VARCHAR) SEGMENTED BY HASH(id)")
 	s.MustExecute("INSERT INTO t VALUES (1, 1.5, 'a'), (2, NULL, ''), (3, 3, NULL)")
@@ -223,7 +223,7 @@ func TestRowSourcesCrossTheVectorEntry(t *testing.T) {
 			break
 		}
 	}
-	c = durableCluster(t, dir, nil)
+	c = durableCluster(t, dir)
 	defer c.Close()
 	if got := dumpTable(sess(t, c, 1), "t"); !sameRows(got, want) {
 		t.Errorf("after restart, table = %v, want %v", got, want)
@@ -377,7 +377,7 @@ func TestCopyAvroLyingBlockCount(t *testing.T) {
 // 10 000-row COPY ... AVRO DIRECT on a durable cluster costs a fixed number of
 // allocations per block and per column, far under one per row.
 func TestCopyAvroDirectAllocsNotPerRow(t *testing.T) {
-	c := durableCluster(t, t.TempDir(), nil)
+	c := durableCluster(t, t.TempDir())
 	defer c.Close()
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t " + loadDDL + " SEGMENTED BY HASH(id)")
