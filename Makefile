@@ -133,14 +133,23 @@ obs-test:
 
 # Gate patterns must not rot: every alternative of every quoted -run pattern
 # in this file names at least one test, fuzz target or example of its
-# package (go test -list). A renamed or deleted test otherwise leaves its
-# gate running nothing. The -run xxx of the fuzz and bench lines is meant to
-# match nothing and is not quoted.
+# package, and every alternative of every quoted -bench pattern at least one
+# benchmark of the package its line ends with (go test -list). A renamed or
+# deleted test otherwise leaves its gate running nothing, and a renamed
+# benchmark leaves make bench timing nothing. The -run xxx of the fuzz and
+# bench lines is meant to match nothing and is not quoted.
 gates:
 	@grep -o "\-run '[^']*' [^ ]*" Makefile | while read -r _ pat pkg; do \
 	  names=$$($(GO) test -list . $$pkg | grep -E '^(Test|Fuzz|Example)') || exit 1; \
 	  for alt in $$(echo $$pat | tr -d "'" | tr '|' ' '); do \
 	    echo "$$names" | grep -q -- "$$alt" || { echo "gates: -run alternative $$alt matches no test in $$pkg"; exit 1; }; \
+	  done; \
+	done
+	@grep -o "\-bench '[^']*' .*" Makefile | while read -r _ pat rest; do \
+	  pkg=$${rest##* }; \
+	  names=$$($(GO) test -list . $$pkg | grep -E '^Benchmark') || exit 1; \
+	  for alt in $$(echo $$pat | tr -d "'" | tr '|' ' '); do \
+	    echo "$$names" | grep -q -- "$$alt" || { echo "gates: -bench alternative $$alt matches no benchmark in $$pkg"; exit 1; }; \
 	  done; \
 	done
 
@@ -151,7 +160,8 @@ gates:
 # keys over the same fact table, the form that gathers the probe side by
 # matched pairs; BenchmarkGroupBy is sql_mix's INTEGER-key GROUP BY and the join
 # statement's VARCHAR-key group-by, each alone over the same fixture;
-# BenchmarkPointFilter is sql_mix's point and filter statements over it;
+# BenchmarkPointFilter is sql_mix's point and filter statements over it (the
+# point statement's LIMIT 1 stops inside the container holding its match);
 # BenchmarkV2SPartitionScan is the partition statements of a V2S job on
 # 2 nodes over a 300 000-row d1-shaped table, v2s_pushdown's shape (pcol < 5,
 # two columns) and v2s_full's (every column), in 4 partitions (half a segment

@@ -116,8 +116,21 @@ func identityVals() []int32 {
 // reads false: the answer picks a dense loop over an indexed one, never what
 // the loop computes.
 func IsIdentity(sel []int32) bool {
+	lo, ok := IdentityRun(sel)
+	return ok && lo == 0
+}
+
+// IdentityRun reports whether sel is a run of the shared identity vector —
+// so that sel[k] == lo+k for every k — and its first row lo: a LIMIT-pushed
+// scan filters a whole container in such runs. Like IsIdentity it decides by
+// where sel lies, not by its values.
+func IdentityRun(sel []int32) (lo int, ok bool) {
 	v := identityVals()
-	return len(sel) > 0 && len(v) > 0 && &sel[0] == &v[0]
+	if len(sel) == 0 {
+		return 0, false
+	}
+	lo = int(sel[0])
+	return lo, lo >= 0 && lo < len(v) && &sel[0] == &v[lo]
 }
 
 // CheckIdentitySel reports an error when an entry of the shared identity

@@ -10,6 +10,7 @@ import (
 	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vertica/scantest"
+	"vsfabric/internal/vexec"
 )
 
 // exactResults fails the test unless got equals want cell for cell, value
@@ -97,6 +98,75 @@ func TestColumnarLimitStopsScanEarly(t *testing.T) {
 	}
 	if point*2 > full {
 		t.Fatalf("LIMIT 1 filtered %d rows, the unlimited scan %d: the scan no longer stops early", point, full)
+	}
+}
+
+// TestColumnarLimitStopsInsideContainer: a LIMIT-pushed scan filters a
+// container in runs of its rows, the first limitChunk long, and stops at the
+// limit. A point LIMIT 1 whose first run holds a match reads at most one first
+// run per segment in kernel rows, and PROFILE counts none of it as read whole.
+// Each segment holds one 4 000-row container, a tenth of it grp 3, so LIMIT
+// 200 needs a segment's second run (3 072 rows), not its third, and returns
+// the unlimited scan's prefix.
+func TestColumnarLimitStopsInsideContainer(t *testing.T) {
+	const rows = 12_000
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE big (id INTEGER, grp INTEGER) SEGMENTED BY HASH(id)")
+	var csv strings.Builder
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&csv, "%d,%d\n", i, i%10)
+	}
+	if _, err := s.CopyFrom("COPY big FROM STDIN FORMAT CSV DIRECT", strings.NewReader(csv.String())); err != nil {
+		t.Fatal(err)
+	}
+	whole := "SELECT id FROM big WHERE grp = 3"
+	res, n := profileScan(t, s, whole)
+	if n.work.IdentityRows != rows || n.work.KernelRows != rows {
+		t.Fatalf("%s: filter %+v, want every row read whole", whole, n.work)
+	}
+	all := storage.Materialize(res.Batches)
+	for _, tc := range []struct {
+		limit   int
+		maxRead int64
+	}{
+		{1, int64(len(n.jobs)) * limitChunk},
+		{200, int64(len(n.jobs)) * 3 * limitChunk},
+	} {
+		q := fmt.Sprintf("%s LIMIT %d", whole, tc.limit)
+		res, n := profileScan(t, s, q)
+		got := storage.Materialize(res.Batches)
+		if len(got) != tc.limit {
+			t.Fatalf("%s: %d rows", q, len(got))
+		}
+		for i, r := range got {
+			if r[0].I != all[i][0].I {
+				t.Fatalf("%s: row %d = %v, the unlimited scan's prefix has %v", q, i, r, all[i])
+			}
+		}
+		if n.work.KernelRows > tc.maxRead || n.work.IdentityRows != 0 {
+			t.Errorf("%s: filter %+v, want at most %d kernel rows and none read whole", q, n.work, tc.maxRead)
+		}
+		if detail := s.MustExecute("PROFILE " + q).Rows[0][6].S; strings.Contains(detail, "whole containers") {
+			t.Errorf("PROFILE %s: scan detail %q", q, detail)
+		}
+	}
+}
+
+// TestLimitZeroOpensNoSegment: a pushed LIMIT 0 returns before any segment
+// is scanned, so no container is considered and no kernel runs.
+func TestLimitZeroOpensNoSegment(t *testing.T) {
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	buildScanFixture(t, c, s)
+	for _, q := range []string{"SELECT * FROM ct LIMIT 0", "SELECT id, name FROM ct WHERE grp = 3 LIMIT 0"} {
+		res, n := profileScan(t, s, q)
+		if res.NumRows() != 0 || n.work != (vexec.FilterStats{}) || n.contSeen != 0 {
+			t.Errorf("%s: %d rows, filter %+v, %d containers considered; want none", q, res.NumRows(), n.work, n.contSeen)
+		}
+		if scan := s.MustExecute("PROFILE " + q).Rows[0]; scan[3].I != 0 {
+			t.Errorf("PROFILE %s: %d kernel rows", q, scan[3].I)
+		}
 	}
 }
 

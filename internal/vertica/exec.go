@@ -245,6 +245,10 @@ func runSegJobs(n int, fn func(int)) {
 // stops and the scan fails with ctx's error.
 func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, int64, error) {
 	jobs, pred, opts := n.jobs, n.pred, n.opts
+	if opts.limit == 0 {
+		// Nothing can be returned, so no segment is opened.
+		return nil, 0, nil
+	}
 	results := make([]segResult, len(jobs))
 	runSegJobs(len(jobs), func(i int) {
 		res := &results[i]
@@ -258,12 +262,15 @@ func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visi
 				res.err = err
 				return false
 			}
-			if err := pred.FilterBatchStats(b, fs); err != nil {
+			var err error
+			if opts.limit >= 0 {
+				err = filterUpTo(pred, b, fs, opts.limit-res.count)
+			} else {
+				err = pred.FilterBatchStats(b, fs)
+			}
+			if err != nil {
 				res.err = err
 				return false
-			}
-			if opts.limit >= 0 && int64(len(b.Sel)) > opts.limit-res.count {
-				b.Sel = b.Sel[:opts.limit-res.count]
 			}
 			res.count += int64(len(b.Sel))
 			if len(b.Sel) > 0 && !opts.countOnly {
@@ -304,6 +311,35 @@ func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visi
 	}
 	n.rowsOut = count
 	return out, count, nil
+}
+
+// limitChunk is how many selected rows of a container a LIMIT-pushed scan
+// filters first. Each later run is twice the one before, so a limit that
+// needs the whole container costs O(log) filter calls more than one pass, and
+// a limit its first rows meet leaves the rest unread.
+const limitChunk = 1024
+
+// filterUpTo is pred.FilterBatchStats narrowed to at most need rows: it
+// filters b.Sel in runs, in order, and stops once need rows survive. A run is
+// capped at its own length, so appending to what it leaves copies it rather
+// than writing into a selection shared with other batches.
+func filterUpTo(pred *vexec.Pred, b *storage.Batch, fs *vexec.FilterStats, need int64) error {
+	all := b.Sel
+	var kept []int32
+	for lo, size := 0, limitChunk; lo < len(all) && int64(len(kept)) < need; lo, size = lo+size, 2*size {
+		hi := min(lo+size, len(all))
+		b.Sel = all[lo:hi:hi]
+		if err := pred.FilterBatchStats(b, fs); err != nil {
+			return err
+		}
+		if lo == 0 {
+			kept = b.Sel
+		} else {
+			kept = append(kept, b.Sel...)
+		}
+	}
+	b.Sel = kept[:min(need, int64(len(kept)))]
+	return nil
 }
 
 // limitBatches cuts a batch list down to its first limit selected rows.

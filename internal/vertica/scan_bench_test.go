@@ -154,8 +154,12 @@ func BenchmarkJoin3Way(b *testing.B) {
 }
 
 // BenchmarkPointFilter times sql_mix's point and filter statements over
-// joinFixture's 60 000 fact rows: a kernel over every row of every container
-// the scan sees whole, then a LIMIT or a second kernel over the 1 % left.
+// joinFixture's 60 000 fact rows. The filter statement runs a kernel over
+// every row of every container the scan sees whole, then a second kernel over
+// the 1 % left. The point statement filters each container in runs of rows
+// and stops at its LIMIT: inside the first run of the one segment that holds
+// pcol 42 (joinFixture segments by HASH(pcol)), while the other two segments,
+// with no match, read every run. In sql_mix every segment holds every pcol.
 // joinFixture's c1 is never below 0.25, so sql_mix's cut of 0.01 would let
 // the zone maps prune every container; the filter's cut is 100 instead,
 // keeping 60 of pcol 42's 600 rows. Run with -benchmem.

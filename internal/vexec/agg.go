@@ -12,10 +12,11 @@ import (
 
 // This file implements vectorized hash aggregation over storage.Batch: group
 // keys are resolved batch-at-a-time into dense group ordinals — a single
-// INTEGER key through the open-addressing intTable, a single VARCHAR key
-// through a map keyed by the string itself, any other key through a
-// byte-encoded key map; a single key that arrives dictionary-coded (a join's
-// build column) resolves each code once per dictionary — then each aggregate
+// INTEGER key through intTable (an array over a small key span, open
+// addressing past it), a single VARCHAR key through a map keyed by the string
+// itself, any other key through a byte-encoded key map; a single key that
+// arrives dictionary-coded (a join's build column) resolves each code once
+// per dictionary — then each aggregate
 // runs a loop specialised by its op and its argument's stored form: COUNT touches only the count, SUM/AVG only the
 // sum state, MIN/MAX the whole accumulator. Every vector is of its schema
 // column's type, so an accumulator holds values of one type, the argument's,
@@ -348,11 +349,14 @@ func (h *HashAgg) resolveCodes(d *storage.DictColumn, sel, groupOf []int32) {
 
 func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
 	c := col.(*storage.Int64Column)
-	// find inlines here, so only a new key or a NULL pays a call. Over an
-	// identity selection row k is c.Vals[k].
+	// direct and hashed inline here, so only a new key or a NULL pays a
+	// call. Over an identity selection row k is c.Vals[k].
+	t := h.ints
 	if c.Nulls == nil && storage.IsIdentity(sel) {
 		for k, v := range c.Vals[:len(sel)] {
-			if g := h.ints.find(v); g >= 0 {
+			if o := t.direct(v); o != 0 {
+				groupOf[k] = o - 1
+			} else if g := t.hashed(v); g >= 0 {
 				groupOf[k] = g
 			} else {
 				groupOf[k] = h.newIntGroup(v)
@@ -363,7 +367,9 @@ func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
 	for k, i := range sel {
 		if c.Nulls != nil && c.Nulls[i] {
 			groupOf[k] = h.nullGroup()
-		} else if g := h.ints.find(c.Vals[i]); g >= 0 {
+		} else if o := t.direct(c.Vals[i]); o != 0 {
+			groupOf[k] = o - 1
+		} else if g := t.hashed(c.Vals[i]); g >= 0 {
 			groupOf[k] = g
 		} else {
 			groupOf[k] = h.newIntGroup(c.Vals[i])

@@ -20,8 +20,10 @@ import (
 // the indexed loops give over an owned copy of the same identity: the same
 // rows kept under every comparison, the same groups in the same discovery
 // order, and accumulators equal field for field, float sums bit for bit.
-// Vectors with NULLs (which take the indexed loops), runs of equal keys and a
-// LIMIT-cut prefix of the shared identity ride along.
+// Vectors with NULLs (which take the indexed loops), runs of equal keys, a
+// LIMIT-cut prefix of the shared identity and a run of it that starts past
+// row 0 (a LIMIT-pushed scan's later run, which the filter reads dense and
+// HashAgg indexed) ride along.
 func TestDenseLoopsMatchIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	schema := types.NewSchema(types.Column{Name: "k", T: types.Int64}, types.Column{Name: "f", T: types.Float64})
@@ -69,13 +71,18 @@ func TestDenseLoopsMatchIndexed(t *testing.T) {
 		f, fd := value(n)
 		cols := []storage.Column{k, f}
 		batch := func(sel []int32) *storage.Batch { return &storage.Batch{Schema: schema, Cols: cols, Sel: sel} }
-		for _, cut := range []int{n, 1 + rng.Intn(n)} {
-			shared := storage.IdentitySel(n)[:cut] // a LIMIT cuts the shared identity to a prefix
+		from := rng.Intn(n)
+		for _, run := range [][2]int{{0, n}, {0, 1 + rng.Intn(n)}, {from, from + 1 + rng.Intn(n-from)}} {
+			lo, cut := run[0], run[1]
+			shared := storage.IdentitySel(n)[lo:cut:cut] // a LIMIT cuts the shared identity to a prefix, or to a run
 			owned := slices.Clone(shared)
-			if !storage.IsIdentity(shared) || storage.IsIdentity(owned) {
-				t.Fatalf("IsIdentity: %v for the shared prefix, %v for an owned copy", storage.IsIdentity(shared), storage.IsIdentity(owned))
+			if at, ok := storage.IdentityRun(shared); !ok || at != lo || storage.IsIdentity(shared) != (lo == 0) {
+				t.Fatalf("IdentityRun(identity[%d:%d]) = %d, %v; IsIdentity %v", lo, cut, at, ok, storage.IsIdentity(shared))
 			}
-			what := fmt.Sprintf("trial %d (key %s, value %s, %d of %d rows)", trial, kd, fd, cut, n)
+			if _, ok := storage.IdentityRun(owned); ok {
+				t.Fatal("IdentityRun holds for an owned copy")
+			}
+			what := fmt.Sprintf("trial %d (key %s, value %s, rows %d..%d of %d)", trial, kd, fd, lo, cut, n)
 			for _, op := range []expr.CmpOp{expr.EQ, expr.NE, expr.LT, expr.LE, expr.GT, expr.GE} {
 				where := cmp(op, col("k"), lit(types.IntValue(rng.Int63n(24)-12)))
 				p := Compile(where, schema, nil)

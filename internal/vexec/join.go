@@ -9,14 +9,14 @@ import (
 )
 
 // This file implements the vectorized hash join: the build side's key table
-// is populated straight from column vectors (the open-addressing intTable
-// when every build batch stores the key column as an int vector, a typed
-// JoinKey map otherwise) and the probe side resolves its keys from vectors a
-// chunk of rows at a time. HashJoin, the engine's join step, boxes no row:
-// its output is vectors — the probe batches themselves or the probe side
-// gathered by matched pairs, beside the build side as dictionary codes. Key
-// semantics are the engine's typed join keys: NULL never matches, INTEGER
-// matches integral FLOAT, no cross-family collisions.
+// is populated straight from column vectors (intTable when every build batch
+// stores the key column as an int vector, a typed JoinKey map otherwise) and
+// the probe side resolves its keys from vectors a chunk of rows at a time.
+// HashJoin, the engine's join step, boxes no row: its output is vectors — the
+// probe batches themselves or the probe side gathered by matched pairs,
+// beside the build side as dictionary codes. Key semantics are the engine's
+// typed join keys: NULL never matches, INTEGER matches integral FLOAT, no
+// cross-family collisions.
 
 // JoinKey is a typed, comparable hash-join key: a key column's value, with
 // INTEGER and integral FLOAT one kind, so they match as types.Compare orders
@@ -201,12 +201,15 @@ func (t *joinTable) probe(col storage.Column, sel []int32) []int32 {
 		}
 		return ko
 	case *storage.Int64Column:
-		if t.ints != nil {
+		if ints := t.ints; ints != nil {
+			// direct and hashed inline here; see intTable.
 			for k, i := range sel {
 				if c.Nulls != nil && c.Nulls[i] {
 					ko[k] = -1
+				} else if o := ints.direct(c.Vals[i]); o != 0 {
+					ko[k] = o - 1
 				} else {
-					ko[k] = t.ints.find(c.Vals[i])
+					ko[k] = ints.hashed(c.Vals[i])
 				}
 			}
 			return ko

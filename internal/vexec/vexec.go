@@ -129,8 +129,10 @@ type FilterStats struct {
 	// through the compiled conjuncts' per-row value loops (0 when fully
 	// lowered).
 	ResidualRows int64
-	// IdentityRows is the number of rows that reached the filter carrying the
-	// shared identity selection (storage.IsIdentity): whole containers.
+	// IdentityRows is the number of rows that reached the filter as whole
+	// containers: the shared identity selection (storage.IsIdentity) over
+	// every row of the batch. A run of a container's rows filtered on its
+	// own, first run included, is not whole.
 	IdentityRows int64
 }
 
@@ -169,7 +171,7 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 	}
 	f := narrowing{b: b, sel: b.Sel}
 	if fs != nil {
-		if storage.IsIdentity(f.sel) {
+		if storage.IsIdentity(f.sel) && len(b.Cols) > 0 && len(f.sel) == b.Cols[0].Len() {
 			fs.IdentityRows += int64(len(f.sel))
 		}
 		if len(p.kernels) > 0 || testRing {
@@ -206,9 +208,10 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 // narrowing is one FilterBatch call's selection. The first narrowing writes
 // into a vector of the call's own and every later one narrows that vector in
 // place: a batch gets at most one new selection vector. It is sized to the
-// selection it narrows, except when that is the shared identity — a whole
-// container, which a WHERE mostly narrows to a sliver — where it grows by
-// append instead of being zeroed at the container's size.
+// selection it narrows, except when that is the shared identity or a run of
+// it — a whole container or a LIMIT-pushed scan's run of one, which a WHERE
+// mostly narrows to a sliver — where it grows by append instead of being
+// zeroed at the container's size.
 type narrowing struct {
 	b     *storage.Batch
 	sel   []int32
@@ -221,7 +224,7 @@ func (f *narrowing) out() []int32 {
 		return f.sel[:0]
 	}
 	f.owned = true
-	if storage.IsIdentity(f.sel) {
+	if _, ok := storage.IdentityRun(f.sel); ok {
 		return nil
 	}
 	return make([]int32, 0, len(f.sel))
@@ -457,16 +460,24 @@ func intCmpKernel(ci int, op expr.CmpOp, lit int64, boxed Kernel) Kernel {
 	return func(b *storage.Batch, sel, out []int32) []int32 {
 		switch col := b.Cols[ci].(type) {
 		case *storage.Int64Column:
-			switch {
-			case col.Nulls != nil:
+			if col.Nulls != nil {
 				for _, i := range sel {
 					if !col.Nulls[i] && op.Holds(compare3(col.Vals[i], lit)) {
 						out = append(out, i)
 					}
 				}
 				return out
-			case storage.IsIdentity(sel):
-				return intCmpDense(col.Vals[:len(sel)], op, lit, out)
+			}
+			if lo, ok := storage.IdentityRun(sel); ok {
+				from := len(out)
+				out = intCmpDense(col.Vals[lo:lo+len(sel)], op, lit, out)
+				// Survivors are numbered from the run's first row. Shifting
+				// them here keeps lo out of the hot loop, where it cost a
+				// register and half the loop's speed.
+				for k := from; lo > 0 && k < len(out); k++ {
+					out[k] += int32(lo)
+				}
+				return out
 			}
 			return intCmpSel(col.Vals, sel, op, lit, out)
 		default:
@@ -476,9 +487,10 @@ func intCmpKernel(ci int, op expr.CmpOp, lit int64, boxed Kernel) Kernel {
 }
 
 // intCmpDense and intCmpSel are the hot null-free INTEGER loops: no null
-// checks, no branching beyond the compare. intCmpDense serves an identity
-// selection, whose row k is vals[k]: it reads the vector straight through,
-// where intCmpSel loads each row's index from sel first.
+// checks, no branching beyond the compare. intCmpDense serves a run of the
+// identity selection, vals being the run's rows, and appends k for vals[k]:
+// it reads the vector straight through, where intCmpSel loads each row's
+// index from sel first.
 func intCmpDense(vals []int64, op expr.CmpOp, lit int64, out []int32) []int32 {
 	switch op {
 	case expr.EQ:
