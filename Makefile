@@ -34,14 +34,15 @@ examples:
 # Crash-recovery smoke: the frame-log/WAL/persistence units (the golden
 # container file among them) plus the kill-and-restart chaos suite (crash at
 # every WAL record boundary), the checkpoint suites (a failed one, one across
-# an open DELETE), the DELETE/UPDATE differential across a restart and the
-# scan-versus-moveout suite, under the race detector.
+# an open DELETE, scans and UPDATEs racing one, the WAL-bytes trigger), the
+# DELETE/UPDATE differential across a restart and the replay of logs written
+# with either insert path, under the race detector.
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'Persist|Marshal|Encode|DrainCommitted|MoveoutContainerOrder|Golden' ./internal/storage/
+	$(GO) test -race -run 'Persist|Marshal|Encode|DeletedRowsStayInTheirContainer|ImportContainerOrder|Golden' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
-	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|SelectDuringMoveout' ./internal/vertica/
+	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths' ./internal/vertica/
 
 # Elastic-membership gate: the rebalance units, the columnar version movement
 # under them against its row-boxing reference, the cluster-lifecycle suites

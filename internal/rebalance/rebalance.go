@@ -83,7 +83,7 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 	lay := catalog.NewLayout(t.Def, t.SegIdx, newRing)
 
 	// Export each old segment from a live replica into one set of versions.
-	// Export order (segments ascending, containers then WOS within each) is
+	// Export order (segments ascending, containers in order within each) is
 	// deterministic, so the order of each new store's share — and with it
 	// the imported container layout — is too.
 	var versions storage.Versions

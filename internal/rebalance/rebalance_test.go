@@ -76,9 +76,8 @@ func addRows(t *testing.T, tbl *catalog.Table, rows []types.Row, epoch uint64) {
 // tag. It returns the number of rows marked.
 func deleteWhere(t testing.TB, s *storage.Store, vis storage.Visibility, tag uint64, match func(types.Row) bool) int {
 	t.Helper()
-	defer s.HoldRows()()
 	var selected []*storage.Batch
-	err := s.ScanHeld(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, nil, func(b *storage.Batch) bool {
+	err := s.ScanBatches(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, func(b *storage.Batch) bool {
 		var keep []int32
 		for _, i := range b.Sel {
 			if match(b.Row(int(i), nil)) {
@@ -215,15 +214,17 @@ func TestMoveTableGrow(t *testing.T) {
 	}
 }
 
-// TestMoveTableAfterMoveoutAndDelete: rows trickled into the WOS and moved
-// out make containers with no delete vector, which a DELETE's scan is handed
-// whole as the shared identity selection. Deleting every third row narrows
-// into vectors of the DELETE's own — the shared vector is left as it was —
-// and the move answers both epochs exactly as the old layout does.
+// TestMoveTableAfterMoveoutAndDelete: rows written one at a time make
+// single-row containers with no delete vector — the containers a moveout of
+// trickled rows once made — which a DELETE's scan is handed whole as the
+// shared identity selection. Deleting every third row narrows into vectors of
+// the DELETE's own — the shared vector is left as it was — and the move
+// answers both epochs exactly as the old layout does.
 func TestMoveTableAfterMoveoutAndDelete(t *testing.T) {
 	const nRows = 240
 	tbl := buildTable(t, 3, 1, true, 0, 1)
 	n := len(tbl.Ring)
+	rows := make(map[*storage.Store]int)
 	for i := 0; i < nRows; i++ {
 		r := types.Row{types.IntValue(int64(i))}
 		seg := vhash.SegmentOf(tbl.RowHash(r), n)
@@ -234,11 +235,12 @@ func TestMoveTableAfterMoveoutAndDelete(t *testing.T) {
 		for _, st := range stores {
 			cols, err := storage.ColumnsFromRows([]types.Row{r}, st.Schema())
 			if err == nil {
-				err = st.AppendColumns(cols, storage.HashColumns(cols, st.SegIdx(), 1), 1, false)
+				err = st.AppendColumns(cols, storage.HashColumns(cols, st.SegIdx(), 1), 1)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			rows[st]++
 		}
 	}
 	all := append([]*storage.Store(nil), tbl.Stores...)
@@ -246,11 +248,8 @@ func TestMoveTableAfterMoveoutAndDelete(t *testing.T) {
 		all = append(all, rep...)
 	}
 	for _, st := range all {
-		if err := st.Moveout(1); err != nil {
-			t.Fatal(err)
-		}
-		if st.WOSLen() != 0 || st.ContainerCount() != 1 {
-			t.Fatalf("after moveout: %d WOS rows, %d containers", st.WOSLen(), st.ContainerCount())
+		if st.ContainerCount() != rows[st] {
+			t.Fatalf("%d containers for %d single-row writes", st.ContainerCount(), rows[st])
 		}
 	}
 	deleteEverywhere(t, tbl, 2, func(r types.Row) bool { return r[0].I%3 == 1 })

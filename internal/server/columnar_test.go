@@ -36,11 +36,7 @@ func TestColumnarResultOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer local.Close()
-	scantest.Build(7, func(sql string) { local.MustExecute(sql) }, func() {
-		if err := cl.Moveout(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	scantest.Build(7, func(sql string) { local.MustExecute(sql) })
 	for node := 0; node < 2; node++ {
 		conn, err := d.Connect(bg, cl.Node(node).Addr)
 		if err != nil {

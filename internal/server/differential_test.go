@@ -11,7 +11,7 @@ import (
 )
 
 // differentialFixture builds what the wire-equals-in-process suites run over:
-// a NULL-heavy fact table m, half moved out to ROS and half left in the WOS, a
+// a NULL-heavy fact table m written by two INSERTs a checkpoint apart, a
 // dimension d, a view mv with an arithmetic column, and two UDxs — HALF, whose
 // values arrive INTEGER or FLOAT, and SHOUT, which returns a VARCHAR no UDx's
 // FLOAT column can hold. The cluster is durable: the data-collector policy
@@ -50,7 +50,7 @@ func differentialFixture(t *testing.T) (*vertica.Session, *TCPConn) {
 			orNull(fmt.Sprintf("%.1f", float64(rng.Intn(40))/2)), orNull([]string{"'ant'", "'bee'", "''"}[rng.Intn(3)])))
 	}
 	local.MustExecute("INSERT INTO m VALUES " + strings.Join(rows[:60], ", "))
-	if err := cl.Moveout(); err != nil {
+	if err := cl.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	local.MustExecute("INSERT INTO m VALUES " + strings.Join(rows[60:], ", "))

@@ -19,11 +19,7 @@ func TestWireJoinOutputForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer local.Close()
-	scantest.BuildJoin(5, func(q string) { local.MustExecute(q) }, func() {
-		if err := cl.Moveout(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	scantest.BuildJoin(5, func(q string) { local.MustExecute(q) })
 	conn, err := d.Connect(bg, cl.Node(1).Addr)
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 )
 
 // Batch is one unit of vectorized scan output: the immutable column vectors
-// of a single ROS container (or of the WOS buffer) plus a selection vector of
-// the row indexes that survived MVCC visibility (and the storage scan's
-// hash-range mask, which the engine's scan leaves at the whole ring).
+// of a single ROS container plus a selection vector of the row indexes that
+// survived MVCC visibility (and the storage scan's hash-range mask, which the
+// engine's scan leaves at the whole ring).
 // Predicate kernels narrow the selection into vectors of their own; only the
 // rows left in Sel at the end of the pipeline are ever materialized into
 // types.Row form (late materialization, the MonetDB/X100 execution model).
@@ -25,7 +25,7 @@ type Batch struct {
 	// HashSpan is the ring interval every entry of Hashes lies in, deleted
 	// rows' included: a container's batch carries its container's span, so a
 	// filter decides a hash range for the whole batch when the span lies
-	// inside the range or outside it. Empty when unknown (the WOS's batch).
+	// inside the range or outside it. Empty when unknown.
 	HashSpan vhash.Range
 	// Sel lists surviving row indexes: in ascending order out of a scan, a
 	// join or a filter; in result order out of a sort. A join to unique keys
@@ -37,11 +37,10 @@ type Batch struct {
 	// of which it sees, so narrowing writes into a vector the narrower owns.
 	Sel []int32
 
-	// ros or wos is where a store's scan cut the batch from — the container,
-	// or the WOS buffer as it then was — so Store.MarkDeleted can mark the rows
-	// Sel is narrowed to where they live. Both are nil on a derived batch.
+	// ros is the container a store's scan cut the batch from, so
+	// Store.MarkDeleted can mark the rows Sel is narrowed to where they live.
+	// Nil on a derived batch.
 	ros *ROSContainer
-	wos *Versions
 }
 
 // Len returns the number of selected rows.
@@ -283,13 +282,12 @@ func batchFromContainer(c *ROSContainer, schema types.Schema, vis Visibility, hr
 	return &Batch{Schema: schema, Cols: c.Cols, Hashes: c.Hashes, HashSpan: c.span, Sel: sel, ros: c}
 }
 
-// ScanBatches calls fn once per ROS container (and once for the WOS
-// buffer, if it has a visible row) with MVCC visibility and the hash-range mask
-// already applied in the selection vector. Returning false from fn stops the
-// scan. Batches share the containers' immutable column vectors, and a batch
-// over a container the scan sees whole carries the shared identity selection:
-// callers write through neither, and narrow a batch by giving it a selection
-// vector of their own.
+// ScanBatches calls fn once per ROS container whose insert vis sees, with
+// MVCC visibility and the hash-range mask already applied in the selection
+// vector. Returning false from fn stops the scan. Batches share the
+// containers' immutable column vectors, and a batch over a container the scan
+// sees whole carries the shared identity selection: callers write through
+// neither, and narrow a batch by giving it a selection vector of their own.
 func (s *Store) ScanBatches(vis Visibility, hr vhash.Range, fn func(*Batch) bool) error {
 	return s.ScanBatchesPruned(vis, hr, nil, fn)
 }
@@ -298,28 +296,10 @@ func (s *Store) ScanBatches(vis Visibility, hr vhash.Range, fn func(*Batch) bool
 // ROS container's selection vector is built, prune is consulted with its zone
 // maps and physical row count, and a true return skips the container entirely
 // (the caller has proven, from the min/max bounds, that no row can satisfy its
-// predicate). A container without zone maps — no constructor builds one — and
-// the WOS buffer, which keeps none, are never pruned. A nil prune scans
-// everything.
+// predicate). A container without zone maps — no constructor builds one — is
+// never pruned. A nil prune scans everything.
 func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
-	// One shared hold covers the container list and the WOS batch, so a moveout
-	// cannot land between them: its rows are seen in the WOS or in the container
-	// it builds, never in neither or both. The scan itself runs unheld.
-	s.rowsMu.RLock()
-	ros, wos := s.snapshot(), s.wos.batch(s.schema, vis, hr)
-	s.rowsMu.RUnlock()
-	return s.scanSnapshot(ros, wos, vis, hr, prune, fn)
-}
-
-// ScanHeld is ScanBatchesPruned for the caller that holds the rows in place
-// itself (HoldRows): it takes no hold of its own, which on that goroutine
-// would wait for the caller's forever.
-func (s *Store) ScanHeld(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
-	return s.scanSnapshot(s.snapshot(), s.wos.batch(s.schema, vis, hr), vis, hr, prune, fn)
-}
-
-func (s *Store) scanSnapshot(ros []*ROSContainer, wos *Batch, vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
-	for _, c := range ros {
+	for _, c := range s.snapshot() {
 		if prune != nil && len(c.stats) == len(c.Cols) && prune(c.stats, c.RowCount) {
 			continue
 		}
@@ -330,9 +310,6 @@ func (s *Store) scanSnapshot(ros []*ROSContainer, wos *Batch, vis Visibility, hr
 		if !fn(b) {
 			return nil
 		}
-	}
-	if wos != nil {
-		fn(wos)
 	}
 	return nil
 }

@@ -39,14 +39,10 @@ func collectScan(s *Store, vis Visibility, hr vhash.Range) []types.Row {
 	return out
 }
 
-// appendWOS is the trickle write entry for a test that holds rows.
-func appendWOS(t testing.TB, s *Store, rows []types.Row, tag uint64) {
+// appendRows is the write entry for a test that holds rows: one container.
+func appendRows(t testing.TB, s *Store, rows []types.Row, tag uint64) {
 	t.Helper()
-	cols, err := ColumnsFromRows(rows, s.schema)
-	if err == nil {
-		err = s.AppendColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag, false)
-	}
-	if err != nil {
+	if err := s.AppendROS(rows, tag); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,9 +52,8 @@ func appendWOS(t testing.TB, s *Store, rows []types.Row, tag uint64) {
 // tag. It returns the number of rows marked.
 func deleteWhere(t testing.TB, s *Store, vis Visibility, tag uint64, match func(types.Row) bool) int {
 	t.Helper()
-	defer s.HoldRows()()
 	var selected []*Batch
-	err := s.ScanHeld(vis, fullRing(), nil, func(b *Batch) bool {
+	err := s.ScanBatches(vis, fullRing(), func(b *Batch) bool {
 		var keep []int32
 		for _, i := range b.Sel {
 			if match(b.Row(int(i), nil)) {
@@ -115,7 +110,7 @@ func rowsEqual(a, b []types.Row) bool {
 }
 
 // TestScanBatchesMatchesScan drives both scan paths through a sequence of
-// MVCC states — ROS containers, WOS rows, deletes, provisional tags — and
+// MVCC states — ROS containers, deletes, provisional tags — and
 // checks they agree row for row at every visibility and hash range.
 func TestScanBatchesMatchesScan(t *testing.T) {
 	schema := batchSchema()
@@ -126,13 +121,13 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 	if err := s.AppendROS(batchRows(100, 150), 4); err != nil {
 		t.Fatal(err)
 	}
-	appendWOS(t, s, batchRows(150, 170), 6)
-	// Committed delete at epoch 5 hitting both a ROS container and (no-op)
-	// the WOS rows that aren't visible yet at epoch 5.
+	appendRows(t, s, batchRows(150, 170), 6)
+	// Committed delete at epoch 5 hitting the older containers and (no-op)
+	// the rows that aren't visible yet at epoch 5.
 	deleteWhere(t, s, Visibility{Epoch: 5}, 5, func(r types.Row) bool { return r[0].I%7 == 0 })
 	// A provisional transaction: inserts and deletes tagged but uncommitted.
 	tag := uint64(ProvisionalBase + 1)
-	appendWOS(t, s, batchRows(170, 180), tag)
+	appendRows(t, s, batchRows(170, 180), tag)
 	deleteWhere(t, s, Visibility{Epoch: 6, Tag: tag}, tag, func(r types.Row) bool { return r[0].I%11 == 3 })
 
 	segs := vhash.Segments(3)
@@ -142,7 +137,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 		{Epoch: 2},             // first container only
 		{Epoch: 4},             // both containers, delete not yet visible
 		{Epoch: 5},             // delete visible
-		{Epoch: 6},             // WOS rows visible
+		{Epoch: 6},             // third container visible
 		{Epoch: 6, Tag: tag},   // plus this transaction's provisional work
 		{Epoch: 100},           // far future
 		{Epoch: 100, Tag: tag}, // future + provisional
@@ -157,19 +152,6 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 			if n := s.CountVisible(vis, hr); n != len(want) {
 				t.Fatalf("vis %+v range %d: CountVisible = %d, want %d", vis, ri, n, len(want))
 			}
-		}
-	}
-
-	// After moveout the WOS rows become a ROS container; equivalence and
-	// counts must be unchanged.
-	if err := s.Moveout(6); err != nil {
-		t.Fatal(err)
-	}
-	for _, vis := range []Visibility{{Epoch: 6}, {Epoch: 100}} {
-		want := collectScan(s, vis, fullRing())
-		got := collectBatches(t, s, vis, fullRing())
-		if !rowsEqual(got, want) {
-			t.Fatalf("post-moveout vis %+v: batches %d rows, scan %d", vis, len(got), len(want))
 		}
 	}
 }
@@ -240,7 +222,7 @@ func TestRLEColumnEncodesAndDecodes(t *testing.T) {
 }
 
 // TestScanBatchesRace runs vectorized scans concurrently with deletes,
-// moveouts, inserts, and rebases. Run under -race (make check) this verifies
+// inserts, aborts and rebases. Run under -race (make check) this verifies
 // the single-RLock selection build and immutable-column sharing are sound.
 func TestScanBatchesRace(t *testing.T) {
 	schema := batchSchema()
@@ -281,11 +263,11 @@ func TestScanBatchesRace(t *testing.T) {
 			}
 		}(int64(r))
 	}
-	// Writer: interleave every mutation the tuple mover and DML paths use.
+	// Writer: interleave every mutation the DML paths use.
 	for i := 0; i < rounds; i++ {
 		epoch := uint64(2 + i)
 		tag := ProvisionalBase + 100 + uint64(i)
-		appendWOS(t, s, batchRows(2000+i*10, 2000+i*10+10), tag)
+		appendRows(t, s, batchRows(2000+i*10, 2000+i*10+10), tag)
 		if i%2 == 0 {
 			s.RebaseInserts(tag, epoch)
 		} else {
@@ -294,11 +276,6 @@ func TestScanBatchesRace(t *testing.T) {
 		deleteWhere(t, s, Visibility{Epoch: epoch}, epoch, func(r types.Row) bool {
 			return r[0].I%97 == int64(i%97)
 		})
-		if i%5 == 0 {
-			if err := s.Moveout(epoch); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	close(stop)
 	wg.Wait()

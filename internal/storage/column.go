@@ -1,10 +1,9 @@
 // Package storage implements the engine's columnar storage: typed column
-// vectors, Read Optimized Storage (ROS) containers, a Write Optimized Storage
-// (WOS) buffer of append-only vectors, and delete vectors over both. A vector
-// in memory is dense — a value slice and NULL flags of its column's type — or
-// a join's dictionary codes (DictColumn); a container file chooses a
-// light-weight encoding per column (plain, RLE, delta or
-// dictionary) and decodes back to dense vectors. This mirrors the Vertica
+// vectors, Read Optimized Storage (ROS) containers — every write lands as one —
+// and the containers' delete vectors. A vector in memory is dense — a value
+// slice and NULL flags of its column's type — or a join's dictionary codes
+// (DictColumn); a container file chooses a light-weight encoding per column
+// (plain, RLE, delta or dictionary) and decodes back to dense vectors. This mirrors the Vertica
 // storage organization sketched in §2.1.1 of the paper; the details follow
 // the C-Store lineage at the fidelity the connector experiments need.
 package storage
@@ -323,12 +322,11 @@ func ColumnsFromRows(rows []types.Row, schema types.Schema) ([]Column, error) {
 }
 
 // AppendROS builds a ROS container from rows stamped with the given epoch or
-// provisional tag and adds it: AppendColumns (direct) for a caller that holds
-// rows.
+// provisional tag and adds it: AppendColumns for a caller that holds rows.
 func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
 	cols, err := ColumnsFromRows(rows, s.schema)
 	if err != nil {
 		return err
 	}
-	return s.AppendColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag, true)
+	return s.AppendColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag)
 }

@@ -14,9 +14,9 @@ import (
 // This file implements the durable forms of the storage layer: row blocks
 // (the payload of WAL insert/delete records, written by AppendBatches) and ROS
 // container files (one file per container, column pages serialized with the
-// existing encodings). A checkpoint moves every committed row out of the WOS
-// first, so a store's durable form is its container files alone. A container
-// file ends in a CRC32 so recovery can reject torn or corrupt files.
+// existing encodings). Every write lands as a container, so a store's durable
+// form is its committed containers' files alone. A container file ends in a
+// CRC32 so recovery can reject torn or corrupt files.
 
 var rosMagic = []byte("VRC2") // per-column zone maps after the delete section
 

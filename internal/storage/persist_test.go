@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -175,114 +174,53 @@ func TestUnmarshalContainerRejectsMistypedZoneMap(t *testing.T) {
 	}
 }
 
-// TestDrainCommittedRespectsAHM pins down the moveout row-loss bug: a row
-// whose committed delete epoch is ahead of the AHM moves to ROS with its mark,
-// so pinned readers between insert and delete still see it, and only the
-// uncommitted insert stays in the WOS.
-func TestDrainCommittedRespectsAHM(t *testing.T) {
-	mk := func() *Store {
-		s := NewStore(schema2, nil)
-		appendWOS(t, s, intRows(1), 2) // live committed
-		appendWOS(t, s, intRows(2), 2) // deleted at 6
-		appendWOS(t, s, intRows(3), ProvisionalBase+4)
-		deleteWhere(t, s, Visibility{Epoch: 6}, 6, func(r types.Row) bool { return r[0].I == 2 })
-		return s
+// TestDeletedRowsStayInTheirContainer: a delete only marks its row, whatever
+// the AHM — nothing is purged — so a reader at an epoch before the delete
+// still sees the row, and a provisional mark hides the row from its own
+// transaction alone.
+func TestDeletedRowsStayInTheirContainer(t *testing.T) {
+	s := NewStore(schema2, nil)
+	appendRows(t, s, intRows(1), 2)
+	appendRows(t, s, intRows(2), 2)
+	appendRows(t, s, intRows(3), ProvisionalBase+4)
+	deleteWhere(t, s, Visibility{Epoch: 6}, 6, func(r types.Row) bool { return r[0].I == 2 })
+	if s.ContainerCount() != 3 || s.TotalRows() != 3 {
+		t.Fatalf("%d containers of %d rows, want every write's container whole", s.ContainerCount(), s.TotalRows())
 	}
-	onlyProvisional := func(what string, s *Store) {
-		t.Helper()
-		w := s.wos.buf
-		if w.Len() != 1 || w.Starts[0] != ProvisionalBase+4 {
-			t.Fatalf("%s: WOS holds %d rows starting %v, want the provisional insert alone", what, w.Len(), w.Starts)
+	for _, c := range []struct {
+		vis  Visibility
+		want int
+	}{{Visibility{Epoch: 3}, 2}, {Visibility{Epoch: 6}, 1}, {Visibility{Epoch: 6, Tag: ProvisionalBase + 4}, 2}} {
+		if got := s.RowCount(c.vis); got != c.want {
+			t.Fatalf("vis %+v: %d rows visible, want %d", c.vis, got, c.want)
 		}
 	}
 
-	// AHM behind the delete: the deleted row moves with its mark, not purged.
-	s := mk()
-	from, drained := s.wos.DrainCommitted(3)
-	if len(drained) != 2 || from.Columns()[0].Get(int(drained[0])).I != 1 || from.Columns()[0].Get(int(drained[1])).I != 2 || from.Dels[drained[1]] != 6 {
-		t.Fatalf("ahm=3 drained %v of %v", drained, from.Columns()[0])
-	}
-	onlyProvisional("ahm=3", s)
-	if err := s.ImportVersions(from, drained); err != nil {
-		t.Fatal(err)
-	}
-	// A reader pinned at epoch 3 must still see row 2 after the drain.
-	seen := 0
-	for _, r := range collectScan(s, Visibility{Epoch: 3}, fullRing()) {
-		if r[0].I == 2 {
-			seen++
-		}
-	}
-	if seen != 1 {
-		t.Fatal("pinned reader lost the deleted-but-retained row")
-	}
-
-	// AHM at the delete epoch: purge is now safe.
-	s = mk()
-	if _, drained = s.wos.DrainCommitted(6); len(drained) != 1 {
-		t.Fatalf("ahm=6: drained %d, want 1", len(drained))
-	}
-	onlyProvisional("ahm=6", s)
-
-	// Provisional delete mark: the row moves, carrying the mark, whatever the
-	// AHM; its own transaction no longer sees the row, everyone else does.
 	s = NewStore(schema2, nil)
-	appendWOS(t, s, intRows(9), 2)
+	appendRows(t, s, intRows(9), 2)
 	tag := uint64(ProvisionalBase + 8)
 	deleteWhere(t, s, Visibility{Epoch: 6, Tag: tag}, tag, func(types.Row) bool { return true })
-	if err := s.Moveout(100); err != nil {
-		t.Fatal(err)
-	}
-	if s.WOSLen() != 0 || s.ContainerCount() != 1 {
-		t.Fatalf("provisionally deleted row: %d WOS rows, %d containers; want it moved out", s.WOSLen(), s.ContainerCount())
-	}
 	if s.RowCount(Visibility{Epoch: 6}) != 1 || s.RowCount(Visibility{Epoch: 6, Tag: tag}) != 0 {
-		t.Fatal("a provisional mark moved out changed what a reader sees")
+		t.Fatal("a provisional delete mark is not its own transaction's alone")
 	}
 }
 
-// TestDrainCommittedDuringRebase: a commit rewriting a provisional delete mark
-// while a moveout carries the mark from the WOS into a container finds it in
-// one or the other, never in neither. The rewrite starts once the buffer is
-// drained, while the moveout still builds its container.
-func TestDrainCommittedDuringRebase(t *testing.T) {
-	const n = 20000
-	ids := make([]int64, n)
-	for i := range ids {
-		ids[i] = int64(i)
+// TestImportContainerOrderDeterministic: versions of several insert epochs,
+// exported in any container order, import as containers in ascending epoch
+// order, every time. (Code that ranged over a map ordered them differently
+// run to run, so two rebuilt replicas could disagree on container layout.)
+func TestImportContainerOrderDeterministic(t *testing.T) {
+	src := NewStore(batchSchema(), []int{0})
+	for _, e := range []uint64{5, 2, 9, 3, 7} {
+		appendRows(t, src, batchRows(int(e)*10, int(e)*10+3), e)
 	}
-	tag := uint64(ProvisionalBase + 5)
-	for trial := 0; trial < 10; trial++ {
-		s := NewStore(schema2, []int{0})
-		appendWOS(t, s, intRows(ids...), 2)
-		deleteWhere(t, s, Visibility{Epoch: 2, Tag: tag}, tag, func(r types.Row) bool { return r[0].I%2 == 0 })
-		moved := make(chan error, 1)
-		go func() { moved <- s.Moveout(2) }()
-		for s.WOSLen() != 0 {
-			runtime.Gosched()
-		}
-		s.RebaseDeletes(tag, 3)
-		if err := <-moved; err != nil {
+	for trial := 0; trial < 20; trial++ {
+		var v Versions
+		if err := src.ExportVersions(&v); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.RowCount(Visibility{Epoch: 3}); got != n/2 {
-			t.Fatalf("trial %d: %d rows visible once the delete committed, want %d", trial, got, n/2)
-		}
-	}
-}
-
-// TestMoveoutContainerOrderDeterministic: rows buffered at multiple epochs
-// must produce containers in ascending epoch order, every time. (The old code
-// ranged over a map — ordering varied run to run, so two buddy replicas could
-// disagree on container layout.)
-func TestMoveoutContainerOrderDeterministic(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
 		s := NewStore(batchSchema(), []int{0})
-		// Interleave epochs out of order on purpose.
-		for _, e := range []uint64{5, 2, 9, 3, 7} {
-			appendWOS(t, s, batchRows(int(e)*10, int(e)*10+3), e)
-		}
-		if err := s.Moveout(9); err != nil {
+		if err := s.ImportVersions(&v, IdentitySel(v.Len())); err != nil {
 			t.Fatal(err)
 		}
 		cs := s.Containers()

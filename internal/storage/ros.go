@@ -80,12 +80,12 @@ type ROSContainer struct {
 	dirty   bool
 }
 
-// newContainer is the one constructor of in-memory containers — COPY DIRECT,
-// moveout, rebalance and recovery import all end here — so every container
-// carries zone maps. cols are n-row dense vectors, one per schema column,
-// which the container keeps as they are (they may be shared with other
-// containers, never written again); hashes are the rows' segmentation hashes
-// and del the delete vector (nil = no row deleted).
+// newContainer is the one constructor of in-memory containers — every write,
+// rebalance and recovery import end here — so every container carries zone
+// maps. cols are n-row dense vectors, one per schema column, which the
+// container keeps as they are (they may be shared with other containers,
+// never written again); hashes are the rows' segmentation hashes and del the
+// delete vector (nil = no row deleted).
 func newContainer(cols []Column, n int, schema types.Schema, hashes []uint32, start uint64, del []uint64) (*ROSContainer, error) {
 	if err := checkColumns(cols, n, schema); err != nil {
 		return nil, err
@@ -237,20 +237,15 @@ func (c *ROSContainer) DataBytes() int {
 	return n
 }
 
-// Store holds the ROS containers and WOS buffer for one table's data on one
-// node (one "segment" of the table, in the paper's terminology).
+// Store holds the ROS containers for one table's data on one node (one
+// "segment" of the table, in the paper's terminology). Every write lands as a
+// container of its own, so a row never moves once written: a batch a scan cut
+// names its rows for as long as its container lives.
 type Store struct {
 	mu     sync.RWMutex
 	schema types.Schema
 	segIdx []int
 	ros    []*ROSContainer
-	wos    *WOS
-	// rowsMu keeps the tuple mover out — moveout is the one writer the table's
-	// EXCLUSIVE lock does not exclude. A DELETE or UPDATE holds it exclusively
-	// from selecting rows by position to marking them; a scan holds it shared
-	// while it snapshots the container list and the WOS together, and so does
-	// a commit or abort while it rewrites delete marks.
-	rowsMu sync.RWMutex
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
 	// committed state and must be rebuilt from a live replica before its node
@@ -263,7 +258,7 @@ type Store struct {
 // NewStore creates an empty per-node store for a table with the given schema
 // and segmentation column indexes.
 func NewStore(schema types.Schema, segIdx []int) *Store {
-	return &Store{schema: schema, segIdx: segIdx, wos: NewWOS()}
+	return &Store{schema: schema, segIdx: segIdx}
 }
 
 // MarkStale records that this store missed a cluster write (its node was not
@@ -283,49 +278,21 @@ func (s *Store) Schema() types.Schema { return s.schema }
 func (s *Store) SegIdx() []int { return s.segIdx }
 
 // AppendColumns adds the rows held by cols — dense vectors, one per schema
-// column, with the rows' segmentation hashes already computed — stamped with
-// the given epoch or provisional tag. direct makes them one ROS container
-// that takes the vectors over without copying them (the COPY DIRECT bulk
-// path); otherwise they are appended to the WOS's vectors (the trickle path).
-// It is the one entry the engine's write path and WAL replay add rows through.
-func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64, direct bool) error {
+// column, with the rows' segmentation hashes already computed — as one ROS
+// container stamped with the given epoch or provisional tag, which takes the
+// vectors over without copying them. It is the one entry the engine's write
+// path and WAL replay add rows through: a commit rebases the container's tag,
+// an abort drops it.
+func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64) error {
 	n := len(hashes)
 	if n == 0 {
 		return nil
-	}
-	if !direct {
-		if err := checkColumns(cols, n, s.schema); err != nil {
-			return err
-		}
-		return s.wos.appendColumns(cols, hashes, tag)
 	}
 	c, err := newContainer(cols, n, s.schema, hashes, tag, nil)
 	if err != nil {
 		return err
 	}
 	return s.AttachContainer(c)
-}
-
-// Moveout converts committed WOS contents into ROS containers, mirroring the
-// Vertica Tuple Mover: every row whose insert has committed moves, with its
-// delete mark, except a row whose delete committed at or behind the Ancient
-// History Mark, which is purged. Provisional (uncommitted) inserts stay in the
-// WOS. Containers are built in ascending epoch order so the store's container
-// sequence — and with it the deterministic segment-order merge of parallel
-// scans — is stable across runs.
-func (s *Store) Moveout(ahm uint64) error {
-	s.rowsMu.Lock()
-	defer s.rowsMu.Unlock()
-	return s.ImportVersions(s.wos.DrainCommitted(ahm))
-}
-
-// HoldRows keeps the store's rows where they are until release is called: a
-// batch scanned in between still names the same rows when it is handed to
-// MarkDeleted. The caller holds the table's EXCLUSIVE lock, which keeps every
-// other writer out; this keeps the tuple mover out too.
-func (s *Store) HoldRows() (release func()) {
-	s.rowsMu.Lock()
-	return s.rowsMu.Unlock
 }
 
 func (s *Store) snapshot() []*ROSContainer {
@@ -364,55 +331,40 @@ func (s *Store) Scan(vis Visibility, hr vhash.Range, fn func(row types.Row) bool
 			}
 		}
 	}
-	if b := s.wos.batch(s.schema, vis, hr); b != nil {
-		for _, i := range b.Sel {
-			if !fn(b.Row(int(i), nil)) {
-				return
-			}
-		}
-	}
 }
 
 // MarkDeleted marks the rows b selects as deleted with the given tag (a commit
-// epoch or provisional tag) in the container or WOS buffer the batch was
-// scanned from, under that one's lock, and returns the number of rows marked.
-// A row somebody else already deleted (possibly uncommitted) is left alone:
-// first delete wins, mirroring write-write conflict avoidance under the
-// engine's table locks. A batch that is not a scan's, or whose WOS rows have
-// moved since the scan (see HoldRows), marks nothing and fails.
+// epoch or provisional tag) in the container the batch was scanned from, under
+// its lock, and returns the number of rows marked. A row somebody else already
+// deleted (possibly uncommitted) is left alone: first delete wins, mirroring
+// write-write conflict avoidance under the engine's table locks. A batch that
+// is not a scan's marks nothing and fails.
 func (s *Store) MarkDeleted(b *Batch, tag uint64) (int, error) {
 	if len(b.Sel) == 0 {
 		return 0, nil
 	}
-	mark := func(dels []uint64) (n int) {
-		for _, i := range b.Sel {
-			if dels[i] == 0 || dels[i] == tag {
-				dels[i] = tag
-				n++
-			}
+	c := b.ros
+	if c == nil {
+		return 0, fmt.Errorf("storage: batch was not cut from a container")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.del == nil {
+		c.del = make([]uint64, c.RowCount)
+	}
+	n := 0
+	for _, i := range b.Sel {
+		if c.del[i] == 0 || c.del[i] == tag {
+			c.del[i] = tag
+			n++
 		}
-		return n
 	}
-	if c := b.ros; c != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.del == nil {
-			c.del = make([]uint64, c.RowCount)
-		}
-		n := mark(c.del)
-		c.dirty = c.dirty || n > 0
-		return n, nil
-	}
-	s.wos.mu.Lock()
-	defer s.wos.mu.Unlock()
-	if b.wos != s.wos.buf {
-		return 0, fmt.Errorf("storage: batch rows are no longer where the scan found them")
-	}
-	return mark(s.wos.buf.Dels), nil
+	c.dirty = c.dirty || n > 0
+	return n, nil
 }
 
-// RebaseInserts rewrites containers and WOS rows inserted under the
-// provisional tag to the final commit epoch.
+// RebaseInserts rewrites containers inserted under the provisional tag to the
+// final commit epoch.
 func (s *Store) RebaseInserts(tag, epoch uint64) {
 	for _, c := range s.snapshot() {
 		c.mu.Lock()
@@ -422,13 +374,10 @@ func (s *Store) RebaseInserts(tag, epoch uint64) {
 		}
 		c.mu.Unlock()
 	}
-	s.wos.mu.Lock()
-	rewrite(s.wos.buf.Starts, tag, epoch)
-	s.wos.mu.Unlock()
 }
 
-// DropInserts removes containers and WOS rows inserted under the provisional
-// tag (transaction abort).
+// DropInserts removes containers inserted under the provisional tag
+// (transaction abort).
 func (s *Store) DropInserts(tag uint64) {
 	s.mu.Lock()
 	kept := s.ros[:0]
@@ -439,24 +388,20 @@ func (s *Store) DropInserts(tag uint64) {
 	}
 	s.ros = kept
 	s.mu.Unlock()
-	s.wos.DropInserts(tag)
 }
 
 // RebaseDeletes rewrites delete marks carrying the provisional tag to the
-// final commit epoch. A moveout carries such marks from the WOS into a new
-// container, so the rewrite holds the rows in place, as a scan does: a row
-// moving meanwhile would otherwise be found in neither.
+// final commit epoch.
 func (s *Store) RebaseDeletes(tag, epoch uint64) {
-	s.rowsMu.RLock()
-	defer s.rowsMu.RUnlock()
 	for _, c := range s.snapshot() {
 		c.mu.Lock()
-		c.dirty = rewrite(c.del, tag, epoch) || c.dirty
+		for i, d := range c.del {
+			if d == tag {
+				c.del[i], c.dirty = epoch, true
+			}
+		}
 		c.mu.Unlock()
 	}
-	s.wos.mu.Lock()
-	rewrite(s.wos.buf.Dels, tag, epoch)
-	s.wos.mu.Unlock()
 }
 
 // ClearDeletes erases delete marks carrying the provisional tag (abort).
@@ -500,10 +445,6 @@ func (s *Store) Validate() error {
 	return nil
 }
 
-// WOSLen returns the number of rows buffered in the WOS (for moveout
-// policy).
-func (s *Store) WOSLen() int { return s.wos.Len() }
-
 // Containers returns a snapshot of the store's ROS containers in order. The
 // checkpoint walks it to persist committed containers.
 func (s *Store) Containers() []*ROSContainer { return s.snapshot() }
@@ -522,10 +463,10 @@ func (s *Store) AttachContainer(c *ROSContainer) error {
 	return nil
 }
 
-// TotalRows returns the physical number of rows across ROS containers and
-// the WOS, regardless of visibility — the amount of work a full scan visits.
+// TotalRows returns the physical number of rows across ROS containers,
+// regardless of visibility — the amount of work a full scan visits.
 func (s *Store) TotalRows() int {
-	n := s.wos.Len()
+	n := 0
 	for _, c := range s.snapshot() {
 		n += c.RowCount
 	}

@@ -8,10 +8,9 @@ import (
 )
 
 // TestContainerHashSpan: a container knows the ring interval its rows' hashes
-// lie in — built by COPY DIRECT or a moveout, or loaded from a file written
-// before containers had one (the golden container) — and a scan's batch over
-// it carries that span, while the WOS's batch, which has no span, carries an
-// empty one.
+// lie in — built by a write or a versions import, or loaded from a file
+// written before containers had one (the golden container) — and a scan's
+// batch over it carries that span.
 func TestContainerHashSpan(t *testing.T) {
 	spanOf := func(hashes []uint32) vhash.Range {
 		return vhash.Range{Lo: uint64(slices.Min(hashes)), Hi: uint64(slices.Max(hashes)) + 1}
@@ -30,26 +29,25 @@ func TestContainerHashSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendColumns(direct, HashColumns(direct, []int{0}, 100), 4, true); err != nil {
+	if err := s.AppendColumns(direct, HashColumns(direct, []int{0}, 100), 4); err != nil {
 		t.Fatal(err)
 	}
-	appendWOS(t, s, goldenRows(400, 420), 4)
-	if err := s.Moveout(4); err != nil {
+	var v Versions
+	imported := NewStore(goldenSchema(), []int{0})
+	appendRows(t, imported, goldenRows(400, 420), 5)
+	if err := imported.ExportVersions(&v); err != nil {
 		t.Fatal(err)
 	}
-	appendWOS(t, s, goldenRows(420, 430), 5)
+	if err := s.ImportVersions(&v, IdentitySel(v.Len())); err != nil {
+		t.Fatal(err)
+	}
 	ros := s.Containers()
 	if len(ros) != 3 {
-		t.Fatalf("%d containers, want the golden one, COPY DIRECT's and the moveout's", len(ros))
+		t.Fatalf("%d containers, want the golden one, the write's and the import's", len(ros))
 	}
 	spans := map[*Batch]vhash.Range{}
-	var wos *Batch
 	if err := s.ScanBatches(Visibility{Epoch: 5}, fullRing(), func(b *Batch) bool {
-		if b.ros == nil {
-			wos = b
-		} else {
-			spans[b] = b.ros.span
-		}
+		spans[b] = b.ros.span
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -64,8 +62,8 @@ func TestContainerHashSpan(t *testing.T) {
 			t.Errorf("batch span %v, its container's %v", b.HashSpan, want)
 		}
 	}
-	if len(spans) != 3 || wos == nil || !wos.HashSpan.Empty() {
-		t.Fatalf("%d container batches, WOS batch %v; want 3 and one with an empty span", len(spans), wos != nil)
+	if len(spans) != 3 {
+		t.Fatalf("%d container batches, want 3", len(spans))
 	}
 	if !hashSpan(nil).Empty() {
 		t.Fatal("no rows, but a span")

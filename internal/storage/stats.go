@@ -9,9 +9,9 @@ import (
 
 // ColStats is the zone map for one column of one ROS container: the null
 // count plus the min/max over non-null values. Containers are immutable, so
-// the stats are computed once — at container construction (moveout / COPY
-// DIRECT) or on load from the persisted container file — and shared by every
-// clone. The planner uses them for cardinality estimates; the scan path uses
+// the stats are computed once — at container construction (a write, a
+// rebalance or recovery import) or on load from the persisted container
+// file. The planner uses them for cardinality estimates; the scan path uses
 // them to prune whole containers whose [Min, Max] range a predicate excludes
 // ("C-Store 7 Years Later" attributes much of Vertica's scan performance to
 // exactly this metadata).

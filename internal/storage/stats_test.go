@@ -133,34 +133,17 @@ func TestScanBatchesPruned(t *testing.T) {
 	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Fatalf("rows after pruning: %v", got)
 	}
-
-	// The WOS batch is never pruned.
-	appendWOS(t, s, intRows(99), 3)
-	n := 0
-	err = s.ScanBatchesPruned(Visibility{Epoch: 3}, full, func([]ColStats, int) bool { return true }, func(b *Batch) bool {
-		n += len(b.Sel)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("WOS rows visible with everything pruned = %d, want 1", n)
-	}
 }
 
-// TestEveryConstructorComputesZoneMaps: COPY DIRECT, moveout, rebalance
-// import and recovery's in-place rebuild all produce containers with stats
-// equal to what the columns say — there is no stat-less container to meet.
+// TestEveryConstructorComputesZoneMaps: a write, rebalance import and
+// recovery's in-place rebuild all produce containers with stats equal to what
+// the columns say — there is no stat-less container to meet.
 func TestEveryConstructorComputesZoneMaps(t *testing.T) {
 	src := NewStore(schema2, []int{0})
 	if err := src.AppendROS(intRows(1, 2, 3), 1); err != nil {
 		t.Fatal(err)
 	}
-	appendWOS(t, src, intRows(10, 20), 2)
-	if err := src.Moveout(2); err != nil {
-		t.Fatal(err)
-	}
+	appendRows(t, src, intRows(10, 20), 2)
 	imported := NewStore(schema2, []int{0})
 	v := exportVersions(t, src)
 	if err := imported.ImportVersions(v, IdentitySel(v.Len())); err != nil {
@@ -170,7 +153,7 @@ func TestEveryConstructorComputesZoneMaps(t *testing.T) {
 	if err := rebuilt.ReplaceContents(v); err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Store{"moveout": src, "import": imported, "replace": rebuilt} {
+	for name, s := range map[string]*Store{"write": src, "import": imported, "replace": rebuilt} {
 		conts := s.Containers()
 		if len(conts) != 2 {
 			t.Fatalf("%s: %d containers, want 2", name, len(conts))

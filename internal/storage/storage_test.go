@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"vsfabric/internal/types"
 	"vsfabric/internal/vhash"
@@ -226,13 +225,14 @@ func TestDropInserts(t *testing.T) {
 	s := NewStore(schema2, []int{0})
 	tag := ProvisionalBase + 1
 	_ = s.AppendROS(intRows(1, 2), tag)
-	appendWOS(t, s, intRows(3), tag)
+	appendRows(t, s, intRows(3), tag)
+	appendRows(t, s, intRows(4), 1)
 	s.DropInserts(tag)
-	if s.RowCount(Visibility{Epoch: 100, Tag: tag}) != 0 {
-		t.Error("DropInserts should remove provisional rows everywhere")
+	if s.RowCount(Visibility{Epoch: 100, Tag: tag}) != 1 {
+		t.Error("DropInserts should remove the provisional rows and keep the committed one")
 	}
-	if s.ContainerCount() != 0 {
-		t.Error("aborted ROS container should be removed")
+	if s.ContainerCount() != 1 {
+		t.Errorf("%d containers after the abort, want the committed one alone", s.ContainerCount())
 	}
 }
 
@@ -261,25 +261,6 @@ func TestProvisionalDeletes(t *testing.T) {
 	s.RebaseDeletes(tag, 6)
 	if s.RowCount(Visibility{Epoch: 6}) != 2 || s.RowCount(Visibility{Epoch: 5}) != 3 {
 		t.Error("RebaseDeletes should publish delete at commit epoch")
-	}
-}
-
-func TestWOSMoveoutPreservesEpochs(t *testing.T) {
-	s := NewStore(schema2, []int{0})
-	appendWOS(t, s, intRows(1), 3)
-	appendWOS(t, s, intRows(2), 5)
-	appendWOS(t, s, intRows(99), ProvisionalBase+4) // uncommitted: stays in WOS
-	if err := s.Moveout(5); err != nil {
-		t.Fatal(err)
-	}
-	if s.WOSLen() != 1 {
-		t.Errorf("WOS should retain only the provisional row, has %d", s.WOSLen())
-	}
-	if s.RowCount(Visibility{Epoch: 3}) != 1 || s.RowCount(Visibility{Epoch: 5}) != 2 {
-		t.Error("moveout must preserve per-row epochs")
-	}
-	if err := s.Validate(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -335,40 +316,22 @@ func TestDeleteWinsOnce(t *testing.T) {
 	}
 }
 
-// TestMarkDeletedNamesRowsByPosition: a batch marks the rows it selects where
-// the scan found them; HoldRows keeps the tuple mover from moving them in
-// between, and a batch whose WOS rows did move — or that no scan produced —
-// marks nothing.
+// TestMarkDeletedNamesRowsByPosition: a batch marks the rows it selects in the
+// container the scan cut it from, and a batch no scan produced marks nothing.
 func TestMarkDeletedNamesRowsByPosition(t *testing.T) {
 	s := NewStore(schema2, []int{0})
 	_ = s.AppendROS(intRows(1, 2, 3), 1)
-	appendWOS(t, s, intRows(4, 5, 6), 1)
-	scan := func(epoch uint64) (batches []*Batch) {
-		_ = s.ScanHeld(Visibility{Epoch: epoch}, fullRing(), nil, func(b *Batch) bool {
-			b.Sel = b.Sel[1:2] // ids 2 and 5
-			batches = append(batches, b)
-			return true
-		})
-		return batches
-	}
-
-	release := s.HoldRows()
-	batches := scan(1)
-	moved := make(chan error)
-	go func() { moved <- s.Moveout(1) }()
-	select {
-	case <-moved:
-		t.Fatal("moveout ran while the rows were held")
-	case <-time.After(20 * time.Millisecond):
-	}
+	appendRows(t, s, intRows(4, 5, 6), 1)
+	var batches []*Batch
+	_ = s.ScanBatches(Visibility{Epoch: 1}, fullRing(), func(b *Batch) bool {
+		b.Sel = b.Sel[1:2] // ids 2 and 5
+		batches = append(batches, b)
+		return true
+	})
 	for _, b := range batches {
 		if n, err := s.MarkDeleted(b, 2); n != 1 || err != nil {
 			t.Fatalf("MarkDeleted = %d, %v; want 1 row", n, err)
 		}
-	}
-	release()
-	if err := <-moved; err != nil {
-		t.Fatal(err)
 	}
 	var ids []int64
 	for _, r := range collectScan(s, Visibility{Epoch: 2}, fullRing()) {
@@ -377,27 +340,11 @@ func TestMarkDeletedNamesRowsByPosition(t *testing.T) {
 	if want := []int64{1, 3, 4, 6}; !reflect.DeepEqual(ids, want) {
 		t.Fatalf("after deleting ids 2 and 5: %v, want %v", ids, want)
 	}
-
-	// Not held: the WOS batch's rows are moved out from under it. The scan
-	// reads at epoch 2, where the WOS's rows are visible, so it ends in a WOS
-	// batch.
-	appendWOS(t, s, intRows(7, 8, 9), 2)
-	batches = scan(2)
-	wosBatch := batches[len(batches)-1]
-	if wosBatch.wos == nil {
-		t.Fatal("the scan at epoch 2 did not end in a WOS batch")
-	}
-	if err := s.Moveout(2); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.MarkDeleted(wosBatch, 3); n != 0 || err == nil {
-		t.Fatalf("MarkDeleted on moved WOS rows = %d, %v; want an error", n, err)
-	}
-	if n, err := s.MarkDeleted(&Batch{Cols: wosBatch.Cols, Sel: []int32{0}}, 3); n != 0 || err == nil {
+	if n, err := s.MarkDeleted(&Batch{Cols: batches[0].Cols, Sel: []int32{0}}, 3); n != 0 || err == nil {
 		t.Fatalf("MarkDeleted on a batch no scan produced = %d, %v; want an error", n, err)
 	}
-	if got := s.RowCount(Visibility{Epoch: 3}); got != 7 {
-		t.Fatalf("%d rows visible after the refused marks, want 7", got)
+	if got := s.RowCount(Visibility{Epoch: 3}); got != 4 {
+		t.Fatalf("%d rows visible after the refused mark, want 4", got)
 	}
 }
 

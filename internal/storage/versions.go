@@ -10,11 +10,11 @@ import (
 // Versions is a set of row versions in column form: one append-only dense
 // vector per schema column and, per row, its segmentation hash, the epoch (or
 // provisional tag) it was inserted at and the epoch (or tag) it was deleted at
-// (0 = live). It is what the WOS buffers, and what recovery and rebalance carry
-// a store's history in: moving versions — rather than just live rows — between
-// stores is what keeps AT EPOCH readers pinned anywhere in the table's history
-// correct, since a scan at any past epoch sees exactly the same rows through
-// the rebuilt store as it did through the original.
+// (0 = live). It is what recovery and rebalance carry a store's history in:
+// moving versions — rather than just live rows — between stores is what keeps
+// AT EPOCH readers pinned anywhere in the table's history correct, since a
+// scan at any past epoch sees exactly the same rows through the rebuilt store
+// as it did through the original.
 //
 // Rows are only ever added at the end and never rewritten, so the vectors
 // Columns returned earlier keep holding the rows they held. The zero value is
@@ -38,11 +38,11 @@ func (v *Versions) Columns() []Column {
 	return cols
 }
 
-// add appends the rows of cols that sel lists. hashes, starts and dels are
-// indexed like the vectors; a nil starts stamps every row with tag, a nil dels
-// leaves them live.
-func (v *Versions) add(cols []Column, sel []int32, hashes []uint32, starts, dels []uint64, tag uint64) error {
-	if len(sel) == 0 {
+// add appends every row of cols, stamped with the insert epoch start. hashes
+// and dels are indexed like the vectors; a nil dels leaves them live.
+func (v *Versions) add(cols []Column, hashes []uint32, start uint64, dels []uint64) error {
+	n := len(hashes)
+	if n == 0 {
 		return nil
 	}
 	if v.cols == nil {
@@ -55,35 +55,20 @@ func (v *Versions) add(cols []Column, sel []int32, hashes []uint32, starts, dels
 		return fmt.Errorf("storage: %d column vectors added to %d-column versions", len(cols), len(v.cols))
 	}
 	for j, c := range cols {
-		if err := v.cols[j].AppendColumn(c, sel); err != nil {
+		if err := v.cols[j].AppendColumn(c, IdentitySel(n)); err != nil {
 			return err
 		}
 	}
-	v.Hashes = appendSel(v.Hashes, hashes, sel)
-	if starts != nil {
-		v.Starts = appendSel(v.Starts, starts, sel)
-	} else {
-		for range sel {
-			v.Starts = append(v.Starts, tag)
-		}
+	v.Hashes = append(v.Hashes, hashes...)
+	for range n {
+		v.Starts = append(v.Starts, start)
 	}
 	if dels != nil {
-		v.Dels = appendSel(v.Dels, dels, sel)
+		v.Dels = append(v.Dels, dels...)
 	} else {
-		v.Dels = append(v.Dels, make([]uint64, len(sel))...)
+		v.Dels = append(v.Dels, make([]uint64, n)...)
 	}
 	return nil
-}
-
-// committedSel lists the rows whose insert has committed.
-func (v *Versions) committedSel() []int32 {
-	sel := make([]int32, 0, v.Len())
-	for i, start := range v.Starts {
-		if start < ProvisionalBase {
-			sel = append(sel, int32(i))
-		}
-	}
-	return sel
 }
 
 // committedDel is a delete mark as a committed view shows it: a provisional
@@ -99,11 +84,11 @@ func committedDel(del uint64) uint64 {
 // sel lists, in ascending epoch order, carrying their hashes and delete marks.
 // The grouping is a pure function of the versions and their order, so two
 // stores importing the same versions (the original rebalance and its WAL
-// replay, two buddy replicas moving out) end up with identical container
-// sequences.
+// replay, two buddy replicas rebuilt from one source) end up with identical
+// container sequences.
 func (v *Versions) containers(schema types.Schema, sel []int32) ([]*ROSContainer, error) {
 	if len(sel) == 0 {
-		return nil, nil // v may be a live WOS buffer nothing left: do not read its vectors
+		return nil, nil
 	}
 	groups := make(map[uint64][]int32)
 	for _, i := range sel {
@@ -136,8 +121,8 @@ func (v *Versions) containers(schema types.Schema, sel []int32) ([]*ROSContainer
 }
 
 // ExportVersions appends every committed row version in the store — live and
-// deleted — to v, in deterministic order (ROS containers in order, then the
-// WOS). Provisional rows are skipped and provisional delete marks are exported
+// deleted — to v, in deterministic order (ROS containers in order).
+// Provisional rows are skipped and provisional delete marks are exported
 // as live; callers serialize against writers (the engine holds the table's
 // EXCLUSIVE lock while exporting), so in practice there is no provisional
 // state to skip.
@@ -150,23 +135,19 @@ func (s *Store) ExportVersions(v *Versions) error {
 		if start >= ProvisionalBase {
 			continue
 		}
-		if err := v.add(c.Cols, IdentitySel(c.RowCount), c.Hashes, nil, del, start); err != nil {
+		if err := v.add(c.Cols, c.Hashes, start, del); err != nil {
 			return err
 		}
 	}
-	w := s.wos
-	w.mu.RLock()
-	err := v.add(w.buf.Columns(), w.buf.committedSel(), w.buf.Hashes, w.buf.Starts, w.buf.Dels, 0)
-	w.mu.RUnlock()
 	for i := from; i < v.Len(); i++ {
 		v.Dels[i] = committedDel(v.Dels[i])
 	}
-	return err
+	return nil
 }
 
 // ImportVersions appends the versions sel lists to the store as epoch-stamped
 // ROS containers (one per distinct insert epoch, ascending). Rebalance
-// populates a freshly allocated store with it, and moveout the store's own.
+// populates a freshly allocated store with it.
 func (s *Store) ImportVersions(v *Versions, sel []int32) error {
 	ros, err := v.containers(s.schema, sel)
 	if err != nil {
@@ -178,8 +159,8 @@ func (s *Store) ImportVersions(v *Versions, sel []int32) error {
 	return nil
 }
 
-// ReplaceContents atomically replaces the store's entire contents (ROS and
-// WOS) with the given versions. Node recovery uses it to rebuild a stale
+// ReplaceContents atomically replaces the store's entire contents with the
+// given versions. Node recovery uses it to rebuild a stale
 // store in place from a current replica: the swap happens under the store's
 // own lock, and because the caller holds the table's EXCLUSIVE lock no writer
 // can interleave. Readers that snapshotted the old containers keep scanning
@@ -193,8 +174,5 @@ func (s *Store) ReplaceContents(v *Versions) error {
 	s.mu.Lock()
 	s.ros = ros
 	s.mu.Unlock()
-	s.wos.mu.Lock()
-	s.wos.buf = &Versions{}
-	s.wos.mu.Unlock()
 	return nil
 }

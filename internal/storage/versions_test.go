@@ -13,8 +13,7 @@ import (
 // rowVersion, exportRowVersions and containersFromRowVersions are commit
 // 761dcd3's row-based version movement (RowVersion, Store.ExportVersions,
 // containersFromVersions), kept as the reference the columnar path is tested
-// against. Only the WOS half of the export is adapted: the buffer it read rows
-// from now holds vectors, so it boxes them.
+// against.
 type rowVersion struct {
 	Row   types.Row
 	Hash  uint32
@@ -43,20 +42,6 @@ func exportRowVersions(s *Store) []rowVersion {
 			out = append(out, rowVersion{Row: c.Row(i), Hash: c.Hashes[i], Start: start, Del: d})
 		}
 	}
-	s.wos.mu.RLock()
-	w := s.wos.buf
-	rows := &Batch{Cols: w.Columns()}
-	for i := 0; i < w.Len(); i++ {
-		if w.Starts[i] >= ProvisionalBase {
-			continue
-		}
-		d := w.Dels[i]
-		if d >= ProvisionalBase {
-			d = 0
-		}
-		out = append(out, rowVersion{Row: rows.Row(i, nil), Hash: w.Hashes[i], Start: w.Starts[i], Del: d})
-	}
-	s.wos.mu.RUnlock()
 	return out
 }
 
@@ -163,35 +148,27 @@ func sameContainers(t *testing.T, what string, got, want []*ROSContainer) {
 	}
 }
 
-// randomHistory fills a store with several epochs of ROS containers and WOS
-// rows — NULLs, an RLE-able column, committed and provisional deletes, a
-// provisional insert — the states moveout, recovery and rebalance meet.
+// randomHistory fills a store with several epochs of ROS containers — NULLs,
+// an RLE-able column, committed and provisional deletes, a provisional insert
+// — the states recovery and rebalance meet.
 func randomHistory(t *testing.T, rng *rand.Rand, s *Store) {
 	t.Helper()
 	epoch := uint64(1)
 	for step := 0; step < 3+rng.Intn(6); step++ {
 		epoch += uint64(rng.Intn(2)) // some steps share an epoch
-		rows := writeRows(rng, 1+rng.Intn(150))
-		if rng.Intn(2) == 0 {
-			if err := s.AppendROS(rows, epoch); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			appendWOS(t, s, rows, epoch)
-		}
+		appendRows(t, s, writeRows(rng, 1+rng.Intn(150)), epoch)
 		if rng.Intn(2) == 0 {
 			epoch++
 			deleteWhere(t, s, Visibility{Epoch: epoch}, epoch, func(types.Row) bool { return rng.Intn(5) == 0 })
 		}
 	}
-	appendWOS(t, s, writeRows(rng, 3), ProvisionalBase+1)
+	appendRows(t, s, writeRows(rng, 3), ProvisionalBase+1)
 	deleteWhere(t, s, Visibility{Epoch: epoch}, ProvisionalBase+2, func(types.Row) bool { return rng.Intn(10) == 0 })
 }
 
 // TestColumnarVersionsMatchRowReference: export, import (whole and by hash
-// bucket, as rebalance cuts it), in-place rebuild and moveout build, from
-// vectors, the containers the parent's row-boxing code builds from the same
-// store.
+// bucket, as rebalance cuts it) and in-place rebuild build, from vectors, the
+// containers the row-boxing reference builds from the same store.
 func TestColumnarVersionsMatchRowReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -209,14 +186,11 @@ func TestColumnarVersionsMatchRowReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		rebuilt := NewStore(gatherSchema, segIdx)
-		appendWOS(t, rebuilt, writeRows(rng, 2), 1) // ReplaceContents drops what was there
+		appendRows(t, rebuilt, writeRows(rng, 2), 1) // ReplaceContents drops what was there
 		if err := rebuilt.ReplaceContents(v); err != nil {
 			t.Fatal(err)
 		}
 		sameContainers(t, what+" replace", rebuilt.Containers(), want)
-		if rebuilt.WOSLen() != 0 {
-			t.Fatalf("%s: ReplaceContents left %d WOS rows", what, rebuilt.WOSLen())
-		}
 
 		// Rebalance's cut: each new home takes the versions whose hash it owns.
 		const homes = 3
@@ -235,37 +209,6 @@ func TestColumnarVersionsMatchRowReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameContainers(t, fmt.Sprintf("%s home %d", what, home), dst.Containers(), want)
-		}
-
-		// Moveout: every committed WOS row, boxed into a version with its
-		// delete mark as the buffer holds it (committed or provisional), is
-		// imported after the containers already there; at AHM 0 no committed
-		// delete is behind the mark, so none is purged.
-		before := src.Containers()
-		var drained []rowVersion
-		w := src.wos.buf
-		rows := &Batch{Cols: w.Columns()}
-		for i := 0; i < w.Len(); i++ {
-			if w.Starts[i] < ProvisionalBase {
-				drained = append(drained, rowVersion{Row: rows.Row(i, nil), Hash: w.Hashes[i], Start: w.Starts[i], Del: w.Dels[i]})
-			}
-		}
-		want, err = containersFromRowVersions(gatherSchema, drained)
-		if err != nil {
-			t.Fatal(err)
-		}
-		visBefore := collectScan(src, Visibility{Epoch: 1 << 20}, fullRing())
-		if err := src.Moveout(0); err != nil {
-			t.Fatal(err)
-		}
-		after := src.Containers()
-		sameContainers(t, what+" moveout kept", after[:len(before)], before)
-		sameContainers(t, what+" moveout built", after[len(before):], want)
-		if got := src.RowCount(Visibility{Epoch: 1 << 20}); got != len(visBefore) {
-			t.Fatalf("%s: %d rows visible after moveout, %d before", what, got, len(visBefore))
-		}
-		if src.WOSLen() != 3 {
-			t.Fatalf("%s: moveout left %d WOS rows, want the 3 provisional inserts", what, src.WOSLen())
 		}
 	}
 }

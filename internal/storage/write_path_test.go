@@ -120,8 +120,8 @@ func TestDenseColumnsCutsLongerColumn(t *testing.T) {
 	}
 }
 
-// The vector entry is the row entries minus the boxing: AppendColumns builds
-// AppendROS's container and buffers AppendWOS's rows.
+// The vector entry is the row entry minus the boxing: AppendColumns builds
+// AppendROS's container.
 func TestColumnEntriesMatchRowEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, 70, 400} {
@@ -131,31 +131,19 @@ func TestColumnEntriesMatchRowEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		segIdx := []int{1, 3}
-		for _, direct := range []bool{true, false} {
-			byRows, byCols := NewStore(gatherSchema, segIdx), NewStore(gatherSchema, segIdx)
-			if direct {
-				if err := byRows.AppendROS(rows, 7); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				appendWOS(t, byRows, rows, 7)
-			}
-			if err := byCols.AppendColumns(cols, HashColumns(cols, segIdx, n), 7, direct); err != nil {
-				t.Fatal(err)
-			}
-			if byCols.ContainerCount() != byRows.ContainerCount() || byCols.WOSLen() != byRows.WOSLen() {
-				t.Fatalf("n=%d direct=%v: %d containers + %d WOS rows, the row entry leaves %d + %d", n, direct,
-					byCols.ContainerCount(), byCols.WOSLen(), byRows.ContainerCount(), byRows.WOSLen())
-			}
-			sameVersions(t, fmt.Sprintf("n=%d direct=%v", n, direct), exportVersions(t, byCols), exportRowVersions(byRows))
-			sameContainers(t, fmt.Sprintf("n=%d direct=%v", n, direct), byCols.Containers(), byRows.Containers())
+		byRows, byCols := NewStore(gatherSchema, segIdx), NewStore(gatherSchema, segIdx)
+		if err := byRows.AppendROS(rows, 7); err != nil {
+			t.Fatal(err)
 		}
+		if err := byCols.AppendColumns(cols, HashColumns(cols, segIdx, n), 7); err != nil {
+			t.Fatal(err)
+		}
+		sameVersions(t, fmt.Sprintf("n=%d", n), exportVersions(t, byCols), exportRowVersions(byRows))
+		sameContainers(t, fmt.Sprintf("n=%d", n), byCols.Containers(), byRows.Containers())
 	}
 	wrong := []Column{&Float64Column{Vals: []float64{1}}}
 	st := NewStore(types.NewSchema(types.Column{Name: "a", T: types.Int64}), nil)
-	for _, direct := range []bool{true, false} {
-		if err := st.AppendColumns(wrong, []uint32{1}, 1, direct); err == nil {
-			t.Errorf("direct=%v: a FLOAT vector under an INTEGER schema column should fail", direct)
-		}
+	if err := st.AppendColumns(wrong, []uint32{1}, 1); err == nil {
+		t.Error("a FLOAT vector under an INTEGER schema column should fail")
 	}
 }

@@ -76,7 +76,7 @@ func TestCommitRequiresLog(t *testing.T) {
 	st := storage.NewStore(schema, nil)
 
 	tx := m.Begin()
-	appendWOS(t, st, []types.Row{{types.IntValue(1)}}, tx.Tag())
+	appendRows(t, st, []types.Row{{types.IntValue(1)}}, tx.Tag())
 	tx.NoteInsert(st)
 	epoch, err := tx.Commit()
 	if err != nil {
@@ -91,7 +91,7 @@ func TestCommitRequiresLog(t *testing.T) {
 	lg.fail = true
 	before := m.LastEpoch()
 	tx2 := m.Begin()
-	appendWOS(t, st, []types.Row{{types.IntValue(2)}}, tx2.Tag())
+	appendRows(t, st, []types.Row{{types.IntValue(2)}}, tx2.Tag())
 	tx2.NoteInsert(st)
 	if _, err := tx2.Commit(); err == nil {
 		t.Fatal("commit succeeded with a failed log write")

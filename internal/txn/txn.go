@@ -122,9 +122,9 @@ func (m *Manager) SetNextTag(tag uint64) {
 }
 
 // PinEpoch registers a reader at the given epoch and returns a release
-// function (idempotent). While pinned, the tuple mover will not purge rows
-// whose delete epoch is newer than the pin, so AT EPOCH scans stay exact
-// across concurrent moveouts — the V2S consistent-snapshot guarantee
+// function (idempotent). While pinned, the AHM stays at or below the pin, so
+// storage reclamation may not purge rows whose delete epoch is newer than it
+// and AT EPOCH scans stay exact — the V2S consistent-snapshot guarantee
 // (§3.1.2) extended to storage reclamation.
 func (m *Manager) PinEpoch(epoch uint64) func() {
 	m.mu.Lock()

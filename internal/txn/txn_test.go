@@ -21,14 +21,10 @@ func rows(ids ...int64) []types.Row {
 	return out
 }
 
-// appendWOS is the trickle write entry for a test that holds rows.
-func appendWOS(t testing.TB, s *storage.Store, rows []types.Row, tag uint64) {
+// appendRows is the write entry for a test that holds rows: one container.
+func appendRows(t testing.TB, s *storage.Store, rows []types.Row, tag uint64) {
 	t.Helper()
-	cols, err := storage.ColumnsFromRows(rows, s.Schema())
-	if err == nil {
-		err = s.AppendColumns(cols, storage.HashColumns(cols, s.SegIdx(), len(rows)), tag, false)
-	}
-	if err != nil {
+	if err := s.AppendROS(rows, tag); err != nil {
 		t.Error(err)
 	}
 }
@@ -38,9 +34,8 @@ func appendWOS(t testing.TB, s *storage.Store, rows []types.Row, tag uint64) {
 // tag. It returns the number of rows marked.
 func deleteWhere(t testing.TB, s *storage.Store, vis storage.Visibility, tag uint64, match func(types.Row) bool) int {
 	t.Helper()
-	defer s.HoldRows()()
 	var selected []*storage.Batch
-	err := s.ScanHeld(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, nil, func(b *storage.Batch) bool {
+	err := s.ScanBatches(vis, vhash.Range{Lo: 0, Hi: vhash.RingSize}, func(b *storage.Batch) bool {
 		var keep []int32
 		for _, i := range b.Sel {
 			if match(b.Row(int(i), nil)) {
@@ -155,7 +150,7 @@ func TestConditionalUpdatePattern(t *testing.T) {
 			return false
 		}
 		tx.NoteDelete(s)
-		appendWOS(t, s, rows(1), tx.Tag())
+		appendRows(t, s, rows(1), tx.Tag())
 		tx.NoteInsert(s)
 		_, err := tx.Commit()
 		return err == nil
@@ -263,7 +258,7 @@ func TestSerializedCommitsMonotonicEpochs(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			appendWOS(t, s, rows(int64(i)), tx.Tag())
+			appendRows(t, s, rows(int64(i)), tx.Tag())
 			tx.NoteInsert(s)
 			e, err := tx.Commit()
 			if err != nil {
@@ -318,10 +313,11 @@ type fakeErr struct{}
 
 func (*fakeErr) Error() string { return "fake" }
 
-// TestDeleteOverMovedOutContainer: a DELETE whose scan meets a moved-out
-// container with no delete vector is handed the shared identity selection for
-// it, and narrows into a vector of its own: deleting every other row marks
-// exactly those rows and leaves the shared vector as it was.
+// TestDeleteOverMovedOutContainer: a DELETE whose scan meets a committed
+// container with no delete vector — what a moveout once made of trickled
+// rows, and what every write makes now — is handed the shared identity
+// selection for it, and narrows into a vector of its own: deleting every other
+// row marks exactly those rows and leaves the shared vector as it was.
 func TestDeleteOverMovedOutContainer(t *testing.T) {
 	m := NewManager()
 	s := storage.NewStore(schema, nil)
@@ -333,17 +329,13 @@ func TestDeleteOverMovedOutContainer(t *testing.T) {
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	appendWOS(t, s, rows(ids...), ins.Tag())
+	appendRows(t, s, rows(ids...), ins.Tag())
 	ins.NoteInsert(s)
-	epoch, err := ins.Commit()
-	if err != nil {
+	if _, err := ins.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Moveout(epoch); err != nil {
-		t.Fatal(err)
-	}
-	if s.WOSLen() != 0 || s.ContainerCount() != 1 {
-		t.Fatalf("after moveout: %d WOS rows, %d containers", s.WOSLen(), s.ContainerCount())
+	if s.ContainerCount() != 1 {
+		t.Fatalf("one write left %d containers", s.ContainerCount())
 	}
 	del := m.Begin()
 	if err := del.Acquire("t", LockExclusive); err != nil {

@@ -5,6 +5,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -195,9 +196,10 @@ func (v Value) SQLLiteral() string {
 func SQLEscape(s string) string { return strings.ReplaceAll(s, "'", "''") }
 
 // Compare orders two values: NULLs sort first; numeric types compare
-// numerically across Int64/Float64; strings lexically; bools false<true.
-// It panics only on incomparable type combinations, which the planner rules
-// out before execution.
+// numerically across Int64/Float64, two Int64s exactly (as float64 they tie
+// past 2^53); strings lexically; bools false<true. It panics only on
+// incomparable type combinations, which the planner rules out before
+// execution.
 func Compare(a, b Value) int {
 	switch {
 	case a.Null && b.Null:
@@ -219,6 +221,9 @@ func Compare(a, b Value) int {
 		default:
 			return 1
 		}
+	}
+	if a.T == Int64 && b.T == Int64 {
+		return cmp.Compare(a.I, b.I)
 	}
 	af, bf := a.AsFloat(), b.AsFloat()
 	switch {

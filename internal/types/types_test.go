@@ -80,6 +80,9 @@ func TestCompare(t *testing.T) {
 		{BoolValue(true), BoolValue(true), 0},
 		{NullValue(Int64), IntValue(0), -1},
 		{NullValue(Int64), NullValue(Varchar), 0},
+		// Past 2^53 two INTEGERs differ where their float64s tie.
+		{IntValue(math.MinInt64), IntValue(math.MinInt64 + 1), -1},
+		{IntValue(1<<53 + 1), IntValue(1 << 53), 1},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {

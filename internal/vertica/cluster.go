@@ -1,9 +1,9 @@
 // Package vertica implements the MPP analytic database substrate the
 // connector talks to: a multi-node cluster with hash-segmented columnar
-// tables (ROS/WOS storage), MVCC epochs, ACID transactions with table locks,
-// a SQL executor with locality-aware hash-range scans, a COPY bulk loader,
-// system catalog tables, a UDx registry, and an internal DFS for deployed
-// models — the mechanisms §2.1.1 and §3 of the paper build on.
+// tables (ROS container storage), MVCC epochs, ACID transactions with table
+// locks, a SQL executor with locality-aware hash-range scans, a COPY bulk
+// loader, system catalog tables, a UDx registry, and an internal DFS for
+// deployed models — the mechanisms §2.1.1 and §3 of the paper build on.
 package vertica
 
 import (
@@ -126,9 +126,9 @@ type Config struct {
 	// without an explicit KSAFE clause. The paper's experiments run with
 	// k-safety off (§4.1), which is also the default here.
 	KSafety int
-	// WOSMoveoutRows triggers an automatic moveout when a table's WOS
-	// buffer on any node exceeds this many rows (0 = manual moveout only).
-	// On a durable cluster crossing it runs a full Checkpoint instead.
+	// WOSMoveoutRows is ignored: every write lands as a ROS container, so
+	// there is no write buffer to move out. It stays only so that configs
+	// naming it keep compiling.
 	WOSMoveoutRows int
 	// MaxClientSessions bounds concurrent sessions per node (the
 	// MAX-CLIENT-SESSIONS parameter raised to 100 in §4.1).
@@ -190,12 +190,14 @@ type Cluster struct {
 	// Durable-mode state (zero when Config.DataDir is empty): the data
 	// directory and the current write-ahead log with its file sequence
 	// number. walMu guards the log pointer across checkpoint cutover;
-	// nextDiskID names new data files.
-	dataDir    string
-	walMu      sync.Mutex
-	wlog       *wal.Log
-	walSeq     uint64
-	nextDiskID atomic.Uint64
+	// nextDiskID names new data files; ckptWALBytes is the wal.bytes counter
+	// as the last checkpoint found it (maybeCheckpoint).
+	dataDir      string
+	walMu        sync.Mutex
+	wlog         *wal.Log
+	walSeq       uint64
+	nextDiskID   atomic.Uint64
+	ckptWALBytes atomic.Int64
 
 	// dcs is the durable data-collector spool (nil on in-memory clusters):
 	// monitoring history written through the collector's taps and read back
@@ -431,18 +433,6 @@ func (c *Cluster) bindFuncs(e expr.Expr) (err error) {
 		call.Impl, call.Ret = f.fn, f.ret
 	})
 	return err
-}
-
-// Moveout runs the tuple mover on every table: every committed WOS row becomes
-// part of a ROS container, delete mark and all, except a row whose delete
-// committed at or behind the Ancient History Mark, which is purged. On a
-// durable cluster moveout is a checkpoint: the moved containers are persisted
-// and the write-ahead log truncated.
-func (c *Cluster) Moveout() error {
-	if c.durable() {
-		return c.Checkpoint()
-	}
-	return c.moveoutAll()
 }
 
 // Connect opens a session against the given node. It enforces the per-node

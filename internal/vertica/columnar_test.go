@@ -22,13 +22,9 @@ func exactResults(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-func buildScanFixture(t *testing.T, c *Cluster, s *Session) {
+func buildScanFixture(t *testing.T, s *Session) {
 	t.Helper()
-	scantest.Build(7, func(sql string) { s.MustExecute(sql) }, func() {
-		if err := c.Moveout(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	scantest.Build(7, func(sql string) { s.MustExecute(sql) })
 }
 
 // TestColumnarScanMatchesOracle is the in-process leg of the columnar result
@@ -39,7 +35,7 @@ func buildScanFixture(t *testing.T, c *Cluster, s *Session) {
 func TestColumnarScanMatchesOracle(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	buildScanFixture(t, c, s)
+	buildScanFixture(t, s)
 	for _, q := range scantest.Queries() {
 		want := oracleSelect(t, s, q)
 		exactResults(t, q, s.MustExecute(q), want)
@@ -79,7 +75,7 @@ func TestColumnarScanMatchesOracle(t *testing.T) {
 func TestColumnarLimitStopsScanEarly(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	buildScanFixture(t, c, s)
+	buildScanFixture(t, s)
 	kernelRows := func(q string) int64 {
 		res := s.MustExecute("PROFILE " + q)
 		for _, r := range res.Rows {
@@ -158,7 +154,7 @@ func TestColumnarLimitStopsInsideContainer(t *testing.T) {
 func TestLimitZeroOpensNoSegment(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	buildScanFixture(t, c, s)
+	buildScanFixture(t, s)
 	for _, q := range []string{"SELECT * FROM ct LIMIT 0", "SELECT id, name FROM ct WHERE grp = 3 LIMIT 0"} {
 		res, n := profileScan(t, s, q)
 		if res.NumRows() != 0 || n.work != (vexec.FilterStats{}) || n.contSeen != 0 {
@@ -173,13 +169,13 @@ func TestLimitZeroOpensNoSegment(t *testing.T) {
 // TestColumnarBatchesOutliveEpochPin: a columnar result holds no epoch pin
 // once its statement returns, yet it is encoded (or boxed) later. The
 // snapshot must therefore live in the batches' private selection vectors:
-// rows deleted, purged by the tuple mover and checkpointed away after the
-// statement still come out of the batches it returned.
+// rows deleted and checkpointed away after the statement still come out of
+// the batches it returned.
 func TestColumnarBatchesOutliveEpochPin(t *testing.T) {
 	c := durableCluster(t, t.TempDir())
 	defer c.Close()
 	s := sess(t, c, 0)
-	buildScanFixture(t, c, s)
+	buildScanFixture(t, s)
 	epoch := c.LastEpoch()
 	q := fmt.Sprintf("AT EPOCH %d SELECT * FROM ct", epoch)
 	want := oracleSelect(t, s, "SELECT * FROM ct")
@@ -190,9 +186,6 @@ func TestColumnarBatchesOutliveEpochPin(t *testing.T) {
 
 	s.MustExecute("DELETE FROM ct WHERE grp < 5")
 	s.MustExecute("INSERT INTO ct VALUES (100000, 1, 1.5, 'late', TRUE)")
-	if err := c.Moveout(); err != nil { // durable: purge + checkpoint
-		t.Fatal(err)
-	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

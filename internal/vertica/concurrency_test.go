@@ -107,58 +107,70 @@ func TestConcurrentCopiesAndSnapshotReaders(t *testing.T) {
 	}
 }
 
-// TestAutoMoveout exercises the WOS threshold: trickle inserts past the
-// limit trigger the tuple mover, and visibility is unaffected.
-func TestAutoMoveout(t *testing.T) {
-	c, err := NewCluster(Config{Nodes: 2, WOSMoveoutRows: 50})
-	if err != nil {
+// TestAutoCheckpoint: an autocommit write runs a checkpoint once the WAL has
+// grown by more than autoCheckpointWALBytes since the last one, and not
+// before. The collector's counter is advanced to just short of the limit, as
+// a bulk load would have left it, and single-row INSERTs carry it over.
+func TestAutoCheckpoint(t *testing.T) {
+	c := durableCluster(t, t.TempDir())
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
+	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.Connect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.MustExecute("CREATE TABLE t (id INTEGER)")
-	for b := 0; b < 10; b++ {
-		var vals []string
-		for i := 0; i < 30; i++ {
-			vals = append(vals, fmt.Sprintf("(%d)", b*30+i))
+	last, seq := c.ckptWALBytes.Load(), c.walSeq
+	c.mon.Add("wal.bytes", autoCheckpointWALBytes-1024)
+	n := 0
+	for ; c.walSeq == seq; n++ {
+		if grown := c.mon.Counter("wal.bytes") - last; grown > autoCheckpointWALBytes {
+			t.Fatalf("after %d inserts the WAL grew %d bytes since the last checkpoint, past the %d that trigger one, and none ran",
+				n, grown, autoCheckpointWALBytes)
 		}
-		s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
+		if n == 1000 {
+			t.Fatal("1000 inserts and no checkpoint")
+		}
+		s.MustExecute(fmt.Sprintf("INSERT INTO t VALUES (%d)", n))
 	}
-	if v, _ := s.MustExecute("SELECT COUNT(*) FROM t").Value(); v.I != 300 {
-		t.Errorf("count = %v", v)
+	if at := c.ckptWALBytes.Load() - last; at <= autoCheckpointWALBytes {
+		t.Fatalf("checkpointed with the WAL grown %d bytes, not past %d", at, autoCheckpointWALBytes)
+	}
+	if n < 2 {
+		t.Fatalf("checkpointed after %d inserts: the first was already past the limit", n)
+	}
+	if v, _ := s.MustExecute("SELECT COUNT(*) FROM t").Value(); v.I != int64(n) {
+		t.Errorf("count = %v, want %d", v, n)
+	}
+}
+
+// TestEachInsertIsAContainer: a single-row autocommit INSERT lands as one
+// container on the store its row hashes to, stamped with the INSERT's commit
+// epoch, with no moveout or checkpoint to make it one.
+func TestEachInsertIsAContainer(t *testing.T) {
+	c := testCluster(t, 2)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
+	const inserts = 16
+	epochs := make(map[uint64]bool)
+	for i := 0; i < inserts; i++ {
+		epochs[s.MustExecute(fmt.Sprintf("INSERT INTO t VALUES (%d)", i)).Epoch] = true
 	}
 	tbl, _ := c.Catalog().Table("t")
-	ros := 0
-	for _, st := range tbl.Stores {
-		ros += st.ContainerCount()
-	}
-	if ros == 0 {
-		t.Error("auto-moveout never ran (no ROS containers)")
-	}
-
-	// Buddy replicas buffer the same trickle inserts as the primaries they
-	// mirror and must move out with them: a failover scan reads a buddy's WOS.
-	c, err = NewCluster(Config{Nodes: 3, WOSMoveoutRows: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = sess(t, c, 0)
-	s.MustExecute("CREATE TABLE k (id INTEGER) SEGMENTED BY HASH(id) KSAFE 1")
-	for i := 0; i < 300; i++ {
-		s.MustExecute(fmt.Sprintf("INSERT INTO k VALUES (%d)", i))
-	}
-	tbl, _ = c.Catalog().Table("k")
-	for i, st := range allStores(tbl) {
-		if st.WOSLen() > 50 {
-			t.Errorf("store %d (primaries, then buddies) still buffers %d rows in its WOS", i, st.WOSLen())
+	seen := make(map[uint64]bool)
+	for i, st := range tbl.Stores {
+		if st.ContainerCount() == 0 {
+			t.Errorf("store %d holds no container", i)
+		}
+		for _, cont := range st.Containers() {
+			e := cont.StartEpoch()
+			if !epochs[e] || seen[e] || cont.RowCount != 1 {
+				t.Errorf("store %d: a container of %d rows at epoch %d; want one single-row container per INSERT epoch %v",
+					i, cont.RowCount, e, epochs)
+			}
+			seen[e] = true
 		}
 	}
-	c.Node(1).SetDown(true)
-	if v, _ := s.MustExecute("SELECT COUNT(*) FROM k").Value(); v.I != 300 {
-		t.Errorf("count with node 1 down = %v, want 300", v)
+	if len(seen) != inserts {
+		t.Errorf("%d containers across the stores, want one per INSERT (%d)", len(seen), inserts)
 	}
 }
 
@@ -215,25 +227,25 @@ func TestConcurrentDDLAndInserts(t *testing.T) {
 	}
 }
 
-// TestUpdatesDuringMoveout: an UPDATE names the rows it matched by position
-// until it has marked them, and the tuple mover — which any session's commit
-// can set off on every table, under no table lock — must not move them in
-// between. Here the statement's own predicate sets a moveout off after the
-// first stores have been selected on: it has to wait for the marks.
-func TestUpdatesDuringMoveout(t *testing.T) {
-	c := testCluster(t, 2)
+// TestUpdatesDuringCheckpoint: an UPDATE names the rows it matched by position
+// until it has marked them, and a checkpoint — which any session's commit can
+// set off, under no table lock — runs while it does: the statement's own
+// predicate sets one off after the first stores have been selected on. A
+// checkpoint moves no row, so every mark lands on the row it names.
+func TestUpdatesDuringCheckpoint(t *testing.T) {
+	c := durableCluster(t, t.TempDir())
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE ctr (id INTEGER, v INTEGER) SEGMENTED BY HASH(id) KSAFE 1")
 	const counters, rounds = 4, 10
 	for g := 0; g < counters; g++ {
 		s.MustExecute(fmt.Sprintf("INSERT INTO ctr VALUES (%d, 0)", g))
 	}
-	var movers sync.WaitGroup
-	c.RegisterUDx("MOVING", func(args []types.Value, _ map[string]string) (types.Value, error) {
-		movers.Add(1)
+	var checkpoints sync.WaitGroup
+	c.RegisterUDx("CHECKPOINTING", func(args []types.Value, _ map[string]string) (types.Value, error) {
+		checkpoints.Add(1)
 		go func() {
-			defer movers.Done()
-			if err := c.Moveout(); err != nil {
+			defer checkpoints.Done()
+			if err := c.Checkpoint(); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -242,13 +254,13 @@ func TestUpdatesDuringMoveout(t *testing.T) {
 	})
 	for i := 0; i < rounds; i++ {
 		for g := 0; g < counters; g++ {
-			res, err := s.Execute(fmt.Sprintf("UPDATE ctr SET v = v + 1 WHERE MOVING(id) = %d", g))
+			res, err := s.Execute(fmt.Sprintf("UPDATE ctr SET v = v + 1 WHERE CHECKPOINTING(id) = %d", g))
 			if err != nil || res.RowsAffected != 1 {
 				t.Fatalf("round %d counter %d: %v, %v", i, g, res, err)
 			}
 		}
 	}
-	movers.Wait()
+	checkpoints.Wait()
 	res := s.MustExecute("SELECT id, v FROM ctr ORDER BY id")
 	if len(res.Rows) != counters {
 		t.Fatalf("%d counter rows, want %d: %v", len(res.Rows), counters, res.Rows)
@@ -260,27 +272,26 @@ func TestUpdatesDuringMoveout(t *testing.T) {
 	}
 }
 
-// TestSelectDuringMoveout: a scan reads each committed row exactly once however
-// the tuple mover interleaves with it. The deterministic half is the window
-// ca5d6ee left open: one row in ROS, two in the WOS, and a predicate that runs
-// a moveout after the scan has listed the containers — the WOS rows then sat
-// in a container the scan had not listed and a buffer it found empty (1 of 3
-// rows). The concurrent half runs readers against a looping mover and a
-// trickling writer, for the race detector and for doubled rows.
-func TestSelectDuringMoveout(t *testing.T) {
-	c := testCluster(t, 1)
+// TestSelectDuringCheckpoint: a scan reads each committed row exactly once
+// however a checkpoint interleaves with it. The deterministic half runs a
+// checkpoint from the predicate, after the scan has listed the containers of
+// three INSERTs; the concurrent half runs readers against a looping
+// checkpointer and a trickling writer, for the race detector and for doubled
+// rows.
+func TestSelectDuringCheckpoint(t *testing.T) {
+	c := durableCluster(t, t.TempDir())
 	s := sess(t, c, 0)
-	c.RegisterUDx("MOVING", func(args []types.Value, _ map[string]string) (types.Value, error) {
-		return args[0], c.Moveout()
+	c.RegisterUDx("CHECKPOINTING", func(args []types.Value, _ map[string]string) (types.Value, error) {
+		return args[0], c.Checkpoint()
 	})
 	for i, q := range []string{
-		"SELECT id FROM mv%d WHERE MOVING(id) >= 0 ORDER BY id",
-		"SELECT COUNT(*) FROM mv%d WHERE MOVING(id) >= 0",
-		"SELECT id, COUNT(*) FROM mv%d WHERE MOVING(id) >= 0 GROUP BY id ORDER BY id",
+		"SELECT id FROM mv%d WHERE CHECKPOINTING(id) >= 0 ORDER BY id",
+		"SELECT COUNT(*) FROM mv%d WHERE CHECKPOINTING(id) >= 0",
+		"SELECT id, COUNT(*) FROM mv%d WHERE CHECKPOINTING(id) >= 0 GROUP BY id ORDER BY id",
 	} {
 		s.MustExecute(fmt.Sprintf("CREATE TABLE mv%d (id INTEGER)", i))
 		s.MustExecute(fmt.Sprintf("INSERT INTO mv%d VALUES (0)", i))
-		if err := c.Moveout(); err != nil {
+		if err := c.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		s.MustExecute(fmt.Sprintf("INSERT INTO mv%d VALUES (1)", i))
@@ -304,14 +315,14 @@ func TestSelectDuringMoveout(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // the mover
+	go func() { // the checkpointer
 		defer wg.Done()
 		for {
 			select {
 			case <-done:
 				return
 			default:
-				if err := c.Moveout(); err != nil {
+				if err := c.Checkpoint(); err != nil {
 					t.Error(err)
 					return
 				}

@@ -63,25 +63,25 @@ next:
 // writeColumns inserts the n rows held by cols (dense vectors, one per table
 // column) under tx and logs them: the one write entry every inserting
 // statement ends in. It returns appendColumns' shuffle accounting.
-func (s *Session) writeColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) (map[[2]string]float64, error) {
-	route, err := s.appendColumns(tx, tbl, cols, n, direct)
+func (s *Session) writeColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int) (map[[2]string]float64, error) {
+	route, err := s.appendColumns(tx, tbl, cols, n)
 	if err != nil {
 		return nil, err
 	}
-	return route, s.logInsert(tx, tbl, cols, n, direct)
+	return route, s.logInsert(tx, tbl, cols, n)
 }
 
 // appendColumns adds the n rows held by cols to the table's stores under tx.
 // Each row is ring-hashed once, here; segmented tables route each row to its
 // segment's node (plus buddy replicas), unsegmented tables replicate to every
-// node. direct selects the ROS bulk path over the WOS. Stores hosted on DOWN
+// node; each store takes its share as one container. Stores hosted on DOWN
 // (or removed) nodes are skipped — their writes land on the surviving
 // replicas and are reconciled when the node recovers — but the statement
 // fails up front if any replica set is entirely unwritable. A traced
 // statement gets back the bytes shuffled from the connected node to each
 // other node, for resource accounting; an untraced one gets nil, and nothing
 // is weighed.
-func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) (map[[2]string]float64, error) {
+func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int) (map[[2]string]float64, error) {
 	if err := s.writableCheck(tbl); err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.
 			st.MarkStale()
 			return nil
 		}
-		if err := st.AppendColumns(cols, hashes, tx.Tag(), direct); err != nil {
+		if err := st.AppendColumns(cols, hashes, tx.Tag()); err != nil {
 			return err
 		}
 		tx.NoteInsert(st)
@@ -168,7 +168,7 @@ func (s *Session) executeInsert(ctx context.Context, st *vsql.Insert) (*Result, 
 		if err != nil {
 			return nil, err
 		}
-		route, err := s.writeColumns(tx, tbl, cols, len(rows), false)
+		route, err := s.writeColumns(tx, tbl, cols, len(rows))
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +216,7 @@ func (s *Session) executeInsertSelect(ctx context.Context, st *vsql.Insert, tbl 
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.writeColumns(tx, tbl, cols, n, true); err != nil {
+		if _, err := s.writeColumns(tx, tbl, cols, n); err != nil {
 			return nil, err
 		}
 		return &Result{RowsAffected: int64(n)}, nil
@@ -318,11 +318,10 @@ func (s *Session) deleteStmt(table string, where expr.Expr, reinsert func([]stor
 			return nil, err
 		}
 		vis := tx.Vis()
-		found, matched, release, err := s.selectRows(tbl, where, vis)
+		found, matched, err := s.selectRows(tbl, where, vis)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
 		cols, n, err := storage.DenseColumns(tbl.Def.Schema, matched)
 		if err != nil {
 			return nil, err
@@ -353,7 +352,7 @@ func (s *Session) deleteStmt(table string, where expr.Expr, reinsert func([]stor
 				return nil, err
 			}
 			if reinsert != nil {
-				if _, err := s.writeColumns(tx, tbl, updated, n, false); err != nil {
+				if _, err := s.writeColumns(tx, tbl, updated, n); err != nil {
 					return nil, err
 				}
 			}
@@ -369,39 +368,28 @@ func (s *Session) deleteStmt(table string, where expr.Expr, reinsert func([]stor
 // it selects there (an entry, possibly empty, for every store it ran on), plus
 // the matching rows once: each segment's from the replica serving its reads. It
 // charges no simulated scan or shuffle: the statement's cost stays its fixed
-// status-op event. The stores' rows are held in place until release is called,
-// so the batches can be handed to MarkDeleted.
-func (s *Session) selectRows(tbl *catalog.Table, where expr.Expr, vis storage.Visibility) (found map[*storage.Store][]*storage.Batch, matched []*storage.Batch, release func(), err error) {
+// status-op event. A row never moves once written and the caller's EXCLUSIVE
+// lock keeps every other writer out, so the batches still name their rows
+// when they are handed to MarkDeleted.
+func (s *Session) selectRows(tbl *catalog.Table, where expr.Expr, vis storage.Visibility) (found map[*storage.Store][]*storage.Batch, matched []*storage.Batch, err error) {
 	pred := vexec.Compile(where, tbl.Def.Schema, tbl.SegIdx)
 	found = make(map[*storage.Store][]*storage.Batch)
-	var holds []func()
-	unhold := func() {
-		for _, r := range holds {
-			r()
-		}
-	}
-	defer func() {
-		if err != nil {
-			unhold()
-		}
-	}()
 	for _, seg := range tbl.Segs(0) {
 		for _, rep := range tbl.Replicas(seg) {
 			if !s.cluster.nodeAcceptsWrites(rep.Node) {
 				continue
 			}
 			st := rep.Store
-			holds = append(holds, st.HoldRows())
 			batches := []*storage.Batch{}
 			var ferr error
-			err := st.ScanHeld(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
+			err := st.ScanBatchesPruned(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
 				if ferr = pred.FilterBatch(b); len(b.Sel) > 0 {
 					batches = append(batches, b)
 				}
 				return ferr == nil
 			})
 			if err = errors.Join(ferr, err); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			found[st] = batches
 		}
@@ -409,15 +397,15 @@ func (s *Session) selectRows(tbl *catalog.Table, where expr.Expr, vis storage.Vi
 	for _, pos := range tbl.Segs(s.localPos(tbl)) {
 		st, _, err := s.replicaFor(tbl, pos)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		batches, selected := found[st]
 		if !selected {
-			return nil, nil, nil, fmt.Errorf("%w: the replica serving segment %d of table %q changed state mid-statement", ErrNodeDown, pos, tbl.Def.Name)
+			return nil, nil, fmt.Errorf("%w: the replica serving segment %d of table %q changed state mid-statement", ErrNodeDown, pos, tbl.Def.Name)
 		}
 		matched = append(matched, batches...)
 	}
-	return found, matched, unhold, nil
+	return found, matched, nil
 }
 
 // executeCopyStream bulk-loads rows arriving on the client stream (the
@@ -503,13 +491,13 @@ func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *counti
 		}
 		var route map[[2]string]float64
 		if err := s.copyStage(ctx, "copy.append", func() (err error) {
-			route, err = s.appendColumns(tx, tbl, cols, loaded, cp.Direct)
+			route, err = s.appendColumns(tx, tbl, cols, loaded)
 			return err
 		}); err != nil {
 			return nil, err
 		}
 		if err := s.copyStage(ctx, "copy.wal", func() error {
-			return s.logInsert(tx, tbl, cols, loaded, cp.Direct)
+			return s.logInsert(tx, tbl, cols, loaded)
 		}); err != nil {
 			return nil, err
 		}

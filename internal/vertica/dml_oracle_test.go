@@ -22,7 +22,8 @@ import (
 // again after kill-and-restart, where every delete is replay's equality delete.
 
 // dmlFixture creates m — segmented, one buddy replica — with 120 rows, NULLs in
-// every column but id, half of them moved out to ROS and half left in the WOS.
+// every column but id, written by two INSERTs (two containers a store) with a
+// checkpoint between them.
 func dmlFixture(t *testing.T, c *Cluster, s *Session) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(18))
@@ -40,7 +41,7 @@ func dmlFixture(t *testing.T, c *Cluster, s *Session) {
 			orNull(4, fmt.Sprintf("%.1f", float64(rng.Intn(80))/2)), orNull(5, labels[rng.Intn(len(labels))])))
 	}
 	s.MustExecute("INSERT INTO m VALUES " + strings.Join(rows[:60], ", "))
-	if err := c.Moveout(); err != nil {
+	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s.MustExecute("INSERT INTO m VALUES " + strings.Join(rows[60:], ", "))
@@ -106,8 +107,8 @@ func runGeneratedDML(t *testing.T, c *Cluster, s *Session, statements int, halfw
 	schema := func() types.Schema { tbl, _ := c.cat.Table("m"); return tbl.Def.Schema }()
 	var history []dmlState
 	deletes, updates, touched := 0, 0, 0
-	// A reader pinned at the start keeps every version the checks read back:
-	// without one a moveout purges the WOS rows deleted behind the AHM.
+	// A reader pinned at the start keeps every version the checks read back,
+	// whatever storage reclamation may purge behind the AHM.
 	t.Cleanup(c.txm.PinEpoch(c.LastEpoch()))
 	for i := 0; i < statements; i++ {
 		if i == statements/2 && halfway != nil {
@@ -183,8 +184,8 @@ func runGeneratedDML(t *testing.T, c *Cluster, s *Session, statements int, halfw
 		sameMultiset(t, label+": table after (row scan)", rowMultiset(oracleTable(t, s, c.LastEpoch())), rowMultiset(want))
 		checkHistory(t, label, s, history[len(history)-1:])
 
-		// Put a DELETE's rows back, through the trickle path, so the table
-		// stays populated; now and then move the WOS out.
+		// Put a DELETE's rows back with an INSERT, so the table stays
+		// populated.
 		if !isUpdate && len(matching) > 0 {
 			vals := make([]string, len(matching))
 			for j, r := range matching {
@@ -195,11 +196,6 @@ func runGeneratedDML(t *testing.T, c *Cluster, s *Session, statements int, halfw
 				vals[j] = "(" + strings.Join(cells, ", ") + ")"
 			}
 			s.MustExecute("INSERT INTO m VALUES " + strings.Join(vals, ", "))
-		}
-		if i%40 == 39 && !c.durable() {
-			if err := c.Moveout(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	if touched < statements/2 {

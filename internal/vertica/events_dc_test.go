@@ -206,9 +206,6 @@ func TestQueryEventsSeededWorkload(t *testing.T) {
 	}
 	s.MustExecute("INSERT INTO ev_l VALUES " + strings.Join(vals, ", "))
 	s.MustExecute("INSERT INTO ev_r VALUES (1, 'a'), (2, 'b'), (3, 'c')")
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
 	// WAL_FSYNC_STALL was raised by the autocommit inserts above.
 	// JOIN_BUILD_SIDE_LARGE: aggregate over a join.
 	s.MustExecute("SELECT COUNT(*) FROM ev_l JOIN ev_r ON ev_l.id = ev_r.id GROUP BY tag")

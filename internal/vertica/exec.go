@@ -47,7 +47,7 @@ func (s *Session) runSelect(ctx context.Context, st *vsql.Select, prof bool) (*R
 	if err != nil {
 		return nil, nil, err
 	}
-	// Pin the snapshot for the statement's duration so a concurrent moveout
+	// Pin the snapshot for the statement's duration so storage reclamation
 	// cannot purge rows this scan is entitled to see (the AHM stays at or
 	// below vis.Epoch until the scan finishes).
 	release := s.cluster.txm.PinEpoch(vis.Epoch)

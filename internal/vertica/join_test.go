@@ -243,11 +243,7 @@ func TestJoinToUniqueKeysSharesProbe(t *testing.T) {
 func TestJoinOutputFormsMatchOracle(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	scantest.BuildJoin(5, func(q string) { s.MustExecute(q) }, func() {
-		if err := c.Moveout(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	scantest.BuildJoin(5, func(q string) { s.MustExecute(q) })
 	for _, tc := range scantest.JoinCases() {
 		got := s.MustExecute(tc.Query)
 		if len(got.Rows) == 0 {

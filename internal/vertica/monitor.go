@@ -111,7 +111,6 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 			types.Column{Name: "node_name", T: types.Varchar},
 			types.Column{Name: "projection_role", T: types.Varchar},
 			types.Column{Name: "ros_containers", T: types.Int64},
-			types.Column{Name: "wos_rows", T: types.Int64},
 			types.Column{Name: "visible_rows", T: types.Int64},
 			types.Column{Name: "data_bytes", T: types.Int64},
 		)
@@ -124,7 +123,6 @@ func (s *Session) monitorTable(name string, vis storage.Visibility) ([]types.Row
 				types.StringValue(s.cluster.node(node).Name),
 				types.StringValue(role),
 				types.IntValue(int64(st.ContainerCount())),
-				types.IntValue(int64(st.WOSLen())),
 				types.IntValue(int64(st.RowCount(vis))),
 				types.IntValue(int64(st.DataBytes())),
 			})

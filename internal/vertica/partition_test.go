@@ -121,12 +121,12 @@ func TestPartitionStatementAllocations(t *testing.T) {
 	}
 }
 
-// hashRangeFixture loads two tables of genM's columns on c: hr segmented by
-// HASH(id), hs by every column (HASH(*)). Each holds containers written by
-// COPY DIRECT and by a moveout with delete vectors, a COPY DIRECT container
-// without one (which a scan hands on as the shared identity), and rows still
-// in the WOS, some of them deleted.
-func hashRangeFixture(t *testing.T, s *Session, c *Cluster) {
+// hashRangeFixture loads two tables of genM's columns through s: hr segmented
+// by HASH(id), hs by every column (HASH(*)). Each holds containers written by
+// COPY and by INSERT with delete vectors, a COPY container without one (which
+// a scan hands on as the shared identity), and a last INSERT's container, some
+// of its rows deleted.
+func hashRangeFixture(t *testing.T, s *Session) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	row := func(i int) string {
@@ -162,9 +162,6 @@ func hashRangeFixture(t *testing.T, s *Session, c *Cluster) {
 	for _, table := range []string{"hr", "hs"} {
 		copyDirect(table, 0, 240)
 		s.MustExecute("INSERT INTO " + table + " VALUES " + values(240, 330))
-	}
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
 	}
 	for _, table := range []string{"hr", "hs"} {
 		s.MustExecute("DELETE FROM " + table + " WHERE MOD(id, 7) = 3")
@@ -226,8 +223,8 @@ func hashRangeConjuncts(rng *rand.Rand, hash string, segs []vhash.Range, stored 
 // of the scan's predicate — one range kernel over the stored hashes after the
 // typed kernels, a whole batch decided by its hash span — and every drawn
 // range, alone or beside kernel predicates, residuals, a select list, COUNT(*)
-// and LIMIT, returns the oracle's rows over containers with and without
-// deletes, moved-out containers and WOS rows, on 1 and 3 nodes. A HASH over
+// and LIMIT, returns the oracle's rows over containers written by COPY and by
+// INSERT, with and without deletes, on 1 and 3 nodes. A HASH over
 // other columns than the segmentation's rides along as a residual.
 func TestHashRangeConjunctMatchesOracle(t *testing.T) {
 	const seed, statements = 31, 150
@@ -238,7 +235,7 @@ func TestHashRangeConjunctMatchesOracle(t *testing.T) {
 	for _, nodes := range []int{1, 3} {
 		c := testCluster(t, nodes)
 		s := sess(t, c, 0)
-		hashRangeFixture(t, s, c)
+		hashRangeFixture(t, s)
 		stored := map[string][]int64{}
 		for table, hash := range map[string]string{"hr": "HASH(id)", "hs": "HASH(*)"} {
 			for _, r := range s.MustExecute("SELECT " + hash + " FROM " + table).Rows {

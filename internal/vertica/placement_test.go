@@ -120,7 +120,7 @@ func TestReplicaPlacementEquivalence(t *testing.T) {
 				pristine := make([]storage.Versions, len(stores))
 				for i, st := range stores {
 					vals := make([]int64, i+1)
-					if err := st.AppendColumns([]storage.Column{&storage.Int64Column{Vals: vals}}, make([]uint32, i+1), 1, true); err != nil {
+					if err := st.AppendColumns([]storage.Column{&storage.Int64Column{Vals: vals}}, make([]uint32, i+1), 1); err != nil {
 						t.Fatal(err)
 					}
 					if err := st.ExportVersions(&pristine[i]); err != nil {

@@ -17,7 +17,7 @@ import (
 func TestPlanConsistency(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	buildScanFixture(t, c, s)
+	buildScanFixture(t, s)
 	s.MustExecute("CREATE TABLE dg (grp INTEGER, label VARCHAR) SEGMENTED BY HASH(grp)")
 	s.MustExecute("CREATE TABLE dn (name VARCHAR, w INTEGER)")
 	var vals []string
@@ -27,9 +27,6 @@ func TestPlanConsistency(t *testing.T) {
 	s.MustExecute("INSERT INTO dg VALUES " + strings.Join(vals, ", "))
 	s.MustExecute("INSERT INTO dn VALUES ('alpha', 1), ('beta', 2), ('gamma', 3)")
 	s.MustExecute("CREATE VIEW cv AS SELECT grp, label FROM dg WHERE grp < 6")
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
 
 	queries := append(scantest.Queries(),
 		"SELECT COUNT(*) FROM ct WHERE grp >= 2",

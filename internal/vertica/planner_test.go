@@ -12,7 +12,7 @@ import (
 
 // prunableTable creates table pz whose ROS containers have disjoint id
 // ranges, so an id predicate can prune whole containers via zone maps.
-func prunableTable(t *testing.T, s *Session, c *Cluster) {
+func prunableTable(t *testing.T, s *Session) {
 	t.Helper()
 	s.MustExecute("CREATE TABLE pz (id INTEGER, val FLOAT) SEGMENTED BY HASH(id)")
 	for lo := 0; lo < 300; lo += 100 {
@@ -21,9 +21,6 @@ func prunableTable(t *testing.T, s *Session, c *Cluster) {
 			vals = append(vals, fmt.Sprintf("(%d, %d.5)", i, i))
 		}
 		s.MustExecute("INSERT INTO pz VALUES " + strings.Join(vals, ", "))
-		if err := c.Moveout(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -48,7 +45,7 @@ func sameResults(t *testing.T, label string, got, want *Result) {
 func TestExplainScanPruning(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	prunableTable(t, s, c)
+	prunableTable(t, s)
 
 	res := s.MustExecute("EXPLAIN SELECT val FROM pz WHERE id >= 200")
 	wantCols := []string{"step", "operator", "target", "est_rows", "containers", "pruned", "detail"}
@@ -124,7 +121,7 @@ func TestExplainScanPruning(t *testing.T) {
 func TestNegativeLiterals(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	prunableTable(t, s, c)
+	prunableTable(t, s)
 
 	scan := s.MustExecute("EXPLAIN SELECT * FROM pz WHERE val < -0.5").Rows[0]
 	if !strings.Contains(scan[6].S, "1 kernels") || scan[4].I == 0 || scan[5].I != scan[4].I {
@@ -158,9 +155,6 @@ func TestExplainJoinOrder(t *testing.T) {
 			vals = append(vals, fmt.Sprintf("(%d, '%s%d')", i, name, i))
 		}
 		s.MustExecute(fmt.Sprintf("INSERT INTO %s VALUES %s", name, strings.Join(vals, ", ")))
-	}
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
 	}
 
 	// Written mid-first; the planner must reorder to join small before mid.
@@ -216,7 +210,7 @@ func TestExplainJoinOrder(t *testing.T) {
 func TestQueryPlansMonitor(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	prunableTable(t, s, c)
+	prunableTable(t, s)
 
 	q := "SELECT val FROM pz WHERE id >= 200"
 	got := s.MustExecute(q)
@@ -276,7 +270,7 @@ func TestQueryPlansMonitor(t *testing.T) {
 func TestZoneMapPruningSound(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	prunableTable(t, s, c)
+	prunableTable(t, s)
 
 	for _, q := range []string{
 		"SELECT val FROM pz WHERE id >= 200 ORDER BY val",
@@ -320,7 +314,7 @@ func TestZoneMapPruningSound(t *testing.T) {
 func TestZoneMapsSurviveRebalance(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	prunableTable(t, s, c)
+	prunableTable(t, s)
 	s.MustExecute("ALTER CLUSTER ADD NODE")
 
 	const q = "SELECT val FROM pz WHERE id >= 200 ORDER BY val"
@@ -334,7 +328,7 @@ func TestZoneMapsSurviveRebalance(t *testing.T) {
 func TestProfileGroupBy(t *testing.T) {
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	prunableTable(t, s, c)
+	prunableTable(t, s)
 
 	res := s.MustExecute("PROFILE SELECT id, COUNT(*), SUM(val) FROM pz GROUP BY id")
 	var grp types.Row
@@ -411,7 +405,7 @@ func TestAggEquivalenceProperty(t *testing.T) {
 	}
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
-	buildRandomTable(t, s, c, rand.New(rand.NewSource(7)), 600)
+	buildRandomTable(t, s, rand.New(rand.NewSource(7)), 600)
 	s.MustExecute("CREATE TABLE v (id INTEGER, name VARCHAR, tag VARCHAR, one VARCHAR, val FLOAT) SEGMENTED BY HASH(id)")
 	rng := rand.New(rand.NewSource(13))
 	names := []string{"NULL", "'NULL'", "''", "'alpha'", "'beta'"}
@@ -426,11 +420,6 @@ func TestAggEquivalenceProperty(t *testing.T) {
 				part*300+i, names[rng.Intn(len(names))], rng.Intn(200), val))
 		}
 		s.MustExecute("INSERT INTO v VALUES " + strings.Join(rows, ", "))
-		if part == 0 {
-			if err := c.Moveout(); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	for _, q := range queries {
 		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
@@ -489,9 +478,6 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 	s.MustExecute("INSERT INTO o VALUES " + strings.Join(ov, ", "))
 	s.MustExecute("INSERT INTO c VALUES " + strings.Join(cv, ", "))
 	s.MustExecute("INSERT INTO x VALUES " + strings.Join(xv, ", "))
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
 	for _, q := range queries {
 		got := s.MustExecute(q)
 		if len(got.Rows) == 0 {

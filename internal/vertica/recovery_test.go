@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"vsfabric/internal/obs"
+	"vsfabric/internal/storage"
+	"vsfabric/internal/types"
 	"vsfabric/internal/wal"
 )
 
@@ -432,13 +434,17 @@ func crashAtRecord(t *testing.T, steps []crashStep, match func(wal.Record) bool)
 	return -1
 }
 
-// TestCrashMidCopy kills the node exactly as the COPY's direct-load insert
-// record is being written: the load was never acknowledged, so none of its
-// rows may appear after restart, while every earlier commit survives.
+// TestCrashMidCopy kills the node exactly as the COPY's insert record is
+// being written: the load was never acknowledged, so none of its rows may
+// appear after restart, while every earlier commit survives.
 func TestCrashMidCopy(t *testing.T) {
 	steps := sweepWorkload()
+	inserts := 0
 	n := crashAtRecord(t, steps, func(r wal.Record) bool {
-		return r.Type == wal.RecInsert && r.Direct
+		if r.Type == wal.RecInsert {
+			inserts++
+		}
+		return r.Type == wal.RecInsert && inserts == 2 // insert1's, then the COPY's
 	})
 	dir := t.TempDir()
 	c := durableCluster(t, dir)
@@ -512,12 +518,115 @@ func TestReplayPropertyRandomInterleavings(t *testing.T) {
 	}
 }
 
-// TestAtEpochDuringMoveoutKeepsPinnedRows is the regression test for the
-// moveout row-loss bug: an AT EPOCH reader pinned before a committed delete
-// must see the same rows before and after the tuple mover runs. (The old
-// DrainCommitted purged every committed-deleted row unconditionally.)
-func TestAtEpochDuringMoveoutKeepsPinnedRows(t *testing.T) {
-	c := testCluster(t, 2)
+// TestReplaysLogsOfBothInsertPaths: a log whose insert records carry either
+// value of the Direct byte — the bulk and trickle paths an engine with a
+// write buffer logged — replays to the same rows, whatever the byte says:
+// committed inserts visible, aborted and unfinished ones gone, and each
+// committed insert its own container on every store it wrote to.
+func TestReplaysLogsOfBothInsertPaths(t *testing.T) {
+	dir := t.TempDir()
+	c := durableCluster(t, dir)
+	sess(t, c, 0).MustExecute("CREATE TABLE t (id INTEGER, name VARCHAR) SEGMENTED BY HASH(id)")
+	tbl, _ := c.Catalog().Table("t")
+	schema, epoch := tbl.Def.Schema, c.LastEpoch()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	type write struct {
+		direct bool
+		ids    []int64
+		end    wal.Type // RecCommit, RecAbort, or 0 for a transaction left open
+	}
+	writes := []write{
+		{false, []int64{1, 2, 3}, wal.RecCommit},
+		{true, []int64{4, 5, 6, 7}, wal.RecCommit},
+		{false, []int64{8}, wal.RecAbort},
+		{true, []int64{9, 10}, wal.RecAbort},
+		{false, []int64{11}, 0},
+		{true, []int64{12}, 0},
+		{false, []int64{13, 14}, wal.RecCommit},
+	}
+	l, err := wal.Open(filepath.Join(dir, "wal-1.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64][]int64{} // commit epoch -> ids
+	for i, w := range writes {
+		rows := make([]types.Row, len(w.ids))
+		for j, id := range w.ids {
+			rows[j] = types.Row{types.IntValue(id), types.StringValue(fmt.Sprint("r", id))}
+		}
+		cols, err := storage.ColumnsFromRows(rows, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := storage.AppendBatches(nil, schema, []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(len(rows))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := storage.ProvisionalBase + 100 + uint64(i)
+		if err := l.Append(wal.Record{Type: wal.RecInsert, Tag: tag, Table: "t", Direct: w.direct, Rows: payload}); err != nil {
+			t.Fatal(err)
+		}
+		switch w.end {
+		case wal.RecCommit:
+			epoch++
+			want[epoch] = w.ids
+			err = l.LogCommit(tag, epoch)
+		case wal.RecAbort:
+			err = l.LogAbort(tag)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	c = durableCluster(t, dir)
+	t.Cleanup(func() { c.Close() })
+	var wantRows []string
+	for e, es := range want {
+		for _, id := range es {
+			wantRows = append(wantRows, fmt.Sprintf("%d|r%d|@%d", id, id, e))
+		}
+	}
+	var got []string
+	tbl, _ = c.Catalog().Table("t")
+	for _, st := range allStores(tbl) {
+		seen := map[uint64]bool{}
+		for _, cont := range st.Containers() {
+			e := cont.StartEpoch()
+			if _, ok := want[e]; !ok || seen[e] {
+				t.Fatalf("a container at epoch %d (seen before on this store: %v); want one per committed insert %v", e, seen[e], want)
+			}
+			seen[e] = true
+			for i := 0; i < cont.RowCount; i++ {
+				r := cont.Row(i)
+				got = append(got, fmt.Sprintf("%d|%s|@%d", r[0].I, r[1].S, e))
+			}
+		}
+	}
+	sort.Strings(wantRows)
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(wantRows, " ") {
+		t.Fatalf("replayed containers hold %v, want %v", got, wantRows)
+	}
+	if n := mustI(t, sess(t, c, 0).MustExecute("SELECT COUNT(*) FROM t")); n != 9 {
+		t.Fatalf("%d rows visible after replay, want the 9 committed", n)
+	}
+}
+
+// TestAtEpochDuringCheckpointKeepsPinnedRows: an AT EPOCH reader pinned
+// before a committed delete sees the same rows before and after a checkpoint
+// persists the deleting containers, and after it unpins and another
+// checkpoint runs the latest count stays right.
+func TestAtEpochDuringCheckpointKeepsPinnedRows(t *testing.T) {
+	c := durableCluster(t, t.TempDir())
+	t.Cleanup(func() { c.Close() })
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id)")
 	var vals []string
@@ -535,25 +644,26 @@ func TestAtEpochDuringMoveoutKeepsPinnedRows(t *testing.T) {
 	}
 	atPinned := fmt.Sprintf("AT EPOCH %d SELECT COUNT(*) FROM t", pinned)
 	if n := mustI(t, reader.MustExecute(atPinned)); n != 50 {
-		t.Fatalf("pre-moveout pinned count = %d", n)
+		t.Fatalf("pre-checkpoint pinned count = %d", n)
 	}
 
 	s.MustExecute("DELETE FROM t WHERE id < 25") // commits after the pin
-	if err := c.Moveout(); err != nil {
+	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The deleted rows were committed-deleted AFTER the pinned epoch; moveout
-	// must retain them for the pinned reader.
+	// The deleted rows were committed-deleted AFTER the pinned epoch; the
+	// pinned reader still sees them.
 	if n := mustI(t, reader.MustExecute(atPinned)); n != 50 {
-		t.Fatalf("moveout lost rows out from under a pinned reader: count = %d, want 50", n)
+		t.Fatalf("checkpoint lost rows out from under a pinned reader: count = %d, want 50", n)
 	}
 	if n := mustI(t, reader.MustExecute("SELECT COUNT(*) FROM t")); n != 25 {
 		t.Fatalf("latest count = %d, want 25", n)
 	}
 
-	// Once the reader unpins, the next moveout may reclaim; latest stays right.
+	// Once the reader unpins, the latest count stays right across the next
+	// checkpoint.
 	reader.UnpinEpochs()
-	if err := c.Moveout(); err != nil {
+	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if n := mustI(t, s.MustExecute("SELECT COUNT(*) FROM t")); n != 25 {
@@ -566,9 +676,8 @@ func TestAtEpochDuringMoveoutKeepsPinnedRows(t *testing.T) {
 	}
 }
 
-// TestDurableAtEpochAcrossCheckpoint: same invariant under durability, where
-// Moveout is a full checkpoint. The pinned reader's rows must survive the
-// checkpoint AND a restart must not resurrect the deleted rows at latest.
+// TestDurableAtEpochAcrossCheckpoint: the pinned reader's rows must survive
+// the checkpoint AND a restart must not resurrect the deleted rows at latest.
 func TestDurableAtEpochAcrossCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	c := durableCluster(t, dir)
@@ -620,26 +729,10 @@ func reopenCounts(t *testing.T, dir string, queries ...string) []int64 {
 	return out
 }
 
-// wosFiles lists every *.wos file under dir.
-func wosFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	var out []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && strings.HasSuffix(path, ".wos") {
-			out = append(out, path)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestCheckpointMovesPinnedDeletesIntoContainers: rows deleted while a reader
-// is pinned before the delete leave the WOS at the checkpoint with their
-// marks, so the data directory holds container files alone, and a crash
-// afterwards still serves both the pinned and the latest count.
+// is pinned before the delete stay in their containers with their marks, the
+// checkpoint persists them so, and a crash afterwards still serves both the
+// pinned and the latest count.
 func TestCheckpointMovesPinnedDeletesIntoContainers(t *testing.T) {
 	dir := t.TempDir()
 	c := durableCluster(t, dir)
@@ -659,9 +752,6 @@ func TestCheckpointMovesPinnedDeletesIntoContainers(t *testing.T) {
 	s.MustExecute("DELETE FROM t WHERE id >= 30")
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	if files := wosFiles(t, dir); len(files) != 0 {
-		t.Fatalf("checkpoint left WOS files %v", files)
 	}
 	atPinned := fmt.Sprintf("AT EPOCH %d SELECT COUNT(*) FROM t", pinned)
 	if got := reopenCounts(t, dir, atPinned, "SELECT COUNT(*) FROM t"); got[0] != 40 || got[1] != 30 {
@@ -690,12 +780,6 @@ func TestCheckpointAcrossOpenDelete(t *testing.T) {
 			}
 			if err := c.Checkpoint(); err != nil {
 				t.Fatal(err)
-			}
-			tbl, _ := c.Catalog().Table("t")
-			for _, st := range allStores(tbl) {
-				if n := st.WOSLen(); n != 0 {
-					t.Fatalf("checkpoint left %d committed rows in a WOS", n)
-				}
 			}
 			s.MustExecute(final)
 			want := int64(2)

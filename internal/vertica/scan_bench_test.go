@@ -228,9 +228,6 @@ func BenchmarkGroupBy(b *testing.B) {
 	s.MustExecute("CREATE TABLE fj (name VARCHAR, c1 FLOAT) SEGMENTED BY HASH(c1)")
 	s.MustExecute("INSERT INTO fj SELECT dim_b.name, f.c1 FROM f JOIN dim_a ON f.pcol = dim_a.pcol " +
 		"JOIN dim_b ON dim_a.grp = dim_b.grp")
-	if err := s.cluster.Moveout(); err != nil {
-		b.Fatal(err)
-	}
 	for _, bc := range []struct {
 		name, q string
 		groups  int

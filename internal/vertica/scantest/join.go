@@ -7,7 +7,7 @@ import (
 )
 
 // BuildJoin creates the join suites' relations through exec:
-//   - jf, the fact table: 300 rows over ROS containers and a WOS tail, its
+//   - jf, the fact table: 300 rows over three ROS containers, its
 //     join key k NULL or matching nothing on some rows;
 //   - ju, a dimension whose non-NULL keys are unique (plus one NULL-key row),
 //     carrying an INTEGER, a FLOAT and a VARCHAR column with NULLs and repeats;
@@ -16,7 +16,7 @@ import (
 //   - jins, the target of JoinInsert.
 //
 // Every FLOAT is a multiple of one half, so a sum is exact in any order.
-func BuildJoin(seed int64, exec func(sql string), moveout func()) {
+func BuildJoin(seed int64, exec func(sql string)) {
 	rng := rand.New(rand.NewSource(seed))
 	orNull := func(p int, v string) string {
 		if rng.Intn(p) == 0 {
@@ -52,9 +52,7 @@ func BuildJoin(seed int64, exec func(sql string), moveout func()) {
 			orNull(6, half(40)), orNull(6, []string{"'ant'", "'bee'", "'cat'"}[rng.Intn(3)])))
 	}
 	exec("INSERT INTO jf VALUES " + strings.Join(jf[:100], ", "))
-	moveout()
 	exec("INSERT INTO jf VALUES " + strings.Join(jf[100:200], ", "))
-	moveout()
 	exec("INSERT INTO jf VALUES " + strings.Join(jf[200:], ", "))
 }
 

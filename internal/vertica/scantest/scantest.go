@@ -17,12 +17,11 @@ import (
 // Rows is how many rows Build inserts.
 const Rows = 1200
 
-// Build creates table ct through exec and leaves every storage tier behind:
-// three ROS containers per segment (moveout runs between inserts), committed
-// deletes across them, and a WOS tail. grp arrives in long runs (the shape a
-// persisted container stores run-length encoded); val, name and ok carry
-// NULLs.
-func Build(seed int64, exec func(sql string), moveout func()) {
+// Build creates table ct through exec and leaves four ROS containers per
+// segment behind, one per INSERT, with committed deletes across the first
+// three. grp arrives in long runs (the shape a persisted container stores
+// run-length encoded); val, name and ok carry NULLs.
+func Build(seed int64, exec func(sql string)) {
 	rng := rand.New(rand.NewSource(seed))
 	exec("CREATE TABLE ct (id INTEGER, grp INTEGER, val FLOAT, name VARCHAR, ok BOOLEAN) SEGMENTED BY HASH(id)")
 	names := []string{"alpha", "beta", "gamma", ""}
@@ -48,7 +47,6 @@ func Build(seed int64, exec func(sql string), moveout func()) {
 	}
 	for k := 0; k < 3; k++ {
 		insert(k*Rows/4, (k+1)*Rows/4)
-		moveout()
 	}
 	exec("DELETE FROM ct WHERE MOD(id, 11) = 3")
 	insert(3*Rows/4, Rows)

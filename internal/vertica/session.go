@@ -127,10 +127,11 @@ func (s *Session) Close() {
 }
 
 // PinEpoch pins an epoch for the session's lifetime: until UnpinEpochs (or
-// Close), the tuple mover will not purge rows still visible at that epoch.
+// Close), the AHM stays at or below it, so no purge removes rows still
+// visible at that epoch.
 // A connector job that spreads AT EPOCH partition queries across many
 // statements pins its snapshot once up front, guaranteeing every query sees
-// the identical row set however many moveouts run in between (§3.1.2).
+// the identical row set however many writes commit in between (§3.1.2).
 func (s *Session) PinEpoch(epoch uint64) error {
 	if s.closed {
 		return fmt.Errorf("vertica: session is closed")
@@ -441,35 +442,8 @@ func (s *Session) writeStmt(body func(tx *txn.Txn) (*Result, error)) (*Result, e
 		return nil, err
 	}
 	res.Epoch = epoch
-	s.maybeMoveout()
+	s.cluster.maybeCheckpoint()
 	return res, nil
-}
-
-// maybeMoveout triggers the tuple mover when WOS buffers grow past the
-// configured threshold. Moveout respects the Ancient History Mark, so rows a
-// pinned AT EPOCH reader can still see are never purged out from under it.
-// On a durable cluster the moveout is a full checkpoint (persist containers,
-// truncate the WAL).
-func (s *Session) maybeMoveout() {
-	limit := s.cluster.cfg.WOSMoveoutRows
-	if limit <= 0 {
-		return
-	}
-	over := false
-	ahm := s.cluster.txm.AHM()
-	for _, t := range s.cluster.cat.Tables() {
-		for _, st := range allStores(t) {
-			if st.WOSLen() > limit {
-				over = true
-				if !s.cluster.durable() {
-					_ = st.Moveout(ahm)
-				}
-			}
-		}
-	}
-	if over && s.cluster.durable() {
-		_ = s.cluster.Checkpoint()
-	}
 }
 
 // vis returns the read context for the current statement: the open

@@ -139,7 +139,6 @@ func (s *Session) systemTable(name string, vis storage.Visibility) ([]types.Row,
 			types.Column{Name: "table_name", T: types.Varchar},
 			types.Column{Name: "node_id", T: types.Int64},
 			types.Column{Name: "ros_containers", T: types.Int64},
-			types.Column{Name: "wos_rows", T: types.Int64},
 			types.Column{Name: "visible_rows", T: types.Int64},
 			types.Column{Name: "data_bytes", T: types.Int64},
 		)
@@ -150,7 +149,6 @@ func (s *Session) systemTable(name string, vis storage.Visibility) ([]types.Row,
 					types.StringValue(t.Def.Name),
 					types.IntValue(int64(t.Ring[i])),
 					types.IntValue(int64(st.ContainerCount())),
-					types.IntValue(int64(st.WOSLen())),
 					types.IntValue(int64(st.RowCount(vis))),
 					types.IntValue(int64(st.DataBytes())),
 				})

@@ -28,10 +28,9 @@ func parseWhere(t *testing.T, cond string) expr.Expr {
 	return st.(*vsql.Select).Where
 }
 
-// buildRandomTable fills table t with random rows (NULLs included), leaves a
-// mix of ROS containers, deleted rows, and WOS rows behind, and returns the
-// row count inserted.
-func buildRandomTable(t *testing.T, s *Session, c *Cluster, rng *rand.Rand, n int) {
+// buildRandomTable fills table t with n random rows (NULLs included) in three
+// INSERTs, three containers a store, with deleted rows in the first two.
+func buildRandomTable(t *testing.T, s *Session, rng *rand.Rand, n int) {
 	t.Helper()
 	s.MustExecute("CREATE TABLE t (id INTEGER, grp INTEGER, val FLOAT, name VARCHAR) SEGMENTED BY HASH(id)")
 	names := []string{"alpha", "beta", "gamma", "delta", ""}
@@ -50,16 +49,8 @@ func buildRandomTable(t *testing.T, s *Session, c *Cluster, rng *rand.Rand, n in
 		}
 		s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
 	}
-	// First two thirds become ROS containers; deletes land on them; the rest
-	// stays in WOS so every storage tier is exercised.
 	insert(0, n/3)
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
 	insert(n/3, 2*n/3)
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
 	s.MustExecute("DELETE FROM t WHERE grp = 7")
 	insert(2*n/3, n)
 }
@@ -85,7 +76,7 @@ func TestScanTableMatchesRowAtATime(t *testing.T) {
 	c := testCluster(t, 4)
 	s := sess(t, c, 0)
 	rng := rand.New(rand.NewSource(42))
-	buildRandomTable(t, s, c, rng, 900)
+	buildRandomTable(t, s, rng, 900)
 	tbl, ok := c.Catalog().Table("t")
 	if !ok {
 		t.Fatal("table t missing")
@@ -228,10 +219,7 @@ func TestCountPushdown(t *testing.T) {
 		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i%10))
 	}
 	s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
-	s.MustExecute("INSERT INTO t VALUES (300, 0), (301, 1)") // WOS rows
+	s.MustExecute("INSERT INTO t VALUES (300, 0), (301, 1)")
 	s.MustExecute("DELETE FROM t WHERE id >= 290 AND id < 300")
 
 	checks := []struct {
@@ -296,8 +284,8 @@ func TestSelectShapesMatchOracle(t *testing.T) {
 		sameResults(t, q, s.MustExecute(q), oracleSelect(t, s, q))
 	}
 	// Everything above the scan: joins, filters and aggregates over join
-	// output, views and system tables, on NULL-heavy data half in ROS and half
-	// in WOS. The oracle's operators are row-at-a-time references that
+	// output, views and system tables, on NULL-heavy data written by several
+	// INSERTs. The oracle's operators are row-at-a-time references that
 	// production does not run.
 	shapesFixture(t, c, s)
 	for _, q := range []string{
@@ -382,7 +370,7 @@ func TestSelectShapesMatchOracle(t *testing.T) {
 // and unmatched keys, and views over them — mv (filter + arithmetic column),
 // dv (over the unsegmented table, whose stored hashes are whole-row hashes of
 // d, not of dv) and hv (a FLOAT-declared column whose values mix INTEGER and
-// FLOAT). Half of m and e is moved out to ROS, the rest stays in the WOS.
+// FLOAT). m and e are each written by two INSERTs.
 func shapesFixture(t *testing.T, c *Cluster, s *Session) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(16))
@@ -422,9 +410,6 @@ func shapesFixture(t *testing.T, c *Cluster, s *Session) {
 	s.MustExecute("INSERT INTO d VALUES " + strings.Join(drows, ", "))
 	s.MustExecute("INSERT INTO m VALUES " + strings.Join(mrows[:60], ", "))
 	s.MustExecute("INSERT INTO e VALUES " + strings.Join(erows[:13], ", "))
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
 	s.MustExecute("INSERT INTO m VALUES " + strings.Join(mrows[60:], ", "))
 	s.MustExecute("INSERT INTO e VALUES " + strings.Join(erows[13:], ", "))
 }
@@ -459,8 +444,8 @@ func TestHashJoinTypedKeys(t *testing.T) {
 }
 
 // TestConcurrentScansAndDML hammers the vectorized scan path from several
-// sessions while another session inserts, deletes, and moves out. Run under
-// -race via make check.
+// sessions while another session inserts and deletes. Run under -race via make
+// check.
 func TestConcurrentScansAndDML(t *testing.T) {
 	c := testCluster(t, 4)
 	w := sess(t, c, 0)
@@ -470,9 +455,6 @@ func TestConcurrentScansAndDML(t *testing.T) {
 		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i%10))
 	}
 	w.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
-	if err := c.Moveout(); err != nil {
-		t.Fatal(err)
-	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -506,11 +488,6 @@ func TestConcurrentScansAndDML(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		w.MustExecute(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", 1000+i, i%10))
 		w.MustExecute(fmt.Sprintf("DELETE FROM t WHERE id = %d", i*3))
-		if i%10 == 0 {
-			if err := c.Moveout(); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	close(stop)
 	wg.Wait()

@@ -169,9 +169,9 @@ func TestVectorWritePathMatchesRowPath(t *testing.T) {
 			continue
 		}
 		logged++
-		if !r.Direct || !bytes.Equal(r.Rows, payloads[r.Table]) {
-			t.Errorf("insert record for %s (direct=%v): %d payload bytes, storage.EncodeRows gives %d — not byte-identical",
-				r.Table, r.Direct, len(r.Rows), len(payloads[r.Table]))
+		if !bytes.Equal(r.Rows, payloads[r.Table]) {
+			t.Errorf("insert record for %s: %d payload bytes, storage.EncodeRows gives %d — not byte-identical",
+				r.Table, len(r.Rows), len(payloads[r.Table]))
 		}
 	}
 	if logged != 2 {
@@ -217,8 +217,8 @@ func TestRowSourcesCrossTheVectorEntry(t *testing.T) {
 	})
 	for _, r := range recs {
 		if r.Type == wal.RecInsert {
-			if r.Direct || !bytes.Equal(r.Rows, first) {
-				t.Errorf("first insert record (direct=%v) is not storage.EncodeRows of the statement's rows", r.Direct)
+			if !bytes.Equal(r.Rows, first) {
+				t.Error("first insert record is not storage.EncodeRows of the statement's rows")
 			}
 			break
 		}
@@ -232,12 +232,12 @@ func TestRowSourcesCrossTheVectorEntry(t *testing.T) {
 
 // writeRows is the boxed route into the write entry: rows columnized by
 // storage.ColumnsFromRows, then writeColumns.
-func (s *Session) writeRows(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) (map[[2]string]float64, error) {
+func (s *Session) writeRows(tx *txn.Txn, tbl *catalog.Table, rows []types.Row) (map[[2]string]float64, error) {
 	cols, err := storage.ColumnsFromRows(rows, tbl.Def.Schema)
 	if err != nil {
 		return nil, err
 	}
-	return s.writeColumns(tx, tbl, cols, len(rows), direct)
+	return s.writeColumns(tx, tbl, cols, len(rows))
 }
 
 // INSERT ... SELECT hands a scan's batches to the write entry without boxing
@@ -263,7 +263,7 @@ func TestInsertSelectBatchesMatchBoxedRoute(t *testing.T) {
 	sel := s.MustExecute("SELECT * FROM staging")
 	boxedTbl, _ := c.cat.Table("boxed")
 	if _, err := s.writeStmt(func(tx *txn.Txn) (*Result, error) {
-		_, err := s.writeRows(tx, boxedTbl, sel.Rows, true)
+		_, err := s.writeRows(tx, boxedTbl, sel.Rows)
 		return &Result{}, err
 	}); err != nil {
 		t.Fatal(err)

@@ -208,11 +208,11 @@ const (
 // Copy bulk-loads data into a table. The data source is either STDIN (the
 // client streams data after issuing the statement — the VerticaCopyStream
 // path S2V uses) or a node-local file path (the native bulk-load baseline of
-// §4.7.3).
+// §4.7.3). The DIRECT keyword parses and means nothing: every load lands as
+// ROS containers.
 type Copy struct {
 	Table     string
 	Format    CopyFormat
-	Direct    bool // write straight to ROS, bypassing the WOS
 	RejectMax int64
 	FromStdin bool
 	FromPath  string

@@ -1074,8 +1074,7 @@ func (p *parser) parseCopy() (Statement, error) {
 			default:
 				return nil, fmt.Errorf("vsql: unknown COPY format near %q", p.peek().text)
 			}
-		case p.acceptKw("DIRECT"):
-			cp.Direct = true
+		case p.acceptKw("DIRECT"): // every load is direct
 		case p.acceptKw("REJECTMAX"):
 			t := p.peek()
 			if t.kind != tokNumber {

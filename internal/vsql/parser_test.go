@@ -264,7 +264,7 @@ func TestParseCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := st.(*Copy)
-	if !cp.FromStdin || cp.Format != CopyAvro || !cp.Direct || cp.RejectMax != 100 {
+	if !cp.FromStdin || cp.Format != CopyAvro || cp.RejectMax != 100 {
 		t.Errorf("copy: %+v", cp)
 	}
 	st, err = Parse("COPY t FROM LOCAL '/data/part1.csv' FORMAT CSV")

@@ -26,7 +26,7 @@ type Type byte
 // WAL record types.
 const (
 	// RecInsert carries rows written by COPY / INSERT under a provisional
-	// tag. Direct distinguishes the ROS bulk path from the WOS trickle path.
+	// tag.
 	RecInsert Type = iota + 1
 	// RecDelete carries the rows a DELETE/UPDATE marked under a provisional
 	// tag, plus the snapshot epoch the statement read at (replay re-applies
@@ -66,11 +66,14 @@ func (t Type) String() string {
 
 // Record is one logical WAL entry.
 type Record struct {
-	Type   Type
-	Tag    uint64 // provisional transaction tag (insert/delete/commit/abort)
-	Epoch  uint64 // commit epoch, delete snapshot epoch, or durable epoch
-	Op     byte   // DDL opcode (the engine defines the codes)
-	Direct bool   // insert: ROS bulk path vs WOS trickle path
+	Type  Type
+	Tag   uint64 // provisional transaction tag (insert/delete/commit/abort)
+	Epoch uint64 // commit epoch, delete snapshot epoch, or durable epoch
+	Op    byte   // DDL opcode (the engine defines the codes)
+	// Direct is a format field only: logs written before every write became a
+	// ROS container set it on bulk-load inserts. The engine no longer sets or
+	// reads it; the byte stays so old logs decode and replay unchanged.
+	Direct bool
 	Table  string // target table (insert/delete)
 	Rows   []byte // storage.AppendBatches row block (insert/delete)
 	DDL    []byte // DDL payload (engine-defined encoding)
