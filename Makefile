@@ -87,13 +87,14 @@ s2v-test:
 # regressions, the wire-equals-in-process differential (every join output
 # form among its shapes), a server closing
 # under live sessions, the client's boxing of result vectors against each
-# column's Get, the resource-pool admission suites with a
-# cancelled SELECT giving its slot back, its computed operators (project,
+# column's Get (across slab boundaries too), the fixed-width plain codec
+# against its per-value reference loops, the resource-pool admission suites
+# with a cancelled SELECT giving its slot back, its computed operators (project,
 # group-by, filter over derived rows) included, and a closed session refusing
 # COPY ... FROM STDIN — all under the race detector.
 wire-test: wire-fuzz
 	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|WireJoinOutputForms|ServerCloseEndsLiveSessions' ./internal/server/
-	$(GO) test -race -run 'MaterializeMatchesGet|BatchMaterializeSubset|GatherEncodeMatchesMaterialize' ./internal/storage/
+	$(GO) test -race -run 'MaterializeMatchesGet|MaterializeAcrossSlabs|BatchMaterializeSubset|GatherEncodeMatchesMaterialize|PlainWordsMatchReference' ./internal/storage/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation|ClosedSessionRefusesCopy' ./internal/vertica/
 
@@ -167,10 +168,14 @@ gates:
 # 2 nodes over a 300 000-row d1-shaped table, v2s_pushdown's shape (pcol < 5,
 # two columns) and v2s_full's (every column), in 4 partitions (half a segment
 # each) and in 2 (a whole segment each), engine side only;
-# BenchmarkResultPath is one wire batch from container to boxed client rows
-# (B/row, allocs/row). fabricperf's vexec.agg_s / vexec.join_s /
-# vertica.groupby_us / vertica.join_us time the same operators at workload
-# scale.
+# BenchmarkResultPath is a result from container to boxed client rows
+# (ns/row, B/row, allocs/row): one_frame is one 16 384-row frame, partition is
+# a v2s_full partition (75 000 rows of 1 INTEGER + 10 FLOAT landed from 5
+# frames, 33 MB boxed, past L2). It runs one goroutine, so on a quiet host
+# with a large L3 it does not show the gain Materialize's slabs give
+# v2s_full, where two executors box at once. fabricperf's vexec.agg_s /
+# vexec.join_s / vertica.groupby_us / vertica.join_us time the same operators
+# at workload scale.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/

@@ -223,13 +223,16 @@ func remoteError(code, msg string, transient bool) error {
 // readBinResponse reads one tagged response: zero or more batch frames
 // then a done or error frame. Responses arrive in request order, so a
 // mismatched tag means the stream lost sync — a protocol error, not a
-// recoverable condition. Each batch is decoded to column vectors, and they
-// are boxed into the returned Result's rows all at once when the done frame
-// arrives — the one boxing this side of the wire.
+// recoverable condition. Every frame is read into one reused buffer, and each
+// batch is decoded out of it into column vectors of their own (an INTEGER or
+// FLOAT column is one copy of its chunk), which the next frame's read cannot
+// touch. They are boxed into the returned Result's rows all at once when the
+// done frame arrives — the one boxing this side of the wire, a cache-sized
+// slab at a time (storage.Materialize).
 func (c *TCPConn) readBinResponse(ctx context.Context, tag uint32) (*vertica.Result, error) {
 	res := &vertica.Result{}
 	var batches []*storage.Batch
-	var buf []byte // every frame's payload: decoding copies out of it
+	var buf []byte // every frame's payload: decoding copies out of it, never aliases it
 	for {
 		if err := c.armRead(ctx); err != nil {
 			return nil, err

@@ -158,28 +158,54 @@ func SelectedRows(batches []*Batch) int {
 // boxed rows stays in cache while every column writes into it.
 const boxBlock = 128
 
+// slabValues is how many types.Value (40 B each, types.TestValueSize)
+// Materialize allocates at most at a time: 256 KiB, the L2 cache of the
+// smallest common core. A make of boxed values zeroes them, and boxing then
+// stores into every one, so one result-sized array is two passes over memory
+// — a v2s_full partition is 33 MB, far past any core's L2, and boxColumn's
+// stores found each line evicted since the zeroing. Allocated a slab at a
+// time, the zeroing leaves the slab in cache for the stores that follow.
+const slabValues = 256 << 10 / 40
+
+// slabRows is how many rows of width values one slab holds: as many whole
+// boxBlocks as fit slabValues, at least one.
+func slabRows(width int) int {
+	return max(1, slabValues/max(1, width)/boxBlock) * boxBlock
+}
+
 // Materialize boxes the rows the batches select, in order, into one
-// types.Row each over a single flat backing array. This is the one place
-// column vectors become types.Value: it runs only for rows that survived
-// every kernel, and only at the edge that asked for rows.
+// types.Row each. This is the one place column vectors become types.Value:
+// it runs only for rows that survived every kernel, and only at the edge
+// that asked for rows. The rows' values are allocated a slab of slabRows
+// rows at a time (a result that fits one slab is one allocation, of exactly
+// its size), filled boxBlock rows by boxBlock rows, column by column; each
+// row has len == cap == its width, so appending to one never writes the
+// next.
 func Materialize(batches []*Batch) []types.Row {
 	total := SelectedRows(batches)
 	if total == 0 {
 		return nil
 	}
 	width := len(batches[0].Cols)
+	per := slabRows(width)
 	out := make([]types.Row, total)
-	backing := make([]types.Value, total*width)
-	for k := range out {
-		out[k] = backing[k*width : (k+1)*width : (k+1)*width]
-	}
+	var slab []types.Value // the current slab's rows not yet boxed
+	done, room := 0, 0     // rows boxed; rows slab has room for
 	for _, b := range batches {
-		for lo := 0; lo < len(b.Sel); lo += boxBlock {
-			sel := b.Sel[lo:min(lo+boxBlock, len(b.Sel))]
-			for j, col := range b.Cols {
-				boxColumn(backing[j:], width, col, sel)
+		for lo := 0; lo < len(b.Sel); {
+			if room == 0 {
+				room = min(per, total-done)
+				slab = make([]types.Value, room*width)
 			}
-			backing = backing[len(sel)*width:]
+			sel := b.Sel[lo:min(lo+boxBlock, lo+room, len(b.Sel))]
+			for j, col := range b.Cols {
+				boxColumn(slab[j:], width, col, sel)
+			}
+			for k := range sel {
+				out[done+k] = slab[k*width : (k+1)*width : (k+1)*width]
+			}
+			slab = slab[len(sel)*width:]
+			done, room, lo = done+len(sel), room-len(sel), lo+len(sel)
 		}
 	}
 	return out
@@ -188,7 +214,7 @@ func Materialize(batches []*Batch) []types.Row {
 // boxColumn writes the selected values of col to dst[0], dst[width],
 // dst[2*width], ...: one column of a row-major block.
 //
-// dst must be fresh zeroed memory; Materialize's own make is the only caller.
+// dst must be fresh zeroed memory; Materialize's own slab is the only caller.
 // Each typed case therefore stores only the fields its type uses, T and one
 // value field, and never assigns a whole types.Value: a composite-literal
 // store into a pointer-holding struct first zeroes it, and while the

@@ -284,53 +284,50 @@ func TestScanBatchesRace(t *testing.T) {
 	}
 }
 
-// TestMaterializeMatchesGet is Materialize's reference: every boxed cell,
-// compared as a whole types.Value, equals its column's Get — or exactly
-// types.NullValue of the column's type for a NULL slot, whatever the vector
-// holds under it. It covers each column form, a non-identity selection that
-// crosses boxBlock, and several batches in one call.
-func TestMaterializeMatchesGet(t *testing.T) {
-	const n = 3*boxBlock + 17
-	rng := rand.New(rand.NewSource(7))
-	schema := types.Schema{Cols: []types.Column{
-		{Name: "i", T: types.Int64},
-		{Name: "f", T: types.Float64},
-		{Name: "s", T: types.Varchar},
-		{Name: "b", T: types.Bool},
-		{Name: "r", T: types.Int64},
-		{Name: "d", T: types.Varchar},
-	}}
-	mkBatch := func(sel []int32) *Batch {
-		ic := &Int64Column{Vals: make([]int64, n), Nulls: make([]bool, n)}
-		fc := &Float64Column{Vals: make([]float64, n), Nulls: make([]bool, n)}
-		sc := &StringColumn{Vals: make([]string, n), Nulls: make([]bool, n)}
-		bc := &BoolColumn{Vals: make([]bool, n), Nulls: make([]bool, n)}
-		rc := &Int64Column{Vals: make([]int64, n)} // runs of 11 equal values
-		dict := &StringColumn{Vals: []string{"x", "", "zz"}, Nulls: []bool{false, false, true}}
-		dc := &DictColumn{Codes: make([]int32, n), Dict: dict}
-		for i := 0; i < n; i++ {
-			// A NULL slot keeps a non-zero value under it.
-			ic.Vals[i], fc.Vals[i] = rng.Int63()-rng.Int63(), rng.NormFloat64()+1
-			sc.Vals[i], bc.Vals[i] = fmt.Sprintf("v%d", i), true
-			ic.Nulls[i], fc.Nulls[i] = i%5 == 1, i%7 == 2
-			sc.Nulls[i], bc.Nulls[i] = i%3 == 0, i%4 == 3
-			rc.Vals[i] = int64(min((i+10)/11*11, n-1)*13 - 40)
-			dc.Codes[i] = int32(i % 3)
-		}
-		cols := []Column{ic, fc, sc, bc, rc, dc}
-		if sel == nil {
-			sel = IdentitySel(n)
-		}
-		return &Batch{Schema: schema, Cols: cols, Sel: sel}
+// materializeSchema is materializeBatch's: every column form, each dense
+// one with NULLs.
+var materializeSchema = types.Schema{Cols: []types.Column{
+	{Name: "i", T: types.Int64},
+	{Name: "f", T: types.Float64},
+	{Name: "s", T: types.Varchar},
+	{Name: "b", T: types.Bool},
+	{Name: "r", T: types.Int64},
+	{Name: "d", T: types.Varchar},
+}}
+
+// materializeBatch is a batch of n rows of materializeSchema selected by sel
+// (nil: the shared identity). Each dense column has NULLs at its own period
+// with a non-zero value kept under every NULL slot; r holds runs of 11 equal
+// values, and d is dictionary-coded with a NULL entry.
+func materializeBatch(rng *rand.Rand, n int, sel []int32) *Batch {
+	ic := &Int64Column{Vals: make([]int64, n), Nulls: make([]bool, n)}
+	fc := &Float64Column{Vals: make([]float64, n), Nulls: make([]bool, n)}
+	sc := &StringColumn{Vals: make([]string, n), Nulls: make([]bool, n)}
+	bc := &BoolColumn{Vals: make([]bool, n), Nulls: make([]bool, n)}
+	rc := &Int64Column{Vals: make([]int64, n)}
+	dict := &StringColumn{Vals: []string{"x", "", "zz"}, Nulls: []bool{false, false, true}}
+	dc := &DictColumn{Codes: make([]int32, n), Dict: dict}
+	for i := 0; i < n; i++ {
+		ic.Vals[i], fc.Vals[i] = rng.Int63()-rng.Int63(), rng.NormFloat64()+1
+		sc.Vals[i], bc.Vals[i] = fmt.Sprintf("v%d", i), true
+		ic.Nulls[i], fc.Nulls[i] = i%5 == 1, i%7 == 2
+		sc.Nulls[i], bc.Nulls[i] = i%3 == 0, i%4 == 3
+		rc.Vals[i] = int64(min((i+10)/11*11, n-1)*13 - 40)
+		dc.Codes[i] = int32(i % 3)
 	}
-	var sparse []int32
-	for i := int32(0); i < n; i++ {
-		if rng.Intn(3) != 0 {
-			sparse = append(sparse, i)
-		}
+	if sel == nil {
+		sel = IdentitySel(n)
 	}
-	batches := []*Batch{mkBatch(sparse), mkBatch(nil), mkBatch([]int32{0, n - 1}), mkBatch([]int32{})}
-	got := Materialize(batches)
+	return &Batch{Schema: materializeSchema, Cols: []Column{ic, fc, sc, bc, rc, dc}, Sel: sel}
+}
+
+// checkMaterialized fails unless got is what Materialize owes the batches:
+// one row per selected row, in order, each with len == cap == its width, and
+// every cell, compared as a whole types.Value, equal to its column's Get — or
+// exactly types.NullValue of the column's type for a NULL slot, whatever the
+// vector holds under it.
+func checkMaterialized(t *testing.T, batches []*Batch, got []types.Row) {
+	t.Helper()
 	if len(got) != SelectedRows(batches) {
 		t.Fatalf("Materialize returned %d rows, want %d", len(got), SelectedRows(batches))
 	}
@@ -347,13 +344,79 @@ func TestMaterializeMatchesGet(t *testing.T) {
 					want = types.NullValue(col.Type())
 				}
 				if row[j] != want {
-					t.Fatalf("batch %d row %d col %s: boxed %#v, want %#v", bi, i, schema.Cols[j].Name, row[j], want)
+					t.Fatalf("batch %d row %d col %s: boxed %#v, want %#v", bi, i, b.Schema.Cols[j].Name, row[j], want)
 				}
 			}
 			k++
 		}
 	}
-	if Materialize([]*Batch{mkBatch([]int32{})}) != nil {
+}
+
+// TestMaterializeMatchesGet is Materialize's reference (checkMaterialized):
+// each column form, a non-identity selection that crosses boxBlock, and
+// several batches in one call.
+func TestMaterializeMatchesGet(t *testing.T) {
+	const n = 3*boxBlock + 17
+	rng := rand.New(rand.NewSource(7))
+	var sparse []int32
+	for i := int32(0); i < n; i++ {
+		if rng.Intn(3) != 0 {
+			sparse = append(sparse, i)
+		}
+	}
+	batches := []*Batch{
+		materializeBatch(rng, n, sparse), materializeBatch(rng, n, nil),
+		materializeBatch(rng, n, []int32{0, n - 1}), materializeBatch(rng, n, []int32{}),
+	}
+	checkMaterialized(t, batches, Materialize(batches))
+	if Materialize([]*Batch{materializeBatch(rng, n, []int32{})}) != nil {
 		t.Fatal("Materialize of no selected rows is not nil")
+	}
+}
+
+// TestMaterializeAcrossSlabs: a result several slabs long boxes as
+// checkMaterialized requires, through batches whose lengths put every slab
+// boundary inside a boxBlock and inside a batch: a 37-row first batch moves
+// every later boundary off the block grid, then a sparse selection, the
+// identity, and a run of the identity straddling the first boundary. No row
+// reaches into the next: appending to a row on either side of a slab boundary
+// leaves its neighbours as they were.
+func TestMaterializeAcrossSlabs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	per := slabRows(len(materializeSchema.Cols))
+	n := 2*per + boxBlock/2 + 5
+	var sparse []int32
+	for i := int32(0); i < int32(n); i++ {
+		if rng.Intn(4) != 0 {
+			sparse = append(sparse, i)
+		}
+	}
+	batches := []*Batch{
+		materializeBatch(rng, n, IdentitySel(n)[:37]),
+		materializeBatch(rng, n, sparse),
+		materializeBatch(rng, n, nil),
+		materializeBatch(rng, n, IdentitySel(n)[per-9:per+boxBlock+9]),
+	}
+	total := SelectedRows(batches)
+	if total < 3*per {
+		t.Fatalf("%d rows fill fewer than 3 slabs of %d", total, per)
+	}
+	got := Materialize(batches)
+	checkMaterialized(t, batches, got)
+	before := make([]types.Row, len(got))
+	for k, row := range got {
+		before[k] = slices.Clone(row)
+	}
+	for edge := per; edge < total; edge += per {
+		for _, k := range []int{edge - 1, edge} {
+			if grown := append(got[k], types.IntValue(int64(k))); grown[len(grown)-1].I != int64(k) {
+				t.Fatalf("row %d: appended value lost", k)
+			}
+			for _, nb := range []int{k - 1, k + 1} {
+				if !slices.Equal(got[nb], before[nb]) {
+					t.Fatalf("appending to row %d (slab edge %d) changed row %d", k, edge, nb)
+				}
+			}
+		}
 	}
 }

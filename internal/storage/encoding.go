@@ -280,6 +280,10 @@ func readNulls(r *reader, n int) ([]bool, error) {
 	return nulls, nil
 }
 
+// decodePlain decodes a plain chunk's n values into a vector of their own,
+// never aliasing r's bytes: an INTEGER or FLOAT chunk is one copy of its
+// 8n bytes (decodeWords), a VARCHAR chunk one copy of its region with every
+// value a substring of it, a BOOLEAN chunk one byte a value.
 func decodePlain(r *reader, t types.Type, n int, nulls []bool) (Column, error) {
 	switch t {
 	case types.Int64:
@@ -287,21 +291,13 @@ func decodePlain(r *reader, t types.Type, n int, nulls []bool) (Column, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
-		}
-		return &Int64Column{Vals: vals, Nulls: nulls}, nil
+		return &Int64Column{Vals: decodeWords[int64](p), Nulls: nulls}, nil
 	case types.Float64:
 		p, err := r.take(8 * uint64(n))
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-		}
-		return &Float64Column{Vals: vals, Nulls: nulls}, nil
+		return &Float64Column{Vals: decodeWords[float64](p), Nulls: nulls}, nil
 	case types.Varchar:
 		// One copy of the whole region; every value is a substring of it.
 		blob := string(r.b)

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -172,7 +171,8 @@ func gatherNulls(bitmap []byte, src []colRead) {
 }
 
 // gatherValues writes a column's selected values, plain-encoded, into p,
-// which gatherSize sized for them.
+// which gatherSize sized for them. INTEGER and FLOAT values go through
+// putWords, which copies each run of consecutive selected rows in one piece.
 func gatherValues(p []byte, src []colRead) {
 	for _, r := range src {
 		if len(r.sel) == 0 {
@@ -180,14 +180,10 @@ func gatherValues(p []byte, src []colRead) {
 		}
 		switch c := r.col.(type) {
 		case *Int64Column:
-			for k, i := range r.sel {
-				binary.LittleEndian.PutUint64(p[8*k:], uint64(c.Vals[i]))
-			}
+			putWords(p, words(c.Vals), r.sel)
 			p = p[8*len(r.sel):]
 		case *Float64Column:
-			for k, i := range r.sel {
-				binary.LittleEndian.PutUint64(p[8*k:], math.Float64bits(c.Vals[i]))
-			}
+			putWords(p, words(c.Vals), r.sel)
 			p = p[8*len(r.sel):]
 		case *BoolColumn:
 			for k, i := range r.sel {

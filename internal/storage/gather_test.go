@@ -358,13 +358,28 @@ func FuzzDecodeColumns(f *testing.F) {
 	})
 }
 
-// BenchmarkResultPath is one wire batch's whole life: scan a 16384 x 11
-// container (1 INTEGER + 10 FLOAT, the paper's D1 shape) into a batch,
-// gather-encode it into a frame-sized buffer, decode the frame to vectors and
-// box them into rows — storage.scan → server frame → client rows, without the
-// socket. B/row and allocs/row are per row landed.
+// BenchmarkResultPath is a V2S result's whole life: scan a container of
+// 1 INTEGER + 10 FLOAT columns (the paper's D1 shape) into a batch,
+// gather-encode it frame by frame (16 384 rows each, the server's
+// wireBatchRows) into one reused buffer, decode each frame to vectors and box
+// every frame's rows at once, as TCPConn.Execute does at the done frame —
+// storage.scan → server frames → client rows, without the socket.
+// one_frame is a single 16 384-row frame (7 MB boxed); partition is one
+// v2s_full partition, 75 000 rows landed from 5 frames (33 MB boxed). Both
+// are past L2, but a lone goroutine on a quiet host may still find them in
+// L3: v2s_full boxes two partitions at once beside the server. B/row and
+// allocs/row are per row landed.
 func BenchmarkResultPath(b *testing.B) {
-	const nrows, nfloat = 16384, 10
+	for _, bc := range []struct {
+		name  string
+		nrows int
+	}{{"one_frame", 16384}, {"partition", 75000}} {
+		b.Run(bc.name, func(b *testing.B) { benchResultPath(b, bc.nrows) })
+	}
+}
+
+func benchResultPath(b *testing.B, nrows int) {
+	const nfloat, frameRows = 10, 16384
 	schema := types.Schema{Cols: []types.Column{{Name: "pcol", T: types.Int64}}}
 	for j := 0; j < nfloat; j++ {
 		schema.Cols = append(schema.Cols, types.Column{Name: fmt.Sprintf("c%d", j), T: types.Float64})
@@ -381,6 +396,7 @@ func BenchmarkResultPath(b *testing.B) {
 	if err := store.AppendROS(rows, 1); err != nil {
 		b.Fatal(err)
 	}
+	rows = nil
 	vis, ring := Visibility{Epoch: 1}, vhash.Range{Lo: 0, Hi: vhash.RingSize}
 	var frame []byte
 	var landed []types.Row
@@ -389,29 +405,32 @@ func BenchmarkResultPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		var batches []*Batch
+		var decoded []*Batch
 		if err := store.ScanBatches(vis, ring, func(bt *Batch) bool {
-			batches = append(batches, bt)
+			for lo := 0; lo < len(bt.Sel); lo += frameRows {
+				var err error
+				sel := bt.Sel[lo:min(lo+frameRows, len(bt.Sel))]
+				if frame, err = AppendBatches(frame[:0], schema, []*Batch{{Cols: bt.Cols, Sel: sel}}); err != nil {
+					b.Fatal(err)
+				}
+				_, cols, n, err := DecodeColumns(frame, frameRows)
+				if err != nil || n != len(sel) {
+					b.Fatalf("decoded %d rows of %d: %v", n, len(sel), err)
+				}
+				decoded = append(decoded, &Batch{Cols: cols, Sel: IdentitySel(n)})
+			}
 			return true
 		}); err != nil {
 			b.Fatal(err)
 		}
-		var err error
-		if frame, err = AppendBatches(frame[:0], schema, batches); err != nil {
-			b.Fatal(err)
-		}
-		_, cols, n, err := DecodeColumns(frame, nrows)
-		if err != nil || n != nrows {
-			b.Fatalf("decoded %d rows: %v", n, err)
-		}
-		landed = Materialize([]*Batch{{Cols: cols, Sel: IdentitySel(n)}})
+		landed = Materialize(decoded)
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	if len(landed) != nrows {
 		b.Fatalf("landed %d rows", len(landed))
 	}
-	perRow := float64(b.N) * nrows
+	perRow := float64(b.N) * float64(nrows)
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perRow, "B/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perRow, "allocs/row")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRow, "ns/row")

@@ -190,13 +190,15 @@ type Cluster struct {
 	// Durable-mode state (zero when Config.DataDir is empty): the data
 	// directory and the current write-ahead log with its file sequence
 	// number. walMu guards the log pointer across checkpoint cutover;
-	// nextDiskID names new data files; ckptWALBytes is the wal.bytes counter
-	// as the last checkpoint found it (maybeCheckpoint).
+	// nextDiskID names new data files; walBytes counts every byte appended to
+	// a log of this cluster, and ckptWALBytes is walBytes as the last
+	// checkpoint found it (maybeCheckpoint).
 	dataDir      string
 	walMu        sync.Mutex
 	wlog         *wal.Log
 	walSeq       uint64
 	nextDiskID   atomic.Uint64
+	walBytes     atomic.Int64
 	ckptWALBytes atomic.Int64
 
 	// dcs is the durable data-collector spool (nil on in-memory clusters):

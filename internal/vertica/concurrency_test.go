@@ -109,8 +109,9 @@ func TestConcurrentCopiesAndSnapshotReaders(t *testing.T) {
 
 // TestAutoCheckpoint: an autocommit write runs a checkpoint once the WAL has
 // grown by more than autoCheckpointWALBytes since the last one, and not
-// before. The collector's counter is advanced to just short of the limit, as
-// a bulk load would have left it, and single-row INSERTs carry it over.
+// before. The cluster's WAL byte count is advanced to just short of the
+// limit, as a bulk load would have left it, and single-row INSERTs carry it
+// over.
 func TestAutoCheckpoint(t *testing.T) {
 	c := durableCluster(t, t.TempDir())
 	s := sess(t, c, 0)
@@ -119,10 +120,10 @@ func TestAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	last, seq := c.ckptWALBytes.Load(), c.walSeq
-	c.mon.Add("wal.bytes", autoCheckpointWALBytes-1024)
+	c.walBytes.Add(autoCheckpointWALBytes - 1024)
 	n := 0
 	for ; c.walSeq == seq; n++ {
-		if grown := c.mon.Counter("wal.bytes") - last; grown > autoCheckpointWALBytes {
+		if grown := c.walBytes.Load() - last; grown > autoCheckpointWALBytes {
 			t.Fatalf("after %d inserts the WAL grew %d bytes since the last checkpoint, past the %d that trigger one, and none ran",
 				n, grown, autoCheckpointWALBytes)
 		}
@@ -139,6 +140,35 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 	if v, _ := s.MustExecute("SELECT COUNT(*) FROM t").Value(); v.I != int64(n) {
 		t.Errorf("count = %v, want %d", v, n)
+	}
+}
+
+// TestAutoCheckpointWithCollectorDisabled: the WAL-bytes trigger does not
+// depend on the monitoring collector. With it disabled, autocommit writes
+// that grow the log past autoCheckpointWALBytes, but not past twice that,
+// run exactly one checkpoint. Each UPDATE logs its 1 MiB row twice (the
+// delete and the re-insert) while every version shares one string, so the
+// log grows ~2 MiB a statement and the heap does not.
+func TestAutoCheckpointWithCollectorDisabled(t *testing.T) {
+	c := durableCluster(t, t.TempDir())
+	c.Obs().SetEnabled(false)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER, s VARCHAR) SEGMENTED BY HASH(id)")
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seq := c.walSeq
+	const rowBytes = 1 << 20
+	s.MustExecute(fmt.Sprintf("INSERT INTO t VALUES (0, '%s')", strings.Repeat("x", rowBytes)))
+	updates := autoCheckpointWALBytes/(2*rowBytes) + 4
+	for i := 0; i < updates; i++ {
+		s.MustExecute("UPDATE t SET s = s WHERE id = 0")
+	}
+	if got := c.walSeq - seq; got != 1 {
+		t.Fatalf("%d UPDATEs of a %d-byte row ran %d checkpoints, want 1", updates, rowBytes, got)
+	}
+	if v, _ := s.MustExecute("SELECT LENGTH(s) FROM t").Value(); v.I != rowBytes {
+		t.Errorf("LENGTH(s) = %v, want %d", v, rowBytes)
 	}
 }
 

@@ -474,6 +474,7 @@ func (c *Cluster) openWAL(path string) (*wal.Log, error) {
 		return nil, err
 	}
 	l.OnWrite = func(n int64) {
+		c.walBytes.Add(n)
 		c.mon.Add("wal.bytes", n)
 		c.mon.Add("wal.records", 1)
 	}
@@ -680,15 +681,15 @@ func (c *Cluster) replayDDL(rec wal.Record) error {
 // as their 8-byte cells, so the 150 000-row, 11-column s2v_save job writes
 // ~13 MiB and the 300 000-row d1 set-up load ~26 MiB, and fabricperf
 // checkpoints after each of them itself. No automatic checkpoint then lands
-// inside a timed job. The counter is the collector's, so a cluster whose
-// collector is disabled counts nothing and checkpoints only when asked.
+// inside a timed job. The count is the cluster's own (walBytes), not the
+// collector's wal.bytes, which reads nothing while the collector is disabled.
 const autoCheckpointWALBytes = 64 << 20
 
 // maybeCheckpoint runs a checkpoint once the WAL has grown by more than
 // autoCheckpointWALBytes since the last one. Only an autocommit write calls
 // it, after its commit, so no transaction of the caller's is open across it.
 func (c *Cluster) maybeCheckpoint() {
-	if c.durable() && c.mon.Counter("wal.bytes")-c.ckptWALBytes.Load() > autoCheckpointWALBytes {
+	if c.durable() && c.walBytes.Load()-c.ckptWALBytes.Load() > autoCheckpointWALBytes {
 		_ = c.Checkpoint()
 	}
 }
@@ -710,7 +711,7 @@ func (c *Cluster) Checkpoint() (err error) {
 	c.txm.CheckpointLock()
 	defer c.txm.CheckpointUnlock()
 
-	walBytes := c.mon.Counter("wal.bytes")
+	walBytes := c.walBytes.Load()
 	durableEpoch := c.txm.LastEpoch()
 
 	m := manifest{Version: manifestVersion, DurableEpoch: durableEpoch, Nodes: c.NumNodes()}
