@@ -36,25 +36,27 @@ examples:
 # every WAL record boundary), the checkpoint suites (a failed one, one across
 # an open DELETE, scans and UPDATEs racing one, the WAL-bytes trigger), the
 # DELETE/UPDATE differential across a restart and the replay of logs written
-# with either insert path, under the race detector.
+# with either insert path, and the local-segment cut surviving a replay, under
+# the race detector.
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
 	$(GO) test -race -run 'Persist|Marshal|Encode|DeletedRowsStayInTheirContainer|ImportContainerOrder|Golden' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
-	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths' ./internal/vertica/
+	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths|NoContainerStraddlesALocalSegment' ./internal/vertica/
 
 # Elastic-membership gate: the rebalance units, the columnar version movement
 # under them against its row-boxing reference, the cluster-lifecycle suites
 # (ALTER CLUSTER, node recovery, crash sweeps over the rebalance/recovery
 # state machines), every consumer of replica placement against the buddy
-# rule, the wire sentinel round-trip, and the chaos acceptance
+# rule, the local-segment cut across rebalance and recovery, the wire
+# sentinel round-trip, and the chaos acceptance
 # scenario (grow + kill + heal under live COPY and V2S) — all under the race
 # detector.
 rebalance-test:
 	$(GO) test -race ./internal/rebalance/
 	$(GO) test -race -run 'ColumnarVersions' ./internal/storage/
-	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep|ReplicaPlacementEquivalence' ./internal/vertica/
+	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep|ReplicaPlacementEquivalence|NoContainerStraddlesALocalSegment' ./internal/vertica/
 	$(GO) test -race -run 'SentinelRoundTrip' ./internal/server/
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 

@@ -49,19 +49,29 @@ type Replica struct {
 
 // NewLayout allocates empty stores for a table of the given definition on
 // ring: one primary per position and, for a segmented table, KSafety buddy
-// replicas per position.
+// replicas per position. Each store is told the ring range it holds — its
+// segment, or the whole ring for an unsegmented replica — so it cuts large
+// writes at that range's local segments (storage.NewSegmentStore).
 func NewLayout(def TableDef, segIdx []int, ring []int) *Layout {
 	n := len(ring)
 	l := &Layout{Ring: slices.Clone(ring), Stores: make([]*storage.Store, n)}
+	if def.Segmented {
+		l.ranges = vhash.Segments(n)
+	} else {
+		for range n {
+			l.ranges = append(l.ranges, vhash.Range{Lo: 0, Hi: vhash.RingSize})
+		}
+	}
 	for p := range l.Stores {
-		l.Stores[p] = storage.NewStore(def.Schema, segIdx)
+		l.Stores[p] = storage.NewSegmentStore(def.Schema, segIdx, l.ranges[p])
 	}
 	if def.Segmented && def.KSafety > 0 {
 		l.Buddies = make([][]*storage.Store, def.KSafety)
 		for r := range l.Buddies {
 			l.Buddies[r] = make([]*storage.Store, n)
 			for p := range l.Buddies[r] {
-				l.Buddies[r][p] = storage.NewStore(def.Schema, segIdx)
+				// Buddy r at position p holds segment (p-r-1) mod n.
+				l.Buddies[r][p] = storage.NewSegmentStore(def.Schema, segIdx, l.ranges[((p-r-1)%n+n)%n])
 			}
 		}
 	}
@@ -75,7 +85,6 @@ func NewLayout(def TableDef, segIdx []int, ring []int) *Layout {
 	if !def.Segmented {
 		l.segs = 1
 		for p, st := range l.Stores {
-			l.ranges = append(l.ranges, vhash.Range{Lo: 0, Hi: vhash.RingSize})
 			l.hosted[p] = []Replica{{Store: st, Node: l.Ring[p]}}
 			// A read of position p tries p's own replica, then every other
 			// position in ring order.
@@ -89,7 +98,6 @@ func NewLayout(def TableDef, segIdx []int, ring []int) *Layout {
 		return l
 	}
 	l.segs = n
-	l.ranges = vhash.Segments(n)
 	place := func(seg, pos int, st *storage.Store) {
 		rep := Replica{Store: st, Node: l.Ring[pos], Seg: seg}
 		l.replicas[seg] = append(l.replicas[seg], rep)

@@ -85,7 +85,12 @@ func filtersSQL(filters []spark.Filter) (string, error) {
 // layout — the heart of §3.1.2. Segmented tables split the hash ring along
 // segment boundaries so every spec is node-local; unsegmented tables (fully
 // replicated) split the synthetic whole-row hash ring and spread connections
-// round-robin; views use MOD(HASH(*), P) synthetic partitioning.
+// round-robin; views use MOD(HASH(*), P) synthetic partitioning. With 1, 2 or
+// 4 partitions per segment (or per ring, unsegmented), every range is a union
+// of whole local segments (vhash.Split), so a store's containers cut from
+// large writes are each inside a partition's range or disjoint from it, and
+// the scan takes or skips them whole; any other count stays correct and still
+// skips the local segments a range does not overlap.
 func (r *v2sRelation) planPartitions(lay *planLayout) [][]querySpec {
 	p := r.opts.NumPartitions
 	specs := make([][]querySpec, p)

@@ -315,18 +315,17 @@ func batchFromContainer(c *ROSContainer, schema types.Schema, vis Visibility, hr
 // sees whole carries the shared identity selection: callers write through
 // neither, and narrow a batch by giving it a selection vector of their own.
 func (s *Store) ScanBatches(vis Visibility, hr vhash.Range, fn func(*Batch) bool) error {
-	return s.ScanBatchesPruned(vis, hr, nil, fn)
+	return s.ScanContainers(vis, hr, nil, fn)
 }
 
-// ScanBatchesPruned is ScanBatches with a container-level prune hook: before a
-// ROS container's selection vector is built, prune is consulted with its zone
-// maps and physical row count, and a true return skips the container entirely
-// (the caller has proven, from the min/max bounds, that no row can satisfy its
-// predicate). A container without zone maps — no constructor builds one — is
-// never pruned. A nil prune scans everything.
-func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
+// ScanContainers is ScanBatches with a container-level prune hook: before a
+// ROS container's selection vector is built, prune is consulted with the
+// container — its zone maps, row count and hash span — and a true return
+// skips it entirely (the caller has proven that no row can satisfy its
+// predicate). A nil prune scans everything.
+func (s *Store) ScanContainers(vis Visibility, hr vhash.Range, prune func(*ROSContainer) bool, fn func(*Batch) bool) error {
 	for _, c := range s.snapshot() {
-		if prune != nil && len(c.stats) == len(c.Cols) && prune(c.stats, c.RowCount) {
+		if prune != nil && prune(c) {
 			continue
 		}
 		b := batchFromContainer(c, s.schema, vis, hr)
@@ -338,6 +337,18 @@ func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(sta
 		}
 	}
 	return nil
+}
+
+// ScanBatchesPruned is ScanContainers with a prune hook on a container's zone
+// maps and physical row count alone. A container without zone maps — no
+// constructor builds one — is never pruned. A nil prune scans everything.
+func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(stats []ColStats, rowCount int) bool, fn func(*Batch) bool) error {
+	if prune == nil {
+		return s.ScanContainers(vis, hr, nil, fn)
+	}
+	return s.ScanContainers(vis, hr, func(c *ROSContainer) bool {
+		return len(c.stats) == len(c.Cols) && prune(c.stats, c.RowCount)
+	}, fn)
 }
 
 // CountVisible returns the number of rows visible under vis inside hr using

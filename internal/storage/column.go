@@ -174,6 +174,28 @@ func takeDense(c Column, idx []int32) Column {
 	panic(fmt.Sprintf("storage: %T is not a dense vector", c))
 }
 
+// sliceDense returns rows [lo, hi) of c as a vector of its kind sharing c's
+// arrays, capped at hi so nothing appended to it reaches c's later rows; NULL
+// flags nil when none of those rows is NULL.
+func sliceDense(c Column, lo, hi int) Column {
+	c = Densify(c)
+	var nulls []bool
+	if src := nullsOf(c); src != nil && slices.Contains(src[lo:hi], true) {
+		nulls = src[lo:hi:hi]
+	}
+	switch c := c.(type) {
+	case *Int64Column:
+		return &Int64Column{Vals: c.Vals[lo:hi:hi], Nulls: nulls}
+	case *Float64Column:
+		return &Float64Column{Vals: c.Vals[lo:hi:hi], Nulls: nulls}
+	case *StringColumn:
+		return &StringColumn{Vals: c.Vals[lo:hi:hi], Nulls: nulls}
+	case *BoolColumn:
+		return &BoolColumn{Vals: c.Vals[lo:hi:hi], Nulls: nulls}
+	}
+	panic(fmt.Sprintf("storage: %T is not a dense vector", c))
+}
+
 // Builder accumulates values of one type and produces an immutable Column.
 type Builder struct {
 	t        types.Type

@@ -185,6 +185,10 @@ func mixVals[T any](state []uint64, vals []T, nulls []bool, mix func(uint64, T) 
 // always a sound superset test.
 func (c *ROSContainer) Stats() []ColStats { return c.stats }
 
+// HashSpan returns the ring interval the container's row hashes lie in,
+// [min, max+1) (empty for a container of no rows).
+func (c *ROSContainer) HashSpan() vhash.Range { return c.span }
+
 // StartEpoch returns the container's insert epoch (or provisional tag).
 func (c *ROSContainer) StartEpoch() uint64 {
 	c.mu.RLock()
@@ -237,15 +241,30 @@ func (c *ROSContainer) DataBytes() int {
 	return n
 }
 
+// LocalCutRows is the fewest rows a store cuts at its local segments
+// (vhash.LocalSegments): a write or an epoch's versions reaching a store with
+// at least this many rows become one container per local segment they touch,
+// fewer stay one container. Below it, a V2S partition's range test over the
+// share costs less than the three more containers every later scan, DELETE
+// and checkpoint would visit, and at it each cut container averages
+// 4 096 / 4 = 1 024 rows, the run a LIMIT-pushed scan filters first
+// (vertica's limitChunk). Trickle and small writes keep one container.
+const LocalCutRows = 4096
+
 // Store holds the ROS containers for one table's data on one node (one
 // "segment" of the table, in the paper's terminology). Every write lands as a
-// container of its own, so a row never moves once written: a batch a scan cut
-// names its rows for as long as its container lives.
+// container of its own — or, from LocalCutRows rows up, one per local segment
+// of the store's ring range — so a row never moves once written: a batch a
+// scan cut names its rows for as long as its container lives.
 type Store struct {
 	mu     sync.RWMutex
 	schema types.Schema
 	segIdx []int
-	ros    []*ROSContainer
+	// ring is the hash range the store holds (its segment, or the whole ring
+	// for an unsegmented replica); empty for a store built by NewStore, which
+	// never cuts at local segments.
+	ring vhash.Range
+	ros  []*ROSContainer
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
 	// committed state and must be rebuilt from a live replica before its node
@@ -256,10 +275,22 @@ type Store struct {
 }
 
 // NewStore creates an empty per-node store for a table with the given schema
-// and segmentation column indexes.
+// and segmentation column indexes. It is not told a ring range, so every
+// write stays one container.
 func NewStore(schema types.Schema, segIdx []int) *Store {
 	return &Store{schema: schema, segIdx: segIdx}
 }
+
+// NewSegmentStore is NewStore for a store holding the rows of ring: a
+// segment, or the whole ring for an unsegmented replica. It cuts what it
+// builds from LocalCutRows rows up at ring's local segments, so no such
+// container spans two of them.
+func NewSegmentStore(schema types.Schema, segIdx []int, ring vhash.Range) *Store {
+	return &Store{schema: schema, segIdx: segIdx, ring: ring}
+}
+
+// Ring returns the hash range the store holds (empty when it was not told).
+func (s *Store) Ring() vhash.Range { return s.ring }
 
 // MarkStale records that this store missed a cluster write (its node was not
 // accepting writes when the write committed).
@@ -278,21 +309,91 @@ func (s *Store) Schema() types.Schema { return s.schema }
 func (s *Store) SegIdx() []int { return s.segIdx }
 
 // AppendColumns adds the rows held by cols — dense vectors, one per schema
-// column, with the rows' segmentation hashes already computed — as one ROS
-// container stamped with the given epoch or provisional tag, which takes the
-// vectors over without copying them. It is the one entry the engine's write
-// path and WAL replay add rows through: a commit rebases the container's tag,
-// an abort drops it.
+// column, with the rows' segmentation hashes already computed — as ROS
+// containers stamped with the given epoch or provisional tag, which take the
+// vectors over without copying them: one container, or, from LocalCutRows
+// rows up arriving in local-segment order (the engine's write path orders
+// them so), one per local segment, each a sub-slice of the vectors. It is the
+// one entry the engine's write path and WAL replay add rows through: a commit
+// rebases the containers' tag, an abort drops them.
 func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64) error {
-	n := len(hashes)
-	if n == 0 {
+	if len(hashes) == 0 {
 		return nil
 	}
-	c, err := newContainer(cols, n, s.schema, hashes, tag, nil)
+	var buf [vhash.LocalSegments]*ROSContainer
+	ros, err := s.containersAt(buf[:0], cols, hashes, tag, nil)
 	if err != nil {
 		return err
 	}
-	return s.AttachContainer(c)
+	s.mu.Lock()
+	s.ros = append(s.ros, ros...)
+	s.mu.Unlock()
+	return nil
+}
+
+// cuts returns where the store cuts rows with these hashes into containers:
+// container l ends at ends[l] (an empty one is skipped). From LocalCutRows
+// rows up, on a store told its ring, rows in local-segment order make one
+// container per local segment; any others make one container.
+func (s *Store) cuts(hashes []uint32) (ends [vhash.LocalSegments]int) {
+	one := ends
+	for l := range one {
+		one[l] = len(hashes)
+	}
+	if !s.cutsAt(len(hashes)) {
+		return one
+	}
+	at := 0
+	for i, h := range hashes {
+		l := vhash.LocalSegmentOf(s.ring, h)
+		if l < at {
+			return one
+		}
+		for ; at < l; at++ {
+			ends[at] = i
+		}
+	}
+	for ; at < len(ends); at++ {
+		ends[at] = len(hashes)
+	}
+	return ends
+}
+
+// cutsAt reports whether the store cuts n rows at its local segments.
+func (s *Store) cutsAt(n int) bool { return n >= LocalCutRows && !s.ring.Empty() }
+
+// containersAt appends to dst the containers of rows cut where cuts says:
+// each takes its rows' sub-slice of cols, hashes and del (nil = none
+// deleted), and a single container takes them as they are.
+func (s *Store) containersAt(dst []*ROSContainer, cols []Column, hashes []uint32, start uint64, del []uint64) ([]*ROSContainer, error) {
+	n := len(hashes)
+	ends := s.cuts(hashes)
+	lo := 0
+	for _, hi := range ends {
+		if hi == lo {
+			continue
+		}
+		part, h, d := cols, hashes, del
+		if hi-lo < n {
+			part = make([]Column, len(cols))
+			for j, c := range cols {
+				part[j] = sliceDense(c, lo, hi)
+			}
+			h = hashes[lo:hi:hi]
+			if d != nil {
+				if d = del[lo:hi:hi]; !slices.ContainsFunc(d, func(e uint64) bool { return e != 0 }) {
+					d = nil
+				}
+			}
+		}
+		c, err := newContainer(part, hi-lo, s.schema, h, start, d)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, c)
+		lo = hi
+	}
+	return dst, nil
 }
 
 func (s *Store) snapshot() []*ROSContainer {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 
-	"vsfabric/internal/types"
+	"vsfabric/internal/vhash"
 )
 
 // Versions is a set of row versions in column form: one append-only dense
@@ -80,13 +80,15 @@ func committedDel(del uint64) uint64 {
 	return del
 }
 
-// containers builds one ROS container per distinct insert epoch among the rows
-// sel lists, in ascending epoch order, carrying their hashes and delete marks.
-// The grouping is a pure function of the versions and their order, so two
-// stores importing the same versions (the original rebalance and its WAL
-// replay, two buddy replicas rebuilt from one source) end up with identical
-// container sequences.
-func (v *Versions) containers(schema types.Schema, sel []int32) ([]*ROSContainer, error) {
+// containers builds the store's ROS containers of the rows sel lists: one
+// per distinct insert epoch, in ascending epoch order, carrying their hashes
+// and delete marks — an epoch's rows cut at the store's local segments as a
+// write of as many rows would be (Store.cuts), ordered by local segment in
+// the one gather. The grouping is a pure function of the versions, their
+// order and the store's ring, so two stores of one ring importing the same
+// versions (the original rebalance and its WAL replay, two buddy replicas
+// rebuilt from one source) end up with identical container sequences.
+func (s *Store) containers(v *Versions, sel []int32) ([]*ROSContainer, error) {
 	if len(sel) == 0 {
 		return nil, nil
 	}
@@ -103,21 +105,43 @@ func (v *Versions) containers(schema types.Schema, sel []int32) ([]*ROSContainer
 	out := make([]*ROSContainer, 0, len(order))
 	for _, e := range order {
 		idx := groups[e]
-		dense, n, err := DenseColumns(schema, []*Batch{{Cols: cols, Sel: idx}})
+		if s.cutsAt(len(idx)) {
+			idx = s.localOrder(v.Hashes, idx)
+		}
+		dense, _, err := DenseColumns(s.schema, []*Batch{{Cols: cols, Sel: idx}})
 		if err != nil {
 			return nil, err
 		}
+		hashes := appendSel(nil, v.Hashes, idx)
 		var del []uint64
 		if slices.ContainsFunc(idx, func(i int32) bool { return v.Dels[i] != 0 }) {
 			del = appendSel(nil, v.Dels, idx)
 		}
-		c, err := newContainer(dense, n, schema, appendSel(nil, v.Hashes, idx), e, del)
-		if err != nil {
+		if out, err = s.containersAt(out, dense, hashes, e, del); err != nil {
 			return nil, err
 		}
-		out = append(out, c)
 	}
 	return out, nil
+}
+
+// localOrder returns the rows sel lists, stably ordered by the local segment
+// of the store's ring their hash lies in: arrival order is kept inside a
+// local segment, so an encoding's runs break at most at the cuts.
+func (s *Store) localOrder(hashes []uint32, sel []int32) []int32 {
+	var next [vhash.LocalSegments]int
+	for _, i := range sel {
+		next[vhash.LocalSegmentOf(s.ring, hashes[i])]++
+	}
+	for l, at := 0, 0; l < len(next); l++ {
+		next[l], at = at, at+next[l]
+	}
+	out := make([]int32, len(sel))
+	for _, i := range sel {
+		l := vhash.LocalSegmentOf(s.ring, hashes[i])
+		out[next[l]] = i
+		next[l]++
+	}
+	return out
 }
 
 // ExportVersions appends every committed row version in the store — live and
@@ -149,7 +173,7 @@ func (s *Store) ExportVersions(v *Versions) error {
 // ROS containers (one per distinct insert epoch, ascending). Rebalance
 // populates a freshly allocated store with it.
 func (s *Store) ImportVersions(v *Versions, sel []int32) error {
-	ros, err := v.containers(s.schema, sel)
+	ros, err := s.containers(v, sel)
 	if err != nil {
 		return err
 	}
@@ -167,7 +191,7 @@ func (s *Store) ImportVersions(v *Versions, sel []int32) error {
 // them safely — a reader only reaches a store while its node is UP, at a
 // snapshot epoch the old contents fully cover.
 func (s *Store) ReplaceContents(v *Versions) error {
-	ros, err := v.containers(s.schema, IdentitySel(v.Len()))
+	ros, err := s.containers(v, IdentitySel(v.Len()))
 	if err != nil {
 		return err
 	}

@@ -101,11 +101,12 @@ func TestColumnarLimitStopsScanEarly(t *testing.T) {
 // container in runs of its rows, the first limitChunk long, and stops at the
 // limit. A point LIMIT 1 whose first run holds a match reads at most one first
 // run per segment in kernel rows, and PROFILE counts none of it as read whole.
-// Each segment holds one 4 000-row container, a tenth of it grp 3, so LIMIT
-// 200 needs a segment's second run (3 072 rows), not its third, and returns
-// the unlimited scan's prefix.
+// Each segment's 16 000 rows are cut into one ~4 000-row container per local
+// segment, a tenth of each grp 3, so LIMIT 200 needs the second run (3 072
+// rows) of a segment's first container, not its third, and returns the
+// unlimited scan's prefix.
 func TestColumnarLimitStopsInsideContainer(t *testing.T) {
-	const rows = 12_000
+	const rows = 48_000
 	c := testCluster(t, 3)
 	s := sess(t, c, 0)
 	s.MustExecute("CREATE TABLE big (id INTEGER, grp INTEGER) SEGMENTED BY HASH(id)")

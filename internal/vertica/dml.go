@@ -382,7 +382,7 @@ func (s *Session) selectRows(tbl *catalog.Table, where expr.Expr, vis storage.Vi
 			st := rep.Store
 			batches := []*storage.Batch{}
 			var ferr error
-			err := st.ScanBatchesPruned(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
+			err := st.ScanContainers(vis, fullRing(), s.pruneFunc(pred, &segResult{}), func(b *storage.Batch) bool {
 				if ferr = pred.FilterBatch(b); len(b.Sel) > 0 {
 					batches = append(batches, b)
 				}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"vsfabric/internal/storage"
 	"vsfabric/internal/txn"
 	"vsfabric/internal/types"
+	"vsfabric/internal/vhash"
 	"vsfabric/internal/wal"
 )
 
@@ -202,10 +204,13 @@ func (c *Cluster) logDDL(op byte, p ddlPayload) error {
 // dense column vectors, with their segmentation hashes — with the node the
 // store lives on and that store's share of the rows: the row indexes are
 // partitioned by home segment, and each segment's share is gathered once
-// for every one of its replicas (a segment that owns every row, such as an
-// unsegmented table's one, is handed the vectors as they are). This single
-// routing function is shared by the write path and WAL replay, so recovery
-// reproduces placement exactly.
+// for every one of its replicas (a share that is every row, in order, such as
+// a small write's to an unsegmented table, is handed the vectors as they
+// are). A share of storage.LocalCutRows rows or more is gathered in
+// local-segment order (arrival order inside each local segment), so each
+// store cuts it into one container per local segment by sub-slicing; a
+// smaller share keeps arrival order. This single routing function is shared
+// by the write path and WAL replay, so recovery reproduces placement exactly.
 func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error) error {
 	visitReplicas := func(seg int, cols []storage.Column, hashes []uint32) error {
 		for _, rep := range tbl.Replicas(seg) {
@@ -216,27 +221,46 @@ func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, v
 		return nil
 	}
 	nseg := len(tbl.Segs(0))
-	if nseg == 1 {
+	if nseg == 1 && len(hashes) < storage.LocalCutRows {
 		return visitReplicas(0, cols, hashes)
 	}
-	counts := make([]int, nseg)
+	// next[seg·L+l] counts, then places, segment seg's rows in its local
+	// segment l; a share below the floor places every row through l = 0.
+	const L = vhash.LocalSegments
+	ranges := tbl.SegmentRanges()
+	next := make([]int, nseg*L)
 	for _, h := range hashes {
-		counts[tbl.HomeNode(h)]++
+		home := tbl.HomeNode(h)
+		next[home*L+vhash.LocalSegmentOf(ranges[home], h)]++
 	}
 	sels := make([][]int32, nseg)
-	for home, c := range counts {
-		sels[home] = make([]int32, 0, c)
+	for home := range sels {
+		share := next[home*L : (home+1)*L]
+		total := 0
+		for l, c := range share {
+			share[l] = total
+			total += c
+		}
+		sels[home] = make([]int32, total)
+		if total < storage.LocalCutRows {
+			clear(share)
+		}
 	}
 	for i, h := range hashes {
 		home := tbl.HomeNode(h)
-		sels[home] = append(sels[home], int32(i))
+		slot := home * L
+		if len(sels[home]) >= storage.LocalCutRows {
+			slot += vhash.LocalSegmentOf(ranges[home], h)
+		}
+		sels[home][next[slot]] = int32(i)
+		next[slot]++
 	}
 	for home, sel := range sels {
 		if len(sel) == 0 {
 			continue
 		}
 		share, shareHashes := cols, hashes
-		if len(sel) < len(hashes) {
+		if len(sel) < len(hashes) || !slices.IsSorted(sel) {
 			var err error
 			if share, _, err = storage.DenseColumns(tbl.Def.Schema, []*storage.Batch{{Cols: cols, Sel: sel}}); err != nil {
 				return err

@@ -159,7 +159,7 @@ type segResult struct {
 	count      int64             // rows the batches select (kept or, with countOnly, not)
 	fstats     vexec.FilterStats // kernel/residual work split (profile scans only)
 	contSeen   int64             // ROS containers considered
-	contPruned int64             // ROS containers skipped via zone maps
+	contPruned int64             // ROS containers skipped via zone maps or hash span
 	err        error
 }
 
@@ -184,21 +184,31 @@ func (s *Session) buildSegJobs(tbl *catalog.Table, hr vhash.Range) ([]segJob, er
 	return jobs, nil
 }
 
-// pruneFunc returns the container-level zone-map filter for a compiled
-// predicate. Every ROS container is counted; those whose zone maps prove the
-// predicate matches no row are skipped without building a selection vector
-// (no stats, no verdict: such a container is scanned). Pruning on stats that cover deleted rows too is a sound
-// superset test: excluding [min, max] excludes every visible row.
-func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.ColStats, int) bool {
-	zoneable := pred.HasZoneChecks()
-	return func(stats []storage.ColStats, rowCount int) bool {
+// pruneFunc returns the container-level filter for a compiled predicate.
+// Every ROS container is counted; those prunes excludes are skipped without
+// building a selection vector.
+func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func(*storage.ROSContainer) bool {
+	return func(c *storage.ROSContainer) bool {
 		res.contSeen++
-		if zoneable && len(stats) != 0 && pred.CanPrune(stats, rowCount) {
+		if prunes(pred, c) {
 			res.contPruned++
 			return true
 		}
 		return false
 	}
+}
+
+// prunes reports whether pred provably matches no row of c: its zone maps
+// exclude the predicate's column bounds (no stats, no verdict), or its hash
+// span lies outside the predicate's ring. Pruning on stats that cover deleted
+// rows too is a sound superset test: excluding [min, max] excludes every
+// visible row. The run (pruneFunc) and EXPLAIN's estimate (sizeContainers)
+// both ask it, so they count alike.
+func prunes(pred *vexec.Pred, c *storage.ROSContainer) bool {
+	if stats := c.Stats(); pred.HasZoneChecks() && len(stats) != 0 && pred.CanPrune(stats, c.RowCount) {
+		return true
+	}
+	return pred.ExcludesSpan(c.HashSpan())
 }
 
 // runSegJobs runs fn(0..n-1) over the bounded segment-scan worker pool.
@@ -231,8 +241,8 @@ func runSegJobs(n int, fn func(int)) {
 // node under the read context into column batches without boxing a row. The
 // node's hash range prunes segments; each segment's store is scanned over the
 // whole ring, so a container without deletes reaches the filter whole, as the
-// shared identity. The predicate runs as zone-map container pruning, then as
-// column kernels (vexec), its HASH range last. Segments fan out over a
+// shared identity. The predicate runs as container pruning (zone maps and hash
+// span, prunes), then as column kernels (vexec), its HASH range last. Segments fan out over a
 // bounded worker pool, and the surviving batches merge in segment order, so
 // results are deterministic and match a sequential scan. The batches alias the
 // containers' immutable column vectors and carry selection vectors nothing
@@ -257,7 +267,7 @@ func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visi
 		if prof {
 			fs = &res.fstats
 		}
-		err := jobs[i].store.ScanBatchesPruned(vis, fullRing(), s.pruneFunc(pred, res), func(b *storage.Batch) bool {
+		err := jobs[i].store.ScanContainers(vis, fullRing(), s.pruneFunc(pred, res), func(b *storage.Batch) bool {
 			if err := ctx.Err(); err != nil {
 				res.err = err
 				return false

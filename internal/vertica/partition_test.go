@@ -36,24 +36,23 @@ func profileScan(t *testing.T, s *Session, sql string) (*Result, *planNode) {
 	return nil, nil
 }
 
-// TestPartitionScanSharesIdentity: a V2S partition statement over half of a
-// node's segment hands its filter whole containers — the shared identity
-// selection, built by nobody — so the pushed-down `pcol < 5` reads every row
-// of the node down its vector, and only that kernel's survivors have their
-// stored hash tested. A partition covering the node's whole segment (as many
-// partitions as nodes) tests no hash at all: every container's hash span lies
-// inside its range. PROFILE's scan detail shows both counts.
+// TestPartitionScanSharesIdentity: a node's store cuts partitionFixture's one
+// COPY into a container per local segment, so a V2S partition statement over
+// half of a node's segment — two of its four local segments, with 4
+// partitions on 2 nodes — reads exactly its own two containers, whole: the
+// shared identity selection, built by nobody, down which the pushed-down
+// `pcol < 5` runs over the rows of those local segments alone (about half the
+// node's), and no stored hash is tested. The other two containers' hash spans
+// lie outside its range, and they are pruned, as zone maps prune. A partition
+// covering the node's whole segment (as many partitions as nodes) reads all
+// four whole and prunes none. EXPLAIN's estimate and PROFILE's scan detail
+// show the counts.
 func TestPartitionScanSharesIdentity(t *testing.T) {
 	const rows, nodes = 60_000, 2
 	s := partitionFixture(t, nodes, rows)
-	// Each node's rows with pcol < 5: what the typed kernel keeps of it.
-	var pass []int64
-	for _, q := range partitionStatements(t, s, "COUNT(*)", "pcol < 5", nodes) {
-		pass = append(pass, s.MustExecute(q).Rows[0][0].I)
-	}
 	for _, parts := range []int{4, 2} {
 		total := 0
-		for i, q := range partitionStatements(t, s, "pcol, c0", "pcol < 5", parts) {
+		for _, q := range partitionStatements(t, s, "pcol, c0", "pcol < 5", parts) {
 			res, n := profileScan(t, s, q)
 			got := storage.Materialize(res.Batches)
 			sameMultiset(t, q, rowMultiset(got), rowMultiset(oracleSelect(t, s, q).Rows))
@@ -61,15 +60,30 @@ func TestPartitionScanSharesIdentity(t *testing.T) {
 			if len(n.jobs) != 1 || n.rowsIn == 0 {
 				t.Fatalf("%s: %d segments, %d rows in; want one node's", q, len(n.jobs), n.rowsIn)
 			}
-			want := vexec.FilterStats{IdentityRows: n.rowsIn, KernelRows: n.rowsIn, RangeRows: pass[i/(parts/nodes)]}
-			if parts == nodes {
-				want.RangeRows = 0
+			// The rows of the statement's own local segments: its range
+			// without the pushed-down filter.
+			ranged, _, _ := strings.Cut(q, " AND (")
+			own := s.MustExecute(strings.Replace(ranged, "pcol, c0", "COUNT(*)", 1)).Rows[0][0].I
+			if parts > nodes && (3*own < n.rowsIn || 3*own > 2*n.rowsIn) {
+				t.Fatalf("%s: its range holds %d of the node's %d rows, want about half", q, own, n.rowsIn)
 			}
+			want := vexec.FilterStats{IdentityRows: own, KernelRows: own}
 			if n.work != want {
 				t.Errorf("%d partitions, %s: filter %+v, want %+v", parts, q, n.work, want)
 			}
-			// PROFILE's scan row reads the same counts.
-			detail := fmt.Sprintf("%d rows read as whole containers, hash range tested %d rows", want.IdentityRows, want.RangeRows)
+			wantPruned := int64(vhash.LocalSegments - vhash.LocalSegments*nodes/parts)
+			if n.contSeen != vhash.LocalSegments || n.contPruned != wantPruned {
+				t.Errorf("%d partitions, %s: %d of %d containers pruned, want %d of %d", parts, q, n.contPruned, n.contSeen, wantPruned, vhash.LocalSegments)
+			}
+			// EXPLAIN estimates the same prune, and PROFILE's scan row reads
+			// the same counts.
+			if exp := s.MustExecute("EXPLAIN " + q).Rows[0]; exp[4].I != vhash.LocalSegments || exp[5].I != wantPruned {
+				t.Errorf("%d partitions, EXPLAIN %s: %d of %d containers pruned, want %d of %d", parts, q, exp[5].I, exp[4].I, wantPruned, vhash.LocalSegments)
+			}
+			detail := fmt.Sprintf("%d rows read as whole containers, hash range tested 0 rows", own)
+			if wantPruned > 0 {
+				detail = fmt.Sprintf("zone maps pruned %d/%d containers, %s", wantPruned, vhash.LocalSegments, detail)
+			}
 			if scan := s.MustExecute("PROFILE " + q).Rows[0]; !strings.HasSuffix(scan[6].S, detail) {
 				t.Errorf("%d partitions, PROFILE %s: scan detail %q, want it to end %q", parts, q, scan[6].S, detail)
 			}

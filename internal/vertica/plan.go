@@ -316,14 +316,14 @@ func countPushdownEligible(st *vsql.Select) bool {
 }
 
 // sizeContainers fills a base scan's plan-time container estimates: how many
-// ROS containers the chosen replicas hold and how many of them the predicate's
-// zone checks exclude, over the same jobs and predicate a run would use.
+// ROS containers the chosen replicas hold and how many of them the predicate
+// prunes (zone maps or hash span), over the same jobs and predicate a run
+// would use.
 func (n *planNode) sizeContainers() {
-	zoneable := n.pred.HasZoneChecks()
 	for _, job := range n.jobs {
 		for _, c := range job.store.Containers() {
 			n.estContainers++
-			if zoneable && n.pred.CanPrune(c.Stats(), c.RowCount) {
+			if prunes(n.pred, c) {
 				n.estPruned++
 			}
 		}
@@ -358,7 +358,7 @@ func (n *planNode) describe(actual bool) string {
 		switch {
 		case actual && n.contPruned > 0:
 			d += fmt.Sprintf(", zone maps pruned %d/%d containers", n.contPruned, n.contSeen)
-		case !actual && n.pred.HasZoneChecks():
+		case !actual && (n.pred.HasZoneChecks() || n.estPruned > 0):
 			d += fmt.Sprintf(", zone maps prune %d/%d containers", n.estPruned, n.estContainers)
 		}
 		if !actual {

@@ -70,6 +70,15 @@ func (p *Pred) NumKernels() int {
 // it overlaps.
 func (p *Pred) Ring() vhash.Range { return p.ring }
 
+// ExcludesSpan reports whether the predicate's stored-hash conjuncts admit no
+// row of a container whose hashes lie in span: the span is disjoint from Ring.
+// A scan skips and counts such a container as pruned, as zone maps prune one.
+// An empty span (a container of no rows) or a predicate without a range
+// excludes nothing.
+func (p *Pred) ExcludesSpan(span vhash.Range) bool {
+	return p.inRing != nil && !span.Empty() && p.ring.Intersect(span).Empty()
+}
+
 // Compile lowers where against the schema. segIdx gives the schema indexes
 // of the segmentation columns used to precompute batch hashes (HASH(...)
 // conjuncts matching it intersect into one range kernel over the hash
@@ -162,7 +171,7 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 	testRing := p.inRing != nil && stored
 	if testRing && !b.HashSpan.Empty() {
 		switch {
-		case p.ring.Intersect(b.HashSpan).Empty():
+		case p.ExcludesSpan(b.HashSpan):
 			b.Sel = nil // no row's hash is in the range
 			return nil
 		case p.ring.Covers(b.HashSpan):

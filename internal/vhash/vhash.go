@@ -153,7 +153,11 @@ func Segments(n int) []Range {
 // Split divides a range into k contiguous sub-ranges that exactly cover it.
 // The connector uses this to give each Spark partition a unique slice of a
 // segment (Figure 4(b): 8 partitions over 4 segments → each asks for half a
-// segment). Sub-range widths differ by at most one ring position.
+// segment). Sub-range widths differ by at most one ring position. A store
+// cuts its containers at Split(segment, LocalSegments), and for k dividing
+// LocalSegments every boundary of Split(r, k) is one of those
+// (r.Lo + w·i/k = r.Lo + w·(i·L/k)/L), so a partition of 1, 2 or 4 slices a
+// segment is a union of whole local segments.
 func Split(r Range, k int) []Range {
 	out := make([]Range, k)
 	w := r.Width()
@@ -170,4 +174,25 @@ func Split(r Range, k int) []Range {
 // is divided into n equal segments.
 func SegmentOf(h uint32, n int) int {
 	return int(uint64(h) * uint64(n) / RingSize)
+}
+
+// LocalSegments is how many local segments a store cuts the ring range it
+// holds into (Vertica's default scaling factor): no container a store builds
+// from a large write spans two of them (storage.LocalCutRows), so a V2S
+// partition whose range is a union of local segments takes or skips each
+// such container whole, by its hash span. The 1, 2 or 4 slices per segment
+// the connector asks for on up to four executor cores a node all divide it.
+const LocalSegments = 4
+
+// LocalSegmentOf returns which of Split(seg, LocalSegments) holds h, for h
+// inside seg. It compares h with the same boundaries Split computes, so the
+// two agree exactly; the division is by a constant, so there is none.
+func LocalSegmentOf(seg Range, h uint32) int {
+	w, x, i := seg.Width(), uint64(h), 0
+	for j := uint64(1); j < LocalSegments; j++ {
+		if x >= seg.Lo+w*j/LocalSegments {
+			i++
+		}
+	}
+	return i
 }

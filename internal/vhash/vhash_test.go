@@ -1,6 +1,8 @@
 package vhash
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -126,5 +128,36 @@ func TestRangeOps(t *testing.T) {
 	}
 	if r.Empty() || (Range{Lo: 5, Hi: 5}).Empty() == false {
 		t.Error("Empty misbehaves")
+	}
+}
+
+// LocalSegmentOf picks the Split(seg, LocalSegments) range that holds h, for
+// every segment of rings of 1–7 nodes, over random hashes and every boundary
+// of the split ±1 (the whole-ring segment of one node included).
+func TestLocalSegmentOfMatchesSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for n := 1; n <= 7; n++ {
+		for _, seg := range Segments(n) {
+			locals := Split(seg, LocalSegments)
+			var probes []uint64
+			for _, l := range locals {
+				for _, b := range []uint64{l.Lo, l.Hi} {
+					probes = append(probes, b-1, b, b+1)
+				}
+			}
+			for range 2000 {
+				probes = append(probes, seg.Lo+rng.Uint64()%seg.Width())
+			}
+			for _, p := range probes {
+				if p < seg.Lo || p >= seg.Hi {
+					continue
+				}
+				h := uint32(p)
+				want := slices.IndexFunc(locals, func(l Range) bool { return l.Contains(h) })
+				if got := LocalSegmentOf(seg, h); got != want {
+					t.Fatalf("%d nodes, segment %v: LocalSegmentOf(%d) = %d, Split puts it in %d (%v)", n, seg, h, got, want, locals)
+				}
+			}
+		}
 	}
 }
