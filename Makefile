@@ -61,15 +61,19 @@ rebalance-test:
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 
 # Connection-resilience gate: the resilient layer's units (retry budgets and
-# events, backoff, breakers, failover order, deadlines) and its seeded chaos
-# soak over S2V, the connector's chaos, driver-connection and elastic suites,
-# its one-connection planning and statements-per-job pins and its concurrent
-# plans of one relation, and the TCP client's deadline,
-# transient-flag and failover tests — all under the race detector.
+# events, backoff, breakers, failover order, deadlines, the idle-session set:
+# what it gives back, under which host, its bound, health check and close)
+# and its seeded chaos soak over S2V, the connector's chaos, driver-connection
+# and elastic suites, its one-connection planning and statements-per-job pins,
+# its concurrent plans of one relation, the source's idle sessions (closed
+# with the source, to a removed node, bounded under concurrent collects,
+# untouched by S2V), and over TCP the client's deadline, transient-flag and
+# failover tests and the idle sessions' second job, down node and closed
+# server — all under the race detector.
 resilience-test:
 	$(GO) test -race ./internal/resilience/
-	$(GO) test -race -run 'Chaos|Driver|Elastic|Failover|NodeDown|V2SPlansOnOneConnection|V2SReplans|StatementsPerJob|ConcurrentPlans' ./internal/core/
-	$(GO) test -race -run 'OpTimeout|TransientFlag|Failover' ./internal/server/
+	$(GO) test -race -run 'Chaos|Driver|Elastic|Failover|NodeDown|V2SPlansOnOneConnection|V2SReplans|StatementsPerJob|ConcurrentPlans|SourceCloseLeavesNoSessions|RemovedNodeIdleSessionsClose|ConcurrentCollectsKeepIdleBound|IdleSessionsSkipS2V' ./internal/core/
+	$(GO) test -race -run 'OpTimeout|TransientFlag|Failover|SecondJobOverTCPDialsNothing|IdleSessionToDownNodeMatchesFreshDial|RedialsAClosedServer' ./internal/server/
 
 # S2V gate: the Avro container units (each codec's header and round trip, the
 # golden file, the block decoder against its reference), the Spark scheduler

@@ -75,6 +75,14 @@ func (c sessionConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*ve
 
 func (c sessionConn) Close() { c.s.Close() }
 
+// Alive reports whether a dial to the session's node would be accepted: not
+// when the node is DOWN or REMOVED. The resilient layer asks before it hands
+// an idle session out again.
+func (c sessionConn) Alive() bool {
+	st := c.s.Node().State()
+	return st != vertica.NodeDown && st != vertica.NodeRemoved
+}
+
 // CopyStream is a push-style writer over a COPY statement, mirroring the
 // VerticaCopyStream Java API: create it, Write encoded bytes any number of
 // times, then Finish to complete the load and get the result.

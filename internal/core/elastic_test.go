@@ -172,6 +172,9 @@ func TestElasticClusterChaosAcceptance(t *testing.T) {
 	if got := h.sumCol(t, "elastic", "val"); got != wantSum {
 		t.Fatalf("final sum = %v, want %v", got, wantSum)
 	}
+	// The source keeps its V2S sessions idle for the next job; closing it
+	// must leave none open.
+	h.src.Close()
 	for i := 0; i < h.cluster.NumNodes(); i++ {
 		if h.cluster.Node(i).State() != vertica.NodeRemoved {
 			if open := h.cluster.OpenSessions(i); open != 0 {

@@ -71,6 +71,9 @@ type V2SOptions struct {
 	// gets a unique range but connects to the "wrong" node), the ablation
 	// for the §3.1.2 optimization. Option: disable_locality_optimization.
 	DisableLocality bool
+	// idle is the session set the relation reuses sessions from; nil dials
+	// every one. Set by DefaultSource — it has no option key.
+	idle *resilience.IdleSessions
 }
 
 // S2VOptions configure a save (S2V, the SAVE half of Table 1).

@@ -21,15 +21,23 @@ import (
 // DefaultSource is the connector's data source implementation: the read side
 // creates V2S relations, the write side runs the S2V protocol.
 type DefaultSource struct {
-	pool   client.Connector
+	pool client.Connector
+	// idle holds the sessions every V2S relation of the source reuses: its
+	// reads are autocommit and leave no state on a session. S2V sessions
+	// carry transactions and temp staging tables, so S2V dials its own.
+	idle   *resilience.IdleSessions
 	obsv   obs.Observer
 	jobSeq atomic.Uint64
 }
 
 // NewDefaultSource builds a source over a driver connector.
 func NewDefaultSource(pool client.Connector) *DefaultSource {
-	return &DefaultSource{pool: pool}
+	return &DefaultSource{pool: pool, idle: resilience.NewIdleSessions()}
 }
+
+// Close closes the sessions the source's V2S relations left idle. A relation
+// read after Close still works; it dials every session and keeps none.
+func (d *DefaultSource) Close() { d.idle.Close() }
 
 // WithObserver attaches an observer that every relation and save created by
 // this source reports to (connector spans and resilience events). Wire a
@@ -51,6 +59,7 @@ func (d *DefaultSource) CreateRelation(sc *spark.Context, options map[string]str
 		return nil, err
 	}
 	opts.Observer = d.obsv
+	opts.idle = d.idle
 	return newV2SRelation(sc, d.pool, opts)
 }
 

@@ -49,14 +49,13 @@ func newV2SRelation(sc *spark.Context, pool client.Connector, opts V2SOptions) (
 	// All connections — driver discovery and task scans — go through the
 	// resilient pool; once the layout is known, its host set makes every
 	// connect failover-capable across the whole cluster. The pool reports
-	// every recovery action to the options' observer.
+	// every recovery action to the options' observer, and takes sessions
+	// from, and gives them back to, the source's idle set.
 	rpool := resilience.NewResilient(pool, nil, opts.Retry)
 	rpool.SetObserver(opts.Observer)
+	rpool.SetIdle(opts.idle)
 	ctx := driverCtx()
-	conn, err := rpool.Connect(ctx, opts.Host)
-	if err != nil {
-		return nil, err
-	}
+	conn := resilience.NewDriverConn(rpool, opts.Host)
 	defer conn.Close()
 	desc, err := describe(ctx, conn, opts.Table)
 	if err != nil {
@@ -190,7 +189,7 @@ func (r *v2sRelation) specSQL(spec querySpec, cols []string, pushdown string, ep
 	return b.String()
 }
 
-// planJob is the driver's one statement per V2S plan, on its own connection:
+// planJob is the driver's one statement per V2S plan, on one session:
 // the table's current layout together with the last closed epoch. The layout
 // captured when the relation was created may predate a cluster membership
 // change, and only the current ring's addresses are guaranteed to carry the
@@ -200,10 +199,7 @@ func (r *v2sRelation) specSQL(spec querySpec, cols []string, pushdown string, ep
 // (moved versions carry their full MVCC history). The layout is the plan's
 // own, so concurrent plans of one relation share nothing but the pool.
 func (r *v2sRelation) planJob(ctx context.Context) (*planLayout, error) {
-	conn, err := r.pool.Connect(ctx, r.opts.Host)
-	if err != nil {
-		return nil, err
-	}
+	conn := resilience.NewDriverConn(r.pool, r.opts.Host)
 	defer conn.Close()
 	lay, err := layout(ctx, conn, r.opts.Table, r.desc.segmented)
 	if err != nil {

@@ -354,6 +354,10 @@ func (cc *chaosConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*ve
 	return cc.inner.CopyFrom(ctx, sql, r)
 }
 
+// Alive reports a severed session dead, and any other as alive as the
+// session it wraps.
+func (cc *chaosConn) Alive() bool { return !cc.broken && alive(cc.inner) }
+
 // Close implements client.Conn.
 func (cc *chaosConn) Close() {
 	if !cc.broken {

@@ -90,6 +90,9 @@ type ResilientConnector struct {
 	sleep func(time.Duration) // nil: wait on a timer, cancellable by ctx
 	now   func() time.Time
 
+	// idle, when set, lends sessions that DriverConns gave back (SetIdle).
+	idle *IdleSessions
+
 	mu       sync.Mutex
 	obsv     obs.Observer
 	hosts    []string
@@ -141,11 +144,20 @@ func (r *ResilientConnector) emit(ev obs.Event) {
 	}
 }
 
-// SetHosts installs the failover set once the cluster layout is known.
+// SetIdle makes the connector reuse sessions: Connect first takes an alive
+// session idle under the requested host, and a DriverConn whose statements
+// all succeeded gives its session back on Close. Only autocommit sessions that
+// carry no session state (no transaction, epoch pin, resource pool or temp
+// table) may go through such a connector. Call it before first use.
+func (r *ResilientConnector) SetIdle(s *IdleSessions) { r.idle = s }
+
+// SetHosts installs the failover set once the cluster layout is known, and
+// closes the idle sessions to hosts that left it.
 func (r *ResilientConnector) SetHosts(hosts []string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.hosts = append(r.hosts[:0], hosts...)
+	r.mu.Unlock()
+	r.idle.retain(hosts)
 }
 
 // candidates returns the failover order for a requested address: the address
@@ -278,14 +290,32 @@ func (r *ResilientConnector) Attempts(ctx context.Context, addr, what string, op
 	return fmt.Errorf("resilience: %s to %s failed after %d attempts: %w", what, addr, r.pol.MaxAttempts, err)
 }
 
-// Connect implements client.Connector: it dials addr, failing over across
-// the host set with backoff on transient errors. The returned connection
-// enforces the policy's per-operation deadline. Each successful connect
-// adds one FixedConnect cost event to the context's task record (sim.TaskFrom),
-// so the performance model counts connections wherever they are established.
+// Connect implements client.Connector: it returns a session to addr, taken
+// from the idle set when it holds an alive one (SetIdle), and otherwise
+// dialed, failing over across the host set with backoff on transient errors.
+// The returned connection enforces the policy's per-operation deadline.
 func (r *ResilientConnector) Connect(ctx context.Context, addr string) (client.Conn, error) {
+	conn, _, err := r.session(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return r.bound(conn), nil
+}
+
+// session returns a session to addr and the host it is on: an idle one, or
+// a dial. Breakers, failover events and the performance model's cost stay
+// with real dials: each successful dial adds one FixedConnect cost event to
+// the context's task record (sim.TaskFrom), and a reused session adds none.
+func (r *ResilientConnector) session(ctx context.Context, addr string) (client.Conn, string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
+	}
+	if c := r.idle.take(addr); c != nil {
+		return c, addr, nil
+	}
 	cands := r.candidates(addr)
 	var conn client.Conn
+	var on string
 	err := r.Attempts(ctx, addr, "connect", func(attempt int) error {
 		host := r.pick(cands, attempt)
 		c, err := r.inner.Connect(ctx, host)
@@ -304,25 +334,31 @@ func (r *ResilientConnector) Connect(ctx context.Context, addr string) (client.C
 		if host != addr {
 			r.emit(obs.Event{Name: "failover", Node: host, Detail: "requested " + addr})
 		}
-		conn = c
+		conn, on = c, host
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	sim.TaskFrom(ctx).Fixed(sim.FixedConnect)
-	if r.pol.OpTimeout > 0 {
-		return &deadlineConn{inner: conn, d: r.pol.OpTimeout}, nil
-	}
-	return conn, nil
+	return conn, on, nil
 }
 
-// Execute runs one statement on a one-shot DriverConn: connect (with
-// failover), execute, close — the whole pair retried on transient failures,
-// so a node dying after the session was established (mid-scan) still fails
-// over. Use only for idempotent statements (reads, conditional updates): a
-// connection dropped mid-statement leaves the outcome unknown, and this
-// helper will run the statement again.
+// bound applies the policy's per-operation deadline to a session.
+func (r *ResilientConnector) bound(conn client.Conn) client.Conn {
+	if r.pol.OpTimeout > 0 {
+		return &deadlineConn{inner: conn, d: r.pol.OpTimeout}
+	}
+	return conn
+}
+
+// Execute runs one statement on a DriverConn of its own: a session (idle or
+// dialed, with failover), the statement, and Close — the whole pair retried
+// on transient failures, so a node dying after the session was established
+// (mid-scan) still fails over. With an idle set the session is given back
+// when the statement succeeded. Use only for idempotent statements (reads,
+// conditional updates): a connection dropped mid-statement leaves the outcome
+// unknown, and this helper will run the statement again.
 func (r *ResilientConnector) Execute(ctx context.Context, addr, sql string) (*vertica.Result, error) {
 	d := NewDriverConn(r, addr)
 	defer d.Close()
@@ -397,43 +433,68 @@ func (c *deadlineConn) Close() {
 // session state across reconnects, so it must not be used for multi-statement
 // transactions; the S2V driver's statements are all autocommit and either
 // idempotent or guarded by conditional updates, which is exactly the contract
-// this type needs.
+// this type needs. Over a connector with an idle set, Close gives the session
+// back, filed under the host it is on, if every statement on it succeeded.
 type DriverConn struct {
 	pool *ResilientConnector
 	addr string
-	conn client.Conn
+	conn client.Conn // the session as handed out: deadline-bounded
+	raw  client.Conn // the session under conn, what the idle set keeps
+	host string      // the host raw is on
+	// failed records a statement on the session that erred, or was abandoned
+	// at its deadline: such a session is never given back.
+	failed bool
 }
 
 // NewDriverConn returns a driver connection over the pool; the first
-// statement dials lazily.
+// statement connects lazily.
 func NewDriverConn(pool *ResilientConnector, addr string) *DriverConn {
 	return &DriverConn{pool: pool, addr: addr}
 }
 
-// ensure returns the open session, dialing host if there is none.
+// ensure returns the open session, connecting to host if there is none.
 func (d *DriverConn) ensure(ctx context.Context, host string) (client.Conn, error) {
 	if d.conn == nil {
-		conn, err := d.pool.Connect(ctx, host)
+		raw, on, err := d.pool.session(ctx, host)
 		if err != nil {
 			return nil, err
 		}
-		d.conn = conn
+		d.raw, d.host, d.conn, d.failed = raw, on, d.pool.bound(raw), false
 	}
 	return d.conn, nil
 }
 
-func (d *DriverConn) drop() {
-	if d.conn != nil {
+// release ends the session: back to the idle set when keep is set, the pool
+// has one and no statement on it failed; closed otherwise.
+func (d *DriverConn) release(keep bool) {
+	if d.conn == nil {
+		return
+	}
+	if keep && !d.failed && d.pool.idle != nil {
+		d.pool.idle.put(d.host, d.raw)
+	} else {
 		d.conn.Close()
-		d.conn = nil
+	}
+	d.conn, d.raw = nil, nil
+}
+
+// note records a statement's outcome: any error keeps the session out of the
+// idle set, and a transient one ends it so the retry reconnects.
+func (d *DriverConn) note(err error) {
+	if err == nil {
+		return
+	}
+	d.failed = true
+	if IsTransient(err) {
+		d.release(false)
 	}
 }
 
 // Execute implements client.Conn. A statement runs on the session the last
 // one left open; after a transient failure the session is dropped and the
-// retry dials the next host in the failover order, one host per attempt, so
-// a node that accepts connections but keeps failing statements (dying
-// mid-scan) cannot monopolize the retry budget.
+// retry connects to the next host in the failover order, one host per
+// attempt, so a node that accepts connections but keeps failing statements
+// (dying mid-scan) cannot monopolize the retry budget.
 func (d *DriverConn) Execute(ctx context.Context, sql string) (*vertica.Result, error) {
 	cands := d.pool.candidates(d.addr)
 	var res *vertica.Result
@@ -442,9 +503,8 @@ func (d *DriverConn) Execute(ctx context.Context, sql string) (*vertica.Result, 
 		if err != nil {
 			return err
 		}
-		if res, err = conn.Execute(ctx, sql); err != nil && IsTransient(err) {
-			d.drop()
-		}
+		res, err = conn.Execute(ctx, sql)
+		d.note(err)
 		return err
 	})
 	if err != nil {
@@ -462,11 +522,9 @@ func (d *DriverConn) CopyFrom(ctx context.Context, sql string, rd io.Reader) (*v
 		return nil, err
 	}
 	res, err := conn.CopyFrom(ctx, sql, rd)
-	if err != nil && IsTransient(err) {
-		d.drop()
-	}
+	d.note(err)
 	return res, err
 }
 
 // Close implements client.Conn.
-func (d *DriverConn) Close() { d.drop() }
+func (d *DriverConn) Close() { d.release(true) }

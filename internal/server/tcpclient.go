@@ -203,6 +203,13 @@ func (c *TCPConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*verti
 // Close implements client.Conn.
 func (c *TCPConn) Close() { _ = c.conn.Close() }
 
+// Alive reports, without blocking or reading anything, whether the session
+// can still carry a request: it peeks at the socket, and finds the session
+// dead once the server has hung up (a closed server closes every session) or
+// sent bytes no request asked for, or when its handshake failed. The
+// resilient layer asks before it hands an idle session out again.
+func (c *TCPConn) Alive() bool { return c.hsErr == nil && peekOpen(c.conn) }
+
 // remoteError rebuilds a server-reported error client-side: the engine
 // sentinel is restored into the chain so errors.Is works across the wire
 // exactly as it does in-process, and the server's transient classification

@@ -264,7 +264,9 @@ type Store struct {
 	// for an unsegmented replica); empty for a store built by NewStore, which
 	// never cuts at local segments.
 	ring vhash.Range
-	ros  []*ROSContainer
+	// cut is ring's local-segment boundaries, computed once.
+	cut vhash.LocalCut
+	ros []*ROSContainer
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
 	// committed state and must be rebuilt from a live replica before its node
@@ -286,7 +288,7 @@ func NewStore(schema types.Schema, segIdx []int) *Store {
 // builds from LocalCutRows rows up at ring's local segments, so no such
 // container spans two of them.
 func NewSegmentStore(schema types.Schema, segIdx []int, ring vhash.Range) *Store {
-	return &Store{schema: schema, segIdx: segIdx, ring: ring}
+	return &Store{schema: schema, segIdx: segIdx, ring: ring, cut: vhash.LocalCutOf(ring)}
 }
 
 // Ring returns the hash range the store holds (empty when it was not told).
@@ -343,13 +345,15 @@ func (s *Store) cuts(hashes []uint32) (ends [vhash.LocalSegments]int) {
 	if !s.cutsAt(len(hashes)) {
 		return one
 	}
+	// at is the local segment the rows have reached: a row below its lower
+	// boundary is out of order, one at or past the next boundary moves it on.
 	at := 0
 	for i, h := range hashes {
-		l := vhash.LocalSegmentOf(s.ring, h)
-		if l < at {
+		x := uint64(h)
+		if at > 0 && x < s.cut[at-1] {
 			return one
 		}
-		for ; at < l; at++ {
+		for ; at < len(s.cut) && x >= s.cut[at]; at++ {
 			ends[at] = i
 		}
 	}

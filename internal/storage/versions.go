@@ -130,14 +130,14 @@ func (s *Store) containers(v *Versions, sel []int32) ([]*ROSContainer, error) {
 func (s *Store) localOrder(hashes []uint32, sel []int32) []int32 {
 	var next [vhash.LocalSegments]int
 	for _, i := range sel {
-		next[vhash.LocalSegmentOf(s.ring, hashes[i])]++
+		next[s.cut.Of(hashes[i])]++
 	}
 	for l, at := 0, 0; l < len(next); l++ {
 		next[l], at = at, at+next[l]
 	}
 	out := make([]int32, len(sel))
 	for _, i := range sel {
-		l := vhash.LocalSegmentOf(s.ring, hashes[i])
+		l := s.cut.Of(hashes[i])
 		out[next[l]] = i
 		next[l]++
 	}

@@ -226,12 +226,20 @@ func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, v
 	}
 	// next[seg·L+l] counts, then places, segment seg's rows in its local
 	// segment l; a share below the floor places every row through l = 0.
+	// slots keeps each row's seg·L+l from the counting pass for the placing one.
 	const L = vhash.LocalSegments
 	ranges := tbl.SegmentRanges()
+	cuts := make([]vhash.LocalCut, nseg)
+	for seg := range cuts {
+		cuts[seg] = vhash.LocalCutOf(ranges[seg])
+	}
 	next := make([]int, nseg*L)
-	for _, h := range hashes {
+	slots := make([]int32, len(hashes))
+	for i, h := range hashes {
 		home := tbl.HomeNode(h)
-		next[home*L+vhash.LocalSegmentOf(ranges[home], h)]++
+		slot := home*L + cuts[home].Of(h)
+		slots[i] = int32(slot)
+		next[slot]++
 	}
 	sels := make([][]int32, nseg)
 	for home := range sels {
@@ -246,11 +254,10 @@ func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, v
 			clear(share)
 		}
 	}
-	for i, h := range hashes {
-		home := tbl.HomeNode(h)
-		slot := home * L
-		if len(sels[home]) >= storage.LocalCutRows {
-			slot += vhash.LocalSegmentOf(ranges[home], h)
+	for i, slot := range slots {
+		home := int(slot) / L
+		if len(sels[home]) < storage.LocalCutRows {
+			slot = int32(home * L)
 		}
 		sels[home][next[slot]] = int32(i)
 		next[slot]++

@@ -184,15 +184,32 @@ func SegmentOf(h uint32, n int) int {
 // the connector asks for on up to four executor cores a node all divide it.
 const LocalSegments = 4
 
-// LocalSegmentOf returns which of Split(seg, LocalSegments) holds h, for h
-// inside seg. It compares h with the same boundaries Split computes, so the
-// two agree exactly; the division is by a constant, so there is none.
-func LocalSegmentOf(seg Range, h uint32) int {
-	w, x, i := seg.Width(), uint64(h), 0
-	for j := uint64(1); j < LocalSegments; j++ {
-		if x >= seg.Lo+w*j/LocalSegments {
+// LocalCut is where Split(seg, LocalSegments) cuts a segment: the lower end
+// of each local segment after the first, ascending.
+type LocalCut [LocalSegments - 1]uint64
+
+// LocalCutOf returns the boundaries Split(seg, LocalSegments) computes.
+func LocalCutOf(seg Range) (c LocalCut) {
+	w := seg.Width()
+	for j := range c {
+		c[j] = seg.Lo + w*uint64(j+1)/LocalSegments
+	}
+	return c
+}
+
+// Of returns which local segment holds h, for h inside the cut segment: the
+// number of boundaries at or below it.
+func (c LocalCut) Of(h uint32) int {
+	i := 0
+	for _, b := range c {
+		if uint64(h) >= b {
 			i++
 		}
 	}
 	return i
 }
+
+// LocalSegmentOf returns which of Split(seg, LocalSegments) holds h, for h
+// inside seg. It compares h with the same boundaries Split computes, so the
+// two agree exactly; the division is by a constant, so there is none.
+func LocalSegmentOf(seg Range, h uint32) int { return LocalCutOf(seg).Of(h) }
