@@ -179,7 +179,11 @@ gates:
 # a v2s_full partition (75 000 rows of 1 INTEGER + 10 FLOAT landed from 5
 # frames, 33 MB boxed, past L2). It runs one goroutine, so on a quiet host
 # with a large L3 it does not show the gain Materialize's slabs give
-# v2s_full, where two executors box at once. fabricperf's vexec.agg_s /
+# v2s_full, where two executors box at once. BenchmarkS2VPartition is one
+# s2v_save task (a 37 500-row generated D1WithInt partition saved through all
+# five S2V phases into an in-process cluster; ns/row, B/op): the task streams
+# the generator's 4 096-row chunks into its COPY, so its B/op holds one
+# chunk's boxed rows, not the partition's. fabricperf's vexec.agg_s /
 # vexec.join_s / vertica.groupby_us / vertica.join_us time the same operators
 # at workload scale.
 bench:
@@ -187,6 +191,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
 	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy|BenchmarkPointFilter|BenchmarkV2SPartitionScan' -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
+	$(GO) test -run xxx -bench 'BenchmarkS2VPartition' -benchmem ./internal/core/
 
 # Every Go benchmark once, timings ignored: a benchmark whose own check fails
 # (BenchmarkResultPath's landed-row count, say) fails this target. CI runs it.

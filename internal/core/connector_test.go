@@ -551,11 +551,13 @@ func TestS2VRoundTripThroughV2S(t *testing.T) {
 
 // ---------- Options ----------
 
-// copyCapture is a Connector that keeps every COPY stream as it was sent.
+// copyCapture is a Connector that keeps every COPY stream as it was sent,
+// and how each COPY ended.
 type copyCapture struct {
 	client.Connector
 	mu      sync.Mutex
 	streams [][]byte
+	errs    []error
 }
 
 func (c *copyCapture) Connect(ctx context.Context, addr string) (client.Conn, error) {
@@ -576,6 +578,7 @@ func (c *capturedConn) CopyFrom(ctx context.Context, sql string, r io.Reader) (*
 	res, err := c.Conn.CopyFrom(ctx, sql, io.TeeReader(r, &sent))
 	c.capture.mu.Lock()
 	c.capture.streams = append(c.capture.streams, sent.Bytes())
+	c.capture.errs = append(c.capture.errs, err)
 	c.capture.mu.Unlock()
 	return res, err
 }

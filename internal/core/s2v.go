@@ -45,11 +45,11 @@ type s2vWriter struct {
 	jobSC obs.SpanContext
 }
 
-// taskReport is what each partition's task returns to the driver.
+// taskReport is what a task's phase 1 loaded: the counts it records in the
+// task's status row.
 type taskReport struct {
-	Loaded         int64
-	Rejected       int64
-	RejectedSample []string
+	Loaded   int64
+	Rejected int64
 }
 
 // run opens the job's root trace span and executes setup, the parallel
@@ -105,14 +105,9 @@ func (w *s2vWriter) runJob(sc *spark.Context, df *spark.DataFrame) error {
 		return err
 	}
 
-	reports := spark.MapPartitions(rdd, func(tc *spark.TaskContext, p int, rows []types.Row) ([]taskReport, error) {
-		rep, err := w.runTask(tc, p, rows)
-		if err != nil {
-			return nil, err
-		}
-		return []taskReport{rep}, nil
+	jobErr := rdd.ForeachPartition(func(tc *spark.TaskContext, rows spark.Stream[types.Row]) error {
+		return w.runTask(tc, tc.PartitionID, rows)
 	})
-	_, jobErr := reports.Collect()
 
 	teardownRec := trace.Task("driver-99-teardown", "")
 	teardownCtx := sim.WithTask(obs.WithPeer(context.Background(), "driver"), teardownRec)
@@ -286,11 +281,13 @@ func (w *s2vWriter) phaseSpan(ctx context.Context, name string, tc *spark.TaskCo
 
 // runTask is one task attempt's walk through the five phases of Figure 5.
 // It is safe to run any number of times for the same partition, concurrently
-// or after failures at any point — the status tables arbitrate.
-func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (taskReport, error) {
-	var rep taskReport
+// or after failures at any point — the status tables arbitrate. The
+// partition's rows are pulled from rows only inside phase 1, straight into
+// its COPY, so the task never holds its partition, and an attempt that finds
+// its partition already saved computes none of it.
+func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows spark.Stream[types.Row]) error {
 	if err := tc.Checkpoint("s2v.task_start"); err != nil {
-		return rep, err
+		return err
 	}
 	// The task joins the job's trace: status queries parent directly under the
 	// root s2v.job span, and each phase body runs under its own phase span so
@@ -304,7 +301,7 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	addr := w.addrs[(p+tc.Attempt)%len(w.addrs)]
 	conn, err := w.rpool.Connect(ctx, addr)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	defer conn.Close()
 
@@ -316,28 +313,29 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	res0, err := conn.Execute(ctx, fmt.Sprintf(
 		"SELECT finished FROM %s WHERE job_name = '%s'", JobStatusTable, types.SQLEscape(w.opts.JobName)))
 	if err != nil {
-		return rep, err
+		return err
 	}
 	if len(res0.Rows) == 1 && res0.Rows[0][0].AsBool() {
-		return rep, nil
+		return nil
 	}
 	res0, err = conn.Execute(ctx, fmt.Sprintf(
 		"SELECT done FROM %s WHERE task_id = %d", w.status, p))
 	if err != nil {
-		return rep, err
+		return err
 	}
 	alreadyDone := len(res0.Rows) == 1 && res0.Rows[0][0].AsBool()
 
 	// ---- Phase 1: save this partition into the staging table and flip the
 	// task's done flag, both under one transaction.
 	if !alreadyDone {
+		var rep taskReport
 		sp := w.phaseSpan(ctx, "s2v.phase1", tc, p)
 		err := w.phase1(obs.WithSpan(ctx, sp), tc, conn, p, rows, &rep)
 		sp.AddRows(rep.Loaded)
 		sp.AddRejected(rep.Rejected)
 		sp.End(err)
 		if err != nil {
-			return rep, err
+			return err
 		}
 	}
 
@@ -346,13 +344,13 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	notDone, err := w.phase2(obs.WithSpan(ctx, sp), conn)
 	sp.End(err)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	if notDone > 0 {
-		return rep, nil // someone else will commit
+		return nil // someone else will commit
 	}
 	if err := tc.Checkpoint("s2v.phase2.all_done"); err != nil {
-		return rep, err
+		return err
 	}
 
 	// ---- Phase 3: race to become the last committer (leader election via
@@ -361,10 +359,10 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	err = w.phase3(obs.WithSpan(ctx, sp), conn, p)
 	sp.End(err)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	if err := tc.Checkpoint("s2v.phase3.after"); err != nil {
-		return rep, err
+		return err
 	}
 
 	// ---- Phase 4: did this task win?
@@ -372,10 +370,10 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	winner, err := w.phase4(obs.WithSpan(ctx, sp), conn)
 	sp.End(err)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	if winner != int64(p) {
-		return rep, nil
+		return nil
 	}
 
 	// ---- Phase 5: the last committer checks the tolerance and atomically
@@ -383,7 +381,7 @@ func (w *s2vWriter) runTask(tc *spark.TaskContext, p int, rows []types.Row) (tas
 	sp = w.phaseSpan(ctx, "s2v.phase5", tc, p)
 	err = w.phase5(obs.WithSpan(ctx, sp), tc, conn)
 	sp.End(err)
-	return rep, err
+	return err
 }
 
 // phase2 counts the tasks that have not yet staged their data.
@@ -504,7 +502,7 @@ func (w *s2vWriter) publish(ctx context.Context, conn client.Conn, checkpoint fu
 // phase1 copies the partition into the staging table and flips this task's
 // done flag, both in one transaction. A duplicate that loses the conditional
 // update aborts, discarding its copy.
-func (w *s2vWriter) phase1(ctx context.Context, tc *spark.TaskContext, conn client.Conn, p int, rows []types.Row, rep *taskReport) error {
+func (w *s2vWriter) phase1(ctx context.Context, tc *spark.TaskContext, conn client.Conn, p int, rows spark.Stream[types.Row], rep *taskReport) error {
 	if _, err := conn.Execute(ctx, "BEGIN"); err != nil {
 		return err
 	}
@@ -519,7 +517,8 @@ func (w *s2vWriter) phase1(ctx context.Context, tc *spark.TaskContext, conn clie
 		"COPY %s FROM STDIN FORMAT %s DIRECT REJECTMAX %d", w.staging, format, int64(1)<<40))
 	if err := w.encodeRows(cs, rows); err != nil {
 		// Abort reports the load's root cause (e.g. the server severing the
-		// stream) which subsumes the local write error.
+		// stream) which subsumes the local write error; a source that failed
+		// mid-stream ends the COPY the same way, staging nothing.
 		if rootErr := cs.Abort(err); rootErr != nil {
 			return rootErr
 		}
@@ -530,7 +529,6 @@ func (w *s2vWriter) phase1(ctx context.Context, tc *spark.TaskContext, conn clie
 		return err
 	}
 	rep.Loaded, rep.Rejected = cres.Copy.Loaded, cres.Copy.Rejected
-	rep.RejectedSample = cres.Copy.RejectedSample
 	if err := tc.Checkpoint("s2v.phase1.after_copy"); err != nil {
 		return err
 	}
@@ -557,30 +555,44 @@ func (w *s2vWriter) phase1(ctx context.Context, tc *spark.TaskContext, conn clie
 
 // encodeRows streams the partition's rows in the configured task encoding:
 // Avro object-container blocks (§3.2.2) or CSV lines (the encoding
-// ablation). The Avro blocks go raw: a deflated stream costs its task the
-// deflate and its COPY the inflate, both in the stream's own time, and
-// measured end to end over loopback TCP that is more than the saved bytes are
-// worth, for D1's floats and for text alike (DESIGN.md, "Why S2V sends Avro
-// raw").
-func (w *s2vWriter) encodeRows(cs *client.CopyStream, rows []types.Row) error {
+// ablation), encoding each chunk as the source yields it. The chunks are
+// borrowed — nothing here outlives the yield — so a source may reuse one
+// chunk's memory for the next. The Avro blocks go raw: a deflated stream
+// costs its task the deflate and its COPY the inflate, both in the stream's
+// own time, and measured end to end over loopback TCP that is more than the
+// saved bytes are worth, for D1's floats and for text alike (DESIGN.md, "Why
+// S2V sends Avro raw"). It fails with the source's error or the encoder's.
+func (w *s2vWriter) encodeRows(cs *client.CopyStream, rows spark.Stream[types.Row]) error {
+	var encode func(types.Row) error
+	closeOut := func() error { return nil }
 	if w.opts.CopyFormat == "csv" {
-		for _, r := range rows {
-			if _, err := cs.Write([]byte(types.FormatCSV(r, ',') + "\n")); err != nil {
-				return err
+		encode = func(r types.Row) error {
+			_, err := cs.Write([]byte(types.FormatCSV(r, ',') + "\n"))
+			return err
+		}
+	} else {
+		aw, err := avro.NewWriter(cs, avro.FromTypes(w.schema), avro.CodecNull, 4096)
+		if err != nil {
+			return err
+		}
+		encode, closeOut = aw.Append, aw.Close
+	}
+	var encErr error
+	err := rows.Borrow(func(chunk []types.Row) bool {
+		for _, r := range chunk {
+			if encErr = encode(r); encErr != nil {
+				return false
 			}
 		}
-		return nil
-	}
-	aw, err := avro.NewWriter(cs, avro.FromTypes(w.schema), avro.CodecNull, 4096)
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		if err := aw.Append(r); err != nil {
-			return err
-		}
+	if encErr != nil {
+		return encErr
 	}
-	return aw.Close()
+	return closeOut()
 }
 
 // markFailed best-effort records a failed job in the permanent status table.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"vsfabric/internal/client"
@@ -251,9 +250,9 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 	job.End(nil)
 	pool := r.pool
 	rel := r
-	return spark.NewRDD(r.sc, len(specs), func(tc *spark.TaskContext, p int) ([]types.Row, error) {
+	return spark.NewChunkedRDD(r.sc, len(specs), func(tc *spark.TaskContext, p int, _ bool, yield func([]types.Row) bool) error {
 		if err := tc.Checkpoint("v2s.task_start"); err != nil {
-			return nil, err
+			return err
 		}
 		ctx := obs.WithSpanContext(tc.Context(), jobSC)
 		sp := obs.StartChild(ctx, rel.opts.Observer, "v2s.partition", tc.ExecNode)
@@ -261,9 +260,6 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 		// Engine/wire spans from this task's queries parent under the
 		// partition span, not the job directly.
 		ctx = obs.WithSpan(ctx, sp)
-		// Each spec's result is the client's one boxed slice. A partition of
-		// one spec is that slice; several are held and concatenated once.
-		parts := make([][]types.Row, 0, len(specs[p]))
 		for _, spec := range specs[p] {
 			// Execute retries the connect+execute pair with failover, so a
 			// node dying mid-scan re-runs this spec's query against the next
@@ -275,19 +271,18 @@ func (r *v2sRelation) BuildScan(requiredCols []string, filters []spark.Filter) (
 			res, err := pool.Execute(ctx, spec.addr, rel.specSQL(spec, requiredCols, pushdown, epoch, false))
 			if err != nil {
 				sp.End(err)
-				return nil, err
+				return err
 			}
 			sp.AddRows(int64(len(res.Rows)))
-			parts = append(parts, res.Rows)
+			// Each spec's result is the client's one boxed slice, handed
+			// on as the partition's next chunk.
+			if len(res.Rows) > 0 && !yield(res.Rows) {
+				sp.End(nil)
+				return nil
+			}
 		}
 		sp.End(nil)
-		if err := tc.Checkpoint("v2s.task_done"); err != nil {
-			return nil, err
-		}
-		if len(parts) == 1 {
-			return parts[0], nil
-		}
-		return slices.Concat(parts...), nil
+		return tc.Checkpoint("v2s.task_done")
 	}), nil
 }
 

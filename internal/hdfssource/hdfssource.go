@@ -29,37 +29,45 @@ func Write(fs *hdfs.FS, dir string, df *spark.DataFrame, maxFileBytes int) error
 	if err != nil {
 		return err
 	}
-	return rdd.ForeachPartition(func(tc *spark.TaskContext, rows []types.Row) error {
-		fileIdx := 0
-		flush := func(batch []types.Row) error {
-			if len(batch) == 0 && fileIdx > 0 {
-				return nil
+	return rdd.ForeachPartition(func(tc *spark.TaskContext, rows spark.Stream[types.Row]) error {
+		// Cut files by the rows' wire size: a row block stores a value in
+		// at most its wire size, so a file passes the cap by no more than
+		// its headers and NULL bitmaps. Nothing is written until the
+		// partition has streamed whole: HDFS files are immutable, so a file
+		// left by an attempt whose source failed would refuse every retry.
+		var (
+			files      [][]types.Row
+			batch      []types.Row
+			batchBytes int
+		)
+		err := rows.Each(func(chunk []types.Row) bool {
+			for _, r := range chunk {
+				sz := types.WireSize(r)
+				if batchBytes+sz > maxFileBytes && len(batch) > 0 {
+					files = append(files, batch)
+					batch, batchBytes = nil, 0
+				}
+				batch = append(batch, r)
+				batchBytes += sz
 			}
-			data, err := storage.EncodeRows(schema, batch)
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		// The last file; an empty partition writes one empty file.
+		files = append(files, batch)
+		for i, f := range files {
+			data, err := storage.EncodeRows(schema, f)
 			if err != nil {
 				return err
 			}
-			path := fmt.Sprintf("%s/part-%05d-%03d.vcf", dir, tc.PartitionID, fileIdx)
-			fileIdx++
-			return fs.WriteFile(path, data, tc.Rec, tc.ExecNode, sim.CPURowBlockEnc)
-		}
-		// Cut files by the rows' wire size: a row block stores a value in
-		// at most its wire size, so a file passes the cap by no more than
-		// its headers and NULL bitmaps.
-		var batch []types.Row
-		batchBytes := 0
-		for _, r := range rows {
-			sz := types.WireSize(r)
-			if batchBytes+sz > maxFileBytes && len(batch) > 0 {
-				if err := flush(batch); err != nil {
-					return err
-				}
-				batch, batchBytes = batch[:0], 0
+			path := fmt.Sprintf("%s/part-%05d-%03d.vcf", dir, tc.PartitionID, i)
+			if err := fs.WriteFile(path, data, tc.Rec, tc.ExecNode, sim.CPURowBlockEnc); err != nil {
+				return err
 			}
-			batch = append(batch, r)
-			batchBytes += sz
 		}
-		return flush(batch)
+		return nil
 	})
 }
 

@@ -1,7 +1,9 @@
 package hdfssource
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"vsfabric/internal/hdfs"
@@ -173,5 +175,53 @@ func TestWrongWidthRow(t *testing.T) {
 	short := spark.CreateDataFrame(sc, allTypes(), []types.Row{{types.IntValue(1)}}, 1)
 	if err := Write(fs, "short", short, 0); err == nil {
 		t.Error("a row narrower than the schema should fail the write")
+	}
+}
+
+// TestWriteRetriesASourceThatFailedMidStream: a partition whose source fails
+// after more than a file's worth of rows leaves no file behind, so the
+// task's retry writes every file and the data round-trips whole.
+func TestWriteRetriesASourceThatFailedMidStream(t *testing.T) {
+	sc, fs := setup(t)
+	const rows, parts = 2000, 2
+	var mu sync.Mutex
+	failed := map[int]bool{}
+	src := spark.NewChunkedRDD(sc, parts, func(_ *spark.TaskContext, p int, _ bool, yield func([]types.Row) bool) error {
+		mu.Lock()
+		fail := !failed[p]
+		failed[p] = true
+		mu.Unlock()
+		for i := rows * p / parts; i < rows*(p+1)/parts; i++ {
+			// 500 rows of ~30 bytes: many 1 KB files' worth, then a failure.
+			if fail && i == rows*p/parts+500 {
+				return errors.New("source failed mid-stream")
+			}
+			if !yield([]types.Row{{types.IntValue(int64(i)), types.StringValue("row-data-payload")}}) {
+				return nil
+			}
+		}
+		return nil
+	})
+	df := spark.NewDataFrame(sc, frame(sc, 0, 1).Schema(), src)
+	if err := Write(fs, "retry/d1", df, 1024); err != nil {
+		t.Fatalf("Write after a retried source failure: %v", err)
+	}
+	back, err := Read(sc, fs, "retry/d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]bool{}
+	for _, r := range got {
+		seen[r[0].I] = true
+	}
+	if len(got) != rows || len(seen) != rows {
+		t.Fatalf("round trip: %d rows, %d distinct, want %d", len(got), len(seen), rows)
+	}
+	if !failed[0] || !failed[1] {
+		t.Fatalf("a partition's source never ran: %v", failed)
 	}
 }

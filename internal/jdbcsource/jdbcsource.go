@@ -259,7 +259,7 @@ func (s *Source) SaveRelation(sc *spark.Context, mode spark.SaveMode, m map[stri
 		return err
 	}
 	table, host, batch := opts.table, opts.host, opts.batchSize
-	return rdd.ForeachPartition(func(tc *spark.TaskContext, rows []types.Row) error {
+	return rdd.ForeachPartition(func(tc *spark.TaskContext, rows spark.Stream[types.Row]) error {
 		if err := tc.Checkpoint("jdbc.save.task_start"); err != nil {
 			return err
 		}
@@ -274,19 +274,36 @@ func (s *Source) SaveRelation(sc *spark.Context, mode spark.SaveMode, m map[stri
 		if _, err := conn.Execute(ctx, "BEGIN"); err != nil {
 			return err
 		}
-		for off := 0; off < len(rows); off += batch {
-			end := off + batch
-			if end > len(rows) {
-				end = len(rows)
-			}
-			var vals []string
-			for _, r := range rows[off:end] {
-				vals = append(vals, "("+rowLiterals(r)+")")
-			}
+		// Each INSERT carries batch rows, rendered as literals while the
+		// rows stream past; the last carries what is left.
+		var vals []string
+		insert := func() error {
 			if _, err := conn.Execute(ctx, fmt.Sprintf("INSERT INTO %s VALUES %s", table, strings.Join(vals, ", "))); err != nil {
 				return err
 			}
-			if err := tc.Checkpoint("jdbc.save.mid_batch"); err != nil {
+			vals = vals[:0]
+			return tc.Checkpoint("jdbc.save.mid_batch")
+		}
+		var insErr error
+		err = rows.Borrow(func(chunk []types.Row) bool {
+			for _, r := range chunk {
+				vals = append(vals, "("+rowLiterals(r)+")")
+				if len(vals) == batch {
+					if insErr = insert(); insErr != nil {
+						return false
+					}
+				}
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		if insErr != nil {
+			return insErr
+		}
+		if len(vals) > 0 {
+			if err := insert(); err != nil {
 				return err
 			}
 		}

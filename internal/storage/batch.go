@@ -165,6 +165,9 @@ const boxBlock = 128
 // — a v2s_full partition is 33 MB, far past any core's L2, and boxColumn's
 // stores found each line evicted since the zeroing. Allocated a slab at a
 // time, the zeroing leaves the slab in cache for the stores that follow.
+// Slabs at the 32 KiB small-object size (32<<10/40 values, with boxBlock
+// 64) are slower: fabricperf's v2s_full read 4.3–12.0 % fewer rows/s in 4 of
+// 4 alternating pairs (median −9.0 %; seed 1, 15 s, a shared 2-vCPU host).
 const slabValues = 256 << 10 / 40
 
 // slabRows is how many rows of width values one slab holds: as many whole

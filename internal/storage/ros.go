@@ -267,6 +267,14 @@ type Store struct {
 	// cut is ring's local-segment boundaries, computed once.
 	cut vhash.LocalCut
 	ros []*ROSContainer
+	// pending indexes the containers still stamped with a provisional tag by
+	// that tag, so a commit — live or replayed — visits only its own
+	// transaction's containers, however many the store holds. An abort
+	// finds its containers the same way, then walks ros once to unlink them.
+	pending map[uint64][]*ROSContainer
+	// visits counts the containers RebaseInserts and DropInserts took from
+	// pending (read by tests); DropInserts' walk of ros is not counted.
+	visits atomic.Int64
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
 	// committed state and must be rebuilt from a live replica before its node
@@ -328,9 +336,33 @@ func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64) error 
 		return err
 	}
 	s.mu.Lock()
-	s.ros = append(s.ros, ros...)
+	s.add(ros...)
 	s.mu.Unlock()
 	return nil
+}
+
+// add appends containers to the store, indexing the provisional ones by
+// their tag. s.mu must be held.
+func (s *Store) add(ros ...*ROSContainer) {
+	s.ros = append(s.ros, ros...)
+	for _, c := range ros {
+		if c.start >= ProvisionalBase {
+			if s.pending == nil {
+				s.pending = make(map[uint64][]*ROSContainer)
+			}
+			s.pending[c.start] = append(s.pending[c.start], c)
+		}
+	}
+}
+
+// takePending removes the tag's containers from the index and returns them.
+func (s *Store) takePending(tag uint64) []*ROSContainer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cs := s.pending[tag]
+	delete(s.pending, tag)
+	s.visits.Add(int64(len(cs)))
+	return cs
 }
 
 // cuts returns where the store cuts rows with these hashes into containers:
@@ -469,29 +501,27 @@ func (s *Store) MarkDeleted(b *Batch, tag uint64) (int, error) {
 }
 
 // RebaseInserts rewrites containers inserted under the provisional tag to the
-// final commit epoch.
+// final commit epoch. It visits those containers only.
 func (s *Store) RebaseInserts(tag, epoch uint64) {
-	for _, c := range s.snapshot() {
+	for _, c := range s.takePending(tag) {
 		c.mu.Lock()
-		if c.start == tag {
-			c.start = epoch
-			c.dirty = true
-		}
+		c.start, c.dirty = epoch, true
 		c.mu.Unlock()
 	}
 }
 
 // DropInserts removes containers inserted under the provisional tag
-// (transaction abort).
+// (transaction abort). It finds them through the index, then unlinks them in
+// one walk of the store's container list under s.mu: a pointer compare per
+// container, no container lock. Aborts are rare; commits, which every
+// autocommit write makes, do no such walk.
 func (s *Store) DropInserts(tag uint64) {
-	s.mu.Lock()
-	kept := s.ros[:0]
-	for _, c := range s.ros {
-		if c.StartEpoch() != tag {
-			kept = append(kept, c)
-		}
+	cs := s.takePending(tag)
+	if len(cs) == 0 {
+		return
 	}
-	s.ros = kept
+	s.mu.Lock()
+	s.ros = slices.DeleteFunc(s.ros, func(c *ROSContainer) bool { return slices.Contains(cs, c) })
 	s.mu.Unlock()
 }
 
@@ -563,7 +593,7 @@ func (s *Store) AttachContainer(c *ROSContainer) error {
 		return fmt.Errorf("storage: container of %v does not fit a store of %v", c.Schema, s.schema)
 	}
 	s.mu.Lock()
-	s.ros = append(s.ros, c)
+	s.add(c)
 	s.mu.Unlock()
 	return nil
 }

@@ -178,7 +178,7 @@ func (s *Store) ImportVersions(v *Versions, sel []int32) error {
 		return err
 	}
 	s.mu.Lock()
-	s.ros = append(s.ros, ros...)
+	s.add(ros...)
 	s.mu.Unlock()
 	return nil
 }
@@ -196,7 +196,8 @@ func (s *Store) ReplaceContents(v *Versions) error {
 		return err
 	}
 	s.mu.Lock()
-	s.ros = ros
+	s.ros, s.pending = nil, nil
+	s.add(ros...)
 	s.mu.Unlock()
 	return nil
 }

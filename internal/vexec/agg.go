@@ -193,8 +193,14 @@ type HashAgg struct {
 	keys [][]types.Value // group ordinal -> boxed key values, first-seen order
 	accs [][]aggAcc      // aggregate index -> group ordinal -> accumulator
 
-	groupBuf []int32
-	keyBuf   []byte
+	// groupOf and codes are the scratch of the chunk Consume is on: its rows'
+	// group ordinals, and (made when first needed) a dictionary-coded
+	// argument's codes at its rows.
+	groupOf [aggChunk]int32
+	codes   []int32
+	keyCols []storage.Column // the batch's group key columns, for a multi-column key
+	argCols []storage.Column // aggregate index -> the vector it reads in this batch
+	keyBuf  []byte
 
 	args []Vec        // aggregate index -> its expression argument, compiled; nil for a column
 	argT []types.Type // aggregate index -> its argument's type (a column's or the expression's)
@@ -221,6 +227,10 @@ func NewHashAgg(spec AggSpec, schema types.Schema) *HashAgg {
 		h.byKey = make(map[string]int32)
 	}
 	h.args, h.argT = make([]Vec, len(spec.Aggs)), make([]types.Type, len(spec.Aggs))
+	h.argCols = make([]storage.Column, len(spec.Aggs))
+	if len(spec.GroupCols) > 1 {
+		h.keyCols = make([]storage.Column, len(spec.GroupCols))
+	}
 	for j, a := range spec.Aggs {
 		switch {
 		case a.Arg != nil:
@@ -268,6 +278,13 @@ func (h *HashAgg) nullGroup() int32 {
 	return h.nullGrp
 }
 
+// aggChunk is how many selected rows Consume resolves and aggregates at a
+// time, the join probe's chunk (probeChunk): a batch of any size costs the
+// aggregator one fixed scratch of group ordinals, not one sized to the
+// statement's first batch. Each aggregate still reads every chunk's rows in
+// order, so a FLOAT sum adds them in the order the whole batch would.
+const aggChunk = probeChunk
+
 // Consume folds one filtered batch into the aggregation state. It fails when
 // an expression argument does, or when a vector it reads is not of its
 // schema column's type.
@@ -282,16 +299,38 @@ func (h *HashAgg) Consume(b *storage.Batch) error {
 		}
 	}
 	h.rows += int64(n)
-	groupOf := h.groupBuf
-	if cap(groupOf) < n {
-		groupOf = make([]int32, n)
+	if h.keyCols != nil {
+		for x, gc := range h.spec.GroupCols {
+			h.keyCols[x] = b.Cols[gc]
+		}
 	}
-	groupOf = groupOf[:n]
-	h.groupBuf = groupOf
-	h.resolveGroups(b, groupOf)
-	for j := range h.spec.Aggs {
-		if err := h.updateAgg(b, j, groupOf); err != nil {
-			return err
+	// Each aggregate's vector, an expression argument's compiled over the
+	// whole batch once.
+	for j, ae := range h.spec.Aggs {
+		var col storage.Column
+		switch {
+		case h.args[j] != nil:
+			var err error
+			if col, err = h.args[j](b, b.Sel); err != nil {
+				return err
+			}
+			h.boxed = true
+		case ae.Col >= 0:
+			col = b.Cols[ae.Col]
+		}
+		if col != nil && col.Type() != h.argT[j] {
+			return fmt.Errorf("vexec: aggregate %d reads a %v vector, its argument is %v", j, col.Type(), h.argT[j])
+		}
+		h.argCols[j] = col
+	}
+	for lo := 0; lo < n; lo += aggChunk {
+		sel := b.Sel[lo:min(lo+aggChunk, n)]
+		groupOf := h.groupOf[:len(sel)]
+		h.resolveGroups(b, sel, groupOf)
+		for j := range h.spec.Aggs {
+			if err := h.updateAgg(j, sel, groupOf); err != nil {
+				return err
+			}
 		}
 	}
 	if h.boxed {
@@ -300,19 +339,15 @@ func (h *HashAgg) Consume(b *storage.Batch) error {
 	return nil
 }
 
-// resolveGroups fills groupOf[k] with the group ordinal of selected row k.
-func (h *HashAgg) resolveGroups(b *storage.Batch, groupOf []int32) {
+// resolveGroups fills groupOf[k] with the group ordinal of row sel[k].
+func (h *HashAgg) resolveGroups(b *storage.Batch, sel, groupOf []int32) {
 	switch {
 	case len(h.spec.GroupCols) == 0:
 		clear(groupOf)
 	case len(h.spec.GroupCols) == 1:
-		h.resolveKey(b.Cols[h.spec.GroupCols[0]], b.Sel, groupOf)
+		h.resolveKey(b.Cols[h.spec.GroupCols[0]], sel, groupOf)
 	default:
-		keys := make([]storage.Column, len(h.spec.GroupCols))
-		for x, gc := range h.spec.GroupCols {
-			keys[x] = b.Cols[gc]
-		}
-		h.resolveGeneric(keys, b.Sel, groupOf)
+		h.resolveGeneric(h.keyCols, sel, groupOf)
 	}
 }
 
@@ -350,10 +385,11 @@ func (h *HashAgg) resolveCodes(d *storage.DictColumn, sel, groupOf []int32) {
 func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
 	c := col.(*storage.Int64Column)
 	// direct and hashed inline here, so only a new key or a NULL pays a
-	// call. Over an identity selection row k is c.Vals[k].
+	// call. Over a run of the identity selection from lo, row k is
+	// c.Vals[lo+k].
 	t := h.ints
-	if c.Nulls == nil && storage.IsIdentity(sel) {
-		for k, v := range c.Vals[:len(sel)] {
+	if lo, ok := storage.IdentityRun(sel); ok && c.Nulls == nil {
+		for k, v := range c.Vals[lo : lo+len(sel)] {
 			if o := t.direct(v); o != 0 {
 				groupOf[k] = o - 1
 			} else if g := t.hashed(v); g >= 0 {
@@ -491,38 +527,28 @@ func b2b(v bool) byte {
 	return 0
 }
 
-// updateAgg runs aggregate j's loop over the batch, specialised by op and by
-// the stored form of its argument's vector: a column's own, or the one its
-// compiled expression builds (whose per-row value loop marks the batch boxed).
-func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
-	ae, accs := h.spec.Aggs[j], h.accs[j]
-	var col storage.Column
-	switch {
-	case h.args[j] != nil:
-		var err error
-		if col, err = h.args[j](b, b.Sel); err != nil {
-			return err
-		}
-		h.boxed = true
-	case ae.Col < 0:
+// updateAgg runs aggregate j's loop over the rows sel of the batch being
+// consumed, specialised by op and by the stored form of the vector it reads:
+// a column's own, or the one its compiled expression built.
+func (h *HashAgg) updateAgg(j int, sel, groupOf []int32) error {
+	ae, accs, col := h.spec.Aggs[j], h.accs[j], h.argCols[j]
+	if col == nil {
 		// COUNT(*): every selected row counts, null or not.
 		for _, g := range groupOf {
 			accs[g].count++
 		}
 		return nil
-	default:
-		col = b.Cols[ae.Col]
 	}
-	if col.Type() != h.argT[j] {
-		return fmt.Errorf("vexec: aggregate %d reads a %v vector, its argument is %v", j, col.Type(), h.argT[j])
-	}
-	sel := b.Sel
 	if d, ok := col.(*storage.DictColumn); ok {
 		// The dictionary's own typed loops, at the selected rows' codes.
-		col, sel = d.Dict, make([]int32, len(b.Sel))
-		for k, i := range b.Sel {
-			sel[k] = d.Codes[i]
+		if h.codes == nil {
+			h.codes = make([]int32, aggChunk)
 		}
+		codes := h.codes[:len(sel)]
+		for k, i := range sel {
+			codes[k] = d.Codes[i]
+		}
+		col, sel = d.Dict, codes
 	}
 	switch ae.Op {
 	case AggCount:
@@ -545,6 +571,7 @@ func (h *HashAgg) updateAgg(b *storage.Batch, j int, groupOf []int32) error {
 func addNumbers(accs []aggAcc, col storage.Column, sel, groupOf []int32) bool {
 	switch c := col.(type) {
 	case *storage.Float64Column:
+		lo, dense := storage.IdentityRun(sel)
 		switch {
 		case c.Nulls != nil:
 			for k, i := range sel {
@@ -552,9 +579,9 @@ func addNumbers(accs []aggAcc, col storage.Column, sel, groupOf []int32) bool {
 					accs[groupOf[k]].addFloat(c.Vals[i])
 				}
 			}
-		case storage.IsIdentity(sel):
-			// Row k is c.Vals[k].
-			for k, v := range c.Vals[:len(sel)] {
+		case dense:
+			// A run of the identity from lo: row k is c.Vals[lo+k].
+			for k, v := range c.Vals[lo : lo+len(sel)] {
 				accs[groupOf[k]].addFloat(v)
 			}
 		default:

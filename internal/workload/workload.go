@@ -84,12 +84,52 @@ func D1Rows(lo, hi int64, cols int, seed uint64) []types.Row {
 // D1DataFrame builds a lazily generated DataFrame of D1: each partition
 // generates its slice, so the driver never materializes the dataset.
 func D1DataFrame(sc *spark.Context, rows int64, cols, parts int, seed uint64) *spark.DataFrame {
-	rdd := spark.NewRDD(sc, parts, func(_ *spark.TaskContext, p int) ([]types.Row, error) {
+	rdd := generated(sc, rows, parts, cols, func(row types.Row, i int64) { fillD1(row, rowSeed(seed, i)) })
+	return spark.NewDataFrame(sc, D1Schema(cols), rdd)
+}
+
+// fillD1 writes the D1 row whose stream seed is s into row: D1Row's values.
+func fillD1(row types.Row, s uint64) {
+	g := rng{s: s}
+	for c := range row {
+		row[c] = types.FloatValue(g.floatD1())
+	}
+}
+
+// chunkRows is how many rows a generated partition yields at a time: the
+// 4 096-row Avro block S2V sends (core.encodeRows), so each chunk a save
+// pulls is one block of its COPY.
+const chunkRows = 4096
+
+// generated is a lazily generated dataset of rows rows, each width values
+// wide: partition p streams its share in chunks of chunkRows, fill writing
+// row i's values into a row of the chunk. The chunk and its one slab of
+// values are allocated afresh for a receiver that keeps them, and once per
+// partition for one that borrows them, so generating a partition for a save
+// allocates one chunk, not a partition of rows.
+func generated(sc *spark.Context, rows int64, parts, width int, fill func(row types.Row, i int64)) *spark.RDD[types.Row] {
+	return spark.NewChunkedRDD(sc, parts, func(_ *spark.TaskContext, p int, reuse bool, yield func([]types.Row) bool) error {
 		lo := rows * int64(p) / int64(parts)
 		hi := rows * int64(p+1) / int64(parts)
-		return D1Rows(lo, hi, cols, seed), nil
+		var chunk []types.Row
+		for at := lo; at < hi; at += chunkRows {
+			n := int(min(hi-at, chunkRows))
+			if chunk == nil || !reuse {
+				chunk = make([]types.Row, n)
+				vals := make([]types.Value, n*width)
+				for k := range chunk {
+					chunk[k] = vals[k*width : (k+1)*width : (k+1)*width]
+				}
+			}
+			for k, r := range chunk[:n] {
+				fill(r, at+int64(k))
+			}
+			if !yield(chunk[:n]) {
+				return nil
+			}
+		}
+		return nil
 	})
-	return spark.NewDataFrame(sc, D1Schema(cols), rdd)
 }
 
 // D1WithIntSchema is D1 plus the integer partition column the JDBC Default
@@ -114,14 +154,11 @@ func D1WithIntRow(i int64, cols int, seed uint64) types.Row {
 
 // D1WithIntDataFrame builds the JDBC variant lazily.
 func D1WithIntDataFrame(sc *spark.Context, rows int64, cols, parts int, seed uint64) *spark.DataFrame {
-	rdd := spark.NewRDD(sc, parts, func(_ *spark.TaskContext, p int) ([]types.Row, error) {
-		lo := rows * int64(p) / int64(parts)
-		hi := rows * int64(p+1) / int64(parts)
-		out := make([]types.Row, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, D1WithIntRow(i, cols, seed))
-		}
-		return out, nil
+	rdd := generated(sc, rows, parts, cols+1, func(row types.Row, i int64) {
+		// D1WithIntRow's values: pcol, then D1's floats from the same stream.
+		g := rng{s: rowSeed(seed, i+1<<40)}
+		row[0] = types.IntValue(int64(g.next() % 100))
+		fillD1(row[1:], g.s)
 	})
 	return spark.NewDataFrame(sc, D1WithIntSchema(cols), rdd)
 }
@@ -156,16 +193,21 @@ func D2Row(i int64, seed uint64) types.Row {
 
 // D2DataFrame builds D2 lazily.
 func D2DataFrame(sc *spark.Context, rows int64, parts int, seed uint64) *spark.DataFrame {
-	rdd := spark.NewRDD(sc, parts, func(_ *spark.TaskContext, p int) ([]types.Row, error) {
-		lo := rows * int64(p) / int64(parts)
-		hi := rows * int64(p+1) / int64(parts)
-		out := make([]types.Row, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, D2Row(i, seed))
-		}
-		return out, nil
-	})
+	rdd := generated(sc, rows, parts, 2, func(row types.Row, i int64) { fillD2(row, i, seed) })
 	return spark.NewDataFrame(sc, D2Schema(), rdd)
+}
+
+// fillD2 writes D2Row(i, seed)'s values into row.
+func fillD2(row types.Row, i int64, seed uint64) {
+	g := rng{s: rowSeed(seed, i+2<<40)}
+	var b strings.Builder
+	for b.Len() < 88 {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(tweetWords[g.next()%uint64(len(tweetWords))])
+	}
+	row[0], row[1] = types.IntValue(i), types.StringValue(b.String())
 }
 
 // CSVBytes renders rows as CSV (the on-HDFS representation of §4.1).

@@ -147,3 +147,58 @@ func TestIrisSeparable(t *testing.T) {
 		t.Errorf("classes overlap on petal_length: max0=%v min1=%v", max0, min1)
 	}
 }
+
+// TestGeneratedFramesStreamTheRowFunctions: every lazily generated frame
+// yields its rows in chunks of at most chunkRows, and each row — kept or
+// borrowed from a reused chunk — equals the row function's, value for value.
+func TestGeneratedFramesStreamTheRowFunctions(t *testing.T) {
+	const rows, cols, parts, seed = 2*chunkRows + 123, 4, 2, 9
+	frames := map[string]struct {
+		df  *spark.DataFrame
+		row func(i int64) types.Row
+	}{
+		"D1":        {D1DataFrame(sc(), rows, cols, parts, seed), func(i int64) types.Row { return D1Row(i, cols, seed) }},
+		"D1WithInt": {D1WithIntDataFrame(sc(), rows, cols, parts, seed), func(i int64) types.Row { return D1WithIntRow(i, cols, seed) }},
+		"D2":        {D2DataFrame(sc(), rows, parts, seed), func(i int64) types.Row { return D2Row(i, seed) }},
+	}
+	for name, f := range frames {
+		rdd, err := f.df.RDD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := rdd.Collect()
+		if err != nil || len(kept) != rows {
+			t.Fatalf("%s: Collect = %d rows, %v", name, len(kept), err)
+		}
+		borrowed := make([]types.Row, rows)
+		err = rdd.ForeachPartition(func(tc *spark.TaskContext, in spark.Stream[types.Row]) error {
+			at := int64(rows) * int64(tc.PartitionID) / parts
+			return in.Borrow(func(chunk []types.Row) bool {
+				if len(chunk) > chunkRows {
+					t.Errorf("%s: a chunk of %d rows", name, len(chunk))
+				}
+				for _, r := range chunk {
+					borrowed[at] = append(types.Row(nil), r...)
+					at++
+				}
+				return true
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range kept {
+			want := f.row(int64(i))
+			for _, got := range []types.Row{kept[i], borrowed[i]} {
+				if len(got) != len(want) {
+					t.Fatalf("%s row %d = %v, want %v", name, i, got, want)
+				}
+				for c := range want {
+					if got[c] != want[c] {
+						t.Fatalf("%s row %d = %v, want %v", name, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
