@@ -27,10 +27,10 @@ type Batch struct {
 	// filter decides a hash range for the whole batch when the span lies
 	// inside the range or outside it. Empty when unknown.
 	HashSpan vhash.Range
-	// Sel lists surviving row indexes: in ascending order out of a scan, a
-	// join or a filter; in result order out of a sort. A join to unique keys
-	// hands on its probe batch's vectors with Sel narrowed to the matched
-	// rows.
+	// Sel lists surviving row indexes: strictly ascending out of a scan, a
+	// join or a filter, the only Sels a kernel or aggregate reads; in result
+	// order out of a sort. A join to unique keys hands on its probe batch's
+	// vectors with Sel narrowed to the matched rows.
 	//
 	// Sel is read-only to everyone who did not allocate it: a scan hands out
 	// the shared identity selection (IdentitySel) for a container every row
@@ -72,9 +72,9 @@ func (b *Batch) Project(colIdx []int) *Batch {
 	return p
 }
 
-// identity is the process-wide identity selection, 0,1,2,… Nothing writes a
-// vector once it is published: growing it publishes a new, longer one, and
-// batches cut from an older one keep that one alive, unchanged.
+// identity is the process-wide identity selection, 0,1,2,…, backing memory
+// only. Nothing writes a vector once it is published: growing it publishes a
+// new, longer one, and batches cut from an older one keep it alive, unchanged.
 var (
 	identityMu sync.Mutex
 	identity   atomic.Pointer[[]int32]
@@ -109,27 +109,24 @@ func identityVals() []int32 {
 	return nil
 }
 
-// IsIdentity reports whether sel is a prefix of the shared identity vector —
-// so that sel[k] == k for every k — by where it starts, not by its values. An
-// identity cut from a vector since outgrown, or one a caller built itself,
-// reads false: the answer picks a dense loop over an indexed one, never what
-// the loop computes.
-func IsIdentity(sel []int32) bool {
-	lo, ok := IdentityRun(sel)
-	return ok && lo == 0
-}
-
-// IdentityRun reports whether sel is a run of the shared identity vector —
-// so that sel[k] == lo+k for every k — and its first row lo: a LIMIT-pushed
-// scan filters a whole container in such runs. Like IsIdentity it decides by
-// where sel lies, not by its values.
+// IdentityRun reports whether sel is the run lo, lo+1, …, lo+len(sel)-1, and
+// lo, from its values alone. It tests the endpoints, so it is exact for a
+// strictly ascending sel (Batch.Sel); a permutation is tested whole.
 func IdentityRun(sel []int32) (lo int, ok bool) {
-	v := identityVals()
 	if len(sel) == 0 {
 		return 0, false
 	}
-	lo = int(sel[0])
-	return lo, lo >= 0 && lo < len(v) && &sel[0] == &v[lo]
+	return int(sel[0]), int(sel[len(sel)-1]-sel[0]) == len(sel)-1
+}
+
+// consecutive reports whether sel is sel[0], sel[0]+1, sel[0]+2, ...
+func consecutive(sel []int32) bool {
+	for k, i := range sel {
+		if i != sel[0]+int32(k) {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckIdentitySel reports an error when an entry of the shared identity

@@ -206,14 +206,14 @@ func gatherValues(p []byte, src []colRead) {
 // batches select, in order, and their count — the shape the write path takes
 // rows in. It is the one bulk copy between vectors (a load's decoded blocks
 // strung together, one target's share cut out of a load, a scan's batches
-// made insertable), and no copy at all when a single batch of dense vectors
-// selects every row it has through the shared identity selection: those
-// vectors are returned as they are, shared.
+// made insertable, a sort's permutation laid out), and no copy at all when a
+// single batch of dense vectors selects every row it has, in order (tested
+// entry by entry): those vectors are returned as they are, shared.
 // Every batch must carry one column per schema column, of that column's type.
 func DenseColumns(schema types.Schema, batches []*Batch) ([]Column, int, error) {
 	n := SelectedRows(batches)
 	cols := make([]Column, schema.NumCols())
-	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && IsIdentity(batches[0].Sel)
+	whole := len(batches) == 1 && len(batches[0].Cols) == len(cols) && n > 0 && batches[0].Sel[0] == 0 && consecutive(batches[0].Sel)
 	for j, sc := range schema.Cols {
 		if whole && batches[0].Cols[j].Type() == sc.T && batches[0].Cols[j].Len() == n {
 			cols[j] = Densify(batches[0].Cols[j])

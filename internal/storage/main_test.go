@@ -21,19 +21,30 @@ func TestMain(m *testing.M) {
 
 // TestIdentitySelShared: IdentitySel hands out capacity-capped prefixes of one
 // vector, so appending to one copies; growing the vector — from several
-// goroutines at once — leaves the prefixes handed out as they were; and
-// IsIdentity knows a prefix of the current vector by where it starts alone.
+// goroutines at once — leaves the prefixes handed out as they were, and
+// still runs from 0: IdentityRun knows a run by its values, wherever it lies.
 func TestIdentitySelShared(t *testing.T) {
-	a := IdentitySel(10)
-	if len(a) != 10 || cap(a) != 10 || !IsIdentity(a) || !IsIdentity(a[:4]) {
-		t.Fatalf("IdentitySel(10): len %d, cap %d, IsIdentity %v", len(a), cap(a), IsIdentity(a))
+	run := func(sel []int32, want int) {
+		t.Helper()
+		if lo, ok := IdentityRun(sel); !ok || lo != want {
+			t.Errorf("IdentityRun(%v) = %d, %v; want a run from %d", sel, lo, ok, want)
+		}
 	}
+	a := IdentitySel(10)
+	if len(a) != 10 || cap(a) != 10 {
+		t.Fatalf("IdentitySel(10): len %d, cap %d", len(a), cap(a))
+	}
+	run(a, 0)
+	run(a[:4], 0)
+	run(a[1:], 1)
+	run(slices.Clone(a), 0)
+	run([]int32{0, 1, 2}, 0)
 	if b := IdentitySel(3); &b[0] != &a[0] {
 		t.Error("two identities cut from one vector do not share it")
 	}
-	for _, sel := range [][]int32{nil, a[:0], a[1:], slices.Clone(a), {0, 1, 2}} {
-		if IsIdentity(sel) {
-			t.Errorf("IsIdentity(%v) holds for a selection that does not start the shared vector", sel)
+	for _, sel := range [][]int32{nil, a[:0], {0, 2, 3}, {3, 2, 1}} {
+		if _, ok := IdentityRun(sel); ok {
+			t.Errorf("IdentityRun(%v) holds for a selection that is no run", sel)
 		}
 	}
 	_ = append(a, -1)
@@ -53,9 +64,8 @@ func TestIdentitySelShared(t *testing.T) {
 	}
 	wg.Wait()
 	grown := IdentitySel(2*len(identityVals()) + 1)
-	if IsIdentity(a) || !IsIdentity(grown) {
-		t.Errorf("after growing: IsIdentity of the outgrown prefix %v, of the new one %v", IsIdentity(a), IsIdentity(grown))
-	}
+	run(a, 0)
+	run(grown, 0)
 	if !slices.Equal(a, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
 		t.Errorf("a prefix of the outgrown vector now reads %v", a)
 	}

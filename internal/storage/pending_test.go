@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 
 	"vsfabric/internal/types"
@@ -59,6 +60,64 @@ func TestCommitVisitsOnlyItsContainers(t *testing.T) {
 	}
 	if got := s.RowCount(Visibility{Epoch: n + 1}); got != n+1 {
 		t.Fatalf("%d rows visible, want %d", got, n+1)
+	}
+}
+
+// TestDeleteCommitVisitsOnlyItsContainers: a commit rewrites the delete
+// marks of the containers its transaction marked, not the store's. After N
+// single-row DELETEs, each of a row in its own container and committed in
+// turn, one more DELETE's commit visits one container (marking it twice in
+// a row files it once); so does an abort's, and a tag that marked nothing
+// here visits none.
+func TestDeleteCommitVisitsOnlyItsContainers(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "id", T: types.Int64})
+	s := NewSegmentStore(schema, []int{0}, vhash.Range{Lo: 0, Hi: vhash.RingSize})
+	const n = 300
+	for i := int64(0); i < n+2; i++ {
+		cols := []Column{&Int64Column{Vals: []int64{i}}}
+		if err := s.AppendColumns(cols, HashColumns(cols, []int{0}, 1), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows []*Batch // one batch per container, each selecting its one row
+	if err := s.ScanBatches(Visibility{Epoch: 1}, vhash.Range{Lo: 0, Hi: vhash.RingSize}, func(b *Batch) bool {
+		rows = append(rows, b)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mark := func(b *Batch, tag uint64) {
+		t.Helper()
+		if got, err := s.MarkDeleted(b, tag); got != 1 || err != nil {
+			t.Fatalf("MarkDeleted = %d, %v; want 1 row", got, err)
+		}
+	}
+	step := func(what string, want int64, op func()) {
+		t.Helper()
+		before := s.Visits()
+		op()
+		if got := s.Visits() - before; got != want {
+			t.Fatalf("%s visited %d containers, want %d", what, got, want)
+		}
+	}
+	step(fmt.Sprintf("%d delete commits", n), n, func() {
+		for i := range n {
+			mark(rows[i], ProvisionalBase+uint64(i))
+			s.RebaseDeletes(ProvisionalBase+uint64(i), uint64(i+2))
+		}
+	})
+	step("one more delete commit", 1, func() {
+		mark(rows[n], ProvisionalBase+n)
+		mark(rows[n], ProvisionalBase+n)
+		s.RebaseDeletes(ProvisionalBase+n, n+2)
+	})
+	step("an abort", 1, func() {
+		mark(rows[n+1], ProvisionalBase+n+1)
+		s.ClearDeletes(ProvisionalBase + n + 1)
+	})
+	step("a commit that marked nothing here", 0, func() { s.RebaseDeletes(ProvisionalBase+n+2, n+3) })
+	if got := s.RowCount(Visibility{Epoch: n + 3}); got != 1 {
+		t.Fatalf("%d rows visible, want the one whose delete aborted", got)
 	}
 }
 

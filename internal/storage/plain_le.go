@@ -20,24 +20,14 @@ const runBlock = 64
 func putWords(p []byte, w []uint64, sel []int32) {
 	for len(sel) > 0 {
 		blk := sel[:min(len(sel), runBlock)]
-		if lo := blk[0]; int(blk[len(blk)-1]-lo) == len(blk)-1 && consecutive(blk) {
-			run := w[lo : int(lo)+len(blk)]
+		if lo, ok := IdentityRun(blk); ok && consecutive(blk) {
+			run := w[lo : lo+len(blk)]
 			copy(p, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), 8*len(run)))
 		} else {
 			putWordsLoop(p, w, blk)
 		}
 		p, sel = p[8*len(blk):], sel[len(blk):]
 	}
-}
-
-// consecutive reports whether sel is sel[0], sel[0]+1, sel[0]+2, ...
-func consecutive(sel []int32) bool {
-	for k, i := range sel {
-		if i != sel[0]+int32(k) {
-			return false
-		}
-	}
-	return true
 }
 
 // decodeWords returns a vector of its own holding the len(p)/8 little-endian

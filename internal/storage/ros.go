@@ -41,12 +41,6 @@ func (v Visibility) seesDelete(del uint64) bool {
 	return del <= v.Epoch || (v.Tag != 0 && del == v.Tag)
 }
 
-// RowVisible reports whether a row with the given insert epoch and delete
-// mark is visible under v.
-func (v Visibility) RowVisible(start, del uint64) bool {
-	return v.seesInsert(start) && !v.seesDelete(del)
-}
-
 // ROSContainer is one immutable Read Optimized Storage container: a batch of
 // rows stored column-wise, stamped with the epoch (or provisional tag) at
 // which it was inserted. Deletes are recorded out-of-line in a delete vector
@@ -271,9 +265,12 @@ type Store struct {
 	// that tag, so a commit — live or replayed — visits only its own
 	// transaction's containers, however many the store holds. An abort
 	// finds its containers the same way, then walks ros once to unlink them.
-	pending map[uint64][]*ROSContainer
-	// visits counts the containers RebaseInserts and DropInserts took from
-	// pending (read by tests); DropInserts' walk of ros is not counted.
+	pending byTag
+	// marked indexes the containers holding delete marks under a provisional
+	// tag by that tag, so a commit or abort rewrites only their marks.
+	marked byTag
+	// visits counts the containers commits and aborts took from pending and
+	// marked (read by tests); DropInserts' walk of ros is not counted.
 	visits atomic.Int64
 	// stale is set when a cluster write skips this store because its node is
 	// not accepting writes (DOWN/REMOVED). A stale store's contents lag the
@@ -288,7 +285,7 @@ type Store struct {
 // and segmentation column indexes. It is not told a ring range, so every
 // write stays one container.
 func NewStore(schema types.Schema, segIdx []int) *Store {
-	return &Store{schema: schema, segIdx: segIdx}
+	return &Store{schema: schema, segIdx: segIdx, pending: byTag{}, marked: byTag{}}
 }
 
 // NewSegmentStore is NewStore for a store holding the rows of ring: a
@@ -296,7 +293,7 @@ func NewStore(schema types.Schema, segIdx []int) *Store {
 // builds from LocalCutRows rows up at ring's local segments, so no such
 // container spans two of them.
 func NewSegmentStore(schema types.Schema, segIdx []int, ring vhash.Range) *Store {
-	return &Store{schema: schema, segIdx: segIdx, ring: ring, cut: vhash.LocalCutOf(ring)}
+	return &Store{schema: schema, segIdx: segIdx, ring: ring, cut: vhash.LocalCutOf(ring), pending: byTag{}, marked: byTag{}}
 }
 
 // Ring returns the hash range the store holds (empty when it was not told).
@@ -347,20 +344,20 @@ func (s *Store) add(ros ...*ROSContainer) {
 	s.ros = append(s.ros, ros...)
 	for _, c := range ros {
 		if c.start >= ProvisionalBase {
-			if s.pending == nil {
-				s.pending = make(map[uint64][]*ROSContainer)
-			}
 			s.pending[c.start] = append(s.pending[c.start], c)
 		}
 	}
 }
 
-// takePending removes the tag's containers from the index and returns them.
-func (s *Store) takePending(tag uint64) []*ROSContainer {
+// byTag files containers by a provisional tag.
+type byTag map[uint64][]*ROSContainer
+
+// take removes the tag's containers from index (pending or marked).
+func (s *Store) take(index *byTag, tag uint64) []*ROSContainer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs := s.pending[tag]
-	delete(s.pending, tag)
+	cs := (*index)[tag]
+	delete(*index, tag)
 	s.visits.Add(int64(len(cs)))
 	return cs
 }
@@ -475,7 +472,8 @@ func (s *Store) Scan(vis Visibility, hr vhash.Range, fn func(row types.Row) bool
 // its lock, and returns the number of rows marked. A row somebody else already
 // deleted (possibly uncommitted) is left alone: first delete wins, mirroring
 // write-write conflict avoidance under the engine's table locks. A batch that
-// is not a scan's marks nothing and fails.
+// is not a scan's marks nothing and fails. It files a container it marks
+// under a provisional tag by that tag, for the commit or abort.
 func (s *Store) MarkDeleted(b *Batch, tag uint64) (int, error) {
 	if len(b.Sel) == 0 {
 		return 0, nil
@@ -485,7 +483,6 @@ func (s *Store) MarkDeleted(b *Batch, tag uint64) (int, error) {
 		return 0, fmt.Errorf("storage: batch was not cut from a container")
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.del == nil {
 		c.del = make([]uint64, c.RowCount)
 	}
@@ -497,13 +494,22 @@ func (s *Store) MarkDeleted(b *Batch, tag uint64) (int, error) {
 		}
 	}
 	c.dirty = c.dirty || n > 0
+	c.mu.Unlock()
+	if n > 0 && tag >= ProvisionalBase {
+		s.mu.Lock()
+		// Only the last container filed is compared: a later repeat is rewritten twice.
+		if cs := s.marked[tag]; len(cs) == 0 || cs[len(cs)-1] != c {
+			s.marked[tag] = append(cs, c)
+		}
+		s.mu.Unlock()
+	}
 	return n, nil
 }
 
 // RebaseInserts rewrites containers inserted under the provisional tag to the
 // final commit epoch. It visits those containers only.
 func (s *Store) RebaseInserts(tag, epoch uint64) {
-	for _, c := range s.takePending(tag) {
+	for _, c := range s.take(&s.pending, tag) {
 		c.mu.Lock()
 		c.start, c.dirty = epoch, true
 		c.mu.Unlock()
@@ -516,7 +522,7 @@ func (s *Store) RebaseInserts(tag, epoch uint64) {
 // container, no container lock. Aborts are rare; commits, which every
 // autocommit write makes, do no such walk.
 func (s *Store) DropInserts(tag uint64) {
-	cs := s.takePending(tag)
+	cs := s.take(&s.pending, tag)
 	if len(cs) == 0 {
 		return
 	}
@@ -526,9 +532,9 @@ func (s *Store) DropInserts(tag uint64) {
 }
 
 // RebaseDeletes rewrites delete marks carrying the provisional tag to the
-// final commit epoch.
+// final commit epoch, in the containers MarkDeleted filed under the tag only.
 func (s *Store) RebaseDeletes(tag, epoch uint64) {
-	for _, c := range s.snapshot() {
+	for _, c := range s.take(&s.marked, tag) {
 		c.mu.Lock()
 		for i, d := range c.del {
 			if d == tag {

@@ -196,7 +196,7 @@ func (s *Store) ReplaceContents(v *Versions) error {
 		return err
 	}
 	s.mu.Lock()
-	s.ros, s.pending = nil, nil
+	s.ros, s.pending, s.marked = nil, byTag{}, byTag{}
 	s.add(ros...)
 	s.mu.Unlock()
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vsfabric/internal/types"
@@ -97,6 +98,39 @@ func TestDenseColumnsMatchesColumnize(t *testing.T) {
 	}
 	if _, _, err := DenseColumns(gatherSchema, []*Batch{{Cols: []Column{cols[2], cols[1], cols[2], cols[3], cols[4], cols[5]}, Sel: []int32{1}}}); err == nil {
 		t.Error("a FLOAT vector under an INTEGER schema column should fail")
+	}
+}
+
+// DenseColumns decides "every row, in order" from the whole selection: a
+// permutation whose endpoints are 0 and n-1 — a sort's — is copied in its
+// order, and any 0, 1, …, n-1 is shared, wherever its vector lives.
+func TestDenseColumnsFollowsAPermutation(t *testing.T) {
+	const n = 40
+	rows := writeRows(rand.New(rand.NewSource(14)), n)
+	cols, _ := ColumnsFromRows(rows, gatherSchema)
+	swapped := slices.Clone(IdentitySel(n))
+	swapped[1], swapped[2] = 2, 1
+	middle := slices.Clone(IdentitySel(n))
+	slices.Reverse(middle[1 : n-1])
+	for _, sel := range [][]int32{swapped, middle} {
+		got, _, err := DenseColumns(gatherSchema, []*Batch{{Cols: cols, Sel: sel}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]types.Row, n)
+		for k, i := range sel {
+			want[k] = rows[i]
+		}
+		sameRows(t, fmt.Sprintf("DenseColumns over %v", sel[:4]), Materialize([]*Batch{{Cols: got, Sel: IdentitySel(n)}}), want)
+	}
+	got, _, err := DenseColumns(gatherSchema, []*Batch{{Cols: cols, Sel: slices.Clone(IdentitySel(n))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range cols {
+		if got[j] != cols[j] {
+			t.Errorf("column %d of a batch selecting 0…n-1 in a vector of its own was copied", j)
+		}
 	}
 }
 

@@ -673,3 +673,33 @@ func TestOrderBy(t *testing.T) {
 		t.Error("bad ORDER BY column should error")
 	}
 }
+
+// TestSortedViewKeepsItsOrder: a view's ORDER BY leaves its batch's selection
+// a permutation, which the outer query's filter and group-by read in that
+// order. One node holds the rows in one container, in insert order, and each
+// view's sorted selection has the endpoints of a run: w3 selects rows 5, 9, 7,
+// and w all ten rows, 1 and 2 swapped.
+func TestSortedViewKeepsItsOrder(t *testing.T) {
+	s := sess(t, testCluster(t, 1), 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER, v FLOAT, u FLOAT)")
+	var vals []string
+	for i, v := range []int{10, 11, 12, 13, 14, 1, 16, 3, 18, 2} {
+		u := []int{0, 2, 1, 3, 4, 5, 6, 7, 8, 9}[i]
+		vals = append(vals, fmt.Sprintf("(%d, %d, %d)", i, v, u))
+	}
+	s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
+	s.MustExecute("CREATE VIEW w3 AS SELECT id, v FROM t ORDER BY v LIMIT 3")
+	s.MustExecute("CREATE VIEW w AS SELECT id, u FROM t ORDER BY u")
+	for _, c := range []struct {
+		q    string
+		want string
+	}{
+		{"SELECT id FROM w3 WHERE id < 100", "[[5] [9] [7]]"},
+		{"SELECT id, SUM(v) FROM w3 GROUP BY id", "[[5 1] [9 2] [7 3]]"},
+		{"SELECT id FROM w WHERE id >= 0", "[[0] [2] [1] [3] [4] [5] [6] [7] [8] [9]]"},
+	} {
+		if got := fmt.Sprint(s.MustExecute(c.q).Rows); got != c.want {
+			t.Errorf("%s = %s, want %s", c.q, got, c.want)
+		}
+	}
+}

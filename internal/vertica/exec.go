@@ -240,19 +240,18 @@ func runSegJobs(n int, fn func(int)) {
 // scanBatches is the engine's one scan: it reads a planned base-table scan
 // node under the read context into column batches without boxing a row. The
 // node's hash range prunes segments; each segment's store is scanned over the
-// whole ring, so a container without deletes reaches the filter whole, as the
-// shared identity. The predicate runs as container pruning (zone maps and hash
-// span, prunes), then as column kernels (vexec), its HASH range last. Segments fan out over a
+// whole ring, so a container without deletes reaches the filter whole, its Sel
+// 0…n−1 cut from the shared identity (whole by its values, storage.IdentityRun).
+// The predicate runs as container pruning (zone maps and hash span, prunes),
+// then as column kernels (vexec), its HASH range last. Segments fan out over a
 // bounded worker pool, and the surviving batches merge in segment order, so
 // results are deterministic and match a sequential scan. The batches alias the
 // containers' immutable column vectors and carry selection vectors nothing
-// writes once built — the shared identity for a container the scan sees
-// whole, otherwise one the scan or its filter built: they stay valid, and keep
-// showing the snapshot they were scanned at, after the statement's epoch pin
-// is gone. The returned count is the rows selected;
-// with countOnly it is all that is returned. The node's actuals are filled in.
-// A segment checks ctx before each batch: once it is cancelled, every segment
-// stops and the scan fails with ctx's error.
+// writes once built: they stay valid, and keep showing the snapshot they were
+// scanned at, after the statement's epoch pin is gone. The returned count is
+// the rows selected; with countOnly it is all that is returned. The node's
+// actuals are filled in. A segment checks ctx before each batch: once it is
+// cancelled, every segment stops and the scan fails with ctx's error.
 func (s *Session) scanBatches(ctx context.Context, n *planNode, vis storage.Visibility, prof bool) ([]*storage.Batch, int64, error) {
 	jobs, pred, opts := n.jobs, n.pred, n.opts
 	if opts.limit == 0 {

@@ -58,6 +58,7 @@ type planNode struct {
 	opts scanOpts
 	view *selectPlan
 	rows []types.Row
+	perm bool // a view with ORDER BY, which runScan lays out: a Sel reads ascending
 	// join: the ON columns' input indexes, and the input columns each side
 	// contributes to the output (nil: all of them)
 	clause       *vsql.JoinClause
@@ -142,7 +143,7 @@ func (s *Session) planRelation(tr *vsql.TableRef, vis storage.Visibility) (planN
 		if !ok {
 			return n, fmt.Errorf("vertica: view %q is not a SELECT", view.Name)
 		}
-		n.detail = "view expansion"
+		n.detail, n.perm = "view expansion", len(subSel.OrderBy) > 0
 		if n.view, err = s.planSelect(subSel, vis); err == nil {
 			n.schema = n.view.schema
 		}
@@ -524,7 +525,10 @@ func (s *Session) runScan(ctx context.Context, n *planNode, vis storage.Visibili
 	var batches []*storage.Batch
 	var err error
 	if n.view != nil {
-		batches, err = s.run(ctx, n.view, prof)
+		if batches, err = s.run(ctx, n.view, prof); err == nil && n.perm && len(batches) > 0 {
+			cols, rows, derr := storage.DenseColumns(n.schema, batches)
+			batches, err = []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(rows)}}, derr
+		}
 		for _, b := range batches {
 			b.Schema, b.Hashes, b.HashSpan = n.schema, nil, vhash.Range{}
 		}

@@ -385,7 +385,7 @@ func (h *HashAgg) resolveCodes(d *storage.DictColumn, sel, groupOf []int32) {
 func (h *HashAgg) resolveInts(col storage.Column, sel, groupOf []int32) {
 	c := col.(*storage.Int64Column)
 	// direct and hashed inline here, so only a new key or a NULL pays a
-	// call. Over a run of the identity selection from lo, row k is
+	// call. Over a run from lo (storage.IdentityRun), row k is
 	// c.Vals[lo+k].
 	t := h.ints
 	if lo, ok := storage.IdentityRun(sel); ok && c.Nulls == nil {
@@ -580,7 +580,7 @@ func addNumbers(accs []aggAcc, col storage.Column, sel, groupOf []int32) bool {
 				}
 			}
 		case dense:
-			// A run of the identity from lo: row k is c.Vals[lo+k].
+			// A run from lo: row k is c.Vals[lo+k].
 			for k, v := range c.Vals[lo : lo+len(sel)] {
 				accs[groupOf[k]].addFloat(v)
 			}

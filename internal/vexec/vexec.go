@@ -25,11 +25,12 @@ import (
 )
 
 // Kernel narrows a selection over one batch: it appends the rows of sel it
-// keeps, in order, to out and returns the result. sel is read-only to it — it
-// may be a scan's shared identity selection (storage.IdentitySel). out is the
-// caller's: empty, or sel's own backing when the caller narrows a vector it
-// allocated in place, which is safe because the k-th kept row is written only
-// after the k-th row of sel is read.
+// keeps, in order, to out and returns the result. sel is strictly ascending
+// (storage.Batch.Sel), so storage.IdentityRun knows a run of it, and read-only
+// to the kernel. out is the caller's: a vector of its own, possibly holding
+// the rows kept from an earlier part of the selection, or sel's own backing
+// when the caller narrows a vector it allocated in place, which is safe
+// because the k-th kept row is written only after the k-th row of sel is read.
 type Kernel func(b *storage.Batch, sel, out []int32) []int32
 
 // Pred is a compiled predicate: zero or more typed kernels, one ring range
@@ -139,9 +140,8 @@ type FilterStats struct {
 	// lowered).
 	ResidualRows int64
 	// IdentityRows is the number of rows that reached the filter as whole
-	// containers: the shared identity selection (storage.IsIdentity) over
-	// every row of the batch. A run of a container's rows filtered on its
-	// own, first run included, is not whole.
+	// batches: a Sel of 0, 1, …, n-1 over a batch of n rows. A run of a
+	// container's rows filtered on its own, first run included, is not whole.
 	IdentityRows int64
 }
 
@@ -180,7 +180,7 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 	}
 	f := narrowing{b: b, sel: b.Sel}
 	if fs != nil {
-		if storage.IsIdentity(f.sel) && len(b.Cols) > 0 && len(f.sel) == b.Cols[0].Len() {
+		if lo, ok := storage.IdentityRun(f.sel); ok && lo == 0 && len(b.Cols) > 0 && len(f.sel) == b.Cols[0].Len() {
 			fs.IdentityRows += int64(len(f.sel))
 		}
 		if len(p.kernels) > 0 || testRing {
@@ -217,10 +217,10 @@ func (p *Pred) FilterBatchStats(b *storage.Batch, fs *FilterStats) error {
 // narrowing is one FilterBatch call's selection. The first narrowing writes
 // into a vector of the call's own and every later one narrows that vector in
 // place: a batch gets at most one new selection vector. It is sized to the
-// selection it narrows, except when that is the shared identity or a run of
-// it — a whole container or a LIMIT-pushed scan's run of one, which a WHERE
-// mostly narrows to a sliver — where it grows by append instead of being
-// zeroed at the container's size.
+// selection it narrows, except over a run (storage.IdentityRun), which a WHERE
+// mostly narrows to a sliver: it grows by append, and a kernel sizes it again
+// after a long run's first probeChunk rows at the rate they kept, so a run kept
+// whole (a DELETE's wide bound) pays a fixed number of growth steps.
 type narrowing struct {
 	b     *storage.Batch
 	sel   []int32
@@ -233,7 +233,7 @@ func (f *narrowing) out() []int32 {
 		return f.sel[:0]
 	}
 	f.owned = true
-	if _, ok := storage.IdentityRun(f.sel); ok {
+	if _, run := storage.IdentityRun(f.sel); run {
 		return nil
 	}
 	return make([]int32, 0, len(f.sel))
@@ -241,10 +241,15 @@ func (f *narrowing) out() []int32 {
 
 func (f *narrowing) apply(kernels []Kernel) {
 	for _, k := range kernels {
-		if len(f.sel) == 0 {
+		switch _, run := storage.IdentityRun(f.sel); {
+		case len(f.sel) == 0:
 			return
+		case run && !f.owned && len(f.sel) > probeChunk:
+			head := k(f.b, f.sel[:probeChunk], nil)
+			f.sel, f.owned = k(f.b, f.sel[probeChunk:], slices.Grow(head, len(head)*(len(f.sel)/probeChunk-1))), true
+		default:
+			f.sel = k(f.b, f.sel, f.out())
 		}
-		f.sel = k(f.b, f.sel, f.out())
 	}
 }
 
@@ -433,10 +438,8 @@ func rangeKernel(r vhash.Range) Kernel {
 	}
 }
 
-// selectNone drops every row (a conjunct that can never be true). It returns
-// nil, not sel[:0]: the caller owns what a kernel returns, and sel may be
-// shared.
-func selectNone(*storage.Batch, []int32, []int32) []int32 { return nil }
+// selectNone drops every row (a conjunct that can never be true).
+func selectNone(_ *storage.Batch, _, out []int32) []int32 { return out }
 
 func nullKernel(ci int, negate bool) Kernel {
 	return func(b *storage.Batch, sel, out []int32) []int32 {
@@ -496,8 +499,8 @@ func intCmpKernel(ci int, op expr.CmpOp, lit int64, boxed Kernel) Kernel {
 }
 
 // intCmpDense and intCmpSel are the hot null-free INTEGER loops: no null
-// checks, no branching beyond the compare. intCmpDense serves a run of the
-// identity selection, vals being the run's rows, and appends k for vals[k]:
+// checks, no branching beyond the compare. intCmpDense serves a run,
+// vals being the run's rows, and appends k for vals[k]:
 // it reads the vector straight through, where intCmpSel loads each row's
 // index from sel first.
 func intCmpDense(vals []int64, op expr.CmpOp, lit int64, out []int32) []int32 {
