@@ -36,14 +36,15 @@ examples:
 # every WAL record boundary), the checkpoint suites (a failed one, one across
 # an open DELETE, scans and UPDATEs racing one, the WAL-bytes trigger), the
 # DELETE/UPDATE differential across a restart and the replay of logs written
-# with either insert path, and the local-segment cut surviving a replay, under
+# with either insert path, the local-segment cut surviving a replay, and a
+# multi-block COPY replaying to the containers one dense batch builds, under
 # the race detector.
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
 	$(GO) test -race -run 'Persist|Marshal|Encode|DeletedRowsStayInTheirContainer|ImportContainerOrder|Golden' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
-	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths|NoContainerStraddlesALocalSegment' ./internal/vertica/
+	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths|NoContainerStraddlesALocalSegment|CopyBlocksRouteLikeOneBatch' ./internal/vertica/
 
 # Elastic-membership gate: the rebalance units, the columnar version movement
 # under them against its row-boxing reference, the cluster-lifecycle suites

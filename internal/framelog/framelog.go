@@ -141,7 +141,11 @@ func (fm Format) OpenAppend(path string, bufSize int, tear *Tear) (*Writer, erro
 }
 
 // Append writes one frame whose payload is the concatenation of parts and
-// returns the frame's size on disk.
+// returns the frame's size on disk. The frame is never assembled for a
+// buffered writer: its header and then each part go to the buffer as they
+// are, the checksum running over the parts, so a part larger than the buffer
+// passes straight to the descriptor. An unbuffered writer lays the frame out
+// once and issues it in one write.
 func (w *Writer) Append(parts ...[]byte) (int, error) {
 	if w.tear.crashed {
 		return 0, ErrCrashed
@@ -153,15 +157,17 @@ func (w *Writer) Append(parts ...[]byte) (int, error) {
 	if n > w.fm.MaxPayload {
 		return 0, fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, n, w.fm.MaxPayload)
 	}
-	fr := make([]byte, 8, 8+n)
+	var hdr [8]byte
+	var sum uint32
 	for _, p := range parts {
-		fr = append(fr, p...)
+		sum = crc32.Update(sum, crc32.IEEETable, p)
 	}
-	binary.LittleEndian.PutUint32(fr[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(fr[4:8], crc32.ChecksumIEEE(fr[8:]))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], sum)
 	if w.tear.armed && w.tear.left == 0 {
 		// Simulated power cut: half the frame reaches the file, then the
 		// world ends.
+		fr := frame(hdr, parts, n)
 		w.w.Write(fr[:len(fr)/2])
 		w.Flush()
 		w.tear.crashed = true
@@ -170,10 +176,30 @@ func (w *Writer) Append(parts ...[]byte) (int, error) {
 	if w.tear.armed {
 		w.tear.left--
 	}
-	if _, err := w.w.Write(fr); err != nil {
+	if w.buf == nil {
+		if _, err := w.f.Write(frame(hdr, parts, n)); err != nil {
+			return 0, err
+		}
+		return 8 + n, nil
+	}
+	if _, err := w.buf.Write(hdr[:]); err != nil {
 		return 0, err
 	}
-	return len(fr), nil
+	for _, p := range parts {
+		if _, err := w.buf.Write(p); err != nil {
+			return 0, err
+		}
+	}
+	return 8 + n, nil
+}
+
+// frame lays out the frame of header hdr over the n payload bytes of parts.
+func frame(hdr [8]byte, parts [][]byte, n int) []byte {
+	fr := append(make([]byte, 0, 8+n), hdr[:]...)
+	for _, p := range parts {
+		fr = append(fr, p...)
+	}
+	return fr
 }
 
 // Flush hands buffered frames to the descriptor.

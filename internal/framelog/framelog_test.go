@@ -2,8 +2,10 @@ package framelog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -290,4 +292,71 @@ func FuzzScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// oneFrame is a frame as one contiguous payload is framed: the reference a
+// frame appended from parts must equal byte for byte.
+func oneFrame(payload []byte) []byte {
+	fr := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	fr = binary.LittleEndian.AppendUint32(fr, crc32.ChecksumIEEE(payload))
+	return append(fr, payload...)
+}
+
+// A frame appended from parts is the frame of their concatenation, through
+// a buffered writer and an unbuffered one alike: empty parts, no parts and a
+// part larger than the buffer included. A tear from parts still writes
+// exactly half the frame.
+func TestAppendFromPartsMatchesOneFrame(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789"), 5) // 50 bytes: past the 16-byte buffer
+	cases := [][][]byte{
+		nil,
+		{{}},
+		{[]byte("head"), {}, []byte("tail")},
+		{{}, []byte("x"), {}},
+		{[]byte("hd"), big, []byte("t")},
+		{big[:16], big[16:32], big[32:]},
+	}
+	for _, bufSize := range []int{0, 16} {
+		path := filepath.Join(t.TempDir(), "log")
+		w, err := testFormat.OpenAppend(path, bufSize, &Tear{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []byte(testFormat.Magic)
+		for i, parts := range cases {
+			fr := oneFrame(bytes.Join(parts, nil))
+			n, err := w.Append(parts...)
+			if err != nil || n != len(fr) {
+				t.Fatalf("bufSize %d case %d: Append = %d, %v; want %d", bufSize, i, n, err, len(fr))
+			}
+			want = append(want, fr...)
+			if bufSize == 0 {
+				if now, _ := os.ReadFile(path); !bytes.Equal(now, want) {
+					t.Fatalf("unbuffered case %d: the file is not the frames so far", i)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+			t.Fatalf("bufSize %d: log of %d bytes differs from the frames of the concatenated payloads (%d bytes)", bufSize, len(got), len(want))
+		}
+
+		torn := filepath.Join(t.TempDir(), "torn")
+		var tear Tear
+		if w, err = testFormat.OpenAppend(torn, bufSize, &tear); err != nil {
+			t.Fatal(err)
+		}
+		tear.FailAfter(0)
+		parts := [][]byte{[]byte("hd"), big, []byte("t")}
+		if _, err := w.Append(parts...); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("bufSize %d: tearing append: %v", bufSize, err)
+		}
+		w.Close()
+		fr := oneFrame(bytes.Join(parts, nil))
+		if got, _ := os.ReadFile(torn); !bytes.Equal(got, append([]byte(testFormat.Magic), fr[:len(fr)/2]...)) {
+			t.Fatalf("bufSize %d: torn file is %d bytes, want the magic and the first %d of the frame's %d", bufSize, len(got), len(fr)/2, len(fr))
+		}
+	}
 }

@@ -127,22 +127,36 @@ func hashSpan(hashes []uint32) vhash.Range {
 // vectors hold — vhash.Hash over the segIdx columns (every column when segIdx
 // is empty), a column at a time, without boxing a value.
 func HashColumns(cols []Column, segIdx []int, n int) []uint32 {
-	state := make([]uint64, n)
-	for i := range state {
-		state[i] = vhash.Seed
-	}
-	if len(segIdx) == 0 {
-		for _, c := range cols {
-			mixColumn(state, c)
+	return HashBatches([]*Batch{{Cols: cols, Sel: IdentitySel(n)}}, segIdx)
+}
+
+// HashBatches is HashColumns over a load's blocks: the hashes of every row of
+// every batch, in order. Each batch's vectors hold exactly the rows it
+// selects, in order. A block is mixed column by column (vhash.MixInts and its
+// siblings) into a state the size of the largest block, then folded.
+func HashBatches(batches []*Batch, segIdx []int) []uint32 {
+	hashes := make([]uint32, 0, SelectedRows(batches))
+	var state []uint64
+	for _, b := range batches {
+		if cap(state) < len(b.Sel) {
+			state = make([]uint64, len(b.Sel))
 		}
-	} else {
-		for _, ci := range segIdx {
-			mixColumn(state, cols[ci])
+		state = state[:len(b.Sel)]
+		for i := range state {
+			state[i] = vhash.Seed
 		}
-	}
-	hashes := make([]uint32, n)
-	for i, h := range state {
-		hashes[i] = vhash.Fold(h)
+		if len(segIdx) == 0 {
+			for _, c := range b.Cols {
+				mixColumn(state, c)
+			}
+		} else {
+			for _, ci := range segIdx {
+				mixColumn(state, b.Cols[ci])
+			}
+		}
+		for _, h := range state {
+			hashes = append(hashes, vhash.Fold(h))
+		}
 	}
 	return hashes
 }
@@ -153,23 +167,13 @@ func mixColumn(state []uint64, c Column) {
 	nulls := nullsOf(c)
 	switch c := c.(type) {
 	case *Int64Column:
-		mixVals(state, c.Vals, nulls, vhash.MixInt)
+		vhash.MixInts(state, c.Vals, nulls)
 	case *Float64Column:
-		mixVals(state, c.Vals, nulls, vhash.MixFloat)
+		vhash.MixFloats(state, c.Vals, nulls)
 	case *StringColumn:
-		mixVals(state, c.Vals, nulls, vhash.MixString)
+		vhash.MixStrings(state, c.Vals, nulls)
 	case *BoolColumn:
-		mixVals(state, c.Vals, nulls, vhash.MixBool)
-	}
-}
-
-func mixVals[T any](state []uint64, vals []T, nulls []bool, mix func(uint64, T) uint64) {
-	for i, v := range vals {
-		if nulls != nil && nulls[i] {
-			state[i] = vhash.MixNull(state[i])
-		} else {
-			state[i] = mix(state[i], v)
-		}
+		vhash.MixBools(state, c.Vals, nulls)
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -42,6 +43,55 @@ func TestHashColumnsMatchesHashRow(t *testing.T) {
 					if want := vhash.HashRow(r, segIdx); got[i] != want {
 						t.Fatalf("n=%d segIdx=%v row %d %v: vector hash %d, row hash %d", n, segIdx, i, r, got[i], want)
 					}
+				}
+			}
+		}
+	}
+
+	// Each typed loop, null-free and with NULLs, over the values where
+	// MixFloat branches: NaN payloads, −0 and +0, ±Inf, 2^53+1, integral floats
+	// at and beyond ±2^63; then the same rows cut into blocks at every
+	// boundary shape HashBatches sees.
+	edgeFloats := []float64{
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000abc),
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1 << 53, 1<<53 + 2, 0.5, -2.5,
+		math.MinInt64, -(1 << 63) - 2048, math.Nextafter(1<<63, 0), 1 << 63, 1 << 64, -(1 << 64),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	edgeInts := []int64{0, -1, 1<<53 + 1, -(1<<53 + 1), math.MinInt64, math.MaxInt64}
+	n := 3 * len(edgeFloats)
+	for _, withNulls := range []bool{false, true} {
+		f := &Float64Column{Vals: make([]float64, n)}
+		in := &Int64Column{Vals: make([]int64, n)}
+		str := &StringColumn{Vals: make([]string, n)}
+		bl := &BoolColumn{Vals: make([]bool, n)}
+		for i := 0; i < n; i++ {
+			f.Vals[i], in.Vals[i] = edgeFloats[i%len(edgeFloats)], edgeInts[i%len(edgeInts)]
+			str.Vals[i], bl.Vals[i] = []string{"", "a", "\x00"}[i%3], i%2 == 0
+		}
+		if withNulls {
+			f.Nulls, in.Nulls, str.Nulls, bl.Nulls = make([]bool, n), make([]bool, n), make([]bool, n), make([]bool, n)
+			for i := 0; i < n; i += 4 {
+				f.Nulls[i], in.Nulls[i+1], str.Nulls[i+2], bl.Nulls[i+3] = true, true, true, true
+			}
+		}
+		cols := []Column{f, in, str, bl}
+		rows := Materialize([]*Batch{{Cols: cols, Sel: IdentitySel(n)}})
+		for _, segIdx := range [][]int{nil, {0}, {1}, {2}, {3}, {1, 0}} {
+			whole := HashColumns(cols, segIdx, n)
+			for i, r := range rows {
+				if want := vhash.HashRow(r, segIdx); whole[i] != want {
+					t.Fatalf("nulls=%v segIdx=%v row %d %v: vector hash %d, row hash %d", withNulls, segIdx, i, r, whole[i], want)
+				}
+			}
+			for _, cuts := range [][]int{{0, n}, {0, 1, n}, {0, n - 1, n}, {0, 7, 8, 30, n}, {0, 0, 13, 13, n}} {
+				var blocks []*Batch
+				for k := 1; k < len(cuts); k++ {
+					lo, hi := cuts[k-1], cuts[k]
+					blocks = append(blocks, &Batch{Cols: []Column{sliceDense(f, lo, hi), sliceDense(in, lo, hi), sliceDense(str, lo, hi), sliceDense(bl, lo, hi)}, Sel: IdentitySel(hi - lo)})
+				}
+				if got := HashBatches(blocks, segIdx); !slices.Equal(got, whole) {
+					t.Fatalf("nulls=%v segIdx=%v blocks cut at %v: hashes differ from the rows hashed whole", withNulls, segIdx, cuts)
 				}
 			}
 		}

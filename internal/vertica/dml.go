@@ -62,26 +62,29 @@ next:
 
 // writeColumns inserts the n rows held by cols (dense vectors, one per table
 // column) under tx and logs them: the one write entry every inserting
-// statement ends in. It returns appendColumns' shuffle accounting.
+// statement but COPY ends in, which enters at appendColumns and logInsert with
+// its blocks. It returns appendColumns' shuffle accounting.
 func (s *Session) writeColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int) (map[[2]string]float64, error) {
-	route, err := s.appendColumns(tx, tbl, cols, n)
+	block := []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}}
+	route, err := s.appendColumns(tx, tbl, block)
 	if err != nil {
 		return nil, err
 	}
-	return route, s.logInsert(tx, tbl, cols, n)
+	return route, s.logInsert(tx, tbl, block)
 }
 
-// appendColumns adds the n rows held by cols to the table's stores under tx.
-// Each row is ring-hashed once, here; segmented tables route each row to its
-// segment's node (plus buddy replicas), unsegmented tables replicate to every
-// node; each store takes its share as one container. Stores hosted on DOWN
+// appendColumns adds the rows held in blocks (each batch's vectors holding
+// exactly the rows it selects) to the table's stores under tx. Each row is
+// ring-hashed once, here; segmented tables route each row to its segment's
+// node (plus buddy replicas), unsegmented tables replicate to every node; each
+// store takes its share as one container. Stores hosted on DOWN
 // (or removed) nodes are skipped — their writes land on the surviving
 // replicas and are reconciled when the node recovers — but the statement
 // fails up front if any replica set is entirely unwritable. A traced
 // statement gets back the bytes shuffled from the connected node to each
 // other node, for resource accounting; an untraced one gets nil, and nothing
 // is weighed.
-func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int) (map[[2]string]float64, error) {
+func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, blocks []*storage.Batch) (map[[2]string]float64, error) {
 	if err := s.writableCheck(tbl); err != nil {
 		return nil, err
 	}
@@ -89,8 +92,8 @@ func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.
 	if s.rec != nil {
 		route = make(map[[2]string]float64)
 	}
-	hashes := storage.HashColumns(cols, tbl.SegIdx, n)
-	err := forEachTarget(tbl, cols, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error {
+	hashes := storage.HashBatches(blocks, tbl.SegIdx)
+	err := forEachTarget(tbl, blocks, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error {
 		if !s.cluster.nodeAcceptsWrites(nodeID) {
 			// The skipped store now lags the committed state; recovery must
 			// rebuild it from a replica before its node serves reads again.
@@ -438,9 +441,10 @@ func (s *Session) copyStage(ctx context.Context, name string, stage func() error
 }
 
 // copyStream parses and writes the rows of one COPY ... FROM STDIN load. Avro
-// blocks decode straight into column vectors and stay vectors down to the
-// ROS container and the WAL record; CSV lines parse into rows, columnized once
-// before the same write entry.
+// blocks decode straight into column vectors and stay those blocks until each
+// store's share is cut out of them and the WAL record is written over them;
+// CSV lines parse into rows, columnized once into one block before the same
+// write entry.
 func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *countingReader) (*Result, error) {
 	if s.node.Down() {
 		return nil, fmt.Errorf("%w: node %d went down", ErrNodeDown, s.node.ID)
@@ -451,7 +455,7 @@ func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *counti
 		return nil, fmt.Errorf("vertica: table %q does not exist", cp.Table)
 	}
 	var (
-		cols                  []storage.Column
+		blocks                []*storage.Batch
 		loaded                int
 		rejected              []string
 		rejectedCount         int64
@@ -461,12 +465,14 @@ func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *counti
 		switch cp.Format {
 		case vsql.CopyAvro:
 			encodeKind, parseKind = sim.CPUAvroEncode, sim.CPUCopyParse
-			cols, loaded, err = decodeAvro(counted, tbl.Def.Schema)
+			blocks, loaded, err = decodeAvro(counted, tbl.Def.Schema)
 		case vsql.CopyCSV:
 			var rows []types.Row
 			if rows, rejected, rejectedCount, err = parseCSV(counted, tbl.Def.Schema); err == nil {
+				var cols []storage.Column
 				cols, err = storage.ColumnsFromRows(rows, tbl.Def.Schema)
 				loaded = len(rows)
+				blocks = []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(loaded)}}
 			}
 		default:
 			err = fmt.Errorf("unsupported format %q", cp.Format)
@@ -491,13 +497,13 @@ func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *counti
 		}
 		var route map[[2]string]float64
 		if err := s.copyStage(ctx, "copy.append", func() (err error) {
-			route, err = s.appendColumns(tx, tbl, cols, loaded)
+			route, err = s.appendColumns(tx, tbl, blocks)
 			return err
 		}); err != nil {
 			return nil, err
 		}
 		if err := s.copyStage(ctx, "copy.wal", func() error {
-			return s.logInsert(tx, tbl, cols, loaded)
+			return s.logInsert(tx, tbl, blocks)
 		}); err != nil {
 			return nil, err
 		}
@@ -518,9 +524,10 @@ func (s *Session) copyStream(ctx context.Context, cp *vsql.Copy, counted *counti
 }
 
 // decodeAvro reads an Avro object container file of the table's schema into
-// one dense vector per column: each block decodes into vectors of its own,
-// and the blocks are strung together once, at their exact total size.
-func decodeAvro(r io.Reader, schema types.Schema) ([]storage.Column, int, error) {
+// one batch per block, each of the block's own dense vectors selected whole,
+// and counts the rows. The blocks are not strung together: the write path
+// cuts each store's share straight out of them.
+func decodeAvro(r io.Reader, schema types.Schema) ([]*storage.Batch, int, error) {
 	rd, err := avro.NewReader(r)
 	if err != nil {
 		return nil, 0, err
@@ -529,15 +536,17 @@ func decodeAvro(r io.Reader, schema types.Schema) ([]storage.Column, int, error)
 		return nil, 0, fmt.Errorf("Avro schema %v does not match table schema %v", rd.Schema().ToTypes(), schema)
 	}
 	var blocks []*storage.Batch
+	rows := 0
 	for {
 		cols, n, err := rd.ReadBlock()
 		if err == io.EOF {
-			return storage.DenseColumns(schema, blocks)
+			return blocks, rows, nil
 		}
 		if err != nil {
 			return nil, 0, err
 		}
 		blocks = append(blocks, &storage.Batch{Cols: cols, Sel: storage.IdentitySel(n)})
+		rows += n
 	}
 }
 

@@ -147,15 +147,16 @@ func (c *Cluster) walAppend(rec wal.Record) error {
 	return l.Append(rec)
 }
 
-// logInsert records the n rows an INSERT/COPY wrote under the transaction's
-// provisional tag, from the vectors the stores were given. Routing is
+// logInsert records the rows an INSERT/COPY wrote under the transaction's
+// provisional tag, from the blocks the stores were given: one row block over
+// all of them, the bytes one dense batch of the same rows gives. Routing is
 // deterministic (segmentation hash), so one logical record regenerates every
 // store's writes on replay.
-func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int) error {
-	if !s.cluster.durable() || n == 0 {
+func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, blocks []*storage.Batch) error {
+	if !s.cluster.durable() || storage.SelectedRows(blocks) == 0 {
 		return nil
 	}
-	payload, err := storage.AppendBatches(nil, tbl.Def.Schema, []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}})
+	payload, err := storage.AppendBatches(nil, tbl.Def.Schema, blocks)
 	if err != nil {
 		return err
 	}
@@ -200,18 +201,20 @@ func (c *Cluster) logDDL(op byte, p ddlPayload) error {
 	return l.Sync()
 }
 
-// forEachTarget visits every store that must receive rows of tbl — held as
-// dense column vectors, with their segmentation hashes — with the node the
-// store lives on and that store's share of the rows: the row indexes are
-// partitioned by home segment, and each segment's share is gathered once
-// for every one of its replicas (a share that is every row, in order, such as
-// a small write's to an unsegmented table, is handed the vectors as they
-// are). A share of storage.LocalCutRows rows or more is gathered in
-// local-segment order (arrival order inside each local segment), so each
-// store cuts it into one container per local segment by sub-slicing; a
-// smaller share keeps arrival order. This single routing function is shared
-// by the write path and WAL replay, so recovery reproduces placement exactly.
-func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error) error {
+// forEachTarget visits every store that must receive rows of tbl — held in
+// blocks, each batch's vectors holding exactly the rows it selects, with the
+// rows' segmentation hashes in block order — with the node the store lives on
+// and that store's share of the rows: the row numbers are partitioned by home
+// segment, and each segment's share is cut out of the blocks once, by one
+// exact-size copy, for every one of its replicas (a share that is every row
+// of a single block, in order, such as a small write's to an unsegmented
+// table, is handed the vectors as they are). A share of storage.LocalCutRows
+// rows or more is laid out in local-segment order (arrival order inside each
+// local segment), so each store cuts it into one container per local segment
+// by sub-slicing; a smaller share keeps arrival order. This single routing
+// function is shared by the write path and WAL replay, so recovery reproduces
+// placement exactly.
+func forEachTarget(tbl *catalog.Table, blocks []*storage.Batch, hashes []uint32, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error) error {
 	visitReplicas := func(seg int, cols []storage.Column, hashes []uint32) error {
 		for _, rep := range tbl.Replicas(seg) {
 			if err := visit(rep.Store, rep.Node, cols, hashes); err != nil {
@@ -222,6 +225,10 @@ func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, v
 	}
 	nseg := len(tbl.Segs(0))
 	if nseg == 1 && len(hashes) < storage.LocalCutRows {
+		cols, _, err := storage.DenseColumns(tbl.Def.Schema, blocks)
+		if err != nil {
+			return err
+		}
 		return visitReplicas(0, cols, hashes)
 	}
 	// next[seg·L+l] counts, then places, segment seg's rows in its local
@@ -262,26 +269,61 @@ func forEachTarget(tbl *catalog.Table, cols []storage.Column, hashes []uint32, v
 		sels[home][next[slot]] = int32(i)
 		next[slot]++
 	}
+	var starts []int32 // starts[b]: block b's first row number, once a share needs them
 	for home, sel := range sels {
 		if len(sel) == 0 {
 			continue
 		}
-		share, shareHashes := cols, hashes
-		if len(sel) < len(hashes) || !slices.IsSorted(sel) {
-			var err error
-			if share, _, err = storage.DenseColumns(tbl.Def.Schema, []*storage.Batch{{Cols: cols, Sel: sel}}); err != nil {
+		whole := len(sel) == len(hashes) && slices.IsSorted(sel)
+		if whole && len(blocks) == 1 {
+			if err := visitReplicas(home, blocks[0].Cols, hashes); err != nil {
 				return err
 			}
+			continue
+		}
+		shareHashes := hashes
+		if !whole {
 			shareHashes = make([]uint32, len(sel))
 			for k, i := range sel {
 				shareHashes[k] = hashes[i]
 			}
+		}
+		if starts == nil {
+			starts = make([]int32, len(blocks)+1)
+			for b, bt := range blocks {
+				starts[b+1] = starts[b] + int32(len(bt.Sel))
+			}
+		}
+		share, _, err := storage.DenseColumns(tbl.Def.Schema, blockViews(blocks, starts, sel))
+		if err != nil {
+			return err
 		}
 		if err := visitReplicas(home, share, shareHashes); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// blockViews cuts a share's row numbers across the blocks (ascending inside
+// each local segment) into one selection of a block per ascending run of rows
+// in that block, rewriting sel in place to the block's own row numbers.
+// starts[b] is block b's first row number, starts[len(blocks)] the total.
+func blockViews(blocks []*storage.Batch, starts []int32, sel []int32) []*storage.Batch {
+	views := make([]*storage.Batch, 0, len(blocks))
+	for lo := 0; lo < len(sel); {
+		b := sort.Search(len(blocks), func(b int) bool { return starts[b+1] > sel[lo] })
+		hi := lo + 1
+		for hi < len(sel) && sel[hi] > sel[hi-1] && sel[hi] < starts[b+1] {
+			hi++
+		}
+		for k := lo; k < hi; k++ {
+			sel[k] -= starts[b]
+		}
+		views = append(views, &storage.Batch{Cols: blocks[b].Cols, Sel: sel[lo:hi]})
+		lo = hi
+	}
+	return views
 }
 
 // allStores returns every store holding rows of tbl (primaries then buddies).
@@ -609,7 +651,8 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 				break // logInsert writes no empty record; one would carry no vectors to route
 			}
 			e := effects(rec.Tag)
-			werr := forEachTarget(tbl, cols, storage.HashColumns(cols, tbl.SegIdx, n), func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32) error {
+			block := []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}}
+			werr := forEachTarget(tbl, block, storage.HashBatches(block, tbl.SegIdx), func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32) error {
 				e.inserted[st] = true
 				return st.AppendColumns(cols, hashes, rec.Tag)
 			})

@@ -299,7 +299,7 @@ func checkWriteRouting(t *testing.T, tbl *catalog.Table) {
 		vals[i] = int64(i)
 	}
 	var got []visit
-	err := forEachTarget(tbl, []storage.Column{&storage.Int64Column{Vals: vals}}, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hs []uint32) error {
+	err := forEachTarget(tbl, []*storage.Batch{{Cols: []storage.Column{&storage.Int64Column{Vals: vals}}, Sel: storage.IdentitySel(n)}}, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hs []uint32) error {
 		if cols[0].Len() != len(hs) {
 			t.Fatalf("%s: visit got %d rows for %d hashes", tbl.Def.Name, cols[0].Len(), len(hs))
 		}

@@ -53,17 +53,17 @@ const prime64 = 1099511628211
 
 func mixByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * prime64 }
 
-// mixUint64 mixes u's eight bytes, little end first (unrolled: this is the
-// inner loop of every bulk load's routing).
-func mixUint64(h, u uint64) uint64 {
+// mixUint64 mixes u's eight bytes, little end first.
+func mixUint64(h, u uint64) uint64 { return mixLow4(mixLow4(h, u), u>>32) }
+
+// mixLow4 mixes u's low four bytes, little end first. It is unrolled and small
+// enough to inline, where mixUint64 is not: the vector loops below call it
+// twice a value, so all eight rounds sit in the loop's own body.
+func mixLow4(h, u uint64) uint64 {
 	h = (h ^ (u & 0xff)) * prime64
 	h = (h ^ (u >> 8 & 0xff)) * prime64
 	h = (h ^ (u >> 16 & 0xff)) * prime64
-	h = (h ^ (u >> 24 & 0xff)) * prime64
-	h = (h ^ (u >> 32 & 0xff)) * prime64
-	h = (h ^ (u >> 40 & 0xff)) * prime64
-	h = (h ^ (u >> 48 & 0xff)) * prime64
-	return (h ^ (u >> 56)) * prime64
+	return (h ^ (u >> 24 & 0xff)) * prime64
 }
 
 // MixNull mixes a NULL of any type.
@@ -74,11 +74,16 @@ func MixInt(h uint64, v int64) uint64 { return mixUint64(h, uint64(v)) }
 
 // MixFloat mixes a FLOAT. Integral floats hash identically to the equal
 // integer so that re-segmentation across type changes stays stable.
-func MixFloat(h uint64, f float64) uint64 {
+func MixFloat(h uint64, f float64) uint64 { return mixUint64(h, floatWord(f)) }
+
+// floatWord is the word MixFloat mixes for f: the equal integer's for an
+// integral f in [MinInt64, MaxInt64] (2^63 included, which converts as the
+// platform converts it), else f's bits — NaN, ±Inf and fractions.
+func floatWord(f float64) uint64 {
 	if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-		return mixUint64(h, uint64(int64(f)))
+		return uint64(int64(f))
 	}
-	return mixUint64(h, math.Float64bits(f))
+	return math.Float64bits(f)
 }
 
 // MixString mixes a VARCHAR (its bytes, then a terminator).
@@ -99,6 +104,73 @@ func MixBool(h uint64, b bool) uint64 {
 
 // Fold maps a finished hash state onto the 32-bit ring.
 func Fold(h uint64) uint32 { return uint32(h ^ (h >> 32)) }
+
+// MixInts, MixFloats, MixStrings and MixBools are the Mix functions over a
+// vector: each mixes vals[i], or a NULL where nulls[i] is set (nulls nil: no
+// NULLs), into state[i], for every i < len(vals). An INTEGER or FLOAT vector
+// without NULLs runs a loop that holds the whole mix inline; every other loop
+// calls the scalar functions (MixString and MixBool inline as they are).
+
+// MixInts mixes an INTEGER vector.
+func MixInts(state []uint64, vals []int64, nulls []bool) {
+	state = state[:len(vals)]
+	if nulls == nil {
+		for i, v := range vals {
+			state[i] = mixLow4(mixLow4(state[i], uint64(v)), uint64(v)>>32)
+		}
+		return
+	}
+	for i, v := range vals {
+		if nulls[i] {
+			state[i] = MixNull(state[i])
+		} else {
+			state[i] = MixInt(state[i], v)
+		}
+	}
+}
+
+// MixFloats mixes a FLOAT vector.
+func MixFloats(state []uint64, vals []float64, nulls []bool) {
+	state = state[:len(vals)]
+	if nulls == nil {
+		for i, f := range vals {
+			w := floatWord(f)
+			state[i] = mixLow4(mixLow4(state[i], w), w>>32)
+		}
+		return
+	}
+	for i, f := range vals {
+		if nulls[i] {
+			state[i] = MixNull(state[i])
+		} else {
+			state[i] = MixFloat(state[i], f)
+		}
+	}
+}
+
+// MixStrings mixes a VARCHAR vector.
+func MixStrings(state []uint64, vals []string, nulls []bool) {
+	state = state[:len(vals)]
+	for i, s := range vals {
+		if nulls != nil && nulls[i] {
+			state[i] = MixNull(state[i])
+		} else {
+			state[i] = MixString(state[i], s)
+		}
+	}
+}
+
+// MixBools mixes a BOOLEAN vector.
+func MixBools(state []uint64, vals []bool, nulls []bool) {
+	state = state[:len(vals)]
+	for i, b := range vals {
+		if nulls != nil && nulls[i] {
+			state[i] = MixNull(state[i])
+		} else {
+			state[i] = MixBool(state[i], b)
+		}
+	}
+}
 
 // HashRow hashes the row's values at the given column indexes. An empty index
 // list hashes the whole row (the "synthetic hash" used for views and

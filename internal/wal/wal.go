@@ -88,8 +88,11 @@ var format = framelog.Format{Magic: "VWAL0001", MaxPayload: 1 << 30}
 // (FailAfterRecords) tears the log.
 var ErrCrashed = framelog.ErrCrashed
 
-func (r Record) encode() []byte {
-	b := make([]byte, 0, 32+len(r.Table)+len(r.Rows)+len(r.DDL))
+// appendTo appends rec's frame to w, from its parts: the fields before the row
+// block, the row block itself, then the DDL payload's length and the payload.
+// Neither payload is copied on the way.
+func (r Record) appendTo(w *framelog.Writer) (int, error) {
+	b := make([]byte, 0, 32+len(r.Table))
 	b = append(b, byte(r.Type))
 	b = binary.AppendUvarint(b, r.Tag)
 	b = binary.AppendUvarint(b, r.Epoch)
@@ -98,8 +101,10 @@ func (r Record) encode() []byte {
 		b[len(b)-1] = 1
 	}
 	b = append(binary.AppendUvarint(b, uint64(len(r.Table))), r.Table...)
-	b = append(binary.AppendUvarint(b, uint64(len(r.Rows))), r.Rows...)
-	return append(binary.AppendUvarint(b, uint64(len(r.DDL))), r.DDL...)
+	b = binary.AppendUvarint(b, uint64(len(r.Rows)))
+	head := len(b)
+	b = binary.AppendUvarint(b, uint64(len(r.DDL)))
+	return w.Append(b[:head], r.Rows, b[head:], r.DDL)
 }
 
 func decodeRecord(payload []byte) (Record, error) {
@@ -228,7 +233,7 @@ func (l *Log) appendLocked(rec Record) error {
 		// statement that raced the swap lands there instead.
 		return l.sealed.Append(rec)
 	}
-	n, err := l.w.Append(rec.encode())
+	n, err := rec.appendTo(l.w)
 	if err != nil {
 		return err
 	}
