@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet lint test race examples bench bench-smoke perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines surface
+.PHONY: check build vet lint test race pins examples bench bench-smoke perf perf-gate recover-test rebalance-test resilience-test s2v-test wire-test wire-fuzz obs-test gates lines surface
 
 # The full verification gate: what CI (and every PR) must keep green.
-check: build vet lint race
+check: build vet lint race pins
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,19 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Cost pins (ROADMAP item 26): the tests that hold a paper path's allocations,
+# statements and container visits to committed constants — a COPY's bytes a
+# row, an untraced statement's and a DELETE's allocations, HashAgg's, a
+# commit's container visits, a V2S job's statements and a rebalance move's
+# bytes a row. The allocation pins skip under the race detector, so this runs
+# without it.
+pins:
+	$(GO) test -count=1 -run 'CopyAllocatedBytesPerRow|UntracedAccountingAllocs|DeleteAllocsNotPerRow' ./internal/vertica/
+	$(GO) test -count=1 -run 'HashAggConsumeAllocsDoNotGrowWithBatch' ./internal/vexec/
+	$(GO) test -count=1 -run 'TestCommitVisitsOnlyItsContainers|DeleteCommitVisitsOnlyItsContainers' ./internal/storage/
+	$(GO) test -count=1 -run 'V2SStatementsPerJob' ./internal/core/
+	$(GO) test -count=1 -run 'MoveTableCopiesEachRowOncePerSegment' ./internal/rebalance/
 
 # Every program under examples/ end to end. Each narrates a run and exits
 # non-zero on any error or broken expectation; only a failing one's output is
@@ -46,18 +59,19 @@ recover-test:
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
 	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths|NoContainerStraddlesALocalSegment|CopyBlocksRouteLikeOneBatch' ./internal/vertica/
 
-# Elastic-membership gate: the rebalance units, the columnar version movement
-# under them against its row-boxing reference, the cluster-lifecycle suites
-# (ALTER CLUSTER, node recovery, crash sweeps over the rebalance/recovery
-# state machines), every consumer of replica placement against the buddy
+# Elastic-membership gate: the rebalance units, rebalance's and recovery's
+# container moves against the row-boxing reference and rebalance's epoch
+# order, the cluster-lifecycle suites (ALTER CLUSTER, node recovery and the
+# containers it adopts, crash sweeps over the rebalance/recovery state
+# machines), every consumer of replica placement against the buddy
 # rule, the local-segment cut across rebalance and recovery, the wire
 # sentinel round-trip, and the chaos acceptance
 # scenario (grow + kill + heal under live COPY and V2S) — all under the race
 # detector.
 rebalance-test:
 	$(GO) test -race ./internal/rebalance/
-	$(GO) test -race -run 'ColumnarVersions' ./internal/storage/
-	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep|ReplicaPlacementEquivalence|NoContainerStraddlesALocalSegment' ./internal/vertica/
+	$(GO) test -race -run 'ColumnarVersions|ImportContainerOrder' ./internal/storage/
+	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|RecoveryAdoptsSourceContainers|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep|ReplicaPlacementEquivalence|NoContainerStraddlesALocalSegment' ./internal/vertica/
 	$(GO) test -race -run 'SentinelRoundTrip' ./internal/server/
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 

@@ -2,16 +2,18 @@ package catalog
 
 import (
 	"slices"
+	"sort"
 
 	"vsfabric/internal/storage"
 	"vsfabric/internal/vhash"
 )
 
 // Layout is where a table's rows live, and the one place replica placement
-// is decided. A segmented table splits the hash ring into one segment per
-// ring position: segment s lives on its primary store at position s and on
-// buddy replica r at position (s+r+1) mod n, so the table survives K node
-// losses. An unsegmented table keeps a full replica at every position.
+// — and, through Place, row placement — is decided. A segmented table splits
+// the hash ring into one segment per ring position: segment s lives on its
+// primary store at position s and on buddy replica r at position (s+r+1)
+// mod n, so the table survives K node losses. An unsegmented table keeps a
+// full replica at every position.
 //
 // Writes, reads, k-safety checks, rebalance and recovery all walk the
 // answers below with their own health predicate (reads want an UP node,
@@ -154,3 +156,139 @@ func (l *Layout) SegmentRanges() []vhash.Range { return l.ranges }
 // HomeNode returns the segment owning the given row hash: its Replicas key,
 // and for a segmented table the ring position of its primary.
 func (l *Layout) HomeNode(h uint32) int { return vhash.SegmentOf(h, l.segs) }
+
+// Place hands every store of the layout its share of rows — the one place
+// rows are split across a layout's stores. The rows are held in blocks, each
+// batch's vectors holding exactly the rows it selects, with the rows'
+// segmentation hashes in block order and, when dels is not nil, their delete
+// marks in the same order. The row numbers are partitioned by home segment,
+// and each segment's share is cut out of the blocks once, by one exact-size
+// copy, for every one of its replicas (a share that is every row of a single
+// block, in order, such as a small write's to an unsegmented table, is handed
+// the vectors as they are). A share's hashes and marks are gathered the same
+// way; a share with no mark gets nil marks. A share of storage.LocalCutRows
+// rows or more is laid out in local-segment order (arrival order inside each
+// local segment), so each store cuts it into one container per local segment
+// by sub-slicing; a smaller share keeps arrival order. visit is called for
+// each replica of each segment in failover order, the segments ascending.
+// The write path, WAL replay and rebalance all place rows through it, so each
+// reproduces the others' placement exactly.
+func (l *Layout) Place(blocks []*storage.Batch, hashes []uint32, dels []uint64, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32, dels []uint64) error) error {
+	schema := l.Stores[0].Schema()
+	visitReplicas := func(seg int, cols []storage.Column, hashes []uint32, dels []uint64) error {
+		if !slices.ContainsFunc(dels, func(d uint64) bool { return d != 0 }) {
+			dels = nil
+		}
+		for _, rep := range l.replicas[seg] {
+			if err := visit(rep.Store, rep.Node, cols, hashes, dels); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if l.segs == 1 && len(hashes) < storage.LocalCutRows {
+		cols, _, err := storage.DenseColumns(schema, blocks)
+		if err != nil {
+			return err
+		}
+		return visitReplicas(0, cols, hashes, dels)
+	}
+	// next[seg·L+l] counts, then places, segment seg's rows in its local
+	// segment l; a share below the floor places every row through l = 0.
+	// slots keeps each row's seg·L+l from the counting pass for the placing one.
+	const L = vhash.LocalSegments
+	cuts := make([]vhash.LocalCut, l.segs)
+	for seg := range cuts {
+		cuts[seg] = vhash.LocalCutOf(l.ranges[seg])
+	}
+	next := make([]int, l.segs*L)
+	slots := make([]int32, len(hashes))
+	for i, h := range hashes {
+		home := l.HomeNode(h)
+		slot := home*L + cuts[home].Of(h)
+		slots[i] = int32(slot)
+		next[slot]++
+	}
+	sels := make([][]int32, l.segs)
+	for home := range sels {
+		share := next[home*L : (home+1)*L]
+		total := 0
+		for i, c := range share {
+			share[i] = total
+			total += c
+		}
+		sels[home] = make([]int32, total)
+		if total < storage.LocalCutRows {
+			clear(share)
+		}
+	}
+	for i, slot := range slots {
+		home := int(slot) / L
+		if len(sels[home]) < storage.LocalCutRows {
+			slot = int32(home * L)
+		}
+		sels[home][next[slot]] = int32(i)
+		next[slot]++
+	}
+	var starts []int32 // starts[b]: block b's first row number, once a share needs them
+	for home, sel := range sels {
+		if len(sel) == 0 {
+			continue
+		}
+		whole := len(sel) == len(hashes) && slices.IsSorted(sel)
+		if whole && len(blocks) == 1 {
+			if err := visitReplicas(home, blocks[0].Cols, hashes, dels); err != nil {
+				return err
+			}
+			continue
+		}
+		shareHashes, shareDels := hashes, dels
+		if !whole {
+			shareHashes = make([]uint32, len(sel))
+			for k, i := range sel {
+				shareHashes[k] = hashes[i]
+			}
+			if dels != nil {
+				shareDels = make([]uint64, len(sel))
+				for k, i := range sel {
+					shareDels[k] = dels[i]
+				}
+			}
+		}
+		if starts == nil {
+			starts = make([]int32, len(blocks)+1)
+			for b, bt := range blocks {
+				starts[b+1] = starts[b] + int32(len(bt.Sel))
+			}
+		}
+		share, _, err := storage.DenseColumns(schema, blockViews(blocks, starts, sel))
+		if err != nil {
+			return err
+		}
+		if err := visitReplicas(home, share, shareHashes, shareDels); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// blockViews cuts a share's row numbers across the blocks (ascending inside
+// each local segment) into one selection of a block per ascending run of rows
+// in that block, rewriting sel in place to the block's own row numbers.
+// starts[b] is block b's first row number, starts[len(blocks)] the total.
+func blockViews(blocks []*storage.Batch, starts []int32, sel []int32) []*storage.Batch {
+	views := make([]*storage.Batch, 0, len(blocks))
+	for lo := 0; lo < len(sel); {
+		b := sort.Search(len(blocks), func(b int) bool { return starts[b+1] > sel[lo] })
+		hi := lo + 1
+		for hi < len(sel) && sel[hi] > sel[hi-1] && sel[hi] < starts[b+1] {
+			hi++
+		}
+		for k := lo; k < hi; k++ {
+			sel[k] -= starts[b]
+		}
+		views = append(views, &storage.Batch{Cols: blocks[b].Cols, Sel: sel[lo:hi]})
+		lo = hi
+	}
+	return views
+}

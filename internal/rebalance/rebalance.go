@@ -1,11 +1,13 @@
 // Package rebalance implements epoch-consistent segment movement: given a
 // table laid out on one ring and a target membership ring, it builds a
-// complete replacement layout (primary stores plus buddy replicas) by
-// exporting every committed row version from a live replica of each old
-// segment and re-importing it under the new ring's hash ranges.
+// complete replacement layout (primary stores plus buddy replicas) by taking
+// the committed containers of a live replica of each old segment and placing
+// their rows, one insert epoch at a time, under the new ring's hash ranges —
+// through catalog.Layout.Place, the same function the write path routes rows
+// with.
 //
-// Because versions carry their full MVCC history (insert epoch, delete
-// epoch), the new layout answers AT EPOCH queries identically to the old one
+// Because the rows keep their full MVCC history (insert epoch, delete
+// marks), the new layout answers AT EPOCH queries identically to the old one
 // at every epoch up to the move — the property that lets in-flight V2S jobs
 // stay pinned to their planning epoch across an ALTER CLUSTER ("The Vertica
 // Analytic Database: C-Store 7 Years Later" calls this rebalance without
@@ -18,7 +20,9 @@
 package rebalance
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"vsfabric/internal/catalog"
 	"vsfabric/internal/storage"
@@ -28,12 +32,12 @@ import (
 // (v_monitor.rebalance_operations).
 type Result struct {
 	Table      string
-	Rows       int // committed row versions placed in the new layout
-	RowsMoved  int // versions whose owning node changed
+	Rows       int // committed rows, live and deleted, placed in the new layout
+	RowsMoved  int // rows whose owning node changed
 	Containers int // ROS containers built across the new primary stores
 }
 
-// SourceFor picks the replica to export segment seg from: the first of
+// SourceFor picks the replica to take segment seg from: the first of
 // catalog.Layout.Replicas(seg) whose node is healthy. healthy == nil trusts
 // the primary unconditionally (WAL replay, where every store is current).
 func SourceFor(t *catalog.Table, seg int, healthy func(nodeID int) bool) (*storage.Store, error) {
@@ -66,7 +70,7 @@ func validateRing(ring []int) error {
 }
 
 // MoveTable builds a new layout for t on newRing. The caller must hold the
-// table's EXCLUSIVE lock so the export sees exactly the committed state
+// table's EXCLUSIVE lock so the move reads exactly the committed state
 // (EXCLUSIVE acquisition waits out every in-flight writer, and the lock rules
 // guarantee no provisional rows remain in a table nobody holds a lock on).
 // healthy reports whether a node's stores are current; nil trusts every
@@ -82,49 +86,89 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 	}
 	lay := catalog.NewLayout(t.Def, t.SegIdx, newRing)
 
-	// Export each old segment from a live replica into one set of versions.
-	// Export order (segments ascending, containers in order within each) is
+	// Take each old segment's committed containers from a live replica,
+	// segments ascending and containers in order, then group them by start
+	// epoch, ascending, keeping that order inside an epoch. The order is
 	// deterministic, so the order of each new store's share — and with it
-	// the imported container layout — is too.
-	var versions storage.Versions
+	// the containers it is cut into — is too.
+	type cont struct {
+		c     *storage.ROSContainer
+		start uint64
+		del   []uint64
+	}
+	var conts []cont
 	for _, seg := range t.Segs(0) {
 		src, err := SourceFor(t, seg, healthy)
 		if err != nil {
 			return nil, res, err
 		}
-		if err := src.ExportVersions(&versions); err != nil {
-			return nil, res, err
-		}
-	}
-	res.Rows = versions.Len()
-
-	// Each new segment's share, as positions in versions, imported into
-	// each of its replicas.
-	buckets := make([][]int32, len(lay.Segs(0)))
-	for i, h := range versions.Hashes {
-		seg := lay.HomeNode(h)
-		buckets[seg] = append(buckets[seg], int32(i))
-	}
-	for seg, bucket := range buckets {
-		for _, rep := range lay.Replicas(seg) {
-			if err := rep.Store.ImportVersions(&versions, bucket); err != nil {
-				return nil, res, err
+		for _, c := range src.Containers() {
+			if start, del := c.Committed(); start < storage.ProvisionalBase {
+				conts = append(conts, cont{c, start, del})
+				res.Rows += c.RowCount
 			}
 		}
 	}
-	// A version moved when it lands in the primary of a node whose old
-	// primary did not hold it.
+	slices.SortStableFunc(conts, func(a, b cont) int { return cmp.Compare(a.start, b.start) })
+
+	// A row moved when it lands in the primary of a node whose old
+	// primary did not hold it: primary maps each new primary to the segment
+	// its node held, or -1.
+	primary := make(map[*storage.Store]int, len(newRing))
 	for p, id := range newRing {
 		held := -1
 		if q := t.PosOf(id); q >= 0 {
 			held = t.Hosted(q)[0].Seg
 		}
-		for _, i := range buckets[lay.Hosted(p)[0].Seg] {
-			if t.HomeNode(versions.Hashes[i]) != held {
-				res.RowsMoved++
+		primary[lay.Stores[p]] = held
+	}
+	for lo := 0; lo < len(conts); {
+		hi := lo + 1
+		for hi < len(conts) && conts[hi].start == conts[lo].start {
+			hi++
+		}
+		// One epoch's containers are the blocks the new layout places, with
+		// their hashes and, when any of them is marked, their delete marks in
+		// block order.
+		group, start := conts[lo:hi], conts[lo].start
+		lo = hi
+		blocks := make([]*storage.Batch, len(group))
+		for k, v := range group {
+			blocks[k] = &storage.Batch{Cols: v.c.Cols, Sel: storage.IdentitySel(v.c.RowCount)}
+		}
+		hashes, dels := group[0].c.Hashes, group[0].del
+		if len(group) > 1 {
+			n := storage.SelectedRows(blocks)
+			hashes, dels = make([]uint32, 0, n), nil
+			if slices.ContainsFunc(group, func(v cont) bool { return v.del != nil }) {
+				dels = make([]uint64, 0, n)
+			}
+			for _, v := range group {
+				hashes = append(hashes, v.c.Hashes...)
+				if dels != nil {
+					// dels was made zeroed, so an unmarked container's rows read live.
+					at := len(dels)
+					dels = dels[:at+v.c.RowCount]
+					copy(dels[at:], v.del)
+				}
 			}
 		}
-		res.Containers += lay.Stores[p].ContainerCount()
+		err := lay.Place(blocks, hashes, dels, func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32, dels []uint64) error {
+			if held, ok := primary[st]; ok {
+				for _, h := range hashes {
+					if t.HomeNode(h) != held {
+						res.RowsMoved++
+					}
+				}
+			}
+			return st.AppendColumns(cols, hashes, start, dels)
+		})
+		if err != nil {
+			return nil, res, err
+		}
+	}
+	for _, st := range lay.Stores {
+		res.Containers += st.ContainerCount()
 	}
 	return lay, res, nil
 }

@@ -113,16 +113,17 @@ func deleteEverywhere(t testing.TB, tbl *catalog.Table, epoch uint64, match func
 	}
 }
 
-// versionsString spells out a store's exported history: every version's
-// values, hash, insert epoch and delete epoch, in export order.
+// versionsString spells out a store's committed history: every container's
+// values, hashes, insert epoch and committed delete marks, in container order.
 func versionsString(t testing.TB, s *storage.Store) string {
 	t.Helper()
-	var v storage.Versions
-	if err := s.ExportVersions(&v); err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for _, c := range s.Containers() {
+		start, del := c.Committed()
+		rows := storage.Materialize([]*storage.Batch{{Cols: c.Cols, Sel: storage.IdentitySel(c.RowCount)}})
+		fmt.Fprint(&b, rows, c.Hashes, start, del, "\n")
 	}
-	rows := storage.Materialize([]*storage.Batch{{Cols: v.Columns(), Sel: storage.IdentitySel(v.Len())}})
-	return fmt.Sprint(rows, v.Hashes, v.Starts, v.Dels)
+	return b.String()
 }
 
 func countAt(stores []*storage.Store, epoch uint64) int {
@@ -235,7 +236,7 @@ func TestMoveTableAfterMoveoutAndDelete(t *testing.T) {
 		for _, st := range stores {
 			cols, err := storage.ColumnsFromRows([]types.Row{r}, st.Schema())
 			if err == nil {
-				err = st.AppendColumns(cols, storage.HashColumns(cols, st.SegIdx(), 1), 1)
+				err = st.AppendColumns(cols, storage.HashColumns(cols, st.SegIdx(), 1), 1, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -371,6 +372,31 @@ func TestMoveTableDeterministic(t *testing.T) {
 	for p := range a.Stores {
 		if av, bv := versionsString(t, a.Stores[p]), versionsString(t, b.Stores[p]); av != bv {
 			t.Fatalf("position %d differs between identical moves", p)
+		}
+	}
+}
+
+// TestMovedReplicasOwnTheirDeleteVectors: the replicas of a new segment share
+// the moved vectors but not their delete marks, so a DELETE that reaches one
+// replica only leaves the other's rows as they were.
+func TestMovedReplicasOwnTheirDeleteVectors(t *testing.T) {
+	const nRows = 240
+	tbl := buildTable(t, 3, 1, true, nRows, 1)
+	deleteEverywhere(t, tbl, 2, func(r types.Row) bool { return r[0].I < 60 })
+	lay, _, err := MoveTable(tbl, []int{0, 1, 2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vis := storage.Visibility{Epoch: 3}
+	for seg := range lay.Ring {
+		reps := lay.Replicas(seg)
+		want := reps[1].Store.RowCount(vis)
+		deleteWhere(t, reps[0].Store, storage.Visibility{Epoch: 2}, 3, func(types.Row) bool { return true })
+		if got := reps[0].Store.RowCount(vis); got != 0 {
+			t.Fatalf("segment %d: %d rows left on the primary after deleting all", seg, got)
+		}
+		if got := reps[1].Store.RowCount(vis); got != want || want == 0 {
+			t.Fatalf("segment %d: buddy holds %d live rows after a delete on its primary only, want %d", seg, got, want)
 		}
 	}
 }

@@ -197,14 +197,15 @@ func sliceDense(c Column, lo, hi int) Column {
 }
 
 // Builder accumulates values of one type and produces an immutable Column.
+// It holds no NULL flags until the first NULL arrives, so a vector with no
+// NULL never allocates them.
 type Builder struct {
-	t        types.Type
-	ints     []int64
-	floats   []float64
-	strs     []string
-	bools    []bool
-	nulls    []bool
-	anyNulls bool
+	t      types.Type
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool
+	nulls  []bool // nil until the first NULL, then one flag per value
 }
 
 // NewBuilder returns a builder for type t.
@@ -213,7 +214,6 @@ func NewBuilder(t types.Type) *Builder { return &Builder{t: t} }
 // Grow reserves room for n more values, so a caller that knows its row count
 // appends without regrowing the vectors.
 func (b *Builder) Grow(n int) {
-	b.nulls = slices.Grow(b.nulls, n)
 	switch b.t {
 	case types.Int64:
 		b.ints = slices.Grow(b.ints, n)
@@ -236,10 +236,7 @@ func (b *Builder) Append(v types.Value) error {
 			return fmt.Errorf("storage: %w", err)
 		}
 	}
-	b.nulls = append(b.nulls, v.Null)
-	if v.Null {
-		b.anyNulls = true
-	}
+	lo := b.Len()
 	switch b.t {
 	case types.Int64:
 		b.ints = append(b.ints, v.I)
@@ -252,6 +249,12 @@ func (b *Builder) Append(v types.Value) error {
 	default:
 		return fmt.Errorf("storage: unsupported column type %v", b.t)
 	}
+	if v.Null && b.nulls == nil {
+		b.nulls = make([]bool, lo, lo+1)
+	}
+	if b.nulls != nil {
+		b.nulls = append(b.nulls, v.Null)
+	}
 	return nil
 }
 
@@ -263,15 +266,7 @@ func (b *Builder) AppendColumn(c Column, sel []int32) error {
 		return fmt.Errorf("storage: appending %v column to %v column", c.Type(), b.t)
 	}
 	c = Densify(c)
-	if nulls := nullsOf(c); nulls == nil {
-		b.nulls = append(b.nulls, make([]bool, len(sel))...)
-	} else {
-		lo := len(b.nulls)
-		b.nulls = appendSel(b.nulls, nulls, sel)
-		for _, null := range b.nulls[lo:] {
-			b.anyNulls = b.anyNulls || null
-		}
-	}
+	lo := b.Len()
 	switch c := c.(type) {
 	case *Int64Column:
 		b.ints = appendSel(b.ints, c.Vals, sel)
@@ -283,6 +278,17 @@ func (b *Builder) AppendColumn(c Column, sel []int32) error {
 		b.bools = appendSel(b.bools, c.Vals, sel)
 	default:
 		return fmt.Errorf("storage: unsupported column kind %T", c)
+	}
+	src := nullsOf(c)
+	if b.nulls == nil && src != nil && slices.ContainsFunc(sel, func(i int32) bool { return src[i] }) {
+		b.nulls = make([]bool, lo, lo+len(sel))
+	}
+	switch {
+	case b.nulls == nil:
+	case src == nil:
+		b.nulls = append(b.nulls, make([]bool, len(sel))...)
+	default:
+		b.nulls = appendSel(b.nulls, src, sel)
 	}
 	return nil
 }
@@ -298,23 +304,31 @@ func appendSel[T any](dst, src []T, sel []int32) []T {
 }
 
 // Len returns the number of values appended so far.
-func (b *Builder) Len() int { return len(b.nulls) }
+func (b *Builder) Len() int {
+	switch b.t {
+	case types.Int64:
+		return len(b.ints)
+	case types.Float64:
+		return len(b.floats)
+	case types.Varchar:
+		return len(b.strs)
+	case types.Bool:
+		return len(b.bools)
+	}
+	return 0
+}
 
 // Build returns the immutable column. The builder must not be reused.
 func (b *Builder) Build() Column {
-	var nulls []bool
-	if b.anyNulls {
-		nulls = b.nulls
-	}
 	switch b.t {
 	case types.Int64:
-		return &Int64Column{Vals: b.ints, Nulls: nulls}
+		return &Int64Column{Vals: b.ints, Nulls: b.nulls}
 	case types.Float64:
-		return &Float64Column{Vals: b.floats, Nulls: nulls}
+		return &Float64Column{Vals: b.floats, Nulls: b.nulls}
 	case types.Varchar:
-		return &StringColumn{Vals: b.strs, Nulls: nulls}
+		return &StringColumn{Vals: b.strs, Nulls: b.nulls}
 	case types.Bool:
-		return &BoolColumn{Vals: b.bools, Nulls: nulls}
+		return &BoolColumn{Vals: b.bools, Nulls: b.nulls}
 	default:
 		panic(fmt.Sprintf("storage: unsupported column type %v", b.t))
 	}
@@ -350,5 +364,5 @@ func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
 	if err != nil {
 		return err
 	}
-	return s.AppendColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag)
+	return s.AppendColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag, nil)
 }

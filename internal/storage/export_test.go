@@ -5,3 +5,18 @@ package storage
 // RebaseDeletes, ClearDeletes). DropInserts' one walk of the container list to
 // unlink them is not counted.
 func (s *Store) Visits() int64 { return s.visits.Load() }
+
+// The row reference of versions_test.go and the helpers it needs, for the
+// external tests that move containers through catalog and rebalance
+// (move_test.go).
+type RowVersion = rowVersion
+
+var (
+	GatherSchema              = gatherSchema
+	WriteRows                 = writeRows
+	RandomHistory             = randomHistory
+	ExportRowVersions         = exportRowVersions
+	RowVersionsOf             = rowVersionsOf
+	ContainersFromRowVersions = containersFromRowVersions
+	SameContainers            = sameContainers
+)

@@ -21,7 +21,7 @@ func TestCommitVisitsOnlyItsContainers(t *testing.T) {
 	insert := func(i int64, tag uint64) {
 		t.Helper()
 		cols := []Column{&Int64Column{Vals: []int64{i}}}
-		if err := s.AppendColumns(cols, HashColumns(cols, []int{0}, 1), tag); err != nil {
+		if err := s.AppendColumns(cols, HashColumns(cols, []int{0}, 1), tag, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestDeleteCommitVisitsOnlyItsContainers(t *testing.T) {
 	const n = 300
 	for i := int64(0); i < n+2; i++ {
 		cols := []Column{&Int64Column{Vals: []int64{i}}}
-		if err := s.AppendColumns(cols, HashColumns(cols, []int{0}, 1), 1); err != nil {
+		if err := s.AppendColumns(cols, HashColumns(cols, []int{0}, 1), 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,10 +127,15 @@ func TestReplaceContentsResetsPending(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "id", T: types.Int64})
 	s := NewStore(schema, []int{0})
 	cols := []Column{&Int64Column{Vals: []int64{1}}}
-	if err := s.AppendColumns(cols, HashColumns(cols, []int{0}, 1), ProvisionalBase); err != nil {
+	if err := s.AppendColumns(cols, HashColumns(cols, []int{0}, 1), ProvisionalBase, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReplaceContents(&Versions{}); err != nil {
+	// The source's own provisional container is not adopted either.
+	src := NewStore(schema, []int{0})
+	if err := src.AppendColumns(cols, HashColumns(cols, []int{0}, 1), ProvisionalBase, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReplaceContents(src); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Visits()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 
 	"vsfabric/internal/types"
 )
@@ -223,9 +222,7 @@ func checkCRC(data []byte, what string) ([]byte, error) {
 // recovery if their transaction commits). The container's start epoch must be
 // committed; provisional containers are never persisted.
 func MarshalContainer(c *ROSContainer) ([]byte, error) {
-	c.mu.RLock()
-	start, del := c.start, slices.Clone(c.del)
-	c.mu.RUnlock()
+	start, del := c.Committed()
 	if start >= ProvisionalBase {
 		return nil, fmt.Errorf("storage: refusing to persist provisional container (tag %d)", start)
 	}
@@ -242,12 +239,12 @@ func MarshalContainer(c *ROSContainer) ([]byte, error) {
 		binary.LittleEndian.PutUint32(tmp[:], h)
 		buf.Write(tmp[:])
 	}
-	if !slices.ContainsFunc(del, func(d uint64) bool { return committedDel(d) != 0 }) {
+	if del == nil {
 		buf.WriteByte(0)
 	} else {
 		buf.WriteByte(1)
 		for _, d := range del {
-			writeUvarint(&buf, committedDel(d))
+			writeUvarint(&buf, d)
 		}
 	}
 	// Zone-map section: per-column null count and min/max bounds, so

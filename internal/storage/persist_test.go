@@ -204,36 +204,3 @@ func TestDeletedRowsStayInTheirContainer(t *testing.T) {
 		t.Fatal("a provisional delete mark is not its own transaction's alone")
 	}
 }
-
-// TestImportContainerOrderDeterministic: versions of several insert epochs,
-// exported in any container order, import as containers in ascending epoch
-// order, every time. (Code that ranged over a map ordered them differently
-// run to run, so two rebuilt replicas could disagree on container layout.)
-func TestImportContainerOrderDeterministic(t *testing.T) {
-	src := NewStore(batchSchema(), []int{0})
-	for _, e := range []uint64{5, 2, 9, 3, 7} {
-		appendRows(t, src, batchRows(int(e)*10, int(e)*10+3), e)
-	}
-	for trial := 0; trial < 20; trial++ {
-		var v Versions
-		if err := src.ExportVersions(&v); err != nil {
-			t.Fatal(err)
-		}
-		s := NewStore(batchSchema(), []int{0})
-		if err := s.ImportVersions(&v, IdentitySel(v.Len())); err != nil {
-			t.Fatal(err)
-		}
-		cs := s.Containers()
-		if len(cs) != 5 {
-			t.Fatalf("trial %d: %d containers, want 5", trial, len(cs))
-		}
-		var prev uint64
-		for i, c := range cs {
-			if c.StartEpoch() <= prev {
-				t.Fatalf("trial %d: container %d epoch %d not ascending (prev %d)",
-					trial, i, c.StartEpoch(), prev)
-			}
-			prev = c.StartEpoch()
-		}
-	}
-}

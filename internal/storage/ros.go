@@ -74,12 +74,12 @@ type ROSContainer struct {
 	dirty   bool
 }
 
-// newContainer is the one constructor of in-memory containers — every write,
-// rebalance and recovery import end here — so every container carries zone
-// maps. cols are n-row dense vectors, one per schema column, which the
-// container keeps as they are (they may be shared with other containers,
-// never written again); hashes are the rows' segmentation hashes and del the
-// delete vector (nil = no row deleted).
+// newContainer is the one constructor of in-memory containers — every write
+// and rebalance ends here, and recovery adopts what they built — so every
+// container carries zone maps. cols are n-row dense vectors, one per schema
+// column, which the container keeps as they are (they may be shared with
+// other containers, never written again); hashes are the rows' segmentation
+// hashes and del the delete vector (nil = no row deleted).
 func newContainer(cols []Column, n int, schema types.Schema, hashes []uint32, start uint64, del []uint64) (*ROSContainer, error) {
 	if err := checkColumns(cols, n, schema); err != nil {
 		return nil, err
@@ -187,6 +187,27 @@ func (c *ROSContainer) Stats() []ColStats { return c.stats }
 // [min, max+1) (empty for a container of no rows).
 func (c *ROSContainer) HashSpan() vhash.Range { return c.span }
 
+// Committed returns the container's committed view, read under its lock: its
+// insert epoch (or provisional tag) and a copy of its delete vector in which a
+// provisional mark reads as live, nil when no row carries a committed mark. A
+// checkpoint writes this view (MarshalContainer), and rebalance and recovery
+// move it.
+func (c *ROSContainer) Committed() (start uint64, del []uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	committed := func(d uint64) bool { return d != 0 && d < ProvisionalBase }
+	if !slices.ContainsFunc(c.del, committed) {
+		return c.start, nil
+	}
+	del = make([]uint64, len(c.del))
+	for i, d := range c.del {
+		if committed(d) {
+			del[i] = d
+		}
+	}
+	return c.start, del
+}
+
 // StartEpoch returns the container's insert epoch (or provisional tag).
 func (c *ROSContainer) StartEpoch() uint64 {
 	c.mu.RLock()
@@ -240,12 +261,12 @@ func (c *ROSContainer) DataBytes() int {
 }
 
 // LocalCutRows is the fewest rows a store cuts at its local segments
-// (vhash.LocalSegments): a write or an epoch's versions reaching a store with
-// at least this many rows become one container per local segment they touch,
-// fewer stay one container. Below it, a V2S partition's range test over the
-// share costs less than the three more containers every later scan, DELETE
-// and checkpoint would visit, and at it each cut container averages
-// 4 096 / 4 = 1 024 rows, the run a LIMIT-pushed scan filters first
+// (vhash.LocalSegments): a write, or one insert epoch of a move, reaching a
+// store with at least this many rows becomes one container per local segment
+// it touches; fewer stay one container. Below it, a V2S partition's range
+// test over the share costs less than the three more containers every later
+// scan, DELETE and checkpoint would visit, and at it each cut container
+// averages 4 096 / 4 = 1 024 rows, the run a LIMIT-pushed scan filters first
 // (vertica's limitChunk). Trickle and small writes keep one container.
 const LocalCutRows = 4096
 
@@ -320,24 +341,57 @@ func (s *Store) Schema() types.Schema { return s.schema }
 func (s *Store) SegIdx() []int { return s.segIdx }
 
 // AppendColumns adds the rows held by cols — dense vectors, one per schema
-// column, with the rows' segmentation hashes already computed — as ROS
-// containers stamped with the given epoch or provisional tag, which take the
-// vectors over without copying them: one container, or, from LocalCutRows
-// rows up arriving in local-segment order (the engine's write path orders
-// them so), one per local segment, each a sub-slice of the vectors. It is the
-// one entry the engine's write path and WAL replay add rows through: a commit
-// rebases the containers' tag, an abort drops them.
-func (s *Store) AppendColumns(cols []Column, hashes []uint32, tag uint64) error {
+// column, with the rows' segmentation hashes already computed and, when dels
+// is not nil, their delete marks — as ROS containers stamped with the given
+// epoch or provisional tag: one container, or, from LocalCutRows rows up
+// arriving in local-segment order (catalog.Layout.Place orders them so), one
+// per local segment, each a sub-slice of the vectors. The containers take
+// the vectors and hashes over without copying them, but the store keeps its
+// own copy of dels: the delete vector is the one part of a container that
+// replicas must not share. It is the one entry the write path, WAL replay and
+// rebalance add rows through: a commit rebases a provisional tag, an abort
+// drops its containers.
+func (s *Store) AppendColumns(cols []Column, hashes []uint32, start uint64, dels []uint64) error {
 	if len(hashes) == 0 {
 		return nil
 	}
 	var buf [vhash.LocalSegments]*ROSContainer
-	ros, err := s.containersAt(buf[:0], cols, hashes, tag, nil)
+	ros, err := s.containersAt(buf[:0], cols, hashes, start, slices.Clone(dels))
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.add(ros...)
+	s.mu.Unlock()
+	return nil
+}
+
+// ReplaceContents atomically replaces the store's entire contents with src's
+// committed containers, one for one and in order: node recovery rebuilds a
+// stale store in place from a current replica of its segment with it. Each
+// adopted container shares its source's column vectors, hashes, span and
+// zone maps, which are never written again, and holds its own copy of the
+// source's committed delete marks (Committed); it has no disk ref, so the
+// next checkpoint writes its file under this store's node. The swap happens
+// under the store's own lock, and because the caller holds the table's
+// EXCLUSIVE lock no writer can interleave. Readers that snapshotted the old
+// containers keep scanning them safely — a reader only reaches a store while
+// its node is UP, at a snapshot epoch the old contents fully cover.
+func (s *Store) ReplaceContents(src *Store) error {
+	if !slices.EqualFunc(src.schema.Cols, s.schema.Cols, func(a, b types.Column) bool { return a.T == b.T }) {
+		return fmt.Errorf("storage: containers of %v do not fit a store of %v", src.schema, s.schema)
+	}
+	var ros []*ROSContainer
+	for _, c := range src.snapshot() {
+		start, del := c.Committed()
+		if start >= ProvisionalBase {
+			continue
+		}
+		ros = append(ros, &ROSContainer{Schema: c.Schema, Cols: c.Cols, RowCount: c.RowCount, Hashes: c.Hashes,
+			span: c.span, stats: c.stats, start: start, del: del})
+	}
+	s.mu.Lock()
+	s.ros, s.pending, s.marked = ros, byTag{}, byTag{}
 	s.mu.Unlock()
 	return nil
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // TestContainerHashSpan: a container knows the ring interval its rows' hashes
-// lie in — built by a write or a versions import, or loaded from a file
-// written before containers had one (the golden container) — and a scan's
-// batch over it carries that span.
+// lie in — built by a write or by a move's write carrying delete marks,
+// adopted by recovery, or loaded from a file written before containers had
+// one (the golden container) — and a scan's batch over it carries that span.
 func TestContainerHashSpan(t *testing.T) {
 	spanOf := func(hashes []uint32) vhash.Range {
 		return vhash.Range{Lo: uint64(slices.Min(hashes)), Hi: uint64(slices.Max(hashes)) + 1}
@@ -29,21 +29,34 @@ func TestContainerHashSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendColumns(direct, HashColumns(direct, []int{0}, 100), 4); err != nil {
+	if err := s.AppendColumns(direct, HashColumns(direct, []int{0}, 100), 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	var v Versions
-	imported := NewStore(goldenSchema(), []int{0})
-	appendRows(t, imported, goldenRows(400, 420), 5)
-	if err := imported.ExportVersions(&v); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ImportVersions(&v, IdentitySel(v.Len())); err != nil {
-		t.Fatal(err)
+	moved := NewStore(goldenSchema(), []int{0})
+	appendRows(t, moved, goldenRows(400, 420), 5)
+	for _, c := range moved.Containers() {
+		marks := make([]uint64, c.RowCount)
+		marks[1] = 5
+		if err := s.AppendColumns(c.Cols, c.Hashes, c.StartEpoch(), marks); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ros := s.Containers()
 	if len(ros) != 3 {
-		t.Fatalf("%d containers, want the golden one, the write's and the import's", len(ros))
+		t.Fatalf("%d containers, want the golden one, the write's and the move's", len(ros))
+	}
+	adopted := NewStore(goldenSchema(), []int{0})
+	if err := adopted.ReplaceContents(s); err != nil {
+		t.Fatal(err)
+	}
+	got := adopted.Containers()
+	if len(got) != len(ros) {
+		t.Fatalf("recovery adopted %d containers of %d", len(got), len(ros))
+	}
+	for k, c := range got {
+		if c.span != ros[k].span {
+			t.Errorf("adopted container %d: span %v, its source's %v", k, c.span, ros[k].span)
+		}
 	}
 	spans := map[*Batch]vhash.Range{}
 	if err := s.ScanBatches(Visibility{Epoch: 5}, fullRing(), func(b *Batch) bool {

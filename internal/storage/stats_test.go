@@ -135,25 +135,29 @@ func TestScanBatchesPruned(t *testing.T) {
 	}
 }
 
-// TestEveryConstructorComputesZoneMaps: a write, rebalance import and
-// recovery's in-place rebuild all produce containers with stats equal to what
-// the columns say — there is no stat-less container to meet.
+// TestEveryConstructorComputesZoneMaps: a write, a write carrying delete
+// marks (rebalance's) and recovery's adoption of a replica's containers all
+// produce containers with stats equal to what the columns say — there is no
+// stat-less container to meet.
 func TestEveryConstructorComputesZoneMaps(t *testing.T) {
 	src := NewStore(schema2, []int{0})
 	if err := src.AppendROS(intRows(1, 2, 3), 1); err != nil {
 		t.Fatal(err)
 	}
 	appendRows(t, src, intRows(10, 20), 2)
-	imported := NewStore(schema2, []int{0})
-	v := exportVersions(t, src)
-	if err := imported.ImportVersions(v, IdentitySel(v.Len())); err != nil {
-		t.Fatal(err)
+	marked := NewStore(schema2, []int{0})
+	for _, c := range src.Containers() {
+		marks := make([]uint64, c.RowCount)
+		marks[0] = 3
+		if err := marked.AppendColumns(c.Cols, c.Hashes, c.StartEpoch(), marks); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rebuilt := NewStore(schema2, []int{0})
-	if err := rebuilt.ReplaceContents(v); err != nil {
+	if err := rebuilt.ReplaceContents(src); err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Store{"write": src, "import": imported, "replace": rebuilt} {
+	for name, s := range map[string]*Store{"write": src, "marked": marked, "adopt": rebuilt} {
 		conts := s.Containers()
 		if len(conts) != 2 {
 			t.Fatalf("%s: %d containers, want 2", name, len(conts))

@@ -12,8 +12,9 @@ import (
 
 // rowVersion, exportRowVersions and containersFromRowVersions are commit
 // 761dcd3's row-based version movement (RowVersion, Store.ExportVersions,
-// containersFromVersions), kept as the reference the columnar path is tested
-// against.
+// containersFromVersions), kept as the reference that rebalance's and
+// recovery's container moves are tested against (move_test.go, through
+// export_test.go).
 type rowVersion struct {
 	Row   types.Row
 	Hash  uint32
@@ -24,23 +25,31 @@ type rowVersion struct {
 func exportRowVersions(s *Store) []rowVersion {
 	var out []rowVersion
 	for _, c := range s.snapshot() {
-		c.mu.RLock()
-		start := c.start
-		var del []uint64
-		if c.del != nil {
-			del = append(make([]uint64, 0, len(c.del)), c.del...)
+		out = append(out, rowVersionsOf(c)...)
+	}
+	return out
+}
+
+// rowVersionsOf is one container's committed row versions: none for a
+// provisional container, and a provisional delete mark reads as live.
+func rowVersionsOf(c *ROSContainer) []rowVersion {
+	c.mu.RLock()
+	start := c.start
+	var del []uint64
+	if c.del != nil {
+		del = append(make([]uint64, 0, len(c.del)), c.del...)
+	}
+	c.mu.RUnlock()
+	if start >= ProvisionalBase {
+		return nil
+	}
+	var out []rowVersion
+	for i := 0; i < c.RowCount; i++ {
+		d := uint64(0)
+		if del != nil && del[i] < ProvisionalBase {
+			d = del[i]
 		}
-		c.mu.RUnlock()
-		if start >= ProvisionalBase {
-			continue
-		}
-		for i := 0; i < c.RowCount; i++ {
-			d := uint64(0)
-			if del != nil && del[i] < ProvisionalBase {
-				d = del[i]
-			}
-			out = append(out, rowVersion{Row: c.Row(i), Hash: c.Hashes[i], Start: start, Del: d})
-		}
+		out = append(out, rowVersion{Row: c.Row(i), Hash: c.Hashes[i], Start: start, Del: d})
 	}
 	return out
 }
@@ -84,27 +93,17 @@ func containersFromRowVersions(schema types.Schema, versions []rowVersion) ([]*R
 	return out, nil
 }
 
-// exportVersions is ExportVersions into a fresh set.
-func exportVersions(t testing.TB, s *Store) *Versions {
+// sameRowVersions checks two stores' row-reference exports are the same
+// versions.
+func sameRowVersions(t *testing.T, what string, got, want []rowVersion) {
 	t.Helper()
-	v := &Versions{}
-	if err := s.ExportVersions(v); err != nil {
-		t.Fatal(err)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d versions, want %d", what, len(got), len(want))
 	}
-	return v
-}
-
-// sameVersions checks a columnar export against the row reference's.
-func sameVersions(t *testing.T, what string, got *Versions, want []rowVersion) {
-	t.Helper()
-	if got.Len() != len(want) {
-		t.Fatalf("%s: %d versions, want %d", what, got.Len(), len(want))
-	}
-	rows := &Batch{Cols: got.Columns()}
 	for i, w := range want {
-		sameRows(t, what, []types.Row{rows.Row(i, nil)}, []types.Row{w.Row})
-		if got.Hashes[i] != w.Hash || got.Starts[i] != w.Start || got.Dels[i] != w.Del {
-			t.Fatalf("%s version %d: hash %d start %d del %d, want %+v", what, i, got.Hashes[i], got.Starts[i], got.Dels[i], w)
+		sameRows(t, what, []types.Row{got[i].Row}, []types.Row{w.Row})
+		if g := got[i]; g.Hash != w.Hash || g.Start != w.Start || g.Del != w.Del {
+			t.Fatalf("%s version %d: hash %d start %d del %d, want %+v", what, i, g.Hash, g.Start, g.Del, w)
 		}
 	}
 }
@@ -164,51 +163,4 @@ func randomHistory(t *testing.T, rng *rand.Rand, s *Store) {
 	}
 	appendRows(t, s, writeRows(rng, 3), ProvisionalBase+1)
 	deleteWhere(t, s, Visibility{Epoch: epoch}, ProvisionalBase+2, func(types.Row) bool { return rng.Intn(10) == 0 })
-}
-
-// TestColumnarVersionsMatchRowReference: export, import (whole and by hash
-// bucket, as rebalance cuts it) and in-place rebuild build, from vectors, the
-// containers the row-boxing reference builds from the same store.
-func TestColumnarVersionsMatchRowReference(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		segIdx := []int{1, 3}
-		src := NewStore(gatherSchema, segIdx)
-		randomHistory(t, rng, src)
-		what := fmt.Sprintf("seed %d", seed)
-
-		ref := exportRowVersions(src)
-		v := exportVersions(t, src)
-		sameVersions(t, what+" export", v, ref)
-
-		want, err := containersFromRowVersions(gatherSchema, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebuilt := NewStore(gatherSchema, segIdx)
-		appendRows(t, rebuilt, writeRows(rng, 2), 1) // ReplaceContents drops what was there
-		if err := rebuilt.ReplaceContents(v); err != nil {
-			t.Fatal(err)
-		}
-		sameContainers(t, what+" replace", rebuilt.Containers(), want)
-
-		// Rebalance's cut: each new home takes the versions whose hash it owns.
-		const homes = 3
-		sels, refs := make([][]int32, homes), make([][]rowVersion, homes)
-		for i, h := range v.Hashes {
-			sels[h%homes] = append(sels[h%homes], int32(i))
-			refs[h%homes] = append(refs[h%homes], ref[i])
-		}
-		for home := range sels {
-			want, err := containersFromRowVersions(gatherSchema, refs[home])
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := NewStore(gatherSchema, segIdx)
-			if err := dst.ImportVersions(v, sels[home]); err != nil {
-				t.Fatal(err)
-			}
-			sameContainers(t, fmt.Sprintf("%s home %d", what, home), dst.Containers(), want)
-		}
-	}
 }

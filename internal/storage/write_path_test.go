@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -219,15 +220,100 @@ func TestColumnEntriesMatchRowEntries(t *testing.T) {
 		if err := byRows.AppendROS(rows, 7); err != nil {
 			t.Fatal(err)
 		}
-		if err := byCols.AppendColumns(cols, HashColumns(cols, segIdx, n), 7); err != nil {
+		if err := byCols.AppendColumns(cols, HashColumns(cols, segIdx, n), 7, nil); err != nil {
 			t.Fatal(err)
 		}
-		sameVersions(t, fmt.Sprintf("n=%d", n), exportVersions(t, byCols), exportRowVersions(byRows))
+		sameRowVersions(t, fmt.Sprintf("n=%d", n), exportRowVersions(byCols), exportRowVersions(byRows))
 		sameContainers(t, fmt.Sprintf("n=%d", n), byCols.Containers(), byRows.Containers())
 	}
 	wrong := []Column{&Float64Column{Vals: []float64{1}}}
 	st := NewStore(types.NewSchema(types.Column{Name: "a", T: types.Int64}), nil)
-	if err := st.AppendColumns(wrong, []uint32{1}, 1); err == nil {
+	if err := st.AppendColumns(wrong, []uint32{1}, 1, nil); err == nil {
 		t.Error("a FLOAT vector under an INTEGER schema column should fail")
+	}
+}
+
+// TestBuilderHoldsNoNullFlagsUntilANull: a builder fed no NULL — by Append or
+// by AppendColumn over vectors without NULL flags, or with flags none of the
+// selected rows sets — builds a vector with nil flags and allocates none, and
+// the first NULL after k values, through either entry, flags exactly row k.
+func TestBuilderHoldsNoNullFlagsUntilANull(t *testing.T) {
+	const n = 4096
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	flags := make([]bool, n)
+	flags[n-1] = true
+	sel := IdentitySel(n - 1)
+	var built Column
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const runs = 20
+	for range runs {
+		b := NewBuilder(types.Int64)
+		b.Grow(2 * (n - 1))
+		if err := b.AppendColumn(&Int64Column{Vals: vals}, sel); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AppendColumn(&Int64Column{Vals: vals, Nulls: flags}, sel); err != nil {
+			t.Fatal(err)
+		}
+		built = b.Build()
+	}
+	runtime.ReadMemStats(&m1)
+	if got := built.(*Int64Column); got.Nulls != nil || len(got.Vals) != 2*(n-1) {
+		t.Fatalf("%d values with NULL flags %v, want %d values and none", len(got.Vals), got.Nulls != nil, 2*(n-1))
+	}
+	// The values are 8 bytes each; a flag a value would add one more. The
+	// race detector changes what allocates.
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; !raceDetector && per > 8*2*(n-1)+512 {
+		t.Errorf("building %d NULL-free values allocates %.0f bytes, want about %d", 2*(n-1), per, 8*2*(n-1))
+	}
+
+	for _, k := range []int{0, 1, 7, 100} {
+		// Append: k values, a NULL, then more values.
+		b := NewBuilder(types.Int64)
+		for i := 0; i < k; i++ {
+			if err := b.Append(types.IntValue(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b.nulls != nil {
+			t.Fatalf("k=%d: NULL flags before any NULL", k)
+		}
+		for _, v := range []types.Value{types.NullValue(types.Int64), types.IntValue(1), types.IntValue(2)} {
+			if err := b.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkOneNull(t, fmt.Sprintf("Append k=%d", k), b.Build(), k, k+3)
+
+		// AppendColumn: k values from a vector without flags, then a block
+		// whose second selected row is NULL.
+		b = NewBuilder(types.Int64)
+		if err := b.AppendColumn(&Int64Column{Vals: vals}, IdentitySel(k)); err != nil {
+			t.Fatal(err)
+		}
+		nulls := make([]bool, 10)
+		nulls[3] = true
+		if err := b.AppendColumn(&Int64Column{Vals: vals[:10], Nulls: nulls}, []int32{2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		checkOneNull(t, fmt.Sprintf("AppendColumn k=%d", k), b.Build(), k+1, k+3)
+	}
+}
+
+// checkOneNull checks c holds n values of which only row k is NULL.
+func checkOneNull(t *testing.T, what string, c Column, k, n int) {
+	t.Helper()
+	got := c.(*Int64Column)
+	if len(got.Vals) != n || len(got.Nulls) != n {
+		t.Fatalf("%s: %d values, %d NULL flags; want %d of each", what, len(got.Vals), len(got.Nulls), n)
+	}
+	for i, null := range got.Nulls {
+		if null != (i == k) {
+			t.Fatalf("%s: row %d NULL = %t, want only row %d NULL", what, i, null, k)
+		}
 	}
 }

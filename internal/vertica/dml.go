@@ -93,14 +93,14 @@ func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, blocks []*stora
 		route = make(map[[2]string]float64)
 	}
 	hashes := storage.HashBatches(blocks, tbl.SegIdx)
-	err := forEachTarget(tbl, blocks, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error {
+	err := tbl.Place(blocks, hashes, nil, func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32, _ []uint64) error {
 		if !s.cluster.nodeAcceptsWrites(nodeID) {
 			// The skipped store now lags the committed state; recovery must
 			// rebuild it from a replica before its node serves reads again.
 			st.MarkStale()
 			return nil
 		}
-		if err := st.AppendColumns(cols, hashes, tx.Tag()); err != nil {
+		if err := st.AppendColumns(cols, hashes, tx.Tag(), nil); err != nil {
 			return err
 		}
 		tx.NoteInsert(st)

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"vsfabric/internal/storage"
 	"vsfabric/internal/txn"
 	"vsfabric/internal/types"
-	"vsfabric/internal/vhash"
 	"vsfabric/internal/wal"
 )
 
@@ -199,131 +197,6 @@ func (c *Cluster) logDDL(op byte, p ddlPayload) error {
 		return err
 	}
 	return l.Sync()
-}
-
-// forEachTarget visits every store that must receive rows of tbl — held in
-// blocks, each batch's vectors holding exactly the rows it selects, with the
-// rows' segmentation hashes in block order — with the node the store lives on
-// and that store's share of the rows: the row numbers are partitioned by home
-// segment, and each segment's share is cut out of the blocks once, by one
-// exact-size copy, for every one of its replicas (a share that is every row
-// of a single block, in order, such as a small write's to an unsegmented
-// table, is handed the vectors as they are). A share of storage.LocalCutRows
-// rows or more is laid out in local-segment order (arrival order inside each
-// local segment), so each store cuts it into one container per local segment
-// by sub-slicing; a smaller share keeps arrival order. This single routing
-// function is shared by the write path and WAL replay, so recovery reproduces
-// placement exactly.
-func forEachTarget(tbl *catalog.Table, blocks []*storage.Batch, hashes []uint32, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32) error) error {
-	visitReplicas := func(seg int, cols []storage.Column, hashes []uint32) error {
-		for _, rep := range tbl.Replicas(seg) {
-			if err := visit(rep.Store, rep.Node, cols, hashes); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	nseg := len(tbl.Segs(0))
-	if nseg == 1 && len(hashes) < storage.LocalCutRows {
-		cols, _, err := storage.DenseColumns(tbl.Def.Schema, blocks)
-		if err != nil {
-			return err
-		}
-		return visitReplicas(0, cols, hashes)
-	}
-	// next[seg·L+l] counts, then places, segment seg's rows in its local
-	// segment l; a share below the floor places every row through l = 0.
-	// slots keeps each row's seg·L+l from the counting pass for the placing one.
-	const L = vhash.LocalSegments
-	ranges := tbl.SegmentRanges()
-	cuts := make([]vhash.LocalCut, nseg)
-	for seg := range cuts {
-		cuts[seg] = vhash.LocalCutOf(ranges[seg])
-	}
-	next := make([]int, nseg*L)
-	slots := make([]int32, len(hashes))
-	for i, h := range hashes {
-		home := tbl.HomeNode(h)
-		slot := home*L + cuts[home].Of(h)
-		slots[i] = int32(slot)
-		next[slot]++
-	}
-	sels := make([][]int32, nseg)
-	for home := range sels {
-		share := next[home*L : (home+1)*L]
-		total := 0
-		for l, c := range share {
-			share[l] = total
-			total += c
-		}
-		sels[home] = make([]int32, total)
-		if total < storage.LocalCutRows {
-			clear(share)
-		}
-	}
-	for i, slot := range slots {
-		home := int(slot) / L
-		if len(sels[home]) < storage.LocalCutRows {
-			slot = int32(home * L)
-		}
-		sels[home][next[slot]] = int32(i)
-		next[slot]++
-	}
-	var starts []int32 // starts[b]: block b's first row number, once a share needs them
-	for home, sel := range sels {
-		if len(sel) == 0 {
-			continue
-		}
-		whole := len(sel) == len(hashes) && slices.IsSorted(sel)
-		if whole && len(blocks) == 1 {
-			if err := visitReplicas(home, blocks[0].Cols, hashes); err != nil {
-				return err
-			}
-			continue
-		}
-		shareHashes := hashes
-		if !whole {
-			shareHashes = make([]uint32, len(sel))
-			for k, i := range sel {
-				shareHashes[k] = hashes[i]
-			}
-		}
-		if starts == nil {
-			starts = make([]int32, len(blocks)+1)
-			for b, bt := range blocks {
-				starts[b+1] = starts[b] + int32(len(bt.Sel))
-			}
-		}
-		share, _, err := storage.DenseColumns(tbl.Def.Schema, blockViews(blocks, starts, sel))
-		if err != nil {
-			return err
-		}
-		if err := visitReplicas(home, share, shareHashes); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// blockViews cuts a share's row numbers across the blocks (ascending inside
-// each local segment) into one selection of a block per ascending run of rows
-// in that block, rewriting sel in place to the block's own row numbers.
-// starts[b] is block b's first row number, starts[len(blocks)] the total.
-func blockViews(blocks []*storage.Batch, starts []int32, sel []int32) []*storage.Batch {
-	views := make([]*storage.Batch, 0, len(blocks))
-	for lo := 0; lo < len(sel); {
-		b := sort.Search(len(blocks), func(b int) bool { return starts[b+1] > sel[lo] })
-		hi := lo + 1
-		for hi < len(sel) && sel[hi] > sel[hi-1] && sel[hi] < starts[b+1] {
-			hi++
-		}
-		for k := lo; k < hi; k++ {
-			sel[k] -= starts[b]
-		}
-		views = append(views, &storage.Batch{Cols: blocks[b].Cols, Sel: sel[lo:hi]})
-		lo = hi
-	}
-	return views
 }
 
 // allStores returns every store holding rows of tbl (primaries then buddies).
@@ -652,9 +525,9 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 			}
 			e := effects(rec.Tag)
 			block := []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}}
-			werr := forEachTarget(tbl, block, storage.HashBatches(block, tbl.SegIdx), func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32) error {
+			werr := tbl.Place(block, storage.HashBatches(block, tbl.SegIdx), nil, func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32, _ []uint64) error {
 				e.inserted[st] = true
-				return st.AppendColumns(cols, hashes, rec.Tag)
+				return st.AppendColumns(cols, hashes, rec.Tag, nil)
 			})
 			if werr != nil {
 				return replayed, dropped, fmt.Errorf("vertica: replay: insert into %q: %w", rec.Table, werr)

@@ -23,7 +23,7 @@ import (
 //	layout → Commit closes the rebalance epoch.
 //
 // The exclusive lock is the linchpin: while held, no provisional rows exist
-// in the table, so the exported versions are exactly the committed state, and
+// in the table, so the moved containers are exactly the committed state, and
 // the layout swap at commit flips visibility atomically. Readers that
 // resolved the table before the swap keep scanning the old stores (the swap
 // is copy-on-write), so AT EPOCH scans and V2S jobs pinned to their planning

@@ -88,7 +88,7 @@ func placementStores(tbl *catalog.Table) []*storage.Store {
 // nodes, and checks each against the buddy rule written out above: the
 // store a read fails over to (replicaFor), the store rebalance exports a
 // segment from (rebalance.SourceFor), the write path's k-safety verdict
-// (writableCheck), the stores a write routes each row to (forEachTarget),
+// (writableCheck), the stores a write routes each row to (Layout.Place),
 // and the stores node recovery rebuilds and where from (recoverTable).
 func TestReplicaPlacementEquivalence(t *testing.T) {
 	c := testCluster(t, 6)
@@ -117,13 +117,14 @@ func TestReplicaPlacementEquivalence(t *testing.T) {
 				// row count names the store it was copied from.
 				stores := placementStores(tbl)
 				marks := make(map[*storage.Store]int, len(stores))
-				pristine := make([]storage.Versions, len(stores))
+				pristine := make([]*storage.Store, len(stores))
 				for i, st := range stores {
 					vals := make([]int64, i+1)
-					if err := st.AppendColumns([]storage.Column{&storage.Int64Column{Vals: vals}}, make([]uint32, i+1), 1); err != nil {
+					if err := st.AppendColumns([]storage.Column{&storage.Int64Column{Vals: vals}}, make([]uint32, i+1), 1, nil); err != nil {
 						t.Fatal(err)
 					}
-					if err := st.ExportVersions(&pristine[i]); err != nil {
+					pristine[i] = storage.NewStore(schema, nil)
+					if err := pristine[i].ReplaceContents(st); err != nil {
 						t.Fatal(err)
 					}
 					marks[st] = i + 1
@@ -217,7 +218,7 @@ func checkWritable(t *testing.T, name string, c *Cluster, s *Session, tbl *catal
 // stale, and compares what was rebuilt, and from which store, with the
 // rule's walk: the primary, then each buddy slot, each from the first UP
 // replica of its segment, stopping at the first segment with none.
-func checkRecovery(t *testing.T, name string, c *Cluster, tbl *catalog.Table, marks map[*storage.Store]int, stores []*storage.Store, pristine []storage.Versions) {
+func checkRecovery(t *testing.T, name string, c *Cluster, tbl *catalog.Table, marks map[*storage.Store]int, stores []*storage.Store, pristine []*storage.Store) {
 	t.Helper()
 	for pos, id := range tbl.Ring {
 		if c.nodeUp(id) {
@@ -253,7 +254,7 @@ func checkRecovery(t *testing.T, name string, c *Cluster, tbl *catalog.Table, ma
 		}
 		for i, st := range stores {
 			if st.TotalRows() != marks[st] {
-				if err := st.ReplaceContents(&pristine[i]); err != nil {
+				if err := st.ReplaceContents(pristine[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -262,7 +263,7 @@ func checkRecovery(t *testing.T, name string, c *Cluster, tbl *catalog.Table, ma
 	}
 }
 
-// checkWriteRouting hands forEachTarget one row hashed into each segment and
+// checkWriteRouting hands Layout.Place one row hashed into each segment and
 // compares the visits, in order, with the rule: an unsegmented table's every
 // store takes all rows; a segmented table's rows go, home segment by home
 // segment, to the primary and then buddy 0…K-1.
@@ -299,7 +300,7 @@ func checkWriteRouting(t *testing.T, tbl *catalog.Table) {
 		vals[i] = int64(i)
 	}
 	var got []visit
-	err := forEachTarget(tbl, []*storage.Batch{{Cols: []storage.Column{&storage.Int64Column{Vals: vals}}, Sel: storage.IdentitySel(n)}}, hashes, func(st *storage.Store, nodeID int, cols []storage.Column, hs []uint32) error {
+	err := tbl.Place([]*storage.Batch{{Cols: []storage.Column{&storage.Int64Column{Vals: vals}}, Sel: storage.IdentitySel(n)}}, hashes, nil, func(st *storage.Store, nodeID int, cols []storage.Column, hs []uint32, _ []uint64) error {
 		if cols[0].Len() != len(hs) {
 			t.Fatalf("%s: visit got %d rows for %d hashes", tbl.Def.Name, cols[0].Len(), len(hs))
 		}
@@ -310,7 +311,7 @@ func checkWriteRouting(t *testing.T, tbl *catalog.Table) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: forEachTarget made %d visits, want %d", tbl.Def.Name, len(got), len(want))
+		t.Fatalf("%s: Place made %d visits, want %d", tbl.Def.Name, len(got), len(want))
 	}
 	for i := range want {
 		if got[i].st != want[i].st || got[i].node != want[i].node || !slices.Equal(got[i].hashes, want[i].hashes) {

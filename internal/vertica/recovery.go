@@ -16,15 +16,16 @@ import (
 // While a node is DOWN its stores receive no writes, so they are stale by
 // exactly the epochs committed during the window. Rather than replaying those
 // epochs incrementally, recovery rebuilds each hosted store wholesale: under
-// the table's EXCLUSIVE lock, export the committed row versions of the same
-// segment from a healthy replica and swap them in with ReplaceContents. The
-// export carries full MVCC history (insert and delete epochs), so the rebuilt
-// store answers AT EPOCH queries for any still-pinned historical epoch
-// exactly as the replica does. The exclusive lock guarantees no provisional
-// rows exist during the copy and that no writer is mid-flight on the table;
-// writes that began after the node flipped to RECOVERING land on its stores
-// anyway (RECOVERING accepts writes), so a table reconciled early in the pass
-// cannot go stale again before the node is UP.
+// the table's EXCLUSIVE lock, the store adopts the committed containers of a
+// healthy replica of the same segment, one for one (ReplaceContents), so it
+// becomes container-for-container the store a write leaves its buddy. The
+// containers carry full MVCC history (insert epochs and delete marks), so the
+// rebuilt store answers AT EPOCH queries for any still-pinned historical
+// epoch exactly as the replica does. The exclusive lock guarantees no
+// provisional rows exist during the adoption and that no writer is mid-flight
+// on the table; writes that began after the node flipped to RECOVERING land
+// on its stores anyway (RECOVERING accepts writes), so a table reconciled
+// early in the pass cannot go stale again before the node is UP.
 //
 // Recovery is memory-safe against concurrent writers without extra locking:
 // the RECOVERING flip happens-before the per-table EXCLUSIVE acquire, which
@@ -111,16 +112,13 @@ func (c *Cluster) recoverTable(n *Node, name string) error {
 		if src == dst {
 			return nil
 		}
-		var versions storage.Versions
-		if err := src.ExportVersions(&versions); err != nil {
-			return err
-		}
-		if err := dst.ReplaceContents(&versions); err != nil {
+		if err := dst.ReplaceContents(src); err != nil {
 			return err
 		}
 		dst.ClearStale()
-		res.Rows += versions.Len()
-		res.RowsMoved += versions.Len()
+		rows := dst.TotalRows()
+		res.Rows += rows
+		res.RowsMoved += rows
 		res.Containers += dst.ContainerCount()
 		return nil
 	}
@@ -132,7 +130,7 @@ func (c *Cluster) recoverTable(n *Node, name string) error {
 		}
 	}
 	// Commit closes the table's recovery epoch. The transaction wrote nothing
-	// provisional — ReplaceContents installs already-committed versions — so
+	// provisional — ReplaceContents installs already-committed containers — so
 	// the commit's only effects are the epoch close and the lock release.
 	epoch, err := tx.Commit()
 	c.reb.finish(op, res, epoch, err)

@@ -108,17 +108,17 @@ func checkStoresMatchOracle(t *testing.T, c *Cluster, table string, rows []types
 		if !reflect.DeepEqual(ct.Stats(), w.stats) {
 			t.Errorf("%s store %d: zone maps %+v, want %+v", table, i, ct.Stats(), w.stats)
 		}
-		var versions storage.Versions
-		if err := st.ExportVersions(&versions); err != nil {
-			t.Fatal(err)
+		start, del := ct.Committed()
+		if start >= storage.ProvisionalBase || del != nil {
+			t.Fatalf("%s store %d: container at %d with delete marks %v, want committed rows all live", table, i, start, del)
 		}
-		if versions.Len() != len(w.rows) {
-			t.Fatalf("%s store %d: %d committed versions, want %d", table, i, versions.Len(), len(w.rows))
+		vrows := storage.Materialize([]*storage.Batch{{Cols: ct.Cols, Sel: storage.IdentitySel(ct.RowCount)}})
+		if len(vrows) != len(w.rows) {
+			t.Fatalf("%s store %d: %d committed rows, want %d", table, i, len(vrows), len(w.rows))
 		}
-		vrows := storage.Materialize([]*storage.Batch{{Cols: versions.Columns(), Sel: storage.IdentitySel(versions.Len())}})
 		for k, row := range vrows {
-			if versions.Dels[k] != 0 || versions.Hashes[k] != w.hashes[k] || !reflect.DeepEqual(row, w.rows[k]) {
-				t.Fatalf("%s store %d row %d: %v del %d hash %d, want %v live with hash %d", table, i, k, row, versions.Dels[k], versions.Hashes[k], w.rows[k], w.hashes[k])
+			if ct.Hashes[k] != w.hashes[k] || !reflect.DeepEqual(row, w.rows[k]) {
+				t.Fatalf("%s store %d row %d: %v hash %d, want %v with hash %d", table, i, k, row, ct.Hashes[k], w.rows[k], w.hashes[k])
 			}
 		}
 	}
