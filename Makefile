@@ -50,14 +50,17 @@ examples:
 # an open DELETE, scans and UPDATEs racing one, the WAL-bytes trigger), the
 # DELETE/UPDATE differential across a restart and the replay of logs written
 # with either insert path, the local-segment cut surviving a replay, and a
-# multi-block COPY replaying to the containers one dense batch builds, under
-# the race detector.
+# multi-block COPY replaying to the containers one dense batch builds, and
+# the containers' one-byte codes — built where zone maps are, loaded from a
+# container file (never from a lying zone map), and kept for exactly the
+# eligible columns across a write, a durable restart, a rebalance and a
+# recovery — under the race detector.
 recover-test:
 	$(GO) test -race ./internal/framelog/
 	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'Persist|Marshal|Encode|DeletedRowsStayInTheirContainer|ImportContainerOrder|Golden' ./internal/storage/
+	$(GO) test -race -run 'Persist|Marshal|Encode|DeletedRowsStayInTheirContainer|ImportContainerOrder|Golden|ContainerCodesFollowZoneMaps' ./internal/storage/
 	$(GO) test -race -run 'AHM|CommitRequiresLog|Abort|SetNextTag' ./internal/txn/
-	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths|NoContainerStraddlesALocalSegment|CopyBlocksRouteLikeOneBatch' ./internal/vertica/
+	$(GO) test -race -run 'Durable|Checkpoint|KillAndRestart|CrashMid|ReplayProperty|AtEpoch|GeneratedDML|ReplaysLogsOfBothInsertPaths|NoContainerStraddlesALocalSegment|CopyBlocksRouteLikeOneBatch|ContainersKeepCodesIffEligible' ./internal/vertica/
 
 # Elastic-membership gate: the rebalance units, rebalance's and recovery's
 # container moves against the row-boxing reference and rebalance's epoch
@@ -109,15 +112,19 @@ s2v-test:
 # form among its shapes), a server closing
 # under live sessions, the client's boxing of result vectors against each
 # column's Get (across slab boundaries too), the fixed-width plain codec
-# against its per-value reference loops, the resource-pool admission suites
+# against its per-value reference loops (a container's coded INTEGER vectors
+# among them), the compare kernel over one-byte codes against the dense loop
+# and seeded SELECTs over coded containers against the oracle, the
+# resource-pool admission suites
 # with a cancelled SELECT giving its slot back, its computed operators (project,
 # group-by, filter over derived rows) included, and a closed session refusing
 # COPY ... FROM STDIN — all under the race detector.
 wire-test: wire-fuzz
 	$(GO) test -race -run 'Bin|WireCode|Handshake|UnsupportedVersion|ExecuteStreamBatches|ColumnarFrames|PoolSentinels|MidCopy|CopyAbort|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle|WireDifferential|WireJoinOutputForms|ServerCloseEndsLiveSessions' ./internal/server/
 	$(GO) test -race -run 'MaterializeMatchesGet|MaterializeAcrossSlabs|BatchMaterializeSubset|GatherEncodeMatchesMaterialize|PlainWordsMatchReference' ./internal/storage/
+	$(GO) test -race -run 'CompareKernelsMatchReference' ./internal/vexec/
 	$(GO) test -race ./internal/pool/
-	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation|ClosedSessionRefusesCopy' ./internal/vertica/
+	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL|SelectHonoursCancellation|ComputedOperatorsHonourCancellation|ClosedSessionRefusesCopy|GeneratedSelectsOverCodesMatchOracle' ./internal/vertica/
 
 # Five seconds of native fuzzing on each decoder of untrusted bytes: the wire
 # frames, the batch-frame payload codec (storage.DecodeColumns), the
@@ -198,7 +205,11 @@ gates:
 # s2v_save task (a 37 500-row generated D1WithInt partition saved through all
 # five S2V phases into an in-process cluster; ns/row, B/op): the task streams
 # the generator's 4 096-row chunks into its COPY, so its B/op holds one
-# chunk's boxed rows, not the partition's. fabricperf's vexec.agg_s /
+# chunk's boxed rows, not the partition's. BenchmarkCompareKernel is the
+# null-free INTEGER compare over a 65 536-row run of 0–99 values
+# (v2s_pushdown's pcol) at 1, 5, 50 and 95 % selectivity, reading the 8-byte
+# values (dense) or the container's one-byte codes (codes), in ns/row; it
+# fails if the two keep different rows. fabricperf's vexec.agg_s /
 # vexec.join_s / vertica.groupby_us / vertica.join_us time the same operators
 # at workload scale.
 bench:
@@ -207,6 +218,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkJoin3Way|BenchmarkJoinDuplicateKeys|BenchmarkGroupBy|BenchmarkPointFilter|BenchmarkV2SPartitionScan' -benchmem ./internal/vertica/
 	$(GO) test -run xxx -bench BenchmarkResultPath -benchmem ./internal/storage/
 	$(GO) test -run xxx -bench 'BenchmarkS2VPartition' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkCompareKernel' ./internal/vexec/
 
 # Every Go benchmark once, timings ignored: a benchmark whose own check fails
 # (BenchmarkResultPath's landed-row count, say) fails this target. CI runs it.

@@ -925,3 +925,82 @@ func (m *runtimeMem) read() {
 	runtime.ReadMemStats(&ms)
 	m.total = ms.TotalAlloc
 }
+
+// TestClosedReaderLendsItsBlockBuffer: a closed reader's block buffer is the
+// next reader's, and the vectors the first reader returned are untouched by
+// the second reading other bytes through it. A reader whose header fails
+// gives its buffer back too, and a buffer grown past pooledBlockBytes is not
+// kept.
+func TestClosedReaderLendsItsBlockBuffer(t *testing.T) {
+	for len(blockBufs) > 0 {
+		<-blockBufs
+	}
+	file := func(rows []types.Row) []byte {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, testSchema, CodecNull, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	other := make([]types.Row, 50)
+	for i := range other {
+		other[i] = types.Row{types.IntValue(int64(i)), types.FloatValue(-1), types.StringValue(strings.Repeat("z", i)), types.BoolValue(true)}
+	}
+	first, err := NewReader(bytes.NewReader(file(testRows)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches []*storage.Batch
+	for {
+		cols, n, err := first.ReadBlock()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, &storage.Batch{Cols: cols, Sel: storage.IdentitySel(n)})
+	}
+	lent := first.raw
+	first.Close()
+	second, err := NewReader(bytes.NewReader(file(other)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.raw != lent {
+		t.Error("the next reader grew a block buffer of its own")
+	}
+	for {
+		if _, _, err := second.ReadBlock(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	second.Close()
+	got := storage.Materialize(batches)
+	if len(got) != len(testRows) {
+		t.Fatalf("%d rows, want %d", len(got), len(testRows))
+	}
+	for i := range got {
+		if !rowsEqual(got[i], testRows[i]) {
+			t.Errorf("row %d read %v, then %v once the buffer was lent", i, testRows[i], got[i])
+		}
+	}
+	if _, err := NewReader(bytes.NewReader([]byte("nope"))); err == nil || len(blockBufs) != 1 {
+		t.Errorf("a reader failing its header: err %v, %d buffers pooled, want 1", err, len(blockBufs))
+	}
+	putBlockBuf(bytes.NewBuffer(make([]byte, 0, pooledBlockBytes+1)))
+	if len(blockBufs) != 1 {
+		t.Errorf("%d buffers pooled after one past pooledBlockBytes was given back, want 1", len(blockBufs))
+	}
+}

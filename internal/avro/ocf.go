@@ -205,11 +205,48 @@ type Reader struct {
 	fields []fieldDec
 
 	// One of each per file, reused for every block.
-	raw   bytes.Buffer     // the block as stored
+	raw   *bytes.Buffer    // the block as stored, from getBlockBuf
 	plain bytes.Buffer     // the block inflated
 	src   bytes.Reader     // the inflater's view of raw
 	fr    io.ReadCloser    // the inflater
 	lim   io.LimitedReader // caps what one block may inflate to
+}
+
+// blockBufs holds the stored-block buffers of closed readers for the next
+// reader to take, process-wide: every COPY reads its stream with a reader of
+// its own, and S2V tasks each COPY on a session of their own, so a buffer
+// kept per reader or per session would grow from nothing for every load. A
+// pooled buffer still grows only as bytes arrive (readBytes), never to a
+// size a header claims. It is a bounded free list, not a sync.Pool: a
+// sync.Pool keeps a returned buffer where only the processor that put it
+// finds it first, and drops it at the second collection, which a load's own
+// allocation brings on, so one load after another often missed it. It keeps
+// at most 4 buffers — a node's concurrent loads from a small Spark cluster's
+// executors — of at most pooledBlockBytes each.
+var blockBufs = make(chan *bytes.Buffer, 4)
+
+// pooledBlockBytes is the largest buffer blockBufs keeps: about five times a
+// 4 096-row block of 1 INTEGER and 10 FLOAT columns, the blocks S2V writes.
+// A larger one, grown by a rare large block, is left to the collector.
+const pooledBlockBytes = 2 << 20
+
+func getBlockBuf() *bytes.Buffer {
+	select {
+	case b := <-blockBufs:
+		return b
+	default:
+		return new(bytes.Buffer)
+	}
+}
+
+func putBlockBuf(b *bytes.Buffer) {
+	if b.Cap() > pooledBlockBytes {
+		return
+	}
+	select {
+	case blockBufs <- b:
+	default:
+	}
 }
 
 // readLong reads an Avro long. io.EOF means the stream ended before the
@@ -230,9 +267,14 @@ func readBytes(br *bufio.Reader, buf *bytes.Buffer, n int64) error {
 	return err
 }
 
-// NewReader parses the OCF header.
-func NewReader(r io.Reader) (*Reader, error) {
-	rd := &Reader{br: bufio.NewReader(r), codec: CodecNull}
+// NewReader parses the OCF header. Close gives back what the reader holds.
+func NewReader(r io.Reader) (_ *Reader, err error) {
+	rd := &Reader{br: bufio.NewReader(r), codec: CodecNull, raw: getBlockBuf()}
+	defer func() {
+		if err != nil {
+			rd.Close()
+		}
+	}()
 	br := rd.br
 	var head [4]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
@@ -300,6 +342,16 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
+// Close gives the reader's block buffer back for another reader to use. The
+// reader must not be used after it; the vectors ReadBlock returned stay
+// valid, as they never share the buffer.
+func (r *Reader) Close() {
+	if r.raw != nil {
+		putBlockBuf(r.raw)
+		r.raw = nil
+	}
+}
+
 // noEOF turns the bare io.EOF of a stream that ended where more was promised
 // into io.ErrUnexpectedEOF: only the end of a file between two blocks is a
 // clean io.EOF.
@@ -319,7 +371,7 @@ func (r *Reader) readHeaderField() (string, error) {
 	if n < 0 || n > maxHeaderField {
 		return "", fmt.Errorf("avro: bad bytes length %d", n)
 	}
-	if err := readBytes(r.br, &r.raw, n); err != nil {
+	if err := readBytes(r.br, r.raw, n); err != nil {
 		return "", truncatedHeader(err)
 	}
 	return r.raw.String(), nil
@@ -374,7 +426,7 @@ func (r *Reader) readBlockData() ([]byte, error) {
 	if size < 0 || size > maxBlockBytes {
 		return nil, fmt.Errorf("avro: bad block size %d", size)
 	}
-	if err := readBytes(r.br, &r.raw, size); err != nil {
+	if err := readBytes(r.br, r.raw, size); err != nil {
 		return nil, truncatedBlock(err)
 	}
 	var sync [16]byte
@@ -408,6 +460,7 @@ func ReadAll(rd io.Reader) (Schema, []types.Row, error) {
 	if err != nil {
 		return Schema{}, nil, err
 	}
+	defer r.Close()
 	var rows []types.Row
 	for {
 		cols, n, err := r.ReadBlock()

@@ -92,9 +92,9 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 	// deterministic, so the order of each new store's share — and with it
 	// the containers it is cut into — is too.
 	type cont struct {
-		c     *storage.ROSContainer
-		start uint64
-		del   []uint64
+		c      *storage.ROSContainer
+		start  uint64
+		marked bool
 	}
 	var conts []cont
 	for _, seg := range t.Segs(0) {
@@ -103,8 +103,8 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 			return nil, res, err
 		}
 		for _, c := range src.Containers() {
-			if start, del := c.Committed(); start < storage.ProvisionalBase {
-				conts = append(conts, cont{c, start, del})
+			if start := c.StartEpoch(); start < storage.ProvisionalBase {
+				conts = append(conts, cont{c, start, c.Marked()})
 				res.Rows += c.RowCount
 			}
 		}
@@ -128,28 +128,31 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 			hi++
 		}
 		// One epoch's containers are the blocks the new layout places, with
-		// their hashes and, when any of them is marked, their delete marks in
-		// block order.
+		// their hashes and, when any of them is marked, their committed
+		// delete marks in block order, each copied once, straight into the
+		// group's vector.
 		group, start := conts[lo:hi], conts[lo].start
 		lo = hi
 		blocks := make([]*storage.Batch, len(group))
 		for k, v := range group {
 			blocks[k] = &storage.Batch{Cols: v.c.Cols, Sel: storage.IdentitySel(v.c.RowCount)}
 		}
-		hashes, dels := group[0].c.Hashes, group[0].del
+		n := storage.SelectedRows(blocks)
+		hashes := group[0].c.Hashes
 		if len(group) > 1 {
-			n := storage.SelectedRows(blocks)
-			hashes, dels = make([]uint32, 0, n), nil
-			if slices.ContainsFunc(group, func(v cont) bool { return v.del != nil }) {
-				dels = make([]uint64, 0, n)
-			}
+			hashes = make([]uint32, 0, n)
 			for _, v := range group {
 				hashes = append(hashes, v.c.Hashes...)
-				if dels != nil {
-					// dels was made zeroed, so an unmarked container's rows read live.
-					at := len(dels)
+			}
+		}
+		var dels []uint64
+		if slices.ContainsFunc(group, func(v cont) bool { return v.marked }) {
+			dels = make([]uint64, 0, n)
+			for _, v := range group {
+				// dels was made zeroed, so an unmarked container's rows read live.
+				at := len(dels)
+				if _, dels = v.c.Committed(dels); len(dels) == at {
 					dels = dels[:at+v.c.RowCount]
-					copy(dels[at:], v.del)
 				}
 			}
 		}

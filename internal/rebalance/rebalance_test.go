@@ -119,7 +119,7 @@ func versionsString(t testing.TB, s *storage.Store) string {
 	t.Helper()
 	var b strings.Builder
 	for _, c := range s.Containers() {
-		start, del := c.Committed()
+		start, del := c.Committed(nil)
 		rows := storage.Materialize([]*storage.Batch{{Cols: c.Cols, Sel: storage.IdentitySel(c.RowCount)}})
 		fmt.Fprint(&b, rows, c.Hashes, start, del, "\n")
 	}

@@ -31,6 +31,29 @@ type Column interface {
 type Int64Column struct {
 	Vals  []int64
 	Nulls []bool // nil means no nulls
+
+	// codes is Vals a byte a row, on the header of a column a container
+	// keeps them for (coded), and nil on every other. It is set only on a
+	// header nobody holds yet and never written after, so it always matches
+	// Vals; a header made over the same vectors (a slice, a copy) has none.
+	codes *smallCodes
+}
+
+// smallCodes is a small-span INTEGER vector in one byte a row: row i holds
+// base + c[i], and every code is below CodeSpan.
+type smallCodes struct {
+	base int64
+	c    []uint8
+}
+
+// Codes returns the column's one-byte codes and their base — row i holds
+// base + int64(codes[i]), each code below CodeSpan — or nil codes when it
+// has none. Only a container's column has them (CodeRows says which).
+func (c *Int64Column) Codes() (base int64, codes []uint8) {
+	if c.codes == nil {
+		return 0, nil
+	}
+	return c.codes.base, c.codes.c
 }
 
 // Type implements Column.

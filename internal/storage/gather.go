@@ -172,7 +172,8 @@ func gatherNulls(bitmap []byte, src []colRead) {
 
 // gatherValues writes a column's selected values, plain-encoded, into p,
 // which gatherSize sized for them. INTEGER and FLOAT values go through
-// putWords, which copies each run of consecutive selected rows in one piece.
+// putWords, which copies each run of consecutive selected rows in one piece
+// and reads a coded INTEGER column's other rows from its codes.
 func gatherValues(p []byte, src []colRead) {
 	for _, r := range src {
 		if len(r.sel) == 0 {
@@ -180,10 +181,10 @@ func gatherValues(p []byte, src []colRead) {
 		}
 		switch c := r.col.(type) {
 		case *Int64Column:
-			putWords(p, words(c.Vals), r.sel)
+			putWords(p, words(c.Vals), r.sel, c.codes)
 			p = p[8*len(r.sel):]
 		case *Float64Column:
-			putWords(p, words(c.Vals), r.sel)
+			putWords(p, words(c.Vals), r.sel, nil)
 			p = p[8*len(r.sel):]
 		case *BoolColumn:
 			for k, i := range r.sel {

@@ -91,7 +91,8 @@ func randomSel(rng *rand.Rand, n int, keep float64) []int32 {
 // decode (DecodeColumns, then DecodeRows) to exactly the rows Materialize
 // boxes from the same batches — across empty, single-row, sparse and full
 // selections, and cut into frames at arbitrary boundaries the way the wire
-// server cuts them.
+// server cuts them. Every other trial gives the null-free runs column codes,
+// as a container keeps them, so its sparse blocks are written from those.
 func TestGatherEncodeMatchesMaterialize(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {
@@ -99,6 +100,14 @@ func TestGatherEncodeMatchesMaterialize(t *testing.T) {
 		for k := rng.Intn(4); k >= 0; k-- {
 			n := 1 + rng.Intn(300)
 			b := kindBatch(rng, n)
+			if trial%2 == 0 {
+				runs := b.Cols[0].(*Int64Column)
+				coded := &Int64Column{Vals: runs.Vals, codes: cutCodes(runs.Vals, -3)}
+				if coded.codes == nil {
+					t.Fatal("no codes for the runs column's values, -3..3")
+				}
+				b.Cols[0] = coded
+			}
 			switch rng.Intn(5) {
 			case 0:
 				b.Sel = []int32{}

@@ -222,7 +222,7 @@ func checkCRC(data []byte, what string) ([]byte, error) {
 // recovery if their transaction commits). The container's start epoch must be
 // committed; provisional containers are never persisted.
 func MarshalContainer(c *ROSContainer) ([]byte, error) {
-	start, del := c.Committed()
+	start, del := c.Committed(nil)
 	if start >= ProvisionalBase {
 		return nil, fmt.Errorf("storage: refusing to persist provisional container (tag %d)", start)
 	}
@@ -352,7 +352,7 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 	}
 	return &ROSContainer{
 		Schema:   schema,
-		Cols:     cols,
+		Cols:     coded(cols, stats, n),
 		RowCount: n,
 		Hashes:   hashes,
 		span:     hashSpan(hashes),

@@ -6,6 +6,6 @@ package storage
 // memory is not its plain encoding: every value is converted on its own, by
 // the reference loops.
 
-func putWords(p []byte, w []uint64, sel []int32) { putWordsLoop(p, w, sel) }
+func putWords(p []byte, w []uint64, sel []int32, _ *smallCodes) { putWordsLoop(p, w, sel) }
 
 func decodeWords[T int64 | float64](p []byte) []T { return decodeWordsLoop[T](p) }

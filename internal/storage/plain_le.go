@@ -2,7 +2,10 @@
 
 package storage
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // On a little-endian machine a vector's memory is its plain encoding, so
 // both directions move whole runs of values with one copy.
@@ -16,13 +19,20 @@ import "unsafe"
 // that copies.
 const runBlock = 64
 
-// putWords writes w[i] for each i in sel, little-endian, to p[8k:].
-func putWords(p []byte, w []uint64, sel []int32) {
+// putWords writes w[i] for each i in sel, little-endian, to p[8k:]. codes,
+// when not nil, are w's values a byte a row (an INTEGER column's,
+// Int64Column.Codes): a block stored value by value reads them instead, a
+// byte a row where w's values would each fault in a cache line of their own.
+func putWords(p []byte, w []uint64, sel []int32, codes *smallCodes) {
 	for len(sel) > 0 {
 		blk := sel[:min(len(sel), runBlock)]
 		if lo, ok := IdentityRun(blk); ok && consecutive(blk) {
 			run := w[lo : lo+len(blk)]
 			copy(p, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), 8*len(run)))
+		} else if codes != nil {
+			for k, i := range blk {
+				binary.LittleEndian.PutUint64(p[8*k:], uint64(codes.base+int64(codes.c[i])))
+			}
 		} else {
 			putWordsLoop(p, w, blk)
 		}

@@ -53,13 +53,23 @@ func plainSels(rng *rand.Rand, n int) map[string][]int32 {
 // INTEGER and FLOAT vectors — every 64-bit pattern, NaN payloads and -0
 // included — each selection shape of plainSels, with and without NULL
 // masks, and a row block written at each offset 0–7 of its buffer, so every
-// alignment of the decoder's source is met. A decoded vector owns its
+// alignment of the decoder's source is met. A coded INTEGER vector (a
+// container's, Int64Column.Codes) rides along, its base near MinInt64 so
+// that base + code is checked at the edge: its sparse blocks are written from
+// the codes, and must give the same bytes. A decoded vector owns its
 // memory: clobbering the buffer it came from changes nothing. Under -race
 // checkptr also checks that every unsafe view stays inside its allocation.
 func TestPlainWordsMatchReference(t *testing.T) {
 	const n = 1500
 	rng := rand.New(rand.NewSource(42))
-	schema := types.Schema{Cols: []types.Column{{Name: "i", T: types.Int64}, {Name: "f", T: types.Float64}}}
+	schema := types.Schema{Cols: []types.Column{{Name: "i", T: types.Int64}, {Name: "f", T: types.Float64}, {Name: "c", T: types.Int64}}}
+	small := &Int64Column{Vals: make([]int64, n)}
+	for i := range small.Vals {
+		small.Vals[i] = math.MinInt64 + int64(rng.Intn(CodeSpan))
+	}
+	if small.codes = cutCodes(small.Vals, math.MinInt64); small.codes == nil {
+		t.Fatal("no codes for a vector spanning less than CodeSpan")
+	}
 	for _, withNulls := range []bool{false, true} {
 		ints := &Int64Column{Vals: make([]int64, n)}
 		floats := &Float64Column{Vals: make([]float64, n)}
@@ -74,15 +84,18 @@ func TestPlainWordsMatchReference(t *testing.T) {
 			}
 		}
 		for name, sel := range plainSels(rng, n) {
-			for _, w := range [][]uint64{words(ints.Vals), words(floats.Vals)} {
+			for _, c := range []struct {
+				w     []uint64
+				codes *smallCodes
+			}{{words(ints.Vals), nil}, {words(floats.Vals), nil}, {words(small.Vals), small.codes}} {
 				got, want := make([]byte, 8*len(sel)), make([]byte, 8*len(sel))
-				putWords(got, w, sel)
-				putWordsLoop(want, w, sel)
+				putWords(got, c.w, sel, c.codes)
+				putWordsLoop(want, c.w, sel)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s selection (nulls %v): putWords differs from the reference loop", name, withNulls)
+					t.Fatalf("%s selection (nulls %v, codes %v): putWords differs from the reference loop", name, withNulls, c.codes != nil)
 				}
 			}
-			batch := &Batch{Cols: []Column{ints, floats}, Sel: sel}
+			batch := &Batch{Cols: []Column{ints, floats, small}, Sel: sel}
 			for off := 0; off < 8; off++ {
 				buf, err := AppendBatches(bytes.Repeat([]byte{0xEE}, off), schema, []*Batch{batch})
 				if err != nil {
@@ -96,8 +109,11 @@ func TestPlainWordsMatchReference(t *testing.T) {
 					continue
 				}
 				clear(buf)
-				gi, gf := cols[0].(*Int64Column), cols[1].(*Float64Column)
+				gi, gf, gc := cols[0].(*Int64Column), cols[1].(*Float64Column), cols[2].(*Int64Column)
 				for k, i := range sel {
+					if gc.Vals[k] != small.Vals[i] {
+						t.Fatalf("%s selection at offset %d: row %d's coded value decoded %d, want %d", name, off, k, gc.Vals[k], small.Vals[i])
+					}
 					if gi.Vals[k] != ints.Vals[i] || math.Float64bits(gf.Vals[k]) != math.Float64bits(floats.Vals[i]) {
 						t.Fatalf("%s selection at offset %d: row %d decoded (%d, %x), want (%d, %x)", name, off, k,
 							gi.Vals[k], math.Float64bits(gf.Vals[k]), ints.Vals[i], math.Float64bits(floats.Vals[i]))

@@ -76,24 +76,81 @@ type ROSContainer struct {
 
 // newContainer is the one constructor of in-memory containers — every write
 // and rebalance ends here, and recovery adopts what they built — so every
-// container carries zone maps. cols are n-row dense vectors, one per schema
-// column, which the container keeps as they are (they may be shared with
-// other containers, never written again); hashes are the rows' segmentation
+// container carries zone maps, and codes where they apply (coded). cols are
+// n-row dense vectors, one per schema column, which the container keeps as
+// they are (they may be shared with other containers, never written again)
+// but for a coded column's fresh header; hashes are the rows' segmentation
 // hashes and del the delete vector (nil = no row deleted).
 func newContainer(cols []Column, n int, schema types.Schema, hashes []uint32, start uint64, del []uint64) (*ROSContainer, error) {
 	if err := checkColumns(cols, n, schema); err != nil {
 		return nil, err
 	}
+	stats := ComputeStats(cols)
 	return &ROSContainer{
 		Schema:   schema,
-		Cols:     cols,
+		Cols:     coded(cols, stats, n),
 		RowCount: n,
 		Hashes:   hashes,
 		span:     hashSpan(hashes),
-		stats:    ComputeStats(cols),
+		stats:    stats,
 		start:    start,
 		del:      del,
 	}, nil
+}
+
+// CodeSpan bounds the values a coded column holds: they lie in [min,
+// min+CodeSpan), so each code v − min fits in 7 bits. The compare kernel
+// tests 8 codes in a 64-bit word, and each byte's clear top bit is the guard
+// that keeps one lane's subtraction from borrowing from the next.
+const CodeSpan = 128
+
+// CodeRows is the fewest rows a container keeps codes for: LocalCutRows
+// over vhash.LocalSegments, the rows a container cut at local segments
+// averages, so every container a bulk write or a move makes has them. A
+// trickle write's container (an autocommit INSERT, a WOS moveout) does not:
+// its scans cost a container's fixed work, not a row's, and codes would add
+// an allocation and a pass to every small commit.
+const CodeRows = LocalCutRows / vhash.LocalSegments
+
+// coded returns the container's column vectors with a fresh header carrying
+// codes (Int64Column.Codes) on each column it keeps them for — a null-free
+// INTEGER column whose zone map spans less than CodeSpan, in a container of
+// at least CodeRows rows — and cols itself when no column needs one. A
+// header that has codes already (a moved or adopted container's) is kept:
+// they belong to its vector. The codes are built from stats, the zone maps,
+// and checked against the values as they are cut: a zone map that lies (a
+// corrupt file's) builds none.
+func coded(cols []Column, stats []ColStats, n int) []Column {
+	var out []Column
+	for j, c := range cols {
+		ic, ok := c.(*Int64Column)
+		st := stats[j]
+		if !ok || ic.codes != nil || n < CodeRows || ic.Nulls != nil || !st.HasMinMax || uint64(st.Max.I)-uint64(st.Min.I) >= CodeSpan {
+			continue
+		}
+		if out == nil {
+			out = slices.Clone(cols)
+		}
+		out[j] = &Int64Column{Vals: ic.Vals, codes: cutCodes(ic.Vals, st.Min.I)}
+	}
+	if out == nil {
+		return cols
+	}
+	return out
+}
+
+// cutCodes returns vals as codes v − base, or nil when a value lies outside
+// [base, base+CodeSpan).
+func cutCodes(vals []int64, base int64) *smallCodes {
+	c := make([]uint8, len(vals))
+	for i, v := range vals {
+		d := uint64(v) - uint64(base)
+		if d >= CodeSpan {
+			return nil
+		}
+		c[i] = uint8(d)
+	}
+	return &smallCodes{base: base, c: c}
 }
 
 // checkColumns verifies cols are n-row vectors of the schema's column types.
@@ -188,25 +245,37 @@ func (c *ROSContainer) Stats() []ColStats { return c.stats }
 func (c *ROSContainer) HashSpan() vhash.Range { return c.span }
 
 // Committed returns the container's committed view, read under its lock: its
-// insert epoch (or provisional tag) and a copy of its delete vector in which a
-// provisional mark reads as live, nil when no row carries a committed mark. A
-// checkpoint writes this view (MarshalContainer), and rebalance and recovery
-// move it.
-func (c *ROSContainer) Committed() (start uint64, del []uint64) {
+// insert epoch (or provisional tag), and dst with its delete vector appended,
+// a provisional mark reading as live — dst as it is when no row carries a
+// committed mark. A checkpoint writes this view (MarshalContainer) and
+// recovery moves it, each into a vector of its own (dst nil); rebalance
+// gathers a group of containers' marks into one vector.
+func (c *ROSContainer) Committed(dst []uint64) (start uint64, del []uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	committed := func(d uint64) bool { return d != 0 && d < ProvisionalBase }
-	if !slices.ContainsFunc(c.del, committed) {
-		return c.start, nil
+	if !slices.ContainsFunc(c.del, committedMark) {
+		return c.start, dst
 	}
-	del = make([]uint64, len(c.del))
+	at := len(dst)
+	dst = slices.Grow(dst, len(c.del))[:at+len(c.del)]
 	for i, d := range c.del {
-		if committed(d) {
-			del[i] = d
+		if !committedMark(d) {
+			d = 0
 		}
+		dst[at+i] = d
 	}
-	return c.start, del
+	return c.start, dst
 }
+
+// Marked reports whether a row of the container carries a committed delete
+// mark.
+func (c *ROSContainer) Marked() bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return slices.ContainsFunc(c.del, committedMark)
+}
+
+func committedMark(d uint64) bool { return d != 0 && d < ProvisionalBase }
 
 // StartEpoch returns the container's insert epoch (or provisional tag).
 func (c *ROSContainer) StartEpoch() uint64 {
@@ -383,7 +452,7 @@ func (s *Store) ReplaceContents(src *Store) error {
 	}
 	var ros []*ROSContainer
 	for _, c := range src.snapshot() {
-		start, del := c.Committed()
+		start, del := c.Committed(nil)
 		if start >= ProvisionalBase {
 			continue
 		}

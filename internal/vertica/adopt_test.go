@@ -61,8 +61,8 @@ func TestRecoveryAdoptsSourceContainers(t *testing.T) {
 		}
 		for k, w := range want {
 			g := got[k]
-			gs, gd := g.Committed()
-			ws, wd := w.Committed()
+			gs, gd := g.Committed(nil)
+			ws, wd := w.Committed(nil)
 			all := storage.IdentitySel(w.RowCount)
 			switch {
 			case g.RowCount != w.RowCount || !reflect.DeepEqual(storage.Materialize([]*storage.Batch{{Cols: g.Cols, Sel: all}}), storage.Materialize([]*storage.Batch{{Cols: w.Cols, Sel: all}})):
@@ -108,7 +108,7 @@ func TestRecoveryAdoptsSourceContainers(t *testing.T) {
 	before := make([][][]uint64, len(sources))
 	for i, src := range sources {
 		for _, ct := range src.Containers() {
-			_, del := ct.Committed()
+			_, del := ct.Committed(nil)
 			before[i] = append(before[i], del)
 		}
 	}
@@ -132,7 +132,7 @@ func TestRecoveryAdoptsSourceContainers(t *testing.T) {
 	}
 	for i, src := range sources {
 		for k, ct := range src.Containers() {
-			if _, del := ct.Committed(); !slices.Equal(del, before[i][k]) {
+			if _, del := ct.Committed(nil); !slices.Equal(del, before[i][k]) {
 				t.Fatalf("source %d container %d: a delete on the recovered store reached its marks", i, k)
 			}
 		}

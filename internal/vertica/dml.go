@@ -532,6 +532,7 @@ func decodeAvro(r io.Reader, schema types.Schema) ([]*storage.Batch, int, error)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer rd.Close()
 	if !rd.Schema().ToTypes().Equal(schema) {
 		return nil, 0, fmt.Errorf("Avro schema %v does not match table schema %v", rd.Schema().ToTypes(), schema)
 	}

@@ -108,7 +108,7 @@ func checkStoresMatchOracle(t *testing.T, c *Cluster, table string, rows []types
 		if !reflect.DeepEqual(ct.Stats(), w.stats) {
 			t.Errorf("%s store %d: zone maps %+v, want %+v", table, i, ct.Stats(), w.stats)
 		}
-		start, del := ct.Committed()
+		start, del := ct.Committed(nil)
 		if start >= storage.ProvisionalBase || del != nil {
 			t.Fatalf("%s store %d: container at %d with delete marks %v, want committed rows all live", table, i, start, del)
 		}

@@ -16,6 +16,8 @@
 package vexec
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"vsfabric/internal/expr"
@@ -481,6 +483,9 @@ func intCmpKernel(ci int, op expr.CmpOp, lit int64, boxed Kernel) Kernel {
 				return out
 			}
 			if lo, ok := storage.IdentityRun(sel); ok {
+				if base, codes := col.Codes(); codes != nil {
+					return codeCmp(codes[lo:lo+len(sel)], int32(lo), base, op, lit, out)
+				}
 				from := len(out)
 				out = intCmpDense(col.Vals[lo:lo+len(sel)], op, lit, out)
 				// Survivors are numbered from the run's first row. Shifting
@@ -540,6 +545,54 @@ func intCmpDense(vals []int64, op expr.CmpOp, lit int64, out []int32) []int32 {
 			if v >= lit {
 				out = append(out, int32(i))
 			}
+		}
+	}
+	return out
+}
+
+// codeCmp is intCmpDense over a run's one-byte codes
+// (storage.Int64Column.Codes): codes[k] is row lo+k's value less base. The
+// comparison keeps the codes of a half-open range [a, b), clamped to [0,
+// CodeSpan] (<> keeps the others), and 8 codes are tested a 64-bit word at
+// a time: with each code's top bit set, (w − k·0x01…01) keeps a lane's top
+// bit exactly when its code is at least k, for any k up to CodeSpan, and no
+// lane borrows from the next. Each lane left set is one row kept.
+func codeCmp(codes []uint8, lo int32, base int64, op expr.CmpOp, lit int64, out []int32) []int32 {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	x := int64(-1) // lit − base, clamped to [-1, CodeSpan]
+	if lit >= base {
+		x = int64(min(uint64(lit)-uint64(base), storage.CodeSpan))
+	}
+	a, b, not := x, x+1, false
+	switch op {
+	case expr.NE:
+		not = true
+	case expr.LT:
+		a, b = 0, x
+	case expr.LE:
+		a = 0
+	case expr.GT:
+		a, b = x+1, storage.CodeSpan
+	case expr.GE:
+		b = storage.CodeSpan
+	}
+	a = min(max(a, 0), storage.CodeSpan)
+	b = min(max(b, a), storage.CodeSpan)
+	ka, kb := uint64(a)*ones, uint64(b)*ones
+	var flip uint64
+	if not {
+		flip = tops
+	}
+	i := 0
+	for ; i+8 <= len(codes); i += 8 {
+		w := binary.LittleEndian.Uint64(codes[i:]) | tops
+		for m := ((w-ka)&^(w-kb)&tops ^ flip); m != 0; m &= m - 1 {
+			out = append(out, lo+int32(i+bits.TrailingZeros64(m)>>3))
+		}
+	}
+	for ; i < len(codes); i++ {
+		if c := int64(codes[i]); (c >= a && c < b) != not {
+			out = append(out, lo+int32(i))
 		}
 	}
 	return out
