@@ -67,14 +67,16 @@ recover-test:
 # order, the cluster-lifecycle suites (ALTER CLUSTER, node recovery and the
 # containers it adopts, crash sweeps over the rebalance/recovery state
 # machines), every consumer of replica placement against the buddy
-# rule, the local-segment cut across rebalance and recovery, the wire
+# rule, the local-segment cut across rebalance and recovery, a segment's
+# replicas sharing the containers the layout built once (each with its own
+# start epoch and delete vector), the wire
 # sentinel round-trip, and the chaos acceptance
 # scenario (grow + kill + heal under live COPY and V2S) — all under the race
 # detector.
 rebalance-test:
 	$(GO) test -race ./internal/rebalance/
 	$(GO) test -race -run 'ColumnarVersions|ImportContainerOrder' ./internal/storage/
-	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|RecoveryAdoptsSourceContainers|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep|ReplicaPlacementEquivalence|NoContainerStraddlesALocalSegment' ./internal/vertica/
+	$(GO) test -race -run 'AlterCluster|NodeRecovery|RecoveringNode|RecoveryAdoptsSourceContainers|AtEpochPinnedAcrossRebalance|MembershipCrashSweep|RecoveryCrashSweep|ReplicaPlacementEquivalence|NoContainerStraddlesALocalSegment|ReplicasShareContainerParts' ./internal/vertica/
 	$(GO) test -race -run 'SentinelRoundTrip' ./internal/server/
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 

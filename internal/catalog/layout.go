@@ -34,11 +34,12 @@ type Layout struct {
 	// tables only), holding segment (p-r-1) mod n.
 	Buddies [][]*storage.Store
 
-	segs     int           // segments holding distinct rows: len(Ring), or 1 unsegmented
-	keys     []int         // 0..len(Ring)-1, the Replicas keys Segs hands out
-	ranges   []vhash.Range // per ring position
-	replicas [][]Replica   // per Replicas key, in failover order
-	hosted   [][]Replica   // per ring position, primary first
+	segs     int              // segments holding distinct rows: len(Ring), or 1 unsegmented
+	keys     []int            // 0..len(Ring)-1, the Replicas keys Segs hands out
+	ranges   []vhash.Range    // per ring position
+	cuts     []vhash.LocalCut // ranges' local-segment boundaries, per ring position
+	replicas [][]Replica      // per Replicas key, in failover order
+	hosted   [][]Replica      // per ring position, primary first
 }
 
 // Replica is one store of a table: the node hosting it and the segment
@@ -51,9 +52,10 @@ type Replica struct {
 
 // NewLayout allocates empty stores for a table of the given definition on
 // ring: one primary per position and, for a segmented table, KSafety buddy
-// replicas per position. Each store is told the ring range it holds — its
-// segment, or the whole ring for an unsegmented replica — so it cuts large
-// writes at that range's local segments (storage.NewSegmentStore).
+// replicas per position (buddy r at position p holds segment (p-r-1) mod n).
+// The ring range each position holds — its segment, or the whole ring for an
+// unsegmented replica — and that range's local segments, where Place cuts
+// large writes, are computed here, once.
 func NewLayout(def TableDef, segIdx []int, ring []int) *Layout {
 	n := len(ring)
 	l := &Layout{Ring: slices.Clone(ring), Stores: make([]*storage.Store, n)}
@@ -64,16 +66,18 @@ func NewLayout(def TableDef, segIdx []int, ring []int) *Layout {
 			l.ranges = append(l.ranges, vhash.Range{Lo: 0, Hi: vhash.RingSize})
 		}
 	}
+	for _, r := range l.ranges {
+		l.cuts = append(l.cuts, vhash.LocalCutOf(r))
+	}
 	for p := range l.Stores {
-		l.Stores[p] = storage.NewSegmentStore(def.Schema, segIdx, l.ranges[p])
+		l.Stores[p] = storage.NewStore(def.Schema, segIdx)
 	}
 	if def.Segmented && def.KSafety > 0 {
 		l.Buddies = make([][]*storage.Store, def.KSafety)
 		for r := range l.Buddies {
 			l.Buddies[r] = make([]*storage.Store, n)
 			for p := range l.Buddies[r] {
-				// Buddy r at position p holds segment (p-r-1) mod n.
-				l.Buddies[r][p] = storage.NewSegmentStore(def.Schema, segIdx, l.ranges[((p-r-1)%n+n)%n])
+				l.Buddies[r][p] = storage.NewStore(def.Schema, segIdx)
 			}
 		}
 	}
@@ -157,30 +161,36 @@ func (l *Layout) SegmentRanges() []vhash.Range { return l.ranges }
 // and for a segmented table the ring position of its primary.
 func (l *Layout) HomeNode(h uint32) int { return vhash.SegmentOf(h, l.segs) }
 
-// Place hands every store of the layout its share of rows — the one place
-// rows are split across a layout's stores. The rows are held in blocks, each
+// Place cuts rows into containers and hands them to every store of the
+// layout — the one place rows are split across a layout's stores, and the one
+// place they are cut into containers. The rows are held in blocks, each
 // batch's vectors holding exactly the rows it selects, with the rows'
 // segmentation hashes in block order and, when dels is not nil, their delete
 // marks in the same order. The row numbers are partitioned by home segment,
 // and each segment's share is cut out of the blocks once, by one exact-size
-// copy, for every one of its replicas (a share that is every row of a single
-// block, in order, such as a small write's to an unsegmented table, is handed
-// the vectors as they are). A share's hashes and marks are gathered the same
-// way; a share with no mark gets nil marks. A share of storage.LocalCutRows
-// rows or more is laid out in local-segment order (arrival order inside each
-// local segment), so each store cuts it into one container per local segment
-// by sub-slicing; a smaller share keeps arrival order. visit is called for
-// each replica of each segment in failover order, the segments ascending.
-// The write path, WAL replay and rebalance all place rows through it, so each
-// reproduces the others' placement exactly.
-func (l *Layout) Place(blocks []*storage.Batch, hashes []uint32, dels []uint64, visit func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32, dels []uint64) error) error {
+// copy (a share that is every row of a single block, in order, such as a
+// small write's to an unsegmented table, takes the vectors as they are). A
+// share's hashes and marks are gathered the same way. A share of
+// storage.LocalCutRows rows or more is laid out in local-segment order
+// (arrival order inside each local segment) and cut into one container per
+// local segment it touches, each a sub-slice of the share; a smaller share
+// keeps arrival order and makes one container. Each share's containers are
+// built once (storage.NewContainers) — vectors, hashes, zone maps and codes
+// — and visit is called with them for each replica of the segment in
+// failover order, the segments ascending, with the share's marks (cut at the
+// containers' ends; nil = none): a replica attaches them (Store.Attach), so
+// all of a segment's replicas share everything but their headers and delete
+// vectors. The write path, WAL replay and rebalance all place rows through
+// it, so each reproduces the others' containers exactly.
+func (l *Layout) Place(blocks []*storage.Batch, hashes []uint32, dels []uint64, visit func(st *storage.Store, nodeID int, cs []*storage.ROSContainer, dels []uint64) error) error {
 	schema := l.Stores[0].Schema()
-	visitReplicas := func(seg int, cols []storage.Column, hashes []uint32, dels []uint64) error {
-		if !slices.ContainsFunc(dels, func(d uint64) bool { return d != 0 }) {
-			dels = nil
+	visitReplicas := func(seg int, cols []storage.Column, hashes []uint32, dels []uint64, ends []int) error {
+		cs, err := storage.NewContainers(schema, cols, hashes, ends)
+		if err != nil {
+			return err
 		}
 		for _, rep := range l.replicas[seg] {
-			if err := visit(rep.Store, rep.Node, cols, hashes, dels); err != nil {
+			if err := visit(rep.Store, rep.Node, cs, dels); err != nil {
 				return err
 			}
 		}
@@ -191,25 +201,26 @@ func (l *Layout) Place(blocks []*storage.Batch, hashes []uint32, dels []uint64, 
 		if err != nil {
 			return err
 		}
-		return visitReplicas(0, cols, hashes, dels)
+		return visitReplicas(0, cols, hashes, dels, []int{len(hashes)})
 	}
 	// next[seg·L+l] counts, then places, segment seg's rows in its local
-	// segment l; a share below the floor places every row through l = 0.
-	// slots keeps each row's seg·L+l from the counting pass for the placing one.
+	// segment l, and so ends as where local segment l ends in seg's share; a
+	// share below the floor places every row through l = 0, which ends as
+	// the share's size. slots keeps each row's seg·L+l from the counting pass
+	// for the placing one. order holds every share's row numbers, share after
+	// share, and sels[seg] is seg's; one allocation holds slots and order.
 	const L = vhash.LocalSegments
-	cuts := make([]vhash.LocalCut, l.segs)
-	for seg := range cuts {
-		cuts[seg] = vhash.LocalCutOf(l.ranges[seg])
-	}
 	next := make([]int, l.segs*L)
-	slots := make([]int32, len(hashes))
+	rows := make([]int32, 2*len(hashes))
+	slots, order := rows[:len(hashes):len(hashes)], rows[len(hashes):]
 	for i, h := range hashes {
 		home := l.HomeNode(h)
-		slot := home*L + cuts[home].Of(h)
+		slot := home*L + l.cuts[home].Of(h)
 		slots[i] = int32(slot)
 		next[slot]++
 	}
 	sels := make([][]int32, l.segs)
+	at := 0
 	for home := range sels {
 		share := next[home*L : (home+1)*L]
 		total := 0
@@ -217,7 +228,8 @@ func (l *Layout) Place(blocks []*storage.Batch, hashes []uint32, dels []uint64, 
 			share[i] = total
 			total += c
 		}
-		sels[home] = make([]int32, total)
+		sels[home] = order[at : at+total : at+total]
+		at += total
 		if total < storage.LocalCutRows {
 			clear(share)
 		}
@@ -235,9 +247,13 @@ func (l *Layout) Place(blocks []*storage.Batch, hashes []uint32, dels []uint64, 
 		if len(sel) == 0 {
 			continue
 		}
+		ends := next[home*L : (home+1)*L]
+		if len(sel) < storage.LocalCutRows {
+			ends = ends[:1]
+		}
 		whole := len(sel) == len(hashes) && slices.IsSorted(sel)
 		if whole && len(blocks) == 1 {
-			if err := visitReplicas(home, blocks[0].Cols, hashes, dels); err != nil {
+			if err := visitReplicas(home, blocks[0].Cols, hashes, dels, ends); err != nil {
 				return err
 			}
 			continue
@@ -265,7 +281,7 @@ func (l *Layout) Place(blocks []*storage.Batch, hashes []uint32, dels []uint64, 
 		if err != nil {
 			return err
 		}
-		if err := visitReplicas(home, share, shareHashes, shareDels); err != nil {
+		if err := visitReplicas(home, share, shareHashes, shareDels, ends); err != nil {
 			return err
 		}
 	}

@@ -16,17 +16,20 @@ import (
 // row it places: a K=1 table of 1 INTEGER + 10 FLOAT columns, written in
 // three epochs through the layout's own placement and with a tenth of its
 // rows deleted, moved from 3 nodes to 4. Each new segment's share is cut out
-// of the old containers by one copy that its two replicas share; the row
-// numbers, hashes and delete marks gathered beside it are the rest.
+// of the old containers by one copy, and its containers are built once, for
+// its two replicas to attach; the row numbers, hashes and delete marks
+// gathered beside it are the rest.
 func TestMoveTableCopiesEachRowOncePerSegment(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes what allocates")
 	}
 	const (
 		// Measured 759.3 B/row when the move copied every row into one
-		// export and then once into each replica, 151.1 after, and 142.9
-		// once a group's delete marks were copied straight into its vector;
-		// the bound leaves 10 % over the latter.
+		// export and then once into each replica, 151.1 after, 142.9 once a
+		// group's delete marks were copied straight into its vector, and
+		// 142.5 once a segment's containers (zone maps, hash span) were
+		// built once for both replicas; the bound leaves 10 % over the
+		// latter.
 		maxAllocBytesPerRow = 157
 		perEpoch            = 12000
 	)
@@ -54,8 +57,9 @@ func TestMoveTableCopiesEachRowOncePerSegment(t *testing.T) {
 			cols = append(cols, &storage.Float64Column{Vals: vals})
 		}
 		block := []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(perEpoch)}}
-		err := tbl.Place(block, storage.HashBatches(block, tbl.SegIdx), nil, func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32, _ []uint64) error {
-			return st.AppendColumns(cols, hashes, e, nil)
+		err := tbl.Place(block, storage.HashBatches(block, tbl.SegIdx), nil, func(st *storage.Store, _ int, cs []*storage.ROSContainer, _ []uint64) error {
+			st.Attach(cs, e, nil)
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

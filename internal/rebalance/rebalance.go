@@ -156,15 +156,18 @@ func MoveTable(t *catalog.Table, newRing []int, healthy func(nodeID int) bool) (
 				}
 			}
 		}
-		err := lay.Place(blocks, hashes, dels, func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32, dels []uint64) error {
+		err := lay.Place(blocks, hashes, dels, func(st *storage.Store, _ int, cs []*storage.ROSContainer, dels []uint64) error {
 			if held, ok := primary[st]; ok {
-				for _, h := range hashes {
-					if t.HomeNode(h) != held {
-						res.RowsMoved++
+				for _, c := range cs {
+					for _, h := range c.Hashes {
+						if t.HomeNode(h) != held {
+							res.RowsMoved++
+						}
 					}
 				}
 			}
-			return st.AppendColumns(cols, hashes, start, dels)
+			st.Attach(cs, start, dels)
+			return nil
 		})
 		if err != nil {
 			return nil, res, err

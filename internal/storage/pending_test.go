@@ -17,7 +17,7 @@ import (
 // which Visits does not count).
 func TestCommitVisitsOnlyItsContainers(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "id", T: types.Int64})
-	s := NewSegmentStore(schema, []int{0}, vhash.Range{Lo: 0, Hi: vhash.RingSize})
+	s := NewStore(schema, []int{0})
 	insert := func(i int64, tag uint64) {
 		t.Helper()
 		cols := []Column{&Int64Column{Vals: []int64{i}}}
@@ -71,7 +71,7 @@ func TestCommitVisitsOnlyItsContainers(t *testing.T) {
 // here visits none.
 func TestDeleteCommitVisitsOnlyItsContainers(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "id", T: types.Int64})
-	s := NewSegmentStore(schema, []int{0}, vhash.Range{Lo: 0, Hi: vhash.RingSize})
+	s := NewStore(schema, []int{0})
 	const n = 300
 	for i := int64(0); i < n+2; i++ {
 		cols := []Column{&Int64Column{Vals: []int64{i}}}

@@ -75,7 +75,8 @@ type ROSContainer struct {
 }
 
 // newContainer is the one constructor of in-memory containers — every write
-// and rebalance ends here, and recovery adopts what they built — so every
+// and rebalance builds its containers here (NewContainers), once for all the
+// replicas that attach them, and recovery adopts what they built — so every
 // container carries zone maps, and codes where they apply (coded). cols are
 // n-row dense vectors, one per schema column, which the container keeps as
 // they are (they may be shared with other containers, never written again)
@@ -96,6 +97,50 @@ func newContainer(cols []Column, n int, schema types.Schema, hashes []uint32, st
 		start:    start,
 		del:      del,
 	}, nil
+}
+
+// NewContainers builds the containers of the rows held by cols — dense
+// vectors, one per schema column, with the rows' segmentation hashes already
+// computed — cut where ends says: container l ends at row ends[l], an empty
+// one is skipped, and each takes its rows' sub-slice of the vectors and
+// hashes (a single container takes them as they are). It is where
+// catalog.Layout.Place, the one place rows are cut into containers, builds a
+// segment's containers once: every replica of the segment attaches them
+// (Store.Attach), so their vectors, hashes, zone maps and codes exist once.
+func NewContainers(schema types.Schema, cols []Column, hashes []uint32, ends []int) ([]*ROSContainer, error) {
+	cs := make([]*ROSContainer, 0, len(ends))
+	lo := 0
+	for _, hi := range ends {
+		if hi == lo {
+			continue
+		}
+		part, h := cols, hashes
+		if hi-lo < len(hashes) {
+			part = make([]Column, len(cols))
+			for j, c := range cols {
+				part[j] = sliceDense(c, lo, hi)
+			}
+			h = hashes[lo:hi:hi]
+		}
+		c, err := newContainer(part, hi-lo, schema, h, 0, nil)
+		if err != nil {
+			return nil, err
+		}
+		cs = append(cs, c)
+		lo = hi
+	}
+	return cs, nil
+}
+
+// header returns a container of its own over c's rows, stamped start, with
+// del its delete vector: it shares c's column vectors, hashes, span and zone
+// maps, which are never written again, and has its own lock, dirty flag and
+// disk ref (none yet, so the next checkpoint writes its file under the store
+// that holds it). A replica attaches a segment's containers (Store.Attach),
+// and recovery adopts its source's (Store.ReplaceContents), through it.
+func (c *ROSContainer) header(start uint64, del []uint64) *ROSContainer {
+	return &ROSContainer{Schema: c.Schema, Cols: c.Cols, RowCount: c.RowCount, Hashes: c.Hashes,
+		span: c.span, stats: c.stats, start: start, del: del}
 }
 
 // CodeSpan bounds the values a coded column holds: they lie in [min,
@@ -329,32 +374,27 @@ func (c *ROSContainer) DataBytes() int {
 	return n
 }
 
-// LocalCutRows is the fewest rows a store cuts at its local segments
-// (vhash.LocalSegments): a write, or one insert epoch of a move, reaching a
-// store with at least this many rows becomes one container per local segment
-// it touches; fewer stay one container. Below it, a V2S partition's range
-// test over the share costs less than the three more containers every later
-// scan, DELETE and checkpoint would visit, and at it each cut container
-// averages 4 096 / 4 = 1 024 rows, the run a LIMIT-pushed scan filters first
-// (vertica's limitChunk). Trickle and small writes keep one container.
+// LocalCutRows is the fewest rows catalog.Layout.Place cuts at local
+// segments (vhash.LocalSegments): a write, or one insert epoch of a move,
+// reaching a segment with at least this many rows becomes one container per
+// local segment it touches; fewer stay one container. Below it, a V2S
+// partition's range test over the share costs less than the three more
+// containers every later scan, DELETE and checkpoint would visit, and at it
+// each cut container averages 4 096 / 4 = 1 024 rows, the run a LIMIT-pushed
+// scan filters first (vertica's limitChunk). Trickle and small writes keep
+// one container.
 const LocalCutRows = 4096
 
 // Store holds the ROS containers for one table's data on one node (one
-// "segment" of the table, in the paper's terminology). Every write lands as a
-// container of its own — or, from LocalCutRows rows up, one per local segment
-// of the store's ring range — so a row never moves once written: a batch a
-// scan cut names its rows for as long as its container lives.
+// "segment" of the table, in the paper's terminology). Every write lands as
+// the containers Layout.Place cut it into, each attached with a header of the
+// store's own, so a row never moves once written: a batch a scan cut names
+// its rows for as long as its container lives.
 type Store struct {
 	mu     sync.RWMutex
 	schema types.Schema
 	segIdx []int
-	// ring is the hash range the store holds (its segment, or the whole ring
-	// for an unsegmented replica); empty for a store built by NewStore, which
-	// never cuts at local segments.
-	ring vhash.Range
-	// cut is ring's local-segment boundaries, computed once.
-	cut vhash.LocalCut
-	ros []*ROSContainer
+	ros    []*ROSContainer
 	// pending indexes the containers still stamped with a provisional tag by
 	// that tag, so a commit — live or replayed — visits only its own
 	// transaction's containers, however many the store holds. An abort
@@ -376,22 +416,10 @@ type Store struct {
 }
 
 // NewStore creates an empty per-node store for a table with the given schema
-// and segmentation column indexes. It is not told a ring range, so every
-// write stays one container.
+// and segmentation column indexes.
 func NewStore(schema types.Schema, segIdx []int) *Store {
 	return &Store{schema: schema, segIdx: segIdx, pending: byTag{}, marked: byTag{}}
 }
-
-// NewSegmentStore is NewStore for a store holding the rows of ring: a
-// segment, or the whole ring for an unsegmented replica. It cuts what it
-// builds from LocalCutRows rows up at ring's local segments, so no such
-// container spans two of them.
-func NewSegmentStore(schema types.Schema, segIdx []int, ring vhash.Range) *Store {
-	return &Store{schema: schema, segIdx: segIdx, ring: ring, cut: vhash.LocalCutOf(ring), pending: byTag{}, marked: byTag{}}
-}
-
-// Ring returns the hash range the store holds (empty when it was not told).
-func (s *Store) Ring() vhash.Range { return s.ring }
 
 // MarkStale records that this store missed a cluster write (its node was not
 // accepting writes when the write committed).
@@ -411,44 +439,58 @@ func (s *Store) SegIdx() []int { return s.segIdx }
 
 // AppendColumns adds the rows held by cols — dense vectors, one per schema
 // column, with the rows' segmentation hashes already computed and, when dels
-// is not nil, their delete marks — as ROS containers stamped with the given
-// epoch or provisional tag: one container, or, from LocalCutRows rows up
-// arriving in local-segment order (catalog.Layout.Place orders them so), one
-// per local segment, each a sub-slice of the vectors. The containers take
-// the vectors and hashes over without copying them, but the store keeps its
-// own copy of dels: the delete vector is the one part of a container that
-// replicas must not share. It is the one entry the write path, WAL replay and
-// rebalance add rows through: a commit rebases a provisional tag, an abort
-// drops its containers.
+// is not nil, their delete marks — as one ROS container stamped with the
+// given epoch or provisional tag: NewContainers and Attach for a caller that
+// holds vectors, not a layout's share.
 func (s *Store) AppendColumns(cols []Column, hashes []uint32, start uint64, dels []uint64) error {
 	if len(hashes) == 0 {
 		return nil
 	}
-	var buf [vhash.LocalSegments]*ROSContainer
-	ros, err := s.containersAt(buf[:0], cols, hashes, start, slices.Clone(dels))
+	cs, err := NewContainers(s.schema, cols, hashes, []int{len(hashes)})
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.add(ros...)
-	s.mu.Unlock()
+	s.Attach(cs, start, dels)
 	return nil
+}
+
+// Attach adds containers built for every replica of a segment
+// (NewContainers, which checks their vectors against the table's schema) to
+// the store, each under a header of its own stamped with the given epoch or
+// provisional tag: it shares their vectors, hashes and zone maps, and holds
+// its own copy of its rows' delete marks, cut out of dels (the rows' marks in
+// container order; nil = none) at the same ends — the delete vector is the
+// one part of a container that replicas must not share. It is the one entry
+// the write path, WAL replay and rebalance add rows through: a commit rebases
+// a provisional tag, an abort drops its containers.
+func (s *Store) Attach(cs []*ROSContainer, start uint64, dels []uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lo := 0
+	for _, c := range cs {
+		var del []uint64
+		if dels != nil {
+			if d := dels[lo : lo+c.RowCount]; slices.ContainsFunc(d, func(e uint64) bool { return e != 0 }) {
+				del = slices.Clone(d)
+			}
+		}
+		s.add(c.header(start, del))
+		lo += c.RowCount
+	}
 }
 
 // ReplaceContents atomically replaces the store's entire contents with src's
 // committed containers, one for one and in order: node recovery rebuilds a
 // stale store in place from a current replica of its segment with it. Each
-// adopted container shares its source's column vectors, hashes, span and
-// zone maps, which are never written again, and holds its own copy of the
-// source's committed delete marks (Committed); it has no disk ref, so the
-// next checkpoint writes its file under this store's node. The swap happens
+// adopted container is a header of its source's (header) holding its own
+// copy of the source's committed delete marks (Committed). The swap happens
 // under the store's own lock, and because the caller holds the table's
 // EXCLUSIVE lock no writer can interleave. Readers that snapshotted the old
 // containers keep scanning them safely — a reader only reaches a store while
 // its node is UP, at a snapshot epoch the old contents fully cover.
 func (s *Store) ReplaceContents(src *Store) error {
-	if !slices.EqualFunc(src.schema.Cols, s.schema.Cols, func(a, b types.Column) bool { return a.T == b.T }) {
-		return fmt.Errorf("storage: containers of %v do not fit a store of %v", src.schema, s.schema)
+	if err := s.fits(src.schema); err != nil {
+		return err
 	}
 	var ros []*ROSContainer
 	for _, c := range src.snapshot() {
@@ -456,12 +498,20 @@ func (s *Store) ReplaceContents(src *Store) error {
 		if start >= ProvisionalBase {
 			continue
 		}
-		ros = append(ros, &ROSContainer{Schema: c.Schema, Cols: c.Cols, RowCount: c.RowCount, Hashes: c.Hashes,
-			span: c.span, stats: c.stats, start: start, del: del})
+		ros = append(ros, c.header(start, del))
 	}
 	s.mu.Lock()
 	s.ros, s.pending, s.marked = ros, byTag{}, byTag{}
 	s.mu.Unlock()
+	return nil
+}
+
+// fits refuses containers whose column types are not the store's schema's,
+// so every vector a scan hands on is of its schema column's type.
+func (s *Store) fits(schema types.Schema) error {
+	if !slices.EqualFunc(schema.Cols, s.schema.Cols, func(a, b types.Column) bool { return a.T == b.T }) {
+		return fmt.Errorf("storage: containers of %v do not fit a store of %v", schema, s.schema)
+	}
 	return nil
 }
 
@@ -487,73 +537,6 @@ func (s *Store) take(index *byTag, tag uint64) []*ROSContainer {
 	delete(*index, tag)
 	s.visits.Add(int64(len(cs)))
 	return cs
-}
-
-// cuts returns where the store cuts rows with these hashes into containers:
-// container l ends at ends[l] (an empty one is skipped). From LocalCutRows
-// rows up, on a store told its ring, rows in local-segment order make one
-// container per local segment; any others make one container.
-func (s *Store) cuts(hashes []uint32) (ends [vhash.LocalSegments]int) {
-	one := ends
-	for l := range one {
-		one[l] = len(hashes)
-	}
-	if !s.cutsAt(len(hashes)) {
-		return one
-	}
-	// at is the local segment the rows have reached: a row below its lower
-	// boundary is out of order, one at or past the next boundary moves it on.
-	at := 0
-	for i, h := range hashes {
-		x := uint64(h)
-		if at > 0 && x < s.cut[at-1] {
-			return one
-		}
-		for ; at < len(s.cut) && x >= s.cut[at]; at++ {
-			ends[at] = i
-		}
-	}
-	for ; at < len(ends); at++ {
-		ends[at] = len(hashes)
-	}
-	return ends
-}
-
-// cutsAt reports whether the store cuts n rows at its local segments.
-func (s *Store) cutsAt(n int) bool { return n >= LocalCutRows && !s.ring.Empty() }
-
-// containersAt appends to dst the containers of rows cut where cuts says:
-// each takes its rows' sub-slice of cols, hashes and del (nil = none
-// deleted), and a single container takes them as they are.
-func (s *Store) containersAt(dst []*ROSContainer, cols []Column, hashes []uint32, start uint64, del []uint64) ([]*ROSContainer, error) {
-	n := len(hashes)
-	ends := s.cuts(hashes)
-	lo := 0
-	for _, hi := range ends {
-		if hi == lo {
-			continue
-		}
-		part, h, d := cols, hashes, del
-		if hi-lo < n {
-			part = make([]Column, len(cols))
-			for j, c := range cols {
-				part[j] = sliceDense(c, lo, hi)
-			}
-			h = hashes[lo:hi:hi]
-			if d != nil {
-				if d = del[lo:hi:hi]; !slices.ContainsFunc(d, func(e uint64) bool { return e != 0 }) {
-					d = nil
-				}
-			}
-		}
-		c, err := newContainer(part, hi-lo, s.schema, h, start, d)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, c)
-		lo = hi
-	}
-	return dst, nil
 }
 
 func (s *Store) snapshot() []*ROSContainer {
@@ -697,33 +680,16 @@ func (s *Store) DataBytes() int {
 	return n
 }
 
-// Validate checks internal invariants; used by tests and the engine's
-// consistency checker.
-func (s *Store) Validate() error {
-	for idx, c := range s.snapshot() {
-		for j, col := range c.Cols {
-			if col.Len() != c.RowCount {
-				return fmt.Errorf("storage: container %d column %d has %d rows, want %d", idx, j, col.Len(), c.RowCount)
-			}
-		}
-		if len(c.Hashes) != c.RowCount {
-			return fmt.Errorf("storage: container %d has %d hashes, want %d", idx, len(c.Hashes), c.RowCount)
-		}
-	}
-	return nil
-}
-
 // Containers returns a snapshot of the store's ROS containers in order. The
 // checkpoint walks it to persist committed containers.
 func (s *Store) Containers() []*ROSContainer { return s.snapshot() }
 
-// AttachContainer appends a finished container: one just built by a load, or
-// one loaded from disk (crash recovery). A container whose column types are
-// not the store's schema's is refused, so every vector a scan hands on is of
-// its schema column's type.
+// AttachContainer appends a container loaded from its file (crash
+// recovery's container-file loader) as it is, its header included. A
+// container whose column types are not the store's schema's is refused.
 func (s *Store) AttachContainer(c *ROSContainer) error {
-	if !slices.EqualFunc(c.Schema.Cols, s.schema.Cols, func(a, b types.Column) bool { return a.T == b.T }) {
-		return fmt.Errorf("storage: container of %v does not fit a store of %v", c.Schema, s.schema)
+	if err := s.fits(c.Schema); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.add(c)

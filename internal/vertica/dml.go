@@ -76,11 +76,12 @@ func (s *Session) writeColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.C
 // appendColumns adds the rows held in blocks (each batch's vectors holding
 // exactly the rows it selects) to the table's stores under tx. Each row is
 // ring-hashed once, here; segmented tables route each row to its segment's
-// node (plus buddy replicas), unsegmented tables replicate to every node; each
-// store takes its share as one container. Stores hosted on DOWN
-// (or removed) nodes are skipped — their writes land on the surviving
-// replicas and are reconciled when the node recovers — but the statement
-// fails up front if any replica set is entirely unwritable. A traced
+// node (plus buddy replicas), unsegmented tables replicate to every node;
+// Layout.Place builds each segment's containers once and each store attaches
+// them. Stores hosted on DOWN (or removed) nodes are skipped — their writes
+// land on the surviving replicas and are reconciled when the node recovers —
+// but the statement fails up front if any replica set is entirely
+// unwritable. A traced
 // statement gets back the bytes shuffled from the connected node to each
 // other node, for resource accounting; an untraced one gets nil, and nothing
 // is weighed.
@@ -93,19 +94,19 @@ func (s *Session) appendColumns(tx *txn.Txn, tbl *catalog.Table, blocks []*stora
 		route = make(map[[2]string]float64)
 	}
 	hashes := storage.HashBatches(blocks, tbl.SegIdx)
-	err := tbl.Place(blocks, hashes, nil, func(st *storage.Store, nodeID int, cols []storage.Column, hashes []uint32, _ []uint64) error {
+	err := tbl.Place(blocks, hashes, nil, func(st *storage.Store, nodeID int, cs []*storage.ROSContainer, _ []uint64) error {
 		if !s.cluster.nodeAcceptsWrites(nodeID) {
 			// The skipped store now lags the committed state; recovery must
 			// rebuild it from a replica before its node serves reads again.
 			st.MarkStale()
 			return nil
 		}
-		if err := st.AppendColumns(cols, hashes, tx.Tag(), nil); err != nil {
-			return err
-		}
+		st.Attach(cs, tx.Tag(), nil)
 		tx.NoteInsert(st)
 		if route != nil && nodeID != s.node.ID {
-			route[[2]string{s.node.Name, sim.VName(nodeID)}] += float64(batchWireSize(&storage.Batch{Cols: cols, Sel: storage.IdentitySel(len(hashes))}))
+			for _, c := range cs {
+				route[[2]string{s.node.Name, sim.VName(nodeID)}] += float64(batchWireSize(&storage.Batch{Cols: c.Cols, Sel: storage.IdentitySel(c.RowCount)}))
+			}
 		}
 		return nil
 	})

@@ -525,9 +525,10 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 			}
 			e := effects(rec.Tag)
 			block := []*storage.Batch{{Cols: cols, Sel: storage.IdentitySel(n)}}
-			werr := tbl.Place(block, storage.HashBatches(block, tbl.SegIdx), nil, func(st *storage.Store, _ int, cols []storage.Column, hashes []uint32, _ []uint64) error {
+			werr := tbl.Place(block, storage.HashBatches(block, tbl.SegIdx), nil, func(st *storage.Store, _ int, cs []*storage.ROSContainer, _ []uint64) error {
 				e.inserted[st] = true
-				return st.AppendColumns(cols, hashes, rec.Tag, nil)
+				st.Attach(cs, rec.Tag, nil)
+				return nil
 			})
 			if werr != nil {
 				return replayed, dropped, fmt.Errorf("vertica: replay: insert into %q: %w", rec.Table, werr)

@@ -63,19 +63,21 @@ func localSegmentLifecycle(t *testing.T, nodes, k int) {
 			if !ok {
 				t.Fatalf("%s: no table %s", step, name)
 			}
-			for _, st := range allStores(tbl) {
-				ring := st.Ring()
-				if ring.Empty() {
-					t.Fatalf("%s: a store of %s was told no ring range", step, name)
-				}
-				for _, ct := range st.Containers() {
-					span := ct.HashSpan()
-					if ct.RowCount < storage.LocalCutRows {
-						continue
+			for _, seg := range tbl.Segs(0) {
+				for _, rep := range tbl.Replicas(seg) {
+					ring := tbl.SegmentRanges()[rep.Seg]
+					if ring.Empty() {
+						t.Fatalf("%s: a replica of %s holds no ring range", step, name)
 					}
-					if !ring.Covers(span) || vhash.LocalSegmentOf(ring, uint32(span.Lo)) != vhash.LocalSegmentOf(ring, uint32(span.Hi-1)) {
-						t.Fatalf("%s: a %d-row container of %s spans %v, across the local segments %v of its store",
-							step, ct.RowCount, name, span, vhash.Split(ring, vhash.LocalSegments))
+					for _, ct := range rep.Store.Containers() {
+						span := ct.HashSpan()
+						if ct.RowCount < storage.LocalCutRows {
+							continue
+						}
+						if !ring.Covers(span) || vhash.LocalSegmentOf(ring, uint32(span.Lo)) != vhash.LocalSegmentOf(ring, uint32(span.Hi-1)) {
+							t.Fatalf("%s: a %d-row container of %s spans %v, across the local segments %v of its store",
+								step, ct.RowCount, name, span, vhash.Split(ring, vhash.LocalSegments))
+						}
 					}
 				}
 			}

@@ -300,7 +300,8 @@ func checkWriteRouting(t *testing.T, tbl *catalog.Table) {
 		vals[i] = int64(i)
 	}
 	var got []visit
-	err := tbl.Place([]*storage.Batch{{Cols: []storage.Column{&storage.Int64Column{Vals: vals}}, Sel: storage.IdentitySel(n)}}, hashes, nil, func(st *storage.Store, nodeID int, cols []storage.Column, hs []uint32, _ []uint64) error {
+	err := tbl.Place([]*storage.Batch{{Cols: []storage.Column{&storage.Int64Column{Vals: vals}}, Sel: storage.IdentitySel(n)}}, hashes, nil, func(st *storage.Store, nodeID int, cs []*storage.ROSContainer, _ []uint64) error {
+		cols, hs := cs[0].Cols, cs[0].Hashes
 		if cols[0].Len() != len(hs) {
 			t.Fatalf("%s: visit got %d rows for %d hashes", tbl.Def.Name, cols[0].Len(), len(hs))
 		}

@@ -248,9 +248,9 @@ func SegmentOf(h uint32, n int) int {
 	return int(uint64(h) * uint64(n) / RingSize)
 }
 
-// LocalSegments is how many local segments a store cuts the ring range it
-// holds into (Vertica's default scaling factor): no container a store builds
-// from a large write spans two of them (storage.LocalCutRows), so a V2S
+// LocalSegments is how many local segments a segment's ring range is cut
+// into (Vertica's default scaling factor): no container catalog.Layout.Place
+// builds from a large write spans two of them (storage.LocalCutRows), so a V2S
 // partition whose range is a union of local segments takes or skips each
 // such container whole, by its hash span. The 1, 2 or 4 slices per segment
 // the connector asks for on up to four executor cores a node all divide it.
